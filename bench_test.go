@@ -1,7 +1,7 @@
-// Benchmarks, one per experiment of the reproduction (DESIGN.md §4):
-// each BenchmarkEn measures the workload of experiment En, and the
-// corresponding table is regenerated by `go run ./cmd/bench -exp En`.
-// The per-op times here are the series EXPERIMENTS.md reports.
+// Benchmarks, one per experiment of the reproduction
+// (internal/experiments): each BenchmarkEn measures the workload of
+// experiment En, and the corresponding table is regenerated by
+// `go run ./cmd/bench -exp En`.
 package repro_test
 
 import (

@@ -1,6 +1,7 @@
 // Command bench regenerates the reproduction's experiment tables
-// E1–E12 (see DESIGN.md §4 and EXPERIMENTS.md): one experiment per
-// theorem, lemma, worked example and proposition of the paper.  Every
+// E1–E18 (package internal/experiments): E1–E12 are one experiment per
+// theorem, lemma, worked example and proposition of the paper, E13–E18
+// measure the engine built around them.  Every
 // row is checked against the paper's claim; a MISMATCH in any table
 // (and a nonzero exit) means the reproduction diverges.
 //

@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/engine"
@@ -104,6 +106,48 @@ func TestApplyWithin(t *testing.T) {
 	// Empty filter: nothing runs.
 	if out := in.ApplyWithin(st, st, nil); !out.Empty() {
 		t.Fatalf("ApplyWithin(nil) derived %v", out.Format(in.Universe()))
+	}
+}
+
+// TestFullyBoundLiteralBuildsNoIndex: in the rederivation pass the head
+// filter binds both columns of s(Z,Y), so the literal is answered by
+// the relation's membership table.  An index on every column would
+// hold one bucket per tuple; with the per-column statistics the planner
+// reads already built, what a pass allocates must therefore not depend
+// on how large s is.
+func TestFullyBoundLiteralBuildsNoIndex(t *testing.T) {
+	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).")
+	alloc := func(n int) uint64 {
+		db := relation.NewDatabase()
+		e, _ := db.Ensure("E", 2)
+		s := relation.New(2)
+		id := func(i int) int { return db.Universe().Intern("v" + strconv.Itoa(i)) }
+		for i := 0; i < n; i++ {
+			e.Add(relation.Tuple{id(i), id(i + 1)})
+			s.Add(relation.Tuple{id(i + 1), id(i + 2)})
+		}
+		in, err := engine.NewWith(prog, db, engine.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := engine.State{"s": s}
+		cand := relation.New(2)
+		cand.Add(relation.Tuple{id(0), id(2)})
+		cand.Add(relation.Tuple{id(3), id(7)}) // not derivable
+		e.Distinct(0)
+		s.Distinct(0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := in.ApplyWithin(st, st, map[string]*relation.Relation{"s": cand})
+		runtime.ReadMemStats(&after)
+		if got["s"].Len() != 1 || !got["s"].Has(relation.Tuple{id(0), id(2)}) {
+			t.Fatalf("n=%d: ApplyWithin = %v, want exactly s(v0,v2)", n, got.Format(in.Universe()))
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := alloc(1000), alloc(10000)
+	if large > small+small/2+4096 {
+		t.Errorf("one rederivation pass allocates %d bytes over 1000 tuples and %d over 10000", small, large)
 	}
 }
 

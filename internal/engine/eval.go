@@ -718,10 +718,11 @@ func (in *Instance) run(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bindin
 }
 
 // runJoin enumerates the candidate tuples of a positive literal —
-// through the step's index probe when it has bound columns, by arena
-// scan otherwise — and extends the binding per match.  The per-tuple
-// work is the step's compiled micro-op array; together with the probe
-// this loop performs no allocation (see BenchmarkJoinAllocs).
+// by one membership probe when every column is bound, through the
+// step's index probe when some are, by arena scan otherwise — and
+// extends the binding per match.  The per-tuple work is the step's
+// compiled micro-op array; together with the probe this loop performs
+// no allocation (see BenchmarkJoinAllocs).
 func (in *Instance) runJoin(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int) {
 	je := ep.steps[si].join
 	rel := ctx.pos[je.lit]
@@ -732,6 +733,16 @@ func (in *Instance) runJoin(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bi
 	if len(je.probeCols) > 0 {
 		for i, s := range je.probeSrc {
 			je.probeVals[i] = slotValue(s, binding)
+		}
+		if je.member {
+			// The probe names the whole tuple: the relation's own key table
+			// answers it, where an index on every column would hold one
+			// bucket per tuple.
+			off := rel.OffsetOf(je.probeVals)
+			if off >= 0 && (je.shardHi == 0 || (off >= je.shardLo && off < je.shardHi)) {
+				in.matchTuple(rp, ctx, ep, si, binding, je, rel.At(off))
+			}
+			return
 		}
 		var offs []int32
 		if len(je.probeCols) == 1 {

@@ -4,8 +4,9 @@
 // planner sees the actual relations each positive literal will read —
 // including the small delta relations substituted by the semi-naive
 // variants — so join orders are re-costed every fixpoint round.  Each
-// chosen join is compiled into an access path (the widest composite
-// index covering its bound argument positions, or a scan) plus a flat
+// chosen join is compiled into an access path (a membership probe when
+// every argument position is bound, else the widest composite index
+// covering the bound ones, or a scan) plus a flat
 // array of bind/check micro-ops executed per candidate tuple; the
 // micro-ops replace the generic per-tuple matching closure, so the
 // probe loop allocates nothing.
@@ -85,6 +86,7 @@ type joinExec struct {
 	probeCols []int    // bound columns probed via an index; empty = scan
 	probeSrc  []slot   // value sources for probeCols
 	probeVals []int    // scratch buffer filled per execution
+	member    bool     // probeCols is every column: one membership probe, no index
 	ops       []joinOp // per-tuple micro-ops, in column order
 	bindVars  []int    // variables newly bound by this literal
 	relLen    int      // relation size at plan time (for explain)
@@ -143,6 +145,7 @@ func compileJoin(rp *rulePlan, lit int, rel *relation.Relation, bound []bool, wi
 	}
 	if len(je.probeCols) > 0 {
 		je.probeVals = make([]int, len(je.probeCols))
+		je.member = len(je.probeCols) == len(lp.slots)
 	}
 	return je
 }
@@ -370,7 +373,8 @@ func (rp *rulePlan) atomString(pred string, slots []slot, u *relation.Universe) 
 
 // Explain writes every rule's evaluation plan against the database and
 // the IDB relations of s: the chosen literal order, the access path of
-// each join (scan, or the probed index columns), and the planner's
+// each join (scan, the probed index columns, or "member" for a fully
+// bound literal), and the planner's
 // cardinality estimates.  Passing the state of a finished evaluation
 // shows the steady-state plans; passing NewState() shows the first
 // round.  The output reflects the instance's planner setting.
@@ -393,7 +397,9 @@ func (in *Instance) Explain(w io.Writer, s State) {
 				je := st.join
 				lp := rp.positives[st.idx]
 				path := "scan"
-				if len(je.probeCols) > 0 {
+				if je.member {
+					path = "member"
+				} else if len(je.probeCols) > 0 {
 					path = fmt.Sprintf("index%v", je.probeCols)
 				}
 				fmt.Fprintf(w, "  join  %-24s %-10s |rel|=%-8d est=%.3g\n",

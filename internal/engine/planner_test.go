@@ -234,6 +234,13 @@ func TestExplainSmoke(t *testing.T) {
 		t.Errorf("cost-based explain shows no index probe:\n%s", on.String())
 	}
 
+	// A literal whose columns are all bound is a membership probe.
+	var member strings.Builder
+	MustNew(parser.MustProgram("p(X,Y) :- E(X,Y), s(X,Y)."), pathDB(5)).Explain(&member, fix)
+	if !strings.Contains(member.String(), "member") || strings.Contains(member.String(), "index[") {
+		t.Errorf("explain of a fully bound literal shows no membership probe:\n%s", member.String())
+	}
+
 	in.SetCostPlanner(false)
 	var off strings.Builder
 	in.Explain(&off, fix)

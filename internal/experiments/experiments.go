@@ -2,7 +2,7 @@
 // experiment per theorem, lemma, worked example and proposition, each
 // printing a table of "paper claim vs measured outcome" rows (the
 // paper, a theory paper, has no numeric tables — its claims are the
-// artifacts under reproduction; see DESIGN.md §4 and EXPERIMENTS.md).
+// artifacts under reproduction).
 //
 // Each experiment is deterministic (seeded workloads) and checks its
 // claims programmatically: a row that contradicts the paper fails the

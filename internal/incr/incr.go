@@ -9,10 +9,15 @@
 //     maintenance.  Nonrecursive strata keep exact derivation support
 //     counts (the counting algorithm): an update bumps counts up for
 //     derivations it enables and down for derivations it disables, and
-//     membership follows count > 0.  Recursive strata use DRed-style
-//     delete/rederive plus semi-naive insert propagation.  Changes
-//     cascade upward through the strata, insertions acting as deletions
-//     through negation and vice versa.
+//     membership follows count > 0.  Recursive strata use DRed:
+//     overdelete, rederive once, then propagate semi-naively what the
+//     rederivation and the update insert.  A stratum's net change is
+//     read off the sets the pass holds — what was overdeleted and did
+//     not come back, what was appended and had not been overdeleted —
+//     so an update's cost follows what it changes, not the size of the
+//     relations it changes it in.  Changes cascade upward through the
+//     strata, insertions acting as deletions through negation and vice
+//     versa.
 //   - Inflationary on general programs: the paper's stage sequence is
 //     the semantics, so the evaluator's per-stage snapshots (O(1) each,
 //     see relation.Relation.Snapshot) are persisted as a replay log.
@@ -316,30 +321,91 @@ func (m *Maintainer) recompute() {
 	}
 }
 
-// normalize interns the update's constants, validates it, applies it to
+// validate rejects an update the maintainer cannot apply, touching
+// nothing: neither a constant is interned nor a relation created before
+// every fact has passed, so a rejected update (which is never logged)
+// leaves no trace a later update or a recovery could tell.
+func (m *Maintainer) validate(ins, del []Fact) error {
+	univ := m.db.Universe()
+	fresh := make(map[string]int) // arities this update gives predicates the database lacks
+	check := func(f Fact) error {
+		if m.idb[f.Pred] {
+			return fmt.Errorf("incr: %s is an IDB predicate; only EDB facts can be updated", f.Pred)
+		}
+		if ar, ok := m.arities[f.Pred]; ok && ar != len(f.Args) {
+			return fmt.Errorf("incr: %s has arity %d in the program, got %d args", f.Pred, ar, len(f.Args))
+		}
+		ar, ok := fresh[f.Pred]
+		if rel := m.db.Relation(f.Pred); rel != nil {
+			ar, ok = rel.Arity(), true
+		}
+		if ok && ar != len(f.Args) {
+			return fmt.Errorf("incr: relation %s has arity %d, got %d args", f.Pred, ar, len(f.Args))
+		}
+		fresh[f.Pred] = len(f.Args)
+		return nil
+	}
+	// present resolves f without interning: the stored tuple when f is in
+	// the database.  A fact naming a new constant is in no relation.
+	present := func(f Fact) relation.Tuple {
+		rel := m.db.Relation(f.Pred)
+		if rel == nil {
+			return nil
+		}
+		t := make(relation.Tuple, len(f.Args))
+		for i, a := range f.Args {
+			id, ok := univ.Lookup(a)
+			if !ok {
+				return nil
+			}
+			t[i] = id
+		}
+		if !rel.Has(t) {
+			return nil
+		}
+		return t
+	}
+	gone := make(map[string]*relation.Relation) // the effective deletions
+	for _, f := range del {
+		if err := check(f); err != nil {
+			return err
+		}
+		if t := present(f); t != nil {
+			if gone[f.Pred] == nil {
+				gone[f.Pred] = relation.New(len(t))
+			}
+			gone[f.Pred].Add(t)
+		}
+	}
+	for _, f := range ins {
+		if err := check(f); err != nil {
+			return err
+		}
+		if t := present(f); t != nil && gone[f.Pred] != nil && gone[f.Pred].Has(t) {
+			return fmt.Errorf("incr: %s%v both inserted and deleted in one update", f.Pred, f.Args)
+		}
+	}
+	return nil
+}
+
+// normalize validates the update, interns its constants, applies it to
 // the EDB relations, and returns the effective per-predicate changes
 // with pre-update snapshots.  grew reports whether interning added new
 // constants.
 func (m *Maintainer) normalize(ins, del []Fact, stats *UpdateStats) (map[string]*change, bool, error) {
+	if err := m.validate(ins, del); err != nil {
+		return nil, false, err
+	}
 	univ := m.db.Universe()
 	before := univ.Size()
 
-	toTuple := func(f Fact) (relation.Tuple, *relation.Relation, error) {
-		if m.idb[f.Pred] {
-			return nil, nil, fmt.Errorf("incr: %s is an IDB predicate; only EDB facts can be updated", f.Pred)
-		}
-		if ar, ok := m.arities[f.Pred]; ok && ar != len(f.Args) {
-			return nil, nil, fmt.Errorf("incr: %s has arity %d in the program, got %d args", f.Pred, ar, len(f.Args))
-		}
-		rel, err := m.db.Ensure(f.Pred, len(f.Args))
-		if err != nil {
-			return nil, nil, err
-		}
+	toTuple := func(f Fact) (relation.Tuple, *relation.Relation) {
+		rel := m.db.MustEnsure(f.Pred, len(f.Args))
 		t := make(relation.Tuple, len(f.Args))
 		for i, a := range f.Args {
 			t[i] = univ.Intern(a)
 		}
-		return t, rel, nil
+		return t, rel
 	}
 
 	ch := make(map[string]*change)
@@ -357,38 +423,23 @@ func (m *Maintainer) normalize(ins, del []Fact, stats *UpdateStats) (map[string]
 	}
 
 	// Stage the effective tuples first (so pre-snapshots are taken
-	// before any mutation and conflicts are detected), then apply.
+	// before any mutation), then apply.
 	for _, f := range del {
-		t, rel, err := toTuple(f)
-		if err != nil {
-			return nil, false, err
-		}
-		if rel.Has(t) {
+		if t, rel := toTuple(f); rel.Has(t) {
 			chFor(f.Pred, rel).del.Add(t)
 		}
 	}
 	for _, f := range ins {
-		t, rel, err := toTuple(f)
-		if err != nil {
-			return nil, false, err
-		}
-		c := chFor(f.Pred, rel)
-		if c.del.Has(t) {
-			return nil, false, fmt.Errorf("incr: %s%v both inserted and deleted in one update", f.Pred, f.Args)
-		}
-		if !rel.Has(t) {
-			c.add.Add(t)
+		if t, rel := toTuple(f); !rel.Has(t) {
+			chFor(f.Pred, rel).add.Add(t)
 		}
 	}
 	for pred, c := range ch {
 		rel := m.db.Relation(pred)
-		c.del.Each(func(t relation.Tuple) bool { rel.Remove(t); return true })
+		rel.RemoveAll(c.del)
 		c.add.Each(func(t relation.Tuple) bool { rel.Add(t); return true })
 		stats.InsertedEDB += c.add.Len()
 		stats.DeletedEDB += c.del.Len()
-		if c.add.Empty() && c.del.Empty() {
-			delete(ch, pred)
-		}
 	}
 	return ch, univ.Size() > before, nil
 }

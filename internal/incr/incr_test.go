@@ -219,6 +219,61 @@ func TestUpdateErrors(t *testing.T) {
 	}
 }
 
+// TestRejectedUpdateLeavesNoTrace: an update that fails validation on
+// its second fact must not have interned the first one's constant or
+// created its relation.  p(X) :- !q(X) reads the universe, so a constant
+// leaked by a rejected (and therefore never logged) update would show up
+// in p after the next accepted one, where a recompute over the
+// acknowledged facts — what WAL replay does — has no such tuple.
+func TestRejectedUpdateLeavesNoTrace(t *testing.T) {
+	prog := parser.MustProgram("p(X) :- !q(X).")
+	fact := func(pred string, args ...string) incr.Fact { return incr.Fact{Pred: pred, Args: args} }
+	rejected := []struct {
+		name     string
+		ins, del []incr.Fact
+	}{
+		{"program arity", []incr.Fact{fact("q", "b"), fact("q", "a", "b")}, nil},
+		{"arity clash on a predicate the program lacks", []incr.Fact{fact("fresh", "b"), fact("fresh", "a", "b")}, nil},
+		{"arity of an existing relation", []incr.Fact{fact("q", "b"), fact("r", "b")}, nil},
+		{"IDB predicate", []incr.Fact{fact("q", "b"), fact("p", "b")}, nil},
+		{"insert/delete conflict", []incr.Fact{fact("q", "b"), fact("q", "a")}, []incr.Fact{fact("q", "a")}},
+	}
+	for _, sem := range []core.Semantics{core.Stratified, core.Inflationary, core.WellFounded} {
+		db := parser.MustFacts("q(a). r(a,a).")
+		m, err := incr.New(prog, db, sem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range rejected {
+			size, names, state := m.Universe().Size(), len(m.Snapshot().Rels), m.State().Format(m.Universe())
+			if _, err := m.Update(tc.ins, tc.del); err == nil {
+				t.Fatalf("%v, %s: update accepted", sem, tc.name)
+			}
+			if got := m.Universe().Size(); got != size {
+				t.Errorf("%v, %s: universe grew from %d to %d constants", sem, tc.name, size, got)
+			}
+			if got := len(m.Snapshot().Rels); got != names {
+				t.Errorf("%v, %s: %d relations, had %d", sem, tc.name, got, names)
+			}
+			if got := m.State().Format(m.Universe()); got != state {
+				t.Errorf("%v, %s: state changed from\n%s\nto\n%s", sem, tc.name, state, got)
+			}
+		}
+		accepted := []incr.Fact{fact("q", "c")}
+		if _, err := m.Update(accepted, nil); err != nil {
+			t.Fatal(err)
+		}
+		applyPlain(t, db, accepted, nil)
+		want, err := core.Eval(prog, db, sem, semantics.SemiNaive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, exp := m.State().Format(m.Universe()), want.State.Format(want.Universe); got != exp {
+			t.Errorf("%v: after the accepted update the maintained state is\n%s\na recompute over the acknowledged facts gives\n%s", sem, got, exp)
+		}
+	}
+}
+
 func TestSnapshotStableAcrossUpdates(t *testing.T) {
 	prog := parser.MustProgram(tcSrc)
 	m := incr.MustNew(prog, graphs.Path(4).Database(), core.LFP)

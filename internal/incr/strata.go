@@ -13,10 +13,18 @@
 // derivation support counts: membership is count > 0, so an update only
 // needs the exact counts of the derivations it enables and disables —
 // engine.ApplyDeltasCount with the strict first-driver discipline.
-// Recursive strata use DRed: overdelete everything a disabled
-// derivation might have supported (evaluated in the old world, via
-// pre-update snapshots), rederive what the reduced new world still
-// supports, then propagate insertions semi-naively.
+// Recursive strata use DRed.  Overdelete everything a disabled
+// derivation might have supported, evaluated in the old world: the
+// stratum's own relations before anything is removed from them, and
+// pre-update snapshots of its inputs.  That leaves a state certainly
+// below the new fixpoint, and within a stratum Θ's iteration reaches the
+// least fixpoint from any such state, so the rest is iteration upwards:
+// one head-filtered pass (engine.ApplyWithin) returns the overdeleted
+// tuples the reduced state still derives in one step, and they join the
+// update's insertions as seeds of the ordinary semi-naive propagation,
+// which finds everything further.  The stratum's net change is then
+// read off the sets in hand — overdeleted and not back, appended and
+// not overdeleted — instead of diffing relations.
 package incr
 
 import (
@@ -33,6 +41,7 @@ type stratum struct {
 	in        *engine.Instance
 	preds     map[string]bool // own IDB predicates
 	bodyPreds map[string]bool // predicates read by rule bodies
+	readAbove map[string]bool // own predicates a higher stratum reads
 	recursive bool
 	counts    map[string]*relation.Multiset // support counts; nil for recursive strata
 }
@@ -53,7 +62,7 @@ func (m *Maintainer) initStrata() error {
 		if err != nil {
 			return err
 		}
-		s := &stratum{in: in, preds: sub.IDB(), bodyPreds: make(map[string]bool)}
+		s := &stratum{in: in, preds: sub.IDB(), bodyPreds: make(map[string]bool), readAbove: make(map[string]bool)}
 		for _, r := range sub.Rules {
 			for _, l := range r.Body {
 				if l.Kind == ast.LitPos || l.Kind == ast.LitNeg {
@@ -64,9 +73,28 @@ func (m *Maintainer) initStrata() error {
 				}
 			}
 		}
+		for _, lower := range m.strata {
+			for pred := range lower.preds {
+				if s.bodyPreds[pred] {
+					lower.readAbove[pred] = true
+				}
+			}
+		}
 		m.strata = append(m.strata, s)
 	}
 	return nil
+}
+
+// preViews snapshots the stratum's predicates that a higher stratum
+// reads, before the update reaches them: those strata evaluate their
+// old world against it.  The other predicates get none, so that their
+// relations are updated in place rather than copied on the first Remove.
+func (s *stratum) preViews(st engine.State) engine.State {
+	pre := make(engine.State, len(s.readAbove))
+	for pred := range s.readAbove {
+		pre[pred] = st[pred].Snapshot()
+	}
+	return pre
 }
 
 // evalStrata computes every stratum from scratch, installs the results
@@ -166,11 +194,8 @@ func (s *stratum) applyCounting(m *Maintainer, ch map[string]*change) (pre, adds
 	dec := in.ApplyDeltasCount(m.state, m.state, dis)
 	inc := in.ApplyDeltasCount(m.state, m.state, ena)
 
-	pre = make(engine.State, len(s.preds))
+	pre = s.preViews(m.state)
 	adds, dels = in.NewState(), in.NewState()
-	for pred := range s.preds {
-		pre[pred] = m.state[pred].Snapshot()
-	}
 	for pred := range s.preds {
 		ms, rel := s.counts[pred], m.state[pred]
 		bump := func(src *relation.Multiset, sign int64) {
@@ -195,7 +220,7 @@ func (s *stratum) applyCounting(m *Maintainer, ch map[string]*change) (pre, adds
 					if rel.Add(t) {
 						adds[pred].Add(t)
 					}
-				} else if rel.Remove(t) {
+				} else if rel.Has(t) {
 					dels[pred].Add(t)
 				}
 				return true
@@ -203,6 +228,7 @@ func (s *stratum) applyCounting(m *Maintainer, ch map[string]*change) (pre, adds
 		}
 		settle(dec[pred])
 		settle(inc[pred])
+		rel.RemoveAll(dels[pred])
 	}
 	return pre, adds, dels
 }
@@ -213,18 +239,7 @@ func (s *stratum) applyCounting(m *Maintainer, ch map[string]*change) (pre, adds
 // (duplicate-tolerant) driver discipline suffices.
 func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, dels engine.State) {
 	in := s.in
-
-	// Old-world view: own predicates via pre-update snapshots, changed
-	// inputs via per-literal overrides below.
-	pre = make(engine.State, len(s.preds))
-	oldPos := make(engine.State, len(m.state))
-	for pred, r := range m.state {
-		oldPos[pred] = r
-	}
-	for pred := range s.preds {
-		pre[pred] = m.state[pred].Snapshot()
-		oldPos[pred] = pre[pred]
-	}
+	pre = s.preViews(m.state)
 
 	base := make(map[string]engine.Delta)  // disabled drivers + old-world reads
 	sides := make(map[string]engine.Delta) // old-world reads only (cascade rounds)
@@ -260,12 +275,14 @@ func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, de
 	}
 
 	// 1. Overdelete: everything a dying derivation supported, cascaded
-	// through the stratum in the old world.  Cascade rounds run on the
-	// frontier contract: emissions already overdeleted are dropped at
-	// emit time instead of surviving into a derived state for a Diff.
+	// through the stratum in the old world — the stratum's own relations,
+	// untouched until the overdelete is committed below, and the changed
+	// inputs through the per-literal overrides above.  Cascade rounds run
+	// on the frontier contract: emissions already overdeleted are dropped
+	// at emit time instead of surviving into a derived state for a Diff.
 	dover := in.NewState()
 	if anyDel {
-		frontier := in.ApplyDeltas(oldPos, oldPos, base)
+		frontier := in.ApplyDeltas(m.state, m.state, base)
 		for !frontier.Empty() {
 			dover.UnionWith(frontier)
 			casc := make(map[string]engine.Delta, len(sides)+len(s.preds))
@@ -275,57 +292,51 @@ func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, de
 			drivers := false
 			for pred := range s.preds {
 				if !frontier[pred].Empty() {
-					casc[pred] = engine.Delta{PosDriver: frontier[pred], After: pre[pred], AfterNeg: pre[pred]}
+					casc[pred] = engine.Delta{PosDriver: frontier[pred]}
 					drivers = true
 				}
 			}
 			if !drivers {
 				break
 			}
-			frontier = partition.ApplyDeltasFrontier(in, oldPos, oldPos, casc, dover)
+			frontier = partition.ApplyDeltasFrontier(in, m.state, m.state, casc, dover)
 		}
 		for pred := range s.preds {
-			rel := m.state[pred]
-			dover[pred].Each(func(t relation.Tuple) bool { rel.Remove(t); return true })
+			m.state[pred].RemoveAll(dover[pred])
 		}
 	}
 
-	// 2. Rederive: candidates still derivable from the reduced state and
-	// the updated inputs come back, repeatedly, until stable.
-	cand := dover
-	for {
-		filter := make(map[string]*relation.Relation)
+	// Everything phases 2 and 3 add is appended past these lengths.
+	mark := make(map[string]int, len(s.preds))
+	for pred := range s.preds {
+		mark[pred] = m.state[pred].Len()
+	}
+
+	// 2. Rederive, once: the overdeleted tuples that the reduced state and
+	// the updated inputs still derive in one step come back and join the
+	// insert seeds.  One pass is enough.  The reduced state lies below
+	// the new fixpoint, and a one-step consequence of it either uses a
+	// fact the update enables (a seed already) or was derivable in the
+	// old world, hence is an overdeleted tuple this pass finds; whatever
+	// else must come back follows from a tuple added here or in phase 3.
+	if anyDel {
+		red := in.ApplyWithin(m.state, m.state, dover)
 		for pred := range s.preds {
-			if !cand[pred].Empty() {
-				filter[pred] = cand[pred]
+			if !red[pred].Empty() {
+				m.state[pred].UnionWith(red[pred])
+				seed[pred] = engine.Delta{PosDriver: red[pred]}
+				anyIns = true
 			}
 		}
-		if len(filter) == 0 {
-			break
-		}
-		red := in.ApplyWithin(m.state, m.state, filter)
-		progress := false
-		for pred := range s.preds {
-			rel := m.state[pred]
-			red[pred].Each(func(t relation.Tuple) bool {
-				if rel.Add(t) {
-					cand[pred].Remove(t)
-					progress = true
-				}
-				return true
-			})
-		}
-		if !progress {
-			break
-		}
 	}
 
-	// 3. Insert: derivations the update enables, propagated semi-naively
-	// through the stratum in the new world, filtered against the already
-	// materialized own-predicate state at emit time.  Under partitioned
-	// evaluation (in.Partitions() > 1) the propagation deltas are routed
-	// to their owning partitions and the rounds evaluate K-way, exactly
-	// like the from-scratch fixpoint loop.
+	// 3. Insert: derivations the update enables or the rederived tuples
+	// support, propagated semi-naively through the stratum in the new
+	// world, filtered against the already materialized own-predicate
+	// state at emit time.  Under partitioned evaluation
+	// (in.Partitions() > 1) the propagation deltas are routed to their
+	// owning partitions and the rounds evaluate K-way, exactly like the
+	// from-scratch fixpoint loop.
 	if anyIns {
 		frontier := partition.ApplyDeltasFrontier(in, m.state, m.state, seed, ownState(m.state, s.preds))
 		for !frontier.Empty() {
@@ -343,11 +354,19 @@ func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, de
 		}
 	}
 
-	// Net changes: diff against the pre-update snapshots.
-	adds, dels = make(engine.State, len(s.preds)), make(engine.State, len(s.preds))
+	// Net changes, from the sets in hand: a tuple left the relation iff it
+	// was overdeleted and did not come back (a walk over the overdeleted
+	// set, not over the relation), and entered it iff it was appended
+	// past the mark without having been overdeleted.
+	adds, dels = in.NewState(), make(engine.State, len(s.preds))
 	for pred := range s.preds {
-		adds[pred] = m.state[pred].Diff(pre[pred])
-		dels[pred] = pre[pred].Diff(m.state[pred])
+		rel, over := m.state[pred], dover[pred]
+		dels[pred] = over.Diff(rel)
+		for off := mark[pred]; off < rel.Len(); off++ {
+			if t := rel.At(int32(off)); !over.Has(t) {
+				adds[pred].Add(t)
+			}
+		}
 	}
 	return pre, adds, dels
 }

@@ -100,7 +100,7 @@ func TestTupleHashSpread(t *testing.T) {
 // TestIndexExtendsOnAppend is the regression guard for append-friendly
 // indexes: a Lookup after appends must see the new tuples (the index is
 // extended by the arena suffix, not served stale), and a Remove must
-// still force a full rebuild.
+// leave no stale offset behind.
 func TestIndexExtendsOnAppend(t *testing.T) {
 	r := FromTuples(2, []Tuple{{0, 1}, {1, 2}})
 	if got := r.Lookup(0, 1); len(got) != 1 {

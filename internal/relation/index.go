@@ -2,51 +2,330 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// Composite indexes.
+// Indexes.
 //
-// A composite index generalizes the per-column indexes of cols(): it
-// maps the projection of each tuple onto a fixed subset of columns to
-// the arena offsets of the tuples having that projection, so an
-// equality probe on several columns at once costs one hash lookup
-// instead of a single-column lookup plus per-tuple filtering.  The
+// A relation answers equality probes through two kinds of lazily built
+// hash index, both mapping a key to the ascending arena offsets of the
+// tuples carrying it.  The per-column indexes (Lookup, Distinct) key on
+// one column's value and are built for every column in one arena scan.
+// A composite index (LookupCols) keys on the projection onto a fixed
+// subset of columns, so a probe binding several columns costs one hash
+// lookup instead of a single-column lookup plus per-tuple filtering; the
 // engine's join planner asks for the widest index covering the bound
-// argument positions of a literal.
-//
-// Like the per-column indexes, composite indexes are built lazily on
-// first probe, published atomically (so any number of readers may probe
-// concurrently while one goroutine builds), and dropped wholesale by
-// invalidate() on mutation.  Each Relation holds a small immutable map
-// from a column-set bitmask to its index; adding an index replaces the
-// map copy-on-write under mu, so established readers never observe a
-// map being written.
+// argument positions of a literal.  A probe binding every column needs
+// neither: that is OffsetOf.
 //
 // Projections are keyed exactly like relation storage: the packed
 // uint64 encoding when the projected tuple packs (see key.go), the
 // byte-string spill encoding otherwise.  A given projection always
 // encodes the same way, so build and probe can never disagree on which
 // of the two maps holds an entry.
+//
+// Lifetime.  An index covers the first n arena entries and lives as
+// long as its relation does, short of a Reset or a large RemoveAll.
+//
+//   - Appends leave it exact for its prefix (offsets are assigned
+//     monotonically); the next probe extends it by the arena suffix.
+//   - Remove patches it for the swap-remove it performs, so a relation
+//     that loses a few tuples keeps its indexes instead of rescanning
+//     itself on the next probe.  RemoveAll drops it instead when the
+//     batch is large enough that rebuilding over the survivors is the
+//     cheaper of the two (see patchCost).
+//   - Snapshot and Prefix hand the built indexes to the view when they
+//     cover no more than the view's length; the view extends them by
+//     whatever suffix it still lacks.  detach keeps them: it preserves
+//     offsets.
+//
+// Sharing.  Published sets are immutable to everyone but the live
+// relation that built them, and are swapped in atomically, so any
+// number of readers may probe while one goroutine builds (under mu).
+// Extension copies the key maps but not the buckets: the live relation
+// appends into the spare capacity of the buckets it extends, which the
+// holders of the older set never look at.  A view is not the owner of
+// what it inherited, so it clips every bucket's capacity first and its
+// appends reallocate.  Remove edits buckets in place, which views
+// holding the same buckets must not see: the first Remove after a view
+// took the indexes copies them (idxShared).
 
-// compIndex is one composite index: projection key → arena offsets,
-// covering the first n arena entries.  Like the per-column indexes it
-// stays exact under appends (offsets are monotone) and is extended by
-// the arena suffix on the next probe rather than rebuilt.
+// patchCost is what patching one Remove into an index costs, in units
+// of indexing one tuple from scratch: per column up to three bucket
+// edits (the removed tuple's offset, the moved tuple's old and new
+// one), each a map read and write plus a search and shift, against one
+// map write and append.  Measured at 250 ns against 90 ns on arity 2.
+const patchCost = 4
+
+// colIndex maps a column value to the ascending arena offsets of the
+// tuples holding that value in the column.
+type colIndex map[int][]int32
+
+// colIndexes is the set of per-column indexes over the first n arena
+// entries.
+type colIndexes struct {
+	n    int
+	cols []colIndex
+}
+
+// compIndex is one composite index: projection key → ascending arena
+// offsets, over the first n arena entries.
 type compIndex struct {
 	n      int
+	cols   []int
 	packed map[uint64][]int32
 	spill  map[string][]int32
 }
 
-// compIndexSet is a generation-stamped immutable map of composite
-// indexes by column bitmask: valid exactly while the relation's
-// mutation generation still equals gen.  Individual indexes may cover
-// different arena prefixes (they are built lazily at different times);
-// each carries its own coverage length.
+// compIndexSet maps a column bitmask to its composite index.
+// Individual indexes may cover different arena prefixes (they are built
+// lazily at different times); each carries its own coverage length.
+// Adding an index replaces the map copy-on-write under mu.
 type compIndexSet struct {
-	gen uint64
-	m   map[uint64]*compIndex
+	m map[uint64]*compIndex
+}
+
+// shareIndexes hands r's built indexes to its view v.
+func (r *Relation) shareIndexes(v *Relation) {
+	n := len(v.arena)
+	shared := false
+	if p := r.idx.Load(); p != nil && p.n <= n {
+		v.idx.Store(p)
+		shared = true
+	}
+	if cs := r.cidx.Load(); cs != nil {
+		fits := true
+		for _, ci := range cs.m {
+			fits = fits && ci.n <= n
+		}
+		if fits {
+			v.cidx.Store(cs)
+			shared = true
+		}
+	}
+	if shared && !r.frozen {
+		r.idxShared = true
+	}
+}
+
+// growBuckets copies a published bucket map so it can be extended.
+// clip makes every later append reallocate the bucket it lands in, for
+// callers that do not own the buckets.
+func growBuckets[K comparable](m map[K][]int32, clip bool) map[K][]int32 {
+	out := make(map[K][]int32, len(m))
+	for k, b := range m {
+		if clip {
+			b = slices.Clip(b)
+		}
+		out[k] = b
+	}
+	return out
+}
+
+// cloneBuckets deep-copies a bucket map, carving the buckets out of
+// flat, which the caller sized for all of them.
+func cloneBuckets[K comparable](m map[K][]int32, flat []int32) (map[K][]int32, []int32) {
+	if m == nil {
+		return nil, flat
+	}
+	out := make(map[K][]int32, len(m))
+	for k, b := range m {
+		at := len(flat)
+		flat = append(flat, b...)
+		out[k] = flat[at:len(flat):len(flat)]
+	}
+	return out, flat
+}
+
+func (p *colIndexes) clone() *colIndexes {
+	c := &colIndexes{n: p.n, cols: make([]colIndex, len(p.cols))}
+	flat := make([]int32, 0, p.n*len(p.cols))
+	for i, m := range p.cols {
+		c.cols[i], flat = cloneBuckets(m, flat)
+	}
+	return c
+}
+
+func (cs *compIndexSet) clone() *compIndexSet {
+	c := &compIndexSet{m: make(map[uint64]*compIndex, len(cs.m))}
+	for mask, ci := range cs.m {
+		d := &compIndex{n: ci.n, cols: ci.cols}
+		flat := make([]int32, 0, ci.n)
+		d.packed, flat = cloneBuckets(ci.packed, flat)
+		d.spill, _ = cloneBuckets(ci.spill, flat)
+		c.m[mask] = d
+	}
+	return c
+}
+
+// bucketDrop removes off from the bucket under k.  An emptied bucket
+// leaves the map: Distinct counts keys.
+func bucketDrop[K comparable](m map[K][]int32, k K, off int32) {
+	b := m[k]
+	if len(b) == 1 {
+		delete(m, k)
+		return
+	}
+	i, _ := slices.BinarySearch(b, off)
+	m[k] = slices.Delete(b, i, i+1)
+}
+
+// bucketInsert adds off to the bucket under k, keeping it ascending
+// (OffsetsInRange depends on that).
+func bucketInsert[K comparable](m map[K][]int32, k K, off int32) {
+	b := m[k]
+	i, _ := slices.BinarySearch(b, off)
+	m[k] = slices.Insert(b, i, off)
+}
+
+func (p *colIndexes) drop(t Tuple, off int32) {
+	for c, v := range t {
+		bucketDrop(p.cols[c], v, off)
+	}
+}
+
+func (p *colIndexes) insert(t Tuple, off int32) {
+	for c, v := range t {
+		bucketInsert(p.cols[c], v, off)
+	}
+}
+
+// project writes t's projection onto the index's columns into buf.
+func (ci *compIndex) project(t Tuple, buf Tuple) Tuple {
+	for _, c := range ci.cols {
+		buf = append(buf, t[c])
+	}
+	return buf
+}
+
+func (ci *compIndex) drop(t Tuple, off int32) {
+	var buf [8]int
+	proj := ci.project(t, buf[:0])
+	if k, ok := packKey(proj); ok {
+		bucketDrop(ci.packed, k, off)
+	} else {
+		bucketDrop(ci.spill, spillKey(proj), off)
+	}
+}
+
+func (ci *compIndex) insert(t Tuple, off int32) {
+	var buf [8]int
+	proj := ci.project(t, buf[:0])
+	if k, ok := packKey(proj); ok {
+		bucketInsert(ci.packed, k, off)
+		return
+	}
+	if ci.spill == nil {
+		ci.spill = make(map[string][]int32)
+	}
+	bucketInsert(ci.spill, spillKey(proj), off)
+}
+
+// offsetIndex is what a patch needs of either index kind.
+type offsetIndex interface {
+	drop(t Tuple, off int32)
+	insert(t Tuple, off int32)
+}
+
+// swapRemoved patches one index covering the first n offsets for a
+// swap-remove — removed left offset off and, unless off was the last
+// offset, moved went from last to off — and returns its new coverage.
+func swapRemoved(ix offsetIndex, n int, off, last int32, removed, moved Tuple) int {
+	if int(off) < n {
+		ix.drop(removed, off)
+	}
+	if moved != nil {
+		if int(last) < n {
+			ix.drop(moved, last)
+		}
+		if int(off) < n {
+			ix.insert(moved, off)
+		}
+	}
+	return min(n, int(last))
+}
+
+// unindex keeps the built indexes exact across the swap-remove Remove
+// has just performed on the arena.
+func (r *Relation) unindex(off, last int32, removed, moved Tuple) {
+	p, cs := r.idx.Load(), r.cidx.Load()
+	if p == nil && cs == nil {
+		return
+	}
+	if r.idxShared {
+		// A view holds these buckets; leave them to it.
+		if p != nil {
+			p = p.clone()
+			r.idx.Store(p)
+		}
+		if cs != nil {
+			cs = cs.clone()
+			r.cidx.Store(cs)
+		}
+		r.idxShared = false
+	}
+	if p != nil {
+		p.n = swapRemoved(p, p.n, off, last, removed, moved)
+	}
+	if cs != nil {
+		for _, ci := range cs.m {
+			ci.n = swapRemoved(ci, ci.n, off, last, removed, moved)
+		}
+	}
+}
+
+// dropIndexes forgets the built indexes; the next probe rebuilds.
+func (r *Relation) dropIndexes() {
+	r.idx.Store(nil)
+	r.cidx.Store(nil)
+	r.idxShared = false
+}
+
+// cols returns the per-column indexes, building all of them on first
+// use and extending them when the relation has grown since the cached
+// set was published.  The arity is small in practice, so building every
+// column at once costs about as much as building one.
+func (r *Relation) cols() []colIndex {
+	n := len(r.arena)
+	if p := r.idx.Load(); p != nil && p.n == n {
+		return p.cols
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	p := r.idx.Load()
+	if p != nil && p.n == n {
+		return p.cols
+	}
+	cols := make([]colIndex, r.arity)
+	lo := 0
+	if p != nil {
+		lo = p.n
+	}
+	for c := range cols {
+		if p != nil {
+			cols[c] = growBuckets(p.cols[c], r.frozen)
+		} else {
+			cols[c] = make(colIndex)
+		}
+	}
+	for off := lo; off < n; off++ {
+		for c, v := range r.arena[off] {
+			cols[c][v] = append(cols[c][v], int32(off))
+		}
+	}
+	r.idx.Store(&colIndexes{n: n, cols: cols})
+	return cols
+}
+
+// Lookup returns the arena offsets of the tuples whose col-th element
+// equals val, ascending; resolve them with At.  Callers must not mutate
+// the returned slice.  Safe for concurrent use by readers.
+func (r *Relation) Lookup(col, val int) []int32 {
+	if col < 0 || col >= r.arity {
+		panic(fmt.Sprintf("relation: index column %d out of range for arity %d", col, r.arity))
+	}
+	return r.cols()[col][val]
 }
 
 // colsMask validates cols (strictly ascending, in range, below 64) and
@@ -74,38 +353,30 @@ func (r *Relation) colsMask(cols []int) uint64 {
 }
 
 // compFor returns the composite index on cols, building it on first
-// use, extending it when the relation has only grown since it was
-// published, and rebuilding after a structural mutation.  Safe for
-// concurrent use by readers: published sets and indexes are immutable,
-// extension copies the key maps under mu and republishes atomically.
+// use and extending it when the relation has grown since it was
+// published.
 func (r *Relation) compFor(cols []int) *compIndex {
 	mask := r.colsMask(cols)
-	if p := r.cidx.Load(); p != nil && p.gen == r.gen {
-		if ci, ok := p.m[mask]; ok && ci.n == len(r.arena) {
+	n := len(r.arena)
+	if cs := r.cidx.Load(); cs != nil {
+		if ci := cs.m[mask]; ci != nil && ci.n == n {
 			return ci
 		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cur := r.cidx.Load()
-	var prev *compIndex
-	if cur != nil && cur.gen == r.gen {
-		if ci, ok := cur.m[mask]; ok {
-			if ci.n == len(r.arena) {
-				return ci
-			}
-			prev = ci // append-only growth: extend by the suffix
-		}
-	}
-	ci := r.buildComp(cols, prev)
 	next := make(map[uint64]*compIndex, 1)
-	if cur != nil && cur.gen == r.gen {
-		for k, v := range cur.m {
+	if cs := r.cidx.Load(); cs != nil {
+		if ci := cs.m[mask]; ci != nil && ci.n == n {
+			return ci
+		}
+		for k, v := range cs.m {
 			next[k] = v
 		}
 	}
+	ci := r.buildComp(cols, next[mask])
 	next[mask] = ci
-	r.cidx.Store(&compIndexSet{gen: r.gen, m: next})
+	r.cidx.Store(&compIndexSet{m: next})
 	return ci
 }
 
@@ -113,28 +384,20 @@ func (r *Relation) compFor(cols []int) *compIndex {
 // scans the whole arena; otherwise it copies prev's key maps and scans
 // only the suffix prev does not cover.
 func (r *Relation) buildComp(cols []int, prev *compIndex) *compIndex {
-	ci := &compIndex{n: len(r.arena)}
+	ci := &compIndex{n: len(r.arena), cols: slices.Clone(cols)}
 	lo := 0
 	if prev != nil {
 		lo = prev.n
-		ci.packed = make(map[uint64][]int32, len(prev.packed)+(ci.n-lo))
-		for k, offs := range prev.packed {
-			ci.packed[k] = offs
-		}
+		ci.packed = growBuckets(prev.packed, r.frozen)
 		if prev.spill != nil {
-			ci.spill = make(map[string][]int32, len(prev.spill))
-			for k, offs := range prev.spill {
-				ci.spill[k] = offs
-			}
+			ci.spill = growBuckets(prev.spill, r.frozen)
 		}
 	} else {
 		ci.packed = make(map[uint64][]int32)
 	}
-	proj := make(Tuple, len(cols))
+	proj := make(Tuple, 0, len(cols))
 	for off := lo; off < len(r.arena); off++ {
-		for i, c := range cols {
-			proj[i] = r.arena[off][c]
-		}
+		proj = ci.project(r.arena[off], proj[:0])
 		if k, ok := packKey(proj); ok {
 			ci.packed[k] = append(ci.packed[k], int32(off))
 			continue
@@ -149,13 +412,12 @@ func (r *Relation) buildComp(cols []int, prev *compIndex) *compIndex {
 }
 
 // LookupCols returns the arena offsets of the tuples whose projection
-// on cols equals vals (element i of vals constrains column cols[i]);
-// resolve them with At.  cols must be strictly ascending.  The
-// underlying composite index is built lazily and cached until the next
-// mutation.  Callers must not mutate the returned slice.  Safe for
-// concurrent use by readers.  The probe itself is allocation-free on
-// the packed path; projections that spill (ids beyond the packed width)
-// pay one key allocation per probe.
+// on cols equals vals (element i of vals constrains column cols[i]),
+// ascending; resolve them with At.  cols must be strictly ascending.
+// Callers must not mutate the returned slice.  Safe for concurrent use
+// by readers.  The probe itself is allocation-free on the packed path;
+// projections that spill (ids beyond the packed width) pay one key
+// allocation per probe.
 func (r *Relation) LookupCols(cols []int, vals []int) []int32 {
 	ci := r.compFor(cols)
 	if k, ok := packKey(Tuple(vals)); ok {
@@ -168,10 +430,10 @@ func (r *Relation) LookupCols(cols []int, vals []int) []int32 {
 }
 
 // OffsetsInRange narrows an index offset list (as returned by Lookup or
-// LookupCols, always ascending: indexes are built by one arena scan) to
-// the offsets in [lo, hi) — the shard-aware form of an index probe, used
-// when a literal's enumeration is split into arena-range shards.  The
-// result aliases offs; callers must not mutate it.
+// LookupCols, always ascending) to the offsets in [lo, hi) — the
+// shard-aware form of an index probe, used when a literal's enumeration
+// is split into arena-range shards.  The result aliases offs; callers
+// must not mutate it.
 func OffsetsInRange(offs []int32, lo, hi int32) []int32 {
 	if hi <= lo {
 		return nil
@@ -183,9 +445,8 @@ func OffsetsInRange(offs []int32, lo, hi int32) []int32 {
 
 // Distinct returns the number of distinct values appearing in column
 // col — the statistic the join planner divides by when estimating the
-// selectivity of an equality probe.  It shares the lazily built
-// per-column indexes, so after the first call (or the first Lookup) it
-// is O(1) until the next mutation.
+// selectivity of an equality probe.  It shares the per-column indexes,
+// so it is O(1) while they are up to date.
 func (r *Relation) Distinct(col int) int {
 	if col < 0 || col >= r.arity {
 		panic(fmt.Sprintf("relation: index column %d out of range for arity %d", col, r.arity))

@@ -120,7 +120,7 @@ func TestLookupInvalidation(t *testing.T) {
 }
 
 // TestLookupAfterRemoveSwap exercises the swap-delete: removing a tuple
-// moves the last arena entry into its slot, and the rebuilt index must
+// moves the last arena entry into its slot, and the patched index must
 // agree.
 func TestLookupAfterRemoveSwap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

@@ -16,9 +16,9 @@ import (
 // Storage is a flat arena of tuples in insertion order plus a hash set
 // of packed integer keys (see key.go) mapping each tuple to its arena
 // offset — no per-tuple string allocation on the evaluation hot path.
-// Per-column hash indexes map a column value to arena offsets; they are
-// built lazily on first lookup and stamped with the relation's mutation
-// generation, so a stale index is simply rebuilt on the next probe.
+// Hash indexes on one column or several map a key to arena offsets;
+// they are built lazily on first lookup, extended after appends,
+// patched by Remove and inherited by snapshots (see index.go).
 //
 // Snapshots (see Snapshot and Seal) are O(1) immutable views that share
 // the arena and key maps with the live relation: because offsets are
@@ -43,13 +43,16 @@ type Relation struct {
 	table  *Table           // packed key -> arena offset (table mode; lazily allocated)
 	spill  map[string]int32 // fallback key -> arena offset (wide/huge tuples)
 
-	gen    uint64 // mutation generation, stamps lazily built indexes
-	share  int8   // storage sharing mode (shareNone/shareWeak/shareSealed)
-	frozen bool   // immutable snapshot view; mutation panics
+	share  int8 // storage sharing mode (shareNone/shareWeak/shareSealed)
+	frozen bool // immutable snapshot view; mutation panics
 
-	mu   sync.Mutex                   // serializes lazy index builds
-	idx  atomic.Pointer[colIndexes]   // per-column indexes, nil until built
-	cidx atomic.Pointer[compIndexSet] // composite indexes by column mask (see index.go)
+	// Lazily built indexes (see index.go).  idxShared is set once a view
+	// has taken the current sets: their buckets are then copied before
+	// Remove edits them.
+	mu        sync.Mutex                   // serializes index builds
+	idx       atomic.Pointer[colIndexes]   // per-column indexes, nil until built
+	cidx      atomic.Pointer[compIndexSet] // composite indexes by column mask
+	idxShared bool
 }
 
 // Storage sharing modes.  shareWeak is set by Snapshot: views share the
@@ -61,23 +64,6 @@ const (
 	shareWeak
 	shareSealed
 )
-
-// colIndex maps a column value to the arena offsets of the tuples
-// holding that value in the column.
-type colIndex map[int][]int32
-
-// colIndexes is a generation-stamped set of per-column indexes covering
-// the first n arena entries: exact while the relation's mutation
-// generation still equals gen, complete while the arena length still
-// equals n.  A generation mismatch (a Remove rewrote offsets) forces a
-// full rebuild; a grown arena under the same generation is repaired by
-// extending with the new suffix, which costs O(distinct values + new
-// tuples) instead of a rescan of the whole arena.
-type colIndexes struct {
-	gen  uint64
-	n    int
-	cols []colIndex
-}
 
 // New returns an empty relation of the given arity.  It panics on a
 // negative arity.  Packed-key membership uses the open-addressing
@@ -173,7 +159,7 @@ func (r *Relation) Snapshot() *Relation {
 	if r.share == shareNone {
 		r.share = shareWeak
 	}
-	return r.view()
+	return r.view(len(r.arena))
 }
 
 // Prefix returns an O(1) immutable view of the first n tuples in
@@ -190,9 +176,7 @@ func (r *Relation) Prefix(n int) *Relation {
 	if !r.frozen && r.share == shareNone {
 		r.share = shareWeak
 	}
-	v := r.view()
-	v.arena = v.arena[:n:n]
-	return v
+	return r.view(n)
 }
 
 // Seal marks the relation's storage as published: the next mutation —
@@ -206,10 +190,10 @@ func (r *Relation) Seal() {
 	}
 }
 
-// view builds the frozen snapshot struct sharing r's storage.
-func (r *Relation) view() *Relation {
-	n := len(r.arena)
-	return &Relation{
+// view builds the frozen snapshot struct sharing the first n tuples of
+// r's storage, and the indexes r has built over them.
+func (r *Relation) view(n int) *Relation {
+	v := &Relation{
 		arity:  r.arity,
 		arena:  r.arena[:n:n],
 		packed: r.packed,
@@ -217,6 +201,8 @@ func (r *Relation) view() *Relation {
 		spill:  r.spill,
 		frozen: true,
 	}
+	r.shareIndexes(v)
+	return v
 }
 
 // beforeMutate enforces the mutation contract: frozen views reject
@@ -233,8 +219,8 @@ func (r *Relation) beforeMutate(appendOnly bool) {
 }
 
 // detach copies the arena and key maps so existing snapshots keep the
-// old storage exclusively.  Offsets are preserved, so cached indexes
-// stay valid.
+// old storage exclusively.  Offsets are preserved, so the indexes stay
+// valid (and stay shared with those snapshots).
 func (r *Relation) detach() {
 	arena := make([]Tuple, len(r.arena))
 	copy(arena, r.arena)
@@ -311,6 +297,16 @@ func (r *Relation) Has(t Tuple) bool {
 		return false
 	}
 	return r.offsetOf(t) >= 0
+}
+
+// OffsetOf returns the arena offset of t (resolve it with At), or -1
+// when t is absent — Has for callers that want the stored tuple, e.g.
+// the engine's access path for a literal whose columns are all bound.
+func (r *Relation) OffsetOf(t Tuple) int32 {
+	if len(t) != r.arity {
+		return -1
+	}
+	return r.offsetOf(t)
 }
 
 // HasHash is Has for callers that already computed h = TupleHash(t),
@@ -455,9 +451,7 @@ func (r *Relation) Reset() bool {
 	if r.spill != nil {
 		clear(r.spill)
 	}
-	r.invalidate()
-	r.idx.Store(nil)
-	r.cidx.Store(nil)
+	r.dropIndexes()
 	return true
 }
 
@@ -502,7 +496,8 @@ func ConcatDisjoint(arity int, parts []*Relation) *Relation {
 }
 
 // Remove deletes t, reporting whether it was present.  The arena stays
-// dense: the last tuple is swapped into the vacated slot.  If snapshots
+// dense: the last tuple is swapped into the vacated slot, and the built
+// indexes are patched for the two offsets that changed.  If snapshots
 // share the storage, it is detached first, so they keep seeing the
 // pre-removal contents.
 func (r *Relation) Remove(t Tuple) bool {
@@ -514,10 +509,12 @@ func (r *Relation) Remove(t Tuple) bool {
 		return false
 	}
 	r.beforeMutate(false)
-	r.deleteKey(r.arena[off])
+	removed := r.arena[off]
+	r.deleteKey(removed)
 	last := int32(len(r.arena) - 1)
+	var moved Tuple
 	if off != last {
-		moved := r.arena[last]
+		moved = r.arena[last]
 		r.arena[off] = moved
 		if k, ok := packKey(moved); ok {
 			r.packedPut(k, mix64(k), off)
@@ -527,20 +524,29 @@ func (r *Relation) Remove(t Tuple) bool {
 	}
 	r.arena[last] = nil
 	r.arena = r.arena[:last]
-	r.invalidate()
+	r.unindex(off, last, removed, moved)
 	return true
 }
 
-// invalidate bumps the mutation generation after a structural mutation
-// (a Remove, which rewrites arena offsets).  Cached indexes are stamped
-// with the generation they were built at, so a bumped generation makes
-// them stale; the next probe rebuilds from scratch.  Appends do NOT
-// bump the generation: offsets are assigned monotonically, so an index
-// built at arena length n is still exact for the first n tuples and the
-// next probe merely extends it with the suffix — the steady state of
-// the engine's frontier loop, where the accumulated relations only ever
-// grow.
-func (r *Relation) invalidate() { r.gen++ }
+// RemoveAll deletes every tuple of o from r, returning the number of
+// tuples actually removed.  A batch large enough that patching the
+// indexes tuple by tuple would cost more than rebuilding them over what
+// remains drops them first.
+func (r *Relation) RemoveAll(o *Relation) int {
+	if r.arity != o.arity {
+		panic(fmt.Sprintf("relation: removing arity %d from arity %d", o.arity, r.arity))
+	}
+	if o.Len()*patchCost > r.Len()-o.Len() {
+		r.dropIndexes()
+	}
+	removed := 0
+	for _, t := range o.arena {
+		if r.Remove(t) {
+			removed++
+		}
+	}
+	return removed
+}
 
 func (r *Relation) deleteKey(t Tuple) {
 	if k, ok := packKey(t); ok {
@@ -577,7 +583,7 @@ func (r *Relation) Each(f func(Tuple) bool) {
 func (r *Relation) At(off int32) Tuple { return r.arena[off] }
 
 // Clone returns a mutable deep copy (indexes are not copied; they
-// rebuild on demand).  Tuples themselves are shared: they are immutable
+// build on demand).  Tuples themselves are shared: they are immutable
 // by contract.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{
@@ -710,63 +716,6 @@ func (r *Relation) Diff(o *Relation) *Relation {
 		}
 	}
 	return c
-}
-
-// cols returns the per-column indexes, building all of them on first
-// use, extending them when the relation has only grown since the cached
-// set was published, and rebuilding from scratch after a structural
-// mutation.  The build is synchronized so concurrent readers are safe;
-// published sets are immutable, extension copies the maps and appends
-// fresh slice headers, so established readers never observe writes.
-// The arity is small in practice, so building every column at once
-// costs about as much as building one.
-func (r *Relation) cols() []colIndex {
-	if p := r.idx.Load(); p != nil && p.gen == r.gen && p.n == len(r.arena) {
-		return p.cols
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p := r.idx.Load()
-	if p != nil && p.gen == r.gen && p.n == len(r.arena) {
-		return p.cols
-	}
-	var cols []colIndex
-	lo := 0
-	if p != nil && p.gen == r.gen && p.n < len(r.arena) {
-		// Append-only growth since publication: extend by the suffix.
-		cols = make([]colIndex, r.arity)
-		for c := range cols {
-			m := make(colIndex, len(p.cols[c])+(len(r.arena)-p.n))
-			for v, offs := range p.cols[c] {
-				m[v] = offs
-			}
-			cols[c] = m
-		}
-		lo = p.n
-	} else {
-		cols = make([]colIndex, r.arity)
-		for c := range cols {
-			cols[c] = make(colIndex)
-		}
-	}
-	for off := lo; off < len(r.arena); off++ {
-		for c, v := range r.arena[off] {
-			cols[c][v] = append(cols[c][v], int32(off))
-		}
-	}
-	r.idx.Store(&colIndexes{gen: r.gen, n: len(r.arena), cols: cols})
-	return cols
-}
-
-// Lookup returns the arena offsets of the tuples whose col-th element
-// equals val; resolve them with At.  The underlying index is built
-// lazily and cached until the next mutation.  Callers must not mutate
-// the returned slice.  Safe for concurrent use by readers.
-func (r *Relation) Lookup(col, val int) []int32 {
-	if col < 0 || col >= r.arity {
-		panic(fmt.Sprintf("relation: index column %d out of range for arity %d", col, r.arity))
-	}
-	return r.cols()[col][val]
 }
 
 // Format renders the relation's tuples with constant names from u, in

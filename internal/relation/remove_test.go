@@ -9,10 +9,10 @@ import (
 //
 // Appends extend published indexes in place (growth_test.go); Remove is
 // the one mutation that rewrites arena offsets (swap-with-last) and
-// must therefore bump the generation and force a full rebuild on the
-// next probe.  These tests drive that branch directly for the
-// per-column indexes, the composite indexes, and the Distinct stats,
-// against a brute-force oracle.
+// must therefore patch every built index for the two offsets that
+// changed.  These tests drive that branch directly for the per-column
+// indexes, the composite indexes, and the Distinct stats, against a
+// brute-force oracle; index_diff_test.go is the randomized form.
 
 // bruteOffsets returns the arena offsets matching cols=vals by scan.
 func bruteOffsets(r *Relation, cols, vals []int) []int32 {
@@ -45,14 +45,14 @@ func sameOffsets(a, b []int32) bool {
 	return true
 }
 
-func TestRemoveRebuildsColumnIndex(t *testing.T) {
+func TestRemovePatchesColumnIndex(t *testing.T) {
 	r := New(2)
 	for i := 0; i < 10; i++ {
 		r.Add(Tuple{i % 3, i})
 	}
 	// Build and pin the per-column index, then Remove a middle tuple:
-	// the swap-with-last moves an offset the stale index still points
-	// at, so a correct implementation must rebuild.
+	// the swap-with-last moves an offset the index still points at, so
+	// a correct implementation must patch it.
 	if got := len(r.Lookup(0, 0)); got != 4 {
 		t.Fatalf("pre-remove Lookup(0,0) = %d offsets, want 4", got)
 	}
@@ -62,8 +62,8 @@ func TestRemoveRebuildsColumnIndex(t *testing.T) {
 	if got, want := r.Lookup(0, 0), bruteOffsets(r, []int{0}, []int{0}); !sameOffsets(got, want) {
 		t.Fatalf("post-remove Lookup(0,0) = %v, want %v", got, want)
 	}
-	// Distinct shares the per-column index and must also see the
-	// rebuild when a value's last tuple disappears.
+	// Distinct shares the per-column index and must also see a value's
+	// last tuple disappear.
 	r2 := New(1)
 	r2.Add(Tuple{1})
 	r2.Add(Tuple{2})
@@ -76,7 +76,7 @@ func TestRemoveRebuildsColumnIndex(t *testing.T) {
 	}
 }
 
-func TestRemoveRebuildsCompositeIndex(t *testing.T) {
+func TestRemovePatchesCompositeIndex(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 12; i++ {
 		r.Add(Tuple{i % 2, i % 3, i})
@@ -102,7 +102,7 @@ func TestRemoveRebuildsCompositeIndex(t *testing.T) {
 // TestPropRemoveInterleavedProbes is the property form: random
 // add/remove streams with index probes interleaved, so indexes are
 // built at many different arena states and every probe after a Remove
-// exercises a rebuild; results always match the brute-force scan.
+// reads a patched index; results always match the brute-force scan.
 func TestPropRemoveInterleavedProbes(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -88,6 +88,47 @@ func TestDurableRecovery(t *testing.T) {
 	}
 }
 
+// TestRejectedUpdateIsNotServed: an arity clash on a predicate the
+// program does not mention passes admission and is rejected by the
+// maintainer, after an earlier fact of the same request named a new
+// constant.  The request is answered 422 and never logged, so nothing
+// of it may be served either: p(X) :- !q(X) reads the universe, and a
+// restart from the data dir must serve exactly what this process does.
+func TestRejectedUpdateIsNotServed(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() *server.Server {
+		srv, err := server.NewWith(parser.MustProgram("p(X) :- !q(X)."), parser.MustFacts("q(a)."), core.Stratified,
+			server.Config{DataDir: dir, Fsync: durable.FsyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	srv := boot()
+	ts := httptest.NewServer(srv.Handler())
+	fact := func(pred string, args ...string) incr.Fact { return incr.Fact{Pred: pred, Args: args} }
+	if code := postJSON(t, ts.URL+"/v1/update", server.UpdateRequest{
+		Insert: []incr.Fact{fact("aux", "b"), fact("aux", "a", "b")},
+	}, nil); code != http.StatusUnprocessableEntity {
+		t.Fatalf("arity clash: status %d, want 422", code)
+	}
+	if code := postJSON(t, ts.URL+"/v1/update", server.UpdateRequest{Insert: []incr.Fact{fact("q", "c")}}, nil); code != http.StatusOK {
+		t.Fatalf("accepted update: status %d", code)
+	}
+	served := dumpState(srv)
+	ts.Close()
+	srv.Close()
+
+	srv2 := boot()
+	defer srv2.Close()
+	if got := dumpState(srv2); got != served {
+		t.Fatalf("served before the restart:\n%s\nrecovered:\n%s", served, got)
+	}
+	if want := "p: \nq: a c\n"; served != want {
+		t.Fatalf("served %q, want %q", served, want)
+	}
+}
+
 func TestDurableRecoveryReplaysOnlySuffix(t *testing.T) {
 	dir := t.TempDir()
 	srv := newDurableServer(t, dir, core.LFP, server.Config{Fsync: durable.FsyncAlways})

@@ -16,7 +16,7 @@
 //	fmt.Println(res.State["t"].Format(res.Universe))
 //
 // The examples/ directory exercises the full API; cmd/bench
-// regenerates every experiment table of EXPERIMENTS.md.
+// regenerates every experiment table (internal/experiments).
 package repro
 
 import (
