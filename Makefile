@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check bench bench-smoke bench-json bench-serve profile staticcheck fuzz-smoke crashtest replicatest cover ci
+.PHONY: all build test race vet fmt fmt-check bench bench-smoke bench-json bench-serve profile staticcheck fuzz-smoke crashtest replicatest cover pairs ci
 
 all: build
 
@@ -126,6 +126,22 @@ bench-compare:
 	done
 	$(GO) run ./scripts/benchdiff -threshold 15 /tmp/bench-base.txt /tmp/bench-head.txt
 	git worktree remove --force /tmp/bench-base
+
+# The alternating-pair protocol a speed claim is checked by (see
+# benchmark/README.md and scripts/pairs): N runs of one benchmark
+# workload on BASE and N on the working tree, one pair at a time, the
+# side that goes first alternating; prints each end-to-end metric's
+# median [q1, q3] per side and the change's wins.  BASE is exported
+# with `git archive` into .bench_build/pairs/base, and each side builds
+# under its own .bench_build as benchmark/run.sh always does.
+#	make pairs BASE=HEAD~1 WORKLOAD=serve-wf N=10 SEED=1
+N ?= 10
+SEED ?= 1
+pairs:
+	@test -n "$(WORKLOAD)" || { echo "usage: make pairs BASE=<ref> WORKLOAD=<name> [N=10] [SEED=1]" >&2; exit 2; }
+	rm -rf .bench_build/pairs/base && mkdir -p .bench_build/pairs/base
+	git archive $(BASE) | tar -x -C .bench_build/pairs/base
+	$(GO) run ./scripts/pairs -base .bench_build/pairs/base -change . -workload $(WORKLOAD) -n $(N) -seed $(SEED)
 
 # 30 seconds of native fuzzing per target: the parser round-trip
 # invariants and the magic rewrite's stratifiable-or-fallback contract.

@@ -14,7 +14,7 @@
 // positions a change can drive are ordered (positives in body order,
 // then negatives), and the variant whose driver is at position v forces
 // positions before v to be non-drivers.  "Non-driver" reads come from
-// the Delta's Before/BeforeNeg relations when the caller provides them
+// the Delta's Before/BeforeNeg overlays when the caller provides them
 // — exact counting needs them — and fall back to the after-driver
 // relations otherwise, which can enumerate a derivation once per driver
 // it contains; harmless for set-valued passes.
@@ -22,22 +22,57 @@ package engine
 
 import "repro/internal/relation"
 
+// Overlay names the relation (Base ∖ Minus) ∪ Plus without building it:
+// a literal reading one probes Base's own indexes and statistics, skips
+// what Minus holds and then probes Plus.  The caller promises
+// Minus ⊆ Base and Plus ∩ Base = ∅, so no tuple is met twice.  It is
+// how an update's "tuples of both worlds" (the new relation minus what
+// was added) and "tuples of either world" (the new relation plus what
+// was removed) are read at the cost of the change, not of the
+// relation.  Minus and Plus may be nil; a nil Base is "no override".
+type Overlay struct {
+	Base, Minus, Plus *relation.Relation
+}
+
+// Has reports whether the overlaid relation holds t.
+func (o *Overlay) Has(t relation.Tuple) bool {
+	if o.Base.Has(t) {
+		return o.Minus == nil || !o.Minus.Has(t)
+	}
+	return o.Plus != nil && o.Plus.Has(t)
+}
+
+// Len returns the number of tuples of the overlaid relation.
+func (o Overlay) Len() int {
+	n := o.Base.Len()
+	if o.Minus != nil {
+		n -= o.Minus.Len()
+	}
+	if o.Plus != nil {
+		n += o.Plus.Len()
+	}
+	return n
+}
+
 // Delta describes how one predicate participates in a delta pass.  Any
-// field may be nil.  For a positive literal over the predicate, the
-// evaluation reads PosDriver at the driver position, Before strictly
-// before it, and After (or, when nil, the instance's default resolution
-// through the pos state / database) after it.  For a negated literal,
-// NegDriver is joined as if the literal were positive at the driver
-// position — the tuples whose arrival or departure flips the check —
-// while non-driver positions check the literal against BeforeNeg /
-// AfterNeg (or the default resolution when nil).
+// field may be left zero.  For a positive literal over the predicate,
+// the evaluation reads PosDriver at the driver position, Before strictly
+// before it, and After (or, when unset, the instance's default
+// resolution through the pos state / database) after it.  For a negated
+// literal, NegDriver is joined as if the literal were positive at the
+// driver position — the tuples whose arrival or departure flips the
+// check — while non-driver positions check the literal against
+// BeforeNeg / AfterNeg (or the default resolution when unset).  A
+// predicate whose positive and negated literals read different states
+// (a Γ stage of the alternating fixpoint: own state and the frozen one)
+// sets only the fields of the side that changed.
 type Delta struct {
 	PosDriver *relation.Relation
 	NegDriver *relation.Relation
-	Before    *relation.Relation
-	BeforeNeg *relation.Relation
-	After     *relation.Relation
-	AfterNeg  *relation.Relation
+	Before    Overlay
+	BeforeNeg Overlay
+	After     Overlay
+	AfterNeg  Overlay
 }
 
 // ApplyDeltas returns the tuples derivable by rule applications driven
@@ -94,7 +129,7 @@ func (in *Instance) ApplyWithin(pos, neg State, filter map[string]*relation.Rela
 		rp2.positives = append(rp2.positives, litPlan{pred: rp.headPred, slots: rp.headSlots})
 		tasks = append(tasks, evalTask{
 			rp:     rp2,
-			pos:    map[int]*relation.Relation{len(rp2.positives) - 1: f},
+			pos:    map[int]Overlay{len(rp2.positives) - 1: {Base: f}},
 			driver: len(rp2.positives) - 1,
 		})
 	}
@@ -158,8 +193,8 @@ func (in *Instance) deltaTasks(deltas map[string]Delta) []evalTask {
 			if dv.flip {
 				driverLit = flipIdx
 			}
-			posOv := make(map[int]*relation.Relation)
-			negOv := make(map[int]*relation.Relation)
+			posOv := make(map[int]Overlay)
+			negOv := make(map[int]Overlay)
 			for i, lp := range rp.positives {
 				d, ok := deltas[lp.pred]
 				if !ok {
@@ -167,13 +202,13 @@ func (in *Instance) deltaTasks(deltas map[string]Delta) []evalTask {
 				}
 				switch {
 				case !dv.flip && i == dv.idx:
-					posOv[i] = d.PosDriver
+					posOv[i] = Overlay{Base: d.PosDriver}
 				case i < dv.rank:
-					if r := coalesce(d.Before, d.After); r != nil {
+					if r := coalesce(d.Before, d.After); r.Base != nil {
 						posOv[i] = r
 					}
 				default:
-					if d.After != nil {
+					if d.After.Base != nil {
 						posOv[i] = d.After
 					}
 				}
@@ -191,15 +226,15 @@ func (in *Instance) deltaTasks(deltas map[string]Delta) []evalTask {
 					j2 = j - 1
 				}
 				if len(rp.positives)+j < dv.rank {
-					if r := coalesce(d.BeforeNeg, d.AfterNeg); r != nil {
+					if r := coalesce(d.BeforeNeg, d.AfterNeg); r.Base != nil {
 						negOv[j2] = r
 					}
-				} else if d.AfterNeg != nil {
+				} else if d.AfterNeg.Base != nil {
 					negOv[j2] = d.AfterNeg
 				}
 			}
 			if dv.flip {
-				posOv[flipIdx] = deltas[rp.negatives[dv.idx].pred].NegDriver
+				posOv[flipIdx] = Overlay{Base: deltas[rp.negatives[dv.idx].pred].NegDriver}
 			}
 			tasks = append(tasks, evalTask{rp: rp2, pos: posOv, neg: negOv, driver: driverLit})
 		}
@@ -207,9 +242,9 @@ func (in *Instance) deltaTasks(deltas map[string]Delta) []evalTask {
 	return tasks
 }
 
-// coalesce returns the first non-nil relation.
-func coalesce(a, b *relation.Relation) *relation.Relation {
-	if a != nil {
+// coalesce returns the first overlay that is set.
+func coalesce(a, b Overlay) Overlay {
+	if a.Base != nil {
 		return a
 	}
 	return b

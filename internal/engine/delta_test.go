@@ -63,7 +63,7 @@ func TestApplyDeltasPosDriverMatchesApplyDelta(t *testing.T) {
 
 	want := in.ApplyDelta(old, delta, cur)
 	got := in.ApplyDeltas(cur, cur, map[string]engine.Delta{
-		"s": {PosDriver: delta["s"], Before: old["s"]},
+		"s": {PosDriver: delta["s"], Before: engine.Overlay{Base: old["s"]}},
 	})
 	if !got.Equal(want) {
 		t.Fatalf("ApplyDeltas != ApplyDelta:\ngot  %v\nwant %v",
@@ -168,7 +168,7 @@ func TestApplyDeltasCountExact(t *testing.T) {
 	post := semantics.Inflationary(engine.MustNew(prog, in.Database().Clone())).State
 
 	cnt := in.ApplyDeltasCount(post, post, map[string]engine.Delta{
-		"E": {PosDriver: add, Before: preE},
+		"E": {PosDriver: add, Before: engine.Overlay{Base: preE}},
 	})
 	ms := cnt["s"]
 	// New derivations using E(b,d): rule1 → s(b,d) once; rule2 with

@@ -9,8 +9,9 @@ import (
 )
 
 // evalCtx carries the relation sources for one rule evaluation: pos[i]
-// resolves the i-th positive literal, neg[i] the i-th negated literal.
-// The relations are resolved once per rule evaluation — they cannot
+// resolves the i-th positive literal, neg[i] the i-th negated literal,
+// each a relation read as is (Base alone) or through an Overlay.
+// The sources are resolved once per rule evaluation — they cannot
 // change mid-rule — so the join loop never goes through a predicate
 // map.  headBuf and negBuf are scratch tuples reused across emissions
 // so the hot path allocates only when a genuinely new tuple is stored.
@@ -25,8 +26,8 @@ import (
 // per-worker outputs can be merged bucket-by-bucket and concatenated
 // disjointly.
 type evalCtx struct {
-	pos     []*relation.Relation
-	neg     []*relation.Relation
+	pos     []Overlay
+	neg     []Overlay
 	out     *relation.Relation
 	parts   []*relation.Relation
 	cur     *relation.Relation
@@ -46,9 +47,9 @@ type evalCtx struct {
 }
 
 // evalTask is one unit of parallel work: a rule plan plus optional
-// per-literal relation overrides (the semi-naive and delta variants).
-// pos[i] overrides the relation read by the i-th positive literal,
-// neg[j] the relation checked by the j-th negated literal.
+// per-literal source overrides (the semi-naive and delta variants).
+// pos[i] overrides what the i-th positive literal reads, neg[j] what the
+// j-th negated literal is checked against.
 //
 // driver is the positive-literal index whose relation drives the task
 // (the semi-naive delta, or the ApplyWithin filter); -1 when the task
@@ -58,8 +59,8 @@ type evalCtx struct {
 // means the task is unsharded.
 type evalTask struct {
 	rp               *rulePlan
-	pos              map[int]*relation.Relation
-	neg              map[int]*relation.Relation
+	pos              map[int]Overlay
+	neg              map[int]Overlay
 	driver           int
 	shardLit         int
 	shardLo, shardHi int32
@@ -115,7 +116,7 @@ func (in *Instance) ApplyDelta(old, delta, cur State) State {
 func (in *Instance) ApplyDeltaSplit(old, delta, cur, neg State) State {
 	deltas := make(map[string]Delta, len(delta))
 	for pred, d := range delta {
-		deltas[pred] = Delta{PosDriver: d, Before: old[pred]}
+		deltas[pred] = Delta{PosDriver: d, Before: Overlay{Base: old[pred]}}
 	}
 	return in.runTasks(in.deltaTasks(deltas), cur, neg, runOpts{shard: true})
 }
@@ -529,10 +530,10 @@ func (in *Instance) putScratch(sc *evalScratch) {
 	ctx := &sc.ctx
 	ctx.out, ctx.cur, ctx.parts, ctx.cnt, ctx.filter = nil, nil, nil, nil, nil
 	for i := range ctx.pos {
-		ctx.pos[i] = nil
+		ctx.pos[i] = Overlay{}
 	}
 	for i := range ctx.neg {
-		ctx.neg[i] = nil
+		ctx.neg[i] = Overlay{}
 	}
 	ctx.fprobes, ctx.fskips = 0, 0
 	scratchPool.Put(sc)
@@ -575,22 +576,22 @@ func (in *Instance) evalRule(task evalTask, posState, negState State, wo *worker
 	}
 	for i, lp := range rp.positives {
 		switch {
-		case task.pos[i] != nil:
+		case task.pos[i].Base != nil:
 			ctx.pos[i] = task.pos[i]
 		case !lp.idb:
-			ctx.pos[i] = in.edbRel(lp.pred)
+			ctx.pos[i] = Overlay{Base: in.edbRel(lp.pred)}
 		default:
-			ctx.pos[i] = posState[lp.pred]
+			ctx.pos[i] = Overlay{Base: posState[lp.pred]}
 		}
 	}
 	for i, np := range rp.negatives {
 		switch {
-		case task.neg[i] != nil:
+		case task.neg[i].Base != nil:
 			ctx.neg[i] = task.neg[i]
 		case !np.idb:
-			ctx.neg[i] = in.edbRel(np.pred)
+			ctx.neg[i] = Overlay{Base: in.edbRel(np.pred)}
 		default:
-			ctx.neg[i] = negState[np.pred]
+			ctx.neg[i] = Overlay{Base: negState[np.pred]}
 		}
 	}
 	// Plan against the resolved relations: the planner sees the actual
@@ -717,29 +718,41 @@ func (in *Instance) run(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bindin
 	}
 }
 
-// runJoin enumerates the candidate tuples of a positive literal —
-// by one membership probe when every column is bound, through the
-// step's index probe when some are, by arena scan otherwise — and
-// extends the binding per match.  The per-tuple work is the step's
-// compiled micro-op array; together with the probe this loop performs
-// no allocation (see BenchmarkJoinAllocs).
+// runJoin enumerates the candidate tuples of a positive literal — its
+// base relation minus what the overlay takes out, then what the overlay
+// puts in — and extends the binding per match.
 func (in *Instance) runJoin(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int) {
 	je := ep.steps[si].join
-	rel := ctx.pos[je.lit]
+	src := ctx.pos[je.lit]
+	for i, s := range je.probeSrc {
+		je.probeVals[i] = slotValue(s, binding)
+	}
+	in.joinRel(rp, ctx, ep, si, binding, src.Base, src.Minus, je.shardLo, je.shardHi)
+	// Shard ranges partition the base's arena; the first shard takes Plus.
+	if src.Plus != nil && je.shardLo == 0 {
+		in.joinRel(rp, ctx, ep, si, binding, src.Plus, nil, 0, 0)
+	}
+}
+
+// joinRel enumerates rel's candidates for a join step whose probe
+// values are filled in — by one membership probe when every column is
+// bound, through the step's index probe when some are, by arena scan
+// otherwise — restricted to the arena offsets [lo, hi) unless hi is 0,
+// skipping the tuples minus holds.  The per-tuple work is the step's
+// compiled micro-op array; together with the probe this loop performs
+// no allocation (see BenchmarkJoinAllocs).
+func (in *Instance) joinRel(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int, rel, minus *relation.Relation, lo, hi int32) {
 	if rel.Empty() {
 		return
 	}
-
+	je := ep.steps[si].join
 	if len(je.probeCols) > 0 {
-		for i, s := range je.probeSrc {
-			je.probeVals[i] = slotValue(s, binding)
-		}
 		if je.member {
 			// The probe names the whole tuple: the relation's own key table
 			// answers it, where an index on every column would hold one
 			// bucket per tuple.
 			off := rel.OffsetOf(je.probeVals)
-			if off >= 0 && (je.shardHi == 0 || (off >= je.shardLo && off < je.shardHi)) {
+			if off >= 0 && (hi == 0 || (off >= lo && off < hi)) && (minus == nil || !minus.Has(rel.At(off))) {
 				in.matchTuple(rp, ctx, ep, si, binding, je, rel.At(off))
 			}
 			return
@@ -750,20 +763,23 @@ func (in *Instance) runJoin(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bi
 		} else {
 			offs = rel.LookupCols(je.probeCols, je.probeVals)
 		}
-		if je.shardHi > 0 {
-			offs = relation.OffsetsInRange(offs, je.shardLo, je.shardHi)
+		if hi > 0 {
+			offs = relation.OffsetsInRange(offs, lo, hi)
 		}
 		for _, off := range offs {
-			in.matchTuple(rp, ctx, ep, si, binding, je, rel.At(off))
+			if t := rel.At(off); minus == nil || !minus.Has(t) {
+				in.matchTuple(rp, ctx, ep, si, binding, je, t)
+			}
 		}
 		return
 	}
-	lo, hi := int32(0), int32(rel.Len())
-	if je.shardHi > 0 {
-		lo, hi = je.shardLo, je.shardHi
+	if hi == 0 {
+		hi = int32(rel.Len())
 	}
 	for off := lo; off < hi; off++ {
-		in.matchTuple(rp, ctx, ep, si, binding, je, rel.At(off))
+		if t := rel.At(off); minus == nil || !minus.Has(t) {
+			in.matchTuple(rp, ctx, ep, si, binding, je, t)
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ func (in *Instance) ApplyDeltaSplitFrontierParts(old, delta, cur, neg State, po 
 	deltas := make(map[string]Delta, len(delta))
 	hints := make(map[string]int, len(delta))
 	for pred, d := range delta {
-		deltas[pred] = Delta{PosDriver: d, Before: old[pred]}
+		deltas[pred] = Delta{PosDriver: d, Before: Overlay{Base: old[pred]}}
 		if n := d.Len(); n > 0 {
 			hints[pred] = n
 		}

@@ -75,7 +75,7 @@ func (in *Instance) ApplyDeltaSplitFrontierFiltered(old, delta, cur, neg State, 
 	deltas := make(map[string]Delta, len(delta))
 	hints := make(map[string]int, len(delta))
 	for pred, d := range delta {
-		deltas[pred] = Delta{PosDriver: d, Before: old[pred]}
+		deltas[pred] = Delta{PosDriver: d, Before: Overlay{Base: old[pred]}}
 		if n := d.Len(); n > 0 {
 			hints[pred] = n
 		}
@@ -307,20 +307,20 @@ func (in *Instance) shardTarget(t evalTask, pos State) (int, *relation.Relation)
 	if len(rp.positives) == 0 {
 		return -1, nil
 	}
-	resolve := func(i int) *relation.Relation {
+	resolve := func(i int) Overlay {
 		switch {
-		case t.pos[i] != nil:
+		case t.pos[i].Base != nil:
 			return t.pos[i]
 		case !rp.positives[i].idb:
-			return in.edbRel(rp.positives[i].pred)
+			return Overlay{Base: in.edbRel(rp.positives[i].pred)}
 		default:
-			return pos[rp.positives[i].pred]
+			return Overlay{Base: pos[rp.positives[i].pred]}
 		}
 	}
 	if t.driver >= 0 {
-		return t.driver, resolve(t.driver)
+		return t.driver, resolve(t.driver).Base
 	}
-	rels := make([]*relation.Relation, len(rp.positives))
+	rels := make([]Overlay, len(rp.positives))
 	for i := range rels {
 		rels[i] = resolve(i)
 	}
@@ -328,5 +328,5 @@ func (in *Instance) shardTarget(t evalTask, pos State) (int, *relation.Relation)
 	if lit < 0 {
 		return -1, nil
 	}
-	return lit, rels[lit]
+	return lit, rels[lit].Base
 }

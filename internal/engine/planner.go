@@ -155,13 +155,13 @@ func compileJoin(rp *rulePlan, lit int, rel *relation.Relation, bound []bool, wi
 // rule, and therefore the literal an intra-rule shard split partitions
 // when no semi-naive delta identifies the driver.  It replicates the
 // first iteration of buildExec's join phase exactly.
-func firstJoinPick(rp *rulePlan, rels []*relation.Relation, costBased bool) int {
+func firstJoinPick(rp *rulePlan, rels []Overlay, costBased bool) int {
 	best := -1
 	if costBased {
 		bound := make([]bool, rp.nvars)
 		bestCost := math.Inf(1)
 		for i, lp := range rp.positives {
-			if c := estimateJoin(rels[i], lp, bound); c < bestCost {
+			if c := estimateJoin(rels[i].Base, lp, bound); c < bestCost {
 				best, bestCost = i, c
 			}
 		}
@@ -183,10 +183,12 @@ func firstJoinPick(rp *rulePlan, rels []*relation.Relation, costBased bool) int 
 }
 
 // buildExec orders the rule body into an executable plan against the
-// concrete relations rels (parallel to rp.positives) and compiles each
-// join.  costBased selects cardinality-estimate ordering with wide
-// composite probes; false reproduces the legacy syntactic
-// most-bound-first order with single-column probes.
+// concrete sources rels (parallel to rp.positives) and compiles each
+// join; an overlaid source is costed by its base relation, whose
+// statistics and indexes the join then uses.  costBased selects
+// cardinality-estimate ordering with wide composite probes; false
+// reproduces the legacy syntactic most-bound-first order with
+// single-column probes.
 //
 // When the evaluation task is one shard of an intra-rule split, shard
 // names the literal whose enumeration is restricted to the arena range
@@ -194,7 +196,7 @@ func firstJoinPick(rp *rulePlan, rels []*relation.Relation, costBased bool) int 
 // order (the split partitions the rule's driving enumeration, so every
 // derivation belongs to exactly one shard) and its compiled join carries
 // the range.  shard < 0 compiles the unrestricted plan.
-func buildExec(rp *rulePlan, rels []*relation.Relation, costBased bool, shard int, shardLo, shardHi int32) *execPlan {
+func buildExec(rp *rulePlan, rels []Overlay, costBased bool, shard int, shardLo, shardHi int32) *execPlan {
 	bound := make([]bool, rp.nvars)
 	usedPos := make([]bool, len(rp.positives))
 	usedCmp := make([]bool, len(rp.cmps))
@@ -247,7 +249,7 @@ func buildExec(rp *rulePlan, rels []*relation.Relation, costBased bool, shard in
 				if usedPos[i] {
 					continue
 				}
-				if c := estimateJoin(rels[i], lp, bound); c < bestCost {
+				if c := estimateJoin(rels[i].Base, lp, bound); c < bestCost {
 					best, bestCost = i, c
 				}
 			}
@@ -269,7 +271,7 @@ func buildExec(rp *rulePlan, rels []*relation.Relation, costBased bool, shard in
 			}
 		}
 		usedPos[best] = true
-		je := compileJoin(rp, best, rels[best], bound, costBased)
+		je := compileJoin(rp, best, rels[best].Base, bound, costBased)
 		if best == shard {
 			je.shardLo, je.shardHi = shardLo, shardHi
 		}
@@ -386,9 +388,9 @@ func (in *Instance) Explain(w io.Writer, s State) {
 	}
 	for ri, rp := range in.plans {
 		fmt.Fprintf(w, "rule %d [%s]: %s\n", ri+1, mode, rp.src.String())
-		rels := make([]*relation.Relation, len(rp.positives))
+		rels := make([]Overlay, len(rp.positives))
 		for i, lp := range rp.positives {
-			rels[i] = in.relFor(lp.pred, lp.idb, s)
+			rels[i].Base = in.relFor(lp.pred, lp.idb, s)
 		}
 		ep := buildExec(rp, rels, in.CostPlanner(), -1, 0, 0)
 		for _, st := range ep.steps {

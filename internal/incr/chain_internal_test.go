@@ -1,0 +1,81 @@
+package incr
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/graphs"
+	"repro/internal/parser"
+	"repro/internal/relation"
+)
+
+// TestChainRecomputesOnlyOnUniverseGrowth counts from-scratch
+// evaluations from outside the code that decides them: a full
+// alternating fixpoint replaces every stage's relations, a maintained
+// update keeps the first stage's and edits them in place.  Under rules
+// that enumerate the universe the count must be the number of updates
+// that interned a new constant; under safe rules it must be zero.
+func TestChainRecomputesOnlyOnUniverseGrowth(t *testing.T) {
+	for _, tc := range []struct {
+		src    string
+		unsafe bool
+	}{
+		{"win(X) :- E(X,Y), !win(Y).", false},
+		{"p(X) :- !q(X), !E(X,X).\nq(X) :- E(X,Y), !p(Y).", true},
+	} {
+		m, err := New(parser.MustProgram(tc.src), graphs.Random(rand.New(rand.NewSource(3)), 6, 0.3).Database(), core.WellFounded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.strat != stratWF {
+			t.Fatalf("%q is not maintained as a chain", tc.src)
+		}
+		rng := rand.New(rand.NewSource(4))
+		evaluations, grew, effective := 0, 0, 0
+		for step := 0; step < 200; step++ {
+			name := func() string {
+				if rng.Intn(10) == 0 {
+					return fmt.Sprintf("w%d", step)
+				}
+				return graphs.VertexName(rng.Intn(6))
+			}
+			f := []Fact{{Pred: "E", Args: []string{name(), name()}}}
+			first := make(map[string]*relation.Relation)
+			for pred, r := range m.chain[1].state {
+				first[pred] = r
+			}
+			size := m.Universe().Size()
+			var stats *UpdateStats
+			if rng.Intn(2) == 0 {
+				stats, err = m.Update(f, nil)
+			} else {
+				stats, err = m.Update(nil, f)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Universe().Size() > size {
+				grew++
+			}
+			if stats.Strategy == "stages" {
+				effective++
+			}
+			for pred, r := range m.chain[1].state {
+				if first[pred] != r {
+					evaluations++
+					break
+				}
+			}
+		}
+		want := 0
+		if tc.unsafe {
+			want = grew
+		}
+		if evaluations != want || grew == 0 || effective < 50 {
+			t.Errorf("%q: %d from-scratch evaluations over 200 updates, %d of which grew the universe and %d were maintained as stages; want %d evaluations",
+				tc.src, evaluations, grew, effective, want)
+		}
+	}
+}

@@ -117,6 +117,33 @@ func sinkClosure(t *testing.T, n, sinks int, p float64) *incr.Maintainer {
 	return m
 }
 
+// medianAlloc applies swap(0) … swap(19) and returns the median number
+// of bytes one of them allocates; every update must be handled by the
+// given strategy, and the maintained state must gain and lose the
+// numbers of tuples swap announces.  Deterministic with
+// engine.Options{Workers: 1}.
+func medianAlloc(t *testing.T, m *incr.Maintainer, strategy string, swap func(i int) (ins, del []incr.Fact, gained, lost int)) uint64 {
+	t.Helper()
+	var samples []uint64
+	for i := 0; i < 20; i++ {
+		ins, del, gained, lost := swap(i)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		stats, err := m.Update(ins, del)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Strategy != strategy || stats.InsertedIDB != gained || stats.DeletedIDB != lost {
+			t.Fatalf("swap %d: strategy %s, net change +%d -%d, want %s, +%d -%d",
+				i, stats.Strategy, stats.InsertedIDB, stats.DeletedIDB, strategy, gained, lost)
+		}
+		samples = append(samples, after.TotalAlloc-before.TotalAlloc)
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	return samples[len(samples)/2]
+}
+
 // TestUpdateCostFollowsChange makes the same update on closures of
 // about 4k and 35k tuples: the chain's edge into one sink is swapped
 // for an edge into another, which takes ten tuples out of s and puts
@@ -126,27 +153,13 @@ func sinkClosure(t *testing.T, n, sinks int, p float64) *incr.Maintainer {
 func TestUpdateCostFollowsChange(t *testing.T) {
 	perUpdate := func(n int, p float64) (bytes uint64, tuples int) {
 		m := sinkClosure(t, n, 16, p)
-		tuples = m.State()["s"].Len()
 		into := func(sink int) []incr.Fact {
 			return []incr.Fact{{Pred: "E", Args: []string{"t9", graphs.VertexName(sink)}}}
 		}
-		var samples []uint64
-		for i := 0; i < 20; i++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			stats, err := m.Update(into(n-2+i%2), into(n-1-i%2))
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Strategy != "strata" || stats.DeletedIDB != 10 || stats.InsertedIDB != 10 {
-				t.Fatalf("n=%d swap %d: strategy %s, net change +%d -%d, want DRed and +10 -10",
-					n, i, stats.Strategy, stats.InsertedIDB, stats.DeletedIDB)
-			}
-			samples = append(samples, after.TotalAlloc-before.TotalAlloc)
-		}
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		return samples[len(samples)/2], tuples
+		bytes = medianAlloc(t, m, "strata", func(i int) (ins, del []incr.Fact, gained, lost int) {
+			return into(n - 2 + i%2), into(n - 1 - i%2), 10, 10
+		})
+		return bytes, m.State()["s"].Len()
 	}
 	small, smallTuples := perUpdate(70, 0.06)
 	large, largeTuples := perUpdate(200, 0.02)
@@ -156,6 +169,140 @@ func TestUpdateCostFollowsChange(t *testing.T) {
 	t.Logf("%d tuples: %d bytes per update; %d tuples: %d bytes per update", smallTuples, small, largeTuples, large)
 	if large >= 2*small {
 		t.Errorf("an update allocates %d bytes on %d tuples and %d bytes on %d: it follows the relation, not the change",
+			small, smallTuples, large, largeTuples)
+	}
+}
+
+// sinkChain adds the chain t0→…→t9 to db — ten vertices nothing else
+// leads into — for a test to hang off one vertex or another.
+func sinkChain(db *relation.Database, vertexPred string) {
+	for i := 0; i < 10; i++ {
+		if i < 9 {
+			db.AddFact("E", fmt.Sprintf("t%d", i), fmt.Sprintf("t%d", i+1))
+		}
+		if vertexPred != "" {
+			db.AddFact(vertexPred, fmt.Sprintf("t%d", i))
+		}
+	}
+}
+
+// TestCountingCostFollowsChange is TestUpdateCostFollowsChange one
+// stratum up, on serve-write's program: unreach is maintained by
+// counting, and what its pass reads of s — the old world, the tuples of
+// both worlds, of either — are overlays on s as it is, where they were
+// whole copies of s (and, for the old world, a snapshot that made the
+// DRed stratum below copy s again on its first Remove).  The swap moves
+// the end of a ten-vertex chain from one sink to another: ten s tuples
+// and ten unreach tuples go, ten of each come, whether V has 60 vertices
+// or 600 and unreach 3 thousand tuples or 300 thousand.
+func TestCountingCostFollowsChange(t *testing.T) {
+	perUpdate := func(n int) (bytes uint64, tuples int) {
+		rng := rand.New(rand.NewSource(1))
+		db := relation.NewDatabase()
+		for v := 0; v < n; v++ {
+			db.AddFact("V", graphs.VertexName(v))
+			for w := 0; v < n-2 && w < n; w++ { // the last two vertices are sinks
+				if v != w && rng.Float64() < 2.4/float64(n) {
+					db.AddFact("E", graphs.VertexName(v), graphs.VertexName(w))
+				}
+			}
+		}
+		sinkChain(db, "V")
+		db.AddFact("E", "t9", graphs.VertexName(n-1))
+		prog := parser.MustProgram(tcSrc + "\nunreach(X,Y) :- V(X), V(Y), !s(X,Y).")
+		m, err := incr.NewWith(prog, db, core.Stratified, engine.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		into := func(sink int) []incr.Fact {
+			return []incr.Fact{{Pred: "E", Args: []string{"t9", graphs.VertexName(sink)}}}
+		}
+		bytes = medianAlloc(t, m, "strata", func(i int) (ins, del []incr.Fact, gained, lost int) {
+			return into(n - 2 + i%2), into(n - 1 - i%2), 20, 20
+		})
+		return bytes, m.State()["s"].Len() + m.State()["unreach"].Len()
+	}
+	small, smallTuples := perUpdate(60)
+	large, largeTuples := perUpdate(600)
+	t.Logf("%d tuples: %d bytes per update; %d tuples: %d bytes per update", smallTuples, small, largeTuples, large)
+	if large >= 2*small {
+		t.Errorf("an update allocates %d bytes on %d tuples and %d bytes on %d: it follows the relations, not the change",
+			small, smallTuples, large, largeTuples)
+	}
+}
+
+// layeredBoard is serve-wf's board, copies times over: each copy has
+// 300 positions in two regions of fifteen layers, every position with
+// three moves into the next three layers, and in the second region a
+// backward move from every third position — those close cycles and
+// leave positions undefined.  The copies are disjoint and alike, so the
+// alternating fixpoint takes as many stages on ten as on one and only
+// the relations grow.  A gadget nothing else touches sits next to them:
+// g moves to lost (no move: g wins) or to won (which moves to lost: g
+// loses).
+func layeredBoard(copies int) *relation.Database {
+	const n, width = 300, 10
+	half, layers := n/2, n/2/width
+	db := relation.NewDatabase()
+	for c := 0; c < copies; c++ {
+		rng := rand.New(rand.NewSource(1))
+		move := func(a, b int) { db.AddFact("move", graphs.VertexName(c*n+a), graphs.VertexName(c*n+b)) }
+		for base := 0; base < n; base += half {
+			for a := 0; a < half; a++ {
+				layer := a / width
+				if layer < layers-1 {
+					for k := 0; k < 3; k++ {
+						to := layer + 1 + rng.Intn(3)
+						if to > layers-1 {
+							to = layers - 1
+						}
+						move(base+a, base+to*width+rng.Intn(width))
+					}
+				}
+				if base > 0 && layer > 0 && a%3 == 0 {
+					move(base+a, base+rng.Intn(layer*width))
+				}
+			}
+		}
+	}
+	db.AddFact("move", "won", "lost")
+	db.AddFact("move", "g", "lost")
+	return db
+}
+
+// TestChainCostFollowsChange: the well-founded model of a board of 300
+// positions and of one of 3 000, the same one-move-out-one-move-in
+// update on both — g's only move goes to a lost or to a won position,
+// and g alone changes sides.  Every stage of the chain is maintained
+// from that change; none is recomputed, and none copies move or win.
+func TestChainCostFollowsChange(t *testing.T) {
+	perUpdate := func(copies int) (bytes uint64, tuples, outer int) {
+		m, err := incr.NewWith(parser.MustProgram("win(X) :- move(X,Y), !win(Y)."), layeredBoard(copies), core.WellFounded, engine.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wf := m.WF(); wf.Total() || wf.True.Total() == 0 {
+			t.Fatalf("%d copies: %d positions won, %d possibly: the board should have all three values", copies, wf.True.Total(), wf.Possible.Total())
+		}
+		to := func(p string) []incr.Fact { return []incr.Fact{{Pred: "move", Args: []string{"g", p}}} }
+		bytes = medianAlloc(t, m, "stages", func(i int) (ins, del []incr.Fact, gained, lost int) {
+			if i%2 == 0 {
+				return to("won"), to("lost"), 0, 1
+			}
+			return to("lost"), to("won"), 1, 0
+		})
+		return bytes, m.WF().Possible.Total(), m.WF().Outer
+	}
+	small, smallTuples, smallOuter := perUpdate(1)
+	large, largeTuples, largeOuter := perUpdate(10)
+	t.Logf("%d possible wins, %d stage pairs: %d bytes per update; %d possible wins, %d stage pairs: %d bytes per update",
+		smallTuples, smallOuter, small, largeTuples, largeOuter, large)
+	if largeTuples < 8*smallTuples || smallOuter < 4 || largeOuter != smallOuter {
+		t.Fatalf("boards with %d and %d possible wins, chains of %d and %d stage pairs; the test wants ten times the wins on the same chain",
+			smallTuples, largeTuples, smallOuter, largeOuter)
+	}
+	if large >= 2*small {
+		t.Errorf("an update allocates %d bytes with %d possible wins and %d bytes with %d: it follows the board, not the change",
 			small, smallTuples, large, largeTuples)
 	}
 }

@@ -5,8 +5,9 @@
 // materialized IDB state, plus the small strategy-specific extras —
 // the per-stage lengths of the inflationary replay log and the
 // possibly-true relations of the well-founded model.  Everything else
-// the strategies keep (stratum engine instances, support counts) is
-// recomputed cheaply and exactly from that state on restore:
+// the strategies keep (stratum engine instances, support counts, the
+// stages of the alternating fixpoint) is recomputed exactly from that
+// state on restore:
 //
 //   - strata: counts are seeded by one ApplyCount pass per
 //     nonrecursive stratum.  The counting invariant says maintained
@@ -17,7 +18,9 @@
 //     relation's arena in insertion order.  The checkpoint therefore
 //     stores only the per-stage lengths and restore rebuilds each
 //     stage as an O(1) relation.Prefix view.
-//   - well-founded: the three-valued model is its two relations.
+//   - well-founded: the chain of Γ stages is not persisted; restore runs
+//     one alternating fixpoint over the restored EDB, keeps its stages,
+//     and refuses a checkpoint whose True or Possible differ from them.
 //
 // The relations inside a Checkpoint captured from a live Maintainer
 // are sealed snapshot views: Checkpoint() is cheap and the caller may
@@ -32,7 +35,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/relation"
-	"repro/internal/semantics"
 )
 
 // Checkpoint is a self-contained restorable image of a Maintainer.
@@ -94,9 +96,9 @@ func (m *Maintainer) Checkpoint() *Checkpoint {
 			cp.StageLens[j] = lens
 		}
 	}
-	if m.wf != nil {
-		cp.Possible = make(map[string]*relation.Relation, len(m.wf.Possible))
-		for pred, r := range m.wf.Possible {
+	if wf := m.WF(); wf != nil {
+		cp.Possible = make(map[string]*relation.Relation, len(wf.Possible))
+		for pred, r := range wf.Possible {
 			cp.Possible[pred] = r.Snapshot()
 			r.Seal()
 		}
@@ -137,28 +139,11 @@ func RestoreWith(cp *Checkpoint, opts engine.Options) (*Maintainer, error) {
 		m.db.Set(name, r.Mutable())
 	}
 
-	class := cp.Prog.Classify()
-	switch cp.Sem {
-	case core.LFP:
-		if class != ast.ClassPositive && class != ast.ClassSemipositive {
-			return nil, fmt.Errorf("incr: least fixpoint maintenance requires a positive or semipositive program; this one is %v", class)
-		}
-		m.strat = stratStrata
-	case core.Stratified:
-		if _, err := cp.Prog.Stratify(); err != nil {
-			return nil, err
-		}
-		m.strat = stratStrata
-	case core.Inflationary:
-		if class == ast.ClassPositive || class == ast.ClassSemipositive {
-			m.strat = stratStrata
-		} else {
-			m.strat = stratReplay
-		}
-	case core.WellFounded:
-		m.strat = stratWF
-	default:
-		return nil, fmt.Errorf("incr: unknown semantics %v", cp.Sem)
+	if m.strat, err = pickStrategy(cp.Prog, cp.Sem); err != nil {
+		return nil, err
+	}
+	if err := m.initStrategy(); err != nil {
+		return nil, err
 	}
 
 	idbRel := func(pred string) (*relation.Relation, error) {
@@ -177,9 +162,6 @@ func RestoreWith(cp *Checkpoint, opts engine.Options) (*Maintainer, error) {
 
 	switch m.strat {
 	case stratStrata:
-		if err := m.initStrata(); err != nil {
-			return nil, err
-		}
 		// Install the restored IDB stratum by stratum, exactly as
 		// evalStrata installs computed results, and reseed the support
 		// counts of each nonrecursive stratum from the restored state:
@@ -196,17 +178,10 @@ func RestoreWith(cp *Checkpoint, opts engine.Options) (*Maintainer, error) {
 				m.state[pred] = rel
 				st[pred] = rel
 			}
-			if !s.recursive {
-				s.seedCounts(st)
-			}
+			s.counts = s.seedCounts(st, st)
 		}
-	case stratReplay, stratWF:
-		in, err := engine.NewWith(cp.Prog, m.db, opts)
-		if err != nil {
-			return nil, err
-		}
-		m.in = in
-		m.state = in.NewState()
+	case stratReplay:
+		m.state = m.in.NewState()
 		for pred := range m.state {
 			rel, err := idbRel(pred)
 			if err != nil {
@@ -214,27 +189,34 @@ func RestoreWith(cp *Checkpoint, opts engine.Options) (*Maintainer, error) {
 			}
 			m.state[pred] = rel
 		}
-		if m.strat == stratReplay {
-			m.log = make([]engine.State, len(cp.StageLens))
-			for j, lens := range cp.StageLens {
-				st := make(engine.State, len(m.state))
-				for pred, r := range m.state {
-					n := lens[pred]
-					if n > r.Len() {
-						return nil, fmt.Errorf("incr: checkpoint stage %d wants %d tuples of %s, state has %d", j, n, pred, r.Len())
-					}
-					st[pred] = r.Prefix(n)
+		m.log = make([]engine.State, len(cp.StageLens))
+		for j, lens := range cp.StageLens {
+			st := make(engine.State, len(m.state))
+			for pred, r := range m.state {
+				n := lens[pred]
+				if n > r.Len() {
+					return nil, fmt.Errorf("incr: checkpoint stage %d wants %d tuples of %s, state has %d", j, n, pred, r.Len())
 				}
-				m.log[j] = st
+				st[pred] = r.Prefix(n)
 			}
-		} else {
-			poss := in.NewState()
-			for pred := range poss {
-				if r, ok := cp.Possible[pred]; ok {
-					poss[pred] = r.Mutable()
+			m.log[j] = st
+		}
+	case stratWF:
+		m.evalChain()
+	}
+	if wf := m.WF(); wf != nil {
+		// The model is rebuilt (the chain) or has one part (strata): what
+		// the checkpoint says of it can only be checked.
+		for _, part := range []struct {
+			name string
+			got  engine.State
+			want map[string]*relation.Relation
+		}{{"true", wf.True, cp.IDB}, {"possible", wf.Possible, cp.Possible}} {
+			for pred, r := range part.got {
+				if w := part.want[pred]; w == nil && !r.Empty() || w != nil && !w.Equal(r) {
+					return nil, fmt.Errorf("incr: checkpoint's %s part of %s is not the well-founded model's over its EDB", part.name, pred)
 				}
 			}
-			m.wf = &semantics.WFResult{True: m.state, Possible: poss}
 		}
 	}
 	return m, nil

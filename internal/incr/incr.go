@@ -17,7 +17,9 @@
 //     so an update's cost follows what it changes, not the size of the
 //     relations it changes it in.  Changes cascade upward through the
 //     strata, insertions acting as deletions through negation and vice
-//     versa.
+//     versa; the old world of a changed relation, and the tuples of both
+//     worlds or of either that exact counting needs, are read through
+//     engine.Overlay on the relation as it is now, never copied.
 //   - Inflationary on general programs: the paper's stage sequence is
 //     the semantics, so the evaluator's per-stage snapshots (O(1) each,
 //     see relation.Relation.Snapshot) are persisted as a replay log.
@@ -25,9 +27,18 @@
 //     changed tuples enable or disable; the stages before the first
 //     affected one are provably unchanged and are skipped, and
 //     evaluation replays from there.
-//   - WellFounded: recomputed per update (the alternating fixpoint
-//     offers no stage structure to reuse); kept behind the same API so
-//     the server can maintain any semantics.
+//   - WellFounded: the alternating fixpoint A₀ = ∅, Aᵢ = Γ(Aᵢ₋₁) is a
+//     stage sequence too, and each stage a semipositive program — own
+//     predicates positive, negated IDB literals frozen against the stage
+//     below — so the chain A₁ … Aₙ is kept and every stage maintained by
+//     the same counting or DRed pass as a stratum, fed the EDB change
+//     and the net change of the stage below (chain.go).  Memory is
+//     n × |IDB| where a recompute holds 2 ×.  A stratifiable program has
+//     a total model equal to the stratified one and is maintained as
+//     strata, Possible = True.
+//
+// Universe growth under rules that enumerate the universe invalidates
+// every shortcut above and is answered by a from-scratch evaluation.
 //
 // A Maintainer is single-writer: Update and Snapshot must be called
 // from one goroutine (or externally serialized).  Snapshots returned by
@@ -56,14 +67,16 @@ type Fact struct {
 
 // UpdateStats reports what one Update did.
 type UpdateStats struct {
-	// Strategy that handled the update: counting/dred (possibly both,
-	// reported as "strata"), replay, recompute, or noop.
+	// Strategy that handled the update: counting/dred over strata
+	// ("strata") or over the stages of the alternating fixpoint
+	// ("stages"), replay, recompute, or noop.
 	Strategy string `json:"strategy"`
 	// EDB tuples actually inserted/removed (duplicates and misses are
 	// dropped during normalization).
 	InsertedEDB int `json:"inserted_edb"`
 	DeletedEDB  int `json:"deleted_edb"`
-	// Net IDB tuples the maintained state gained/lost.
+	// Net IDB tuples the maintained state gained/lost (under
+	// WellFounded: the certainly-true part).
 	InsertedIDB int `json:"inserted_idb"`
 	DeletedIDB  int `json:"deleted_idb"`
 	// Replay accounting (inflationary only): stages proven unchanged
@@ -93,7 +106,7 @@ type strategy int
 const (
 	stratStrata strategy = iota // counting + DRed over strata
 	stratReplay                 // inflationary stage-log replay
-	stratWF                     // well-founded: recompute per update
+	stratWF                     // well-founded: the maintained Γ chain
 )
 
 // Maintainer owns a program, a private copy of its database, and the
@@ -113,7 +126,8 @@ type Maintainer struct {
 	strata []*stratum       // stratStrata
 	in     *engine.Instance // stratReplay / stratWF
 	log    []engine.State   // stratReplay: stage snapshots S₁..S_m
-	wf     *semantics.WFResult
+	gamma  *stratum         // stratWF: the whole program as one Γ stage
+	chain  []gammaStage     // stratWF: A₀ = ∅, A₁ … Aₙ
 
 	// pubUniv caches the universe copy handed to snapshots; the
 	// universe is append-only, so it is stale exactly when the sizes
@@ -145,51 +159,62 @@ func NewWith(prog *ast.Program, db *relation.Database, sem core.Semantics, opts 
 		idb:     prog.IDB(),
 		safe:    allVarsPositive(prog),
 	}
+	if m.strat, err = pickStrategy(prog, sem); err != nil {
+		return nil, err
+	}
+	if err := m.initStrategy(); err != nil {
+		return nil, err
+	}
+	m.recompute()
+	return m, nil
+}
+
+// pickStrategy chooses the maintenance machinery for prog under sem.
+func pickStrategy(prog *ast.Program, sem core.Semantics) (strategy, error) {
 	class := prog.Classify()
+	monotone := class == ast.ClassPositive || class == ast.ClassSemipositive
+	_, unstratifiable := prog.Stratify()
 	switch sem {
 	case core.LFP:
-		if class != ast.ClassPositive && class != ast.ClassSemipositive {
-			return nil, fmt.Errorf("incr: least fixpoint maintenance requires a positive or semipositive program; this one is %v", class)
+		if !monotone {
+			return 0, fmt.Errorf("incr: least fixpoint maintenance requires a positive or semipositive program; this one is %v", class)
 		}
-		m.strat = stratStrata
+		return stratStrata, nil
 	case core.Stratified:
-		if _, err := prog.Stratify(); err != nil {
-			return nil, err
-		}
-		m.strat = stratStrata
+		return stratStrata, unstratifiable
 	case core.Inflationary:
-		if class == ast.ClassPositive || class == ast.ClassSemipositive {
+		if monotone {
 			// Inflationary coincides with LFP: use the cheaper
 			// counting/DRed machinery.
-			m.strat = stratStrata
-		} else {
-			m.strat = stratReplay
+			return stratStrata, nil
 		}
+		return stratReplay, nil
 	case core.WellFounded:
-		m.strat = stratWF
+		if unstratifiable == nil {
+			// The well-founded model is total and is the stratified one.
+			return stratStrata, nil
+		}
+		return stratWF, nil
 	default:
-		return nil, fmt.Errorf("incr: unknown semantics %v", sem)
+		return 0, fmt.Errorf("incr: unknown semantics %v", sem)
 	}
+}
 
-	switch m.strat {
-	case stratStrata:
-		if err := m.initStrata(); err != nil {
-			return nil, err
-		}
-		m.evalStrata()
-	case stratReplay, stratWF:
-		in, err := engine.NewWith(prog, m.db, opts)
-		if err != nil {
-			return nil, err
-		}
-		m.in = in
-		if m.strat == stratReplay {
-			m.evalReplay()
-		} else {
-			m.evalWF()
-		}
+// initStrategy builds the engine instances the chosen strategy
+// evaluates with, over the maintainer's database.
+func (m *Maintainer) initStrategy() error {
+	if m.strat == stratStrata {
+		return m.initStrata()
 	}
-	return m, nil
+	in, err := engine.NewWith(m.prog, m.db, m.opts)
+	if err != nil {
+		return err
+	}
+	m.in = in
+	if m.strat == stratWF {
+		m.gamma = newStratum(in, m.prog)
+	}
+	return nil
 }
 
 // MustNew is New but panics on error.
@@ -207,8 +232,20 @@ func MustNew(prog *ast.Program, db *relation.Database, sem core.Semantics) *Main
 func (m *Maintainer) State() engine.State { return m.state }
 
 // WF returns the full three-valued result when the semantics is
-// WellFounded, else nil.
-func (m *Maintainer) WF() *semantics.WFResult { return m.wf }
+// WellFounded, else nil: True is the maintained state, Possible the
+// last odd stage of the chain and Outer its number of stage pairs, or
+// True again and 0 for a stratifiable program maintained as strata.
+// Like State it is live and single-goroutine.
+func (m *Maintainer) WF() *semantics.WFResult {
+	if m.sem != core.WellFounded {
+		return nil
+	}
+	res := &semantics.WFResult{True: m.state, Possible: m.state}
+	if n := len(m.chain) - 1; m.strat == stratWF {
+		res.Possible, res.Outer = m.chain[n-1].state, n/2
+	}
+	return res
+}
 
 // Universe returns the maintainer's universe.  Single-goroutine, like
 // State; snapshots carry their own copy.
@@ -249,29 +286,28 @@ func (m *Maintainer) Snapshot() *Snapshot {
 	return &Snapshot{Rels: rels, Universe: m.pubUniv, Gen: m.gen, Sem: m.sem}
 }
 
-// change tracks one predicate's effective update: the tuples actually
-// entering (add) and leaving (del), and a pre-update snapshot.
+// change tracks one predicate's effective update: the tuples that
+// entered (add) and left (del) the relation cur, which already holds
+// the new world.  Every other world a pass reads is an overlay on cur.
 type change struct {
 	add, del *relation.Relation
-	pre      *relation.Relation
+	cur      *relation.Relation
+	// negOnly marks the change of the state a Γ stage's negated IDB
+	// literals are frozen against: it drives those literals alone, the
+	// positive literals of the same predicate read the stage's own state.
+	negOnly bool
 }
 
-// stable returns the tuples present in both the old and new worlds:
-// pre ∖ del (= new ∖ add).
-func (c *change) stable() *relation.Relation {
-	if c.del.Empty() {
-		return c.pre
-	}
-	return c.pre.Diff(c.del)
+// old is the relation before the change: cur ∖ add ∪ del.
+func (c *change) old() engine.Overlay {
+	return engine.Overlay{Base: c.cur, Minus: c.add, Plus: c.del}
 }
 
-// ever returns the tuples present in either world: pre ∪ add.
-func (c *change) ever() *relation.Relation {
-	if c.add.Empty() {
-		return c.pre
-	}
-	return c.pre.Union(c.add)
-}
+// both is the tuples present in the old and the new world: cur ∖ add.
+func (c *change) both() engine.Overlay { return engine.Overlay{Base: c.cur, Minus: c.add} }
+
+// either is the tuples present in the old or the new world: cur ∪ del.
+func (c *change) either() engine.Overlay { return engine.Overlay{Base: c.cur, Plus: c.del} }
 
 // Update applies the fact inserts and deletes and incrementally
 // maintains the materialized state.  Inserting a present fact or
@@ -300,16 +336,16 @@ func (m *Maintainer) Update(ins, del []Fact) (*UpdateStats, error) {
 		stats.Strategy = "replay"
 		m.updateReplay(ch, stats)
 	default:
-		stats.Strategy = "recompute"
-		m.evalWF()
+		stats.Strategy = "stages"
+		m.updateChain(ch, stats)
 	}
 	m.gen++
 	stats.Duration = time.Since(start)
 	return stats, nil
 }
 
-// recompute redoes the full evaluation with the current database (the
-// fallback for universe growth under unsafe rules).
+// recompute does the full evaluation with the current database: the
+// initial one, and the fallback for universe growth under unsafe rules.
 func (m *Maintainer) recompute() {
 	switch m.strat {
 	case stratStrata:
@@ -317,7 +353,7 @@ func (m *Maintainer) recompute() {
 	case stratReplay:
 		m.evalReplay()
 	default:
-		m.evalWF()
+		m.evalChain()
 	}
 }
 
@@ -389,9 +425,8 @@ func (m *Maintainer) validate(ins, del []Fact) error {
 }
 
 // normalize validates the update, interns its constants, applies it to
-// the EDB relations, and returns the effective per-predicate changes
-// with pre-update snapshots.  grew reports whether interning added new
-// constants.
+// the EDB relations, and returns the effective per-predicate changes.
+// grew reports whether interning added new constants.
 func (m *Maintainer) normalize(ins, del []Fact, stats *UpdateStats) (map[string]*change, bool, error) {
 	if err := m.validate(ins, del); err != nil {
 		return nil, false, err
@@ -415,15 +450,15 @@ func (m *Maintainer) normalize(ins, del []Fact, stats *UpdateStats) (map[string]
 			c = &change{
 				add: relation.New(rel.Arity()),
 				del: relation.New(rel.Arity()),
-				pre: rel.Snapshot(),
+				cur: rel,
 			}
 			ch[pred] = c
 		}
 		return c
 	}
 
-	// Stage the effective tuples first (so pre-snapshots are taken
-	// before any mutation), then apply.
+	// Stage the effective tuples first (membership is tested against the
+	// relations as they were), then apply.
 	for _, f := range del {
 		if t, rel := toTuple(f); rel.Has(t) {
 			chFor(f.Pred, rel).del.Add(t)
@@ -434,20 +469,13 @@ func (m *Maintainer) normalize(ins, del []Fact, stats *UpdateStats) (map[string]
 			chFor(f.Pred, rel).add.Add(t)
 		}
 	}
-	for pred, c := range ch {
-		rel := m.db.Relation(pred)
-		rel.RemoveAll(c.del)
-		c.add.Each(func(t relation.Tuple) bool { rel.Add(t); return true })
+	for _, c := range ch {
+		c.cur.RemoveAll(c.del)
+		c.cur.UnionWith(c.add)
 		stats.InsertedEDB += c.add.Len()
 		stats.DeletedEDB += c.del.Len()
 	}
 	return ch, univ.Size() > before, nil
-}
-
-// evalWF recomputes the well-founded model.
-func (m *Maintainer) evalWF() {
-	m.wf = semantics.WellFoundedMode(m.in, semantics.SemiNaive)
-	m.state = m.wf.True
 }
 
 // allVarsPositive reports whether every variable of every rule is bound

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graphs"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/semantics"
+	"repro/internal/wforacle"
 )
 
 const (
@@ -85,9 +87,55 @@ func randomBatch(rng *rand.Rand, preds []string, n int, fresh *int) (ins, del []
 	return ins, del
 }
 
+// checkUpdate applies one update to the maintainer and to the plain
+// mirror database and verifies that the maintained state — under
+// WellFounded both the certainly-true and the possibly-true part — is
+// bit-exact with a from-scratch evaluation of the mirror.  With oracle
+// set the three-valued model is also compared with internal/wforacle,
+// which shares no code with either.
+func checkUpdate(t *testing.T, m *incr.Maintainer, prog *ast.Program, mirror *relation.Database, ins, del []incr.Fact, oracle bool) *incr.UpdateStats {
+	t.Helper()
+	var before engine.State
+	if m.WF() != nil {
+		before = m.State().Clone()
+	}
+	stats, err := m.Update(ins, del)
+	if err != nil {
+		t.Fatalf("ins=%v del=%v: %v", ins, del, err)
+	}
+	applyPlain(t, mirror, ins, del)
+	sem := m.Semantics()
+	if before != nil && stats.Strategy != "recompute" {
+		gained, lost := m.State().Diff(before).Total(), before.Diff(m.State()).Total()
+		if stats.InsertedIDB != gained || stats.DeletedIDB != lost {
+			t.Fatalf("(%s, ins=%v del=%v, strategy=%s): stats report +%d -%d, True changed by +%d -%d",
+				sem, ins, del, stats.Strategy, stats.InsertedIDB, stats.DeletedIDB, gained, lost)
+		}
+	}
+	want, err := core.Eval(prog, mirror, sem, semantics.SemiNaive)
+	if err != nil {
+		t.Fatalf("recompute: %v", err)
+	}
+	got := m.State().Format(m.Universe())
+	exp := want.State.Format(want.Universe)
+	if wf := m.WF(); wf != nil {
+		got += "possible:\n" + wf.Possible.Format(m.Universe())
+		exp += "possible:\n" + want.WF.Possible.Format(want.Universe)
+		if oracle {
+			if d := wforacle.Compare(prog, m.Universe(), m.Snapshot().Rels, wf.True, wf.Possible); d != "" {
+				t.Fatalf("(%s, ins=%v del=%v, strategy=%s): maintained model differs from the oracle's: %s", sem, ins, del, stats.Strategy, d)
+			}
+		}
+	}
+	if got != exp {
+		t.Fatalf("(%s, ins=%v del=%v, strategy=%s): maintained state diverged\nmaintained:\n%s\nrecompute:\n%s",
+			sem, ins, del, stats.Strategy, got, exp)
+	}
+	return stats
+}
+
 // checkMaintained interleaves random inserts and deletes and verifies
-// after every update that the maintained state is bit-exact with a
-// from-scratch recompute on an identically updated plain database.
+// every update with checkUpdate.
 func checkMaintained(t *testing.T, src string, sem core.Semantics, preds []string, seed int64, steps int) {
 	prog := parser.MustProgram(src)
 	n := 6
@@ -107,21 +155,7 @@ func checkMaintained(t *testing.T, src string, sem core.Semantics, preds []strin
 	fresh := 0
 	for step := 0; step < steps; step++ {
 		ins, del := randomBatch(rng, preds, n, &fresh)
-		stats, err := m.Update(ins, del)
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		applyPlain(t, mirror, ins, del)
-		want, err := core.Eval(prog, mirror, sem, semantics.SemiNaive)
-		if err != nil {
-			t.Fatalf("step %d recompute: %v", step, err)
-		}
-		got := m.State().Format(m.Universe())
-		exp := want.State.Format(want.Universe)
-		if got != exp {
-			t.Fatalf("step %d (%s, ins=%v del=%v, strategy=%s): maintained state diverged\nmaintained:\n%s\nrecompute:\n%s",
-				step, sem, ins, del, stats.Strategy, got, exp)
-		}
+		checkUpdate(t, m, prog, mirror, ins, del, false)
 	}
 }
 

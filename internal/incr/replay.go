@@ -22,7 +22,8 @@
 // tuples as drivers; side literals read the either-world union
 // (positive) and are checked against the both-worlds intersection
 // (negated), overapproximating derivations of either world — safe for
-// a prefix-validity proof.
+// a prefix-validity proof.  Both sets are overlays on the updated
+// relation (see change), not copies.
 package incr
 
 import (
@@ -46,8 +47,7 @@ func (m *Maintainer) updateReplay(ch map[string]*change, stats *UpdateStats) {
 	enabled := make(map[string]engine.Delta, len(ch))
 	disabled := make(map[string]engine.Delta, len(ch))
 	for pred, c := range ch {
-		stable, ever := c.stable(), c.ever()
-		d := engine.Delta{Before: ever, BeforeNeg: stable, After: ever, AfterNeg: stable}
+		d := engine.Delta{Before: c.either(), BeforeNeg: c.both(), After: c.either(), AfterNeg: c.both()}
 		e, f := d, d
 		if !c.add.Empty() {
 			e.PosDriver = c.add

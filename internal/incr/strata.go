@@ -9,22 +9,34 @@
 // insertions acting as deletions through negated literals and vice
 // versa.
 //
+// A pass works on two states: the one its own predicates live in, which
+// positive own-predicate literals read and the pass updates, and the one
+// negated IDB literals read.  A stratum passes the maintained state for
+// both (its negated literals are over lower strata, read as EDB); a Γ
+// stage of the alternating fixpoint (chain.go) passes its own stage and
+// the stage below.  By the time a pass runs, every relation it reads
+// already holds the new world; a change carries what entered and what
+// left, and the old world — like the both-worlds and either-world sets
+// of the strict discipline — is an engine.Overlay on the new relation,
+// so no pass allocates in proportion to a relation it does not change.
+//
 // Nonrecursive strata (no positive own-predicate literal) keep exact
 // derivation support counts: membership is count > 0, so an update only
 // needs the exact counts of the derivations it enables and disables —
 // engine.ApplyDeltasCount with the strict first-driver discipline.
 // Recursive strata use DRed.  Overdelete everything a disabled
 // derivation might have supported, evaluated in the old world: the
-// stratum's own relations before anything is removed from them, and
-// pre-update snapshots of its inputs.  That leaves a state certainly
-// below the new fixpoint, and within a stratum Θ's iteration reaches the
-// least fixpoint from any such state, so the rest is iteration upwards:
-// one head-filtered pass (engine.ApplyWithin) returns the overdeleted
-// tuples the reduced state still derives in one step, and they join the
-// update's insertions as seeds of the ordinary semi-naive propagation,
-// which finds everything further.  The stratum's net change is then
-// read off the sets in hand — overdeleted and not back, appended and
-// not overdeleted — instead of diffing relations.
+// stratum's own relations before anything is removed from them, and its
+// changed inputs through their old-world overlays.  That leaves a state
+// certainly below the new fixpoint, and within a stratum Θ's iteration
+// reaches the least fixpoint from any such state, so the rest is
+// iteration upwards: one head-filtered pass (engine.ApplyWithin) returns
+// the overdeleted tuples the reduced state still derives in one step,
+// and they join the update's insertions as seeds of the ordinary
+// semi-naive propagation, which finds everything further.  The
+// stratum's net change is then read off the sets in hand — overdeleted
+// and not back, appended and not overdeleted — instead of diffing
+// relations.
 package incr
 
 import (
@@ -35,15 +47,30 @@ import (
 	"repro/internal/semantics"
 )
 
-// stratum is one stratified layer with its own engine instance over the
+// stratum is one semipositive layer — a stratum of the program, or the
+// whole program as a Γ stage — with its engine instance over the
 // maintainer's database.
 type stratum struct {
 	in        *engine.Instance
-	preds     map[string]bool // own IDB predicates
-	bodyPreds map[string]bool // predicates read by rule bodies
-	readAbove map[string]bool // own predicates a higher stratum reads
-	recursive bool
-	counts    map[string]*relation.Multiset // support counts; nil for recursive strata
+	preds     map[string]bool               // own IDB predicates
+	bodyPreds map[string]bool               // predicates read by rule bodies
+	recursive bool                          // some positive literal is over an own predicate
+	counts    map[string]*relation.Multiset // a stratum's support counts; nil when recursive
+}
+
+func newStratum(in *engine.Instance, sub *ast.Program) *stratum {
+	s := &stratum{in: in, preds: sub.IDB(), bodyPreds: make(map[string]bool)}
+	for _, r := range sub.Rules {
+		for _, l := range r.Body {
+			if l.Kind == ast.LitPos || l.Kind == ast.LitNeg {
+				s.bodyPreds[l.Atom.Pred] = true
+				if l.Kind == ast.LitPos && s.preds[l.Atom.Pred] {
+					s.recursive = true
+				}
+			}
+		}
+	}
+	return s
 }
 
 // initStrata stratifies the program and builds one engine instance per
@@ -62,39 +89,9 @@ func (m *Maintainer) initStrata() error {
 		if err != nil {
 			return err
 		}
-		s := &stratum{in: in, preds: sub.IDB(), bodyPreds: make(map[string]bool), readAbove: make(map[string]bool)}
-		for _, r := range sub.Rules {
-			for _, l := range r.Body {
-				if l.Kind == ast.LitPos || l.Kind == ast.LitNeg {
-					s.bodyPreds[l.Atom.Pred] = true
-					if l.Kind == ast.LitPos && s.preds[l.Atom.Pred] {
-						s.recursive = true
-					}
-				}
-			}
-		}
-		for _, lower := range m.strata {
-			for pred := range lower.preds {
-				if s.bodyPreds[pred] {
-					lower.readAbove[pred] = true
-				}
-			}
-		}
-		m.strata = append(m.strata, s)
+		m.strata = append(m.strata, newStratum(in, sub))
 	}
 	return nil
-}
-
-// preViews snapshots the stratum's predicates that a higher stratum
-// reads, before the update reaches them: those strata evaluate their
-// old world against it.  The other predicates get none, so that their
-// relations are updated in place rather than copied on the first Remove.
-func (s *stratum) preViews(st engine.State) engine.State {
-	pre := make(engine.State, len(s.readAbove))
-	for pred := range s.readAbove {
-		pre[pred] = st[pred].Snapshot()
-	}
-	return pre
 }
 
 // evalStrata computes every stratum from scratch, installs the results
@@ -110,21 +107,24 @@ func (m *Maintainer) evalStrata() {
 			m.db.Set(pred, rel)
 			m.state[pred] = rel
 		}
-		if !s.recursive {
-			s.seedCounts(st)
-		}
+		s.counts = s.seedCounts(st, st)
 	}
 }
 
-// seedCounts initializes the stratum's support counts: the number of
-// rule-body derivations of each tuple at the fixpoint.
-func (s *stratum) seedCounts(st engine.State) {
-	s.counts = s.in.ApplyCount(st, st)
+// seedCounts returns the support counts of a nonrecursive layer at its
+// fixpoint own, negated IDB literals read against neg: the number of
+// rule-body derivations of each tuple.  Nil for a recursive layer.
+func (s *stratum) seedCounts(own, neg engine.State) map[string]*relation.Multiset {
+	if s.recursive {
+		return nil
+	}
+	counts := s.in.ApplyCount(own, neg)
 	for pred := range s.preds {
-		if s.counts[pred] == nil {
-			s.counts[pred] = relation.NewMultiset(s.in.Arity(pred))
+		if counts[pred] == nil {
+			counts[pred] = relation.NewMultiset(s.in.Arity(pred))
 		}
 	}
+	return counts
 }
 
 // touched reports whether any changed predicate is read by the stratum.
@@ -141,63 +141,93 @@ func (s *stratum) touched(ch map[string]*change) bool {
 // extending ch with each stratum's net IDB changes.
 func (m *Maintainer) updateStrata(ch map[string]*change, stats *UpdateStats) {
 	for _, s := range m.strata {
-		if !s.touched(ch) {
-			continue
-		}
-		var pre, adds, dels engine.State
-		if s.counts != nil {
-			pre, adds, dels = s.applyCounting(m, ch)
-		} else {
-			pre, adds, dels = s.applyDRed(m, ch)
-		}
-		for pred := range s.preds {
-			if adds[pred].Empty() && dels[pred].Empty() {
-				continue
-			}
-			ch[pred] = &change{add: adds[pred], del: dels[pred], pre: pre[pred]}
-			stats.InsertedIDB += adds[pred].Len()
-			stats.DeletedIDB += dels[pred].Len()
+		for pred, c := range s.apply(m.state, m.state, s.counts, ch) {
+			ch[pred] = c
+			stats.InsertedIDB += c.add.Len()
+			stats.DeletedIDB += c.del.Len()
 		}
 	}
 }
 
-// applyCounting maintains a nonrecursive stratum exactly through
-// support counts.  The disabled pass counts, in the old world (side
-// reads against pre-update snapshots), the derivations using at least
-// one removed positive tuple or one added negated tuple; the enabled
-// pass mirrors it in the new world.  Both use the strict first-driver
-// discipline: before the driver, positive literals read the
-// both-worlds-stable tuples and negated literals are checked against
-// the either-world union, so every derivation is counted exactly once.
-func (s *stratum) applyCounting(m *Maintainer, ch map[string]*change) (pre, adds, dels engine.State) {
-	in := s.in
-	dis := make(map[string]engine.Delta)
-	ena := make(map[string]engine.Delta)
+// apply maintains the layer's predicates in own under the changes ch of
+// what its bodies read, by counting when counts is non-nil and by DRed
+// otherwise, and returns their net changes.
+func (s *stratum) apply(own, neg engine.State, counts map[string]*relation.Multiset, ch map[string]*change) map[string]*change {
+	if !s.touched(ch) {
+		return nil
+	}
+	var adds, dels engine.State
+	if counts != nil {
+		adds, dels = s.applyCounting(own, neg, counts, ch)
+	} else {
+		adds, dels = s.applyDRed(own, neg, ch)
+	}
+	net := make(map[string]*change, len(s.preds))
+	for pred := range s.preds {
+		if !adds[pred].Empty() || !dels[pred].Empty() {
+			net[pred] = &change{add: adds[pred], del: dels[pred], cur: own[pred]}
+		}
+	}
+	return net
+}
+
+// drivers compiles the changes the layer reads into the deltas of its
+// two passes: dis drives the derivations the update disables — a removed
+// tuple under a positive literal, an added one under a negated literal —
+// with the literals after the driver reading the old world; ena drives
+// the ones it enables, read in the new world the relations already
+// hold.  With strict set, literals before the driver read the tuples of
+// both worlds (positive) and are checked against the tuples of either
+// (negated), so that every derivation is enumerated exactly once.  A
+// negOnly change leaves the positive side of its predicate alone.
+func (s *stratum) drivers(ch map[string]*change, strict bool) (dis, ena map[string]engine.Delta) {
+	dis = make(map[string]engine.Delta, len(ch))
+	ena = make(map[string]engine.Delta, len(ch))
 	for pred, c := range ch {
 		if !s.bodyPreds[pred] {
 			continue
 		}
-		stable, ever := c.stable(), c.ever()
-		d := engine.Delta{Before: stable, BeforeNeg: ever, After: c.pre, AfterNeg: c.pre}
-		e := engine.Delta{Before: stable, BeforeNeg: ever}
+		d := engine.Delta{AfterNeg: c.old()}
+		var e engine.Delta
+		if strict {
+			d.BeforeNeg, e.BeforeNeg = c.either(), c.either()
+		}
+		if !c.negOnly {
+			d.After = c.old()
+			if strict {
+				d.Before, e.Before = c.both(), c.both()
+			}
+		}
 		if !c.del.Empty() {
-			d.PosDriver = c.del
 			e.NegDriver = c.del
+			if !c.negOnly {
+				d.PosDriver = c.del
+			}
 		}
 		if !c.add.Empty() {
 			d.NegDriver = c.add
-			e.PosDriver = c.add
+			if !c.negOnly {
+				e.PosDriver = c.add
+			}
 		}
-		dis[pred] = d
-		ena[pred] = e
+		dis[pred], ena[pred] = d, e
 	}
-	dec := in.ApplyDeltasCount(m.state, m.state, dis)
-	inc := in.ApplyDeltasCount(m.state, m.state, ena)
+	return dis, ena
+}
 
-	pre = s.preViews(m.state)
+// applyCounting maintains a nonrecursive layer exactly through support
+// counts: the derivations the update disables are counted in the old
+// world, the ones it enables in the new, both under the strict
+// first-driver discipline, and membership follows count > 0.
+func (s *stratum) applyCounting(own, neg engine.State, counts map[string]*relation.Multiset, ch map[string]*change) (adds, dels engine.State) {
+	in := s.in
+	dis, ena := s.drivers(ch, true)
+	dec := in.ApplyDeltasCount(own, neg, dis)
+	inc := in.ApplyDeltasCount(own, neg, ena)
+
 	adds, dels = in.NewState(), in.NewState()
 	for pred := range s.preds {
-		ms, rel := s.counts[pred], m.state[pred]
+		ms, rel := counts[pred], own[pred]
 		bump := func(src *relation.Multiset, sign int64) {
 			if src == nil {
 				return
@@ -230,48 +260,39 @@ func (s *stratum) applyCounting(m *Maintainer, ch map[string]*change) (pre, adds
 		settle(inc[pred])
 		rel.RemoveAll(dels[pred])
 	}
-	return pre, adds, dels
+	return adds, dels
 }
 
-// applyDRed maintains a recursive stratum: overdelete in the old world,
+// applyDRed maintains a recursive layer: overdelete in the old world,
 // commit, rederive from the reduced new world, then propagate
 // insertions semi-naively.  Set-valued throughout, so the relaxed
 // (duplicate-tolerant) driver discipline suffices.
-func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, dels engine.State) {
+func (s *stratum) applyDRed(own, neg engine.State, ch map[string]*change) (adds, dels engine.State) {
 	in := s.in
-	pre = s.preViews(m.state)
-
-	base := make(map[string]engine.Delta)  // disabled drivers + old-world reads
-	sides := make(map[string]engine.Delta) // old-world reads only (cascade rounds)
-	seed := make(map[string]engine.Delta)  // enabled drivers, new-world reads
+	base, seed := s.drivers(ch, false) // disabled drivers + old-world reads; enabled drivers
 	anyDel, anyIns := false, false
-	for pred, c := range ch {
-		if !s.bodyPreds[pred] {
-			continue
+	for pred, d := range base {
+		anyDel = anyDel || d.PosDriver != nil || d.NegDriver != nil
+		anyIns = anyIns || seed[pred].PosDriver != nil || seed[pred].NegDriver != nil
+	}
+	// withDriver is the side reads of deltas with the own predicates driven
+	// by front.  An own predicate may have an entry already — a Γ stage
+	// reads it negated against the changed stage below — whose negated
+	// side must survive next to the driver.
+	withDriver := func(deltas map[string]engine.Delta, front engine.State) map[string]engine.Delta {
+		out := make(map[string]engine.Delta, len(deltas)+len(s.preds))
+		for pred, d := range deltas {
+			d.PosDriver, d.NegDriver = nil, nil
+			out[pred] = d
 		}
-		d := engine.Delta{After: c.pre, AfterNeg: c.pre}
-		sides[pred] = d
-		if !c.del.Empty() {
-			d.PosDriver = c.del
-			anyDel = true
+		for pred := range s.preds {
+			if !front[pred].Empty() {
+				d := out[pred]
+				d.PosDriver = front[pred]
+				out[pred] = d
+			}
 		}
-		if !c.add.Empty() {
-			d.NegDriver = c.add
-			anyDel = true
-		}
-		base[pred] = d
-		e := engine.Delta{}
-		if !c.add.Empty() {
-			e.PosDriver = c.add
-			anyIns = true
-		}
-		if !c.del.Empty() {
-			e.NegDriver = c.del
-			anyIns = true
-		}
-		if e != (engine.Delta{}) {
-			seed[pred] = e
-		}
+		return out
 	}
 
 	// 1. Overdelete: everything a dying derivation supported, cascaded
@@ -282,34 +303,20 @@ func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, de
 	// at emit time instead of surviving into a derived state for a Diff.
 	dover := in.NewState()
 	if anyDel {
-		frontier := in.ApplyDeltas(m.state, m.state, base)
+		frontier := in.ApplyDeltas(own, neg, base)
 		for !frontier.Empty() {
 			dover.UnionWith(frontier)
-			casc := make(map[string]engine.Delta, len(sides)+len(s.preds))
-			for pred, d := range sides {
-				casc[pred] = d
-			}
-			drivers := false
-			for pred := range s.preds {
-				if !frontier[pred].Empty() {
-					casc[pred] = engine.Delta{PosDriver: frontier[pred]}
-					drivers = true
-				}
-			}
-			if !drivers {
-				break
-			}
-			frontier = partition.ApplyDeltasFrontier(in, m.state, m.state, casc, dover)
+			frontier = partition.ApplyDeltasFrontier(in, own, neg, withDriver(base, frontier), dover)
 		}
 		for pred := range s.preds {
-			m.state[pred].RemoveAll(dover[pred])
+			own[pred].RemoveAll(dover[pred])
 		}
 	}
 
 	// Everything phases 2 and 3 add is appended past these lengths.
 	mark := make(map[string]int, len(s.preds))
 	for pred := range s.preds {
-		mark[pred] = m.state[pred].Len()
+		mark[pred] = own[pred].Len()
 	}
 
 	// 2. Rederive, once: the overdeleted tuples that the reduced state and
@@ -320,11 +327,13 @@ func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, de
 	// old world, hence is an overdeleted tuple this pass finds; whatever
 	// else must come back follows from a tuple added here or in phase 3.
 	if anyDel {
-		red := in.ApplyWithin(m.state, m.state, dover)
+		red := in.ApplyWithin(own, neg, dover)
 		for pred := range s.preds {
 			if !red[pred].Empty() {
-				m.state[pred].UnionWith(red[pred])
-				seed[pred] = engine.Delta{PosDriver: red[pred]}
+				own[pred].UnionWith(red[pred])
+				d := seed[pred]
+				d.PosDriver = red[pred]
+				seed[pred] = d
 				anyIns = true
 			}
 		}
@@ -338,19 +347,13 @@ func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, de
 	// owning partitions and the rounds evaluate K-way, exactly like the
 	// from-scratch fixpoint loop.
 	if anyIns {
-		frontier := partition.ApplyDeltasFrontier(in, m.state, m.state, seed, ownState(m.state, s.preds))
+		against := ownState(own, s.preds)
+		frontier := partition.ApplyDeltasFrontier(in, own, neg, seed, against)
 		for !frontier.Empty() {
 			for pred := range s.preds {
-				rel := m.state[pred]
-				frontier[pred].Each(func(t relation.Tuple) bool { rel.Add(t); return true })
+				own[pred].UnionWith(frontier[pred])
 			}
-			next := make(map[string]engine.Delta, len(s.preds))
-			for pred := range s.preds {
-				if !frontier[pred].Empty() {
-					next[pred] = engine.Delta{PosDriver: frontier[pred]}
-				}
-			}
-			frontier = partition.ApplyDeltasFrontier(in, m.state, m.state, next, ownState(m.state, s.preds))
+			frontier = partition.ApplyDeltasFrontier(in, own, neg, withDriver(nil, frontier), against)
 		}
 	}
 
@@ -360,7 +363,7 @@ func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, de
 	// past the mark without having been overdeleted.
 	adds, dels = in.NewState(), make(engine.State, len(s.preds))
 	for pred := range s.preds {
-		rel, over := m.state[pred], dover[pred]
+		rel, over := own[pred], dover[pred]
 		dels[pred] = over.Diff(rel)
 		for off := mark[pred]; off < rel.Len(); off++ {
 			if t := rel.At(int32(off)); !over.Has(t) {
@@ -368,7 +371,7 @@ func (s *stratum) applyDRed(m *Maintainer, ch map[string]*change) (pre, adds, de
 			}
 		}
 	}
-	return pre, adds, dels
+	return adds, dels
 }
 
 // ownState restricts a state to the given predicates.

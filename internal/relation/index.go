@@ -43,13 +43,17 @@ import (
 // Sharing.  Published sets are immutable to everyone but the live
 // relation that built them, and are swapped in atomically, so any
 // number of readers may probe while one goroutine builds (under mu).
-// Extension copies the key maps but not the buckets: the live relation
-// appends into the spare capacity of the buckets it extends, which the
-// holders of the older set never look at.  A view is not the owner of
-// what it inherited, so it clips every bucket's capacity first and its
-// appends reallocate.  Remove edits buckets in place, which views
-// holding the same buckets must not see: the first Remove after a view
-// took the indexes copies them (idxShared).
+// Extension by the live relation is in place while no view has taken
+// the set: the relation grew under exclusive access, so every reader
+// that probes it now finds the set short and waits on mu
+// (TestIndexGrowsInPlaceUnderProbes races them).  Once a view holds the
+// set (idxShared), extension copies the key maps but not the buckets:
+// the live relation appends into the spare capacity of the buckets it
+// extends, which the holders of the older set never look at.  A view is
+// not the owner of what it inherited, so it clips every bucket's
+// capacity first and its appends reallocate.  Remove edits buckets in
+// place, which views holding the same buckets must not see: the first
+// Remove after a view took the indexes copies them (idxShared).
 
 // patchCost is what patching one Remove into an index costs, in units
 // of indexing one tuple from scratch: per column up to three bucket
@@ -282,6 +286,10 @@ func (r *Relation) dropIndexes() {
 	r.idxShared = false
 }
 
+// ownsIndexes reports whether the published index sets are r's alone
+// to extend in place; see Sharing above.
+func (r *Relation) ownsIndexes() bool { return !r.frozen && !r.idxShared }
+
 // cols returns the per-column indexes, building all of them on first
 // use and extending them when the relation has grown since the cached
 // set was published.  The arity is small in practice, so building every
@@ -303,10 +311,13 @@ func (r *Relation) cols() []colIndex {
 		lo = p.n
 	}
 	for c := range cols {
-		if p != nil {
-			cols[c] = growBuckets(p.cols[c], r.frozen)
-		} else {
+		switch {
+		case p == nil:
 			cols[c] = make(colIndex)
+		case r.ownsIndexes():
+			cols[c] = p.cols[c]
+		default:
+			cols[c] = growBuckets(p.cols[c], r.frozen)
 		}
 	}
 	for off := lo; off < n; off++ {
@@ -381,19 +392,23 @@ func (r *Relation) compFor(cols []int) *compIndex {
 }
 
 // buildComp groups arena offsets by projection key.  With prev nil it
-// scans the whole arena; otherwise it copies prev's key maps and scans
-// only the suffix prev does not cover.
+// scans the whole arena; otherwise it takes prev's key maps — as they
+// are when r owns them, copied otherwise — and scans only the suffix
+// prev does not cover.
 func (r *Relation) buildComp(cols []int, prev *compIndex) *compIndex {
 	ci := &compIndex{n: len(r.arena), cols: slices.Clone(cols)}
 	lo := 0
-	if prev != nil {
+	switch {
+	case prev == nil:
+		ci.packed = make(map[uint64][]int32)
+	case r.ownsIndexes():
+		lo, ci.packed, ci.spill = prev.n, prev.packed, prev.spill
+	default:
 		lo = prev.n
 		ci.packed = growBuckets(prev.packed, r.frozen)
 		if prev.spill != nil {
 			ci.spill = growBuckets(prev.spill, r.frozen)
 		}
-	} else {
-		ci.packed = make(map[uint64][]int32)
 	}
 	proj := make(Tuple, 0, len(cols))
 	for off := lo; off < len(r.arena); off++ {

@@ -239,3 +239,68 @@ func TestIndexSharedWithSealedViews(t *testing.T) {
 		t.Fatalf("writer, at the end: %v", err)
 	}
 }
+
+// TestIndexGrowsInPlaceUnderProbes: the live relation extends the index
+// sets it owns in place.  Rounds of exclusive mutation — appends, now
+// and then a Remove, which makes the sets the relation's own again after
+// a view took them — alternate with rounds in which four goroutines
+// probe the live relation at once, each on one random column subset: one
+// finds its index up to date and reads it without the lock while another
+// extends a stale one under it.  Every few rounds a sealed view goes to
+// two readers that keep probing it while the relation grows on.  It
+// belongs to the -race set.
+func TestIndexGrowsInPlaceUnderProbes(t *testing.T) {
+	const arity = 3
+	published := make(chan *heldView)
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(200 + g)))
+			for v := range published {
+				for i := 0; i < 4 && !t.Failed(); i++ {
+					if err := v.check(rng); err != nil {
+						t.Errorf("view reader %d: %v", g, err)
+					}
+				}
+			}
+		}(g)
+	}
+	rng := rand.New(rand.NewSource(11))
+	r := New(arity)
+	for round := 0; round < 300 && !t.Failed(); round++ {
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			tu := Tuple{rng.Intn(12), rng.Intn(12), rng.Intn(12)}
+			if rng.Intn(16) == 0 {
+				tu[rng.Intn(arity)] += 1 << 40 // too wide for the packed key: the projection spills
+			}
+			r.Add(tu)
+		}
+		if rng.Intn(6) == 0 {
+			r.Remove(r.At(int32(rng.Intn(r.Len()))))
+		}
+		if rng.Intn(5) == 0 {
+			v := hold(r.Snapshot())
+			r.Seal()
+			published <- v
+			published <- v
+		}
+		var probers sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			probers.Add(1)
+			go func(seed int64) {
+				defer probers.Done()
+				if err := scanIndexes(r, rand.New(rand.NewSource(seed))); err != nil {
+					t.Errorf("round %d, live relation: %v", round, err)
+				}
+			}(rng.Int63())
+		}
+		probers.Wait()
+	}
+	close(published)
+	readers.Wait()
+	if err := scanIndexes(r, nil); err != nil {
+		t.Fatalf("at the end: %v", err)
+	}
+}

@@ -37,8 +37,23 @@ func WellFounded(in *engine.Instance) *WFResult {
 
 // WellFoundedMode is WellFounded with an explicit evaluation mode.
 func WellFoundedMode(in *engine.Instance, mode Mode) *WFResult {
+	return WellFoundedLog(in, mode, nil)
+}
+
+// WellFoundedLog is WellFoundedMode with a stage observer: log is
+// called with every application of Γ in turn, A₁ = Γ(∅), A₂ = Γ(A₁), …
+// up to the Aₙ that confirms the fixpoint, n = 2·Outer.  On exit True
+// is Aₙ₋₂ = Aₙ and Possible is Aₙ₋₁.  The stages are the evaluator's
+// own states, not copies, and it only reads a stage once observed: an
+// observer may keep them, and may mutate them after the call if it
+// drops the result, whose True and Possible are two of them.  The
+// incremental-maintenance layer keeps them as its chain.
+func WellFoundedLog(in *engine.Instance, mode Mode, log func(stage engine.State)) *WFResult {
 	gamma := func(j engine.State) (engine.State, Stats) {
 		res := lfpLoop(in, j, mode)
+		if log != nil {
+			log(res.State)
+		}
 		return res.State, res.Stats
 	}
 

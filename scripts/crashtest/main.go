@@ -9,7 +9,7 @@
 //
 // Trials rotate through all four semantics, covering all three
 // maintainer strategies (counting/DRed strata, inflationary stage-log
-// replay, well-founded recompute).
+// replay, the well-founded chain of Γ stages).
 //
 // Usage:
 //
