@@ -131,14 +131,18 @@ bench-compare:
 # benchmark/README.md and scripts/pairs): N runs of one benchmark
 # workload on BASE and N on the working tree, one pair at a time, the
 # side that goes first alternating; prints each end-to-end metric's
-# median [q1, q3] per side and the change's wins.  BASE is exported
-# with `git archive` into .bench_build/pairs/base, and each side builds
-# under its own .bench_build as benchmark/run.sh always does.
+# median [q1, q3] per side and the change's wins.  WORKLOAD=all runs
+# the four workloads in turn and ends with the no-regression table: one
+# row per workload and gated metric with its bound from BENCHMARK.json
+# and a verdict (improved / within bound / unresolved / worse).  BASE is
+# exported with `git archive` into .bench_build/pairs/base, and each
+# side builds under its own .bench_build as benchmark/run.sh always does.
 #	make pairs BASE=HEAD~1 WORKLOAD=serve-wf N=10 SEED=1
+#	make pairs BASE=HEAD~1 WORKLOAD=all N=10
 N ?= 10
 SEED ?= 1
 pairs:
-	@test -n "$(WORKLOAD)" || { echo "usage: make pairs BASE=<ref> WORKLOAD=<name> [N=10] [SEED=1]" >&2; exit 2; }
+	@test -n "$(WORKLOAD)" || { echo "usage: make pairs BASE=<ref> WORKLOAD=<name>|all [N=10] [SEED=1]" >&2; exit 2; }
 	rm -rf .bench_build/pairs/base && mkdir -p .bench_build/pairs/base
 	git archive $(BASE) | tar -x -C .bench_build/pairs/base
 	$(GO) run ./scripts/pairs -base .bench_build/pairs/base -change . -workload $(WORKLOAD) -n $(N) -seed $(SEED)

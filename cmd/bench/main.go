@@ -21,7 +21,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/parser"
-	"repro/internal/relation"
 	"repro/internal/semantics"
 	"repro/internal/workload"
 )
@@ -36,7 +35,6 @@ func main() {
 		explain    = flag.Bool("explain", false, "print per-rule evaluation plans for the join-heavy workloads and exit")
 		frontier   = flag.Bool("frontier", true, "fused dedup-at-emit derivation (false = derive+Diff baseline)")
 		ffilter    = flag.Bool("frontier-filter", true, "Bloom-prefiltered frontier dedup probes (false = exact probes only)")
-		ptable     = flag.Bool("packed-table", true, "open-addressing packed-key dedup table (false = Go map baseline)")
 		shard      = flag.Bool("shard", true, "intra-rule data-parallel sharding when rules < workers")
 		partitions = flag.Int("partitions", 1, "K-way hash-partitioned evaluation with delta exchange (1 = unpartitioned)")
 	)
@@ -45,7 +43,6 @@ func main() {
 	engine.SetDefaultCostPlanner(*planner)
 	engine.SetDefaultFrontier(*frontier)
 	engine.SetDefaultFrontierFilter(*ffilter)
-	relation.SetDefaultPackedTable(*ptable)
 	engine.SetDefaultSharding(*shard)
 	engine.SetDefaultPartitions(*partitions)
 

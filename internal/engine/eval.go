@@ -194,7 +194,7 @@ var relPools [maxPooledArity + 1]sync.Pool
 // freelist, falling back to a fresh allocation.  Pooled relations were
 // cleared by Reset on the way in, so a recycled one is
 // indistinguishable from a new one — except its table slots, arena
-// capacity, and map buckets survive, which is the point.
+// chunks, and map buckets survive, which is the point.
 func (in *Instance) getRel(arity int) *relation.Relation {
 	if arity >= 0 && arity <= maxPooledArity {
 		if r, _ := relPools[arity].Get().(*relation.Relation); r != nil {
@@ -342,8 +342,9 @@ func (in *Instance) runTasksStats(tasks []evalTask, pos, neg State, opts runOpts
 // parallel per-bucket union followed by disjoint concatenation (buckets
 // are hash partitions, so tuples of different buckets can never
 // collide).  Merged-away worker relations — every output except the
-// returned state's own relations — go back to the instance freelists;
-// tuples themselves are shared into the survivor, never the storage.
+// returned state's own relations — go back to the instance freelists:
+// the union copied their ids into the survivor, and nothing may keep a
+// tuple read from a relation it recycles (see relation.Tuple).
 func (in *Instance) mergeWorkerOuts(wos []*workerOut, nbuckets int) State {
 	out := wos[0].out
 	for _, wo := range wos[1:] {

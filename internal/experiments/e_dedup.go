@@ -15,20 +15,19 @@ import (
 func init() {
 	register(Experiment{
 		ID:     "E18",
-		Title:  "dedup path: packed-key table and frontier prefilter vs the map/exact baseline",
+		Title:  "dedup path: frontier prefilter vs the exact-probe baseline",
 		Source: "engineering (ROADMAP: approximate-membership dedup structures)",
 		Run:    runE18,
 	})
 }
 
 // runE18 evaluates the 2-rule transitive closure and the Proposition 2
-// distance program under inflationary semantics across the dedup-path
-// ablation matrix: packed-key storage (open-addressing table vs Go
-// map) × frontier prefilter (Bloom-fronted vs exact-only dedup
-// probes).  The claim under test is bit-exactness — identical
-// relations AND identical round/delta statistics in all four cells,
-// because both knobs only change how a membership probe is answered,
-// never its answer.  The filter-skip column reports the share of
+// distance program under inflationary semantics with and without the
+// frontier prefilter (Bloom-fronted vs exact-only dedup probes).  The
+// claim under test is bit-exactness — identical relations AND
+// identical round/delta statistics in both cells, because the knob
+// only changes how a membership probe is answered, never its answer.
+// The filter-skip column reports the share of
 // emit-path probes the prefilter resolved without touching the exact
 // accumulated-state structure; timing cells are hardware-dependent.
 func runE18(w io.Writer, quick bool) error {
@@ -47,30 +46,21 @@ func runE18(w io.Writer, quick bool) error {
 			func() *relation.Database { return graphs.Random(newRNG(int64(distN)), distN, distP).Database() }},
 	}
 
-	// The packed-table knob is process-wide and sampled at Relation
-	// construction, so each cell builds its database and instance with
-	// the knob set; the deferred restore covers error exits.
-	defer relation.SetDefaultPackedTable(true)
-
-	t := newTable(w, "workload", "table", "filter", "tuples", "rounds", "filter-skip", "t(base)", "t(cell)", "speedup", "check")
+	t := newTable(w, "workload", "filter", "tuples", "rounds", "filter-skip", "t(base)", "t(cell)", "speedup", "check")
 	c := &checker{}
 	for _, cs := range cases {
 		prog := parser.MustProgram(cs.src)
 
-		// Oracle cell: map storage, exact probes — the seed's dedup path.
-		relation.SetDefaultPackedTable(false)
+		// Oracle cell: exact probes only.
 		ref := engine.MustNew(prog, cs.db())
 		ref.SetFrontierFilter(false)
 		startRef := time.Now()
 		want := semantics.Inflationary(ref)
 		durRef := time.Since(startRef)
 
-		for _, cell := range []struct{ table, filter bool }{
-			{false, false}, {false, true}, {true, false}, {true, true},
-		} {
-			relation.SetDefaultPackedTable(cell.table)
+		for _, filter := range []bool{false, true} {
 			in := engine.MustNew(prog, cs.db())
-			in.SetFrontierFilter(cell.filter)
+			in.SetFrontierFilter(filter)
 			start := time.Now()
 			got := semantics.Inflationary(in)
 			dur := time.Since(start)
@@ -81,16 +71,16 @@ func runE18(w io.Writer, quick bool) error {
 					100*float64(got.Stats.FilterSkips)/float64(got.Stats.FilterProbes))
 			}
 			ok := got.State.Equal(want.State) && got.Stats.Core() == want.Stats.Core()
-			t.row(cs.name, onOff(cell.table), onOff(cell.filter),
+			t.row(cs.name, onOff(filter),
 				got.Stats.Tuples, got.Stats.Rounds, skipRate,
 				ms(durRef), ms(dur),
 				fmt.Sprintf("%.2fx", float64(durRef)/float64(dur)),
-				c.verdict(ok, fmt.Sprintf("%s/table=%v/filter=%v", cs.name, cell.table, cell.filter)))
+				c.verdict(ok, fmt.Sprintf("%s/filter=%v", cs.name, filter)))
 		}
 	}
 	t.flush()
-	fmt.Fprintln(w, "    note: identical relations and stage statistics in every cell — the table")
-	fmt.Fprintln(w, "    and the prefilter change how a dedup probe is answered, never the answer.")
+	fmt.Fprintln(w, "    note: identical relations and stage statistics in every cell — the")
+	fmt.Fprintln(w, "    prefilter changes how a dedup probe is answered, never the answer.")
 	fmt.Fprintln(w, "    filter-skip is the share of emit-path probes the Bloom prefilter resolved")
 	fmt.Fprintln(w, "    as definitely-absent without an exact accumulated-state probe; it is only")
 	fmt.Fprintln(w, "    nonzero once a predicate crosses the filter's size threshold.")

@@ -117,20 +117,35 @@ func sinkClosure(t *testing.T, n, sinks int, p float64) *incr.Maintainer {
 	return m
 }
 
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // medianAlloc applies swap(0) … swap(19) and returns the median number
 // of bytes one of them allocates; every update must be handled by the
 // given strategy, and the maintained state must gain and lose the
-// numbers of tuples swap announces.  Deterministic with
-// engine.Options{Workers: 1}.
-func medianAlloc(t *testing.T, m *incr.Maintainer, strategy string, swap func(i int) (ins, del []incr.Fact, gained, lost int)) uint64 {
+// numbers of tuples swap announces.  With publish set, each update is
+// followed — inside the measurement — by the Snapshot a daemon hands its
+// readers, so the next update pays for detaching from it.  Deterministic
+// with engine.Options{Workers: 1}.
+func medianAlloc(t *testing.T, m *incr.Maintainer, strategy string, publish bool, swap func(i int) (ins, del []incr.Fact, gained, lost int)) uint64 {
 	t.Helper()
 	var samples []uint64
 	for i := 0; i < 20; i++ {
 		ins, del, gained, lost := swap(i)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		stats, err := m.Update(ins, del)
-		runtime.ReadMemStats(&after)
+		var stats *incr.UpdateStats
+		var err error
+		bytes := allocated(func() {
+			stats, err = m.Update(ins, del)
+			if publish {
+				m.Snapshot()
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +153,7 @@ func medianAlloc(t *testing.T, m *incr.Maintainer, strategy string, swap func(i 
 			t.Fatalf("swap %d: strategy %s, net change +%d -%d, want %s, +%d -%d",
 				i, stats.Strategy, stats.InsertedIDB, stats.DeletedIDB, strategy, gained, lost)
 		}
-		samples = append(samples, after.TotalAlloc-before.TotalAlloc)
+		samples = append(samples, bytes)
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	return samples[len(samples)/2]
@@ -150,19 +165,31 @@ func medianAlloc(t *testing.T, m *incr.Maintainer, strategy string, swap func(i 
 // ten in, whatever else s holds.  What the update allocates must then
 // not follow the relation's size: under 2x for a relation 9x larger.
 // Bytes rather than time, so that it can gate.
+//
+// The second half publishes a Snapshot after every update, as the
+// daemon does, so each update starts by detaching s and E from the
+// views.  What that costs is split three ways by measuring, on the
+// maintained s itself, an append and a Remove right after a publish:
+// the key table's clone (all an append pays beyond one chunk), the
+// clone of the index sets the views took (what a Remove pays on top),
+// and the arena — the rest, which must stay within the chunks the
+// changed tuples lie in whatever the relation's size.  The first two
+// still follow the relation; their sizes are logged as the baseline for
+// the change that chunks them.
 func TestUpdateCostFollowsChange(t *testing.T) {
-	perUpdate := func(n int, p float64) (bytes uint64, tuples int) {
-		m := sinkClosure(t, n, 16, p)
+	perUpdate := func(n int, p float64, publish bool) (bytes uint64, m *incr.Maintainer) {
+		m = sinkClosure(t, n, 16, p)
 		into := func(sink int) []incr.Fact {
 			return []incr.Fact{{Pred: "E", Args: []string{"t9", graphs.VertexName(sink)}}}
 		}
-		bytes = medianAlloc(t, m, "strata", func(i int) (ins, del []incr.Fact, gained, lost int) {
+		bytes = medianAlloc(t, m, "strata", publish, func(i int) (ins, del []incr.Fact, gained, lost int) {
 			return into(n - 2 + i%2), into(n - 1 - i%2), 10, 10
 		})
-		return bytes, m.State()["s"].Len()
+		return bytes, m
 	}
-	small, smallTuples := perUpdate(70, 0.06)
-	large, largeTuples := perUpdate(200, 0.02)
+	small, sm := perUpdate(70, 0.06, false)
+	large, lm := perUpdate(200, 0.02, false)
+	smallTuples, largeTuples := sm.State()["s"].Len(), lm.State()["s"].Len()
 	if smallTuples < 3000 || smallTuples > 5000 || largeTuples < 8*smallTuples {
 		t.Fatalf("closures of %d and %d tuples; the test wants about 4k and 35k", smallTuples, largeTuples)
 	}
@@ -170,6 +197,32 @@ func TestUpdateCostFollowsChange(t *testing.T) {
 	if large >= 2*small {
 		t.Errorf("an update allocates %d bytes on %d tuples and %d bytes on %d: it follows the relation, not the change",
 			small, smallTuples, large, largeTuples)
+	}
+
+	// One arena chunk of s: 1024 tuples of two ids (relation.chunkLen).
+	const chunkBytes = 1024 * 2 * 8
+	for _, c := range []struct {
+		n     int
+		p     float64
+		plain uint64
+	}{{70, 0.06, small}, {200, 0.02, large}} {
+		published, m := perUpdate(c.n, c.p, true)
+		s := m.State()["s"]
+		t0, _ := m.Universe().Lookup("t0")
+		m.Snapshot()
+		appendBytes := allocated(func() { s.Add(relation.Tuple{t0, t0}) }) // nothing leads into t0
+		m.Snapshot()
+		removeBytes := allocated(func() { s.Remove(relation.Tuple{t0, t0}) })
+		table, indexes := appendBytes-chunkBytes, removeBytes-appendBytes
+		// The update moves 20 tuples of s and 2 of E, and E has a key table
+		// and indexes of its own, one chunk's worth at either size.
+		arena, maxArena := published-c.plain-table-indexes, uint64((20+2+2)*chunkBytes)
+		t.Logf("%d tuples: %d bytes per update and publish = %d update + %d key table of s + %d indexes of s + %d arena and E",
+			s.Len(), published, c.plain, table, indexes, arena)
+		if arena > maxArena {
+			t.Errorf("%d tuples: publishing costs the arena %d bytes per update, want at most %d: it follows the relation, not the change",
+				s.Len(), arena, maxArena)
+		}
 	}
 }
 
@@ -217,7 +270,7 @@ func TestCountingCostFollowsChange(t *testing.T) {
 		into := func(sink int) []incr.Fact {
 			return []incr.Fact{{Pred: "E", Args: []string{"t9", graphs.VertexName(sink)}}}
 		}
-		bytes = medianAlloc(t, m, "strata", func(i int) (ins, del []incr.Fact, gained, lost int) {
+		bytes = medianAlloc(t, m, "strata", false, func(i int) (ins, del []incr.Fact, gained, lost int) {
 			return into(n - 2 + i%2), into(n - 1 - i%2), 20, 20
 		})
 		return bytes, m.State()["s"].Len() + m.State()["unreach"].Len()
@@ -285,7 +338,7 @@ func TestChainCostFollowsChange(t *testing.T) {
 			t.Fatalf("%d copies: %d positions won, %d possibly: the board should have all three values", copies, wf.True.Total(), wf.Possible.Total())
 		}
 		to := func(p string) []incr.Fact { return []incr.Fact{{Pred: "move", Args: []string{"g", p}}} }
-		bytes = medianAlloc(t, m, "stages", func(i int) (ins, del []incr.Fact, gained, lost int) {
+		bytes = medianAlloc(t, m, "stages", false, func(i int) (ins, del []incr.Fact, gained, lost int) {
 			if i%2 == 0 {
 				return to("won"), to("lost"), 0, 1
 			}

@@ -65,9 +65,10 @@ func NewFilter(capacity int) *Filter {
 // relation plus the expected headroom.
 func FilterOf(r *Relation, headroom int) *Filter {
 	f := NewFilter(r.Len() + headroom)
-	for _, t := range r.arena {
+	r.Each(func(t Tuple) bool {
 		f.AddHash(TupleHash(t))
-	}
+		return true
+	})
 	return f
 }
 

@@ -92,7 +92,7 @@ type compIndexSet struct {
 
 // shareIndexes hands r's built indexes to its view v.
 func (r *Relation) shareIndexes(v *Relation) {
-	n := len(v.arena)
+	n := v.n
 	shared := false
 	if p := r.idx.Load(); p != nil && p.n <= n {
 		v.idx.Store(p)
@@ -233,13 +233,13 @@ type offsetIndex interface {
 }
 
 // swapRemoved patches one index covering the first n offsets for a
-// swap-remove — removed left offset off and, unless off was the last
-// offset, moved went from last to off — and returns its new coverage.
+// swap-remove — removed leaves offset off and, unless off is the last
+// offset, moved goes from last to off — and returns its new coverage.
 func swapRemoved(ix offsetIndex, n int, off, last int32, removed, moved Tuple) int {
 	if int(off) < n {
 		ix.drop(removed, off)
 	}
-	if moved != nil {
+	if off != last {
 		if int(last) < n {
 			ix.drop(moved, last)
 		}
@@ -251,7 +251,7 @@ func swapRemoved(ix offsetIndex, n int, off, last int32, removed, moved Tuple) i
 }
 
 // unindex keeps the built indexes exact across the swap-remove Remove
-// has just performed on the arena.
+// is about to perform on the arena.
 func (r *Relation) unindex(off, last int32, removed, moved Tuple) {
 	p, cs := r.idx.Load(), r.cidx.Load()
 	if p == nil && cs == nil {
@@ -295,7 +295,7 @@ func (r *Relation) ownsIndexes() bool { return !r.frozen && !r.idxShared }
 // set was published.  The arity is small in practice, so building every
 // column at once costs about as much as building one.
 func (r *Relation) cols() []colIndex {
-	n := len(r.arena)
+	n := r.n
 	if p := r.idx.Load(); p != nil && p.n == n {
 		return p.cols
 	}
@@ -321,7 +321,7 @@ func (r *Relation) cols() []colIndex {
 		}
 	}
 	for off := lo; off < n; off++ {
-		for c, v := range r.arena[off] {
+		for c, v := range r.At(int32(off)) {
 			cols[c][v] = append(cols[c][v], int32(off))
 		}
 	}
@@ -368,7 +368,7 @@ func (r *Relation) colsMask(cols []int) uint64 {
 // published.
 func (r *Relation) compFor(cols []int) *compIndex {
 	mask := r.colsMask(cols)
-	n := len(r.arena)
+	n := r.n
 	if cs := r.cidx.Load(); cs != nil {
 		if ci := cs.m[mask]; ci != nil && ci.n == n {
 			return ci
@@ -396,7 +396,7 @@ func (r *Relation) compFor(cols []int) *compIndex {
 // are when r owns them, copied otherwise — and scans only the suffix
 // prev does not cover.
 func (r *Relation) buildComp(cols []int, prev *compIndex) *compIndex {
-	ci := &compIndex{n: len(r.arena), cols: slices.Clone(cols)}
+	ci := &compIndex{n: r.n, cols: slices.Clone(cols)}
 	lo := 0
 	switch {
 	case prev == nil:
@@ -411,8 +411,8 @@ func (r *Relation) buildComp(cols []int, prev *compIndex) *compIndex {
 		}
 	}
 	proj := make(Tuple, 0, len(cols))
-	for off := lo; off < len(r.arena); off++ {
-		proj = ci.project(r.arena[off], proj[:0])
+	for off := lo; off < r.n; off++ {
+		proj = ci.project(r.At(int32(off)), proj[:0])
 		if k, ok := packKey(proj); ok {
 			ci.packed[k] = append(ci.packed[k], int32(off))
 			continue

@@ -121,21 +121,25 @@ func PackKey(t Tuple) (uint64, bool) { return packKey(t) }
 // pass a key produced by PackKey for a tuple of the same arity;
 // UnpackKey(k, len(t)) of PackKey(t) = t for every packable t.
 func UnpackKey(key uint64, arity int) Tuple {
-	if arity <= 0 {
-		return Tuple{}
-	}
-	t := make(Tuple, arity)
-	bits := packBits(arity)
+	t := make(Tuple, max(arity, 0))
+	unpackKey(key, t)
+	return t
+}
+
+// unpackKey decodes key into t, whose length is the arity.
+func unpackKey(key uint64, t Tuple) {
+	bits := packBits(len(t))
 	if bits >= 63 {
-		t[0] = int(key)
-		return t
+		if len(t) == 1 {
+			t[0] = int(key)
+		}
+		return
 	}
 	mask := uint64(1)<<bits - 1
-	for i := arity - 1; i >= 0; i-- {
+	for i := len(t) - 1; i >= 0; i-- {
 		t[i] = int(key & mask)
 		key >>= bits
 	}
-	return t
 }
 
 // SpillKey returns the byte-string fallback encoding of t — the key of

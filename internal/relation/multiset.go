@@ -47,8 +47,8 @@ func (m *Multiset) Count(t Tuple) int64 {
 // Each calls f for every tuple ever bumped, in insertion order, until f
 // returns false.  Entries with zero count are included.
 func (m *Multiset) Each(f func(Tuple, int64) bool) {
-	for off, t := range m.rel.arena {
-		if !f(t, m.counts[off]) {
+	for off, n := range m.counts {
+		if !f(m.rel.At(int32(off)), n) {
 			return
 		}
 	}

@@ -2,7 +2,8 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,34 +14,46 @@ import (
 // single empty tuple ("true"); the paper's toggle constructions never
 // need it but the engine supports it uniformly.
 //
-// Storage is a flat arena of tuples in insertion order plus a hash set
-// of packed integer keys (see key.go) mapping each tuple to its arena
-// offset — no per-tuple string allocation on the evaluation hot path.
-// Hash indexes on one column or several map a key to arena offsets;
-// they are built lazily on first lookup, extended after appends,
-// patched by Remove and inherited by snapshots (see index.go).
+// Storage is an arena of universe ids in insertion order — a spine of
+// fixed-size, pointer-free chunks of chunkLen tuples, arity ids each —
+// plus a hash set of packed integer keys (see key.go) mapping each
+// tuple to its arena offset.  A stored tuple costs its ids and its key
+// slot: an insert writes into the tail chunk, allocates only when a
+// chunk fills, never copies what is already stored, and leaves the
+// garbage collector no per-tuple pointer to follow.  The first chunk
+// grows by doubling, so a small relation pays for what it holds.
+// Tuples read back (At, Each) are views cut out of a chunk; see Tuple
+// for how long they stay valid.  Hash indexes on one column or several
+// map a key to arena offsets; they are built lazily on first lookup,
+// extended after appends, patched by Remove and inherited by snapshots
+// (see index.go).
 //
 // Snapshots (see Snapshot and Seal) are O(1) immutable views that share
-// the arena and key maps with the live relation: because offsets are
-// assigned monotonically while the relation only grows, a view of
-// length n is exactly "the first n arena entries", and shared map
-// entries at offsets ≥ n are invisible to it.  The live relation
-// detaches (copies its storage, leaving the old storage to the views)
-// before any mutation that would rewrite the shared prefix: every
-// Remove, and — after Seal — every mutation at all.
+// the chunks and key maps with the live relation and carry their own
+// length: because offsets are assigned monotonically while the relation
+// only grows, a view of length n is exactly "the first n arena
+// entries", and shared key entries at offsets ≥ n are invisible to it.
+// The live relation detaches before any mutation that would rewrite
+// what a view can see — every Remove, and after Seal every mutation at
+// all: it copies the spine and the key maps, and from then on each
+// chunk a view may still read when it first writes it (the tail chunk
+// on append, the chunk of the vacated slot on Remove).  All other
+// chunks stay shared, so a publish costs the arena what changed; the
+// key table is still cloned whole.
 //
 // Concurrency: any number of goroutines may read a relation (Has, Each,
 // Lookup, At, ...) concurrently — lazy index construction is internally
 // synchronized — but mutation requires exclusive access with respect to
 // readers of the relation and of any snapshot still sharing its
 // storage.  Sealing removes the latter requirement: after Seal, the
-// first mutation copies the storage, so sealed snapshots may be read by
-// other goroutines while the live relation is updated.
+// first mutation detaches, so sealed snapshots may be read by other
+// goroutines while the live relation is updated.
 type Relation struct {
 	arity  int
-	arena  []Tuple          // tuples in insertion order
-	packed map[uint64]int32 // packed key -> arena offset (oracle mode; nil in table mode)
-	table  *Table           // packed key -> arena offset (table mode; lazily allocated)
+	n      int              // tuples stored
+	chunks [][]int          // spine: chunk c holds offsets [c·chunkLen, (c+1)·chunkLen)
+	owned  []bool           // nil: all chunks are r's alone; else !owned[c]: copy chunk c before writing it
+	table  *Table           // packed key -> arena offset (lazily allocated)
 	spill  map[string]int32 // fallback key -> arena offset (wide/huge tuples)
 
 	share  int8 // storage sharing mode (shareNone/shareWeak/shareSealed)
@@ -55,6 +68,15 @@ type Relation struct {
 	idxShared bool
 }
 
+// Chunk geometry.  Every chunk but the first is allocated whole; the
+// first starts at headLen tuples and doubles up to chunkLen.
+const (
+	chunkShift = 10
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+	headLen    = 4
+)
+
 // Storage sharing modes.  shareWeak is set by Snapshot: views share the
 // storage, appends stay invisible to them, but a Remove must detach
 // first.  shareSealed is set by Seal: views may be read concurrently
@@ -66,18 +88,13 @@ const (
 )
 
 // New returns an empty relation of the given arity.  It panics on a
-// negative arity.  Packed-key membership uses the open-addressing
-// Table unless the oracle map mode is selected process-wide (see
-// SetDefaultPackedTable); in table mode the table itself is allocated
-// lazily on the first packed insert, so empty relations stay cheap.
+// negative arity.  Chunks and the key table are allocated on the first
+// insert, so empty relations stay cheap.
 func New(arity int) *Relation {
 	if arity < 0 {
 		panic(fmt.Sprintf("relation: negative arity %d", arity))
 	}
-	if PackedTableEnabled() {
-		return &Relation{arity: arity}
-	}
-	return &Relation{arity: arity, packed: make(map[uint64]int32)}
+	return &Relation{arity: arity}
 }
 
 // FromTuples builds a relation of the given arity from tuples.  Tuples
@@ -94,37 +111,29 @@ func FromTuples(arity int, tuples []Tuple) *Relation {
 func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.arena) }
+func (r *Relation) Len() int { return r.n }
 
 // Empty reports whether the relation has no tuples.
-func (r *Relation) Empty() bool { return len(r.arena) == 0 }
+func (r *Relation) Empty() bool { return r.n == 0 }
 
 // offsetOf returns the arena offset of t, or -1 if absent.  Offsets at
-// or beyond the arena length belong to tuples appended to a live
-// relation after this view was taken; they are not part of this
-// relation.
+// or beyond the length belong to tuples appended to a live relation
+// after this view was taken; they are not part of this relation.
 func (r *Relation) offsetOf(t Tuple) int32 {
 	if k, ok := packKey(t); ok {
 		return r.packedOff(k, mix64(k))
 	}
-	if off, ok := r.spill[spillKey(t)]; ok && off < int32(len(r.arena)) {
+	if off, ok := r.spill[spillKey(t)]; ok && off < int32(r.n) {
 		return off
 	}
 	return -1
 }
 
 // packedOff returns the visible arena offset of packed key k (whose
-// hash h must equal mix64(k)), or -1, probing whichever packed-key
-// store this relation uses.
+// hash h must equal mix64(k)), or -1.
 func (r *Relation) packedOff(k, h uint64) int32 {
-	if r.packed != nil {
-		if off, ok := r.packed[k]; ok && off < int32(len(r.arena)) {
-			return off
-		}
-		return -1
-	}
 	if r.table != nil {
-		if off, ok := r.table.getHash(k, h); ok && off < int32(len(r.arena)) {
+		if off, ok := r.table.getHash(k, h); ok && off < int32(r.n) {
 			return off
 		}
 	}
@@ -133,10 +142,6 @@ func (r *Relation) packedOff(k, h uint64) int32 {
 
 // packedPut records packed key k -> off; h must equal mix64(k).
 func (r *Relation) packedPut(k, h uint64, off int32) {
-	if r.packed != nil {
-		r.packed[k] = off
-		return
-	}
 	if r.table == nil {
 		r.table = newTable(0)
 	}
@@ -145,8 +150,8 @@ func (r *Relation) packedPut(k, h uint64, off int32) {
 
 // Snapshot returns an O(1) immutable view of the relation's current
 // contents, sharing storage with r.  Tuples added to r afterwards are
-// invisible to the view; a later Remove on r copies r's storage first,
-// so the view stays valid either way.  Mutating the view panics.
+// invisible to the view; a later Remove on r detaches r first, so the
+// view stays valid either way.  Mutating the view panics.
 //
 // The view may be read concurrently with other reads, but mutating r
 // while another goroutine reads the view requires r to be sealed first
@@ -156,10 +161,7 @@ func (r *Relation) Snapshot() *Relation {
 	if r.frozen {
 		return r // already an immutable view
 	}
-	if r.share == shareNone {
-		r.share = shareWeak
-	}
-	return r.view(len(r.arena))
+	return r.Prefix(r.n)
 }
 
 // Prefix returns an O(1) immutable view of the first n tuples in
@@ -170,33 +172,17 @@ func (r *Relation) Snapshot() *Relation {
 // loops, a length-prefix of the final arena, so persisting the lengths
 // alone suffices.  It panics when n exceeds the current length.
 func (r *Relation) Prefix(n int) *Relation {
-	if n < 0 || n > len(r.arena) {
-		panic(fmt.Sprintf("relation: prefix %d of relation with %d tuples", n, len(r.arena)))
+	if n < 0 || n > r.n {
+		panic(fmt.Sprintf("relation: prefix %d of relation with %d tuples", n, r.n))
 	}
 	if !r.frozen && r.share == shareNone {
 		r.share = shareWeak
 	}
-	return r.view(n)
-}
-
-// Seal marks the relation's storage as published: the next mutation —
-// including appends — will copy the storage, leaving the current arena
-// and key maps exclusively to existing snapshots.  Call it after
-// handing a Snapshot to readers on other goroutines.  Sealing an
-// already-sealed or frozen relation is a no-op.
-func (r *Relation) Seal() {
-	if !r.frozen {
-		r.share = shareSealed
-	}
-}
-
-// view builds the frozen snapshot struct sharing the first n tuples of
-// r's storage, and the indexes r has built over them.
-func (r *Relation) view(n int) *Relation {
+	k := (n + chunkMask) >> chunkShift
 	v := &Relation{
 		arity:  r.arity,
-		arena:  r.arena[:n:n],
-		packed: r.packed,
+		n:      n,
+		chunks: r.chunks[:k:k],
 		table:  r.table,
 		spill:  r.spill,
 		frozen: true,
@@ -205,10 +191,21 @@ func (r *Relation) view(n int) *Relation {
 	return v
 }
 
+// Seal marks the relation's storage as published: the next mutation —
+// including appends — detaches, leaving what existing snapshots can see
+// exclusively to them.  Call it after handing a Snapshot to readers on
+// other goroutines.  Sealing an already-sealed or frozen relation is a
+// no-op.
+func (r *Relation) Seal() {
+	if !r.frozen {
+		r.share = shareSealed
+	}
+}
+
 // beforeMutate enforces the mutation contract: frozen views reject
 // mutation, and shared storage is detached first when the mutation
 // would otherwise corrupt live snapshots (any mutation once sealed;
-// removals under weak sharing, where removeOnly reports false).
+// removals under weak sharing).
 func (r *Relation) beforeMutate(appendOnly bool) {
 	if r.frozen {
 		panic("relation: mutating an immutable snapshot")
@@ -218,36 +215,61 @@ func (r *Relation) beforeMutate(appendOnly bool) {
 	}
 }
 
-// detach copies the arena and key maps so existing snapshots keep the
-// old storage exclusively.  Offsets are preserved, so the indexes stay
-// valid (and stay shared with those snapshots).
+// detach copies the spine and the key maps and disowns every chunk, so
+// existing snapshots keep what they see: writable copies a chunk the
+// first time r writes it.  Offsets are preserved, so the indexes stay
+// valid (and stay shared with those snapshots).  Live relations never
+// hold keys past their own length, so a straight copy is exact.
 func (r *Relation) detach() {
-	arena := make([]Tuple, len(r.arena))
-	copy(arena, r.arena)
-	if r.packed != nil {
-		packed := make(map[uint64]int32, len(r.packed))
-		for k, off := range r.packed {
-			if off < int32(len(arena)) {
-				packed[k] = off
-			}
-		}
-		r.packed = packed
-	} else {
-		// Live relations never hold offsets past their own arena, so
-		// a straight copy preserves the table exactly.
-		r.table = r.table.clone()
-	}
-	r.arena = arena
-	if len(r.spill) > 0 {
-		spill := make(map[string]int32, len(r.spill))
-		for k, off := range r.spill {
-			if off < int32(len(arena)) {
-				spill[k] = off
-			}
-		}
-		r.spill = spill
-	}
+	r.chunks = slices.Clone(r.chunks)
+	r.owned = make([]bool, len(r.chunks))
+	r.table = r.table.clone()
+	r.spill = maps.Clone(r.spill)
 	r.share = shareNone
+}
+
+// writable returns chunk c ready for a write of ids below index need:
+// allocated, long enough, and r's own.
+func (r *Relation) writable(c, need int) []int {
+	if c == len(r.chunks) {
+		// Reset leaves its chunks in the spine's spare capacity.
+		if c < cap(r.chunks) {
+			r.chunks = r.chunks[:c+1]
+		} else {
+			r.chunks = append(r.chunks, nil)
+		}
+		if r.chunks[c] == nil {
+			size := chunkLen
+			if c == 0 {
+				size = headLen
+			}
+			r.chunks[c] = make([]int, size*r.arity)
+		}
+		if r.owned != nil {
+			r.owned = append(r.owned, true)
+		}
+	}
+	ch := r.chunks[c]
+	if short := need > len(ch); short || (r.owned != nil && !r.owned[c]) {
+		size := len(ch)
+		if short { // only the first chunk ever is: double it, up to a whole chunk
+			size = min(max(2*size, need), chunkLen*r.arity)
+		}
+		ch = make([]int, size)
+		copy(ch, r.chunks[c])
+		r.chunks[c] = ch
+		if r.owned != nil {
+			r.owned[c] = true
+		}
+	}
+	return ch
+}
+
+// push appends t to the arena; the caller has recorded its key.
+func (r *Relation) push(t Tuple) {
+	c, i := r.n>>chunkShift, (r.n&chunkMask)*r.arity
+	copy(r.writable(c, i+r.arity)[i:], t)
+	r.n++
 }
 
 // Mutable returns r if it is mutable, or a deep copy if r is an
@@ -260,36 +282,10 @@ func (r *Relation) Mutable() *Relation {
 }
 
 // Add inserts t, reporting whether it was new.  It panics if the arity
-// of t does not match the relation's.  The tuple is copied, so callers
-// may reuse the backing slice; duplicates are rejected before the copy,
-// so re-adding existing tuples does not allocate.
-func (r *Relation) Add(t Tuple) bool {
-	if len(t) != r.arity {
-		panic(fmt.Sprintf("relation: adding tuple of arity %d to relation of arity %d", len(t), r.arity))
-	}
-	if r.Has(t) {
-		return false
-	}
-	r.beforeMutate(true)
-	r.insertKey(t)
-	r.arena = append(r.arena, t.Clone())
-	return true
-}
-
-// insertKey records t's key at the next arena offset.  Callers have
-// already rejected duplicates (via Has); the caller appends the tuple
-// itself.
-func (r *Relation) insertKey(t Tuple) {
-	off := int32(len(r.arena))
-	if k, ok := packKey(t); ok {
-		r.packedPut(k, mix64(k), off)
-		return
-	}
-	if r.spill == nil {
-		r.spill = make(map[string]int32)
-	}
-	r.spill[spillKey(t)] = off
-}
+// of t does not match the relation's.  The ids are copied into the
+// arena, so callers may reuse the backing slice; re-adding an existing
+// tuple writes nothing.
+func (r *Relation) Add(t Tuple) bool { return r.AddNotIn(t, nil) }
 
 // Has reports whether t is present.
 func (r *Relation) Has(t Tuple) bool {
@@ -320,28 +316,13 @@ func (r *Relation) HasHash(t Tuple, h uint64) bool {
 	if k, ok := packKey(t); ok {
 		return r.packedOff(k, h) >= 0
 	}
-	off, ok := r.spill[spillKey(t)]
-	return ok && off < int32(len(r.arena))
+	return r.offsetOf(t) >= 0
 }
 
 // AddHash is Add for callers that already computed h = TupleHash(t):
 // the membership probe and the insert reuse the hash instead of
 // re-deriving it from the packed key.
-func (r *Relation) AddHash(t Tuple, h uint64) bool {
-	if len(t) != r.arity {
-		panic(fmt.Sprintf("relation: adding tuple of arity %d to relation of arity %d", len(t), r.arity))
-	}
-	if k, ok := packKey(t); ok {
-		if r.packedOff(k, h) >= 0 {
-			return false
-		}
-		r.beforeMutate(true)
-		r.packedPut(k, h, int32(len(r.arena)))
-		r.arena = append(r.arena, t.Clone())
-		return true
-	}
-	return r.addSpillNotIn(t, nil)
-}
+func (r *Relation) AddHash(t Tuple, h uint64) bool { return r.AddNotInHash(t, h, nil) }
 
 // AddNotIn inserts t unless it is already present in filter — the fused
 // emit of the engine's frontier evaluation: one read-only membership
@@ -350,76 +331,70 @@ func (r *Relation) AddHash(t Tuple, h uint64) bool {
 // arity as r (the key encoding is deterministic per tuple, so one packed
 // key serves both probes).  It reports whether t was inserted.
 func (r *Relation) AddNotIn(t Tuple, filter *Relation) bool {
-	if len(t) != r.arity {
-		panic(fmt.Sprintf("relation: adding tuple of arity %d to relation of arity %d", len(t), r.arity))
-	}
-	if k, ok := packKey(t); ok {
-		return r.addPackedNotIn(t, k, mix64(k), filter)
-	}
-	return r.addSpillNotIn(t, filter)
+	k, packs := packKey(t)
+	return r.addNotIn(t, k, mix64(k), packs, filter)
 }
 
 // AddNotInHash is AddNotIn for callers that already computed
 // h = TupleHash(t): one emit-time hash feeds the filter probe here,
 // the Bloom filter, and partition ownership at the call site.
 func (r *Relation) AddNotInHash(t Tuple, h uint64, filter *Relation) bool {
+	k, packs := packKey(t)
+	return r.addNotIn(t, k, h, packs, filter)
+}
+
+// addNotIn is the body of every insert.  k, packs = packKey(t), and for
+// a packed tuple h must equal mix64(k) == TupleHash(t); a wide tuple
+// keys off the byte-string spill encoding whatever h is.
+func (r *Relation) addNotIn(t Tuple, k, h uint64, packs bool, filter *Relation) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation: adding tuple of arity %d to relation of arity %d", len(t), r.arity))
 	}
-	if k, ok := packKey(t); ok {
-		return r.addPackedNotIn(t, k, h, filter)
-	}
-	return r.addSpillNotIn(t, filter)
-}
-
-// addPackedNotIn is the packed-tuple body of AddNotIn/AddNotInHash:
-// h must equal mix64(k) == TupleHash(t).
-func (r *Relation) addPackedNotIn(t Tuple, k, h uint64, filter *Relation) bool {
-	if filter != nil && filter.packedOff(k, h) >= 0 {
-		return false
-	}
-	if r.packedOff(k, h) >= 0 {
+	if packs {
+		if (filter != nil && filter.packedOff(k, h) >= 0) || r.packedOff(k, h) >= 0 {
+			return false
+		}
+	} else if (filter != nil && filter.Has(t)) || r.offsetOf(t) >= 0 {
 		return false
 	}
 	r.beforeMutate(true)
-	r.packedPut(k, h, int32(len(r.arena)))
-	r.arena = append(r.arena, t.Clone())
+	r.setKey(t, k, h, packs, int32(r.n))
+	r.push(t)
 	return true
 }
 
-// addSpillNotIn is the wide-tuple fallback of AddNotIn/AddNotInHash:
-// membership keys off the byte-string spill encoding regardless of
-// which hash the caller computed.
-func (r *Relation) addSpillNotIn(t Tuple, filter *Relation) bool {
-	if filter != nil && filter.Has(t) {
-		return false
+// setKey records that t (k, packs = packKey(t), h = mix64(k)) lies at
+// arena offset off.
+func (r *Relation) setKey(t Tuple, k, h uint64, packs bool, off int32) {
+	if packs {
+		r.packedPut(k, h, off)
+		return
 	}
-	if r.Has(t) {
-		return false
+	if r.spill == nil {
+		r.spill = make(map[string]int32)
 	}
-	r.beforeMutate(true)
-	r.insertKey(t)
-	r.arena = append(r.arena, t.Clone())
-	return true
+	r.spill[spillKey(t)] = off
 }
 
 // ReserveHint pre-sizes the relation's storage for about n tuples, so a
 // caller that knows the expected cardinality (e.g. last round's delta)
-// avoids incremental map growth on the hot insert path.  It only acts
-// on a still-empty mutable relation; otherwise it is a no-op.  It is
-// capacity-aware: storage a recycled relation (see Reset) already owns
-// is kept, so the steady state of a pooled scratch relation allocates
-// nothing here.
+// avoids growing the first chunk and the key table step by step on the
+// hot insert path.  It only acts on a still-empty mutable relation;
+// otherwise it is a no-op.  It is capacity-aware: storage a recycled
+// relation (see Reset) already owns is kept, so the steady state of a
+// pooled scratch relation allocates nothing here.
 func (r *Relation) ReserveHint(n int) {
-	if r.frozen || len(r.arena) > 0 || n <= 0 {
+	if r.frozen || r.n > 0 || n <= 0 {
 		return
 	}
-	if cap(r.arena) < n {
-		r.arena = make([]Tuple, 0, n)
+	if r.owned != nil {
+		r.chunks, r.owned = nil, nil // some still belong to views
 	}
-	if r.packed != nil {
-		r.packed = make(map[uint64]int32, n)
-		return
+	if cap(r.chunks) == 0 {
+		r.chunks = make([][]int, 0, 1)
+	}
+	if first := r.chunks[:1]; len(first[0]) < min(n, chunkLen)*r.arity {
+		first[0] = make([]int, min(n, chunkLen)*r.arity) // writable finds it there
 	}
 	if r.table == nil || r.share != shareNone {
 		// A shared (snapshotted/sealed) table must not grow in place:
@@ -431,26 +406,23 @@ func (r *Relation) ReserveHint(n int) {
 }
 
 // Reset clears the relation for reuse, keeping allocated capacity
-// (arena, table slots, map buckets) — the freelist protocol of the
-// engine's per-round scratch pools.  It refuses, returning false,
+// (chunks, table slots, map buckets) — the freelist protocol of the
+// engine's per-round scratch pools.  Tuples read from it earlier are
+// overwritten by what it stores next.  It refuses, returning false,
 // when the storage is frozen or still shared with snapshots; such a
 // relation must be dropped, not recycled.
 func (r *Relation) Reset() bool {
 	if r.frozen || r.share != shareNone {
 		return false
 	}
-	for i := range r.arena {
-		r.arena[i] = nil
+	r.n, r.chunks = 0, r.chunks[:0]
+	if r.owned != nil {
+		r.chunks, r.owned = nil, nil // some still belong to views
 	}
-	r.arena = r.arena[:0]
-	if r.packed != nil {
-		clear(r.packed)
-	} else if r.table != nil {
+	if r.table != nil {
 		r.table.Reset()
 	}
-	if r.spill != nil {
-		clear(r.spill)
-	}
+	clear(r.spill)
 	r.dropIndexes()
 	return true
 }
@@ -458,8 +430,7 @@ func (r *Relation) Reset() bool {
 // AppendDisjoint appends every tuple of o without membership probes.
 // The caller must guarantee that o is disjoint from r's current
 // contents (e.g. the two are hash partitions over disjoint key ranges);
-// violating that corrupts the relation.  Tuples are shared, not cloned —
-// they are immutable by contract.
+// violating that corrupts the relation.
 func (r *Relation) AppendDisjoint(o *Relation) {
 	if r.arity != o.arity {
 		panic(fmt.Sprintf("relation: appending arity %d into arity %d", o.arity, r.arity))
@@ -468,10 +439,12 @@ func (r *Relation) AppendDisjoint(o *Relation) {
 		return
 	}
 	r.beforeMutate(true)
-	for _, t := range o.arena {
-		r.insertKey(t)
-		r.arena = append(r.arena, t)
-	}
+	o.Each(func(t Tuple) bool {
+		k, packs := packKey(t)
+		r.setKey(t, k, mix64(k), packs, int32(r.n))
+		r.push(t)
+		return true
+	})
 }
 
 // ConcatDisjoint assembles one relation from pairwise-disjoint parts
@@ -496,10 +469,11 @@ func ConcatDisjoint(arity int, parts []*Relation) *Relation {
 }
 
 // Remove deletes t, reporting whether it was present.  The arena stays
-// dense: the last tuple is swapped into the vacated slot, and the built
+// dense: the last tuple is copied into the vacated slot, and the built
 // indexes are patched for the two offsets that changed.  If snapshots
 // share the storage, it is detached first, so they keep seeing the
-// pre-removal contents.
+// pre-removal contents.  t may be a view of r itself: keys and indexes
+// are settled before the slot it may alias is overwritten.
 func (r *Relation) Remove(t Tuple) bool {
 	if len(t) != r.arity {
 		return false
@@ -509,22 +483,17 @@ func (r *Relation) Remove(t Tuple) bool {
 		return false
 	}
 	r.beforeMutate(false)
-	removed := r.arena[off]
-	r.deleteKey(removed)
-	last := int32(len(r.arena) - 1)
-	var moved Tuple
+	last := int32(r.n - 1)
+	moved := r.At(last)
+	r.unindex(off, last, t, moved)
+	r.deleteKey(t)
 	if off != last {
-		moved = r.arena[last]
-		r.arena[off] = moved
-		if k, ok := packKey(moved); ok {
-			r.packedPut(k, mix64(k), off)
-		} else {
-			r.spill[spillKey(moved)] = off
-		}
+		k, packs := packKey(moved)
+		r.setKey(moved, k, mix64(k), packs, off)
+		c, i := int(off)>>chunkShift, (int(off)&chunkMask)*r.arity
+		copy(r.writable(c, 0)[i:], moved)
 	}
-	r.arena[last] = nil
-	r.arena = r.arena[:last]
-	r.unindex(off, last, removed, moved)
+	r.n--
 	return true
 }
 
@@ -540,113 +509,121 @@ func (r *Relation) RemoveAll(o *Relation) int {
 		r.dropIndexes()
 	}
 	removed := 0
-	for _, t := range o.arena {
+	o.Each(func(t Tuple) bool {
 		if r.Remove(t) {
 			removed++
 		}
-	}
+		return true
+	})
 	return removed
 }
 
 func (r *Relation) deleteKey(t Tuple) {
 	if k, ok := packKey(t); ok {
-		if r.packed != nil {
-			delete(r.packed, k)
-		} else if r.table != nil {
-			r.table.deleteHash(k, mix64(k))
-		}
+		r.table.deleteHash(k, mix64(k))
 		return
 	}
 	delete(r.spill, spillKey(t))
 }
 
-// Tuples returns all tuples in deterministic (sorted) order.
+// Tuples returns all tuples in deterministic (sorted) order, as copies
+// cut out of one flat allocation.  Packed keys are fixed-width
+// concatenations of non-negative ids, so they order exactly like
+// Compare: a relation whose tuples all pack sorts its keys instead.
 func (r *Relation) Tuples() []Tuple {
-	out := make([]Tuple, len(r.arena))
-	copy(out, r.arena)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	a := r.arity
+	flat, out := make([]int, r.n*a), make([]Tuple, r.n)
+	for i := range out {
+		out[i] = flat[i*a : i*a+a : i*a+a]
+	}
+	keys, packs := make([]uint64, 0, r.n), true
+	r.Each(func(t Tuple) bool {
+		var k uint64
+		k, packs = packKey(t)
+		keys = append(keys, k)
+		return packs
+	})
+	if packs {
+		slices.Sort(keys)
+		for i, k := range keys {
+			unpackKey(k, out[i])
+		}
+		return out
+	}
+	i := 0
+	r.Each(func(t Tuple) bool {
+		copy(out[i], t)
+		i++
+		return true
+	})
+	slices.SortFunc(out, Tuple.Compare)
 	return out
 }
 
 // Each calls f for every tuple in insertion order until f returns
 // false.  It must not mutate the relation.
 func (r *Relation) Each(f func(Tuple) bool) {
-	for _, t := range r.arena {
-		if !f(t) {
-			return
+	a := r.arity
+	for c, ch := range r.chunks {
+		for i, m := 0, min(r.n-c*chunkLen, chunkLen); i < m; i++ {
+			if !f(ch[i*a : i*a+a : i*a+a]) {
+				return
+			}
 		}
 	}
 }
 
 // At returns the tuple at the given arena offset, as returned by
 // Lookup.  Callers must not mutate it.
-func (r *Relation) At(off int32) Tuple { return r.arena[off] }
+func (r *Relation) At(off int32) Tuple {
+	i := (int(off) & chunkMask) * r.arity
+	return r.chunks[off>>chunkShift][i : i+r.arity : i+r.arity]
+}
 
 // Clone returns a mutable deep copy (indexes are not copied; they
-// build on demand).  Tuples themselves are shared: they are immutable
-// by contract.
+// build on demand).
 func (r *Relation) Clone() *Relation {
-	c := &Relation{
-		arity: r.arity,
-		arena: make([]Tuple, len(r.arena)),
+	c := &Relation{arity: r.arity, n: r.n, chunks: make([][]int, (r.n+chunkMask)>>chunkShift)}
+	for i := range c.chunks {
+		c.chunks[i] = slices.Clone(r.chunks[i])
 	}
-	copy(c.arena, r.arena)
-	if r.frozen {
-		// Shared key stores may hold entries past the view; rebuild
-		// exactly, in the source's storage mode.
-		if r.packed != nil {
-			c.packed = make(map[uint64]int32, len(c.arena))
-		} else if len(c.arena) > 0 {
-			c.table = newTable(len(c.arena))
-		}
-		for off, t := range c.arena {
-			if k, ok := packKey(t); ok {
-				c.packedPut(k, mix64(k), int32(off))
-			} else {
-				if c.spill == nil {
-					c.spill = make(map[string]int32)
-				}
-				c.spill[spillKey(t)] = int32(off)
-			}
-		}
+	if !r.frozen {
+		c.table, c.spill = r.table.clone(), maps.Clone(r.spill)
 		return c
 	}
-	if r.packed != nil {
-		c.packed = make(map[uint64]int32, len(r.packed))
-		for k, off := range r.packed {
-			c.packed[k] = off
-		}
-	} else {
-		c.table = r.table.clone()
+	// Shared key stores may hold entries past the view; rebuild exactly.
+	if c.n > 0 {
+		c.table = newTable(c.n)
 	}
-	if len(r.spill) > 0 {
-		c.spill = make(map[string]int32, len(r.spill))
-		for k, off := range r.spill {
-			c.spill[k] = off
-		}
-	}
+	off := int32(0)
+	r.Each(func(t Tuple) bool {
+		k, packs := packKey(t)
+		c.setKey(t, k, mix64(k), packs, off)
+		off++
+		return true
+	})
 	return c
 }
 
 // Equal reports whether r and o contain exactly the same tuples: equal
 // cardinality plus one-way containment suffices for sets.
 func (r *Relation) Equal(o *Relation) bool {
-	return r.arity == o.arity && len(r.arena) == len(o.arena) && r.SubsetOf(o)
+	return r.arity == o.arity && r.n == o.n && r.SubsetOf(o)
 }
 
 // SubsetOf reports whether every tuple of r is in o.  It iterates the
 // arena rather than the key maps, so it is exact for snapshot views,
 // whose shared maps may hold entries past the view.
 func (r *Relation) SubsetOf(o *Relation) bool {
-	if r.arity != o.arity || len(r.arena) > len(o.arena) {
+	if r.arity != o.arity || r.n > o.n {
 		return false
 	}
-	for _, t := range r.arena {
-		if o.offsetOf(t) < 0 {
-			return false
-		}
-	}
-	return true
+	sub := true
+	r.Each(func(t Tuple) bool {
+		sub = o.offsetOf(t) >= 0
+		return sub
+	})
+	return sub
 }
 
 // UnionWith adds every tuple of o to r, returning the number of tuples
@@ -655,28 +632,12 @@ func (r *Relation) UnionWith(o *Relation) int {
 	if r.arity != o.arity {
 		panic(fmt.Sprintf("relation: union of arities %d and %d", r.arity, o.arity))
 	}
-	added := 0
-	for _, t := range o.arena {
-		// Tuples already owned by a relation are immutable; insert
-		// without re-cloning.
-		if r.addOwned(t) {
-			added++
-		}
-	}
-	return added
-}
-
-// addOwned inserts t without copying it.  The caller must guarantee t
-// is never mutated afterwards.  Like every append, it leaves cached
-// indexes valid for their covered prefix; probes extend them.
-func (r *Relation) addOwned(t Tuple) bool {
-	if r.Has(t) {
-		return false
-	}
-	r.beforeMutate(true)
-	r.insertKey(t)
-	r.arena = append(r.arena, t)
-	return true
+	before := r.n
+	o.Each(func(t Tuple) bool {
+		r.Add(t)
+		return true
+	})
+	return r.n - before
 }
 
 // Union returns a fresh relation with the tuples of both r and o.
@@ -691,17 +652,11 @@ func (r *Relation) Intersect(o *Relation) *Relation {
 	if r.arity != o.arity {
 		panic(fmt.Sprintf("relation: intersect of arities %d and %d", r.arity, o.arity))
 	}
-	c := New(r.arity)
 	small, large := r, o
 	if large.Len() < small.Len() {
 		small, large = large, small
 	}
-	for _, t := range small.arena {
-		if large.offsetOf(t) >= 0 {
-			c.addOwned(t)
-		}
-	}
-	return c
+	return small.keep(large, true)
 }
 
 // Diff returns a fresh relation with the tuples of r not in o.
@@ -709,12 +664,19 @@ func (r *Relation) Diff(o *Relation) *Relation {
 	if r.arity != o.arity {
 		panic(fmt.Sprintf("relation: diff of arities %d and %d", r.arity, o.arity))
 	}
+	return r.keep(o, false)
+}
+
+// keep returns a fresh relation with the tuples of r whose membership
+// in o is in.
+func (r *Relation) keep(o *Relation, in bool) *Relation {
 	c := New(r.arity)
-	for _, t := range r.arena {
-		if o.offsetOf(t) < 0 {
-			c.addOwned(t)
+	r.Each(func(t Tuple) bool {
+		if (o.offsetOf(t) >= 0) == in {
+			c.Add(t)
 		}
-	}
+		return true
+	})
 	return c
 }
 

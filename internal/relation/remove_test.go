@@ -214,3 +214,88 @@ func TestRemoveLastAndMissing(t *testing.T) {
 		t.Fatalf("Lookup on emptied relation = %v", got)
 	}
 }
+
+// TestRemoveOwnView is the regression test for removing a tuple through
+// a view of the relation's own storage: the swap overwrites the slot the
+// argument aliases, so keys and indexes must be settled from the removed
+// tuple's ids, not from what the slot holds afterwards.
+func TestRemoveOwnView(t *testing.T) {
+	r := New(3)
+	first, last := Tuple{1, 2, 3}, Tuple{7, 8, 9}
+	for _, tpl := range []Tuple{first, {4, 5, 6}, last} {
+		r.Add(tpl)
+	}
+	cols := []int{0, 2}
+	r.Lookup(0, 1)
+	r.LookupCols(cols, []int{1, 3})
+	if !r.Remove(r.At(0)) {
+		t.Fatal("Remove of the first tuple failed")
+	}
+	if r.Has(first) || !r.Has(last) || r.Len() != 2 {
+		t.Fatalf("after Remove: Has(first)=%v Has(last)=%v Len=%d", r.Has(first), r.Has(last), r.Len())
+	}
+	for _, tpl := range []Tuple{first, last} {
+		if got, want := r.Lookup(0, tpl[0]), bruteOffsets(r, []int{0}, tpl[:1]); !sameOffsets(got, want) {
+			t.Fatalf("Lookup(0,%d) = %v, want %v", tpl[0], got, want)
+		}
+		vals := []int{tpl[0], tpl[2]}
+		if got, want := r.LookupCols(cols, vals), bruteOffsets(r, cols, vals); !sameOffsets(got, want) {
+			t.Fatalf("LookupCols(%v) = %v, want %v", vals, got, want)
+		}
+	}
+}
+
+// TestRemoveAllOwnSnapshot empties a relation through a snapshot of
+// itself: the snapshot keeps the chunks, the relation writes copies.
+func TestRemoveAllOwnSnapshot(t *testing.T) {
+	r := New(2)
+	for i := 0; i < 2*chunkLen+3; i++ {
+		r.Add(Tuple{i, i % 7})
+	}
+	r.Lookup(1, 3)
+	snap := r.Snapshot()
+	if got := r.RemoveAll(snap); got != snap.Len() || r.Len() != 0 {
+		t.Fatalf("RemoveAll(own snapshot) removed %d of %d, %d left", got, snap.Len(), r.Len())
+	}
+	if snap.Len() != 2*chunkLen+3 || !snap.Has(Tuple{chunkLen, chunkLen % 7}) || len(snap.Lookup(1, 3)) == 0 {
+		t.Fatal("snapshot disturbed by RemoveAll on its source")
+	}
+	if r.Has(Tuple{0, 0}) || len(r.Lookup(1, 3)) != 0 {
+		t.Fatal("emptied relation still answers")
+	}
+}
+
+// TestRemoveArityEdges covers the arities whose tuples are not plain
+// packed views: arity 0 (a zero-length view) and arity 9 (wider than
+// the projection buffers, and past the packed width for large ids).
+func TestRemoveArityEdges(t *testing.T) {
+	r0 := New(0)
+	r0.Add(Tuple{})
+	if !r0.Remove(r0.At(0)) || r0.Len() != 0 || r0.Has(Tuple{}) {
+		t.Fatal("arity 0: Remove of the empty tuple failed")
+	}
+	if r0.Remove(Tuple{}) || !r0.Add(Tuple{}) || r0.Len() != 1 {
+		t.Fatal("arity 0: relation broken after Remove")
+	}
+
+	r9 := New(9)
+	wide := func(i int) Tuple { return Tuple{i, 1, 2, 3, 4, 5, 6, 7, 1 << 20} }
+	for i := 0; i < 5; i++ {
+		r9.Add(wide(i))
+	}
+	cols := []int{0, 8}
+	r9.Lookup(0, 0)
+	r9.LookupCols(cols, []int{0, 1 << 20})
+	if !r9.Remove(r9.At(0)) || r9.Has(wide(0)) || r9.Len() != 4 {
+		t.Fatal("arity 9: Remove through an own view failed")
+	}
+	for i := 0; i < 5; i++ {
+		if got, want := r9.Lookup(0, i), bruteOffsets(r9, []int{0}, []int{i}); !sameOffsets(got, want) {
+			t.Fatalf("arity 9: Lookup(0,%d) = %v, want %v", i, got, want)
+		}
+		vals := []int{i, 1 << 20}
+		if got, want := r9.LookupCols(cols, vals), bruteOffsets(r9, cols, vals); !sameOffsets(got, want) {
+			t.Fatalf("arity 9: LookupCols(%v) = %v, want %v", vals, got, want)
+		}
+	}
+}

@@ -1,19 +1,16 @@
 package relation
 
-import "sync/atomic"
-
 // Open-addressing hash table for packed uint64 tuple keys.
 //
-// Relation membership for packable tuples used to live in a Go
-// map[uint64]int32.  That map re-hashes keys the engine has already
-// hashed at emit time (TupleHash is mix64 of the packed key) and its
-// bucket layout scatters a probe across cache lines.  Table is the
-// specialized replacement: power-of-two capacity, linear probing, and
-// an 8-bit fingerprint control array scanned ahead of the key array —
-// a probe touches the dense ctrl bytes first and only compares full
-// keys on a fingerprint hit, so misses usually resolve within one
-// cache line.  Deletion uses backward-shift compaction, so the table
-// is tombstone-free and probe distances never degrade.
+// Relation membership for packable tuples lives here rather than in a
+// Go map[uint64]int32, which would re-hash keys the engine has already
+// hashed at emit time (TupleHash is mix64 of the packed key) and
+// scatter a probe across cache lines.  Table has power-of-two capacity,
+// linear probing, and an 8-bit fingerprint control array scanned ahead
+// of the key array — a probe touches the dense ctrl bytes first and only
+// compares full keys on a fingerprint hit, so misses usually resolve
+// within one cache line.  Deletion uses backward-shift compaction, so
+// the table is tombstone-free and probe distances never degrade.
 //
 // The hash of a key is always mix64(key) — identical to TupleHash of
 // the tuple it encodes — which is what makes the *Hash entry points
@@ -172,8 +169,8 @@ func (t *Table) Reset() {
 	t.n = 0
 }
 
-// clone returns a deep copy.  Nil-safe: cloning a nil table (a table-
-// mode relation that never inserted a packed tuple) returns nil.
+// clone returns a deep copy.  Nil-safe: cloning a nil table (a
+// relation that never inserted a packed tuple) returns nil.
 func (t *Table) clone() *Table {
 	if t == nil {
 		return nil
@@ -204,19 +201,3 @@ func (t *Table) each(f func(k uint64, v int32) bool) {
 		}
 	}
 }
-
-// Process-wide storage mode for the packed-key membership set.  The
-// open-addressing Table is the default; the previous map[uint64]int32
-// remains available as the bit-exactness oracle for differential
-// tests and A/B benchmarks (E18).  The mode is sampled once per
-// relation at New(), so flipping it mid-run affects only relations
-// created afterwards.
-var packedTableOff atomic.Bool
-
-// SetDefaultPackedTable selects the packed-key storage for relations
-// created afterwards: true (the default) uses the open-addressing
-// Table, false the oracle Go map.
-func SetDefaultPackedTable(on bool) { packedTableOff.Store(!on) }
-
-// PackedTableEnabled reports the current process-wide storage mode.
-func PackedTableEnabled() bool { return !packedTableOff.Load() }

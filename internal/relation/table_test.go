@@ -1,18 +1,10 @@
 package relation
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 )
-
-// setPackedMode flips the process-wide packed storage mode for one
-// test and restores it afterwards.
-func setPackedMode(t *testing.T, tableOn bool) {
-	t.Helper()
-	prev := PackedTableEnabled()
-	SetDefaultPackedTable(tableOn)
-	t.Cleanup(func() { SetDefaultPackedTable(prev) })
-}
 
 // homeKeys brute-forces n distinct keys whose probe home slot under
 // the given mask is home — the collision clusters the backward-shift
@@ -142,44 +134,57 @@ func TestTableVsMapDifferential(t *testing.T) {
 	}
 }
 
-// TestRelationTableVsMapDifferential is the relation-level property
-// test: identical Add/Has/Remove/Snapshot-detach interleavings on a
-// table-mode and a map-mode relation must observe identical sets,
+// TestRelationVsMapDifferential is the relation-level property test: a
+// relation driven through random Add/Has/Remove/Snapshot-detach
+// interleavings must hold exactly what a Go map of its tuples holds,
 // including through snapshot isolation (a Remove after Snapshot
-// detaches the live storage in both modes).
-func TestRelationTableVsMapDifferential(t *testing.T) {
-	run := func(tableOn bool, seed int64, snaps *[]*Relation) *Relation {
-		setPackedMode(t, tableOn)
-		rng := rand.New(rand.NewSource(seed))
-		r := New(2)
-		for op := 0; op < 3000; op++ {
-			tup := Tuple{rng.Intn(30), rng.Intn(30)}
-			switch rng.Intn(6) {
-			case 0, 1, 2:
-				r.Add(tup)
-			case 3:
-				r.AddNotInHash(tup, TupleHash(tup), nil)
-			case 4:
-				r.Remove(tup)
-			case 5:
-				*snaps = append(*snaps, r.Snapshot())
+// detaches the live storage).
+func TestRelationVsMapDifferential(t *testing.T) {
+	same := func(r *Relation, m map[[2]int]bool) bool {
+		if r.Len() != len(m) {
+			return false
+		}
+		for k := range m {
+			if !r.Has(Tuple{k[0], k[1]}) {
+				return false
 			}
 		}
-		return r
+		return true
 	}
 	for seed := int64(0); seed < 4; seed++ {
-		var tsnaps, msnaps []*Relation
-		tr := run(true, seed, &tsnaps)
-		mr := run(false, seed, &msnaps)
-		if !tr.Equal(mr) {
-			t.Fatalf("seed %d: table and map relations diverge: %d vs %d tuples", seed, tr.Len(), mr.Len())
+		rng := rand.New(rand.NewSource(seed))
+		r, m := New(2), map[[2]int]bool{}
+		var snaps []*Relation
+		var models []map[[2]int]bool
+		for op := 0; op < 3000; op++ {
+			tup := Tuple{rng.Intn(30), rng.Intn(30)}
+			key := [2]int{tup[0], tup[1]}
+			switch rng.Intn(6) {
+			case 0, 1, 2:
+				if r.Add(tup) == m[key] {
+					t.Fatalf("seed %d op %d: Add(%v) with the map holding it: %v", seed, op, tup, m[key])
+				}
+				m[key] = true
+			case 3:
+				if r.AddNotInHash(tup, TupleHash(tup), nil) == m[key] {
+					t.Fatalf("seed %d op %d: AddNotInHash(%v) with the map holding it: %v", seed, op, tup, m[key])
+				}
+				m[key] = true
+			case 4:
+				if r.Remove(tup) != m[key] {
+					t.Fatalf("seed %d op %d: Remove(%v) with the map holding it: %v", seed, op, tup, m[key])
+				}
+				delete(m, key)
+			case 5:
+				snaps, models = append(snaps, r.Snapshot()), append(models, maps.Clone(m))
+			}
 		}
-		if len(tsnaps) != len(msnaps) {
-			t.Fatalf("seed %d: snapshot counts diverge", seed)
+		if !same(r, m) {
+			t.Fatalf("seed %d: relation and map diverge: %d vs %d tuples", seed, r.Len(), len(m))
 		}
-		for i := range tsnaps {
-			if !tsnaps[i].Equal(msnaps[i]) {
-				t.Fatalf("seed %d: snapshot %d diverges: %d vs %d tuples", seed, i, tsnaps[i].Len(), msnaps[i].Len())
+		for i := range snaps {
+			if !same(snaps[i], models[i]) {
+				t.Fatalf("seed %d: snapshot %d diverges: %d vs %d tuples", seed, i, snaps[i].Len(), len(models[i]))
 			}
 		}
 	}
@@ -189,7 +194,6 @@ func TestRelationTableVsMapDifferential(t *testing.T) {
 // probes (hit and miss), duplicate-rejecting inserts, and hash-reusing
 // probes against a pre-sized relation must not allocate at all.
 func TestTableZeroAllocs(t *testing.T) {
-	setPackedMode(t, true)
 	r := New(2)
 	r.ReserveHint(2048)
 	for i := 0; i < 1000; i++ {
@@ -255,34 +259,31 @@ func TestTableReserveReset(t *testing.T) {
 // capacity, refuses shared storage, and a recycled relation behaves
 // like a fresh one.
 func TestRelationResetRecycles(t *testing.T) {
-	for _, tableOn := range []bool{true, false} {
-		setPackedMode(t, tableOn)
-		r := New(2)
-		for i := 0; i < 100; i++ {
-			r.Add(Tuple{i, i})
-		}
-		big := 1 << 40
-		r.Add(Tuple{big, 1}) // exercise the spill map too
-		if !r.Reset() {
-			t.Fatal("Reset of exclusive relation refused")
-		}
-		if r.Len() != 0 || r.Has(Tuple{3, 3}) || r.Has(Tuple{big, 1}) {
-			t.Fatal("Reset left contents visible")
-		}
-		r.Add(Tuple{1, 2})
-		if r.Len() != 1 || !r.Has(Tuple{1, 2}) {
-			t.Fatal("recycled relation broken")
-		}
-		snap := r.Snapshot()
-		if r.Reset() {
-			t.Fatal("Reset of snapshotted relation must refuse")
-		}
-		if !snap.Has(Tuple{1, 2}) {
-			t.Fatal("snapshot disturbed")
-		}
-		if !snap.Clone().Reset() {
-			t.Fatal("Reset of a fresh clone refused")
-		}
+	r := New(2)
+	for i := 0; i < 100; i++ {
+		r.Add(Tuple{i, i})
+	}
+	big := 1 << 40
+	r.Add(Tuple{big, 1}) // exercise the spill map too
+	if !r.Reset() {
+		t.Fatal("Reset of exclusive relation refused")
+	}
+	if r.Len() != 0 || r.Has(Tuple{3, 3}) || r.Has(Tuple{big, 1}) {
+		t.Fatal("Reset left contents visible")
+	}
+	r.Add(Tuple{1, 2})
+	if r.Len() != 1 || !r.Has(Tuple{1, 2}) {
+		t.Fatal("recycled relation broken")
+	}
+	snap := r.Snapshot()
+	if r.Reset() {
+		t.Fatal("Reset of snapshotted relation must refuse")
+	}
+	if !snap.Has(Tuple{1, 2}) {
+		t.Fatal("snapshot disturbed")
+	}
+	if !snap.Clone().Reset() {
+		t.Fatal("Reset of a fresh clone refused")
 	}
 }
 

@@ -8,6 +8,17 @@
 // A, and a Database bundles a universe with named relations.  All
 // iteration orders exposed by this package are deterministic (sorted),
 // so every layer built on top is reproducible bit-for-bit.
+//
+// Storage.  The paper's semantics are polynomial because a fixpoint
+// holds at most |A|^k tuples, and the engine materialises exactly those,
+// so the bytes behind one stored tuple are the constant in front of that
+// bound.  A relation keeps its tuples as bare ids in fixed-size,
+// pointer-free chunks (relation.go) and their membership in one
+// open-addressing table of packed keys (table.go, key.go): a stored
+// tuple costs 8·arity bytes of ids and a 13-byte table slot at ¾ load or
+// less, is allocated with its chunk rather than on its own, and is read
+// back as a view of the chunk.  Snapshots share chunks with the live
+// relation, which copies only the chunks it writes after a publish.
 package relation
 
 import (

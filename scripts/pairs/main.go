@@ -9,6 +9,19 @@
 // wants at least nine tenths of the pairs (ties count for neither) and
 // medians further apart than the parent's q3 − q1.
 //
+// With -workload all it runs every workload BENCHMARK.json declares, one
+// after the other, and ends with the no-regression table: one row per
+// workload and gated end-to-end metric with the bound read from
+// BENCHMARK.json and a verdict —
+//
+//	improved      the change wins nine tenths of the pairs and the medians
+//	              lie further apart than the parent's q3 − q1
+//	worse         the change's median is worse than the parent's by more
+//	              than the bound
+//	unresolved    neither, and one side's q3 − q1 is wider than the bound:
+//	              the runs cannot tell
+//	within bound  otherwise
+//
 // Usage (see `make pairs`):
 //
 //	go run ./scripts/pairs -base .bench_build/pairs/base -change . -workload serve-wf -n 10 -seed 1
@@ -88,28 +101,49 @@ func runOnce(dir, workload string, seed int64) (*run, error) {
 	return r, nil
 }
 
-// higherIsBetter reads the metric directions BENCHMARK.json declares;
-// the ungated end-to-end names are listed there under "client.".
-func higherIsBetter(changeDir string) map[string]bool {
-	out := map[string]bool{}
+// declared is what the script reads of BENCHMARK.json: the workloads,
+// the gated end-to-end metrics with their bounds, and which metrics are
+// better higher (the ungated end-to-end names are listed there under
+// "client.").
+type declared struct {
+	workloads []string
+	gated     []string
+	bound     map[string]float64
+	higher    map[string]bool
+}
+
+func readDeclared(changeDir string) (*declared, error) {
 	data, err := os.ReadFile(filepath.Join(changeDir, "BENCHMARK.json"))
 	if err != nil {
-		return out
+		return nil, err
 	}
 	var decl struct {
-		EndToEnd []struct{ Name, Better string } `json:"end_to_end"`
+		Workloads []struct{ Name string } `json:"workloads"`
+		EndToEnd  []struct {
+			Name, Better string
+			Bound        float64
+		} `json:"end_to_end"`
 		PerLayer []struct{ Name, Better string } `json:"per_layer"`
 	}
-	if json.Unmarshal(data, &decl) != nil {
-		return out
+	if err := json.Unmarshal(data, &decl); err != nil {
+		return nil, fmt.Errorf("BENCHMARK.json: %w", err)
 	}
-	for _, m := range append(decl.EndToEnd, decl.PerLayer...) {
+	d := &declared{bound: map[string]float64{}, higher: map[string]bool{}}
+	for _, w := range decl.Workloads {
+		d.workloads = append(d.workloads, w.Name)
+	}
+	for _, m := range decl.EndToEnd {
+		d.gated = append(d.gated, m.Name)
+		d.bound[m.Name] = m.Bound
+		d.higher[m.Name] = m.Better == "higher"
+	}
+	for _, m := range decl.PerLayer {
 		if m.Better == "higher" {
-			out[m.Name] = true
-			out[strings.TrimPrefix(m.Name, "client.")] = true
+			d.higher[m.Name] = true
+			d.higher[strings.TrimPrefix(m.Name, "client.")] = true
 		}
 	}
-	return out
+	return d, nil
 }
 
 // quantile interpolates linearly between the order statistics.
@@ -122,37 +156,67 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
 }
 
-func summary(vs []float64) (med, q1, q3 float64) {
+// quartiles is one side's median [q1, q3] of a metric.
+type quartiles struct{ med, q1, q3 float64 }
+
+func summary(vs []float64) quartiles {
 	s := append([]float64(nil), vs...)
 	sort.Float64s(s)
-	return quantile(s, 0.5), quantile(s, 0.25), quantile(s, 0.75)
+	return quartiles{quantile(s, 0.5), quantile(s, 0.25), quantile(s, 0.75)}
 }
 
-func main() {
-	var (
-		base     = flag.String("base", "", "checkout of the parent commit")
-		change   = flag.String("change", ".", "checkout of the change")
-		workload = flag.String("workload", "", "serve-read | serve-write | serve-wf | eval-batch")
-		n        = flag.Int("n", 10, "pairs to run")
-		seed     = flag.Int64("seed", 1, "benchmark seed, the same on both sides")
-	)
-	flag.Parse()
-	if *base == "" || *workload == "" || *n < 1 {
-		flag.Usage()
-		os.Exit(2)
-	}
+func (q quartiles) String() string { return fmt.Sprintf("%.4g [%.4g, %.4g]", q.med, q.q1, q.q3) }
 
-	sides := [2]string{*base, *change} // 0 = parent, 1 = change
+// compared is one metric's runs on both sides, pair by pair.
+type compared struct {
+	parent, change []float64
+	higher         bool
+}
+
+// stats returns each side's quartiles, the pairs the change won, and by
+// how much its median is the better one (negative: the worse one).
+func (c compared) stats() (p, ch quartiles, wins int, better float64) {
+	p, ch = summary(c.parent), summary(c.change)
+	for i := range c.parent {
+		if (c.higher && c.change[i] > c.parent[i]) || (!c.higher && c.change[i] < c.parent[i]) {
+			wins++
+		}
+	}
+	better = p.med - ch.med
+	if c.higher {
+		better = -better
+	}
+	return p, ch, wins, better
+}
+
+// verdict is the last column of the no-regression table.
+func (c compared) verdict(bound float64) string {
+	p, ch, wins, better := c.stats()
+	switch {
+	case 10*wins >= 9*len(c.parent) && better > p.q3-p.q1:
+		return "improved"
+	case -better > bound*p.med:
+		return "worse"
+	case p.q3-p.q1 > bound*p.med || ch.q3-ch.q1 > bound*ch.med:
+		return "unresolved"
+	}
+	return "within bound"
+}
+
+// runPairs runs n alternating pairs of one workload and prints every
+// metric either run line reported; it returns the metrics by name and
+// the number of runs that were not correct or had failed operations.
+func runPairs(sides [2]string, workload string, n int, seed int64, decl *declared) (map[string]compared, int) {
 	values := [2]map[string][]float64{{}, {}}
 	units := map[string]string{}
 	bad := 0
-	for pair := 0; pair < *n; pair++ {
+	for pair := 0; pair < n; pair++ {
 		order := [2]int{0, 1}
 		if pair%2 == 1 {
 			order = [2]int{1, 0}
 		}
 		for _, side := range order {
-			r, err := runOnce(sides[side], *workload, *seed)
+			r, err := runOnce(sides[side], workload, seed)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "pairs:", err)
 				os.Exit(1)
@@ -166,41 +230,76 @@ func main() {
 				units[name] = m.Unit
 			}
 		}
-		fmt.Fprintf(os.Stderr, "pairs: %d/%d done\n", pair+1, *n)
+		fmt.Fprintf(os.Stderr, "pairs: %s %d/%d done\n", workload, pair+1, n)
 	}
 
-	higher := higherIsBetter(*change)
 	names := make([]string, 0, len(units))
 	for name := range units {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fmt.Printf("%s, seed %d, %d alternating pairs: median [q1, q3]; runs not correct or with failed operations: %d\n", *workload, *seed, *n, bad)
-	fmt.Printf("%-18s %-5s %-30s %-30s %-8s %-6s %s\n", "metric", "unit", "parent", "change", "change", "wins", "beyond parent IQR")
+	fmt.Printf("%s, seed %d, %d alternating pairs: median [q1, q3]; runs not correct or with failed operations: %d\n", workload, seed, n, bad)
+	fmt.Printf("%-20s %-5s %-30s %-30s %-8s %-6s %s\n", "metric", "unit", "parent", "change", "change", "wins", "beyond parent IQR")
+	out := map[string]compared{}
 	for _, name := range names {
-		p, c := values[0][name], values[1][name]
-		if len(p) != *n || len(c) != *n {
+		c := compared{values[0][name], values[1][name], decl.higher[name]}
+		if len(c.parent) != n || len(c.change) != n {
 			continue
 		}
-		pm, p1, p3 := summary(p)
-		cm, c1, c3 := summary(c)
-		wins := 0
-		for i := range p {
-			if (higher[name] && c[i] > p[i]) || (!higher[name] && c[i] < p[i]) {
-				wins++
-			}
-		}
-		gain := pm - cm
-		if higher[name] {
-			gain = cm - pm
-		}
+		out[name] = c
+		p, ch, wins, better := c.stats()
 		rel := "n/a"
-		if pm != 0 {
-			rel = fmt.Sprintf("%+.1f%%", 100*(cm-pm)/pm)
+		if p.med != 0 {
+			rel = fmt.Sprintf("%+.1f%%", 100*(ch.med-p.med)/p.med)
 		}
-		fmt.Printf("%-18s %-5s %-30s %-30s %-8s %-6s %v\n", name, units[name],
-			fmt.Sprintf("%.4g [%.4g, %.4g]", pm, p1, p3), fmt.Sprintf("%.4g [%.4g, %.4g]", cm, c1, c3),
-			rel, fmt.Sprintf("%d/%d", wins, *n), gain > p3-p1)
+		fmt.Printf("%-20s %-5s %-30s %-30s %-8s %-6s %v\n", name, units[name],
+			p, ch, rel, fmt.Sprintf("%d/%d", wins, n), better > p.q3-p.q1)
+	}
+	return out, bad
+}
+
+func main() {
+	var (
+		base     = flag.String("base", "", "checkout of the parent commit")
+		change   = flag.String("change", ".", "checkout of the change")
+		workload = flag.String("workload", "", "serve-read | serve-write | serve-wf | eval-batch | all")
+		n        = flag.Int("n", 10, "pairs to run")
+		seed     = flag.Int64("seed", 1, "benchmark seed, the same on both sides")
+	)
+	flag.Parse()
+	if *base == "" || *workload == "" || *n < 1 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	decl, err := readDeclared(*change)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pairs:", err)
+		os.Exit(1)
+	}
+	workloads := []string{*workload}
+	if *workload == "all" {
+		workloads = decl.workloads
+	}
+
+	results := make([]map[string]compared, len(workloads))
+	bad := 0
+	for i, w := range workloads {
+		var b int
+		results[i], b = runPairs([2]string{*base, *change}, w, *n, *seed, decl)
+		bad += b
+		fmt.Println()
+	}
+	fmt.Printf("%-12s %-12s %-30s %-30s %-6s %-6s %s\n", "workload", "metric", "parent", "change", "wins", "bound", "verdict")
+	for i, w := range workloads {
+		for _, name := range decl.gated {
+			c, ok := results[i][name]
+			if !ok {
+				continue
+			}
+			p, ch, wins, _ := c.stats()
+			fmt.Printf("%-12s %-12s %-30s %-30s %-6s %-6s %s\n", w, name, p, ch,
+				fmt.Sprintf("%d/%d", wins, *n), fmt.Sprintf("%.0f%%", 100*decl.bound[name]), c.verdict(decl.bound[name]))
+		}
 	}
 	if bad > 0 {
 		os.Exit(1)
