@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check bench bench-smoke bench-json bench-serve profile staticcheck fuzz-smoke crashtest replicatest cover pairs ci
+.PHONY: all build test race vet fmt fmt-check bench bench-smoke profile staticcheck fuzz-smoke crashtest replicatest cover pairs ci
 
 all: build
 
@@ -48,36 +48,6 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E1|E5' -benchtime 1x . | tee bench-smoke.txt
 	$(GO) run ./cmd/bench -quick -exp E1 | tee -a bench-smoke.txt
-
-# Machine-readable results for the perf trajectory: the headline series
-# (E8 fixpoint, E10 distance, E13 planner, E14 incremental updates, E15
-# frontier scaling, E16 magic point queries, E17 partition scaling, E18
-# dedup path) rendered to BENCH_PR8.json — committed to the repo (and uploaded by
-# CI) so the trajectory survives across PRs.  Fixed -benchtime/-count:
-# medians over 5 runs of ≥100ms, not 1-iteration smoke samples.
-bench-json:
-	$(GO) test -run '^$$' -bench 'E8Inflationary|E10Distance|E13JoinPlanner|E14IncrementalUpdate|E15FrontierScaling|E16MagicQuery|E17PartitionScaling|E18DedupPath' \
-		-benchtime 100ms -count 5 . | tee bench-json.txt
-	$(GO) run ./scripts/benchjson bench-json.txt > BENCH_PR8.json
-
-# Production-serving benchmark: generate a TC workload, start the
-# daemon, drive it with cmd/loadgen (mixed read/query/update traffic
-# over 16 connections), add the group-commit vs serialized update
-# microbenchmarks, and render everything to BENCH_SERVE.json — the
-# serving-path counterpart of bench-json, committed for the trajectory
-# and uploaded by CI.
-BENCH_SERVE_DURATION ?= 10s
-BENCH_SERVE_ADDR ?= :8123
-bench-serve:
-	$(GO) build -o /tmp/repro-serve ./cmd/serve
-	$(GO) run ./cmd/genwork -kind program -name tc > /tmp/bench-serve-prog.dl
-	$(GO) run ./cmd/genwork -kind graph -n 24 -p 0.15 -seed 1 > /tmp/bench-serve-facts.dl
-	/tmp/repro-serve -program /tmp/bench-serve-prog.dl -facts /tmp/bench-serve-facts.dl -addr $(BENCH_SERVE_ADDR) & \
-	pid=$$!; sleep 2; \
-	$(GO) run ./cmd/loadgen -addr http://localhost$(BENCH_SERVE_ADDR) -conns 16 -duration $(BENCH_SERVE_DURATION) > bench-serve.txt; \
-	st=$$?; kill $$pid; [ $$st -eq 0 ]
-	$(GO) test -run '^$$' -bench ServeUpdate16 -benchtime 2s ./internal/server | tee -a bench-serve.txt
-	$(GO) run ./scripts/benchjson bench-serve.txt > BENCH_SERVE.json
 
 # CPU + allocation + contention profiles of the hot evaluation path
 # (the E8/E10 series plus the partitioned E17 sweep, whose exchange

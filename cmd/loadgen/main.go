@@ -13,10 +13,9 @@
 // predicate's tuples), so loadgen needs no knowledge of the data set.
 // Results print in `go test -bench` format — one Benchmark line per
 // traffic class plus one for the server's group-commit queue taken
-// from a final /v1/metrics scrape — so the existing scripts/benchjson
-// turns a run into BENCH_SERVE.json:
+// from a final /v1/metrics scrape — so benchstat can compare runs:
 //
-//	loadgen -addr http://localhost:8090 -conns 16 -duration 10s | go run ./scripts/benchjson
+//	loadgen -addr http://localhost:8090 -conns 16 -duration 10s
 package main
 
 import (

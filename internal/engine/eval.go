@@ -149,12 +149,14 @@ type runOpts struct {
 	filters map[string]*relation.Filter
 }
 
-// workerOut is one worker's private derivation output.  Most predicates
-// derive into out; predicates expected to produce large deltas (hints ≥
-// partitionThreshold) derive into parts — nbuckets relations partitioned
-// by head-tuple hash — so the cross-worker merge can run bucket-by-
-// bucket in parallel and assemble the result by disjoint concatenation
-// instead of one serial re-hashed union.
+// workerOut is one worker's private derivation output, sized for the
+// worker's share of the expected delta (see newWorkerOut).  Most
+// predicates derive into out; predicates expected to produce large
+// deltas (hints ≥ partitionThreshold) derive into parts — one relation
+// per merge bucket, as many buckets as workers, partitioned by
+// head-tuple hash — so the cross-worker merge can run bucket-by-bucket
+// in parallel and assemble the result by disjoint concatenation instead
+// of one serial re-hashed union.
 type workerOut struct {
 	out     State
 	parts   map[string][]*relation.Relation
@@ -174,102 +176,45 @@ type workerOut struct {
 // cost (nbuckets relations per worker) outweighs the parallel merge.
 const partitionThreshold = 1024
 
-// The scratch and relation freelists are process-global, not
-// per-instance: a sync.Pool that ever sees a Put registers itself with
-// the runtime and is visited by every later GC cycle, so per-instance
-// pools make GC cost scale with the number of instances ever built — a
-// real tax on workloads like demand-driven queries that construct
-// thousands of short-lived instances.  Pooled entries carry no
-// instance state (scratches are stripped of references on put,
-// relations are Reset), so sharing them across instances is sound.
+// scratchPool is process-global, not per-instance: a sync.Pool that
+// ever sees a Put registers itself with the runtime and is visited by
+// every later GC cycle, so per-instance pools make GC cost scale with
+// the number of instances ever built — a real tax on workloads like
+// demand-driven queries that construct thousands of short-lived
+// instances.  A pooled scratch holds no relation (putScratch strips
+// every reference), so sharing it across instances is sound.  Relations
+// are never pooled: an insert allocates once per arena chunk, and a
+// merged-away worker output is garbage as soon as the merge has copied
+// it.
 var scratchPool sync.Pool
 
-// maxPooledArity bounds the per-arity freelist array; wider relations
-// are simply allocated fresh.
-const maxPooledArity = 16
-
-var relPools [maxPooledArity + 1]sync.Pool
-
-// getRel checks a relation of the given arity out of the per-arity
-// freelist, falling back to a fresh allocation.  Pooled relations were
-// cleared by Reset on the way in, so a recycled one is
-// indistinguishable from a new one — except its table slots, arena
-// chunks, and map buckets survive, which is the point.
-func (in *Instance) getRel(arity int) *relation.Relation {
-	if arity >= 0 && arity <= maxPooledArity {
-		if r, _ := relPools[arity].Get().(*relation.Relation); r != nil {
-			return r
+// newWorkerOut builds the output of one of nw workers, presized for the
+// worker's share of each hinted predicate: 1/nw of the expected
+// cardinality, divided again among the predicate's buckets.  A
+// partition-exchange pass routes every predicate into opts.nparts owner
+// buckets — the bucket boundary is the exchange unit, not a merge
+// optimization; otherwise, with nw > 1, a predicate expected to reach
+// partitionThreshold derives into nw merge buckets.
+func (in *Instance) newWorkerOut(opts runOpts, nw int) *workerOut {
+	wo := &workerOut{out: in.NewState(), against: opts.frontier, filters: opts.filters}
+	for pred, r := range wo.out {
+		n, nb := opts.hints[pred], opts.nparts
+		if nb == 0 && nw > 1 && n >= partitionThreshold {
+			nb = nw
 		}
-	}
-	return relation.New(arity)
-}
-
-// putRel returns a provably-unreferenced relation to the freelist.
-// Reset refuses frozen or snapshot-sharing storage, so anything a
-// caller might still observe is dropped instead of recycled.
-func (in *Instance) putRel(r *relation.Relation) {
-	if r == nil || r.Arity() < 0 || r.Arity() > maxPooledArity || !r.Reset() {
-		return
-	}
-	relPools[r.Arity()].Put(r)
-}
-
-// putState recycles every relation of a dead worker state.
-func (in *Instance) putState(s State) {
-	for _, r := range s {
-		in.putRel(r)
-	}
-}
-
-// newWorkerState is NewState backed by the instance freelists — the
-// per-round worker outputs come from and return to the pools, so
-// steady-state rounds reuse last round's storage.
-func (in *Instance) newWorkerState() State {
-	s := make(State, len(in.idb))
-	for pred := range in.idb {
-		s[pred] = in.getRel(in.arities[pred])
-	}
-	return s
-}
-
-// newWorkerOut builds a worker's output for the given pass shape.
-// nbuckets ≤ 1 disables partitioning (the sequential path and legacy
-// union merges).
-func (in *Instance) newWorkerOut(opts runOpts, nbuckets int) *workerOut {
-	wo := &workerOut{out: in.newWorkerState(), against: opts.frontier, filters: opts.filters}
-	if opts.nparts > 0 {
-		// Partition-exchange pass: every predicate derives into nparts
-		// owner buckets, regardless of expected cardinality — the bucket
-		// boundary is the exchange unit, not a merge optimization.
-		wo.parts = make(map[string][]*relation.Relation, len(wo.out))
-		for pred, r := range wo.out {
-			parts := make([]*relation.Relation, opts.nparts)
-			for b := range parts {
-				parts[b] = in.getRel(r.Arity())
-				if n := opts.hints[pred]; n > 0 {
-					parts[b].ReserveHint(n / opts.nparts)
-				}
-			}
-			wo.parts[pred] = parts
+		if nb == 0 {
+			r.ReserveHint(n / nw)
+			continue
 		}
-		return wo
-	}
-	for pred, n := range opts.hints {
-		if r := wo.out[pred]; r != nil {
-			if nbuckets > 1 && n >= partitionThreshold {
-				parts := make([]*relation.Relation, nbuckets)
-				for b := range parts {
-					parts[b] = in.getRel(r.Arity())
-					parts[b].ReserveHint(n / nbuckets)
-				}
-				if wo.parts == nil {
-					wo.parts = make(map[string][]*relation.Relation)
-				}
-				wo.parts[pred] = parts
-			} else {
-				r.ReserveHint(n)
-			}
+		parts := make([]*relation.Relation, nb)
+		for b := range parts {
+			parts[b] = relation.New(r.Arity())
+			parts[b].ReserveHint(n / (nw * nb))
 		}
+		if wo.parts == nil {
+			wo.parts = make(map[string][]*relation.Relation)
+		}
+		wo.parts[pred] = parts
 	}
 	return wo
 }
@@ -339,51 +284,35 @@ func (in *Instance) runTasksStats(tasks []evalTask, pos, neg State, opts runOpts
 
 // mergeWorkerOuts combines per-worker outputs: plain predicates by set
 // union into the first worker's state, partitioned predicates by a
-// parallel per-bucket union followed by disjoint concatenation (buckets
-// are hash partitions, so tuples of different buckets can never
-// collide).  Merged-away worker relations — every output except the
-// returned state's own relations — go back to the instance freelists:
-// the union copied their ids into the survivor, and nothing may keep a
-// tuple read from a relation it recycles (see relation.Tuple).
+// parallel per-bucket union into the first worker's bucket followed by
+// disjoint concatenation (buckets are hash partitions, so tuples of
+// different buckets can never collide).  Every other worker relation is
+// dropped as soon as its ids are copied, so it is garbage for the rest
+// of the merge.
 func (in *Instance) mergeWorkerOuts(wos []*workerOut, nbuckets int) State {
 	out := wos[0].out
 	for _, wo := range wos[1:] {
 		out.UnionWith(wo.out)
-		in.putState(wo.out)
+		wo.out = nil
 	}
-	for pred, first := range wos[0].parts {
-		merged := make([]*relation.Relation, nbuckets)
+	for pred, merged := range wos[0].parts {
 		var wg sync.WaitGroup
 		wg.Add(nbuckets)
 		for b := 0; b < nbuckets; b++ {
 			go func(b int) {
 				defer wg.Done()
-				m := first[b]
 				for _, wo := range wos[1:] {
-					m.UnionWith(wo.parts[pred][b])
-					in.putRel(wo.parts[pred][b])
+					merged[b].UnionWith(wo.parts[pred][b])
+					wo.parts[pred][b] = nil
 				}
-				merged[b] = m
 			}(b)
 		}
 		wg.Wait()
-		// Disjoint concatenation into a pooled relation (the same merge
-		// relation.ConcatDisjoint performs, minus its fresh allocation);
-		// the consumed buckets go straight back to the freelist.
-		total := 0
-		for _, m := range merged {
-			total += m.Len()
-		}
-		whole := in.getRel(in.arities[pred])
-		whole.ReserveHint(total)
-		for _, m := range merged {
-			whole.AppendDisjoint(m)
-			in.putRel(m)
-		}
+		whole := relation.ConcatDisjoint(in.arities[pred], merged)
+		clear(merged)
 		// The non-partitioned per-worker outputs for this predicate are
 		// empty by construction, but union them anyway for safety.
 		whole.UnionWith(out[pred])
-		in.putRel(out[pred])
 		out[pred] = whole
 	}
 	return out

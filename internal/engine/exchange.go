@@ -143,9 +143,9 @@ func (in *Instance) runTasksParts(tasks []evalTask, pos, neg State, opts runOpts
 // mergeWorkerParts combines per-worker owner buckets into one state per
 // bucket (set union across workers — two workers may both have derived
 // a tuple that passed the frontier probe) and sums the filter tallies.
-// Merged-away buckets and the per-worker shell states (unused in parts
-// mode: every derivation routes into a bucket) return to the instance
-// freelists.
+// Each worker's buckets are sized for its share of the hint (see
+// newWorkerOut), so the first worker's grow to hold the union; the
+// others are dropped as soon as their ids are copied.
 func (in *Instance) mergeWorkerParts(wos []*workerOut, nparts int) ([]State, FilterStats) {
 	var st FilterStats
 	for _, wo := range wos {
@@ -161,13 +161,10 @@ func (in *Instance) mergeWorkerParts(wos []*workerOut, nparts int) ([]State, Fil
 			m := wos[0].parts[pred][b]
 			for _, wo := range wos[1:] {
 				m.UnionWith(wo.parts[pred][b])
-				in.putRel(wo.parts[pred][b])
+				wo.parts[pred][b] = nil
 			}
 			out[b][pred] = m
 		}
-	}
-	for _, wo := range wos {
-		in.putState(wo.out)
 	}
 	return out, st
 }

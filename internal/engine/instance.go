@@ -108,8 +108,8 @@ func New(prog *ast.Program, db *relation.Database) (*Instance, error) {
 	}
 	// Canonical empty relations are precomputed for every program
 	// arity: edbRel runs concurrently on the evaluation worker pool,
-	// so it must never mutate instance state.  (The scratch and
-	// relation freelists it draws on are process-global — see eval.go.)
+	// so it must never mutate instance state.  (The scratch pool the
+	// workers draw on is process-global — see eval.go.)
 	for _, ar := range arities {
 		if _, ok := in.empties[ar]; !ok {
 			in.empties[ar] = relation.New(ar)

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/parser"
+	"repro/internal/relation"
 )
 
 // multiRuleSrc has several rules (and semi-naive variants) so the
@@ -112,6 +114,59 @@ func TestConcurrentApplySharedInputs(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
+	}
+}
+
+// TestParallelPassBytes pins what one parallel semi-naive pass
+// allocates besides its result: each worker's output is presized for
+// the worker's share of the hint, not for all of it.  The round below
+// derives 100k pairs from a 200k-tuple delta — a fixpoint past its
+// peak, where the hint overestimates.  The two workers' buckets are
+// then together sized for the hint, the merge grows one worker's
+// buckets by the other's ids, and the concatenation builds the result:
+// 2.8 times the result's own bytes.  With every worker presized for the
+// whole hint the buckets alone are twice that size, 4.2 times in all.
+func TestParallelPassBytes(t *testing.T) {
+	const xs, zs = 400, 500
+	db := relation.NewDatabase()
+	u := db.Universe()
+	half, _ := db.Ensure("half", 2)
+	for z := 0; z < zs; z++ {
+		half.Add(relation.Tuple{u.Intern(fmt.Sprint("z", z)), u.Intern(fmt.Sprint("y", z/2))})
+	}
+	delta := relation.New(2)
+	for x := 0; x < xs; x++ {
+		for z := 0; z < zs; z++ {
+			delta.Add(relation.Tuple{u.Intern(fmt.Sprint("x", x)), u.Intern(fmt.Sprint("z", z))})
+		}
+	}
+	half.Lookup(0, 0) // the join's index is not the pass's output
+	in, err := NewWith(parser.MustProgram("s(X,Y) :- s(X,Z), half(Z,Y)."), db, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := State{"s": delta}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // two cycles empty every sync.Pool: nothing earlier is reused
+	runtime.ReadMemStats(&before)
+	out := in.ApplyDeltaSplitFrontier(State{"s": relation.New(2)}, d, d, d)
+	runtime.ReadMemStats(&after)
+	pass := after.TotalAlloc - before.TotalAlloc
+
+	runtime.ReadMemStats(&before)
+	relation.ConcatDisjoint(2, []*relation.Relation{out["s"]})
+	runtime.ReadMemStats(&after)
+	result := after.TotalAlloc - before.TotalAlloc
+
+	if out["s"].Len() != xs*zs/2 {
+		t.Fatalf("pass derived %d tuples, want %d", out["s"].Len(), xs*zs/2)
+	}
+	t.Logf("pass allocated %d bytes for a %d-tuple result of %d bytes (%.2fx)",
+		pass, out["s"].Len(), result, float64(pass)/float64(result))
+	if pass > 3*result {
+		t.Errorf("pass allocated %d bytes, want at most 3 × %d", pass, result)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 // of the two maps holds an entry.
 //
 // Lifetime.  An index covers the first n arena entries and lives as
-// long as its relation does, short of a Reset or a large RemoveAll.
+// long as its relation does, short of a large RemoveAll.
 //
 //   - Appends leave it exact for its prefix (offsets are assigned
 //     monotonically); the next probe extends it by the arena suffix.

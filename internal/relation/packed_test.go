@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -184,6 +185,56 @@ func TestConcurrentLookup(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestTuplesSortedInPlace checks that Tuples, which sorts packed keys in
+// the tail of its own output and unpacks them in place, returns exactly
+// the tuples in Compare order: at arity 2 the ids reach past 2³¹, so the
+// keys carry the top bit the sign flip must order as unsigned; at arity
+// 9 the ids all pack, or one stored last spills, after every key but
+// its own was written, and the comparison sort takes over.
+func TestTuplesSortedInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range []struct {
+		arity, n, limit int
+		spill           bool
+	}{
+		{0, 0, 1, false}, {0, 1, 1, false},
+		{1, 3000, 1 << 62, false},
+		{2, 3000, 1 << 31, false}, {2, 1, 1 << 31, false},
+		{4, 3000, 1 << 16, false},
+		{9, 3000, 1 << 7, false}, {9, 3000, 1 << 7, true},
+	} {
+		r := New(tc.arity)
+		for r.Len() < tc.n {
+			tu := make(Tuple, tc.arity)
+			for i := range tu {
+				tu[i] = rng.Intn(tc.limit)
+			}
+			if tc.arity == 2 && rng.Intn(2) == 0 {
+				tu[0] += 1 << 31
+			}
+			r.Add(tu)
+		}
+		if tc.spill {
+			r.Add(Tuple{1 << 7, 0, 0, 0, 0, 0, 0, 0, 0})
+		}
+		var want []Tuple
+		r.Each(func(tu Tuple) bool {
+			want = append(want, tu.Clone())
+			return true
+		})
+		slices.SortFunc(want, Tuple.Compare)
+		got := r.Tuples()
+		if len(got) != len(want) {
+			t.Fatalf("arity %d, ids < %d: %d tuples, want %d", tc.arity, tc.limit, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("arity %d, ids < %d: tuple %d is %v, want %v", tc.arity, tc.limit, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 // TestEqualAcrossStorageOrders checks that Equal is order-insensitive:

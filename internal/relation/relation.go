@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -232,19 +233,11 @@ func (r *Relation) detach() {
 // allocated, long enough, and r's own.
 func (r *Relation) writable(c, need int) []int {
 	if c == len(r.chunks) {
-		// Reset leaves its chunks in the spine's spare capacity.
-		if c < cap(r.chunks) {
-			r.chunks = r.chunks[:c+1]
-		} else {
-			r.chunks = append(r.chunks, nil)
+		size := chunkLen
+		if c == 0 {
+			size = headLen
 		}
-		if r.chunks[c] == nil {
-			size := chunkLen
-			if c == 0 {
-				size = headLen
-			}
-			r.chunks[c] = make([]int, size*r.arity)
-		}
+		r.chunks = append(r.chunks, make([]int, size*r.arity))
 		if r.owned != nil {
 			r.owned = append(r.owned, true)
 		}
@@ -377,54 +370,18 @@ func (r *Relation) setKey(t Tuple, k, h uint64, packs bool, off int32) {
 }
 
 // ReserveHint pre-sizes the relation's storage for about n tuples, so a
-// caller that knows the expected cardinality (e.g. last round's delta)
-// avoids growing the first chunk and the key table step by step on the
-// hot insert path.  It only acts on a still-empty mutable relation;
-// otherwise it is a no-op.  It is capacity-aware: storage a recycled
-// relation (see Reset) already owns is kept, so the steady state of a
-// pooled scratch relation allocates nothing here.
+// caller that knows the expected cardinality (e.g. its share of last
+// round's delta) avoids growing the first chunk and the key table step
+// by step on the hot insert path.  It only acts on a still-empty
+// mutable relation; otherwise it is a no-op.  It allocates the first
+// chunk and the key table afresh, so views of earlier storage keep
+// theirs.
 func (r *Relation) ReserveHint(n int) {
 	if r.frozen || r.n > 0 || n <= 0 {
 		return
 	}
-	if r.owned != nil {
-		r.chunks, r.owned = nil, nil // some still belong to views
-	}
-	if cap(r.chunks) == 0 {
-		r.chunks = make([][]int, 0, 1)
-	}
-	if first := r.chunks[:1]; len(first[0]) < min(n, chunkLen)*r.arity {
-		first[0] = make([]int, min(n, chunkLen)*r.arity) // writable finds it there
-	}
-	if r.table == nil || r.share != shareNone {
-		// A shared (snapshotted/sealed) table must not grow in place:
-		// views hold the same Table, so replace rather than resize.
-		r.table = newTable(n)
-		return
-	}
-	r.table.Reserve(n)
-}
-
-// Reset clears the relation for reuse, keeping allocated capacity
-// (chunks, table slots, map buckets) — the freelist protocol of the
-// engine's per-round scratch pools.  Tuples read from it earlier are
-// overwritten by what it stores next.  It refuses, returning false,
-// when the storage is frozen or still shared with snapshots; such a
-// relation must be dropped, not recycled.
-func (r *Relation) Reset() bool {
-	if r.frozen || r.share != shareNone {
-		return false
-	}
-	r.n, r.chunks = 0, r.chunks[:0]
-	if r.owned != nil {
-		r.chunks, r.owned = nil, nil // some still belong to views
-	}
-	if r.table != nil {
-		r.table.Reset()
-	}
-	clear(r.spill)
-	r.dropIndexes()
-	return true
+	r.chunks, r.owned = [][]int{make([]int, min(n, chunkLen)*r.arity)}, nil
+	r.table = newTable(n)
 }
 
 // AppendDisjoint appends every tuple of o without membership probes.
@@ -529,26 +486,33 @@ func (r *Relation) deleteKey(t Tuple) {
 // Tuples returns all tuples in deterministic (sorted) order, as copies
 // cut out of one flat allocation.  Packed keys are fixed-width
 // concatenations of non-negative ids, so they order exactly like
-// Compare: a relation whose tuples all pack sorts its keys instead.
+// Compare: a relation whose tuples all pack sorts its keys instead, in
+// the last n ints of the output itself.  Flipping the sign bit makes
+// signed order unsigned order, and unpacking tuple i overwrites no key
+// past key i, so the keys unpack in place in ascending order.
 func (r *Relation) Tuples() []Tuple {
-	a := r.arity
-	flat, out := make([]int, r.n*a), make([]Tuple, r.n)
+	a, n := r.arity, r.n
+	flat, out := make([]int, n*a), make([]Tuple, n)
 	for i := range out {
 		out[i] = flat[i*a : i*a+a : i*a+a]
 	}
-	keys, packs := make([]uint64, 0, r.n), true
-	r.Each(func(t Tuple) bool {
-		var k uint64
-		k, packs = packKey(t)
-		keys = append(keys, k)
-		return packs
-	})
+	packs := a > 0 && math.MaxInt == math.MaxInt64 // a key fits in an int
 	if packs {
-		slices.Sort(keys)
-		for i, k := range keys {
-			unpackKey(k, out[i])
+		keys, i := flat[(a-1)*n:], 0
+		r.Each(func(t Tuple) bool {
+			var k uint64
+			k, packs = packKey(t)
+			keys[i] = int(k ^ 1<<63)
+			i++
+			return packs
+		})
+		if packs {
+			slices.Sort(keys)
+			for i := range out {
+				unpackKey(uint64(keys[i])^1<<63, out[i])
+			}
+			return out
 		}
-		return out
 	}
 	i := 0
 	r.Each(func(t Tuple) bool {

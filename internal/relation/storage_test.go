@@ -154,7 +154,7 @@ func (w *storageWalk) hold(v *Relation, model map[string]struct{}) {
 // step performs one random operation on the live relation.
 func (w *storageWalk) step() string {
 	r := w.live.rel
-	switch op := w.rng.Intn(12); op {
+	switch op := w.rng.Intn(11); op {
 	case 0, 1:
 		w.add(w.next)
 		return "Add(new)"
@@ -205,12 +205,6 @@ func (w *storageWalk) step() string {
 		r.Seal()
 		return "Seal"
 	case 9:
-		if r.Reset() {
-			clear(w.live.model)
-			w.present = w.present[:0]
-		}
-		return "Reset"
-	case 10:
 		// The clone takes over; the views of the relation it replaces live on.
 		w.live.rel = r.Clone()
 		if len(w.views) > 0 {

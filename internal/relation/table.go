@@ -162,13 +162,6 @@ func (t *Table) Reserve(n int) {
 	}
 }
 
-// Reset clears all entries but keeps the allocated capacity — the
-// freelist half of the engine's reset-not-reallocate scratch reuse.
-func (t *Table) Reset() {
-	clear(t.ctrl)
-	t.n = 0
-}
-
 // clone returns a deep copy.  Nil-safe: cloning a nil table (a
 // relation that never inserted a packed tuple) returns nil.
 func (t *Table) clone() *Table {

@@ -221,7 +221,7 @@ func TestTableZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestTableReserveReset(t *testing.T) {
+func TestTableReserve(t *testing.T) {
 	tb := newTable(0)
 	tb.Reserve(1000)
 	capAfter := len(tb.ctrl)
@@ -240,50 +240,6 @@ func TestTableReserveReset(t *testing.T) {
 		if v, ok := tb.getHash(i, mix64(i)); !ok || v != int32(i) {
 			t.Fatalf("Reserve lost key %d", i)
 		}
-	}
-	tb.Reset()
-	if tb.Len() != 0 {
-		t.Errorf("Reset left Len = %d", tb.Len())
-	}
-	if _, ok := tb.getHash(3, mix64(3)); ok {
-		t.Error("Reset left key findable")
-	}
-	before := len(tb.ctrl)
-	tb.putHash(3, mix64(3), 1)
-	if len(tb.ctrl) != before {
-		t.Error("insert after Reset reallocated")
-	}
-}
-
-// TestRelationResetRecycles covers the freelist contract: Reset keeps
-// capacity, refuses shared storage, and a recycled relation behaves
-// like a fresh one.
-func TestRelationResetRecycles(t *testing.T) {
-	r := New(2)
-	for i := 0; i < 100; i++ {
-		r.Add(Tuple{i, i})
-	}
-	big := 1 << 40
-	r.Add(Tuple{big, 1}) // exercise the spill map too
-	if !r.Reset() {
-		t.Fatal("Reset of exclusive relation refused")
-	}
-	if r.Len() != 0 || r.Has(Tuple{3, 3}) || r.Has(Tuple{big, 1}) {
-		t.Fatal("Reset left contents visible")
-	}
-	r.Add(Tuple{1, 2})
-	if r.Len() != 1 || !r.Has(Tuple{1, 2}) {
-		t.Fatal("recycled relation broken")
-	}
-	snap := r.Snapshot()
-	if r.Reset() {
-		t.Fatal("Reset of snapshotted relation must refuse")
-	}
-	if !snap.Has(Tuple{1, 2}) {
-		t.Fatal("snapshot disturbed")
-	}
-	if !snap.Clone().Reset() {
-		t.Fatal("Reset of a fresh clone refused")
 	}
 }
 

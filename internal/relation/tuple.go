@@ -6,10 +6,9 @@ import "strconv"
 // the ids of a tuple it is handed, so callers keep their slice.  A tuple
 // read from a relation (At, Each, Multiset.Each) is a view of the
 // relation's arena: callers must not write to it, and it is valid until
-// that relation is next removed from or reset — a Remove moves the last
-// tuple into the vacated slot, a Reset hands the chunks to the next
-// user.  Appends never disturb it.  Copy it with Clone to keep it
-// longer; Tuples returns copies.
+// that relation is next removed from — a Remove moves the last tuple
+// into the vacated slot.  Appends never disturb it.  Copy it with Clone
+// to keep it longer; Tuples returns copies.
 type Tuple []int
 
 // Key returns a compact string encoding of the tuple, usable as a map

@@ -17,8 +17,10 @@
 // open-addressing table of packed keys (table.go, key.go): a stored
 // tuple costs 8·arity bytes of ids and a 13-byte table slot at ¾ load or
 // less, is allocated with its chunk rather than on its own, and is read
-// back as a view of the chunk.  Snapshots share chunks with the live
-// relation, which copies only the chunks it writes after a publish.
+// back as a view of the chunk, valid until its relation is next removed
+// from.  Snapshots share chunks with the live relation, which copies
+// only the chunks it writes after a publish.  Storage is never recycled:
+// a relation nobody references is garbage, chunks and table included.
 package relation
 
 import (

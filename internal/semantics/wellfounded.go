@@ -43,11 +43,16 @@ func WellFoundedMode(in *engine.Instance, mode Mode) *WFResult {
 // WellFoundedLog is WellFoundedMode with a stage observer: log is
 // called with every application of Γ in turn, A₁ = Γ(∅), A₂ = Γ(A₁), …
 // up to the Aₙ that confirms the fixpoint, n = 2·Outer.  On exit True
-// is Aₙ₋₂ = Aₙ and Possible is Aₙ₋₁.  The stages are the evaluator's
-// own states, not copies, and it only reads a stage once observed: an
-// observer may keep them, and may mutate them after the call if it
-// drops the result, whose True and Possible are two of them.  The
-// incremental-maintenance layer keeps them as its chain.
+// is Aₙ, the same set as Aₙ₋₂, and Possible is Aₙ₋₁.  The stages are
+// the evaluator's own states, not copies, and it only reads a stage
+// once observed: an observer may keep them, and may mutate them after
+// the call if it drops the result, whose True and Possible are two of
+// them.  The incremental-maintenance layer keeps them as its chain.
+//
+// Without an observer at most two stages are held at once.  The even
+// stages grow predicate by predicate (Γ is antimonotone, so Γ² is
+// monotone from ∅: A₀ ⊆ A₂ ⊆ …), so Aₙ = Aₙ₋₂ exactly when their sizes
+// are equal, and of Aₙ₋₂ only its size is kept while Aₙ is computed.
 func WellFoundedLog(in *engine.Instance, mode Mode, log func(stage engine.State)) *WFResult {
 	gamma := func(j engine.State) (engine.State, Stats) {
 		res := lfpLoop(in, j, mode)
@@ -64,6 +69,8 @@ func WellFoundedLog(in *engine.Instance, mode Mode, log func(stage engine.State)
 	for {
 		outer++
 		h, s1 := gamma(lo)
+		size := lo.Total()
+		lo = nil
 		l2, s2 := gamma(h)
 		stats.Rounds += s1.Rounds + s2.Rounds
 		stats.FilterProbes += s1.FilterProbes + s2.FilterProbes
@@ -74,11 +81,10 @@ func WellFoundedLog(in *engine.Instance, mode Mode, log func(stage engine.State)
 		if s2.MaxDeltaTuples > stats.MaxDeltaTuples {
 			stats.MaxDeltaTuples = s2.MaxDeltaTuples
 		}
-		hi = h
-		if l2.Equal(lo) {
+		hi, lo = h, l2
+		if lo.Total() == size {
 			break
 		}
-		lo = l2
 	}
 	stats.Tuples = lo.Total()
 	return &WFResult{True: lo, Possible: hi, Stats: stats, Outer: outer}

@@ -47,11 +47,27 @@ func randGeneralProgram(rng *rand.Rand) string {
 
 // checkOracle evaluates src on db under the well-founded semantics and
 // compares with the oracle; it returns the result for further checks.
+// On the way it checks, stage by stage, the nesting the evaluator's
+// stopping test rests on — A₀ ⊆ A₂ ⊆ … and A₁ ⊇ A₃ ⊇ … — and that True
+// and Possible are the last two stages.
 func checkOracle(t *testing.T, src string, db *relation.Database) *WFResult {
 	t.Helper()
 	prog := parser.MustProgram(src)
 	in := engine.MustNew(prog, db)
-	res := WellFounded(in)
+	stages := []engine.State{in.NewState()}
+	res := WellFoundedLog(in, SemiNaive, func(s engine.State) {
+		i := len(stages)
+		if i >= 3 && i%2 == 1 && !s.SubsetOf(stages[i-2]) {
+			t.Fatalf("odd stage A%d is not within A%d\nprogram:\n%s", i, i-2, src)
+		}
+		if i%2 == 0 && !stages[i-2].SubsetOf(s) {
+			t.Fatalf("even stage A%d does not contain A%d\nprogram:\n%s", i, i-2, src)
+		}
+		stages = append(stages, s)
+	})
+	if n := len(stages) - 1; n != 2*res.Outer || !res.True.Equal(stages[n]) || !res.True.Equal(stages[n-2]) || !res.Possible.Equal(stages[n-1]) {
+		t.Fatalf("%d stages in %d outer iterations: True is not A%d = A%d, or Possible is not A%d\nprogram:\n%s", n, res.Outer, n, n-2, n-1, src)
+	}
 	rels := map[string]*relation.Relation{}
 	for _, name := range db.Names() {
 		rels[name] = db.Relation(name)
