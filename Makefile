@@ -72,18 +72,18 @@ staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
 # Local mirror of the CI benchstat gate: compare the
-# E8/E10/E15/E16/E17/E18 series on BASE (default HEAD~1) against the
+# E8/E10/E15/E16/E17 series on BASE (default HEAD~1) against the
 # working tree, failing on >15% regressions of the per-series minimum
 # (the noise-robust estimator; see scripts/benchdiff).  E16 puts
 # point-query latency under the same gate as whole-fixpoint evaluation;
 # E17/K=1 guards the unpartitioned path against exchange-machinery
-# overhead.  Series missing on BASE (e.g. a newly added benchmark) are
-# skipped by benchdiff.  Both sides are prebuilt and the iterations
+# overhead.  Series missing on either side (a newly added or a deleted
+# benchmark) are skipped by benchdiff.  Both sides are prebuilt and the iterations
 # interleaved A/B/A/B: running all of base then all of head lets slow
 # machine drift (thermal throttling, noisy neighbors) land entirely on
 # whichever side runs second and masquerade as a code regression.
 BASE ?= HEAD~1
-BENCH_SERIES := E8Inflationary|E10Distance|E15FrontierScaling|E16MagicQuery|E17PartitionScaling|E18DedupPath
+BENCH_SERIES := E8Inflationary|E10Distance|E15FrontierScaling|E16MagicQuery|E17PartitionScaling
 bench-compare:
 	rm -rf /tmp/bench-base && git worktree prune
 	git worktree add /tmp/bench-base $(BASE)

@@ -261,29 +261,6 @@ func BenchmarkE12Proposition1(b *testing.B) {
 	experimentsBench(b, "E12")
 }
 
-// BenchmarkE13JoinPlanner: the join-heavy workload suite (triangle
-// counting, same-generation, transitive closure) with the cost-based
-// join planner on vs the legacy syntactic literal order — the series
-// behind experiment E13's ablation table.
-func BenchmarkE13JoinPlanner(b *testing.B) {
-	for _, wl := range workload.JoinWorkloads(true) {
-		prog := parser.MustProgram(wl.Src)
-		db := wl.DB()
-		for _, mode := range []struct {
-			name string
-			on   bool
-		}{{"syntactic", false}, {"planner", true}} {
-			b.Run(wl.Name+"/"+mode.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					in := engine.MustNew(prog, db.Clone())
-					in.SetCostPlanner(mode.on)
-					semantics.Inflationary(in)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkThetaWorkers: parallel-evaluation ablation — the distance
 // program (6 rules, so the worker pool has work to distribute) under
 // inflationary semantics with a pinned worker count vs the GOMAXPROCS
@@ -301,8 +278,10 @@ func BenchmarkThetaWorkers(b *testing.B) {
 			// Construction is hoisted so the loop times evaluation only;
 			// Inflationary starts from a fresh state each call and never
 			// mutates the instance or database.
-			in := engine.MustNew(parser.MustProgram(distSrc), db.Clone())
-			in.SetWorkers(w)
+			in, err := engine.NewWith(parser.MustProgram(distSrc), db.Clone(), engine.Options{Workers: w})
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				semantics.Inflationary(in)
@@ -311,12 +290,10 @@ func BenchmarkThetaWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkE15FrontierScaling: the worker-scaling ablation behind
-// experiment E15 — the 2-rule transitive closure and the distance
-// program evaluated with the frontier pipeline + intra-rule sharding
-// versus the derive+Diff baseline (rule-level parallelism only), at
-// worker counts from 1 to GOMAXPROCS.  On a 2-rule program the baseline
-// cannot use more than 2 workers; the sharded column can.
+// BenchmarkE15FrontierScaling: the worker sweep behind experiment E15
+// — the 2-rule transitive closure and the distance program at worker
+// counts from 1 to GOMAXPROCS; intra-rule sharding lets the 2-rule
+// program use more workers than it has rules.
 func BenchmarkE15FrontierScaling(b *testing.B) {
 	cases := []struct {
 		name string
@@ -332,21 +309,18 @@ func BenchmarkE15FrontierScaling(b *testing.B) {
 		prog := parser.MustProgram(tc.src)
 		db := tc.db()
 		for _, nw := range experiments.E15Workers() {
-			for _, mode := range []struct {
-				name     string
-				frontier bool
-			}{{"baseline", false}, {"frontier", true}} {
-				b.Run(fmt.Sprintf("%s/workers=%d/%s", tc.name, nw, mode.name), func(b *testing.B) {
-					in := engine.MustNew(prog, db.Clone())
-					in.SetFrontier(mode.frontier)
-					in.SetSharding(mode.frontier)
-					in.SetWorkers(nw)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						semantics.Inflationary(in)
-					}
-				})
-			}
+			// The series keep the names they had beside the deleted
+			// baseline cell, so the recorded trajectory stays comparable.
+			b.Run(fmt.Sprintf("%s/workers=%d/frontier", tc.name, nw), func(b *testing.B) {
+				in, err := engine.NewWith(prog, db.Clone(), engine.Options{Workers: nw})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					semantics.Inflationary(in)
+				}
+			})
 		}
 	}
 }
@@ -373,48 +347,10 @@ func BenchmarkE17PartitionScaling(b *testing.B) {
 		db := tc.db()
 		for _, k := range experiments.E17Partitions() {
 			b.Run(fmt.Sprintf("%s/K=%d", tc.name, k), func(b *testing.B) {
-				in := engine.MustNew(prog, db.Clone())
-				in.SetPartitions(k)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					semantics.Inflationary(in)
+				in, err := engine.NewWith(prog, db.Clone(), engine.Options{Partitions: k})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
-	}
-}
-
-// BenchmarkE18DedupPath: the dedup-path ablation behind experiment E18
-// — the transitive closure and the distance program evaluated with and
-// without the frontier prefilter.  filter=off is the exact-probe-only
-// baseline; both cells are bit-exact (experiment E18 checks that), so
-// they measure the prefilter alone.
-func BenchmarkE18DedupPath(b *testing.B) {
-	cases := []struct {
-		name string
-		src  string
-		db   func() *relation.Database
-	}{
-		{"tc/G(48,0.06)", tcSrc,
-			func() *relation.Database { return graphs.Random(newRNG(48), 48, 0.06).Database() }},
-		{"distance/G(14,0.25)", distSrc,
-			func() *relation.Database { return graphs.Random(newRNG(14), 14, 0.25).Database() }},
-	}
-	for _, tc := range cases {
-		prog := parser.MustProgram(tc.src)
-		db := tc.db()
-		// The series keep the names they had beside the deleted table=off
-		// cell, so the recorded trajectory stays comparable.
-		for _, cell := range []struct {
-			name   string
-			filter bool
-		}{
-			{"table=on/filter=off", false},
-			{"table=on/filter=on", true},
-		} {
-			b.Run(fmt.Sprintf("%s/%s", tc.name, cell.name), func(b *testing.B) {
-				in := engine.MustNew(prog, db.Clone())
-				in.SetFrontierFilter(cell.filter)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					semantics.Inflationary(in)
@@ -475,7 +411,7 @@ func experimentsBench(b *testing.B, id string) {
 		b.Fatalf("unknown experiment %s", id)
 	}
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard, true); err != nil {
+		if err := e.Run(io.Discard, true, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,6 @@
 // Command bench regenerates the reproduction's experiment tables
-// E1–E18 (package internal/experiments): E1–E12 are one experiment per
-// theorem, lemma, worked example and proposition of the paper, E13–E18
+// (package internal/experiments): E1–E12 are one experiment per
+// theorem, lemma, worked example and proposition of the paper, E14–E17
 // measure the engine built around them.  Every
 // row is checked against the paper's claim; a MISMATCH in any table
 // (and a nonzero exit) means the reproduction diverges.
@@ -25,32 +25,47 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	var (
-		exp        = flag.String("exp", "", "run a single experiment (E1..E18)")
-		quick      = flag.Bool("quick", false, "shorten parameter sweeps")
-		list       = flag.Bool("list", false, "list experiments")
-		workers    = flag.Int("workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
-		planner    = flag.Bool("planner", true, "cost-based join planning (false = syntactic literal order)")
-		explain    = flag.Bool("explain", false, "print per-rule evaluation plans for the join-heavy workloads and exit")
-		frontier   = flag.Bool("frontier", true, "fused dedup-at-emit derivation (false = derive+Diff baseline)")
-		ffilter    = flag.Bool("frontier-filter", true, "Bloom-prefiltered frontier dedup probes (false = exact probes only)")
-		shard      = flag.Bool("shard", true, "intra-rule data-parallel sharding when rules < workers")
-		partitions = flag.Int("partitions", 1, "K-way hash-partitioned evaluation with delta exchange (1 = unpartitioned)")
-	)
-	flag.Parse()
-	engine.SetDefaultWorkers(*workers)
-	engine.SetDefaultCostPlanner(*planner)
-	engine.SetDefaultFrontier(*frontier)
-	engine.SetDefaultFrontierFilter(*ffilter)
-	engine.SetDefaultSharding(*shard)
-	engine.SetDefaultPartitions(*partitions)
+// options collects the bench flags.
+type options struct {
+	exp                 string
+	quick, list         bool
+	explain             bool
+	workers, partitions int
+}
 
-	if *explain {
+// newFlags defines the flag set over o.  Split from main so tests can
+// exercise the definitions.
+func newFlags(name string, o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	fs.StringVar(&o.exp, "exp", "", "run a single experiment (E1..E17)")
+	fs.BoolVar(&o.quick, "quick", false, "shorten parameter sweeps")
+	fs.BoolVar(&o.list, "list", false, "list experiments")
+	fs.IntVar(&o.workers, "workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
+	fs.BoolVar(&o.explain, "explain", false, "print per-rule evaluation plans for the join-heavy workloads and exit")
+	fs.IntVar(&o.partitions, "partitions", 1, "K-way hash-partitioned evaluation with delta exchange (1 = unpartitioned)")
+	return fs
+}
+
+// engineOptions is the engine configuration every experiment evaluates
+// with, except where it sweeps an option itself.
+func (o *options) engineOptions() engine.Options {
+	return engine.Options{Workers: o.workers, Partitions: o.partitions}
+}
+
+func main() {
+	var o options
+	newFlags("bench", &o).Parse(os.Args[1:])
+	opt := o.engineOptions()
+
+	if o.explain {
 		// Steady-state plans: evaluate first, then plan against the
 		// fixpoint's relation sizes (what most rounds see).
-		for _, wl := range workload.JoinWorkloads(*quick) {
-			in := engine.MustNew(parser.MustProgram(wl.Src), wl.DB())
+		for _, wl := range workload.JoinWorkloads(o.quick) {
+			in, err := engine.NewWith(parser.MustProgram(wl.Src), wl.DB(), opt)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "bench:", err)
+				os.Exit(1)
+			}
 			res := semantics.Inflationary(in)
 			fmt.Printf("=== %s (plans at fixpoint)\n", wl.Name)
 			in.Explain(os.Stdout, res.State)
@@ -58,25 +73,25 @@ func main() {
 		}
 		return
 	}
-	if *list {
+	if o.list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-4s %s  [%s]\n", e.ID, e.Title, e.Source)
 		}
 		return
 	}
-	if *exp != "" {
-		e, ok := experiments.Find(*exp)
+	if o.exp != "" {
+		e, ok := experiments.Find(o.exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "bench: unknown experiment %q (use -list)\n", *exp)
+			fmt.Fprintf(os.Stderr, "bench: unknown experiment %q (use -list)\n", o.exp)
 			os.Exit(2)
 		}
-		if err := experiments.RunOne(os.Stdout, e, *quick); err != nil {
+		if err := experiments.RunOne(os.Stdout, e, o.quick, opt); err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if err := experiments.RunAll(os.Stdout, *quick); err != nil {
+	if err := experiments.RunAll(os.Stdout, o.quick, opt); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}

@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -34,150 +35,164 @@ import (
 	"repro/internal/semantics"
 )
 
+// options collects the datalog flags.
+type options struct {
+	program, facts      string
+	semantics, mode     string
+	stats, explain      bool
+	query               string
+	magic               bool
+	workers, partitions int
+}
+
+// newFlags defines the flag set over o.  Split from main so tests can
+// exercise the definitions.
+func newFlags(name string, o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	fs.StringVar(&o.program, "program", "", "path to the DATALOG¬ program")
+	fs.StringVar(&o.facts, "facts", "", "path to the fact file")
+	fs.StringVar(&o.semantics, "semantics", "inflationary", "inflationary|lfp|stratified|wellfounded")
+	fs.StringVar(&o.mode, "mode", "seminaive", "seminaive|naive stage evaluation")
+	fs.BoolVar(&o.stats, "stats", false, "print evaluation statistics")
+	fs.IntVar(&o.workers, "workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
+	fs.BoolVar(&o.explain, "explain", false, "print per-rule evaluation plans at the computed fixpoint")
+	fs.StringVar(&o.query, "query", "", "answer one query atom, e.g. 's(a, ?)' ('?' marks free positions)")
+	fs.BoolVar(&o.magic, "magic", true, "with -query: demand-driven magic-set evaluation (false = full materialization + filter)")
+	fs.IntVar(&o.partitions, "partitions", 1, "K-way hash-partitioned evaluation with delta exchange (1 = unpartitioned)")
+	return fs
+}
+
+// engineOptions is the one engine configuration every call receives.
+func (o *options) engineOptions() engine.Options {
+	return engine.Options{Workers: o.workers, Partitions: o.partitions}
+}
+
 func main() {
-	var (
-		programPath = flag.String("program", "", "path to the DATALOG¬ program")
-		factsPath   = flag.String("facts", "", "path to the fact file")
-		semName     = flag.String("semantics", "inflationary", "inflationary|lfp|stratified|wellfounded")
-		modeName    = flag.String("mode", "seminaive", "seminaive|naive stage evaluation")
-		stats       = flag.Bool("stats", false, "print evaluation statistics")
-		workers     = flag.Int("workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
-		planner     = flag.Bool("planner", true, "cost-based join planning (false = syntactic literal order)")
-		frontier    = flag.Bool("frontier", true, "fused dedup-at-emit derivation (false = derive+Diff baseline)")
-		ffilter     = flag.Bool("frontier-filter", true, "Bloom-prefiltered frontier dedup probes (false = exact probes only)")
-		shard       = flag.Bool("shard", true, "intra-rule data-parallel sharding when rules < workers")
-		explain     = flag.Bool("explain", false, "print per-rule evaluation plans at the computed fixpoint")
-		query       = flag.String("query", "", "answer one query atom, e.g. 's(a, ?)' ('?' marks free positions)")
-		magicOn     = flag.Bool("magic", true, "with -query: demand-driven magic-set evaluation (false = full materialization + filter)")
-		partitions  = flag.Int("partitions", 1, "K-way hash-partitioned evaluation with delta exchange (1 = unpartitioned)")
-	)
-	flag.Parse()
-	engine.SetDefaultWorkers(*workers)
-	engine.SetDefaultCostPlanner(*planner)
-	engine.SetDefaultFrontier(*frontier)
-	engine.SetDefaultFrontierFilter(*ffilter)
-	engine.SetDefaultSharding(*shard)
-	engine.SetDefaultPartitions(*partitions)
-	if *programPath == "" || *factsPath == "" {
+	var o options
+	fs := newFlags("datalog", &o)
+	fs.Parse(os.Args[1:])
+	if o.program == "" || o.facts == "" {
 		fmt.Fprintln(os.Stderr, "usage: datalog -program FILE -facts FILE [-semantics NAME]")
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 		os.Exit(2)
 	}
+	if err := run(&o, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "datalog:", err)
+		os.Exit(1)
+	}
+}
 
-	prog, err := parser.ProgramFile(*programPath)
+// run evaluates (or queries) as o says, writing the answer to w.  Every
+// engine call receives o.engineOptions().
+func run(o *options, w io.Writer) error {
+	opt := o.engineOptions()
+	prog, err := parser.ProgramFile(o.program)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	db, err := parser.FactsFile(*factsPath)
+	db, err := parser.FactsFile(o.facts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	sem, err := core.ParseSemantics(*semName)
+	sem, err := core.ParseSemantics(o.semantics)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	mode := semantics.SemiNaive
-	switch *modeName {
+	switch o.mode {
 	case "seminaive":
 	case "naive":
 		mode = semantics.Naive
 	default:
-		fatal(fmt.Errorf("unknown mode %q", *modeName))
+		return fmt.Errorf("unknown mode %q", o.mode)
 	}
 
-	if *query != "" {
-		runQuery(prog, db, *query, sem, mode, *magicOn, *explain, *stats)
-		return
+	if o.query != "" {
+		return runQuery(w, prog, db, o.query, sem, mode, opt, o.magic, o.explain, o.stats)
 	}
 
-	res, err := core.Eval(prog, db, sem, mode)
+	res, err := core.EvalOpts(prog, db, sem, mode, opt)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if *explain {
+	if o.explain {
 		// Plans against the computed relations: the sizes (and hence
 		// join orders) most evaluation rounds saw.  The instance is
-		// built on a fresh clone, like core.Eval's own.
-		in, err := engine.New(prog, db.Clone())
+		// built on a fresh clone, like core.EvalOpts's own.
+		in, err := engine.NewWith(prog, db.Clone(), opt)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println("% evaluation plans at the computed fixpoint:")
-		in.Explain(os.Stdout, res.State)
+		fmt.Fprintln(w, "% evaluation plans at the computed fixpoint:")
+		in.Explain(w, res.State)
 	}
-	fmt.Printf("%% class: %v, semantics: %v\n", res.Class, res.Semantics)
+	fmt.Fprintf(w, "%% class: %v, semantics: %v\n", res.Class, res.Semantics)
 	for _, pred := range res.State.Preds() {
-		fmt.Printf("%s/%d = %s\n", pred, res.State[pred].Arity(), res.State[pred].Format(res.Universe))
+		fmt.Fprintf(w, "%s/%d = %s\n", pred, res.State[pred].Arity(), res.State[pred].Format(res.Universe))
 	}
 	if res.WF != nil && !res.WF.Total() {
-		fmt.Println("% undefined atoms (three-valued model):")
+		fmt.Fprintln(w, "% undefined atoms (three-valued model):")
 		und := res.WF.Undefined()
 		for _, pred := range und.Preds() {
 			if und[pred].Len() > 0 {
-				fmt.Printf("%% undef %s = %s\n", pred, und[pred].Format(res.Universe))
+				fmt.Fprintf(w, "%% undef %s = %s\n", pred, und[pred].Format(res.Universe))
 			}
 		}
 	}
-	if *stats {
-		fmt.Printf("%% rounds=%d tuples=%d maxDelta=%d\n",
+	if o.stats {
+		fmt.Fprintf(w, "%% rounds=%d tuples=%d maxDelta=%d\n",
 			res.Stats.Rounds, res.Stats.Tuples, res.Stats.MaxDeltaTuples)
 	}
+	return nil
 }
 
 // runQuery answers one query atom, demand-driven or via the full
 // materialization oracle.
-func runQuery(prog *ast.Program, db *relation.Database, src string, sem core.Semantics, mode semantics.Mode, magicOn, explain, stats bool) {
+func runQuery(w io.Writer, prog *ast.Program, db *relation.Database, src string, sem core.Semantics, mode semantics.Mode, opt engine.Options, magicOn, explain, stats bool) error {
 	q, err := magic.ParseQuery(src)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// Validate the query against the program up front, so the full
 	// oracle path rejects exactly what the magic path rejects.
 	arities, err := prog.Validate()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	ar, known := arities[q.Pred]
 	if !known {
-		fatal(fmt.Errorf("query predicate %s does not appear in the program", q.Pred))
+		return fmt.Errorf("query predicate %s does not appear in the program", q.Pred)
 	}
 	if len(q.Args) != ar {
-		fatal(fmt.Errorf("query %s has %d args, predicate has arity %d", q.Pred, len(q.Args), ar))
+		return fmt.Errorf("query %s has %d args, predicate has arity %d", q.Pred, len(q.Args), ar)
 	}
 	if _, ok := core.QueryStrategy(sem, prog.Classify()); !ok {
-		fatal(fmt.Errorf("point queries require lfp, stratified, or coinciding inflationary semantics (program is %v; try -semantics stratified)", prog.Classify()))
+		return fmt.Errorf("point queries require lfp, stratified, or coinciding inflationary semantics (program is %v; try -semantics stratified)", prog.Classify())
 	}
 
 	start := time.Now()
 	var res *semantics.QueryResult
 	if magicOn {
-		res, err = core.Query(prog, db, q, sem, mode)
-		if err != nil {
-			fatal(err)
-		}
+		res, err = core.QueryOpts(prog, db, q, sem, mode, opt)
 	} else {
-		res, err = core.QueryFull(prog, db, q, sem, mode)
-		if err != nil {
-			fatal(err)
-		}
+		res, err = core.QueryFullOpts(prog, db, q, sem, mode, opt)
+	}
+	if err != nil {
+		return err
 	}
 	dur := time.Since(start)
 
 	if explain && res.Report != nil {
-		fmt.Print("% rewrite report:\n")
+		fmt.Fprint(w, "% rewrite report:\n")
 		for _, line := range strings.Split(strings.TrimRight(res.Report.Format(), "\n"), "\n") {
-			fmt.Printf("%%   %s\n", line)
+			fmt.Fprintf(w, "%%   %s\n", line)
 		}
 	}
-	fmt.Printf("%% query %s (%s)\n", q, map[bool]string{true: "magic", false: "full"}[magicOn])
-	fmt.Printf("%s = %s\n", q.Pred, res.Tuples.Format(res.Universe))
+	fmt.Fprintf(w, "%% query %s (%s)\n", q, map[bool]string{true: "magic", false: "full"}[magicOn])
+	fmt.Fprintf(w, "%s = %s\n", q.Pred, res.Tuples.Format(res.Universe))
 	if stats {
-		fmt.Printf("%% matched=%d derived=%d rounds=%d in %v\n",
+		fmt.Fprintf(w, "%% matched=%d derived=%d rounds=%d in %v\n",
 			res.Tuples.Len(), res.Stats.Tuples, res.Stats.Rounds, dur.Round(time.Microsecond))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "datalog:", err)
-	os.Exit(1)
+	return nil
 }

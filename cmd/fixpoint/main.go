@@ -20,43 +20,53 @@ import (
 	"repro/internal/parser"
 )
 
+// options collects the fixpoint flags.
+type options struct {
+	program, facts      string
+	count, enumerate    int
+	least, stable       bool
+	workers, partitions int
+}
+
+// newFlags defines the flag set over o.  Split from main so tests can
+// exercise the definitions.
+func newFlags(name string, o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	fs.StringVar(&o.program, "program", "", "path to the DATALOG¬ program")
+	fs.StringVar(&o.facts, "facts", "", "path to the fact file")
+	fs.IntVar(&o.count, "count", 0, "cap on fixpoint counting (0 = exact)")
+	fs.BoolVar(&o.least, "least", false, "run the Theorem 3 least-fixpoint analysis")
+	fs.IntVar(&o.enumerate, "enumerate", 0, "print up to N fixpoints")
+	fs.BoolVar(&o.stable, "stable", false, "also enumerate stable models (answer sets)")
+	fs.IntVar(&o.workers, "workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.partitions, "partitions", 1, "K-way hash-partitioned evaluation with delta exchange (1 = unpartitioned)")
+	return fs
+}
+
+// engineOptions is the engine configuration of the analysed instance.
+func (o *options) engineOptions() engine.Options {
+	return engine.Options{Workers: o.workers, Partitions: o.partitions}
+}
+
 func main() {
-	var (
-		programPath = flag.String("program", "", "path to the DATALOG¬ program")
-		factsPath   = flag.String("facts", "", "path to the fact file")
-		countLimit  = flag.Int("count", 0, "cap on fixpoint counting (0 = exact)")
-		withLeast   = flag.Bool("least", false, "run the Theorem 3 least-fixpoint analysis")
-		enumerate   = flag.Int("enumerate", 0, "print up to N fixpoints")
-		stable      = flag.Bool("stable", false, "also enumerate stable models (answer sets)")
-		workers     = flag.Int("workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
-		planner     = flag.Bool("planner", true, "cost-based join planning (false = syntactic literal order)")
-		frontier    = flag.Bool("frontier", true, "fused dedup-at-emit derivation (false = derive+Diff baseline)")
-		ffilter     = flag.Bool("frontier-filter", true, "Bloom-prefiltered frontier dedup probes (false = exact probes only)")
-		shard       = flag.Bool("shard", true, "intra-rule data-parallel sharding when rules < workers")
-		partitions  = flag.Int("partitions", 1, "K-way hash-partitioned evaluation with delta exchange (1 = unpartitioned)")
-	)
-	flag.Parse()
-	engine.SetDefaultWorkers(*workers)
-	engine.SetDefaultCostPlanner(*planner)
-	engine.SetDefaultFrontier(*frontier)
-	engine.SetDefaultFrontierFilter(*ffilter)
-	engine.SetDefaultSharding(*shard)
-	engine.SetDefaultPartitions(*partitions)
-	if *programPath == "" || *factsPath == "" {
+	var o options
+	fs := newFlags("fixpoint", &o)
+	fs.Parse(os.Args[1:])
+	if o.program == "" || o.facts == "" {
 		fmt.Fprintln(os.Stderr, "usage: fixpoint -program FILE -facts FILE [-count N] [-least] [-enumerate N]")
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 		os.Exit(2)
 	}
 
-	prog, err := parser.ProgramFile(*programPath)
+	prog, err := parser.ProgramFile(o.program)
 	if err != nil {
 		fatal(err)
 	}
-	db, err := parser.FactsFile(*factsPath)
+	db, err := parser.FactsFile(o.facts)
 	if err != nil {
 		fatal(err)
 	}
-	in, err := engine.New(prog, db)
+	in, err := engine.NewWith(prog, db, o.engineOptions())
 	if err != nil {
 		fatal(err)
 	}
@@ -68,7 +78,7 @@ func main() {
 	}
 	fmt.Printf("class:    %v\n", prog.Classify())
 	fmt.Printf("exists:   %v\n", has)
-	count, exact, err := fixpoint.Count(in, opt, *countLimit)
+	count, exact, err := fixpoint.Count(in, opt, o.count)
 	if err != nil {
 		fatal(err)
 	}
@@ -79,7 +89,7 @@ func main() {
 	fmt.Printf("count:    %d%s\n", count, suffix)
 	fmt.Printf("unique:   %v\n", exact && count == 1)
 
-	if *withLeast {
+	if o.least {
 		res, err := fixpoint.Least(in, opt)
 		if err != nil {
 			fatal(err)
@@ -93,7 +103,7 @@ func main() {
 		}
 	}
 
-	if *stable {
+	if o.stable {
 		n, complete, err := fixpoint.StableModels(in, opt, 0, nil)
 		if err != nil {
 			fatal(err)
@@ -105,10 +115,10 @@ func main() {
 		fmt.Printf("stable:   %d%s\n", n, suffix)
 	}
 
-	if has && *enumerate > 0 {
-		fmt.Printf("first %d fixpoint(s):\n", *enumerate)
+	if has && o.enumerate > 0 {
+		fmt.Printf("first %d fixpoint(s):\n", o.enumerate)
 		i := 0
-		_, _, err := fixpoint.Enumerate(in, opt, *enumerate, func(s engine.State) bool {
+		_, _, err := fixpoint.Enumerate(in, opt, o.enumerate, func(s engine.State) bool {
 			i++
 			fmt.Printf("--- fixpoint %d ---\n%s", i, indent(s.Format(in.Universe())))
 			return true

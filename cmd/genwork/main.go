@@ -10,7 +10,8 @@
 //	genwork -kind program -name pi1|pisat|picol    # the paper's fixed programs
 //
 // Output goes to stdout; redirect to files for use with cmd/datalog
-// and cmd/fixpoint.
+// and cmd/fixpoint.  Nothing here evaluates a program, so genwork takes
+// no engine options.
 package main
 
 import (
@@ -19,7 +20,6 @@ import (
 	"math/rand"
 	"os"
 
-	"repro/internal/engine"
 	"repro/internal/graphs"
 	"repro/internal/parser"
 	"repro/internal/reductions"
@@ -36,21 +36,8 @@ func main() {
 		ratio = flag.Float64("ratio", 4.26, "clause ratio for -kind 3sat")
 		seed  = flag.Int64("seed", 1, "random seed")
 		name  = flag.String("name", "pi1", "program name for -kind program: pi1|pisat|picol|tc|distance")
-		// Flag parity with cmd/datalog and cmd/bench: workload
-		// generation that evaluates programs (e.g. SAT instance
-		// validation) runs on the same engine knobs.
-		workers  = flag.Int("workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
-		planner  = flag.Bool("planner", true, "cost-based join planning (false = syntactic literal order)")
-		frontier = flag.Bool("frontier", true, "fused dedup-at-emit derivation (false = derive+Diff baseline)")
-		ffilter  = flag.Bool("frontier-filter", true, "Bloom-prefiltered frontier dedup probes (false = exact probes only)")
-		shard    = flag.Bool("shard", true, "intra-rule data-parallel sharding when rules < workers")
 	)
 	flag.Parse()
-	engine.SetDefaultWorkers(*workers)
-	engine.SetDefaultCostPlanner(*planner)
-	engine.SetDefaultFrontier(*frontier)
-	engine.SetDefaultFrontierFilter(*ffilter)
-	engine.SetDefaultSharding(*shard)
 
 	switch *kind {
 	case "3sat", "ksat", "unique", "pigeonhole":

@@ -63,21 +63,17 @@ import (
 	"repro/internal/server"
 )
 
-// options collects every serve flag.  Each engine knob the evaluator
-// exposes has a flag here; the values travel to the server through
-// server.Config / engine.Options, never through process globals.
+// options collects every serve flag.  The engine's two sizing options
+// have a flag each; they travel to the server through server.Config /
+// engine.Options.
 type options struct {
 	program   string
 	facts     string
 	semantics string
 	addr      string
 
-	workers        int
-	planner        bool
-	frontier       bool
-	frontierFilter bool
-	shard          bool
-	partitions     int
+	workers    int
+	partitions int
 
 	magic        bool
 	queueDepth   int
@@ -104,10 +100,6 @@ func newFlags(name string, opts *options) *flag.FlagSet {
 	fs.StringVar(&opts.semantics, "semantics", "inflationary", "inflationary|lfp|stratified|wellfounded")
 	fs.StringVar(&opts.addr, "addr", ":8090", "listen address")
 	fs.IntVar(&opts.workers, "workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
-	fs.BoolVar(&opts.planner, "planner", true, "cost-based join planning (false = syntactic literal order)")
-	fs.BoolVar(&opts.frontier, "frontier", true, "fused dedup-at-emit derivation (false = derive+Diff baseline)")
-	fs.BoolVar(&opts.frontierFilter, "frontier-filter", true, "Bloom-prefiltered frontier dedup probes (false = exact probes only)")
-	fs.BoolVar(&opts.shard, "shard", true, "intra-rule data-parallel sharding when rules < workers")
 	fs.IntVar(&opts.partitions, "partitions", 1, "K-way hash-partitioned evaluation with delta exchange (1 = unpartitioned)")
 	fs.BoolVar(&opts.magic, "magic", false, "answer /v1/query IDB queries demand-driven (magic-set rewriting) by default")
 	fs.IntVar(&opts.queueDepth, "queue-depth", 256, "bound on queued updates; a full queue answers 429")
@@ -179,14 +171,7 @@ func (o *options) serverConfig() (server.Config, error) {
 		return server.Config{}, err
 	}
 	return server.Config{
-		Engine: engine.Options{
-			Workers:        o.workers,
-			Planner:        engine.ToggleOf(o.planner),
-			Frontier:       engine.ToggleOf(o.frontier),
-			FrontierFilter: engine.ToggleOf(o.frontierFilter),
-			Sharding:       engine.ToggleOf(o.shard),
-			Partitions:     o.partitions,
-		},
+		Engine:            engine.Options{Workers: o.workers, Partitions: o.partitions},
 		MagicDefault:      o.magic,
 		QueueDepth:        o.queueDepth,
 		CommitWindow:      o.commitWindow,
@@ -285,8 +270,8 @@ func run(args []string) error {
 	}
 	log.Printf("serve: %s semantics, %d relations, %d tuples, initial evaluation in %v",
 		sem, len(snap.Rels), total, time.Since(start).Round(time.Millisecond))
-	log.Printf("serve: workers=%d planner=%t frontier=%t frontier-filter=%t shard=%t partitions=%d magic=%t queue-depth=%d commit-window=%v max-batch=%d",
-		opts.workers, opts.planner, opts.frontier, opts.frontierFilter, opts.shard, opts.partitions, opts.magic,
+	log.Printf("serve: workers=%d partitions=%d magic=%t queue-depth=%d commit-window=%v max-batch=%d",
+		opts.workers, opts.partitions, opts.magic,
 		opts.queueDepth, opts.commitWindow, opts.maxBatch)
 	if opts.dataDir != "" {
 		log.Printf("serve: durable in %s (fsync=%s, checkpoint-every=%s)",

@@ -14,7 +14,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
-// TestHelpGolden pins the -help output: every engine and queue knob
+// TestHelpGolden pins the -help output: every engine and queue option
 // must stay documented, with its default visible.
 func TestHelpGolden(t *testing.T) {
 	var opts options
@@ -47,7 +47,7 @@ func TestServerConfig(t *testing.T) {
 	var opts options
 	fs := newFlags("serve", &opts)
 	err := fs.Parse([]string{
-		"-workers", "3", "-planner=false", "-frontier=false", "-shard=false",
+		"-workers", "3", "-partitions", "4",
 		"-magic", "-queue-depth", "7", "-commit-window", "2ms", "-max-batch", "9",
 		"-max-body", "2048", "-data-dir", "/tmp/x", "-checkpoint-every", "64mb",
 		"-fsync", "interval", "-fsync-interval", "250ms",
@@ -59,15 +59,8 @@ func TestServerConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Engine.Workers != 3 {
-		t.Errorf("Workers = %d, want 3", cfg.Engine.Workers)
-	}
-	for name, tog := range map[string]engine.Toggle{
-		"Planner": cfg.Engine.Planner, "Frontier": cfg.Engine.Frontier, "Sharding": cfg.Engine.Sharding,
-	} {
-		if tog != engine.Off {
-			t.Errorf("%s = %v, want Off", name, tog)
-		}
+	if cfg.Engine != (engine.Options{Workers: 3, Partitions: 4}) {
+		t.Errorf("Engine = %+v, want Workers 3, Partitions 4", cfg.Engine)
 	}
 	if !cfg.MagicDefault || cfg.QueueDepth != 7 || cfg.CommitWindow != 2*time.Millisecond || cfg.MaxBatch != 9 {
 		t.Errorf("queue config = %+v", cfg)
@@ -78,16 +71,17 @@ func TestServerConfig(t *testing.T) {
 		t.Errorf("durable config = %+v", cfg)
 	}
 
-	// And the zero-flag path yields On toggles (flag defaults true) and
-	// the default durability knobs: always-fsync, 256-batch checkpoints.
+	// And the zero-flag path yields GOMAXPROCS workers, unpartitioned,
+	// and the default durability settings: always-fsync, 256-batch
+	// checkpoints.
 	var dft options
 	newFlags("serve", &dft).Parse(nil)
 	c, err := dft.serverConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Engine.Planner != engine.On || c.Engine.Frontier != engine.On || c.Engine.Sharding != engine.On {
-		t.Errorf("default toggles = %+v, want all On", c.Engine)
+	if c.Engine != (engine.Options{Workers: 0, Partitions: 1}) {
+		t.Errorf("default engine options = %+v", c.Engine)
 	}
 	if c.Fsync != durable.FsyncAlways || c.CheckpointBatches != 256 || c.CheckpointBytes != 0 {
 		t.Errorf("default durable config = %+v", c)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -78,7 +77,7 @@ func (in *Instance) Apply(s State) State { return in.ApplySplit(s, s) }
 // fixpoint.
 //
 // Rule plans are evaluated concurrently across a worker pool (see
-// SetWorkers); each worker derives into a private state and the
+// Options.Workers); each worker derives into a private state and the
 // per-worker states are merged by set union at the end, so the result
 // is identical to sequential evaluation.
 func (in *Instance) ApplySplit(pos, neg State) State {
@@ -114,10 +113,7 @@ func (in *Instance) ApplyDelta(old, delta, cur State) State {
 // relation, literals before the driver read the old relation, literals
 // after it fall through to cur.
 func (in *Instance) ApplyDeltaSplit(old, delta, cur, neg State) State {
-	deltas := make(map[string]Delta, len(delta))
-	for pred, d := range delta {
-		deltas[pred] = Delta{PosDriver: d, Before: Overlay{Base: old[pred]}}
-	}
+	deltas, _ := insertDeltas(old, delta)
 	return in.runTasks(in.deltaTasks(deltas), cur, neg, runOpts{shard: true})
 }
 
@@ -147,6 +143,8 @@ type runOpts struct {
 	// filters, when non-nil, front the frontier probe per predicate with
 	// a Bloom summary of the accumulated state (see evalCtx.filter).
 	filters map[string]*relation.Filter
+	// count switches the pass to counting mode (see runTasksCount).
+	count bool
 }
 
 // workerOut is one worker's private derivation output, sized for the
@@ -168,6 +166,9 @@ type workerOut struct {
 	filters map[string]*relation.Filter
 	fprobes int64
 	fskips  int64
+	// cnt, in a counting pass, replaces out: per head predicate, every
+	// emitted tuple with its number of derivations.
+	cnt map[string]*relation.Multiset
 }
 
 // partitionThreshold is the expected per-predicate cardinality above
@@ -196,6 +197,9 @@ var scratchPool sync.Pool
 // optimization; otherwise, with nw > 1, a predicate expected to reach
 // partitionThreshold derives into nw merge buckets.
 func (in *Instance) newWorkerOut(opts runOpts, nw int) *workerOut {
+	if opts.count {
+		return &workerOut{cnt: make(map[string]*relation.Multiset)}
+	}
 	wo := &workerOut{out: in.NewState(), against: opts.frontier, filters: opts.filters}
 	for pred, r := range wo.out {
 		n, nb := opts.hints[pred], opts.nparts
@@ -240,8 +244,28 @@ func (in *Instance) runTasks(tasks []evalTask, pos, neg State, opts runOpts) Sta
 // telemetry alongside the derived state (zero when opts.filters is
 // nil — the exact-probe-only path never consults a filter).
 func (in *Instance) runTasksStats(tasks []evalTask, pos, neg State, opts runOpts) (State, FilterStats) {
-	nw := in.Workers()
-	if opts.shard && nw > len(tasks) && len(tasks) > 0 && in.Sharding() {
+	wos := in.runPool(tasks, pos, neg, opts)
+	var st FilterStats
+	for _, wo := range wos {
+		st.Probes += wo.fprobes
+		st.Skips += wo.fskips
+	}
+	return in.mergeWorkerOuts(wos), st
+}
+
+// runPool evaluates every task against (pos, neg) on a pool of
+// opts.workers (else Workers()) goroutines, each deriving into a private
+// output, and returns the per-worker outputs.  With fewer tasks than
+// workers and opts.shard set, tasks are first split into arena-range
+// shards of their driver relation (see expandShards), so even a
+// two-rule program keeps every core busy.  One worker, or one task,
+// runs inline.
+func (in *Instance) runPool(tasks []evalTask, pos, neg State, opts runOpts) []*workerOut {
+	nw := opts.workers
+	if nw <= 0 {
+		nw = in.Workers()
+	}
+	if opts.shard && nw > len(tasks) && len(tasks) > 0 {
 		tasks = in.expandShards(tasks, pos, nw)
 	}
 	if nw > len(tasks) {
@@ -250,9 +274,9 @@ func (in *Instance) runTasksStats(tasks []evalTask, pos, neg State, opts runOpts
 	if nw <= 1 {
 		wo := in.newWorkerOut(opts, 1)
 		for _, t := range tasks {
-			in.evalRule(t, pos, neg, wo, nil)
+			in.evalRule(t, pos, neg, wo)
 		}
-		return wo.out, FilterStats{Probes: wo.fprobes, Skips: wo.fskips}
+		return []*workerOut{wo}
 	}
 
 	wos := make([]*workerOut, nw)
@@ -268,18 +292,13 @@ func (in *Instance) runTasksStats(tasks []evalTask, pos, neg State, opts runOpts
 				if i >= len(tasks) {
 					break
 				}
-				in.evalRule(tasks[i], pos, neg, wo, nil)
+				in.evalRule(tasks[i], pos, neg, wo)
 			}
 			wos[w] = wo
 		}(w)
 	}
 	wg.Wait()
-	var st FilterStats
-	for _, wo := range wos {
-		st.Probes += wo.fprobes
-		st.Skips += wo.fskips
-	}
-	return in.mergeWorkerOuts(wos, nw), st
+	return wos
 }
 
 // mergeWorkerOuts combines per-worker outputs: plain predicates by set
@@ -289,7 +308,7 @@ func (in *Instance) runTasksStats(tasks []evalTask, pos, neg State, opts runOpts
 // different buckets can never collide).  Every other worker relation is
 // dropped as soon as its ids are copied, so it is garbage for the rest
 // of the merge.
-func (in *Instance) mergeWorkerOuts(wos []*workerOut, nbuckets int) State {
+func (in *Instance) mergeWorkerOuts(wos []*workerOut) State {
 	out := wos[0].out
 	for _, wo := range wos[1:] {
 		out.UnionWith(wo.out)
@@ -297,8 +316,8 @@ func (in *Instance) mergeWorkerOuts(wos []*workerOut, nbuckets int) State {
 	}
 	for pred, merged := range wos[0].parts {
 		var wg sync.WaitGroup
-		wg.Add(nbuckets)
-		for b := 0; b < nbuckets; b++ {
+		wg.Add(len(merged))
+		for b := range merged {
 			go func(b int) {
 				defer wg.Done()
 				for _, wo := range wos[1:] {
@@ -324,41 +343,10 @@ func (in *Instance) mergeWorkerOuts(wos []*workerOut, nbuckets int) State {
 // each.  Workers fill private multisets merged by summation, so counts
 // are exact regardless of scheduling.
 func (in *Instance) runTasksCount(tasks []evalTask, pos, neg State) map[string]*relation.Multiset {
-	nw := in.Workers()
-	if nw > len(tasks) {
-		nw = len(tasks)
-	}
-	if nw <= 1 {
-		cnt := make(map[string]*relation.Multiset)
-		for _, t := range tasks {
-			in.evalRule(t, pos, neg, &workerOut{}, cnt)
-		}
-		return cnt
-	}
-
-	cnts := make([]map[string]*relation.Multiset, nw)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for w := 0; w < nw; w++ {
-		go func(w int) {
-			defer wg.Done()
-			cnt := make(map[string]*relation.Multiset)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					break
-				}
-				in.evalRule(tasks[i], pos, neg, &workerOut{}, cnt)
-			}
-			cnts[w] = cnt
-		}(w)
-	}
-	wg.Wait()
-
-	cnt := cnts[0]
-	for _, c := range cnts[1:] {
-		for pred, ms := range c {
+	wos := in.runPool(tasks, pos, neg, runOpts{count: true})
+	cnt := wos[0].cnt
+	for _, wo := range wos[1:] {
+		for pred, ms := range wo.cnt {
 			if have := cnt[pred]; have != nil {
 				have.MergeFrom(ms)
 			} else {
@@ -367,48 +355,6 @@ func (in *Instance) runTasksCount(tasks []evalTask, pos, neg State) map[string]*
 		}
 	}
 	return cnt
-}
-
-// defaultWorkers is the process-wide worker-pool default applied to
-// instances that never called SetWorkers; 0 means GOMAXPROCS.  It lets
-// drivers like cmd/bench pin the parallelism of instances they do not
-// construct themselves.
-var defaultWorkers atomic.Int32
-
-// SetDefaultWorkers sets the process-wide default worker-pool size for
-// instances without an explicit SetWorkers; n ≤ 0 restores GOMAXPROCS.
-//
-// Deprecated: process-wide defaults compose badly across concurrent
-// callers.  Prefer the per-call Options API (Options.Workers, threaded
-// through core.EvalOpts / incr.NewWith / server.Config / repro.Options);
-// this setter remains as the fallback the zero Options resolve to.
-func SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int32(n))
-}
-
-// Workers returns the effective worker-pool size: the value set with
-// SetWorkers, else the process default, else runtime.GOMAXPROCS(0).
-func (in *Instance) Workers() int {
-	if in.nworkers > 0 {
-		return in.nworkers
-	}
-	if d := defaultWorkers.Load(); d > 0 {
-		return int(d)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetWorkers fixes the worker-pool size used by ApplySplit and
-// ApplyDeltaSplit; n ≤ 0 restores the default (GOMAXPROCS).  Parallel
-// and sequential evaluation produce identical states.
-func (in *Instance) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	in.nworkers = n
 }
 
 // IsFixpoint reports whether Θ(S̄) = S̄, i.e. whether s is a fixpoint of
@@ -472,10 +418,10 @@ func (in *Instance) putScratch(sc *evalScratch) {
 // evalRule evaluates one task's rule plan.  posState resolves positive
 // IDB literals, negState negated ones; the task's override maps replace
 // the relation of specific literal indices (the semi-naive and delta
-// variants).  With cnt non-nil the rule runs in counting mode: every
-// derivation bumps the head tuple's count in cnt[headPred] instead of
-// inserting into the worker output.
-func (in *Instance) evalRule(task evalTask, posState, negState State, wo *workerOut, cnt map[string]*relation.Multiset) {
+// variants).  In a counting pass (wo.cnt non-nil) every derivation
+// bumps the head tuple's count in wo.cnt[headPred] instead of inserting
+// into the worker output.
+func (in *Instance) evalRule(task evalTask, posState, negState State, wo *workerOut) {
 	rp := task.rp
 	maxNeg := 0
 	for _, np := range rp.negatives {
@@ -496,11 +442,11 @@ func (in *Instance) evalRule(task evalTask, posState, negState State, wo *worker
 	if wo.filters != nil {
 		ctx.filter = wo.filters[rp.headPred]
 	}
-	if cnt != nil {
-		ms := cnt[rp.headPred]
+	if wo.cnt != nil {
+		ms := wo.cnt[rp.headPred]
 		if ms == nil {
 			ms = relation.NewMultiset(len(rp.headSlots))
-			cnt[rp.headPred] = ms
+			wo.cnt[rp.headPred] = ms
 		}
 		ctx.cnt = ms
 	}
@@ -531,7 +477,7 @@ func (in *Instance) evalRule(task evalTask, posState, negState State, wo *worker
 	if task.shardHi > 0 {
 		shardLit = task.shardLit
 	}
-	ep := buildExec(rp, ctx.pos, in.CostPlanner(), shardLit, task.shardLo, task.shardHi)
+	ep := buildExec(rp, ctx.pos, shardLit, task.shardLo, task.shardHi)
 	in.run(rp, ctx, ep, 0, sc.binding)
 	wo.fprobes += ctx.fprobes
 	wo.fskips += ctx.fskips
@@ -585,7 +531,7 @@ func (in *Instance) run(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bindin
 			}
 		case ctx.filter != nil:
 			// Unpartitioned frontier pass fronted by the accumulated-state
-			// Bloom summary (Options.FrontierFilter): same protocol as the
+			// Bloom summary (see frontier.go): same protocol as the
 			// exchange path, minus the owner routing.
 			h := relation.TupleHash(t)
 			ctx.fprobes++

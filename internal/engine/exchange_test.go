@@ -30,10 +30,10 @@ func concatBuckets(t *testing.T, in *Instance, parts []State) State {
 }
 
 // TestPropPartsMatchUnpartitioned: over randomized programs, worker
-// counts, frontier settings, and filter settings, the owner buckets of
-// ApplyDeltaSplitFrontierParts concatenate to exactly what the
-// unpartitioned ApplyDeltaSplitFrontier returns on the same inputs —
-// the engine-level half of the partitioned bit-exactness contract.
+// counts, and filtered and unfiltered passes, the owner buckets of
+// ApplyDeltaSplitFrontierParts concatenate to exactly the unpartitioned
+// round ApplyDeltaSplit minus the accumulated state — the engine-level
+// half of the partitioned bit-exactness contract.
 func TestPropPartsMatchUnpartitioned(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -49,24 +49,20 @@ func TestPropPartsMatchUnpartitioned(t *testing.T) {
 			}
 		}
 
-		oracle := MustNew(prog, db.Clone())
-		oracle.SetFrontier(true)
-		oracle.SetWorkers(1)
-		s0 := oracle.NewState()
-		s1 := oracle.Apply(s0)
+		ref := mustWith(prog, db.Clone(), Options{Workers: 1})
+		s0 := ref.NewState()
+		s1 := ref.Apply(s0)
 		s2 := s1.Clone()
-		s2.UnionWith(oracle.Apply(s1))
+		s2.UnionWith(ref.Apply(s1))
 		delta := s2.Diff(s1)
-		want := oracle.ApplyDeltaSplitFrontier(s1, delta, s2, s2)
+		want := ref.ApplyDeltaSplit(s1, delta, s2, s2).Diff(s2)
 
 		for _, k := range []int{1, 3, 5} {
 			for _, nw := range workerSweep() {
-				for _, frontier := range []bool{true, false} {
-					in := MustNew(prog, db.Clone())
-					in.SetFrontier(frontier)
-					in.SetWorkers(nw)
+				for _, filtered := range []bool{false, true} {
+					in := mustWith(prog, db.Clone(), Options{Workers: nw})
 					po := PartsOpts{NParts: k, Workers: nw}
-					if frontier && rng.Intn(2) == 0 {
+					if filtered {
 						po.Filters = make(map[string]*relation.Filter, len(s2))
 						for pred, r := range s2 {
 							po.Filters[pred] = relation.FilterOf(r, r.Len()+64)
@@ -77,13 +73,13 @@ func TestPropPartsMatchUnpartitioned(t *testing.T) {
 						t.Fatalf("seed %d: got %d buckets, want %d", seed, len(parts), k)
 					}
 					if got := concatBuckets(t, in, parts); !got.Equal(want) {
-						t.Fatalf("seed %d K=%d workers %d frontier %v: buckets differ from unpartitioned round\nprogram:\n%s",
-							seed, k, nw, frontier, src)
+						t.Fatalf("seed %d K=%d workers %d filtered %v: buckets differ from unpartitioned round\nprogram:\n%s",
+							seed, k, nw, filtered, src)
 					}
-					if po.Filters != nil && st.Skips > st.Probes {
+					if filtered && st.Skips > st.Probes {
 						t.Fatalf("seed %d: filter skips %d exceed probes %d", seed, st.Skips, st.Probes)
 					}
-					if po.Filters == nil && st.Probes != 0 {
+					if !filtered && st.Probes != 0 {
 						t.Fatalf("seed %d: unfiltered pass reported %d probes", seed, st.Probes)
 					}
 				}
@@ -93,14 +89,15 @@ func TestPropPartsMatchUnpartitioned(t *testing.T) {
 }
 
 // TestApplyDeltasFrontierParts checks the maintenance-round entry point
-// against its unpartitioned counterpart on a semi-naive TC step.
+// against the unpartitioned, unfiltered ApplyDeltas minus the
+// accumulated state on a semi-naive TC step.
 func TestApplyDeltasFrontierParts(t *testing.T) {
 	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).")
 	db := randomEdgeDB(rand.New(rand.NewSource(7)), 6, 0.4)
 	in := MustNew(prog, db)
 	cur := in.Apply(in.NewState())
 	deltas := map[string]Delta{"s": {PosDriver: cur["s"]}}
-	want := in.ApplyDeltasFrontier(cur, cur, deltas, cur)
+	want := in.ApplyDeltas(cur, cur, deltas).Diff(cur)
 	for _, k := range []int{1, 4} {
 		parts, _ := in.ApplyDeltasFrontierParts(cur, cur, deltas, cur, PartsOpts{NParts: k})
 		if got := concatBuckets(t, in, parts); !got.Equal(want) {
@@ -109,47 +106,14 @@ func TestApplyDeltasFrontierParts(t *testing.T) {
 	}
 }
 
-// TestPartitionKnobs pins the resolution order of the partition-count
-// and exchange-filter knobs: per-instance value, then process default,
-// then the built-in (K=1, filter on).
+// TestPartitionKnobs pins how Options.Partitions resolves: values
+// below 2 mean one unpartitioned instance.
 func TestPartitionKnobs(t *testing.T) {
 	prog := parser.MustProgram("p(X) :- E(X,X).")
-	in := MustNew(prog, randomEdgeDB(rand.New(rand.NewSource(1)), 3, 0.5))
-	if k := in.Partitions(); k != 1 {
-		t.Fatalf("built-in partition default: got %d, want 1", k)
-	}
-	SetDefaultPartitions(3)
-	defer SetDefaultPartitions(1)
-	if k := in.Partitions(); k != 3 {
-		t.Fatalf("process default: got %d, want 3", k)
-	}
-	in.SetPartitions(5)
-	if k := in.Partitions(); k != 5 {
-		t.Fatalf("per-instance value: got %d, want 5", k)
-	}
-	in.SetPartitions(-2) // negative restores the default chain
-	if k := in.Partitions(); k != 3 {
-		t.Fatalf("reset to default chain: got %d, want 3", k)
-	}
-	SetDefaultPartitions(0) // clamps to 1
-	if k := in.Partitions(); k != 1 {
-		t.Fatalf("cleared default: got %d, want 1", k)
-	}
-
-	if !in.ExchangeFilter() {
-		t.Fatal("exchange filter must default on")
-	}
-	SetDefaultExchangeFilter(false)
-	defer SetDefaultExchangeFilter(true)
-	if in.ExchangeFilter() {
-		t.Fatal("process default off must win over the built-in")
-	}
-	in.SetExchangeFilter(true)
-	if !in.ExchangeFilter() {
-		t.Fatal("per-instance on must win over the process default")
-	}
-	in.SetExchangeFilter(false)
-	if in.ExchangeFilter() {
-		t.Fatal("per-instance off must stick")
+	for _, c := range []struct{ set, want int }{{0, 1}, {1, 1}, {-2, 1}, {5, 5}} {
+		in := mustWith(prog, pathDB(3), Options{Partitions: c.set})
+		if k := in.Partitions(); k != c.want {
+			t.Errorf("Options{Partitions: %d}: Partitions() = %d, want %d", c.set, k, c.want)
+		}
 	}
 }

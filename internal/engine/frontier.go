@@ -1,29 +1,25 @@
 // frontier.go — dedup-at-emit derivation and intra-rule sharding.
 //
-// Every semantics the paper discusses reduces to repeated application
-// of Θ, and each repeated round used to triple-handle every tuple:
-// derive into a fresh state, Diff against the accumulated state, then
-// UnionWith back into it — three hash passes, two of them over tuples
-// that are almost always duplicates of what the state already holds.
+// Every fixpoint loop unions each round's derivations into an
+// accumulated state, and almost every derivation of a late round is a
+// duplicate of what that state already holds.  The *Frontier entry
+// points therefore filter every emission against the accumulated state
+// at emit time (a read-only membership probe inside the compiled
+// bind/check loop, see Relation.AddNotIn) and insert genuinely-new
+// tuples straight into the per-predicate delta: the returned state IS
+// the next delta, disjoint from the accumulated one, and callers union
+// it back with UnionDisjoint.  Once an accumulated relation passes
+// frontierFilterMin tuples, a Bloom summary of it fronts the exact
+// probe.
 //
-// The frontier contract fuses the three: the *Frontier entry points
-// filter every emission against an accumulated state at emit time (a
-// read-only membership probe inside the compiled bind/check loop, see
-// Relation.AddNotIn) and insert genuinely-new tuples straight into the
-// per-predicate delta.  The returned state IS the next delta; callers
-// union it into the accumulated state and continue.  SetFrontier(false)
-// restores the derive+Diff pipeline behind the same entry points — the
-// property-test oracle and the ablation baseline, exactly like the
-// SetCostPlanner knob.
-//
-// Orthogonally, intra-rule sharding keeps every worker busy when a
-// program has fewer rule tasks than the pool has workers: a task's
-// driver relation (the semi-naive delta, or the first planned literal
-// of a full application) is split into arena-range shards, one task per
-// shard, each restricted to its range.  The ranges partition the
-// driving enumeration, so every derivation belongs to exactly one shard
-// and the union of the shard outputs is exactly the unsharded output.
-// SetSharding(false) disables the expansion.
+// Intra-rule sharding keeps every worker busy when a round has fewer
+// rule tasks than the pool has workers: a task's driver relation (the
+// semi-naive delta, or the first planned literal of a full application)
+// is split into arena-range shards of at least minShardSpan tuples, one
+// task per shard, each restricted to its range.  The ranges partition
+// the driving enumeration, so every derivation belongs to exactly one
+// shard and the union of the shard outputs is exactly the unsharded
+// output.
 package engine
 
 import (
@@ -42,12 +38,8 @@ func (in *Instance) ApplyFrontier(s, against State) State {
 
 // ApplySplitFrontier is ApplySplit filtered against an accumulated
 // state: it returns exactly ApplySplit(pos, neg).Diff(against), without
-// materializing the intermediate state when the frontier path is
-// enabled.
+// materializing the intermediate state.
 func (in *Instance) ApplySplitFrontier(pos, neg, against State) State {
-	if !in.FrontierEval() {
-		return diffAgainst(in.runTasks(in.fullTasks(), pos, neg, runOpts{shard: true}), against)
-	}
 	return in.runTasks(in.fullTasks(), pos, neg, runOpts{frontier: against, shard: true})
 }
 
@@ -64,14 +56,28 @@ func (in *Instance) ApplyDeltaSplitFrontier(old, delta, cur, neg State) State {
 
 // ApplyDeltaSplitFrontierFiltered is ApplyDeltaSplitFrontier with the
 // accumulated-state probe fronted by per-predicate Bloom summaries of
-// cur (see Options.FrontierFilter): a "definitely absent" verdict off
-// the emit-time TupleHash skips the exact probe entirely.  filters
+// cur: a "definitely absent" verdict off the emit-time TupleHash skips
+// the exact probe entirely.  filters
 // must cover cur completely — the fixpoint loops build them with
 // FrontierFilters and keep them in lockstep with ExtendFrontierFilters
 // — or be nil, which degenerates to the unfiltered entry point.  The
 // returned tallies report how often the filter was consulted and how
 // often it resolved the probe.
 func (in *Instance) ApplyDeltaSplitFrontierFiltered(old, delta, cur, neg State, filters map[string]*relation.Filter) (State, FilterStats) {
+	deltas, hints := insertDeltas(old, delta)
+	out, st := in.runTasksStats(in.deltaTasks(deltas), cur, neg,
+		runOpts{frontier: cur, hints: hints, shard: true, filters: filters})
+	frontierFilterProbes.Add(st.Probes)
+	frontierFilterSkips.Add(st.Skips)
+	return out, st
+}
+
+// insertDeltas is the Delta map of a semi-naive round — every IDB
+// predicate drives its positive literals with its delta, literals
+// before the driver reading old — plus the output size hints: the
+// incoming delta's cardinality, the best available estimate of the
+// next round's.
+func insertDeltas(old, delta State) (map[string]Delta, map[string]int) {
 	deltas := make(map[string]Delta, len(delta))
 	hints := make(map[string]int, len(delta))
 	for pred, d := range delta {
@@ -80,16 +86,7 @@ func (in *Instance) ApplyDeltaSplitFrontierFiltered(old, delta, cur, neg State, 
 			hints[pred] = n
 		}
 	}
-	if !in.FrontierEval() {
-		// The prefilter only fronts the fused probe; on the derive+Diff
-		// oracle it is inert.
-		return diffAgainst(in.runTasks(in.deltaTasks(deltas), cur, neg, runOpts{shard: true}), cur), FilterStats{}
-	}
-	out, st := in.runTasksStats(in.deltaTasks(deltas), cur, neg,
-		runOpts{frontier: cur, hints: hints, shard: true, filters: filters})
-	frontierFilterProbes.Add(st.Probes)
-	frontierFilterSkips.Add(st.Skips)
-	return out, st
+	return deltas, hints
 }
 
 // frontierFilterMin is the accumulated-relation size below which no
@@ -172,90 +169,8 @@ func FrontierFilterTotals() (probes, skips int64) {
 // The DRed delete/rederive and insert-propagation loops of the
 // incremental maintainer run on it.
 func (in *Instance) ApplyDeltasFrontier(pos, neg State, deltas map[string]Delta, against State) State {
-	if !in.FrontierEval() {
-		return diffAgainst(in.runTasks(in.deltaTasks(deltas), pos, neg, runOpts{shard: true}), against)
-	}
 	return in.runTasks(in.deltaTasks(deltas), pos, neg, runOpts{frontier: against, shard: true})
 }
-
-// diffAgainst is the derive+Diff fallback: the per-predicate difference
-// derived ∖ against, tolerating predicates absent from against.
-func diffAgainst(derived, against State) State {
-	out := make(State, len(derived))
-	for pred, r := range derived {
-		if a := against[pred]; a != nil {
-			out[pred] = r.Diff(a)
-		} else {
-			out[pred] = r
-		}
-	}
-	return out
-}
-
-// defaultFrontierOff and defaultShardingOff are the process-wide
-// defaults for instances without explicit Set calls, mirroring
-// defaultPlannerOff: drivers toggle them for instances they do not
-// construct.  Both paths are on by default.
-var (
-	defaultFrontierOff atomic.Bool
-	defaultShardingOff atomic.Bool
-)
-
-// SetDefaultFrontier sets the process-wide default for instances
-// without an explicit SetFrontier call.  On by default.
-//
-// Deprecated: prefer Options.Frontier per call; this setter remains as
-// the fallback a ToggleDefault resolves to.
-func SetDefaultFrontier(on bool) { defaultFrontierOff.Store(!on) }
-
-// SetFrontier selects this instance's implementation of the Frontier
-// entry points: true fuses the membership probe into the emit loop,
-// false computes derive+Diff — bit-exact either way, the knob is the
-// ablation baseline and test oracle.
-func (in *Instance) SetFrontier(on bool) { in.frontier = ToggleOf(on) }
-
-// FrontierEval reports the effective frontier setting: the value set
-// with SetFrontier, else the process default, else on.
-func (in *Instance) FrontierEval() bool { return in.frontier.Enabled(!defaultFrontierOff.Load()) }
-
-// defaultFrontierFilterOff is the process-wide default for the
-// frontier prefilter, on unless disabled.
-var defaultFrontierFilterOff atomic.Bool
-
-// SetDefaultFrontierFilter sets the process-wide default for instances
-// without an explicit SetFrontierFilter call.  On by default.
-//
-// Deprecated: prefer Options.FrontierFilter per call; this setter
-// remains as the fallback a ToggleDefault resolves to.
-func SetDefaultFrontierFilter(on bool) { defaultFrontierFilterOff.Store(!on) }
-
-// SetFrontierFilter selects whether the unpartitioned fixpoint loops
-// front the exact frontier probe with a Bloom summary of the
-// accumulated state — bit-exact either way, the knob is the ablation
-// baseline, mirroring SetExchangeFilter on the partitioned path.
-func (in *Instance) SetFrontierFilter(on bool) { in.frontFilter = ToggleOf(on) }
-
-// FrontierFilter reports the effective frontier-prefilter setting: the
-// value set with SetFrontierFilter, else the process default, else on.
-func (in *Instance) FrontierFilter() bool {
-	return in.frontFilter.Enabled(!defaultFrontierFilterOff.Load())
-}
-
-// SetDefaultSharding sets the process-wide default for instances
-// without an explicit SetSharding call.  On by default.
-//
-// Deprecated: prefer Options.Sharding per call; this setter remains as
-// the fallback a ToggleDefault resolves to.
-func SetDefaultSharding(on bool) { defaultShardingOff.Store(!on) }
-
-// SetSharding enables or disables intra-rule data parallelism (the
-// arena-range shard expansion of runTasks).  Sharded and unsharded
-// evaluation produce identical states; only core utilization differs.
-func (in *Instance) SetSharding(on bool) { in.sharding = ToggleOf(on) }
-
-// Sharding reports the effective sharding setting: the value set with
-// SetSharding, else the process default, else on.
-func (in *Instance) Sharding() bool { return in.sharding.Enabled(!defaultShardingOff.Load()) }
 
 // minShardSpan is the smallest arena range worth a shard of its own:
 // below it, the per-task planning and context cost outweighs the
@@ -324,7 +239,7 @@ func (in *Instance) shardTarget(t evalTask, pos State) (int, *relation.Relation)
 	for i := range rels {
 		rels[i] = resolve(i)
 	}
-	lit := firstJoinPick(rp, rels, in.CostPlanner())
+	lit := firstJoinPick(rp, rels)
 	if lit < 0 {
 		return -1, nil
 	}

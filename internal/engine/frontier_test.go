@@ -22,11 +22,12 @@ func workerSweep() []int {
 	return sweep
 }
 
-// TestPropFrontierMatchesDeriveDiff is the tentpole acceptance property:
-// over randomized programs, databases, worker counts, and sharding
-// settings, the frontier entry points return exactly what the
-// derive+Diff oracle computes — per Θ application, per semi-naive
-// round, and at the inflationary fixpoint.
+// TestPropFrontierMatchesDeriveDiff is the frontier contract's
+// acceptance property: over randomized programs, databases and worker
+// counts (sequential, sharded, oversubscribed), every *Frontier entry
+// point returns exactly its unfiltered twin's derivations minus the
+// accumulated state — per Θ application, per semi-naive round, and per
+// maintenance pass.
 func TestPropFrontierMatchesDeriveDiff(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -42,35 +43,33 @@ func TestPropFrontierMatchesDeriveDiff(t *testing.T) {
 			}
 		}
 
-		oracle := MustNew(prog, db.Clone())
-		oracle.SetFrontier(false)
-		oracle.SetSharding(false)
-		oracle.SetWorkers(1)
-
-		// Build reference stages with the oracle.
-		s0 := oracle.NewState()
-		s1 := oracle.Apply(s0)
+		// Reference stages, and each twin's answer minus s2.
+		ref := mustWith(prog, db.Clone(), Options{Workers: 1})
+		s0 := ref.NewState()
+		s1 := ref.Apply(s0)
 		s2 := s1.Clone()
-		s2.UnionWith(oracle.Apply(s1))
+		s2.UnionWith(ref.Apply(s1))
 		delta := s2.Diff(s1)
+		deltas := map[string]Delta{}
+		for pred, d := range delta {
+			deltas[pred] = Delta{PosDriver: d, Before: Overlay{Base: s1[pred]}}
+		}
 
-		wantTheta := oracle.ApplySplitFrontier(s2, s2, s2)
-		wantRound := oracle.ApplyDeltaSplitFrontier(s1, delta, s2, s2)
+		wantTheta := ref.ApplySplit(s2, s2).Diff(s2)
+		wantRound := ref.ApplyDeltaSplit(s1, delta, s2, s2).Diff(s2)
+		wantDeltas := ref.ApplyDeltas(s2, s2, deltas).Diff(s2)
 
 		for _, nw := range workerSweep() {
-			for _, shard := range []bool{false, true} {
-				in := MustNew(prog, db.Clone())
-				in.SetFrontier(true)
-				in.SetSharding(shard)
-				in.SetWorkers(nw)
-				if got := in.ApplySplitFrontier(s2, s2, s2); !got.Equal(wantTheta) {
-					t.Fatalf("seed %d workers %d shard %v: ApplySplitFrontier differs\nprogram:\n%s\ngot:\n%v\nwant:\n%v",
-						seed, nw, shard, src, got.Format(db.Universe()), wantTheta.Format(db.Universe()))
-				}
-				if got := in.ApplyDeltaSplitFrontier(s1, delta, s2, s2); !got.Equal(wantRound) {
-					t.Fatalf("seed %d workers %d shard %v: ApplyDeltaSplitFrontier differs\nprogram:\n%s",
-						seed, nw, shard, src)
-				}
+			in := mustWith(prog, db.Clone(), Options{Workers: nw})
+			if got := in.ApplySplitFrontier(s2, s2, s2); !got.Equal(wantTheta) {
+				t.Fatalf("seed %d workers %d: ApplySplitFrontier differs\nprogram:\n%s\ngot:\n%v\nwant:\n%v",
+					seed, nw, src, got.Format(db.Universe()), wantTheta.Format(db.Universe()))
+			}
+			if got := in.ApplyDeltaSplitFrontier(s1, delta, s2, s2); !got.Equal(wantRound) {
+				t.Fatalf("seed %d workers %d: ApplyDeltaSplitFrontier differs\nprogram:\n%s", seed, nw, src)
+			}
+			if got := in.ApplyDeltasFrontier(s2, s2, deltas, s2); !got.Equal(wantDeltas) {
+				t.Fatalf("seed %d workers %d: ApplyDeltasFrontier differs\nprogram:\n%s", seed, nw, src)
 			}
 		}
 	}
@@ -110,21 +109,14 @@ func inflateFrontierSemiNaive(in *Instance) State {
 
 // TestFrontierFixpointMatchesOracle runs whole inflationary evaluations
 // on the frontier contract across worker counts and compares the final
-// states against the knob-off oracle.
+// states against S ∪ Θ(S) iterated on the unfiltered Apply.
 func TestFrontierFixpointMatchesOracle(t *testing.T) {
 	prog := parser.MustProgram(multiRuleSrc)
 	db := randomEdgeDB(rand.New(rand.NewSource(5)), 10, 0.2)
-
-	oracle := MustNew(prog, db.Clone())
-	oracle.SetFrontier(false)
-	oracle.SetSharding(false)
-	oracle.SetWorkers(1)
-	want := inflateFrontier(oracle)
+	want := inflate(mustWith(prog, db.Clone(), Options{Workers: 1}))
 
 	for _, nw := range workerSweep() {
-		in := MustNew(prog, db.Clone())
-		in.SetFrontier(true)
-		in.SetWorkers(nw)
+		in := mustWith(prog, db.Clone(), Options{Workers: nw})
 		if got := inflateFrontier(in); !got.Equal(want) {
 			t.Fatalf("frontier fixpoint differs with %d workers", nw)
 		}
@@ -141,20 +133,13 @@ func TestShardedPartitionedMerge(t *testing.T) {
 	prog := parser.MustProgram(src)
 	db := randomEdgeDB(rand.New(rand.NewSource(42)), 48, 0.2)
 
-	oracle := MustNew(prog, db.Clone())
-	oracle.SetFrontier(false)
-	oracle.SetSharding(false)
-	oracle.SetWorkers(1)
-	want := inflateFrontierSemiNaive(oracle)
+	want := inflate(mustWith(prog, db.Clone(), Options{Workers: 1}))
 	if want["s"].Len() < partitionThreshold {
 		t.Fatalf("fixture too small to exercise partitioned merge: |s| = %d", want["s"].Len())
 	}
 
 	for _, nw := range []int{2, 4, 8} {
-		in := MustNew(prog, db.Clone())
-		in.SetFrontier(true)
-		in.SetSharding(true)
-		in.SetWorkers(nw)
+		in := mustWith(prog, db.Clone(), Options{Workers: nw})
 		if got := inflateFrontierSemiNaive(in); !got.Equal(want) {
 			t.Fatalf("sharded+partitioned fixpoint differs with %d workers", nw)
 		}
@@ -170,73 +155,12 @@ func TestFrontierZeroAllocs(t *testing.T) {
 	for _, n := range []int{12, 28} {
 		rng := rand.New(rand.NewSource(3))
 		db := randomEdgeDB(rng, n, 0.3)
-		in := MustNew(parser.MustProgram("tri(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X)."), db)
-		in.SetWorkers(1)
-		in.SetFrontier(true)
+		in := mustWith(parser.MustProgram("tri(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X)."), db, Options{Workers: 1})
 		fix := in.Apply(in.NewState()) // warm indexes, derive all triangles
 		allocs := testing.AllocsPerRun(10, func() { in.ApplySplitFrontier(fix, fix, fix) })
 		if allocs > 64 {
 			t.Errorf("n=%d: %v allocs per frontier pass, want fixed overhead ≤ 64", n, allocs)
 		}
-	}
-}
-
-// TestFrontierKnobs covers the tri-state frontier and sharding
-// selectors: explicit, process default, and the on-by-default fallback.
-func TestFrontierKnobs(t *testing.T) {
-	in := MustNew(parser.MustProgram("s(X,Y) :- E(X,Y)."), pathDB(3))
-	if !in.FrontierEval() || !in.Sharding() {
-		t.Error("frontier and sharding should default to on")
-	}
-	SetDefaultFrontier(false)
-	SetDefaultSharding(false)
-	if in.FrontierEval() || in.Sharding() {
-		t.Error("process defaults off not honored")
-	}
-	in.SetFrontier(true)
-	in.SetSharding(true)
-	if !in.FrontierEval() || !in.Sharding() {
-		t.Error("explicit on overridden by process default")
-	}
-	SetDefaultFrontier(true)
-	SetDefaultSharding(true)
-	in.SetFrontier(false)
-	in.SetSharding(false)
-	if in.FrontierEval() || in.Sharding() {
-		t.Error("explicit off overridden by process default")
-	}
-	in.SetFrontier(true)
-	in.SetSharding(true)
-}
-
-// TestFrontierFilterKnobs covers the tri-state frontier-prefilter
-// selector: built-in on, process default, per-instance override, and
-// Options threading.
-func TestFrontierFilterKnobs(t *testing.T) {
-	prog := parser.MustProgram("s(X,Y) :- E(X,Y).")
-	in := MustNew(prog, pathDB(3))
-	if !in.FrontierFilter() {
-		t.Fatal("frontier filter must default on")
-	}
-	SetDefaultFrontierFilter(false)
-	defer SetDefaultFrontierFilter(true)
-	if in.FrontierFilter() {
-		t.Fatal("process default off must win over the built-in")
-	}
-	in.SetFrontierFilter(true)
-	if !in.FrontierFilter() {
-		t.Fatal("per-instance on must win over the process default")
-	}
-	in.SetFrontierFilter(false)
-	if in.FrontierFilter() {
-		t.Fatal("per-instance off must stick")
-	}
-	in2, err := NewWith(prog, pathDB(3), Options{FrontierFilter: On})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !in2.FrontierFilter() {
-		t.Fatal("Options.FrontierFilter=On must win over the process default")
 	}
 }
 
@@ -248,8 +172,7 @@ func TestFrontierFilteredMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- s(X,Z), E(Z,Y).")
 	db := randomEdgeDB(rng, 40, 0.2)
-	in := MustNew(prog, db)
-	in.SetWorkers(1)
+	in := mustWith(prog, db, Options{Workers: 1})
 
 	// Run two semi-naive rounds by hand to get a mid-fixpoint state.
 	prev := in.NewState()

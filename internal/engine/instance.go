@@ -61,27 +61,7 @@ type Instance struct {
 	idb     map[string]bool
 	plans   []*rulePlan
 	empties map[int]*relation.Relation // canonical empty relation per arity
-	// nworkers is the worker-pool size for ApplySplit/ApplyDeltaSplit;
-	// 0 means GOMAXPROCS.  See SetWorkers.
-	nworkers int
-	// planner selects the join-planning strategy.  See SetCostPlanner.
-	planner Toggle
-	// frontier selects fused dedup-at-emit derivation for the Frontier
-	// entry points; off restores the derive+Diff oracle.  See SetFrontier.
-	frontier Toggle
-	// sharding allows intra-rule data parallelism: splitting a task's
-	// driver relation into arena-range shards when tasks < workers.  See
-	// SetSharding.
-	sharding Toggle
-	// nparts is the partitioned-evaluation width for the semi-naive
-	// fixpoint loops; 0 follows the process default.  See SetPartitions.
-	nparts int
-	// exchFilter selects the Bloom prefilter on the partition exchange
-	// path.  See SetExchangeFilter.
-	exchFilter Toggle
-	// frontFilter selects the Bloom prefilter on the unpartitioned
-	// frontier path.  See SetFrontierFilter.
-	frontFilter Toggle
+	opts    Options
 }
 
 // New compiles prog against db.  It returns an error if the program

@@ -28,8 +28,7 @@ func TestApplySplitParallelDeterministic(t *testing.T) {
 	prog := parser.MustProgram(multiRuleSrc)
 	for _, seed := range []int64{1, 2, 3} {
 		db := randomEdgeDB(rand.New(rand.NewSource(seed)), 9, 0.25)
-		serial := MustNew(prog, db.Clone())
-		serial.SetWorkers(1)
+		serial := mustWith(prog, db.Clone(), Options{Workers: 1})
 
 		// Build a few stages serially to obtain realistic inputs.
 		s0 := serial.NewState()
@@ -38,8 +37,7 @@ func TestApplySplitParallelDeterministic(t *testing.T) {
 		s2Input.UnionWith(serial.Apply(s1))
 
 		for _, nw := range []int{2, 4, 8, 16} {
-			par := MustNew(prog, db.Clone())
-			par.SetWorkers(nw)
+			par := mustWith(prog, db.Clone(), Options{Workers: nw})
 			if got, want := par.Apply(s0), serial.Apply(s0); !got.Equal(want) {
 				t.Fatalf("seed %d workers %d: Apply(∅) differs\ngot:  %v\nwant: %v",
 					seed, nw, got.Preds(), want.Preds())
@@ -67,8 +65,7 @@ func TestParallelFixpointMatchesSerial(t *testing.T) {
 	db := randomEdgeDB(rand.New(rand.NewSource(7)), 10, 0.2)
 
 	inflate := func(nw int) State {
-		in := MustNew(prog, db.Clone())
-		in.SetWorkers(nw)
+		in := mustWith(prog, db.Clone(), Options{Workers: nw})
 		cur := in.NewState()
 		for {
 			next := cur.Clone()
@@ -94,8 +91,7 @@ func TestParallelFixpointMatchesSerial(t *testing.T) {
 // synchronized lazy index build inside Relation from many readers.
 func TestConcurrentApplySharedInputs(t *testing.T) {
 	prog := parser.MustProgram(multiRuleSrc)
-	in := MustNew(prog, randomEdgeDB(rand.New(rand.NewSource(11)), 8, 0.3))
-	in.SetWorkers(4)
+	in := mustWith(prog, randomEdgeDB(rand.New(rand.NewSource(11)), 8, 0.3), Options{Workers: 4})
 	base := in.Apply(in.NewState())
 
 	want := in.Apply(base)
@@ -170,25 +166,14 @@ func TestParallelPassBytes(t *testing.T) {
 	}
 }
 
-// TestWorkersKnobs covers the worker accessors: explicit, default, and
-// process-wide settings.
+// TestWorkersKnobs pins how Options.Workers resolves: a positive value
+// is the pool size, anything else GOMAXPROCS.
 func TestWorkersKnobs(t *testing.T) {
 	prog := parser.MustProgram("s(X,Y) :- E(X,Y).")
-	in := MustNew(prog, pathDB(3))
-	if got := in.Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("default Workers = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
-	}
-	in.SetWorkers(3)
-	if got := in.Workers(); got != 3 {
-		t.Errorf("Workers after SetWorkers(3) = %d", got)
-	}
-	in.SetWorkers(0)
-	SetDefaultWorkers(5)
-	if got := in.Workers(); got != 5 {
-		t.Errorf("Workers under SetDefaultWorkers(5) = %d", got)
-	}
-	SetDefaultWorkers(0)
-	if got := in.Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers after reset = %d", got)
+	for _, c := range []struct{ set, want int }{{0, runtime.GOMAXPROCS(0)}, {-1, runtime.GOMAXPROCS(0)}, {3, 3}} {
+		in := mustWith(prog, pathDB(3), Options{Workers: c.set})
+		if got := in.Workers(); got != c.want {
+			t.Errorf("Options{Workers: %d}: Workers() = %d, want %d", c.set, got, c.want)
+		}
 	}
 }

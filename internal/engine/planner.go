@@ -19,20 +19,14 @@
 // literal — in particular at a semi-naive delta relation when one is
 // present.  Comparison and negation checks run as soon as their
 // variables are bound, equality propagation and universe enumeration
-// bind whatever remains, exactly as before: only the join order and
-// access paths changed, so the derived set is identical.
-//
-// SetCostPlanner(false) (or -planner=false in the CLIs) restores the
-// legacy strategy — syntactic most-bound-first order and a single-column
-// probe with per-tuple filtering — which the property tests use as the
-// oracle and the benchmarks as the ablation baseline.
+// bind whatever remains.  The plan fixes only the join order and access
+// paths, so every plan derives exactly Θ's set.
 package engine
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/relation"
 )
@@ -115,26 +109,18 @@ func estimateJoin(rel *relation.Relation, lp litPlan, bound []bool) float64 {
 	return est
 }
 
-// compileJoin lowers one join into an access path plus micro-ops.
-// With wide set, every bound column joins the composite-index probe;
-// otherwise only the first bound column is probed (the legacy access
-// path) and the rest become per-tuple checks.  Unbound variables
+// compileJoin lowers one join into an access path plus micro-ops:
+// every bound column joins the composite-index probe, unbound variables
 // compile to binds on first occurrence and checks on repeats.
-func compileJoin(rp *rulePlan, lit int, rel *relation.Relation, bound []bool, wide bool) *joinExec {
+func compileJoin(rp *rulePlan, lit int, rel *relation.Relation, bound []bool) *joinExec {
 	lp := rp.positives[lit]
 	je := &joinExec{lit: lit, relLen: rel.Len(), est: estimateJoin(rel, lp, bound)}
 	newly := make([]bool, rp.nvars)
 	for j, s := range lp.slots {
 		switch {
 		case s.isConst || bound[s.val]:
-			if wide || len(je.probeCols) == 0 {
-				je.probeCols = append(je.probeCols, j)
-				je.probeSrc = append(je.probeSrc, s)
-			} else if s.isConst {
-				je.ops = append(je.ops, joinOp{opCheckConst, int32(j), int32(s.val)})
-			} else {
-				je.ops = append(je.ops, joinOp{opCheckVar, int32(j), int32(s.val)})
-			}
+			je.probeCols = append(je.probeCols, j)
+			je.probeSrc = append(je.probeSrc, s)
 		case newly[s.val]:
 			je.ops = append(je.ops, joinOp{opCheckVar, int32(j), int32(s.val)})
 		default:
@@ -155,28 +141,21 @@ func compileJoin(rp *rulePlan, lit int, rel *relation.Relation, bound []bool, wi
 // rule, and therefore the literal an intra-rule shard split partitions
 // when no semi-naive delta identifies the driver.  It replicates the
 // first iteration of buildExec's join phase exactly.
-func firstJoinPick(rp *rulePlan, rels []Overlay, costBased bool) int {
-	best := -1
-	if costBased {
-		bound := make([]bool, rp.nvars)
-		bestCost := math.Inf(1)
-		for i, lp := range rp.positives {
-			if c := estimateJoin(rels[i].Base, lp, bound); c < bestCost {
-				best, bestCost = i, c
-			}
-		}
-		return best
-	}
-	bestScore := -1
+func firstJoinPick(rp *rulePlan, rels []Overlay) int {
+	return cheapestJoin(rp, rels, make([]bool, rp.nvars), nil)
+}
+
+// cheapestJoin returns the unused positive literal with the smallest
+// estimate under the bound set (ties to program order), -1 when none
+// is left.
+func cheapestJoin(rp *rulePlan, rels []Overlay, bound, used []bool) int {
+	best, bestCost := -1, math.Inf(1)
 	for i, lp := range rp.positives {
-		score := 0
-		for _, s := range lp.slots {
-			if s.isConst {
-				score++
-			}
+		if used != nil && used[i] {
+			continue
 		}
-		if score > bestScore {
-			best, bestScore = i, score
+		if c := estimateJoin(rels[i].Base, lp, bound); c < bestCost {
+			best, bestCost = i, c
 		}
 	}
 	return best
@@ -185,10 +164,7 @@ func firstJoinPick(rp *rulePlan, rels []Overlay, costBased bool) int {
 // buildExec orders the rule body into an executable plan against the
 // concrete sources rels (parallel to rp.positives) and compiles each
 // join; an overlaid source is costed by its base relation, whose
-// statistics and indexes the join then uses.  costBased selects
-// cardinality-estimate ordering with wide composite probes; false
-// reproduces the legacy syntactic most-bound-first order with
-// single-column probes.
+// statistics and indexes the join then uses.
 //
 // When the evaluation task is one shard of an intra-rule split, shard
 // names the literal whose enumeration is restricted to the arena range
@@ -196,7 +172,7 @@ func firstJoinPick(rp *rulePlan, rels []Overlay, costBased bool) int {
 // order (the split partitions the rule's driving enumeration, so every
 // derivation belongs to exactly one shard) and its compiled join carries
 // the range.  shard < 0 compiles the unrestricted plan.
-func buildExec(rp *rulePlan, rels []Overlay, costBased bool, shard int, shardLo, shardHi int32) *execPlan {
+func buildExec(rp *rulePlan, rels []Overlay, shard int, shardLo, shardHi int32) *execPlan {
 	bound := make([]bool, rp.nvars)
 	usedPos := make([]bool, len(rp.positives))
 	usedCmp := make([]bool, len(rp.cmps))
@@ -237,41 +213,15 @@ func buildExec(rp *rulePlan, rels []Overlay, costBased bool, shard int, shardLo,
 	}
 	addChecks()
 
-	// Join phase: repeatedly pick the cheapest (cost-based) or
-	// most-bound (legacy) positive literal; ties go to program order.
+	// Join phase: repeatedly pick the cheapest positive literal; ties go
+	// to program order.
 	for remaining := len(rp.positives); remaining > 0; remaining-- {
-		best := -1
-		if shard >= 0 && !usedPos[shard] {
-			best = shard // forced first: the shard range partitions this enumeration
-		} else if costBased {
-			bestCost := math.Inf(1)
-			for i, lp := range rp.positives {
-				if usedPos[i] {
-					continue
-				}
-				if c := estimateJoin(rels[i].Base, lp, bound); c < bestCost {
-					best, bestCost = i, c
-				}
-			}
-		} else {
-			bestScore := -1
-			for i, lp := range rp.positives {
-				if usedPos[i] {
-					continue
-				}
-				score := 0
-				for _, s := range lp.slots {
-					if slotBound(s) {
-						score++
-					}
-				}
-				if score > bestScore {
-					best, bestScore = i, score
-				}
-			}
+		best := shard // forced first: the shard range partitions this enumeration
+		if shard < 0 || usedPos[shard] {
+			best = cheapestJoin(rp, rels, bound, usedPos)
 		}
 		usedPos[best] = true
-		je := compileJoin(rp, best, rels[best].Base, bound, costBased)
+		je := compileJoin(rp, best, rels[best].Base, bound)
 		if best == shard {
 			je.shardLo, je.shardHi = shardLo, shardHi
 		}
@@ -312,29 +262,6 @@ func buildExec(rp *rulePlan, rels []Overlay, costBased bool, shard int, shardLo,
 	}
 	return ep
 }
-
-// defaultPlannerOff is the process-wide planner default applied to
-// instances that never called SetCostPlanner, mirroring defaultWorkers:
-// drivers like cmd/bench toggle it for instances they do not construct.
-var defaultPlannerOff atomic.Bool
-
-// SetDefaultCostPlanner sets the process-wide default for instances
-// without an explicit SetCostPlanner call.  The planner is on by
-// default.
-//
-// Deprecated: prefer Options.Planner per call; this setter remains as
-// the fallback a ToggleDefault resolves to.
-func SetDefaultCostPlanner(on bool) { defaultPlannerOff.Store(!on) }
-
-// SetCostPlanner fixes this instance's planning strategy: true selects
-// cost-based join ordering with composite-index access paths, false the
-// legacy syntactic order with single-column probes.  Both strategies
-// derive exactly the same relations; only evaluation cost differs.
-func (in *Instance) SetCostPlanner(on bool) { in.planner = ToggleOf(on) }
-
-// CostPlanner reports the effective planning strategy: the value set
-// with SetCostPlanner, else the process default, else on.
-func (in *Instance) CostPlanner() bool { return in.planner.Enabled(!defaultPlannerOff.Load()) }
 
 // relFor resolves the relation a literal reads during Explain: the
 // database for EDB predicates, s for IDB ones (empty when s lacks the
@@ -379,20 +306,16 @@ func (rp *rulePlan) atomString(pred string, slots []slot, u *relation.Universe) 
 // bound literal), and the planner's
 // cardinality estimates.  Passing the state of a finished evaluation
 // shows the steady-state plans; passing NewState() shows the first
-// round.  The output reflects the instance's planner setting.
+// round.
 func (in *Instance) Explain(w io.Writer, s State) {
 	u := in.db.Universe()
-	mode := "cost-based"
-	if !in.CostPlanner() {
-		mode = "syntactic"
-	}
 	for ri, rp := range in.plans {
-		fmt.Fprintf(w, "rule %d [%s]: %s\n", ri+1, mode, rp.src.String())
+		fmt.Fprintf(w, "rule %d: %s\n", ri+1, rp.src.String())
 		rels := make([]Overlay, len(rp.positives))
 		for i, lp := range rp.positives {
 			rels[i].Base = in.relFor(lp.pred, lp.idb, s)
 		}
-		ep := buildExec(rp, rels, in.CostPlanner(), -1, 0, 0)
+		ep := buildExec(rp, rels, -1, 0, 0)
 		for _, st := range ep.steps {
 			switch st.kind {
 			case stepJoin:

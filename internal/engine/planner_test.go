@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/parser"
+	"repro/internal/relation"
+	"repro/internal/wforacle"
 )
 
 // randomProgram generates a syntactically valid DATALOG¬ program over a
@@ -71,57 +74,87 @@ func inflate(in *Instance) State {
 	}
 }
 
-// TestPropPlannerMatchesSyntacticOrder is the planner's acceptance
-// property: over randomized programs and databases, cost-based planning
-// derives exactly the relations the legacy syntactic order derives —
-// per Θ application and at the inflationary fixpoint — and stays
-// bit-exact across worker counts.
-func TestPropPlannerMatchesSyntacticOrder(t *testing.T) {
+// mustWith is NewWith on a program the test knows to be valid.
+func mustWith(prog *ast.Program, db *relation.Database, o Options) *Instance {
+	in, err := NewWith(prog, db, o)
+	if err != nil {
+		panic(err)
+	}
+	return in
+}
+
+// oracleTheta is wforacle.Theta — ground Θ over maps of atoms, sharing
+// nothing with this package — on in's program and database, read at s.
+func oracleTheta(in *Instance, s State) map[string]bool {
+	rels := map[string]*relation.Relation{}
+	for _, name := range in.db.Names() {
+		rels[name] = in.db.Relation(name)
+	}
+	domain, facts := wforacle.Input(in.prog, in.Universe(), rels)
+	return wforacle.Theta(in.prog, domain, facts, wforacle.Atoms(in.Universe(), s))
+}
+
+// TestPropPlannerMatchesTheta is the planner's acceptance property:
+// over randomized programs and the join suites' programs (triangles,
+// same-generation, transitive closure) on instances small enough to
+// ground, the cost-planned Apply derives
+// exactly the oracle's Θ at every stage of the inflationary iteration,
+// sequentially and on four workers.
+func TestPropPlannerMatchesTheta(t *testing.T) {
+	type suite struct {
+		name, src string
+		db        *relation.Database
+	}
+	var suites []suite
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		src := randomProgram(rng)
-		prog, err := parser.Program(src)
-		if err != nil {
-			t.Fatalf("seed %d: generated unparsable program:\n%s\n%v", seed, src, err)
-		}
 		db := randomEdgeDB(rng, 4, 0.4)
 		for i := 0; i < 4; i++ {
 			if rng.Intn(2) == 0 {
 				db.AddFact("V", fmt.Sprint(i))
 			}
 		}
-
-		oracle := MustNew(prog, db.Clone())
-		oracle.SetCostPlanner(false)
-		oracle.SetWorkers(1)
-		planned := MustNew(prog, db.Clone())
-		planned.SetCostPlanner(true)
-		planned.SetWorkers(1)
-
-		s0 := oracle.NewState()
-		if got, want := planned.Apply(s0), oracle.Apply(s0); !got.Equal(want) {
-			t.Fatalf("seed %d: Θ(∅) differs under cost-based planning\nprogram:\n%s\ngot:\n%v\nwant:\n%v",
-				seed, src, got.Format(db.Universe()), want.Format(db.Universe()))
+		suites = append(suites, suite{fmt.Sprint("random/", seed), src, db})
+	}
+	// The join suites' programs (internal/workload), on instances small
+	// enough to ground: a binary tree of depth 3 for same-generation.
+	tree := relation.NewDatabase()
+	for i := 2; i < 16; i++ {
+		tree.AddFact("up", fmt.Sprint(i), fmt.Sprint(i/2))
+		tree.AddFact("down", fmt.Sprint(i/2), fmt.Sprint(i))
+	}
+	tree.AddFact("flat", "2", "3")
+	tree.AddFact("flat", "3", "2")
+	suites = append(suites,
+		suite{"triangle", "tri(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X).", randomEdgeDB(rand.New(rand.NewSource(1)), 12, 0.3)},
+		suite{"same-gen/tree", "sg(X,Y) :- flat(X,Y).\nsg(X,Y) :- up(X,U), sg(U,V), down(V,Y).", tree},
+		suite{"tc/path", "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).", pathDB(10)},
+	)
+	for _, sc := range suites {
+		prog, err := parser.Program(sc.src)
+		if err != nil {
+			t.Fatalf("%s: generated unparsable program:\n%s\n%v", sc.name, sc.src, err)
 		}
-		want := inflate(oracle)
-		got := inflate(planned)
-		if !got.Equal(want) {
-			t.Fatalf("seed %d: inflationary fixpoint differs under cost-based planning\nprogram:\n%s\ngot:\n%v\nwant:\n%v",
-				seed, src, got.Format(db.Universe()), want.Format(db.Universe()))
-		}
-
-		parallel := MustNew(prog, db.Clone())
-		parallel.SetCostPlanner(true)
-		parallel.SetWorkers(4)
-		if !inflate(parallel).Equal(want) {
-			t.Fatalf("seed %d: planner-on fixpoint differs with 4 workers\nprogram:\n%s", seed, src)
+		for _, nw := range []int{1, 4} {
+			in := mustWith(prog, sc.db.Clone(), Options{Workers: nw})
+			for cur, stage := in.NewState(), 0; ; stage++ {
+				got := in.Apply(cur)
+				if d := wforacle.Diff("derived", wforacle.Atoms(in.Universe(), got), oracleTheta(in, cur)); d != "" {
+					t.Fatalf("%s workers %d: Θ(S%d) differs from the oracle's: %s\nprogram:\n%s", sc.name, nw, stage, d, sc.src)
+				}
+				next := cur.Clone()
+				if next.UnionWith(got) == 0 {
+					break
+				}
+				cur = next
+			}
 		}
 	}
 }
 
-// TestPlannerConstantColumns pins the access paths around constants in
-// both modes: wide composite probes (cost-based) versus first-bound-
-// column probe plus compiled constant checks (legacy).
+// TestPlannerConstantColumns pins the access paths around constants:
+// constant columns join the composite probe alongside bound variables.
 func TestPlannerConstantColumns(t *testing.T) {
 	src := `
 P(X) :- E(X, a).
@@ -132,46 +165,19 @@ R(Y) :- E(a, Y), E(Y, b).
 	db.AddFact("E", "a", "b")
 	db.AddFact("E", "b", "b")
 	db.AddFact("E", "x", "a")
-	for _, on := range []bool{true, false} {
-		in := MustNew(parser.MustProgram(src), db.Clone())
-		in.SetCostPlanner(on)
-		out := in.Apply(in.NewState())
-		u := in.Universe()
-		aID, _ := u.Lookup("a")
-		bID, _ := u.Lookup("b")
-		xID, _ := u.Lookup("x")
-		if out["P"].Len() != 1 || !out["P"].Has([]int{xID}) {
-			t.Errorf("planner=%v: P = %s, want {(x)}", on, out["P"].Format(u))
-		}
-		if out["flag"].Len() != 1 {
-			t.Errorf("planner=%v: flag not derived", on)
-		}
-		if out["R"].Len() != 1 || !out["R"].Has([]int{bID}) {
-			t.Errorf("planner=%v: R = %s, want {(b)}", on, out["R"].Format(u))
-		}
-		_ = aID
+	in := MustNew(parser.MustProgram(src), db)
+	out := in.Apply(in.NewState())
+	u := in.Universe()
+	bID, _ := u.Lookup("b")
+	xID, _ := u.Lookup("x")
+	if out["P"].Len() != 1 || !out["P"].Has([]int{xID}) {
+		t.Errorf("P = %s, want {(x)}", out["P"].Format(u))
 	}
-}
-
-// TestPlannerKnobs covers the tri-state planner selector: explicit,
-// process default, and the on-by-default fallback.
-func TestPlannerKnobs(t *testing.T) {
-	in := MustNew(parser.MustProgram("s(X,Y) :- E(X,Y)."), pathDB(3))
-	if !in.CostPlanner() {
-		t.Error("planner should default to on")
+	if out["flag"].Len() != 1 {
+		t.Error("flag not derived")
 	}
-	SetDefaultCostPlanner(false)
-	if in.CostPlanner() {
-		t.Error("process default off not honored")
-	}
-	in.SetCostPlanner(true)
-	if !in.CostPlanner() {
-		t.Error("explicit on overridden by process default")
-	}
-	SetDefaultCostPlanner(true)
-	in.SetCostPlanner(false)
-	if in.CostPlanner() {
-		t.Error("explicit off overridden by process default")
+	if out["R"].Len() != 1 || !out["R"].Has([]int{bID}) {
+		t.Errorf("R = %s, want {(b)}", out["R"].Format(u))
 	}
 }
 
@@ -183,8 +189,7 @@ func TestPlannerKnobs(t *testing.T) {
 func triangleAllocsSetup(t testing.TB, n int) (*Instance, State) {
 	rng := rand.New(rand.NewSource(3))
 	db := randomEdgeDB(rng, n, 0.3)
-	in := MustNew(parser.MustProgram("q :- E(X,Y), E(Y,Z), E(Z,X)."), db)
-	in.SetWorkers(1)
+	in := mustWith(parser.MustProgram("q :- E(X,Y), E(Y,Z), E(Z,X)."), db, Options{Workers: 1})
 	s := in.NewState()
 	in.Apply(s) // warm indexes
 	return in, s
@@ -217,7 +222,7 @@ func BenchmarkJoinAllocs(b *testing.B) {
 }
 
 // TestExplainSmoke checks the explain rendering: join order, access
-// paths and estimates appear for both planner modes.
+// paths and estimates appear.
 func TestExplainSmoke(t *testing.T) {
 	src := "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y)."
 	in := MustNew(parser.MustProgram(src), pathDB(5))
@@ -225,13 +230,13 @@ func TestExplainSmoke(t *testing.T) {
 
 	var on strings.Builder
 	in.Explain(&on, fix)
-	for _, want := range []string{"rule 1 [cost-based]", "join", "scan", "est=", "s(Z,Y)"} {
+	for _, want := range []string{"rule 1: ", "join", "scan", "est=", "s(Z,Y)"} {
 		if !strings.Contains(on.String(), want) {
-			t.Errorf("cost-based explain missing %q:\n%s", want, on.String())
+			t.Errorf("explain missing %q:\n%s", want, on.String())
 		}
 	}
 	if !strings.Contains(on.String(), "index[") {
-		t.Errorf("cost-based explain shows no index probe:\n%s", on.String())
+		t.Errorf("explain shows no index probe:\n%s", on.String())
 	}
 
 	// A literal whose columns are all bound is a membership probe.
@@ -241,10 +246,4 @@ func TestExplainSmoke(t *testing.T) {
 		t.Errorf("explain of a fully bound literal shows no membership probe:\n%s", member.String())
 	}
 
-	in.SetCostPlanner(false)
-	var off strings.Builder
-	in.Explain(&off, fix)
-	if !strings.Contains(off.String(), "[syntactic]") {
-		t.Errorf("legacy explain not labeled:\n%s", off.String())
-	}
 }

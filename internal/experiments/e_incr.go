@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graphs"
 	"repro/internal/incr"
 	"repro/internal/parser"
@@ -36,7 +37,7 @@ type e14Workload struct {
 	assertSpeedup float64
 }
 
-func runE14(w io.Writer, quick bool) error {
+func runE14(w io.Writer, quick bool, opt engine.Options) error {
 	scale := func(full, small int) int {
 		if quick {
 			return small
@@ -96,7 +97,7 @@ func runE14(w io.Writer, quick bool) error {
 	for _, wl := range workloads {
 		prog := parser.MustProgram(wl.src)
 		db := wl.db()
-		m, err := incr.New(prog, db, wl.sem)
+		m, err := incr.NewWith(prog, db, wl.sem, opt)
 		if err != nil {
 			return err
 		}
@@ -132,7 +133,7 @@ func runE14(w io.Writer, quick bool) error {
 				mirror.MustEnsure("E", 2).Add(tu)
 			}
 			start = time.Now()
-			res, err := core.Eval(prog, mirror, wl.sem, semantics.SemiNaive)
+			res, err := core.EvalOpts(prog, mirror, wl.sem, semantics.SemiNaive, opt)
 			if err != nil {
 				return err
 			}

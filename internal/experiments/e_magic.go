@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/magic"
 	"repro/internal/parser"
 	"repro/internal/semantics"
@@ -29,7 +30,7 @@ func init() {
 // ≥5x acceptance bar.  The tc-left/tc-right pair isolates the
 // sideways-information-passing sensitivity: same closure, same query,
 // opposite recursion direction.
-func runE16(w io.Writer, quick bool) error {
+func runE16(w io.Writer, quick bool, opt engine.Options) error {
 	t := newTable(w, "workload", "query", "answers", "derived(magic)", "derived(full)", "t(full)", "t(magic)", "speedup", "check")
 	c := &checker{}
 	for _, wl := range workload.PointQueryWorkloads(quick) {
@@ -44,7 +45,7 @@ func runE16(w io.Writer, quick bool) error {
 
 		// Full materialization + filter (the oracle).
 		startFull := time.Now()
-		full, err := core.QueryFull(prog, db, q, sem, semantics.SemiNaive)
+		full, err := core.QueryFullOpts(prog, db, q, sem, semantics.SemiNaive, opt)
 		if err != nil {
 			return err
 		}
@@ -54,9 +55,9 @@ func runE16(w io.Writer, quick bool) error {
 		startMagic := time.Now()
 		var res *semantics.QueryResult
 		if wl.Stratified {
-			res, err = semantics.QueryStratified(prog, db, q, semantics.SemiNaive)
+			res, err = semantics.QueryStratifiedOpts(prog, db, q, semantics.SemiNaive, opt)
 		} else {
-			res, err = semantics.QueryLFP(prog, db, q, semantics.SemiNaive)
+			res, err = semantics.QueryLFPOpts(prog, db, q, semantics.SemiNaive, opt)
 		}
 		if err != nil {
 			return err

@@ -37,7 +37,7 @@ func E17Partitions() []int { return []int{1, 2, 4, 8} }
 // the speedup column is hardware-dependent (K > 1 only pays off with
 // cores to spare — on a single-core runner it measures exchange
 // overhead, not scaling).
-func runE17(w io.Writer, quick bool) error {
+func runE17(w io.Writer, quick bool, opt engine.Options) error {
 	tcN, tcP, distN, distP := 64, 0.06, 14, 0.25
 	if quick {
 		tcN, tcP, distN, distP = 40, 0.08, 10, 0.25
@@ -59,15 +59,17 @@ func runE17(w io.Writer, quick bool) error {
 		prog := parser.MustProgram(cs.src)
 		db := cs.db()
 
-		ref := engine.MustNew(prog, db.Clone())
-		ref.SetPartitions(1)
+		unpartitioned := opt
+		unpartitioned.Partitions = 1
+		ref := mustNew(prog, db.Clone(), unpartitioned)
 		startRef := time.Now()
 		want := semantics.Inflationary(ref)
 		durRef := time.Since(startRef)
 
 		for _, k := range E17Partitions() {
-			in := engine.MustNew(prog, db.Clone())
-			in.SetPartitions(k)
+			o := opt
+			o.Partitions = k
+			in := mustNew(prog, db.Clone(), o)
 			before := partition.Snapshot()
 			start := time.Now()
 			got := semantics.Inflationary(in)

@@ -15,6 +15,8 @@ import (
 	"sort"
 	"text/tabwriter"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // Experiment is one reproducible experiment.
@@ -23,9 +25,11 @@ type Experiment struct {
 	Title string
 	// Source cites the part of the paper being reproduced.
 	Source string
-	// Run writes the experiment's table to w.  In quick mode the
-	// parameter sweep is shortened for use under `go test -bench`.
-	Run func(w io.Writer, quick bool) error
+	// Run writes the experiment's table to w, evaluating with opt
+	// wherever the experiment does not sweep an option itself.  In quick
+	// mode the parameter sweep is shortened for use under `go test
+	// -bench`.
+	Run func(w io.Writer, quick bool, opt engine.Options) error
 }
 
 var registry []Experiment
@@ -63,9 +67,9 @@ func Find(id string) (Experiment, bool) {
 }
 
 // RunAll runs every experiment, writing tables to w.
-func RunAll(w io.Writer, quick bool) error {
+func RunAll(w io.Writer, quick bool, opt engine.Options) error {
 	for _, e := range All() {
-		if err := RunOne(w, e, quick); err != nil {
+		if err := RunOne(w, e, quick, opt); err != nil {
 			return err
 		}
 	}
@@ -73,11 +77,11 @@ func RunAll(w io.Writer, quick bool) error {
 }
 
 // RunOne runs a single experiment with its header.
-func RunOne(w io.Writer, e Experiment, quick bool) error {
+func RunOne(w io.Writer, e Experiment, quick bool, opt engine.Options) error {
 	fmt.Fprintf(w, "=== %s: %s\n", e.ID, e.Title)
 	fmt.Fprintf(w, "    source: %s\n", e.Source)
 	start := time.Now()
-	if err := e.Run(w, quick); err != nil {
+	if err := e.Run(w, quick, opt); err != nil {
 		return fmt.Errorf("%s: %w", e.ID, err)
 	}
 	fmt.Fprintf(w, "    (%.2fs)\n\n", time.Since(start).Seconds())

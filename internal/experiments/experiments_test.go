@@ -2,19 +2,26 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
+
+// registeredIDs lists the experiments in order.  E13 and E18 are
+// retired; their numbers are not reused so that published tables keep
+// their meaning.
+var registeredIDs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 15, 16, 17}
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
-	if len(all) != 18 {
-		t.Fatalf("registered %d experiments, want 18", len(all))
+	if len(all) != len(registeredIDs) {
+		t.Fatalf("registered %d experiments, want %d", len(all), len(registeredIDs))
 	}
 	for i, e := range all {
-		want := i + 1
-		if idOrder(e.ID) != want {
-			t.Errorf("position %d has %s", i, e.ID)
+		if e.ID != fmt.Sprint("E", registeredIDs[i]) {
+			t.Errorf("position %d has %s, want E%d", i, e.ID, registeredIDs[i])
 		}
 		if e.Title == "" || e.Source == "" || e.Run == nil {
 			t.Errorf("%s incomplete", e.ID)
@@ -36,7 +43,7 @@ func TestAllExperimentsPass(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := RunOne(&buf, e, true); err != nil {
+			if err := RunOne(&buf, e, true, engine.Options{}); err != nil {
 				t.Fatalf("%v\noutput:\n%s", err, buf.String())
 			}
 			if strings.Contains(buf.String(), "MISMATCH") {

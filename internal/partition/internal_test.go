@@ -67,7 +67,10 @@ func TestApplyDeltasFrontierRouting(t *testing.T) {
 	deltas := map[string]engine.Delta{"s": {PosDriver: cur["s"]}}
 	want := in.ApplyDeltasFrontier(cur, cur, deltas, cur)
 	for _, k := range []int{1, 3, 4} {
-		in.SetPartitions(k)
+		in, err := engine.NewWith(prog, db, engine.Options{Partitions: k})
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := ApplyDeltasFrontier(in, cur, cur, deltas, cur)
 		if !got.Equal(want) {
 			t.Fatalf("K=%d: routed maintenance round differs from unpartitioned", k)

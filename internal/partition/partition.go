@@ -151,14 +151,10 @@ func Fixpoint(in *engine.Instance, negFixed engine.State, log func(engine.State)
 
 	// The prefilter must cover the accumulated state completely — a
 	// false negative would admit a duplicate into a disjoint union — so
-	// it exists only on the fused-probe path, where the coordinator can
-	// keep it in lockstep with cur between rounds.
-	var filters map[string]*relation.Filter
-	if in.ExchangeFilter() && in.FrontierEval() {
-		filters = make(map[string]*relation.Filter, len(cur))
-		for pred, r := range cur {
-			filters[pred] = relation.FilterOf(r, r.Len()+filterHeadroom)
-		}
+	// the coordinator keeps it in lockstep with cur between rounds.
+	filters := make(map[string]*relation.Filter, len(cur))
+	for pred, r := range cur {
+		filters[pred] = relation.FilterOf(r, r.Len()+filterHeadroom)
 	}
 
 	work := make([]chan roundMsg, k)

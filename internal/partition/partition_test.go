@@ -143,47 +143,28 @@ func randDB(rng *rand.Rand, n int) *relation.Database {
 	return db
 }
 
-// knob is one cell of the partition matrix.
-type knob struct {
-	parts    int
-	workers  int
-	frontier engine.Toggle
-	filter   engine.Toggle
-}
-
-func partitionMatrix() []knob {
+// partitionMatrix is the partition × worker matrix.
+func partitionMatrix() []engine.Options {
 	nw := runtime.GOMAXPROCS(0)
 	if nw < 2 {
 		nw = 8 // oversubscribe: scheduling must not matter
 	}
-	return []knob{
-		{1, 1, engine.On, engine.ToggleDefault},
-		{2, 1, engine.On, engine.ToggleDefault},
-		{2, nw, engine.On, engine.ToggleDefault},
-		{4, 1, engine.On, engine.ToggleDefault},
-		{4, nw, engine.On, engine.ToggleDefault},
-		{4, nw, engine.Off, engine.ToggleDefault}, // frontier oracle path
-		{4, nw, engine.On, engine.Off},            // exact-probe ablation
-		{8, nw, engine.On, engine.ToggleDefault},
-	}
-}
-
-func optsOf(k knob) engine.Options {
-	return engine.Options{
-		Partitions:     k.parts,
-		Workers:        k.workers,
-		Frontier:       k.frontier,
-		ExchangeFilter: k.filter,
+	return []engine.Options{
+		{Partitions: 1, Workers: 1},
+		{Partitions: 2, Workers: 1},
+		{Partitions: 2, Workers: nw},
+		{Partitions: 4, Workers: 1},
+		{Partitions: 4, Workers: nw},
+		{Partitions: 8, Workers: nw},
 	}
 }
 
 // checkMatch asserts got is bit-exact with the oracle: same state, same
 // round/tuple/max-delta stats, and for well-founded the same undefined
 // part too.
-func checkMatch(t *testing.T, src string, sem core.Semantics, k knob, got, want *core.EvalResult) {
+func checkMatch(t *testing.T, src string, sem core.Semantics, k engine.Options, got, want *core.EvalResult) {
 	t.Helper()
-	ctx := fmt.Sprintf("%v K=%d workers=%d frontier=%v filter=%v\nprogram:\n%s",
-		sem, k.parts, k.workers, k.frontier, k.filter, src)
+	ctx := fmt.Sprintf("%v K=%d workers=%d\nprogram:\n%s", sem, k.Partitions, k.Workers, src)
 	if !got.State.Equal(want.State) {
 		t.Fatalf("%s:\nstates differ\ngot:\n%swant:\n%s", ctx,
 			got.State.Format(got.Universe), want.State.Format(want.Universe))
@@ -222,9 +203,9 @@ func TestPropPartitionedBitExact(t *testing.T) {
 				t.Fatalf("seed %d %v oracle: %v\n%s", seed, sem, err, src)
 			}
 			for _, k := range partitionMatrix() {
-				got, err := core.EvalOpts(prog, db, sem, 0, optsOf(k))
+				got, err := core.EvalOpts(prog, db, sem, 0, k)
 				if err != nil {
-					t.Fatalf("seed %d %v K=%d: %v\n%s", seed, sem, k.parts, err, src)
+					t.Fatalf("seed %d %v K=%d: %v\n%s", seed, sem, k.Partitions, err, src)
 				}
 				checkMatch(t, src, sem, k, got, want)
 			}
@@ -341,6 +322,6 @@ Q(X) :- E(X,X).`
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkMatch(t, src, sem, knob{parts: 4}, got, want)
+		checkMatch(t, src, sem, engine.Options{Partitions: 4}, got, want)
 	}
 }

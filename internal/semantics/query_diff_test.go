@@ -17,10 +17,9 @@ import (
 // Differential property test of the demand-driven query path: over
 // random safe programs, databases, and query atoms, the magic-set
 // rewritten evaluation must be bit-exact with full evaluation filtered
-// to the query pattern — across both semantics entry points, worker
-// counts {1, N}, and the frontier knob on/off (mirroring
-// frontier_test.go's oracle pattern).  The CI race job runs this
-// package, so the whole matrix also executes under -race.
+// to the query pattern — across both semantics entry points and worker
+// counts {1, N}.  The CI race job runs this package, so the whole
+// matrix also executes under -race.
 
 // diffVars is the variable pool of generated rules.
 var diffVars = []string{"X", "Y", "Z", "W"}
@@ -166,26 +165,16 @@ func randQuery(rng *rand.Rand, idb []diffPred, n int) magic.Query {
 	return q
 }
 
-// queryMatrix is the knob matrix of the differential test.
-func queryMatrix() []struct {
-	workers  int
-	frontier bool
-} {
+// queryWorkers is the worker-count axis of the differential test.
+func queryWorkers() []int {
 	nw := runtime.GOMAXPROCS(0)
 	if nw < 2 {
 		nw = 8 // oversubscribe: scheduling must not matter
 	}
-	return []struct {
-		workers  int
-		frontier bool
-	}{
-		{1, true}, {1, false}, {nw, true}, {nw, false},
-	}
+	return []int{1, nw}
 }
 
 func TestPropMagicQueryMatchesFullLFP(t *testing.T) {
-	defer engine.SetDefaultWorkers(0)
-	defer engine.SetDefaultFrontier(true)
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		src, idb := randQueryProgram(rng, 1)
@@ -196,9 +185,11 @@ func TestPropMagicQueryMatchesFullLFP(t *testing.T) {
 		n := 4 + rng.Intn(2)
 		db := randQueryDB(rng, n)
 
-		engine.SetDefaultWorkers(1)
-		engine.SetDefaultFrontier(true)
-		full, err := LeastFixpoint(engine.MustNew(prog, db.Clone()))
+		in, err := engine.NewWith(prog, db.Clone(), engine.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := LeastFixpoint(in)
 		if err != nil {
 			t.Fatalf("seed %d: full evaluation: %v\n%s", seed, err, src)
 		}
@@ -206,17 +197,15 @@ func TestPropMagicQueryMatchesFullLFP(t *testing.T) {
 		for qi := 0; qi < 3; qi++ {
 			q := randQuery(rng, idb, n)
 			want := nameTuples(FilterPattern(full.State[q.Pred], q, full.Universe), full.Universe)
-			for _, m := range queryMatrix() {
-				engine.SetDefaultWorkers(m.workers)
-				engine.SetDefaultFrontier(m.frontier)
-				res, err := QueryLFP(prog, db, q, SemiNaive)
+			for _, w := range queryWorkers() {
+				res, err := QueryLFPOpts(prog, db, q, SemiNaive, engine.Options{Workers: w})
 				if err != nil {
 					t.Fatalf("seed %d query %s: %v\n%s", seed, q, err, src)
 				}
 				got := nameTuples(res.Tuples, res.Universe)
 				if !sameTuples(got, want) {
-					t.Fatalf("seed %d query %s workers=%d frontier=%v: answers differ\nprogram:\n%s\ngot  %v\nwant %v",
-						seed, q, m.workers, m.frontier, src, got, want)
+					t.Fatalf("seed %d query %s workers=%d: answers differ\nprogram:\n%s\ngot  %v\nwant %v",
+						seed, q, w, src, got, want)
 				}
 			}
 		}
@@ -224,8 +213,6 @@ func TestPropMagicQueryMatchesFullLFP(t *testing.T) {
 }
 
 func TestPropMagicQueryMatchesFullStratified(t *testing.T) {
-	defer engine.SetDefaultWorkers(0)
-	defer engine.SetDefaultFrontier(true)
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed ^ 0x5717))
 		src, idb := randQueryProgram(rng, 2+rng.Intn(2))
@@ -236,9 +223,7 @@ func TestPropMagicQueryMatchesFullStratified(t *testing.T) {
 		n := 4 + rng.Intn(2)
 		db := randQueryDB(rng, n)
 
-		engine.SetDefaultWorkers(1)
-		engine.SetDefaultFrontier(true)
-		full, err := Stratified(prog, db)
+		full, err := StratifiedOpts(prog, db, SemiNaive, engine.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("seed %d: full evaluation: %v\n%s", seed, err, src)
 		}
@@ -246,17 +231,15 @@ func TestPropMagicQueryMatchesFullStratified(t *testing.T) {
 		for qi := 0; qi < 3; qi++ {
 			q := randQuery(rng, idb, n)
 			want := nameTuples(FilterPattern(full.State[q.Pred], q, full.Universe), full.Universe)
-			for _, m := range queryMatrix() {
-				engine.SetDefaultWorkers(m.workers)
-				engine.SetDefaultFrontier(m.frontier)
-				res, err := QueryStratified(prog, db, q, SemiNaive)
+			for _, w := range queryWorkers() {
+				res, err := QueryStratifiedOpts(prog, db, q, SemiNaive, engine.Options{Workers: w})
 				if err != nil {
 					t.Fatalf("seed %d query %s: %v\n%s", seed, q, err, src)
 				}
 				got := nameTuples(res.Tuples, res.Universe)
 				if !sameTuples(got, want) {
-					t.Fatalf("seed %d query %s workers=%d frontier=%v: answers differ\nprogram:\n%s\ngot  %v\nwant %v",
-						seed, q, m.workers, m.frontier, src, got, want)
+					t.Fatalf("seed %d query %s workers=%d: answers differ\nprogram:\n%s\ngot  %v\nwant %v",
+						seed, q, w, src, got, want)
 				}
 			}
 		}

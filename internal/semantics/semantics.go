@@ -42,15 +42,16 @@ type Stats struct {
 	// the evaluation (the frontier filter on the unpartitioned path, the
 	// exchange filter on the partitioned one); FilterSkips counts the
 	// definitive-absent answers that skipped the exact accumulated-state
-	// probe.  Both are zero when the prefilters are off.
+	// probe.  Both are zero when no relation grew large enough for a
+	// filter, and in Naive mode.
 	FilterProbes int64
 	FilterSkips  int64
 }
 
 // Core returns the stats with the prefilter telemetry cleared: the
 // fields bit-exactness comparisons care about (rounds, tuples, max
-// delta), which must agree across every toggle combination — the
-// probe/skip tallies legitimately differ with the filters on or off.
+// delta), which must agree across modes, worker counts and partition
+// counts — the probe/skip tallies legitimately differ between them.
 func (s Stats) Core() Stats {
 	s.FilterProbes, s.FilterSkips = 0, 0
 	return s
@@ -131,8 +132,7 @@ func lfpLoop(in *engine.Instance, negFixed engine.State, mode Mode) *Result {
 // Frontier entry points return exactly the genuinely-new tuples of the
 // round — emissions already in cur are dropped at emit time — so the
 // loop unions the returned delta into cur and moves on, with no derived
-// state and no Diff.  With the instance's frontier knob off the same
-// entry points compute derive+Diff internally, the ablation baseline.
+// state and no Diff.
 func lfpLoopLog(in *engine.Instance, negFixed engine.State, mode Mode, log func(engine.State)) *Result {
 	// K-way partitioned evaluation replaces the whole semi-naive loop:
 	// the partition coordinator mirrors this loop's rounds, stats, and
@@ -169,11 +169,11 @@ func lfpLoopLog(in *engine.Instance, negFixed engine.State, mode Mode, log func(
 		stats.MaxDeltaTuples = n
 	}
 
-	// The frontier prefilter exists only on the fused-probe semi-naive
-	// path, where this loop can keep it covering the accumulated state
-	// between rounds (a false negative would corrupt the disjoint union;
-	// see relation/filter.go for the soundness contract).
-	useFilter := mode == SemiNaive && in.FrontierEval() && in.FrontierFilter()
+	// The frontier prefilter exists only on the semi-naive path, where
+	// this loop keeps it covering the accumulated state between rounds
+	// (a false negative would corrupt the disjoint union; see
+	// relation/filter.go for the soundness contract).
+	useFilter := mode == SemiNaive
 	var filters map[string]*relation.Filter
 	if useFilter {
 		filters = engine.FrontierFilters(cur)

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/engine"
 	"repro/internal/parser"
 	"repro/internal/relation"
+	"repro/internal/wforacle"
 )
 
 const (
@@ -445,68 +447,44 @@ func TestWellFoundedStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestPropFrontierBitExactAllSemantics is the PR 4 acceptance property:
-// with the frontier (dedup-at-emit) pipeline and intra-rule sharding
-// enabled, every semantics — inflationary, least fixpoint, stratified,
-// and well-founded — produces exactly the state the derive+Diff oracle
-// produces, across worker counts.  Stratified evaluation constructs its
-// engine instances internally, so the toggles go through the process
-// defaults.
+// TestPropFrontierBitExactAllSemantics: every semantics —
+// inflationary, least fixpoint, stratified, and well-founded — on the
+// frontier pipeline with intra-rule sharding produces exactly the model
+// internal/wforacle computes over ground atoms, at every worker count
+// (sequential, minimal parallelism, oversubscribed).  Stratified
+// evaluation constructs its instances internally; the options reach
+// them through StratifiedOpts.
 func TestPropFrontierBitExactAllSemantics(t *testing.T) {
-	defer func() {
-		engine.SetDefaultFrontier(true)
-		engine.SetDefaultSharding(true)
-		engine.SetDefaultWorkers(0)
-	}()
-
-	type run struct {
-		infl, strat engine.State
-		lfp         engine.State
-		wfTrue      engine.State
-		wfPoss      engine.State
-	}
-	eval := func(src string, db *relation.Database, frontier bool, workers int) run {
-		engine.SetDefaultFrontier(frontier)
-		engine.SetDefaultSharding(frontier)
-		engine.SetDefaultWorkers(workers)
-		var r run
-		prog := parser.MustProgram(src)
-		r.infl = Inflationary(engine.MustNew(prog, db.Clone())).State
-		wf := WellFounded(engine.MustNew(prog, db.Clone()))
-		r.wfTrue, r.wfPoss = wf.True, wf.Possible
-		if res, err := Stratified(prog, db.Clone()); err == nil {
-			r.strat = res.State
-		}
-		if res, err := LeastFixpoint(engine.MustNew(prog, db.Clone())); err == nil {
-			r.lfp = res.State
-		}
-		return r
-	}
-	same := func(a, b engine.State) bool {
-		if (a == nil) != (b == nil) {
-			return false
-		}
-		return a == nil || a.Equal(b)
-	}
-
 	progs := []string{tcSrc, pi1Src, distanceSrc}
 	for seed := int64(0); seed < 4; seed++ {
 		db := randomEdgeDB(rand.New(rand.NewSource(seed)), 6, 0.3)
 		for _, src := range progs {
-			want := eval(src, db, false, 1)
+			prog := parser.MustProgram(src)
+			domain, facts := oracleInput(prog, db)
+			stages := wforacle.Inflationary(prog, domain, facts)
+			infl := stages[len(stages)-1]
+			lower, upper := wforacle.Solve(prog, domain, facts)
+
 			for _, nw := range []int{1, 2, runtime.GOMAXPROCS(0) + 2} {
-				got := eval(src, db, true, nw)
-				if !same(got.infl, want.infl) {
-					t.Fatalf("seed %d workers %d: inflationary differs under frontier\n%s", seed, nw, src)
+				opt := engine.Options{Workers: nw}
+				check := func(what string, u *relation.Universe, got engine.State, want map[string]bool) {
+					t.Helper()
+					if d := wforacle.Diff(what, wforacle.Atoms(u, got), want); d != "" {
+						t.Fatalf("seed %d workers %d: %s differs from the oracle: %s\n%s", seed, nw, what, d, src)
+					}
 				}
-				if !same(got.lfp, want.lfp) {
-					t.Fatalf("seed %d workers %d: least fixpoint differs under frontier\n%s", seed, nw, src)
+				in := mustWith(prog, db.Clone(), opt)
+				check("inflationary", in.Universe(), Inflationary(in).State, infl)
+				in = mustWith(prog, db.Clone(), opt)
+				wf := WellFounded(in)
+				check("well-founded true", in.Universe(), wf.True, lower)
+				check("well-founded possible", in.Universe(), wf.Possible, upper)
+				if res, err := StratifiedOpts(prog, db, SemiNaive, opt); err == nil {
+					check("stratified", res.Universe, res.State, lower)
 				}
-				if !same(got.strat, want.strat) {
-					t.Fatalf("seed %d workers %d: stratified differs under frontier\n%s", seed, nw, src)
-				}
-				if !same(got.wfTrue, want.wfTrue) || !same(got.wfPoss, want.wfPoss) {
-					t.Fatalf("seed %d workers %d: well-founded differs under frontier\n%s", seed, nw, src)
+				in = mustWith(prog, db.Clone(), opt)
+				if res, err := LeastFixpoint(in); err == nil {
+					check("least fixpoint", in.Universe(), res.State, infl)
 				}
 			}
 		}
@@ -515,28 +493,26 @@ func TestPropFrontierBitExactAllSemantics(t *testing.T) {
 
 // TestFrontierFilterEngages checks the fixpoint loop's prefilter
 // lifecycle end to end on a workload big enough to cross the filter
-// size threshold: the filtered run must be bit-exact with the
-// exact-probe run (state and core stats) while actually consulting —
-// and resolving some probes through — the filter.
+// size threshold: the semi-naive run must be bit-exact (state and core
+// stats) with the naive run, which never builds a filter, and agree
+// with the oracle, while actually consulting — and resolving some
+// probes through — the filter.
 func TestFrontierFilterEngages(t *testing.T) {
 	db := randomEdgeDB(rand.New(rand.NewSource(21)), 48, 0.08)
 	prog := parser.MustProgram(tcSrc)
 
-	ref := engine.MustNew(prog, db.Clone())
-	ref.SetFrontierFilter(false)
-	want := Inflationary(ref)
+	want := InflationaryMode(engine.MustNew(prog, db.Clone()), Naive)
 	if want.Stats.FilterProbes != 0 || want.Stats.FilterSkips != 0 {
-		t.Fatalf("filter-off run reported filter activity: %+v", want.Stats)
+		t.Fatalf("naive run reported filter activity: %+v", want.Stats)
 	}
 	if want.Stats.Tuples < 1024 {
 		t.Fatalf("workload too small to cross the filter threshold: %d tuples", want.Stats.Tuples)
 	}
 
 	in := engine.MustNew(prog, db.Clone())
-	in.SetFrontierFilter(true)
 	got := Inflationary(in)
 	if !got.State.Equal(want.State) {
-		t.Fatal("filtered fixpoint differs from exact fixpoint")
+		t.Fatal("filtered fixpoint differs from the naive fixpoint")
 	}
 	if got.Stats.Core() != want.Stats.Core() {
 		t.Fatalf("core stats differ: got %+v want %+v", got.Stats, want.Stats)
@@ -546,5 +522,67 @@ func TestFrontierFilterEngages(t *testing.T) {
 	}
 	if got.Stats.FilterSkips <= 0 || got.Stats.FilterSkips > got.Stats.FilterProbes {
 		t.Fatalf("implausible filter tallies: %+v", got.Stats)
+	}
+
+	domain, facts := oracleInput(prog, db)
+	stages := wforacle.Inflationary(prog, domain, facts)
+	if d := wforacle.Diff("inflationary", wforacle.Atoms(in.Universe(), got.State), stages[len(stages)-1]); d != "" {
+		t.Fatalf("filtered fixpoint differs from the oracle: %s", d)
+	}
+	if got.Stats.Rounds != len(stages)+1 {
+		t.Fatalf("%d rounds, the oracle's iteration takes %d", got.Stats.Rounds, len(stages)+1)
+	}
+}
+
+// TestConcurrentOptions evaluates on two goroutines at once with
+// different options — one worker unpartitioned, four workers on four
+// partitions — and checks every result against the oracle.  Options
+// travel with each instance, so neither evaluation can see the other's;
+// the race target runs this package under -race.
+func TestConcurrentOptions(t *testing.T) {
+	db := randomEdgeDB(rand.New(rand.NewSource(3)), 10, 0.2)
+	type want struct {
+		prog         string
+		infl, lo, up map[string]bool
+	}
+	var wants []want
+	for _, src := range []string{tcSrc, pi1Src} {
+		prog := parser.MustProgram(src)
+		domain, facts := oracleInput(prog, db)
+		stages := wforacle.Inflationary(prog, domain, facts)
+		lo, up := wforacle.Solve(prog, domain, facts)
+		wants = append(wants, want{src, stages[len(stages)-1], lo, up})
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for _, opt := range []engine.Options{{Workers: 1}, {Workers: 4, Partitions: 4}} {
+		wg.Add(1)
+		go func(opt engine.Options) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				for _, w := range wants {
+					prog := parser.MustProgram(w.prog)
+					in := mustWith(prog, db.Clone(), opt)
+					u := in.Universe()
+					infl := Inflationary(in).State
+					wf := WellFounded(mustWith(prog, db.Clone(), opt))
+					for _, c := range []struct {
+						what string
+						got  engine.State
+						want map[string]bool
+					}{{"inflationary", infl, w.infl}, {"well-founded true", wf.True, w.lo}, {"well-founded possible", wf.Possible, w.up}} {
+						if d := wforacle.Diff(c.what, wforacle.Atoms(u, c.got), c.want); d != "" {
+							errs <- fmt.Sprintf("%+v: %s differs from the oracle: %s\n%s", opt, c.what, d, w.prog)
+						}
+					}
+				}
+			}
+		}(opt)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

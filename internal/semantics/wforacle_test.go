@@ -1,24 +1,52 @@
 package semantics
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/engine"
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/wforacle"
 )
 
-// Differential tests of the well-founded evaluator against
-// internal/wforacle, an approximation-fixpoint solver over maps of
-// ground atoms that shares no code with it: on seeded random programs
-// and databases the two must agree in all three truth values, and where
-// the model has to be total — stratifiable programs, negation-free ones
-// — it must also be the stratified, respectively the least-fixpoint,
-// model.  Rules come from randRule, so negated literals and comparisons
-// may hold variables no positive literal binds and enumerate the domain.
+// Differential tests of the evaluators against internal/wforacle, a
+// solver over maps of ground atoms that shares no code with them: on
+// seeded random programs and databases the well-founded evaluator must
+// agree with the oracle in all three truth values, the inflationary one
+// in every stage and the round count, and where the well-founded model
+// has to be total — stratifiable programs, negation-free ones — it must
+// also be the stratified, respectively the least-fixpoint, model.  Rules
+// come from randRule, so negated literals and comparisons may hold
+// variables no positive literal binds and enumerate the domain.
+
+// oracleInput is the oracle's input for db: its universe's constants as
+// the domain, its relations as the facts.  Evaluate on db itself (not a
+// clone) first when the program has constants, so the universe holds
+// them.
+func oracleInput(prog *ast.Program, db *relation.Database) ([]string, map[string][][]string) {
+	return wforacle.Input(prog, db.Universe(), dbRels(db))
+}
+
+func dbRels(db *relation.Database) map[string]*relation.Relation {
+	rels := map[string]*relation.Relation{}
+	for _, name := range db.Names() {
+		rels[name] = db.Relation(name)
+	}
+	return rels
+}
+
+// mustWith is engine.NewWith on a program the test knows to be valid.
+func mustWith(prog *ast.Program, db *relation.Database, o engine.Options) *engine.Instance {
+	in, err := engine.NewWith(prog, db, o)
+	if err != nil {
+		panic(err)
+	}
+	return in
+}
 
 // randGeneralProgram draws two or three rules per IDB predicate, each
 // with one or two negated IDB literals — the heads' own included, so
@@ -49,7 +77,9 @@ func randGeneralProgram(rng *rand.Rand) string {
 // compares with the oracle; it returns the result for further checks.
 // On the way it checks, stage by stage, the nesting the evaluator's
 // stopping test rests on — A₀ ⊆ A₂ ⊆ … and A₁ ⊇ A₃ ⊇ … — and that True
-// and Possible are the last two stages.
+// and Possible are the last two stages.  It then evaluates src under
+// the inflationary semantics and compares every stage the log observes,
+// the state and Stats.Rounds with the oracle's cumulative Θ iteration.
 func checkOracle(t *testing.T, src string, db *relation.Database) *WFResult {
 	t.Helper()
 	prog := parser.MustProgram(src)
@@ -68,12 +98,33 @@ func checkOracle(t *testing.T, src string, db *relation.Database) *WFResult {
 	if n := len(stages) - 1; n != 2*res.Outer || !res.True.Equal(stages[n]) || !res.True.Equal(stages[n-2]) || !res.Possible.Equal(stages[n-1]) {
 		t.Fatalf("%d stages in %d outer iterations: True is not A%d = A%d, or Possible is not A%d\nprogram:\n%s", n, res.Outer, n, n-2, n-1, src)
 	}
-	rels := map[string]*relation.Relation{}
-	for _, name := range db.Names() {
-		rels[name] = db.Relation(name)
-	}
-	if d := wforacle.Compare(prog, db.Universe(), rels, res.True, res.Possible); d != "" {
+	if d := wforacle.Compare(prog, db.Universe(), dbRels(db), res.True, res.Possible); d != "" {
 		t.Fatalf("well-founded model differs from the oracle's: %s\nprogram:\n%s\ndatabase:\n%s", d, src, db)
+	}
+
+	domain, facts := oracleInput(prog, db)
+	want := wforacle.Inflationary(prog, domain, facts)
+	var got []map[string]bool
+	inf := InflationaryLog(engine.MustNew(prog, db), SemiNaive, func(s engine.State) {
+		got = append(got, wforacle.Atoms(db.Universe(), s))
+	})
+	if len(got) != len(want) {
+		t.Fatalf("inflationary log has %d stages, the oracle %d\nprogram:\n%s\ndatabase:\n%s", len(got), len(want), src, db)
+	}
+	for i := range want {
+		if d := wforacle.Diff(fmt.Sprintf("in S%d", i+1), got[i], want[i]); d != "" {
+			t.Fatalf("inflationary stage S%d differs from the oracle's: %s\nprogram:\n%s\ndatabase:\n%s", i+1, d, src, db)
+		}
+	}
+	if d := wforacle.Diff("inflationary", wforacle.Atoms(db.Universe(), inf.State), want[len(want)-1]); d != "" {
+		t.Fatalf("inflationary model differs from the oracle's: %s\nprogram:\n%s\ndatabase:\n%s", d, src, db)
+	}
+	rounds := len(want) + 1
+	if len(want[0]) == 0 {
+		rounds = 1
+	}
+	if inf.Stats.Rounds != rounds {
+		t.Fatalf("inflationary evaluation took %d rounds, the oracle's iteration %d\nprogram:\n%s\ndatabase:\n%s", inf.Stats.Rounds, rounds, src, db)
 	}
 	return res
 }

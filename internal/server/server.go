@@ -170,9 +170,8 @@ func New(prog *ast.Program, db *relation.Database, sem core.Semantics) (*Server,
 	return NewWith(prog, db, sem, Config{})
 }
 
-// NewWith is New with explicit configuration — the options-API entry
-// point: engine knobs, the magic default, and the group-commit queue
-// shape all travel in cfg instead of process-wide setters.
+// NewWith is New with explicit configuration: engine options, the
+// magic default, and the group-commit queue shape all travel in cfg.
 func NewWith(prog *ast.Program, db *relation.Database, sem core.Semantics, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	var (

@@ -105,9 +105,9 @@ type JoinWorkload struct {
 	DB   func() *relation.Database
 }
 
-// JoinWorkloads returns the join-heavy workload suite used by the E13
-// planner ablation, `bench -explain`, and the repository benchmarks.
-// Quick mode shrinks the instances for use under `go test`.
+// JoinWorkloads returns the join-heavy workload suite `bench -explain`
+// prints plans for.  Quick mode shrinks the instances for use under
+// `go test`.
 func JoinWorkloads(quick bool) []JoinWorkload {
 	triN, sgDepth, chainDepth, tcN := 96, 7, 192, 64
 	if quick {

@@ -30,69 +30,26 @@ import (
 	"repro/internal/semantics"
 )
 
-// Toggle is a tri-state option value: leave a feature at its default,
-// or force it on or off for one call.  The zero value is the default.
-type Toggle = engine.Toggle
-
-// Toggle values for Options fields.
-const (
-	// Default follows the engine's default for the feature.
-	Default Toggle = engine.ToggleDefault
-	// On forces the feature on for this call.
-	On Toggle = engine.On
-	// Off forces the feature off for this call.
-	Off Toggle = engine.Off
-)
-
 // Options configures one evaluation, query, maintainer, or server
-// call.  The zero value keeps every engine default, so
-// Options{} behaves exactly like the plain entry points.  Options
-// replace the process-wide engine.SetDefault* knob pairs: instead of
-// mutating global state around a call, the knobs travel with the call.
+// call; the zero value is what the plain entry points use.
 type Options struct {
-	// Workers is the Θ evaluation worker-pool size (0 = the process
-	// default, normally GOMAXPROCS).
+	// Workers is the Θ evaluation worker-pool size (0 = GOMAXPROCS).
 	Workers int
-	// Planner toggles cost-based join planning (Off = syntactic
-	// literal order, the ablation baseline).
-	Planner Toggle
-	// Frontier toggles fused dedup-at-emit derivation (Off = the
-	// derive+Diff oracle pipeline).
-	Frontier Toggle
-	// Sharding toggles intra-rule data-parallel sharding.
-	Sharding Toggle
-	// Magic toggles demand-driven evaluation for QueryWith: On/Default
-	// answers via magic-set rewriting, Off materializes the full
-	// fixpoint and filters (the differential oracle).
-	Magic Toggle
 	// Partitions is the K-way hash-partition count for semi-naive
-	// fixpoint rounds (0 = the process default, normally 1 = an
-	// unpartitioned run).  K > 1 splits each round's delta by head-tuple
-	// hash across K engine partitions that exchange only cross-partition
-	// tuples between rounds; results are bit-exact with K = 1.
+	// fixpoint rounds (0 or 1 = an unpartitioned run).  K > 1 splits
+	// each round's delta by head-tuple hash across K engine partitions
+	// that exchange only cross-partition tuples between rounds; results
+	// are bit-exact with K = 1.
 	Partitions int
-	// ExchangeFilter toggles the Bloom prefilter on the cross-partition
-	// exchange path (Default/On = filtered when frontier evaluation is
-	// active, Off = every emission takes the exact membership probe).
-	ExchangeFilter Toggle
-	// FrontierFilter toggles the same Bloom prefilter on the
-	// unpartitioned frontier path: the fixpoint loops keep a summary of
-	// the accumulated state and a definitive "absent" answer skips the
-	// exact dedup probe at emit time (Off = exact probes only).
-	FrontierFilter Toggle
+	// Materialize makes QueryWith materialize the full fixpoint and
+	// filter it — the oracle the demand-driven magic-set path is
+	// differential-tested against — instead of answering demand-driven.
+	Materialize bool
 }
 
 // engineOpts converts the engine-facing subset of the options.
 func (o Options) engineOpts() engine.Options {
-	return engine.Options{
-		Workers:        o.Workers,
-		Planner:        o.Planner,
-		Frontier:       o.Frontier,
-		Sharding:       o.Sharding,
-		Partitions:     o.Partitions,
-		ExchangeFilter: o.ExchangeFilter,
-		FrontierFilter: o.FrontierFilter,
-	}
+	return engine.Options{Workers: o.Workers, Partitions: o.Partitions}
 }
 
 // EvalWith evaluates prog on db under sem with per-call options — the
@@ -108,16 +65,15 @@ func MaintainWith(prog *Program, db *Database, sem Semantics, opt Options) (*Mai
 	return incr.NewWith(prog, db, sem, opt.engineOpts())
 }
 
-// QueryWith is Query with per-call options.  Options.Magic selects the
-// evaluation strategy: On or Default answer demand-driven (magic-set
-// rewriting), Off materializes the full fixpoint and filters — the
-// oracle the demand-driven path is differential-tested against.
+// QueryWith is Query with per-call options.  It answers demand-driven
+// (magic-set rewriting) unless Options.Materialize asks for the full
+// fixpoint, filtered.
 func QueryWith(prog *Program, db *Database, query string, sem Semantics, opt Options) (*QueryResult, error) {
 	q, err := magic.ParseQuery(query)
 	if err != nil {
 		return nil, err
 	}
-	if opt.Magic == Off {
+	if opt.Materialize {
 		return core.QueryFullOpts(prog, db, q, sem, semantics.SemiNaive, opt.engineOpts())
 	}
 	return core.QueryOpts(prog, db, q, sem, semantics.SemiNaive, opt.engineOpts())

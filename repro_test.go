@@ -81,8 +81,8 @@ s(X,Y) :- s(X,Z), e(Z,Y).
 }
 
 // TestFacadeOptions holds the options API to the plain entry points:
-// every ablation knob forced through Options, all four semantics, same
-// results.
+// worker and partition counts passed through Options, all four
+// semantics, same results.
 func TestFacadeOptions(t *testing.T) {
 	prog, err := repro.ParseProgram(`
 s(X,Y) :- e(X,Y).
@@ -97,8 +97,8 @@ s(X,Y) :- e(X,Z), s(Z,Y).
 	}
 	configs := map[string]repro.Options{
 		"zero":     {},
-		"baseline": {Workers: 1, Planner: repro.Off, Frontier: repro.Off, Sharding: repro.Off},
-		"forced":   {Workers: 2, Planner: repro.On, Frontier: repro.On, Sharding: repro.On},
+		"baseline": {Workers: 1},
+		"forced":   {Workers: 2, Partitions: 3},
 	}
 	for _, sem := range []repro.Semantics{
 		repro.SemanticsInflationary, repro.SemanticsLFP,
@@ -115,17 +115,17 @@ s(X,Y) :- e(X,Z), s(Z,Y).
 		}
 	}
 
-	// QueryWith: Magic Off is the materialize+filter oracle; both
-	// strategies answer identically under forced knobs.
-	for _, magic := range []repro.Toggle{repro.Default, repro.On, repro.Off} {
+	// QueryWith: Materialize is the materialize+filter oracle; both
+	// strategies answer identically.
+	for _, materialize := range []bool{false, true} {
 		opt := configs["baseline"]
-		opt.Magic = magic
+		opt.Materialize = materialize
 		res, err := repro.QueryWith(prog, db, "s(a, ?)", repro.SemanticsLFP, opt)
 		if err != nil {
-			t.Fatalf("magic=%v: %v", magic, err)
+			t.Fatalf("materialize=%v: %v", materialize, err)
 		}
 		if res.Tuples.Len() != 3 {
-			t.Errorf("magic=%v: |s(a,?)| = %d, want 3", magic, res.Tuples.Len())
+			t.Errorf("materialize=%v: |s(a,?)| = %d, want 3", materialize, res.Tuples.Len())
 		}
 	}
 
