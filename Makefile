@@ -50,14 +50,13 @@ bench-smoke:
 	$(GO) run ./cmd/bench -quick -exp E1 | tee -a bench-smoke.txt
 
 # CPU + allocation + contention profiles of the hot evaluation path
-# (the E8/E10 series plus the partitioned E17 sweep, whose exchange
-# rounds are what the mutex/block profiles exist to watch), written to
-# profiles/, with a top summary printed for each — so future perf PRs
-# start from data, not guesses.
+# (the E8/E10 series, whose pooled passes are what the mutex/block
+# profiles watch), written to profiles/, with a top summary printed for
+# each — so future perf PRs start from data, not guesses.
 # Inspect interactively with: go tool pprof profiles/repro.test profiles/cpu.pprof
 profile:
 	mkdir -p profiles
-	$(GO) test -run '^$$' -bench 'E8Inflationary|E10Distance|E17PartitionScaling' -benchtime 500ms \
+	$(GO) test -run '^$$' -bench 'E8Inflationary|E10Distance' -benchtime 500ms \
 		-cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof \
 		-mutexprofile profiles/mutex.pprof -blockprofile profiles/block.pprof \
 		-o profiles/repro.test .
@@ -71,32 +70,6 @@ STATICCHECK_VERSION ?= 2025.1.1
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
-# Local mirror of the CI benchstat gate: compare the
-# E8/E10/E15/E16/E17 series on BASE (default HEAD~1) against the
-# working tree, failing on >15% regressions of the per-series minimum
-# (the noise-robust estimator; see scripts/benchdiff).  E16 puts
-# point-query latency under the same gate as whole-fixpoint evaluation;
-# E17/K=1 guards the unpartitioned path against exchange-machinery
-# overhead.  Series missing on either side (a newly added or a deleted
-# benchmark) are skipped by benchdiff.  Both sides are prebuilt and the iterations
-# interleaved A/B/A/B: running all of base then all of head lets slow
-# machine drift (thermal throttling, noisy neighbors) land entirely on
-# whichever side runs second and masquerade as a code regression.
-BASE ?= HEAD~1
-BENCH_SERIES := E8Inflationary|E10Distance|E15FrontierScaling|E16MagicQuery|E17PartitionScaling
-bench-compare:
-	rm -rf /tmp/bench-base && git worktree prune
-	git worktree add /tmp/bench-base $(BASE)
-	cd /tmp/bench-base && $(GO) test -c -o /tmp/bench-base.bin .
-	$(GO) test -c -o /tmp/bench-head.bin .
-	rm -f /tmp/bench-base.txt /tmp/bench-head.txt
-	for i in 1 2 3 4 5 6 7; do \
-		/tmp/bench-base.bin -test.run '^$$' -test.bench '$(BENCH_SERIES)' -test.benchtime 100ms >> /tmp/bench-base.txt || exit 1; \
-		/tmp/bench-head.bin -test.run '^$$' -test.bench '$(BENCH_SERIES)' -test.benchtime 100ms >> /tmp/bench-head.txt || exit 1; \
-	done
-	$(GO) run ./scripts/benchdiff -threshold 15 /tmp/bench-base.txt /tmp/bench-head.txt
-	git worktree remove --force /tmp/bench-base
-
 # The alternating-pair protocol a speed claim is checked by (see
 # benchmark/README.md and scripts/pairs): N runs of one benchmark
 # workload on BASE and N on the working tree, one pair at a time, the
@@ -109,6 +82,7 @@ bench-compare:
 # side builds under its own .bench_build as benchmark/run.sh always does.
 #	make pairs BASE=HEAD~1 WORKLOAD=serve-wf N=10 SEED=1
 #	make pairs BASE=HEAD~1 WORKLOAD=all N=10
+BASE ?= HEAD~1
 N ?= 10
 SEED ?= 1
 pairs:
@@ -150,6 +124,6 @@ cover:
 	$(GO) run ./scripts/covergate -profile cover.out -min $(COVER_MIN)
 
 # Hermetic mirror of CI: every job that needs no network.  staticcheck
-# (downloads the pinned tool) and the benchstat gate (bench-compare)
-# are the two network-using CI jobs; run them explicitly when online.
+# (downloads the pinned tool) is the one network-using CI job; run it
+# explicitly when online.
 ci: vet fmt-check build test race bench-smoke cover fuzz-smoke

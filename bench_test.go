@@ -325,41 +325,6 @@ func BenchmarkE15FrontierScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkE17PartitionScaling: the partition-count sweep behind
-// experiment E17 — the transitive closure and the distance program
-// evaluated with K-way hash-partitioned fixpoint rounds,
-// K ∈ {1, 2, 4, 8}.  K=1 bypasses the exchange entirely (the
-// unpartitioned baseline); K > 1 measures the exchange and prefilter
-// overhead on this machine, and the scaling when cores are available.
-func BenchmarkE17PartitionScaling(b *testing.B) {
-	cases := []struct {
-		name string
-		src  string
-		db   func() *relation.Database
-	}{
-		{"tc/G(48,0.06)", tcSrc,
-			func() *relation.Database { return graphs.Random(newRNG(48), 48, 0.06).Database() }},
-		{"distance/G(14,0.25)", distSrc,
-			func() *relation.Database { return graphs.Random(newRNG(14), 14, 0.25).Database() }},
-	}
-	for _, tc := range cases {
-		prog := parser.MustProgram(tc.src)
-		db := tc.db()
-		for _, k := range experiments.E17Partitions() {
-			b.Run(fmt.Sprintf("%s/K=%d", tc.name, k), func(b *testing.B) {
-				in, err := engine.NewWith(prog, db.Clone(), engine.Options{Partitions: k})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					semantics.Inflationary(in)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkE16MagicQuery: one point query answered demand-driven
 // (magic-set rewriting, the rewrite re-prepared per op like a cold
 // server cache) versus full materialization plus a filter — the

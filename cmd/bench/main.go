@@ -1,6 +1,6 @@
 // Command bench regenerates the reproduction's experiment tables
 // (package internal/experiments): E1–E12 are one experiment per
-// theorem, lemma, worked example and proposition of the paper, E14–E17
+// theorem, lemma, worked example and proposition of the paper, E14–E16
 // measure the engine built around them.  Every
 // row is checked against the paper's claim; a MISMATCH in any table
 // (and a nonzero exit) means the reproduction diverges.
@@ -27,29 +27,28 @@ import (
 
 // options collects the bench flags.
 type options struct {
-	exp                 string
-	quick, list         bool
-	explain             bool
-	workers, partitions int
+	exp         string
+	quick, list bool
+	explain     bool
+	workers     int
 }
 
 // newFlags defines the flag set over o.  Split from main so tests can
 // exercise the definitions.
 func newFlags(name string, o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	fs.StringVar(&o.exp, "exp", "", "run a single experiment (E1..E17)")
+	fs.StringVar(&o.exp, "exp", "", "run a single experiment (E1..E16)")
 	fs.BoolVar(&o.quick, "quick", false, "shorten parameter sweeps")
 	fs.BoolVar(&o.list, "list", false, "list experiments")
 	fs.IntVar(&o.workers, "workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.explain, "explain", false, "print per-rule evaluation plans for the join-heavy workloads and exit")
-	fs.IntVar(&o.partitions, "partitions", 1, "K-way hash-partitioned evaluation with delta exchange (1 = unpartitioned)")
 	return fs
 }
 
 // engineOptions is the engine configuration every experiment evaluates
 // with, except where it sweeps an option itself.
 func (o *options) engineOptions() engine.Options {
-	return engine.Options{Workers: o.workers, Partitions: o.partitions}
+	return engine.Options{Workers: o.workers}
 }
 
 func main() {

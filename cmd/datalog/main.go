@@ -37,12 +37,12 @@ import (
 
 // options collects the datalog flags.
 type options struct {
-	program, facts      string
-	semantics, mode     string
-	stats, explain      bool
-	query               string
-	magic               bool
-	workers, partitions int
+	program, facts  string
+	semantics, mode string
+	stats, explain  bool
+	query           string
+	magic           bool
+	workers         int
 }
 
 // newFlags defines the flag set over o.  Split from main so tests can
@@ -58,13 +58,12 @@ func newFlags(name string, o *options) *flag.FlagSet {
 	fs.BoolVar(&o.explain, "explain", false, "print per-rule evaluation plans at the computed fixpoint")
 	fs.StringVar(&o.query, "query", "", "answer one query atom, e.g. 's(a, ?)' ('?' marks free positions)")
 	fs.BoolVar(&o.magic, "magic", true, "with -query: demand-driven magic-set evaluation (false = full materialization + filter)")
-	fs.IntVar(&o.partitions, "partitions", 1, "K-way hash-partitioned evaluation with delta exchange (1 = unpartitioned)")
 	return fs
 }
 
 // engineOptions is the one engine configuration every call receives.
 func (o *options) engineOptions() engine.Options {
-	return engine.Options{Workers: o.workers, Partitions: o.partitions}
+	return engine.Options{Workers: o.workers}
 }
 
 func main() {

@@ -7,31 +7,29 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/partition"
 )
 
-// TestEngineOptions checks that -workers and -partitions become the one
-// engine.Options value the command passes on.
+// TestEngineOptions checks that -workers becomes the one engine.Options
+// value the command passes on.
 func TestEngineOptions(t *testing.T) {
 	var o options
-	if err := newFlags("datalog", &o).Parse([]string{"-workers", "3", "-partitions", "4"}); err != nil {
+	if err := newFlags("datalog", &o).Parse([]string{"-workers", "3"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.engineOptions(); got != (engine.Options{Workers: 3, Partitions: 4}) {
-		t.Errorf("engine options = %+v, want Workers 3, Partitions 4", got)
+	if got := o.engineOptions(); got != (engine.Options{Workers: 3}) {
+		t.Errorf("engine options = %+v, want Workers 3", got)
 	}
 	var dft options
 	if err := newFlags("datalog", &dft).Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := dft.engineOptions(); got != (engine.Options{Partitions: 1}) {
-		t.Errorf("default engine options = %+v, want GOMAXPROCS workers, unpartitioned", got)
+	if got := dft.engineOptions(); got != (engine.Options{}) {
+		t.Errorf("default engine options = %+v, want GOMAXPROCS workers", got)
 	}
 }
 
 // TestRunThreadsOptions runs the evaluation, -explain and both -query
-// paths with -partitions 4 and checks each actually evaluated
-// partitioned: the options reach every call, not only the first.
+// paths with -workers 2 and checks each answers correctly.
 func TestRunThreadsOptions(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, src string) string {
@@ -55,20 +53,16 @@ func TestRunThreadsOptions(t *testing.T) {
 		{"query-full", []string{"-semantics", "lfp", "-query", "s(a, ?)", "-magic=false"}, "s = {(a,b), (a,c), (a,d)}"},
 	} {
 		var o options
-		args := append([]string{"-program", prog, "-facts", facts, "-partitions", "4", "-workers", "2"}, c.args...)
+		args := append([]string{"-program", prog, "-facts", facts, "-workers", "2"}, c.args...)
 		if err := newFlags("datalog", &o).Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		before := partition.Snapshot().Runs
 		var out strings.Builder
 		if err := run(&o, &out); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if !strings.Contains(out.String(), c.want) {
 			t.Errorf("%s: output lacks %q:\n%s", c.name, c.want, out.String())
-		}
-		if partition.Snapshot().Runs == before {
-			t.Errorf("%s: -partitions 4 did not reach the evaluation", c.name)
 		}
 	}
 }

@@ -22,10 +22,10 @@ import (
 
 // options collects the fixpoint flags.
 type options struct {
-	program, facts      string
-	count, enumerate    int
-	least, stable       bool
-	workers, partitions int
+	program, facts   string
+	count, enumerate int
+	least, stable    bool
+	workers          int
 }
 
 // newFlags defines the flag set over o.  Split from main so tests can
@@ -39,13 +39,12 @@ func newFlags(name string, o *options) *flag.FlagSet {
 	fs.IntVar(&o.enumerate, "enumerate", 0, "print up to N fixpoints")
 	fs.BoolVar(&o.stable, "stable", false, "also enumerate stable models (answer sets)")
 	fs.IntVar(&o.workers, "workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&o.partitions, "partitions", 1, "K-way hash-partitioned evaluation with delta exchange (1 = unpartitioned)")
 	return fs
 }
 
 // engineOptions is the engine configuration of the analysed instance.
 func (o *options) engineOptions() engine.Options {
-	return engine.Options{Workers: o.workers, Partitions: o.partitions}
+	return engine.Options{Workers: o.workers}
 }
 
 func main() {

@@ -63,8 +63,8 @@ import (
 	"repro/internal/server"
 )
 
-// options collects every serve flag.  The engine's two sizing options
-// have a flag each; they travel to the server through server.Config /
+// options collects every serve flag.  The engine's one sizing option,
+// -workers, travels to the server through server.Config /
 // engine.Options.
 type options struct {
 	program   string
@@ -72,8 +72,7 @@ type options struct {
 	semantics string
 	addr      string
 
-	workers    int
-	partitions int
+	workers int
 
 	magic        bool
 	queueDepth   int
@@ -100,7 +99,6 @@ func newFlags(name string, opts *options) *flag.FlagSet {
 	fs.StringVar(&opts.semantics, "semantics", "inflationary", "inflationary|lfp|stratified|wellfounded")
 	fs.StringVar(&opts.addr, "addr", ":8090", "listen address")
 	fs.IntVar(&opts.workers, "workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&opts.partitions, "partitions", 1, "K-way hash-partitioned evaluation with delta exchange (1 = unpartitioned)")
 	fs.BoolVar(&opts.magic, "magic", false, "answer /v1/query IDB queries demand-driven (magic-set rewriting) by default")
 	fs.IntVar(&opts.queueDepth, "queue-depth", 256, "bound on queued updates; a full queue answers 429")
 	fs.DurationVar(&opts.commitWindow, "commit-window", 0, "how long the committer waits for more updates to coalesce (0 = drain-only)")
@@ -171,7 +169,7 @@ func (o *options) serverConfig() (server.Config, error) {
 		return server.Config{}, err
 	}
 	return server.Config{
-		Engine:            engine.Options{Workers: o.workers, Partitions: o.partitions},
+		Engine:            engine.Options{Workers: o.workers},
 		MagicDefault:      o.magic,
 		QueueDepth:        o.queueDepth,
 		CommitWindow:      o.commitWindow,
@@ -270,8 +268,8 @@ func run(args []string) error {
 	}
 	log.Printf("serve: %s semantics, %d relations, %d tuples, initial evaluation in %v",
 		sem, len(snap.Rels), total, time.Since(start).Round(time.Millisecond))
-	log.Printf("serve: workers=%d partitions=%d magic=%t queue-depth=%d commit-window=%v max-batch=%d",
-		opts.workers, opts.partitions, opts.magic,
+	log.Printf("serve: workers=%d magic=%t queue-depth=%d commit-window=%v max-batch=%d",
+		opts.workers, opts.magic,
 		opts.queueDepth, opts.commitWindow, opts.maxBatch)
 	if opts.dataDir != "" {
 		log.Printf("serve: durable in %s (fsync=%s, checkpoint-every=%s)",

@@ -47,7 +47,7 @@ func TestServerConfig(t *testing.T) {
 	var opts options
 	fs := newFlags("serve", &opts)
 	err := fs.Parse([]string{
-		"-workers", "3", "-partitions", "4",
+		"-workers", "3",
 		"-magic", "-queue-depth", "7", "-commit-window", "2ms", "-max-batch", "9",
 		"-max-body", "2048", "-data-dir", "/tmp/x", "-checkpoint-every", "64mb",
 		"-fsync", "interval", "-fsync-interval", "250ms",
@@ -59,8 +59,8 @@ func TestServerConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Engine != (engine.Options{Workers: 3, Partitions: 4}) {
-		t.Errorf("Engine = %+v, want Workers 3, Partitions 4", cfg.Engine)
+	if cfg.Engine != (engine.Options{Workers: 3}) {
+		t.Errorf("Engine = %+v, want Workers 3", cfg.Engine)
 	}
 	if !cfg.MagicDefault || cfg.QueueDepth != 7 || cfg.CommitWindow != 2*time.Millisecond || cfg.MaxBatch != 9 {
 		t.Errorf("queue config = %+v", cfg)
@@ -71,16 +71,15 @@ func TestServerConfig(t *testing.T) {
 		t.Errorf("durable config = %+v", cfg)
 	}
 
-	// And the zero-flag path yields GOMAXPROCS workers, unpartitioned,
-	// and the default durability settings: always-fsync, 256-batch
-	// checkpoints.
+	// And the zero-flag path yields GOMAXPROCS workers and the default
+	// durability settings: always-fsync, 256-batch checkpoints.
 	var dft options
 	newFlags("serve", &dft).Parse(nil)
 	c, err := dft.serverConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Engine != (engine.Options{Workers: 0, Partitions: 1}) {
+	if c.Engine != (engine.Options{}) {
 		t.Errorf("default engine options = %+v", c.Engine)
 	}
 	if c.Fsync != durable.FsyncAlways || c.CheckpointBatches != 256 || c.CheckpointBytes != 0 {

@@ -108,8 +108,8 @@ func Eval(prog *ast.Program, db *relation.Database, sem Semantics, mode semantic
 	return EvalOpts(prog, db, sem, mode, engine.Options{})
 }
 
-// EvalOpts is Eval with engine options (worker-pool size, partition
-// count) applied to every instance the evaluation constructs.
+// EvalOpts is Eval with engine options (the worker-pool size) applied
+// to every instance the evaluation constructs.
 func EvalOpts(prog *ast.Program, db *relation.Database, sem Semantics, mode semantics.Mode, opt engine.Options) (*EvalResult, error) {
 	if _, err := prog.Validate(); err != nil {
 		return nil, err

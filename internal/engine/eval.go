@@ -21,28 +21,15 @@ import (
 // in it are dropped at emit time (a read-only membership probe fused
 // into the insert, see Relation.AddNotIn), so a frontier pass returns
 // exactly the genuinely-new tuples without a derived state or a Diff.
-// parts, when non-nil, replaces out with hash-partitioned buckets so
-// per-worker outputs can be merged bucket-by-bucket and concatenated
-// disjointly.
 type evalCtx struct {
 	pos     []Overlay
 	neg     []Overlay
 	out     *relation.Relation
-	parts   []*relation.Relation
 	cur     *relation.Relation
 	cnt     *relation.Multiset
 	usize   int
 	headBuf relation.Tuple
 	negBuf  relation.Tuple
-	// filter, when non-nil, is a Bloom summary of cur fronting the exact
-	// frontier probe on partitioned passes: a "definitely absent" answer
-	// skips the cur map probe entirely (the tuple is surely new), a
-	// "maybe present" answer falls through to the exact AddNotIn.
-	// fprobes/fskips count the filter consultations and the probes it
-	// saved, accumulated into the workerOut after the rule completes.
-	filter  *relation.Filter
-	fprobes int64
-	fskips  int64
 }
 
 // evalTask is one unit of parallel work: a rule plan plus optional
@@ -124,58 +111,36 @@ type runOpts struct {
 	// genuinely-new tuples, with no derived state and no Diff.
 	frontier State
 	// hints pre-sizes per-predicate outputs from the caller's expected
-	// cardinality (typically last round's delta), and selects which
-	// predicates get hash-partitioned per-worker outputs.
+	// cardinality (typically last round's delta).
 	hints map[string]int
 	// shard allows intra-rule data parallelism: when tasks < workers,
 	// tasks are split into arena-range shards of their driver relation so
 	// every worker gets work even on programs with few rules.
 	shard bool
-	// nparts, when > 1, switches every predicate's per-worker output to
-	// nparts owner buckets partitioned by TupleHash — the exchange unit
-	// of partitioned evaluation (runTasksParts).  Unlike the hint-driven
-	// partitioning above, it applies unconditionally.
-	nparts int
-	// workers caps the worker pool for this pass; 0 follows
-	// in.Workers().  Partitioned passes split the instance pool across
-	// the concurrently-evaluating partitions.
-	workers int
-	// filters, when non-nil, front the frontier probe per predicate with
-	// a Bloom summary of the accumulated state (see evalCtx.filter).
-	filters map[string]*relation.Filter
 	// count switches the pass to counting mode (see runTasksCount).
 	count bool
 }
 
 // workerOut is one worker's private derivation output, sized for the
-// worker's share of the expected delta (see newWorkerOut).  Most
-// predicates derive into out; predicates expected to produce large
-// deltas (hints ≥ partitionThreshold) derive into parts — one relation
-// per merge bucket, as many buckets as workers, partitioned by
-// head-tuple hash — so the cross-worker merge can run bucket-by-bucket
-// in parallel and assemble the result by disjoint concatenation instead
-// of one serial re-hashed union.
+// worker's share of the expected delta (see newWorkerOut).
 type workerOut struct {
 	out     State
-	parts   map[string][]*relation.Relation
 	against State // frontier filter, nil when the pass keeps everything
-	// filters and the probe counters serve partitioned exchange passes:
-	// per-predicate Bloom prefilters over the accumulated state, and the
-	// per-worker tallies of how often they were consulted / saved the
-	// exact probe.
-	filters map[string]*relation.Filter
-	fprobes int64
-	fskips  int64
 	// cnt, in a counting pass, replaces out: per head predicate, every
 	// emitted tuple with its number of derivations.
 	cnt map[string]*relation.Multiset
 }
 
-// partitionThreshold is the expected per-predicate cardinality above
-// which parallel frontier passes switch that predicate's per-worker
-// output to hash-partitioned buckets.  Below it the partitions' fixed
-// cost (nbuckets relations per worker) outweighs the parallel merge.
-const partitionThreshold = 1024
+// InlineFloor is the driver work below which a pass runs on the calling
+// goroutine: no worker goroutines, no shards, one output and no merge.
+// A pass's driver work is the number of tuples its tasks enumerate
+// first, summed over the tasks: each task's semi-naive delta, or the
+// literal the planner would start from (see driverWork).  Below the
+// floor, handing the pass to the pool and merging the per-worker
+// outputs costs more than the parallel enumeration saves.  The value
+// comes from one sweep of the eval-batch workload, which README's
+// "One evaluation path" section reports.
+const InlineFloor = 4096
 
 // scratchPool is process-global, not per-instance: a sync.Pool that
 // ever sees a Put registers itself with the runtime and is visited by
@@ -191,79 +156,49 @@ var scratchPool sync.Pool
 
 // newWorkerOut builds the output of one of nw workers, presized for the
 // worker's share of each hinted predicate: 1/nw of the expected
-// cardinality, divided again among the predicate's buckets.  A
-// partition-exchange pass routes every predicate into opts.nparts owner
-// buckets — the bucket boundary is the exchange unit, not a merge
-// optimization; otherwise, with nw > 1, a predicate expected to reach
-// partitionThreshold derives into nw merge buckets.
+// cardinality.
 func (in *Instance) newWorkerOut(opts runOpts, nw int) *workerOut {
 	if opts.count {
 		return &workerOut{cnt: make(map[string]*relation.Multiset)}
 	}
-	wo := &workerOut{out: in.NewState(), against: opts.frontier, filters: opts.filters}
+	wo := &workerOut{out: in.NewState(), against: opts.frontier}
 	for pred, r := range wo.out {
-		n, nb := opts.hints[pred], opts.nparts
-		if nb == 0 && nw > 1 && n >= partitionThreshold {
-			nb = nw
-		}
-		if nb == 0 {
-			r.ReserveHint(n / nw)
-			continue
-		}
-		parts := make([]*relation.Relation, nb)
-		for b := range parts {
-			parts[b] = relation.New(r.Arity())
-			parts[b].ReserveHint(n / (nw * nb))
-		}
-		if wo.parts == nil {
-			wo.parts = make(map[string][]*relation.Relation)
-		}
-		wo.parts[pred] = parts
+		r.ReserveHint(opts.hints[pred] / nw)
 	}
 	return wo
 }
 
 // runTasks evaluates every task against (pos, neg) and returns the
-// union of their derivations (minus opts.frontier, when set).  With
-// more than one task and more than one configured worker, tasks are
-// distributed over a pool of goroutines, each deriving into a private
-// output; because the final merge is a union of sets (or a disjoint
-// concatenation of hash partitions), the result is bit-exact regardless
-// of worker count or scheduling order.  Input states are only read:
-// lazy index construction inside Relation is internally synchronized.
-//
-// When opts.shard is set and there are fewer tasks than workers, tasks
-// are first split into arena-range shards of their driver relation (see
-// expandShards), so even a two-rule program keeps every core busy.
+// union of their derivations (minus opts.frontier, when set).  A pass
+// with enough driver work runs on a pool of goroutines, each deriving
+// into a private output (see runPool); the outputs are merged by set
+// union into the first, so the result is bit-exact regardless of worker
+// count or scheduling order.  Every other worker output is dropped as
+// soon as its ids are copied.  Input states are only read: lazy index
+// construction inside Relation is internally synchronized.
 func (in *Instance) runTasks(tasks []evalTask, pos, neg State, opts runOpts) State {
-	out, _ := in.runTasksStats(tasks, pos, neg, opts)
+	wos := in.runPool(tasks, pos, neg, opts)
+	out := wos[0].out
+	for _, wo := range wos[1:] {
+		out.UnionWith(wo.out)
+		wo.out = nil
+	}
 	return out
 }
 
-// runTasksStats is runTasks returning the pass's emit-path prefilter
-// telemetry alongside the derived state (zero when opts.filters is
-// nil — the exact-probe-only path never consults a filter).
-func (in *Instance) runTasksStats(tasks []evalTask, pos, neg State, opts runOpts) (State, FilterStats) {
-	wos := in.runPool(tasks, pos, neg, opts)
-	var st FilterStats
-	for _, wo := range wos {
-		st.Probes += wo.fprobes
-		st.Skips += wo.fskips
-	}
-	return in.mergeWorkerOuts(wos), st
-}
-
-// runPool evaluates every task against (pos, neg) on a pool of
-// opts.workers (else Workers()) goroutines, each deriving into a private
-// output, and returns the per-worker outputs.  With fewer tasks than
-// workers and opts.shard set, tasks are first split into arena-range
-// shards of their driver relation (see expandShards), so even a
-// two-rule program keeps every core busy.  One worker, or one task,
-// runs inline.
+// runPool evaluates every task against (pos, neg) and returns the
+// per-worker outputs.  A pass whose driver work is under InlineFloor,
+// or that has one task and no shards, or an instance with one worker,
+// runs on the calling goroutine into a single output.  Otherwise the
+// tasks are distributed over a pool of Workers() goroutines, each
+// deriving into a private output; with fewer tasks than workers and
+// opts.shard set, tasks are first split into arena-range shards of
+// their driver relation (see expandShards), so even a two-rule program
+// keeps every core busy.
 func (in *Instance) runPool(tasks []evalTask, pos, neg State, opts runOpts) []*workerOut {
-	nw := opts.workers
-	if nw <= 0 {
-		nw = in.Workers()
+	nw := in.Workers()
+	if nw > 1 && in.driverWork(tasks, pos) < InlineFloor {
+		nw = 1
 	}
 	if opts.shard && nw > len(tasks) && len(tasks) > 0 {
 		tasks = in.expandShards(tasks, pos, nw)
@@ -301,40 +236,17 @@ func (in *Instance) runPool(tasks []evalTask, pos, neg State, opts runOpts) []*w
 	return wos
 }
 
-// mergeWorkerOuts combines per-worker outputs: plain predicates by set
-// union into the first worker's state, partitioned predicates by a
-// parallel per-bucket union into the first worker's bucket followed by
-// disjoint concatenation (buckets are hash partitions, so tuples of
-// different buckets can never collide).  Every other worker relation is
-// dropped as soon as its ids are copied, so it is garbage for the rest
-// of the merge.
-func (in *Instance) mergeWorkerOuts(wos []*workerOut) State {
-	out := wos[0].out
-	for _, wo := range wos[1:] {
-		out.UnionWith(wo.out)
-		wo.out = nil
-	}
-	for pred, merged := range wos[0].parts {
-		var wg sync.WaitGroup
-		wg.Add(len(merged))
-		for b := range merged {
-			go func(b int) {
-				defer wg.Done()
-				for _, wo := range wos[1:] {
-					merged[b].UnionWith(wo.parts[pred][b])
-					wo.parts[pred][b] = nil
-				}
-			}(b)
+// driverWork is a pass's driver work (see InlineFloor): the tuples of
+// the relation each task enumerates first, as shardTarget resolves it,
+// summed over the tasks.
+func (in *Instance) driverWork(tasks []evalTask, pos State) int {
+	n := 0
+	for _, t := range tasks {
+		if _, rel := in.shardTarget(t, pos); rel != nil {
+			n += rel.Len()
 		}
-		wg.Wait()
-		whole := relation.ConcatDisjoint(in.arities[pred], merged)
-		clear(merged)
-		// The non-partitioned per-worker outputs for this predicate are
-		// empty by construction, but union them anyway for safety.
-		whole.UnionWith(out[pred])
-		out[pred] = whole
 	}
-	return out
+	return n
 }
 
 // runTasksCount evaluates every task in counting mode: instead of a
@@ -404,14 +316,13 @@ func (in *Instance) getScratch(rp *rulePlan, maxNeg int) *evalScratch {
 // reference so pooled entries never pin last round's states.
 func (in *Instance) putScratch(sc *evalScratch) {
 	ctx := &sc.ctx
-	ctx.out, ctx.cur, ctx.parts, ctx.cnt, ctx.filter = nil, nil, nil, nil, nil
+	ctx.out, ctx.cur, ctx.cnt = nil, nil, nil
 	for i := range ctx.pos {
 		ctx.pos[i] = Overlay{}
 	}
 	for i := range ctx.neg {
 		ctx.neg[i] = Overlay{}
 	}
-	ctx.fprobes, ctx.fskips = 0, 0
 	scratchPool.Put(sc)
 }
 
@@ -433,14 +344,8 @@ func (in *Instance) evalRule(task evalTask, posState, negState State, wo *worker
 	ctx := &sc.ctx
 	ctx.usize = in.db.Universe().Size()
 	ctx.out = wo.out[rp.headPred]
-	if wo.parts != nil {
-		ctx.parts = wo.parts[rp.headPred]
-	}
 	if wo.against != nil {
 		ctx.cur = wo.against[rp.headPred]
-	}
-	if wo.filters != nil {
-		ctx.filter = wo.filters[rp.headPred]
 	}
 	if wo.cnt != nil {
 		ms := wo.cnt[rp.headPred]
@@ -479,8 +384,6 @@ func (in *Instance) evalRule(task evalTask, posState, negState State, wo *worker
 	}
 	ep := buildExec(rp, ctx.pos, shardLit, task.shardLo, task.shardHi)
 	in.run(rp, ctx, ep, 0, sc.binding)
-	wo.fprobes += ctx.fprobes
-	wo.fskips += ctx.fskips
 	in.putScratch(sc)
 }
 
@@ -506,42 +409,9 @@ func (in *Instance) run(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bindin
 		for i, s := range rp.headSlots {
 			t[i] = slotValue(s, binding)
 		}
-		switch {
-		case ctx.cnt != nil:
+		if ctx.cnt != nil {
 			ctx.cnt.Bump(t, 1)
-		case ctx.parts != nil:
-			// One emit-time hash serves owner routing, the Bloom prefilter,
-			// and both membership probes (bucket dedup + accumulated state).
-			h := relation.TupleHash(t)
-			b := ctx.parts[h%uint64(len(ctx.parts))]
-			if ctx.filter != nil {
-				// "Definitely absent" proves the tuple is not in the
-				// accumulated state, so only the bucket's own dedup is
-				// needed; "maybe present" takes the exact probe, which
-				// drops duplicates exactly.
-				ctx.fprobes++
-				if !ctx.filter.MayContainHash(h) {
-					ctx.fskips++
-					b.AddHash(t, h)
-				} else {
-					b.AddNotInHash(t, h, ctx.cur)
-				}
-			} else {
-				b.AddNotInHash(t, h, ctx.cur)
-			}
-		case ctx.filter != nil:
-			// Unpartitioned frontier pass fronted by the accumulated-state
-			// Bloom summary (see frontier.go): same protocol as the
-			// exchange path, minus the owner routing.
-			h := relation.TupleHash(t)
-			ctx.fprobes++
-			if !ctx.filter.MayContainHash(h) {
-				ctx.fskips++
-				ctx.out.AddHash(t, h)
-			} else {
-				ctx.out.AddNotInHash(t, h, ctx.cur)
-			}
-		default:
+		} else {
 			ctx.out.AddNotIn(t, ctx.cur)
 		}
 		return

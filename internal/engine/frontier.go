@@ -8,9 +8,7 @@
 // bind/check loop, see Relation.AddNotIn) and insert genuinely-new
 // tuples straight into the per-predicate delta: the returned state IS
 // the next delta, disjoint from the accumulated one, and callers union
-// it back with UnionDisjoint.  Once an accumulated relation passes
-// frontierFilterMin tuples, a Bloom summary of it fronts the exact
-// probe.
+// it back with UnionDisjoint.
 //
 // Intra-rule sharding keeps every worker busy when a round has fewer
 // rule tasks than the pool has workers: a task's driver relation (the
@@ -19,14 +17,11 @@
 // task per shard, each restricted to its range.  The ranges partition
 // the driving enumeration, so every derivation belongs to exactly one
 // shard and the union of the shard outputs is exactly the unsharded
-// output.
+// output.  A pass under InlineFloor is never sharded: it runs on the
+// calling goroutine.
 package engine
 
-import (
-	"sync/atomic"
-
-	"repro/internal/relation"
-)
+import "repro/internal/relation"
 
 // ApplyFrontier returns Θ(S̄) minus against: every emission already in
 // against is dropped at emit time.  With against = s it computes the
@@ -50,26 +45,8 @@ func (in *Instance) ApplySplitFrontier(pos, neg, against State) State {
 // relations are pre-sized from the incoming delta's cardinality (the
 // best available estimate of the next round's).
 func (in *Instance) ApplyDeltaSplitFrontier(old, delta, cur, neg State) State {
-	out, _ := in.ApplyDeltaSplitFrontierFiltered(old, delta, cur, neg, nil)
-	return out
-}
-
-// ApplyDeltaSplitFrontierFiltered is ApplyDeltaSplitFrontier with the
-// accumulated-state probe fronted by per-predicate Bloom summaries of
-// cur: a "definitely absent" verdict off the emit-time TupleHash skips
-// the exact probe entirely.  filters
-// must cover cur completely — the fixpoint loops build them with
-// FrontierFilters and keep them in lockstep with ExtendFrontierFilters
-// — or be nil, which degenerates to the unfiltered entry point.  The
-// returned tallies report how often the filter was consulted and how
-// often it resolved the probe.
-func (in *Instance) ApplyDeltaSplitFrontierFiltered(old, delta, cur, neg State, filters map[string]*relation.Filter) (State, FilterStats) {
 	deltas, hints := insertDeltas(old, delta)
-	out, st := in.runTasksStats(in.deltaTasks(deltas), cur, neg,
-		runOpts{frontier: cur, hints: hints, shard: true, filters: filters})
-	frontierFilterProbes.Add(st.Probes)
-	frontierFilterSkips.Add(st.Skips)
-	return out, st
+	return in.runTasks(in.deltaTasks(deltas), cur, neg, runOpts{frontier: cur, hints: hints, shard: true})
 }
 
 // insertDeltas is the Delta map of a semi-naive round — every IDB
@@ -87,81 +64,6 @@ func insertDeltas(old, delta State) (map[string]Delta, map[string]int) {
 		}
 	}
 	return deltas, hints
-}
-
-// frontierFilterMin is the accumulated-relation size below which no
-// frontier prefilter is built: a Bloom pass over a relation that fits
-// in cache costs more than the map probes it saves.  Once a relation
-// crosses the threshold its filter persists and is extended per round.
-const frontierFilterMin = 1024
-
-// frontierFilterHeadroom is the minimum growth allowance fresh
-// prefilters are sized with; filterCap doubles on top of it so rebuild
-// cost amortizes geometrically — a flat allowance forces a full O(cur)
-// rebuild every round once per-round growth exceeds it, turning the
-// filter into a quadratic tax on fast-growing relations.
-const frontierFilterHeadroom = 4096
-
-// filterCap is the design load a (re)built frontier prefilter is sized
-// for, given the relation it must cover.
-func filterCap(r *relation.Relation) int {
-	return 2*r.Len() + frontierFilterHeadroom
-}
-
-// FrontierFilters builds per-predicate Bloom summaries of cur for the
-// predicates worth filtering (≥ frontierFilterMin tuples); nil when
-// none qualify.  The result covers cur exactly and must be kept in
-// lockstep with it via ExtendFrontierFilters.
-func FrontierFilters(cur State) map[string]*relation.Filter {
-	return ExtendFrontierFilters(nil, cur, nil)
-}
-
-// ExtendFrontierFilters keeps frontier prefilters covering the
-// accumulated state across a round: grown holds the tuples just
-// unioned into cur (they are added to existing filters), predicates
-// newly past the size threshold get a fresh filter over all of cur,
-// and any filter pushed past its design load is rebuilt at current
-// occupancy plus headroom.  It returns the (possibly created) map —
-// the no-false-negatives coverage contract holds on every return.
-func ExtendFrontierFilters(filters map[string]*relation.Filter, cur, grown State) map[string]*relation.Filter {
-	for pred, r := range cur {
-		f := filters[pred]
-		if f == nil {
-			if r.Len() < frontierFilterMin {
-				continue
-			}
-			if filters == nil {
-				filters = make(map[string]*relation.Filter, len(cur))
-			}
-			filters[pred] = relation.FilterOf(r, filterCap(r))
-			continue
-		}
-		if g := grown[pred]; g != nil {
-			g.Each(func(t relation.Tuple) bool {
-				f.Add(t)
-				return true
-			})
-		}
-		if f.Overloaded() {
-			filters[pred] = relation.FilterOf(r, filterCap(r))
-		}
-	}
-	return filters
-}
-
-// frontierFilterProbes/Skips are the process-wide frontier-prefilter
-// tallies surfaced by the serve daemon's /v1/metrics engine block,
-// mirroring the partition package's exchange-filter counters.
-var (
-	frontierFilterProbes atomic.Int64
-	frontierFilterSkips  atomic.Int64
-)
-
-// FrontierFilterTotals reports the process-wide frontier-prefilter
-// telemetry: total emit-path consultations and the subset that
-// resolved to "definitely absent" (skipping the exact probe).
-func FrontierFilterTotals() (probes, skips int64) {
-	return frontierFilterProbes.Load(), frontierFilterSkips.Load()
 }
 
 // ApplyDeltasFrontier is ApplyDeltas filtered against an accumulated

@@ -90,7 +90,7 @@ func inflateFrontier(in *Instance) State {
 
 // inflateFrontierSemiNaive is the semi-naive variant: rounds pass the
 // previous delta as driver, exactly like semantics.lfpLoop, so big
-// deltas flow through the hint-driven partitioned merge.
+// deltas are sharded over the pool and merged.
 func inflateFrontierSemiNaive(in *Instance) State {
 	prev := in.NewState()
 	cur := in.Apply(prev)
@@ -124,24 +124,129 @@ func TestFrontierFixpointMatchesOracle(t *testing.T) {
 }
 
 // TestShardedPartitionedMerge drives the intra-rule sharding and the
-// hash-partitioned merge on a workload big enough to trigger both: a
-// transitive closure whose per-round deltas exceed partitionThreshold,
-// evaluated by a 2-rule program on a many-worker pool (more workers
-// than tasks, so every round must shard its driver).
+// merge of per-worker outputs on a workload big enough to trigger both:
+// a transitive closure whose middle rounds drive more than InlineFloor
+// delta tuples while its first and last stay under it, evaluated by a
+// 2-rule program on a many-worker pool (more workers than tasks, so
+// every pooled round shards its driver into arena ranges).
 func TestShardedPartitionedMerge(t *testing.T) {
 	src := "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y)."
 	prog := parser.MustProgram(src)
-	db := randomEdgeDB(rand.New(rand.NewSource(42)), 48, 0.2)
+	db := randomEdgeDB(rand.New(rand.NewSource(42)), 120, 0.025)
 
 	want := inflate(mustWith(prog, db.Clone(), Options{Workers: 1}))
-	if want["s"].Len() < partitionThreshold {
-		t.Fatalf("fixture too small to exercise partitioned merge: |s| = %d", want["s"].Len())
+	if want["s"].Len() < 2*InlineFloor {
+		t.Fatalf("fixture too small to drive pooled rounds: |s| = %d", want["s"].Len())
 	}
 
 	for _, nw := range []int{2, 4, 8} {
 		in := mustWith(prog, db.Clone(), Options{Workers: nw})
 		if got := inflateFrontierSemiNaive(in); !got.Equal(want) {
-			t.Fatalf("sharded+partitioned fixpoint differs with %d workers", nw)
+			t.Fatalf("sharded fixpoint differs with %d workers", nw)
+		}
+	}
+}
+
+// partsPrograms are the programs of the pool-split tests: recursion
+// through a binary IDB, negation and a comparison on the driver's
+// bindings feeding a second IDB, and a self-join of the driver.
+var partsPrograms = []string{
+	"S(X,Y) :- E(X,Y).\nS(X,Y) :- S(X,Z), E(Z,Y).",
+	"S(X,Y) :- E(X,Y).\nQ(X,Y) :- S(X,Y), !E(Y,X), X != Y.\nP(X) :- Q(X,Y), V(Y).",
+	"S(X,Y) :- S(X,Z), S(Z,Y).",
+}
+
+// TestPropPartsMatchUnpartitioned checks the pool's split of one
+// semi-naive pass: over random databases, a pass whose driver delta is
+// over InlineFloor comes back from runPool as one part per worker, and
+// the parts union to exactly the single-part pass of a one-worker
+// instance — through runTasks' merge and through the frontier entry
+// point alike.
+func TestPropPartsMatchUnpartitioned(t *testing.T) {
+	const n = 72 // 7/8 of the n² pairs is well over InlineFloor
+	for seed := int64(0); seed < 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := randomEdgeDB(rng, n, 0.05)
+		for i := 0; i < n; i += 3 {
+			db.AddFact("V", fmt.Sprint(i))
+		}
+		d := relation.New(2)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if rng.Intn(8) != 0 {
+					x, _ := db.Universe().Lookup(fmt.Sprint(i))
+					y, _ := db.Universe().Lookup(fmt.Sprint(j))
+					d.Add(relation.Tuple{x, y})
+				}
+			}
+		}
+		for _, src := range partsPrograms {
+			prog := parser.MustProgram(src)
+			ref := mustWith(prog, db.Clone(), Options{Workers: 1})
+			old := ref.NewState()
+			delta := State{"S": d}
+			cur := old.Clone()
+			cur["S"].UnionWith(d)
+			want := ref.ApplyDeltaSplit(old, delta, cur, cur)
+			deltas, _ := insertDeltas(old, delta)
+
+			for _, nw := range []int{2, 3, 5} {
+				in := mustWith(prog, db.Clone(), Options{Workers: nw})
+				tasks := in.deltaTasks(deltas)
+				if w := in.driverWork(tasks, cur); w < InlineFloor {
+					t.Fatalf("seed %d: fixture drives %d tuples, under InlineFloor", seed, w)
+				}
+				parts := in.runPool(tasks, cur, cur, runOpts{shard: true})
+				if len(parts) != nw {
+					t.Fatalf("seed %d workers %d: got %d parts\nprogram:\n%s", seed, nw, len(parts), src)
+				}
+				got := in.NewState()
+				for _, p := range parts {
+					got.UnionWith(p.out)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("seed %d workers %d: parts differ from the one-worker pass\nprogram:\n%s", seed, nw, src)
+				}
+				if got := in.ApplyDeltaSplitFrontier(old, delta, cur, cur); !got.Equal(want.Diff(cur)) {
+					t.Fatalf("seed %d workers %d: ApplyDeltaSplitFrontier differs from the one-worker pass\nprogram:\n%s", seed, nw, src)
+				}
+			}
+		}
+	}
+}
+
+// TestApplyDeltasFrontierParts checks a maintenance round on a driver
+// over InlineFloor: ApplyDeltasFrontier, evaluated inline into one part
+// by one worker and split into per-worker parts by four, returns exactly
+// ApplyDeltas minus the accumulated state.  The accumulated state is a
+// random three quarters of a transitive closure, so the round re-derives
+// a non-empty rest.
+func TestApplyDeltasFrontierParts(t *testing.T) {
+	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).")
+	db := randomEdgeDB(rand.New(rand.NewSource(42)), 120, 0.025)
+	ref := mustWith(prog, db.Clone(), Options{Workers: 1})
+	rng := rand.New(rand.NewSource(7))
+	cur := ref.NewState()
+	for _, tu := range inflate(ref)["s"].Tuples() {
+		if rng.Intn(4) != 0 {
+			cur["s"].Add(tu)
+		}
+	}
+	if cur["s"].Len() < InlineFloor {
+		t.Fatalf("fixture too small to drive a pooled round: |s| = %d", cur["s"].Len())
+	}
+	deltas := map[string]Delta{"s": {PosDriver: cur["s"]}}
+	want := ref.ApplyDeltas(cur, cur, deltas).Diff(cur)
+	if want.Empty() {
+		t.Fatal("maintenance round re-derives nothing")
+	}
+	for _, nw := range []int{1, 4} {
+		in := mustWith(prog, db.Clone(), Options{Workers: nw})
+		if parts := in.runPool(in.deltaTasks(deltas), cur, cur, runOpts{frontier: cur, shard: true}); len(parts) != nw {
+			t.Fatalf("workers %d: got %d parts", nw, len(parts))
+		}
+		if got := in.ApplyDeltasFrontier(cur, cur, deltas, cur); !got.Equal(want) {
+			t.Fatalf("workers %d: maintenance round differs from ApplyDeltas minus the state", nw)
 		}
 	}
 }
@@ -161,83 +266,6 @@ func TestFrontierZeroAllocs(t *testing.T) {
 		if allocs > 64 {
 			t.Errorf("n=%d: %v allocs per frontier pass, want fixed overhead ≤ 64", n, allocs)
 		}
-	}
-}
-
-// TestFrontierFilteredMatchesExact drives the filtered round entry
-// point directly: with complete prefilters over the accumulated state,
-// the round's output must be bit-exact with the unfiltered round, the
-// filter must actually be consulted, and skips must stay plausible.
-func TestFrontierFilteredMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- s(X,Z), E(Z,Y).")
-	db := randomEdgeDB(rng, 40, 0.2)
-	in := mustWith(prog, db, Options{Workers: 1})
-
-	// Run two semi-naive rounds by hand to get a mid-fixpoint state.
-	prev := in.NewState()
-	cur := in.ApplySplit(prev, prev)
-	delta := cur.Snapshot()
-	newDelta := in.ApplyDeltaSplitFrontier(prev, delta, cur, cur)
-	prev = cur.Snapshot()
-	cur.UnionDisjoint(newDelta)
-
-	want := in.ApplyDeltaSplitFrontier(prev, newDelta, cur, cur)
-
-	// Build filters over everything (threshold-free) so small states are
-	// exercised too.
-	filters := make(map[string]*relation.Filter, len(cur))
-	for pred, r := range cur {
-		filters[pred] = relation.FilterOf(r, r.Len()+64)
-	}
-	got, st := in.ApplyDeltaSplitFrontierFiltered(prev, newDelta, cur, cur, filters)
-	if !got.Equal(want) {
-		t.Fatalf("filtered round differs from exact round")
-	}
-	if st.Probes <= 0 {
-		t.Fatalf("filter never consulted (probes %d)", st.Probes)
-	}
-	if st.Skips < 0 || st.Skips > st.Probes {
-		t.Fatalf("implausible tallies: probes %d skips %d", st.Probes, st.Skips)
-	}
-	p0, s0 := FrontierFilterTotals()
-	if p0 <= 0 || s0 > p0 {
-		t.Fatalf("process totals not accumulated: probes %d skips %d", p0, s0)
-	}
-}
-
-// TestExtendFrontierFilters pins the filter lifecycle: below-threshold
-// predicates get no filter, crossing the threshold creates one covering
-// the whole relation, and growth keeps coverage (no false negatives).
-func TestExtendFrontierFilters(t *testing.T) {
-	mk := func(lo, hi int) *relation.Relation {
-		r := relation.New(1)
-		for i := lo; i < hi; i++ {
-			r.Add(relation.Tuple{i})
-		}
-		return r
-	}
-	cur := State{"p": mk(0, 100)}
-	if f := FrontierFilters(cur); f != nil {
-		t.Fatalf("filter built below threshold")
-	}
-	cur = State{"p": mk(0, 2000)}
-	filters := FrontierFilters(cur)
-	if filters == nil || filters["p"] == nil {
-		t.Fatal("no filter past threshold")
-	}
-	grown := State{"p": mk(2000, 2600)}
-	cur["p"].UnionWith(grown["p"])
-	filters = ExtendFrontierFilters(filters, cur, grown)
-	miss := 0
-	cur["p"].Each(func(tu relation.Tuple) bool {
-		if !filters["p"].MayContainHash(relation.TupleHash(tu)) {
-			miss++
-		}
-		return true
-	})
-	if miss != 0 {
-		t.Fatalf("%d false negatives after extension — coverage contract broken", miss)
 	}
 }
 

@@ -115,13 +115,14 @@ func TestConcurrentApplySharedInputs(t *testing.T) {
 
 // TestParallelPassBytes pins what one parallel semi-naive pass
 // allocates besides its result: each worker's output is presized for
-// the worker's share of the hint, not for all of it.  The round below
+// the worker's share of the hint, not for all of it, and the merge
+// unions the second worker's output into the first's.  The round below
 // derives 100k pairs from a 200k-tuple delta — a fixpoint past its
-// peak, where the hint overestimates.  The two workers' buckets are
-// then together sized for the hint, the merge grows one worker's
-// buckets by the other's ids, and the concatenation builds the result:
-// 2.8 times the result's own bytes.  With every worker presized for the
-// whole hint the buckets alone are twice that size, 4.2 times in all.
+// peak, where the hint overestimates, so the first worker's output
+// already has room for the union.  The pass then allocates the two
+// worker outputs, 1.8 times the result's own bytes.  Merging through
+// hash buckets concatenated into a fresh relation cost 2.8 times;
+// presizing every worker for the whole hint, 4.2 times.
 func TestParallelPassBytes(t *testing.T) {
 	const xs, zs = 400, 500
 	db := relation.NewDatabase()
@@ -152,7 +153,9 @@ func TestParallelPassBytes(t *testing.T) {
 	pass := after.TotalAlloc - before.TotalAlloc
 
 	runtime.ReadMemStats(&before)
-	relation.ConcatDisjoint(2, []*relation.Relation{out["s"]})
+	copied := relation.New(2)
+	copied.ReserveHint(out["s"].Len())
+	copied.AppendDisjoint(out["s"])
 	runtime.ReadMemStats(&after)
 	result := after.TotalAlloc - before.TotalAlloc
 
@@ -161,8 +164,30 @@ func TestParallelPassBytes(t *testing.T) {
 	}
 	t.Logf("pass allocated %d bytes for a %d-tuple result of %d bytes (%.2fx)",
 		pass, out["s"].Len(), result, float64(pass)/float64(result))
-	if pass > 3*result {
-		t.Errorf("pass allocated %d bytes, want at most 3 × %d", pass, result)
+	if pass > 2*result {
+		t.Errorf("pass allocated %d bytes, want at most 2 × %d", pass, result)
+	}
+}
+
+// TestSmallPassRunsInline pins the work-size floor: with four workers,
+// a pass whose driver delta holds fewer than InlineFloor tuples runs on
+// the calling goroutine into one output, and a pass at the floor is
+// sharded over the pool.
+func TestSmallPassRunsInline(t *testing.T) {
+	in := mustWith(parser.MustProgram("s(X,Y) :- s(X,Z), E(Z,Y)."), pathDB(3), Options{Workers: 4})
+	for _, c := range []struct {
+		n      int
+		inline bool
+	}{{InlineFloor - 1, true}, {InlineFloor, false}} {
+		delta := relation.New(2)
+		for i := 0; i < c.n; i++ {
+			delta.Add(relation.Tuple{i, i})
+		}
+		s := State{"s": delta}
+		wos := in.runPool(in.deltaTasks(map[string]Delta{"s": {PosDriver: delta}}), s, s, runOpts{shard: true})
+		if inline := len(wos) == 1; inline != c.inline {
+			t.Errorf("%d driver tuples: %d worker outputs, want inline %v", c.n, len(wos), c.inline)
+		}
 	}
 }
 

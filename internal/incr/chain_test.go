@@ -39,6 +39,8 @@ func TestChainMatchesRecompute(t *testing.T) {
 		{"stratifiable", tcSrc + "\nunreach(X,Y) :- E(X,X), E(Y,Y), !s(X,Y).", []string{"E"}, "strata"},
 		{"unsafe", wfUnsafeSrc, []string{"E"}, "stages"},
 	}
+	// K is the maintainer's worker count: K1 evaluates every pass inline,
+	// K4 hands any pass over engine.InlineFloor to a pool of four.
 	for _, tc := range cases {
 		for _, k := range []int{1, 4} {
 			for _, seed := range []int64{1, 2, 3} {
@@ -49,7 +51,7 @@ func TestChainMatchesRecompute(t *testing.T) {
 					for _, p := range tc.preds[1:] {
 						db.MustEnsure(p, 2)
 					}
-					m, err := incr.NewWith(prog, db, core.WellFounded, engine.Options{Partitions: k})
+					m, err := incr.NewWith(prog, db, core.WellFounded, engine.Options{Workers: k})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -47,12 +47,13 @@ V(x3). V(x2). V(x1). V(x0). V(a). V(b). V(c1). V(c2). V(c3). V(d1). V(d2).
 		{tcSrc, core.Stratified},
 		{tcNegSrc, core.Stratified},
 	}
+	// K is the maintainer's worker count, as in TestChainMatchesRecompute.
 	for _, tc := range cases {
 		for _, k := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%v/K%d/%d rules", tc.sem, k, len(parser.MustProgram(tc.src).Rules)), func(t *testing.T) {
 				prog := parser.MustProgram(tc.src)
 				mirror := parser.MustFacts(facts)
-				m, err := incr.NewWith(prog, mirror, tc.sem, engine.Options{Partitions: k})
+				m, err := incr.NewWith(prog, mirror, tc.sem, engine.Options{Workers: k})
 				if err != nil {
 					t.Fatal(err)
 				}

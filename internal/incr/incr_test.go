@@ -187,18 +187,24 @@ func TestMaintainedMatchesRecompute(t *testing.T) {
 	}
 }
 
-// TestMaintainedPartitioned runs the maintained-vs-recompute check with
-// K-way partitioned evaluation: the initial evaluation partitions
-// through the semantics dispatch, and the DRed cascade/insert rounds
-// route their deltas to the owning partitions.  The oracle recompute
-// stays unpartitioned, so divergence anywhere in the exchange path
-// would surface as a state diff.
+// TestMaintainedPartitioned runs the maintained-vs-recompute check on a
+// closure big enough that passes are split over the worker pool: the
+// initial evaluation's middle rounds, and the insert propagation of an
+// edge joining two large reachability sets, drive more than
+// engine.InlineFloor tuples.  K is the worker count: with one worker
+// every pass runs inline, with two or four the big ones are sharded and
+// merged, so divergence in either path surfaces as a state diff against
+// the recompute.
 func TestMaintainedPartitioned(t *testing.T) {
-	prog := parser.MustProgram(distSrc)
-	for _, k := range []int{2, 4} {
-		t.Run(fmt.Sprintf("K%d", k), func(t *testing.T) {
-			db0 := graphs.Random(rand.New(rand.NewSource(9)), 6, 0.3).Database()
-			m, err := incr.NewWith(prog, db0, core.Stratified, engine.Options{Partitions: k})
+	prog := parser.MustProgram(tcSrc)
+	const n = 120
+	db0 := graphs.Random(rand.New(rand.NewSource(9)), n, 0.03).Database()
+	if fix, err := core.Eval(prog, db0, core.Stratified, semantics.SemiNaive); err != nil || fix.Stats.MaxDeltaTuples < engine.InlineFloor {
+		t.Fatalf("fixture too small to drive pooled passes: %v, %+v", err, fix.Stats)
+	}
+	for _, nw := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("K%d", nw), func(t *testing.T) {
+			m, err := incr.NewWith(prog, db0, core.Stratified, engine.Options{Workers: nw})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,7 +216,7 @@ func TestMaintainedPartitioned(t *testing.T) {
 				steps = 6
 			}
 			for step := 0; step < steps; step++ {
-				ins, del := randomBatch(rng, []string{"E"}, 6, &fresh)
+				ins, del := randomBatch(rng, []string{"E"}, n, &fresh)
 				if _, err := m.Update(ins, del); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
@@ -221,8 +227,8 @@ func TestMaintainedPartitioned(t *testing.T) {
 				}
 				got := m.State().Format(m.Universe())
 				if exp := want.State.Format(want.Universe); got != exp {
-					t.Fatalf("step %d (K=%d, ins=%v del=%v): maintained state diverged\nmaintained:\n%s\nrecompute:\n%s",
-						step, k, ins, del, got, exp)
+					t.Fatalf("step %d (ins=%v del=%v): maintained state diverged\nmaintained:\n%s\nrecompute:\n%s",
+						step, ins, del, got, exp)
 				}
 			}
 		})

@@ -42,7 +42,6 @@ package incr
 import (
 	"repro/internal/ast"
 	"repro/internal/engine"
-	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/semantics"
 )
@@ -306,7 +305,7 @@ func (s *stratum) applyDRed(own, neg engine.State, ch map[string]*change) (adds,
 		frontier := in.ApplyDeltas(own, neg, base)
 		for !frontier.Empty() {
 			dover.UnionWith(frontier)
-			frontier = partition.ApplyDeltasFrontier(in, own, neg, withDriver(base, frontier), dover)
+			frontier = in.ApplyDeltasFrontier(own, neg, withDriver(base, frontier), dover)
 		}
 		for pred := range s.preds {
 			own[pred].RemoveAll(dover[pred])
@@ -342,18 +341,15 @@ func (s *stratum) applyDRed(own, neg engine.State, ch map[string]*change) (adds,
 	// 3. Insert: derivations the update enables or the rederived tuples
 	// support, propagated semi-naively through the stratum in the new
 	// world, filtered against the already materialized own-predicate
-	// state at emit time.  Under partitioned evaluation
-	// (in.Partitions() > 1) the propagation deltas are routed to their
-	// owning partitions and the rounds evaluate K-way, exactly like the
-	// from-scratch fixpoint loop.
+	// state at emit time.
 	if anyIns {
 		against := ownState(own, s.preds)
-		frontier := partition.ApplyDeltasFrontier(in, own, neg, seed, against)
+		frontier := in.ApplyDeltasFrontier(own, neg, seed, against)
 		for !frontier.Empty() {
 			for pred := range s.preds {
 				own[pred].UnionWith(frontier[pred])
 			}
-			frontier = partition.ApplyDeltasFrontier(in, own, neg, withDriver(nil, frontier), against)
+			frontier = in.ApplyDeltasFrontier(own, neg, withDriver(nil, frontier), against)
 		}
 	}
 

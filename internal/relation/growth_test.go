@@ -39,17 +39,19 @@ func TestAddNotIn(t *testing.T) {
 	}
 }
 
-// TestAppendDisjointConcat covers the partition-merge primitives.
+// TestAppendDisjointConcat covers the probe-free union-back of a
+// frontier delta: disjoint relations concatenated by AppendDisjoint.
 func TestAppendDisjointConcat(t *testing.T) {
-	a := FromTuples(2, []Tuple{{0, 1}, {2, 3}})
-	b := FromTuples(2, []Tuple{{4, 5}})
-	c := ConcatDisjoint(2, []*Relation{a, b, nil, New(2)})
+	c := New(2)
+	for _, p := range []*Relation{FromTuples(2, []Tuple{{0, 1}, {2, 3}}), FromTuples(2, []Tuple{{4, 5}}), New(2)} {
+		c.AppendDisjoint(p)
+	}
 	if c.Len() != 3 {
-		t.Fatalf("ConcatDisjoint: len = %d, want 3", c.Len())
+		t.Fatalf("AppendDisjoint: len = %d, want 3", c.Len())
 	}
 	for _, want := range []Tuple{{0, 1}, {2, 3}, {4, 5}} {
 		if !c.Has(want) {
-			t.Errorf("ConcatDisjoint missing %v", want)
+			t.Errorf("AppendDisjoint missing %v", want)
 		}
 	}
 	// The concatenated relation must be fully functional: probes, adds.
@@ -57,8 +59,54 @@ func TestAppendDisjointConcat(t *testing.T) {
 		t.Errorf("Lookup on concatenated relation broken: %v", got)
 	}
 	if !c.Add(Tuple{6, 7}) || c.Len() != 4 {
-		t.Error("Add after ConcatDisjoint broken")
+		t.Error("Add after AppendDisjoint broken")
 	}
+}
+
+// TestSpillAddNotInWithFilter drives the fused frontier emit over
+// tuples that all take the spill path (ids ≥ 2³² at arity 2), and over
+// a mixed packed/spill stream: a tuple the filter relation holds is
+// rejected, a fresh one lands exactly once.
+func TestSpillAddNotInWithFilter(t *testing.T) {
+	big := 1 << 40
+	cur := New(2)
+	for i := 0; i < 500; i++ {
+		cur.Add(Tuple{big + i, i})
+	}
+	out := New(2)
+	cur.Each(func(tp Tuple) bool {
+		if out.AddNotIn(tp, cur) {
+			t.Fatalf("spill tuple %v in the filter was inserted", tp)
+		}
+		return true
+	})
+	for i := 0; i < 500; i++ {
+		tp := Tuple{big + i, i + 1000}
+		if !out.AddNotIn(tp, cur) {
+			t.Fatalf("fresh spill tuple %v rejected", tp)
+		}
+		if out.AddNotIn(tp, cur) {
+			t.Fatalf("fresh spill tuple %v inserted twice", tp)
+		}
+	}
+	if out.Len() != 500 {
+		t.Fatalf("out holds %d tuples, want 500", out.Len())
+	}
+
+	mixed := New(2)
+	for i := 0; i < 32; i++ {
+		tp := Tuple{i, i} // packed
+		if i%2 == 1 {
+			tp = Tuple{big + i, i} // spill
+		}
+		mixed.Add(tp)
+	}
+	mixed.Each(func(tp Tuple) bool {
+		if New(2).AddNotIn(tp, mixed) {
+			t.Fatalf("mixed tuple %v not rejected by its own set", tp)
+		}
+		return true
+	})
 }
 
 // TestReserveHint checks pre-sizing is contents-neutral and only acts
@@ -73,15 +121,19 @@ func TestReserveHint(t *testing.T) {
 	}
 }
 
-// TestTupleHashSpread sanity-checks that the partition hash actually
-// spreads structured keys: consecutive packed tuples must not collapse
-// into a few buckets.
+// TestTupleHashSpread sanity-checks that the hash the key table probes
+// a tuple with, mix64 of its packed key, actually spreads structured
+// keys: consecutive packed tuples must not collapse into a few buckets.
 func TestTupleHashSpread(t *testing.T) {
 	const buckets = 8
+	hash := func(tp Tuple) uint64 {
+		k, _ := packKey(tp)
+		return mix64(k)
+	}
 	seen := make(map[uint64]int)
 	for x := 0; x < 32; x++ {
 		for y := 0; y < 32; y++ {
-			seen[TupleHash(Tuple{x, y})%buckets]++
+			seen[hash(Tuple{x, y})%buckets]++
 		}
 	}
 	if len(seen) != buckets {
@@ -92,7 +144,7 @@ func TestTupleHashSpread(t *testing.T) {
 			t.Errorf("bucket %d badly underfull: %d of 1024", b, n)
 		}
 	}
-	if TupleHash(Tuple{1, 2}) != TupleHash(Tuple{1, 2}) {
+	if hash(Tuple{1, 2}) != hash(Tuple{1, 2}) {
 		t.Error("hash not deterministic")
 	}
 }

@@ -77,30 +77,10 @@ func packKey(t Tuple) (uint64, bool) {
 	return key, true
 }
 
-// TupleHash returns a well-mixed 64-bit hash of t, stable across
-// relations of the same arity.  The engine partitions per-worker
-// derivation outputs by TupleHash(head) so partitions from different
-// workers can be merged bucket-by-bucket and concatenated disjointly.
-// Packed tuples hash their packed key through a splitmix64 finalizer
-// (the raw key is a fixed-width concatenation, so its low bits are just
-// the last element); spilled tuples hash element-wise FNV-1a.
-func TupleHash(t Tuple) uint64 {
-	if k, ok := packKey(t); ok {
-		return mix64(k)
-	}
-	h := uint64(1469598103934665603)
-	for _, v := range t {
-		h ^= uint64(v)
-		h *= 1099511628211
-	}
-	return h
-}
-
 // mix64 is the splitmix64 finalizer: a bijective scramble of a packed
-// key into a well-mixed 64-bit hash.  It is the single hash function of
-// the dedup path — TupleHash, the open-addressing Table, the Bloom
-// filters, and partition ownership all key off it, so a hash computed
-// once at emit time can be threaded through every probe.
+// key into a well-mixed 64-bit hash (the raw key is a fixed-width
+// concatenation, so its low bits are just the last element).  It is the
+// hash the open-addressing Table probes with.
 func mix64(k uint64) uint64 {
 	k ^= k >> 30
 	k *= 0xbf58476d1ce4e5b9

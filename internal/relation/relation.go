@@ -298,25 +298,6 @@ func (r *Relation) OffsetOf(t Tuple) int32 {
 	return r.offsetOf(t)
 }
 
-// HasHash is Has for callers that already computed h = TupleHash(t),
-// e.g. the engine's emit path, which needs the same hash for the
-// Bloom filter and partition ownership.  Passing a wrong hash yields
-// wrong answers; it is the caller's contract, not checked.
-func (r *Relation) HasHash(t Tuple, h uint64) bool {
-	if len(t) != r.arity {
-		return false
-	}
-	if k, ok := packKey(t); ok {
-		return r.packedOff(k, h) >= 0
-	}
-	return r.offsetOf(t) >= 0
-}
-
-// AddHash is Add for callers that already computed h = TupleHash(t):
-// the membership probe and the insert reuse the hash instead of
-// re-deriving it from the packed key.
-func (r *Relation) AddHash(t Tuple, h uint64) bool { return r.AddNotInHash(t, h, nil) }
-
 // AddNotIn inserts t unless it is already present in filter — the fused
 // emit of the engine's frontier evaluation: one read-only membership
 // probe against the accumulated state, then a straight insert into the
@@ -328,17 +309,9 @@ func (r *Relation) AddNotIn(t Tuple, filter *Relation) bool {
 	return r.addNotIn(t, k, mix64(k), packs, filter)
 }
 
-// AddNotInHash is AddNotIn for callers that already computed
-// h = TupleHash(t): one emit-time hash feeds the filter probe here,
-// the Bloom filter, and partition ownership at the call site.
-func (r *Relation) AddNotInHash(t Tuple, h uint64, filter *Relation) bool {
-	k, packs := packKey(t)
-	return r.addNotIn(t, k, h, packs, filter)
-}
-
 // addNotIn is the body of every insert.  k, packs = packKey(t), and for
-// a packed tuple h must equal mix64(k) == TupleHash(t); a wide tuple
-// keys off the byte-string spill encoding whatever h is.
+// a packed tuple h must equal mix64(k); a wide tuple keys off the
+// byte-string spill encoding whatever h is.
 func (r *Relation) addNotIn(t Tuple, k, h uint64, packs bool, filter *Relation) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation: adding tuple of arity %d to relation of arity %d", len(t), r.arity))
@@ -386,8 +359,8 @@ func (r *Relation) ReserveHint(n int) {
 
 // AppendDisjoint appends every tuple of o without membership probes.
 // The caller must guarantee that o is disjoint from r's current
-// contents (e.g. the two are hash partitions over disjoint key ranges);
-// violating that corrupts the relation.
+// contents (e.g. o is a frontier delta filtered against r); violating
+// that corrupts the relation.
 func (r *Relation) AppendDisjoint(o *Relation) {
 	if r.arity != o.arity {
 		panic(fmt.Sprintf("relation: appending arity %d into arity %d", o.arity, r.arity))
@@ -402,27 +375,6 @@ func (r *Relation) AppendDisjoint(o *Relation) {
 		r.push(t)
 		return true
 	})
-}
-
-// ConcatDisjoint assembles one relation from pairwise-disjoint parts
-// (hash partitions of a derivation pass): arenas are appended and keys
-// inserted without any membership probe, so the merge is a disjoint
-// concatenation rather than a re-hashed union.
-func ConcatDisjoint(arity int, parts []*Relation) *Relation {
-	total := 0
-	for _, p := range parts {
-		if p != nil {
-			total += p.Len()
-		}
-	}
-	r := New(arity)
-	r.ReserveHint(total)
-	for _, p := range parts {
-		if p != nil {
-			r.AppendDisjoint(p)
-		}
-	}
-	return r
 }
 
 // Remove deletes t, reporting whether it was present.  The arena stays

@@ -3,19 +3,16 @@ package relation
 // Open-addressing hash table for packed uint64 tuple keys.
 //
 // Relation membership for packable tuples lives here rather than in a
-// Go map[uint64]int32, which would re-hash keys the engine has already
-// hashed at emit time (TupleHash is mix64 of the packed key) and
-// scatter a probe across cache lines.  Table has power-of-two capacity,
+// Go map[uint64]int32, which would scatter a probe across cache lines.
+// Table has power-of-two capacity,
 // linear probing, and an 8-bit fingerprint control array scanned ahead
 // of the key array — a probe touches the dense ctrl bytes first and only
 // compares full keys on a fingerprint hit, so misses usually resolve
 // within one cache line.  Deletion uses backward-shift compaction, so
 // the table is tombstone-free and probe distances never degrade.
 //
-// The hash of a key is always mix64(key) — identical to TupleHash of
-// the tuple it encodes — which is what makes the *Hash entry points
-// on Relation sound: one hash computed at emit time feeds the Bloom
-// filter, partition ownership, and this table's probe.
+// The hash of a key is always mix64(key): the insert path computes it
+// once and threads it through the membership probe and the put.
 //
 // Table is not a general map: keys are assumed well-distributed (they
 // are always probed via mix64), values are arena offsets, and the

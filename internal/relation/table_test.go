@@ -166,8 +166,8 @@ func TestRelationVsMapDifferential(t *testing.T) {
 				}
 				m[key] = true
 			case 3:
-				if r.AddNotInHash(tup, TupleHash(tup), nil) == m[key] {
-					t.Fatalf("seed %d op %d: AddNotInHash(%v) with the map holding it: %v", seed, op, tup, m[key])
+				if r.AddNotIn(tup, nil) == m[key] {
+					t.Fatalf("seed %d op %d: AddNotIn(%v) with the map holding it: %v", seed, op, tup, m[key])
 				}
 				m[key] = true
 			case 4:
@@ -191,8 +191,8 @@ func TestRelationVsMapDifferential(t *testing.T) {
 }
 
 // TestTableZeroAllocs is the dedup-path allocation guard: membership
-// probes (hit and miss), duplicate-rejecting inserts, and hash-reusing
-// probes against a pre-sized relation must not allocate at all.
+// probes (hit and miss) and duplicate-rejecting inserts against a
+// pre-sized relation must not allocate at all.
 func TestTableZeroAllocs(t *testing.T) {
 	r := New(2)
 	r.ReserveHint(2048)
@@ -200,18 +200,14 @@ func TestTableZeroAllocs(t *testing.T) {
 		r.Add(Tuple{i, i + 1})
 	}
 	hit, miss := Tuple{500, 501}, Tuple{500, 502}
-	hh, hm := TupleHash(hit), TupleHash(miss)
 	cases := []struct {
 		name string
 		f    func()
 	}{
 		{"Has/hit", func() { r.Has(hit) }},
 		{"Has/miss", func() { r.Has(miss) }},
-		{"HasHash/hit", func() { r.HasHash(hit, hh) }},
-		{"HasHash/miss", func() { r.HasHash(miss, hm) }},
 		{"Add/dup", func() { r.Add(hit) }},
 		{"AddNotIn/dup", func() { r.AddNotIn(hit, nil) }},
-		{"AddNotInHash/dup", func() { r.AddNotInHash(hit, hh, nil) }},
 		{"AddNotIn/filtered", func() { r.AddNotIn(hit, r) }},
 	}
 	for _, c := range cases {

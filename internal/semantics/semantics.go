@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/engine"
-	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -38,23 +37,6 @@ type Stats struct {
 	Tuples int
 	// MaxDeltaTuples is the largest per-stage growth observed.
 	MaxDeltaTuples int
-	// FilterProbes counts emit-path Bloom prefilter consultations across
-	// the evaluation (the frontier filter on the unpartitioned path, the
-	// exchange filter on the partitioned one); FilterSkips counts the
-	// definitive-absent answers that skipped the exact accumulated-state
-	// probe.  Both are zero when no relation grew large enough for a
-	// filter, and in Naive mode.
-	FilterProbes int64
-	FilterSkips  int64
-}
-
-// Core returns the stats with the prefilter telemetry cleared: the
-// fields bit-exactness comparisons care about (rounds, tuples, max
-// delta), which must agree across modes, worker counts and partition
-// counts — the probe/skip tallies legitimately differ between them.
-func (s Stats) Core() Stats {
-	s.FilterProbes, s.FilterSkips = 0, 0
-	return s
 }
 
 // Result is the outcome of a two-valued evaluation.
@@ -134,21 +116,6 @@ func lfpLoop(in *engine.Instance, negFixed engine.State, mode Mode) *Result {
 // loop unions the returned delta into cur and moves on, with no derived
 // state and no Diff.
 func lfpLoopLog(in *engine.Instance, negFixed engine.State, mode Mode, log func(engine.State)) *Result {
-	// K-way partitioned evaluation replaces the whole semi-naive loop:
-	// the partition coordinator mirrors this loop's rounds, stats, and
-	// stage observations exactly, bit-exact vs the K=1 path below.  All
-	// four semantics funnel through here (stratified per stratum,
-	// well-founded per Γ application), so they all partition.
-	if mode == SemiNaive && in.Partitions() > 1 {
-		pr := partition.Fixpoint(in, negFixed, log)
-		return &Result{
-			State: pr.State,
-			Stats: Stats{Rounds: pr.Rounds, Tuples: pr.State.Total(), MaxDeltaTuples: pr.MaxDelta,
-				FilterProbes: pr.FilterProbes, FilterSkips: pr.FilterSkips},
-			Universe: in.Universe(),
-		}
-	}
-
 	stats := Stats{}
 	prev := in.NewState()
 
@@ -169,23 +136,10 @@ func lfpLoopLog(in *engine.Instance, negFixed engine.State, mode Mode, log func(
 		stats.MaxDeltaTuples = n
 	}
 
-	// The frontier prefilter exists only on the semi-naive path, where
-	// this loop keeps it covering the accumulated state between rounds
-	// (a false negative would corrupt the disjoint union; see
-	// relation/filter.go for the soundness contract).
-	useFilter := mode == SemiNaive
-	var filters map[string]*relation.Filter
-	if useFilter {
-		filters = engine.FrontierFilters(cur)
-	}
-
 	for !delta.Empty() {
 		var newDelta engine.State
 		if mode == SemiNaive {
-			var fst engine.FilterStats
-			newDelta, fst = in.ApplyDeltaSplitFrontierFiltered(prev, delta, cur, negOf(cur), filters)
-			stats.FilterProbes += fst.Probes
-			stats.FilterSkips += fst.Skips
+			newDelta = in.ApplyDeltaSplitFrontier(prev, delta, cur, negOf(cur))
 		} else {
 			newDelta = in.ApplySplitFrontier(cur, negOf(cur), cur)
 		}
@@ -198,9 +152,6 @@ func lfpLoopLog(in *engine.Instance, negFixed engine.State, mode Mode, log func(
 		}
 		prev = cur.Snapshot()
 		cur.UnionDisjoint(newDelta)
-		if useFilter {
-			filters = engine.ExtendFrontierFilters(filters, cur, newDelta)
-		}
 		if log != nil {
 			log(cur.Snapshot())
 		}

@@ -453,12 +453,36 @@ func TestWellFoundedStatsPopulated(t *testing.T) {
 // internal/wforacle computes over ground atoms, at every worker count
 // (sequential, minimal parallelism, oversubscribed).  Stratified
 // evaluation constructs its instances internally; the options reach
-// them through StratifiedOpts.
+// them through StratifiedOpts.  Besides the small random graphs, the
+// transitive closure of a sparse 120-vertex graph has semi-naive deltas
+// on both sides of engine.InlineFloor, so one evaluation runs some
+// rounds on the calling goroutine and others on the pool.
 func TestPropFrontierBitExactAllSemantics(t *testing.T) {
-	progs := []string{tcSrc, pi1Src, distanceSrc}
+	type input struct {
+		name  string
+		db    *relation.Database
+		progs []string
+	}
+	var inputs []input
 	for seed := int64(0); seed < 4; seed++ {
-		db := randomEdgeDB(rand.New(rand.NewSource(seed)), 6, 0.3)
-		for _, src := range progs {
+		inputs = append(inputs, input{fmt.Sprintf("seed %d", seed),
+			randomEdgeDB(rand.New(rand.NewSource(seed)), 6, 0.3), []string{tcSrc, pi1Src, distanceSrc}})
+	}
+	straddle := randomEdgeDB(rand.New(rand.NewSource(42)), 120, 0.03)
+	inputs = append(inputs, input{"straddling the inline floor", straddle, []string{tcSrc}})
+	below, above, last := false, false, 0
+	InflationaryLog(engine.MustNew(parser.MustProgram(tcSrc), straddle.Clone()), SemiNaive, func(s engine.State) {
+		d := s.Total() - last
+		last = s.Total()
+		below, above = below || d < engine.InlineFloor, above || d >= engine.InlineFloor
+	})
+	if !below || !above {
+		t.Fatalf("the deltas of the straddling fixture do not straddle the inline floor (%d tuples)", last)
+	}
+
+	for _, input := range inputs {
+		db := input.db
+		for _, src := range input.progs {
 			prog := parser.MustProgram(src)
 			domain, facts := oracleInput(prog, db)
 			stages := wforacle.Inflationary(prog, domain, facts)
@@ -470,7 +494,7 @@ func TestPropFrontierBitExactAllSemantics(t *testing.T) {
 				check := func(what string, u *relation.Universe, got engine.State, want map[string]bool) {
 					t.Helper()
 					if d := wforacle.Diff(what, wforacle.Atoms(u, got), want); d != "" {
-						t.Fatalf("seed %d workers %d: %s differs from the oracle: %s\n%s", seed, nw, what, d, src)
+						t.Fatalf("%s, workers %d: %s differs from the oracle: %s\n%s", input.name, nw, what, d, src)
 					}
 				}
 				in := mustWith(prog, db.Clone(), opt)
@@ -491,52 +515,9 @@ func TestPropFrontierBitExactAllSemantics(t *testing.T) {
 	}
 }
 
-// TestFrontierFilterEngages checks the fixpoint loop's prefilter
-// lifecycle end to end on a workload big enough to cross the filter
-// size threshold: the semi-naive run must be bit-exact (state and core
-// stats) with the naive run, which never builds a filter, and agree
-// with the oracle, while actually consulting — and resolving some
-// probes through — the filter.
-func TestFrontierFilterEngages(t *testing.T) {
-	db := randomEdgeDB(rand.New(rand.NewSource(21)), 48, 0.08)
-	prog := parser.MustProgram(tcSrc)
-
-	want := InflationaryMode(engine.MustNew(prog, db.Clone()), Naive)
-	if want.Stats.FilterProbes != 0 || want.Stats.FilterSkips != 0 {
-		t.Fatalf("naive run reported filter activity: %+v", want.Stats)
-	}
-	if want.Stats.Tuples < 1024 {
-		t.Fatalf("workload too small to cross the filter threshold: %d tuples", want.Stats.Tuples)
-	}
-
-	in := engine.MustNew(prog, db.Clone())
-	got := Inflationary(in)
-	if !got.State.Equal(want.State) {
-		t.Fatal("filtered fixpoint differs from the naive fixpoint")
-	}
-	if got.Stats.Core() != want.Stats.Core() {
-		t.Fatalf("core stats differ: got %+v want %+v", got.Stats, want.Stats)
-	}
-	if got.Stats.FilterProbes <= 0 {
-		t.Fatal("prefilter never consulted in the fixpoint loop")
-	}
-	if got.Stats.FilterSkips <= 0 || got.Stats.FilterSkips > got.Stats.FilterProbes {
-		t.Fatalf("implausible filter tallies: %+v", got.Stats)
-	}
-
-	domain, facts := oracleInput(prog, db)
-	stages := wforacle.Inflationary(prog, domain, facts)
-	if d := wforacle.Diff("inflationary", wforacle.Atoms(in.Universe(), got.State), stages[len(stages)-1]); d != "" {
-		t.Fatalf("filtered fixpoint differs from the oracle: %s", d)
-	}
-	if got.Stats.Rounds != len(stages)+1 {
-		t.Fatalf("%d rounds, the oracle's iteration takes %d", got.Stats.Rounds, len(stages)+1)
-	}
-}
-
 // TestConcurrentOptions evaluates on two goroutines at once with
-// different options — one worker unpartitioned, four workers on four
-// partitions — and checks every result against the oracle.  Options
+// different options — one worker and four workers — and checks every
+// result against the oracle.  Options
 // travel with each instance, so neither evaluation can see the other's;
 // the race target runs this package under -race.
 func TestConcurrentOptions(t *testing.T) {
@@ -556,7 +537,7 @@ func TestConcurrentOptions(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
-	for _, opt := range []engine.Options{{Workers: 1}, {Workers: 4, Partitions: 4}} {
+	for _, opt := range []engine.Options{{Workers: 1}, {Workers: 4}} {
 		wg.Add(1)
 		go func(opt engine.Options) {
 			defer wg.Done()

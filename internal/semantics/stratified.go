@@ -61,8 +61,6 @@ func stratifiedIn(prog *ast.Program, work *relation.Database, mode Mode, opt eng
 		}
 		res := lfpLoop(inst, nil, mode)
 		stats.Rounds += res.Stats.Rounds
-		stats.FilterProbes += res.Stats.FilterProbes
-		stats.FilterSkips += res.Stats.FilterSkips
 		if res.Stats.MaxDeltaTuples > stats.MaxDeltaTuples {
 			stats.MaxDeltaTuples = res.Stats.MaxDeltaTuples
 		}

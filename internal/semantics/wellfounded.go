@@ -73,8 +73,6 @@ func WellFoundedLog(in *engine.Instance, mode Mode, log func(stage engine.State)
 		lo = nil
 		l2, s2 := gamma(h)
 		stats.Rounds += s1.Rounds + s2.Rounds
-		stats.FilterProbes += s1.FilterProbes + s2.FilterProbes
-		stats.FilterSkips += s1.FilterSkips + s2.FilterSkips
 		if s1.MaxDeltaTuples > stats.MaxDeltaTuples {
 			stats.MaxDeltaTuples = s1.MaxDeltaTuples
 		}

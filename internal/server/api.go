@@ -135,33 +135,6 @@ type CacheMetrics struct {
 	HitRate float64 `json:"hit_rate"`
 }
 
-// PartitionMetrics reports K-way partitioned evaluation: per-partition
-// tuple counts of the most recent run, cross-partition exchange volume,
-// and the exchange-path prefilter's hit rate (skipped exact probes per
-// consultation).
-type PartitionMetrics struct {
-	Runs            int64   `json:"runs"`
-	Rounds          int64   `json:"rounds"`
-	ExchangedTuples int64   `json:"exchanged_tuples"`
-	AcceptedTuples  int64   `json:"accepted_tuples"`
-	ExchangeMean    float64 `json:"exchange_mean_per_round"`
-	ExchangeP90     float64 `json:"exchange_p90_per_round"`
-	FilterProbes    int64   `json:"filter_probes"`
-	FilterSkips     int64   `json:"filter_skips"`
-	FilterHitRate   float64 `json:"filter_hit_rate"`
-	LastPartitions  int     `json:"last_partitions,omitempty"`
-	LastTuples      []int64 `json:"last_partition_tuples,omitempty"`
-}
-
-// EngineMetrics reports the unpartitioned engine's dedup-path
-// telemetry: frontier-prefilter consultations and the share resolved
-// without an exact accumulated-state probe.
-type EngineMetrics struct {
-	FrontierFilterProbes int64   `json:"frontier_filter_probes"`
-	FrontierFilterSkips  int64   `json:"frontier_filter_skips"`
-	FrontierFilterRate   float64 `json:"frontier_filter_hit_rate"`
-}
-
 // DurableMetrics reports the persistence layer: WAL volume since the
 // last checkpoint, checkpoint cadence, and what boot recovery did.
 // Present in /v1/metrics only when the server runs with a data dir.
@@ -227,8 +200,6 @@ type MetricsResponse struct {
 	SnapshotAgeSec float64                    `json:"snapshot_age_sec"`
 	Queue          QueueMetrics               `json:"queue"`
 	RewriteCache   CacheMetrics               `json:"rewrite_cache"`
-	Partition      PartitionMetrics           `json:"partition"`
-	Engine         EngineMetrics              `json:"engine"`
 	Durable        *DurableMetrics            `json:"durable,omitempty"`
 	Replica        *ReplicaMetrics            `json:"replica,omitempty"`
 	Endpoints      map[string]EndpointMetrics `json:"endpoints"`

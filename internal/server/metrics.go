@@ -13,9 +13,7 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/metrics"
-	"repro/internal/partition"
 )
 
 // srvMetrics aggregates the server's telemetry.
@@ -112,29 +110,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp.RewriteCache = CacheMetrics{Size: s.RewriteCacheSize(), Hits: hits, Misses: misses}
 	if hits+misses > 0 {
 		resp.RewriteCache.HitRate = float64(hits) / float64(hits+misses)
-	}
-
-	pm := partition.Snapshot()
-	resp.Partition = PartitionMetrics{
-		Runs:            pm.Runs,
-		Rounds:          pm.Rounds,
-		ExchangedTuples: pm.ExchangedTuples,
-		AcceptedTuples:  pm.AcceptedTuples,
-		ExchangeMean:    pm.ExchangeMeanPerRound,
-		ExchangeP90:     pm.ExchangeP90PerRound,
-		FilterProbes:    pm.FilterProbes,
-		FilterSkips:     pm.FilterSkips,
-		LastPartitions:  pm.LastPartitions,
-		LastTuples:      pm.LastPartitionTuples,
-	}
-	if pm.FilterProbes > 0 {
-		resp.Partition.FilterHitRate = float64(pm.FilterSkips) / float64(pm.FilterProbes)
-	}
-
-	fp, fs := engine.FrontierFilterTotals()
-	resp.Engine = EngineMetrics{FrontierFilterProbes: fp, FrontierFilterSkips: fs}
-	if fp > 0 {
-		resp.Engine.FrontierFilterRate = float64(fs) / float64(fp)
 	}
 
 	resp.Durable = s.durableMetrics(now)

@@ -35,12 +35,6 @@ import (
 type Options struct {
 	// Workers is the Θ evaluation worker-pool size (0 = GOMAXPROCS).
 	Workers int
-	// Partitions is the K-way hash-partition count for semi-naive
-	// fixpoint rounds (0 or 1 = an unpartitioned run).  K > 1 splits
-	// each round's delta by head-tuple hash across K engine partitions
-	// that exchange only cross-partition tuples between rounds; results
-	// are bit-exact with K = 1.
-	Partitions int
 	// Materialize makes QueryWith materialize the full fixpoint and
 	// filter it — the oracle the demand-driven magic-set path is
 	// differential-tested against — instead of answering demand-driven.
@@ -49,7 +43,7 @@ type Options struct {
 
 // engineOpts converts the engine-facing subset of the options.
 func (o Options) engineOpts() engine.Options {
-	return engine.Options{Workers: o.Workers, Partitions: o.Partitions}
+	return engine.Options{Workers: o.Workers}
 }
 
 // EvalWith evaluates prog on db under sem with per-call options — the

@@ -98,7 +98,7 @@ s(X,Y) :- e(X,Z), s(Z,Y).
 	configs := map[string]repro.Options{
 		"zero":     {},
 		"baseline": {Workers: 1},
-		"forced":   {Workers: 2, Partitions: 3},
+		"forced":   {Workers: 2},
 	}
 	for _, sem := range []repro.Semantics{
 		repro.SemanticsInflationary, repro.SemanticsLFP,

@@ -146,23 +146,27 @@ func readDeclared(changeDir string) (*declared, error) {
 	return d, nil
 }
 
-// quantile interpolates linearly between the order statistics.
-func quantile(sorted []float64, q float64) float64 {
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
-}
-
 // quartiles is one side's median [q1, q3] of a metric.
 type quartiles struct{ med, q1, q3 float64 }
 
+// summary cuts the runs at the exclusive quartile positions i·(n+1)/4,
+// interpolating between neighbours and clamping to the outer pair — the
+// method of the benchmark's own spread rule (benchmark/calibrate.go,
+// Python's statistics.quantiles(n=4)), so a verdict here is the one
+// that rule reaches.
 func summary(vs []float64) quartiles {
 	s := append([]float64(nil), vs...)
 	sort.Float64s(s)
-	return quartiles{quantile(s, 0.5), quantile(s, 0.25), quantile(s, 0.75)}
+	n := len(s)
+	if n == 1 {
+		return quartiles{s[0], s[0], s[0]}
+	}
+	cut := func(i int) float64 {
+		j := min(max(i*(n+1)/4, 1), n-1)
+		delta := float64(i*(n+1) - 4*j)
+		return (s[j-1]*(4-delta) + s[j]*delta) / 4
+	}
+	return quartiles{cut(2), cut(1), cut(3)}
 }
 
 func (q quartiles) String() string { return fmt.Sprintf("%.4g [%.4g, %.4g]", q.med, q.q1, q.q3) }
