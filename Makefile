@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check bench bench-smoke profile staticcheck fuzz-smoke crashtest replicatest cover pairs ci
+.PHONY: all build test race vet fmt fmt-check bench bench-smoke profile staticcheck fuzz-smoke crashtest replicatest cover pairs loc ci
 
 all: build
 
@@ -122,6 +122,17 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 	$(GO) run ./scripts/covergate -profile cover.out -min $(COVER_MIN)
+
+# Non-test Go lines: every line of every .go file not named *_test.go,
+# one row per internal/ package, then the total over the tree except
+# benchmark/ (a nested module) and hidden directories such as
+# .bench_build/.  ROADMAP's size criteria cite these counts.
+loc:
+	@for d in internal/*/; do \
+		printf '%7d  %s\n' $$(cat $$(ls $$d*.go | grep -v '_test\.go$$') | wc -l) $${d%/}; \
+	done
+	@printf '%7d  total outside benchmark/\n' \
+		$$(find . -path ./benchmark -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
 
 # Hermetic mirror of CI: every job that needs no network.  staticcheck
 # (downloads the pinned tool) is the one network-using CI job; run it

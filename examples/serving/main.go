@@ -10,9 +10,9 @@
 //     pass carried,
 //  4. /v1/metrics: QPS, latency percentiles, queue and cache health.
 //
-// The same server runs standalone as `cmd/serve`; drive it with
-// `cmd/loadgen` for sustained mixed traffic (see README, "Serving &
-// load testing").
+// The same server runs standalone as `cmd/serve`; the harness under
+// `benchmark/` drives it with sustained mixed traffic (see README,
+// "Serving & load testing").
 package main
 
 import (

@@ -5,10 +5,11 @@
 // Θ whose body touches a given change", for changes to arbitrary
 // predicates (EDB or IDB), driving positive literals (a tuple the
 // literal can newly/no-longer read) or negated literals (a tuple whose
-// arrival/departure flips the check).  ApplyDeltas generalizes
-// ApplyDelta to that primitive; ApplyWithin restricts evaluation to a
-// candidate head set (the rederivation step of DRed); the *Count
-// variants return exact derivation counts (the counting algorithm).
+// arrival/departure flips the check).  A Spec's Deltas names that
+// primitive (SemiNaive is its IDB-insert special case); its Within
+// restricts evaluation to a candidate head set (the rederivation step
+// of DRed); Count returns exact derivation counts (the counting
+// algorithm).
 //
 // Each qualifying derivation is enumerated exactly once: the literal
 // positions a change can drive are ordered (positives in body order,
@@ -54,15 +55,17 @@ func (o Overlay) Len() int {
 	return n
 }
 
-// Delta describes how one predicate participates in a delta pass.  Any
-// field may be left zero.  For a positive literal over the predicate,
-// the evaluation reads PosDriver at the driver position, Before strictly
-// before it, and After (or, when unset, the instance's default
-// resolution through the pos state / database) after it.  For a negated
-// literal, NegDriver is joined as if the literal were positive at the
-// driver position — the tuples whose arrival or departure flips the
-// check — while non-driver positions check the literal against
-// BeforeNeg / AfterNeg (or the default resolution when unset).  A
+// Delta describes how one predicate participates in a delta pass, a
+// Spec with Deltas.  The pass returns the tuples derivable by rule
+// applications driven by at least one delta: a PosDriver tuple read by
+// a positive literal, or a NegDriver tuple matched by a negated literal
+// (which is then evaluated as a join over the driver set instead of a
+// check).  Any field may be left zero.  For a positive literal over the
+// predicate, the evaluation reads PosDriver at the driver position,
+// Before strictly before it, and After (or, when unset, the Spec's Pos
+// state / the database, like a predicate without an entry) after it.
+// For a negated literal, non-driver positions check the literal against
+// BeforeNeg / AfterNeg (or, when unset, the Spec's Neg state).  A
 // predicate whose positive and negated literals read different states
 // (a Γ stage of the alternating fixpoint: own state and the frozen one)
 // sets only the fields of the side that changed.
@@ -75,87 +78,38 @@ type Delta struct {
 	AfterNeg  Overlay
 }
 
-// ApplyDeltas returns the tuples derivable by rule applications driven
-// by at least one delta: a PosDriver tuple read by a positive literal,
-// or a NegDriver tuple matched by a negated literal (which is then
-// evaluated as a join over the driver set instead of a check).
-// Literals of predicates without a Delta entry resolve as in ApplySplit:
-// positive IDB literals against pos, negated IDB literals against neg,
-// EDB literals against the database.
-func (in *Instance) ApplyDeltas(pos, neg State, deltas map[string]Delta) State {
-	return in.runTasks(in.deltaTasks(deltas), pos, neg, runOpts{shard: true})
-}
-
-// ApplyDeltasCount is ApplyDeltas in counting mode: it returns, per
-// head predicate, each derived tuple with the number of distinct
-// driven derivations.  Counts are exact when every Delta carries the
-// Before/BeforeNeg relations making the first-driver discipline strict.
-func (in *Instance) ApplyDeltasCount(pos, neg State, deltas map[string]Delta) map[string]*relation.Multiset {
-	return in.runTasksCount(in.deltaTasks(deltas), pos, neg)
-}
-
-// ApplyCount evaluates every rule against (pos, neg) like ApplySplit,
-// but returns derivation counts: for each derivable tuple, the number
-// of distinct rule-body embeddings deriving it.  This is the initial
-// support count of the counting maintenance algorithm.
-func (in *Instance) ApplyCount(pos, neg State) map[string]*relation.Multiset {
-	return in.runTasksCount(in.fullTasks(), pos, neg)
-}
-
-// ApplyWithin evaluates the rules whose head predicate appears in
-// filter, restricted to derivations whose head tuple lies in the
-// corresponding filter relation — the rederivation step of DRed.  The
-// restriction is compiled as an extra positive literal over the head's
-// argument slots, so the join planner starts from the (small) filter
-// set and evaluates the body with the head variables bound.
-func (in *Instance) ApplyWithin(pos, neg State, filter map[string]*relation.Relation) State {
+// withinTasks compiles a Within pass: every rule whose head predicate
+// has a non-empty filter relation gets it as an extra positive literal
+// over the head's argument slots, the task's driver, so the join
+// planner starts from the (small) filter set and evaluates the body
+// with the head variables bound.
+func (in *Instance) withinTasks(within map[string]*relation.Relation) []evalTask {
 	var tasks []evalTask
 	for _, rp := range in.plans {
-		f := filter[rp.headPred]
-		if f == nil || f.Empty() {
-			continue
+		if f := within[rp.headPred]; f != nil && !f.Empty() {
+			rp2, lit := withLit(rp, litPlan{pred: rp.headPred, slots: rp.headSlots})
+			tasks = append(tasks, evalTask{rp: rp2, pos: map[int]Overlay{lit: {Base: f}}, driver: lit})
 		}
-		rp2 := &rulePlan{
-			src:       rp.src,
-			headPred:  rp.headPred,
-			headSlots: rp.headSlots,
-			nvars:     rp.nvars,
-			varNames:  rp.varNames,
-			negatives: rp.negatives,
-			cmps:      rp.cmps,
-		}
-		rp2.positives = make([]litPlan, len(rp.positives), len(rp.positives)+1)
-		copy(rp2.positives, rp.positives)
-		rp2.positives = append(rp2.positives, litPlan{pred: rp.headPred, slots: rp.headSlots})
-		tasks = append(tasks, evalTask{
-			rp:     rp2,
-			pos:    map[int]Overlay{len(rp2.positives) - 1: {Base: f}},
-			driver: len(rp2.positives) - 1,
-		})
 	}
-	return in.runTasks(tasks, pos, neg, runOpts{shard: true})
+	return tasks
+}
+
+// withLit returns a copy of rp with l appended to its positive
+// literals, and l's index there; rp itself is left untouched.
+func withLit(rp *rulePlan, l litPlan) (*rulePlan, int) {
+	rp2 := *rp
+	n := len(rp.positives)
+	rp2.positives = append(rp.positives[:n:n], l)
+	return &rp2, n
 }
 
 // flipNeg returns a variant of rp where the j-th negated literal is
 // evaluated as a positive join (its relation supplied by an override on
 // the returned literal index) and dropped from the negation checks.
 func flipNeg(rp *rulePlan, j int) (*rulePlan, int) {
-	np := rp.negatives[j]
-	rp2 := &rulePlan{
-		src:       rp.src,
-		headPred:  rp.headPred,
-		headSlots: rp.headSlots,
-		nvars:     rp.nvars,
-		varNames:  rp.varNames,
-		cmps:      rp.cmps,
-	}
-	rp2.positives = make([]litPlan, len(rp.positives), len(rp.positives)+1)
-	copy(rp2.positives, rp.positives)
-	rp2.positives = append(rp2.positives, litPlan{pred: np.pred, idb: np.idb, slots: np.slots})
-	rp2.negatives = make([]negPlan, 0, len(rp.negatives)-1)
-	rp2.negatives = append(rp2.negatives, rp.negatives[:j]...)
-	rp2.negatives = append(rp2.negatives, rp.negatives[j+1:]...)
-	return rp2, len(rp2.positives) - 1
+	rp2, lit := withLit(rp, rp.negatives[j])
+	rp2.negatives = append(rp.negatives[:j:j], rp.negatives[j+1:]...)
+	return rp2, lit
 }
 
 // deltaTasks compiles the (rule, driver-position) variants of a delta
@@ -184,14 +138,9 @@ func (in *Instance) deltaTasks(deltas map[string]Delta) []evalTask {
 			}
 		}
 		for _, dv := range drivers {
-			rp2 := rp
-			flipIdx := -1
+			rp2, driverLit := rp, dv.idx // driverLit: positive-literal index of the driver
 			if dv.flip {
-				rp2, flipIdx = flipNeg(rp, dv.idx)
-			}
-			driverLit := dv.idx // positive-literal index of the driver
-			if dv.flip {
-				driverLit = flipIdx
+				rp2, driverLit = flipNeg(rp, dv.idx)
 			}
 			posOv := make(map[int]Overlay)
 			negOv := make(map[int]Overlay)
@@ -234,7 +183,7 @@ func (in *Instance) deltaTasks(deltas map[string]Delta) []evalTask {
 				}
 			}
 			if dv.flip {
-				posOv[flipIdx] = Overlay{Base: deltas[rp.negatives[dv.idx].pred].NegDriver}
+				posOv[driverLit] = Overlay{Base: deltas[rp.negatives[dv.idx].pred].NegDriver}
 			}
 			tasks = append(tasks, evalTask{rp: rp2, pos: posOv, neg: negOv, driver: driverLit})
 		}

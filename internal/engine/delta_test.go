@@ -38,7 +38,7 @@ func tup(in *engine.Instance, names ...string) relation.Tuple {
 // other tuple one.
 func TestApplyCountDerivations(t *testing.T) {
 	in, st := diamond(t)
-	cnt := in.ApplyCount(st, st)
+	cnt := in.Count(engine.Spec{Pos: st})
 	ms := cnt["s"]
 	if ms == nil {
 		t.Fatal("no counts for s")
@@ -53,20 +53,20 @@ func TestApplyCountDerivations(t *testing.T) {
 	}
 }
 
-// TestApplyDeltasPosDriverMatchesApplyDelta checks the generalized
-// machinery reproduces the IDB semi-naive primitive it replaced.
+// TestApplyDeltasPosDriverMatchesApplyDelta checks that SemiNaive is
+// the IDB-insert special case of a Deltas pass.
 func TestApplyDeltasPosDriverMatchesApplyDelta(t *testing.T) {
 	in, _ := diamond(t)
 	old := in.NewState()
 	cur := in.Apply(old) // stage 1: the E edges
 	delta := cur.Diff(old)
 
-	want := in.ApplyDelta(old, delta, cur)
-	got := in.ApplyDeltas(cur, cur, map[string]engine.Delta{
+	want := in.Eval(engine.SemiNaive(old, delta, cur, nil))
+	got := in.Eval(engine.Spec{Pos: cur, Deltas: map[string]engine.Delta{
 		"s": {PosDriver: delta["s"], Before: engine.Overlay{Base: old["s"]}},
-	})
+	}})
 	if !got.Equal(want) {
-		t.Fatalf("ApplyDeltas != ApplyDelta:\ngot  %v\nwant %v",
+		t.Fatalf("Deltas pass != SemiNaive:\ngot  %v\nwant %v",
 			got.Format(in.Universe()), want.Format(in.Universe()))
 	}
 }
@@ -82,9 +82,9 @@ func TestApplyDeltasNegDriver(t *testing.T) {
 
 	gained := relation.New(1)
 	gained.Add(tup(in, "b"))
-	got := in.ApplyDeltas(empty, empty, map[string]engine.Delta{
+	got := in.Eval(engine.Spec{Pos: empty, Deltas: map[string]engine.Delta{
 		"win": {NegDriver: gained},
-	})
+	}})
 	want := in.NewState()
 	want["win"].Add(tup(in, "a"))
 	if !got.Equal(want) {
@@ -99,14 +99,22 @@ func TestApplyWithin(t *testing.T) {
 	cand := relation.New(2)
 	cand.Add(tup(in, "a", "d"))
 	cand.Add(tup(in, "d", "a")) // not derivable
-	got := in.ApplyWithin(st, st, map[string]*relation.Relation{"s": cand})
+	within := map[string]*relation.Relation{"s": cand}
+	got := in.Eval(engine.Spec{Pos: st, Within: within})
 	if got["s"].Len() != 1 || !got["s"].Has(tup(in, "a", "d")) {
-		t.Fatalf("ApplyWithin = %v, want exactly s(a,d)", got.Format(in.Universe()))
+		t.Fatalf("Within pass = %v, want exactly s(a,d)", got.Format(in.Universe()))
 	}
 	// Empty filter: nothing runs.
-	if out := in.ApplyWithin(st, st, nil); !out.Empty() {
-		t.Fatalf("ApplyWithin(nil) derived %v", out.Format(in.Universe()))
+	if out := in.Eval(engine.Spec{Pos: st, Within: map[string]*relation.Relation{}}); !out.Empty() {
+		t.Fatalf("empty Within derived %v", out.Format(in.Universe()))
 	}
+	// Within and Deltas together are a programming error.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a Spec with both Within and Deltas did not panic")
+		}
+	}()
+	in.Eval(engine.Spec{Pos: st, Within: within, Deltas: map[string]engine.Delta{"s": {PosDriver: cand}}})
 }
 
 // TestFullyBoundLiteralBuildsNoIndex: in the rederivation pass the head
@@ -138,10 +146,10 @@ func TestFullyBoundLiteralBuildsNoIndex(t *testing.T) {
 		s.Distinct(0)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got := in.ApplyWithin(st, st, map[string]*relation.Relation{"s": cand})
+		got := in.Eval(engine.Spec{Pos: st, Within: map[string]*relation.Relation{"s": cand}})
 		runtime.ReadMemStats(&after)
 		if got["s"].Len() != 1 || !got["s"].Has(relation.Tuple{id(0), id(2)}) {
-			t.Fatalf("n=%d: ApplyWithin = %v, want exactly s(v0,v2)", n, got.Format(in.Universe()))
+			t.Fatalf("n=%d: Within pass = %v, want exactly s(v0,v2)", n, got.Format(in.Universe()))
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}
@@ -167,9 +175,9 @@ func TestApplyDeltasCountExact(t *testing.T) {
 	// New-state fixpoint for side reads: recompute (small test graph).
 	post := semantics.Inflationary(engine.MustNew(prog, in.Database().Clone())).State
 
-	cnt := in.ApplyDeltasCount(post, post, map[string]engine.Delta{
+	cnt := in.Count(engine.Spec{Pos: post, Deltas: map[string]engine.Delta{
 		"E": {PosDriver: add, Before: engine.Overlay{Base: preE}},
-	})
+	}})
 	ms := cnt["s"]
 	// New derivations using E(b,d): rule1 → s(b,d) once; rule2 with
 	// E(b,d) as E(X,Z) needs s(d,y): none.  Derivations of s(a,d) via

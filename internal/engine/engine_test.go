@@ -362,7 +362,7 @@ S(X,Y) :- E(X,Z), S(Z,Y).
 	for round := 0; round < 10; round++ {
 		naive := in.Apply(cur)
 		naiveNew := naive.Diff(cur)
-		semi := in.ApplyDelta(prev, delta, cur)
+		semi := in.Eval(SemiNaive(prev, delta, cur, nil))
 		semiNew := semi.Diff(cur)
 		if !naiveNew.Equal(semiNew) {
 			t.Fatalf("round %d: semi-naive differs\nnaive: %v\nsemi: %v",
@@ -384,12 +384,12 @@ func TestApplySplit(t *testing.T) {
 	pos := in.NewState()
 	negFull := in.FullState()
 	// With neg = full, ¬T(y) always fails, so nothing derives.
-	if got := in.ApplySplit(pos, negFull); got["T"].Len() != 0 {
-		t.Errorf("ApplySplit with full neg derived %d tuples", got["T"].Len())
+	if got := in.Eval(Spec{Pos: pos, Neg: negFull}); got["T"].Len() != 0 {
+		t.Errorf("Eval with full Neg derived %d tuples", got["T"].Len())
 	}
 	// With neg = ∅, every target of an edge derives.
-	if got := in.ApplySplit(pos, in.NewState()); got["T"].Len() != 2 {
-		t.Errorf("ApplySplit with empty neg derived %d tuples, want 2", got["T"].Len())
+	if got := in.Eval(Spec{Pos: pos, Neg: in.NewState()}); got["T"].Len() != 2 {
+		t.Errorf("Eval with empty Neg derived %d tuples, want 2", got["T"].Len())
 	}
 }
 
@@ -437,7 +437,7 @@ R(X) :- S(X,X), P(X,Y).
 		delta := cur.Clone()
 		for {
 			naiveNew := in.Apply(cur).Diff(cur)
-			semiNew := in.ApplyDelta(prev, delta, cur).Diff(cur)
+			semiNew := in.Eval(SemiNaive(prev, delta, cur, nil)).Diff(cur)
 			if !naiveNew.Equal(semiNew) {
 				return false
 			}

@@ -33,13 +33,13 @@ type evalCtx struct {
 }
 
 // evalTask is one unit of parallel work: a rule plan plus optional
-// per-literal source overrides (the semi-naive and delta variants).
-// pos[i] overrides what the i-th positive literal reads, neg[j] what the
-// j-th negated literal is checked against.
+// per-literal source overrides (the delta and Within tasks).  pos[i]
+// overrides what the i-th positive literal reads, neg[j] what the j-th
+// negated literal is checked against.
 //
 // driver is the positive-literal index whose relation drives the task
-// (the semi-naive delta, or the ApplyWithin filter); -1 when the task
-// has no distinguished driver.  It is the preferred split target for
+// (a delta, or the Within filter); -1 when the task has no
+// distinguished driver.  It is the preferred split target for
 // intra-rule sharding.  A sharded task restricts the enumeration of
 // literal shardLit to the arena range [shardLo, shardHi); shardHi == 0
 // means the task is unsharded.
@@ -52,73 +52,115 @@ type evalTask struct {
 	shardLo, shardHi int32
 }
 
+// Spec describes one evaluation pass: which derivations it enumerates,
+// what their literals read, and which it keeps.  The zero value of
+// every field but Pos is "no restriction".
+//
+// Positive IDB literals read Pos and negated IDB literals are checked
+// against Neg; a nil Neg reads Pos.  EDB literals read the database.
+// With Neg = Pos the pass is Θ; with Neg held fixed it is the monotone
+// operator whose least fixpoint is the Gelfond–Lifschitz style Γ(Neg)
+// of the well-founded alternating fixpoint.
+//
+// Deltas restricts the pass to the derivations driven by at least one
+// delta (see Delta); Within restricts it to the rules whose head
+// predicate it names and to derivations whose head tuple lies in that
+// relation — the rederivation step of DRed.  The two are exclusive.
+// Against, when set, drops every emission already in Against at emit
+// time (frontier.go), so the pass returns exactly its derivations minus
+// Against.
+type Spec struct {
+	Pos, Neg State
+	Deltas   map[string]Delta
+	Within   map[string]*relation.Relation
+	Against  State
+	// hints presizes per-predicate outputs from the expected cardinality;
+	// only SemiNaive sets it.
+	hints map[string]int
+}
+
 // Apply computes Θ(S̄): the relations derived from the database and s by
 // one parallel application of all rules.  Apply never reads its output
 // while deriving, so it is the paper's simultaneous operator.
-func (in *Instance) Apply(s State) State { return in.ApplySplit(s, s) }
+func (in *Instance) Apply(s State) State { return in.Eval(Spec{Pos: s}) }
 
-// ApplySplit evaluates positive IDB literals against pos and negated
-// IDB literals against neg.  With pos = neg it is Θ; with neg held
-// fixed it is the monotone operator whose least fixpoint is the
-// Gelfond–Lifschitz style Γ(neg) used by the well-founded alternating
-// fixpoint.
-//
-// Rule plans are evaluated concurrently across a worker pool (see
-// Options.Workers); each worker derives into a private state and the
-// per-worker states are merged by set union at the end, so the result
-// is identical to sequential evaluation.
-func (in *Instance) ApplySplit(pos, neg State) State {
-	return in.runTasks(in.fullTasks(), pos, neg, runOpts{shard: true})
+// Eval runs the pass sp describes and returns its derivations.  Rule
+// plans are evaluated concurrently across a worker pool (see runPool);
+// each worker derives into a private state, and the outputs are merged
+// by set union into the first, so the result is bit-exact regardless of
+// worker count or scheduling order.  Every other worker output is
+// dropped as soon as its ids are copied.  Input states are only read:
+// lazy index construction inside Relation is internally synchronized.
+// Eval panics if sp sets both Deltas and Within.
+func (in *Instance) Eval(sp Spec) State {
+	wos := in.runPool(sp, false)
+	out := wos[0].out
+	for _, wo := range wos[1:] {
+		out.UnionWith(wo.out)
+		wo.out = nil
+	}
+	return out
 }
 
-// fullTasks builds one driverless task per rule plan — the task set of
-// a full Θ application.
-func (in *Instance) fullTasks() []evalTask {
+// Count runs the pass sp describes in counting mode: instead of a
+// derived set it returns, per head predicate, the multiset of head
+// tuples with the number of distinct rule-body derivations that emitted
+// each; sp.Against is not read.  Workers and shards fill private
+// multisets merged by summation; a shard range partitions its task's
+// driving enumeration, so every derivation is counted in exactly one.
+// Counts over Deltas are exact when every Delta carries the
+// Before/BeforeNeg relations making the first-driver discipline strict.
+func (in *Instance) Count(sp Spec) map[string]*relation.Multiset {
+	wos := in.runPool(sp, true)
+	cnt := wos[0].cnt
+	for _, wo := range wos[1:] {
+		for pred, ms := range wo.cnt {
+			if have := cnt[pred]; have != nil {
+				have.MergeFrom(ms)
+			} else {
+				cnt[pred] = ms
+			}
+		}
+	}
+	return cnt
+}
+
+// SemiNaive is the Spec of a semi-naive round: the subset of Θ(cur)
+// derivable by rule applications that use at least one tuple of delta
+// in a positive IDB literal, negated IDB literals checked against neg
+// (nil: cur).  old must be the previous stage (cur = old ∪ delta):
+// every IDB predicate drives its positive literals with its delta,
+// literals before the driver read old, literals after it cur.  Rules
+// without positive IDB literals contribute nothing (see the package
+// comment).  Outputs are presized from the incoming delta's
+// cardinality, the best available estimate of the next round's.
+func SemiNaive(old, delta, cur, neg State) Spec {
+	sp := Spec{Pos: cur, Neg: neg, Deltas: make(map[string]Delta, len(delta)), hints: make(map[string]int, len(delta))}
+	for pred, d := range delta {
+		sp.Deltas[pred] = Delta{PosDriver: d, Before: Overlay{Base: old[pred]}}
+		if n := d.Len(); n > 0 {
+			sp.hints[pred] = n
+		}
+	}
+	return sp
+}
+
+// tasks compiles sp into evaluation tasks: one per rule for a full
+// pass, else the tasks of its Deltas or its Within filter (delta.go).
+func (in *Instance) tasks(sp Spec) []evalTask {
+	switch {
+	case sp.Deltas != nil && sp.Within != nil:
+		panic("engine: a Spec sets both Deltas and Within")
+	case sp.Deltas != nil:
+		return in.deltaTasks(sp.Deltas)
+	case sp.Within != nil:
+		return in.withinTasks(sp.Within)
+	}
 	tasks := make([]evalTask, len(in.plans))
 	for i, rp := range in.plans {
 		tasks[i] = evalTask{rp: rp, driver: -1}
 	}
 	return tasks
-}
-
-// ApplyDelta computes the subset of Θ(cur) derivable by rule
-// applications that use at least one tuple of delta in a positive IDB
-// literal.  old must be the previous stage (cur = old ∪ delta).
-// Negated literals are evaluated against cur.  Rules without positive
-// IDB literals contribute nothing (their derivations never depend on
-// the delta; see the package comment).
-func (in *Instance) ApplyDelta(old, delta, cur State) State {
-	return in.ApplyDeltaSplit(old, delta, cur, cur)
-}
-
-// ApplyDeltaSplit is ApplyDelta with negated IDB literals evaluated
-// against an explicit state neg instead of cur.  Like ApplySplit, the
-// (rule, variant) pairs run concurrently on the worker pool.
-//
-// It is the IDB-insert special case of the general delta machinery in
-// delta.go: every IDB predicate drives positive literals with its delta
-// relation, literals before the driver read the old relation, literals
-// after it fall through to cur.
-func (in *Instance) ApplyDeltaSplit(old, delta, cur, neg State) State {
-	deltas, _ := insertDeltas(old, delta)
-	return in.runTasks(in.deltaTasks(deltas), cur, neg, runOpts{shard: true})
-}
-
-// runOpts tunes one runTasks pass.
-type runOpts struct {
-	// frontier, when non-nil, drops every emission whose head tuple is
-	// already present in frontier[headPred]: the pass returns exactly the
-	// genuinely-new tuples, with no derived state and no Diff.
-	frontier State
-	// hints pre-sizes per-predicate outputs from the caller's expected
-	// cardinality (typically last round's delta).
-	hints map[string]int
-	// shard allows intra-rule data parallelism: when tasks < workers,
-	// tasks are split into arena-range shards of their driver relation so
-	// every worker gets work even on programs with few rules.
-	shard bool
-	// count switches the pass to counting mode (see runTasksCount).
-	count bool
 }
 
 // workerOut is one worker's private derivation output, sized for the
@@ -157,57 +199,43 @@ var scratchPool sync.Pool
 // newWorkerOut builds the output of one of nw workers, presized for the
 // worker's share of each hinted predicate: 1/nw of the expected
 // cardinality.
-func (in *Instance) newWorkerOut(opts runOpts, nw int) *workerOut {
-	if opts.count {
+func (in *Instance) newWorkerOut(sp Spec, count bool, nw int) *workerOut {
+	if count {
 		return &workerOut{cnt: make(map[string]*relation.Multiset)}
 	}
-	wo := &workerOut{out: in.NewState(), against: opts.frontier}
+	wo := &workerOut{out: in.NewState(), against: sp.Against}
 	for pred, r := range wo.out {
-		r.ReserveHint(opts.hints[pred] / nw)
+		r.ReserveHint(sp.hints[pred] / nw)
 	}
 	return wo
 }
 
-// runTasks evaluates every task against (pos, neg) and returns the
-// union of their derivations (minus opts.frontier, when set).  A pass
-// with enough driver work runs on a pool of goroutines, each deriving
-// into a private output (see runPool); the outputs are merged by set
-// union into the first, so the result is bit-exact regardless of worker
-// count or scheduling order.  Every other worker output is dropped as
-// soon as its ids are copied.  Input states are only read: lazy index
-// construction inside Relation is internally synchronized.
-func (in *Instance) runTasks(tasks []evalTask, pos, neg State, opts runOpts) State {
-	wos := in.runPool(tasks, pos, neg, opts)
-	out := wos[0].out
-	for _, wo := range wos[1:] {
-		out.UnionWith(wo.out)
-		wo.out = nil
+// runPool evaluates the tasks of sp and returns the per-worker outputs.
+// A pass whose driver work is under InlineFloor, or that has one task
+// and no shards, or an instance with one worker, runs on the calling
+// goroutine into a single output.  Otherwise the tasks are distributed
+// over a pool of Workers() goroutines, each deriving into a private
+// output; with fewer tasks than workers, tasks are first split into
+// arena-range shards of their driver relation (see expandShards), so
+// even a two-rule program keeps every core busy.
+func (in *Instance) runPool(sp Spec, count bool) []*workerOut {
+	tasks := in.tasks(sp)
+	pos, neg := sp.Pos, sp.Neg
+	if neg == nil {
+		neg = pos
 	}
-	return out
-}
-
-// runPool evaluates every task against (pos, neg) and returns the
-// per-worker outputs.  A pass whose driver work is under InlineFloor,
-// or that has one task and no shards, or an instance with one worker,
-// runs on the calling goroutine into a single output.  Otherwise the
-// tasks are distributed over a pool of Workers() goroutines, each
-// deriving into a private output; with fewer tasks than workers and
-// opts.shard set, tasks are first split into arena-range shards of
-// their driver relation (see expandShards), so even a two-rule program
-// keeps every core busy.
-func (in *Instance) runPool(tasks []evalTask, pos, neg State, opts runOpts) []*workerOut {
 	nw := in.Workers()
 	if nw > 1 && in.driverWork(tasks, pos) < InlineFloor {
 		nw = 1
 	}
-	if opts.shard && nw > len(tasks) && len(tasks) > 0 {
+	if nw > len(tasks) && len(tasks) > 0 {
 		tasks = in.expandShards(tasks, pos, nw)
 	}
 	if nw > len(tasks) {
 		nw = len(tasks)
 	}
 	if nw <= 1 {
-		wo := in.newWorkerOut(opts, 1)
+		wo := in.newWorkerOut(sp, count, 1)
 		for _, t := range tasks {
 			in.evalRule(t, pos, neg, wo)
 		}
@@ -221,7 +249,7 @@ func (in *Instance) runPool(tasks []evalTask, pos, neg State, opts runOpts) []*w
 	for w := 0; w < nw; w++ {
 		go func(w int) {
 			defer wg.Done()
-			wo := in.newWorkerOut(opts, nw)
+			wo := in.newWorkerOut(sp, count, nw)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(tasks) {
@@ -247,26 +275,6 @@ func (in *Instance) driverWork(tasks []evalTask, pos State) int {
 		}
 	}
 	return n
-}
-
-// runTasksCount evaluates every task in counting mode: instead of a
-// derived set it returns, per head predicate, the multiset of head
-// tuples with the number of distinct rule-body derivations that emitted
-// each.  Workers fill private multisets merged by summation, so counts
-// are exact regardless of scheduling.
-func (in *Instance) runTasksCount(tasks []evalTask, pos, neg State) map[string]*relation.Multiset {
-	wos := in.runPool(tasks, pos, neg, runOpts{count: true})
-	cnt := wos[0].cnt
-	for _, wo := range wos[1:] {
-		for pred, ms := range wo.cnt {
-			if have := cnt[pred]; have != nil {
-				have.MergeFrom(ms)
-			} else {
-				cnt[pred] = ms
-			}
-		}
-	}
-	return cnt
 }
 
 // IsFixpoint reports whether Θ(S̄) = S̄, i.e. whether s is a fixpoint of
@@ -327,11 +335,10 @@ func (in *Instance) putScratch(sc *evalScratch) {
 }
 
 // evalRule evaluates one task's rule plan.  posState resolves positive
-// IDB literals, negState negated ones; the task's override maps replace
-// the relation of specific literal indices (the semi-naive and delta
-// variants).  In a counting pass (wo.cnt non-nil) every derivation
-// bumps the head tuple's count in wo.cnt[headPred] instead of inserting
-// into the worker output.
+// IDB literals, negState negated ones, unless the task overrides the
+// literal (see source).  In a counting pass (wo.cnt non-nil) every
+// derivation bumps the head tuple's count in wo.cnt[headPred] instead
+// of inserting into the worker output.
 func (in *Instance) evalRule(task evalTask, posState, negState State, wo *workerOut) {
 	rp := task.rp
 	maxNeg := 0
@@ -356,24 +363,10 @@ func (in *Instance) evalRule(task evalTask, posState, negState State, wo *worker
 		ctx.cnt = ms
 	}
 	for i, lp := range rp.positives {
-		switch {
-		case task.pos[i].Base != nil:
-			ctx.pos[i] = task.pos[i]
-		case !lp.idb:
-			ctx.pos[i] = Overlay{Base: in.edbRel(lp.pred)}
-		default:
-			ctx.pos[i] = Overlay{Base: posState[lp.pred]}
-		}
+		ctx.pos[i] = in.source(task.pos, i, lp, posState)
 	}
 	for i, np := range rp.negatives {
-		switch {
-		case task.neg[i].Base != nil:
-			ctx.neg[i] = task.neg[i]
-		case !np.idb:
-			ctx.neg[i] = Overlay{Base: in.edbRel(np.pred)}
-		default:
-			ctx.neg[i] = Overlay{Base: negState[np.pred]}
-		}
+		ctx.neg[i] = in.source(task.neg, i, np, negState)
 	}
 	// Plan against the resolved relations: the planner sees the actual
 	// sizes of this task's sources (deltas included), so join orders are

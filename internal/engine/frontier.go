@@ -2,10 +2,10 @@
 //
 // Every fixpoint loop unions each round's derivations into an
 // accumulated state, and almost every derivation of a late round is a
-// duplicate of what that state already holds.  The *Frontier entry
-// points therefore filter every emission against the accumulated state
-// at emit time (a read-only membership probe inside the compiled
-// bind/check loop, see Relation.AddNotIn) and insert genuinely-new
+// duplicate of what that state already holds.  A pass whose Spec sets
+// Against therefore filters every emission against the accumulated
+// state at emit time (a read-only membership probe inside the compiled
+// bind/check loop, see Relation.AddNotIn) and inserts genuinely-new
 // tuples straight into the per-predicate delta: the returned state IS
 // the next delta, disjoint from the accumulated one, and callers union
 // it back with UnionDisjoint.
@@ -22,57 +22,6 @@
 package engine
 
 import "repro/internal/relation"
-
-// ApplyFrontier returns Θ(S̄) minus against: every emission already in
-// against is dropped at emit time.  With against = s it computes the
-// tuples one Θ application adds to s — the inflationary delta — in a
-// single pass.
-func (in *Instance) ApplyFrontier(s, against State) State {
-	return in.ApplySplitFrontier(s, s, against)
-}
-
-// ApplySplitFrontier is ApplySplit filtered against an accumulated
-// state: it returns exactly ApplySplit(pos, neg).Diff(against), without
-// materializing the intermediate state.
-func (in *Instance) ApplySplitFrontier(pos, neg, against State) State {
-	return in.runTasks(in.fullTasks(), pos, neg, runOpts{frontier: against, shard: true})
-}
-
-// ApplyDeltaSplitFrontier is the semi-naive round of the frontier
-// contract: it returns exactly ApplyDeltaSplit(old, delta, cur,
-// neg).Diff(cur) — the genuinely-new tuples of the round — inserting
-// them straight into the per-predicate delta it returns.  Output
-// relations are pre-sized from the incoming delta's cardinality (the
-// best available estimate of the next round's).
-func (in *Instance) ApplyDeltaSplitFrontier(old, delta, cur, neg State) State {
-	deltas, hints := insertDeltas(old, delta)
-	return in.runTasks(in.deltaTasks(deltas), cur, neg, runOpts{frontier: cur, hints: hints, shard: true})
-}
-
-// insertDeltas is the Delta map of a semi-naive round — every IDB
-// predicate drives its positive literals with its delta, literals
-// before the driver reading old — plus the output size hints: the
-// incoming delta's cardinality, the best available estimate of the
-// next round's.
-func insertDeltas(old, delta State) (map[string]Delta, map[string]int) {
-	deltas := make(map[string]Delta, len(delta))
-	hints := make(map[string]int, len(delta))
-	for pred, d := range delta {
-		deltas[pred] = Delta{PosDriver: d, Before: Overlay{Base: old[pred]}}
-		if n := d.Len(); n > 0 {
-			hints[pred] = n
-		}
-	}
-	return deltas, hints
-}
-
-// ApplyDeltasFrontier is ApplyDeltas filtered against an accumulated
-// state: it returns exactly ApplyDeltas(pos, neg, deltas).Diff(against).
-// The DRed delete/rederive and insert-propagation loops of the
-// incremental maintainer run on it.
-func (in *Instance) ApplyDeltasFrontier(pos, neg State, deltas map[string]Delta, against State) State {
-	return in.runTasks(in.deltaTasks(deltas), pos, neg, runOpts{frontier: against, shard: true})
-}
 
 // minShardSpan is the smallest arena range worth a shard of its own:
 // below it, the per-task planning and context cost outweighs the
@@ -117,29 +66,19 @@ func (in *Instance) expandShards(tasks []evalTask, pos State, nw int) []evalTask
 }
 
 // shardTarget resolves the literal an intra-rule split partitions and
-// the concrete relation it enumerates, mirroring evalRule's resolution
-// of literal sources.
+// the concrete relation it enumerates, with evalRule's resolution of
+// literal sources.
 func (in *Instance) shardTarget(t evalTask, pos State) (int, *relation.Relation) {
 	rp := t.rp
 	if len(rp.positives) == 0 {
 		return -1, nil
 	}
-	resolve := func(i int) Overlay {
-		switch {
-		case t.pos[i].Base != nil:
-			return t.pos[i]
-		case !rp.positives[i].idb:
-			return Overlay{Base: in.edbRel(rp.positives[i].pred)}
-		default:
-			return Overlay{Base: pos[rp.positives[i].pred]}
-		}
-	}
 	if t.driver >= 0 {
-		return t.driver, resolve(t.driver).Base
+		return t.driver, in.source(t.pos, t.driver, rp.positives[t.driver], pos).Base
 	}
 	rels := make([]Overlay, len(rp.positives))
-	for i := range rels {
-		rels[i] = resolve(i)
+	for i, lp := range rp.positives {
+		rels[i] = in.source(t.pos, i, lp, pos)
 	}
 	lit := firstJoinPick(rp, rels)
 	if lit < 0 {

@@ -24,8 +24,8 @@ func workerSweep() []int {
 
 // TestPropFrontierMatchesDeriveDiff is the frontier contract's
 // acceptance property: over randomized programs, databases and worker
-// counts (sequential, sharded, oversubscribed), every *Frontier entry
-// point returns exactly its unfiltered twin's derivations minus the
+// counts (sequential, sharded, oversubscribed), Eval of a Spec with
+// Against returns exactly Eval of the same Spec without it minus the
 // accumulated state — per Θ application, per semi-naive round, and per
 // maintenance pass.
 func TestPropFrontierMatchesDeriveDiff(t *testing.T) {
@@ -43,7 +43,7 @@ func TestPropFrontierMatchesDeriveDiff(t *testing.T) {
 			}
 		}
 
-		// Reference stages, and each twin's answer minus s2.
+		// Reference stages, and each shape's unfiltered answer minus s2.
 		ref := mustWith(prog, db.Clone(), Options{Workers: 1})
 		s0 := ref.NewState()
 		s1 := ref.Apply(s0)
@@ -55,21 +55,20 @@ func TestPropFrontierMatchesDeriveDiff(t *testing.T) {
 			deltas[pred] = Delta{PosDriver: d, Before: Overlay{Base: s1[pred]}}
 		}
 
-		wantTheta := ref.ApplySplit(s2, s2).Diff(s2)
-		wantRound := ref.ApplyDeltaSplit(s1, delta, s2, s2).Diff(s2)
-		wantDeltas := ref.ApplyDeltas(s2, s2, deltas).Diff(s2)
-
-		for _, nw := range workerSweep() {
-			in := mustWith(prog, db.Clone(), Options{Workers: nw})
-			if got := in.ApplySplitFrontier(s2, s2, s2); !got.Equal(wantTheta) {
-				t.Fatalf("seed %d workers %d: ApplySplitFrontier differs\nprogram:\n%s\ngot:\n%v\nwant:\n%v",
-					seed, nw, src, got.Format(db.Universe()), wantTheta.Format(db.Universe()))
-			}
-			if got := in.ApplyDeltaSplitFrontier(s1, delta, s2, s2); !got.Equal(wantRound) {
-				t.Fatalf("seed %d workers %d: ApplyDeltaSplitFrontier differs\nprogram:\n%s", seed, nw, src)
-			}
-			if got := in.ApplyDeltasFrontier(s2, s2, deltas, s2); !got.Equal(wantDeltas) {
-				t.Fatalf("seed %d workers %d: ApplyDeltasFrontier differs\nprogram:\n%s", seed, nw, src)
+		shapes := map[string]Spec{
+			"full":       {Pos: s2},
+			"semi-naive": SemiNaive(s1, delta, s2, nil),
+			"delta":      {Pos: s2, Deltas: deltas},
+		}
+		for shape, sp := range shapes {
+			want := ref.Eval(sp).Diff(s2)
+			sp.Against = s2
+			for _, nw := range workerSweep() {
+				in := mustWith(prog, db.Clone(), Options{Workers: nw})
+				if got := in.Eval(sp); !got.Equal(want) {
+					t.Fatalf("seed %d workers %d: %s pass with Against differs\nprogram:\n%s\ngot:\n%v\nwant:\n%v",
+						seed, nw, shape, src, got.Format(db.Universe()), want.Format(db.Universe()))
+				}
 			}
 		}
 	}
@@ -80,7 +79,7 @@ func TestPropFrontierMatchesDeriveDiff(t *testing.T) {
 func inflateFrontier(in *Instance) State {
 	cur := in.Apply(in.NewState())
 	for {
-		nd := in.ApplyFrontier(cur, cur)
+		nd := in.Eval(Spec{Pos: cur, Against: cur})
 		if nd.Empty() {
 			return cur
 		}
@@ -96,7 +95,9 @@ func inflateFrontierSemiNaive(in *Instance) State {
 	cur := in.Apply(prev)
 	delta := cur.Snapshot()
 	for !delta.Empty() {
-		nd := in.ApplyDeltaSplitFrontier(prev, delta, cur, cur)
+		sp := SemiNaive(prev, delta, cur, nil)
+		sp.Against = cur
+		nd := in.Eval(sp)
 		if nd.Empty() {
 			break
 		}
@@ -160,8 +161,9 @@ var partsPrograms = []string{
 // semi-naive pass: over random databases, a pass whose driver delta is
 // over InlineFloor comes back from runPool as one part per worker, and
 // the parts union to exactly the single-part pass of a one-worker
-// instance — through runTasks' merge and through the frontier entry
-// point alike.
+// instance — through Eval's merge and with Against alike.  Counting
+// passes split the same way, and their summed counts equal the
+// one-worker counts.
 func TestPropPartsMatchUnpartitioned(t *testing.T) {
 	const n = 72 // 7/8 of the n² pairs is well over InlineFloor
 	for seed := int64(0); seed < 3; seed++ {
@@ -187,16 +189,15 @@ func TestPropPartsMatchUnpartitioned(t *testing.T) {
 			delta := State{"S": d}
 			cur := old.Clone()
 			cur["S"].UnionWith(d)
-			want := ref.ApplyDeltaSplit(old, delta, cur, cur)
-			deltas, _ := insertDeltas(old, delta)
+			sp := SemiNaive(old, delta, cur, nil)
+			want, wantCnt := ref.Eval(sp), ref.Count(sp)
 
 			for _, nw := range []int{2, 3, 5} {
 				in := mustWith(prog, db.Clone(), Options{Workers: nw})
-				tasks := in.deltaTasks(deltas)
-				if w := in.driverWork(tasks, cur); w < InlineFloor {
+				if w := in.driverWork(in.tasks(sp), cur); w < InlineFloor {
 					t.Fatalf("seed %d: fixture drives %d tuples, under InlineFloor", seed, w)
 				}
-				parts := in.runPool(tasks, cur, cur, runOpts{shard: true})
+				parts := in.runPool(sp, false)
 				if len(parts) != nw {
 					t.Fatalf("seed %d workers %d: got %d parts\nprogram:\n%s", seed, nw, len(parts), src)
 				}
@@ -207,8 +208,16 @@ func TestPropPartsMatchUnpartitioned(t *testing.T) {
 				if !got.Equal(want) {
 					t.Fatalf("seed %d workers %d: parts differ from the one-worker pass\nprogram:\n%s", seed, nw, src)
 				}
-				if got := in.ApplyDeltaSplitFrontier(old, delta, cur, cur); !got.Equal(want.Diff(cur)) {
-					t.Fatalf("seed %d workers %d: ApplyDeltaSplitFrontier differs from the one-worker pass\nprogram:\n%s", seed, nw, src)
+				if cparts := in.runPool(sp, true); len(cparts) != nw {
+					t.Fatalf("seed %d workers %d: counting pass got %d parts\nprogram:\n%s", seed, nw, len(cparts), src)
+				}
+				if got := in.Count(sp); !countsEqual(got, wantCnt) {
+					t.Fatalf("seed %d workers %d: counts differ from the one-worker pass\nprogram:\n%s", seed, nw, src)
+				}
+				fr := sp
+				fr.Against = cur
+				if got := in.Eval(fr); !got.Equal(want.Diff(cur)) {
+					t.Fatalf("seed %d workers %d: pass with Against differs from the one-worker pass\nprogram:\n%s", seed, nw, src)
 				}
 			}
 		}
@@ -216,11 +225,11 @@ func TestPropPartsMatchUnpartitioned(t *testing.T) {
 }
 
 // TestApplyDeltasFrontierParts checks a maintenance round on a driver
-// over InlineFloor: ApplyDeltasFrontier, evaluated inline into one part
-// by one worker and split into per-worker parts by four, returns exactly
-// ApplyDeltas minus the accumulated state.  The accumulated state is a
-// random three quarters of a transitive closure, so the round re-derives
-// a non-empty rest.
+// over InlineFloor: a Deltas pass with Against, evaluated inline into
+// one part by one worker and split into per-worker parts by four,
+// returns exactly the pass without Against minus the accumulated state.
+// The accumulated state is a random three quarters of a transitive
+// closure, so the round re-derives a non-empty rest.
 func TestApplyDeltasFrontierParts(t *testing.T) {
 	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).")
 	db := randomEdgeDB(rand.New(rand.NewSource(42)), 120, 0.025)
@@ -235,18 +244,19 @@ func TestApplyDeltasFrontierParts(t *testing.T) {
 	if cur["s"].Len() < InlineFloor {
 		t.Fatalf("fixture too small to drive a pooled round: |s| = %d", cur["s"].Len())
 	}
-	deltas := map[string]Delta{"s": {PosDriver: cur["s"]}}
-	want := ref.ApplyDeltas(cur, cur, deltas).Diff(cur)
+	sp := Spec{Pos: cur, Deltas: map[string]Delta{"s": {PosDriver: cur["s"]}}}
+	want := ref.Eval(sp).Diff(cur)
+	sp.Against = cur
 	if want.Empty() {
 		t.Fatal("maintenance round re-derives nothing")
 	}
 	for _, nw := range []int{1, 4} {
 		in := mustWith(prog, db.Clone(), Options{Workers: nw})
-		if parts := in.runPool(in.deltaTasks(deltas), cur, cur, runOpts{frontier: cur, shard: true}); len(parts) != nw {
+		if parts := in.runPool(sp, false); len(parts) != nw {
 			t.Fatalf("workers %d: got %d parts", nw, len(parts))
 		}
-		if got := in.ApplyDeltasFrontier(cur, cur, deltas, cur); !got.Equal(want) {
-			t.Fatalf("workers %d: maintenance round differs from ApplyDeltas minus the state", nw)
+		if got := in.Eval(sp); !got.Equal(want) {
+			t.Fatalf("workers %d: maintenance round differs from the unfiltered pass minus the state", nw)
 		}
 	}
 }
@@ -262,7 +272,7 @@ func TestFrontierZeroAllocs(t *testing.T) {
 		db := randomEdgeDB(rng, n, 0.3)
 		in := mustWith(parser.MustProgram("tri(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X)."), db, Options{Workers: 1})
 		fix := in.Apply(in.NewState()) // warm indexes, derive all triangles
-		allocs := testing.AllocsPerRun(10, func() { in.ApplySplitFrontier(fix, fix, fix) })
+		allocs := testing.AllocsPerRun(10, func() { in.Eval(Spec{Pos: fix, Against: fix}) })
 		if allocs > 64 {
 			t.Errorf("n=%d: %v allocs per frontier pass, want fixed overhead ≤ 64", n, allocs)
 		}
@@ -278,7 +288,7 @@ func TestExpandShardsPartition(t *testing.T) {
 	in := MustNew(prog, db)
 	s := in.Apply(in.NewState())
 
-	tasks := in.fullTasks()
+	tasks := in.tasks(Spec{Pos: s})
 	expanded := in.expandShards(tasks, s, 8)
 	if len(expanded) <= len(tasks) {
 		t.Fatalf("expected shard expansion, got %d tasks from %d", len(expanded), len(tasks))
@@ -308,6 +318,29 @@ func TestExpandShardsPartition(t *testing.T) {
 			t.Fatalf("rule %v: shards cover [0, %d), driver has %d tuples", rp.src, hi, rel.Len())
 		}
 	}
+}
+
+// countsEqual reports whether two counting-pass results hold the same
+// tuples with the same derivation counts.
+func countsEqual(a, b map[string]*relation.Multiset) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for pred, ms := range a {
+		o := b[pred]
+		if o == nil || o.Len() != ms.Len() {
+			return false
+		}
+		same := true
+		ms.Each(func(t relation.Tuple, n int64) bool {
+			same = o.Count(t) == n
+			return same
+		})
+		if !same {
+			return false
+		}
+	}
+	return true
 }
 
 // TestOffsetsInRange pins the shard-aware index probe helper.

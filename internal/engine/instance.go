@@ -14,15 +14,8 @@ type slot struct {
 	val     int // universe id if isConst, else variable index
 }
 
-// litPlan is a compiled positive body literal.
+// litPlan is a compiled body literal, positive or negated.
 type litPlan struct {
-	pred  string
-	idb   bool
-	slots []slot
-}
-
-// negPlan is a compiled negated body literal.
-type negPlan struct {
 	pred  string
 	idb   bool
 	slots []slot
@@ -45,7 +38,7 @@ type rulePlan struct {
 	nvars     int
 	varNames  []string // variable index -> source name (for Explain)
 	positives []litPlan
-	negatives []negPlan
+	negatives []litPlan
 	cmps      []cmpPlan
 }
 
@@ -87,7 +80,7 @@ func New(prog *ast.Program, db *relation.Database) (*Instance, error) {
 		empties: make(map[int]*relation.Relation),
 	}
 	// Canonical empty relations are precomputed for every program
-	// arity: edbRel runs concurrently on the evaluation worker pool,
+	// arity: source runs concurrently on the evaluation worker pool,
 	// so it must never mutate instance state.  (The scratch pool the
 	// workers draw on is process-global — see eval.go.)
 	for _, ar := range arities {
@@ -150,14 +143,25 @@ func (in *Instance) FullState() State {
 	return s
 }
 
-// edbRel returns the database relation for an EDB predicate, or a
-// canonical empty relation if the database does not mention it.  It is
-// called from evaluation workers and therefore only reads.
-func (in *Instance) edbRel(pred string) *relation.Relation {
-	if r := in.db.Relation(pred); r != nil {
-		return r
+// source resolves what literal l, the i-th of its kind in a task with
+// the overrides over, reads: the override when there is one, else the
+// database for an EDB predicate and s for an IDB one — the canonical
+// empty relation when either lacks the predicate.  It is called from
+// evaluation workers and therefore only reads.
+func (in *Instance) source(over map[int]Overlay, i int, l litPlan, s State) Overlay {
+	if o := over[i]; o.Base != nil {
+		return o
 	}
-	return in.empties[in.arities[pred]]
+	var r *relation.Relation
+	if l.idb {
+		r = s[l.pred]
+	} else {
+		r = in.db.Relation(l.pred)
+	}
+	if r == nil {
+		r = in.empties[in.arities[l.pred]]
+	}
+	return Overlay{Base: r}
 }
 
 // compile builds the evaluation plan for one rule.
@@ -194,7 +198,7 @@ func (in *Instance) compile(r ast.Rule) *rulePlan {
 			rp.positives = append(rp.positives, litPlan{
 				pred: l.Atom.Pred, idb: in.idb[l.Atom.Pred], slots: mkSlots(l.Atom)})
 		case ast.LitNeg:
-			rp.negatives = append(rp.negatives, negPlan{
+			rp.negatives = append(rp.negatives, litPlan{
 				pred: l.Atom.Pred, idb: in.idb[l.Atom.Pred], slots: mkSlots(l.Atom)})
 		case ast.LitEq:
 			rp.cmps = append(rp.cmps, cmpPlan{left: mkSlot(l.Left), right: mkSlot(l.Right)})

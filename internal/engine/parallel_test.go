@@ -47,10 +47,10 @@ func TestApplySplitParallelDeterministic(t *testing.T) {
 			}
 
 			delta := s2Input.Diff(s1)
-			got := par.ApplyDelta(s1, delta, s2Input)
-			want := serial.ApplyDelta(s1, delta, s2Input)
+			got := par.Eval(SemiNaive(s1, delta, s2Input, nil))
+			want := serial.Eval(SemiNaive(s1, delta, s2Input, nil))
 			if !got.Equal(want) {
-				t.Fatalf("seed %d workers %d: ApplyDelta differs", seed, nw)
+				t.Fatalf("seed %d workers %d: semi-naive round differs", seed, nw)
 			}
 		}
 	}
@@ -143,12 +143,14 @@ func TestParallelPassBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := State{"s": delta}
+	sp := SemiNaive(State{"s": relation.New(2)}, d, d, nil)
+	sp.Against = d
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC() // two cycles empty every sync.Pool: nothing earlier is reused
 	runtime.ReadMemStats(&before)
-	out := in.ApplyDeltaSplitFrontier(State{"s": relation.New(2)}, d, d, d)
+	out := in.Eval(sp)
 	runtime.ReadMemStats(&after)
 	pass := after.TotalAlloc - before.TotalAlloc
 
@@ -184,7 +186,7 @@ func TestSmallPassRunsInline(t *testing.T) {
 			delta.Add(relation.Tuple{i, i})
 		}
 		s := State{"s": delta}
-		wos := in.runPool(in.deltaTasks(map[string]Delta{"s": {PosDriver: delta}}), s, s, runOpts{shard: true})
+		wos := in.runPool(Spec{Pos: s, Deltas: map[string]Delta{"s": {PosDriver: delta}}}, false)
 		if inline := len(wos) == 1; inline != c.inline {
 			t.Errorf("%d driver tuples: %d worker outputs, want inline %v", c.n, len(wos), c.inline)
 		}

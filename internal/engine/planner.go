@@ -263,19 +263,6 @@ func buildExec(rp *rulePlan, rels []Overlay, shard int, shardLo, shardHi int32) 
 	return ep
 }
 
-// relFor resolves the relation a literal reads during Explain: the
-// database for EDB predicates, s for IDB ones (empty when s lacks the
-// predicate).
-func (in *Instance) relFor(pred string, idb bool, s State) *relation.Relation {
-	if !idb {
-		return in.edbRel(pred)
-	}
-	if r := s[pred]; r != nil {
-		return r
-	}
-	return in.empties[in.arities[pred]]
-}
-
 // slotString renders a slot with the rule's variable names and the
 // universe's constant names.
 func (rp *rulePlan) slotString(s slot, u *relation.Universe) string {
@@ -313,7 +300,7 @@ func (in *Instance) Explain(w io.Writer, s State) {
 		fmt.Fprintf(w, "rule %d: %s\n", ri+1, rp.src.String())
 		rels := make([]Overlay, len(rp.positives))
 		for i, lp := range rp.positives {
-			rels[i].Base = in.relFor(lp.pred, lp.idb, s)
+			rels[i] = in.source(nil, i, lp, s)
 		}
 		ep := buildExec(rp, rels, -1, 0, 0)
 		for _, st := range ep.steps {

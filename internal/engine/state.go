@@ -12,20 +12,23 @@
 // The engine compiles each rule into a small step plan — greedy join
 // ordering over positive literals, equality-propagation, universe
 // extension for unbound variables, and eager negative/comparison
-// checks — and exposes three entry points:
+// checks.  Every evaluation is one pass described by a Spec: the states
+// positive and negated literals read, optional delta drivers or a head
+// filter, and an optional accumulated state to drop emissions against
+// (frontier.go).  Two methods run a pass:
 //
-//	Apply(S)                 Θ(S̄)
-//	ApplyDelta(old, Δ, cur)  the tuples of Θ(cur) derivable using ≥1 Δ-tuple
-//	IsFixpoint(S)            Θ(S̄) = S̄
+//	Eval(spec)   the pass's derived tuples
+//	Count(spec)  the same, each with its number of derivations
 //
-// plus the frontier variants (frontier.go): ApplySplitFrontier and
-// ApplyDeltaSplitFrontier return the same derivations minus an
-// accumulated state, filtering at emit time — the building block of
-// every fixpoint loop in internal/semantics and internal/incr.
+// and the paper's operator is the plain pass:
 //
-// ApplyDelta is the semi-naive building block: under the inflationary
-// iteration S ∪ Θ(S) (and under least-fixpoint iteration of positive
-// programs) a derivation whose positive IDB tuples are all old was
+//	Apply(S)       Θ(S̄) = Eval(Spec{Pos: S})
+//	IsFixpoint(S)  Θ(S̄) = S̄
+//
+// SemiNaive(old, Δ, cur, neg) is the semi-naive building block, the
+// Spec of the tuples of Θ(cur) derivable using ≥1 Δ-tuple: under the
+// inflationary iteration S ∪ Θ(S) (and under least-fixpoint iteration
+// of positive programs) a derivation whose positive IDB tuples are all old was
 // already valid one stage earlier, because negated atoms only grow and
 // therefore only tighten.  Hence new tuples always come from
 // derivations touching the delta.
@@ -120,8 +123,8 @@ func (s State) UnionWith(o State) int {
 
 // UnionDisjoint adds every tuple of o into s without membership probes,
 // returning the number of tuples added.  The caller must guarantee o is
-// disjoint from s — exactly what the Frontier entry points return
-// relative to the state they filtered against — so the union-back is a
+// disjoint from s — exactly what a pass with Against returns relative
+// to the state it filtered against — so the union-back is a
 // straight insert instead of a probe-then-insert.
 func (s State) UnionDisjoint(o State) int {
 	added := 0

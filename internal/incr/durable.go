@@ -9,7 +9,7 @@
 // stages of the alternating fixpoint) is recomputed exactly from that
 // state on restore:
 //
-//   - strata: counts are seeded by one ApplyCount pass per
+//   - strata: counts are seeded by one engine Count pass per
 //     nonrecursive stratum.  The counting invariant says maintained
 //     counts always equal the exact derivation counts at the current
 //     state, so recomputing them from the restored state is bit-exact.

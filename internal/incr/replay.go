@@ -18,7 +18,7 @@
 //     S_j (inflationary states never shrink, so the head survives
 //     regardless of the lost derivation).
 //
-// Both probe sets are computed by engine.ApplyDeltas with the changed
+// Both probe sets are computed by an engine Deltas pass with the changed
 // tuples as drivers; side literals read the either-world union
 // (positive) and are checked against the both-worlds intersection
 // (negated), overapproximating derivations of either world — safe for
@@ -71,12 +71,12 @@ func (m *Maintainer) updateReplay(ch map[string]*change, stats *UpdateStats) {
 		if j < len(m.log) {
 			stage = m.log[j]
 		}
-		if en := m.in.ApplyDeltas(base, base, enabled); !en.SubsetOf(stage) {
+		if en := m.in.Eval(engine.Spec{Pos: base, Deltas: enabled}); !en.SubsetOf(stage) {
 			first = j
 			break
 		}
 		if j < len(m.log) {
-			if dis := m.in.ApplyDeltas(base, base, disabled); !dis.SubsetOf(base) {
+			if dis := m.in.Eval(engine.Spec{Pos: base, Deltas: disabled}); !dis.SubsetOf(base) {
 				first = j
 				break
 			}
@@ -97,13 +97,15 @@ func (m *Maintainer) updateReplay(ch map[string]*change, stats *UpdateStats) {
 	// contract, so each round returns the genuinely-new tuples directly.
 	preTotal := m.state.Total()
 	cur := base.Mutable()
-	nd := m.in.ApplySplitFrontier(cur, cur, cur)
+	nd := m.in.Eval(engine.Spec{Pos: cur, Against: cur})
 	stats.ReplayedStages = 1
 	for !nd.Empty() {
 		prev := cur.Snapshot()
 		cur.UnionDisjoint(nd)
 		m.log = append(m.log, cur.Snapshot())
-		nd = m.in.ApplyDeltaSplitFrontier(prev, nd, cur, cur)
+		sp := engine.SemiNaive(prev, nd, cur, nil)
+		sp.Against = cur
+		nd = m.in.Eval(sp)
 		stats.ReplayedStages++
 	}
 	m.state = cur

@@ -23,16 +23,16 @@
 // Nonrecursive strata (no positive own-predicate literal) keep exact
 // derivation support counts: membership is count > 0, so an update only
 // needs the exact counts of the derivations it enables and disables —
-// engine.ApplyDeltasCount with the strict first-driver discipline.
+// engine.Count over their deltas with the strict first-driver discipline.
 // Recursive strata use DRed.  Overdelete everything a disabled
 // derivation might have supported, evaluated in the old world: the
 // stratum's own relations before anything is removed from them, and its
 // changed inputs through their old-world overlays.  That leaves a state
 // certainly below the new fixpoint, and within a stratum Θ's iteration
 // reaches the least fixpoint from any such state, so the rest is
-// iteration upwards: one head-filtered pass (engine.ApplyWithin) returns
-// the overdeleted tuples the reduced state still derives in one step,
-// and they join the update's insertions as seeds of the ordinary
+// iteration upwards: one head-filtered pass (an engine.Spec's Within)
+// returns the overdeleted tuples the reduced state still derives in one
+// step, and they join the update's insertions as seeds of the ordinary
 // semi-naive propagation, which finds everything further.  The
 // stratum's net change is then read off the sets in hand — overdeleted
 // and not back, appended and not overdeleted — instead of diffing
@@ -117,7 +117,7 @@ func (s *stratum) seedCounts(own, neg engine.State) map[string]*relation.Multise
 	if s.recursive {
 		return nil
 	}
-	counts := s.in.ApplyCount(own, neg)
+	counts := s.in.Count(engine.Spec{Pos: own, Neg: neg})
 	for pred := range s.preds {
 		if counts[pred] == nil {
 			counts[pred] = relation.NewMultiset(s.in.Arity(pred))
@@ -221,8 +221,8 @@ func (s *stratum) drivers(ch map[string]*change, strict bool) (dis, ena map[stri
 func (s *stratum) applyCounting(own, neg engine.State, counts map[string]*relation.Multiset, ch map[string]*change) (adds, dels engine.State) {
 	in := s.in
 	dis, ena := s.drivers(ch, true)
-	dec := in.ApplyDeltasCount(own, neg, dis)
-	inc := in.ApplyDeltasCount(own, neg, ena)
+	dec := in.Count(engine.Spec{Pos: own, Neg: neg, Deltas: dis})
+	inc := in.Count(engine.Spec{Pos: own, Neg: neg, Deltas: ena})
 
 	adds, dels = in.NewState(), in.NewState()
 	for pred := range s.preds {
@@ -302,10 +302,10 @@ func (s *stratum) applyDRed(own, neg engine.State, ch map[string]*change) (adds,
 	// at emit time instead of surviving into a derived state for a Diff.
 	dover := in.NewState()
 	if anyDel {
-		frontier := in.ApplyDeltas(own, neg, base)
+		frontier := in.Eval(engine.Spec{Pos: own, Neg: neg, Deltas: base})
 		for !frontier.Empty() {
 			dover.UnionWith(frontier)
-			frontier = in.ApplyDeltasFrontier(own, neg, withDriver(base, frontier), dover)
+			frontier = in.Eval(engine.Spec{Pos: own, Neg: neg, Deltas: withDriver(base, frontier), Against: dover})
 		}
 		for pred := range s.preds {
 			own[pred].RemoveAll(dover[pred])
@@ -326,7 +326,7 @@ func (s *stratum) applyDRed(own, neg engine.State, ch map[string]*change) (adds,
 	// old world, hence is an overdeleted tuple this pass finds; whatever
 	// else must come back follows from a tuple added here or in phase 3.
 	if anyDel {
-		red := in.ApplyWithin(own, neg, dover)
+		red := in.Eval(engine.Spec{Pos: own, Neg: neg, Within: dover})
 		for pred := range s.preds {
 			if !red[pred].Empty() {
 				own[pred].UnionWith(red[pred])
@@ -344,12 +344,12 @@ func (s *stratum) applyDRed(own, neg engine.State, ch map[string]*change) (adds,
 	// state at emit time.
 	if anyIns {
 		against := ownState(own, s.preds)
-		frontier := in.ApplyDeltasFrontier(own, neg, seed, against)
+		frontier := in.Eval(engine.Spec{Pos: own, Neg: neg, Deltas: seed, Against: against})
 		for !frontier.Empty() {
 			for pred := range s.preds {
 				own[pred].UnionWith(frontier[pred])
 			}
-			frontier = in.ApplyDeltasFrontier(own, neg, withDriver(nil, frontier), against)
+			frontier = in.Eval(engine.Spec{Pos: own, Neg: neg, Deltas: withDriver(nil, frontier), Against: against})
 		}
 	}
 

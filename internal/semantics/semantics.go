@@ -110,23 +110,17 @@ func lfpLoop(in *engine.Instance, negFixed engine.State, mode Mode) *Result {
 // are O(1) structural-sharing snapshots of cur, which stay valid while
 // cur only grows (the inflationary invariant).
 //
-// Rounds after the first run on the engine's frontier contract: the
-// Frontier entry points return exactly the genuinely-new tuples of the
+// Rounds after the first run on the engine's frontier contract: a pass
+// with Against = cur returns exactly the genuinely-new tuples of the
 // round — emissions already in cur are dropped at emit time — so the
 // loop unions the returned delta into cur and moves on, with no derived
-// state and no Diff.
+// state and no Diff.  A nil negFixed leaves the Spec's Neg unset, which
+// reads the evolving state.
 func lfpLoopLog(in *engine.Instance, negFixed engine.State, mode Mode, log func(engine.State)) *Result {
 	stats := Stats{}
 	prev := in.NewState()
 
-	negOf := func(s engine.State) engine.State {
-		if negFixed != nil {
-			return negFixed
-		}
-		return s
-	}
-
-	cur := in.ApplySplit(prev, negOf(prev))
+	cur := in.Eval(engine.Spec{Pos: prev, Neg: negFixed})
 	stats.Rounds = 1
 	delta := cur.Snapshot()
 	if log != nil {
@@ -137,12 +131,12 @@ func lfpLoopLog(in *engine.Instance, negFixed engine.State, mode Mode, log func(
 	}
 
 	for !delta.Empty() {
-		var newDelta engine.State
+		sp := engine.Spec{Pos: cur, Neg: negFixed}
 		if mode == SemiNaive {
-			newDelta = in.ApplyDeltaSplitFrontier(prev, delta, cur, negOf(cur))
-		} else {
-			newDelta = in.ApplySplitFrontier(cur, negOf(cur), cur)
+			sp = engine.SemiNaive(prev, delta, cur, negFixed)
 		}
+		sp.Against = cur
+		newDelta := in.Eval(sp)
 		stats.Rounds++
 		if newDelta.Empty() {
 			break
