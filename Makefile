@@ -124,12 +124,14 @@ cover:
 	$(GO) run ./scripts/covergate -profile cover.out -min $(COVER_MIN)
 
 # Non-test Go lines: every line of every .go file not named *_test.go,
-# one row per internal/ package, then the total over the tree except
-# benchmark/ (a nested module) and hidden directories such as
-# .bench_build/.  ROADMAP's size criteria cite these counts.
+# one row per internal/, cmd/ and scripts/ directory (counting the
+# directories below it, so scripts/internal is one row), then the total
+# over the tree except benchmark/ (a nested module) and hidden
+# directories such as .bench_build/.  ROADMAP's size criteria cite
+# these counts.
 loc:
-	@for d in internal/*/; do \
-		printf '%7d  %s\n' $$(cat $$(ls $$d*.go | grep -v '_test\.go$$') | wc -l) $${d%/}; \
+	@for d in internal/*/ cmd/*/ scripts/*/; do \
+		printf '%7d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' -print0 | xargs -0 -r cat | wc -l) $${d%/}; \
 	done
 	@printf '%7d  total outside benchmark/\n' \
 		$$(find . -path ./benchmark -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)

@@ -4,8 +4,9 @@
 // accepting fact inserts/deletes that are maintained incrementally
 // (counting/DRed for stratified strata, stage-log replay for general
 // inflationary programs) instead of recomputed.  Concurrent updates
-// are group-committed: a bounded queue coalesces them into shared
-// maintainer passes, and a full queue sheds load with 429.
+// are group-committed: a 256-deep queue coalesces them into shared
+// maintainer passes, and a full queue sheds load with 429.  A query
+// whose request says "magic": true is answered demand-driven.
 //
 // With -data-dir the daemon is durable: committed batches are appended
 // to a write-ahead log before they are acknowledged, checkpoints
@@ -23,8 +24,9 @@
 // Usage:
 //
 //	serve -program tc.dl -facts graph.dl [-semantics inflationary] [-addr :8090]
-//	      [-data-dir DIR] [-checkpoint-every 256|64mb] [-fsync always|interval|off]
-//	      [-follow http://leader:8090] [-retain 256mb] [-retain-ttl 1m]
+//	      [-workers N] [-data-dir DIR] [-checkpoint-every 256]
+//	      [-fsync always|interval|off] [-fsync-interval 1s]
+//	      [-follow http://leader:8090]
 //
 // API (JSON; see internal/server for the wire types):
 //
@@ -47,8 +49,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -74,20 +74,12 @@ type options struct {
 
 	workers int
 
-	magic        bool
-	queueDepth   int
-	commitWindow time.Duration
-	maxBatch     int
-	maxBody      int64
-
 	dataDir         string
-	checkpointEvery string
+	checkpointEvery int
 	fsync           string
 	fsyncInterval   time.Duration
 
-	follow    string
-	retain    string
-	retainTTL time.Duration
+	follow string
 }
 
 // newFlags defines the flag set over opts.  Split from main so tests
@@ -99,97 +91,37 @@ func newFlags(name string, opts *options) *flag.FlagSet {
 	fs.StringVar(&opts.semantics, "semantics", "inflationary", "inflationary|lfp|stratified|wellfounded")
 	fs.StringVar(&opts.addr, "addr", ":8090", "listen address")
 	fs.IntVar(&opts.workers, "workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
-	fs.BoolVar(&opts.magic, "magic", false, "answer /v1/query IDB queries demand-driven (magic-set rewriting) by default")
-	fs.IntVar(&opts.queueDepth, "queue-depth", 256, "bound on queued updates; a full queue answers 429")
-	fs.DurationVar(&opts.commitWindow, "commit-window", 0, "how long the committer waits for more updates to coalesce (0 = drain-only)")
-	fs.IntVar(&opts.maxBatch, "max-batch", 1024, "max update requests coalesced into one maintainer pass")
-	fs.Int64Var(&opts.maxBody, "max-body", 1<<20, "max request body bytes; larger bodies answer 413")
 	fs.StringVar(&opts.dataDir, "data-dir", "", "directory for the checkpoint snapshot and write-ahead log (empty = in-memory only)")
-	fs.StringVar(&opts.checkpointEvery, "checkpoint-every", "256", "checkpoint after N committed batches, or after a kb/mb/gb size of WAL growth")
+	fs.IntVar(&opts.checkpointEvery, "checkpoint-every", 256, "checkpoint after N committed batches")
 	fs.StringVar(&opts.fsync, "fsync", "always", "WAL sync policy: always|interval|off")
 	fs.DurationVar(&opts.fsyncInterval, "fsync-interval", time.Second, "flush period under -fsync=interval")
 	fs.StringVar(&opts.follow, "follow", "", "replicate from this leader URL (read-only follower; requires -data-dir)")
-	fs.StringVar(&opts.retain, "retain", "256mb", "max covered WAL retained for lagging followers before their pins are evicted")
-	fs.DurationVar(&opts.retainTTL, "retain-ttl", time.Minute, "drop a follower's retention pin after this long without a poll")
 	return fs
-}
-
-// parseCheckpointEvery reads the -checkpoint-every value: a bare
-// integer counts committed batches, a kb/mb/gb suffix measures WAL
-// growth in bytes.
-func parseCheckpointEvery(s string) (batches int, bytes int64, err error) {
-	s = strings.ToLower(strings.TrimSpace(s))
-	if s == "" {
-		return 0, 0, nil
-	}
-	for _, u := range []struct {
-		suffix string
-		mult   int64
-	}{{"kb", 1 << 10}, {"mb", 1 << 20}, {"gb", 1 << 30}} {
-		if strings.HasSuffix(s, u.suffix) {
-			n, err := strconv.ParseInt(strings.TrimSuffix(s, u.suffix), 10, 64)
-			if err != nil || n <= 0 {
-				return 0, 0, fmt.Errorf("-checkpoint-every: bad size %q", s)
-			}
-			return 0, n * u.mult, nil
-		}
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n <= 0 {
-		return 0, 0, fmt.Errorf("-checkpoint-every: want a batch count or kb/mb/gb size, got %q", s)
-	}
-	return n, 0, nil
-}
-
-// parseSize reads a byte size: a bare integer is bytes, kb/mb/gb
-// suffixes scale.
-func parseSize(flagName, s string) (int64, error) {
-	batches, bytes, err := parseCheckpointEvery(s)
-	if err != nil {
-		return 0, fmt.Errorf("%s: bad size %q", flagName, s)
-	}
-	if bytes == 0 {
-		bytes = int64(batches)
-	}
-	return bytes, nil
 }
 
 // serverConfig translates the flags into the server's options API.
 func (o *options) serverConfig() (server.Config, error) {
-	batches, bytes, err := parseCheckpointEvery(o.checkpointEvery)
-	if err != nil {
-		return server.Config{}, err
-	}
 	policy, err := durable.ParseFsyncPolicy(o.fsync)
 	if err != nil {
 		return server.Config{}, err
 	}
-	retain, err := parseSize("-retain", o.retain)
-	if err != nil {
-		return server.Config{}, err
+	if o.checkpointEvery <= 0 {
+		return server.Config{}, fmt.Errorf("-checkpoint-every: want a positive batch count, got %d", o.checkpointEvery)
 	}
 	return server.Config{
 		Engine:            engine.Options{Workers: o.workers},
-		MagicDefault:      o.magic,
-		QueueDepth:        o.queueDepth,
-		CommitWindow:      o.commitWindow,
-		MaxBatch:          o.maxBatch,
-		MaxBodyBytes:      o.maxBody,
 		DataDir:           o.dataDir,
 		Fsync:             policy,
 		FsyncInterval:     o.fsyncInterval,
-		CheckpointBatches: batches,
-		CheckpointBytes:   bytes,
+		CheckpointBatches: o.checkpointEvery,
 		ReadOnly:          o.follow != "",
 		LeaderAddr:        o.follow,
-		RetainBytes:       retain,
-		RetainTTL:         o.retainTTL,
 	}, nil
 }
 
 // newHTTPServer builds the hardened listener: header, read, write, and
 // idle timeouts so a stalled or slow-drip client cannot pin a
-// connection (body size is capped separately by -max-body).
+// connection (the server caps request bodies at 1 MiB itself).
 func newHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,
@@ -258,21 +190,16 @@ func run(args []string) error {
 		return err
 	}
 	defer srv.Close()
-	if opts.magic && !srv.MagicSupported() {
-		return fmt.Errorf("-magic requires lfp, stratified, or coinciding inflationary semantics")
-	}
 	snap := srv.Snapshot()
 	total := 0
 	for _, r := range snap.Rels {
 		total += r.Len()
 	}
-	log.Printf("serve: %s semantics, %d relations, %d tuples, initial evaluation in %v",
-		sem, len(snap.Rels), total, time.Since(start).Round(time.Millisecond))
-	log.Printf("serve: workers=%d magic=%t queue-depth=%d commit-window=%v max-batch=%d",
-		opts.workers, opts.magic,
-		opts.queueDepth, opts.commitWindow, opts.maxBatch)
+	log.Printf("serve: %s semantics, %d relations, %d tuples, initial evaluation in %v (workers=%d, magic queries=%t)",
+		sem, len(snap.Rels), total, time.Since(start).Round(time.Millisecond),
+		opts.workers, srv.MagicSupported())
 	if opts.dataDir != "" {
-		log.Printf("serve: durable in %s (fsync=%s, checkpoint-every=%s)",
+		log.Printf("serve: durable in %s (fsync=%s, checkpoint-every=%d)",
 			opts.dataDir, opts.fsync, opts.checkpointEvery)
 	}
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,12 +11,13 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/engine"
+	"repro/internal/server"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
-// TestHelpGolden pins the -help output: every engine and queue option
-// must stay documented, with its default visible.
+// TestHelpGolden pins the -help output: every option must stay
+// documented, with its default visible.
 func TestHelpGolden(t *testing.T) {
 	var opts options
 	fs := newFlags("serve", &opts)
@@ -40,35 +42,42 @@ func TestHelpGolden(t *testing.T) {
 		t.Errorf("-help output drifted from %s (run with -update to regenerate):\n got:\n%s\nwant:\n%s",
 			golden, buf.Bytes(), want)
 	}
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 10 {
+		t.Errorf("serve defines %d flags, want 10", n)
+	}
 }
 
-// TestServerConfig checks that every flag reaches the options API.
+// TestServerConfig checks that every flag reaches the options API (or,
+// for the four run reads itself, the options struct).
 func TestServerConfig(t *testing.T) {
 	var opts options
 	fs := newFlags("serve", &opts)
 	err := fs.Parse([]string{
-		"-workers", "3",
-		"-magic", "-queue-depth", "7", "-commit-window", "2ms", "-max-batch", "9",
-		"-max-body", "2048", "-data-dir", "/tmp/x", "-checkpoint-every", "64mb",
+		"-program", "p.dl", "-facts", "f.dl", "-semantics", "lfp", "-addr", ":9",
+		"-workers", "3", "-data-dir", "/tmp/x", "-checkpoint-every", "64",
 		"-fsync", "interval", "-fsync-interval", "250ms",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if opts.program != "p.dl" || opts.facts != "f.dl" || opts.semantics != "lfp" || opts.addr != ":9" {
+		t.Errorf("run options = %+v", opts)
+	}
 	cfg, err := opts.serverConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Engine != (engine.Options{Workers: 3}) {
-		t.Errorf("Engine = %+v, want Workers 3", cfg.Engine)
+	want := server.Config{
+		Engine:            engine.Options{Workers: 3},
+		DataDir:           "/tmp/x",
+		Fsync:             durable.FsyncInterval,
+		FsyncInterval:     250 * time.Millisecond,
+		CheckpointBatches: 64,
 	}
-	if !cfg.MagicDefault || cfg.QueueDepth != 7 || cfg.CommitWindow != 2*time.Millisecond || cfg.MaxBatch != 9 {
-		t.Errorf("queue config = %+v", cfg)
-	}
-	if cfg.MaxBodyBytes != 2048 || cfg.DataDir != "/tmp/x" ||
-		cfg.CheckpointBatches != 0 || cfg.CheckpointBytes != 64<<20 ||
-		cfg.Fsync != durable.FsyncInterval || cfg.FsyncInterval != 250*time.Millisecond {
-		t.Errorf("durable config = %+v", cfg)
+	if cfg != want {
+		t.Errorf("config = %+v, want %+v", cfg, want)
 	}
 
 	// And the zero-flag path yields GOMAXPROCS workers and the default
@@ -79,65 +88,63 @@ func TestServerConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Engine != (engine.Options{}) {
-		t.Errorf("default engine options = %+v", c.Engine)
-	}
-	if c.Fsync != durable.FsyncAlways || c.CheckpointBatches != 256 || c.CheckpointBytes != 0 {
-		t.Errorf("default durable config = %+v", c)
-	}
-	if c.ReadOnly || c.LeaderAddr != "" || c.RetainBytes != 256<<20 || c.RetainTTL != time.Minute {
-		t.Errorf("default replication config = %+v", c)
+	if want := (server.Config{Fsync: durable.FsyncAlways, FsyncInterval: time.Second, CheckpointBatches: 256}); c != want {
+		t.Errorf("default config = %+v, want %+v", c, want)
 	}
 
 	// Follower flags: -follow flips the server read-only and carries the
-	// leader address; -retain/-retain-ttl bound the leader's WAL pinning.
+	// leader address.
 	var fol options
 	ffs := newFlags("serve", &fol)
-	if err := ffs.Parse([]string{
-		"-follow", "http://leader:8090", "-data-dir", "/tmp/f",
-		"-retain", "4mb", "-retain-ttl", "30s",
-	}); err != nil {
+	if err := ffs.Parse([]string{"-follow", "http://leader:8090", "-data-dir", "/tmp/f"}); err != nil {
 		t.Fatal(err)
 	}
 	fc, err := fol.serverConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fc.ReadOnly || fc.LeaderAddr != "http://leader:8090" ||
-		fc.RetainBytes != 4<<20 || fc.RetainTTL != 30*time.Second {
+	if !fc.ReadOnly || fc.LeaderAddr != "http://leader:8090" || fc.DataDir != "/tmp/f" {
 		t.Errorf("follower config = %+v", fc)
 	}
 }
 
+// TestParseCheckpointEvery: -checkpoint-every is a committed-batch
+// count; zero, a negative count, an empty value and a WAL size are
+// rejected.
 func TestParseCheckpointEvery(t *testing.T) {
 	cases := []struct {
 		in      string
 		batches int
-		bytes   int64
 		bad     bool
 	}{
 		{in: "256", batches: 256},
 		{in: "1", batches: 1},
-		{in: "4kb", bytes: 4 << 10},
-		{in: "64MB", bytes: 64 << 20},
-		{in: "2gb", bytes: 2 << 30},
-		{in: "", batches: 0, bytes: 0},
+		{in: "", bad: true},
 		{in: "0", bad: true},
 		{in: "-3", bad: true},
+		{in: "64MB", bad: true},
+		{in: "4kb", bad: true},
 		{in: "10tb", bad: true},
 		{in: "lots", bad: true},
 	}
 	for _, c := range cases {
-		batches, bytes, err := parseCheckpointEvery(c.in)
+		var opts options
+		fs := newFlags("serve", &opts)
+		fs.Init("serve", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		var cfg server.Config
+		err := fs.Parse([]string{"-checkpoint-every", c.in})
+		if err == nil {
+			cfg, err = opts.serverConfig()
+		}
 		if c.bad {
 			if err == nil {
-				t.Errorf("parseCheckpointEvery(%q): no error", c.in)
+				t.Errorf("-checkpoint-every %q: no error", c.in)
 			}
 			continue
 		}
-		if err != nil || batches != c.batches || bytes != c.bytes {
-			t.Errorf("parseCheckpointEvery(%q) = (%d, %d, %v), want (%d, %d)",
-				c.in, batches, bytes, err, c.batches, c.bytes)
+		if err != nil || cfg.CheckpointBatches != c.batches {
+			t.Errorf("-checkpoint-every %q: CheckpointBatches %d, %v; want %d", c.in, cfg.CheckpointBatches, err, c.batches)
 		}
 	}
 }

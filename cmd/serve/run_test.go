@@ -170,7 +170,7 @@ func TestRunErrors(t *testing.T) {
 		{"missing program file", []string{"-program", filepath.Join(work, "nope.dl"), "-facts", progFile}},
 		{"follow without data-dir", []string{"-program", progFile, "-follow", "http://x"}},
 		{"bad semantics", []string{"-program", progFile, "-facts", progFile, "-semantics", "nope"}},
-		{"bad retain", []string{"-program", progFile, "-facts", progFile, "-retain", "lots"}},
+		{"bad fsync policy", []string{"-program", progFile, "-facts", progFile, "-fsync", "sometimes"}},
 		{"follower leader unreachable", []string{
 			"-program", progFile, "-follow", "http://127.0.0.1:1",
 			"-data-dir", filepath.Join(work, "d")}},
@@ -179,17 +179,5 @@ func TestRunErrors(t *testing.T) {
 		if err := run(c.args); err == nil {
 			t.Errorf("%s: run returned nil", c.name)
 		}
-	}
-}
-
-func TestParseSize(t *testing.T) {
-	if n, err := parseSize("-retain", "4mb"); err != nil || n != 4<<20 {
-		t.Errorf("parseSize(4mb) = %d, %v", n, err)
-	}
-	if n, err := parseSize("-retain", "1024"); err != nil || n != 1024 {
-		t.Errorf("parseSize(1024) = %d, %v", n, err)
-	}
-	if _, err := parseSize("-retain", "many"); err == nil {
-		t.Error("parseSize(many): no error")
 	}
 }

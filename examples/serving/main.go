@@ -1,8 +1,8 @@
 // Serving walkthrough: the production path of the daemon, in-process.
 //
 // Four stops:
-//  1. build a server over a maintained program (options API: engine
-//     options, magic default, and queue shape in one Config),
+//  1. build a server over a maintained program (engine options in
+//     its Config),
 //  2. read endpoints — stats, relation dumps, pattern queries — all
 //     answered from immutable snapshots,
 //  3. group commit: concurrent updates coalesce into shared
@@ -39,8 +39,7 @@ s(X,Y) :- E(X,Y).
 s(X,Y) :- E(X,Z), s(Z,Y).
 `)
 	srv, err := server.NewWith(prog, graphs.Path(8).Database(), core.Inflationary, server.Config{
-		Engine:     engine.Options{Workers: 2},
-		QueueDepth: 64, // a full queue answers 429 + Retry-After
+		Engine: engine.Options{Workers: 2},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -432,7 +432,7 @@ func TestStoreEmptyMidHistorySegmentSkipped(t *testing.T) {
 
 // After a failed append the store must never let a later record be
 // acknowledged beyond the (possible) tear: appends and rotations are
-// refused with ErrPoisoned once repair is impossible.
+// refused with ErrPoisoned, and Err reports the fence.
 func TestStorePoisonedAfterFailedAppend(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir)
@@ -442,11 +442,17 @@ func TestStorePoisonedAfterFailedAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Force a write failure the truncate-repair cannot fix either:
-	// close the segment's file descriptor out from under the store.
+	// Force a write failure: close the segment's file descriptor out
+	// from under the store.
 	s.f.Close()
+	if err := s.Err(); err != nil {
+		t.Fatalf("Err before any failure: %v", err)
+	}
 	if _, err := s.Append(&rec); err == nil {
 		t.Fatal("append on a dead segment succeeded")
+	}
+	if err := s.Err(); err != ErrPoisoned {
+		t.Fatalf("Err after a failed append: %v, want ErrPoisoned", err)
 	}
 	if _, err := s.Append(&rec); err != ErrPoisoned {
 		t.Fatalf("append after tear: %v, want ErrPoisoned", err)
@@ -456,5 +462,76 @@ func TestStorePoisonedAfterFailedAppend(t *testing.T) {
 	}
 	if st := s.Stats(); st.WALRecords != 1 {
 		t.Fatalf("failed append leaked into accounting: %+v", st)
+	}
+}
+
+// Reset removes exactly the store's files, and a snapshot image put
+// back with InstallSnapshot is what the next Open recovers.
+func TestResetAndInstallSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openStore(t, dir)
+	m := mustMaintainer(t, core.Inflationary)
+	rec := Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"v0", "v5"}}}}
+	if _, err := s.Append(&rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteCheckpoint(m.Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(&rec); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	image, err := os.ReadFile(filepath.Join(dir, snapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{snapTmpName, "replica.cursor", "notes.txt"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := Reset(dir); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left []string
+	for _, e := range entries {
+		left = append(left, e.Name())
+	}
+	if want := []string{"notes.txt", "replica.cursor"}; !reflect.DeepEqual(left, want) {
+		t.Fatalf("after Reset the dir holds %v, want %v", left, want)
+	}
+	if HasSnapshot(dir) {
+		t.Fatal("HasSnapshot after Reset")
+	}
+	if err := Reset(filepath.Join(dir, "missing")); err != nil {
+		t.Fatalf("Reset of a missing dir: %v", err)
+	}
+
+	if err := InstallSnapshot(dir, bytes.NewReader(image)); err != nil {
+		t.Fatal(err)
+	}
+	if !HasSnapshot(dir) {
+		t.Fatal("no snapshot after InstallSnapshot")
+	}
+	s2, info := openStore(t, dir)
+	defer s2.Close()
+	if info.Checkpoint == nil || len(info.Records) != 0 {
+		t.Fatalf("Open after install: checkpoint %v, %d records; want the image alone", info.Checkpoint != nil, len(info.Records))
+	}
+	r, err := incr.Restore(info.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.State().Format(r.Universe()), m.State().Format(m.Universe()); got != want {
+		t.Fatalf("installed snapshot restores:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -18,8 +18,8 @@
 // replica request — keeps segments ≥ seq on disk past coverage, so a
 // follower that is mid-catch-up never sees its cursor compacted away.
 // Pins are bounded: when the covered-but-retained record bytes exceed
-// the retention limit, the laggiest pins are evicted (their follower
-// re-bootstraps from the snapshot), and pins idle past the TTL expire.
+// 256 MiB, the laggiest pins are evicted (their follower re-bootstraps
+// from the snapshot), and pins idle for a minute expire.
 // Both policies run inside the checkpoint sweep, the only place
 // deletion happens.
 package durable
@@ -174,20 +174,6 @@ func (s *Store) Unpin(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.pins, id)
-}
-
-// SetRetention bounds pinned retention: at most limitBytes of
-// covered-but-retained record bytes (0 keeps the 256 MiB default),
-// and pins idle for longer than ttl expire (0 keeps the 60s default).
-func (s *Store) SetRetention(limitBytes int64, ttl time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if limitBytes > 0 {
-		s.retainBytes = limitBytes
-	}
-	if ttl > 0 {
-		s.pinTTL = ttl
-	}
 }
 
 // LagFrom reports how many records and record bytes lie strictly after

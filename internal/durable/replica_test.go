@@ -156,7 +156,7 @@ func TestBoundedLagEviction(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir)
 	defer s.Close()
-	s.SetRetention(1, time.Hour) // evict anyone retaining more than 1 byte
+	s.retainBytes, s.pinTTL = 1, time.Hour // evict anyone retaining more than 1 byte
 
 	c := s.SnapshotCursor("laggard")
 	if _, err := s.Append(&Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}}); err != nil {
@@ -182,7 +182,7 @@ func TestPinTTLExpiry(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir)
 	defer s.Close()
-	s.SetRetention(1<<30, time.Millisecond)
+	s.retainBytes, s.pinTTL = 1<<30, time.Millisecond
 	s.Pin("idle", 1)
 	time.Sleep(5 * time.Millisecond)
 	m := mustMaintainer(t, 0)

@@ -12,7 +12,9 @@
 //	append     frame the record, write, fsync per policy.  The caller
 //	           (the server's committer) answers clients only after
 //	           Append returns, so acknowledged implies durable under
-//	           the "always" policy.
+//	           the "always" policy.  The first failed append fences
+//	           the store: every later Append and Rotate is refused,
+//	           so no record is ever acknowledged past a possible tear.
 //	checkpoint Rotate() seals the active segment and opens the next
 //	           one while the caller captures a sealed state image in
 //	           the same critical section; WriteCheckpoint() then —
@@ -50,6 +52,14 @@ import (
 const (
 	snapName    = "snapshot.bin"
 	snapTmpName = "snapshot.tmp"
+)
+
+// Follower retention bounds (see replica.go): at most this many bytes
+// of covered-but-pinned WAL are kept for lagging followers, and a pin
+// not refreshed for this long expires.
+const (
+	maxRetainedBytes = 256 << 20
+	pinIdleTTL       = time.Minute
 )
 
 // FsyncPolicy selects when WAL appends reach stable storage.
@@ -124,7 +134,7 @@ type Store struct {
 	seq        uint64   // active segment sequence number
 	dirty      bool     // unsynced appends (interval policy)
 	closed     bool
-	poisoned   bool             // unrepaired torn frame in the active segment
+	poisoned   bool             // an append failed: the active segment may hold a tear
 	walBytes   int64            // record bytes across live segments
 	walRecords int64            // records across live segments
 	segs       map[uint64]int64 // live segment -> record bytes (for deletion accounting)
@@ -132,7 +142,8 @@ type Store struct {
 
 	// Replication state (replica.go): append/rotate wakeups for
 	// long-polling readers, follower retention pins, and the bounds
-	// the checkpoint sweep enforces on them.
+	// the checkpoint sweep enforces on them (maxRetainedBytes and
+	// pinIdleTTL; fields so white-box tests can shrink them).
 	notify      chan struct{}
 	pins        map[string]*pinInfo
 	covered     uint64 // segments below this are redundant with the snapshot
@@ -163,10 +174,10 @@ type StoreStats struct {
 var ErrClosed = errors.New("durable: store is closed")
 
 // ErrPoisoned reports an append or rotation refused because an earlier
-// append left a torn frame in the active segment that could not be
-// repaired.  Writing past a tear would place acknowledged records
-// beyond the point recovery truncates at, silently dropping them.
-var ErrPoisoned = errors.New("durable: WAL segment holds an unrepaired torn frame; refusing further appends")
+// append failed.  The active segment may then hold a torn frame, and
+// writing past it would place acknowledged records beyond the point
+// recovery truncates at, silently dropping them.
+var ErrPoisoned = errors.New("durable: an earlier WAL append failed; refusing further appends")
 
 // Open opens (creating if needed) a data directory, recovers its
 // history, and leaves the store ready for appends on a fresh segment.
@@ -186,8 +197,8 @@ func Open(dir string, policy FsyncPolicy, interval time.Duration) (*Store, *Reco
 		segRecs:     make(map[uint64]int64),
 		notify:      make(chan struct{}),
 		pins:        make(map[string]*pinInfo),
-		retainBytes: 256 << 20,
-		pinTTL:      time.Minute,
+		retainBytes: maxRetainedBytes,
+		pinTTL:      pinIdleTTL,
 	}
 	info := &RecoveryInfo{}
 
@@ -202,7 +213,7 @@ func Open(dir string, policy FsyncPolicy, interval time.Duration) (*Store, *Reco
 		return nil, nil, err
 	}
 
-	seqs, err := s.listSegments()
+	seqs, err := listSegments(dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -242,16 +253,21 @@ func Open(dir string, policy FsyncPolicy, interval time.Duration) (*Store, *Reco
 	return s, info, nil
 }
 
-// listSegments returns the existing segment sequence numbers, sorted.
-func (s *Store) listSegments() ([]uint64, error) {
-	entries, err := os.ReadDir(s.dir)
+// isSegment reports whether a file name is a WAL segment's.
+func isSegment(name string) bool {
+	return strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log")
+}
+
+// listSegments returns the segment sequence numbers in dir, sorted.
+func listSegments(dir string) ([]uint64, error) {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var seqs []uint64
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
+		if !isSegment(name) {
 			continue
 		}
 		seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), 10, 64)
@@ -361,42 +377,30 @@ func (s *Store) openSegment() error {
 
 // Append durably logs one committed batch, returning the framed size.
 // Under FsyncAlways the record has reached stable storage when Append
-// returns.
+// returns.  A failed append — a write, an fsync, or an append to a
+// closed store — fences the store: its error is returned, and every
+// later Append and Rotate is refused.
 func (s *Store) Append(rec *Record) (int64, error) {
 	payload := EncodeRecord(rec)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
+	var n int64
+	err := s.refusalLocked()
+	if err == nil {
+		n, err = writeFrame(s.f, payload)
 	}
-	if s.poisoned {
-		return 0, ErrPoisoned
+	if err == nil && s.policy == FsyncAlways {
+		err = s.f.Sync()
 	}
-	n, err := writeFrame(s.f, payload)
 	if err != nil {
-		// A partial write (e.g. ENOSPC after the header) leaves a torn
-		// frame mid-file; anything appended after it would sit beyond
-		// the point recovery truncates at and be silently dropped.
-		// Repair by cutting the segment back to its last good frame;
-		// if even that fails, poison the segment so no later record
-		// can be acknowledged on top of the tear.
-		good := int64(len(walMagic)) + s.segs[s.seq]
-		if terr := s.f.Truncate(good); terr != nil {
-			s.poisoned = true
-		} else if _, serr := s.f.Seek(good, io.SeekStart); serr != nil {
-			s.poisoned = true
-		}
+		// A partial write (e.g. ENOSPC mid-frame) leaves a torn frame,
+		// and after a failed fsync the kernel may have dropped the
+		// dirty pages: either way, a record appended after this one
+		// could sit beyond the point recovery truncates at.
+		s.poisoned = true
 		return 0, err
 	}
-	if s.policy == FsyncAlways {
-		if err := s.f.Sync(); err != nil {
-			// After a failed fsync the kernel may have dropped the
-			// dirty pages; whether the frame survives is unknowable,
-			// so nothing may be acknowledged on top of it.
-			s.poisoned = true
-			return 0, err
-		}
-	} else {
+	if s.policy != FsyncAlways {
 		s.dirty = true
 	}
 	s.segs[s.seq] += n
@@ -407,21 +411,40 @@ func (s *Store) Append(rec *Record) (int64, error) {
 	return n, nil
 }
 
+// Err returns ErrPoisoned once an Append has failed, and nil before.
+func (s *Store) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.poisoned {
+		return ErrPoisoned
+	}
+	return nil
+}
+
+// refusalLocked reports why the store refuses appends and rotations:
+// ErrClosed after Close, ErrPoisoned after a failed append.
+func (s *Store) refusalLocked() error {
+	switch {
+	case s.closed:
+		return ErrClosed
+	case s.poisoned:
+		return ErrPoisoned
+	}
+	return nil
+}
+
 // Rotate seals the active segment and opens the next one.  Callers
 // capture their state image under the same lock that serializes their
 // Appends, immediately after Rotate returns: everything logged before
 // the rotation is then covered by that image, and WriteCheckpoint may
-// delete the sealed segments once the image is on disk.
+// delete the sealed segments once the image is on disk.  A poisoned
+// store refuses: sealing a segment with a torn frame would turn its
+// tear into mid-history corruption on the next boot.
 func (s *Store) Rotate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.poisoned {
-		// Sealing a segment with a torn frame would turn its tear into
-		// mid-history corruption on the next boot.
-		return ErrPoisoned
+	if err := s.refusalLocked(); err != nil {
+		return err
 	}
 	if err := s.f.Sync(); err != nil {
 		return err
@@ -445,38 +468,7 @@ func (s *Store) Rotate() error {
 // runs off the commit path: appends to the active segment proceed
 // concurrently.
 func (s *Store) WriteCheckpoint(cp *incr.Checkpoint) error {
-	tmp := filepath.Join(s.dir, snapTmpName)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := WriteSnapshot(f, cp); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Crash-window hook for the recovery harness: hold the install
-	// open between the tmp write and the rename so a SIGKILL can land
-	// provably mid-checkpoint.
-	if d := os.Getenv("REPRO_CKPT_DELAY"); d != "" {
-		if dur, err := time.ParseDuration(d); err == nil {
-			time.Sleep(dur)
-		}
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapName)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(s.dir); err != nil {
+	if err := installSnapshot(s.dir, func(w io.Writer) error { return WriteSnapshot(w, cp) }); err != nil {
 		return err
 	}
 
@@ -495,6 +487,76 @@ func (s *Store) WriteCheckpoint(cp *incr.Checkpoint) error {
 	for _, seq := range drop {
 		if err := os.Remove(s.segPath(seq)); err != nil && !os.IsNotExist(err) {
 			return err
+		}
+	}
+	return nil
+}
+
+// installSnapshot atomically replaces dir's snapshot with what write
+// produces: stream it to snapshot.tmp, fsync, rename over
+// snapshot.bin, fsync the directory.  A crash at any point leaves
+// either the old snapshot or the new one.
+func installSnapshot(dir string, write func(io.Writer) error) error {
+	tmp := filepath.Join(dir, snapTmpName)
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		// Crash-window hook for the recovery harness: hold the install
+		// open between the tmp write and the rename so a SIGKILL can
+		// land provably mid-checkpoint.
+		if d, perr := time.ParseDuration(os.Getenv("REPRO_CKPT_DELAY")); perr == nil {
+			time.Sleep(d)
+		}
+		err = os.Rename(tmp, filepath.Join(dir, snapName))
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(dir)
+}
+
+// InstallSnapshot makes the snapshot image read from r the snapshot of
+// data directory dir, atomically, as a checkpoint would.  A follower
+// installs its leader's checkpoint this way before opening dir.
+func InstallSnapshot(dir string, r io.Reader) error {
+	return installSnapshot(dir, func(w io.Writer) error {
+		_, err := io.Copy(w, r)
+		return err
+	})
+}
+
+// HasSnapshot reports whether data directory dir holds a snapshot.
+func HasSnapshot(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, snapName))
+	return err == nil
+}
+
+// Reset removes a store's files from data directory dir — the
+// snapshot, an interrupted snapshot write and every WAL segment — and
+// leaves every other file alone.  A missing dir is already reset.
+func Reset(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if name := e.Name(); name == snapName || name == snapTmpName || isSegment(name) {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

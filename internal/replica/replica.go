@@ -8,9 +8,10 @@
 //	           checkpoint; the response headers carry the WAL cursor
 //	           to resume from (pinned on the leader so compaction
 //	           cannot race the download).  The image is installed as
-//	           the local data dir's snapshot.bin, so the follower's
-//	           own recovery path — including the program/semantics
-//	           version-skew rejection — restores it at boot.
+//	           the local data dir's snapshot (durable.InstallSnapshot),
+//	           so the follower's own recovery path — including the
+//	           program/semantics version-skew rejection — restores it
+//	           at boot.
 //	tail       GET /v1/replica/wal long-polls checksum-verified frames
 //	           past the cursor.  Each batch is applied through the
 //	           local maintainer (which logs it to the follower's own
@@ -28,7 +29,8 @@
 // reconstructs bit-exact derived state; nothing but the EDB log is
 // shipped.
 //
-// Failure handling: network errors reconnect with jittered backoff;
+// Failure handling: network errors reconnect with jittered backoff
+// (100 ms doubling to 5 s);
 // 410 compacted (the leader evicted our retention pin) and 409
 // diverged (our cursor is past the leader's durable history) are
 // terminal for the process — Run returns ErrCompacted/ErrDiverged,
@@ -43,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	mrand "math/rand"
 	"net/http"
 	"net/url"
@@ -65,6 +66,13 @@ import (
 // it describes.
 const cursorFile = "replica.cursor"
 
+// Reconnect backoff after a failed poll: starts at minBackoff, doubles
+// per consecutive failure, capped at maxBackoff.
+const (
+	minBackoff = 100 * time.Millisecond
+	maxBackoff = 5 * time.Second
+)
+
 // Terminal tail errors: both mean the local history can no longer be
 // advanced record-by-record and the process must restart, letting
 // Bootstrap wipe the data dir and start over from a fresh snapshot.
@@ -82,37 +90,25 @@ type Config struct {
 	// Leader is the leader's base URL (e.g. "http://host:4040").
 	Leader string
 	// DataDir is the follower's own durable directory: the
-	// bootstrapped snapshot, its local WAL, and the cursor file.
+	// bootstrapped snapshot, its local WAL, and the cursor file (which
+	// also holds the follower's id for leader-side retention pinning,
+	// generated at first bootstrap).
 	DataDir string
-	// ID is the stable follower identity for leader-side retention
-	// pinning.  Empty generates one at first bootstrap and persists it
-	// in the cursor file.
-	ID string
 	// Program and Semantics are the local identity (the leader's
 	// response headers must match, or the tail stops with ErrDiverged).
 	Program   string
 	Semantics string
-	// Client issues the HTTP requests; nil uses a default client.
-	// Per-request timeouts are derived from PollWait.
-	Client *http.Client
 	// PollWait is the long-poll window requested from the leader.
-	// 0 means 20s (the leader caps at 25s).
+	// 0 means 20s (the leader caps at 25s).  Per-request timeouts are
+	// derived from it.
 	PollWait time.Duration
-	// MaxBackoff caps the reconnect backoff.  0 means 5s.
-	MaxBackoff time.Duration
 	// Logf, when set, receives connection lifecycle messages.
 	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
-	if c.Client == nil {
-		c.Client = &http.Client{}
-	}
 	if c.PollWait <= 0 {
 		c.PollWait = 20 * time.Second
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 5 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -152,23 +148,14 @@ func saveCursor(dir string, st cursorState) error {
 }
 
 // wipeDataDir removes the replica-managed state so a fresh bootstrap
-// starts clean: snapshot, local WAL segments, cursor file.
+// starts clean: the store's snapshot and WAL, and the cursor file.
 func wipeDataDir(dir string) error {
-	ents, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
+	if err := durable.Reset(dir); err != nil {
 		return err
 	}
-	for _, e := range ents {
-		name := e.Name()
-		if name == "snapshot.bin" || name == "snapshot.tmp" ||
-			name == cursorFile || name == cursorFile+".tmp" ||
-			(strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log")) {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return err
-			}
+	for _, name := range []string{cursorFile, cursorFile + ".tmp"} {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
+			return err
 		}
 	}
 	return nil
@@ -198,10 +185,8 @@ func Bootstrap(cfg Config) (fresh bool, err error) {
 		return false, err
 	}
 	st, ok, err := loadCursor(cfg.DataDir)
-	if err == nil && ok {
-		if _, statErr := os.Stat(filepath.Join(cfg.DataDir, "snapshot.bin")); statErr != nil {
-			ok = false // half-wiped dir: re-bootstrap
-		}
+	if err == nil && ok && !durable.HasSnapshot(cfg.DataDir) {
+		ok = false // half-wiped dir: re-bootstrap
 	}
 	if err == nil && ok {
 		// Probe: does the leader still serve our cursor?
@@ -229,9 +214,6 @@ func Bootstrap(cfg Config) (fresh bool, err error) {
 	}
 	id := st.id
 	if id == "" {
-		id = cfg.ID
-	}
-	if id == "" {
 		var b [8]byte
 		if _, err := rand.Read(b[:]); err != nil {
 			return false, err
@@ -246,7 +228,7 @@ func Bootstrap(cfg Config) (fresh bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	resp, err := cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return false, fmt.Errorf("replica: snapshot download: %w", err)
 	}
@@ -266,27 +248,7 @@ func Bootstrap(cfg Config) (fresh bool, err error) {
 		return false, fmt.Errorf("replica: bad %s header", server.HdrReplicaOff)
 	}
 
-	tmp := filepath.Join(cfg.DataDir, "snapshot.tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return false, err
-	}
-	if _, err := io.Copy(f, resp.Body); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return false, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return false, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return false, err
-	}
-	if err := os.Rename(tmp, filepath.Join(cfg.DataDir, "snapshot.bin")); err != nil {
-		os.Remove(tmp)
+	if err := durable.InstallSnapshot(cfg.DataDir, resp.Body); err != nil {
 		return false, err
 	}
 	if err := saveCursor(cfg.DataDir, cursorState{cur: durable.Cursor{Seq: seq, Off: off}, id: id}); err != nil {
@@ -307,7 +269,7 @@ func pollWAL(ctx context.Context, cfg *Config, st cursorState, wait time.Duratio
 		cancel()
 		return nil, err
 	}
-	resp, err := cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -398,7 +360,7 @@ func (f *Follower) Metrics() *server.ReplicaMetrics {
 // ErrDiverged, or a local apply failure.  Network errors reconnect
 // with jittered exponential backoff.
 func (f *Follower) Run(ctx context.Context) error {
-	backoff := 100 * time.Millisecond
+	backoff := minBackoff
 	for {
 		if ctx.Err() != nil {
 			return nil
@@ -415,7 +377,7 @@ func (f *Follower) Run(ctx context.Context) error {
 			case <-ctx.Done():
 				return nil
 			}
-			backoff = time.Duration(math.Min(float64(backoff)*2, float64(f.cfg.MaxBackoff)))
+			backoff = min(2*backoff, maxBackoff)
 			continue
 		}
 		err = f.handlePoll(resp)
@@ -428,12 +390,12 @@ func (f *Follower) Run(ctx context.Context) error {
 				case <-ctx.Done():
 					return nil
 				}
-				backoff = time.Duration(math.Min(float64(backoff)*2, float64(f.cfg.MaxBackoff)))
+				backoff = min(2*backoff, maxBackoff)
 				continue
 			}
 			return err
 		}
-		backoff = 100 * time.Millisecond
+		backoff = minBackoff
 	}
 }
 

@@ -11,7 +11,7 @@
 //	404 not_found      unknown relation
 //	409 diverged       replica cursor past the leader's durable history
 //	410 compacted      replica cursor before the retained WAL history
-//	413 too_large      request body over Config.MaxBodyBytes
+//	413 too_large      request body over 1 MiB
 //	422 unprocessable  valid shape the engine rejects (IDB update,
 //	                   insert+delete conflict, rewrite failure)
 //	429 overloaded     update queue full (Retry-After is set)
@@ -70,12 +70,12 @@ type RelationResponse struct {
 }
 
 // QueryRequest is the body of POST /v1/query: a pattern match with
-// nil args as wildcards.  Magic selects the demand-driven path
-// explicitly; nil defers to the server default.
+// nil args as wildcards.  Magic selects the demand-driven path for an
+// IDB predicate.
 type QueryRequest struct {
 	Pred  string    `json:"pred"`
 	Args  []*string `json:"args"`
-	Magic *bool     `json:"magic,omitempty"`
+	Magic bool      `json:"magic,omitempty"`
 }
 
 // QueryResponse answers POST /v1/query.  The demand-driven fields

@@ -11,12 +11,12 @@
 //	          before the snapshot is published and callers are
 //	          answered: acknowledged implies logged (and, under
 //	          -fsync=always, durable).
-//	checkpoint after CheckpointBatches passes or CheckpointBytes of
-//	          WAL, the committer's caller rotates the WAL and captures
-//	          a sealed O(1) state image under the maintainer lock,
-//	          then streams it to disk off the commit path; the store
-//	          atomically replaces the snapshot and deletes the covered
-//	          segments.  Readers and the queue never stall.
+//	checkpoint after CheckpointBatches passes, the committer's caller
+//	          rotates the WAL and captures a sealed O(1) state image
+//	          under the maintainer lock, then streams it to disk off
+//	          the commit path; the store atomically replaces the
+//	          snapshot and deletes the covered segments.  Readers and
+//	          the queue never stall.
 //	shutdown  Close waits out any in-flight background checkpoint,
 //	          then flushes and closes the WAL after the committer
 //	          drains.  cmd/serve additionally calls CheckpointNow()
@@ -39,19 +39,16 @@ import (
 // durState is the server's durability runtime: the store plus the
 // counters behind the /v1/metrics durable block.
 type durState struct {
+	// store fences itself after a failed WAL append (store.Err): the
+	// write path then fails with ErrWALFailed and checkpoints stop, so
+	// the durable history can never silently omit a batch that
+	// in-memory state or later log records build on.
 	store *durable.Store
 
-	// failed latches after a WAL append error: the write path is
-	// fenced (updates fail with ErrWALFailed) and checkpoints stop,
-	// so the durable history can never silently omit a batch that
-	// in-memory state or later log records build on.
-	failed atomic.Bool
-
-	// Checkpoint triggers, decremented only once a checkpoint is
+	// Checkpoint trigger, decremented only once a checkpoint is
 	// durably on disk (a failed snapshot write retries at the next
 	// commit instead of waiting out a fresh interval of traffic).
 	sinceBatches atomic.Int64
-	sinceBytes   atomic.Int64
 
 	// Checkpoint concurrency control.  inFlight gates the async
 	// trigger; ckptMu serializes the actual write (a synchronous
@@ -146,28 +143,23 @@ func (s *Server) logBatch(ins, del []incr.Fact) error {
 	if s.dur == nil {
 		return nil
 	}
-	n, err := s.dur.store.Append(&durable.Record{Ins: ins, Del: del})
-	if err != nil {
+	if _, err := s.dur.store.Append(&durable.Record{Ins: ins, Del: del}); err != nil {
 		s.dur.appendErrors.Add(1)
-		s.dur.failed.Store(true)
 		return fmt.Errorf("%w: %v", ErrWALFailed, err)
 	}
 	s.dur.sinceBatches.Add(1)
-	s.dur.sinceBytes.Add(n)
 	return nil
 }
 
-// maybeCheckpointAsync starts a background checkpoint when either
-// configured trigger has tripped.  Called after s.mu is released (the
-// capture below retakes it); at most one checkpoint runs at a time.
+// maybeCheckpointAsync starts a background checkpoint when the batch
+// trigger has tripped.  Called after s.mu is released (the capture
+// below retakes it); at most one checkpoint runs at a time.
 func (s *Server) maybeCheckpointAsync() {
 	d := s.dur
-	if d == nil || d.failed.Load() {
+	if d == nil || d.sinceBatches.Load() < int64(s.cfg.CheckpointBatches) || d.store.Err() != nil {
 		return
 	}
-	hit := (s.cfg.CheckpointBatches > 0 && d.sinceBatches.Load() >= int64(s.cfg.CheckpointBatches)) ||
-		(s.cfg.CheckpointBytes > 0 && d.sinceBytes.Load() >= s.cfg.CheckpointBytes)
-	if !hit || !d.inFlight.CompareAndSwap(false, true) {
+	if !d.inFlight.CompareAndSwap(false, true) {
 		return
 	}
 	d.ckptWG.Add(1)
@@ -192,7 +184,7 @@ func (s *Server) CheckpointNow() error {
 	}
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
-	if d.sinceBatches.Load() == 0 && d.sinceBytes.Load() == 0 {
+	if d.sinceBatches.Load() == 0 {
 		return nil
 	}
 	return s.checkpointOnce()
@@ -211,7 +203,7 @@ func (s *Server) checkpointOnce() error {
 	start := time.Now()
 
 	s.mu.Lock()
-	if d.failed.Load() {
+	if d.store.Err() != nil {
 		// The maintainer holds a batch the WAL rejected; a snapshot
 		// taken now would make that unacknowledged batch durable.
 		s.mu.Unlock()
@@ -219,11 +211,10 @@ func (s *Server) checkpointOnce() error {
 	}
 	err := d.store.Rotate()
 	var cp *incr.Checkpoint
-	var coveredBatches, coveredBytes int64
+	var covered int64
 	if err == nil {
 		cp = s.m.Checkpoint()
-		coveredBatches = d.sinceBatches.Load()
-		coveredBytes = d.sinceBytes.Load()
+		covered = d.sinceBatches.Load()
 	}
 	s.mu.Unlock()
 
@@ -240,9 +231,8 @@ func (s *Server) checkpointOnce() error {
 	// Subtract (rather than zero) what the snapshot covered, only now
 	// that it is durable: appends that raced the write keep counting
 	// toward the next trigger, and a failed attempt leaves the
-	// counters tripped so the retry fires at the very next commit.
-	d.sinceBatches.Add(-coveredBatches)
-	d.sinceBytes.Add(-coveredBytes)
+	// counter tripped so the retry fires at the very next commit.
+	d.sinceBatches.Add(-covered)
 	d.checkpoints.Add(1)
 	d.lastCkptNano.Store(time.Now().UnixNano())
 	d.lastCkptDur.Store(int64(time.Since(start)))

@@ -237,8 +237,7 @@ func TestDurableRejectsForeignHistory(t *testing.T) {
 }
 
 func TestBodyTooLarge(t *testing.T) {
-	srv, err := server.NewWith(parser.MustProgram(tcSrc), graphs.Path(8).Database(), core.LFP,
-		server.Config{MaxBodyBytes: 64})
+	srv, err := server.New(parser.MustProgram(tcSrc), graphs.Path(8).Database(), core.LFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +245,7 @@ func TestBodyTooLarge(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	big := `{"insert":[{"pred":"E","args":["` + strings.Repeat("a", 200) + `","b"]}]}`
+	big := `{"insert":[{"pred":"E","args":["` + strings.Repeat("a", 1<<20) + `","b"]}]}`
 	resp, err := http.Post(ts.URL+"/v1/update", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)

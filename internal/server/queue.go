@@ -7,8 +7,7 @@
 // whatever has accumulated, coalesces it into one net EDB change, and
 // runs ONE maintainer pass for the whole group.  Under load the pass
 // cost is amortized over every waiting caller; when idle a lone update
-// commits immediately (the drain finds nothing else, and the optional
-// commit window is 0 by default).
+// commits immediately (the drain finds nothing else and never waits).
 //
 // Correctness.  Jobs are coalesced in arrival order with last-op-wins
 // per tuple, which is exactly the net effect of applying the jobs
@@ -23,7 +22,7 @@
 // answered only after the snapshot containing its change is published
 // — the same per-batch exactness guarantee the serialized path gave.
 //
-// Backpressure.  The queue is bounded (Config.QueueDepth).  When it is
+// Backpressure.  The queue holds 256 updates (queueDepth).  When it is
 // full, POST /v1/update fails fast with 429 and Retry-After instead of
 // accumulating unbounded goroutines — admission control, not buffering.
 // After Close, updates fail with 503.
@@ -34,7 +33,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/incr"
 )
@@ -149,8 +147,7 @@ func factKey(f incr.Fact) string {
 
 // committer is the single goroutine that owns maintainer passes for
 // queued updates: take one job, opportunistically drain whatever else
-// has arrived (plus an optional commit window), commit the group, and
-// answer every caller.
+// has arrived, commit the group, and answer every caller.
 func (s *Server) committer() {
 	defer close(s.qdone)
 	for {
@@ -172,34 +169,17 @@ func (s *Server) committer() {
 	}
 }
 
-// gather collects the current group: everything already queued, plus —
-// when a commit window is configured — jobs arriving within it.
+// gather collects the current group: the first job plus whatever is
+// already queued, at most one queue's worth.  It never waits for more.
 func (s *Server) gather(first *updateJob) []*updateJob {
 	batch := []*updateJob{first}
-	if s.cfg.CommitWindow > 0 {
-		timer := time.NewTimer(s.cfg.CommitWindow)
-		defer timer.Stop()
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case job := <-s.queue:
-				batch = append(batch, job)
-			case <-timer.C:
-				return batch
-			case <-s.qstop:
-				// Shutdown mid-window: commit what we have; the stop
-				// case in committer drains the rest.
-				return batch
-			}
-		}
-		return batch
-	}
-	// Drain-only mode: give concurrently-runnable callers one scheduling
-	// quantum to reach the queue before the batch seals.  Without the
-	// yield, on a single P the channel wake-up fast path (runnext)
-	// ping-pongs between the committer and one caller, and a group never
-	// forms no matter how many callers are waiting.
+	// Give concurrently-runnable callers one scheduling quantum to reach
+	// the queue before the batch seals.  Without the yield, on a single
+	// P the channel wake-up fast path (runnext) ping-pongs between the
+	// committer and one caller, and a group never forms no matter how
+	// many callers are waiting.
 	runtime.Gosched()
-	for len(batch) < s.cfg.MaxBatch {
+	for len(batch) < queueDepth {
 		select {
 		case job := <-s.queue:
 			batch = append(batch, job)

@@ -54,18 +54,61 @@ func jobsForWorker(w, rounds int) [][2][]incr.Fact { // [i] = {ins, del}
 	return jobs
 }
 
+// holdGroup forms a group deterministically.  It holds the maintainer
+// mutex, runs lead (which must enqueue one update), and waits until the
+// committer has sealed that update's group and blocked on the mutex
+// inside commit.  Then it runs each of group (each must enqueue one
+// update) and returns once all of them wait in the queue, srv.mu still
+// held.  When the caller unlocks it, the committer's next gather takes
+// exactly those len(group) updates as one group.
+func holdGroup(t *testing.T, srv *Server, lead func(), group []func()) {
+	t.Helper()
+	srv.mu.Lock()
+	waitFor := func(what string, done func() bool) {
+		deadline := time.Now().Add(5 * time.Second)
+		for !done() {
+			if time.Now().After(deadline) {
+				srv.mu.Unlock()
+				t.Fatal(what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	batches := srv.met.batches.Load()
+	lead()
+	waitFor("the committer never took the lead update", func() bool { return srv.met.batches.Load() > batches })
+	for _, g := range group {
+		g()
+	}
+	waitFor(fmt.Sprintf("the queue never held %d updates", len(group)), func() bool { return len(srv.queue) == len(group) })
+}
+
+// leadUpdate returns a holdGroup lead: it enqueues one insert no
+// worker of jobsForWorker touches, counted in wg.
+func leadUpdate(t *testing.T, srv *Server, wg *sync.WaitGroup) func() {
+	return func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, _, err := srv.EnqueueUpdate(leadFact, nil); err != nil {
+				t.Errorf("lead update: %v", err)
+			}
+		}()
+	}
+}
+
+var leadFact = []incr.Fact{{Pred: "E", Args: []string{"lead", "v0"}}}
+
 // TestGroupCommitBitExact drives 16 concurrent updaters through the
-// queue (with a commit window forcing heavy coalescing) and compares
-// the final state bit-exactly against a maintainer that applied the
-// same jobs one at a time.  Workers touch disjoint tuples, so the
-// final state is interleaving-independent and the oracle is exact.
+// queue and compares the final state bit-exactly against a maintainer
+// that applied the same jobs one at a time.  The workers' first jobs
+// are held behind a stalled committer, so they must commit as one
+// group of 16.  Workers touch disjoint tuples, so the final state is
+// interleaving-independent and the oracle is exact.
 func TestGroupCommitBitExact(t *testing.T) {
 	prog := parser.MustProgram(qTCSrc)
 	db := graphs.Path(8).Database()
-	srv, err := NewWith(prog, db.Clone(), core.Inflationary, Config{
-		CommitWindow: 2 * time.Millisecond,
-		QueueDepth:   64,
-	})
+	srv, err := NewWith(prog, db.Clone(), core.Inflationary, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,28 +116,39 @@ func TestGroupCommitBitExact(t *testing.T) {
 
 	const workers, rounds = 16, 6
 	var wg sync.WaitGroup
-	sawCoalesced := make([]int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, job := range jobsForWorker(w, rounds) {
-				_, _, co, err := srv.EnqueueUpdate(job[0], job[1])
-				if err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
+	firstCoalesced := make([]int, workers)
+	start := func(w int) func() {
+		return func() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, job := range jobsForWorker(w, rounds) {
+					_, _, co, err := srv.EnqueueUpdate(job[0], job[1])
+					if err != nil {
+						t.Errorf("worker %d: %v", w, err)
+						return
+					}
+					if i == 0 {
+						firstCoalesced[w] = co
+					}
 				}
-				if co > sawCoalesced[w] {
-					sawCoalesced[w] = co
-				}
-			}
-		}(w)
+			}()
+		}
 	}
+	var group []func()
+	for w := 0; w < workers; w++ {
+		group = append(group, start(w))
+	}
+	holdGroup(t, srv, leadUpdate(t, srv, &wg), group)
+	srv.mu.Unlock()
 	wg.Wait()
 
 	// Sequential oracle: same jobs, one maintainer pass each.
 	oracle, err := incr.New(prog, db.Clone(), core.Inflationary)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oracle.Update(leadFact, nil); err != nil {
 		t.Fatal(err)
 	}
 	for w := 0; w < workers; w++ {
@@ -122,26 +176,20 @@ func TestGroupCommitBitExact(t *testing.T) {
 		}
 	}
 
-	// The whole point: concurrency must actually have been coalesced.
-	max := 0
-	for _, c := range sawCoalesced {
-		if c > max {
-			max = c
+	// The whole point: the held-back jobs were committed as one group.
+	for w, co := range firstCoalesced {
+		if co != workers {
+			t.Errorf("worker %d's first job was coalesced with %d, want the group of %d", w, co, workers)
 		}
-	}
-	if max < 2 {
-		t.Errorf("no update was ever coalesced with another (max batch %d); group commit is not grouping", max)
 	}
 }
 
 // TestQueueAdmissionControl stalls the committer (by holding the
-// maintainer mutex), fills the bounded queue, and checks that the next
+// maintainer mutex), fills the 256-deep queue, and checks that the next
 // update is rejected with ErrQueueFull → HTTP 429 + Retry-After +
 // structured envelope.
 func TestQueueAdmissionControl(t *testing.T) {
-	srv, err := NewWith(parser.MustProgram(qTCSrc), graphs.Path(4).Database(), core.LFP, Config{
-		QueueDepth: 2,
-	})
+	srv, err := New(parser.MustProgram(qTCSrc), graphs.Path(4).Database(), core.LFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,26 +206,25 @@ func TestQueueAdmissionControl(t *testing.T) {
 		return resp
 	}
 
-	srv.mu.Lock() // stall every commit
+	// Stall the committer behind one update, then fill the queue.
 	var pending sync.WaitGroup
-	// The committer can absorb at most one gather before it blocks on
-	// the held mutex inside commit; keep feeding jobs until the 2-deep
-	// queue is observably full behind it.
-	enq := func(i int) {
-		pending.Add(1)
-		go func() {
-			defer pending.Done()
-			srv.EnqueueUpdate([]incr.Fact{{Pred: "E", Args: []string{fmt.Sprintf("x%d", i), "y"}}}, nil)
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for i := 0; len(srv.queue) < 2; i++ {
-		if time.Now().After(deadline) {
-			srv.mu.Unlock()
-			t.Fatal("queue never filled")
+	enq := func(i int) func() {
+		return func() {
+			pending.Add(1)
+			go func() {
+				defer pending.Done()
+				srv.EnqueueUpdate([]incr.Fact{{Pred: "E", Args: []string{fmt.Sprintf("x%d", i), "y"}}}, nil)
+			}()
 		}
-		enq(i)
-		time.Sleep(time.Millisecond)
+	}
+	fill := make([]func(), 256)
+	for i := range fill {
+		fill[i] = enq(i + 1)
+	}
+	holdGroup(t, srv, enq(0), fill)
+	if cap(srv.queue) != len(fill) {
+		srv.mu.Unlock()
+		t.Fatalf("queue capacity %d, want %d", cap(srv.queue), len(fill))
 	}
 
 	resp := post()
@@ -302,10 +349,10 @@ func TestErrorEnvelope(t *testing.T) {
 // TestConcurrentUpdatersReadersMetrics is the production-traffic race
 // test: queued updaters, snapshot readers, and metrics scrapes all at
 // once.  Run under -race; readers also check snapshot consistency.
+// The updaters' first jobs are held behind a stalled committer and
+// must commit as one group of 8.
 func TestConcurrentUpdatersReadersMetrics(t *testing.T) {
-	srv, err := NewWith(parser.MustProgram(qTCSrc), graphs.Path(8).Database(), core.Inflationary, Config{
-		CommitWindow: time.Millisecond,
-	})
+	srv, err := New(parser.MustProgram(qTCSrc), graphs.Path(8).Database(), core.Inflationary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,18 +364,32 @@ func TestConcurrentUpdatersReadersMetrics(t *testing.T) {
 	var wg sync.WaitGroup
 
 	// 8 updaters through the group-commit queue.
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, job := range jobsForWorker(w, 8) {
-				if _, _, _, err := srv.EnqueueUpdate(job[0], job[1]); err != nil {
-					t.Errorf("updater %d: %v", w, err)
-					return
+	const updaters = 8
+	firstCoalesced := make([]int, updaters)
+	start := func(w int) func() {
+		return func() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, job := range jobsForWorker(w, 8) {
+					_, _, co, err := srv.EnqueueUpdate(job[0], job[1])
+					if err != nil {
+						t.Errorf("updater %d: %v", w, err)
+						return
+					}
+					if i == 0 {
+						firstCoalesced[w] = co
+					}
 				}
-			}
-		}(w)
+			}()
+		}
 	}
+	var group []func()
+	for w := 0; w < updaters; w++ {
+		group = append(group, start(w))
+	}
+	holdGroup(t, srv, leadUpdate(t, srv, &wg), group)
+	srv.mu.Unlock()
 	// 4 readers: snapshot loads plus HTTP queries.
 	for rdr := 0; rdr < 4; rdr++ {
 		wg.Add(1)
@@ -385,6 +446,11 @@ func TestConcurrentUpdatersReadersMetrics(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	close(stop)
 	<-done
+	for w, co := range firstCoalesced {
+		if co != updaters {
+			t.Errorf("updater %d's first job was coalesced with %d, want the group of %d", w, co, updaters)
+		}
+	}
 }
 
 // TestMetricsAccuracy sends a known request mix and checks the
@@ -532,7 +598,7 @@ func BenchmarkServeUpdate16Serialized(b *testing.B) {
 // BenchmarkServeUpdate16GroupCommit is the same load through the
 // group-commit queue: concurrent updates coalesce into shared passes.
 func BenchmarkServeUpdate16GroupCommit(b *testing.B) {
-	srv := benchServer(b, Config{QueueDepth: 64})
+	srv := benchServer(b, Config{})
 	runUpdaters(b, func(_ int, ins, del []incr.Fact) error {
 		_, _, _, err := srv.EnqueueUpdate(ins, del)
 		return err

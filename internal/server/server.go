@@ -20,8 +20,7 @@
 // columns probe the snapshot's composite indexes.
 //
 // /v1/query additionally has a demand-driven fast path: with
-// {"magic": true} (or Config.MagicDefault), an IDB query is answered by
-// magic-set rewriting the program for the query's adornment and
+// {"magic": true}, an IDB query is answered by magic-set rewriting the program for the query's adornment and
 // evaluating the rewritten program against the snapshot's extensional
 // relations — deriving only what the query can reach instead of
 // reading the full materialization.  Rewritten programs are cached
@@ -49,31 +48,25 @@ import (
 	"repro/internal/semantics"
 )
 
-// Config tunes one server instance.  The zero value is production-safe
-// defaults: engine defaults, a 256-deep update queue, drain-only
-// coalescing (no added latency when idle), and at most 1024 requests
-// per maintainer pass.
+// Fixed limits of every server.
+const (
+	// queueDepth bounds the update queue; a full queue fails requests
+	// with 429 (admission control).
+	queueDepth = 256
+	// maxBodyBytes caps request bodies; larger ones fail with 413
+	// too_large.
+	maxBodyBytes = 1 << 20
+	// defaultCheckpointBatches is the checkpoint trigger of a durable
+	// server whose Config leaves CheckpointBatches at 0.
+	defaultCheckpointBatches = 256
+)
+
+// Config tunes one server instance.  The zero value is an in-memory
+// server with engine defaults.
 type Config struct {
 	// Engine options are threaded into the maintainer and every
 	// demand-driven query evaluation.
 	Engine engine.Options
-	// MagicDefault answers /v1/query IDB queries demand-driven unless
-	// the request says {"magic": false}.
-	MagicDefault bool
-	// QueueDepth bounds the update queue; a full queue fails requests
-	// with 429 (admission control).  0 means 256.
-	QueueDepth int
-	// CommitWindow is how long the committer waits after the first
-	// queued update for more to coalesce.  0 (the default) commits
-	// whatever has already accumulated without waiting — group commit
-	// forms naturally under load and costs nothing when idle.
-	CommitWindow time.Duration
-	// MaxBatch caps the requests coalesced into one maintainer pass.
-	// 0 means 1024.
-	MaxBatch int
-	// MaxBodyBytes caps request bodies; larger ones fail with
-	// 413 too_large.  0 means 1 MiB.
-	MaxBodyBytes int64
 
 	// DataDir enables durability: a checkpoint snapshot plus a
 	// write-ahead log live under this directory, committed batches are
@@ -86,11 +79,9 @@ type Config struct {
 	// FsyncInterval is the flush period under FsyncInterval policy.
 	// 0 means 1s.
 	FsyncInterval time.Duration
-	// CheckpointBatches checkpoints after this many committed batches;
-	// CheckpointBytes after this much WAL growth.  Either trigger fires
-	// a checkpoint; with both 0 and DataDir set, 256 batches is used.
+	// CheckpointBatches checkpoints after this many committed batches.
+	// 0 means 256.
 	CheckpointBatches int
-	CheckpointBytes   int64
 
 	// ReadOnly starts the server as a replication follower: updates
 	// fail with 503 not_leader and LeaderAddr names the writable
@@ -98,28 +89,6 @@ type Config struct {
 	// the server writable.
 	ReadOnly   bool
 	LeaderAddr string
-	// RetainBytes bounds covered-but-pinned WAL retention for lagging
-	// followers (0 keeps the store's 256 MiB default); RetainTTL
-	// expires pins of followers that stopped polling (0 keeps 60s).
-	RetainBytes int64
-	RetainTTL   time.Duration
-}
-
-// withDefaults fills the zero fields.
-func (c Config) withDefaults() Config {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 1024
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.DataDir != "" && c.CheckpointBatches <= 0 && c.CheckpointBytes <= 0 {
-		c.CheckpointBatches = 256
-	}
-	return c
 }
 
 // Server serves one maintained program instance.
@@ -157,8 +126,7 @@ type Server struct {
 	// inflationary coinciding with LFP on positive/semipositive
 	// programs).
 	magicOK    bool
-	magicStrat bool        // evaluate rewrites under stratified semantics
-	magicDft   atomic.Bool // answer /v1/query by rewriting unless overridden
+	magicStrat bool // evaluate rewrites under stratified semantics
 	rwMu       sync.Mutex
 	rewrites   map[string]*magic.Rewritten // (pred, adornment) → prepared rewrite
 }
@@ -170,10 +138,12 @@ func New(prog *ast.Program, db *relation.Database, sem core.Semantics) (*Server,
 	return NewWith(prog, db, sem, Config{})
 }
 
-// NewWith is New with explicit configuration: engine options, the
-// magic default, and the group-commit queue shape all travel in cfg.
+// NewWith is New with explicit configuration: engine options,
+// durability and the follower role travel in cfg.
 func NewWith(prog *ast.Program, db *relation.Database, sem core.Semantics, cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
+	if cfg.CheckpointBatches <= 0 {
+		cfg.CheckpointBatches = defaultCheckpointBatches
+	}
 	var (
 		m   *incr.Maintainer
 		dur *durState
@@ -206,30 +176,21 @@ func NewWith(prog *ast.Program, db *relation.Database, sem core.Semantics, cfg C
 		dur:      dur,
 		start:    time.Now(),
 		met:      newSrvMetrics(),
-		queue:    make(chan *updateJob, cfg.QueueDepth),
+		queue:    make(chan *updateJob, queueDepth),
 		qstop:    make(chan struct{}),
 		qdone:    make(chan struct{}),
 		rewrites: make(map[string]*magic.Rewritten),
 	}
 	s.leaderAddr = cfg.LeaderAddr
 	s.readOnly.Store(cfg.ReadOnly)
-	if dur != nil && (cfg.RetainBytes > 0 || cfg.RetainTTL > 0) {
-		dur.store.SetRetention(cfg.RetainBytes, cfg.RetainTTL)
-	}
 	// One rule for every entry point: LFP and stratified always,
 	// inflationary exactly where it coincides with LFP.
 	s.magicStrat, s.magicOK = core.QueryStrategy(sem, class)
-	s.magicDft.Store(cfg.MagicDefault)
 	s.cur.Store(m.Snapshot())
 	s.met.lastPublish.Set(time.Now().UnixNano())
 	go s.committer()
 	return s, nil
 }
-
-// SetMagicDefault makes /v1/query answer IDB queries by demand-driven
-// magic evaluation unless the request says {"magic": false}.  Safe for
-// concurrent use.
-func (s *Server) SetMagicDefault(on bool) { s.magicDft.Store(on) }
 
 // MagicSupported reports whether the maintained semantics admits the
 // demand-driven query path.
@@ -284,7 +245,7 @@ func (s *Server) Update(ins, del []incr.Fact) (*incr.UpdateStats, *incr.Snapshot
 func (s *Server) updateLocked(ins, del []incr.Fact) (*incr.UpdateStats, *incr.Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dur != nil && s.dur.failed.Load() {
+	if s.dur != nil && s.dur.store.Err() != nil {
 		// An earlier batch reached the maintainer but not the WAL.
 		// Applying (or logging) anything more would diverge the
 		// durable history from the state callers were acknowledged
@@ -364,11 +325,11 @@ func (s *Server) handleRelation(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeBody decodes a JSON request body capped at MaxBodyBytes,
+// decodeBody decodes a JSON request body capped at maxBodyBytes,
 // writing the error envelope on failure (413 too_large when the cap
 // bites, 400 bad_request otherwise) and reporting success.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -387,11 +348,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &q) {
 		return
 	}
-	wantMagic := s.magicDft.Load()
-	if q.Magic != nil {
-		wantMagic = *q.Magic
-	}
-	if wantMagic && s.idb[q.Pred] {
+	if q.Magic && s.idb[q.Pred] {
 		if !s.magicOK {
 			writeError(w, http.StatusBadRequest, CodeBadRequest,
 				fmt.Sprintf("magic queries are not available under %s semantics on a %s program", s.cur.Load().Sem, s.class))

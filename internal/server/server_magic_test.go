@@ -88,16 +88,21 @@ func TestMagicQueryEndpoint(t *testing.T) {
 	}
 }
 
+// TestMagicQueryDefault: a query is demand-driven only when its request
+// says "magic": true; without the field, or with false, it reads the
+// materialization.
 func TestMagicQueryDefault(t *testing.T) {
-	srv, ts := newTestServer(t, core.Inflationary) // TC is positive: coincides with LFP
-	srv.SetMagicDefault(true)
+	_, ts := newTestServer(t, core.Inflationary) // TC is positive: coincides with LFP
 	v0 := "v0"
 	var q queryResp
-	postJSON(t, ts.URL+"/v1/query", map[string]any{"pred": "s", "args": []*string{&v0, nil}}, &q)
+	postJSON(t, ts.URL+"/v1/query", map[string]any{"pred": "s", "args": []*string{&v0, nil}, "magic": true}, &q)
 	if q.Source != "magic" || q.Count != 7 {
-		t.Fatalf("default-magic query = %+v", q)
+		t.Fatalf("magic query = %+v", q)
 	}
-	// Explicit opt-out still works.
+	postJSON(t, ts.URL+"/v1/query", map[string]any{"pred": "s", "args": []*string{&v0, nil}}, &q)
+	if q.Source != "materialized" || q.Count != 7 {
+		t.Fatalf("default query = %+v", q)
+	}
 	postJSON(t, ts.URL+"/v1/query", map[string]any{"pred": "s", "args": []*string{&v0, nil}, "magic": false}, &q)
 	if q.Source != "materialized" || q.Count != 7 {
 		t.Fatalf("opt-out query = %+v", q)

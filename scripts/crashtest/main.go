@@ -20,12 +20,9 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -35,29 +32,10 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/durable"
-	"repro/internal/incr"
 	"repro/internal/parser"
+	"repro/scripts/internal/killtest"
 )
-
-// trial programs: one per semantics, chosen so every maintainer
-// strategy is exercised.  All share the c0..c7 constant pool and take
-// updates on E.
-var programs = map[string]string{
-	// LFP / pure positive: counting-maintained strata.
-	"lfp": "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).",
-	// Stratified negation: counting + DRed across strata.
-	"stratified": "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).\nns(X,Y) :- node(X), node(Y), !s(X,Y).",
-	// Non-stratified inflationary: stage-log replay strategy.
-	"inflationary": "win(X) :- E(X,Y), !win(Y).",
-	// Well-founded: alternating-fixpoint recompute strategy.
-	"wellfounded": "win(X) :- E(X,Y), !win(Y).",
-}
-
-var semOrder = []string{"lfp", "stratified", "inflationary", "wellfounded"}
-
-const pool = 8 // constants c0..c7
 
 func main() {
 	crashes := flag.Int("crashes", 24, "number of kill-and-recover trials (spread across semantics)")
@@ -67,24 +45,13 @@ func main() {
 	serveBin := flag.String("serve", "", "path to a prebuilt serve binary (empty = go build one)")
 	flag.Parse()
 
-	bin := *serveBin
-	if bin == "" {
-		dir, err := os.MkdirTemp("", "crashtest-bin")
-		if err != nil {
-			fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		bin = filepath.Join(dir, "serve")
-		out, err := exec.Command("go", "build", "-o", bin, "./cmd/serve").CombinedOutput()
-		if err != nil {
-			fatal(fmt.Errorf("building serve: %v\n%s", err, out))
-		}
-	}
+	bin, cleanup := killtest.ServeBinary(*serveBin)
+	defer cleanup()
 
 	rng := rand.New(rand.NewSource(*seed))
 	failures := 0
 	for i := 0; i < *crashes+*ckptCrashes; i++ {
-		sem := semOrder[i%len(semOrder)]
+		sem := killtest.SemOrder[i%len(killtest.SemOrder)]
 		ckptKill := i >= *crashes
 		label := ""
 		if ckptKill {
@@ -98,7 +65,8 @@ func main() {
 		}
 	}
 	if failures > 0 {
-		fatal(fmt.Errorf("%d/%d trials failed", failures, *crashes+*ckptCrashes))
+		cleanup()
+		killtest.Fatal(fmt.Errorf("%d/%d trials failed", failures, *crashes+*ckptCrashes))
 	}
 	fmt.Printf("crashtest: %d trials, all bit-exact after kill -9\n", *crashes+*ckptCrashes)
 }
@@ -118,15 +86,15 @@ func runTrial(bin, sem, fsync string, rng *rand.Rand, ckptKill bool) error {
 	progFile := filepath.Join(work, "program.dl")
 	factsFile := filepath.Join(work, "facts.dl")
 	dataDir := filepath.Join(work, "data")
-	if err := os.WriteFile(progFile, []byte(programs[sem]+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(progFile, []byte(killtest.Programs[sem]+"\n"), 0o644); err != nil {
 		return err
 	}
-	facts := seedFacts(sem, rng)
+	facts := killtest.SeedFacts(sem, rng)
 	if err := os.WriteFile(factsFile, []byte(facts), 0o644); err != nil {
 		return err
 	}
 
-	listen := freeAddr()
+	listen := killtest.FreeAddr()
 	addr := "http://" + listen
 	ckptEvery := "8"
 	if ckptKill {
@@ -146,7 +114,7 @@ func runTrial(bin, sem, fsync string, rng *rand.Rand, ckptKill bool) error {
 	if err := cmd.Start(); err != nil {
 		return err
 	}
-	if err := waitReady(addr); err != nil {
+	if err := killtest.WaitReady(addr); err != nil {
 		cmd.Process.Kill()
 		cmd.Wait()
 		return fmt.Errorf("boot 1: %w", err)
@@ -164,7 +132,7 @@ func runTrial(bin, sem, fsync string, rng *rand.Rand, ckptKill bool) error {
 				return
 			default:
 			}
-			if postUpdate(client, addr, randomEdge(r), r.Intn(2) == 0) == nil {
+			if killtest.PostUpdate(client, addr, killtest.RandomEdge(r), r.Intn(2) == 0) == nil {
 				n++
 			}
 		}
@@ -181,7 +149,7 @@ func runTrial(bin, sem, fsync string, rng *rand.Rand, ckptKill bool) error {
 					InFlight bool `json:"checkpoint_in_flight"`
 				} `json:"durable"`
 			}
-			if getJSON(addr+"/v1/metrics", &met) == nil && met.Durable != nil && met.Durable.InFlight {
+			if killtest.GetJSON(addr+"/v1/metrics", &met) == nil && met.Durable != nil && met.Durable.InFlight {
 				break
 			}
 			time.Sleep(5 * time.Millisecond)
@@ -202,7 +170,7 @@ func runTrial(bin, sem, fsync string, rng *rand.Rand, ckptKill bool) error {
 	if err := copyDir(dataDir, oracleDir); err != nil {
 		return err
 	}
-	want, err := oracleState(programs[sem], facts, sem, oracleDir)
+	want, err := oracleState(killtest.Programs[sem], facts, sem, oracleDir)
 	if err != nil {
 		return fmt.Errorf("oracle: %w", err)
 	}
@@ -217,10 +185,10 @@ func runTrial(bin, sem, fsync string, rng *rand.Rand, ckptKill bool) error {
 		cmd2.Process.Signal(syscall.SIGTERM)
 		cmd2.Wait()
 	}()
-	if err := waitReady(addr); err != nil {
+	if err := killtest.WaitReady(addr); err != nil {
 		return fmt.Errorf("boot 2: %w", err)
 	}
-	got, err := daemonState(addr)
+	got, err := killtest.DaemonState(addr)
 	if err != nil {
 		return err
 	}
@@ -236,7 +204,7 @@ func runTrial(bin, sem, fsync string, rng *rand.Rand, ckptKill bool) error {
 			Checkpoints       int64   `json:"checkpoints"`
 		} `json:"durable"`
 	}
-	if err := getJSON(addr+"/v1/metrics", &met); err != nil {
+	if err := killtest.GetJSON(addr+"/v1/metrics", &met); err != nil {
 		return err
 	}
 	if met.Durable == nil {
@@ -316,147 +284,7 @@ func oracleState(progSrc, seedSrc, semName, dir string) (string, error) {
 			b.WriteString(pred + "(" + strings.Join(args, ",") + ").\n")
 		}
 	}
-	db, err := parser.Facts(b.String())
-	if err != nil {
-		return "", err
-	}
-	prog, err := parser.Program(progSrc)
-	if err != nil {
-		return "", err
-	}
-	sem, err := core.ParseSemantics(semName)
-	if err != nil {
-		return "", err
-	}
-	m, err := incr.New(prog, db, sem)
-	if err != nil {
-		return "", err
-	}
-	snap := m.Snapshot()
-	var names []string
-	for name := range snap.Rels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var out strings.Builder
-	for _, name := range names {
-		var rows []string
-		for _, tup := range snap.Rels[name].Tuples() {
-			parts := make([]string, len(tup))
-			for i, v := range tup {
-				parts[i] = snap.Universe.Name(v)
-			}
-			rows = append(rows, strings.Join(parts, ","))
-		}
-		sort.Strings(rows)
-		out.WriteString(name + ": " + strings.Join(rows, " ") + "\n")
-	}
-	return out.String(), nil
-}
-
-// daemonState dumps every relation of the running daemon in the same
-// rendering as oracleState.
-func daemonState(addr string) (string, error) {
-	var stats struct {
-		Relations map[string]int `json:"relations"`
-	}
-	if err := getJSON(addr+"/v1/stats", &stats); err != nil {
-		return "", err
-	}
-	var names []string
-	for name := range stats.Relations {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var out strings.Builder
-	for _, name := range names {
-		var rel struct {
-			Tuples [][]string `json:"tuples"`
-		}
-		if err := getJSON(addr+"/v1/relation?pred="+name, &rel); err != nil {
-			return "", err
-		}
-		var rows []string
-		for _, tup := range rel.Tuples {
-			rows = append(rows, strings.Join(tup, ","))
-		}
-		sort.Strings(rows)
-		out.WriteString(name + ": " + strings.Join(rows, " ") + "\n")
-	}
-	return out.String(), nil
-}
-
-// seedFacts builds the initial fact file: a random edge set over the
-// pool, plus the full node relation where the program needs it.
-func seedFacts(sem string, rng *rand.Rand) string {
-	var b strings.Builder
-	for i := 0; i < pool; i++ {
-		if sem == "stratified" {
-			fmt.Fprintf(&b, "node(c%d).\n", i)
-		}
-		for j := 0; j < pool; j++ {
-			if i != j && rng.Float64() < 0.2 {
-				fmt.Fprintf(&b, "E(c%d,c%d).\n", i, j)
-			}
-		}
-	}
-	// Guarantee at least one edge so every relation exists.
-	b.WriteString("E(c0,c1).\n")
-	return b.String()
-}
-
-func randomEdge(rng *rand.Rand) []string {
-	from := rng.Intn(pool)
-	to := (from + 1 + rng.Intn(pool-1)) % pool
-	return []string{fmt.Sprintf("c%d", from), fmt.Sprintf("c%d", to)}
-}
-
-func postUpdate(client *http.Client, addr string, edge []string, insert bool) error {
-	op := "delete"
-	if insert {
-		op = "insert"
-	}
-	body, _ := json.Marshal(map[string]any{
-		op: []map[string]any{{"pred": "E", "args": edge}},
-	})
-	resp, err := client.Post(addr+"/v1/update", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("update: %s", resp.Status)
-	}
-	return nil
-}
-
-// waitReady polls /v1/stats until the daemon answers.
-func waitReady(addr string) error {
-	deadline := time.Now().Add(15 * time.Second)
-	client := &http.Client{Timeout: time.Second}
-	for time.Now().Before(deadline) {
-		resp, err := client.Get(addr + "/v1/stats")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return fmt.Errorf("daemon at %s never became ready", addr)
-}
-
-// freeAddr grabs an unused localhost port.  The tiny window between
-// closing the probe listener and the daemon binding is harmless here:
-// a collision just fails the trial's waitReady and the harness errors.
-func freeAddr() string {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	defer l.Close()
-	return l.Addr().String()
+	return killtest.Recompute(progSrc, semName, b.String())
 }
 
 func copyDir(src, dst string) error {
@@ -489,21 +317,4 @@ func sortedPreds(m map[string]map[string][]string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func getJSON(url string, out any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "crashtest:", err)
-	os.Exit(1)
 }

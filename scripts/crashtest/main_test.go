@@ -14,23 +14,24 @@ import (
 	"repro/internal/incr"
 	"repro/internal/parser"
 	"repro/internal/server"
+	"repro/scripts/internal/killtest"
 )
 
 // TestOracleMatchesRecoveredServer runs the harness's comparison logic
 // in-process: a durable server takes updates and stops, the data dir
 // is frozen with copyDir, and oracleState's from-scratch recompute
 // over the frozen history must render exactly what a recovered server
-// serves over HTTP via daemonState.
+// serves over HTTP via killtest.DaemonState.
 func TestOracleMatchesRecoveredServer(t *testing.T) {
-	for _, sem := range semOrder {
+	for _, sem := range killtest.SemOrder {
 		t.Run(sem, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			facts := seedFacts(sem, rng)
+			facts := killtest.SeedFacts(sem, rng)
 			seedDB, err := parser.Facts(facts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog := parser.MustProgram(programs[sem])
+			prog := parser.MustProgram(killtest.Programs[sem])
 			semantics, err := core.ParseSemantics(sem)
 			if err != nil {
 				t.Fatal(err)
@@ -42,7 +43,7 @@ func TestOracleMatchesRecoveredServer(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 7; i++ {
-				edge := randomEdge(rng)
+				edge := killtest.RandomEdge(rng)
 				var ins, del []incr.Fact
 				if rng.Intn(2) == 0 {
 					ins = []incr.Fact{{Pred: "E", Args: edge}}
@@ -59,7 +60,7 @@ func TestOracleMatchesRecoveredServer(t *testing.T) {
 			if err := copyDir(dataDir, frozen); err != nil {
 				t.Fatal(err)
 			}
-			want, err := oracleState(programs[sem], facts, sem, frozen)
+			want, err := oracleState(killtest.Programs[sem], facts, sem, frozen)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +72,7 @@ func TestOracleMatchesRecoveredServer(t *testing.T) {
 			defer srv2.Close()
 			ts := httptest.NewServer(srv2.Handler())
 			defer ts.Close()
-			got, err := daemonState(ts.URL)
+			got, err := killtest.DaemonState(ts.URL)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +87,7 @@ func TestOracleMatchesRecoveredServer(t *testing.T) {
 // evaluates the seed facts alone.
 func TestOracleSeedFallback(t *testing.T) {
 	dir := t.TempDir()
-	got, err := oracleState(programs["lfp"], "E(c0,c1).\nE(c1,c2).\n", "lfp", dir)
+	got, err := oracleState(killtest.Programs["lfp"], "E(c0,c1).\nE(c1,c2).\n", "lfp", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,15 +100,15 @@ func TestOracleSeedFallback(t *testing.T) {
 
 func TestSeedFacts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	plain := seedFacts("lfp", rng)
+	plain := killtest.SeedFacts("lfp", rng)
 	if !strings.Contains(plain, "E(c0,c1).") {
 		t.Error("guaranteed edge missing")
 	}
 	if strings.Contains(plain, "node(") {
 		t.Error("lfp facts should not mention node")
 	}
-	strat := seedFacts("stratified", rng)
-	for i := 0; i < pool; i++ {
+	strat := killtest.SeedFacts("stratified", rng)
+	for i := 0; i < killtest.Pool; i++ {
 		if !strings.Contains(strat, "node(c"+string(rune('0'+i))+").") {
 			t.Errorf("stratified facts lack node(c%d)", i)
 		}
@@ -120,7 +121,7 @@ func TestSeedFacts(t *testing.T) {
 func TestRandomEdgeNoSelfLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 1000; i++ {
-		e := randomEdge(rng)
+		e := killtest.RandomEdge(rng)
 		if e[0] == e[1] {
 			t.Fatalf("self loop %v", e)
 		}
@@ -148,11 +149,11 @@ func TestCopyDirSkipsSubdirs(t *testing.T) {
 }
 
 func TestFreeAddr(t *testing.T) {
-	addr := freeAddr()
+	addr := killtest.FreeAddr()
 	if _, err := url.Parse("http://" + addr); err != nil {
-		t.Fatalf("freeAddr() = %q: %v", addr, err)
+		t.Fatalf("killtest.FreeAddr() = %q: %v", addr, err)
 	}
 	if !strings.HasPrefix(addr, "127.0.0.1:") {
-		t.Fatalf("freeAddr() = %q, want a localhost port", addr)
+		t.Fatalf("killtest.FreeAddr() = %q, want a localhost port", addr)
 	}
 }

@@ -32,29 +32,16 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/incr"
-	"repro/internal/parser"
+	"repro/scripts/internal/killtest"
 )
-
-// Trial programs — one per semantics, matching scripts/crashtest so
-// every maintainer strategy replicates.  Updates arrive on E.
-var programs = map[string]string{
-	"lfp":          "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).",
-	"stratified":   "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).\nns(X,Y) :- node(X), node(Y), !s(X,Y).",
-	"inflationary": "win(X) :- E(X,Y), !win(Y).",
-	"wellfounded":  "win(X) :- E(X,Y), !win(Y).",
-}
 
 // edbPreds names the base relations per semantics — what the oracle
 // reads back from the follower to recompute the derived state.
@@ -65,29 +52,14 @@ var edbPreds = map[string][]string{
 	"wellfounded":  {"E"},
 }
 
-var semOrder = []string{"lfp", "stratified", "inflationary", "wellfounded"}
-
-const pool = 8 // constants c0..c7
-
 func main() {
 	fsync := flag.String("fsync", "always", "WAL sync policy handed to both daemons")
 	seed := flag.Int64("seed", 1, "RNG seed for update streams and kill timing")
 	serveBin := flag.String("serve", "", "path to a prebuilt serve binary (empty = go build one)")
 	flag.Parse()
 
-	bin := *serveBin
-	if bin == "" {
-		dir, err := os.MkdirTemp("", "replicatest-bin")
-		if err != nil {
-			fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		bin = filepath.Join(dir, "serve")
-		out, err := exec.Command("go", "build", "-o", bin, "./cmd/serve").CombinedOutput()
-		if err != nil {
-			fatal(fmt.Errorf("building serve: %v\n%s", err, out))
-		}
-	}
+	bin, cleanup := killtest.ServeBinary(*serveBin)
+	defer cleanup()
 
 	rng := rand.New(rand.NewSource(*seed))
 	failures := 0
@@ -99,14 +71,15 @@ func main() {
 			fmt.Printf("replicatest: %s: ok\n", name)
 		}
 	}
-	for _, sem := range semOrder {
+	for _, sem := range killtest.SemOrder {
 		sem := sem
 		run("failover/"+sem, func() error { return failoverTrial(bin, sem, *fsync, rng) })
 	}
 	run("pinning", func() error { return pinningTrial(bin, *fsync, rng) })
 	run("restart", func() error { return restartTrial(bin, *fsync, rng) })
 	if failures > 0 {
-		fatal(fmt.Errorf("%d trials failed", failures))
+		cleanup()
+		killtest.Fatal(fmt.Errorf("%d trials failed", failures))
 	}
 	fmt.Println("replicatest: all trials held")
 }
@@ -119,10 +92,10 @@ func trialDirs(sem string, rng *rand.Rand) (work, progFile, factsFile string, er
 	}
 	progFile = filepath.Join(work, "program.dl")
 	factsFile = filepath.Join(work, "facts.dl")
-	if err = os.WriteFile(progFile, []byte(programs[sem]+"\n"), 0o644); err != nil {
+	if err = os.WriteFile(progFile, []byte(killtest.Programs[sem]+"\n"), 0o644); err != nil {
 		return
 	}
-	err = os.WriteFile(factsFile, []byte(seedFacts(sem, rng)), 0o644)
+	err = os.WriteFile(factsFile, []byte(killtest.SeedFacts(sem, rng)), 0o644)
 	return
 }
 
@@ -139,7 +112,7 @@ func startDaemon(bin string, listen string, args ...string) (*daemon, error) {
 		return nil, err
 	}
 	d := &daemon{cmd: cmd, addr: "http://" + listen}
-	if err := waitReady(d.addr); err != nil {
+	if err := killtest.WaitReady(d.addr); err != nil {
 		d.kill()
 		return nil, err
 	}
@@ -174,7 +147,7 @@ func failoverTrial(bin, sem, fsync string, rng *rand.Rand) error {
 	}
 	defer os.RemoveAll(work)
 
-	leader, err := startDaemon(bin, freeAddr(),
+	leader, err := startDaemon(bin, killtest.FreeAddr(),
 		"-program", progFile, "-facts", factsFile, "-semantics", sem,
 		"-data-dir", filepath.Join(work, "leader"), "-checkpoint-every", "4", "-fsync", fsync)
 	if err != nil {
@@ -182,7 +155,7 @@ func failoverTrial(bin, sem, fsync string, rng *rand.Rand) error {
 	}
 	defer leader.kill()
 
-	follower, err := startDaemon(bin, freeAddr(),
+	follower, err := startDaemon(bin, killtest.FreeAddr(),
 		"-program", progFile, "-semantics", sem, "-follow", leader.addr,
 		"-data-dir", filepath.Join(work, "follower"), "-fsync", fsync)
 	if err != nil {
@@ -211,7 +184,7 @@ func failoverTrial(bin, sem, fsync string, rng *rand.Rand) error {
 				return
 			default:
 			}
-			if postUpdate(client, leader.addr, randomEdge(r), r.Intn(3) > 0) == nil {
+			if killtest.PostUpdate(client, leader.addr, killtest.RandomEdge(r), r.Intn(3) > 0) == nil {
 				n++
 			}
 		}
@@ -256,7 +229,7 @@ func failoverTrial(bin, sem, fsync string, rng *rand.Rand) error {
 	}
 	client := &http.Client{Timeout: 2 * time.Second}
 	for i := 0; i < 5; i++ {
-		if err := postUpdate(client, follower.addr, randomEdge(rng), true); err != nil {
+		if err := killtest.PostUpdate(client, follower.addr, killtest.RandomEdge(rng), true); err != nil {
 			return fmt.Errorf("write after promotion: %w", err)
 		}
 	}
@@ -285,7 +258,7 @@ func pinningTrial(bin, fsync string, rng *rand.Rand) error {
 	}
 	defer os.RemoveAll(work)
 
-	leader, err := startDaemon(bin, freeAddr(),
+	leader, err := startDaemon(bin, killtest.FreeAddr(),
 		"-program", progFile, "-facts", factsFile, "-semantics", sem,
 		"-data-dir", filepath.Join(work, "leader"), "-checkpoint-every", "1", "-fsync", fsync)
 	if err != nil {
@@ -310,7 +283,7 @@ func pinningTrial(bin, fsync string, rng *rand.Rand) error {
 	client := &http.Client{Timeout: 2 * time.Second}
 	const updates = 8
 	for i := 0; i < updates; i++ {
-		if err := postUpdate(client, leader.addr, randomEdge(rng), true); err != nil {
+		if err := killtest.PostUpdate(client, leader.addr, killtest.RandomEdge(rng), true); err != nil {
 			return err
 		}
 	}
@@ -347,7 +320,7 @@ func pinningTrial(bin, fsync string, rng *rand.Rand) error {
 	// segments and retain them legitimately.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if err := postUpdate(client, leader.addr, randomEdge(rng), true); err != nil {
+		if err := killtest.PostUpdate(client, leader.addr, killtest.RandomEdge(rng), true); err != nil {
 			return err
 		}
 		resp, err = http.Get(leader.addr + "/v1/replica/wal?id=slowpoke&wait=0&from=" + cursor)
@@ -365,7 +338,7 @@ func pinningTrial(bin, fsync string, rng *rand.Rand) error {
 				WALSegments int `json:"wal_segments"`
 			} `json:"durable"`
 		}
-		if err := getJSON(leader.addr+"/v1/metrics", &met); err != nil {
+		if err := killtest.GetJSON(leader.addr+"/v1/metrics", &met); err != nil {
 			return err
 		}
 		if met.Durable != nil && met.Durable.WALSegments <= 3 {
@@ -399,7 +372,7 @@ func restartTrial(bin, fsync string, rng *rand.Rand) error {
 	}
 	defer os.RemoveAll(work)
 
-	leader, err := startDaemon(bin, freeAddr(),
+	leader, err := startDaemon(bin, killtest.FreeAddr(),
 		"-program", progFile, "-facts", factsFile, "-semantics", sem,
 		"-data-dir", filepath.Join(work, "leader"), "-checkpoint-every", "4", "-fsync", fsync)
 	if err != nil {
@@ -408,7 +381,7 @@ func restartTrial(bin, fsync string, rng *rand.Rand) error {
 	defer leader.kill()
 
 	fdir := filepath.Join(work, "follower")
-	flisten := freeAddr()
+	flisten := killtest.FreeAddr()
 	followerArgs := []string{
 		"-program", progFile, "-semantics", sem, "-follow", leader.addr,
 		"-data-dir", fdir, "-fsync", fsync,
@@ -420,7 +393,7 @@ func restartTrial(bin, fsync string, rng *rand.Rand) error {
 
 	client := &http.Client{Timeout: 2 * time.Second}
 	for i := 0; i < 5; i++ {
-		if err := postUpdate(client, leader.addr, randomEdge(rng), true); err != nil {
+		if err := killtest.PostUpdate(client, leader.addr, killtest.RandomEdge(rng), true); err != nil {
 			follower.kill()
 			return err
 		}
@@ -435,7 +408,7 @@ func restartTrial(bin, fsync string, rng *rand.Rand) error {
 
 	// Leader advances while the follower is down.
 	for i := 0; i < 5; i++ {
-		if err := postUpdate(client, leader.addr, randomEdge(rng), true); err != nil {
+		if err := killtest.PostUpdate(client, leader.addr, killtest.RandomEdge(rng), true); err != nil {
 			return err
 		}
 	}
@@ -456,11 +429,11 @@ func restartTrial(bin, fsync string, rng *rand.Rand) error {
 	if met.Bootstraps != 0 {
 		return fmt.Errorf("restart re-bootstrapped (%d) instead of resuming from the cursor", met.Bootstraps)
 	}
-	want, err := daemonState(leader.addr)
+	want, err := killtest.DaemonState(leader.addr)
 	if err != nil {
 		return err
 	}
-	got, err := daemonState(follower.addr)
+	got, err := killtest.DaemonState(follower.addr)
 	if err != nil {
 		return err
 	}
@@ -511,7 +484,7 @@ func replicaMetrics(addr string) (*struct {
 			Bootstraps     int64 `json:"bootstraps"`
 		} `json:"replica"`
 	}
-	if err := getJSON(addr+"/v1/metrics", &met); err != nil {
+	if err := killtest.GetJSON(addr+"/v1/metrics", &met); err != nil {
 		return nil, err
 	}
 	if met.Replica == nil {
@@ -556,172 +529,23 @@ func checkConsistent(addr, semName string) error {
 		var rel struct {
 			Tuples [][]string `json:"tuples"`
 		}
-		if err := getJSON(addr+"/v1/relation?pred="+pred, &rel); err != nil {
+		if err := killtest.GetJSON(addr+"/v1/relation?pred="+pred, &rel); err != nil {
 			return err
 		}
 		for _, tup := range rel.Tuples {
 			b.WriteString(pred + "(" + strings.Join(tup, ",") + ").\n")
 		}
 	}
-	db, err := parser.Facts(b.String())
+	want, err := killtest.Recompute(killtest.Programs[semName], semName, b.String())
 	if err != nil {
 		return err
 	}
-	prog, err := parser.Program(programs[semName])
+	got, err := killtest.DaemonState(addr)
 	if err != nil {
 		return err
 	}
-	sem, err := core.ParseSemantics(semName)
-	if err != nil {
-		return err
-	}
-	m, err := incr.New(prog, db, sem)
-	if err != nil {
-		return err
-	}
-	snap := m.Snapshot()
-	var names []string
-	for name := range snap.Rels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var want strings.Builder
-	for _, name := range names {
-		var rows []string
-		for _, tup := range snap.Rels[name].Tuples() {
-			parts := make([]string, len(tup))
-			for i, v := range tup {
-				parts[i] = snap.Universe.Name(v)
-			}
-			rows = append(rows, strings.Join(parts, ","))
-		}
-		sort.Strings(rows)
-		want.WriteString(name + ": " + strings.Join(rows, " ") + "\n")
-	}
-	got, err := daemonState(addr)
-	if err != nil {
-		return err
-	}
-	if got != want.String() {
-		return fmt.Errorf("daemon state diverged from EDB recompute:\n got:\n%s\nwant:\n%s", got, want.String())
+	if got != want {
+		return fmt.Errorf("daemon state diverged from EDB recompute:\n got:\n%s\nwant:\n%s", got, want)
 	}
 	return nil
-}
-
-// daemonState dumps every relation of a running daemon, sorted.
-func daemonState(addr string) (string, error) {
-	var stats struct {
-		Relations map[string]int `json:"relations"`
-	}
-	if err := getJSON(addr+"/v1/stats", &stats); err != nil {
-		return "", err
-	}
-	var names []string
-	for name := range stats.Relations {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var out strings.Builder
-	for _, name := range names {
-		var rel struct {
-			Tuples [][]string `json:"tuples"`
-		}
-		if err := getJSON(addr+"/v1/relation?pred="+name, &rel); err != nil {
-			return "", err
-		}
-		var rows []string
-		for _, tup := range rel.Tuples {
-			rows = append(rows, strings.Join(tup, ","))
-		}
-		sort.Strings(rows)
-		out.WriteString(name + ": " + strings.Join(rows, " ") + "\n")
-	}
-	return out.String(), nil
-}
-
-// seedFacts builds the initial fact file: a random edge set over the
-// pool, plus the full node relation where the program needs it.
-func seedFacts(sem string, rng *rand.Rand) string {
-	var b strings.Builder
-	for i := 0; i < pool; i++ {
-		if sem == "stratified" {
-			fmt.Fprintf(&b, "node(c%d).\n", i)
-		}
-		for j := 0; j < pool; j++ {
-			if i != j && rng.Float64() < 0.2 {
-				fmt.Fprintf(&b, "E(c%d,c%d).\n", i, j)
-			}
-		}
-	}
-	b.WriteString("E(c0,c1).\n")
-	return b.String()
-}
-
-func randomEdge(rng *rand.Rand) []string {
-	from := rng.Intn(pool)
-	to := (from + 1 + rng.Intn(pool-1)) % pool
-	return []string{fmt.Sprintf("c%d", from), fmt.Sprintf("c%d", to)}
-}
-
-func postUpdate(client *http.Client, addr string, edge []string, insert bool) error {
-	op := "delete"
-	if insert {
-		op = "insert"
-	}
-	body, _ := json.Marshal(map[string]any{
-		op: []map[string]any{{"pred": "E", "args": edge}},
-	})
-	resp, err := client.Post(addr+"/v1/update", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("update: %s", resp.Status)
-	}
-	return nil
-}
-
-// waitReady polls /v1/stats until the daemon answers.
-func waitReady(addr string) error {
-	deadline := time.Now().Add(15 * time.Second)
-	client := &http.Client{Timeout: time.Second}
-	for time.Now().Before(deadline) {
-		resp, err := client.Get(addr + "/v1/stats")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return fmt.Errorf("daemon at %s never became ready", addr)
-}
-
-// freeAddr grabs an unused localhost port.
-func freeAddr() string {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	defer l.Close()
-	return l.Addr().String()
-}
-
-func getJSON(url string, out any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "replicatest:", err)
-	os.Exit(1)
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/parser"
 	"repro/internal/server"
+	"repro/scripts/internal/killtest"
 )
 
 // startTestServer runs an in-process daemon over the trial program for
@@ -20,11 +21,11 @@ import (
 // without spawning processes.
 func startTestServer(t *testing.T, sem string, cfg server.Config) (*server.Server, *httptest.Server) {
 	t.Helper()
-	prog, err := parser.Program(programs[sem])
+	prog, err := parser.Program(killtest.Programs[sem])
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := parser.Facts(seedFacts(sem, rand.New(rand.NewSource(7))))
+	db, err := parser.Facts(killtest.SeedFacts(sem, rand.New(rand.NewSource(7))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +44,8 @@ func startTestServer(t *testing.T, sem string, cfg server.Config) (*server.Serve
 
 func TestSeedFactsShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, sem := range semOrder {
-		facts := seedFacts(sem, rng)
+	for _, sem := range killtest.SemOrder {
+		facts := killtest.SeedFacts(sem, rng)
 		if !strings.Contains(facts, "E(c0,c1).") {
 			t.Errorf("%s: seed facts missing the guaranteed edge", sem)
 		}
@@ -61,7 +62,7 @@ func TestSeedFactsShape(t *testing.T) {
 func TestRandomEdgeBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 200; i++ {
-		edge := randomEdge(rng)
+		edge := killtest.RandomEdge(rng)
 		if len(edge) != 2 || edge[0] == edge[1] {
 			t.Fatalf("bad edge %v", edge)
 		}
@@ -83,7 +84,7 @@ func TestTrialDirs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(prog) != programs["stratified"]+"\n" {
+	if string(prog) != killtest.Programs["stratified"]+"\n" {
 		t.Errorf("program file content mismatch")
 	}
 	if _, err := os.Stat(factsFile); err != nil {
@@ -101,22 +102,22 @@ func TestTrialDirs(t *testing.T) {
 func TestHelpersAgainstLiveServer(t *testing.T) {
 	for _, sem := range []string{"lfp", "stratified"} {
 		_, ts := startTestServer(t, sem, server.Config{})
-		if err := waitReady(ts.URL); err != nil {
-			t.Fatalf("%s: waitReady: %v", sem, err)
+		if err := killtest.WaitReady(ts.URL); err != nil {
+			t.Fatalf("%s: WaitReady: %v", sem, err)
 		}
 		client := &http.Client{}
 		rng := rand.New(rand.NewSource(4))
 		for i := 0; i < 3; i++ {
-			if err := postUpdate(client, ts.URL, randomEdge(rng), true); err != nil {
-				t.Fatalf("%s: postUpdate insert: %v", sem, err)
+			if err := killtest.PostUpdate(client, ts.URL, killtest.RandomEdge(rng), true); err != nil {
+				t.Fatalf("%s: PostUpdate insert: %v", sem, err)
 			}
 		}
-		if err := postUpdate(client, ts.URL, randomEdge(rng), false); err != nil {
-			t.Fatalf("%s: postUpdate delete: %v", sem, err)
+		if err := killtest.PostUpdate(client, ts.URL, killtest.RandomEdge(rng), false); err != nil {
+			t.Fatalf("%s: PostUpdate delete: %v", sem, err)
 		}
-		state, err := daemonState(ts.URL)
+		state, err := killtest.DaemonState(ts.URL)
 		if err != nil {
-			t.Fatalf("%s: daemonState: %v", sem, err)
+			t.Fatalf("%s: DaemonState: %v", sem, err)
 		}
 		if !strings.Contains(state, "s: ") {
 			t.Errorf("%s: state dump missing derived relation:\n%s", sem, state)
@@ -181,11 +182,11 @@ func TestGetJSONErrors(t *testing.T) {
 	}))
 	defer ts.Close()
 	var out struct{}
-	if err := getJSON(ts.URL+"/nope", &out); err == nil {
-		t.Error("getJSON on a 404: no error")
+	if err := killtest.GetJSON(ts.URL+"/nope", &out); err == nil {
+		t.Error("GetJSON on a 404: no error")
 	}
-	if err := getJSON("http://127.0.0.1:1/", &out); err == nil {
-		t.Error("getJSON on a dead address: no error")
+	if err := killtest.GetJSON("http://127.0.0.1:1/", &out); err == nil {
+		t.Error("GetJSON on a dead address: no error")
 	}
 }
 
@@ -214,7 +215,7 @@ func TestTrialsEndToEnd(t *testing.T) {
 }
 
 func TestFreeAddr(t *testing.T) {
-	a, b := freeAddr(), freeAddr()
+	a, b := killtest.FreeAddr(), killtest.FreeAddr()
 	if !strings.HasPrefix(a, "127.0.0.1:") || !strings.HasPrefix(b, "127.0.0.1:") {
 		t.Fatalf("unexpected addrs %q %q", a, b)
 	}
