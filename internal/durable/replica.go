@@ -28,7 +28,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -291,38 +290,17 @@ func (s *Store) ReadWAL(c Cursor, maxBytes int) (data []byte, next Cursor, nrecs
 	defer f.Close()
 
 	off := c.Off
+	r := io.NewSectionReader(f, off, math.MaxInt64-off)
 	for len(data) < maxBytes {
-		var hdr [8]byte
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
+		frame, err := readFrame(r)
+		if err != nil {
 			if sealed && err != io.EOF {
-				return nil, c, 0, fmt.Errorf("durable: %s: %v", path, err)
+				return nil, c, 0, fmt.Errorf("durable: %s: frame at offset %d in a sealed segment: %w", path, off, err)
 			}
 			break
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:])
-		sum := binary.LittleEndian.Uint32(hdr[4:])
-		if n > maxRecordBytes {
-			if sealed {
-				return nil, c, 0, fmt.Errorf("durable: %s: corrupt frame at offset %d", path, off)
-			}
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(io.NewSectionReader(f, off+8, int64(n)), payload); err != nil {
-			if sealed {
-				return nil, c, 0, fmt.Errorf("durable: %s: torn frame at offset %d in a sealed segment", path, off)
-			}
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			if sealed {
-				return nil, c, 0, fmt.Errorf("durable: %s: checksum mismatch at offset %d in a sealed segment", path, off)
-			}
-			break
-		}
-		data = append(data, hdr[:]...)
-		data = append(data, payload...)
-		off += 8 + int64(n)
+		data = append(data, frame...)
+		off += int64(len(frame))
 		nrecs++
 	}
 	return data, Cursor{Seq: c.Seq, Off: off}, nrecs, nil

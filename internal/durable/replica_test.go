@@ -1,7 +1,10 @@
 package durable
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -106,6 +109,84 @@ func TestReadWALErrors(t *testing.T) {
 	}
 	if _, _, _, err := s.ReadWAL(Cursor{Seq: end.Seq, Off: end.Off + 999}, 0); !errors.Is(err, ErrAhead) {
 		t.Fatalf("read past the active tail: %v, want ErrAhead", err)
+	}
+}
+
+// TestReadWALDamagedFrame: a damaged frame in a sealed segment is
+// corruption, so ReadWAL fails; in the active segment it is the shape
+// of an append still in flight, so the read ends before it.
+func TestReadWALDamagedFrame(t *testing.T) {
+	recs := []Record{
+		{Ins: []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}},
+		{Ins: []incr.Fact{{Pred: "E", Args: []string{"c", "d"}}}},
+	}
+	damages := []struct {
+		name string
+		do   func(f *os.File, second int64) error // second: offset of the second frame
+	}{
+		{"checksum", func(f *os.File, second int64) error {
+			_, err := f.WriteAt([]byte{0xFF}, second+8)
+			return err
+		}},
+		{"length", func(f *os.File, second int64) error {
+			var n [4]byte
+			binary.LittleEndian.PutUint32(n[:], maxRecordBytes+1)
+			_, err := f.WriteAt(n[:], second)
+			return err
+		}},
+		{"torn", func(f *os.File, second int64) error { return f.Truncate(second + 9) }},
+	}
+	for _, sealed := range []bool{true, false} {
+		for _, d := range damages {
+			t.Run(fmt.Sprintf("sealed=%v/%s", sealed, d.name), func(t *testing.T) {
+				s, _ := openStore(t, t.TempDir())
+				defer s.Close()
+				start := s.StartCursor()
+				for i := range recs {
+					if _, err := s.Append(&recs[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if sealed {
+					if err := s.Rotate(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				_, second, _, err := s.ReadWAL(start, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := os.OpenFile(s.segPath(start.Seq), os.O_RDWR, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = d.do(f, second.Off)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				data, next, n, err := s.ReadWAL(start, 1<<20)
+				if sealed {
+					if err == nil || errors.Is(err, ErrCompacted) || errors.Is(err, ErrAhead) {
+						t.Fatalf("damaged sealed segment: err = %v, want a corruption error", err)
+					}
+					return
+				}
+				if err != nil || n != 1 || next != second {
+					t.Fatalf("damaged active segment: n=%d next=%v err=%v, want 1 frame ending at %v", n, next, err, second)
+				}
+				payloads, err := ScanFrames(data)
+				if err != nil || len(payloads) != 1 {
+					t.Fatalf("ScanFrames of the shipped prefix: %d payloads, %v", len(payloads), err)
+				}
+				if rec, err := DecodeRecord(payloads[0]); err != nil || !reflect.DeepEqual(*rec, recs[0]) {
+					t.Fatalf("shipped %+v (%v), want %+v", rec, err, recs[0])
+				}
+			})
+		}
 	}
 }
 

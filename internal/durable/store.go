@@ -318,7 +318,7 @@ func (s *Store) replaySegment(seq uint64, last bool) (recs []Record, liveBytes, 
 	}
 	valid := int64(len(walMagic))
 	for {
-		payload, err := readFrame(f)
+		frame, err := readFrame(f)
 		if err == io.EOF {
 			break
 		}
@@ -332,7 +332,7 @@ func (s *Store) replaySegment(seq uint64, last bool) (recs []Record, liveBytes, 
 			}
 			break
 		}
-		rec, err := DecodeRecord(payload)
+		rec, err := DecodeRecord(frame[8:])
 		if err != nil {
 			if !last {
 				return nil, 0, 0, false, fmt.Errorf("durable: %s: %w", path, err)
@@ -343,7 +343,7 @@ func (s *Store) replaySegment(seq uint64, last bool) (recs []Record, liveBytes, 
 			}
 			break
 		}
-		valid += int64(len(payload)) + 8
+		valid += int64(len(frame))
 		recs = append(recs, *rec)
 	}
 	return recs, valid - int64(len(walMagic)), truncated, false, nil

@@ -13,6 +13,7 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -159,24 +160,17 @@ func (d *recDecoder) facts(n int) []incr.Fact {
 // shipped WAL data with the same checks recovery applies.
 func ScanFrames(data []byte) ([][]byte, error) {
 	var payloads [][]byte
-	off := 0
-	for off < len(data) {
-		if len(data)-off < 8 {
-			return nil, ErrTornRecord
+	r := bytes.NewReader(data)
+	for {
+		frame, err := readFrame(r)
+		if err == io.EOF {
+			return payloads, nil
 		}
-		n := binary.LittleEndian.Uint32(data[off:])
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if n > maxRecordBytes || len(data)-off-8 < int(n) {
-			return nil, ErrTornRecord
+		if err != nil {
+			return nil, err
 		}
-		payload := data[off+8 : off+8+int(n)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, ErrTornRecord
-		}
-		payloads = append(payloads, payload)
-		off += 8 + int(n)
+		payloads = append(payloads, frame[8:])
 	}
-	return payloads, nil
 }
 
 // writeFrame writes one framed record: little-endian payload length
@@ -194,9 +188,11 @@ func writeFrame(w io.Writer, payload []byte) (int64, error) {
 	return int64(len(hdr) + len(payload)), nil
 }
 
-// readFrame reads one framed record payload.  io.EOF means a clean end
-// exactly between records; ErrTornRecord means the stream ends
-// mid-frame or the checksum does not match.
+// readFrame reads one framed record and returns the whole frame, its
+// 8-byte header included; the payload is frame[8:].  io.EOF means a
+// clean end exactly between records; ErrTornRecord means the stream
+// ends mid-frame, the length exceeds maxRecordBytes or the checksum
+// does not match.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -206,16 +202,16 @@ func readFrame(r io.Reader) ([]byte, error) {
 		return nil, ErrTornRecord
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:])
-	sum := binary.LittleEndian.Uint32(hdr[4:])
 	if n > maxRecordBytes {
 		return nil, ErrTornRecord
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	frame := make([]byte, 8+n)
+	copy(frame, hdr[:])
+	if _, err := io.ReadFull(r, frame[8:]); err != nil {
 		return nil, ErrTornRecord
 	}
-	if crc32.ChecksumIEEE(payload) != sum {
+	if crc32.ChecksumIEEE(frame[8:]) != binary.LittleEndian.Uint32(hdr[4:]) {
 		return nil, ErrTornRecord
 	}
-	return payload, nil
+	return frame, nil
 }

@@ -121,8 +121,9 @@ func TestApplyWithin(t *testing.T) {
 // filter binds both columns of s(Z,Y), so the literal is answered by
 // the relation's membership table.  An index on every column would
 // hold one bucket per tuple; with the per-column statistics the planner
-// reads already built, what a pass allocates must therefore not depend
-// on how large s is.
+// reads already built (each column's index builds on its first
+// Distinct), what a pass allocates must therefore not depend on how
+// large s is.
 func TestFullyBoundLiteralBuildsNoIndex(t *testing.T) {
 	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).")
 	alloc := func(n int) uint64 {
@@ -143,7 +144,9 @@ func TestFullyBoundLiteralBuildsNoIndex(t *testing.T) {
 		cand.Add(relation.Tuple{id(0), id(2)})
 		cand.Add(relation.Tuple{id(3), id(7)}) // not derivable
 		e.Distinct(0)
+		e.Distinct(1)
 		s.Distinct(0)
+		s.Distinct(1)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		got := in.Eval(engine.Spec{Pos: st, Within: map[string]*relation.Relation{"s": cand}})

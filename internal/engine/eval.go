@@ -496,12 +496,7 @@ func (in *Instance) joinRel(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bi
 			}
 			return
 		}
-		var offs []int32
-		if len(je.probeCols) == 1 {
-			offs = rel.Lookup(je.probeCols[0], je.probeVals[0])
-		} else {
-			offs = rel.LookupCols(je.probeCols, je.probeVals)
-		}
+		offs := rel.LookupCols(je.probeCols, je.probeVals)
 		if hi > 0 {
 			offs = relation.OffsetsInRange(offs, lo, hi)
 		}

@@ -54,9 +54,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return false
 }
 
-// Out returns the out-neighbours of u (shared slice; do not mutate).
-func (g *Graph) Out(u int) []int { return g.adj[u] }
-
 // Edges returns all edges in deterministic order.
 func (g *Graph) Edges() [][2]int {
 	var out [][2]int

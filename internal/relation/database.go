@@ -126,13 +126,3 @@ func (db *Database) String() string {
 	}
 	return b.String()
 }
-
-// TotalTuples returns the number of tuples across all relations, a
-// convenient size measure for benchmarks.
-func (db *Database) TotalTuples() int {
-	n := 0
-	for _, r := range db.rels {
-		n += r.Len()
-	}
-	return n
-}

@@ -8,16 +8,15 @@ import (
 
 // Indexes.
 //
-// A relation answers equality probes through two kinds of lazily built
-// hash index, both mapping a key to the ascending arena offsets of the
-// tuples carrying it.  The per-column indexes (Lookup, Distinct) key on
-// one column's value and are built for every column in one arena scan.
-// A composite index (LookupCols) keys on the projection onto a fixed
-// subset of columns, so a probe binding several columns costs one hash
-// lookup instead of a single-column lookup plus per-tuple filtering; the
-// engine's join planner asks for the widest index covering the bound
-// argument positions of a literal.  A probe binding every column needs
-// neither: that is OffsetOf.
+// A relation answers equality probes through lazily built hash
+// indexes, one per probed subset of columns, each mapping the
+// projection onto those columns to the ascending arena offsets of the
+// tuples carrying it.  A probe binding several columns costs one hash
+// lookup instead of a single-column lookup plus per-tuple filtering;
+// the engine's join planner asks for the index on exactly the bound
+// argument positions of a literal.  Lookup and Distinct read the
+// index on their one column.  A probe binding every column needs no
+// index: that is OffsetOf.
 //
 // Projections are keyed exactly like relation storage: the packed
 // uint64 encoding when the projected tuple packs (see key.go), the
@@ -56,25 +55,14 @@ import (
 // Remove after a view took the indexes copies them (idxShared).
 
 // patchCost is what patching one Remove into an index costs, in units
-// of indexing one tuple from scratch: per column up to three bucket
+// of indexing one tuple from scratch: per index up to three bucket
 // edits (the removed tuple's offset, the moved tuple's old and new
 // one), each a map read and write plus a search and shift, against one
 // map write and append.  Measured at 250 ns against 90 ns on arity 2.
 const patchCost = 4
 
-// colIndex maps a column value to the ascending arena offsets of the
-// tuples holding that value in the column.
-type colIndex map[int][]int32
-
-// colIndexes is the set of per-column indexes over the first n arena
-// entries.
-type colIndexes struct {
-	n    int
-	cols []colIndex
-}
-
-// compIndex is one composite index: projection key → ascending arena
-// offsets, over the first n arena entries.
+// compIndex is one index: projection key → ascending arena offsets,
+// over the first n arena entries.
 type compIndex struct {
 	n      int
 	cols   []int
@@ -82,33 +70,27 @@ type compIndex struct {
 	spill  map[string][]int32
 }
 
-// compIndexSet maps a column bitmask to its composite index.
-// Individual indexes may cover different arena prefixes (they are built
-// lazily at different times); each carries its own coverage length.
-// Adding an index replaces the map copy-on-write under mu.
+// compIndexSet maps a column bitmask to its index.  Individual indexes
+// may cover different arena prefixes (they are built lazily at
+// different times); each carries its own coverage length.  Adding an
+// index replaces the map copy-on-write under mu.
 type compIndexSet struct {
 	m map[uint64]*compIndex
 }
 
 // shareIndexes hands r's built indexes to its view v.
 func (r *Relation) shareIndexes(v *Relation) {
-	n := v.n
-	shared := false
-	if p := r.idx.Load(); p != nil && p.n <= n {
-		v.idx.Store(p)
-		shared = true
+	cs := r.idxs.Load()
+	if cs == nil {
+		return
 	}
-	if cs := r.cidx.Load(); cs != nil {
-		fits := true
-		for _, ci := range cs.m {
-			fits = fits && ci.n <= n
-		}
-		if fits {
-			v.cidx.Store(cs)
-			shared = true
+	for _, ci := range cs.m {
+		if ci.n > v.n {
+			return
 		}
 	}
-	if shared && !r.frozen {
+	v.idxs.Store(cs)
+	if !r.frozen {
 		r.idxShared = true
 	}
 }
@@ -140,15 +122,6 @@ func cloneBuckets[K comparable](m map[K][]int32, flat []int32) (map[K][]int32, [
 		out[k] = flat[at:len(flat):len(flat)]
 	}
 	return out, flat
-}
-
-func (p *colIndexes) clone() *colIndexes {
-	c := &colIndexes{n: p.n, cols: make([]colIndex, len(p.cols))}
-	flat := make([]int32, 0, p.n*len(p.cols))
-	for i, m := range p.cols {
-		c.cols[i], flat = cloneBuckets(m, flat)
-	}
-	return c
 }
 
 func (cs *compIndexSet) clone() *compIndexSet {
@@ -183,18 +156,6 @@ func bucketInsert[K comparable](m map[K][]int32, k K, off int32) {
 	m[k] = slices.Insert(b, i, off)
 }
 
-func (p *colIndexes) drop(t Tuple, off int32) {
-	for c, v := range t {
-		bucketDrop(p.cols[c], v, off)
-	}
-}
-
-func (p *colIndexes) insert(t Tuple, off int32) {
-	for c, v := range t {
-		bucketInsert(p.cols[c], v, off)
-	}
-}
-
 // project writes t's projection onto the index's columns into buf.
 func (ci *compIndex) project(t Tuple, buf Tuple) Tuple {
 	for _, c := range ci.cols {
@@ -226,121 +187,55 @@ func (ci *compIndex) insert(t Tuple, off int32) {
 	bucketInsert(ci.spill, spillKey(proj), off)
 }
 
-// offsetIndex is what a patch needs of either index kind.
-type offsetIndex interface {
-	drop(t Tuple, off int32)
-	insert(t Tuple, off int32)
-}
-
-// swapRemoved patches one index covering the first n offsets for a
-// swap-remove — removed leaves offset off and, unless off is the last
-// offset, moved goes from last to off — and returns its new coverage.
-func swapRemoved(ix offsetIndex, n int, off, last int32, removed, moved Tuple) int {
-	if int(off) < n {
-		ix.drop(removed, off)
+// swapRemoved patches ci for a swap-remove — removed leaves offset off
+// and, unless off is the last offset, moved goes from last to off —
+// and shortens its coverage to what the arena keeps.
+func (ci *compIndex) swapRemoved(off, last int32, removed, moved Tuple) {
+	if int(off) < ci.n {
+		ci.drop(removed, off)
 	}
 	if off != last {
-		if int(last) < n {
-			ix.drop(moved, last)
+		if int(last) < ci.n {
+			ci.drop(moved, last)
 		}
-		if int(off) < n {
-			ix.insert(moved, off)
+		if int(off) < ci.n {
+			ci.insert(moved, off)
 		}
 	}
-	return min(n, int(last))
+	ci.n = min(ci.n, int(last))
 }
 
 // unindex keeps the built indexes exact across the swap-remove Remove
 // is about to perform on the arena.
 func (r *Relation) unindex(off, last int32, removed, moved Tuple) {
-	p, cs := r.idx.Load(), r.cidx.Load()
-	if p == nil && cs == nil {
+	cs := r.idxs.Load()
+	if cs == nil {
 		return
 	}
 	if r.idxShared {
 		// A view holds these buckets; leave them to it.
-		if p != nil {
-			p = p.clone()
-			r.idx.Store(p)
-		}
-		if cs != nil {
-			cs = cs.clone()
-			r.cidx.Store(cs)
-		}
+		cs = cs.clone()
+		r.idxs.Store(cs)
 		r.idxShared = false
 	}
-	if p != nil {
-		p.n = swapRemoved(p, p.n, off, last, removed, moved)
-	}
-	if cs != nil {
-		for _, ci := range cs.m {
-			ci.n = swapRemoved(ci, ci.n, off, last, removed, moved)
-		}
+	for _, ci := range cs.m {
+		ci.swapRemoved(off, last, removed, moved)
 	}
 }
 
 // dropIndexes forgets the built indexes; the next probe rebuilds.
 func (r *Relation) dropIndexes() {
-	r.idx.Store(nil)
-	r.cidx.Store(nil)
+	r.idxs.Store(nil)
 	r.idxShared = false
 }
 
-// ownsIndexes reports whether the published index sets are r's alone
-// to extend in place; see Sharing above.
+// ownsIndexes reports whether the published index set is r's alone to
+// extend in place; see Sharing above.
 func (r *Relation) ownsIndexes() bool { return !r.frozen && !r.idxShared }
 
-// cols returns the per-column indexes, building all of them on first
-// use and extending them when the relation has grown since the cached
-// set was published.  The arity is small in practice, so building every
-// column at once costs about as much as building one.
-func (r *Relation) cols() []colIndex {
-	n := r.n
-	if p := r.idx.Load(); p != nil && p.n == n {
-		return p.cols
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p := r.idx.Load()
-	if p != nil && p.n == n {
-		return p.cols
-	}
-	cols := make([]colIndex, r.arity)
-	lo := 0
-	if p != nil {
-		lo = p.n
-	}
-	for c := range cols {
-		switch {
-		case p == nil:
-			cols[c] = make(colIndex)
-		case r.ownsIndexes():
-			cols[c] = p.cols[c]
-		default:
-			cols[c] = growBuckets(p.cols[c], r.frozen)
-		}
-	}
-	for off := lo; off < n; off++ {
-		for c, v := range r.At(int32(off)) {
-			cols[c][v] = append(cols[c][v], int32(off))
-		}
-	}
-	r.idx.Store(&colIndexes{n: n, cols: cols})
-	return cols
-}
-
-// Lookup returns the arena offsets of the tuples whose col-th element
-// equals val, ascending; resolve them with At.  Callers must not mutate
-// the returned slice.  Safe for concurrent use by readers.
-func (r *Relation) Lookup(col, val int) []int32 {
-	if col < 0 || col >= r.arity {
-		panic(fmt.Sprintf("relation: index column %d out of range for arity %d", col, r.arity))
-	}
-	return r.cols()[col][val]
-}
-
 // colsMask validates cols (strictly ascending, in range, below 64) and
-// returns the bitmask identifying the index.
+// returns the bitmask identifying the index.  The panics format no
+// slice, so cols does not escape and probes stay allocation-free.
 func (r *Relation) colsMask(cols []int) uint64 {
 	if len(cols) == 0 {
 		panic("relation: composite index over zero columns")
@@ -352,7 +247,7 @@ func (r *Relation) colsMask(cols []int) uint64 {
 			panic(fmt.Sprintf("relation: index column %d out of range for arity %d", c, r.arity))
 		}
 		if c <= prev {
-			panic(fmt.Sprintf("relation: index columns %v not strictly ascending", cols))
+			panic(fmt.Sprintf("relation: index column %d follows column %d; columns must be strictly ascending", c, prev))
 		}
 		if c >= 64 {
 			panic(fmt.Sprintf("relation: composite index column %d exceeds the 64-column limit", c))
@@ -363,13 +258,12 @@ func (r *Relation) colsMask(cols []int) uint64 {
 	return m
 }
 
-// compFor returns the composite index on cols, building it on first
-// use and extending it when the relation has grown since it was
-// published.
+// compFor returns the index on cols, building it on first use and
+// extending it when the relation has grown since it was published.
 func (r *Relation) compFor(cols []int) *compIndex {
 	mask := r.colsMask(cols)
 	n := r.n
-	if cs := r.cidx.Load(); cs != nil {
+	if cs := r.idxs.Load(); cs != nil {
 		if ci := cs.m[mask]; ci != nil && ci.n == n {
 			return ci
 		}
@@ -377,7 +271,7 @@ func (r *Relation) compFor(cols []int) *compIndex {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	next := make(map[uint64]*compIndex, 1)
-	if cs := r.cidx.Load(); cs != nil {
+	if cs := r.idxs.Load(); cs != nil {
 		if ci := cs.m[mask]; ci != nil && ci.n == n {
 			return ci
 		}
@@ -387,7 +281,7 @@ func (r *Relation) compFor(cols []int) *compIndex {
 	}
 	ci := r.buildComp(cols, next[mask])
 	next[mask] = ci
-	r.cidx.Store(&compIndexSet{m: next})
+	r.idxs.Store(&compIndexSet{m: next})
 	return ci
 }
 
@@ -444,6 +338,12 @@ func (r *Relation) LookupCols(cols []int, vals []int) []int32 {
 	return ci.spill[spillKey(Tuple(vals))]
 }
 
+// Lookup returns the arena offsets of the tuples whose col-th element
+// equals val, ascending: LookupCols on the one column col.
+func (r *Relation) Lookup(col, val int) []int32 {
+	return r.LookupCols([]int{col}, []int{val})
+}
+
 // OffsetsInRange narrows an index offset list (as returned by Lookup or
 // LookupCols, always ascending) to the offsets in [lo, hi) — the
 // shard-aware form of an index probe, used when a literal's enumeration
@@ -460,11 +360,9 @@ func OffsetsInRange(offs []int32, lo, hi int32) []int32 {
 
 // Distinct returns the number of distinct values appearing in column
 // col — the statistic the join planner divides by when estimating the
-// selectivity of an equality probe.  It shares the per-column indexes,
-// so it is O(1) while they are up to date.
+// selectivity of an equality probe.  It counts the keys of the index
+// on col, so it is O(1) while that index is up to date.
 func (r *Relation) Distinct(col int) int {
-	if col < 0 || col >= r.arity {
-		panic(fmt.Sprintf("relation: index column %d out of range for arity %d", col, r.arity))
-	}
-	return len(r.cols()[col])
+	ci := r.compFor([]int{col})
+	return len(ci.packed) + len(ci.spill)
 }

@@ -161,7 +161,7 @@ func TestLookupAfterRemoveSwap(t *testing.T) {
 }
 
 // TestConcurrentLookup hammers the lazy index build from many readers;
-// run under -race it proves the synchronization of cols().
+// run under -race it proves the synchronization of compFor.
 func TestConcurrentLookup(t *testing.T) {
 	r := New(2)
 	for i := 0; i < 50; i++ {

@@ -25,9 +25,9 @@ import (
 // grows by doubling, so a small relation pays for what it holds.
 // Tuples read back (At, Each) are views cut out of a chunk; see Tuple
 // for how long they stay valid.  Hash indexes on one column or several
-// map a key to arena offsets; they are built lazily on first lookup,
-// extended after appends, patched by Remove and inherited by snapshots
-// (see index.go).
+// map a projection to arena offsets; they are built lazily on first
+// lookup, extended after appends, patched by Remove and inherited by
+// snapshots (see index.go).
 //
 // Snapshots (see Snapshot and Seal) are O(1) immutable views that share
 // the chunks and key maps with the live relation and carry their own
@@ -61,11 +61,10 @@ type Relation struct {
 	frozen bool // immutable snapshot view; mutation panics
 
 	// Lazily built indexes (see index.go).  idxShared is set once a view
-	// has taken the current sets: their buckets are then copied before
+	// has taken the current set: its buckets are then copied before
 	// Remove edits them.
 	mu        sync.Mutex                   // serializes index builds
-	idx       atomic.Pointer[colIndexes]   // per-column indexes, nil until built
-	cidx      atomic.Pointer[compIndexSet] // composite indexes by column mask
+	idxs      atomic.Pointer[compIndexSet] // indexes by column mask
 	idxShared bool
 }
 

@@ -50,7 +50,7 @@ func TestRemovePatchesColumnIndex(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Add(Tuple{i % 3, i})
 	}
-	// Build and pin the per-column index, then Remove a middle tuple:
+	// Build and pin the index on column 0, then Remove a middle tuple:
 	// the swap-with-last moves an offset the index still points at, so
 	// a correct implementation must patch it.
 	if got := len(r.Lookup(0, 0)); got != 4 {
@@ -62,7 +62,7 @@ func TestRemovePatchesColumnIndex(t *testing.T) {
 	if got, want := r.Lookup(0, 0), bruteOffsets(r, []int{0}, []int{0}); !sameOffsets(got, want) {
 		t.Fatalf("post-remove Lookup(0,0) = %v, want %v", got, want)
 	}
-	// Distinct shares the per-column index and must also see a value's
+	// Distinct reads the one-column index and must also see a value's
 	// last tuple disappear.
 	r2 := New(1)
 	r2.Add(Tuple{1})

@@ -190,9 +190,10 @@ func TestRelationVsMapDifferential(t *testing.T) {
 	}
 }
 
-// TestTableZeroAllocs is the dedup-path allocation guard: membership
-// probes (hit and miss) and duplicate-rejecting inserts against a
-// pre-sized relation must not allocate at all.
+// TestTableZeroAllocs is the dedup-path and probe allocation guard:
+// membership probes (hit and miss), duplicate-rejecting inserts against
+// a pre-sized relation, and index probes and statistics on built
+// indexes must not allocate at all.
 func TestTableZeroAllocs(t *testing.T) {
 	r := New(2)
 	r.ReserveHint(2048)
@@ -200,6 +201,9 @@ func TestTableZeroAllocs(t *testing.T) {
 		r.Add(Tuple{i, i + 1})
 	}
 	hit, miss := Tuple{500, 501}, Tuple{500, 502}
+	both := []int{0, 1}
+	r.Lookup(0, 0)
+	r.LookupCols(both, hit)
 	cases := []struct {
 		name string
 		f    func()
@@ -209,6 +213,9 @@ func TestTableZeroAllocs(t *testing.T) {
 		{"Add/dup", func() { r.Add(hit) }},
 		{"AddNotIn/dup", func() { r.AddNotIn(hit, nil) }},
 		{"AddNotIn/filtered", func() { r.AddNotIn(hit, r) }},
+		{"Lookup", func() { r.Lookup(0, 500) }},
+		{"LookupCols/two", func() { r.LookupCols(both, hit) }},
+		{"Distinct", func() { r.Distinct(0) }},
 	}
 	for _, c := range cases {
 		if allocs := testing.AllocsPerRun(100, c.f); allocs != 0 {
@@ -288,6 +295,41 @@ func BenchmarkTableProbe(b *testing.B) {
 			}
 			for j := 0; j < m; j++ {
 				tb.putHash(keys[j], hashes[j], int32(j))
+			}
+		}
+	})
+	// Index probes on a built relation of n tuples (i%256, i): Lookup
+	// and Distinct on column 0, LookupCols on both columns.
+	r := New(2)
+	for i := 0; i < n; i++ {
+		r.Add(Tuple{i & 255, i})
+	}
+	both := []int{0, 1}
+	b.Run("Lookup", func(b *testing.B) {
+		r.Lookup(0, 0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if len(r.Lookup(0, i&255)) == 0 {
+				b.Fatal("empty bucket for a present value")
+			}
+		}
+	})
+	b.Run("LookupCols", func(b *testing.B) {
+		vals := make([]int, 2)
+		r.LookupCols(both, vals)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i & (n - 1)
+			vals[0], vals[1] = j&255, j
+			if len(r.LookupCols(both, vals)) != 1 {
+				b.Fatal("probe missed a present tuple")
+			}
+		}
+	})
+	b.Run("Distinct", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if r.Distinct(0) != 256 {
+				b.Fatal("wrong distinct count")
 			}
 		}
 	})

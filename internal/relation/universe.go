@@ -1,6 +1,6 @@
 // Package relation implements the relational substrate of the
 // reproduction: interned universes of constants, tuples, set-semantics
-// relations with per-column hash indexes, and named databases.
+// relations with hash indexes on column subsets, and named databases.
 //
 // The paper evaluates DATALOG¬ programs over finite databases
 // D = (A, R₁, …, Rₗ).  A Universe is the finite set A with constants

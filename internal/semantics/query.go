@@ -106,18 +106,13 @@ func queryEval(prog *ast.Program, db *relation.Database, q magic.Query, stratifi
 	return QueryRewrittenOpts(rw, db.Clone(), q, stratified, mode, opt)
 }
 
-// QueryRewritten evaluates a prepared rewrite against work, which the
-// caller hands over: seed facts are added, the original program's
-// constants are interned, and (for stratified evaluation) computed
-// strata are installed.  Callers that own a throwaway database — the
-// server builds one per query from a snapshot's extensional relations
-// — skip the Clone that QueryLFP/QueryStratified pay.
-func QueryRewritten(rw *magic.Rewritten, work *relation.Database, q magic.Query, stratified bool, mode Mode) (*QueryResult, error) {
-	return QueryRewrittenOpts(rw, work, q, stratified, mode, engine.Options{})
-}
-
-// QueryRewrittenOpts is QueryRewritten with per-call engine options
-// applied to the rewritten program's evaluation.
+// QueryRewrittenOpts evaluates a prepared rewrite against work, which
+// the caller hands over, with per-call engine options applied to the
+// rewritten program's evaluation: seed facts are added, the original
+// program's constants are interned, and (for stratified evaluation)
+// computed strata are installed.  Callers that own a throwaway database
+// — the server builds one per query from a snapshot's extensional
+// relations — skip the Clone that QueryLFP/QueryStratified pay.
 func QueryRewrittenOpts(rw *magic.Rewritten, work *relation.Database, q magic.Query, stratified bool, mode Mode, opt engine.Options) (*QueryResult, error) {
 	// Universe parity with full evaluation: the active domain is the
 	// database universe plus every original program constant, and unsafe
@@ -206,10 +201,6 @@ func FilterPattern(rel *relation.Relation, q magic.Query, u *relation.Universe) 
 	case len(cols) == rel.Arity():
 		if rel.Has(relation.Tuple(vals)) {
 			out.Add(relation.Tuple(vals))
-		}
-	case len(cols) == 1:
-		for _, off := range rel.Lookup(cols[0], vals[0]) {
-			out.Add(rel.At(off))
 		}
 	default:
 		for _, off := range rel.LookupCols(cols, vals) {

@@ -18,16 +18,11 @@ import (
 // The database passed to the engine instance is not modified; the
 // evaluation works on a clone extended with intermediate strata.
 func Stratified(prog *ast.Program, db *relation.Database) (*Result, error) {
-	return StratifiedMode(prog, db, SemiNaive)
+	return stratifiedIn(prog, db.Clone(), SemiNaive, engine.Options{})
 }
 
-// StratifiedMode is Stratified with an explicit evaluation mode.
-func StratifiedMode(prog *ast.Program, db *relation.Database, mode Mode) (*Result, error) {
-	return stratifiedIn(prog, db.Clone(), mode, engine.Options{})
-}
-
-// StratifiedOpts is StratifiedMode with per-call engine options applied
-// to every stratum's instance.
+// StratifiedOpts is Stratified with an explicit evaluation mode and
+// per-call engine options applied to every stratum's instance.
 func StratifiedOpts(prog *ast.Program, db *relation.Database, mode Mode, opt engine.Options) (*Result, error) {
 	return stratifiedIn(prog, db.Clone(), mode, opt)
 }
@@ -35,8 +30,8 @@ func StratifiedOpts(prog *ast.Program, db *relation.Database, mode Mode, opt eng
 // stratifiedIn is the stratified evaluation loop on a caller-owned
 // working database: work is mutated in place (program constants are
 // interned into its universe, computed strata are installed as
-// relations).  QueryRewritten uses it to evaluate rewritten programs
-// without deep-copying a database it already owns.
+// relations).  QueryRewrittenOpts uses it to evaluate rewritten
+// programs without deep-copying a database it already owns.
 func stratifiedIn(prog *ast.Program, work *relation.Database, mode Mode, opt engine.Options) (*Result, error) {
 	strat, err := prog.Stratify()
 	if err != nil {

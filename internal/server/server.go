@@ -16,8 +16,8 @@
 // updates; updates enqueue into the bounded group-commit queue (429 +
 // Retry-After when full), are coalesced by the committer, maintained
 // through internal/incr, and answered once the fresh sealed snapshot
-// containing them is published.  Pattern queries with multiple bound
-// columns probe the snapshot's composite indexes.
+// containing them is published.  Pattern queries with bound columns
+// probe the snapshot's index on those columns.
 //
 // /v1/query additionally has a demand-driven fast path: with
 // {"magic": true}, an IDB query is answered by magic-set rewriting the program for the query's adornment and
@@ -392,10 +392,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		case len(cols) == 0:
 			for _, t := range rel.Tuples() {
 				tuples = append(tuples, names(snap.Universe, t))
-			}
-		case len(cols) == 1:
-			for _, off := range rel.Lookup(cols[0], vals[0]) {
-				tuples = append(tuples, names(snap.Universe, rel.At(off)))
 			}
 		default:
 			for _, off := range rel.LookupCols(cols, vals) {
