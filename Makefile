@@ -43,8 +43,8 @@ fmt-check:
 bench:
 	$(GO) test -run '^$$' -bench . .
 
-# The CI smoke variant: one iteration of the E1/E5 series plus a quick
-# experiment run.
+# The CI smoke variant: one iteration of every benchmark the regex
+# 'E1|E5' matches (E1, E5 and E10–E16) plus a quick experiment run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E1|E5' -benchtime 1x . | tee bench-smoke.txt
 	$(GO) run ./cmd/bench -quick -exp E1 | tee -a bench-smoke.txt

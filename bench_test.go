@@ -228,7 +228,9 @@ func BenchmarkE10DistanceQuery(b *testing.B) {
 }
 
 // BenchmarkE11Hierarchy: well-founded vs inflationary vs stratified on
-// win-move and the distance program.
+// win-move and the distance program.  On the stratifiable distance
+// program, wellfounded runs core.Eval, which evaluates it as strata,
+// and alternating runs the alternating fixpoint it would otherwise take.
 func BenchmarkE11Hierarchy(b *testing.B) {
 	db := graphs.Cycle(12).Database()
 	win := "win(X) :- E(X,Y), !win(Y)."
@@ -244,13 +246,25 @@ func BenchmarkE11Hierarchy(b *testing.B) {
 			semantics.Inflationary(in)
 		}
 	})
+	prog := parser.MustProgram(distSrc)
+	gdb := graphs.Path(8).Database()
 	b.Run("stratified/distance", func(b *testing.B) {
-		prog := parser.MustProgram(distSrc)
-		gdb := graphs.Path(8).Database()
 		for i := 0; i < b.N; i++ {
 			if _, err := semantics.Stratified(prog, gdb); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("wellfounded/distance", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Eval(prog, gdb, core.WellFounded, semantics.SemiNaive); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("alternating/distance", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			semantics.WellFounded(engine.MustNew(prog, gdb.Clone()))
 		}
 	})
 }

@@ -79,7 +79,8 @@ type EvalResult struct {
 	Universe *relation.Universe
 	// Stats reports evaluation effort.
 	Stats semantics.Stats
-	// WF carries the full three-valued result for WellFounded.
+	// WF carries the full three-valued result for WellFounded; computed
+	// as strata for a stratifiable program, it is total with Outer 0.
 	WF *semantics.WFResult
 }
 
@@ -116,12 +117,29 @@ func EvalOpts(prog *ast.Program, db *relation.Database, sem Semantics, mode sema
 	}
 	res := &EvalResult{Semantics: sem, Class: prog.Classify()}
 	switch sem {
+	case WellFounded:
+		// Only cyclic negation alternates: a stratifiable program's
+		// model is its stratified one.  incr.pickStrategy agrees.
+		if res.Class == ast.ClassGeneral {
+			in, err := engine.NewWith(prog, db.Clone(), opt)
+			if err != nil {
+				return nil, err
+			}
+			wf := semantics.WellFoundedLog(in, mode, nil)
+			res.State, res.Stats, res.Universe = wf.True, wf.Stats, in.Universe()
+			res.WF = wf
+			break
+		}
+		fallthrough
 	case Stratified:
 		r, err := semantics.StratifiedOpts(prog, db, mode, opt)
 		if err != nil {
 			return nil, err
 		}
 		res.State, res.Stats, res.Universe = r.State, r.Stats, r.Universe
+		if sem == WellFounded {
+			res.WF = &semantics.WFResult{True: r.State, Possible: r.State, Stats: r.Stats}
+		}
 	case Inflationary:
 		in, err := engine.NewWith(prog, db.Clone(), opt)
 		if err != nil {
@@ -139,14 +157,6 @@ func EvalOpts(prog *ast.Program, db *relation.Database, sem Semantics, mode sema
 			return nil, err
 		}
 		res.State, res.Stats, res.Universe = r.State, r.Stats, r.Universe
-	case WellFounded:
-		in, err := engine.NewWith(prog, db.Clone(), opt)
-		if err != nil {
-			return nil, err
-		}
-		wf := semantics.WellFoundedMode(in, mode)
-		res.State, res.Stats, res.Universe = wf.True, wf.Stats, in.Universe()
-		res.WF = wf
 	default:
 		return nil, fmt.Errorf("core: unknown semantics %d", sem)
 	}

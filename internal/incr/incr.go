@@ -35,7 +35,7 @@
 //     and the net change of the stage below (chain.go).  Memory is
 //     n × |IDB| where a recompute holds 2 ×.  A stratifiable program has
 //     a total model equal to the stratified one and is maintained as
-//     strata, Possible = True.
+//     strata, Possible = True, as core.EvalOpts evaluates it in batch.
 //
 // Universe growth under rules that enumerate the universe invalidates
 // every shortcut above and is answered by a from-scratch evaluation.
@@ -191,7 +191,8 @@ func pickStrategy(prog *ast.Program, sem core.Semantics) (strategy, error) {
 		return stratReplay, nil
 	case core.WellFounded:
 		if unstratifiable == nil {
-			// The well-founded model is total and is the stratified one.
+			// The well-founded model is total and is the stratified one
+			// (core.EvalOpts makes the same choice in batch).
 			return stratStrata, nil
 		}
 		return stratWF, nil

@@ -14,7 +14,8 @@
 //     of lower strata.  Rejects unstratifiable programs.
 //   - WellFounded (Van Gelder's alternating fixpoint): the modern
 //     default in XSB/DLV-style systems, included as the natural
-//     comparison point; three-valued, total on all programs.
+//     comparison point; three-valued, total on all programs, and on a
+//     stratifiable one the stratified model, which core and incr run.
 //
 // All evaluators run semi-naive by default (delta-driven; see the
 // engine package for the soundness argument) and report round counts

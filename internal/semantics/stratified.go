@@ -44,16 +44,18 @@ func stratifiedIn(prog *ast.Program, work *relation.Database, mode Mode, opt eng
 	stats := Stats{}
 	final := make(engine.State)
 
-	for k := 0; k < strat.NumStrata(); k++ {
-		rules := prog.RulesForStratum(strat, k)
-		sub := &ast.Program{Rules: rules}
-		// Predicates of lower strata appear only in bodies of sub, so
-		// they are EDB there and read from work, where the previous
-		// iterations installed their computed values.
-		inst, err := engine.NewWith(sub, work, opt)
-		if err != nil {
+	// Every stratum is compiled before any is evaluated, so each ranges
+	// over every program constant, as incr's strata do.  Predicates of
+	// lower strata appear only in bodies of sub, so they are EDB there
+	// and read from work, where the loop below installs their values.
+	insts := make([]*engine.Instance, strat.NumStrata())
+	for k := range insts {
+		sub := &ast.Program{Rules: prog.RulesForStratum(strat, k)}
+		if insts[k], err = engine.NewWith(sub, work, opt); err != nil {
 			return nil, fmt.Errorf("stratum %d: %w", k, err)
 		}
+	}
+	for _, inst := range insts {
 		res := lfpLoop(inst, nil, mode)
 		stats.Rounds += res.Stats.Rounds
 		if res.Stats.MaxDeltaTuples > stats.MaxDeltaTuples {

@@ -10,7 +10,8 @@ type WFResult struct {
 	Possible engine.State
 	Stats    Stats
 	// Outer counts alternating-fixpoint iterations (pairs of Γ
-	// applications).
+	// applications); 0 where core.EvalOpts or incr computed a
+	// stratifiable program's model as strata.
 	Outer int
 }
 
@@ -32,22 +33,18 @@ func (r *WFResult) Total() bool { return r.Possible.Equal(r.True) }
 // DATALOG¬ program — the modern counterpart to the paper's inflationary
 // proposal for "giving meaning to all programs".
 func WellFounded(in *engine.Instance) *WFResult {
-	return WellFoundedMode(in, SemiNaive)
+	return WellFoundedLog(in, SemiNaive, nil)
 }
 
-// WellFoundedMode is WellFounded with an explicit evaluation mode.
-func WellFoundedMode(in *engine.Instance, mode Mode) *WFResult {
-	return WellFoundedLog(in, mode, nil)
-}
-
-// WellFoundedLog is WellFoundedMode with a stage observer: log is
-// called with every application of Γ in turn, A₁ = Γ(∅), A₂ = Γ(A₁), …
-// up to the Aₙ that confirms the fixpoint, n = 2·Outer.  On exit True
-// is Aₙ, the same set as Aₙ₋₂, and Possible is Aₙ₋₁.  The stages are
-// the evaluator's own states, not copies, and it only reads a stage
-// once observed: an observer may keep them, and may mutate them after
-// the call if it drops the result, whose True and Possible are two of
-// them.  The incremental-maintenance layer keeps them as its chain.
+// WellFoundedLog is WellFounded with an explicit evaluation mode and a
+// stage observer (nil for none): log is called with every application
+// of Γ in turn, A₁ = Γ(∅), A₂ = Γ(A₁), … up to the Aₙ that confirms the
+// fixpoint, n = 2·Outer.  On exit True is Aₙ, the same set as Aₙ₋₂, and
+// Possible is Aₙ₋₁.  The stages are the evaluator's own states, not
+// copies, and it only reads a stage once observed: an observer may keep
+// them, and may mutate them after the call if it drops the result,
+// whose True and Possible are two of them.  The incremental-maintenance
+// layer keeps them as its chain.
 //
 // Without an observer at most two stages are held at once.  The even
 // stages grow predicate by predicate (Γ is antimonotone, so Γ² is

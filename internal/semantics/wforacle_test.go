@@ -199,4 +199,18 @@ func TestWellFoundedTotalWhereItMustBe(t *testing.T) {
 				seed, src, res.True.Format(db.Universe()), lfp.State.Format(db.Universe()))
 		}
 	}
+
+	// The lower stratum enumerates the universe, and the constant c
+	// first appears in the higher one: every stratum ranges over it.
+	src := "t(X) :- !E(X,X).\nu(X) :- E(X,Y), !t(c)."
+	db := parser.MustFacts("E(a,b).")
+	strat, err := Stratified(parser.MustProgram(src), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := db.Clone()
+	res := checkOracle(t, src, work)
+	if got, want := strat.State.Format(strat.Universe), res.True.Format(work.Universe()); got != want {
+		t.Fatalf("a constant of a higher stratum: stratified\n%swell-founded\n%s", got, want)
+	}
 }

@@ -112,7 +112,8 @@ func Stratified(prog *Program, db *Database) (*Result, error) {
 
 // WellFounded evaluates prog under the well-founded semantics; the
 // result's State holds the certainly-true facts and Result.WF the full
-// three-valued model.
+// three-valued model.  A stratifiable program is evaluated as strata:
+// its model is total, so WF.Possible is WF.True and WF.Outer is 0.
 func WellFounded(prog *Program, db *Database) (*Result, error) {
 	return core.Eval(prog, db, core.WellFounded, semantics.SemiNaive)
 }
