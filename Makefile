@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check bench bench-smoke profile staticcheck fuzz-smoke crashtest replicatest cover pairs loc ci
+.PHONY: all build test race vet fmt fmt-check bench bench-smoke profile staticcheck fuzz-smoke crashtest replicatest cover pairs loc exports ci
 
 all: build
 
@@ -136,7 +136,15 @@ loc:
 	@printf '%7d  total outside benchmark/\n' \
 		$$(find . -path ./benchmark -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
 
+# Exported functions and methods under internal/ that no non-test file
+# of this module or of benchmark/ calls (benchmark/*_test.go counts as
+# a caller): each must be listed with its reason in
+# scripts/exports/keep.txt, and each listed name must still be found.
+# Type-checks the tree from source with go/types; no download.
+exports:
+	$(GO) run ./scripts/exports
+
 # Hermetic mirror of CI: every job that needs no network.  staticcheck
 # (downloads the pinned tool) is the one network-using CI job; run it
 # explicitly when online.
-ci: vet fmt-check build test race bench-smoke cover fuzz-smoke
+ci: vet fmt-check build test race bench-smoke cover fuzz-smoke exports

@@ -250,7 +250,7 @@ func BenchmarkE11Hierarchy(b *testing.B) {
 	gdb := graphs.Path(8).Database()
 	b.Run("stratified/distance", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := semantics.Stratified(prog, gdb); err != nil {
+			if _, err := semantics.StratifiedOpts(prog, gdb, semantics.SemiNaive, engine.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -373,7 +373,7 @@ func BenchmarkE16MagicQuery(b *testing.B) {
 		})
 		b.Run(wl.Name+"/full", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.QueryFull(prog, db, q, sem, semantics.SemiNaive); err != nil {
+				if _, err := core.QueryFullOpts(prog, db, q, sem, semantics.SemiNaive, engine.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -248,18 +248,6 @@ func (r Rule) PositiveVars() map[string]bool {
 	return out
 }
 
-// IsPositive reports whether the rule body has no negated literal and
-// no inequality (the paper's DATALOG restriction; equalities are
-// permitted).
-func (r Rule) IsPositive() bool {
-	for _, l := range r.Body {
-		if l.Kind == LitNeg || l.Kind == LitNeq {
-			return false
-		}
-	}
-	return true
-}
-
 // Program is a finite set of rules plus an optional carrier (goal)
 // predicate used by inflationary semantics when a single output
 // relation is wanted.
@@ -267,9 +255,6 @@ type Program struct {
 	Rules   []Rule
 	Carrier string // optional; empty means "all IDB relations"
 }
-
-// NewProgram builds a program from rules.
-func NewProgram(rules ...Rule) *Program { return &Program{Rules: rules} }
 
 // String renders the program one rule per line.
 func (p *Program) String() string {
@@ -370,9 +355,6 @@ func (p *Program) EDB() map[string]bool {
 
 // IDBList returns the IDB predicate names sorted.
 func (p *Program) IDBList() []string { return sortedKeys(p.IDB()) }
-
-// EDBList returns the EDB predicate names sorted.
-func (p *Program) EDBList() []string { return sortedKeys(p.EDB()) }
 
 func sortedKeys(m map[string]bool) []string {
 	out := make([]string, 0, len(m))

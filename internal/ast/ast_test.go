@@ -5,9 +5,11 @@ import (
 	"testing"
 )
 
+func program(rules ...Rule) *Program { return &Program{Rules: rules} }
+
 // pi1 is the paper's program π₁:  T(x) ← E(y,x), ¬T(y).
 func pi1() *Program {
-	return NewProgram(
+	return program(
 		NewRule(NewAtom("T", Var("X")),
 			Pos(NewAtom("E", Var("Y"), Var("X"))),
 			Neg(NewAtom("T", Var("Y")))),
@@ -16,7 +18,7 @@ func pi1() *Program {
 
 // pi2 is the paper's program π₂ with IDB S1, S2.
 func pi2() *Program {
-	return NewProgram(
+	return program(
 		NewRule(NewAtom("S1", Var("X"), Var("Y")),
 			Pos(NewAtom("E", Var("X"), Var("Y")))),
 		NewRule(NewAtom("S1", Var("X"), Var("Y")),
@@ -30,7 +32,7 @@ func pi2() *Program {
 
 // pi3 is the paper's transitive-closure DATALOG program π₃.
 func pi3() *Program {
-	return NewProgram(
+	return program(
 		NewRule(NewAtom("S", Var("X"), Var("Y")),
 			Pos(NewAtom("E", Var("X"), Var("Y")))),
 		NewRule(NewAtom("S", Var("X"), Var("Y")),
@@ -42,11 +44,11 @@ func pi3() *Program {
 func TestEDBIDBSplit(t *testing.T) {
 	p := pi2()
 	idb := p.IDBList()
-	edb := p.EDBList()
+	edb := p.EDB()
 	if len(idb) != 2 || idb[0] != "S1" || idb[1] != "S2" {
 		t.Errorf("IDB = %v", idb)
 	}
-	if len(edb) != 1 || edb[0] != "E" {
+	if len(edb) != 1 || !edb["E"] {
 		t.Errorf("EDB = %v", edb)
 	}
 }
@@ -66,7 +68,7 @@ func TestArities(t *testing.T) {
 }
 
 func TestAritiesConflict(t *testing.T) {
-	p := NewProgram(
+	p := program(
 		NewRule(NewAtom("T", Var("X")), Pos(NewAtom("E", Var("X")))),
 		NewRule(NewAtom("T", Var("X"), Var("Y")), Pos(NewAtom("E", Var("X")))),
 	)
@@ -85,7 +87,7 @@ func TestValidateCarrier(t *testing.T) {
 	if _, err := p.Validate(); err == nil {
 		t.Error("EDB carrier accepted")
 	}
-	empty := NewProgram()
+	empty := program()
 	if _, err := empty.Validate(); err == nil {
 		t.Error("empty program accepted")
 	}
@@ -100,17 +102,17 @@ func TestClassify(t *testing.T) {
 		{"pi3 positive", pi3(), ClassPositive},
 		{"pi2 stratified", pi2(), ClassStratified},
 		{"pi1 general", pi1(), ClassGeneral},
-		{"semipositive", NewProgram(
+		{"semipositive", program(
 			NewRule(NewAtom("T", Var("X")),
 				Pos(NewAtom("V", Var("X"))),
 				Neg(NewAtom("E", Var("X"), Var("X")))),
 		), ClassSemipositive},
-		{"neq makes non-positive", NewProgram(
+		{"neq makes non-positive", program(
 			NewRule(NewAtom("T", Var("X")),
 				Pos(NewAtom("V", Var("X"))),
 				Neq(Var("X"), Var("Y"))),
 		), ClassSemipositive},
-		{"eq stays positive", NewProgram(
+		{"eq stays positive", program(
 			NewRule(NewAtom("T", Var("X")),
 				Pos(NewAtom("V", Var("X"))),
 				Eq(Var("X"), Var("X"))),
@@ -161,7 +163,7 @@ func TestStratifyRejectsPi1(t *testing.T) {
 
 func TestStratifyToggle(t *testing.T) {
 	// The paper's toggle rule T(z) ← ¬Q(u), ¬T(w) is not stratifiable.
-	p := NewProgram(
+	p := program(
 		NewRule(NewAtom("Q", Var("X")), Pos(NewAtom("V", Var("X")))),
 		NewRule(NewAtom("T", Var("Z")),
 			Neg(NewAtom("Q", Var("U"))),
@@ -174,7 +176,7 @@ func TestStratifyToggle(t *testing.T) {
 
 func TestStratifyChain(t *testing.T) {
 	// A ← E;  B ← ¬A;  C ← ¬B:  three strata.
-	p := NewProgram(
+	p := program(
 		NewRule(NewAtom("A", Var("X")), Pos(NewAtom("E", Var("X")))),
 		NewRule(NewAtom("B", Var("X")), Neg(NewAtom("A", Var("X")))),
 		NewRule(NewAtom("C", Var("X")), Neg(NewAtom("B", Var("X")))),
@@ -270,15 +272,6 @@ func TestConstQuoting(t *testing.T) {
 	}
 	if Const("").String() != "\"\"" {
 		t.Errorf("empty const = %q", Const("").String())
-	}
-}
-
-func TestIsPositiveRule(t *testing.T) {
-	if !pi3().Rules[0].IsPositive() {
-		t.Error("TC rule not positive")
-	}
-	if pi1().Rules[0].IsPositive() {
-		t.Error("π₁ rule positive")
 	}
 }
 

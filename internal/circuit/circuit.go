@@ -15,8 +15,6 @@ package circuit
 import (
 	"fmt"
 	"math/rand"
-
-	"repro/internal/cnf"
 )
 
 // Kind is the gate kind of the paper's triples.
@@ -147,32 +145,6 @@ func (c *Circuit) MustEval(inputs []bool) bool {
 		panic(err)
 	}
 	return v
-}
-
-// ToCNF emits a Tseitin encoding of the circuit into b, returning the
-// CNF variables of the input gates (in order) and of the output gate.
-// The encoding is functional: each assignment of the inputs extends to
-// exactly one model of the emitted clauses.
-func (c *Circuit) ToCNF(b *cnf.Builder) (inputVars []int, output int) {
-	vars := make([]int, len(c.Gates))
-	for i, g := range c.Gates {
-		switch g.Kind {
-		case In:
-			vars[i] = b.NewVar()
-			inputVars = append(inputVars, vars[i])
-		case And:
-			vars[i] = b.And(vars[g.B], vars[g.C])
-		case Or:
-			vars[i] = b.Or(vars[g.B], vars[g.C])
-		case Not:
-			// Reuse the input variable negated via a fresh var with an
-			// IFF so gate indexing stays uniform.
-			v := b.NewVar()
-			b.Iff(v, -vars[g.B])
-			vars[i] = v
-		}
-	}
-	return inputVars, vars[len(vars)-1]
 }
 
 // Builder composes circuits gate by gate; every method returns the

@@ -32,14 +32,6 @@ func (g *SuccinctGraph) bitsOf(v int, dst []bool) {
 	}
 }
 
-// HasEdge reports whether the presented graph has the edge (x, y).
-func (g *SuccinctGraph) HasEdge(x, y int) bool {
-	in := make([]bool, 2*g.N)
-	g.bitsOf(x, in[:g.N])
-	g.bitsOf(y, in[g.N:])
-	return g.C.MustEval(in)
-}
-
 // ExplicitEdges expands the full edge list by evaluating the circuit
 // on all 2²ⁿ vertex pairs — the exponential blowup that makes the
 // succinct fixpoint problem NEXP-complete.

@@ -12,7 +12,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -36,17 +35,6 @@ func (b *Builder) NewVar() int {
 	b.f.NumVars++
 	return b.f.NumVars
 }
-
-// NewVars allocates n fresh variables, returning the first; the block
-// is contiguous.
-func (b *Builder) NewVars(n int) int {
-	first := b.f.NumVars + 1
-	b.f.NumVars += n
-	return first
-}
-
-// NumVars returns the number of variables allocated so far.
-func (b *Builder) NumVars() int { return b.f.NumVars }
 
 // Add asserts a clause (a disjunction of DIMACS literals).
 func (b *Builder) Add(lits ...int) {
@@ -75,24 +63,6 @@ func (b *Builder) Unit(l int) { b.Add(l) }
 func (b *Builder) Formula() *Formula { return &b.f }
 
 // --- Tseitin gate encodings -------------------------------------------
-
-// And defines out ↔ (a ∧ b) and returns out (a fresh variable).
-func (b *Builder) And(a, c int) int {
-	out := b.NewVar()
-	b.Add(-out, a)
-	b.Add(-out, c)
-	b.Add(out, -a, -c)
-	return out
-}
-
-// Or defines out ↔ (a ∨ b) and returns out.
-func (b *Builder) Or(a, c int) int {
-	out := b.NewVar()
-	b.Add(out, -a)
-	b.Add(out, -c)
-	b.Add(-out, a, c)
-	return out
-}
 
 // AndN defines out ↔ (l₁ ∧ … ∧ lₙ) and returns out.  With no inputs
 // out is asserted true (the empty conjunction).
@@ -130,12 +100,6 @@ func (b *Builder) OrN(lits ...int) int {
 	return out
 }
 
-// Iff asserts a ↔ c.
-func (b *Builder) Iff(a, c int) {
-	b.Add(-a, c)
-	b.Add(a, -c)
-}
-
 // IffOr asserts a ↔ (l₁ ∨ … ∨ lₙ) without introducing a fresh
 // variable; with no inputs it asserts ¬a.  This is the exact shape of
 // the Clark-completion constraints the ground package emits.
@@ -151,25 +115,6 @@ func (b *Builder) IffOr(a int, lits ...int) {
 		long = append(long, l)
 	}
 	b.Add(long...)
-}
-
-// Implies asserts a → c.
-func (b *Builder) Implies(a, c int) { b.Add(-a, c) }
-
-// AtMostOne asserts that at most one of the literals holds (pairwise
-// encoding).
-func (b *Builder) AtMostOne(lits ...int) {
-	for i := 0; i < len(lits); i++ {
-		for j := i + 1; j < len(lits); j++ {
-			b.Add(-lits[i], -lits[j])
-		}
-	}
-}
-
-// ExactlyOne asserts that exactly one of the literals holds.
-func (b *Builder) ExactlyOne(lits ...int) {
-	b.Add(lits...)
-	b.AtMostOne(lits...)
 }
 
 // --- Evaluation and serialization --------------------------------------
@@ -196,15 +141,6 @@ func (f *Formula) Eval(assign []bool) bool {
 	return true
 }
 
-// Stats summarizes formula size.
-func (f *Formula) Stats() string {
-	lits := 0
-	for _, c := range f.Clauses {
-		lits += len(c)
-	}
-	return fmt.Sprintf("%d vars, %d clauses, %d literals", f.NumVars, len(f.Clauses), lits)
-}
-
 // WriteDIMACS serializes the formula in DIMACS cnf format.
 func (f *Formula) WriteDIMACS(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -224,85 +160,4 @@ func (f *Formula) String() string {
 	var sb strings.Builder
 	f.WriteDIMACS(&sb)
 	return sb.String()
-}
-
-// ParseDIMACS parses a DIMACS cnf file.  Comment lines ('c') are
-// skipped; the problem line is validated loosely (clause and variable
-// counts are taken from the actual content when they disagree).
-func ParseDIMACS(r io.Reader) (*Formula, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	f := &Formula{}
-	sawProblem := false
-	var cur []int
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "c") {
-			continue
-		}
-		if strings.HasPrefix(line, "p") {
-			fields := strings.Fields(line)
-			if len(fields) != 4 || fields[1] != "cnf" {
-				return nil, fmt.Errorf("cnf: malformed problem line %q", line)
-			}
-			n, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("cnf: bad variable count in %q", line)
-			}
-			f.NumVars = n
-			sawProblem = true
-			continue
-		}
-		for _, tok := range strings.Fields(line) {
-			l, err := strconv.Atoi(tok)
-			if err != nil {
-				return nil, fmt.Errorf("cnf: bad literal %q", tok)
-			}
-			if l == 0 {
-				c := make([]int, len(cur))
-				copy(c, cur)
-				f.Clauses = append(f.Clauses, c)
-				cur = cur[:0]
-				continue
-			}
-			v := l
-			if v < 0 {
-				v = -v
-			}
-			if v > f.NumVars {
-				f.NumVars = v
-			}
-			cur = append(cur, l)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(cur) > 0 {
-		f.Clauses = append(f.Clauses, cur)
-	}
-	if !sawProblem {
-		return nil, fmt.Errorf("cnf: missing problem line")
-	}
-	return f, nil
-}
-
-// Vars returns the sorted list of variables actually mentioned in the
-// clauses.
-func (f *Formula) Vars() []int {
-	seen := make(map[int]bool)
-	for _, c := range f.Clauses {
-		for _, l := range c {
-			if l < 0 {
-				l = -l
-			}
-			seen[l] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -2,7 +2,6 @@ package cnf
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -15,12 +14,6 @@ func TestBuilderBasics(t *testing.T) {
 	f := b.Formula()
 	if f.NumVars != 2 || len(f.Clauses) != 1 {
 		t.Fatalf("formula = %+v", f)
-	}
-	if got := b.NewVars(3); got != 3 {
-		t.Errorf("NewVars first = %d, want 3", got)
-	}
-	if b.NumVars() != 5 {
-		t.Errorf("NumVars = %d", b.NumVars())
 	}
 }
 
@@ -67,14 +60,14 @@ func evalGate(t *testing.T, f *Formula, inputs []int, out int, want func(vals []
 func TestAndGate(t *testing.T) {
 	b := NewBuilder()
 	x, y := b.NewVar(), b.NewVar()
-	out := b.And(x, y)
+	out := b.AndN(x, y)
 	evalGate(t, b.Formula(), []int{x, y}, out, func(v []bool) bool { return v[0] && v[1] })
 }
 
 func TestOrGate(t *testing.T) {
 	b := NewBuilder()
 	x, y := b.NewVar(), b.NewVar()
-	out := b.Or(x, y)
+	out := b.OrN(x, y)
 	evalGate(t, b.Formula(), []int{x, y}, out, func(v []bool) bool { return v[0] || v[1] })
 }
 
@@ -128,97 +121,15 @@ func TestIffOr(t *testing.T) {
 	}
 }
 
-func TestExactlyOne(t *testing.T) {
-	b := NewBuilder()
-	x, y, z := b.NewVar(), b.NewVar(), b.NewVar()
-	b.ExactlyOne(x, y, z)
-	f := b.Formula()
-	count := 0
-	for mask := 0; mask < 8; mask++ {
-		assign := []bool{false, mask&1 != 0, mask&2 != 0, mask&4 != 0}
-		if f.Eval(assign) {
-			count++
-			ones := 0
-			for _, v := range assign[1:] {
-				if v {
-					ones++
-				}
-			}
-			if ones != 1 {
-				t.Errorf("ExactlyOne satisfied with %d ones", ones)
-			}
-		}
-	}
-	if count != 3 {
-		t.Errorf("ExactlyOne model count = %d, want 3", count)
-	}
-}
-
-func TestDIMACSRoundTrip(t *testing.T) {
+func TestWriteDIMACS(t *testing.T) {
 	b := NewBuilder()
 	x, y, z := b.NewVar(), b.NewVar(), b.NewVar()
 	b.Add(x, -y)
 	b.Add(-x, y, z)
-	b.Add(-z)
-	f := b.Formula()
-
-	text := f.String()
-	f2, err := ParseDIMACS(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f2.NumVars != f.NumVars || len(f2.Clauses) != len(f.Clauses) {
-		t.Fatalf("round trip: %s vs %s", f.Stats(), f2.Stats())
-	}
-	for i := range f.Clauses {
-		if len(f.Clauses[i]) != len(f2.Clauses[i]) {
-			t.Fatalf("clause %d differs", i)
-		}
-		for j := range f.Clauses[i] {
-			if f.Clauses[i][j] != f2.Clauses[i][j] {
-				t.Fatalf("clause %d lit %d differs", i, j)
-			}
-		}
-	}
-}
-
-func TestParseDIMACSWithComments(t *testing.T) {
-	src := `c a comment
-p cnf 3 2
-1 -2 0
-c mid comment
-2 3 0
-`
-	f, err := ParseDIMACS(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumVars != 3 || len(f.Clauses) != 2 {
-		t.Errorf("parsed %s", f.Stats())
-	}
-}
-
-func TestParseDIMACSErrors(t *testing.T) {
-	for _, src := range []string{
-		"1 2 0\n",            // missing problem line
-		"p cnf x 2\n1 0\n",   // bad var count
-		"p cnf 2 1\n1 a 0\n", // bad literal
-		"p dnf 2 1\n1 0\n",   // wrong format tag
-	} {
-		if _, err := ParseDIMACS(strings.NewReader(src)); err == nil {
-			t.Errorf("no error for %q", src)
-		}
-	}
-}
-
-func TestVars(t *testing.T) {
-	b := NewBuilder()
-	b.NewVars(5)
-	b.Add(1, -3)
-	b.Add(5)
-	got := b.Formula().Vars()
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Errorf("Vars = %v", got)
+	b.Unit(-z)
+	want := "p cnf 3 3\n1 -2 0\n-1 2 3 0\n-3 0\n"
+	if got := b.Formula().String(); got != want {
+		t.Errorf("DIMACS = %q, want %q", got, want)
 	}
 }
 
@@ -240,9 +151,9 @@ func TestPropTseitinPreservesModels(t *testing.T) {
 			y := nodes[rng.Intn(len(nodes))]
 			var g int
 			if rng.Intn(2) == 0 {
-				g = b.And(x, y)
+				g = b.AndN(x, y)
 			} else {
-				g = b.Or(x, y)
+				g = b.OrN(x, y)
 			}
 			nodes = append(nodes, g)
 		}

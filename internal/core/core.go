@@ -84,24 +84,6 @@ type EvalResult struct {
 	WF *semantics.WFResult
 }
 
-// Carrier returns the relation of the program's carrier predicate (or
-// the sole IDB relation if unset and unambiguous).
-func (r *EvalResult) Carrier(prog *ast.Program) (*relation.Relation, error) {
-	name := prog.Carrier
-	if name == "" {
-		idb := prog.IDBList()
-		if len(idb) != 1 {
-			return nil, fmt.Errorf("core: program has %d IDB relations and no carrier", len(idb))
-		}
-		name = idb[0]
-	}
-	rel, ok := r.State[name]
-	if !ok {
-		return nil, fmt.Errorf("core: carrier %s not in result", name)
-	}
-	return rel, nil
-}
-
 // Eval evaluates prog on db under the chosen semantics.  The database
 // is not modified (evaluation works on a clone, since the engine
 // interns program constants into the universe it is given).
@@ -203,16 +185,11 @@ func QueryOpts(prog *ast.Program, db *relation.Database, q magic.Query, sem Sema
 	return semantics.QueryLFPOpts(prog, db, q, mode, opt)
 }
 
-// QueryFull answers the same query by full materialization plus a
+// QueryFullOpts answers the same query by full materialization plus a
 // filter — the oracle the demand-driven path is differential-tested
 // and benchmarked against (experiment E16, `datalog -magic=false`).
 // Predicates absent from the computed state (extensional, or untouched
 // by any rule) fall back to the database relation or an empty one.
-func QueryFull(prog *ast.Program, db *relation.Database, q magic.Query, sem Semantics, mode semantics.Mode) (*semantics.QueryResult, error) {
-	return QueryFullOpts(prog, db, q, sem, mode, engine.Options{})
-}
-
-// QueryFullOpts is QueryFull with per-call engine options.
 func QueryFullOpts(prog *ast.Program, db *relation.Database, q magic.Query, sem Semantics, mode semantics.Mode, opt engine.Options) (*semantics.QueryResult, error) {
 	full, err := EvalOpts(prog, db, sem, mode, opt)
 	if err != nil {

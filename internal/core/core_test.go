@@ -129,32 +129,6 @@ func TestEvalErrors(t *testing.T) {
 	}
 }
 
-func TestCarrier(t *testing.T) {
-	db := parser.MustFacts("e(a,b).")
-	prog := parser.MustProgram("s(X,Y) :- e(X,Y).")
-	res, err := Eval(prog, db, Inflationary, semantics.SemiNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := res.Carrier(prog)
-	if err != nil || rel.Len() != 1 {
-		t.Errorf("carrier: %v, len %v", err, rel)
-	}
-
-	multi := parser.MustProgram("s(X) :- e(X,Y). t(X) :- e(Y,X).")
-	res2, err := Eval(multi, db, Inflationary, semantics.SemiNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res2.Carrier(multi); err == nil {
-		t.Error("ambiguous carrier not rejected")
-	}
-	multi.Carrier = "t"
-	if _, err := res2.Carrier(multi); err != nil {
-		t.Errorf("explicit carrier rejected: %v", err)
-	}
-}
-
 func TestAnalyzePi1(t *testing.T) {
 	db := parser.MustFacts("e(v1,v2). e(v2,v3). e(v3,v4). e(v4,v1).") // C4
 	prog := parser.MustProgram("t(X) :- e(Y,X), !t(Y).")

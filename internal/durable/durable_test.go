@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graphs"
 	"repro/internal/incr"
 	"repro/internal/parser"
@@ -48,12 +49,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := incr.Restore(got)
+			r, err := incr.RestoreWith(got, engine.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Gen() != m.Gen() || r.Stages() != m.Stages() {
-				t.Fatalf("restored gen/stages %d/%d, want %d/%d", r.Gen(), r.Stages(), m.Gen(), m.Stages())
+			if r.Snapshot().Gen != m.Snapshot().Gen || r.Stages() != m.Stages() {
+				t.Fatalf("restored gen/stages %d/%d, want %d/%d", r.Snapshot().Gen, r.Stages(), m.Snapshot().Gen, m.Stages())
 			}
 			want := m.State().Format(m.Universe())
 			have := r.State().Format(r.Universe())
@@ -301,7 +302,7 @@ func TestStoreRotateAndCheckpoint(t *testing.T) {
 	if !reflect.DeepEqual(info.Records, []Record{after}) {
 		t.Fatalf("recovered suffix %+v, want only the post-rotation record", info.Records)
 	}
-	r, err := incr.Restore(info.Checkpoint)
+	r, err := incr.RestoreWith(info.Checkpoint, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +528,7 @@ func TestResetAndInstallSnapshot(t *testing.T) {
 	if info.Checkpoint == nil || len(info.Records) != 0 {
 		t.Fatalf("Open after install: checkpoint %v, %d records; want the image alone", info.Checkpoint != nil, len(info.Records))
 	}
-	r, err := incr.Restore(info.Checkpoint)
+	r, err := incr.RestoreWith(info.Checkpoint, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

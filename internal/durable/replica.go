@@ -74,33 +74,19 @@ var (
 // checkpoints; a reader that has opened it keeps the old image.
 func (s *Store) SnapshotPath() string { return filepath.Join(s.dir, snapName) }
 
-// StartCursor returns the earliest live position of the WAL — the
-// cursor a follower restoring the current snapshot resumes from.
+// SnapshotCursor returns the earliest live position of the WAL — the
+// cursor a follower restoring the current snapshot resumes from — and
+// pins it for the named follower (an empty id pins nothing), so the
+// segments it needs survive until its first WAL poll re-pins them.
 // Because replaying records the snapshot already contains is
 // idempotent, any snapshot installed at or after the call covers
 // everything before this cursor.
-func (s *Store) StartCursor() Cursor {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Cursor{Seq: s.minLiveSeqLocked(), Off: int64(len(walMagic))}
-}
-
-// SnapshotCursor atomically computes the bootstrap cursor and pins it
-// for the named follower, so the segments it needs survive until its
-// first WAL poll re-pins them.
 func (s *Store) SnapshotCursor(id string) Cursor {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c := Cursor{Seq: s.minLiveSeqLocked(), Off: int64(len(walMagic))}
 	s.pinLocked(id, c.Seq)
 	return c
-}
-
-// EndCursor returns the position one past the last durable record.
-func (s *Store) EndCursor() Cursor {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Cursor{Seq: s.seq, Off: int64(len(walMagic)) + s.segs[s.seq]}
 }
 
 // minLiveSeqLocked returns the smallest live segment sequence (the
@@ -166,13 +152,6 @@ func (s *Store) pinLocked(id string, seq uint64) {
 		p.seq = seq
 	}
 	p.last = time.Now()
-}
-
-// Unpin drops a follower's retention pin.
-func (s *Store) Unpin(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.pins, id)
 }
 
 // LagFrom reports how many records and record bytes lie strictly after

@@ -43,6 +43,13 @@ func readAll(t *testing.T, s *Store, c Cursor) ([]Record, Cursor) {
 	}
 }
 
+// endCursor is the position one past the last durable record.
+func endCursor(s *Store) Cursor {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return Cursor{Seq: s.seq, Off: int64(len(walMagic)) + s.segs[s.seq]}
+}
+
 func TestReadWALWalksHistory(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir)
@@ -57,7 +64,7 @@ func TestReadWALWalksHistory(t *testing.T) {
 		{Del: []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}},
 		{Ins: []incr.Fact{{Pred: "E", Args: []string{"c", "d"}}}},
 	}
-	start := s.StartCursor()
+	start := s.SnapshotCursor("")
 	if _, err := s.Append(&want[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +81,7 @@ func TestReadWALWalksHistory(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("shipped %+v, want %+v", got, want)
 	}
-	if end := s.EndCursor(); next != end {
+	if end := endCursor(s); next != end {
 		t.Fatalf("cursor after drain %v, want end %v", next, end)
 	}
 	// Reading at the end is not an error; it just ships nothing.
@@ -88,7 +95,7 @@ func TestReadWALErrors(t *testing.T) {
 	s, _ := openStore(t, dir)
 	defer s.Close()
 	rec := Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}}
-	old := s.StartCursor()
+	old := s.SnapshotCursor("")
 	if _, err := s.Append(&rec); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +110,7 @@ func TestReadWALErrors(t *testing.T) {
 	if _, _, _, err := s.ReadWAL(old, 0); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("read at compacted cursor: %v, want ErrCompacted", err)
 	}
-	end := s.EndCursor()
+	end := endCursor(s)
 	if _, _, _, err := s.ReadWAL(Cursor{Seq: end.Seq + 5, Off: 8}, 0); !errors.Is(err, ErrAhead) {
 		t.Fatalf("read past the log: %v, want ErrAhead", err)
 	}
@@ -141,7 +148,7 @@ func TestReadWALDamagedFrame(t *testing.T) {
 			t.Run(fmt.Sprintf("sealed=%v/%s", sealed, d.name), func(t *testing.T) {
 				s, _ := openStore(t, t.TempDir())
 				defer s.Close()
-				start := s.StartCursor()
+				start := s.SnapshotCursor("")
 				for i := range recs {
 					if _, err := s.Append(&recs[i]); err != nil {
 						t.Fatal(err)
@@ -224,7 +231,9 @@ func TestPinRetainsCoveredSegments(t *testing.T) {
 	}
 
 	// Dropping the pin lets the next checkpoint compact.
-	s.Unpin("follower-1")
+	s.mu.Lock()
+	delete(s.pins, "follower-1")
+	s.mu.Unlock()
 	if err := s.WriteCheckpoint(m.Checkpoint()); err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +316,7 @@ func TestLagFrom(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir)
 	defer s.Close()
-	start := s.StartCursor()
+	start := s.SnapshotCursor("")
 	for i := 0; i < 3; i++ {
 		if _, err := s.Append(&Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}}); err != nil {
 			t.Fatal(err)
@@ -322,7 +331,7 @@ func TestLagFrom(t *testing.T) {
 	if recs != 3 || bytes == 0 {
 		t.Fatalf("LagFrom(start) = %d recs, %d bytes; want 3 recs", recs, bytes)
 	}
-	if recs, bytes := s.LagFrom(s.EndCursor()); recs != 0 || bytes != 0 {
+	if recs, bytes := s.LagFrom(endCursor(s)); recs != 0 || bytes != 0 {
 		t.Fatalf("LagFrom(end) = %d recs, %d bytes; want 0, 0", recs, bytes)
 	}
 }
@@ -335,7 +344,7 @@ func TestScanFramesRejectsDamage(t *testing.T) {
 		if _, err := s.Append(&Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}}); err != nil {
 			t.Fatal(err)
 		}
-		return s.ReadWAL(s.StartCursor(), 1<<20)
+		return s.ReadWAL(s.SnapshotCursor(""), 1<<20)
 	}()
 	if err != nil {
 		t.Fatal(err)

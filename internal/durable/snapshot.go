@@ -121,7 +121,7 @@ func WriteSnapshot(w io.Writer, cp *incr.Checkpoint) error {
 }
 
 // ReadSnapshot parses a snapshot stream back into a checkpoint ready
-// for incr.Restore.  Any structural damage — bad magic, checksum
+// for incr.RestoreWith.  Any structural damage — bad magic, checksum
 // mismatch, truncated section, unparsable program — is an error; a
 // snapshot is replaced atomically, so unlike the WAL there is no valid
 // "torn" state to salvage.

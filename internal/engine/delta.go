@@ -43,18 +43,6 @@ func (o *Overlay) Has(t relation.Tuple) bool {
 	return o.Plus != nil && o.Plus.Has(t)
 }
 
-// Len returns the number of tuples of the overlaid relation.
-func (o Overlay) Len() int {
-	n := o.Base.Len()
-	if o.Minus != nil {
-		n -= o.Minus.Len()
-	}
-	if o.Plus != nil {
-		n += o.Plus.Len()
-	}
-	return n
-}
-
 // Delta describes how one predicate participates in a delta pass, a
 // Spec with Deltas.  The pass returns the tuples derivable by rule
 // applications driven by at least one delta: a PosDriver tuple read by

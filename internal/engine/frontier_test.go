@@ -326,17 +326,17 @@ func countsEqual(a, b map[string]*relation.Multiset) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for pred, ms := range a {
-		o := b[pred]
-		if o == nil || o.Len() != ms.Len() {
-			return false
-		}
+	// covers reports whether every count of x is the same in y.
+	covers := func(x, y *relation.Multiset) bool {
 		same := true
-		ms.Each(func(t relation.Tuple, n int64) bool {
-			same = o.Count(t) == n
+		x.Each(func(t relation.Tuple, n int64) bool {
+			same = y.Count(t) == n
 			return same
 		})
-		if !same {
+		return same
+	}
+	for pred, ms := range a {
+		if o := b[pred]; o == nil || !covers(ms, o) || !covers(o, ms) {
 			return false
 		}
 	}

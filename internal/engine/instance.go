@@ -131,18 +131,6 @@ func (in *Instance) NewState() State {
 	return s
 }
 
-// FullState returns the state assigning Aᵏ to every IDB predicate —
-// the top element of the state lattice (used by the well-founded
-// alternating fixpoint).
-func (in *Instance) FullState() State {
-	n := in.db.Universe().Size()
-	s := make(State)
-	for pred := range in.idb {
-		s[pred] = relation.Full(in.arities[pred], n)
-	}
-	return s
-}
-
 // source resolves what literal l, the i-th of its kind in a task with
 // the overrides over, reads: the override when there is one, else the
 // database for an EDB predicate and s for an IDB one — the canonical

@@ -65,16 +65,6 @@ func (s State) Snapshot() State {
 	return c
 }
 
-// Seal marks every relation's storage as published, so snapshots of
-// this state can be read from other goroutines while the state keeps
-// being mutated: the first mutation of each relation copies its
-// storage.
-func (s State) Seal() {
-	for _, r := range s {
-		r.Seal()
-	}
-}
-
 // Mutable returns a state whose relations are all mutable, deep-copying
 // exactly the ones that are immutable snapshot views.
 func (s State) Mutable() State {

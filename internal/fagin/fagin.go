@@ -42,50 +42,6 @@ type SNF struct {
 	Disjuncts [][]logic.Lit
 }
 
-// Format renders the SNF sentence.
-func (s *SNF) Format() string {
-	eso := s.ESO()
-	return eso.Format()
-}
-
-// ESO converts the SNF back into a logic.ESO sentence (used to
-// cross-check the transformation by model checking).
-func (s *SNF) ESO() *logic.ESO {
-	var disj []logic.Formula
-	for _, conj := range s.Disjuncts {
-		var lits []logic.Formula
-		for _, l := range conj {
-			var f logic.Formula
-			if l.IsEq {
-				f = logic.Eq{Left: l.Left, Right: l.Right}
-			} else {
-				f = logic.Atom{Pred: l.Pred, Args: l.Args}
-			}
-			if l.Neg {
-				f = logic.Not{F: f}
-			}
-			lits = append(lits, f)
-		}
-		if len(lits) == 0 {
-			lits = []logic.Formula{logic.Eq{Left: ast.Var("QTRUE"), Right: ast.Var("QTRUE")}}
-		}
-		disj = append(disj, logic.And{Fs: lits})
-	}
-	var matrix logic.Formula = logic.Or{Fs: disj}
-	if len(disj) == 0 {
-		// Empty disjunction: false.
-		matrix = logic.Not{F: logic.Eq{Left: ast.Var("QTRUE"), Right: ast.Var("QTRUE")}}
-	}
-	var f logic.Formula = matrix
-	if len(s.Exist) > 0 {
-		f = logic.Exists{Vars: s.Exist, F: f}
-	}
-	if len(s.Univ) > 0 {
-		f = logic.Forall{Vars: s.Univ, F: f}
-	}
-	return &logic.ESO{SOVars: s.SOVars, FO: f}
-}
-
 // Skolemize brings an ESO sentence into the paper's Skolem normal
 // form.  The FO part must be a sentence (no free first-order
 // variables); the transformation assumes a nonempty universe, as

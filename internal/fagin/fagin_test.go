@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ast"
 	"repro/internal/engine"
 	"repro/internal/fixpoint"
 	"repro/internal/logic"
@@ -82,6 +83,44 @@ func testSentences() []*logic.ESO {
 	}
 }
 
+// esoOf converts an SNF back into a logic.ESO sentence, so the
+// transformation can be cross-checked by model checking.
+func esoOf(s *SNF) *logic.ESO {
+	var disj []logic.Formula
+	for _, conj := range s.Disjuncts {
+		var lits []logic.Formula
+		for _, l := range conj {
+			var f logic.Formula
+			if l.IsEq {
+				f = logic.Eq{Left: l.Left, Right: l.Right}
+			} else {
+				f = logic.Atom{Pred: l.Pred, Args: l.Args}
+			}
+			if l.Neg {
+				f = logic.Not{F: f}
+			}
+			lits = append(lits, f)
+		}
+		if len(lits) == 0 {
+			lits = []logic.Formula{logic.Eq{Left: ast.Var("QTRUE"), Right: ast.Var("QTRUE")}}
+		}
+		disj = append(disj, logic.And{Fs: lits})
+	}
+	var matrix logic.Formula = logic.Or{Fs: disj}
+	if len(disj) == 0 {
+		// Empty disjunction: false.
+		matrix = logic.Not{F: logic.Eq{Left: ast.Var("QTRUE"), Right: ast.Var("QTRUE")}}
+	}
+	var f logic.Formula = matrix
+	if len(s.Exist) > 0 {
+		f = logic.Exists{Vars: s.Exist, F: f}
+	}
+	if len(s.Univ) > 0 {
+		f = logic.Forall{Vars: s.Univ, F: f}
+	}
+	return &logic.ESO{SOVars: s.SOVars, FO: f}
+}
+
 func TestSkolemizePreservesTruth(t *testing.T) {
 	// D ⊨ Ψ ⟺ D ⊨ SNF(Ψ), checked by brute-force witness search.
 	for si, e := range testSentences() {
@@ -96,13 +135,13 @@ func TestSkolemizePreservesTruth(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sentence %d seed %d: %v", si, seed, err)
 			}
-			got, _, err := snf.ESO().EvalWitness(db, 64)
+			got, _, err := esoOf(snf).EvalWitness(db, 64)
 			if err != nil {
 				t.Fatalf("sentence %d seed %d (snf): %v", si, seed, err)
 			}
 			if got != want {
-				t.Errorf("sentence %d seed %d: original=%v snf=%v\nsnf: %s",
-					si, seed, want, got, snf.Format())
+				t.Errorf("sentence %d seed %d: original=%v snf=%v\nsnf: %+v",
+					si, seed, want, got, snf)
 			}
 		}
 	}

@@ -41,19 +41,6 @@ func (g *Graph) AddEdge(u, v int) {
 	g.adj[u] = append(g.adj[u], v)
 }
 
-// HasEdge reports whether u→v is present.
-func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.n {
-		return false
-	}
-	for _, w := range g.adj[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Edges returns all edges in deterministic order.
 func (g *Graph) Edges() [][2]int {
 	var out [][2]int

@@ -40,18 +40,6 @@ type Atom struct {
 	Tuple relation.Tuple
 }
 
-// Format renders the atom with constant names from u.
-func (a Atom) Format(u *relation.Universe) string {
-	if len(a.Tuple) == 0 {
-		return a.Pred
-	}
-	parts := make([]string, len(a.Tuple))
-	for i, v := range a.Tuple {
-		parts[i] = u.Name(v)
-	}
-	return a.Pred + "(" + strings.Join(parts, ",") + ")"
-}
-
 func atomKey(pred string, t relation.Tuple) string { return pred + "/" + t.Key() }
 
 // Options tunes the grounding.
@@ -68,31 +56,16 @@ type Completion struct {
 	Inst    *engine.Instance
 	Formula *cnf.Formula
 
-	atoms   []Atom         // atoms[i] ↔ CNF variable i+1
-	varOf   map[string]int // atomKey -> variable
-	builder *cnf.Builder
+	atoms []Atom // atoms[i] ↔ CNF variable i+1
 }
 
-// NumAtoms returns the number of ground IDB atoms.
-func (c *Completion) NumAtoms() int { return len(c.atoms) }
-
-// AtomVars returns the CNF variables of the ground atoms: 1..NumAtoms.
+// AtomVars returns the CNF variables of the ground atoms: 1..len(atoms).
 func (c *Completion) AtomVars() []int {
 	out := make([]int, len(c.atoms))
 	for i := range out {
 		out[i] = i + 1
 	}
 	return out
-}
-
-// AtomOf returns the ground atom of a CNF variable (1-based, must be an
-// atom variable).
-func (c *Completion) AtomOf(v int) Atom { return c.atoms[v-1] }
-
-// VarOf returns the CNF variable of a ground atom, if it exists.
-func (c *Completion) VarOf(pred string, t relation.Tuple) (int, bool) {
-	v, ok := c.varOf[atomKey(pred, t)]
-	return v, ok
 }
 
 // StateOf converts a model (indexed by CNF variable) into the engine
@@ -248,8 +221,6 @@ func Complete(in *engine.Instance, opt Options) (*Completion, error) {
 		Inst:    in,
 		Formula: g.builderFormula(),
 		atoms:   g.atoms,
-		varOf:   g.varOf,
-		builder: g.b,
 	}, nil
 }
 

@@ -25,17 +25,12 @@ func TestCompletionVariablesCoverAtomSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comp.NumAtoms() != 3 {
-		t.Fatalf("NumAtoms = %d, want 3", comp.NumAtoms())
+	if len(comp.atoms) != 3 {
+		t.Fatalf("%d atoms, want 3", len(comp.atoms))
 	}
-	for v := 1; v <= 3; v++ {
-		a := comp.AtomOf(v)
+	for v, a := range comp.atoms {
 		if a.Pred != "T" || len(a.Tuple) != 1 {
-			t.Errorf("atom %d = %+v", v, a)
-		}
-		back, ok := comp.VarOf(a.Pred, a.Tuple)
-		if !ok || back != v {
-			t.Errorf("VarOf round trip: %d -> %d", v, back)
+			t.Errorf("atom %d = %+v", v+1, a)
 		}
 	}
 	if got := comp.AtomVars(); len(got) != 3 || got[0] != 1 || got[2] != 3 {
@@ -184,20 +179,6 @@ func TestMaxAtomsRespected(t *testing.T) {
 	}
 }
 
-func TestAtomFormat(t *testing.T) {
-	db := relation.NewDatabase()
-	db.AddFact("E", "a", "b")
-	in := engine.MustNew(parser.MustProgram("S(X,Y) :- E(X,Y)."), db)
-	comp, err := Complete(in, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := comp.AtomOf(1)
-	if got := a.Format(db.Universe()); got != "S(a,a)" {
-		t.Errorf("Format = %q", got)
-	}
-}
-
 func TestEmptyUniverseCompletion(t *testing.T) {
 	db := relation.NewDatabase()
 	in := engine.MustNew(parser.MustProgram("T(Z) :- !T(W)."), db)
@@ -205,8 +186,8 @@ func TestEmptyUniverseCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comp.NumAtoms() != 0 {
-		t.Errorf("NumAtoms = %d", comp.NumAtoms())
+	if len(comp.atoms) != 0 {
+		t.Errorf("%d atoms, want 0", len(comp.atoms))
 	}
 	st, _ := sat.SolveFormula(comp.Formula)
 	if st != sat.Sat {

@@ -65,7 +65,7 @@ func TestChainMatchesRecompute(t *testing.T) {
 					for step := 0; step < steps; step++ {
 						ins, del := randomBatch(rng, tc.preds, n, &fresh)
 						size := m.Universe().Size()
-						stats := checkUpdate(t, m, prog, mirror, ins, del, true)
+						stats := checkUpdate(t, m, core.WellFounded, prog, mirror, ins, del, true)
 						want := tc.strategy
 						if tc.name == "unsafe" && m.Universe().Size() > size {
 							want = "recompute"
@@ -112,7 +112,7 @@ func TestChainStageReadsTwoStates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats := checkUpdate(t, m, prog, mirror, nil, []incr.Fact{tc.del}, true); stats.Strategy != "stages" {
+		if stats := checkUpdate(t, m, core.WellFounded, prog, mirror, nil, []incr.Fact{tc.del}, true); stats.Strategy != "stages" {
 			t.Errorf("strategy %s, want stages", stats.Strategy)
 		}
 	}
@@ -136,7 +136,7 @@ func TestChainFollowsAlternationDepth(t *testing.T) {
 	const length = 12
 	short := m.WF().Outer
 	for i := 1; i < length; i++ {
-		stats := checkUpdate(t, m, prog, mirror, edge(i), nil, true)
+		stats := checkUpdate(t, m, core.WellFounded, prog, mirror, edge(i), nil, true)
 		if stats.Strategy != "stages" && stats.Strategy != "recompute" { // new vertices grow the universe; win-move is safe
 			t.Fatalf("edge %d: strategy %s", i, stats.Strategy)
 		}
@@ -149,7 +149,7 @@ func TestChainFollowsAlternationDepth(t *testing.T) {
 		t.Errorf("the chain has %d stage pairs on a path of 2 and %d on a path of %d: it did not follow the depth", short, long, length+1)
 	}
 	for i := length - 1; i >= 1; i-- {
-		checkUpdate(t, m, prog, mirror, nil, edge(i), true)
+		checkUpdate(t, m, core.WellFounded, prog, mirror, nil, edge(i), true)
 	}
 	if got := m.WF().Outer; got != short {
 		t.Errorf("back on a path of 2 the chain has %d stage pairs, had %d", got, short)
@@ -157,14 +157,14 @@ func TestChainFollowsAlternationDepth(t *testing.T) {
 	// A cycle at the far end leaves every position undefined; breaking it
 	// decides them all again.
 	for i := 1; i < 6; i++ {
-		checkUpdate(t, m, prog, mirror, edge(i), nil, true)
+		checkUpdate(t, m, core.WellFounded, prog, mirror, edge(i), nil, true)
 	}
 	back := []incr.Fact{{Pred: "E", Args: []string{graphs.VertexName(6), graphs.VertexName(5)}}}
-	checkUpdate(t, m, prog, mirror, back, nil, true)
+	checkUpdate(t, m, core.WellFounded, prog, mirror, back, nil, true)
 	if wf := m.WF(); wf.True.Total() != 0 || wf.Possible.Total() != 7 {
 		t.Errorf("with a 2-cycle at the end: %d won and %d possible, want 0 and 7", wf.True.Total(), wf.Possible.Total())
 	}
-	stats := checkUpdate(t, m, prog, mirror, nil, back, true)
+	stats := checkUpdate(t, m, core.WellFounded, prog, mirror, nil, back, true)
 	if stats.InsertedIDB != 3 || stats.DeletedIDB != 0 || !m.WF().Total() {
 		t.Errorf("cutting the cycle: net change +%d -%d (want +3 -0), total %v", stats.InsertedIDB, stats.DeletedIDB, m.WF().Total())
 	}
@@ -231,7 +231,7 @@ func TestChainCheckpointRestore(t *testing.T) {
 			}
 		}
 		cp := m.Checkpoint()
-		r, err := incr.Restore(cp)
+		r, err := incr.RestoreWith(cp, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func TestChainCheckpointRestore(t *testing.T) {
 			if _, err := m.Update(ins, del); err != nil {
 				t.Fatal(err)
 			}
-			checkUpdate(t, r, prog, mirror, ins, del, true)
+			checkUpdate(t, r, core.WellFounded, prog, mirror, ins, del, true)
 			if got, want := stateOf(r), stateOf(m); got != want {
 				t.Fatalf("step %d: restored maintainer diverged\nrestored:\n%s\noriginal:\n%s", step, got, want)
 			}
@@ -258,12 +258,12 @@ func TestChainCheckpointRestore(t *testing.T) {
 			if cp.IDB[pred].Empty() {
 				continue
 			}
-			if _, err := incr.Restore(cp); err == nil {
+			if _, err := incr.RestoreWith(cp, engine.Options{}); err == nil {
 				t.Errorf("%s: restore accepted a checkpoint whose possible part lacks %s, which its true part has", src, pred)
 			}
 			cp = m.Checkpoint()
 			cp.Possible[pred] = relation.Full(cp.Possible[pred].Arity(), cp.Universe.Size())
-			if _, err := incr.Restore(cp); err == nil {
+			if _, err := incr.RestoreWith(cp, engine.Options{}); err == nil {
 				t.Errorf("%s: restore accepted a checkpoint with every %s atom possible", src, pred)
 			}
 		}

@@ -106,14 +106,9 @@ func (m *Maintainer) Checkpoint() *Checkpoint {
 	return cp
 }
 
-// Restore rebuilds a ready Maintainer from a checkpoint without
-// re-running the fixpoint.
-func Restore(cp *Checkpoint) (*Maintainer, error) {
-	return RestoreWith(cp, engine.Options{})
-}
-
-// RestoreWith is Restore with per-call engine options, mirroring
-// NewWith.  The checkpoint is not consumed: its relations are cloned
+// RestoreWith rebuilds a ready Maintainer from a checkpoint without
+// re-running the fixpoint, with per-call engine options as in NewWith.
+// The checkpoint is not consumed: its relations are cloned
 // or re-sealed as needed, so the same checkpoint can be restored more
 // than once.
 func RestoreWith(cp *Checkpoint, opts engine.Options) (*Maintainer, error) {

@@ -18,7 +18,9 @@ import (
 func stateOf(m *incr.Maintainer) string {
 	snap := m.Snapshot()
 	out := ""
-	for _, name := range snap.Universe.SortedNames() {
+	consts := snap.Universe.Names()
+	sort.Strings(consts)
+	for _, name := range consts {
 		out += name + " "
 	}
 	out += "\n"
@@ -75,12 +77,12 @@ func TestCheckpointRestoreBitExact(t *testing.T) {
 				}
 
 				cp := m.Checkpoint()
-				r, err := incr.Restore(cp)
+				r, err := incr.RestoreWith(cp, engine.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if r.Gen() != m.Gen() {
-					t.Fatalf("restored gen %d, want %d", r.Gen(), m.Gen())
+				if r.Snapshot().Gen != m.Snapshot().Gen {
+					t.Fatalf("restored gen %d, want %d", r.Snapshot().Gen, m.Snapshot().Gen)
 				}
 				if r.Stages() != m.Stages() {
 					t.Fatalf("restored %d stages, want %d", r.Stages(), m.Stages())
@@ -116,7 +118,7 @@ func TestCheckpointRestoreBitExact(t *testing.T) {
 				if err != nil {
 					t.Fatalf("second restore: %v", err)
 				}
-				if got := r2.Gen(); got != cp.Gen {
+				if got := r2.Snapshot().Gen; got != cp.Gen {
 					t.Fatalf("second restore gen %d, want %d", got, cp.Gen)
 				}
 			})
@@ -138,12 +140,12 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		t.Fatal("inflationary checkpoint has no stage lengths")
 	}
 	cp.StageLens[0]["win"] = 1 << 20
-	if _, err := incr.Restore(cp); err == nil {
+	if _, err := incr.RestoreWith(cp, engine.Options{}); err == nil {
 		t.Error("restore accepted stage length past the state")
 	}
 	cp = m.Checkpoint()
 	delete(cp.EDB, "E")
-	if _, err := incr.Restore(cp); err == nil {
+	if _, err := incr.RestoreWith(cp, engine.Options{}); err == nil {
 		t.Error("restore accepted a checkpoint missing a listed EDB relation")
 	}
 }

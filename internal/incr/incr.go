@@ -49,6 +49,7 @@ package incr
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/ast"
@@ -218,15 +219,6 @@ func (m *Maintainer) initStrategy() error {
 	return nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(prog *ast.Program, db *relation.Database, sem core.Semantics) *Maintainer {
-	m, err := New(prog, db, sem)
-	if err != nil {
-		panic("incr: " + err.Error())
-	}
-	return m
-}
-
 // State returns the live maintained IDB state (for WellFounded, the
 // certainly-true part).  It must only be read from the maintainer's
 // goroutine; concurrent readers use Snapshot.
@@ -251,12 +243,6 @@ func (m *Maintainer) WF() *semantics.WFResult {
 // Universe returns the maintainer's universe.  Single-goroutine, like
 // State; snapshots carry their own copy.
 func (m *Maintainer) Universe() *relation.Universe { return m.db.Universe() }
-
-// Semantics returns the maintained semantics.
-func (m *Maintainer) Semantics() core.Semantics { return m.sem }
-
-// Gen returns the update generation (0 = initial evaluation).
-func (m *Maintainer) Gen() uint64 { return m.gen }
 
 // Stages returns the number of logged inflationary stages (0 for other
 // strategies).
@@ -358,68 +344,68 @@ func (m *Maintainer) recompute() {
 	}
 }
 
-// validate rejects an update the maintainer cannot apply, touching
-// nothing: neither a constant is interned nor a relation created before
-// every fact has passed, so a rejected update (which is never logged)
-// leaves no trace a later update or a recovery could tell.
-func (m *Maintainer) validate(ins, del []Fact) error {
-	univ := m.db.Universe()
-	fresh := make(map[string]int) // arities this update gives predicates the database lacks
+// Admit applies the checks of an update that read only the program,
+// whose IDB predicates are idb and whose predicate arities are
+// arities: no fact may name an IDB predicate or disagree with the
+// program's arity for its predicate, and no fact may be both inserted
+// and deleted, whether or not it is present.  It reads no maintainer
+// state, so a server can admit a request before queueing it.
+func Admit(idb map[string]bool, arities map[string]int, ins, del []Fact) error {
 	check := func(f Fact) error {
-		if m.idb[f.Pred] {
+		if idb[f.Pred] {
 			return fmt.Errorf("incr: %s is an IDB predicate; only EDB facts can be updated", f.Pred)
 		}
-		if ar, ok := m.arities[f.Pred]; ok && ar != len(f.Args) {
+		if ar, ok := arities[f.Pred]; ok && ar != len(f.Args) {
 			return fmt.Errorf("incr: %s has arity %d in the program, got %d args", f.Pred, ar, len(f.Args))
 		}
-		ar, ok := fresh[f.Pred]
-		if rel := m.db.Relation(f.Pred); rel != nil {
-			ar, ok = rel.Arity(), true
-		}
-		if ok && ar != len(f.Args) {
-			return fmt.Errorf("incr: relation %s has arity %d, got %d args", f.Pred, ar, len(f.Args))
-		}
-		fresh[f.Pred] = len(f.Args)
 		return nil
 	}
-	// present resolves f without interning: the stored tuple when f is in
-	// the database.  A fact naming a new constant is in no relation.
-	present := func(f Fact) relation.Tuple {
-		rel := m.db.Relation(f.Pred)
-		if rel == nil {
-			return nil
-		}
-		t := make(relation.Tuple, len(f.Args))
-		for i, a := range f.Args {
-			id, ok := univ.Lookup(a)
-			if !ok {
-				return nil
-			}
-			t[i] = id
-		}
-		if !rel.Has(t) {
-			return nil
-		}
-		return t
+	key := func(f Fact) string { return f.Pred + "\x1f" + strings.Join(f.Args, "\x1e") }
+	var deleted map[string]bool // only an update with both lists can conflict
+	if len(ins) > 0 && len(del) > 0 {
+		deleted = make(map[string]bool, len(del))
 	}
-	gone := make(map[string]*relation.Relation) // the effective deletions
 	for _, f := range del {
 		if err := check(f); err != nil {
 			return err
 		}
-		if t := present(f); t != nil {
-			if gone[f.Pred] == nil {
-				gone[f.Pred] = relation.New(len(t))
-			}
-			gone[f.Pred].Add(t)
+		if deleted != nil {
+			deleted[key(f)] = true
 		}
 	}
 	for _, f := range ins {
 		if err := check(f); err != nil {
 			return err
 		}
-		if t := present(f); t != nil && gone[f.Pred] != nil && gone[f.Pred].Has(t) {
-			return fmt.Errorf("incr: %s%v both inserted and deleted in one update", f.Pred, f.Args)
+		if deleted != nil && deleted[key(f)] {
+			return fmt.Errorf("incr: %s(%s) both inserted and deleted in one update", f.Pred, strings.Join(f.Args, ","))
+		}
+	}
+	return nil
+}
+
+// validate rejects an update the maintainer cannot apply, touching
+// nothing: neither a constant is interned nor a relation created before
+// every fact has passed, so a rejected update (which is never logged)
+// leaves no trace a later update or a recovery could tell.  Beyond
+// Admit it checks each fact against the arity of the relation the
+// database holds, or an earlier fact of the update gave, for its
+// predicate.
+func (m *Maintainer) validate(ins, del []Fact) error {
+	if err := Admit(m.idb, m.arities, ins, del); err != nil {
+		return err
+	}
+	fresh := make(map[string]int) // arities this update gives predicates the database lacks
+	for _, facts := range [][]Fact{del, ins} {
+		for _, f := range facts {
+			ar, ok := fresh[f.Pred]
+			if rel := m.db.Relation(f.Pred); rel != nil {
+				ar, ok = rel.Arity(), true
+			}
+			if ok && ar != len(f.Args) {
+				return fmt.Errorf("incr: relation %s has arity %d, got %d args", f.Pred, ar, len(f.Args))
+			}
+			fresh[f.Pred] = len(f.Args)
 		}
 	}
 	return nil

@@ -96,7 +96,7 @@ func randomBatch(rng *rand.Rand, preds []string, n int, fresh *int) (ins, del []
 // bit-exact with a from-scratch evaluation of the mirror.  With oracle
 // set the three-valued model is also compared with internal/wforacle,
 // which shares no code with either.
-func checkUpdate(t *testing.T, m *incr.Maintainer, prog *ast.Program, mirror *relation.Database, ins, del []incr.Fact, oracle bool) *incr.UpdateStats {
+func checkUpdate(t *testing.T, m *incr.Maintainer, sem core.Semantics, prog *ast.Program, mirror *relation.Database, ins, del []incr.Fact, oracle bool) *incr.UpdateStats {
 	t.Helper()
 	var before engine.State
 	if m.WF() != nil {
@@ -107,7 +107,6 @@ func checkUpdate(t *testing.T, m *incr.Maintainer, prog *ast.Program, mirror *re
 		t.Fatalf("ins=%v del=%v: %v", ins, del, err)
 	}
 	applyPlain(t, mirror, ins, del)
-	sem := m.Semantics()
 	if before != nil && stats.Strategy != "recompute" {
 		gained, lost := m.State().Diff(before).Total(), before.Diff(m.State()).Total()
 		if stats.InsertedIDB != gained || stats.DeletedIDB != lost {
@@ -167,7 +166,7 @@ func checkMaintained(t *testing.T, src string, sem core.Semantics, preds []strin
 	fresh := 0
 	for step := 0; step < steps; step++ {
 		ins, del := randomBatch(rng, preds, n, &fresh)
-		checkUpdate(t, m, prog, mirror, ins, del, false)
+		checkUpdate(t, m, sem, prog, mirror, ins, del, false)
 	}
 }
 
@@ -251,16 +250,23 @@ func TestMaintainedPartitioned(t *testing.T) {
 func TestUpdateErrors(t *testing.T) {
 	prog := parser.MustProgram(tcSrc)
 	db := graphs.Path(3).Database()
-	m := incr.MustNew(prog, db, core.LFP)
+	m, err := incr.New(prog, db, core.LFP)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := m.Update([]incr.Fact{{Pred: "s", Args: []string{"v0", "v1"}}}, nil); err == nil {
 		t.Error("updating an IDB predicate should fail")
 	}
 	if _, err := m.Update([]incr.Fact{{Pred: "E", Args: []string{"v0"}}}, nil); err == nil {
 		t.Error("arity mismatch should fail")
 	}
-	f := incr.Fact{Pred: "E", Args: []string{"v0", "v1"}} // present, so both sides are effective
-	if _, err := m.Update([]incr.Fact{f}, []incr.Fact{f}); err == nil {
-		t.Error("same-tuple insert+delete should fail")
+	for _, f := range []incr.Fact{
+		{Pred: "E", Args: []string{"v0", "v1"}},
+		{Pred: "E", Args: []string{"v1", "v0"}}, // absent
+	} {
+		if _, err := m.Update([]incr.Fact{f}, []incr.Fact{f}); err == nil {
+			t.Errorf("same-tuple insert+delete of %v should fail", f)
+		}
 	}
 	// No-op updates are reported as such.
 	stats, err := m.Update([]incr.Fact{{Pred: "E", Args: []string{"v0", "v1"}}}, nil)
@@ -290,6 +296,7 @@ func TestRejectedUpdateLeavesNoTrace(t *testing.T) {
 		{"arity of an existing relation", []incr.Fact{fact("q", "b"), fact("r", "b")}, nil},
 		{"IDB predicate", []incr.Fact{fact("q", "b"), fact("p", "b")}, nil},
 		{"insert/delete conflict", []incr.Fact{fact("q", "b"), fact("q", "a")}, []incr.Fact{fact("q", "a")}},
+		{"insert/delete conflict on an absent fact", []incr.Fact{fact("q", "b"), fact("q", "d")}, []incr.Fact{fact("q", "d")}},
 	}
 	for _, sem := range []core.Semantics{core.Stratified, core.Inflationary, core.WellFounded} {
 		db := parser.MustFacts("q(a). r(a,a).")
@@ -329,7 +336,10 @@ func TestRejectedUpdateLeavesNoTrace(t *testing.T) {
 
 func TestSnapshotStableAcrossUpdates(t *testing.T) {
 	prog := parser.MustProgram(tcSrc)
-	m := incr.MustNew(prog, graphs.Path(4).Database(), core.LFP)
+	m, err := incr.New(prog, graphs.Path(4).Database(), core.LFP)
+	if err != nil {
+		t.Fatal(err)
+	}
 	snap := m.Snapshot()
 	before := snap.Rels["s"].Len()
 	if _, err := m.Update([]incr.Fact{{Pred: "E", Args: []string{"v3", "v0"}}}, nil); err != nil {

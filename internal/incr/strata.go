@@ -1,6 +1,6 @@
 // strata.go — counting and DRed maintenance for stratified evaluation.
 //
-// The program is split into strata exactly as in semantics.Stratified:
+// The program is split into strata exactly as in semantics.StratifiedOpts:
 // each stratum is a semipositive program over the results of lower
 // strata, evaluated bottom-up, with lower-stratum predicates read as
 // EDB from the maintainer's database.  An update enters as EDB changes

@@ -238,16 +238,6 @@ type ESO struct {
 	FO     Formula
 }
 
-// Format renders the sentence.
-func (e *ESO) Format() string {
-	var sb strings.Builder
-	for _, s := range e.SOVars {
-		fmt.Fprintf(&sb, "∃%s/%d.", s.Name, s.Arity)
-	}
-	sb.WriteString(Format(e.FO))
-	return sb.String()
-}
-
 // EvalWitness decides D ⊨ ∃S̄ φ by enumerating all values of the
 // relation variables (2^(Σ nᵃʳⁱᵗʸ) candidates).  It errors when the
 // search space exceeds maxBits bits (default 20 when 0) — this

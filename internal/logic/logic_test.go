@@ -110,13 +110,26 @@ func TestPropNNFPreservesEval(t *testing.T) {
 	}
 }
 
+// rebuild wraps a matrix with a quantifier prefix, undoing Prenex.
+func rebuild(blocks []Block, matrix Formula) Formula {
+	f := matrix
+	for i := len(blocks) - 1; i >= 0; i-- {
+		if blocks[i].Forall {
+			f = Forall{blocks[i].Vars, f}
+		} else {
+			f = Exists{blocks[i].Vars, f}
+		}
+	}
+	return f
+}
+
 func TestPropPrenexPreservesEval(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		db := smallDB(rng, 2+rng.Intn(2)) // nonempty universe (prenex assumption)
 		formula := NNF(randomFormula(rng, 3, nil))
 		blocks, matrix := Prenex(formula)
-		return Eval(db, formula, map[string]int{}) == Eval(db, Rebuild(blocks, matrix), map[string]int{})
+		return Eval(db, formula, map[string]int{}) == Eval(db, rebuild(blocks, matrix), map[string]int{})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

@@ -153,19 +153,6 @@ func mergeBlocks(blocks []Block) []Block {
 	return out
 }
 
-// Rebuild wraps a matrix with a quantifier prefix.
-func Rebuild(blocks []Block, matrix Formula) Formula {
-	f := matrix
-	for i := len(blocks) - 1; i >= 0; i-- {
-		if blocks[i].Forall {
-			f = Forall{blocks[i].Vars, f}
-		} else {
-			f = Exists{blocks[i].Vars, f}
-		}
-	}
-	return f
-}
-
 // Lit is one literal of a DNF conjunct: an atom, a negated atom, an
 // equality, or a negated equality.
 type Lit struct {

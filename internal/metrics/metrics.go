@@ -103,9 +103,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.bucket[bucketIdx(ns)].Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Mean returns the exact mean of all observations.
 func (h *Histogram) Mean() time.Duration {
 	n := h.count.Load()

@@ -51,8 +51,8 @@ func TestQuantileAccuracy(t *testing.T) {
 			t.Errorf("q=%.2f: got %d, true %d — outside the accuracy contract", q, got, truth)
 		}
 	}
-	if h.Count() != n {
-		t.Errorf("count = %d, want %d", h.Count(), n)
+	if h.count.Load() != n {
+		t.Errorf("count = %d, want %d", h.count.Load(), n)
 	}
 	if m := h.Mean(); m < time.Microsecond || m > time.Millisecond {
 		t.Errorf("mean = %v out of range", m)
@@ -117,7 +117,7 @@ func TestConcurrentObserve(t *testing.T) {
 	if got := e.Errors.Load(); got != workers*per/10 {
 		t.Errorf("errors = %d, want %d", got, workers*per/10)
 	}
-	if got := e.Latency.Count(); got != workers*per {
+	if got := e.Latency.count.Load(); got != workers*per {
 		t.Errorf("latency count = %d, want %d", got, workers*per)
 	}
 }

@@ -8,7 +8,7 @@ import (
 // TestAddNotIn covers the fused frontier emit: filter hits, duplicate
 // rejection, insertion, nil filter, and the spill path.
 func TestAddNotIn(t *testing.T) {
-	filter := FromTuples(2, []Tuple{{1, 2}, {3, 4}})
+	filter := fromTuples(2, []Tuple{{1, 2}, {3, 4}})
 	r := New(2)
 	if r.AddNotIn(Tuple{1, 2}, filter) {
 		t.Error("tuple in filter was inserted")
@@ -43,7 +43,7 @@ func TestAddNotIn(t *testing.T) {
 // frontier delta: disjoint relations concatenated by AppendDisjoint.
 func TestAppendDisjointConcat(t *testing.T) {
 	c := New(2)
-	for _, p := range []*Relation{FromTuples(2, []Tuple{{0, 1}, {2, 3}}), FromTuples(2, []Tuple{{4, 5}}), New(2)} {
+	for _, p := range []*Relation{fromTuples(2, []Tuple{{0, 1}, {2, 3}}), fromTuples(2, []Tuple{{4, 5}}), New(2)} {
 		c.AppendDisjoint(p)
 	}
 	if c.Len() != 3 {
@@ -154,7 +154,7 @@ func TestTupleHashSpread(t *testing.T) {
 // extended by the arena suffix, not served stale), and a Remove must
 // leave no stale offset behind.
 func TestIndexExtendsOnAppend(t *testing.T) {
-	r := FromTuples(2, []Tuple{{0, 1}, {1, 2}})
+	r := fromTuples(2, []Tuple{{0, 1}, {1, 2}})
 	if got := r.Lookup(0, 1); len(got) != 1 {
 		t.Fatalf("initial Lookup: %v", got)
 	}
@@ -187,7 +187,7 @@ func TestIndexExtendsOnAppend(t *testing.T) {
 // TestIndexExtensionPreservesSnapshots: a snapshot view probed before
 // and after the live relation grows keeps answering for its own prefix.
 func TestIndexExtensionPreservesSnapshots(t *testing.T) {
-	r := FromTuples(2, []Tuple{{0, 1}, {0, 2}})
+	r := fromTuples(2, []Tuple{{0, 1}, {0, 2}})
 	snap := r.Snapshot()
 	if got := snap.Lookup(0, 0); len(got) != 2 {
 		t.Fatalf("snapshot Lookup before growth: %v", got)

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -82,7 +83,7 @@ func (v *heldView) check(pick *rand.Rand) error {
 		return fmt.Errorf("view has %d tuples, was taken at %d", v.rel.Len(), len(v.want))
 	}
 	for off, t := range v.want {
-		if !v.rel.At(int32(off)).Equal(t) {
+		if !slices.Equal(v.rel.At(int32(off)), t) {
 			return fmt.Errorf("view offset %d holds %v, was taken with %v", off, v.rel.At(int32(off)), t)
 		}
 	}

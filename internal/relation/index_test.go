@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -138,7 +139,7 @@ func TestCompositeInvalidation(t *testing.T) {
 	// Remove: swaps the last tuple into the vacated arena slot, so a
 	// stale index would report wrong offsets, not just extra ones.
 	for i := 0; i < 10 && r.Len() > 0; i++ {
-		victim := r.At(int32(rng.Intn(r.Len()))).Clone()
+		victim := slices.Clone(r.At(int32(rng.Intn(r.Len()))))
 		if !r.Remove(victim) {
 			t.Fatalf("Remove(%v) = false for present tuple", victim)
 		}

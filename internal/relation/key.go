@@ -24,24 +24,6 @@ import "encoding/binary"
 // spilled tuples can never be confused: each tuple deterministically
 // belongs to exactly one of the two maps.
 
-// PackedCapacity returns the largest universe size whose tuples of the
-// given arity always take the packed uint64 path; 0 means unbounded.
-// Larger universes still work — their tuples spill to the byte-string
-// encoding — but lose the allocation-free membership test.
-func PackedCapacity(arity int) int {
-	bits := packBits(arity)
-	if bits >= 63 {
-		return 0
-	}
-	c := uint64(1) << bits
-	if c > uint64(^uint(0)>>1) {
-		// Wider than this platform's int (e.g. arity 2 on 32-bit):
-		// every representable id fits, so the packed path is unbounded.
-		return 0
-	}
-	return int(c)
-}
-
 // packBits returns the per-element bit width of the packed encoding for
 // the given arity.
 func packBits(arity int) uint {

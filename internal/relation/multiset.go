@@ -19,13 +19,6 @@ func NewMultiset(arity int) *Multiset {
 	return &Multiset{rel: New(arity)}
 }
 
-// Arity returns the tuple arity.
-func (m *Multiset) Arity() int { return m.rel.Arity() }
-
-// Len returns the number of distinct tuples ever bumped (including
-// those whose count has returned to zero).
-func (m *Multiset) Len() int { return m.rel.Len() }
-
 // Bump adds n to t's count, inserting t with count n if absent.
 func (m *Multiset) Bump(t Tuple, n int64) {
 	if off := m.rel.offsetOf(t); off >= 0 {

@@ -17,7 +17,7 @@ func TestPackKeyInjectivePerArity(t *testing.T) {
 		if !oka || !okb {
 			return false // uint16 elements always pack at arity 4
 		}
-		return (ka == kb) == a.Equal(b)
+		return (ka == kb) == slices.Equal(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -40,11 +40,29 @@ func TestPackKeySpillThreshold(t *testing.T) {
 	}
 }
 
+// packedCapacity returns the largest universe size whose tuples of the
+// given arity always take the packed uint64 path; 0 means unbounded.
+// Larger universes still work — their tuples spill to the byte-string
+// encoding — but lose the allocation-free membership test.
+func packedCapacity(arity int) int {
+	bits := packBits(arity)
+	if bits >= 63 {
+		return 0
+	}
+	c := uint64(1) << bits
+	if c > uint64(^uint(0)>>1) {
+		// Wider than this platform's int (e.g. arity 2 on 32-bit):
+		// every representable id fits, so the packed path is unbounded.
+		return 0
+	}
+	return int(c)
+}
+
 func TestPackedCapacity(t *testing.T) {
 	cases := map[int]int{0: 0, 1: 0, 2: 1 << 32, 3: 1 << 21, 4: 1 << 16, 8: 1 << 8}
 	for arity, want := range cases {
-		if got := PackedCapacity(arity); got != want {
-			t.Errorf("PackedCapacity(%d) = %d, want %d", arity, got, want)
+		if got := packedCapacity(arity); got != want {
+			t.Errorf("packedCapacity(%d) = %d, want %d", arity, got, want)
 		}
 	}
 }
@@ -96,7 +114,7 @@ func TestRelationSpillPath(t *testing.T) {
 // the offset index that Lookup serves — the classic stale-cache bug the
 // CI race job guards.
 func TestLookupInvalidation(t *testing.T) {
-	r := FromTuples(2, []Tuple{{1, 2}, {1, 3}, {2, 3}})
+	r := fromTuples(2, []Tuple{{1, 2}, {1, 3}, {2, 3}})
 	if got := len(r.Lookup(0, 1)); got != 2 {
 		t.Fatalf("initial Lookup(0,1) = %d", got)
 	}
@@ -108,7 +126,7 @@ func TestLookupInvalidation(t *testing.T) {
 	if got := len(r.Lookup(0, 1)); got != 2 {
 		t.Errorf("stale index after Remove: %d", got)
 	}
-	r.UnionWith(FromTuples(2, []Tuple{{1, 5}, {4, 4}}))
+	r.UnionWith(fromTuples(2, []Tuple{{1, 5}, {4, 4}}))
 	if got := len(r.Lookup(0, 1)); got != 3 {
 		t.Errorf("stale index after UnionWith: %d", got)
 	}
@@ -221,7 +239,7 @@ func TestTuplesSortedInPlace(t *testing.T) {
 		}
 		var want []Tuple
 		r.Each(func(tu Tuple) bool {
-			want = append(want, tu.Clone())
+			want = append(want, slices.Clone(tu))
 			return true
 		})
 		slices.SortFunc(want, Tuple.Compare)
@@ -230,7 +248,7 @@ func TestTuplesSortedInPlace(t *testing.T) {
 			t.Fatalf("arity %d, ids < %d: %d tuples, want %d", tc.arity, tc.limit, len(got), len(want))
 		}
 		for i := range want {
-			if !got[i].Equal(want[i]) {
+			if !slices.Equal(got[i], want[i]) {
 				t.Fatalf("arity %d, ids < %d: tuple %d is %v, want %v", tc.arity, tc.limit, i, got[i], want[i])
 			}
 		}
@@ -241,8 +259,8 @@ func TestTuplesSortedInPlace(t *testing.T) {
 // the same set inserted in different orders (hence different arenas)
 // compares equal.
 func TestEqualAcrossStorageOrders(t *testing.T) {
-	a := FromTuples(2, []Tuple{{1, 2}, {3, 4}, {5, 6}})
-	b := FromTuples(2, []Tuple{{5, 6}, {1, 2}, {3, 4}})
+	a := fromTuples(2, []Tuple{{1, 2}, {3, 4}, {5, 6}})
+	b := fromTuples(2, []Tuple{{5, 6}, {1, 2}, {3, 4}})
 	if !a.Equal(b) || !b.Equal(a) {
 		t.Error("Equal depends on insertion order")
 	}

@@ -97,16 +97,6 @@ func New(arity int) *Relation {
 	return &Relation{arity: arity}
 }
 
-// FromTuples builds a relation of the given arity from tuples.  Tuples
-// of the wrong arity cause a panic; duplicates collapse.
-func FromTuples(arity int, tuples []Tuple) *Relation {
-	r := New(arity)
-	for _, t := range tuples {
-		r.Add(t)
-	}
-	return r
-}
-
 // Arity returns the number of columns.
 func (r *Relation) Arity() int { return r.arity }
 
@@ -553,13 +543,6 @@ func (r *Relation) UnionWith(o *Relation) int {
 		return true
 	})
 	return r.n - before
-}
-
-// Union returns a fresh relation with the tuples of both r and o.
-func (r *Relation) Union(o *Relation) *Relation {
-	c := r.Clone()
-	c.UnionWith(o)
-	return c
 }
 
 // Intersect returns a fresh relation with the tuples common to r and o.

@@ -172,7 +172,7 @@ func TestRemoveDetachesFromSnapshot(t *testing.T) {
 // encoding: ids beyond the packed width take the secondary map, and
 // the swap-with-last bookkeeping must update it symmetrically.
 func TestRemoveSpillPath(t *testing.T) {
-	big := PackedCapacity(4) // ids ≥ big spill for arity 4
+	big := packedCapacity(4) // ids ≥ big spill for arity 4
 	if big == 0 {
 		t.Skip("arity 4 packs unbounded on this platform")
 	}

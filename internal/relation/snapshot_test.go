@@ -14,7 +14,7 @@ func tuples(ts ...[]int) []Tuple {
 }
 
 func TestSnapshotIsolatesFromAppends(t *testing.T) {
-	r := FromTuples(2, tuples([]int{0, 1}, []int{1, 2}))
+	r := fromTuples(2, tuples([]int{0, 1}, []int{1, 2}))
 	s := r.Snapshot()
 	if s.Len() != 2 || !s.Has(Tuple{0, 1}) {
 		t.Fatalf("snapshot missing original tuples")
@@ -39,7 +39,7 @@ func TestSnapshotIsolatesFromAppends(t *testing.T) {
 }
 
 func TestSnapshotSurvivesRemove(t *testing.T) {
-	r := FromTuples(2, tuples([]int{0, 1}, []int{1, 2}, []int{2, 3}))
+	r := fromTuples(2, tuples([]int{0, 1}, []int{1, 2}, []int{2, 3}))
 	s := r.Snapshot()
 	if !r.Remove(Tuple{0, 1}) {
 		t.Fatalf("remove failed")
@@ -58,7 +58,7 @@ func TestSnapshotSurvivesRemove(t *testing.T) {
 }
 
 func TestSnapshotOfSnapshot(t *testing.T) {
-	r := FromTuples(1, tuples([]int{4}))
+	r := fromTuples(1, tuples([]int{4}))
 	s := r.Snapshot()
 	if s2 := s.Snapshot(); s2 != s {
 		t.Fatalf("snapshot of a snapshot should be itself")
@@ -71,12 +71,12 @@ func TestSnapshotMutationPanics(t *testing.T) {
 			t.Fatalf("mutating a snapshot did not panic")
 		}
 	}()
-	r := FromTuples(1, tuples([]int{0}))
+	r := fromTuples(1, tuples([]int{0}))
 	r.Snapshot().Add(Tuple{1})
 }
 
 func TestMutableOnSnapshotCopies(t *testing.T) {
-	r := FromTuples(1, tuples([]int{0}))
+	r := fromTuples(1, tuples([]int{0}))
 	s := r.Snapshot()
 	m := s.Mutable()
 	m.Add(Tuple{7})
@@ -89,7 +89,7 @@ func TestMutableOnSnapshotCopies(t *testing.T) {
 }
 
 func TestSnapshotEqualityAndSubset(t *testing.T) {
-	r := FromTuples(2, tuples([]int{0, 1}, []int{1, 2}))
+	r := fromTuples(2, tuples([]int{0, 1}, []int{1, 2}))
 	s := r.Snapshot()
 	r.Add(Tuple{5, 5})
 	if s.Equal(r) || r.Equal(s) {
@@ -168,7 +168,7 @@ func TestMultiset(t *testing.T) {
 	o.Bump(Tuple{3, 4}, 5)
 	o.Bump(Tuple{7, 8}, 1)
 	m.MergeFrom(o)
-	if m.Count(Tuple{3, 4}) != 6 || m.Count(Tuple{7, 8}) != 1 || m.Len() != 3 {
-		t.Fatalf("merge wrong: %d %d %d", m.Count(Tuple{3, 4}), m.Count(Tuple{7, 8}), m.Len())
+	if m.Count(Tuple{3, 4}) != 6 || m.Count(Tuple{7, 8}) != 1 || m.rel.Len() != 3 {
+		t.Fatalf("merge wrong: %d %d %d", m.Count(Tuple{3, 4}), m.Count(Tuple{7, 8}), m.rel.Len())
 	}
 }

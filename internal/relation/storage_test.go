@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -58,7 +59,7 @@ func (h held) check(rng *rand.Rand) error {
 	r.Each(func(t Tuple) bool {
 		if _, ok := h.model[t.Key()]; !ok {
 			err = fmt.Errorf("holds %v, which the model does not", t)
-		} else if off := r.OffsetOf(t); off < 0 || !r.At(off).Equal(t) {
+		} else if off := r.OffsetOf(t); off < 0 || !slices.Equal(r.At(off), t) {
 			err = fmt.Errorf("OffsetOf(%v) = %d, which does not resolve to it", t, off)
 		}
 		seen++
@@ -302,7 +303,7 @@ func TestSealSharesUntouchedChunks(t *testing.T) {
 	if got := differing(v); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("after Seal + Remove the relation owns chunks %v, want [1]", got)
 	}
-	if !v.Has(Tuple{chunkLen + 7, (chunkLen + 7) % 9}) || !v.At(chunkLen+7).Equal(Tuple{chunkLen + 7, (chunkLen + 7) % 9}) {
+	if !v.Has(Tuple{chunkLen + 7, (chunkLen + 7) % 9}) || !slices.Equal(v.At(chunkLen+7), Tuple{chunkLen + 7, (chunkLen + 7) % 9}) {
 		t.Fatal("view lost the removed tuple")
 	}
 }

@@ -66,9 +66,6 @@ func (t *Table) init(c int) {
 	t.grow = c - c/4
 }
 
-// Len returns the number of live entries.
-func (t *Table) Len() int { return t.n }
-
 // getHash looks up k, whose hash h must equal mix64(k).
 func (t *Table) getHash(k, h uint64) (int32, bool) {
 	fp := tableFP(h)
@@ -148,14 +145,6 @@ func (t *Table) rehash(c int) {
 		if cb != 0 {
 			t.putHash(ok[j], mix64(ok[j]), ov[j])
 		}
-	}
-}
-
-// Reserve grows the table so about n entries fit without a rehash.
-// It never shrinks, and keeps existing entries.
-func (t *Table) Reserve(n int) {
-	if c := tableCapFor(n); c > len(t.ctrl) {
-		t.rehash(c)
 	}
 }
 

@@ -21,14 +21,14 @@ func homeKeys(mask uint64, home uint64, n int) []uint64 {
 
 func TestTableBasics(t *testing.T) {
 	tb := newTable(0)
-	if tb.Len() != 0 {
-		t.Fatalf("new table Len = %d", tb.Len())
+	if tb.n != 0 {
+		t.Fatalf("new table Len = %d", tb.n)
 	}
 	for i := uint64(0); i < 100; i++ {
 		tb.putHash(i, mix64(i), int32(i))
 	}
-	if tb.Len() != 100 {
-		t.Fatalf("Len = %d after 100 inserts", tb.Len())
+	if tb.n != 100 {
+		t.Fatalf("Len = %d after 100 inserts", tb.n)
 	}
 	for i := uint64(0); i < 100; i++ {
 		v, ok := tb.getHash(i, mix64(i))
@@ -44,8 +44,8 @@ func TestTableBasics(t *testing.T) {
 	if v, _ := tb.getHash(7, mix64(7)); v != 999 {
 		t.Errorf("upsert: get(7) = %d, want 999", v)
 	}
-	if tb.Len() != 100 {
-		t.Errorf("upsert changed Len to %d", tb.Len())
+	if tb.n != 100 {
+		t.Errorf("upsert changed Len to %d", tb.n)
 	}
 	if !tb.deleteHash(7, mix64(7)) {
 		t.Error("delete of present key failed")
@@ -56,8 +56,8 @@ func TestTableBasics(t *testing.T) {
 	if _, ok := tb.getHash(7, mix64(7)); ok {
 		t.Error("deleted key still present")
 	}
-	if tb.Len() != 99 {
-		t.Errorf("Len = %d after delete", tb.Len())
+	if tb.n != 99 {
+		t.Errorf("Len = %d after delete", tb.n)
 	}
 }
 
@@ -115,8 +115,8 @@ func TestTableVsMapDifferential(t *testing.T) {
 				}
 				delete(m, k)
 			}
-			if tb.Len() != len(m) {
-				t.Fatalf("seed %d op %d: Len = %d, map %d", seed, op, tb.Len(), len(m))
+			if tb.n != len(m) {
+				t.Fatalf("seed %d op %d: Len = %d, map %d", seed, op, tb.n, len(m))
 			}
 		}
 		// Full sweep: every map entry findable, every table entry in the map.
@@ -220,28 +220,6 @@ func TestTableZeroAllocs(t *testing.T) {
 	for _, c := range cases {
 		if allocs := testing.AllocsPerRun(100, c.f); allocs != 0 {
 			t.Errorf("%s: %.1f allocs per probe, want 0", c.name, allocs)
-		}
-	}
-}
-
-func TestTableReserve(t *testing.T) {
-	tb := newTable(0)
-	tb.Reserve(1000)
-	capAfter := len(tb.ctrl)
-	if capAfter < tableCapFor(1000) {
-		t.Fatalf("Reserve(1000) left capacity %d", capAfter)
-	}
-	for i := uint64(0); i < 1000; i++ {
-		tb.putHash(i, mix64(i), int32(i))
-	}
-	if len(tb.ctrl) != capAfter {
-		t.Errorf("reserved table grew from %d to %d", capAfter, len(tb.ctrl))
-	}
-	// Reserve keeps entries when growing an occupied table.
-	tb.Reserve(5000)
-	for i := uint64(0); i < 1000; i++ {
-		if v, ok := tb.getHash(i, mix64(i)); !ok || v != int32(i) {
-			t.Fatalf("Reserve lost key %d", i)
 		}
 	}
 }

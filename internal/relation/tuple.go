@@ -24,19 +24,6 @@ func (t Tuple) Key() string {
 	return string(buf)
 }
 
-// Equal reports whether t and o have the same length and elements.
-func (t Tuple) Equal(o Tuple) bool {
-	if len(t) != len(o) {
-		return false
-	}
-	for i := range t {
-		if t[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Compare orders tuples first by length, then lexicographically by
 // element.  It returns -1, 0, or +1.
 func (t Tuple) Compare(o Tuple) int {
@@ -55,30 +42,6 @@ func (t Tuple) Compare(o Tuple) int {
 		}
 	}
 	return 0
-}
-
-// Clone returns a fresh copy of the tuple.
-func (t Tuple) Clone() Tuple {
-	c := make(Tuple, len(t))
-	copy(c, t)
-	return c
-}
-
-// Concat returns the concatenation of t and o as a fresh tuple.
-func (t Tuple) Concat(o Tuple) Tuple {
-	c := make(Tuple, 0, len(t)+len(o))
-	c = append(c, t...)
-	c = append(c, o...)
-	return c
-}
-
-// Project returns the subtuple at the given column positions.
-func (t Tuple) Project(cols []int) Tuple {
-	c := make(Tuple, len(cols))
-	for i, col := range cols {
-		c[i] = t[col]
-	}
-	return c
 }
 
 // String formats the tuple's raw ids, e.g. "(0,3,1)".  For named output

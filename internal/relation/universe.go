@@ -23,10 +23,7 @@
 // a relation nobody references is garbage, chunks and table included.
 package relation
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Universe interns constant names to dense non-negative integers.  It is
 // the finite universe A of a database: every value that can appear in a
@@ -34,7 +31,7 @@ import (
 // create universes with NewUniverse.
 //
 // Density matters beyond hygiene: Relation's packed tuple keys devote
-// ⌊64/arity⌋ bits to each element (see PackedCapacity), so ids assigned
+// ⌊64/arity⌋ bits to each element (see key.go), so ids assigned
 // compactly from 0 keep every realistic universe on the allocation-free
 // fast path.
 type Universe struct {
@@ -106,12 +103,4 @@ func (u *Universe) Clone() *Universe {
 		c.index[k] = v
 	}
 	return c
-}
-
-// SortedNames returns the interned names in lexicographic order.  Useful
-// for deterministic printing.
-func (u *Universe) SortedNames() []string {
-	out := u.Names()
-	sort.Strings(out)
-	return out
 }

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ import (
 func TestPackUnpackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for arity := 0; arity <= 8; arity++ {
-		limit := PackedCapacity(arity)
+		limit := packedCapacity(arity)
 		if limit == 0 {
 			limit = 1 << 31 // "unbounded": sample a large range
 		}
@@ -30,7 +31,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			if !ok {
 				t.Fatalf("arity %d tuple %v should pack (limit %d)", arity, tup, limit)
 			}
-			if got := UnpackKey(k, arity); !got.Equal(tup) {
+			if got := UnpackKey(k, arity); !slices.Equal(got, tup) {
 				t.Fatalf("UnpackKey(PackKey(%v)) = %v", tup, got)
 			}
 		}
@@ -41,7 +42,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 // the per-arity capacity must not pack.
 func TestPackKeyRejectsOverflow(t *testing.T) {
 	for arity := 2; arity <= 6; arity++ {
-		limit := PackedCapacity(arity)
+		limit := packedCapacity(arity)
 		if limit == 0 {
 			continue
 		}
@@ -68,7 +69,7 @@ func TestSpillKeyRoundTrip(t *testing.T) {
 		}
 		b := SpillKey(tup)
 		got, ok := DecodeSpillKey(b, len(tup))
-		if !ok || !got.Equal(tup) {
+		if !ok || !slices.Equal(got, tup) {
 			t.Errorf("DecodeSpillKey(SpillKey(%v)) = %v, %v", tup, got, ok)
 		}
 	}

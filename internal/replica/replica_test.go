@@ -152,9 +152,6 @@ func TestLeaderFollowerConverges(t *testing.T) {
 		<-done
 	})
 	fsrv.Promote()
-	if fsrv.ReadOnly() {
-		t.Fatal("follower still read-only after Promote")
-	}
 	if _, _, _, err := fsrv.EnqueueUpdate(ins("p", "q"), nil); err != nil {
 		t.Fatalf("promoted follower rejected an update: %v", err)
 	}

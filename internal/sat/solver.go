@@ -138,9 +138,6 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-// NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return s.nVars }
-
 func (s *Solver) litValue(l lit) int8 {
 	a := s.assign[l.variable()]
 	if a == vUndef {

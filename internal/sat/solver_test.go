@@ -140,7 +140,9 @@ func bruteForce(f *cnf.Formula) (sat bool, count int) {
 // randomCNF builds a random k-SAT formula.
 func randomCNF(rng *rand.Rand, nVars, nClauses, k int) *cnf.Formula {
 	b := cnf.NewBuilder()
-	b.NewVars(nVars)
+	for i := 0; i < nVars; i++ {
+		b.NewVar()
+	}
 	for i := 0; i < nClauses; i++ {
 		c := make([]int, 0, k)
 		for j := 0; j < k; j++ {

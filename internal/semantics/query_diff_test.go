@@ -255,7 +255,7 @@ func TestPropMagicQueryNaiveMode(t *testing.T) {
 		prog := parser.MustProgram(src)
 		n := 4
 		db := randQueryDB(rng, n)
-		full, err := Stratified(prog, db)
+		full, err := StratifiedOpts(prog, db, SemiNaive, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -89,7 +89,7 @@ unreach(X,Y) :- V(X), V(Y), !s1(X,Y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullRes, err := Stratified(prog, db)
+	fullRes, err := StratifiedOpts(prog, db, SemiNaive, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

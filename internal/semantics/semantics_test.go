@@ -181,7 +181,7 @@ S1(X,Y) :- E(X,Z), S1(Z,Y).
 S2(X,Y,Z,W) :- S1(X,Y), !S1(Z,W).
 `
 	db := pathDB(3) // TC = {(1,2),(1,3),(2,3)}, complement has 6 pairs
-	res, err := Stratified(parser.MustProgram(src), db)
+	res, err := StratifiedOpts(parser.MustProgram(src), db, SemiNaive, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ S2(X,Y,Z,W) :- S1(X,Y), !S1(Z,W).
 }
 
 func TestStratifiedRejectsPi1(t *testing.T) {
-	if _, err := Stratified(parser.MustProgram(pi1Src), pathDB(3)); err == nil {
+	if _, err := StratifiedOpts(parser.MustProgram(pi1Src), pathDB(3), SemiNaive, engine.Options{}); err == nil {
 		t.Error("stratified semantics accepted π₁")
 	}
 }
@@ -202,7 +202,7 @@ func TestStratifiedRejectsPi1(t *testing.T) {
 func TestStratifiedDoesNotMutateDB(t *testing.T) {
 	db := pathDB(3)
 	before := db.String()
-	if _, err := Stratified(parser.MustProgram(tcSrc), db); err != nil {
+	if _, err := StratifiedOpts(parser.MustProgram(tcSrc), db, SemiNaive, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if db.String() != before {
@@ -247,7 +247,7 @@ func TestDistanceQueryStratifiedDiffers(t *testing.T) {
 	// which differs from the distance query (paper, end of §4).
 	db := pathDB(3)
 	prog := parser.MustProgram(distanceSrc)
-	strat, err := Stratified(prog, db)
+	strat, err := StratifiedOpts(prog, db, SemiNaive, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ S2(X,Y,Z,W) :- S1(X,Y), !S1(Z,W).
 	for seed := int64(0); seed < 5; seed++ {
 		db := randomEdgeDB(rand.New(rand.NewSource(seed)), 4, 0.3)
 		prog := parser.MustProgram(src)
-		strat, err := Stratified(prog, db)
+		strat, err := StratifiedOpts(prog, db, SemiNaive, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,21 +8,16 @@ import (
 	"repro/internal/relation"
 )
 
-// Stratified evaluates the program under the stratified semantics of
+// StratifiedOpts evaluates the program under the stratified semantics of
 // Chandra–Harel: strata are computed bottom-up, each stratum treated as
 // a semipositive program whose negated predicates are fully evaluated
 // lower-stratum results.  It returns an error for unstratifiable
 // programs — the paper's point in Section 1 that stratified semantics
 // "cannot assign meaning to all DATALOG¬ programs".
 //
-// The database passed to the engine instance is not modified; the
-// evaluation works on a clone extended with intermediate strata.
-func Stratified(prog *ast.Program, db *relation.Database) (*Result, error) {
-	return stratifiedIn(prog, db.Clone(), SemiNaive, engine.Options{})
-}
-
-// StratifiedOpts is Stratified with an explicit evaluation mode and
-// per-call engine options applied to every stratum's instance.
+// The mode and engine options apply to every stratum's instance.  The
+// database passed in is not modified; the evaluation works on a clone
+// extended with intermediate strata.
 func StratifiedOpts(prog *ast.Program, db *relation.Database, mode Mode, opt engine.Options) (*Result, error) {
 	return stratifiedIn(prog, db.Clone(), mode, opt)
 }

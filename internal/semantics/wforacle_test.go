@@ -171,7 +171,7 @@ func TestWellFoundedTotalWhereItMustBe(t *testing.T) {
 		// Stratifiable, with IDB negation across two layers.
 		src, _ := randQueryProgram(rng, 2)
 		res := checkOracle(t, src, db)
-		strat, err := Stratified(parser.MustProgram(src), db)
+		strat, err := StratifiedOpts(parser.MustProgram(src), db, SemiNaive, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestWellFoundedTotalWhereItMustBe(t *testing.T) {
 	// first appears in the higher one: every stratum ranges over it.
 	src := "t(X) :- !E(X,X).\nu(X) :- E(X,Y), !t(c)."
 	db := parser.MustFacts("E(a,b).")
-	strat, err := Stratified(parser.MustProgram(src), db)
+	strat, err := StratifiedOpts(parser.MustProgram(src), db, SemiNaive, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

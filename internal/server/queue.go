@@ -14,13 +14,14 @@
 // sequentially under set semantics: whatever the final operation on a
 // tuple is, earlier inserts/deletes of the same tuple are shadowed by
 // it.  A request whose own insert and delete lists conflict is
-// rejected at admission (422), so a coalesced batch never contains a
-// tuple on both sides.  If the merged pass still fails (e.g. two jobs
-// disagree on the arity of a predicate the program does not mention),
-// the committer falls back to applying the batch one job at a time, so
-// one bad request cannot poison its neighbours.  Each caller is
-// answered only after the snapshot containing its change is published
-// — the same per-batch exactness guarantee the serialized path gave.
+// rejected at admission (incr.Admit, 422), so a coalesced batch never
+// contains a tuple on both sides.  If the merged pass still fails
+// (e.g. two jobs disagree on the arity of a predicate the program does
+// not mention), the committer falls back to applying the batch one job
+// at a time, so one bad request cannot poison its neighbours.  Each
+// caller is answered only after the snapshot containing its change is
+// published — the same per-batch exactness guarantee the serialized
+// path gave.
 //
 // Backpressure.  The queue holds 256 updates (queueDepth).  When it is
 // full, POST /v1/update fails fast with 429 and Retry-After instead of
@@ -30,7 +31,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 
@@ -75,7 +75,7 @@ func (s *Server) EnqueueUpdate(ins, del []incr.Fact) (*incr.UpdateStats, uint64,
 	if s.readOnly.Load() {
 		return nil, 0, 0, ErrNotLeader
 	}
-	if err := s.validateUpdate(ins, del); err != nil {
+	if err := incr.Admit(s.idb, s.arity, ins, del); err != nil {
 		return nil, 0, 0, err
 	}
 	if s.closed.Load() {
@@ -101,43 +101,6 @@ func (s *Server) EnqueueUpdate(ins, del []incr.Fact) (*incr.UpdateStats, uint64,
 			return nil, 0, 0, ErrClosed
 		}
 	}
-}
-
-// validateUpdate applies the request-shape checks the maintainer would
-// reject anyway, before the job can reach a coalesced batch: IDB
-// predicates, program-arity mismatches, and a tuple appearing on both
-// sides of one request.
-func (s *Server) validateUpdate(ins, del []incr.Fact) error {
-	check := func(f incr.Fact) error {
-		if s.idb[f.Pred] {
-			return fmt.Errorf("%s is an IDB predicate; only EDB facts can be updated", f.Pred)
-		}
-		if ar, ok := s.arity[f.Pred]; ok && ar != len(f.Args) {
-			return fmt.Errorf("%s has arity %d in the program, got %d args", f.Pred, ar, len(f.Args))
-		}
-		return nil
-	}
-	var keys map[string]bool
-	if len(ins) > 0 && len(del) > 0 {
-		keys = make(map[string]bool, len(del))
-	}
-	for _, f := range del {
-		if err := check(f); err != nil {
-			return err
-		}
-		if keys != nil {
-			keys[factKey(f)] = true
-		}
-	}
-	for _, f := range ins {
-		if err := check(f); err != nil {
-			return err
-		}
-		if keys != nil && keys[factKey(f)] {
-			return fmt.Errorf("%s(%s) both inserted and deleted in one update", f.Pred, strings.Join(f.Args, ","))
-		}
-	}
-	return nil
 }
 
 // factKey is a canonical map key for one fact.

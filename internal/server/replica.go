@@ -80,10 +80,6 @@ func ProgramIdentity(prog *ast.Program) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ReadOnly reports whether the server is a follower (updates refused
-// with not_leader).
-func (s *Server) ReadOnly() bool { return s.readOnly.Load() }
-
 // SetReplicaHooks registers the follower loop's metrics provider and
 // promotion callback.  Safe for concurrent use with /v1/metrics.
 func (s *Server) SetReplicaHooks(stats func() *ReplicaMetrics, promote func()) {

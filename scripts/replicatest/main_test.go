@@ -140,7 +140,6 @@ func TestHelpersAgainstFollower(t *testing.T) {
 	srv.SetReplicaHooks(func() *server.ReplicaMetrics {
 		return &server.ReplicaMetrics{
 			Leader:         "http://leader.example:8090",
-			ReadOnly:       srv.ReadOnly(),
 			AppliedRecords: 42,
 			Bootstraps:     1,
 		}
