@@ -15,7 +15,7 @@
 //
 // Retention.  WriteCheckpoint normally deletes every sealed segment
 // the new snapshot covers.  A Pin(id, seq) — refreshed by every
-// replica request — keeps segments ≥ seq on disk past coverage, so a
+// replica request the store accepts — keeps segments ≥ seq on disk past coverage, so a
 // follower that is mid-catch-up never sees its cursor compacted away.
 // Pins are bounded: when the covered-but-retained record bytes exceed
 // 256 MiB, the laggiest pins are evicted (their follower re-bootstraps

@@ -66,6 +66,12 @@ type Fact struct {
 	Args []string `json:"args"`
 }
 
+// Key is a canonical map key for the fact: two facts have the same key
+// exactly when they have the same predicate and arguments.
+func (f Fact) Key() string {
+	return f.Pred + "\x1f" + strings.Join(f.Args, "\x1e")
+}
+
 // UpdateStats reports what one Update did.
 type UpdateStats struct {
 	// Strategy that handled the update: counting/dred over strata
@@ -360,7 +366,6 @@ func Admit(idb map[string]bool, arities map[string]int, ins, del []Fact) error {
 		}
 		return nil
 	}
-	key := func(f Fact) string { return f.Pred + "\x1f" + strings.Join(f.Args, "\x1e") }
 	var deleted map[string]bool // only an update with both lists can conflict
 	if len(ins) > 0 && len(del) > 0 {
 		deleted = make(map[string]bool, len(del))
@@ -370,14 +375,14 @@ func Admit(idb map[string]bool, arities map[string]int, ins, del []Fact) error {
 			return err
 		}
 		if deleted != nil {
-			deleted[key(f)] = true
+			deleted[f.Key()] = true
 		}
 	}
 	for _, f := range ins {
 		if err := check(f); err != nil {
 			return err
 		}
-		if deleted != nil && deleted[key(f)] {
+		if deleted != nil && deleted[f.Key()] {
 			return fmt.Errorf("incr: %s(%s) both inserted and deleted in one update", f.Pred, strings.Join(f.Args, ","))
 		}
 	}

@@ -32,7 +32,6 @@ package server
 import (
 	"errors"
 	"runtime"
-	"strings"
 
 	"repro/internal/incr"
 )
@@ -101,11 +100,6 @@ func (s *Server) EnqueueUpdate(ins, del []incr.Fact) (*incr.UpdateStats, uint64,
 			return nil, 0, 0, ErrClosed
 		}
 	}
-}
-
-// factKey is a canonical map key for one fact.
-func factKey(f incr.Fact) string {
-	return f.Pred + "\x1f" + strings.Join(f.Args, "\x1e")
 }
 
 // committer is the single goroutine that owns maintainer passes for
@@ -203,7 +197,7 @@ func coalesce(batch []*updateJob) (ins, del []incr.Fact) {
 	last := make(map[string]*op)
 	order := make([]string, 0, len(batch)) // deterministic output order
 	record := func(f incr.Fact, isDel bool) {
-		k := factKey(f)
+		k := f.Key()
 		if o, ok := last[k]; ok {
 			o.isDel = isDel
 			return

@@ -169,7 +169,6 @@ func (s *Server) handleReplicaWAL(w http.ResponseWriter, r *http.Request) {
 	store := s.dur.store
 	deadline := time.Now().Add(wait)
 	for {
-		store.Pin(id, c.Seq)
 		// Grab the notify channel BEFORE reading: an append that lands
 		// between the read and the wait still wakes us.
 		notify := store.AppendNotify()
@@ -187,8 +186,11 @@ func (s *Server) handleReplicaWAL(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusServiceUnavailable, CodeUnavailable, err.Error())
 			return
 		}
+		// Pin only after a read accepted the cursor: pins never move
+		// back, so a rejected cursor past the log would strand the
+		// follower's pin above every segment it still needs.
+		store.Pin(id, next.Seq)
 		if n > 0 || !time.Now().Before(deadline) {
-			store.Pin(id, next.Seq)
 			lagRecs, lagBytes := store.LagFrom(next)
 			s.identityHeaders(w)
 			w.Header().Set(HdrReplicaNextSeq, strconv.FormatUint(next.Seq, 10))

@@ -269,24 +269,77 @@ func TestReplicaEndpoints(t *testing.T) {
 	resp.Body.Close()
 
 	// A cursor past the durable end is divergence.
-	resp = get("/v1/replica/wal?id=f1&wait=0&from=99999,8")
+	resp = get("/v1/replica/wal?id=f3&wait=0&from=99999,8")
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("diverged cursor status %d, want 409", resp.StatusCode)
 	}
 	resp.Body.Close()
 
-	// A cursor before the retained history is compaction: the diverged
-	// poll above moved f1's pin past every segment (pins only advance),
-	// so a checkpoint deletes the bootstrap segment with its cursor.
-	if _, _, err := srv.Update(edge("c", "d"), nil); err != nil {
-		t.Fatal(err)
+	// A cursor before the retained history is compaction.  f1's pin
+	// keeps the bootstrap segment past the first checkpoint; draining
+	// it moves the pin to the next segment, and the second checkpoint
+	// deletes the bootstrap segment with its cursor.
+	poll := func(from string) string {
+		t.Helper()
+		resp := get("/v1/replica/wal?id=f1&wait=0&from=" + from)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("poll f1 from %s: status %d", from, resp.StatusCode)
+		}
+		return resp.Header.Get(HdrReplicaNextSeq) + "," + resp.Header.Get(HdrReplicaNextOff)
 	}
-	if err := srv.CheckpointNow(); err != nil {
-		t.Fatal(err)
+	for _, e := range [][]incr.Fact{edge("c", "d"), edge("d", "a")} {
+		if _, _, err := srv.Update(e, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+		next = poll(poll(next))
 	}
 	resp = get("/v1/replica/wal?id=f2&wait=0&from=" + cursor)
 	if resp.StatusCode != http.StatusGone {
 		t.Fatalf("compacted cursor status %d, want 410", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// A poll the leader rejects leaves the follower's retention pin where
+// it was: a diverged cursor past the log must not move the pin above
+// the segments the follower's bootstrap cursor still needs.
+func TestRejectedPollKeepsPin(t *testing.T) {
+	srv := newReplicaServer(t, t.TempDir(), Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/v1/replica/snapshot?id=f1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	cursor := resp.Header.Get(HdrReplicaSeq) + "," + resp.Header.Get(HdrReplicaOff)
+	resp, err = http.Get(ts.URL + "/v1/replica/wal?id=f1&wait=0&from=99999,8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("diverged cursor status %d, want 409", resp.StatusCode)
+	}
+	if _, _, err := srv.Update(edge("a", "b"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(ts.URL + "/v1/replica/wal?id=f1&wait=0&from=" + cursor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(HdrReplicaRecords) != "1" {
+		t.Fatalf("bootstrap cursor after a rejected poll: status %d records %s, want 200 with 1",
+			resp.StatusCode, resp.Header.Get(HdrReplicaRecords))
+	}
 }

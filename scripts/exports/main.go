@@ -15,7 +15,6 @@ package main
 
 import (
 	"bufio"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -36,13 +35,11 @@ const internal = "repro/internal/"
 var skip = map[string]bool{"String": true, "Error": true, "Close": true, "WriteHeader": true}
 
 func main() {
-	keepFile := flag.String("keep", "scripts/exports/keep.txt", "names allowed to stay, one per line with a reason")
-	flag.Parse()
 	dead, err := scan(".")
 	if err != nil {
 		fatal(err)
 	}
-	keep, err := readKeep(*keepFile)
+	keep, err := readKeep("scripts/exports/keep.txt")
 	if err != nil {
 		fatal(err)
 	}
