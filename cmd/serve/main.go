@@ -2,7 +2,7 @@
 // DATALOG¬ program and a fact file, evaluates the chosen semantics
 // once, and then serves queries from immutable snapshots while
 // accepting fact inserts/deletes that are maintained incrementally
-// (counting/DRed for stratified strata, stage-log replay for general
+// (DRed for stratified strata, stage-log replay for general
 // inflationary programs) instead of recomputed.  Concurrent updates
 // are group-committed: a 256-deep queue coalesces them into shared
 // maintainer passes, and a full queue sheds load with 429.  A query

@@ -466,6 +466,41 @@ func TestStorePoisonedAfterFailedAppend(t *testing.T) {
 	}
 }
 
+// Under the interval policy a failed background fsync fences the store
+// exactly as a failed append does: the kernel may have dropped pages of
+// records already acknowledged, so no later record may be.
+func TestStorePoisonedAfterFailedIntervalSync(t *testing.T) {
+	s, _, err := Open(t.TempDir(), FsyncInterval, 2*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rec := Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}}
+	if _, err := s.Append(&rec); err != nil {
+		t.Fatal(err)
+	}
+	dead, err := os.CreateTemp(t.TempDir(), "dead")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close()
+	s.mu.Lock()
+	live := s.f
+	s.f = dead
+	s.mu.Unlock()
+	defer live.Close()
+
+	for deadline := time.Now().Add(2 * time.Second); s.Err() == nil && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := s.Err(); err != ErrPoisoned {
+		t.Fatalf("Err after a failed background sync: %v, want ErrPoisoned", err)
+	}
+	if _, err := s.Append(&rec); err != ErrPoisoned {
+		t.Fatalf("append after a failed sync: %v, want ErrPoisoned", err)
+	}
+}
+
 // Reset removes exactly the store's files, and a snapshot image put
 // back with InstallSnapshot is what the next Open recovers.
 func TestResetAndInstallSnapshot(t *testing.T) {

@@ -134,7 +134,7 @@ type Store struct {
 	seq        uint64   // active segment sequence number
 	dirty      bool     // unsynced appends (interval policy)
 	closed     bool
-	poisoned   bool             // an append failed: the active segment may hold a tear
+	poisoned   bool             // an append or a sync failed: the active segment may hold a tear
 	walBytes   int64            // record bytes across live segments
 	walRecords int64            // records across live segments
 	segs       map[uint64]int64 // live segment -> record bytes (for deletion accounting)
@@ -411,7 +411,8 @@ func (s *Store) Append(rec *Record) (int64, error) {
 	return n, nil
 }
 
-// Err returns ErrPoisoned once an Append has failed, and nil before.
+// Err returns ErrPoisoned once an Append or a background fsync has
+// failed, and nil before.
 func (s *Store) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -617,7 +618,11 @@ func (s *Store) syncLoop() {
 		case <-t.C:
 			s.mu.Lock()
 			if !s.closed && s.dirty {
-				s.f.Sync()
+				// As in Append: after a failed fsync the kernel may have
+				// dropped the dirty pages, so the store is fenced.
+				if s.f.Sync() != nil {
+					s.poisoned = true
+				}
 				s.dirty = false
 			}
 			s.mu.Unlock()

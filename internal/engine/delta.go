@@ -1,24 +1,23 @@
 // delta.go — generalized delta evaluation for incremental maintenance.
 //
-// The semi-naive loop, counting maintenance, and DRed-style
-// delete/rederive all need the same primitive: "the derivations of
+// The semi-naive loop and DRed-style delete/rederive need the same
+// primitive: "the derivations of
 // Θ whose body touches a given change", for changes to arbitrary
 // predicates (EDB or IDB), driving positive literals (a tuple the
 // literal can newly/no-longer read) or negated literals (a tuple whose
 // arrival/departure flips the check).  A Spec's Deltas names that
 // primitive (SemiNaive is its IDB-insert special case); its Within
 // restricts evaluation to a candidate head set (the rederivation step
-// of DRed); Count returns exact derivation counts (the counting
-// algorithm).
+// of DRed).
 //
-// Each qualifying derivation is enumerated exactly once: the literal
-// positions a change can drive are ordered (positives in body order,
-// then negatives), and the variant whose driver is at position v forces
-// positions before v to be non-drivers.  "Non-driver" reads come from
-// the Delta's Before/BeforeNeg overlays when the caller provides them
-// — exact counting needs them — and fall back to the after-driver
-// relations otherwise, which can enumerate a derivation once per driver
-// it contains; harmless for set-valued passes.
+// The literal positions a change can drive are ordered (positives in
+// body order, then negatives), and the variant whose driver is at
+// position v forces positions before v to be non-drivers.
+// "Non-driver" reads come from the Delta's Before/BeforeNeg overlays
+// when the caller provides them, which enumerates each qualifying
+// derivation exactly once, and fall back to the after-driver relations
+// otherwise, which can enumerate a derivation once per driver it
+// contains; harmless for set-valued passes.
 package engine
 
 import "repro/internal/relation"

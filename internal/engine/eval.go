@@ -14,8 +14,6 @@ import (
 // change mid-rule — so the join loop never goes through a predicate
 // map.  headBuf and negBuf are scratch tuples reused across emissions
 // so the hot path allocates only when a genuinely new tuple is stored.
-// When cnt is non-nil the task is a counting pass: every emission bumps
-// the head tuple's derivation count instead of inserting into out.
 //
 // cur, when non-nil, is the frontier filter: emissions already present
 // in it are dropped at emit time (a read-only membership probe fused
@@ -26,7 +24,6 @@ type evalCtx struct {
 	neg     []Overlay
 	out     *relation.Relation
 	cur     *relation.Relation
-	cnt     *relation.Multiset
 	usize   int
 	headBuf relation.Tuple
 	negBuf  relation.Tuple
@@ -93,36 +90,13 @@ func (in *Instance) Apply(s State) State { return in.Eval(Spec{Pos: s}) }
 // lazy index construction inside Relation is internally synchronized.
 // Eval panics if sp sets both Deltas and Within.
 func (in *Instance) Eval(sp Spec) State {
-	wos := in.runPool(sp, false)
+	wos := in.runPool(sp)
 	out := wos[0].out
 	for _, wo := range wos[1:] {
 		out.UnionWith(wo.out)
 		wo.out = nil
 	}
 	return out
-}
-
-// Count runs the pass sp describes in counting mode: instead of a
-// derived set it returns, per head predicate, the multiset of head
-// tuples with the number of distinct rule-body derivations that emitted
-// each; sp.Against is not read.  Workers and shards fill private
-// multisets merged by summation; a shard range partitions its task's
-// driving enumeration, so every derivation is counted in exactly one.
-// Counts over Deltas are exact when every Delta carries the
-// Before/BeforeNeg relations making the first-driver discipline strict.
-func (in *Instance) Count(sp Spec) map[string]*relation.Multiset {
-	wos := in.runPool(sp, true)
-	cnt := wos[0].cnt
-	for _, wo := range wos[1:] {
-		for pred, ms := range wo.cnt {
-			if have := cnt[pred]; have != nil {
-				have.MergeFrom(ms)
-			} else {
-				cnt[pred] = ms
-			}
-		}
-	}
-	return cnt
 }
 
 // SemiNaive is the Spec of a semi-naive round: the subset of Θ(cur)
@@ -168,9 +142,6 @@ func (in *Instance) tasks(sp Spec) []evalTask {
 type workerOut struct {
 	out     State
 	against State // frontier filter, nil when the pass keeps everything
-	// cnt, in a counting pass, replaces out: per head predicate, every
-	// emitted tuple with its number of derivations.
-	cnt map[string]*relation.Multiset
 }
 
 // InlineFloor is the driver work below which a pass runs on the calling
@@ -199,10 +170,7 @@ var scratchPool sync.Pool
 // newWorkerOut builds the output of one of nw workers, presized for the
 // worker's share of each hinted predicate: 1/nw of the expected
 // cardinality.
-func (in *Instance) newWorkerOut(sp Spec, count bool, nw int) *workerOut {
-	if count {
-		return &workerOut{cnt: make(map[string]*relation.Multiset)}
-	}
+func (in *Instance) newWorkerOut(sp Spec, nw int) *workerOut {
 	wo := &workerOut{out: in.NewState(), against: sp.Against}
 	for pred, r := range wo.out {
 		r.ReserveHint(sp.hints[pred] / nw)
@@ -218,7 +186,7 @@ func (in *Instance) newWorkerOut(sp Spec, count bool, nw int) *workerOut {
 // output; with fewer tasks than workers, tasks are first split into
 // arena-range shards of their driver relation (see expandShards), so
 // even a two-rule program keeps every core busy.
-func (in *Instance) runPool(sp Spec, count bool) []*workerOut {
+func (in *Instance) runPool(sp Spec) []*workerOut {
 	tasks := in.tasks(sp)
 	pos, neg := sp.Pos, sp.Neg
 	if neg == nil {
@@ -235,7 +203,7 @@ func (in *Instance) runPool(sp Spec, count bool) []*workerOut {
 		nw = len(tasks)
 	}
 	if nw <= 1 {
-		wo := in.newWorkerOut(sp, count, 1)
+		wo := in.newWorkerOut(sp, 1)
 		for _, t := range tasks {
 			in.evalRule(t, pos, neg, wo)
 		}
@@ -249,7 +217,7 @@ func (in *Instance) runPool(sp Spec, count bool) []*workerOut {
 	for w := 0; w < nw; w++ {
 		go func(w int) {
 			defer wg.Done()
-			wo := in.newWorkerOut(sp, count, nw)
+			wo := in.newWorkerOut(sp, nw)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(tasks) {
@@ -324,7 +292,7 @@ func (in *Instance) getScratch(rp *rulePlan, maxNeg int) *evalScratch {
 // reference so pooled entries never pin last round's states.
 func (in *Instance) putScratch(sc *evalScratch) {
 	ctx := &sc.ctx
-	ctx.out, ctx.cur, ctx.cnt = nil, nil, nil
+	ctx.out, ctx.cur = nil, nil
 	for i := range ctx.pos {
 		ctx.pos[i] = Overlay{}
 	}
@@ -336,9 +304,7 @@ func (in *Instance) putScratch(sc *evalScratch) {
 
 // evalRule evaluates one task's rule plan.  posState resolves positive
 // IDB literals, negState negated ones, unless the task overrides the
-// literal (see source).  In a counting pass (wo.cnt non-nil) every
-// derivation bumps the head tuple's count in wo.cnt[headPred] instead
-// of inserting into the worker output.
+// literal (see source).
 func (in *Instance) evalRule(task evalTask, posState, negState State, wo *workerOut) {
 	rp := task.rp
 	maxNeg := 0
@@ -353,14 +319,6 @@ func (in *Instance) evalRule(task evalTask, posState, negState State, wo *worker
 	ctx.out = wo.out[rp.headPred]
 	if wo.against != nil {
 		ctx.cur = wo.against[rp.headPred]
-	}
-	if wo.cnt != nil {
-		ms := wo.cnt[rp.headPred]
-		if ms == nil {
-			ms = relation.NewMultiset(len(rp.headSlots))
-			wo.cnt[rp.headPred] = ms
-		}
-		ctx.cnt = ms
 	}
 	for i, lp := range rp.positives {
 		ctx.pos[i] = in.source(task.pos, i, lp, posState)
@@ -393,8 +351,8 @@ func slotValue(s slot, binding []int) int {
 // emitting head tuples into ctx.out.
 func (in *Instance) run(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int) {
 	if si == len(ep.steps) {
-		// Fill the scratch head buffer; AddNotIn (and Multiset.Bump for a
-		// new tuple) copies it only when actually stored.  ctx.cur is the
+		// Fill the scratch head buffer; AddNotIn copies it only when
+		// actually stored.  ctx.cur is the
 		// frontier filter: emissions already in the accumulated state are
 		// dropped here, by one read-only membership probe, instead of
 		// surviving into a derived state only to be removed by a Diff.
@@ -402,11 +360,7 @@ func (in *Instance) run(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bindin
 		for i, s := range rp.headSlots {
 			t[i] = slotValue(s, binding)
 		}
-		if ctx.cnt != nil {
-			ctx.cnt.Bump(t, 1)
-		} else {
-			ctx.out.AddNotIn(t, ctx.cur)
-		}
+		ctx.out.AddNotIn(t, ctx.cur)
 		return
 	}
 	st := ep.steps[si]

@@ -15,12 +15,8 @@
 // checks.  Every evaluation is one pass described by a Spec: the states
 // positive and negated literals read, optional delta drivers or a head
 // filter, and an optional accumulated state to drop emissions against
-// (frontier.go).  Two methods run a pass:
-//
-//	Eval(spec)   the pass's derived tuples
-//	Count(spec)  the same, each with its number of derivations
-//
-// and the paper's operator is the plain pass:
+// (frontier.go).  Eval(spec) runs a pass and returns its derived
+// tuples, and the paper's operator is the plain pass:
 //
 //	Apply(S)       Θ(S̄) = Eval(Spec{Pos: S})
 //	IsFixpoint(S)  Θ(S̄) = S̄

@@ -18,7 +18,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:     "E14",
-		Title:  "incremental maintenance: counting/DRed over strata and Γ stages, and stage replay, vs recompute under EDB updates",
+		Title:  "incremental maintenance: DRed over strata and Γ stages, and stage replay, vs recompute under EDB updates",
 		Source: "Section 4 stage structure (+ [GMS93]-style maintenance)",
 		Run:    runE14,
 	})
@@ -46,7 +46,7 @@ func runE14(w io.Writer, quick bool, opt engine.Options) error {
 	}
 	workloads := []e14Workload{
 		{
-			// E8-scale: transitive closure, counting/DRed strata path.
+			// E8-scale: transitive closure, DRed strata path.
 			name: fmt.Sprintf("TC path n=%d", scale(64, 16)),
 			src:  tcSrc, sem: core.Inflationary,
 			db:      func() *relation.Database { return graphs.Path(scale(64, 16)).Database() },
@@ -81,7 +81,7 @@ func runE14(w io.Writer, quick bool, opt engine.Options) error {
 		},
 		{
 			// The same game under the well-founded semantics: every stage of
-			// the alternating fixpoint maintained by counting.
+			// the alternating fixpoint maintained by DRed.
 			name: fmt.Sprintf("win-move G(%d) Γ chain", scale(240, 24)),
 			src:  winMoveSrc, sem: core.WellFounded,
 			db: func() *relation.Database {
@@ -159,11 +159,11 @@ func runE14(w io.Writer, quick bool, opt engine.Options) error {
 			c.verdict(ok, wl.name))
 	}
 	t.flush()
-	fmt.Fprintln(w, "    note: single-fact updates maintained by counting (nonrecursive strata),")
-	fmt.Fprintln(w, "    DRed delete/rederive (recursive strata), stage-log replay (general")
-	fmt.Fprintln(w, "    inflationary), or the same counting/DRed passes over the stages of the")
-	fmt.Fprintln(w, "    alternating fixpoint (well-founded); every row is checked bit-exact against")
-	fmt.Fprintln(w, "    a full recompute, the well-founded one in its true and possible parts.")
+	fmt.Fprintln(w, "    note: single-fact updates maintained by DRed delete/rederive (strata),")
+	fmt.Fprintln(w, "    stage-log replay (general inflationary), or the same DRed passes over")
+	fmt.Fprintln(w, "    the stages of the alternating fixpoint (well-founded); every row is")
+	fmt.Fprintln(w, "    checked bit-exact against a full recompute, the well-founded one in its")
+	fmt.Fprintln(w, "    true and possible parts.")
 	return c.err()
 }
 

@@ -7,8 +7,7 @@
 // Possible = A₂ₖ₊₁.  Unrolled, that is a stratified program with one
 // copy of the IDB per stage: stage i is semipositive over the EDB and
 // stage i−1, which is what strata.go maintains.  The maintainer keeps
-// A₁ … Aₙ, n = 2k+2, as private states (with support counts when the
-// frozen program is not recursive) and an update walks them in order,
+// A₁ … Aₙ, n = 2k+2, as private states and an update walks them in order,
 // handing stage i the EDB change and the net change of stage i−1; by
 // induction the result is A′ᵢ = Γ′(A′ᵢ₋₁).
 //
@@ -20,29 +19,17 @@ package incr
 
 import (
 	"repro/internal/engine"
-	"repro/internal/relation"
 	"repro/internal/semantics"
 )
-
-// gammaStage is one Aᵢ of the chain with the support counts of its
-// derivations from Aᵢ₋₁ (nil when the frozen program is recursive).
-type gammaStage struct {
-	state  engine.State
-	counts map[string]*relation.Multiset
-}
 
 // evalChain computes the alternating fixpoint from scratch, keeping
 // every stage.
 func (m *Maintainer) evalChain() {
-	m.chain = append(m.chain[:0], gammaStage{state: m.in.NewState()})
-	semantics.WellFoundedLog(m.in, semantics.SemiNaive, m.pushStage)
-	m.state = m.chain[len(m.chain)-1].state
-}
-
-// pushStage appends Γ of the chain's last stage, already computed.
-func (m *Maintainer) pushStage(stage engine.State) {
-	below := m.chain[len(m.chain)-1].state
-	m.chain = append(m.chain, gammaStage{state: stage, counts: m.gamma.seedCounts(stage, below)})
+	m.chain = append(m.chain[:0], m.in.NewState())
+	semantics.WellFoundedLog(m.in, semantics.SemiNaive, func(stage engine.State) {
+		m.chain = append(m.chain, stage)
+	})
+	m.state = m.chain[len(m.chain)-1]
 }
 
 // settled reports whether even stage i closes the chain: Aᵢ = Aᵢ₋₂.
@@ -50,8 +37,8 @@ func (m *Maintainer) settled(i int) bool {
 	if i%2 != 0 {
 		return false
 	}
-	for pred, r := range m.chain[i].state {
-		if r.Len() != m.chain[i-2].state[pred].Len() {
+	for pred, r := range m.chain[i] {
+		if r.Len() != m.chain[i-2][pred].Len() {
 			return false
 		}
 	}
@@ -67,7 +54,7 @@ func (m *Maintainer) updateChain(edb map[string]*change, stats *UpdateStats) {
 	i := 1
 	for ; ; i++ {
 		if i > last {
-			m.pushStage(semantics.Gamma(m.in, m.chain[i-1].state))
+			m.chain = append(m.chain, semantics.Gamma(m.in, m.chain[i-1]))
 		} else {
 			ch := make(map[string]*change, len(edb)+len(below))
 			for pred, c := range edb {
@@ -77,22 +64,21 @@ func (m *Maintainer) updateChain(edb map[string]*change, stats *UpdateStats) {
 				c.negOnly = true
 				ch[pred] = c
 			}
-			st := m.chain[i]
-			below = m.gamma.apply(st.state, m.chain[i-1].state, st.counts, ch)
+			below = m.gamma.apply(m.chain[i], m.chain[i-1], ch)
 		}
 		if m.settled(i) {
 			break
 		}
 	}
 	m.chain = m.chain[:i+1]
-	m.state = m.chain[i].state
+	m.state = m.chain[i]
 
 	// below is now the net change of the last stage walked, low =
 	// min(i, last).  With i = last that is the change of True.  Otherwise
 	// True moved between two even stages, which nest: stage low as the
 	// walk left it lies in the old and in the new True but for its own
 	// net change, so the lengths and a probe per changed tuple settle it.
-	low := m.chain[min(i, last)].state
+	low := m.chain[min(i, last)]
 	for pred, now := range m.state {
 		kept, wasLen := low[pred].Len(), wasTrue[pred].Len()
 		if c := below[pred]; c != nil {

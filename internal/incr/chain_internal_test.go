@@ -43,7 +43,7 @@ func TestChainRecomputesOnlyOnUniverseGrowth(t *testing.T) {
 			}
 			f := []Fact{{Pred: "E", Args: []string{name(), name()}}}
 			first := make(map[string]*relation.Relation)
-			for pred, r := range m.chain[1].state {
+			for pred, r := range m.chain[1] {
 				first[pred] = r
 			}
 			size := m.Universe().Size()
@@ -62,7 +62,7 @@ func TestChainRecomputesOnlyOnUniverseGrowth(t *testing.T) {
 			if stats.Strategy == "stages" {
 				effective++
 			}
-			for pred, r := range m.chain[1].state {
+			for pred, r := range m.chain[1] {
 				if first[pred] != r {
 					evaluations++
 					break

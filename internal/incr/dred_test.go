@@ -240,16 +240,15 @@ func sinkChain(db *relation.Database, vertexPred string) {
 	}
 }
 
-// TestCountingCostFollowsChange is TestUpdateCostFollowsChange one
-// stratum up, on serve-write's program: unreach is maintained by
-// counting, and what its pass reads of s — the old world, the tuples of
-// both worlds, of either — are overlays on s as it is, where they were
-// whole copies of s (and, for the old world, a snapshot that made the
-// DRed stratum below copy s again on its first Remove).  The swap moves
-// the end of a ten-vertex chain from one sink to another: ten s tuples
-// and ten unreach tuples go, ten of each come, whether V has 60 vertices
-// or 600 and unreach 3 thousand tuples or 300 thousand.
-func TestCountingCostFollowsChange(t *testing.T) {
+// TestNegationStratumCostFollowsChange is TestUpdateCostFollowsChange
+// one stratum up, on serve-write's program: unreach, the negation
+// stratum, is maintained by DRed from the change of s below it, and
+// what its pass reads of s — the old world — is an overlay on s as it
+// is, never a copy of s.  The swap moves the end of a ten-vertex chain
+// from one sink to another: ten s tuples and ten unreach tuples go, ten
+// of each come, whether V has 60 vertices or 600 and unreach 3 thousand
+// tuples or 300 thousand.
+func TestNegationStratumCostFollowsChange(t *testing.T) {
 	perUpdate := func(n int) (bytes uint64, tuples int) {
 		rng := rand.New(rand.NewSource(1))
 		db := relation.NewDatabase()

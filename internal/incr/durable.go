@@ -5,14 +5,11 @@
 // materialized IDB state, plus the small strategy-specific extras —
 // the per-stage lengths of the inflationary replay log and the
 // possibly-true relations of the well-founded model.  Everything else
-// the strategies keep (stratum engine instances, support counts, the
-// stages of the alternating fixpoint) is recomputed exactly from that
-// state on restore:
+// the strategies keep (stratum engine instances, the stages of the
+// alternating fixpoint) is rebuilt from that state on restore:
 //
-//   - strata: counts are seeded by one engine Count pass per
-//     nonrecursive stratum.  The counting invariant says maintained
-//     counts always equal the exact derivation counts at the current
-//     state, so recomputing them from the restored state is bit-exact.
+//   - strata: DRed keeps nothing beside the materialized relations, so
+//     the restored IDB is installed as it is.
 //   - replay: every logged stage is, by the monotone-append invariant
 //     of the fixpoint loops, a length-prefix of the final state
 //     relation's arena in insertion order.  The checkpoint therefore
@@ -158,12 +155,9 @@ func RestoreWith(cp *Checkpoint, opts engine.Options) (*Maintainer, error) {
 	switch m.strat {
 	case stratStrata:
 		// Install the restored IDB stratum by stratum, exactly as
-		// evalStrata installs computed results, and reseed the support
-		// counts of each nonrecursive stratum from the restored state:
-		// the counting invariant makes the recomputation bit-exact.
+		// evalStrata installs computed results.
 		m.state = make(engine.State)
 		for _, s := range m.strata {
-			st := make(engine.State, len(s.preds))
 			for pred := range s.preds {
 				rel, err := idbRel(pred)
 				if err != nil {
@@ -171,9 +165,7 @@ func RestoreWith(cp *Checkpoint, opts engine.Options) (*Maintainer, error) {
 				}
 				m.db.Set(pred, rel)
 				m.state[pred] = rel
-				st[pred] = rel
 			}
-			s.counts = s.seedCounts(st, st)
 		}
 	case stratReplay:
 		m.state = m.in.NewState()

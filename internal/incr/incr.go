@@ -6,20 +6,16 @@
 //
 //   - LFP and Stratified (and Inflationary on positive/semipositive
 //     programs, where it coincides with LFP): stratum-by-stratum
-//     maintenance.  Nonrecursive strata keep exact derivation support
-//     counts (the counting algorithm): an update bumps counts up for
-//     derivations it enables and down for derivations it disables, and
-//     membership follows count > 0.  Recursive strata use DRed:
-//     overdelete, rederive once, then propagate semi-naively what the
-//     rederivation and the update insert.  A stratum's net change is
-//     read off the sets the pass holds — what was overdeleted and did
-//     not come back, what was appended and had not been overdeleted —
-//     so an update's cost follows what it changes, not the size of the
-//     relations it changes it in.  Changes cascade upward through the
-//     strata, insertions acting as deletions through negation and vice
-//     versa; the old world of a changed relation, and the tuples of both
-//     worlds or of either that exact counting needs, are read through
-//     engine.Overlay on the relation as it is now, never copied.
+//     maintenance, every stratum by DRed: overdelete, rederive once,
+//     then propagate semi-naively what the rederivation and the update
+//     insert.  A stratum's net change is read off the sets the pass
+//     holds — what was overdeleted and did not come back, what was
+//     appended and had not been overdeleted — so an update's cost
+//     follows what it changes, not the size of the relations it changes
+//     it in.  Changes cascade upward through the strata, insertions
+//     acting as deletions through negation and vice versa; the old
+//     world of a changed relation is read through engine.Overlay on the
+//     relation as it is now, never copied.
 //   - Inflationary on general programs: the paper's stage sequence is
 //     the semantics, so the evaluator's per-stage snapshots (O(1) each,
 //     see relation.Relation.Snapshot) are persisted as a replay log.
@@ -31,7 +27,7 @@
 //     stage sequence too, and each stage a semipositive program — own
 //     predicates positive, negated IDB literals frozen against the stage
 //     below — so the chain A₁ … Aₙ is kept and every stage maintained by
-//     the same counting or DRed pass as a stratum, fed the EDB change
+//     the same DRed pass as a stratum, fed the EDB change
 //     and the net change of the stage below (chain.go).  Memory is
 //     n × |IDB| where a recompute holds 2 ×.  A stratifiable program has
 //     a total model equal to the stratified one and is maintained as
@@ -74,9 +70,9 @@ func (f Fact) Key() string {
 
 // UpdateStats reports what one Update did.
 type UpdateStats struct {
-	// Strategy that handled the update: counting/dred over strata
-	// ("strata") or over the stages of the alternating fixpoint
-	// ("stages"), replay, recompute, or noop.
+	// Strategy that handled the update: DRed over strata ("strata") or
+	// over the stages of the alternating fixpoint ("stages"), replay,
+	// recompute, or noop.
 	Strategy string `json:"strategy"`
 	// EDB tuples actually inserted/removed (duplicates and misses are
 	// dropped during normalization).
@@ -111,7 +107,7 @@ func (s *Snapshot) Relation(name string) *relation.Relation { return s.Rels[name
 type strategy int
 
 const (
-	stratStrata strategy = iota // counting + DRed over strata
+	stratStrata strategy = iota // DRed over strata
 	stratReplay                 // inflationary stage-log replay
 	stratWF                     // well-founded: the maintained Γ chain
 )
@@ -134,7 +130,7 @@ type Maintainer struct {
 	in     *engine.Instance // stratReplay / stratWF
 	log    []engine.State   // stratReplay: stage snapshots S₁..S_m
 	gamma  *stratum         // stratWF: the whole program as one Γ stage
-	chain  []gammaStage     // stratWF: A₀ = ∅, A₁ … Aₙ
+	chain  []engine.State   // stratWF: A₀ = ∅, A₁ … Aₙ
 
 	// pubUniv caches the universe copy handed to snapshots; the
 	// universe is append-only, so it is stale exactly when the sizes
@@ -192,7 +188,7 @@ func pickStrategy(prog *ast.Program, sem core.Semantics) (strategy, error) {
 	case core.Inflationary:
 		if monotone {
 			// Inflationary coincides with LFP: use the cheaper
-			// counting/DRed machinery.
+			// DRed machinery.
 			return stratStrata, nil
 		}
 		return stratReplay, nil
@@ -241,7 +237,7 @@ func (m *Maintainer) WF() *semantics.WFResult {
 	}
 	res := &semantics.WFResult{True: m.state, Possible: m.state}
 	if n := len(m.chain) - 1; m.strat == stratWF {
-		res.Possible, res.Outer = m.chain[n-1].state, n/2
+		res.Possible, res.Outer = m.chain[n-1], n/2
 	}
 	return res
 }

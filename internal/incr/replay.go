@@ -2,7 +2,7 @@
 //
 // The inflationary semantics is its stage sequence: S₀ = ∅,
 // S_{j+1} = S_j ∪ Θ(S_j), iterated to the inductive fixpoint.  For a
-// non-monotone program there is no counting/DRed shortcut — the result
+// non-monotone program there is no DRed shortcut — the result
 // is defined by the order tuples appear in — but the sequence itself
 // can be checkpointed: evaluation logs an O(1) snapshot of every stage
 // (semantics.InflationaryLog).  An EDB update leaves the prefix of the

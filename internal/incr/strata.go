@@ -1,4 +1,4 @@
-// strata.go — counting and DRed maintenance for stratified evaluation.
+// strata.go — DRed maintenance for stratified evaluation.
 //
 // The program is split into strata exactly as in semantics.StratifiedOpts:
 // each stratum is a semipositive program over the results of lower
@@ -16,25 +16,20 @@
 // stage of the alternating fixpoint (chain.go) passes its own stage and
 // the stage below.  By the time a pass runs, every relation it reads
 // already holds the new world; a change carries what entered and what
-// left, and the old world — like the both-worlds and either-world sets
-// of the strict discipline — is an engine.Overlay on the new relation,
-// so no pass allocates in proportion to a relation it does not change.
+// left, and the old world is an engine.Overlay on the new relation, so
+// no pass allocates in proportion to a relation it does not change.
 //
-// Nonrecursive strata (no positive own-predicate literal) keep exact
-// derivation support counts: membership is count > 0, so an update only
-// needs the exact counts of the derivations it enables and disables —
-// engine.Count over their deltas with the strict first-driver discipline.
-// Recursive strata use DRed.  Overdelete everything a disabled
+// Every layer is maintained by DRed.  Overdelete everything a disabled
 // derivation might have supported, evaluated in the old world: the
-// stratum's own relations before anything is removed from them, and its
+// layer's own relations before anything is removed from them, and its
 // changed inputs through their old-world overlays.  That leaves a state
-// certainly below the new fixpoint, and within a stratum Θ's iteration
+// certainly below the new fixpoint, and within a layer Θ's iteration
 // reaches the least fixpoint from any such state, so the rest is
 // iteration upwards: one head-filtered pass (an engine.Spec's Within)
 // returns the overdeleted tuples the reduced state still derives in one
 // step, and they join the update's insertions as seeds of the ordinary
 // semi-naive propagation, which finds everything further.  The
-// stratum's net change is then read off the sets in hand — overdeleted
+// layer's net change is then read off the sets in hand — overdeleted
 // and not back, appended and not overdeleted — instead of diffing
 // relations.
 package incr
@@ -51,10 +46,8 @@ import (
 // maintainer's database.
 type stratum struct {
 	in        *engine.Instance
-	preds     map[string]bool               // own IDB predicates
-	bodyPreds map[string]bool               // predicates read by rule bodies
-	recursive bool                          // some positive literal is over an own predicate
-	counts    map[string]*relation.Multiset // a stratum's support counts; nil when recursive
+	preds     map[string]bool // own IDB predicates
+	bodyPreds map[string]bool // predicates read by rule bodies
 }
 
 func newStratum(in *engine.Instance, sub *ast.Program) *stratum {
@@ -63,9 +56,6 @@ func newStratum(in *engine.Instance, sub *ast.Program) *stratum {
 		for _, l := range r.Body {
 			if l.Kind == ast.LitPos || l.Kind == ast.LitNeg {
 				s.bodyPreds[l.Atom.Pred] = true
-				if l.Kind == ast.LitPos && s.preds[l.Atom.Pred] {
-					s.recursive = true
-				}
 			}
 		}
 	}
@@ -93,9 +83,8 @@ func (m *Maintainer) initStrata() error {
 	return nil
 }
 
-// evalStrata computes every stratum from scratch, installs the results
-// into the database and state, and seeds support counts for the
-// nonrecursive strata.
+// evalStrata computes every stratum from scratch and installs the
+// results into the database and state.
 func (m *Maintainer) evalStrata() {
 	m.state = make(engine.State)
 	for _, s := range m.strata {
@@ -106,24 +95,7 @@ func (m *Maintainer) evalStrata() {
 			m.db.Set(pred, rel)
 			m.state[pred] = rel
 		}
-		s.counts = s.seedCounts(st, st)
 	}
-}
-
-// seedCounts returns the support counts of a nonrecursive layer at its
-// fixpoint own, negated IDB literals read against neg: the number of
-// rule-body derivations of each tuple.  Nil for a recursive layer.
-func (s *stratum) seedCounts(own, neg engine.State) map[string]*relation.Multiset {
-	if s.recursive {
-		return nil
-	}
-	counts := s.in.Count(engine.Spec{Pos: own, Neg: neg})
-	for pred := range s.preds {
-		if counts[pred] == nil {
-			counts[pred] = relation.NewMultiset(s.in.Arity(pred))
-		}
-	}
-	return counts
 }
 
 // touched reports whether any changed predicate is read by the stratum.
@@ -140,7 +112,7 @@ func (s *stratum) touched(ch map[string]*change) bool {
 // extending ch with each stratum's net IDB changes.
 func (m *Maintainer) updateStrata(ch map[string]*change, stats *UpdateStats) {
 	for _, s := range m.strata {
-		for pred, c := range s.apply(m.state, m.state, s.counts, ch) {
+		for pred, c := range s.apply(m.state, m.state, ch) {
 			ch[pred] = c
 			stats.InsertedIDB += c.add.Len()
 			stats.DeletedIDB += c.del.Len()
@@ -148,38 +120,16 @@ func (m *Maintainer) updateStrata(ch map[string]*change, stats *UpdateStats) {
 	}
 }
 
-// apply maintains the layer's predicates in own under the changes ch of
-// what its bodies read, by counting when counts is non-nil and by DRed
-// otherwise, and returns their net changes.
-func (s *stratum) apply(own, neg engine.State, counts map[string]*relation.Multiset, ch map[string]*change) map[string]*change {
-	if !s.touched(ch) {
-		return nil
-	}
-	var adds, dels engine.State
-	if counts != nil {
-		adds, dels = s.applyCounting(own, neg, counts, ch)
-	} else {
-		adds, dels = s.applyDRed(own, neg, ch)
-	}
-	net := make(map[string]*change, len(s.preds))
-	for pred := range s.preds {
-		if !adds[pred].Empty() || !dels[pred].Empty() {
-			net[pred] = &change{add: adds[pred], del: dels[pred], cur: own[pred]}
-		}
-	}
-	return net
-}
-
 // drivers compiles the changes the layer reads into the deltas of its
 // two passes: dis drives the derivations the update disables — a removed
 // tuple under a positive literal, an added one under a negated literal —
 // with the literals after the driver reading the old world; ena drives
 // the ones it enables, read in the new world the relations already
-// hold.  With strict set, literals before the driver read the tuples of
-// both worlds (positive) and are checked against the tuples of either
-// (negated), so that every derivation is enumerated exactly once.  A
-// negOnly change leaves the positive side of its predicate alone.
-func (s *stratum) drivers(ch map[string]*change, strict bool) (dis, ena map[string]engine.Delta) {
+// hold; anyDis and anyEna report whether either has a driver.  A
+// derivation with several drivers may be enumerated once per driver,
+// which the set-valued passes of DRed tolerate.  A negOnly change
+// leaves the positive side of its predicate alone.
+func (s *stratum) drivers(ch map[string]*change) (dis, ena map[string]engine.Delta, anyDis, anyEna bool) {
 	dis = make(map[string]engine.Delta, len(ch))
 	ena = make(map[string]engine.Delta, len(ch))
 	for pred, c := range ch {
@@ -188,14 +138,8 @@ func (s *stratum) drivers(ch map[string]*change, strict bool) (dis, ena map[stri
 		}
 		d := engine.Delta{AfterNeg: c.old()}
 		var e engine.Delta
-		if strict {
-			d.BeforeNeg, e.BeforeNeg = c.either(), c.either()
-		}
 		if !c.negOnly {
 			d.After = c.old()
-			if strict {
-				d.Before, e.Before = c.both(), c.both()
-			}
 		}
 		if !c.del.Empty() {
 			e.NegDriver = c.del
@@ -210,70 +154,23 @@ func (s *stratum) drivers(ch map[string]*change, strict bool) (dis, ena map[stri
 			}
 		}
 		dis[pred], ena[pred] = d, e
+		anyDis = anyDis || d.PosDriver != nil || d.NegDriver != nil
+		anyEna = anyEna || e.PosDriver != nil || e.NegDriver != nil
 	}
-	return dis, ena
+	return dis, ena, anyDis, anyEna
 }
 
-// applyCounting maintains a nonrecursive layer exactly through support
-// counts: the derivations the update disables are counted in the old
-// world, the ones it enables in the new, both under the strict
-// first-driver discipline, and membership follows count > 0.
-func (s *stratum) applyCounting(own, neg engine.State, counts map[string]*relation.Multiset, ch map[string]*change) (adds, dels engine.State) {
-	in := s.in
-	dis, ena := s.drivers(ch, true)
-	dec := in.Count(engine.Spec{Pos: own, Neg: neg, Deltas: dis})
-	inc := in.Count(engine.Spec{Pos: own, Neg: neg, Deltas: ena})
-
-	adds, dels = in.NewState(), in.NewState()
-	for pred := range s.preds {
-		ms, rel := counts[pred], own[pred]
-		bump := func(src *relation.Multiset, sign int64) {
-			if src == nil {
-				return
-			}
-			src.Each(func(t relation.Tuple, n int64) bool {
-				if n != 0 {
-					ms.Bump(t, sign*n)
-				}
-				return true
-			})
-		}
-		bump(dec[pred], -1)
-		bump(inc[pred], +1)
-		settle := func(src *relation.Multiset) {
-			if src == nil {
-				return
-			}
-			src.Each(func(t relation.Tuple, _ int64) bool {
-				if ms.Count(t) > 0 {
-					if rel.Add(t) {
-						adds[pred].Add(t)
-					}
-				} else if rel.Has(t) {
-					dels[pred].Add(t)
-				}
-				return true
-			})
-		}
-		settle(dec[pred])
-		settle(inc[pred])
-		rel.RemoveAll(dels[pred])
+// apply maintains the layer's predicates in own under the changes ch of
+// what its bodies read and returns their net changes: overdelete in the
+// old world, commit, rederive from the reduced new world, then
+// propagate insertions semi-naively.
+func (s *stratum) apply(own, neg engine.State, ch map[string]*change) map[string]*change {
+	if !s.touched(ch) {
+		return nil
 	}
-	return adds, dels
-}
-
-// applyDRed maintains a recursive layer: overdelete in the old world,
-// commit, rederive from the reduced new world, then propagate
-// insertions semi-naively.  Set-valued throughout, so the relaxed
-// (duplicate-tolerant) driver discipline suffices.
-func (s *stratum) applyDRed(own, neg engine.State, ch map[string]*change) (adds, dels engine.State) {
 	in := s.in
-	base, seed := s.drivers(ch, false) // disabled drivers + old-world reads; enabled drivers
-	anyDel, anyIns := false, false
-	for pred, d := range base {
-		anyDel = anyDel || d.PosDriver != nil || d.NegDriver != nil
-		anyIns = anyIns || seed[pred].PosDriver != nil || seed[pred].NegDriver != nil
-	}
+	// Disabled drivers with old-world reads; enabled drivers.
+	base, seed, anyDel, anyIns := s.drivers(ch)
 	// withDriver is the side reads of deltas with the own predicates driven
 	// by front.  An own predicate may have an entry already — a Γ stage
 	// reads it negated against the changed stage below — whose negated
@@ -325,7 +222,7 @@ func (s *stratum) applyDRed(own, neg engine.State, ch map[string]*change) (adds,
 	// fact the update enables (a seed already) or was derivable in the
 	// old world, hence is an overdeleted tuple this pass finds; whatever
 	// else must come back follows from a tuple added here or in phase 3.
-	if anyDel {
+	if !dover.Empty() {
 		red := in.Eval(engine.Spec{Pos: own, Neg: neg, Within: dover})
 		for pred := range s.preds {
 			if !red[pred].Empty() {
@@ -341,15 +238,15 @@ func (s *stratum) applyDRed(own, neg engine.State, ch map[string]*change) (adds,
 	// 3. Insert: derivations the update enables or the rederived tuples
 	// support, propagated semi-naively through the stratum in the new
 	// world, filtered against the already materialized own-predicate
-	// state at emit time.
+	// state at emit time (Against is read at head predicates only, which
+	// are own ones).
 	if anyIns {
-		against := ownState(own, s.preds)
-		frontier := in.Eval(engine.Spec{Pos: own, Neg: neg, Deltas: seed, Against: against})
+		frontier := in.Eval(engine.Spec{Pos: own, Neg: neg, Deltas: seed, Against: own})
 		for !frontier.Empty() {
 			for pred := range s.preds {
 				own[pred].UnionWith(frontier[pred])
 			}
-			frontier = in.Eval(engine.Spec{Pos: own, Neg: neg, Deltas: withDriver(nil, frontier), Against: against})
+			frontier = in.Eval(engine.Spec{Pos: own, Neg: neg, Deltas: withDriver(nil, frontier), Against: own})
 		}
 	}
 
@@ -357,24 +254,18 @@ func (s *stratum) applyDRed(own, neg engine.State, ch map[string]*change) (adds,
 	// was overdeleted and did not come back (a walk over the overdeleted
 	// set, not over the relation), and entered it iff it was appended
 	// past the mark without having been overdeleted.
-	adds, dels = in.NewState(), make(engine.State, len(s.preds))
+	net := make(map[string]*change, len(s.preds))
 	for pred := range s.preds {
 		rel, over := own[pred], dover[pred]
-		dels[pred] = over.Diff(rel)
+		c := &change{add: relation.New(rel.Arity()), del: over.Diff(rel), cur: rel}
 		for off := mark[pred]; off < rel.Len(); off++ {
 			if t := rel.At(int32(off)); !over.Has(t) {
-				adds[pred].Add(t)
+				c.add.Add(t)
 			}
 		}
+		if !c.add.Empty() || !c.del.Empty() {
+			net[pred] = c
+		}
 	}
-	return adds, dels
-}
-
-// ownState restricts a state to the given predicates.
-func ownState(st engine.State, preds map[string]bool) engine.State {
-	out := make(engine.State, len(preds))
-	for pred := range preds {
-		out[pred] = st[pred]
-	}
-	return out
+	return net
 }

@@ -152,23 +152,3 @@ func TestSealedSnapshotConcurrentReads(t *testing.T) {
 		wg.Wait()
 	}
 }
-
-func TestMultiset(t *testing.T) {
-	m := NewMultiset(2)
-	m.Bump(Tuple{1, 2}, 3)
-	m.Bump(Tuple{1, 2}, -1)
-	m.Bump(Tuple{3, 4}, 1)
-	if got := m.Count(Tuple{1, 2}); got != 2 {
-		t.Fatalf("count = %d, want 2", got)
-	}
-	if got := m.Count(Tuple{9, 9}); got != 0 {
-		t.Fatalf("absent count = %d, want 0", got)
-	}
-	o := NewMultiset(2)
-	o.Bump(Tuple{3, 4}, 5)
-	o.Bump(Tuple{7, 8}, 1)
-	m.MergeFrom(o)
-	if m.Count(Tuple{3, 4}) != 6 || m.Count(Tuple{7, 8}) != 1 || m.rel.Len() != 3 {
-		t.Fatalf("merge wrong: %d %d %d", m.Count(Tuple{3, 4}), m.Count(Tuple{7, 8}), m.rel.Len())
-	}
-}

@@ -4,7 +4,7 @@ import "strconv"
 
 // Tuple is a fixed-arity sequence of universe ids.  A relation copies
 // the ids of a tuple it is handed, so callers keep their slice.  A tuple
-// read from a relation (At, Each, Multiset.Each) is a view of the
+// read from a relation (At, Each) is a view of the
 // relation's arena: callers must not write to it, and it is valid until
 // that relation is next removed from — a Remove moves the last tuple
 // into the vacated slot.  Appends never disturb it.  Copy it with Clone

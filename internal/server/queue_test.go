@@ -283,6 +283,25 @@ func TestUpdateAfterClose(t *testing.T) {
 	if st.StatusCode != http.StatusOK {
 		t.Errorf("reads after Close: status %d, want 200", st.StatusCode)
 	}
+
+	// The direct update path refuses too, before the maintainer sees the
+	// update: nothing is published, and a durable server neither appends
+	// to its closed store nor fences it.
+	ins := []incr.Fact{{Pred: "E", Args: []string{"x", "y"}}}
+	if _, snap, err := srv.Update(ins, nil); err != ErrClosed || snap != nil {
+		t.Fatalf("in-memory Update after Close: snap %v, err %v, want ErrClosed", snap, err)
+	}
+	if gen := srv.Snapshot().Gen; gen != 0 {
+		t.Fatalf("in-memory Update after Close published generation %d", gen)
+	}
+	dsrv := newFenceServer(t, t.TempDir(), Config{})
+	dsrv.Close()
+	if _, _, err := dsrv.Update(ins, nil); err != ErrClosed {
+		t.Fatalf("durable Update after Close: err %v, want ErrClosed", err)
+	}
+	if gen, n := dsrv.Snapshot().Gen, dsrv.dur.appendErrors.Load(); gen != 0 || n != 0 {
+		t.Fatalf("durable Update after Close: generation %d, append errors %d, want 0 and 0", gen, n)
+	}
 }
 
 // TestErrorEnvelope checks the envelope shape and code on each

@@ -231,7 +231,8 @@ func (s *Server) Snapshot() *incr.Snapshot { return s.cur.Load() }
 // serialized, and the returned snapshot is the one this update
 // published (a fresh s.cur.Load() could already belong to a later
 // update).  With durability on, the batch is appended to the WAL
-// before publication, so an answered update is a logged update.  HTTP
+// before publication, so an answered update is a logged update.  After
+// Close it fails with ErrClosed and leaves the maintainer alone.  HTTP
 // traffic goes through EnqueueUpdate instead, which group-commits
 // concurrent callers into shared passes.
 func (s *Server) Update(ins, del []incr.Fact) (*incr.UpdateStats, *incr.Snapshot, error) {
@@ -245,6 +246,9 @@ func (s *Server) Update(ins, del []incr.Fact) (*incr.UpdateStats, *incr.Snapshot
 func (s *Server) updateLocked(ins, del []incr.Fact) (*incr.UpdateStats, *incr.Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return nil, nil, ErrClosed
+	}
 	if s.dur != nil && s.dur.store.Err() != nil {
 		// An earlier batch reached the maintainer but not the WAL.
 		// Applying (or logging) anything more would diverge the

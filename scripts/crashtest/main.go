@@ -8,7 +8,7 @@
 // recompute — not merely self-consistent.
 //
 // Trials rotate through all four semantics, covering all three
-// maintainer strategies (counting/DRed strata, inflationary stage-log
+// maintainer strategies (DRed strata, inflationary stage-log
 // replay, the well-founded chain of Γ stages).
 //
 // Usage:

@@ -27,9 +27,9 @@ import (
 // maintainer strategy is exercised.  All share the c0..c7 constant
 // pool and take updates on E.
 var Programs = map[string]string{
-	// LFP / pure positive: counting-maintained strata.
+	// LFP / pure positive: DRed-maintained strata.
 	"lfp": "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).",
-	// Stratified negation: counting + DRed across strata.
+	// Stratified negation: DRed across strata.
 	"stratified": "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).\nns(X,Y) :- node(X), node(Y), !s(X,Y).",
 	// Non-stratified inflationary: stage-log replay strategy.
 	"inflationary": "win(X) :- E(X,Y), !win(Y).",
