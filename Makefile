@@ -92,7 +92,8 @@ pairs:
 	$(GO) run ./scripts/pairs -base .bench_build/pairs/base -change . -workload $(WORKLOAD) -n $(N) -seed $(SEED)
 
 # 30 seconds of native fuzzing per target: the parser round-trip
-# invariants and the magic rewrite's stratifiable-or-fallback contract.
+# invariants, the magic rewrite's stratifiable-or-fallback contract,
+# and the WAL and snapshot decoders on arbitrary bytes.
 # Seed corpora live under testdata/fuzz and also run as plain tests.
 FUZZTIME ?= 30s
 fuzz-smoke:
@@ -100,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFacts$$' -fuzztime $(FUZZTIME) ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzMagicRewrite$$' -fuzztime $(FUZZTIME) ./internal/magic
 	$(GO) test -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME) ./internal/durable
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/durable
 
 # The durability kill harness: spawn the daemon with a data dir,
 # kill -9 at random points, restart, and diff every relation against a

@@ -399,9 +399,9 @@ func experimentsBench(b *testing.B, id string) {
 func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // BenchmarkE14IncrementalUpdate: single-fact EDB updates maintained
-// incrementally (counting/DRed over strata or over the stages of the
-// alternating fixpoint, or stage replay) vs a full recompute, on the
-// E8/E10-scale workloads of experiment E14.
+// incrementally (DRed over strata or over the stages of the
+// alternating fixpoint) vs a full recompute, on the E8/E10-scale
+// workloads of experiment E14.
 func BenchmarkE14IncrementalUpdate(b *testing.B) {
 	cases := []struct {
 		name string

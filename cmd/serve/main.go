@@ -2,8 +2,9 @@
 // DATALOG¬ program and a fact file, evaluates the chosen semantics
 // once, and then serves queries from immutable snapshots while
 // accepting fact inserts/deletes that are maintained incrementally
-// (DRed for stratified strata, stage-log replay for general
-// inflationary programs) instead of recomputed.  Concurrent updates
+// (DRed over strata, or over the Γ stages of the well-founded model)
+// instead of recomputed; only a general inflationary program is
+// recomputed on every update.  Concurrent updates
 // are group-committed: a 256-deep queue coalesces them into shared
 // maintainer passes, and a full queue sheds load with 429.  A query
 // whose request says "magic": true is answered demand-driven.

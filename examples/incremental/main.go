@@ -4,10 +4,10 @@
 //
 // Three stops:
 //  1. transitive closure under single edge inserts/deletes
-//     (counting/DRed over strata),
+//     (DRed over strata),
 //  2. a published snapshot staying stable while the state moves on
 //     (the daemon's concurrent-reader contract),
-//  3. a general inflationary program maintained by stage-log replay.
+//  3. a general inflationary program, recomputed on every update.
 package main
 
 import (
@@ -63,10 +63,10 @@ s(X,Y) :- e(X,Z), s(Z,Y).
 	fmt.Printf("\nsnapshot taken at gen %d still has |s| = %d; live state has |s| = %d\n",
 		snap.Gen, snap.Relation("s").Len(), m.State()["s"].Len())
 
-	// --- 3. General inflationary program: stage-log replay.  π₁-style
-	// win-move has recursion through negation, so the stage sequence IS
-	// the semantics; the maintainer checkpoints every stage and replays
-	// only from the first one an update can affect.
+	// --- 3. General inflationary program: recompute.  π₁-style win-move
+	// has recursion through negation, so the order in which the stage
+	// sequence derives tuples IS the semantics; no DRed pass keeps it,
+	// and the maintainer re-evaluates the sequence over the updated EDB.
 	win, err := repro.ParseProgram("win(X) :- e(X,Y), !win(Y).")
 	if err != nil {
 		log.Fatal(err)
@@ -79,13 +79,13 @@ s(X,Y) :- e(X,Z), s(Z,Y).
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nwin-move on a→b→c→d (plus x→y), %d logged stages:\n", wm.Stages())
+	fmt.Println("\nwin-move on a→b→c→d (plus x→y):")
 	fmt.Println("  win =", wm.State()["win"].Format(wm.Universe()))
 	stats, err = wm.Update([]repro.Fact{{Pred: "e", Args: []string{"d", "x"}}}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("insert e(d,x): strategy=%s, skipped %d stages, replayed %d\n",
-		stats.Strategy, stats.SkippedStages, stats.ReplayedStages)
+	fmt.Printf("insert e(d,x): strategy=%s, +%d -%d IDB tuples\n",
+		stats.Strategy, stats.InsertedIDB, stats.DeletedIDB)
 	fmt.Println("  win =", wm.State()["win"].Format(wm.Universe()))
 }

@@ -19,9 +19,9 @@ import (
 
 const winSrc = "win(X) :- E(X,Y), !win(Y)."
 
-// mustMaintainer builds an inflationary win-move maintainer over a
-// small graph — the replay strategy, the one with the most checkpoint
-// structure (stage log).
+// mustMaintainer builds a win-move maintainer under sem over a small
+// graph: recomputed under the inflationary semantics, a Γ chain under
+// the well-founded one.
 func mustMaintainer(t *testing.T, sem core.Semantics) *incr.Maintainer {
 	t.Helper()
 	prog := parser.MustProgram(winSrc)
@@ -53,8 +53,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Snapshot().Gen != m.Snapshot().Gen || r.Stages() != m.Stages() {
-				t.Fatalf("restored gen/stages %d/%d, want %d/%d", r.Snapshot().Gen, r.Stages(), m.Snapshot().Gen, m.Stages())
+			if r.Snapshot().Gen != m.Snapshot().Gen {
+				t.Fatalf("restored gen %d, want %d", r.Snapshot().Gen, m.Snapshot().Gen)
 			}
 			want := m.State().Format(m.Universe())
 			have := r.State().Format(r.Universe())
@@ -498,6 +498,64 @@ func TestStorePoisonedAfterFailedIntervalSync(t *testing.T) {
 	}
 	if _, err := s.Append(&rec); err != ErrPoisoned {
 		t.Fatalf("append after a failed sync: %v, want ErrPoisoned", err)
+	}
+}
+
+// A failed rotation fences the store like a failed append: the sealed
+// segment's fsync failed, so its acknowledged records may be gone, and
+// no later record may be acknowledged after them.
+func TestStorePoisonedAfterFailedRotate(t *testing.T) {
+	s, _, err := Open(t.TempDir(), FsyncOff, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rec := Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}}
+	if _, err := s.Append(&rec); err != nil {
+		t.Fatal(err)
+	}
+	dead, err := os.CreateTemp(t.TempDir(), "dead")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close()
+	s.mu.Lock()
+	live := s.f
+	s.f = dead
+	s.mu.Unlock()
+	defer live.Close()
+
+	if err := s.Rotate(); err == nil {
+		t.Fatal("Rotate with a closed active segment succeeded")
+	}
+	if err := s.Err(); err != ErrPoisoned {
+		t.Fatalf("Err after a failed rotation: %v, want ErrPoisoned", err)
+	}
+	if _, err := s.Append(&rec); err != ErrPoisoned {
+		t.Fatalf("append after a failed rotation: %v, want ErrPoisoned", err)
+	}
+}
+
+// InstallSnapshot refuses an image recovery could not read, garbage or
+// a real one cut short, and leaves no snapshot behind.
+func TestInstallSnapshotRejectsDamagedImage(t *testing.T) {
+	var image bytes.Buffer
+	if err := WriteSnapshot(&image, mustMaintainer(t, core.WellFounded).Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	for name, img := range map[string][]byte{
+		"garbage":   []byte("not a snapshot at all"),
+		"truncated": image.Bytes()[:image.Len()/2],
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := InstallSnapshot(dir, bytes.NewReader(img)); err == nil {
+				t.Fatal("InstallSnapshot accepted a damaged image")
+			}
+			if HasSnapshot(dir) {
+				t.Fatal("a damaged image was installed")
+			}
+		})
 	}
 }
 

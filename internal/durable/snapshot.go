@@ -10,16 +10,14 @@
 //	  [secProgram ] program text (re-parsed on restore)
 //	  [secUniverse] constant names in id order
 //	  [secRelation]* role (EDB/IDB/possible), name, arity, tuples
-//	  [secStages  ] per-stage per-predicate lengths (replay log)
 //	  [secEnd     ]
 //	}
 //
 // Tuples serialize in arena insertion order — one tag byte selecting
 // the packed uint64 key (8 bytes little-endian) or the length-prefixed
 // spill byte string — so a restored relation's arena is byte-for-byte
-// in the original order.  That ordering is load-bearing: the replay
-// strategy's stage log is reconstructed as length-prefix views of the
-// restored arenas (see incr.RestoreWith).
+// in the original order and a restored maintainer checkpoints to the
+// same bytes.  Any other section kind is an error.
 package durable
 
 import (
@@ -48,7 +46,6 @@ const (
 	secProgram  = 2
 	secUniverse = 3
 	secRelation = 4
-	secStages   = 5
 	secEnd      = 0xFF
 )
 
@@ -60,8 +57,14 @@ const (
 )
 
 // maxSectionBytes bounds a single section payload: larger lengths are
-// treated as corruption rather than attempted allocations.
-const maxSectionBytes = 1 << 31
+// treated as corruption.  A payload up to eagerSectionBytes is read into
+// one allocation of its declared length; a longer one grows with the
+// bytes that arrive, so a damaged length costs at most what the stream
+// actually holds.
+const (
+	maxSectionBytes   = 1 << 31
+	eagerSectionBytes = 1 << 20
+)
 
 // WriteSnapshot serializes a checkpoint to w in the format above.
 func WriteSnapshot(w io.Writer, cp *incr.Checkpoint) error {
@@ -97,20 +100,6 @@ func WriteSnapshot(w io.Writer, cp *incr.Checkpoint) error {
 	}
 	for _, name := range sortedKeys(cp.Possible) {
 		sw.section(secRelation, encodeRelation(rolePossible, name, cp.Possible[name]))
-	}
-
-	if cp.StageLens != nil {
-		buf = buf[:0]
-		buf = binary.AppendUvarint(buf, uint64(len(cp.StageLens)))
-		for _, lens := range cp.StageLens {
-			buf = binary.AppendUvarint(buf, uint64(len(lens)))
-			for _, pred := range sortedKeys(lens) {
-				buf = binary.AppendUvarint(buf, uint64(len(pred)))
-				buf = append(buf, pred...)
-				buf = binary.AppendUvarint(buf, uint64(lens[pred]))
-			}
-		}
-		sw.section(secStages, buf)
 	}
 
 	sw.section(secEnd, nil)
@@ -209,22 +198,6 @@ func ReadSnapshot(r io.Reader) (*incr.Checkpoint, error) {
 			default:
 				return nil, fmt.Errorf("durable: snapshot relation %s has unknown role %d", name, role)
 			}
-		case secStages:
-			d := recDecoder{buf: payload}
-			n := d.count()
-			cp.StageLens = make([]map[string]int, 0, n)
-			for i := 0; i < n && d.err == nil; i++ {
-				k := d.count()
-				lens := make(map[string]int, k)
-				for j := 0; j < k && d.err == nil; j++ {
-					pred := d.str()
-					lens[pred] = int(d.uvarint())
-				}
-				cp.StageLens = append(cp.StageLens, lens)
-			}
-			if d.err != nil {
-				return nil, fmt.Errorf("durable: snapshot stages: %w", d.err)
-			}
 		default:
 			return nil, fmt.Errorf("durable: unknown snapshot section %d", kind)
 		}
@@ -275,8 +248,17 @@ func readSection(br *bufio.Reader) (byte, []byte, error) {
 	if err != nil || n > maxSectionBytes {
 		return 0, nil, fmt.Errorf("durable: snapshot section %d has bad length", kind)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	var payload []byte
+	if n <= eagerSectionBytes {
+		payload = make([]byte, n)
+		_, err = io.ReadFull(br, payload)
+	} else {
+		payload, err = io.ReadAll(io.LimitReader(br, int64(n)))
+		if err == nil && uint64(len(payload)) < n {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	if err != nil {
 		return 0, nil, fmt.Errorf("durable: truncated snapshot section %d: %w", kind, err)
 	}
 	var sum [4]byte

@@ -12,9 +12,10 @@
 //	append     frame the record, write, fsync per policy.  The caller
 //	           (the server's committer) answers clients only after
 //	           Append returns, so acknowledged implies durable under
-//	           the "always" policy.  The first failed append fences
-//	           the store: every later Append and Rotate is refused,
-//	           so no record is ever acknowledged past a possible tear.
+//	           the "always" policy.  The first failed append, fsync
+//	           or rotation fences the store: every later Append and
+//	           Rotate is refused, so no record is ever acknowledged
+//	           past a possible tear.
 //	checkpoint Rotate() seals the active segment and opens the next
 //	           one while the caller captures a sealed state image in
 //	           the same critical section; WriteCheckpoint() then —
@@ -134,7 +135,7 @@ type Store struct {
 	seq        uint64   // active segment sequence number
 	dirty      bool     // unsynced appends (interval policy)
 	closed     bool
-	poisoned   bool             // an append or a sync failed: the active segment may hold a tear
+	poisoned   bool             // an append, a rotation or a sync failed: the active segment may hold a tear
 	walBytes   int64            // record bytes across live segments
 	walRecords int64            // records across live segments
 	segs       map[uint64]int64 // live segment -> record bytes (for deletion accounting)
@@ -174,9 +175,9 @@ type StoreStats struct {
 var ErrClosed = errors.New("durable: store is closed")
 
 // ErrPoisoned reports an append or rotation refused because an earlier
-// append failed.  The active segment may then hold a torn frame, and
-// writing past it would place acknowledged records beyond the point
-// recovery truncates at, silently dropping them.
+// append, rotation or fsync failed.  The active segment may then hold a
+// torn frame, and writing past it would place acknowledged records
+// beyond the point recovery truncates at, silently dropping them.
 var ErrPoisoned = errors.New("durable: an earlier WAL append failed; refusing further appends")
 
 // Open opens (creating if needed) a data directory, recovers its
@@ -411,8 +412,8 @@ func (s *Store) Append(rec *Record) (int64, error) {
 	return n, nil
 }
 
-// Err returns ErrPoisoned once an Append or a background fsync has
-// failed, and nil before.
+// Err returns ErrPoisoned once an Append, a Rotate or a background
+// fsync has failed, and nil before.
 func (s *Store) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -423,7 +424,8 @@ func (s *Store) Err() error {
 }
 
 // refusalLocked reports why the store refuses appends and rotations:
-// ErrClosed after Close, ErrPoisoned after a failed append.
+// ErrClosed after Close, ErrPoisoned after a failed append, rotation
+// or fsync.
 func (s *Store) refusalLocked() error {
 	switch {
 	case s.closed:
@@ -440,27 +442,32 @@ func (s *Store) refusalLocked() error {
 // the rotation is then covered by that image, and WriteCheckpoint may
 // delete the sealed segments once the image is on disk.  A poisoned
 // store refuses: sealing a segment with a torn frame would turn its
-// tear into mid-history corruption on the next boot.
+// tear into mid-history corruption on the next boot.  A failed
+// rotation fences the store like a failed append: the sealed segment
+// may have lost pages to a failed fsync, or the store may be left
+// without an active segment.
 func (s *Store) Rotate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.refusalLocked(); err != nil {
 		return err
 	}
-	if err := s.f.Sync(); err != nil {
-		return err
-	}
-	if err := s.f.Close(); err != nil {
-		return err
-	}
-	s.seq++
-	err := s.openSegment()
+	err := s.f.Sync()
 	if err == nil {
-		// Wake tailing readers parked at the sealed end of the old
-		// active segment so they advance to the new one.
-		s.notifyLocked()
+		err = s.f.Close()
 	}
-	return err
+	if err == nil {
+		s.seq++
+		err = s.openSegment()
+	}
+	if err != nil {
+		s.poisoned = true
+		return err
+	}
+	// Wake tailing readers parked at the sealed end of the old active
+	// segment so they advance to the new one.
+	s.notifyLocked()
+	return nil
 }
 
 // WriteCheckpoint atomically replaces the snapshot with cp and deletes
@@ -528,10 +535,12 @@ func installSnapshot(dir string, write func(io.Writer) error) error {
 
 // InstallSnapshot makes the snapshot image read from r the snapshot of
 // data directory dir, atomically, as a checkpoint would.  A follower
-// installs its leader's checkpoint this way before opening dir.
+// installs its leader's checkpoint this way before opening dir.  The
+// image is parsed as it is written, and one ReadSnapshot rejects —
+// damaged, or cut short by a failed download — is not installed.
 func InstallSnapshot(dir string, r io.Reader) error {
 	return installSnapshot(dir, func(w io.Writer) error {
-		_, err := io.Copy(w, r)
+		_, err := ReadSnapshot(io.TeeReader(r, w))
 		return err
 	})
 }

@@ -13,9 +13,9 @@
 // The literal positions a change can drive are ordered (positives in
 // body order, then negatives), and the variant whose driver is at
 // position v forces positions before v to be non-drivers.
-// "Non-driver" reads come from the Delta's Before/BeforeNeg overlays
-// when the caller provides them, which enumerates each qualifying
-// derivation exactly once, and fall back to the after-driver relations
+// "Non-driver" reads of a positive literal come from the Delta's Before
+// overlay when the caller provides it, which enumerates each qualifying
+// derivation exactly once, and fall back to the after-driver relation
 // otherwise, which can enumerate a derivation once per driver it
 // contains; harmless for set-valued passes.
 package engine
@@ -52,7 +52,7 @@ func (o *Overlay) Has(t relation.Tuple) bool {
 // Before strictly before it, and After (or, when unset, the Spec's Pos
 // state / the database, like a predicate without an entry) after it.
 // For a negated literal, non-driver positions check the literal against
-// BeforeNeg / AfterNeg (or, when unset, the Spec's Neg state).  A
+// AfterNeg (or, when unset, the Spec's Neg state).  A
 // predicate whose positive and negated literals read different states
 // (a Γ stage of the alternating fixpoint: own state and the frozen one)
 // sets only the fields of the side that changed.
@@ -60,7 +60,6 @@ type Delta struct {
 	PosDriver *relation.Relation
 	NegDriver *relation.Relation
 	Before    Overlay
-	BeforeNeg Overlay
 	After     Overlay
 	AfterNeg  Overlay
 }
@@ -101,10 +100,10 @@ func flipNeg(rp *rulePlan, j int) (*rulePlan, int) {
 
 // deltaTasks compiles the (rule, driver-position) variants of a delta
 // pass.  Positions are ranked positives-then-negatives in body order;
-// the variant with its driver at rank v overrides earlier
-// delta-predicate positions with their Before/BeforeNeg relations and
-// later ones with After/AfterNeg, nil falling through as documented on
-// Delta.
+// the variant with its driver at rank v overrides earlier positive
+// delta-predicate positions with their Before relations and later ones
+// with After, and every negated one with AfterNeg, nil falling through
+// as documented on Delta.
 func (in *Instance) deltaTasks(deltas map[string]Delta) []evalTask {
 	var tasks []evalTask
 	for _, rp := range in.plans {
@@ -161,11 +160,7 @@ func (in *Instance) deltaTasks(deltas map[string]Delta) []evalTask {
 				if dv.flip && j > dv.idx {
 					j2 = j - 1
 				}
-				if len(rp.positives)+j < dv.rank {
-					if r := coalesce(d.BeforeNeg, d.AfterNeg); r.Base != nil {
-						negOv[j2] = r
-					}
-				} else if d.AfterNeg.Base != nil {
+				if d.AfterNeg.Base != nil {
 					negOv[j2] = d.AfterNeg
 				}
 			}

@@ -61,16 +61,6 @@ func (s State) Snapshot() State {
 	return c
 }
 
-// Mutable returns a state whose relations are all mutable, deep-copying
-// exactly the ones that are immutable snapshot views.
-func (s State) Mutable() State {
-	c := make(State, len(s))
-	for k, r := range s {
-		c[k] = r.Mutable()
-	}
-	return c
-}
-
 // Equal reports whether both states assign exactly the same relations.
 func (s State) Equal(o State) bool {
 	if len(s) != len(o) {
@@ -79,18 +69,6 @@ func (s State) Equal(o State) bool {
 	for k, r := range s {
 		or, ok := o[k]
 		if !ok || !r.Equal(or) {
-			return false
-		}
-	}
-	return true
-}
-
-// SubsetOf reports whether every relation of s is contained in the
-// corresponding relation of o.
-func (s State) SubsetOf(o State) bool {
-	for k, r := range s {
-		or, ok := o[k]
-		if !ok || !r.SubsetOf(or) {
 			return false
 		}
 	}

@@ -2,19 +2,13 @@
 //
 // A Checkpoint is everything a Maintainer needs to come back without
 // re-running the fixpoint: the program, the universe, the EDB and the
-// materialized IDB state, plus the small strategy-specific extras —
-// the per-stage lengths of the inflationary replay log and the
-// possibly-true relations of the well-founded model.  Everything else
-// the strategies keep (stratum engine instances, the stages of the
-// alternating fixpoint) is rebuilt from that state on restore:
+// materialized IDB state, plus the possibly-true relations of the
+// well-founded model.  Everything else the strategies keep (stratum
+// engine instances, the stages of the alternating fixpoint) is rebuilt
+// from that state on restore:
 //
-//   - strata: DRed keeps nothing beside the materialized relations, so
-//     the restored IDB is installed as it is.
-//   - replay: every logged stage is, by the monotone-append invariant
-//     of the fixpoint loops, a length-prefix of the final state
-//     relation's arena in insertion order.  The checkpoint therefore
-//     stores only the per-stage lengths and restore rebuilds each
-//     stage as an O(1) relation.Prefix view.
+//   - strata and recompute: neither keeps anything beside the
+//     materialized relations, so the restored IDB is installed as it is.
 //   - well-founded: the chain of Γ stages is not persisted; restore runs
 //     one alternating fixpoint over the restored EDB, keeps its stages,
 //     and refuses a checkpoint whose True or Possible differ from them.
@@ -48,10 +42,6 @@ type Checkpoint struct {
 	EDB      map[string]*relation.Relation
 	IDB      map[string]*relation.Relation
 
-	// StageLens holds, per logged inflationary stage, each IDB
-	// relation's length at that stage (replay strategy only).
-	StageLens []map[string]int
-
 	// Possible holds the possibly-true relations of the well-founded
 	// model (WellFounded semantics only).
 	Possible map[string]*relation.Relation
@@ -82,16 +72,6 @@ func (m *Maintainer) Checkpoint() *Checkpoint {
 	for pred, r := range m.state {
 		cp.IDB[pred] = r.Snapshot()
 		r.Seal()
-	}
-	if m.strat == stratReplay {
-		cp.StageLens = make([]map[string]int, len(m.log))
-		for j, st := range m.log {
-			lens := make(map[string]int, len(st))
-			for pred, r := range st {
-				lens[pred] = r.Len()
-			}
-			cp.StageLens[j] = lens
-		}
 	}
 	if wf := m.WF(); wf != nil {
 		cp.Possible = make(map[string]*relation.Relation, len(wf.Possible))
@@ -167,7 +147,7 @@ func RestoreWith(cp *Checkpoint, opts engine.Options) (*Maintainer, error) {
 				m.state[pred] = rel
 			}
 		}
-	case stratReplay:
+	case stratRecompute:
 		m.state = m.in.NewState()
 		for pred := range m.state {
 			rel, err := idbRel(pred)
@@ -175,18 +155,6 @@ func RestoreWith(cp *Checkpoint, opts engine.Options) (*Maintainer, error) {
 				return nil, err
 			}
 			m.state[pred] = rel
-		}
-		m.log = make([]engine.State, len(cp.StageLens))
-		for j, lens := range cp.StageLens {
-			st := make(engine.State, len(m.state))
-			for pred, r := range m.state {
-				n := lens[pred]
-				if n > r.Len() {
-					return nil, fmt.Errorf("incr: checkpoint stage %d wants %d tuples of %s, state has %d", j, n, pred, r.Len())
-				}
-				st[pred] = r.Prefix(n)
-			}
-			m.log[j] = st
 		}
 	case stratWF:
 		m.evalChain()

@@ -84,9 +84,6 @@ func TestCheckpointRestoreBitExact(t *testing.T) {
 				if r.Snapshot().Gen != m.Snapshot().Gen {
 					t.Fatalf("restored gen %d, want %d", r.Snapshot().Gen, m.Snapshot().Gen)
 				}
-				if r.Stages() != m.Stages() {
-					t.Fatalf("restored %d stages, want %d", r.Stages(), m.Stages())
-				}
 				if got, want := stateOf(r), stateOf(m); got != want {
 					t.Fatalf("restored state diverged\nrestored:\n%s\noriginal:\n%s", got, want)
 				}
@@ -126,9 +123,8 @@ func TestCheckpointRestoreBitExact(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCorruptCheckpoints covers the defensive paths: a
-// checkpoint claiming stage lengths past the state, or missing a
-// listed EDB relation.
+// TestRestoreRejectsCorruptCheckpoints covers the defensive path of a
+// checkpoint missing a listed EDB relation.
 func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 	prog := parser.MustProgram(winSrc)
 	m, err := incr.New(prog, graphs.Path(4).Database(), core.Inflationary)
@@ -136,14 +132,6 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := m.Checkpoint()
-	if len(cp.StageLens) == 0 {
-		t.Fatal("inflationary checkpoint has no stage lengths")
-	}
-	cp.StageLens[0]["win"] = 1 << 20
-	if _, err := incr.RestoreWith(cp, engine.Options{}); err == nil {
-		t.Error("restore accepted stage length past the state")
-	}
-	cp = m.Checkpoint()
 	delete(cp.EDB, "E")
 	if _, err := incr.RestoreWith(cp, engine.Options{}); err == nil {
 		t.Error("restore accepted a checkpoint missing a listed EDB relation")

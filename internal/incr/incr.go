@@ -16,13 +16,10 @@
 //     acting as deletions through negation and vice versa; the old
 //     world of a changed relation is read through engine.Overlay on the
 //     relation as it is now, never copied.
-//   - Inflationary on general programs: the paper's stage sequence is
-//     the semantics, so the evaluator's per-stage snapshots (O(1) each,
-//     see relation.Relation.Snapshot) are persisted as a replay log.
-//     An update probes each logged stage for derivations that the
-//     changed tuples enable or disable; the stages before the first
-//     affected one are provably unchanged and are skipped, and
-//     evaluation replays from there.
+//   - Inflationary on general programs: the result is defined by the
+//     order in which the stage sequence S₀ = ∅, Sⱼ₊₁ = Sⱼ ∪ Θ(Sⱼ)
+//     derives its tuples, which no DRed pass preserves, so an update
+//     recomputes the sequence from S₀ over the updated EDB.
 //   - WellFounded: the alternating fixpoint A₀ = ∅, Aᵢ = Γ(Aᵢ₋₁) is a
 //     stage sequence too, and each stage a semipositive program — own
 //     predicates positive, negated IDB literals frozen against the stage
@@ -34,7 +31,8 @@
 //     strata, Possible = True, as core.EvalOpts evaluates it in batch.
 //
 // Universe growth under rules that enumerate the universe invalidates
-// every shortcut above and is answered by a from-scratch evaluation.
+// every shortcut above and is answered by the same from-scratch
+// evaluation.
 //
 // A Maintainer is single-writer: Update and Snapshot must be called
 // from one goroutine (or externally serialized).  Snapshots returned by
@@ -71,8 +69,8 @@ func (f Fact) Key() string {
 // UpdateStats reports what one Update did.
 type UpdateStats struct {
 	// Strategy that handled the update: DRed over strata ("strata") or
-	// over the stages of the alternating fixpoint ("stages"), replay,
-	// recompute, or noop.
+	// over the stages of the alternating fixpoint ("stages"), recompute,
+	// or noop.
 	Strategy string `json:"strategy"`
 	// EDB tuples actually inserted/removed (duplicates and misses are
 	// dropped during normalization).
@@ -80,13 +78,10 @@ type UpdateStats struct {
 	DeletedEDB  int `json:"deleted_edb"`
 	// Net IDB tuples the maintained state gained/lost (under
 	// WellFounded: the certainly-true part).
-	InsertedIDB int `json:"inserted_idb"`
-	DeletedIDB  int `json:"deleted_idb"`
-	// Replay accounting (inflationary only): stages proven unchanged
-	// and skipped, and stages re-evaluated.
-	SkippedStages  int           `json:"skipped_stages,omitempty"`
-	ReplayedStages int           `json:"replayed_stages,omitempty"`
-	Duration       time.Duration `json:"duration_ns"`
+	// A recompute reports the net size change instead.
+	InsertedIDB int           `json:"inserted_idb"`
+	DeletedIDB  int           `json:"deleted_idb"`
+	Duration    time.Duration `json:"duration_ns"`
 }
 
 // Snapshot is a published point-in-time view of the maintained
@@ -107,9 +102,9 @@ func (s *Snapshot) Relation(name string) *relation.Relation { return s.Rels[name
 type strategy int
 
 const (
-	stratStrata strategy = iota // DRed over strata
-	stratReplay                 // inflationary stage-log replay
-	stratWF                     // well-founded: the maintained Γ chain
+	stratStrata    strategy = iota // DRed over strata
+	stratRecompute                 // general inflationary: evaluate from scratch
+	stratWF                        // well-founded: the maintained Γ chain
 )
 
 // Maintainer owns a program, a private copy of its database, and the
@@ -127,8 +122,7 @@ type Maintainer struct {
 	safe    bool // every rule variable bound positively: universe growth cannot change plans
 
 	strata []*stratum       // stratStrata
-	in     *engine.Instance // stratReplay / stratWF
-	log    []engine.State   // stratReplay: stage snapshots S₁..S_m
+	in     *engine.Instance // stratRecompute / stratWF
 	gamma  *stratum         // stratWF: the whole program as one Γ stage
 	chain  []engine.State   // stratWF: A₀ = ∅, A₁ … Aₙ
 
@@ -191,7 +185,7 @@ func pickStrategy(prog *ast.Program, sem core.Semantics) (strategy, error) {
 			// DRed machinery.
 			return stratStrata, nil
 		}
-		return stratReplay, nil
+		return stratRecompute, nil
 	case core.WellFounded:
 		if unstratifiable == nil {
 			// The well-founded model is total and is the stratified one
@@ -246,10 +240,6 @@ func (m *Maintainer) WF() *semantics.WFResult {
 // State; snapshots carry their own copy.
 func (m *Maintainer) Universe() *relation.Universe { return m.db.Universe() }
 
-// Stages returns the number of logged inflationary stages (0 for other
-// strategies).
-func (m *Maintainer) Stages() int { return len(m.log) }
-
 // Snapshot publishes the current state: sealed immutable views of every
 // program relation plus a private universe copy.  Readers on any
 // goroutine may use it while Update keeps running; the first mutation
@@ -292,12 +282,6 @@ func (c *change) old() engine.Overlay {
 	return engine.Overlay{Base: c.cur, Minus: c.add, Plus: c.del}
 }
 
-// both is the tuples present in the old and the new world: cur ∖ add.
-func (c *change) both() engine.Overlay { return engine.Overlay{Base: c.cur, Minus: c.add} }
-
-// either is the tuples present in the old or the new world: cur ∪ del.
-func (c *change) either() engine.Overlay { return engine.Overlay{Base: c.cur, Plus: c.del} }
-
 // Update applies the fact inserts and deletes and incrementally
 // maintains the materialized state.  Inserting a present fact or
 // deleting an absent one is a no-op; a tuple appearing in both lists is
@@ -311,19 +295,23 @@ func (m *Maintainer) Update(ins, del []Fact) (*UpdateStats, error) {
 	}
 	effective := len(ch) > 0
 	switch {
-	case grew && !m.safe:
+	case grew && !m.safe, effective && m.strat == stratRecompute:
 		// A new constant changes the universe the unsafe rules
-		// enumerate, invalidating every maintenance shortcut.
+		// enumerate, invalidating every maintenance shortcut; a
+		// general inflationary program has none to begin with.
 		stats.Strategy = "recompute"
+		before := m.state.Total()
 		m.recompute()
+		if d := m.state.Total() - before; d >= 0 {
+			stats.InsertedIDB = d
+		} else {
+			stats.DeletedIDB = -d
+		}
 	case !effective:
 		stats.Strategy = "noop"
 	case m.strat == stratStrata:
 		stats.Strategy = "strata"
 		m.updateStrata(ch, stats)
-	case m.strat == stratReplay:
-		stats.Strategy = "replay"
-		m.updateReplay(ch, stats)
 	default:
 		stats.Strategy = "stages"
 		m.updateChain(ch, stats)
@@ -334,13 +322,14 @@ func (m *Maintainer) Update(ins, del []Fact) (*UpdateStats, error) {
 }
 
 // recompute does the full evaluation with the current database: the
-// initial one, and the fallback for universe growth under unsafe rules.
+// initial one, every update of a general inflationary program, and the
+// fallback for universe growth under unsafe rules.
 func (m *Maintainer) recompute() {
 	switch m.strat {
 	case stratStrata:
 		m.evalStrata()
-	case stratReplay:
-		m.evalReplay()
+	case stratRecompute:
+		m.state = semantics.Inflationary(m.in).State
 	default:
 		m.evalChain()
 	}

@@ -34,7 +34,7 @@ import (
 //     itself on the next probe.  RemoveAll drops it instead when the
 //     batch is large enough that rebuilding over the survivors is the
 //     cheaper of the two (see patchCost).
-//   - Snapshot and Prefix hand the built indexes to the view when they
+//   - Snapshot hands the built indexes to the view when they
 //     cover no more than the view's length; the view extends them by
 //     whatever suffix it still lacks.  detach keeps them: it preserves
 //     offsets.

@@ -11,7 +11,7 @@ import (
 // Index differential under mutation and sharing.
 //
 // Indexes are extended after appends, patched by Remove, dropped by a
-// large RemoveAll, handed to Snapshot and Prefix views, and copied
+// large RemoveAll, handed to snapshot and prefix views, and copied
 // before a patch once a view holds them.  Whatever the history, every
 // probe on the live relation and on every view still held must equal a
 // plain scan of that relation's tuples, buckets ascending.
@@ -150,11 +150,11 @@ func TestIndexDifferential(t *testing.T) {
 					r.Seal()
 				case k < 18:
 					op = "Prefix"
-					views = append(views, hold(r.Prefix(rng.Intn(r.Len()+1))))
+					views = append(views, hold(r.prefix(rng.Intn(r.Len()+1))))
 				case k < 19 && len(views) > 0:
 					op = "Prefix of a view"
 					v := views[rng.Intn(len(views))].rel
-					views = append(views, hold(v.Prefix(rng.Intn(v.Len()+1))))
+					views = append(views, hold(v.prefix(rng.Intn(v.Len()+1))))
 				default:
 					op = "probe"
 				}
@@ -208,7 +208,7 @@ func TestIndexSharedWithSealedViews(t *testing.T) {
 				for i := 0; i < 3 && !t.Failed(); i++ {
 					if err := v.check(rng); err != nil {
 						t.Errorf("reader %d: %v", g, err)
-					} else if err := hold(v.rel.Prefix(rng.Intn(v.rel.Len() + 1))).check(rng); err != nil {
+					} else if err := hold(v.rel.prefix(rng.Intn(v.rel.Len() + 1))).check(rng); err != nil {
 						t.Errorf("reader %d, prefix: %v", g, err)
 					}
 				}

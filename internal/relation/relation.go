@@ -151,17 +151,14 @@ func (r *Relation) Snapshot() *Relation {
 	if r.frozen {
 		return r // already an immutable view
 	}
-	return r.Prefix(r.n)
+	return r.prefix(r.n)
 }
 
-// Prefix returns an O(1) immutable view of the first n tuples in
-// insertion order, sharing storage with r exactly like Snapshot (key
-// entries at offsets ≥ n are invisible to the view).  It is how a
-// restored maintainer reconstructs its inflationary stage log: each
-// logged stage is, by the monotone-append invariant of the fixpoint
-// loops, a length-prefix of the final arena, so persisting the lengths
-// alone suffices.  It panics when n exceeds the current length.
-func (r *Relation) Prefix(n int) *Relation {
+// prefix is Snapshot cut at the first n tuples in insertion order: key
+// entries at offsets ≥ n are invisible to the view, exactly as later
+// appends are to a snapshot.  It panics when n exceeds the current
+// length.
+func (r *Relation) prefix(n int) *Relation {
 	if n < 0 || n > r.n {
 		panic(fmt.Sprintf("relation: prefix %d of relation with %d tuples", n, r.n))
 	}

@@ -200,7 +200,7 @@ func (w *storageWalk) step() string {
 		for off := 0; off < n; off++ {
 			model[r.At(int32(off)).Key()] = struct{}{}
 		}
-		w.hold(r.Prefix(n), model)
+		w.hold(r.prefix(n), model)
 		return "Prefix"
 	case 8:
 		r.Seal()

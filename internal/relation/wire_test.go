@@ -89,7 +89,7 @@ func TestPrefix(t *testing.T) {
 	for _, tup := range tuples {
 		r.Add(tup)
 	}
-	p := r.Prefix(2)
+	p := r.prefix(2)
 	if p.Len() != 2 {
 		t.Fatalf("prefix Len = %d, want 2", p.Len())
 	}
@@ -120,21 +120,21 @@ func TestPrefix(t *testing.T) {
 		t.Error("prefix lost a tuple to a post-view Remove")
 	}
 	// Full-length and zero-length prefixes are the boundary cases.
-	if full := r.Prefix(r.Len()); full.Len() != r.Len() {
+	if full := r.prefix(r.Len()); full.Len() != r.Len() {
 		t.Errorf("full prefix Len = %d, want %d", full.Len(), r.Len())
 	}
-	if empty := r.Prefix(0); empty.Len() != 0 || empty.Has(Tuple{1, 2}) {
+	if empty := r.prefix(0); empty.Len() != 0 || empty.Has(Tuple{1, 2}) {
 		t.Error("empty prefix not empty")
 	}
 	// Prefix of a frozen view works and shares its storage.
-	pp := p.Prefix(1)
+	pp := p.prefix(1)
 	if pp.Len() != 1 || !pp.Has(Tuple{0, 1}) || pp.Has(Tuple{1, 2}) {
 		t.Error("prefix of a frozen view wrong")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("out-of-range Prefix did not panic")
+			t.Error("out-of-range prefix did not panic")
 		}
 	}()
-	r.Prefix(r.Len() + 1)
+	r.prefix(r.Len() + 1)
 }

@@ -70,15 +70,6 @@ func InflationaryMode(in *engine.Instance, mode Mode) *Result {
 	return lfpLoop(in, nil, mode)
 }
 
-// InflationaryLog is InflationaryMode with a per-stage observer: log is
-// called with an immutable O(1) snapshot of every stage S₁ ⊆ S₂ ⊆ … of
-// the induction (S₀ = ∅ is implicit), the last call being the fixpoint
-// itself.  The incremental-maintenance layer persists these snapshots
-// as its replay log.
-func InflationaryLog(in *engine.Instance, mode Mode, log func(stage engine.State)) *Result {
-	return lfpLoopLog(in, nil, mode, log)
-}
-
 // LeastFixpoint computes the standard least-fixpoint semantics.  It
 // errors unless the program is monotone in its IDB relations (positive
 // or semipositive), since for general DATALOG¬ a least fixpoint may
@@ -106,8 +97,10 @@ func lfpLoop(in *engine.Instance, negFixed engine.State, mode Mode) *Result {
 	return lfpLoopLog(in, negFixed, mode, nil)
 }
 
-// lfpLoopLog is lfpLoop with an optional per-stage observer.  The loop
-// never deep-copies the state: the previous stage and the round-1 delta
+// lfpLoopLog is lfpLoop with an optional per-stage observer: log is
+// called with an immutable O(1) snapshot of every stage S₁ ⊆ S₂ ⊆ … of
+// the induction (S₀ = ∅ is implicit), the last call being the fixpoint
+// itself.  The loop never deep-copies the state: the previous stage and the round-1 delta
 // are O(1) structural-sharing snapshots of cur, which stay valid while
 // cur only grows (the inflationary invariant).
 //

@@ -73,6 +73,17 @@ func randGeneralProgram(rng *rand.Rand) string {
 	return strings.Join(rules, "\n")
 }
 
+// subsetOf reports whether every relation of s is contained in the
+// corresponding relation of o.
+func subsetOf(s, o engine.State) bool {
+	for k, r := range s {
+		if or, ok := o[k]; !ok || !r.SubsetOf(or) {
+			return false
+		}
+	}
+	return true
+}
+
 // checkOracle evaluates src on db under the well-founded semantics and
 // compares with the oracle; it returns the result for further checks.
 // On the way it checks, stage by stage, the nesting the evaluator's
@@ -87,10 +98,10 @@ func checkOracle(t *testing.T, src string, db *relation.Database) *WFResult {
 	stages := []engine.State{in.NewState()}
 	res := WellFoundedLog(in, SemiNaive, func(s engine.State) {
 		i := len(stages)
-		if i >= 3 && i%2 == 1 && !s.SubsetOf(stages[i-2]) {
+		if i >= 3 && i%2 == 1 && !subsetOf(s, stages[i-2]) {
 			t.Fatalf("odd stage A%d is not within A%d\nprogram:\n%s", i, i-2, src)
 		}
-		if i%2 == 0 && !stages[i-2].SubsetOf(s) {
+		if i%2 == 0 && !subsetOf(stages[i-2], s) {
 			t.Fatalf("even stage A%d does not contain A%d\nprogram:\n%s", i, i-2, src)
 		}
 		stages = append(stages, s)
@@ -105,7 +116,7 @@ func checkOracle(t *testing.T, src string, db *relation.Database) *WFResult {
 	domain, facts := oracleInput(prog, db)
 	want := wforacle.Inflationary(prog, domain, facts)
 	var got []map[string]bool
-	inf := InflationaryLog(engine.MustNew(prog, db), SemiNaive, func(s engine.State) {
+	inf := lfpLoopLog(engine.MustNew(prog, db), nil, SemiNaive, func(s engine.State) {
 		got = append(got, wforacle.Atoms(db.Universe(), s))
 	})
 	if len(got) != len(want) {

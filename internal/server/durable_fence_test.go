@@ -8,6 +8,7 @@ package server
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -100,12 +101,15 @@ func TestCheckpointFailureKeepsTriggerTripped(t *testing.T) {
 		t.Fatalf("sinceBatches = %d, want 1", got)
 	}
 
-	// Make the next checkpoint fail (the data dir is gone, so the
-	// rotation cannot open a fresh segment).
-	if err := os.RemoveAll(dir); err != nil {
+	// Make the next checkpoint fail at the snapshot write: a directory
+	// squats on the temporary file's name.
+	tmp := filepath.Join(dir, "snapshot.tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	srv.checkpointOnce()
+	if err := srv.checkpointOnce(); err == nil {
+		t.Fatal("checkpoint succeeded over a directory at snapshot.tmp")
+	}
 	if got := srv.dur.ckptErrors.Load(); got != 1 {
 		t.Fatalf("ckptErrors = %d, want 1", got)
 	}
@@ -113,5 +117,16 @@ func TestCheckpointFailureKeepsTriggerTripped(t *testing.T) {
 	// failed attempt, so the retry trigger is still tripped.
 	if got := srv.dur.sinceBatches.Load(); got != 1 {
 		t.Fatalf("sinceBatches = %d after failed checkpoint, want 1 (retry must fire promptly)", got)
+	}
+
+	// Once the obstacle is gone the retry succeeds and absorbs the batch.
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.checkpointOnce(); err != nil {
+		t.Fatalf("retried checkpoint: %v", err)
+	}
+	if got := srv.dur.sinceBatches.Load(); got != 0 {
+		t.Fatalf("sinceBatches = %d after the retry, want 0", got)
 	}
 }

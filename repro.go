@@ -138,8 +138,8 @@ const (
 
 // Maintainer keeps the materialized result of a program exact under
 // EDB fact inserts and deletes (see internal/incr): DRed maintenance
-// for stratified strata, stage-log replay for general inflationary
-// programs.
+// over strata and over the Γ stages of the well-founded model, and
+// recomputation for general inflationary programs.
 type Maintainer = incr.Maintainer
 
 // Fact is one EDB tuple, named by constants, for Maintainer updates.

@@ -8,8 +8,8 @@
 // recompute — not merely self-consistent.
 //
 // Trials rotate through all four semantics, covering all three
-// maintainer strategies (DRed strata, inflationary stage-log
-// replay, the well-founded chain of Γ stages).
+// maintainer strategies (DRed strata, inflationary recompute, the
+// well-founded chain of Γ stages).
 //
 // Usage:
 //

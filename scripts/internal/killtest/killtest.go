@@ -31,7 +31,7 @@ var Programs = map[string]string{
 	"lfp": "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).",
 	// Stratified negation: DRed across strata.
 	"stratified": "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).\nns(X,Y) :- node(X), node(Y), !s(X,Y).",
-	// Non-stratified inflationary: stage-log replay strategy.
+	// Non-stratified inflationary: recomputed on every update.
 	"inflationary": "win(X) :- E(X,Y), !win(Y).",
 	// Well-founded: the maintained chain of Γ stages.
 	"wellfounded": "win(X) :- E(X,Y), !win(Y).",

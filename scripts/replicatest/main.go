@@ -277,6 +277,8 @@ func pinningTrial(bin, fsync string, rng *rand.Rand) error {
 		return fmt.Errorf("snapshot: status %d", resp.StatusCode)
 	}
 	bootstrapCursor := resp.Header.Get("X-Replica-Seq") + "," + resp.Header.Get("X-Replica-Off")
+	var bootstrapSeq uint64
+	fmt.Sscan(resp.Header.Get("X-Replica-Seq"), &bootstrapSeq)
 
 	// Every one of these updates triggers a checkpoint — without the
 	// pin, the segments behind our cursor would be compacted away.
@@ -317,7 +319,12 @@ func pinningTrial(bin, fsync string, rng *rand.Rand) error {
 	// background checkpoint compacts the history behind us, then a
 	// stale cursor under a NEW id — no pin — must answer 410.  Probing
 	// with the new id before compaction would itself pin the old
-	// segments and retain them legitimately.
+	// segments and retain them legitimately.  A checkpoint sweeps the
+	// bootstrap segment only if it started after a poll moved the pin
+	// past it.  The first checkpoint to complete after that poll may
+	// have started before it; checkpoints are serialized, so the second
+	// started after.
+	sweptAfter := int64(-1) // checkpoints completed when the pin first passed the bootstrap segment
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if err := killtest.PostUpdate(client, leader.addr, killtest.RandomEdge(rng), true); err != nil {
@@ -333,19 +340,28 @@ func pinningTrial(bin, fsync string, rng *rand.Rand) error {
 			return fmt.Errorf("tail poll: status %d", resp.StatusCode)
 		}
 		cursor = resp.Header.Get("X-Replica-Next-Seq") + "," + resp.Header.Get("X-Replica-Next-Off")
+		var nextSeq uint64
+		fmt.Sscan(resp.Header.Get("X-Replica-Next-Seq"), &nextSeq)
 		var met struct {
 			Durable *struct {
-				WALSegments int `json:"wal_segments"`
+				Checkpoints int64 `json:"checkpoints"`
 			} `json:"durable"`
 		}
 		if err := killtest.GetJSON(leader.addr+"/v1/metrics", &met); err != nil {
 			return err
 		}
-		if met.Durable != nil && met.Durable.WALSegments <= 3 {
+		if met.Durable == nil {
+			return fmt.Errorf("leader reports no durable metrics")
+		}
+		if sweptAfter < 0 && nextSeq > bootstrapSeq {
+			sweptAfter = met.Durable.Checkpoints
+		}
+		if sweptAfter >= 0 && met.Durable.Checkpoints >= sweptAfter+2 {
 			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("leader never compacted past the advancing pin (%d segments)", met.Durable.WALSegments)
+			return fmt.Errorf("leader never checkpointed twice past the advancing pin (%d checkpoints, %d when it passed segment %d)",
+				met.Durable.Checkpoints, sweptAfter, bootstrapSeq)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
