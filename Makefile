@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check bench bench-smoke profile staticcheck fuzz-smoke crashtest replicatest cover pairs loc exports ci
+.PHONY: all build test race vet fmt fmt-check bench bench-smoke profile staticcheck fuzz-smoke crashtest replicatest examples cover pairs loc exports ci
 
 all: build
 
@@ -117,6 +117,11 @@ crashtest:
 replicatest:
 	$(GO) run ./scripts/replicatest -fsync always
 
+# Run every program under examples/: each exits non-zero on an error,
+# and most also check their answers.  Stops at the first failure.
+examples:
+	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null; done
+
 # Statement coverage with the recorded floor (the total measured when
 # the gate was introduced, minus noise margin): PRs may not shed tests.
 # The gate reads the total line `go tool cover -func` prints, and fails
@@ -155,4 +160,4 @@ exports:
 # Hermetic mirror of CI: every job that needs no network.  staticcheck
 # (downloads the pinned tool) is the one network-using CI job; run it
 # explicitly when online.
-ci: vet fmt-check build test race bench-smoke cover fuzz-smoke exports
+ci: vet fmt-check build test examples race bench-smoke cover fuzz-smoke exports

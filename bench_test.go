@@ -250,7 +250,7 @@ func BenchmarkE11Hierarchy(b *testing.B) {
 	gdb := graphs.Path(8).Database()
 	b.Run("stratified/distance", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := semantics.StratifiedOpts(prog, gdb, semantics.SemiNaive, engine.Options{}); err != nil {
+			if _, err := semantics.Stratified(prog, gdb, semantics.SemiNaive); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -277,9 +277,9 @@ func BenchmarkE12Proposition1(b *testing.B) {
 
 // BenchmarkThetaWorkers: parallel-evaluation ablation — the distance
 // program (6 rules, so the worker pool has work to distribute) under
-// inflationary semantics with a pinned worker count vs the GOMAXPROCS
-// default.  On a single-core runner the two coincide; the benchmark
-// still pins the overhead of the pooled path.
+// inflationary semantics with GOMAXPROCS, the pool's width, set to 1 vs
+// left at its value.  On a single-core runner the two coincide; the
+// benchmark still pins the overhead of the pooled path.
 func BenchmarkThetaWorkers(b *testing.B) {
 	g := graphs.Random(newRNG(13), 12, 0.25)
 	db := g.Database()
@@ -289,10 +289,11 @@ func BenchmarkThetaWorkers(b *testing.B) {
 	}
 	for _, w := range counts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 			// Construction is hoisted so the loop times evaluation only;
 			// Inflationary starts from a fresh state each call and never
 			// mutates the instance or database.
-			in, err := engine.NewWith(parser.MustProgram(distSrc), db.Clone(), engine.Options{Workers: w})
+			in, err := engine.New(parser.MustProgram(distSrc), db.Clone())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -304,10 +305,10 @@ func BenchmarkThetaWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkE15FrontierScaling: the worker sweep behind experiment E15
-// — the 2-rule transitive closure and the distance program at worker
-// counts from 1 to GOMAXPROCS; intra-rule sharding lets the 2-rule
-// program use more workers than it has rules.
+// BenchmarkE15FrontierScaling: the GOMAXPROCS sweep behind experiment
+// E15 — the 2-rule transitive closure and the distance program on
+// worker pools from 1 to GOMAXPROCS wide; intra-rule sharding lets the
+// 2-rule program use more workers than it has rules.
 func BenchmarkE15FrontierScaling(b *testing.B) {
 	cases := []struct {
 		name string
@@ -326,7 +327,8 @@ func BenchmarkE15FrontierScaling(b *testing.B) {
 			// The series keep the names they had beside the deleted
 			// baseline cell, so the recorded trajectory stays comparable.
 			b.Run(fmt.Sprintf("%s/workers=%d/frontier", tc.name, nw), func(b *testing.B) {
-				in, err := engine.NewWith(prog, db.Clone(), engine.Options{Workers: nw})
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(nw))
+				in, err := engine.New(prog, db.Clone())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -373,7 +375,7 @@ func BenchmarkE16MagicQuery(b *testing.B) {
 		})
 		b.Run(wl.Name+"/full", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.QueryFullOpts(prog, db, q, sem, semantics.SemiNaive, engine.Options{}); err != nil {
+				if _, err := core.QueryFull(prog, db, q, sem, semantics.SemiNaive); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -390,7 +392,7 @@ func experimentsBench(b *testing.B, id string) {
 		b.Fatalf("unknown experiment %s", id)
 	}
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard, true, engine.Options{}); err != nil {
+		if err := e.Run(io.Discard, true); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,42 +25,18 @@ import (
 	"repro/internal/workload"
 )
 
-// options collects the bench flags.
-type options struct {
-	exp         string
-	quick, list bool
-	explain     bool
-	workers     int
-}
-
-// newFlags defines the flag set over o.  Split from main so tests can
-// exercise the definitions.
-func newFlags(name string, o *options) *flag.FlagSet {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	fs.StringVar(&o.exp, "exp", "", "run a single experiment (E1..E16)")
-	fs.BoolVar(&o.quick, "quick", false, "shorten parameter sweeps")
-	fs.BoolVar(&o.list, "list", false, "list experiments")
-	fs.IntVar(&o.workers, "workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
-	fs.BoolVar(&o.explain, "explain", false, "print per-rule evaluation plans for the join-heavy workloads and exit")
-	return fs
-}
-
-// engineOptions is the engine configuration every experiment evaluates
-// with, except where it sweeps an option itself.
-func (o *options) engineOptions() engine.Options {
-	return engine.Options{Workers: o.workers}
-}
-
 func main() {
-	var o options
-	newFlags("bench", &o).Parse(os.Args[1:])
-	opt := o.engineOptions()
+	exp := flag.String("exp", "", "run a single experiment (E1..E16)")
+	quick := flag.Bool("quick", false, "shorten parameter sweeps")
+	list := flag.Bool("list", false, "list experiments")
+	explain := flag.Bool("explain", false, "print per-rule evaluation plans for the join-heavy workloads and exit")
+	flag.Parse()
 
-	if o.explain {
+	if *explain {
 		// Steady-state plans: evaluate first, then plan against the
 		// fixpoint's relation sizes (what most rounds see).
-		for _, wl := range workload.JoinWorkloads(o.quick) {
-			in, err := engine.NewWith(parser.MustProgram(wl.Src), wl.DB(), opt)
+		for _, wl := range workload.JoinWorkloads(*quick) {
+			in, err := engine.New(parser.MustProgram(wl.Src), wl.DB())
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "bench:", err)
 				os.Exit(1)
@@ -72,25 +48,25 @@ func main() {
 		}
 		return
 	}
-	if o.list {
+	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-4s %s  [%s]\n", e.ID, e.Title, e.Source)
 		}
 		return
 	}
-	if o.exp != "" {
-		e, ok := experiments.Find(o.exp)
+	if *exp != "" {
+		e, ok := experiments.Find(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "bench: unknown experiment %q (use -list)\n", o.exp)
+			fmt.Fprintf(os.Stderr, "bench: unknown experiment %q (use -list)\n", *exp)
 			os.Exit(2)
 		}
-		if err := experiments.RunOne(os.Stdout, e, o.quick, opt); err != nil {
+		if err := experiments.RunOne(os.Stdout, e, *quick); err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if err := experiments.RunAll(os.Stdout, o.quick, opt); err != nil {
+	if err := experiments.RunAll(os.Stdout, *quick); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}

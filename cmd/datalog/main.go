@@ -42,7 +42,6 @@ type options struct {
 	stats, explain  bool
 	query           string
 	magic           bool
-	workers         int
 }
 
 // newFlags defines the flag set over o.  Split from main so tests can
@@ -54,16 +53,10 @@ func newFlags(name string, o *options) *flag.FlagSet {
 	fs.StringVar(&o.semantics, "semantics", "inflationary", "inflationary|lfp|stratified|wellfounded")
 	fs.StringVar(&o.mode, "mode", "seminaive", "seminaive|naive stage evaluation")
 	fs.BoolVar(&o.stats, "stats", false, "print evaluation statistics")
-	fs.IntVar(&o.workers, "workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.explain, "explain", false, "print per-rule evaluation plans at the computed fixpoint")
 	fs.StringVar(&o.query, "query", "", "answer one query atom, e.g. 's(a, ?)' ('?' marks free positions)")
 	fs.BoolVar(&o.magic, "magic", true, "with -query: demand-driven magic-set evaluation (false = full materialization + filter)")
 	return fs
-}
-
-// engineOptions is the one engine configuration every call receives.
-func (o *options) engineOptions() engine.Options {
-	return engine.Options{Workers: o.workers}
 }
 
 func main() {
@@ -81,10 +74,8 @@ func main() {
 	}
 }
 
-// run evaluates (or queries) as o says, writing the answer to w.  Every
-// engine call receives o.engineOptions().
+// run evaluates (or queries) as o says, writing the answer to w.
 func run(o *options, w io.Writer) error {
-	opt := o.engineOptions()
 	prog, err := parser.ProgramFile(o.program)
 	if err != nil {
 		return err
@@ -107,18 +98,18 @@ func run(o *options, w io.Writer) error {
 	}
 
 	if o.query != "" {
-		return runQuery(w, prog, db, o.query, sem, mode, opt, o.magic, o.explain, o.stats)
+		return runQuery(w, prog, db, o.query, sem, mode, o.magic, o.explain, o.stats)
 	}
 
-	res, err := core.EvalOpts(prog, db, sem, mode, opt)
+	res, err := core.Eval(prog, db, sem, mode)
 	if err != nil {
 		return err
 	}
 	if o.explain {
 		// Plans against the computed relations: the sizes (and hence
 		// join orders) most evaluation rounds saw.  The instance is
-		// built on a fresh clone, like core.EvalOpts's own.
-		in, err := engine.NewWith(prog, db.Clone(), opt)
+		// built on a fresh clone, like core.Eval's own.
+		in, err := engine.New(prog, db.Clone())
 		if err != nil {
 			return err
 		}
@@ -147,7 +138,7 @@ func run(o *options, w io.Writer) error {
 
 // runQuery answers one query atom, demand-driven or via the full
 // materialization oracle.
-func runQuery(w io.Writer, prog *ast.Program, db *relation.Database, src string, sem core.Semantics, mode semantics.Mode, opt engine.Options, magicOn, explain, stats bool) error {
+func runQuery(w io.Writer, prog *ast.Program, db *relation.Database, src string, sem core.Semantics, mode semantics.Mode, magicOn, explain, stats bool) error {
 	q, err := magic.ParseQuery(src)
 	if err != nil {
 		return err
@@ -172,9 +163,9 @@ func runQuery(w io.Writer, prog *ast.Program, db *relation.Database, src string,
 	start := time.Now()
 	var res *semantics.QueryResult
 	if magicOn {
-		res, err = core.QueryOpts(prog, db, q, sem, mode, opt)
+		res, err = core.Query(prog, db, q, sem, mode)
 	} else {
-		res, err = core.QueryFullOpts(prog, db, q, sem, mode, opt)
+		res, err = core.QueryFull(prog, db, q, sem, mode)
 	}
 	if err != nil {
 		return err

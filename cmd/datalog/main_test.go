@@ -5,31 +5,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/engine"
 )
 
-// TestEngineOptions checks that -workers becomes the one engine.Options
-// value the command passes on.
-func TestEngineOptions(t *testing.T) {
-	var o options
-	if err := newFlags("datalog", &o).Parse([]string{"-workers", "3"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := o.engineOptions(); got != (engine.Options{Workers: 3}) {
-		t.Errorf("engine options = %+v, want Workers 3", got)
-	}
-	var dft options
-	if err := newFlags("datalog", &dft).Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := dft.engineOptions(); got != (engine.Options{}) {
-		t.Errorf("default engine options = %+v, want GOMAXPROCS workers", got)
-	}
-}
-
 // TestRunThreadsOptions runs the evaluation, -explain and both -query
-// paths with -workers 2 and checks each answers correctly.
+// paths and checks each answers correctly.
 func TestRunThreadsOptions(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, src string) string {
@@ -53,7 +32,7 @@ func TestRunThreadsOptions(t *testing.T) {
 		{"query-full", []string{"-semantics", "lfp", "-query", "s(a, ?)", "-magic=false"}, "s = {(a,b), (a,c), (a,d)}"},
 	} {
 		var o options
-		args := append([]string{"-program", prog, "-facts", facts, "-workers", "2"}, c.args...)
+		args := append([]string{"-program", prog, "-facts", facts}, c.args...)
 		if err := newFlags("datalog", &o).Parse(args); err != nil {
 			t.Fatal(err)
 		}

@@ -20,52 +20,29 @@ import (
 	"repro/internal/parser"
 )
 
-// options collects the fixpoint flags.
-type options struct {
-	program, facts   string
-	count, enumerate int
-	least, stable    bool
-	workers          int
-}
-
-// newFlags defines the flag set over o.  Split from main so tests can
-// exercise the definitions.
-func newFlags(name string, o *options) *flag.FlagSet {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	fs.StringVar(&o.program, "program", "", "path to the DATALOG¬ program")
-	fs.StringVar(&o.facts, "facts", "", "path to the fact file")
-	fs.IntVar(&o.count, "count", 0, "cap on fixpoint counting (0 = exact)")
-	fs.BoolVar(&o.least, "least", false, "run the Theorem 3 least-fixpoint analysis")
-	fs.IntVar(&o.enumerate, "enumerate", 0, "print up to N fixpoints")
-	fs.BoolVar(&o.stable, "stable", false, "also enumerate stable models (answer sets)")
-	fs.IntVar(&o.workers, "workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
-	return fs
-}
-
-// engineOptions is the engine configuration of the analysed instance.
-func (o *options) engineOptions() engine.Options {
-	return engine.Options{Workers: o.workers}
-}
-
 func main() {
-	var o options
-	fs := newFlags("fixpoint", &o)
-	fs.Parse(os.Args[1:])
-	if o.program == "" || o.facts == "" {
+	program := flag.String("program", "", "path to the DATALOG¬ program")
+	facts := flag.String("facts", "", "path to the fact file")
+	countCap := flag.Int("count", 0, "cap on fixpoint counting (0 = exact)")
+	least := flag.Bool("least", false, "run the Theorem 3 least-fixpoint analysis")
+	enumerate := flag.Int("enumerate", 0, "print up to N fixpoints")
+	stable := flag.Bool("stable", false, "also enumerate stable models (answer sets)")
+	flag.Parse()
+	if *program == "" || *facts == "" {
 		fmt.Fprintln(os.Stderr, "usage: fixpoint -program FILE -facts FILE [-count N] [-least] [-enumerate N]")
-		fs.PrintDefaults()
+		flag.PrintDefaults()
 		os.Exit(2)
 	}
 
-	prog, err := parser.ProgramFile(o.program)
+	prog, err := parser.ProgramFile(*program)
 	if err != nil {
 		fatal(err)
 	}
-	db, err := parser.FactsFile(o.facts)
+	db, err := parser.FactsFile(*facts)
 	if err != nil {
 		fatal(err)
 	}
-	in, err := engine.NewWith(prog, db, o.engineOptions())
+	in, err := engine.New(prog, db)
 	if err != nil {
 		fatal(err)
 	}
@@ -77,7 +54,7 @@ func main() {
 	}
 	fmt.Printf("class:    %v\n", prog.Classify())
 	fmt.Printf("exists:   %v\n", has)
-	count, exact, err := fixpoint.Count(in, opt, o.count)
+	count, exact, err := fixpoint.Count(in, opt, *countCap)
 	if err != nil {
 		fatal(err)
 	}
@@ -88,7 +65,7 @@ func main() {
 	fmt.Printf("count:    %d%s\n", count, suffix)
 	fmt.Printf("unique:   %v\n", exact && count == 1)
 
-	if o.least {
+	if *least {
 		res, err := fixpoint.Least(in, opt)
 		if err != nil {
 			fatal(err)
@@ -102,7 +79,7 @@ func main() {
 		}
 	}
 
-	if o.stable {
+	if *stable {
 		n, complete, err := fixpoint.StableModels(in, opt, 0, nil)
 		if err != nil {
 			fatal(err)
@@ -114,10 +91,10 @@ func main() {
 		fmt.Printf("stable:   %d%s\n", n, suffix)
 	}
 
-	if has && o.enumerate > 0 {
-		fmt.Printf("first %d fixpoint(s):\n", o.enumerate)
+	if has && *enumerate > 0 {
+		fmt.Printf("first %d fixpoint(s):\n", *enumerate)
 		i := 0
-		_, _, err := fixpoint.Enumerate(in, opt, o.enumerate, func(s engine.State) bool {
+		_, _, err := fixpoint.Enumerate(in, opt, *enumerate, func(s engine.State) bool {
 			i++
 			fmt.Printf("--- fixpoint %d ---\n%s", i, indent(s.Format(in.Universe())))
 			return true

@@ -10,8 +10,7 @@
 //	genwork -kind program -name pi1|pisat|picol    # the paper's fixed programs
 //
 // Output goes to stdout; redirect to files for use with cmd/datalog
-// and cmd/fixpoint.  Nothing here evaluates a program, so genwork takes
-// no engine options.
+// and cmd/fixpoint.  Nothing here evaluates a program.
 package main
 
 import (

@@ -25,7 +25,7 @@
 // Usage:
 //
 //	serve -program tc.dl -facts graph.dl [-semantics inflationary] [-addr :8090]
-//	      [-workers N] [-data-dir DIR] [-checkpoint-every 256]
+//	      [-data-dir DIR] [-checkpoint-every 256]
 //	      [-fsync always|interval|off] [-fsync-interval 1s]
 //	      [-follow http://leader:8090]
 //
@@ -56,7 +56,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/durable"
-	"repro/internal/engine"
 	"repro/internal/incr"
 	"repro/internal/parser"
 	"repro/internal/relation"
@@ -64,16 +63,12 @@ import (
 	"repro/internal/server"
 )
 
-// options collects every serve flag.  The engine's one sizing option,
-// -workers, travels to the server through server.Config /
-// engine.Options.
+// options collects every serve flag.
 type options struct {
 	program   string
 	facts     string
 	semantics string
 	addr      string
-
-	workers int
 
 	dataDir         string
 	checkpointEvery int
@@ -91,7 +86,6 @@ func newFlags(name string, opts *options) *flag.FlagSet {
 	fs.StringVar(&opts.facts, "facts", "", "path to the fact file (required unless -follow)")
 	fs.StringVar(&opts.semantics, "semantics", "inflationary", "inflationary|lfp|stratified|wellfounded")
 	fs.StringVar(&opts.addr, "addr", ":8090", "listen address")
-	fs.IntVar(&opts.workers, "workers", 0, "Θ evaluation worker-pool size (0 = GOMAXPROCS)")
 	fs.StringVar(&opts.dataDir, "data-dir", "", "directory for the checkpoint snapshot and write-ahead log (empty = in-memory only)")
 	fs.IntVar(&opts.checkpointEvery, "checkpoint-every", 256, "checkpoint after N committed batches")
 	fs.StringVar(&opts.fsync, "fsync", "always", "WAL sync policy: always|interval|off")
@@ -110,7 +104,6 @@ func (o *options) serverConfig() (server.Config, error) {
 		return server.Config{}, fmt.Errorf("-checkpoint-every: want a positive batch count, got %d", o.checkpointEvery)
 	}
 	return server.Config{
-		Engine:            engine.Options{Workers: o.workers},
 		DataDir:           o.dataDir,
 		Fsync:             policy,
 		FsyncInterval:     o.fsyncInterval,
@@ -196,9 +189,8 @@ func run(args []string) error {
 	for _, r := range snap.Rels {
 		total += r.Len()
 	}
-	log.Printf("serve: %s semantics, %d relations, %d tuples, initial evaluation in %v (workers=%d, magic queries=%t)",
-		sem, len(snap.Rels), total, time.Since(start).Round(time.Millisecond),
-		opts.workers, srv.MagicSupported())
+	log.Printf("serve: %s semantics, %d relations, %d tuples, initial evaluation in %v (magic queries=%t)",
+		sem, len(snap.Rels), total, time.Since(start).Round(time.Millisecond), srv.MagicSupported())
 	if opts.dataDir != "" {
 		log.Printf("serve: durable in %s (fsync=%s, checkpoint-every=%d)",
 			opts.dataDir, opts.fsync, opts.checkpointEvery)

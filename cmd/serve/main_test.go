@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/durable"
-	"repro/internal/engine"
 	"repro/internal/server"
 )
 
@@ -44,8 +43,8 @@ func TestHelpGolden(t *testing.T) {
 	}
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 10 {
-		t.Errorf("serve defines %d flags, want 10", n)
+	if n != 9 {
+		t.Errorf("serve defines %d flags, want 9", n)
 	}
 }
 
@@ -56,7 +55,7 @@ func TestServerConfig(t *testing.T) {
 	fs := newFlags("serve", &opts)
 	err := fs.Parse([]string{
 		"-program", "p.dl", "-facts", "f.dl", "-semantics", "lfp", "-addr", ":9",
-		"-workers", "3", "-data-dir", "/tmp/x", "-checkpoint-every", "64",
+		"-data-dir", "/tmp/x", "-checkpoint-every", "64",
 		"-fsync", "interval", "-fsync-interval", "250ms",
 	})
 	if err != nil {
@@ -70,7 +69,6 @@ func TestServerConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := server.Config{
-		Engine:            engine.Options{Workers: 3},
 		DataDir:           "/tmp/x",
 		Fsync:             durable.FsyncInterval,
 		FsyncInterval:     250 * time.Millisecond,
@@ -80,8 +78,8 @@ func TestServerConfig(t *testing.T) {
 		t.Errorf("config = %+v, want %+v", cfg, want)
 	}
 
-	// And the zero-flag path yields GOMAXPROCS workers and the default
-	// durability settings: always-fsync, 256-batch checkpoints.
+	// And the zero-flag path yields the default durability settings:
+	// always-fsync, 256-batch checkpoints.
 	var dft options
 	newFlags("serve", &dft).Parse(nil)
 	c, err := dft.serverConfig()

@@ -1,8 +1,7 @@
 // Serving walkthrough: the production path of the daemon, in-process.
 //
 // Four stops:
-//  1. build a server over a maintained program (engine options in
-//     its Config),
+//  1. build a server over a maintained program,
 //  2. read endpoints — stats, relation dumps, pattern queries — all
 //     answered from immutable snapshots,
 //  3. group commit: concurrent updates coalesce into shared
@@ -25,7 +24,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/graphs"
 	"repro/internal/incr"
 	"repro/internal/parser"
@@ -38,9 +36,7 @@ func main() {
 s(X,Y) :- E(X,Y).
 s(X,Y) :- E(X,Z), s(Z,Y).
 `)
-	srv, err := server.NewWith(prog, graphs.Path(8).Database(), core.Inflationary, server.Config{
-		Engine: engine.Options{Workers: 2},
-	})
+	srv, err := server.New(prog, graphs.Path(8).Database(), core.Inflationary)
 	if err != nil {
 		log.Fatal(err)
 	}

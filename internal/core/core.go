@@ -88,12 +88,6 @@ type EvalResult struct {
 // is not modified (evaluation works on a clone, since the engine
 // interns program constants into the universe it is given).
 func Eval(prog *ast.Program, db *relation.Database, sem Semantics, mode semantics.Mode) (*EvalResult, error) {
-	return EvalOpts(prog, db, sem, mode, engine.Options{})
-}
-
-// EvalOpts is Eval with engine options (the worker-pool size) applied
-// to every instance the evaluation constructs.
-func EvalOpts(prog *ast.Program, db *relation.Database, sem Semantics, mode semantics.Mode, opt engine.Options) (*EvalResult, error) {
 	if _, err := prog.Validate(); err != nil {
 		return nil, err
 	}
@@ -103,7 +97,7 @@ func EvalOpts(prog *ast.Program, db *relation.Database, sem Semantics, mode sema
 		// Only cyclic negation alternates: a stratifiable program's
 		// model is its stratified one.  incr.pickStrategy agrees.
 		if res.Class == ast.ClassGeneral {
-			in, err := engine.NewWith(prog, db.Clone(), opt)
+			in, err := engine.New(prog, db.Clone())
 			if err != nil {
 				return nil, err
 			}
@@ -114,7 +108,7 @@ func EvalOpts(prog *ast.Program, db *relation.Database, sem Semantics, mode sema
 		}
 		fallthrough
 	case Stratified:
-		r, err := semantics.StratifiedOpts(prog, db, mode, opt)
+		r, err := semantics.Stratified(prog, db, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -123,14 +117,14 @@ func EvalOpts(prog *ast.Program, db *relation.Database, sem Semantics, mode sema
 			res.WF = &semantics.WFResult{True: r.State, Possible: r.State, Stats: r.Stats}
 		}
 	case Inflationary:
-		in, err := engine.NewWith(prog, db.Clone(), opt)
+		in, err := engine.New(prog, db.Clone())
 		if err != nil {
 			return nil, err
 		}
 		r := semantics.InflationaryMode(in, mode)
 		res.State, res.Stats, res.Universe = r.State, r.Stats, r.Universe
 	case LFP:
-		in, err := engine.NewWith(prog, db.Clone(), opt)
+		in, err := engine.New(prog, db.Clone())
 		if err != nil {
 			return nil, err
 		}
@@ -143,6 +137,11 @@ func EvalOpts(prog *ast.Program, db *relation.Database, sem Semantics, mode sema
 		return nil, fmt.Errorf("core: unknown semantics %d", sem)
 	}
 	return res, nil
+}
+
+// EvalOpts is Eval; it remains only for benchmark/.
+func EvalOpts(prog *ast.Program, db *relation.Database, sem Semantics, mode semantics.Mode, _ engine.Options) (*EvalResult, error) {
+	return Eval(prog, db, sem, mode)
 }
 
 // QueryStrategy reports whether demand-driven point queries are
@@ -169,29 +168,23 @@ func QueryStrategy(sem Semantics, c ast.Class) (stratified, ok bool) {
 // rewriting; see internal/magic and semantics.QueryLFP/
 // QueryStratified) under the chosen semantics.  db is not modified.
 func Query(prog *ast.Program, db *relation.Database, q magic.Query, sem Semantics, mode semantics.Mode) (*semantics.QueryResult, error) {
-	return QueryOpts(prog, db, q, sem, mode, engine.Options{})
-}
-
-// QueryOpts is Query with per-call engine options applied to the
-// rewritten program's evaluation.
-func QueryOpts(prog *ast.Program, db *relation.Database, q magic.Query, sem Semantics, mode semantics.Mode, opt engine.Options) (*semantics.QueryResult, error) {
 	stratified, ok := QueryStrategy(sem, prog.Classify())
 	if !ok {
 		return nil, fmt.Errorf("core: point queries require lfp, stratified, or coinciding inflationary semantics (program is %v, semantics %v)", prog.Classify(), sem)
 	}
 	if stratified {
-		return semantics.QueryStratifiedOpts(prog, db, q, mode, opt)
+		return semantics.QueryStratified(prog, db, q, mode)
 	}
-	return semantics.QueryLFPOpts(prog, db, q, mode, opt)
+	return semantics.QueryLFP(prog, db, q, mode)
 }
 
-// QueryFullOpts answers the same query by full materialization plus a
+// QueryFull answers the same query by full materialization plus a
 // filter — the oracle the demand-driven path is differential-tested
 // and benchmarked against (experiment E16, `datalog -magic=false`).
 // Predicates absent from the computed state (extensional, or untouched
 // by any rule) fall back to the database relation or an empty one.
-func QueryFullOpts(prog *ast.Program, db *relation.Database, q magic.Query, sem Semantics, mode semantics.Mode, opt engine.Options) (*semantics.QueryResult, error) {
-	full, err := EvalOpts(prog, db, sem, mode, opt)
+func QueryFull(prog *ast.Program, db *relation.Database, q magic.Query, sem Semantics, mode semantics.Mode) (*semantics.QueryResult, error) {
+	full, err := Eval(prog, db, sem, mode)
 	if err != nil {
 		return nil, err
 	}

@@ -76,7 +76,7 @@ func TestWellFoundedStratifiableAsStrata(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		strat, err := semantics.StratifiedOpts(prog, c.db, semantics.SemiNaive, engine.Options{})
+		strat, err := semantics.Stratified(prog, c.db, semantics.SemiNaive)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

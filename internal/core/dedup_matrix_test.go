@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/graphs"
 	"repro/internal/parser"
 	"repro/internal/relation"
@@ -138,6 +137,13 @@ func randDB(rng *rand.Rand, n int) *relation.Database {
 	return db
 }
 
+// setProcs sets GOMAXPROCS, the width of the engine's worker pool, to
+// n until the test ends.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // checkDedupMatrix evaluates src on db under sem with one worker and
 // with nw, and compares both with naive single-worker evaluation.
 func checkDedupMatrix(t *testing.T, src string, db func() *relation.Database, sem Semantics, nw int) {
@@ -146,12 +152,14 @@ func checkDedupMatrix(t *testing.T, src string, db func() *relation.Database, se
 	if err != nil {
 		t.Fatalf("unparsable program:\n%s\n%v", src, err)
 	}
-	want, err := EvalOpts(prog, db(), sem, semantics.Naive, engine.Options{Workers: 1})
+	setProcs(t, 1)
+	want, err := Eval(prog, db(), sem, semantics.Naive)
 	if err != nil {
 		t.Fatalf("%v oracle: %v\n%s", sem, err, src)
 	}
 	for _, w := range []int{1, nw} {
-		got, err := EvalOpts(prog, db(), sem, semantics.SemiNaive, engine.Options{Workers: w})
+		setProcs(t, w)
+		got, err := Eval(prog, db(), sem, semantics.SemiNaive)
 		if err != nil {
 			t.Fatalf("%v workers=%d: %v\n%s", sem, w, err, src)
 		}

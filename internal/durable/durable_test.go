@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -559,8 +560,9 @@ func TestInstallSnapshotRejectsDamagedImage(t *testing.T) {
 	}
 }
 
-// Reset removes exactly the store's files, and a snapshot image put
-// back with InstallSnapshot is what the next Open recovers.
+// Reset removes exactly the store's files and the follower cursor, and
+// a snapshot image put back with InstallSnapshot is what the next Open
+// recovers.
 func TestResetAndInstallSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStore(t, dir)
@@ -578,12 +580,17 @@ func TestResetAndInstallSnapshot(t *testing.T) {
 	if _, err := s.Append(&rec); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	image, err := os.ReadFile(filepath.Join(dir, snapName))
+	f, err := s.OpenSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{snapTmpName, "replica.cursor", "notes.txt"} {
+	image, err := io.ReadAll(f)
+	f.Close()
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{snapTmpName, cursorName, cursorTmpName, "notes.txt"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -600,7 +607,7 @@ func TestResetAndInstallSnapshot(t *testing.T) {
 	for _, e := range entries {
 		left = append(left, e.Name())
 	}
-	if want := []string{"notes.txt", "replica.cursor"}; !reflect.DeepEqual(left, want) {
+	if want := []string{"notes.txt"}; !reflect.DeepEqual(left, want) {
 		t.Fatalf("after Reset the dir holds %v, want %v", left, want)
 	}
 	if HasSnapshot(dir) {

@@ -32,6 +32,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 )
 
@@ -55,6 +56,34 @@ func ParseCursor(s string) (Cursor, error) {
 	return c, nil
 }
 
+// LoadCursor reads the follower cursor of data directory dir: the
+// position in the leader's WAL the follower has applied through, and
+// the follower's id, which the leader pins retention under.  ok is
+// false when dir holds no cursor.
+func LoadCursor(dir string) (c Cursor, id string, ok bool, err error) {
+	data, err := os.ReadFile(filepath.Join(dir, cursorName))
+	if os.IsNotExist(err) {
+		return Cursor{}, "", false, nil
+	}
+	if err != nil {
+		return Cursor{}, "", false, err
+	}
+	var ver string
+	if _, err := fmt.Sscanf(strings.TrimSpace(string(data)), "%s %d %d %s", &ver, &c.Seq, &c.Off, &id); err != nil || ver != "v1" {
+		return Cursor{}, "", false, fmt.Errorf("durable: corrupt cursor file: %q", data)
+	}
+	return c, id, true, nil
+}
+
+// SaveCursor makes (c, id) the follower cursor of data directory dir,
+// atomically and durably, as a checkpoint installs the snapshot.
+func SaveCursor(dir string, c Cursor, id string) error {
+	return installFile(dir, cursorName, cursorTmpName, func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "v1 %d %d %s\n", c.Seq, c.Off, id)
+		return err
+	})
+}
+
 // Replication errors, mapped to HTTP statuses by the server.
 var (
 	// ErrCompacted reports a cursor whose segment has been deleted by
@@ -69,10 +98,10 @@ var (
 	ErrAhead = errors.New("durable: cursor points past the durable end of the WAL")
 )
 
-// SnapshotPath names the snapshot file the store serves to
-// bootstrapping followers.  The file is atomically replaced by
-// checkpoints; a reader that has opened it keeps the old image.
-func (s *Store) SnapshotPath() string { return filepath.Join(s.dir, snapName) }
+// OpenSnapshot opens the snapshot the store serves to bootstrapping
+// followers.  Checkpoints replace the file atomically; a reader that
+// has opened it keeps the old image.
+func (s *Store) OpenSnapshot() (io.ReadCloser, error) { return os.Open(filepath.Join(s.dir, snapName)) }
 
 // SnapshotCursor returns the earliest live position of the WAL — the
 // cursor a follower restoring the current snapshot resumes from — and
@@ -228,6 +257,7 @@ func (s *Store) ReadWAL(c Cursor, maxBytes int) (data []byte, next Cursor, nrecs
 		s.mu.Unlock()
 		return nil, c, 0, ErrClosed
 	}
+	var end int64
 	for {
 		sz, live := s.segs[c.Seq]
 		if !live {
@@ -237,7 +267,7 @@ func (s *Store) ReadWAL(c Cursor, maxBytes int) (data []byte, next Cursor, nrecs
 			}
 			return nil, c, 0, ErrCompacted
 		}
-		end := int64(len(walMagic)) + sz
+		end = int64(len(walMagic)) + sz
 		if c.Off < int64(len(walMagic)) || c.Off > end {
 			s.mu.Unlock()
 			if c.Off > end {
@@ -255,10 +285,10 @@ func (s *Store) ReadWAL(c Cursor, maxBytes int) (data []byte, next Cursor, nrecs
 	path := s.segPath(c.Seq)
 	s.mu.Unlock()
 
-	// Read outside the lock: an unlinked segment stays readable through
-	// the open descriptor, and the active segment only ever grows (a
-	// torn frame from a concurrent append fails its checksum and is
-	// simply not shipped yet).
+	// Read outside the lock, up to the end accounted under it: an
+	// unlinked segment stays readable through the open descriptor, and
+	// a frame an Append has written but not yet accounted — its fsync
+	// pending, or failed — lies past end and is not shipped.
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -269,7 +299,7 @@ func (s *Store) ReadWAL(c Cursor, maxBytes int) (data []byte, next Cursor, nrecs
 	defer f.Close()
 
 	off := c.Off
-	r := io.NewSectionReader(f, off, math.MaxInt64-off)
+	r := io.NewSectionReader(f, off, end-off)
 	for len(data) < maxBytes {
 		frame, err := readFrame(r)
 		if err != nil {

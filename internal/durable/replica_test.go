@@ -51,13 +51,8 @@ func endCursor(s *Store) Cursor {
 }
 
 func TestReadWALWalksHistory(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openStore(t, dir)
+	s, _ := openStore(t, t.TempDir())
 	defer s.Close()
-
-	if got, want := s.SnapshotPath(), filepath.Join(dir, "snapshot.bin"); got != want {
-		t.Fatalf("SnapshotPath() = %q, want %q", got, want)
-	}
 
 	want := []Record{
 		{Ins: []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}},
@@ -116,6 +111,63 @@ func TestReadWALErrors(t *testing.T) {
 	}
 	if _, _, _, err := s.ReadWAL(Cursor{Seq: end.Seq, Off: end.Off + 999}, 0); !errors.Is(err, ErrAhead) {
 		t.Fatalf("read past the active tail: %v, want ErrAhead", err)
+	}
+}
+
+// TestCursorFile: a saved follower cursor loads back, in the "v1 seq
+// off id" format earlier followers wrote, so their data dirs resume; a
+// dir without one has none, and a damaged one is an error.
+func TestCursorFile(t *testing.T) {
+	dir := t.TempDir()
+	if _, _, ok, err := LoadCursor(dir); ok || err != nil {
+		t.Fatalf("empty dir: ok=%v err=%v, want no cursor", ok, err)
+	}
+	if err := SaveCursor(dir, Cursor{Seq: 3, Off: 25}, "f-0a1b"); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, "replica.cursor")); err != nil || string(data) != "v1 3 25 f-0a1b\n" {
+		t.Fatalf("cursor file = %q, %v", data, err)
+	}
+	if c, id, ok, err := LoadCursor(dir); !ok || err != nil || c != (Cursor{Seq: 3, Off: 25}) || id != "f-0a1b" {
+		t.Fatalf("LoadCursor = %v %q ok=%v err=%v", c, id, ok, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, cursorTmpName)); !os.IsNotExist(err) {
+		t.Fatalf("the cursor's tmp file survived the save: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, cursorName), []byte("v2 3 25"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := LoadCursor(dir); err == nil {
+		t.Fatal("a damaged cursor file loaded")
+	}
+}
+
+// TestReadWALStopsAtAccountedEnd: a frame an Append has written but
+// not yet accounted — its fsync still pending, or failed — is not
+// shipped.  The read ends at the acknowledged end, and the follower's
+// next poll from there succeeds instead of finding its cursor ahead.
+func TestReadWALStopsAtAccountedEnd(t *testing.T) {
+	s, _ := openStore(t, t.TempDir())
+	defer s.Close()
+	start := s.SnapshotCursor("")
+	acked := Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}}
+	if _, err := s.Append(&acked); err != nil {
+		t.Fatal(err)
+	}
+	end := endCursor(s)
+	s.mu.Lock()
+	_, err := writeFrame(s.f, EncodeRecord(&Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"c", "d"}}}}))
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, next, n, err := s.ReadWAL(start, 1<<20)
+	if err != nil || n != 1 || next != end {
+		t.Errorf("read = %d records, cursor %v, err %v; want 1 record and the accounted end %v", n, next, err, end)
+	}
+	if _, _, n, err := s.ReadWAL(next, 1<<20); err != nil || n != 0 {
+		t.Fatalf("next poll = %d records, err %v; want none and no error", n, err)
 	}
 }
 

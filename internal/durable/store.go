@@ -6,6 +6,8 @@
 //	snapshot.bin    latest checkpoint (atomically replaced)
 //	snapshot.tmp    in-flight checkpoint write (discarded on boot)
 //	wal-<seq>.log   update batches committed after snapshot.bin
+//	replica.cursor  a follower's position in its leader's WAL (see
+//	                LoadCursor; atomically replaced like the snapshot)
 //
 // The protocols:
 //
@@ -51,8 +53,10 @@ import (
 )
 
 const (
-	snapName    = "snapshot.bin"
-	snapTmpName = "snapshot.tmp"
+	snapName      = "snapshot.bin"
+	snapTmpName   = "snapshot.tmp"
+	cursorName    = "replica.cursor"
+	cursorTmpName = "replica.cursor.tmp"
 )
 
 // Follower retention bounds (see replica.go): at most this many bytes
@@ -476,7 +480,7 @@ func (s *Store) Rotate() error {
 // runs off the commit path: appends to the active segment proceed
 // concurrently.
 func (s *Store) WriteCheckpoint(cp *incr.Checkpoint) error {
-	if err := installSnapshot(s.dir, func(w io.Writer) error { return WriteSnapshot(w, cp) }); err != nil {
+	if err := installFile(s.dir, snapName, snapTmpName, func(w io.Writer) error { return WriteSnapshot(w, cp) }); err != nil {
 		return err
 	}
 
@@ -500,12 +504,12 @@ func (s *Store) WriteCheckpoint(cp *incr.Checkpoint) error {
 	return nil
 }
 
-// installSnapshot atomically replaces dir's snapshot with what write
-// produces: stream it to snapshot.tmp, fsync, rename over
-// snapshot.bin, fsync the directory.  A crash at any point leaves
-// either the old snapshot or the new one.
-func installSnapshot(dir string, write func(io.Writer) error) error {
-	tmp := filepath.Join(dir, snapTmpName)
+// installFile atomically replaces dir's file name with what write
+// produces: stream it to tmp, fsync, rename over name, fsync the
+// directory.  A crash at any point leaves either the old file or the
+// new one.
+func installFile(dir, name, tmp string, write func(io.Writer) error) error {
+	tmp = filepath.Join(dir, tmp)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -520,11 +524,12 @@ func installSnapshot(dir string, write func(io.Writer) error) error {
 	if err == nil {
 		// Crash-window hook for the recovery harness: hold the install
 		// open between the tmp write and the rename so a SIGKILL can
-		// land provably mid-checkpoint.
+		// land provably mid-checkpoint (a follower's cursor saves wait
+		// too).
 		if d, perr := time.ParseDuration(os.Getenv("REPRO_CKPT_DELAY")); perr == nil {
 			time.Sleep(d)
 		}
-		err = os.Rename(tmp, filepath.Join(dir, snapName))
+		err = os.Rename(tmp, filepath.Join(dir, name))
 	}
 	if err != nil {
 		os.Remove(tmp)
@@ -534,12 +539,16 @@ func installSnapshot(dir string, write func(io.Writer) error) error {
 }
 
 // InstallSnapshot makes the snapshot image read from r the snapshot of
-// data directory dir, atomically, as a checkpoint would.  A follower
-// installs its leader's checkpoint this way before opening dir.  The
-// image is parsed as it is written, and one ReadSnapshot rejects —
-// damaged, or cut short by a failed download — is not installed.
+// data directory dir, atomically, as a checkpoint would, creating dir
+// if need be.  A follower installs its leader's checkpoint this way
+// before opening dir.  The image is parsed as it is written, and one
+// ReadSnapshot rejects — damaged, or cut short by a failed download —
+// is not installed.
 func InstallSnapshot(dir string, r io.Reader) error {
-	return installSnapshot(dir, func(w io.Writer) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	return installFile(dir, snapName, snapTmpName, func(w io.Writer) error {
 		_, err := ReadSnapshot(io.TeeReader(r, w))
 		return err
 	})
@@ -552,8 +561,9 @@ func HasSnapshot(dir string) bool {
 }
 
 // Reset removes a store's files from data directory dir — the
-// snapshot, an interrupted snapshot write and every WAL segment — and
-// leaves every other file alone.  A missing dir is already reset.
+// snapshot, an interrupted snapshot write, every WAL segment and the
+// follower cursor with its interrupted write — and leaves every other
+// file alone.  A missing dir is already reset.
 func Reset(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
@@ -563,7 +573,8 @@ func Reset(dir string) error {
 		return err
 	}
 	for _, e := range entries {
-		if name := e.Name(); name == snapName || name == snapTmpName || isSegment(name) {
+		switch name := e.Name(); {
+		case name == snapName, name == snapTmpName, name == cursorName, name == cursorTmpName, isSegment(name):
 			if err := os.Remove(filepath.Join(dir, name)); err != nil {
 				return err
 			}

@@ -115,7 +115,7 @@ func TestFullyBoundLiteralBuildsNoIndex(t *testing.T) {
 			e.Add(relation.Tuple{id(i), id(i + 1)})
 			s.Add(relation.Tuple{id(i + 1), id(i + 2)})
 		}
-		in, err := engine.NewWith(prog, db, engine.Options{Workers: 1})
+		in, err := engine.New(prog, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,6 +136,8 @@ func TestFullyBoundLiteralBuildsNoIndex(t *testing.T) {
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}
+	prev := runtime.GOMAXPROCS(1) // one worker: every pass derives into one output
+	defer runtime.GOMAXPROCS(prev)
 	small, large := alloc(1000), alloc(10000)
 	if large > small+small/2+4096 {
 		t.Errorf("one rederivation pass allocates %d bytes over 1000 tuples and %d over 10000", small, large)

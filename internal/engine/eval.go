@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -180,9 +181,9 @@ func (in *Instance) newWorkerOut(sp Spec, nw int) *workerOut {
 
 // runPool evaluates the tasks of sp and returns the per-worker outputs.
 // A pass whose driver work is under InlineFloor, or that has one task
-// and no shards, or an instance with one worker, runs on the calling
+// and no shards, or a process with GOMAXPROCS 1, runs on the calling
 // goroutine into a single output.  Otherwise the tasks are distributed
-// over a pool of Workers() goroutines, each deriving into a private
+// over a pool of GOMAXPROCS goroutines, each deriving into a private
 // output; with fewer tasks than workers, tasks are first split into
 // arena-range shards of their driver relation (see expandShards), so
 // even a two-rule program keeps every core busy.
@@ -192,7 +193,7 @@ func (in *Instance) runPool(sp Spec) []*workerOut {
 	if neg == nil {
 		neg = pos
 	}
-	nw := in.Workers()
+	nw := runtime.GOMAXPROCS(0)
 	if nw > 1 && in.driverWork(tasks, pos) < InlineFloor {
 		nw = 1
 	}

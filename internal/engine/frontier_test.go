@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/parser"
@@ -14,7 +13,7 @@ import (
 // tests: sequential, minimal parallelism, and the full pool.
 func workerSweep() []int {
 	sweep := []int{1, 2}
-	if n := runtime.GOMAXPROCS(0); n > 2 {
+	if n := hostProcs; n > 2 {
 		sweep = append(sweep, n)
 	} else {
 		sweep = append(sweep, 8) // oversubscribe: scheduling must not matter
@@ -44,7 +43,8 @@ func TestPropFrontierMatchesDeriveDiff(t *testing.T) {
 		}
 
 		// Reference stages, and each shape's unfiltered answer minus s2.
-		ref := mustWith(prog, db.Clone(), Options{Workers: 1})
+		setProcs(t, 1)
+		ref := MustNew(prog, db.Clone())
 		s0 := ref.NewState()
 		s1 := ref.Apply(s0)
 		s2 := s1.Clone()
@@ -61,10 +61,12 @@ func TestPropFrontierMatchesDeriveDiff(t *testing.T) {
 			"delta":      {Pos: s2, Deltas: deltas},
 		}
 		for shape, sp := range shapes {
+			setProcs(t, 1)
 			want := ref.Eval(sp).Diff(s2)
 			sp.Against = s2
 			for _, nw := range workerSweep() {
-				in := mustWith(prog, db.Clone(), Options{Workers: nw})
+				setProcs(t, nw)
+				in := MustNew(prog, db.Clone())
 				if got := in.Eval(sp); !got.Equal(want) {
 					t.Fatalf("seed %d workers %d: %s pass with Against differs\nprogram:\n%s\ngot:\n%v\nwant:\n%v",
 						seed, nw, shape, src, got.Format(db.Universe()), want.Format(db.Universe()))
@@ -114,10 +116,12 @@ func inflateFrontierSemiNaive(in *Instance) State {
 func TestFrontierFixpointMatchesOracle(t *testing.T) {
 	prog := parser.MustProgram(multiRuleSrc)
 	db := randomEdgeDB(rand.New(rand.NewSource(5)), 10, 0.2)
-	want := inflate(mustWith(prog, db.Clone(), Options{Workers: 1}))
+	setProcs(t, 1)
+	want := inflate(MustNew(prog, db.Clone()))
 
 	for _, nw := range workerSweep() {
-		in := mustWith(prog, db.Clone(), Options{Workers: nw})
+		setProcs(t, nw)
+		in := MustNew(prog, db.Clone())
 		if got := inflateFrontier(in); !got.Equal(want) {
 			t.Fatalf("frontier fixpoint differs with %d workers", nw)
 		}
@@ -135,13 +139,15 @@ func TestShardedPartitionedMerge(t *testing.T) {
 	prog := parser.MustProgram(src)
 	db := randomEdgeDB(rand.New(rand.NewSource(42)), 120, 0.025)
 
-	want := inflate(mustWith(prog, db.Clone(), Options{Workers: 1}))
+	setProcs(t, 1)
+	want := inflate(MustNew(prog, db.Clone()))
 	if want["s"].Len() < 2*InlineFloor {
 		t.Fatalf("fixture too small to drive pooled rounds: |s| = %d", want["s"].Len())
 	}
 
 	for _, nw := range []int{2, 4, 8} {
-		in := mustWith(prog, db.Clone(), Options{Workers: nw})
+		setProcs(t, nw)
+		in := MustNew(prog, db.Clone())
 		if got := inflateFrontierSemiNaive(in); !got.Equal(want) {
 			t.Fatalf("sharded fixpoint differs with %d workers", nw)
 		}
@@ -182,7 +188,8 @@ func TestPropPartsMatchUnpartitioned(t *testing.T) {
 		}
 		for _, src := range partsPrograms {
 			prog := parser.MustProgram(src)
-			ref := mustWith(prog, db.Clone(), Options{Workers: 1})
+			setProcs(t, 1)
+			ref := MustNew(prog, db.Clone())
 			old := ref.NewState()
 			delta := State{"S": d}
 			cur := old.Clone()
@@ -191,7 +198,8 @@ func TestPropPartsMatchUnpartitioned(t *testing.T) {
 			want := ref.Eval(sp)
 
 			for _, nw := range []int{2, 3, 5} {
-				in := mustWith(prog, db.Clone(), Options{Workers: nw})
+				setProcs(t, nw)
+				in := MustNew(prog, db.Clone())
 				if w := in.driverWork(in.tasks(sp), cur); w < InlineFloor {
 					t.Fatalf("seed %d: fixture drives %d tuples, under InlineFloor", seed, w)
 				}
@@ -225,7 +233,8 @@ func TestPropPartsMatchUnpartitioned(t *testing.T) {
 func TestApplyDeltasFrontierParts(t *testing.T) {
 	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).")
 	db := randomEdgeDB(rand.New(rand.NewSource(42)), 120, 0.025)
-	ref := mustWith(prog, db.Clone(), Options{Workers: 1})
+	setProcs(t, 1)
+	ref := MustNew(prog, db.Clone())
 	rng := rand.New(rand.NewSource(7))
 	cur := ref.NewState()
 	for _, tu := range inflate(ref)["s"].Tuples() {
@@ -243,7 +252,8 @@ func TestApplyDeltasFrontierParts(t *testing.T) {
 		t.Fatal("maintenance round re-derives nothing")
 	}
 	for _, nw := range []int{1, 4} {
-		in := mustWith(prog, db.Clone(), Options{Workers: nw})
+		setProcs(t, nw)
+		in := MustNew(prog, db.Clone())
 		if parts := in.runPool(sp); len(parts) != nw {
 			t.Fatalf("workers %d: got %d parts", nw, len(parts))
 		}
@@ -262,7 +272,8 @@ func TestFrontierZeroAllocs(t *testing.T) {
 	for _, n := range []int{12, 28} {
 		rng := rand.New(rand.NewSource(3))
 		db := randomEdgeDB(rng, n, 0.3)
-		in := mustWith(parser.MustProgram("tri(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X)."), db, Options{Workers: 1})
+		setProcs(t, 1)
+		in := MustNew(parser.MustProgram("tri(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X)."), db)
 		fix := in.Apply(in.NewState()) // warm indexes, derive all triangles
 		allocs := testing.AllocsPerRun(10, func() { in.Eval(Spec{Pos: fix, Against: fix}) })
 		if allocs > 64 {

@@ -54,7 +54,6 @@ type Instance struct {
 	idb     map[string]bool
 	plans   []*rulePlan
 	empties map[int]*relation.Relation // canonical empty relation per arity
-	opts    Options
 }
 
 // New compiles prog against db.  It returns an error if the program
@@ -92,6 +91,16 @@ func New(prog *ast.Program, db *relation.Database) (*Instance, error) {
 		in.plans = append(in.plans, in.compile(r))
 	}
 	return in, nil
+}
+
+// Options remains only for benchmark/, whose harness still passes it
+// to NewWith and to five forwarders above the engine: evaluation has no
+// settings, and the worker pool is GOMAXPROCS wide (see runPool).
+type Options struct{}
+
+// NewWith is New; it remains only for benchmark/.
+func NewWith(prog *ast.Program, db *relation.Database, _ Options) (*Instance, error) {
+	return New(prog, db)
 }
 
 // MustNew is New but panics on error.

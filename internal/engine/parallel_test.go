@@ -28,28 +28,28 @@ func TestApplySplitParallelDeterministic(t *testing.T) {
 	prog := parser.MustProgram(multiRuleSrc)
 	for _, seed := range []int64{1, 2, 3} {
 		db := randomEdgeDB(rand.New(rand.NewSource(seed)), 9, 0.25)
-		serial := mustWith(prog, db.Clone(), Options{Workers: 1})
+		setProcs(t, 1)
+		in := MustNew(prog, db)
 
 		// Build a few stages serially to obtain realistic inputs.
-		s0 := serial.NewState()
-		s1 := serial.Apply(s0)
+		s0 := in.NewState()
+		s1 := in.Apply(s0)
 		s2Input := s1.Clone()
-		s2Input.UnionWith(serial.Apply(s1))
+		s2Input.UnionWith(in.Apply(s1))
+		delta := s2Input.Diff(s1)
+		want0, want2 := in.Apply(s0), in.Apply(s2Input)
+		wantSN := in.Eval(SemiNaive(s1, delta, s2Input, nil))
 
 		for _, nw := range []int{2, 4, 8, 16} {
-			par := mustWith(prog, db.Clone(), Options{Workers: nw})
-			if got, want := par.Apply(s0), serial.Apply(s0); !got.Equal(want) {
+			setProcs(t, nw)
+			if got := in.Apply(s0); !got.Equal(want0) {
 				t.Fatalf("seed %d workers %d: Apply(∅) differs\ngot:  %v\nwant: %v",
-					seed, nw, got.Preds(), want.Preds())
+					seed, nw, got.Preds(), want0.Preds())
 			}
-			if got, want := par.Apply(s2Input), serial.Apply(s2Input); !got.Equal(want) {
+			if got := in.Apply(s2Input); !got.Equal(want2) {
 				t.Fatalf("seed %d workers %d: Apply differs on stage-2 input", seed, nw)
 			}
-
-			delta := s2Input.Diff(s1)
-			got := par.Eval(SemiNaive(s1, delta, s2Input, nil))
-			want := serial.Eval(SemiNaive(s1, delta, s2Input, nil))
-			if !got.Equal(want) {
+			if got := in.Eval(SemiNaive(s1, delta, s2Input, nil)); !got.Equal(wantSN) {
 				t.Fatalf("seed %d workers %d: semi-naive round differs", seed, nw)
 			}
 		}
@@ -65,7 +65,8 @@ func TestParallelFixpointMatchesSerial(t *testing.T) {
 	db := randomEdgeDB(rand.New(rand.NewSource(7)), 10, 0.2)
 
 	inflate := func(nw int) State {
-		in := mustWith(prog, db.Clone(), Options{Workers: nw})
+		setProcs(t, nw)
+		in := MustNew(prog, db.Clone())
 		cur := in.NewState()
 		for {
 			next := cur.Clone()
@@ -77,7 +78,7 @@ func TestParallelFixpointMatchesSerial(t *testing.T) {
 	}
 
 	want := inflate(1)
-	for _, nw := range []int{2, 3, runtime.GOMAXPROCS(0) + 2} {
+	for _, nw := range []int{2, 3, hostProcs + 2} {
 		if got := inflate(nw); !got.Equal(want) {
 			t.Fatalf("inflationary fixpoint differs with %d workers", nw)
 		}
@@ -91,7 +92,8 @@ func TestParallelFixpointMatchesSerial(t *testing.T) {
 // synchronized lazy index build inside Relation from many readers.
 func TestConcurrentApplySharedInputs(t *testing.T) {
 	prog := parser.MustProgram(multiRuleSrc)
-	in := mustWith(prog, randomEdgeDB(rand.New(rand.NewSource(11)), 8, 0.3), Options{Workers: 4})
+	setProcs(t, 4)
+	in := MustNew(prog, randomEdgeDB(rand.New(rand.NewSource(11)), 8, 0.3))
 	base := in.Apply(in.NewState())
 
 	want := in.Apply(base)
@@ -138,7 +140,8 @@ func TestParallelPassBytes(t *testing.T) {
 		}
 	}
 	half.Lookup(0, 0) // the join's index is not the pass's output
-	in, err := NewWith(parser.MustProgram("s(X,Y) :- s(X,Z), half(Z,Y)."), db, Options{Workers: 2})
+	setProcs(t, 2)
+	in, err := New(parser.MustProgram("s(X,Y) :- s(X,Z), half(Z,Y)."), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +179,8 @@ func TestParallelPassBytes(t *testing.T) {
 // the calling goroutine into one output, and a pass at the floor is
 // sharded over the pool.
 func TestSmallPassRunsInline(t *testing.T) {
-	in := mustWith(parser.MustProgram("s(X,Y) :- s(X,Z), E(Z,Y)."), pathDB(3), Options{Workers: 4})
+	setProcs(t, 4)
+	in := MustNew(parser.MustProgram("s(X,Y) :- s(X,Z), E(Z,Y)."), pathDB(3))
 	for _, c := range []struct {
 		n      int
 		inline bool
@@ -193,14 +197,13 @@ func TestSmallPassRunsInline(t *testing.T) {
 	}
 }
 
-// TestWorkersKnobs pins how Options.Workers resolves: a positive value
-// is the pool size, anything else GOMAXPROCS.
-func TestWorkersKnobs(t *testing.T) {
-	prog := parser.MustProgram("s(X,Y) :- E(X,Y).")
-	for _, c := range []struct{ set, want int }{{0, runtime.GOMAXPROCS(0)}, {-1, runtime.GOMAXPROCS(0)}, {3, 3}} {
-		in := mustWith(prog, pathDB(3), Options{Workers: c.set})
-		if got := in.Workers(); got != c.want {
-			t.Errorf("Options{Workers: %d}: Workers() = %d, want %d", c.set, got, c.want)
-		}
-	}
+// hostProcs is GOMAXPROCS as the test binary started, before any test
+// set it.
+var hostProcs = runtime.GOMAXPROCS(0)
+
+// setProcs sets GOMAXPROCS, the width of the engine's worker pool, to
+// n until the test ends.
+func setProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ast"
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/wforacle"
@@ -74,15 +73,6 @@ func inflate(in *Instance) State {
 	}
 }
 
-// mustWith is NewWith on a program the test knows to be valid.
-func mustWith(prog *ast.Program, db *relation.Database, o Options) *Instance {
-	in, err := NewWith(prog, db, o)
-	if err != nil {
-		panic(err)
-	}
-	return in
-}
-
 // oracleTheta is wforacle.Theta — ground Θ over maps of atoms, sharing
 // nothing with this package — on in's program and database, read at s.
 func oracleTheta(in *Instance, s State) map[string]bool {
@@ -137,7 +127,8 @@ func TestPropPlannerMatchesTheta(t *testing.T) {
 			t.Fatalf("%s: generated unparsable program:\n%s\n%v", sc.name, sc.src, err)
 		}
 		for _, nw := range []int{1, 4} {
-			in := mustWith(prog, sc.db.Clone(), Options{Workers: nw})
+			setProcs(t, nw)
+			in := MustNew(prog, sc.db.Clone())
 			for cur, stage := in.NewState(), 0; ; stage++ {
 				got := in.Apply(cur)
 				if d := wforacle.Diff("derived", wforacle.Atoms(in.Universe(), got), oracleTheta(in, cur)); d != "" {
@@ -189,7 +180,8 @@ R(Y) :- E(a, Y), E(Y, b).
 func triangleAllocsSetup(t testing.TB, n int) (*Instance, State) {
 	rng := rand.New(rand.NewSource(3))
 	db := randomEdgeDB(rng, n, 0.3)
-	in := mustWith(parser.MustProgram("q :- E(X,Y), E(Y,Z), E(Z,X)."), db, Options{Workers: 1})
+	setProcs(t, 1)
+	in := MustNew(parser.MustProgram("q :- E(X,Y), E(Y,Z), E(Z,X)."), db)
 	s := in.NewState()
 	in.Apply(s) // warm indexes
 	return in, s

@@ -29,7 +29,7 @@ func init() {
 	})
 }
 
-func runE1(w io.Writer, quick bool, opt engine.Options) error {
+func runE1(w io.Writer, quick bool) error {
 	maxN := 9
 	maxCopies := 6
 	if quick {
@@ -39,7 +39,7 @@ func runE1(w io.Writer, quick bool, opt engine.Options) error {
 	c := &checker{}
 
 	analyze := func(g *graphs.Graph) (count int, unique, least bool) {
-		in := mustNew(parser.MustProgram(pi1Src), g.Database(), opt)
+		in := engine.MustNew(parser.MustProgram(pi1Src), g.Database())
 		cnt, _, err := fixpoint.Count(in, fixpoint.Options{}, 0)
 		if err != nil {
 			panic(err)
@@ -81,7 +81,7 @@ func runE1(w io.Writer, quick bool, opt engine.Options) error {
 	return c.err()
 }
 
-func runE5(w io.Writer, quick bool, opt engine.Options) error {
+func runE5(w io.Writer, quick bool) error {
 	maxCopies := 6
 	if quick {
 		maxCopies = 3
@@ -93,7 +93,7 @@ func runE5(w io.Writer, quick bool, opt engine.Options) error {
 	tcSrc := "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y)."
 	for _, n := range []int{3, 4} {
 		g := graphs.Path(n)
-		in := mustNew(parser.MustProgram(tcSrc), g.Database(), opt)
+		in := engine.MustNew(parser.MustProgram(tcSrc), g.Database())
 		start := time.Now()
 		res, err := fixpoint.Least(in, fixpoint.Options{})
 		if err != nil {
@@ -110,7 +110,7 @@ func runE5(w io.Writer, quick bool, opt engine.Options) error {
 
 	// π₁ on Lₙ: unique fixpoint, hence least.
 	for _, n := range []int{4, 6} {
-		in := mustNew(parser.MustProgram(pi1Src), graphs.Path(n).Database(), opt)
+		in := engine.MustNew(parser.MustProgram(pi1Src), graphs.Path(n).Database())
 		start := time.Now()
 		res, err := fixpoint.Least(in, fixpoint.Options{})
 		if err != nil {
@@ -125,7 +125,7 @@ func runE5(w io.Writer, quick bool, opt engine.Options) error {
 	// fixpoint, cost grows with the fixpoint count (the exponential
 	// enumeration Theorem 3's hardness predicts).
 	for m := 1; m <= maxCopies; m++ {
-		in := mustNew(parser.MustProgram(pi1Src), graphs.DisjointCycles(m, 4).Database(), opt)
+		in := engine.MustNew(parser.MustProgram(pi1Src), graphs.DisjointCycles(m, 4).Database())
 		start := time.Now()
 		res, err := fixpoint.Least(in, fixpoint.Options{})
 		if err != nil {

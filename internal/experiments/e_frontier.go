@@ -22,8 +22,8 @@ func init() {
 	})
 }
 
-// E15Workers is the worker-count sweep shared by experiment E15 and
-// BenchmarkE15WorkerScaling: 1, powers of two up to GOMAXPROCS, and
+// E15Workers is the GOMAXPROCS sweep shared by experiment E15 and
+// BenchmarkE15FrontierScaling: 1, powers of two up to GOMAXPROCS, and
 // GOMAXPROCS itself.  At least {1, 2} even on a single-core runner, so
 // the sharded merge path is always exercised (timings there measure
 // overhead, not scaling).
@@ -41,12 +41,13 @@ func E15Workers() []int {
 
 // runE15 evaluates the 2-rule transitive-closure and the Proposition 2
 // distance program under inflationary semantics, sweeping the worker
-// pool.  The claim under test is bit-exactness — the same relations and
-// the same round count at every pool size, because per-worker outputs
-// merge by set union and shards partition each driver; the speedup
-// column is the engineering payoff of intra-rule sharding, which keeps
-// a 2-rule program's workers busy once the pool outgrows the rules.
-func runE15(w io.Writer, quick bool, opt engine.Options) error {
+// pool's width: each row sets GOMAXPROCS and restores it.  The claim
+// under test is bit-exactness — the same relations and the same round
+// count at every pool size, because per-worker outputs merge by set
+// union and shards partition each driver; the speedup column is the
+// engineering payoff of intra-rule sharding, which keeps a 2-rule
+// program's workers busy once the pool outgrows the rules.
+func runE15(w io.Writer, quick bool) error {
 	tcN, tcP, distN, distP := 64, 0.06, 14, 0.25
 	if quick {
 		tcN, tcP, distN, distP = 40, 0.08, 10, 0.25
@@ -69,9 +70,8 @@ func runE15(w io.Writer, quick bool, opt engine.Options) error {
 		db := cs.db()
 
 		run := func(nw int) (*semantics.Result, time.Duration) {
-			o := opt
-			o.Workers = nw
-			in := mustNew(prog, db.Clone(), o)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(nw))
+			in := engine.MustNew(prog, db.Clone())
 			start := time.Now()
 			res := semantics.Inflationary(in)
 			return res, time.Since(start)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/graphs"
 	"repro/internal/incr"
 	"repro/internal/parser"
@@ -35,7 +34,7 @@ type e14Workload struct {
 	assertSpeedup float64
 }
 
-func runE14(w io.Writer, quick bool, opt engine.Options) error {
+func runE14(w io.Writer, quick bool) error {
 	scale := func(full, small int) int {
 		if quick {
 			return small
@@ -86,7 +85,7 @@ func runE14(w io.Writer, quick bool, opt engine.Options) error {
 	for _, wl := range workloads {
 		prog := parser.MustProgram(wl.src)
 		db := wl.db()
-		m, err := incr.NewWith(prog, db, wl.sem, opt)
+		m, err := incr.New(prog, db, wl.sem)
 		if err != nil {
 			return err
 		}
@@ -122,7 +121,7 @@ func runE14(w io.Writer, quick bool, opt engine.Options) error {
 				mirror.MustEnsure("E", 2).Add(tu)
 			}
 			start = time.Now()
-			res, err := core.EvalOpts(prog, mirror, wl.sem, semantics.SemiNaive, opt)
+			res, err := core.Eval(prog, mirror, wl.sem, semantics.SemiNaive)
 			if err != nil {
 				return err
 			}

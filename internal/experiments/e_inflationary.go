@@ -64,7 +64,7 @@ func init() {
 	})
 }
 
-func runE7(w io.Writer, quick bool, opt engine.Options) error {
+func runE7(w io.Writer, quick bool) error {
 	maxBits := 3
 	if quick {
 		maxBits = 2
@@ -82,7 +82,7 @@ func runE7(w io.Writer, quick bool, opt engine.Options) error {
 		}
 		for _, cs := range cases {
 			prog, db := reductions.PiSuccinct3Col(cs.sg)
-			in, err := engine.NewWith(prog, db, opt)
+			in, err := engine.New(prog, db)
 			if err != nil {
 				return err
 			}
@@ -109,7 +109,7 @@ func runE7(w io.Writer, quick bool, opt engine.Options) error {
 	return c.err()
 }
 
-func runE8(w io.Writer, quick bool, opt engine.Options) error {
+func runE8(w io.Writer, quick bool) error {
 	sizes := []int{8, 16, 32, 64}
 	if quick {
 		sizes = []int{8, 16}
@@ -126,12 +126,12 @@ func runE8(w io.Writer, quick bool, opt engine.Options) error {
 			{"TC", tcSrc, graphs.Path(n).Database(), 2},
 			{"π₁", pi1Src, graphs.Cycle(n).Database(), 1},
 		} {
-			inN := mustNew(parser.MustProgram(pc.src), pc.db.Clone(), opt)
+			inN := engine.MustNew(parser.MustProgram(pc.src), pc.db.Clone())
 			startN := time.Now()
 			resN := semantics.InflationaryMode(inN, semantics.Naive)
 			durN := time.Since(startN)
 
-			inS := mustNew(parser.MustProgram(pc.src), pc.db.Clone(), opt)
+			inS := engine.MustNew(parser.MustProgram(pc.src), pc.db.Clone())
 			startS := time.Now()
 			resS := semantics.InflationaryMode(inS, semantics.SemiNaive)
 			durS := time.Since(startS)
@@ -150,7 +150,7 @@ func runE8(w io.Writer, quick bool, opt engine.Options) error {
 	return c.err()
 }
 
-func runE9(w io.Writer, quick bool, opt engine.Options) error {
+func runE9(w io.Writer, quick bool) error {
 	seeds := 6
 	if quick {
 		seeds = 3
@@ -159,7 +159,7 @@ func runE9(w io.Writer, quick bool, opt engine.Options) error {
 	c := &checker{}
 	for s := 0; s < seeds; s++ {
 		g := graphs.Random(newRNG(int64(s)), 8, 0.25)
-		in := mustNew(parser.MustProgram(tcSrc), g.Database(), opt)
+		in := engine.MustNew(parser.MustProgram(tcSrc), g.Database())
 		inf := semantics.Inflationary(in)
 		lfp, err := semantics.LeastFixpoint(in)
 		if err != nil {
@@ -182,7 +182,7 @@ func runE9(w io.Writer, quick bool, opt engine.Options) error {
 	}
 	// π₁: Θ^∞ = Θ¹ (one productive stage).
 	for _, n := range []int{5, 9} {
-		in := mustNew(parser.MustProgram(pi1Src), graphs.Cycle(n).Database(), opt)
+		in := engine.MustNew(parser.MustProgram(pi1Src), graphs.Cycle(n).Database())
 		res := semantics.Inflationary(in)
 		theta1 := in.Apply(in.NewState())
 		ok := res.State.Equal(theta1) && res.Stats.Rounds == 2
@@ -193,7 +193,7 @@ func runE9(w io.Writer, quick bool, opt engine.Options) error {
 	return c.err()
 }
 
-func runE10(w io.Writer, quick bool, opt engine.Options) error {
+func runE10(w io.Writer, quick bool) error {
 	sizes := []int{4, 6, 8}
 	seedsPer := 3
 	if quick {
@@ -208,9 +208,9 @@ func runE10(w io.Writer, quick bool, opt engine.Options) error {
 			g := graphs.Random(newRNG(int64(n*10+s)), n, 0.3)
 			db := g.Database()
 
-			in := mustNew(parser.MustProgram(distanceSrc), db.Clone(), opt)
+			in := engine.MustNew(parser.MustProgram(distanceSrc), db.Clone())
 			infl := semantics.Inflationary(in)
-			strat, err := semantics.StratifiedOpts(prog, db, semantics.SemiNaive, opt)
+			strat, err := semantics.Stratified(prog, db, semantics.SemiNaive)
 			if err != nil {
 				return err
 			}
@@ -255,7 +255,7 @@ func runE10(w io.Writer, quick bool, opt engine.Options) error {
 	return c.err()
 }
 
-func runE11(w io.Writer, quick bool, opt engine.Options) error {
+func runE11(w io.Writer, quick bool) error {
 	t := newTable(w, "case", "observation", "check")
 	c := &checker{}
 
@@ -271,7 +271,7 @@ func runE11(w io.Writer, quick bool, opt engine.Options) error {
 	g1 := graphs.New(5)
 	g1.AddEdge(0, 1)
 	g1.AddEdge(1, 2)
-	in1 := mustNew(parser.MustProgram(distanceSrc), g1.Database(), opt)
+	in1 := engine.MustNew(parser.MustProgram(distanceSrc), g1.Database())
 	r1 := semantics.Inflationary(in1)
 	u1 := in1.Universe()
 	q1 := relation.Tuple{idx(u1, 0), idx(u1, 2), idx(u1, 3), idx(u1, 4)}
@@ -281,7 +281,7 @@ func runE11(w io.Writer, quick bool, opt engine.Options) error {
 	g2.AddEdge(0, 1)
 	g2.AddEdge(1, 2)
 	g2.AddEdge(3, 4)
-	in2 := mustNew(parser.MustProgram(distanceSrc), g2.Database(), opt)
+	in2 := engine.MustNew(parser.MustProgram(distanceSrc), g2.Database())
 	r2 := semantics.Inflationary(in2)
 	u2 := in2.Universe()
 	q2 := relation.Tuple{idx(u2, 0), idx(u2, 2), idx(u2, 3), idx(u2, 4)}
@@ -293,11 +293,11 @@ func runE11(w io.Writer, quick bool, opt engine.Options) error {
 		c.verdict(flipped, "monotonicity"))
 
 	// (b) Well-founded agrees with stratified on a stratified program.
-	strat, err := semantics.StratifiedOpts(parser.MustProgram(distanceSrc), graphs.Path(4).Database(), semantics.SemiNaive, opt)
+	strat, err := semantics.Stratified(parser.MustProgram(distanceSrc), graphs.Path(4).Database(), semantics.SemiNaive)
 	if err != nil {
 		return err
 	}
-	inWF := mustNew(parser.MustProgram(distanceSrc), graphs.Path(4).Database(), opt)
+	inWF := engine.MustNew(parser.MustProgram(distanceSrc), graphs.Path(4).Database())
 	wf := semantics.WellFounded(inWF)
 	okWF := wf.Total() && wf.True.Equal(strat.State)
 	t.row("WF = stratified on stratified program", fmt.Sprintf("total=%v equal=%v", wf.Total(), wf.True.Equal(strat.State)),
@@ -308,9 +308,9 @@ func runE11(w io.Writer, quick bool, opt engine.Options) error {
 	// negation semantics give different answers on unstratifiable
 	// programs).
 	cyc := graphs.Cycle(4).Database()
-	inWin := mustNew(parser.MustProgram(winMoveSrc), cyc.Clone(), opt)
+	inWin := engine.MustNew(parser.MustProgram(winMoveSrc), cyc.Clone())
 	wfWin := semantics.WellFounded(inWin)
-	inflWin := semantics.Inflationary(mustNew(parser.MustProgram(winMoveSrc), cyc.Clone(), opt))
+	inflWin := semantics.Inflationary(engine.MustNew(parser.MustProgram(winMoveSrc), cyc.Clone()))
 	okWin := !wfWin.Total() && inflWin.State["win"].Len() == 4 && wfWin.True["win"].Len() == 0
 	t.row("win-move on C4", fmt.Sprintf("WF undefined=%d, inflationary |win|=%d",
 		wfWin.Undefined()["win"].Len(), inflWin.State["win"].Len()),
@@ -323,7 +323,7 @@ s1(X,Y) :- E(X,Y).
 s1(X,Y) :- E(X,Z), s1(Z,Y).
 s2(X,Y,Z,W) :- s1(X,Y), !s1(Z,W).
 `)
-	res, err := semantics.StratifiedOpts(pi2, graphs.Path(3).Database(), semantics.SemiNaive, opt)
+	res, err := semantics.Stratified(pi2, graphs.Path(3).Database(), semantics.SemiNaive)
 	if err != nil {
 		return err
 	}

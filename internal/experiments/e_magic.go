@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/magic"
 	"repro/internal/parser"
 	"repro/internal/semantics"
@@ -30,7 +29,7 @@ func init() {
 // ≥5x acceptance bar.  The tc-left/tc-right pair isolates the
 // sideways-information-passing sensitivity: same closure, same query,
 // opposite recursion direction.
-func runE16(w io.Writer, quick bool, opt engine.Options) error {
+func runE16(w io.Writer, quick bool) error {
 	t := newTable(w, "workload", "query", "answers", "derived(magic)", "derived(full)", "t(full)", "t(magic)", "speedup", "check")
 	c := &checker{}
 	for _, wl := range workload.PointQueryWorkloads(quick) {
@@ -45,7 +44,7 @@ func runE16(w io.Writer, quick bool, opt engine.Options) error {
 
 		// Full materialization + filter (the oracle).
 		startFull := time.Now()
-		full, err := core.QueryFullOpts(prog, db, q, sem, semantics.SemiNaive, opt)
+		full, err := core.QueryFull(prog, db, q, sem, semantics.SemiNaive)
 		if err != nil {
 			return err
 		}
@@ -55,9 +54,9 @@ func runE16(w io.Writer, quick bool, opt engine.Options) error {
 		startMagic := time.Now()
 		var res *semantics.QueryResult
 		if wl.Stratified {
-			res, err = semantics.QueryStratifiedOpts(prog, db, q, semantics.SemiNaive, opt)
+			res, err = semantics.QueryStratified(prog, db, q, semantics.SemiNaive)
 		} else {
-			res, err = semantics.QueryLFPOpts(prog, db, q, semantics.SemiNaive, opt)
+			res, err = semantics.QueryLFP(prog, db, q, semantics.SemiNaive)
 		}
 		if err != nil {
 			return err

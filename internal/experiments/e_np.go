@@ -41,7 +41,7 @@ func init() {
 	})
 }
 
-func runE2(w io.Writer, quick bool, opt engine.Options) error {
+func runE2(w io.Writer, quick bool) error {
 	sizes := []int{4, 6, 8, 10, 12}
 	seedsPer := 4
 	if quick {
@@ -57,7 +57,7 @@ func runE2(w io.Writer, quick bool, opt engine.Options) error {
 			if err != nil {
 				return err
 			}
-			in := mustNew(reductions.PiSAT(), db, opt)
+			in := engine.MustNew(reductions.PiSAT(), db)
 			start := time.Now()
 			has, st, err := fixpoint.Exists(in, fixpoint.Options{})
 			if err != nil {
@@ -91,7 +91,7 @@ func runE2(w io.Writer, quick bool, opt engine.Options) error {
 	return c.err()
 }
 
-func runE3(w io.Writer, quick bool, opt engine.Options) error {
+func runE3(w io.Writer, quick bool) error {
 	imp := logic.Implies
 	sentences := []struct {
 		name string
@@ -127,7 +127,7 @@ func runE3(w io.Writer, quick bool, opt engine.Options) error {
 			if err != nil {
 				return err
 			}
-			in, err := engine.NewWith(prog, db.Clone(), opt)
+			in, err := engine.New(prog, db.Clone())
 			if err != nil {
 				return err
 			}
@@ -171,7 +171,7 @@ func e3DB(seed int64) *relationDatabase {
 	return db
 }
 
-func runE4(w io.Writer, quick bool, opt engine.Options) error {
+func runE4(w io.Writer, quick bool) error {
 	sizes := []int{4, 6, 8}
 	if quick {
 		sizes = []int{4, 6}
@@ -193,7 +193,7 @@ func runE4(w io.Writer, quick bool, opt engine.Options) error {
 			if err != nil {
 				return err
 			}
-			in := mustNew(reductions.PiSAT(), db, opt)
+			in := engine.MustNew(reductions.PiSAT(), db)
 			unique, _, err := fixpoint.Unique(in, fixpoint.Options{})
 			if err != nil {
 				return err
@@ -208,7 +208,7 @@ func runE4(w io.Writer, quick bool, opt engine.Options) error {
 	return c.err()
 }
 
-func runE6(w io.Writer, quick bool, opt engine.Options) error {
+func runE6(w io.Writer, quick bool) error {
 	type gcase struct {
 		name string
 		g    *graphs.Graph
@@ -233,7 +233,7 @@ func runE6(w io.Writer, quick bool, opt engine.Options) error {
 	c := &checker{}
 	for _, cs := range cases {
 		db := cs.g.Database()
-		in := mustNew(reductions.PiCOL(), db, opt)
+		in := engine.MustNew(reductions.PiCOL(), db)
 		has, st, err := fixpoint.Exists(in, fixpoint.Options{})
 		if err != nil {
 			return err

@@ -21,7 +21,7 @@ func init() {
 	})
 }
 
-func runE12(w io.Writer, quick bool, opt engine.Options) error {
+func runE12(w io.Writer, quick bool) error {
 	seeds := 5
 	if quick {
 		seeds = 2
@@ -63,7 +63,7 @@ func runE12(w io.Writer, quick bool, opt engine.Options) error {
 			if err != nil {
 				return err
 			}
-			in := mustNew(prog, db.Clone(), opt)
+			in := engine.MustNew(prog, db.Clone())
 			res := semantics.Inflationary(in)
 			if res.State[oc.op.Pred].Equal(direct) {
 				agree++
@@ -99,7 +99,7 @@ func runE12(w io.Writer, quick bool, opt engine.Options) error {
 			if err != nil {
 				return err
 			}
-			in := mustNew(prog, db.Clone(), opt)
+			in := engine.MustNew(prog, db.Clone())
 			res := semantics.Inflationary(in)
 			if res.State[op.Pred].Equal(direct) {
 				agree++

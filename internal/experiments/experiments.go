@@ -15,8 +15,6 @@ import (
 	"sort"
 	"text/tabwriter"
 	"time"
-
-	"repro/internal/engine"
 )
 
 // Experiment is one reproducible experiment.
@@ -25,11 +23,9 @@ type Experiment struct {
 	Title string
 	// Source cites the part of the paper being reproduced.
 	Source string
-	// Run writes the experiment's table to w, evaluating with opt
-	// wherever the experiment does not sweep an option itself.  In quick
-	// mode the parameter sweep is shortened for use under `go test
-	// -bench`.
-	Run func(w io.Writer, quick bool, opt engine.Options) error
+	// Run writes the experiment's table to w.  In quick mode the
+	// parameter sweep is shortened for use under `go test -bench`.
+	Run func(w io.Writer, quick bool) error
 }
 
 var registry []Experiment
@@ -67,9 +63,9 @@ func Find(id string) (Experiment, bool) {
 }
 
 // RunAll runs every experiment, writing tables to w.
-func RunAll(w io.Writer, quick bool, opt engine.Options) error {
+func RunAll(w io.Writer, quick bool) error {
 	for _, e := range All() {
-		if err := RunOne(w, e, quick, opt); err != nil {
+		if err := RunOne(w, e, quick); err != nil {
 			return err
 		}
 	}
@@ -77,11 +73,11 @@ func RunAll(w io.Writer, quick bool, opt engine.Options) error {
 }
 
 // RunOne runs a single experiment with its header.
-func RunOne(w io.Writer, e Experiment, quick bool, opt engine.Options) error {
+func RunOne(w io.Writer, e Experiment, quick bool) error {
 	fmt.Fprintf(w, "=== %s: %s\n", e.ID, e.Title)
 	fmt.Fprintf(w, "    source: %s\n", e.Source)
 	start := time.Now()
-	if err := e.Run(w, quick, opt); err != nil {
+	if err := e.Run(w, quick); err != nil {
 		return fmt.Errorf("%s: %w", e.ID, err)
 	}
 	fmt.Fprintf(w, "    (%.2fs)\n\n", time.Since(start).Seconds())

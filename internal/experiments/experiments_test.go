@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/engine"
 )
 
 // registeredIDs lists the experiments in order.  E13, E17 and E18 are
@@ -43,7 +41,7 @@ func TestAllExperimentsPass(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := RunOne(&buf, e, true, engine.Options{}); err != nil {
+			if err := RunOne(&buf, e, true); err != nil {
 				t.Fatalf("%v\noutput:\n%s", err, buf.String())
 			}
 			if strings.Contains(buf.String(), "MISMATCH") {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/graphs"
 	"repro/internal/incr"
 	"repro/internal/parser"
@@ -47,13 +46,14 @@ V(x3). V(x2). V(x1). V(x0). V(a). V(b). V(c1). V(c2). V(c3). V(d1). V(d2).
 		{tcSrc, core.Stratified},
 		{tcNegSrc, core.Stratified},
 	}
-	// K is the maintainer's worker count, as in TestChainMatchesRecompute.
+	// K is the worker pool's width, as in TestChainMatchesRecompute.
 	for _, tc := range cases {
 		for _, k := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%v/K%d/%d rules", tc.sem, k, len(parser.MustProgram(tc.src).Rules)), func(t *testing.T) {
 				prog := parser.MustProgram(tc.src)
 				mirror := parser.MustFacts(facts)
-				m, err := incr.NewWith(prog, mirror, tc.sem, engine.Options{Workers: k})
+				setProcs(t, k)
+				m, err := incr.New(prog, mirror, tc.sem)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,7 +111,8 @@ func sinkClosure(t *testing.T, n, sinks int, p float64) *incr.Maintainer {
 	}
 	db.AddFact("E", "t9", graphs.VertexName(n-1))
 	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- s(X,Z), E(Z,Y).")
-	m, err := incr.NewWith(prog, db, core.LFP, engine.Options{Workers: 1})
+	setProcs(t, 1)
+	m, err := incr.New(prog, db, core.LFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func allocated(f func()) uint64 {
 // numbers of tuples swap announces.  With publish set, each update is
 // followed — inside the measurement — by the Snapshot a daemon hands its
 // readers, so the next update pays for detaching from it.  Deterministic
-// with engine.Options{Workers: 1}.
+// with GOMAXPROCS 1.
 func medianAlloc(t *testing.T, m *incr.Maintainer, strategy string, publish bool, swap func(i int) (ins, del []incr.Fact, gained, lost int)) uint64 {
 	t.Helper()
 	var samples []uint64
@@ -263,7 +264,8 @@ func TestNegationStratumCostFollowsChange(t *testing.T) {
 		sinkChain(db, "V")
 		db.AddFact("E", "t9", graphs.VertexName(n-1))
 		prog := parser.MustProgram(tcSrc + "\nunreach(X,Y) :- V(X), V(Y), !s(X,Y).")
-		m, err := incr.NewWith(prog, db, core.Stratified, engine.Options{Workers: 1})
+		setProcs(t, 1)
+		m, err := incr.New(prog, db, core.Stratified)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +332,8 @@ func layeredBoard(copies int) *relation.Database {
 // from that change; none is recomputed, and none copies move or win.
 func TestChainCostFollowsChange(t *testing.T) {
 	perUpdate := func(copies int) (bytes uint64, tuples, outer int) {
-		m, err := incr.NewWith(parser.MustProgram("win(X) :- move(X,Y), !win(Y)."), layeredBoard(copies), core.WellFounded, engine.Options{Workers: 1})
+		setProcs(t, 1)
+		m, err := incr.New(parser.MustProgram("win(X) :- move(X,Y), !win(Y)."), layeredBoard(copies), core.WellFounded)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,11 +84,11 @@ func (m *Maintainer) Checkpoint() *Checkpoint {
 }
 
 // RestoreWith rebuilds a ready Maintainer from a checkpoint without
-// re-running the fixpoint, with per-call engine options as in NewWith.
-// The checkpoint is not consumed: its relations are cloned
-// or re-sealed as needed, so the same checkpoint can be restored more
-// than once.
-func RestoreWith(cp *Checkpoint, opts engine.Options) (*Maintainer, error) {
+// re-running the fixpoint.  The checkpoint is not consumed: its
+// relations are cloned or re-sealed as needed, so the same checkpoint
+// can be restored more than once.  The Options argument is ignored; it
+// remains only for benchmark/.
+func RestoreWith(cp *Checkpoint, _ engine.Options) (*Maintainer, error) {
 	arities, err := cp.Prog.Validate()
 	if err != nil {
 		return nil, err
@@ -96,7 +96,6 @@ func RestoreWith(cp *Checkpoint, opts engine.Options) (*Maintainer, error) {
 	m := &Maintainer{
 		prog:    cp.Prog,
 		sem:     cp.Sem,
-		opts:    opts,
 		db:      relation.NewDatabaseOn(cp.Universe.Clone()),
 		arities: arities,
 		idb:     cp.Prog.IDB(),

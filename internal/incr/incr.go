@@ -28,7 +28,7 @@
 //     and the net change of the stage below (chain.go).  Memory is
 //     n × |IDB| where a recompute holds 2 ×.  A stratifiable program has
 //     a total model equal to the stratified one and is maintained as
-//     strata, Possible = True, as core.EvalOpts evaluates it in batch.
+//     strata, Possible = True, as core.Eval evaluates it in batch.
 //
 // Universe growth under rules that enumerate the universe invalidates
 // every shortcut above and is answered by the same from-scratch
@@ -112,7 +112,6 @@ const (
 type Maintainer struct {
 	prog    *ast.Program
 	sem     core.Semantics
-	opts    engine.Options // applied to every instance the maintainer builds
 	db      *relation.Database
 	arities map[string]int
 	idb     map[string]bool
@@ -135,14 +134,6 @@ type Maintainer struct {
 // New builds a maintainer for prog on a private clone of db, runs the
 // initial evaluation under sem, and returns it ready for updates.
 func New(prog *ast.Program, db *relation.Database, sem core.Semantics) (*Maintainer, error) {
-	return NewWith(prog, db, sem, engine.Options{})
-}
-
-// NewWith is New with per-call engine options applied to every
-// instance the maintainer builds — the initial evaluation and every
-// maintenance pass run with the same worker-pool/planner/frontier/
-// sharding configuration.
-func NewWith(prog *ast.Program, db *relation.Database, sem core.Semantics, opts engine.Options) (*Maintainer, error) {
 	arities, err := prog.Validate()
 	if err != nil {
 		return nil, err
@@ -150,7 +141,6 @@ func NewWith(prog *ast.Program, db *relation.Database, sem core.Semantics, opts 
 	m := &Maintainer{
 		prog:    prog,
 		sem:     sem,
-		opts:    opts,
 		db:      db.Clone(),
 		arities: arities,
 		idb:     prog.IDB(),
@@ -164,6 +154,11 @@ func NewWith(prog *ast.Program, db *relation.Database, sem core.Semantics, opts 
 	}
 	m.recompute()
 	return m, nil
+}
+
+// NewWith is New; it remains only for benchmark/.
+func NewWith(prog *ast.Program, db *relation.Database, sem core.Semantics, _ engine.Options) (*Maintainer, error) {
+	return New(prog, db, sem)
 }
 
 // pickStrategy chooses the maintenance machinery for prog under sem.
@@ -189,7 +184,7 @@ func pickStrategy(prog *ast.Program, sem core.Semantics) (strategy, error) {
 	case core.WellFounded:
 		if unstratifiable == nil {
 			// The well-founded model is total and is the stratified one
-			// (core.EvalOpts makes the same choice in batch).
+			// (core.Eval makes the same choice in batch).
 			return stratStrata, nil
 		}
 		return stratWF, nil
@@ -204,7 +199,7 @@ func (m *Maintainer) initStrategy() error {
 	if m.strat == stratStrata {
 		return m.initStrata()
 	}
-	in, err := engine.NewWith(m.prog, m.db, m.opts)
+	in, err := engine.New(m.prog, m.db)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package incr_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/ast"
@@ -34,6 +35,13 @@ s3(X,Y,Xs,Ys) :- E(X,Z), s1(Z,Y), !s2(Xs,Ys).
 	// first appears in the higher one: t must contain c, so u is empty.
 	constSrc = "t(X) :- !E(X,X).\nu(X) :- E(X,Y), !t(c)."
 )
+
+// setProcs sets GOMAXPROCS, the width of the engine's worker pool, to
+// n until the test ends.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // applyPlain mirrors a maintainer update onto a plain database, in the
 // same order normalize uses (deletes first), so constant interning
@@ -203,7 +211,7 @@ func TestMaintainedMatchesRecompute(t *testing.T) {
 // closure big enough that passes are split over the worker pool: the
 // initial evaluation's middle rounds, and the insert propagation of an
 // edge joining two large reachability sets, drive more than
-// engine.InlineFloor tuples.  K is the worker count: with one worker
+// engine.InlineFloor tuples.  K is the pool's width: with one worker
 // every pass runs inline, with two or four the big ones are sharded and
 // merged, so divergence in either path surfaces as a state diff against
 // the recompute.
@@ -216,7 +224,8 @@ func TestMaintainedPartitioned(t *testing.T) {
 	}
 	for _, nw := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("K%d", nw), func(t *testing.T) {
-			m, err := incr.NewWith(prog, db0, core.Stratified, engine.Options{Workers: nw})
+			setProcs(t, nw)
+			m, err := incr.New(prog, db0, core.Stratified)
 			if err != nil {
 				t.Fatal(err)
 			}

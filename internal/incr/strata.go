@@ -1,6 +1,6 @@
 // strata.go — DRed maintenance for stratified evaluation.
 //
-// The program is split into strata exactly as in semantics.StratifiedOpts:
+// The program is split into strata exactly as in semantics.Stratified:
 // each stratum is a semipositive program over the results of lower
 // strata, evaluated bottom-up, with lower-stratum predicates read as
 // EDB from the maintainer's database.  An update enters as EDB changes
@@ -74,7 +74,7 @@ func (m *Maintainer) initStrata() error {
 	m.strata = nil
 	for k := 0; k < strat.NumStrata(); k++ {
 		sub := &ast.Program{Rules: m.prog.RulesForStratum(strat, k)}
-		in, err := engine.NewWith(sub, m.db, m.opts)
+		in, err := engine.New(sub, m.db)
 		if err != nil {
 			return err
 		}

@@ -12,6 +12,7 @@
 package metrics
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -113,14 +114,14 @@ func (h *Histogram) Mean() time.Duration {
 }
 
 // Quantile estimates the q-quantile (0 < q ≤ 1) as the upper bound of
-// the bucket holding the q·count-th observation — an over-estimate by
-// less than one bucket width (at most 25% relative).
+// the bucket holding the observation of nearest rank ⌈q·count⌉ — an
+// over-estimate by less than one bucket width (at most 25% relative).
 func (h *Histogram) Quantile(q float64) time.Duration {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
 	}
-	target := int64(q * float64(n))
+	target := int64(math.Ceil(q * float64(n)))
 	if target < 1 {
 		target = 1
 	}

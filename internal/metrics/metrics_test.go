@@ -59,6 +59,29 @@ func TestQuantileAccuracy(t *testing.T) {
 	}
 }
 
+// TestQuantileSmallSamples: the estimate is the nearest-rank
+// observation's bucket, never a bucket below it — p99 of two samples is
+// the larger one, and p50 of three the middle one.
+func TestQuantileSmallSamples(t *testing.T) {
+	for _, c := range []struct {
+		obs  []time.Duration
+		q    float64
+		want time.Duration
+	}{
+		{[]time.Duration{time.Millisecond, 100 * time.Millisecond}, 0.99, 100 * time.Millisecond},
+		{[]time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}, 0.5, 2 * time.Millisecond},
+	} {
+		var h Histogram
+		for _, d := range c.obs {
+			h.Observe(d)
+		}
+		got := h.Quantile(c.q)
+		if max := time.Duration(bucketMax(bucketIdx(int64(c.want)))); got < c.want || got > max {
+			t.Errorf("p%.0f of %v = %v, want within [%v, %v]", 100*c.q, c.obs, got, c.want, max)
+		}
+	}
+}
+
 func TestQuantileEmpty(t *testing.T) {
 	var h Histogram
 	if got := h.Quantile(0.99); got != 0 {

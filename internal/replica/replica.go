@@ -48,8 +48,6 @@ import (
 	mrand "math/rand"
 	"net/http"
 	"net/url"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -59,12 +57,6 @@ import (
 	"repro/internal/incr"
 	"repro/internal/server"
 )
-
-// cursorFile persists where in the LEADER's WAL the follower has
-// applied through, plus the stable follower id used for retention
-// pinning.  Lives inside the follower's data dir, next to the state
-// it describes.
-const cursorFile = "replica.cursor"
 
 // Reconnect backoff after a failed poll: starts at minBackoff, doubles
 // per consecutive failure, capped at maxBackoff.
@@ -116,49 +108,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// cursorState is the decoded cursor file.
+// cursorState is the follower cursor file (durable.LoadCursor): where
+// in the LEADER's WAL the follower has applied through, plus the
+// stable follower id used for retention pinning.
 type cursorState struct {
 	cur durable.Cursor
 	id  string
 }
 
-func loadCursor(dir string) (cursorState, bool, error) {
-	data, err := os.ReadFile(filepath.Join(dir, cursorFile))
-	if os.IsNotExist(err) {
-		return cursorState{}, false, nil
-	}
-	if err != nil {
-		return cursorState{}, false, err
-	}
-	var st cursorState
-	var ver string
-	if _, err := fmt.Sscanf(strings.TrimSpace(string(data)), "%s %d %d %s", &ver, &st.cur.Seq, &st.cur.Off, &st.id); err != nil || ver != "v1" {
-		return cursorState{}, false, fmt.Errorf("replica: corrupt cursor file: %q", data)
-	}
-	return st, true, nil
-}
-
-func saveCursor(dir string, st cursorState) error {
-	tmp := filepath.Join(dir, cursorFile+".tmp")
-	body := fmt.Sprintf("v1 %d %d %s\n", st.cur.Seq, st.cur.Off, st.id)
-	if err := os.WriteFile(tmp, []byte(body), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, cursorFile))
-}
-
-// wipeDataDir removes the replica-managed state so a fresh bootstrap
-// starts clean: the store's snapshot and WAL, and the cursor file.
-func wipeDataDir(dir string) error {
-	if err := durable.Reset(dir); err != nil {
-		return err
-	}
-	for _, name := range []string{cursorFile, cursorFile + ".tmp"} {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	return nil
+func loadCursor(dir string) (st cursorState, ok bool, err error) {
+	st.cur, st.id, ok, err = durable.LoadCursor(dir)
+	return st, ok, err
 }
 
 // checkIdentity compares a leader response's program/semantics headers
@@ -181,9 +141,6 @@ func checkIdentity(cfg *Config, h http.Header) error {
 // happened.  Call before opening the data dir with server.NewWith.
 func Bootstrap(cfg Config) (fresh bool, err error) {
 	cfg = cfg.withDefaults()
-	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
-		return false, err
-	}
 	st, ok, err := loadCursor(cfg.DataDir)
 	if err == nil && ok && !durable.HasSnapshot(cfg.DataDir) {
 		ok = false // half-wiped dir: re-bootstrap
@@ -209,7 +166,7 @@ func Bootstrap(cfg Config) (fresh bool, err error) {
 		}
 	}
 
-	if err := wipeDataDir(cfg.DataDir); err != nil {
+	if err := durable.Reset(cfg.DataDir); err != nil {
 		return false, err
 	}
 	id := st.id
@@ -251,7 +208,7 @@ func Bootstrap(cfg Config) (fresh bool, err error) {
 	if err := durable.InstallSnapshot(cfg.DataDir, resp.Body); err != nil {
 		return false, err
 	}
-	if err := saveCursor(cfg.DataDir, cursorState{cur: durable.Cursor{Seq: seq, Off: off}, id: id}); err != nil {
+	if err := durable.SaveCursor(cfg.DataDir, durable.Cursor{Seq: seq, Off: off}, id); err != nil {
 		return false, err
 	}
 	cfg.Logf("replica: bootstrapped from %s at cursor %d,%d", cfg.Leader, seq, off)
@@ -446,7 +403,7 @@ func (f *Follower) handlePoll(resp *http.Response) error {
 	}
 	if next != f.st.cur {
 		f.st.cur = next
-		if err := saveCursor(f.cfg.DataDir, f.st); err != nil {
+		if err := durable.SaveCursor(f.cfg.DataDir, f.st.cur, f.st.id); err != nil {
 			return fmt.Errorf("replica: persisting cursor: %w", err)
 		}
 	}

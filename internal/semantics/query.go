@@ -47,35 +47,20 @@ func QueryLFP(prog *ast.Program, db *relation.Database, q magic.Query, mode Mode
 	default:
 		return nil, fmt.Errorf("least fixpoint queries require a positive or semipositive program; this one is %v", c)
 	}
-	return queryEval(prog, db, q, false, mode, engine.Options{})
-}
-
-// QueryLFPOpts is QueryLFP with per-call engine options.
-func QueryLFPOpts(prog *ast.Program, db *relation.Database, q magic.Query, mode Mode, opt engine.Options) (*QueryResult, error) {
-	switch c := prog.Classify(); c {
-	case ast.ClassPositive, ast.ClassSemipositive:
-	default:
-		return nil, fmt.Errorf("least fixpoint queries require a positive or semipositive program; this one is %v", c)
-	}
-	return queryEval(prog, db, q, false, mode, opt)
+	return queryEval(prog, db, q, false, mode)
 }
 
 // QueryStratified answers q on prog under the stratified semantics.
 // It errors on unstratifiable programs, like Stratified.  db is not
 // modified.
 func QueryStratified(prog *ast.Program, db *relation.Database, q magic.Query, mode Mode) (*QueryResult, error) {
-	return queryEval(prog, db, q, true, mode, engine.Options{})
-}
-
-// QueryStratifiedOpts is QueryStratified with per-call engine options.
-func QueryStratifiedOpts(prog *ast.Program, db *relation.Database, q magic.Query, mode Mode, opt engine.Options) (*QueryResult, error) {
-	return queryEval(prog, db, q, true, mode, opt)
+	return queryEval(prog, db, q, true, mode)
 }
 
 // queryEval validates the query, answers extensional predicates by a
 // direct probe, and otherwise rewrites and evaluates on a private
 // clone of db.
-func queryEval(prog *ast.Program, db *relation.Database, q magic.Query, stratified bool, mode Mode, opt engine.Options) (*QueryResult, error) {
+func queryEval(prog *ast.Program, db *relation.Database, q magic.Query, stratified bool, mode Mode) (*QueryResult, error) {
 	arities, err := prog.Validate()
 	if err != nil {
 		return nil, err
@@ -103,17 +88,17 @@ func queryEval(prog *ast.Program, db *relation.Database, q magic.Query, stratifi
 	if err != nil {
 		return nil, err
 	}
-	return QueryRewrittenOpts(rw, db.Clone(), q, stratified, mode, opt)
+	return QueryRewrittenOpts(rw, db.Clone(), q, stratified, mode, engine.Options{})
 }
 
 // QueryRewrittenOpts evaluates a prepared rewrite against work, which
-// the caller hands over, with per-call engine options applied to the
-// rewritten program's evaluation: seed facts are added, the original
-// program's constants are interned, and (for stratified evaluation)
-// computed strata are installed.  Callers that own a throwaway database
-// — the server builds one per query from a snapshot's extensional
-// relations — skip the Clone that QueryLFP/QueryStratified pay.
-func QueryRewrittenOpts(rw *magic.Rewritten, work *relation.Database, q magic.Query, stratified bool, mode Mode, opt engine.Options) (*QueryResult, error) {
+// the caller hands over: seed facts are added, the original program's
+// constants are interned, and (for stratified evaluation) computed
+// strata are installed.  Callers that own a throwaway database — the
+// server builds one per query from a snapshot's extensional relations —
+// skip the Clone that QueryLFP/QueryStratified pay.  The Options
+// argument is ignored; it remains only for benchmark/.
+func QueryRewrittenOpts(rw *magic.Rewritten, work *relation.Database, q magic.Query, stratified bool, mode Mode, _ engine.Options) (*QueryResult, error) {
 	// Universe parity with full evaluation: the active domain is the
 	// database universe plus every original program constant, and unsafe
 	// rules range over exactly that set.
@@ -147,13 +132,13 @@ func QueryRewrittenOpts(rw *magic.Rewritten, work *relation.Database, q magic.Qu
 
 	var res *Result
 	if stratified {
-		r, err := stratifiedIn(rw.Program, work, mode, opt)
+		r, err := stratifiedIn(rw.Program, work, mode)
 		if err != nil {
 			return nil, err
 		}
 		res = r
 	} else {
-		in, err := engine.NewWith(rw.Program, work, opt)
+		in, err := engine.New(rw.Program, work)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package semantics
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -165,9 +164,9 @@ func randQuery(rng *rand.Rand, idb []diffPred, n int) magic.Query {
 	return q
 }
 
-// queryWorkers is the worker-count axis of the differential test.
+// queryWorkers is the pool-width axis of the differential test.
 func queryWorkers() []int {
-	nw := runtime.GOMAXPROCS(0)
+	nw := hostProcs
 	if nw < 2 {
 		nw = 8 // oversubscribe: scheduling must not matter
 	}
@@ -185,7 +184,8 @@ func TestPropMagicQueryMatchesFullLFP(t *testing.T) {
 		n := 4 + rng.Intn(2)
 		db := randQueryDB(rng, n)
 
-		in, err := engine.NewWith(prog, db.Clone(), engine.Options{Workers: 1})
+		setProcs(t, 1)
+		in, err := engine.New(prog, db.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,8 @@ func TestPropMagicQueryMatchesFullLFP(t *testing.T) {
 			q := randQuery(rng, idb, n)
 			want := nameTuples(FilterPattern(full.State[q.Pred], q, full.Universe), full.Universe)
 			for _, w := range queryWorkers() {
-				res, err := QueryLFPOpts(prog, db, q, SemiNaive, engine.Options{Workers: w})
+				setProcs(t, w)
+				res, err := QueryLFP(prog, db, q, SemiNaive)
 				if err != nil {
 					t.Fatalf("seed %d query %s: %v\n%s", seed, q, err, src)
 				}
@@ -223,7 +224,8 @@ func TestPropMagicQueryMatchesFullStratified(t *testing.T) {
 		n := 4 + rng.Intn(2)
 		db := randQueryDB(rng, n)
 
-		full, err := StratifiedOpts(prog, db, SemiNaive, engine.Options{Workers: 1})
+		setProcs(t, 1)
+		full, err := Stratified(prog, db, SemiNaive)
 		if err != nil {
 			t.Fatalf("seed %d: full evaluation: %v\n%s", seed, err, src)
 		}
@@ -232,7 +234,8 @@ func TestPropMagicQueryMatchesFullStratified(t *testing.T) {
 			q := randQuery(rng, idb, n)
 			want := nameTuples(FilterPattern(full.State[q.Pred], q, full.Universe), full.Universe)
 			for _, w := range queryWorkers() {
-				res, err := QueryStratifiedOpts(prog, db, q, SemiNaive, engine.Options{Workers: w})
+				setProcs(t, w)
+				res, err := QueryStratified(prog, db, q, SemiNaive)
 				if err != nil {
 					t.Fatalf("seed %d query %s: %v\n%s", seed, q, err, src)
 				}
@@ -255,7 +258,7 @@ func TestPropMagicQueryNaiveMode(t *testing.T) {
 		prog := parser.MustProgram(src)
 		n := 4
 		db := randQueryDB(rng, n)
-		full, err := StratifiedOpts(prog, db, SemiNaive, engine.Options{})
+		full, err := Stratified(prog, db, SemiNaive)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -89,7 +89,7 @@ unreach(X,Y) :- V(X), V(Y), !s1(X,Y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullRes, err := StratifiedOpts(prog, db, SemiNaive, engine.Options{})
+	fullRes, err := Stratified(prog, db, SemiNaive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package semantics
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -181,7 +180,7 @@ S1(X,Y) :- E(X,Z), S1(Z,Y).
 S2(X,Y,Z,W) :- S1(X,Y), !S1(Z,W).
 `
 	db := pathDB(3) // TC = {(1,2),(1,3),(2,3)}, complement has 6 pairs
-	res, err := StratifiedOpts(parser.MustProgram(src), db, SemiNaive, engine.Options{})
+	res, err := Stratified(parser.MustProgram(src), db, SemiNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +193,7 @@ S2(X,Y,Z,W) :- S1(X,Y), !S1(Z,W).
 }
 
 func TestStratifiedRejectsPi1(t *testing.T) {
-	if _, err := StratifiedOpts(parser.MustProgram(pi1Src), pathDB(3), SemiNaive, engine.Options{}); err == nil {
+	if _, err := Stratified(parser.MustProgram(pi1Src), pathDB(3), SemiNaive); err == nil {
 		t.Error("stratified semantics accepted π₁")
 	}
 }
@@ -202,7 +201,7 @@ func TestStratifiedRejectsPi1(t *testing.T) {
 func TestStratifiedDoesNotMutateDB(t *testing.T) {
 	db := pathDB(3)
 	before := db.String()
-	if _, err := StratifiedOpts(parser.MustProgram(tcSrc), db, SemiNaive, engine.Options{}); err != nil {
+	if _, err := Stratified(parser.MustProgram(tcSrc), db, SemiNaive); err != nil {
 		t.Fatal(err)
 	}
 	if db.String() != before {
@@ -247,7 +246,7 @@ func TestDistanceQueryStratifiedDiffers(t *testing.T) {
 	// which differs from the distance query (paper, end of §4).
 	db := pathDB(3)
 	prog := parser.MustProgram(distanceSrc)
-	strat, err := StratifiedOpts(prog, db, SemiNaive, engine.Options{})
+	strat, err := Stratified(prog, db, SemiNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +347,7 @@ S2(X,Y,Z,W) :- S1(X,Y), !S1(Z,W).
 	for seed := int64(0); seed < 5; seed++ {
 		db := randomEdgeDB(rand.New(rand.NewSource(seed)), 4, 0.3)
 		prog := parser.MustProgram(src)
-		strat, err := StratifiedOpts(prog, db, SemiNaive, engine.Options{})
+		strat, err := Stratified(prog, db, SemiNaive)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,8 +451,8 @@ func TestWellFoundedStatsPopulated(t *testing.T) {
 // frontier pipeline with intra-rule sharding produces exactly the model
 // internal/wforacle computes over ground atoms, at every worker count
 // (sequential, minimal parallelism, oversubscribed).  Stratified
-// evaluation constructs its instances internally; the options reach
-// them through StratifiedOpts.  Besides the small random graphs, the
+// evaluation constructs its instances internally; GOMAXPROCS sizes
+// their pool like any other's.  Besides the small random graphs, the
 // transitive closure of a sparse 120-vertex graph has semi-naive deltas
 // on both sides of engine.InlineFloor, so one evaluation runs some
 // rounds on the calling goroutine and others on the pool.
@@ -489,24 +488,24 @@ func TestPropFrontierBitExactAllSemantics(t *testing.T) {
 			infl := stages[len(stages)-1]
 			lower, upper := wforacle.Solve(prog, domain, facts)
 
-			for _, nw := range []int{1, 2, runtime.GOMAXPROCS(0) + 2} {
-				opt := engine.Options{Workers: nw}
+			for _, nw := range []int{1, 2, hostProcs + 2} {
+				setProcs(t, nw)
 				check := func(what string, u *relation.Universe, got engine.State, want map[string]bool) {
 					t.Helper()
 					if d := wforacle.Diff(what, wforacle.Atoms(u, got), want); d != "" {
 						t.Fatalf("%s, workers %d: %s differs from the oracle: %s\n%s", input.name, nw, what, d, src)
 					}
 				}
-				in := mustWith(prog, db.Clone(), opt)
+				in := engine.MustNew(prog, db.Clone())
 				check("inflationary", in.Universe(), Inflationary(in).State, infl)
-				in = mustWith(prog, db.Clone(), opt)
+				in = engine.MustNew(prog, db.Clone())
 				wf := WellFounded(in)
 				check("well-founded true", in.Universe(), wf.True, lower)
 				check("well-founded possible", in.Universe(), wf.Possible, upper)
-				if res, err := StratifiedOpts(prog, db, SemiNaive, opt); err == nil {
+				if res, err := Stratified(prog, db, SemiNaive); err == nil {
 					check("stratified", res.Universe, res.State, lower)
 				}
-				in = mustWith(prog, db.Clone(), opt)
+				in = engine.MustNew(prog, db.Clone())
 				if res, err := LeastFixpoint(in); err == nil {
 					check("least fixpoint", in.Universe(), res.State, infl)
 				}
@@ -515,11 +514,10 @@ func TestPropFrontierBitExactAllSemantics(t *testing.T) {
 	}
 }
 
-// TestConcurrentOptions evaluates on two goroutines at once with
-// different options — one worker and four workers — and checks every
-// result against the oracle.  Options
-// travel with each instance, so neither evaluation can see the other's;
-// the race target runs this package under -race.
+// TestConcurrentOptions evaluates on two goroutines at once, each on
+// its own instances over a pool four workers wide, and checks every
+// result against the oracle; the race target runs this package under
+// -race.
 func TestConcurrentOptions(t *testing.T) {
 	db := randomEdgeDB(rand.New(rand.NewSource(3)), 10, 0.2)
 	type want struct {
@@ -535,31 +533,32 @@ func TestConcurrentOptions(t *testing.T) {
 		wants = append(wants, want{src, stages[len(stages)-1], lo, up})
 	}
 
+	setProcs(t, 4)
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
-	for _, opt := range []engine.Options{{Workers: 1}, {Workers: 4}} {
+	for g := 0; g < 2; g++ {
 		wg.Add(1)
-		go func(opt engine.Options) {
+		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 4; round++ {
 				for _, w := range wants {
 					prog := parser.MustProgram(w.prog)
-					in := mustWith(prog, db.Clone(), opt)
+					in := engine.MustNew(prog, db.Clone())
 					u := in.Universe()
 					infl := Inflationary(in).State
-					wf := WellFounded(mustWith(prog, db.Clone(), opt))
+					wf := WellFounded(engine.MustNew(prog, db.Clone()))
 					for _, c := range []struct {
 						what string
 						got  engine.State
 						want map[string]bool
 					}{{"inflationary", infl, w.infl}, {"well-founded true", wf.True, w.lo}, {"well-founded possible", wf.Possible, w.up}} {
 						if d := wforacle.Diff(c.what, wforacle.Atoms(u, c.got), c.want); d != "" {
-							errs <- fmt.Sprintf("%+v: %s differs from the oracle: %s\n%s", opt, c.what, d, w.prog)
+							errs <- fmt.Sprintf("goroutine %d: %s differs from the oracle: %s\n%s", g, c.what, d, w.prog)
 						}
 					}
 				}
 			}
-		}(opt)
+		}(g)
 	}
 	wg.Wait()
 	close(errs)

@@ -8,18 +8,18 @@ import (
 	"repro/internal/relation"
 )
 
-// StratifiedOpts evaluates the program under the stratified semantics of
+// Stratified evaluates the program under the stratified semantics of
 // Chandra–Harel: strata are computed bottom-up, each stratum treated as
 // a semipositive program whose negated predicates are fully evaluated
 // lower-stratum results.  It returns an error for unstratifiable
 // programs — the paper's point in Section 1 that stratified semantics
 // "cannot assign meaning to all DATALOG¬ programs".
 //
-// The mode and engine options apply to every stratum's instance.  The
-// database passed in is not modified; the evaluation works on a clone
-// extended with intermediate strata.
-func StratifiedOpts(prog *ast.Program, db *relation.Database, mode Mode, opt engine.Options) (*Result, error) {
-	return stratifiedIn(prog, db.Clone(), mode, opt)
+// The mode applies to every stratum's instance.  The database passed
+// in is not modified; the evaluation works on a clone extended with
+// intermediate strata.
+func Stratified(prog *ast.Program, db *relation.Database, mode Mode) (*Result, error) {
+	return stratifiedIn(prog, db.Clone(), mode)
 }
 
 // stratifiedIn is the stratified evaluation loop on a caller-owned
@@ -27,7 +27,7 @@ func StratifiedOpts(prog *ast.Program, db *relation.Database, mode Mode, opt eng
 // interned into its universe, computed strata are installed as
 // relations).  QueryRewrittenOpts uses it to evaluate rewritten
 // programs without deep-copying a database it already owns.
-func stratifiedIn(prog *ast.Program, work *relation.Database, mode Mode, opt engine.Options) (*Result, error) {
+func stratifiedIn(prog *ast.Program, work *relation.Database, mode Mode) (*Result, error) {
 	strat, err := prog.Stratify()
 	if err != nil {
 		return nil, err
@@ -46,7 +46,7 @@ func stratifiedIn(prog *ast.Program, work *relation.Database, mode Mode, opt eng
 	insts := make([]*engine.Instance, strat.NumStrata())
 	for k := range insts {
 		sub := &ast.Program{Rules: prog.RulesForStratum(strat, k)}
-		if insts[k], err = engine.NewWith(sub, work, opt); err != nil {
+		if insts[k], err = engine.New(sub, work); err != nil {
 			return nil, fmt.Errorf("stratum %d: %w", k, err)
 		}
 	}

@@ -10,7 +10,7 @@ type WFResult struct {
 	Possible engine.State
 	Stats    Stats
 	// Outer counts alternating-fixpoint iterations (pairs of Γ
-	// applications); 0 where core.EvalOpts or incr computed a
+	// applications); 0 where core.Eval or incr computed a
 	// stratifiable program's model as strata.
 	Outer int
 }

@@ -3,6 +3,7 @@ package semantics
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -39,13 +40,15 @@ func dbRels(db *relation.Database) map[string]*relation.Relation {
 	return rels
 }
 
-// mustWith is engine.NewWith on a program the test knows to be valid.
-func mustWith(prog *ast.Program, db *relation.Database, o engine.Options) *engine.Instance {
-	in, err := engine.NewWith(prog, db, o)
-	if err != nil {
-		panic(err)
-	}
-	return in
+// hostProcs is GOMAXPROCS as the test binary started, before any test
+// set it.
+var hostProcs = runtime.GOMAXPROCS(0)
+
+// setProcs sets GOMAXPROCS, the width of the engine's worker pool, to
+// n until the test ends.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // randGeneralProgram draws two or three rules per IDB predicate, each
@@ -182,7 +185,7 @@ func TestWellFoundedTotalWhereItMustBe(t *testing.T) {
 		// Stratifiable, with IDB negation across two layers.
 		src, _ := randQueryProgram(rng, 2)
 		res := checkOracle(t, src, db)
-		strat, err := StratifiedOpts(parser.MustProgram(src), db, SemiNaive, engine.Options{})
+		strat, err := Stratified(parser.MustProgram(src), db, SemiNaive)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +218,7 @@ func TestWellFoundedTotalWhereItMustBe(t *testing.T) {
 	// first appears in the higher one: every stratum ranges over it.
 	src := "t(X) :- !E(X,X).\nu(X) :- E(X,Y), !t(c)."
 	db := parser.MustFacts("E(a,b).")
-	strat, err := StratifiedOpts(parser.MustProgram(src), db, SemiNaive, engine.Options{})
+	strat, err := Stratified(parser.MustProgram(src), db, SemiNaive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/durable"
+	"repro/internal/engine"
 	"repro/internal/incr"
 	"repro/internal/relation"
 )
@@ -93,9 +94,9 @@ func recoverMaintainer(prog *ast.Program, db *relation.Database, sem core.Semant
 			st.Close()
 			return nil, nil, fmt.Errorf("server: data dir %s was written under %s semantics, not %s", cfg.DataDir, cp.Sem, sem)
 		}
-		m, err = incr.RestoreWith(cp, cfg.Engine)
+		m, err = incr.RestoreWith(cp, engine.Options{})
 	} else {
-		m, err = incr.NewWith(prog, db, sem, cfg.Engine)
+		m, err = incr.New(prog, db, sem)
 	}
 	if err != nil {
 		st.Close()

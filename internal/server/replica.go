@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"time"
 
@@ -126,7 +125,7 @@ func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 	// covered by every snapshot installed from here on, and the pin
 	// keeps its segment alive until the follower's first poll.
 	c := s.dur.store.SnapshotCursor(id)
-	f, err := os.Open(s.dur.store.SnapshotPath())
+	f, err := s.dur.store.OpenSnapshot()
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, CodeUnavailable, err.Error())
 		return

@@ -62,12 +62,8 @@ const (
 )
 
 // Config tunes one server instance.  The zero value is an in-memory
-// server with engine defaults.
+// server.
 type Config struct {
-	// Engine options are threaded into the maintainer and every
-	// demand-driven query evaluation.
-	Engine engine.Options
-
 	// DataDir enables durability: a checkpoint snapshot plus a
 	// write-ahead log live under this directory, committed batches are
 	// logged before they are acknowledged, and boot recovers from the
@@ -138,8 +134,8 @@ func New(prog *ast.Program, db *relation.Database, sem core.Semantics) (*Server,
 	return NewWith(prog, db, sem, Config{})
 }
 
-// NewWith is New with explicit configuration: engine options,
-// durability and the follower role travel in cfg.
+// NewWith is New with explicit configuration: durability and the
+// follower role travel in cfg.
 func NewWith(prog *ast.Program, db *relation.Database, sem core.Semantics, cfg Config) (*Server, error) {
 	if cfg.CheckpointBatches <= 0 {
 		cfg.CheckpointBatches = defaultCheckpointBatches
@@ -152,7 +148,7 @@ func NewWith(prog *ast.Program, db *relation.Database, sem core.Semantics, cfg C
 	if cfg.DataDir != "" {
 		m, dur, err = recoverMaintainer(prog, db, sem, cfg)
 	} else {
-		m, err = incr.NewWith(prog, db, sem, cfg.Engine)
+		m, err = incr.New(prog, db, sem)
 	}
 	if err != nil {
 		return nil, err
@@ -442,7 +438,7 @@ func (s *Server) handleMagicQuery(w http.ResponseWriter, q QueryRequest) {
 			work.Set(pred, r)
 		}
 	}
-	res, err := semantics.QueryRewrittenOpts(rw, work, mq, s.magicStrat, semantics.SemiNaive, s.cfg.Engine)
+	res, err := semantics.QueryRewrittenOpts(rw, work, mq, s.magicStrat, semantics.SemiNaive, engine.Options{})
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, CodeUnprocessable, err.Error())
 		return

@@ -22,7 +22,6 @@ package repro
 import (
 	"repro/internal/ast"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/incr"
 	"repro/internal/magic"
 	"repro/internal/parser"
@@ -30,33 +29,20 @@ import (
 	"repro/internal/semantics"
 )
 
-// Options configures one evaluation, query, maintainer, or server
-// call; the zero value is what the plain entry points use.
+// Options configures one query call; the zero value is what Query
+// uses.
 type Options struct {
-	// Workers is the Θ evaluation worker-pool size (0 = GOMAXPROCS).
-	Workers int
 	// Materialize makes QueryWith materialize the full fixpoint and
 	// filter it — the oracle the demand-driven magic-set path is
 	// differential-tested against — instead of answering demand-driven.
 	Materialize bool
 }
 
-// engineOpts converts the engine-facing subset of the options.
-func (o Options) engineOpts() engine.Options {
-	return engine.Options{Workers: o.Workers}
-}
-
-// EvalWith evaluates prog on db under sem with per-call options — the
-// options-API entry point behind Inflationary, LeastFixpoint,
-// Stratified, and WellFounded.
-func EvalWith(prog *Program, db *Database, sem Semantics, opt Options) (*Result, error) {
-	return core.EvalOpts(prog, db, sem, semantics.SemiNaive, opt.engineOpts())
-}
-
-// MaintainWith is Maintain with per-call options applied to the
-// initial evaluation and every maintenance pass.
-func MaintainWith(prog *Program, db *Database, sem Semantics, opt Options) (*Maintainer, error) {
-	return incr.NewWith(prog, db, sem, opt.engineOpts())
+// EvalWith evaluates prog on db under sem — the entry point behind
+// Inflationary, LeastFixpoint, Stratified, and WellFounded.  The
+// Options argument is ignored; it remains only for benchmark/.
+func EvalWith(prog *Program, db *Database, sem Semantics, _ Options) (*Result, error) {
+	return core.Eval(prog, db, sem, semantics.SemiNaive)
 }
 
 // QueryWith is Query with per-call options.  It answers demand-driven
@@ -68,9 +54,9 @@ func QueryWith(prog *Program, db *Database, query string, sem Semantics, opt Opt
 		return nil, err
 	}
 	if opt.Materialize {
-		return core.QueryFullOpts(prog, db, q, sem, semantics.SemiNaive, opt.engineOpts())
+		return core.QueryFull(prog, db, q, sem, semantics.SemiNaive)
 	}
-	return core.QueryOpts(prog, db, q, sem, semantics.SemiNaive, opt.engineOpts())
+	return core.Query(prog, db, q, sem, semantics.SemiNaive)
 }
 
 // Program is a DATALOG¬ program.

@@ -81,8 +81,8 @@ s(X,Y) :- s(X,Z), e(Z,Y).
 }
 
 // TestFacadeOptions holds the options API to the plain entry points:
-// worker and partition counts passed through Options, all four
-// semantics, same results.
+// all four semantics through EvalWith, both QueryWith strategies, and
+// maintenance, same results.
 func TestFacadeOptions(t *testing.T) {
 	prog, err := repro.ParseProgram(`
 s(X,Y) :- e(X,Y).
@@ -95,32 +95,23 @@ s(X,Y) :- e(X,Z), s(Z,Y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	configs := map[string]repro.Options{
-		"zero":     {},
-		"baseline": {Workers: 1},
-		"forced":   {Workers: 2},
-	}
 	for _, sem := range []repro.Semantics{
 		repro.SemanticsInflationary, repro.SemanticsLFP,
 		repro.SemanticsStratified, repro.SemanticsWellFounded,
 	} {
-		for name, opt := range configs {
-			res, err := repro.EvalWith(prog, db, sem, opt)
-			if err != nil {
-				t.Fatalf("%v/%s: %v", sem, name, err)
-			}
-			if res.State["s"].Len() != 6 {
-				t.Errorf("%v/%s: |s| = %d, want 6", sem, name, res.State["s"].Len())
-			}
+		res, err := repro.EvalWith(prog, db, sem, repro.Options{})
+		if err != nil {
+			t.Fatalf("%v: %v", sem, err)
+		}
+		if res.State["s"].Len() != 6 {
+			t.Errorf("%v: |s| = %d, want 6", sem, res.State["s"].Len())
 		}
 	}
 
 	// QueryWith: Materialize is the materialize+filter oracle; both
 	// strategies answer identically.
 	for _, materialize := range []bool{false, true} {
-		opt := configs["baseline"]
-		opt.Materialize = materialize
-		res, err := repro.QueryWith(prog, db, "s(a, ?)", repro.SemanticsLFP, opt)
+		res, err := repro.QueryWith(prog, db, "s(a, ?)", repro.SemanticsLFP, repro.Options{Materialize: materialize})
 		if err != nil {
 			t.Fatalf("materialize=%v: %v", materialize, err)
 		}
@@ -129,8 +120,7 @@ s(X,Y) :- e(X,Z), s(Z,Y).
 		}
 	}
 
-	// MaintainWith: the options ride along into every maintenance pass.
-	m, err := repro.MaintainWith(prog, db, repro.SemanticsLFP, configs["baseline"])
+	m, err := repro.Maintain(prog, db, repro.SemanticsLFP)
 	if err != nil {
 		t.Fatal(err)
 	}
