@@ -160,4 +160,4 @@ exports:
 # Hermetic mirror of CI: every job that needs no network.  staticcheck
 # (downloads the pinned tool) is the one network-using CI job; run it
 # explicitly when online.
-ci: vet fmt-check build test examples race bench-smoke cover fuzz-smoke exports
+ci: vet fmt-check build test examples race bench-smoke cover fuzz-smoke exports crashtest replicatest

@@ -54,7 +54,7 @@ func BenchmarkE1FixpointCensus(b *testing.B) {
 		b.Run(g.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				in := engine.MustNew(parser.MustProgram(pi1Src), g.db().Database())
-				if _, _, err := fixpoint.Count(in, fixpoint.Options{}, 0); err != nil {
+				if _, _, err := fixpoint.Count(in, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -74,7 +74,7 @@ func BenchmarkE2SATFixpoint(b *testing.B) {
 		b.Run(fmt.Sprintf("vars=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				in := engine.MustNew(reductions.PiSAT(), db.Clone())
-				if _, _, err := fixpoint.Exists(in, fixpoint.Options{}); err != nil {
+				if _, _, err := fixpoint.Exists(in); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -100,7 +100,7 @@ func BenchmarkE4UniqueFixpoint(b *testing.B) {
 		b.Run(fmt.Sprintf("vars=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				in := engine.MustNew(reductions.PiSAT(), db.Clone())
-				ok, _, err := fixpoint.Unique(in, fixpoint.Options{})
+				ok, _, err := fixpoint.Unique(in)
 				if err != nil || !ok {
 					b.Fatalf("ok=%v err=%v", ok, err)
 				}
@@ -117,7 +117,7 @@ func BenchmarkE5LeastFixpoint(b *testing.B) {
 		b.Run(fmt.Sprintf("copies=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				in := engine.MustNew(parser.MustProgram(pi1Src), db.Clone())
-				res, err := fixpoint.Least(in, fixpoint.Options{})
+				res, err := fixpoint.Least(in)
 				if err != nil || res.Exists {
 					b.Fatalf("res=%+v err=%v", res, err)
 				}
@@ -135,7 +135,7 @@ func BenchmarkE6ColoringFixpoint(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				in := engine.MustNew(reductions.PiCOL(), db.Clone())
-				if _, _, err := fixpoint.Exists(in, fixpoint.Options{}); err != nil {
+				if _, _, err := fixpoint.Exists(in); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -152,7 +152,7 @@ func BenchmarkE7Succinct3Col(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				prog, db := reductions.PiSuccinct3Col(sg)
 				in := engine.MustNew(prog, db)
-				if _, _, err := fixpoint.Exists(in, fixpoint.Options{}); err != nil {
+				if _, _, err := fixpoint.Exists(in); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -172,17 +172,21 @@ func BenchmarkE7Succinct3Col(b *testing.B) {
 func BenchmarkE8InflationaryPTIME(b *testing.B) {
 	for _, n := range []int{16, 32, 64} {
 		db := graphs.Path(n).Database()
-		for _, mode := range []struct {
-			name string
-			m    semantics.Mode
-		}{{"naive", semantics.Naive}, {"seminaive", semantics.SemiNaive}} {
-			b.Run(fmt.Sprintf("TC/n=%d/%s", n, mode.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					in := engine.MustNew(parser.MustProgram(tcSrc), db.Clone())
-					semantics.InflationaryMode(in, mode.m)
+		b.Run(fmt.Sprintf("TC/n=%d/naive", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				// S ← S ∪ Θ(S), Θ applied to the whole of S each stage.
+				in := engine.MustNew(parser.MustProgram(tcSrc), db.Clone())
+				cur := in.NewState()
+				for d := in.Eval(engine.Spec{Pos: cur, Against: cur}); !d.Empty(); d = in.Eval(engine.Spec{Pos: cur, Against: cur}) {
+					cur.UnionDisjoint(d)
 				}
-			})
-		}
+			}
+		})
+		b.Run(fmt.Sprintf("TC/n=%d/seminaive", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				semantics.Inflationary(engine.MustNew(parser.MustProgram(tcSrc), db.Clone()))
+			}
+		})
 	}
 }
 
@@ -250,14 +254,14 @@ func BenchmarkE11Hierarchy(b *testing.B) {
 	gdb := graphs.Path(8).Database()
 	b.Run("stratified/distance", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := semantics.Stratified(prog, gdb, semantics.SemiNaive); err != nil {
+			if _, err := semantics.Stratified(prog, gdb); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("wellfounded/distance", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Eval(prog, gdb, core.WellFounded, semantics.SemiNaive); err != nil {
+			if _, err := core.Eval(prog, gdb, core.WellFounded); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -363,9 +367,9 @@ func BenchmarkE16MagicQuery(b *testing.B) {
 				var res *semantics.QueryResult
 				var err error
 				if wl.Stratified {
-					res, err = semantics.QueryStratified(prog, db, q, semantics.SemiNaive)
+					res, err = semantics.QueryStratified(prog, db, q)
 				} else {
-					res, err = semantics.QueryLFP(prog, db, q, semantics.SemiNaive)
+					res, err = semantics.QueryLFP(prog, db, q)
 				}
 				if err != nil {
 					b.Fatal(err)
@@ -375,7 +379,7 @@ func BenchmarkE16MagicQuery(b *testing.B) {
 		})
 		b.Run(wl.Name+"/full", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.QueryFull(prog, db, q, sem, semantics.SemiNaive); err != nil {
+				if _, err := core.QueryFull(prog, db, q, sem); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -456,7 +460,7 @@ func BenchmarkE14IncrementalUpdate(b *testing.B) {
 				} else {
 					db.MustEnsure("E", 2).Remove(t)
 				}
-				if _, err := core.Eval(prog, db, tc.sem, semantics.SemiNaive); err != nil {
+				if _, err := core.Eval(prog, db, tc.sem); err != nil {
 					b.Fatal(err)
 				}
 			}

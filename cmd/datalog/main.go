@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	datalog -program tc.dl -facts graph.dl [-semantics inflationary] [-mode seminaive] [-stats] [-explain]
+//	datalog -program tc.dl -facts graph.dl [-semantics inflationary] [-stats] [-explain]
 //	datalog -program tc.dl -facts graph.dl -query 's(a, ?)' [-magic=false]
 //
 // Semantics: inflationary (default, the paper's Section 4 proposal),
@@ -37,11 +37,11 @@ import (
 
 // options collects the datalog flags.
 type options struct {
-	program, facts  string
-	semantics, mode string
-	stats, explain  bool
-	query           string
-	magic           bool
+	program, facts string
+	semantics      string
+	stats, explain bool
+	query          string
+	magic          bool
 }
 
 // newFlags defines the flag set over o.  Split from main so tests can
@@ -51,7 +51,6 @@ func newFlags(name string, o *options) *flag.FlagSet {
 	fs.StringVar(&o.program, "program", "", "path to the DATALOG¬ program")
 	fs.StringVar(&o.facts, "facts", "", "path to the fact file")
 	fs.StringVar(&o.semantics, "semantics", "inflationary", "inflationary|lfp|stratified|wellfounded")
-	fs.StringVar(&o.mode, "mode", "seminaive", "seminaive|naive stage evaluation")
 	fs.BoolVar(&o.stats, "stats", false, "print evaluation statistics")
 	fs.BoolVar(&o.explain, "explain", false, "print per-rule evaluation plans at the computed fixpoint")
 	fs.StringVar(&o.query, "query", "", "answer one query atom, e.g. 's(a, ?)' ('?' marks free positions)")
@@ -88,20 +87,11 @@ func run(o *options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	mode := semantics.SemiNaive
-	switch o.mode {
-	case "seminaive":
-	case "naive":
-		mode = semantics.Naive
-	default:
-		return fmt.Errorf("unknown mode %q", o.mode)
-	}
-
 	if o.query != "" {
-		return runQuery(w, prog, db, o.query, sem, mode, o.magic, o.explain, o.stats)
+		return runQuery(w, prog, db, o.query, sem, o.magic, o.explain, o.stats)
 	}
 
-	res, err := core.Eval(prog, db, sem, mode)
+	res, err := core.Eval(prog, db, sem)
 	if err != nil {
 		return err
 	}
@@ -138,7 +128,7 @@ func run(o *options, w io.Writer) error {
 
 // runQuery answers one query atom, demand-driven or via the full
 // materialization oracle.
-func runQuery(w io.Writer, prog *ast.Program, db *relation.Database, src string, sem core.Semantics, mode semantics.Mode, magicOn, explain, stats bool) error {
+func runQuery(w io.Writer, prog *ast.Program, db *relation.Database, src string, sem core.Semantics, magicOn, explain, stats bool) error {
 	q, err := magic.ParseQuery(src)
 	if err != nil {
 		return err
@@ -163,9 +153,9 @@ func runQuery(w io.Writer, prog *ast.Program, db *relation.Database, src string,
 	start := time.Now()
 	var res *semantics.QueryResult
 	if magicOn {
-		res, err = core.Query(prog, db, q, sem, mode)
+		res, err = core.Query(prog, db, q, sem)
 	} else {
-		res, err = core.QueryFull(prog, db, q, sem, mode)
+		res, err = core.QueryFull(prog, db, q, sem)
 	}
 	if err != nil {
 		return err

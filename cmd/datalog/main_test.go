@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// TestRunThreadsOptions runs the evaluation, -explain and both -query
+// TestRunEvalExplainAndQuery runs the evaluation, -explain and both -query
 // paths and checks each answers correctly.
-func TestRunThreadsOptions(t *testing.T) {
+func TestRunEvalExplainAndQuery(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, src string) string {
 		p := filepath.Join(dir, name)

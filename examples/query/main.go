@@ -47,12 +47,12 @@ s(X,Y) :- s(X,Z), E(Z,Y).
 
 	// Demand-driven evaluation vs full materialization + filter.
 	start := time.Now()
-	res, err := semantics.QueryLFP(prog, db, q, semantics.SemiNaive)
+	res, err := semantics.QueryLFP(prog, db, q)
 	check(err)
 	durMagic := time.Since(start)
 
 	start = time.Now()
-	full, err := core.Eval(prog, db, core.LFP, semantics.SemiNaive)
+	full, err := core.Eval(prog, db, core.LFP)
 	check(err)
 	fullAns := semantics.FilterPattern(full.State["s"], q, full.Universe)
 	durFull := time.Since(start)
@@ -73,7 +73,7 @@ s2(X,Y) :- E(X,Z), s2(Z,Y).
 far(X,Y) :- s1(X,Y), !s2(Y,X).
 `)
 	q2 := magic.MustParseQuery("far(v10, ?)")
-	res2, err := semantics.QueryStratified(strat, db, q2, semantics.SemiNaive)
+	res2, err := semantics.QueryStratified(strat, db, q2)
 	check(err)
 	fmt.Printf("stratified query %s: %d answers\n", q2, res2.Tuples.Len())
 	fmt.Println(res2.Report.Format())
@@ -82,7 +82,7 @@ far(X,Y) :- s1(X,Y), !s2(Y,X).
 	// recursion through negation; use inflationary or well-founded
 	// full evaluation for those.
 	win := parser.MustProgram("win(X) :- E(X,Y), !win(Y).")
-	if _, err := semantics.QueryStratified(win, db, magic.MustParseQuery("win(?)"), semantics.SemiNaive); err != nil {
+	if _, err := semantics.QueryStratified(win, db, magic.MustParseQuery("win(?)")); err != nil {
 		fmt.Printf("win-move rejected as expected: %v\n", err)
 	}
 }

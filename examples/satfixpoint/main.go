@@ -35,7 +35,7 @@ func main() {
 	fmt.Print(reductions.PiSAT())
 
 	in := engine.MustNew(reductions.PiSAT(), db)
-	has, st, err := fixpoint.Exists(in, fixpoint.Options{})
+	has, st, err := fixpoint.Exists(in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func main() {
 		fmt.Printf("satisfies the instance: %v\n", inst.Eval(assign))
 	}
 
-	count, _, err := fixpoint.Count(in, fixpoint.Options{}, 0)
+	count, _, err := fixpoint.Count(in, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 	uin := engine.MustNew(reductions.PiSAT(), udb)
-	unique, _, err := fixpoint.Unique(uin, fixpoint.Options{})
+	unique, _, err := fixpoint.Unique(uin)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func main() {
 	bad := &reductions.SATInstance{NumVars: 1, Clauses: [][]int{{1}, {-1}}}
 	bdb, _ := reductions.SATDatabase(bad)
 	bin := engine.MustNew(reductions.PiSAT(), bdb)
-	bhas, _, err := fixpoint.Exists(bin, fixpoint.Options{})
+	bhas, _, err := fixpoint.Exists(bin)
 	if err != nil {
 		log.Fatal(err)
 	}

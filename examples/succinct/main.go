@@ -37,7 +37,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		has, st, err := fixpoint.Exists(in, fixpoint.Options{})
+		has, st, err := fixpoint.Exists(in)
 		if err != nil {
 			log.Fatal(err)
 		}

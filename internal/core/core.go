@@ -11,7 +11,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/engine"
 	"repro/internal/fixpoint"
-	"repro/internal/ground"
 	"repro/internal/magic"
 	"repro/internal/relation"
 	"repro/internal/semantics"
@@ -87,7 +86,7 @@ type EvalResult struct {
 // Eval evaluates prog on db under the chosen semantics.  The database
 // is not modified (evaluation works on a clone, since the engine
 // interns program constants into the universe it is given).
-func Eval(prog *ast.Program, db *relation.Database, sem Semantics, mode semantics.Mode) (*EvalResult, error) {
+func Eval(prog *ast.Program, db *relation.Database, sem Semantics) (*EvalResult, error) {
 	if _, err := prog.Validate(); err != nil {
 		return nil, err
 	}
@@ -101,14 +100,14 @@ func Eval(prog *ast.Program, db *relation.Database, sem Semantics, mode semantic
 			if err != nil {
 				return nil, err
 			}
-			wf := semantics.WellFoundedLog(in, mode, nil)
+			wf := semantics.WellFounded(in)
 			res.State, res.Stats, res.Universe = wf.True, wf.Stats, in.Universe()
 			res.WF = wf
 			break
 		}
 		fallthrough
 	case Stratified:
-		r, err := semantics.Stratified(prog, db, mode)
+		r, err := semantics.Stratified(prog, db)
 		if err != nil {
 			return nil, err
 		}
@@ -121,14 +120,14 @@ func Eval(prog *ast.Program, db *relation.Database, sem Semantics, mode semantic
 		if err != nil {
 			return nil, err
 		}
-		r := semantics.InflationaryMode(in, mode)
+		r := semantics.Inflationary(in)
 		res.State, res.Stats, res.Universe = r.State, r.Stats, r.Universe
 	case LFP:
 		in, err := engine.New(prog, db.Clone())
 		if err != nil {
 			return nil, err
 		}
-		r, err := semantics.LeastFixpointMode(in, mode)
+		r, err := semantics.LeastFixpoint(in)
 		if err != nil {
 			return nil, err
 		}
@@ -140,8 +139,8 @@ func Eval(prog *ast.Program, db *relation.Database, sem Semantics, mode semantic
 }
 
 // EvalOpts is Eval; it remains only for benchmark/.
-func EvalOpts(prog *ast.Program, db *relation.Database, sem Semantics, mode semantics.Mode, _ engine.Options) (*EvalResult, error) {
-	return Eval(prog, db, sem, mode)
+func EvalOpts(prog *ast.Program, db *relation.Database, sem Semantics, _ semantics.Mode, _ engine.Options) (*EvalResult, error) {
+	return Eval(prog, db, sem)
 }
 
 // QueryStrategy reports whether demand-driven point queries are
@@ -167,15 +166,15 @@ func QueryStrategy(sem Semantics, c ast.Class) (stratified, ok bool) {
 // Query answers a single query atom demand-driven (magic-set
 // rewriting; see internal/magic and semantics.QueryLFP/
 // QueryStratified) under the chosen semantics.  db is not modified.
-func Query(prog *ast.Program, db *relation.Database, q magic.Query, sem Semantics, mode semantics.Mode) (*semantics.QueryResult, error) {
+func Query(prog *ast.Program, db *relation.Database, q magic.Query, sem Semantics) (*semantics.QueryResult, error) {
 	stratified, ok := QueryStrategy(sem, prog.Classify())
 	if !ok {
 		return nil, fmt.Errorf("core: point queries require lfp, stratified, or coinciding inflationary semantics (program is %v, semantics %v)", prog.Classify(), sem)
 	}
 	if stratified {
-		return semantics.QueryStratified(prog, db, q, mode)
+		return semantics.QueryStratified(prog, db, q)
 	}
-	return semantics.QueryLFP(prog, db, q, mode)
+	return semantics.QueryLFP(prog, db, q)
 }
 
 // QueryFull answers the same query by full materialization plus a
@@ -183,8 +182,8 @@ func Query(prog *ast.Program, db *relation.Database, q magic.Query, sem Semantic
 // and benchmarked against (experiment E16, `datalog -magic=false`).
 // Predicates absent from the computed state (extensional, or untouched
 // by any rule) fall back to the database relation or an empty one.
-func QueryFull(prog *ast.Program, db *relation.Database, q magic.Query, sem Semantics, mode semantics.Mode) (*semantics.QueryResult, error) {
-	full, err := Eval(prog, db, sem, mode)
+func QueryFull(prog *ast.Program, db *relation.Database, q magic.Query, sem Semantics) (*semantics.QueryResult, error) {
+	full, err := Eval(prog, db, sem)
 	if err != nil {
 		return nil, err
 	}
@@ -211,8 +210,6 @@ type AnalyzeOptions struct {
 	// criterion (requires exhaustive enumeration; exponential in the
 	// worst case).
 	WithLeast bool
-	// Ground bounds the grounding.
-	Ground ground.Options
 }
 
 // Report is the outcome of Analyze: the fixpoint structure of (π, D).
@@ -244,20 +241,19 @@ func Analyze(prog *ast.Program, db *relation.Database, opt AnalyzeOptions) (*Rep
 	if err != nil {
 		return nil, err
 	}
-	fpOpt := fixpoint.Options{Ground: opt.Ground}
 	rep := &Report{Class: prog.Classify(), Universe: work.Universe()}
 
-	rep.Exists, rep.Example, err = fixpoint.Exists(in, fpOpt)
+	rep.Exists, rep.Example, err = fixpoint.Exists(in)
 	if err != nil {
 		return nil, err
 	}
-	rep.Count, rep.CountExact, err = fixpoint.Count(in, fpOpt, opt.CountLimit)
+	rep.Count, rep.CountExact, err = fixpoint.Count(in, opt.CountLimit)
 	if err != nil {
 		return nil, err
 	}
 	rep.Unique = rep.CountExact && rep.Count == 1
 	if opt.WithLeast {
-		rep.Least, err = fixpoint.Least(in, fpOpt)
+		rep.Least, err = fixpoint.Least(in)
 		if err != nil {
 			return nil, err
 		}

@@ -25,7 +25,7 @@ s(X,Y) :- e(X,Z), s(Z,Y).
 `)
 	var states []string
 	for _, sem := range []Semantics{Inflationary, LFP, Stratified, WellFounded} {
-		res, err := Eval(prog, db, sem, semantics.SemiNaive)
+		res, err := Eval(prog, db, sem)
 		if err != nil {
 			t.Fatalf("%v: %v", sem, err)
 		}
@@ -72,11 +72,11 @@ func TestWellFoundedStratifiableAsStrata(t *testing.T) {
 	}
 	for _, c := range cases {
 		prog := parser.MustProgram(c.src)
-		got, err := Eval(prog, c.db, WellFounded, semantics.SemiNaive)
+		got, err := Eval(prog, c.db, WellFounded)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		strat, err := semantics.Stratified(prog, c.db, semantics.SemiNaive)
+		strat, err := semantics.Stratified(prog, c.db)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -91,7 +91,7 @@ func TestWellFoundedStratifiableAsStrata(t *testing.T) {
 		}
 	}
 
-	win, err := Eval(parser.MustProgram("win(X) :- E(X,Y), !win(Y)."), graphs.Cycle(4).Database(), WellFounded, semantics.SemiNaive)
+	win, err := Eval(parser.MustProgram("win(X) :- E(X,Y), !win(Y)."), graphs.Cycle(4).Database(), WellFounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestEvalDoesNotMutateDB(t *testing.T) {
 	db := parser.MustFacts("e(a,b).")
 	before := db.Universe().Size()
 	prog := parser.MustProgram("p(fresh_const) :- e(X,Y).")
-	if _, err := Eval(prog, db, Inflationary, semantics.SemiNaive); err != nil {
+	if _, err := Eval(prog, db, Inflationary); err != nil {
 		t.Fatal(err)
 	}
 	if db.Universe().Size() != before {
@@ -115,16 +115,16 @@ func TestEvalDoesNotMutateDB(t *testing.T) {
 func TestEvalErrors(t *testing.T) {
 	db := parser.MustFacts("e(a,b).")
 	general := parser.MustProgram("t(X) :- e(Y,X), !t(Y).")
-	if _, err := Eval(general, db, LFP, semantics.SemiNaive); err == nil {
+	if _, err := Eval(general, db, LFP); err == nil {
 		t.Error("LFP accepted a general program")
 	}
-	if _, err := Eval(general, db, Stratified, semantics.SemiNaive); err == nil {
+	if _, err := Eval(general, db, Stratified); err == nil {
 		t.Error("Stratified accepted an unstratifiable program")
 	}
-	if _, err := Eval(general, db, Inflationary, semantics.SemiNaive); err != nil {
+	if _, err := Eval(general, db, Inflationary); err != nil {
 		t.Errorf("Inflationary rejected a program: %v", err)
 	}
-	if _, err := Eval(general, db, WellFounded, semantics.SemiNaive); err != nil {
+	if _, err := Eval(general, db, WellFounded); err != nil {
 		t.Errorf("WellFounded rejected a program: %v", err)
 	}
 }

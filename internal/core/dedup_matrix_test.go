@@ -8,16 +8,18 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/graphs"
 	"repro/internal/parser"
 	"repro/internal/relation"
-	"repro/internal/semantics"
+	"repro/internal/wforacle"
 )
 
 // Differential property test of the dedup path: every semantics ×
-// workers {1,N} must be bit-exact — state AND stats — with naive,
-// single-worker evaluation, which re-derives every round from scratch
-// and never shards.  The race Makefile/CI target runs this package, so
+// workers {1,N} must be bit-exact — state AND stats — with
+// single-worker evaluation, which never shards, and on the random
+// programs the model must also equal wforacle's, which shares no code
+// with the engine.  The race Makefile/CI target runs this package, so
 // the whole matrix also executes under -race.
 
 var genVars = []string{"X", "Y", "Z", "W"}
@@ -144,22 +146,28 @@ func setProcs(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// checkDedupMatrix evaluates src on db under sem with one worker and
-// with nw, and compares both with naive single-worker evaluation.
-func checkDedupMatrix(t *testing.T, src string, db func() *relation.Database, sem Semantics, nw int) {
+// checkDedupMatrix evaluates src on db under sem with one worker,
+// then again with one worker and with nw, and compares each with the
+// first; with oracle set, it also compares the first with wforacle.
+func checkDedupMatrix(t *testing.T, src string, db func() *relation.Database, sem Semantics, nw int, oracle bool) {
 	t.Helper()
 	prog, err := parser.Program(src)
 	if err != nil {
 		t.Fatalf("unparsable program:\n%s\n%v", src, err)
 	}
 	setProcs(t, 1)
-	want, err := Eval(prog, db(), sem, semantics.Naive)
+	want, err := Eval(prog, db(), sem)
 	if err != nil {
-		t.Fatalf("%v oracle: %v\n%s", sem, err, src)
+		t.Fatalf("%v reference: %v\n%s", sem, err, src)
+	}
+	if oracle {
+		if d := compareOracle(prog, db(), sem, want); d != "" {
+			t.Fatalf("%v differs from the oracle: %s\n%s", sem, d, src)
+		}
 	}
 	for _, w := range []int{1, nw} {
 		setProcs(t, w)
-		got, err := Eval(prog, db(), sem, semantics.SemiNaive)
+		got, err := Eval(prog, db(), sem)
 		if err != nil {
 			t.Fatalf("%v workers=%d: %v\n%s", sem, w, err, src)
 		}
@@ -175,6 +183,25 @@ func checkDedupMatrix(t *testing.T, src string, db func() *relation.Database, se
 			t.Fatalf("%s:\nwell-founded possible parts differ", ctx)
 		}
 	}
+}
+
+// compareOracle compares res, the model of prog on db under sem, with
+// wforacle's; it returns "" when they agree and the differing atoms
+// otherwise.  A stratified model is the well-founded one, and total.
+func compareOracle(prog *ast.Program, db *relation.Database, sem Semantics, res *EvalResult) string {
+	rels := map[string]*relation.Relation{}
+	for _, name := range db.Names() {
+		rels[name] = db.Relation(name)
+	}
+	switch sem {
+	case Stratified:
+		return wforacle.Compare(prog, res.Universe, rels, res.State, res.State)
+	case WellFounded:
+		return wforacle.Compare(prog, res.Universe, rels, res.WF.True, res.WF.Possible)
+	}
+	domain, facts := wforacle.Input(prog, res.Universe, rels)
+	stages := wforacle.Inflationary(prog, domain, facts)
+	return wforacle.Diff(sem.String(), wforacle.Atoms(res.Universe, res.State), stages[len(stages)-1])
 }
 
 // TestPropDedupMatrixBitExact checks that neither the worker count nor
@@ -198,12 +225,12 @@ func TestPropDedupMatrixBitExact(t *testing.T) {
 			sems = append(sems, LFP)
 		}
 		for _, sem := range sems {
-			checkDedupMatrix(t, src, func() *relation.Database { return randDB(rand.New(rand.NewSource(seed)), dbN) }, sem, nw)
+			checkDedupMatrix(t, src, func() *relation.Database { return randDB(rand.New(rand.NewSource(seed)), dbN) }, sem, nw, true)
 		}
 	}
 
 	graph := graphs.Random(rand.New(rand.NewSource(42)), 120, 0.03)
 	for _, sem := range []Semantics{Inflationary, LFP, Stratified, WellFounded} {
-		checkDedupMatrix(t, "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).", func() *relation.Database { return graph.Database() }, sem, nw)
+		checkDedupMatrix(t, "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).", func() *relation.Database { return graph.Database() }, sem, nw, false)
 	}
 }

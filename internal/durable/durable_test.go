@@ -320,6 +320,64 @@ func TestStoreRotateAndCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCheckpointDeletesOldestSegmentFirst makes the oldest of three
+// covered segments undeletable (a non-empty directory in its place)
+// and checks that the checkpoint deletes no newer one: segment 1
+// inserts E(a,b) and segment 2 deletes it, so segment 1 replayed alone
+// over the snapshot would bring E(a,b) back.  The failed segments stay
+// accounted, and the next checkpoint deletes them.  Repeated, so that
+// no deletion order can pass by chance.
+func TestCheckpointDeletesOldestSegmentFirst(t *testing.T) {
+	cp := mustMaintainer(t, core.Inflationary).Checkpoint()
+	ab := []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}
+	for trial := 0; trial < 20; trial++ {
+		dir := t.TempDir()
+		s, _ := openStore(t, dir)
+		for _, rec := range []Record{{Ins: ab}, {Del: ab}, {Ins: []incr.Fact{{Pred: "E", Args: []string{"b", "c"}}}}} {
+			if _, err := s.Append(&rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		oldest := s.segPath(1)
+		if err := os.Remove(oldest); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(oldest, "pin"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteCheckpoint(cp); err == nil {
+			t.Fatal("checkpoint deleted an undeletable segment")
+		}
+		for seq := uint64(2); seq <= 3; seq++ {
+			if _, err := os.Stat(s.segPath(seq)); err != nil {
+				t.Fatalf("trial %d: segment %d deleted while segment 1 survives: %v", trial, seq, err)
+			}
+		}
+		if n := s.Stats().WALSegments; n != 4 {
+			t.Fatalf("trial %d: %d segments accounted after the failed deletion, want 4", trial, n)
+		}
+
+		if err := os.RemoveAll(oldest); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteCheckpoint(cp); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Stats().WALSegments; n != 1 {
+			t.Fatalf("trial %d: %d segments accounted after the retry, want 1", trial, n)
+		}
+		for seq := uint64(2); seq <= 3; seq++ {
+			if _, err := os.Stat(s.segPath(seq)); !os.IsNotExist(err) {
+				t.Fatalf("trial %d: segment %d not deleted by the retry: %v", trial, seq, err)
+			}
+		}
+		s.Close()
+	}
+}
+
 func TestStoreIntervalPolicy(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := Open(dir, FsyncInterval, 10*time.Millisecond)

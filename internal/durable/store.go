@@ -24,10 +24,11 @@
 //	           off the commit path — streams the image to
 //	           snapshot.tmp, fsyncs, renames over snapshot.bin,
 //	           fsyncs the directory, and deletes the covered
-//	           segments.  A crash between rename and deletion only
-//	           leaves segments whose records the snapshot already
-//	           contains; replaying them is idempotent (EDB updates
-//	           are set-semantics, last-op-wins per tuple).
+//	           segments oldest first, stopping at the first failure.
+//	           A crash or failed delete leaves only a suffix of the
+//	           covered segments, so replaying them over the snapshot
+//	           re-applies the last updates in order and ends in the
+//	           snapshot's state.
 //	recover    read snapshot.bin if present, then every segment in
 //	           sequence order.  The final segment's torn tail (a
 //	           crash mid-append) is truncated at the last valid
@@ -43,6 +44,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -489,17 +491,22 @@ func (s *Store) WriteCheckpoint(cp *incr.Checkpoint) error {
 	s.mu.Lock()
 	s.covered = s.seq
 	drop := s.sweepRetentionLocked(s.covered)
-	for _, seq := range drop {
-		s.walBytes -= s.segs[seq]
-		s.walRecords -= s.segRecs[seq]
-		delete(s.segs, seq)
-		delete(s.segRecs, seq)
-	}
 	s.mu.Unlock()
+	// Recovery replays every segment left over the snapshot, so the
+	// survivors must be a suffix of the history: delete oldest first,
+	// stop at the first failure, and keep a segment accounted until it
+	// is gone, so the next checkpoint retries the rest.
+	slices.Sort(drop)
 	for _, seq := range drop {
 		if err := os.Remove(s.segPath(seq)); err != nil && !os.IsNotExist(err) {
 			return err
 		}
+		s.mu.Lock()
+		s.walBytes -= s.segs[seq]
+		s.walRecords -= s.segRecs[seq]
+		delete(s.segs, seq)
+		delete(s.segRecs, seq)
+		s.mu.Unlock()
 	}
 	return nil
 }

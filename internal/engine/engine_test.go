@@ -377,8 +377,9 @@ S(X,Y) :- E(X,Z), S(Z,Y).
 	}
 }
 
-func TestApplySplit(t *testing.T) {
-	// Negatives resolved against a separate state.
+// TestEvalNegReadsSeparateState checks that negated literals are read
+// against Spec.Neg, not against the positive state.
+func TestEvalNegReadsSeparateState(t *testing.T) {
 	db := pathDB(3)
 	in := MustNew(parser.MustProgram(pi1Src), db)
 	pos := in.NewState()

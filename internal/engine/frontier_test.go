@@ -128,13 +128,13 @@ func TestFrontierFixpointMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestShardedPartitionedMerge drives the intra-rule sharding and the
+// TestShardedMergeMatchesOneWorker drives the intra-rule sharding and the
 // merge of per-worker outputs on a workload big enough to trigger both:
 // a transitive closure whose middle rounds drive more than InlineFloor
 // delta tuples while its first and last stay under it, evaluated by a
 // 2-rule program on a many-worker pool (more workers than tasks, so
 // every pooled round shards its driver into arena ranges).
-func TestShardedPartitionedMerge(t *testing.T) {
+func TestShardedMergeMatchesOneWorker(t *testing.T) {
 	src := "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y)."
 	prog := parser.MustProgram(src)
 	db := randomEdgeDB(rand.New(rand.NewSource(42)), 120, 0.025)

@@ -21,10 +21,10 @@ p(X) :- s(X,X).
 q(X) :- E(X,Y), !s(Y,X).
 `
 
-// TestApplySplitParallelDeterministic checks the acceptance property of
+// TestEvalSameAtEveryWorkerCount checks the acceptance property of
 // the parallel operator: one worker and many workers produce the same
 // state, on Θ itself and on the semi-naive delta form.
-func TestApplySplitParallelDeterministic(t *testing.T) {
+func TestEvalSameAtEveryWorkerCount(t *testing.T) {
 	prog := parser.MustProgram(multiRuleSrc)
 	for _, seed := range []int64{1, 2, 3} {
 		db := randomEdgeDB(rand.New(rand.NewSource(seed)), 9, 0.25)

@@ -40,11 +40,11 @@ func runE1(w io.Writer, quick bool) error {
 
 	analyze := func(g *graphs.Graph) (count int, unique, least bool) {
 		in := engine.MustNew(parser.MustProgram(pi1Src), g.Database())
-		cnt, _, err := fixpoint.Count(in, fixpoint.Options{}, 0)
+		cnt, _, err := fixpoint.Count(in, 0)
 		if err != nil {
 			panic(err)
 		}
-		res, err := fixpoint.Least(in, fixpoint.Options{})
+		res, err := fixpoint.Least(in)
 		if err != nil {
 			panic(err)
 		}
@@ -95,7 +95,7 @@ func runE5(w io.Writer, quick bool) error {
 		g := graphs.Path(n)
 		in := engine.MustNew(parser.MustProgram(tcSrc), g.Database())
 		start := time.Now()
-		res, err := fixpoint.Least(in, fixpoint.Options{})
+		res, err := fixpoint.Least(in)
 		if err != nil {
 			return err
 		}
@@ -112,7 +112,7 @@ func runE5(w io.Writer, quick bool) error {
 	for _, n := range []int{4, 6} {
 		in := engine.MustNew(parser.MustProgram(pi1Src), graphs.Path(n).Database())
 		start := time.Now()
-		res, err := fixpoint.Least(in, fixpoint.Options{})
+		res, err := fixpoint.Least(in)
 		if err != nil {
 			return err
 		}
@@ -127,7 +127,7 @@ func runE5(w io.Writer, quick bool) error {
 	for m := 1; m <= maxCopies; m++ {
 		in := engine.MustNew(parser.MustProgram(pi1Src), graphs.DisjointCycles(m, 4).Database())
 		start := time.Now()
-		res, err := fixpoint.Least(in, fixpoint.Options{})
+		res, err := fixpoint.Least(in)
 		if err != nil {
 			return err
 		}

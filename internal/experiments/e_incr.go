@@ -11,7 +11,6 @@ import (
 	"repro/internal/incr"
 	"repro/internal/parser"
 	"repro/internal/relation"
-	"repro/internal/semantics"
 )
 
 func init() {
@@ -121,7 +120,7 @@ func runE14(w io.Writer, quick bool) error {
 				mirror.MustEnsure("E", 2).Add(tu)
 			}
 			start = time.Now()
-			res, err := core.Eval(prog, mirror, wl.sem, semantics.SemiNaive)
+			res, err := core.Eval(prog, mirror, wl.sem)
 			if err != nil {
 				return err
 			}

@@ -44,7 +44,7 @@ func runE16(w io.Writer, quick bool) error {
 
 		// Full materialization + filter (the oracle).
 		startFull := time.Now()
-		full, err := core.QueryFull(prog, db, q, sem, semantics.SemiNaive)
+		full, err := core.QueryFull(prog, db, q, sem)
 		if err != nil {
 			return err
 		}
@@ -54,9 +54,9 @@ func runE16(w io.Writer, quick bool) error {
 		startMagic := time.Now()
 		var res *semantics.QueryResult
 		if wl.Stratified {
-			res, err = semantics.QueryStratified(prog, db, q, semantics.SemiNaive)
+			res, err = semantics.QueryStratified(prog, db, q)
 		} else {
-			res, err = semantics.QueryLFP(prog, db, q, semantics.SemiNaive)
+			res, err = semantics.QueryLFP(prog, db, q)
 		}
 		if err != nil {
 			return err

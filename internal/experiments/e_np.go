@@ -59,7 +59,7 @@ func runE2(w io.Writer, quick bool) error {
 			}
 			in := engine.MustNew(reductions.PiSAT(), db)
 			start := time.Now()
-			has, st, err := fixpoint.Exists(in, fixpoint.Options{})
+			has, st, err := fixpoint.Exists(in)
 			if err != nil {
 				return err
 			}
@@ -70,7 +70,7 @@ func runE2(w io.Writer, quick bool) error {
 			bij := "-"
 			okBij := true
 			if n <= 10 {
-				cnt, exact, err := fixpoint.Count(in, fixpoint.Options{}, 0)
+				cnt, exact, err := fixpoint.Count(in, 0)
 				if err != nil {
 					return err
 				}
@@ -131,7 +131,7 @@ func runE3(w io.Writer, quick bool) error {
 			if err != nil {
 				return err
 			}
-			has, _, err := fixpoint.Exists(in, fixpoint.Options{})
+			has, _, err := fixpoint.Exists(in)
 			if err != nil {
 				return err
 			}
@@ -194,7 +194,7 @@ func runE4(w io.Writer, quick bool) error {
 				return err
 			}
 			in := engine.MustNew(reductions.PiSAT(), db)
-			unique, _, err := fixpoint.Unique(in, fixpoint.Options{})
+			unique, _, err := fixpoint.Unique(in)
 			if err != nil {
 				return err
 			}
@@ -234,7 +234,7 @@ func runE6(w io.Writer, quick bool) error {
 	for _, cs := range cases {
 		db := cs.g.Database()
 		in := engine.MustNew(reductions.PiCOL(), db)
-		has, st, err := fixpoint.Exists(in, fixpoint.Options{})
+		has, st, err := fixpoint.Exists(in)
 		if err != nil {
 			return err
 		}
@@ -243,7 +243,7 @@ func runE6(w io.Writer, quick bool) error {
 		counts := "-"
 		okCount := true
 		if cs.g.N() <= 6 {
-			cnt, exact, err := fixpoint.Count(in, fixpoint.Options{}, 0)
+			cnt, exact, err := fixpoint.Count(in, 0)
 			if err != nil {
 				return err
 			}

@@ -166,7 +166,7 @@ func TestTheorem1FixpointEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sentence %d: %v", si, err)
 			}
-			has, _, err := fixpoint.Exists(in, fixpoint.Options{})
+			has, _, err := fixpoint.Exists(in)
 			if err != nil {
 				t.Fatalf("sentence %d seed %d: %v", si, seed, err)
 			}
@@ -196,7 +196,7 @@ func TestPropTheorem1OnRandomDatabases(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		has, _, err := fixpoint.Exists(in, fixpoint.Options{})
+		has, _, err := fixpoint.Exists(in)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -255,12 +255,12 @@ func TestExample1GeneratedVsHandwritten(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		genHas, _, err := fixpoint.Exists(genIn, fixpoint.Options{})
+		genHas, _, err := fixpoint.Exists(genIn)
 		if err != nil {
 			t.Fatalf("instance %d: %v", ii, err)
 		}
 		handIn := engine.MustNew(reductions.PiSAT(), db.Clone())
-		handHas, _, err := fixpoint.Exists(handIn, fixpoint.Options{})
+		handHas, _, err := fixpoint.Exists(handIn)
 		if err != nil {
 			t.Fatalf("instance %d: %v", ii, err)
 		}

@@ -21,24 +21,12 @@ import (
 	"repro/internal/sat"
 )
 
-// Options configures an analysis.
-type Options struct {
-	// Ground bounds the grounding size.
-	Ground ground.Options
-	// EnumLimit caps fixpoint enumeration for Count/Least (0 = 100000).
-	EnumLimit int
-}
-
-func (o Options) enumLimit() int {
-	if o.EnumLimit == 0 {
-		return 100000
-	}
-	return o.EnumLimit
-}
+// maxFixpoints caps the enumeration of Count (with limit 0) and Least.
+var maxFixpoints = 100000
 
 // Exists reports whether (π, D) has a fixpoint and returns one if so.
-func Exists(in *engine.Instance, opt Options) (bool, engine.State, error) {
-	comp, err := ground.Complete(in, opt.Ground)
+func Exists(in *engine.Instance) (bool, engine.State, error) {
+	comp, err := ground.Complete(in)
 	if err != nil {
 		return false, nil, err
 	}
@@ -57,8 +45,8 @@ func Exists(in *engine.Instance, opt Options) (bool, engine.State, error) {
 // limit > 0); it reports the number visited and whether the
 // enumeration was exhaustive.  fn may be nil; returning false stops
 // early.
-func Enumerate(in *engine.Instance, opt Options, limit int, fn func(engine.State) bool) (int, bool, error) {
-	comp, err := ground.Complete(in, opt.Ground)
+func Enumerate(in *engine.Instance, limit int, fn func(engine.State) bool) (int, bool, error) {
+	comp, err := ground.Complete(in)
 	if err != nil {
 		return 0, false, err
 	}
@@ -73,21 +61,20 @@ func Enumerate(in *engine.Instance, opt Options, limit int, fn func(engine.State
 }
 
 // Count returns the number of fixpoints of (π, D), counting at most
-// limit (0 = exact with the option's enumeration cap); exact reports
-// whether the returned count is the true total.
-func Count(in *engine.Instance, opt Options, limit int) (int, bool, error) {
+// limit (0 = exact up to maxFixpoints); exact reports whether the
+// returned count is the true total.
+func Count(in *engine.Instance, limit int) (int, bool, error) {
 	if limit == 0 {
-		limit = opt.enumLimit()
+		limit = maxFixpoints
 	}
-	count, complete, err := Enumerate(in, opt, limit, nil)
-	return count, complete, err
+	return Enumerate(in, limit, nil)
 }
 
 // Unique reports whether (π, D) has exactly one fixpoint, returning it
 // when so (Theorem 2's decision problem).
-func Unique(in *engine.Instance, opt Options) (bool, engine.State, error) {
+func Unique(in *engine.Instance) (bool, engine.State, error) {
 	var first engine.State
-	count, _, err := Enumerate(in, opt, 2, func(s engine.State) bool {
+	count, _, err := Enumerate(in, 2, func(s engine.State) bool {
 		if first == nil {
 			first = s
 		}
@@ -120,9 +107,9 @@ type LeastResult struct {
 // check whether the intersection is itself a fixpoint.  It fails if
 // there are more fixpoints than the enumeration cap (the exponential
 // cost is the point of Theorem 3).
-func Least(in *engine.Instance, opt Options) (*LeastResult, error) {
+func Least(in *engine.Instance) (*LeastResult, error) {
 	var inter engine.State
-	count, complete, err := Enumerate(in, opt, opt.enumLimit(), func(s engine.State) bool {
+	count, complete, err := Enumerate(in, maxFixpoints, func(s engine.State) bool {
 		if inter == nil {
 			inter = s.Clone()
 			return true
@@ -136,7 +123,7 @@ func Least(in *engine.Instance, opt Options) (*LeastResult, error) {
 		return nil, err
 	}
 	if !complete {
-		return nil, fmt.Errorf("fixpoint: more than %d fixpoints; raise EnumLimit", opt.enumLimit())
+		return nil, fmt.Errorf("fixpoint: more than %d fixpoints", maxFixpoints)
 	}
 	res := &LeastResult{NumFixpoints: count, Intersection: inter}
 	if count == 0 {

@@ -49,14 +49,14 @@ func TestPi1PathUniqueFixpoint(t *testing.T) {
 	// Paper §2: on Lₙ the unique fixpoint of π₁ is {2,4,…}.
 	for n := 1; n <= 6; n++ {
 		in := engine.MustNew(parser.MustProgram(pi1Src), pathDB(n))
-		count, exact, err := Count(in, Options{}, 0)
+		count, exact, err := Count(in, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !exact || count != 1 {
 			t.Errorf("L%d: count = %d (exact=%v), want 1", n, count, exact)
 		}
-		ok, st, err := Unique(in, Options{})
+		ok, st, err := Unique(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestPi1CycleCensus(t *testing.T) {
 	// Paper §2: no fixpoint on odd cycles, exactly two on even ones.
 	for n := 3; n <= 8; n++ {
 		in := engine.MustNew(parser.MustProgram(pi1Src), cycleDB(n))
-		count, exact, err := Count(in, Options{}, 0)
+		count, exact, err := Count(in, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestPi1CycleCensus(t *testing.T) {
 		if !exact || count != want {
 			t.Errorf("C%d: count = %d, want %d", n, count, want)
 		}
-		has, _, err := Exists(in, Options{})
+		has, _, err := Exists(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,14 +100,14 @@ func TestPi1DisjointCyclesExponential(t *testing.T) {
 	// incomparable fixpoints and hence no least fixpoint.
 	for m := 1; m <= 5; m++ {
 		in := engine.MustNew(parser.MustProgram(pi1Src), disjointCyclesDB(m, 4))
-		count, exact, err := Count(in, Options{}, 0)
+		count, exact, err := Count(in, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !exact || count != 1<<m {
 			t.Errorf("G_%d: count = %d, want %d", m, count, 1<<m)
 		}
-		res, err := Least(in, Options{})
+		res, err := Least(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestToggleNoFixpoint(t *testing.T) {
 	db.AddConstant("a")
 	db.AddConstant("b")
 	in := engine.MustNew(parser.MustProgram("T(Z) :- !T(W)."), db)
-	has, _, err := Exists(in, Options{})
+	has, _, err := Exists(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ T(Z) :- !Q(U), !T(W).
 	db.AddFact("V", "a")
 	db.AddFact("V", "b")
 	in := engine.MustNew(parser.MustProgram(src), db)
-	ok, st, err := Unique(in, Options{})
+	ok, st, err := Unique(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ T(Z) :- !Q(U), !T(W).
 	db2.AddFact("V", "a")
 	db2.AddConstant("b")
 	in2 := engine.MustNew(parser.MustProgram(src), db2)
-	has, _, err := Exists(in2, Options{})
+	has, _, err := Exists(in2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ S(X,Y) :- E(X,Z), S(Z,Y).
 `
 	db := pathDB(3)
 	in := engine.MustNew(parser.MustProgram(src), db)
-	res, err := Least(in, Options{})
+	res, err := Least(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ S(X,Y) :- E(X,Z), S(Z,Y).
 func TestEnumerateEarlyStopAndLimit(t *testing.T) {
 	in := engine.MustNew(parser.MustProgram(pi1Src), disjointCyclesDB(3, 4))
 	seen := 0
-	count, complete, err := Enumerate(in, Options{}, 0, func(engine.State) bool {
+	count, complete, err := Enumerate(in, 0, func(engine.State) bool {
 		seen++
 		return seen < 3
 	})
@@ -207,7 +207,7 @@ func TestEnumerateEarlyStopAndLimit(t *testing.T) {
 	if complete || count != 3 {
 		t.Errorf("count=%d complete=%v", count, complete)
 	}
-	count, complete, err = Enumerate(in, Options{}, 5, nil)
+	count, complete, err = Enumerate(in, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,9 @@ func TestEnumerateEarlyStopAndLimit(t *testing.T) {
 
 func TestLeastEnumLimitError(t *testing.T) {
 	in := engine.MustNew(parser.MustProgram(pi1Src), disjointCyclesDB(4, 4))
-	if _, err := Least(in, Options{EnumLimit: 3}); err == nil {
+	defer func(n int) { maxFixpoints = n }(maxFixpoints)
+	maxFixpoints = 3
+	if _, err := Least(in); err == nil {
 		t.Error("expected enumeration-cap error")
 	}
 }
@@ -230,7 +232,7 @@ func TestGroundTooLarge(t *testing.T) {
 		db.AddFact("V", fmt.Sprint(i))
 	}
 	in := engine.MustNew(parser.MustProgram(src), db)
-	if _, _, err := Exists(in, Options{}); err == nil {
+	if _, _, err := Exists(in); err == nil {
 		t.Error("expected grounding-size error (10^6 atoms > cap)")
 	}
 }
@@ -327,7 +329,7 @@ func TestPropSATMatchesBruteForce(t *testing.T) {
 			return false
 		}
 		var satSet []string
-		_, complete, err := Enumerate(in, Options{}, 0, func(s engine.State) bool {
+		_, complete, err := Enumerate(in, 0, func(s engine.State) bool {
 			if !in.IsFixpoint(s) {
 				t.Logf("seed %d: SAT produced a non-fixpoint\nprogram:\n%s", seed, prog)
 				return false

@@ -23,9 +23,9 @@ import (
 // fn may be nil; returning false stops early.  limit > 0 caps the
 // number of stable models reported.  The boolean result reports
 // exhaustiveness.
-func StableModels(in *engine.Instance, opt Options, limit int, fn func(engine.State) bool) (int, bool, error) {
+func StableModels(in *engine.Instance, limit int, fn func(engine.State) bool) (int, bool, error) {
 	count := 0
-	visited, complete, err := Enumerate(in, opt, 0, func(s engine.State) bool {
+	visited, complete, err := Enumerate(in, 0, func(s engine.State) bool {
 		if !semantics.Gamma(in, s).Equal(s) {
 			return true // supported but not stable
 		}

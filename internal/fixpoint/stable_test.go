@@ -17,7 +17,7 @@ func TestStableWinMovePath(t *testing.T) {
 	db.AddFact("move", "2", "3")
 	in := engine.MustNew(parser.MustProgram("win(X) :- move(X,Y), !win(Y)."), db)
 	var models []engine.State
-	count, complete, err := StableModels(in, Options{}, 0, func(s engine.State) bool {
+	count, complete, err := StableModels(in, 0, func(s engine.State) bool {
 		models = append(models, s)
 		return true
 	})
@@ -45,7 +45,7 @@ func TestStableTwoCycleHasTwoModels(t *testing.T) {
 	db.AddFact("move", "a", "b")
 	db.AddFact("move", "b", "a")
 	in := engine.MustNew(parser.MustProgram("win(X) :- move(X,Y), !win(Y)."), db)
-	count, complete, err := StableModels(in, Options{}, 0, func(s engine.State) bool {
+	count, complete, err := StableModels(in, 0, func(s engine.State) bool {
 		if s["win"].Len() != 1 {
 			t.Errorf("stable model size %d", s["win"].Len())
 		}
@@ -66,14 +66,14 @@ func TestStableSupportedButNotStable(t *testing.T) {
 	db := relation.NewDatabase()
 	db.AddConstant("a")
 	in := engine.MustNew(parser.MustProgram("p(X) :- p(X)."), db)
-	fps, _, err := Count(in, Options{}, 0)
+	fps, _, err := Count(in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fps != 2 {
 		t.Fatalf("fixpoints = %d, want 2", fps)
 	}
-	count, complete, err := StableModels(in, Options{}, 0, func(s engine.State) bool {
+	count, complete, err := StableModels(in, 0, func(s engine.State) bool {
 		if s["p"].Len() != 0 {
 			t.Errorf("non-empty stable model: %v", s.Format(db.Universe()))
 		}
@@ -92,7 +92,7 @@ func TestStableNoModels(t *testing.T) {
 	db := relation.NewDatabase()
 	db.AddConstant("a")
 	in := engine.MustNew(parser.MustProgram("p(X) :- !p(X)."), db)
-	count, complete, err := StableModels(in, Options{}, 0, nil)
+	count, complete, err := StableModels(in, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestStablePositiveProgramIsLFP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, complete, err := StableModels(in, Options{}, 0, func(s engine.State) bool {
+	count, complete, err := StableModels(in, 0, func(s engine.State) bool {
 		if !s.Equal(lfp.State) {
 			t.Errorf("stable model ≠ LFP")
 		}
@@ -129,7 +129,7 @@ func TestStablePi1EvenCycle(t *testing.T) {
 	// π₁'s two fixpoints on C4 (the independent-set "kernels") are both
 	// stable.
 	in := engine.MustNew(parser.MustProgram(pi1Src), cycleDB(4))
-	count, complete, err := StableModels(in, Options{}, 0, nil)
+	count, complete, err := StableModels(in, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestStablePi1EvenCycle(t *testing.T) {
 
 func TestStableLimit(t *testing.T) {
 	in := engine.MustNew(parser.MustProgram(pi1Src), disjointCyclesDB(3, 4))
-	count, complete, err := StableModels(in, Options{}, 3, nil)
+	count, complete, err := StableModels(in, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,13 +42,9 @@ type Atom struct {
 
 func atomKey(pred string, t relation.Tuple) string { return pred + "/" + t.Key() }
 
-// Options tunes the grounding.
-type Options struct {
-	// MaxAtoms bounds the number of ground IDB atoms (CNF variables
-	// before Tseitin auxiliaries); Complete fails beyond it.  Zero
-	// means the default of 200000.
-	MaxAtoms int
-}
+// maxAtoms bounds the number of ground IDB atoms (CNF variables
+// before Tseitin auxiliaries); Complete fails beyond it.
+var maxAtoms = 200000
 
 // Completion is the propositional encoding of the fixpoint condition
 // of (π, D).
@@ -147,11 +143,7 @@ type disjunct struct{ lits []int }
 
 // Complete grounds the program against the database and returns the
 // propositional completion.
-func Complete(in *engine.Instance, opt Options) (*Completion, error) {
-	maxAtoms := opt.MaxAtoms
-	if maxAtoms == 0 {
-		maxAtoms = 200000
-	}
+func Complete(in *engine.Instance) (*Completion, error) {
 	g := &grounder{
 		in:        in,
 		b:         cnf.NewBuilder(),

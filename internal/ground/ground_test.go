@@ -21,7 +21,7 @@ func chainDB(n int) *relation.Database {
 
 func TestCompletionVariablesCoverAtomSpace(t *testing.T) {
 	in := engine.MustNew(parser.MustProgram("T(X) :- E(Y,X), !T(Y)."), chainDB(3))
-	comp, err := Complete(in, Options{})
+	comp, err := Complete(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestCompletionModelsAreFixpoints(t *testing.T) {
 	// (checked by direct solve + IsFixpoint here; the exhaustive
 	// equivalence is property-tested in package fixpoint).
 	in := engine.MustNew(parser.MustProgram("T(X) :- E(Y,X), !T(Y)."), chainDB(4))
-	comp, err := Complete(in, Options{})
+	comp, err := Complete(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ T(Z) :- !Q(U), !T(W).
 			db.AddFact("V", fmt.Sprint(i))
 		}
 		in := engine.MustNew(parser.MustProgram(src), db)
-		comp, err := Complete(in, Options{})
+		comp, err := Complete(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestForcedAtoms(t *testing.T) {
 	db.AddFact("V", "a")
 	db.AddConstant("b")
 	in := engine.MustNew(parser.MustProgram(src), db)
-	comp, err := Complete(in, Options{})
+	comp, err := Complete(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestConstantsInHeads(t *testing.T) {
 	db.AddFact("D", "0")
 	db.AddFact("D", "1")
 	in := engine.MustNew(parser.MustProgram(src), db)
-	comp, err := Complete(in, Options{})
+	comp, err := Complete(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestEqNeqEvaluatedAway(t *testing.T) {
 	db.AddFact("V", "a")
 	db.AddFact("V", "bad")
 	in := engine.MustNew(parser.MustProgram(src), db)
-	comp, err := Complete(in, Options{})
+	comp, err := Complete(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +171,13 @@ func TestEqNeqEvaluatedAway(t *testing.T) {
 func TestMaxAtomsRespected(t *testing.T) {
 	src := "S(X,Y) :- E(X,Y)."
 	in := engine.MustNew(parser.MustProgram(src), chainDB(10))
-	if _, err := Complete(in, Options{MaxAtoms: 50}); err == nil {
-		t.Error("expected MaxAtoms error (100 atoms > 50)")
+	defer func(n int) { maxAtoms = n }(maxAtoms)
+	maxAtoms = 50
+	if _, err := Complete(in); err == nil {
+		t.Error("expected maxAtoms error (100 atoms > 50)")
 	}
-	if _, err := Complete(in, Options{MaxAtoms: 100}); err != nil {
+	maxAtoms = 100
+	if _, err := Complete(in); err != nil {
 		t.Errorf("100 atoms should fit exactly: %v", err)
 	}
 }
@@ -182,7 +185,7 @@ func TestMaxAtomsRespected(t *testing.T) {
 func TestEmptyUniverseCompletion(t *testing.T) {
 	db := relation.NewDatabase()
 	in := engine.MustNew(parser.MustProgram("T(Z) :- !T(W)."), db)
-	comp, err := Complete(in, Options{})
+	comp, err := Complete(in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ import (
 // every stage.
 func (m *Maintainer) evalChain() {
 	m.chain = append(m.chain[:0], m.in.NewState())
-	semantics.WellFoundedLog(m.in, semantics.SemiNaive, func(stage engine.State) {
+	semantics.WellFoundedLog(m.in, func(stage engine.State) {
 		m.chain = append(m.chain, stage)
 	})
 	m.state = m.chain[len(m.chain)-1]

@@ -12,7 +12,6 @@ import (
 	"repro/internal/incr"
 	"repro/internal/parser"
 	"repro/internal/relation"
-	"repro/internal/semantics"
 )
 
 // TestRederiveNeedsPropagation deletes an edge whose every consequence
@@ -73,7 +72,7 @@ V(x3). V(x2). V(x1). V(x0). V(a). V(b). V(c1). V(c2). V(c3). V(d1). V(d2).
 						t.Fatalf("step %d: %v", i, err)
 					}
 					applyPlain(t, mirror, st.ins, st.del)
-					want, err := core.Eval(prog, mirror, tc.sem, semantics.SemiNaive)
+					want, err := core.Eval(prog, mirror, tc.sem)
 					if err != nil {
 						t.Fatalf("step %d recompute: %v", i, err)
 					}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/incr"
 	"repro/internal/parser"
 	"repro/internal/relation"
-	"repro/internal/semantics"
 	"repro/internal/wforacle"
 )
 
@@ -122,7 +121,7 @@ func checkUpdate(t *testing.T, m *incr.Maintainer, sem core.Semantics, prog *ast
 				sem, ins, del, stats.Strategy, stats.InsertedIDB, stats.DeletedIDB, gained, lost)
 		}
 	}
-	want, err := core.Eval(prog, mirror, sem, semantics.SemiNaive)
+	want, err := core.Eval(prog, mirror, sem)
 	if err != nil {
 		t.Fatalf("recompute: %v", err)
 	}
@@ -207,23 +206,23 @@ func TestMaintainedMatchesRecompute(t *testing.T) {
 	}
 }
 
-// TestMaintainedPartitioned runs the maintained-vs-recompute check on a
-// closure big enough that passes are split over the worker pool: the
-// initial evaluation's middle rounds, and the insert propagation of an
-// edge joining two large reachability sets, drive more than
-// engine.InlineFloor tuples.  K is the pool's width: with one worker
-// every pass runs inline, with two or four the big ones are sharded and
-// merged, so divergence in either path surfaces as a state diff against
-// the recompute.
-func TestMaintainedPartitioned(t *testing.T) {
+// TestMaintainedPooledMatchesRecompute runs the maintained-vs-recompute
+// check on a closure big enough that passes are split over the worker
+// pool: the initial evaluation's middle rounds, and the insert
+// propagation of an edge joining two large reachability sets, drive
+// more than engine.InlineFloor tuples.  With one worker every pass runs
+// inline, with two or four the big ones are sharded and merged, so
+// divergence in either path surfaces as a state diff against the
+// recompute.
+func TestMaintainedPooledMatchesRecompute(t *testing.T) {
 	prog := parser.MustProgram(tcSrc)
 	const n = 120
 	db0 := graphs.Random(rand.New(rand.NewSource(9)), n, 0.03).Database()
-	if fix, err := core.Eval(prog, db0, core.Stratified, semantics.SemiNaive); err != nil || fix.Stats.MaxDeltaTuples < engine.InlineFloor {
+	if fix, err := core.Eval(prog, db0, core.Stratified); err != nil || fix.Stats.MaxDeltaTuples < engine.InlineFloor {
 		t.Fatalf("fixture too small to drive pooled passes: %v, %+v", err, fix.Stats)
 	}
 	for _, nw := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("K%d", nw), func(t *testing.T) {
+		t.Run(fmt.Sprintf("procs%d", nw), func(t *testing.T) {
 			setProcs(t, nw)
 			m, err := incr.New(prog, db0, core.Stratified)
 			if err != nil {
@@ -242,7 +241,7 @@ func TestMaintainedPartitioned(t *testing.T) {
 					t.Fatalf("step %d: %v", step, err)
 				}
 				applyPlain(t, mirror, ins, del)
-				want, err := core.Eval(prog, mirror, core.Stratified, semantics.SemiNaive)
+				want, err := core.Eval(prog, mirror, core.Stratified)
 				if err != nil {
 					t.Fatalf("step %d recompute: %v", step, err)
 				}
@@ -333,7 +332,7 @@ func TestRejectedUpdateLeavesNoTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		applyPlain(t, db, accepted, nil)
-		want, err := core.Eval(prog, db, sem, semantics.SemiNaive)
+		want, err := core.Eval(prog, db, sem)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,7 +90,7 @@ func (m *Maintainer) evalStrata() {
 	for _, s := range m.strata {
 		// Each stratum is semipositive over its own predicates, so the
 		// inflationary loop computes its least fixpoint.
-		st := semantics.InflationaryMode(s.in, semantics.SemiNaive).State
+		st := semantics.Inflationary(s.in).State
 		for pred, rel := range st {
 			m.db.Set(pred, rel)
 			m.state[pred] = rel

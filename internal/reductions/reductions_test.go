@@ -59,7 +59,7 @@ func TestTheorem1SATDirection(t *testing.T) {
 	inst := &SATInstance{NumVars: 3, Clauses: [][]int{{1, 2}, {-1, 3}, {-2, -3}}}
 	db, _ := SATDatabase(inst)
 	in := engine.MustNew(PiSAT(), db)
-	has, st, err := fixpoint.Exists(in, fixpoint.Options{})
+	has, st, err := fixpoint.Exists(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestTheorem1UnsatDirection(t *testing.T) {
 	inst := &SATInstance{NumVars: 1, Clauses: [][]int{{1}, {-1}}}
 	db, _ := SATDatabase(inst)
 	in := engine.MustNew(PiSAT(), db)
-	has, _, err := fixpoint.Exists(in, fixpoint.Options{})
+	has, _, err := fixpoint.Exists(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestPropTheorem1Bijection(t *testing.T) {
 			return false
 		}
 		in := engine.MustNew(PiSAT(), db)
-		count, exact, err := fixpoint.Count(in, fixpoint.Options{}, 0)
+		count, exact, err := fixpoint.Count(in, 0)
 		if err != nil || !exact {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -135,7 +135,7 @@ func TestTheorem2UniqueFixpoint(t *testing.T) {
 	inst := &SATInstance{NumVars: 2, Clauses: [][]int{{1}, {1, 2}, {-2}}}
 	db, _ := SATDatabase(inst)
 	in := engine.MustNew(PiSAT(), db)
-	ok, st, err := fixpoint.Unique(in, fixpoint.Options{})
+	ok, st, err := fixpoint.Unique(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestTheorem2UniqueFixpoint(t *testing.T) {
 	inst2 := &SATInstance{NumVars: 2, Clauses: [][]int{{2}}}
 	db2, _ := SATDatabase(inst2)
 	in2 := engine.MustNew(PiSAT(), db2)
-	ok2, _, err := fixpoint.Unique(in2, fixpoint.Options{})
+	ok2, _, err := fixpoint.Unique(in2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestLemma1Coloring(t *testing.T) {
 	for _, c := range cases {
 		db := c.g.Database()
 		in := engine.MustNew(PiCOL(), db)
-		has, st, err := fixpoint.Exists(in, fixpoint.Options{})
+		has, st, err := fixpoint.Exists(in)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -212,7 +212,7 @@ func TestPropLemma1CountsMatch(t *testing.T) {
 		g := graphs.Random(rng, 4, 0.4)
 		db := g.Database()
 		in := engine.MustNew(PiCOL(), db)
-		count, exact, err := fixpoint.Count(in, fixpoint.Options{}, 0)
+		count, exact, err := fixpoint.Count(in, 0)
 		if err != nil || !exact {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -247,7 +247,7 @@ func TestTheorem4Succinct(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		has, st, err := fixpoint.Exists(in, fixpoint.Options{})
+		has, st, err := fixpoint.Exists(in)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -281,7 +281,7 @@ func TestPropTheorem4RandomCircuits(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		has, _, err := fixpoint.Exists(in, fixpoint.Options{})
+		has, _, err := fixpoint.Exists(in)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -305,7 +305,7 @@ func TestGateRelationsForcedByCompletion(t *testing.T) {
 	sg := circuit.CycleGraph(2)
 	prog, db := PiSuccinct3Col(sg)
 	in := engine.MustNew(prog, db)
-	has, st, err := fixpoint.Exists(in, fixpoint.Options{})
+	has, st, err := fixpoint.Exists(in)
 	if err != nil || !has {
 		t.Fatalf("has=%v err=%v", has, err)
 	}

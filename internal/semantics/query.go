@@ -41,26 +41,26 @@ type QueryResult struct {
 // QueryLFP answers q on prog under the least-fixpoint semantics.  The
 // program must be positive or semipositive, like LeastFixpoint.  db is
 // not modified.
-func QueryLFP(prog *ast.Program, db *relation.Database, q magic.Query, mode Mode) (*QueryResult, error) {
+func QueryLFP(prog *ast.Program, db *relation.Database, q magic.Query) (*QueryResult, error) {
 	switch c := prog.Classify(); c {
 	case ast.ClassPositive, ast.ClassSemipositive:
 	default:
 		return nil, fmt.Errorf("least fixpoint queries require a positive or semipositive program; this one is %v", c)
 	}
-	return queryEval(prog, db, q, false, mode)
+	return queryEval(prog, db, q, false)
 }
 
 // QueryStratified answers q on prog under the stratified semantics.
 // It errors on unstratifiable programs, like Stratified.  db is not
 // modified.
-func QueryStratified(prog *ast.Program, db *relation.Database, q magic.Query, mode Mode) (*QueryResult, error) {
-	return queryEval(prog, db, q, true, mode)
+func QueryStratified(prog *ast.Program, db *relation.Database, q magic.Query) (*QueryResult, error) {
+	return queryEval(prog, db, q, true)
 }
 
 // queryEval validates the query, answers extensional predicates by a
 // direct probe, and otherwise rewrites and evaluates on a private
 // clone of db.
-func queryEval(prog *ast.Program, db *relation.Database, q magic.Query, stratified bool, mode Mode) (*QueryResult, error) {
+func queryEval(prog *ast.Program, db *relation.Database, q magic.Query, stratified bool) (*QueryResult, error) {
 	arities, err := prog.Validate()
 	if err != nil {
 		return nil, err
@@ -88,17 +88,21 @@ func queryEval(prog *ast.Program, db *relation.Database, q magic.Query, stratifi
 	if err != nil {
 		return nil, err
 	}
-	return QueryRewrittenOpts(rw, db.Clone(), q, stratified, mode, engine.Options{})
+	return QueryRewritten(rw, db.Clone(), q, stratified)
 }
 
-// QueryRewrittenOpts evaluates a prepared rewrite against work, which
-// the caller hands over: seed facts are added, the original program's
+// QueryRewrittenOpts is QueryRewritten; it remains only for benchmark/.
+func QueryRewrittenOpts(rw *magic.Rewritten, work *relation.Database, q magic.Query, stratified bool, _ Mode, _ engine.Options) (*QueryResult, error) {
+	return QueryRewritten(rw, work, q, stratified)
+}
+
+// QueryRewritten evaluates a prepared rewrite against work, which the
+// caller hands over: seed facts are added, the original program's
 // constants are interned, and (for stratified evaluation) computed
 // strata are installed.  Callers that own a throwaway database — the
 // server builds one per query from a snapshot's extensional relations —
-// skip the Clone that QueryLFP/QueryStratified pay.  The Options
-// argument is ignored; it remains only for benchmark/.
-func QueryRewrittenOpts(rw *magic.Rewritten, work *relation.Database, q magic.Query, stratified bool, mode Mode, _ engine.Options) (*QueryResult, error) {
+// skip the Clone that QueryLFP/QueryStratified pay.
+func QueryRewritten(rw *magic.Rewritten, work *relation.Database, q magic.Query, stratified bool) (*QueryResult, error) {
 	// Universe parity with full evaluation: the active domain is the
 	// database universe plus every original program constant, and unsafe
 	// rules range over exactly that set.
@@ -132,7 +136,7 @@ func QueryRewrittenOpts(rw *magic.Rewritten, work *relation.Database, q magic.Qu
 
 	var res *Result
 	if stratified {
-		r, err := stratifiedIn(rw.Program, work, mode)
+		r, err := stratifiedIn(rw.Program, work)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +146,7 @@ func QueryRewrittenOpts(rw *magic.Rewritten, work *relation.Database, q magic.Qu
 		if err != nil {
 			return nil, err
 		}
-		r, err := LeastFixpointMode(in, mode)
+		r, err := LeastFixpoint(in)
 		if err != nil {
 			return nil, err
 		}

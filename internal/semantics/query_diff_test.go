@@ -199,7 +199,7 @@ func TestPropMagicQueryMatchesFullLFP(t *testing.T) {
 			want := nameTuples(FilterPattern(full.State[q.Pred], q, full.Universe), full.Universe)
 			for _, w := range queryWorkers() {
 				setProcs(t, w)
-				res, err := QueryLFP(prog, db, q, SemiNaive)
+				res, err := QueryLFP(prog, db, q)
 				if err != nil {
 					t.Fatalf("seed %d query %s: %v\n%s", seed, q, err, src)
 				}
@@ -225,7 +225,7 @@ func TestPropMagicQueryMatchesFullStratified(t *testing.T) {
 		db := randQueryDB(rng, n)
 
 		setProcs(t, 1)
-		full, err := Stratified(prog, db, SemiNaive)
+		full, err := Stratified(prog, db)
 		if err != nil {
 			t.Fatalf("seed %d: full evaluation: %v\n%s", seed, err, src)
 		}
@@ -235,7 +235,7 @@ func TestPropMagicQueryMatchesFullStratified(t *testing.T) {
 			want := nameTuples(FilterPattern(full.State[q.Pred], q, full.Universe), full.Universe)
 			for _, w := range queryWorkers() {
 				setProcs(t, w)
-				res, err := QueryStratified(prog, db, q, SemiNaive)
+				res, err := QueryStratified(prog, db, q)
 				if err != nil {
 					t.Fatalf("seed %d query %s: %v\n%s", seed, q, err, src)
 				}
@@ -245,31 +245,6 @@ func TestPropMagicQueryMatchesFullStratified(t *testing.T) {
 						seed, q, w, src, got, want)
 				}
 			}
-		}
-	}
-}
-
-// TestPropMagicQueryNaiveMode spot-checks the naive evaluation mode on
-// a few seeds: mode changes stage computation only, never answers.
-func TestPropMagicQueryNaiveMode(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		rng := rand.New(rand.NewSource(seed ^ 0x77))
-		src, idb := randQueryProgram(rng, 2)
-		prog := parser.MustProgram(src)
-		n := 4
-		db := randQueryDB(rng, n)
-		full, err := Stratified(prog, db, SemiNaive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := randQuery(rng, idb, n)
-		want := nameTuples(FilterPattern(full.State[q.Pred], q, full.Universe), full.Universe)
-		res, err := QueryStratified(prog, db, q, Naive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := nameTuples(res.Tuples, res.Universe); !sameTuples(got, want) {
-			t.Fatalf("seed %d query %s (naive): answers differ\n%s\ngot  %v\nwant %v", seed, q, src, got, want)
 		}
 	}
 }

@@ -48,7 +48,7 @@ func TestQueryLFPPointQuery(t *testing.T) {
 	prog := parser.MustProgram(tcLeftSrc)
 	db := graphs.Path(16).Database()
 
-	res, err := QueryLFP(prog, db, magic.MustParseQuery("s(v3, ?)"), SemiNaive)
+	res, err := QueryLFP(prog, db, magic.MustParseQuery("s(v3, ?)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,11 @@ unreach(X,Y) :- V(X), V(Y), !s1(X,Y).
 	}
 
 	q := magic.MustParseQuery("unreach(v5, ?)")
-	res, err := QueryStratified(prog, db, q, SemiNaive)
+	res, err := QueryStratified(prog, db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullRes, err := Stratified(prog, db, SemiNaive)
+	fullRes, err := Stratified(prog, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ unreach(X,Y) :- V(X), V(Y), !s1(X,Y).
 func TestQueryEDBDirect(t *testing.T) {
 	prog := parser.MustProgram(tcLeftSrc)
 	db := graphs.Path(4).Database()
-	res, err := QueryLFP(prog, db, magic.MustParseQuery("E(v1, ?)"), SemiNaive)
+	res, err := QueryLFP(prog, db, magic.MustParseQuery("E(v1, ?)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestQueryEDBDirect(t *testing.T) {
 func TestQueryUnknownConstantIsEmpty(t *testing.T) {
 	prog := parser.MustProgram(tcLeftSrc)
 	db := graphs.Path(4).Database()
-	res, err := QueryLFP(prog, db, magic.MustParseQuery("s(zzz, ?)"), SemiNaive)
+	res, err := QueryLFP(prog, db, magic.MustParseQuery("s(zzz, ?)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,17 +133,17 @@ func TestQueryUnknownConstantIsEmpty(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	prog := parser.MustProgram(tcLeftSrc)
 	db := graphs.Path(4).Database()
-	if _, err := QueryLFP(prog, db, magic.MustParseQuery("nope(?)"), SemiNaive); err == nil {
+	if _, err := QueryLFP(prog, db, magic.MustParseQuery("nope(?)")); err == nil {
 		t.Fatal("unknown predicate should error")
 	}
-	if _, err := QueryLFP(prog, db, magic.MustParseQuery("s(?)"), SemiNaive); err == nil {
+	if _, err := QueryLFP(prog, db, magic.MustParseQuery("s(?)")); err == nil {
 		t.Fatal("arity mismatch should error")
 	}
 	win := parser.MustProgram("win(X) :- E(X,Y), !win(Y).")
-	if _, err := QueryStratified(win, db, magic.MustParseQuery("win(?)"), SemiNaive); err == nil {
+	if _, err := QueryStratified(win, db, magic.MustParseQuery("win(?)")); err == nil {
 		t.Fatal("unstratifiable program should error")
 	}
-	if _, err := QueryLFP(win, db, magic.MustParseQuery("win(?)"), SemiNaive); err == nil {
+	if _, err := QueryLFP(win, db, magic.MustParseQuery("win(?)")); err == nil {
 		t.Fatal("general program should be rejected by QueryLFP")
 	}
 }

@@ -17,9 +17,9 @@
 //     comparison point; three-valued, total on all programs, and on a
 //     stratifiable one the stratified model, which core and incr run.
 //
-// All evaluators run semi-naive by default (delta-driven; see the
-// engine package for the soundness argument) and report round counts
-// so benchmarks can verify the paper's |A|^k stage bound.
+// All evaluators run semi-naive (delta-driven; see the engine package
+// for the soundness argument) and report round counts so benchmarks
+// can verify the paper's |A|^k stage bound.
 package semantics
 
 import (
@@ -50,39 +50,25 @@ type Result struct {
 	Universe *relation.Universe
 }
 
-// Mode selects naive or semi-naive stage computation.
+// Mode is kept only because benchmark/ passes SemiNaive to
+// core.EvalOpts and QueryRewrittenOpts: every evaluation is semi-naive.
 type Mode int
 
-// Evaluation modes.
-const (
-	SemiNaive Mode = iota
-	Naive
-)
+// SemiNaive is the one Mode.
+const SemiNaive Mode = 0
 
 // Inflationary computes the paper's inflationary semantics Θ^∞ of
 // (π, D): the inductive fixpoint of S ↦ S ∪ Θ(S).
-func Inflationary(in *engine.Instance) *Result { return InflationaryMode(in, SemiNaive) }
-
-// InflationaryMode is Inflationary with an explicit evaluation mode;
-// Naive recomputes Θ(S) from scratch each stage (the ablation baseline
-// for benchmark E8).
-func InflationaryMode(in *engine.Instance, mode Mode) *Result {
-	return lfpLoop(in, nil, mode)
-}
+func Inflationary(in *engine.Instance) *Result { return lfpLoop(in, nil) }
 
 // LeastFixpoint computes the standard least-fixpoint semantics.  It
 // errors unless the program is monotone in its IDB relations (positive
 // or semipositive), since for general DATALOG¬ a least fixpoint may
 // not exist — the paper's Section 3 shows deciding that is hard.
 func LeastFixpoint(in *engine.Instance) (*Result, error) {
-	return LeastFixpointMode(in, SemiNaive)
-}
-
-// LeastFixpointMode is LeastFixpoint with an explicit evaluation mode.
-func LeastFixpointMode(in *engine.Instance, mode Mode) (*Result, error) {
 	switch c := in.Program().Classify(); c {
 	case ast.ClassPositive, ast.ClassSemipositive:
-		return lfpLoop(in, nil, mode), nil
+		return lfpLoop(in, nil), nil
 	default:
 		return nil, fmt.Errorf("least fixpoint semantics requires a positive or semipositive program; this one is %v", c)
 	}
@@ -93,8 +79,8 @@ func LeastFixpointMode(in *engine.Instance, mode Mode) (*Result, error) {
 // instead of the evolving state (the Γ operator of the well-founded
 // semantics); the iterated operator is then monotone and the loop
 // yields its least fixpoint.
-func lfpLoop(in *engine.Instance, negFixed engine.State, mode Mode) *Result {
-	return lfpLoopLog(in, negFixed, mode, nil)
+func lfpLoop(in *engine.Instance, negFixed engine.State) *Result {
+	return lfpLoopLog(in, negFixed, nil)
 }
 
 // lfpLoopLog is lfpLoop with an optional per-stage observer: log is
@@ -110,7 +96,7 @@ func lfpLoop(in *engine.Instance, negFixed engine.State, mode Mode) *Result {
 // loop unions the returned delta into cur and moves on, with no derived
 // state and no Diff.  A nil negFixed leaves the Spec's Neg unset, which
 // reads the evolving state.
-func lfpLoopLog(in *engine.Instance, negFixed engine.State, mode Mode, log func(engine.State)) *Result {
+func lfpLoopLog(in *engine.Instance, negFixed engine.State, log func(engine.State)) *Result {
 	stats := Stats{}
 	prev := in.NewState()
 
@@ -125,10 +111,7 @@ func lfpLoopLog(in *engine.Instance, negFixed engine.State, mode Mode, log func(
 	}
 
 	for !delta.Empty() {
-		sp := engine.Spec{Pos: cur, Neg: negFixed}
-		if mode == SemiNaive {
-			sp = engine.SemiNaive(prev, delta, cur, negFixed)
-		}
+		sp := engine.SemiNaive(prev, delta, cur, negFixed)
 		sp.Against = cur
 		newDelta := in.Eval(sp)
 		stats.Rounds++

@@ -180,7 +180,7 @@ S1(X,Y) :- E(X,Z), S1(Z,Y).
 S2(X,Y,Z,W) :- S1(X,Y), !S1(Z,W).
 `
 	db := pathDB(3) // TC = {(1,2),(1,3),(2,3)}, complement has 6 pairs
-	res, err := Stratified(parser.MustProgram(src), db, SemiNaive)
+	res, err := Stratified(parser.MustProgram(src), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ S2(X,Y,Z,W) :- S1(X,Y), !S1(Z,W).
 }
 
 func TestStratifiedRejectsPi1(t *testing.T) {
-	if _, err := Stratified(parser.MustProgram(pi1Src), pathDB(3), SemiNaive); err == nil {
+	if _, err := Stratified(parser.MustProgram(pi1Src), pathDB(3)); err == nil {
 		t.Error("stratified semantics accepted π₁")
 	}
 }
@@ -201,7 +201,7 @@ func TestStratifiedRejectsPi1(t *testing.T) {
 func TestStratifiedDoesNotMutateDB(t *testing.T) {
 	db := pathDB(3)
 	before := db.String()
-	if _, err := Stratified(parser.MustProgram(tcSrc), db, SemiNaive); err != nil {
+	if _, err := Stratified(parser.MustProgram(tcSrc), db); err != nil {
 		t.Fatal(err)
 	}
 	if db.String() != before {
@@ -246,7 +246,7 @@ func TestDistanceQueryStratifiedDiffers(t *testing.T) {
 	// which differs from the distance query (paper, end of §4).
 	db := pathDB(3)
 	prog := parser.MustProgram(distanceSrc)
-	strat, err := Stratified(prog, db, SemiNaive)
+	strat, err := Stratified(prog, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ S2(X,Y,Z,W) :- S1(X,Y), !S1(Z,W).
 	for seed := int64(0); seed < 5; seed++ {
 		db := randomEdgeDB(rand.New(rand.NewSource(seed)), 4, 0.3)
 		prog := parser.MustProgram(src)
-		strat, err := Stratified(prog, db, SemiNaive)
+		strat, err := Stratified(prog, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,28 +375,6 @@ func TestWellFoundedToggleAllUndefined(t *testing.T) {
 	}
 	if wf.Undefined()["T"].Len() != 1 {
 		t.Errorf("Undefined T len = %d, want 1", wf.Undefined()["T"].Len())
-	}
-}
-
-func TestPropNaiveEqualsSemiNaive(t *testing.T) {
-	progs := []string{
-		tcSrc,
-		pi1Src,
-		distanceSrc,
-		`P(X) :- V(X), !E(X,X).
-V(X) :- E(X,Y).
-V(X) :- E(Y,X).`,
-	}
-	f := func(seed int64, pick uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		src := progs[int(pick)%len(progs)]
-		db := randomEdgeDB(rng, 5, 0.3)
-		a := InflationaryMode(engine.MustNew(parser.MustProgram(src), db), Naive)
-		b := InflationaryMode(engine.MustNew(parser.MustProgram(src), db), SemiNaive)
-		return a.State.Equal(b.State)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -470,7 +448,7 @@ func TestPropFrontierBitExactAllSemantics(t *testing.T) {
 	straddle := randomEdgeDB(rand.New(rand.NewSource(42)), 120, 0.03)
 	inputs = append(inputs, input{"straddling the inline floor", straddle, []string{tcSrc}})
 	below, above, last := false, false, 0
-	lfpLoopLog(engine.MustNew(parser.MustProgram(tcSrc), straddle.Clone()), nil, SemiNaive, func(s engine.State) {
+	lfpLoopLog(engine.MustNew(parser.MustProgram(tcSrc), straddle.Clone()), nil, func(s engine.State) {
 		d := s.Total() - last
 		last = s.Total()
 		below, above = below || d < engine.InlineFloor, above || d >= engine.InlineFloor
@@ -502,7 +480,7 @@ func TestPropFrontierBitExactAllSemantics(t *testing.T) {
 				wf := WellFounded(in)
 				check("well-founded true", in.Universe(), wf.True, lower)
 				check("well-founded possible", in.Universe(), wf.Possible, upper)
-				if res, err := Stratified(prog, db, SemiNaive); err == nil {
+				if res, err := Stratified(prog, db); err == nil {
 					check("stratified", res.Universe, res.State, lower)
 				}
 				in = engine.MustNew(prog, db.Clone())
@@ -514,11 +492,11 @@ func TestPropFrontierBitExactAllSemantics(t *testing.T) {
 	}
 }
 
-// TestConcurrentOptions evaluates on two goroutines at once, each on
+// TestConcurrentEvaluationMatchesOracle evaluates on two goroutines at once, each on
 // its own instances over a pool four workers wide, and checks every
 // result against the oracle; the race target runs this package under
 // -race.
-func TestConcurrentOptions(t *testing.T) {
+func TestConcurrentEvaluationMatchesOracle(t *testing.T) {
 	db := randomEdgeDB(rand.New(rand.NewSource(3)), 10, 0.2)
 	type want struct {
 		prog         string

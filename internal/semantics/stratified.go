@@ -15,19 +15,18 @@ import (
 // programs — the paper's point in Section 1 that stratified semantics
 // "cannot assign meaning to all DATALOG¬ programs".
 //
-// The mode applies to every stratum's instance.  The database passed
-// in is not modified; the evaluation works on a clone extended with
-// intermediate strata.
-func Stratified(prog *ast.Program, db *relation.Database, mode Mode) (*Result, error) {
-	return stratifiedIn(prog, db.Clone(), mode)
+// The database passed in is not modified; the evaluation works on a
+// clone extended with intermediate strata.
+func Stratified(prog *ast.Program, db *relation.Database) (*Result, error) {
+	return stratifiedIn(prog, db.Clone())
 }
 
 // stratifiedIn is the stratified evaluation loop on a caller-owned
 // working database: work is mutated in place (program constants are
 // interned into its universe, computed strata are installed as
-// relations).  QueryRewrittenOpts uses it to evaluate rewritten
+// relations).  QueryRewritten uses it to evaluate rewritten
 // programs without deep-copying a database it already owns.
-func stratifiedIn(prog *ast.Program, work *relation.Database, mode Mode) (*Result, error) {
+func stratifiedIn(prog *ast.Program, work *relation.Database) (*Result, error) {
 	strat, err := prog.Stratify()
 	if err != nil {
 		return nil, err
@@ -51,7 +50,7 @@ func stratifiedIn(prog *ast.Program, work *relation.Database, mode Mode) (*Resul
 		}
 	}
 	for _, inst := range insts {
-		res := lfpLoop(inst, nil, mode)
+		res := lfpLoop(inst, nil)
 		stats.Rounds += res.Stats.Rounds
 		if res.Stats.MaxDeltaTuples > stats.MaxDeltaTuples {
 			stats.MaxDeltaTuples = res.Stats.MaxDeltaTuples

@@ -33,26 +33,26 @@ func (r *WFResult) Total() bool { return r.Possible.Equal(r.True) }
 // DATALOG¬ program — the modern counterpart to the paper's inflationary
 // proposal for "giving meaning to all programs".
 func WellFounded(in *engine.Instance) *WFResult {
-	return WellFoundedLog(in, SemiNaive, nil)
+	return WellFoundedLog(in, nil)
 }
 
-// WellFoundedLog is WellFounded with an explicit evaluation mode and a
-// stage observer (nil for none): log is called with every application
-// of Γ in turn, A₁ = Γ(∅), A₂ = Γ(A₁), … up to the Aₙ that confirms the
-// fixpoint, n = 2·Outer.  On exit True is Aₙ, the same set as Aₙ₋₂, and
-// Possible is Aₙ₋₁.  The stages are the evaluator's own states, not
-// copies, and it only reads a stage once observed: an observer may keep
-// them, and may mutate them after the call if it drops the result,
-// whose True and Possible are two of them.  The incremental-maintenance
-// layer keeps them as its chain.
+// WellFoundedLog is WellFounded with a stage observer (nil for none):
+// log is called with every application of Γ in turn, A₁ = Γ(∅),
+// A₂ = Γ(A₁), … up to the Aₙ that confirms the fixpoint, n = 2·Outer.
+// On exit True is Aₙ, the same set as Aₙ₋₂, and Possible is Aₙ₋₁.  The
+// stages are the evaluator's own states, not copies, and it only reads
+// a stage once observed: an observer may keep them, and may mutate
+// them after the call if it drops the result, whose True and Possible
+// are two of them.  The incremental-maintenance layer keeps them as
+// its chain.
 //
 // Without an observer at most two stages are held at once.  The even
 // stages grow predicate by predicate (Γ is antimonotone, so Γ² is
 // monotone from ∅: A₀ ⊆ A₂ ⊆ …), so Aₙ = Aₙ₋₂ exactly when their sizes
 // are equal, and of Aₙ₋₂ only its size is kept while Aₙ is computed.
-func WellFoundedLog(in *engine.Instance, mode Mode, log func(stage engine.State)) *WFResult {
+func WellFoundedLog(in *engine.Instance, log func(stage engine.State)) *WFResult {
 	gamma := func(j engine.State) (engine.State, Stats) {
-		res := lfpLoop(in, j, mode)
+		res := lfpLoop(in, j)
 		if log != nil {
 			log(res.State)
 		}
@@ -91,5 +91,5 @@ func WellFoundedLog(in *engine.Instance, mode Mode, log func(stage engine.State)
 // monotone operator S ↦ S ∪ Θ_{¬→J}(S) obtained by freezing negated
 // IDB literals against J.  A state S is a stable model iff Γ(S) = S.
 func Gamma(in *engine.Instance, j engine.State) engine.State {
-	return lfpLoop(in, j, SemiNaive).State
+	return lfpLoop(in, j).State
 }

@@ -99,7 +99,7 @@ func checkOracle(t *testing.T, src string, db *relation.Database) *WFResult {
 	prog := parser.MustProgram(src)
 	in := engine.MustNew(prog, db)
 	stages := []engine.State{in.NewState()}
-	res := WellFoundedLog(in, SemiNaive, func(s engine.State) {
+	res := WellFoundedLog(in, func(s engine.State) {
 		i := len(stages)
 		if i >= 3 && i%2 == 1 && !subsetOf(s, stages[i-2]) {
 			t.Fatalf("odd stage A%d is not within A%d\nprogram:\n%s", i, i-2, src)
@@ -119,7 +119,7 @@ func checkOracle(t *testing.T, src string, db *relation.Database) *WFResult {
 	domain, facts := oracleInput(prog, db)
 	want := wforacle.Inflationary(prog, domain, facts)
 	var got []map[string]bool
-	inf := lfpLoopLog(engine.MustNew(prog, db), nil, SemiNaive, func(s engine.State) {
+	inf := lfpLoopLog(engine.MustNew(prog, db), nil, func(s engine.State) {
 		got = append(got, wforacle.Atoms(db.Universe(), s))
 	})
 	if len(got) != len(want) {
@@ -185,7 +185,7 @@ func TestWellFoundedTotalWhereItMustBe(t *testing.T) {
 		// Stratifiable, with IDB negation across two layers.
 		src, _ := randQueryProgram(rng, 2)
 		res := checkOracle(t, src, db)
-		strat, err := Stratified(parser.MustProgram(src), db, SemiNaive)
+		strat, err := Stratified(parser.MustProgram(src), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestWellFoundedTotalWhereItMustBe(t *testing.T) {
 	// first appears in the higher one: every stratum ranges over it.
 	src := "t(X) :- !E(X,X).\nu(X) :- E(X,Y), !t(c)."
 	db := parser.MustFacts("E(a,b).")
-	strat, err := Stratified(parser.MustProgram(src), db, SemiNaive)
+	strat, err := Stratified(parser.MustProgram(src), db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/durable"
-	"repro/internal/engine"
 	"repro/internal/incr"
 	"repro/internal/magic"
 	"repro/internal/relation"
@@ -438,7 +437,7 @@ func (s *Server) handleMagicQuery(w http.ResponseWriter, q QueryRequest) {
 			work.Set(pred, r)
 		}
 	}
-	res, err := semantics.QueryRewrittenOpts(rw, work, mq, s.magicStrat, semantics.SemiNaive, engine.Options{})
+	res, err := semantics.QueryRewritten(rw, work, mq, s.magicStrat)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, CodeUnprocessable, err.Error())
 		return

@@ -42,7 +42,7 @@ type Options struct {
 // Inflationary, LeastFixpoint, Stratified, and WellFounded.  The
 // Options argument is ignored; it remains only for benchmark/.
 func EvalWith(prog *Program, db *Database, sem Semantics, _ Options) (*Result, error) {
-	return core.Eval(prog, db, sem, semantics.SemiNaive)
+	return core.Eval(prog, db, sem)
 }
 
 // QueryWith is Query with per-call options.  It answers demand-driven
@@ -54,9 +54,9 @@ func QueryWith(prog *Program, db *Database, query string, sem Semantics, opt Opt
 		return nil, err
 	}
 	if opt.Materialize {
-		return core.QueryFull(prog, db, q, sem, semantics.SemiNaive)
+		return core.QueryFull(prog, db, q, sem)
 	}
-	return core.Query(prog, db, q, sem, semantics.SemiNaive)
+	return core.Query(prog, db, q, sem)
 }
 
 // Program is a DATALOG¬ program.
@@ -81,19 +81,19 @@ func ParseFacts(src string) (*Database, error) { return parser.Facts(src) }
 // Inflationary evaluates prog on db under the paper's inflationary
 // semantics (Section 4): the inductive fixpoint of S ↦ S ∪ Θ(S).
 func Inflationary(prog *Program, db *Database) (*Result, error) {
-	return core.Eval(prog, db, core.Inflationary, semantics.SemiNaive)
+	return core.Eval(prog, db, core.Inflationary)
 }
 
 // LeastFixpoint evaluates a positive or semipositive program under the
 // standard least-fixpoint semantics.
 func LeastFixpoint(prog *Program, db *Database) (*Result, error) {
-	return core.Eval(prog, db, core.LFP, semantics.SemiNaive)
+	return core.Eval(prog, db, core.LFP)
 }
 
 // Stratified evaluates a stratifiable program under the stratified
 // semantics.
 func Stratified(prog *Program, db *Database) (*Result, error) {
-	return core.Eval(prog, db, core.Stratified, semantics.SemiNaive)
+	return core.Eval(prog, db, core.Stratified)
 }
 
 // WellFounded evaluates prog under the well-founded semantics; the
@@ -101,7 +101,7 @@ func Stratified(prog *Program, db *Database) (*Result, error) {
 // three-valued model.  A stratifiable program is evaluated as strata:
 // its model is total, so WF.Possible is WF.True and WF.Outer is 0.
 func WellFounded(prog *Program, db *Database) (*Result, error) {
-	return core.Eval(prog, db, core.WellFounded, semantics.SemiNaive)
+	return core.Eval(prog, db, core.WellFounded)
 }
 
 // Analyze reports the fixpoint structure of (prog, db): existence,
@@ -152,5 +152,5 @@ func Query(prog *Program, db *Database, query string, sem Semantics) (*QueryResu
 	if err != nil {
 		return nil, err
 	}
-	return core.Query(prog, db, q, sem, semantics.SemiNaive)
+	return core.Query(prog, db, q, sem)
 }

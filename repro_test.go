@@ -80,10 +80,10 @@ s(X,Y) :- s(X,Z), e(Z,Y).
 	}
 }
 
-// TestFacadeOptions holds the options API to the plain entry points:
+// TestFacadeEntryPointsAgree holds the facade's entry points together:
 // all four semantics through EvalWith, both QueryWith strategies, and
 // maintenance, same results.
-func TestFacadeOptions(t *testing.T) {
+func TestFacadeEntryPointsAgree(t *testing.T) {
 	prog, err := repro.ParseProgram(`
 s(X,Y) :- e(X,Y).
 s(X,Y) :- e(X,Z), s(Z,Y).
