@@ -92,7 +92,7 @@ pairs:
 	$(GO) run ./scripts/pairs -base .bench_build/pairs/base -change . -workload $(WORKLOAD) -n $(N) -seed $(SEED)
 
 # 30 seconds of native fuzzing per target: the parser round-trip
-# invariants, the magic rewrite's stratifiable-or-fallback contract,
+# invariants, the magic rewrite's stratifiable, constant-free output,
 # and the WAL and snapshot decoders on arbitrary bytes.
 # Seed corpora live under testdata/fuzz and also run as plain tests.
 FUZZTIME ?= 30s

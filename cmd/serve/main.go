@@ -25,8 +25,7 @@
 // Usage:
 //
 //	serve -program tc.dl -facts graph.dl [-semantics inflationary] [-addr :8090]
-//	      [-data-dir DIR] [-checkpoint-every 256]
-//	      [-fsync always|interval|off] [-fsync-interval 1s]
+//	      [-data-dir DIR] [-checkpoint-every 256] [-fsync always|off]
 //	      [-follow http://leader:8090]
 //
 // API (JSON; see internal/server for the wire types):
@@ -73,7 +72,6 @@ type options struct {
 	dataDir         string
 	checkpointEvery int
 	fsync           string
-	fsyncInterval   time.Duration
 
 	follow string
 }
@@ -88,8 +86,7 @@ func newFlags(name string, opts *options) *flag.FlagSet {
 	fs.StringVar(&opts.addr, "addr", ":8090", "listen address")
 	fs.StringVar(&opts.dataDir, "data-dir", "", "directory for the checkpoint snapshot and write-ahead log (empty = in-memory only)")
 	fs.IntVar(&opts.checkpointEvery, "checkpoint-every", 256, "checkpoint after N committed batches")
-	fs.StringVar(&opts.fsync, "fsync", "always", "WAL sync policy: always|interval|off")
-	fs.DurationVar(&opts.fsyncInterval, "fsync-interval", time.Second, "flush period under -fsync=interval")
+	fs.StringVar(&opts.fsync, "fsync", "always", "WAL sync policy: always|off")
 	fs.StringVar(&opts.follow, "follow", "", "replicate from this leader URL (read-only follower; requires -data-dir)")
 	return fs
 }
@@ -106,7 +103,6 @@ func (o *options) serverConfig() (server.Config, error) {
 	return server.Config{
 		DataDir:           o.dataDir,
 		Fsync:             policy,
-		FsyncInterval:     o.fsyncInterval,
 		CheckpointBatches: o.checkpointEvery,
 		ReadOnly:          o.follow != "",
 		LeaderAddr:        o.follow,

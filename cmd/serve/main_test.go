@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/durable"
 	"repro/internal/server"
@@ -43,8 +42,8 @@ func TestHelpGolden(t *testing.T) {
 	}
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 9 {
-		t.Errorf("serve defines %d flags, want 9", n)
+	if n != 8 {
+		t.Errorf("serve defines %d flags, want 8", n)
 	}
 }
 
@@ -56,7 +55,7 @@ func TestServerConfig(t *testing.T) {
 	err := fs.Parse([]string{
 		"-program", "p.dl", "-facts", "f.dl", "-semantics", "lfp", "-addr", ":9",
 		"-data-dir", "/tmp/x", "-checkpoint-every", "64",
-		"-fsync", "interval", "-fsync-interval", "250ms",
+		"-fsync", "off",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,8 +69,7 @@ func TestServerConfig(t *testing.T) {
 	}
 	want := server.Config{
 		DataDir:           "/tmp/x",
-		Fsync:             durable.FsyncInterval,
-		FsyncInterval:     250 * time.Millisecond,
+		Fsync:             durable.FsyncOff,
 		CheckpointBatches: 64,
 	}
 	if cfg != want {
@@ -86,7 +84,7 @@ func TestServerConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (server.Config{Fsync: durable.FsyncAlways, FsyncInterval: time.Second, CheckpointBatches: 256}); c != want {
+	if want := (server.Config{Fsync: durable.FsyncAlways, CheckpointBatches: 256}); c != want {
 		t.Errorf("default config = %+v, want %+v", c, want)
 	}
 

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -378,34 +377,38 @@ func TestCheckpointDeletesOldestSegmentFirst(t *testing.T) {
 	}
 }
 
-func TestStoreIntervalPolicy(t *testing.T) {
+// Under the off policy no Append syncs, but Close does: a record
+// appended before a clean Close is recovered.
+func TestStoreOffPolicyCloseFlushes(t *testing.T) {
 	dir := t.TempDir()
-	s, _, err := Open(dir, FsyncInterval, 10*time.Millisecond)
+	s, _, err := Open(dir, FsyncOff, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Append(&Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(40 * time.Millisecond) // let the syncer run at least once
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, info := openStore(t, dir)
+	s2, info := openStore(t, dir)
+	defer s2.Close()
 	if len(info.Records) != 1 {
 		t.Fatalf("recovered %d records, want 1", len(info.Records))
 	}
 }
 
 func TestParseFsyncPolicy(t *testing.T) {
-	for _, p := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncOff} {
+	for _, p := range []FsyncPolicy{FsyncAlways, FsyncOff} {
 		got, err := ParseFsyncPolicy(p.String())
 		if err != nil || got != p {
 			t.Errorf("ParseFsyncPolicy(%q) = %v, %v", p.String(), got, err)
 		}
 	}
-	if _, err := ParseFsyncPolicy("sometimes"); err == nil {
-		t.Error("bad policy accepted")
+	for _, bad := range []string{"sometimes", "interval"} {
+		if _, err := ParseFsyncPolicy(bad); err == nil {
+			t.Errorf("policy %q accepted", bad)
+		}
 	}
 }
 
@@ -525,41 +528,6 @@ func TestStorePoisonedAfterFailedAppend(t *testing.T) {
 	}
 }
 
-// Under the interval policy a failed background fsync fences the store
-// exactly as a failed append does: the kernel may have dropped pages of
-// records already acknowledged, so no later record may be.
-func TestStorePoisonedAfterFailedIntervalSync(t *testing.T) {
-	s, _, err := Open(t.TempDir(), FsyncInterval, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	rec := Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}}
-	if _, err := s.Append(&rec); err != nil {
-		t.Fatal(err)
-	}
-	dead, err := os.CreateTemp(t.TempDir(), "dead")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead.Close()
-	s.mu.Lock()
-	live := s.f
-	s.f = dead
-	s.mu.Unlock()
-	defer live.Close()
-
-	for deadline := time.Now().Add(2 * time.Second); s.Err() == nil && time.Now().Before(deadline); {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := s.Err(); err != ErrPoisoned {
-		t.Fatalf("Err after a failed background sync: %v, want ErrPoisoned", err)
-	}
-	if _, err := s.Append(&rec); err != ErrPoisoned {
-		t.Fatalf("append after a failed sync: %v, want ErrPoisoned", err)
-	}
-}
-
 // A failed rotation fences the store like a failed append: the sealed
 // segment's fsync failed, so its acknowledged records may be gone, and
 // no later record may be acknowledged after them.
@@ -595,16 +563,21 @@ func TestStorePoisonedAfterFailedRotate(t *testing.T) {
 	}
 }
 
-// InstallSnapshot refuses an image recovery could not read, garbage or
-// a real one cut short, and leaves no snapshot behind.
+// InstallSnapshot refuses an image recovery could not read — garbage, a
+// real one cut short, one whose tuples name constants outside its
+// universe or whose relations precede the universe — and leaves no
+// snapshot behind.  A follower would otherwise restore a state that
+// panics when a tuple is rendered.
 func TestInstallSnapshotRejectsDamagedImage(t *testing.T) {
 	var image bytes.Buffer
 	if err := WriteSnapshot(&image, mustMaintainer(t, core.WellFounded).Checkpoint()); err != nil {
 		t.Fatal(err)
 	}
 	for name, img := range map[string][]byte{
-		"garbage":   []byte("not a snapshot at all"),
-		"truncated": image.Bytes()[:image.Len()/2],
+		"garbage":                      []byte("not a snapshot at all"),
+		"truncated":                    image.Bytes()[:image.Len()/2],
+		"id outside the universe":      outOfUniverseImage(t),
+		"relation before the universe": relationFirstImage(t),
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -13,6 +13,7 @@ import (
 	"repro/internal/graphs"
 	"repro/internal/incr"
 	"repro/internal/parser"
+	"repro/internal/relation"
 )
 
 // FuzzWALDecode feeds arbitrary bytes to the WAL record decoder: it
@@ -58,6 +59,52 @@ func hugeSectionImage(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// outOfUniverseImage is a snapshot whose EDB tuple (0, 7) names a
+// constant its 2-constant universe lacks.
+func outOfUniverseImage(t testing.TB) []byte {
+	univ := relation.NewUniverse()
+	univ.Intern("a")
+	univ.Intern("b")
+	e := relation.New(2)
+	e.Add(relation.Tuple{0, 7})
+	cp := &incr.Checkpoint{
+		Prog:     parser.MustProgram("p(X) :- E(X,Y)."),
+		Sem:      core.LFP,
+		Universe: univ,
+		EDBNames: []string{"E"},
+		EDB:      map[string]*relation.Relation{"E": e},
+		IDB:      map[string]*relation.Relation{"p": relation.New(1)},
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, cp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// relationFirstImage is a snapshot whose relation section comes before
+// its universe section, an order WriteSnapshot never emits.
+func relationFirstImage(t testing.TB) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(snapMagic)
+	zw := gzip.NewWriter(&buf)
+	sw := &sectionWriter{w: zw}
+	meta := binary.AppendUvarint(nil, uint64(len("lfp")))
+	meta = append(meta, "lfp"...)
+	sw.section(secMeta, binary.AppendUvarint(meta, 0))
+	sw.section(secProgram, []byte("p(X) :- E(X,Y)."))
+	sw.section(secRelation, encodeRelation(roleEDB, "E", relation.New(2)))
+	sw.section(secUniverse, binary.AppendUvarint(nil, 0))
+	sw.section(secEnd, nil)
+	if sw.err != nil {
+		t.Fatal(sw.err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // snapshotImages returns a real snapshot per maintenance strategy:
 // transitive closure by DRed over strata, win-move recomputed under
 // the inflationary semantics and maintained as Γ stages under the
@@ -88,10 +135,12 @@ func snapshotImages(t testing.TB) [][]byte {
 
 // FuzzSnapshotDecode feeds arbitrary bytes to the snapshot decoder,
 // which reads what a follower downloads from its leader: it must return
-// a checkpoint or an error, never panic.
+// a checkpoint or an error, never panic, and every tuple id of a
+// checkpoint it returns names a constant of its universe.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(hugeSectionImage(f))
+	f.Add(relationFirstImage(f))
 	for _, img := range snapshotImages(f) {
 		f.Add(img)
 		for _, n := range []int{len(snapMagic), len(img) / 3, len(img) / 2, len(img) - 1} {
@@ -99,7 +148,23 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ReadSnapshot(bytes.NewReader(data))
+		cp, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		n := cp.Universe.Size()
+		for _, rels := range []map[string]*relation.Relation{cp.EDB, cp.IDB, cp.Possible} {
+			for name, rel := range rels {
+				rel.Each(func(tu relation.Tuple) bool {
+					for _, id := range tu {
+						if id < 0 || id >= n {
+							t.Fatalf("accepted relation %s holds tuple %v outside a universe of %d", name, tu, n)
+						}
+					}
+					return true
+				})
+			}
+		}
 	})
 }
 

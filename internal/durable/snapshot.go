@@ -17,7 +17,9 @@
 // the packed uint64 key (8 bytes little-endian) or the length-prefixed
 // spill byte string — so a restored relation's arena is byte-for-byte
 // in the original order and a restored maintainer checkpoints to the
-// same bytes.  Any other section kind is an error.
+// same bytes.  Any other section kind is an error, and so is a relation
+// section before the universe section or a tuple id that names no
+// constant of the universe.
 package durable
 
 import (
@@ -111,9 +113,9 @@ func WriteSnapshot(w io.Writer, cp *incr.Checkpoint) error {
 
 // ReadSnapshot parses a snapshot stream back into a checkpoint ready
 // for incr.RestoreWith.  Any structural damage — bad magic, checksum
-// mismatch, truncated section, unparsable program — is an error; a
-// snapshot is replaced atomically, so unlike the WAL there is no valid
-// "torn" state to salvage.
+// mismatch, truncated section, unparsable program, a tuple id outside
+// the universe — is an error; a snapshot is replaced atomically, so
+// unlike the WAL there is no valid "torn" state to salvage.
 func ReadSnapshot(r io.Reader) (*incr.Checkpoint, error) {
 	var magic [len(snapMagic)]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -180,7 +182,10 @@ func ReadSnapshot(r io.Reader) (*incr.Checkpoint, error) {
 				return nil, fmt.Errorf("durable: snapshot universe: %w", d.err)
 			}
 		case secRelation:
-			role, name, rel, err := decodeRelation(payload)
+			if !seen[secUniverse] {
+				return nil, errors.New("durable: snapshot relation section before the universe section")
+			}
+			role, name, rel, err := decodeRelation(payload, cp.Universe.Size())
 			if err != nil {
 				return nil, err
 			}
@@ -301,8 +306,9 @@ func encodeRelation(role byte, name string, rel *relation.Relation) []byte {
 	return buf
 }
 
-// decodeRelation parses one relation section payload.
-func decodeRelation(payload []byte) (role byte, name string, rel *relation.Relation, err error) {
+// decodeRelation parses one relation section payload over a universe
+// of univSize constants: every tuple id must lie in [0, univSize).
+func decodeRelation(payload []byte, univSize int) (role byte, name string, rel *relation.Relation, err error) {
 	if len(payload) == 0 {
 		return 0, "", nil, errors.New("durable: empty relation section")
 	}
@@ -349,6 +355,11 @@ func decodeRelation(payload []byte) (role byte, name string, rel *relation.Relat
 			d.buf = d.buf[sn:]
 		default:
 			return 0, "", nil, fmt.Errorf("durable: relation %s tuple %d has unknown tag %d", name, i, tag)
+		}
+		for _, id := range t {
+			if id < 0 || id >= univSize {
+				return 0, "", nil, fmt.Errorf("durable: relation %s tuple %d names constant %d outside a universe of %d", name, i, id, univSize)
+			}
 		}
 		if !rel.Add(t) {
 			return 0, "", nil, fmt.Errorf("durable: relation %s tuple %d is a duplicate", name, i)

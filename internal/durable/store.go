@@ -76,10 +76,6 @@ const (
 	// FsyncAlways syncs after every append: acknowledged implies
 	// durable, at one fsync per commit batch.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs on a timer: a crash loses at most the last
-	// interval of acknowledged batches, never consistency (the torn
-	// tail truncates cleanly).
-	FsyncInterval
 	// FsyncOff leaves syncing to the OS: fastest, loses whatever the
 	// page cache held.  Recovery is still exact up to the surviving
 	// prefix.
@@ -91,12 +87,10 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch s {
 	case "always":
 		return FsyncAlways, nil
-	case "interval":
-		return FsyncInterval, nil
 	case "off":
 		return FsyncOff, nil
 	}
-	return 0, fmt.Errorf("durable: unknown fsync policy %q (want always, interval, or off)", s)
+	return 0, fmt.Errorf("durable: unknown fsync policy %q (want always or off)", s)
 }
 
 // String names the policy, inverse of ParseFsyncPolicy.
@@ -104,8 +98,6 @@ func (p FsyncPolicy) String() string {
 	switch p {
 	case FsyncAlways:
 		return "always"
-	case FsyncInterval:
-		return "interval"
 	case FsyncOff:
 		return "off"
 	}
@@ -130,18 +122,17 @@ type RecoveryInfo struct {
 // Store owns a data directory: the active WAL segment, the recovered
 // history, and the checkpoint replacement protocol.  Append and Rotate
 // are safe for concurrent use; WriteCheckpoint runs concurrently with
-// both.
+// both.  A Store starts no goroutine: every file operation runs on the
+// goroutine that called the method.
 type Store struct {
-	dir      string
-	policy   FsyncPolicy
-	interval time.Duration
+	dir    string
+	policy FsyncPolicy
 
 	mu         sync.Mutex
 	f          *os.File // active segment
 	seq        uint64   // active segment sequence number
-	dirty      bool     // unsynced appends (interval policy)
 	closed     bool
-	poisoned   bool             // an append, a rotation or a sync failed: the active segment may hold a tear
+	poisoned   bool             // an append or a rotation failed: the active segment may hold a tear
 	walBytes   int64            // record bytes across live segments
 	walRecords int64            // records across live segments
 	segs       map[uint64]int64 // live segment -> record bytes (for deletion accounting)
@@ -157,9 +148,6 @@ type Store struct {
 	retainBytes int64
 	pinTTL      time.Duration
 	evictions   int64
-
-	stop chan struct{} // interval syncer shutdown
-	done chan struct{}
 }
 
 // StoreStats is a point-in-time accounting snapshot.
@@ -181,14 +169,16 @@ type StoreStats struct {
 var ErrClosed = errors.New("durable: store is closed")
 
 // ErrPoisoned reports an append or rotation refused because an earlier
-// append, rotation or fsync failed.  The active segment may then hold a
+// append or rotation failed.  The active segment may then hold a
 // torn frame, and writing past it would place acknowledged records
 // beyond the point recovery truncates at, silently dropping them.
 var ErrPoisoned = errors.New("durable: an earlier WAL append failed; refusing further appends")
 
 // Open opens (creating if needed) a data directory, recovers its
 // history, and leaves the store ready for appends on a fresh segment.
-func Open(dir string, policy FsyncPolicy, interval time.Duration) (*Store, *RecoveryInfo, error) {
+// The third parameter is ignored: it remains because the benchmark
+// harness passes 0.
+func Open(dir string, policy FsyncPolicy, _ time.Duration) (*Store, *RecoveryInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
@@ -199,7 +189,6 @@ func Open(dir string, policy FsyncPolicy, interval time.Duration) (*Store, *Reco
 	s := &Store{
 		dir:         dir,
 		policy:      policy,
-		interval:    interval,
 		segs:        make(map[uint64]int64),
 		segRecs:     make(map[uint64]int64),
 		notify:      make(chan struct{}),
@@ -248,14 +237,6 @@ func Open(dir string, policy FsyncPolicy, interval time.Duration) (*Store, *Reco
 	s.seq = maxSeq + 1
 	if err := s.openSegment(); err != nil {
 		return nil, nil, err
-	}
-	if policy == FsyncInterval {
-		if interval <= 0 {
-			s.interval = time.Second
-		}
-		s.stop = make(chan struct{})
-		s.done = make(chan struct{})
-		go s.syncLoop()
 	}
 	return s, info, nil
 }
@@ -407,9 +388,6 @@ func (s *Store) Append(rec *Record) (int64, error) {
 		s.poisoned = true
 		return 0, err
 	}
-	if s.policy != FsyncAlways {
-		s.dirty = true
-	}
 	s.segs[s.seq] += n
 	s.segRecs[s.seq]++
 	s.walBytes += n
@@ -418,8 +396,8 @@ func (s *Store) Append(rec *Record) (int64, error) {
 	return n, nil
 }
 
-// Err returns ErrPoisoned once an Append, a Rotate or a background
-// fsync has failed, and nil before.
+// Err returns ErrPoisoned once an Append or a Rotate has failed, and
+// nil before.
 func (s *Store) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -430,8 +408,8 @@ func (s *Store) Err() error {
 }
 
 // refusalLocked reports why the store refuses appends and rotations:
-// ErrClosed after Close, ErrPoisoned after a failed append, rotation
-// or fsync.
+// ErrClosed after Close, ErrPoisoned after a failed append or
+// rotation.
 func (s *Store) refusalLocked() error {
 	switch {
 	case s.closed:
@@ -626,35 +604,7 @@ func (s *Store) Close() error {
 	}
 	s.notifyLocked()
 	s.mu.Unlock()
-	if s.stop != nil {
-		close(s.stop)
-		<-s.done
-	}
 	return err
-}
-
-// syncLoop services the interval fsync policy.
-func (s *Store) syncLoop() {
-	defer close(s.done)
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			if !s.closed && s.dirty {
-				// As in Append: after a failed fsync the kernel may have
-				// dropped the dirty pages, so the store is fenced.
-				if s.f.Sync() != nil {
-					s.poisoned = true
-				}
-				s.dirty = false
-			}
-			s.mu.Unlock()
-		}
-	}
 }
 
 // syncDir fsyncs a directory, making renames and creations in it

@@ -280,7 +280,8 @@ func (c *change) old() engine.Overlay {
 // Update applies the fact inserts and deletes and incrementally
 // maintains the materialized state.  Inserting a present fact or
 // deleting an absent one is a no-op; a tuple appearing in both lists is
-// an error.  New constants are interned into the universe.
+// an error.  Inserts intern new constants; a delete interns and creates
+// nothing, since a fact naming a constant or predicate not held is absent.
 func (m *Maintainer) Update(ins, del []Fact) (*UpdateStats, error) {
 	start := time.Now()
 	stats := &UpdateStats{}
@@ -396,24 +397,15 @@ func (m *Maintainer) validate(ins, del []Fact) error {
 	return nil
 }
 
-// normalize validates the update, interns its constants, applies it to
-// the EDB relations, and returns the effective per-predicate changes.
-// grew reports whether interning added new constants.
+// normalize validates the update, interns its inserts' constants,
+// applies it to the EDB relations, and returns the effective
+// per-predicate changes.  grew reports whether interning added any.
 func (m *Maintainer) normalize(ins, del []Fact, stats *UpdateStats) (map[string]*change, bool, error) {
 	if err := m.validate(ins, del); err != nil {
 		return nil, false, err
 	}
 	univ := m.db.Universe()
 	before := univ.Size()
-
-	toTuple := func(f Fact) (relation.Tuple, *relation.Relation) {
-		rel := m.db.MustEnsure(f.Pred, len(f.Args))
-		t := make(relation.Tuple, len(f.Args))
-		for i, a := range f.Args {
-			t[i] = univ.Intern(a)
-		}
-		return t, rel
-	}
 
 	ch := make(map[string]*change)
 	chFor := func(pred string, rel *relation.Relation) *change {
@@ -432,12 +424,17 @@ func (m *Maintainer) normalize(ins, del []Fact, stats *UpdateStats) (map[string]
 	// Stage the effective tuples first (membership is tested against the
 	// relations as they were), then apply.
 	for _, f := range del {
-		if t, rel := toTuple(f); rel.Has(t) {
+		if t, rel := m.lookup(f); rel != nil && rel.Has(t) {
 			chFor(f.Pred, rel).del.Add(t)
 		}
 	}
 	for _, f := range ins {
-		if t, rel := toTuple(f); !rel.Has(t) {
+		rel := m.db.MustEnsure(f.Pred, len(f.Args))
+		t := make(relation.Tuple, len(f.Args))
+		for i, a := range f.Args {
+			t[i] = univ.Intern(a)
+		}
+		if !rel.Has(t) {
 			chFor(f.Pred, rel).add.Add(t)
 		}
 	}
@@ -448,6 +445,20 @@ func (m *Maintainer) normalize(ins, del []Fact, stats *UpdateStats) (map[string]
 		stats.DeletedEDB += c.del.Len()
 	}
 	return ch, univ.Size() > before, nil
+}
+
+// lookup resolves a fact against the database without interning or
+// creating anything: the relation is nil when the fact names a
+// predicate or a constant the database lacks, so it cannot be present.
+func (m *Maintainer) lookup(f Fact) (relation.Tuple, *relation.Relation) {
+	t := make(relation.Tuple, len(f.Args))
+	for i, a := range f.Args {
+		var ok bool
+		if t[i], ok = m.db.Universe().Lookup(a); !ok {
+			return nil, nil
+		}
+	}
+	return t, m.db.Relation(f.Pred)
 }
 
 // allVarsPositive reports whether every variable of every rule is bound

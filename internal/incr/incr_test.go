@@ -44,29 +44,35 @@ func setProcs(t *testing.T, n int) {
 
 // applyPlain mirrors a maintainer update onto a plain database, in the
 // same order normalize uses (deletes first), so constant interning
-// stays aligned.
+// stays aligned.  Like normalize, a delete interns and creates nothing:
+// a fact naming an unknown predicate or constant is absent.
 func applyPlain(t *testing.T, db *relation.Database, ins, del []incr.Fact) {
 	t.Helper()
-	tup := func(f incr.Fact) relation.Tuple {
+	for _, f := range del {
+		r := db.Relation(f.Pred)
 		tu := make(relation.Tuple, len(f.Args))
 		for i, a := range f.Args {
-			tu[i] = db.Universe().Intern(a)
+			id, ok := db.Universe().Lookup(a)
+			if !ok {
+				r = nil
+				break
+			}
+			tu[i] = id
 		}
-		return tu
-	}
-	for _, f := range del {
-		r, err := db.Ensure(f.Pred, len(f.Args))
-		if err != nil {
-			t.Fatal(err)
+		if r != nil {
+			r.Remove(tu)
 		}
-		r.Remove(tup(f))
 	}
 	for _, f := range ins {
 		r, err := db.Ensure(f.Pred, len(f.Args))
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.Add(tup(f))
+		tu := make(relation.Tuple, len(f.Args))
+		for i, a := range f.Args {
+			tu[i] = db.Universe().Intern(a)
+		}
+		r.Add(tu)
 	}
 }
 
@@ -338,6 +344,50 @@ func TestRejectedUpdateLeavesNoTrace(t *testing.T) {
 		}
 		if got, exp := m.State().Format(m.Universe()), want.State.Format(want.Universe); got != exp {
 			t.Errorf("%v: after the accepted update the maintained state is\n%s\na recompute over the acknowledged facts gives\n%s", sem, got, exp)
+		}
+	}
+}
+
+// Deleting an absent fact is a no-op even when the fact names a
+// constant or a predicate the database lacks: the delete interns and
+// creates nothing, so a program that enumerates the universe keeps the
+// model a from-scratch evaluation of the same EDB gives.
+func TestDeleteAbsentFactInternsNothing(t *testing.T) {
+	prog := parser.MustProgram("p(X) :- !q(X).")
+	for _, sem := range []core.Semantics{core.Inflationary, core.Stratified, core.WellFounded} {
+		db := parser.MustFacts("q(a).")
+		m, err := incr.New(prog, db, sem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, del := range []incr.Fact{
+			{Pred: "q", Args: []string{"zzz"}},
+			{Pred: "r", Args: []string{"a"}},
+		} {
+			size, state := m.Universe().Size(), m.State().Format(m.Universe())
+			st, err := m.Update(nil, []incr.Fact{del})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Strategy != "noop" || st.DeletedEDB != 0 || st.InsertedIDB != 0 {
+				t.Errorf("%v, delete %s%v: strategy %s, %d EDB deleted, %d IDB inserted; want a noop", sem, del.Pred, del.Args, st.Strategy, st.DeletedEDB, st.InsertedIDB)
+			}
+			if got := m.Universe().Size(); got != size {
+				t.Errorf("%v, delete %s%v: universe grew from %d to %d constants", sem, del.Pred, del.Args, size, got)
+			}
+			if got := m.State().Format(m.Universe()); got != state {
+				t.Errorf("%v, delete %s%v: state changed from\n%s\nto\n%s", sem, del.Pred, del.Args, state, got)
+			}
+		}
+		if _, ok := m.Snapshot().Rels["r"]; ok {
+			t.Errorf("%v: deleting r(a) created a relation r", sem)
+		}
+		want, err := core.Eval(prog, db, sem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, exp := m.State().Format(m.Universe()), want.State.Format(want.Universe); got != exp {
+			t.Errorf("%v: maintained state\n%s\na from-scratch evaluation gives\n%s", sem, got, exp)
 		}
 	}
 }

@@ -9,9 +9,10 @@ import (
 
 // FuzzMagicRewrite is the native fuzz target for the rewrite: for any
 // parsable program and query atom, Rewrite must never panic, and every
-// successful rewrite must yield a validated program that is
-// stratifiable or explicitly flagged as a fallback — the invariant the
-// per-stratum negation handling promises.
+// successful rewrite must yield a validated, stratifiable program that
+// names no constant the original lacks — the invariant the per-stratum
+// negation handling promises.  Rewrite reports a rewrite that breaks
+// it as an error, so an accepted rewrite that breaks it is a bug.
 //
 // Seed corpus: testdata/fuzz/FuzzMagicRewrite.
 func FuzzMagicRewrite(f *testing.F) {
@@ -46,8 +47,8 @@ func FuzzMagicRewrite(f *testing.F) {
 			t.Fatalf("rewritten program invalid: %v\nprogram:\n%s\nquery: %s\nrewritten:\n%s",
 				err, progSrc, querySrc, rw.Program)
 		}
-		if _, err := rw.Program.Stratify(); err != nil && !rw.Report.Fallback {
-			t.Fatalf("rewritten program unstratifiable without fallback: %v\nprogram:\n%s\nquery: %s\nrewritten:\n%s",
+		if _, err := rw.Program.Stratify(); err != nil {
+			t.Fatalf("rewritten program unstratifiable: %v\nprogram:\n%s\nquery: %s\nrewritten:\n%s",
 				err, progSrc, querySrc, rw.Program)
 		}
 		if rw.Answer == "" {
@@ -56,36 +57,32 @@ func FuzzMagicRewrite(f *testing.F) {
 		// The rewrite must never smuggle query constants into the
 		// program — that is what keeps the (predicate, adornment)
 		// cache sound.
-		if !rw.Report.Fallback {
-			seen := make(map[string]bool)
-			for _, c := range prog.Constants() {
-				seen[c] = true
-			}
-			for _, c := range rw.Program.Constants() {
-				if !seen[c] {
-					t.Fatalf("rewritten program mentions new constant %q\nprogram:\n%s\nquery: %s", c, progSrc, querySrc)
-				}
+		seen := make(map[string]bool)
+		for _, c := range prog.Constants() {
+			seen[c] = true
+		}
+		for _, c := range rw.Program.Constants() {
+			if !seen[c] {
+				t.Fatalf("rewritten program mentions new constant %q\nprogram:\n%s\nquery: %s", c, progSrc, querySrc)
 			}
 		}
 		// Seed agreement: a query matching the prepared pattern always
 		// yields a seed of the right width.
-		if rw.SeedPred != "" {
-			_, args, err := rw.Seed(q)
-			if err != nil {
-				t.Fatalf("Seed failed on the preparing query: %v", err)
+		_, args, err := rw.Seed(q)
+		if err != nil {
+			t.Fatalf("Seed failed on the preparing query: %v", err)
+		}
+		nb := 0
+		for _, b := range rw.Pattern {
+			if b {
+				nb++
 			}
-			nb := 0
-			for _, b := range rw.Pattern {
-				if b {
-					nb++
-				}
-			}
-			if len(args) != nb {
-				t.Fatalf("seed width %d, bound positions %d", len(args), nb)
-			}
-			if !strings.Contains(rw.Program.String(), rw.SeedPred) {
-				t.Fatalf("seed predicate %s unused by the rewritten program", rw.SeedPred)
-			}
+		}
+		if len(args) != nb {
+			t.Fatalf("seed width %d, bound positions %d", len(args), nb)
+		}
+		if !strings.Contains(rw.Program.String(), rw.SeedPred) {
+			t.Fatalf("seed predicate %s unused by the rewritten program", rw.SeedPred)
 		}
 	})
 }

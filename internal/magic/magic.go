@@ -112,15 +112,10 @@ type Decision struct {
 }
 
 // Report is the Explain-style account of a rewrite: which predicates
-// were adorned, which fell back to full evaluation and why.
+// were adorned, which are evaluated in full and why.
 type Report struct {
 	Pred      string
 	Adornment string
-	// Fallback reports that the whole rewrite was abandoned and the
-	// reachable rules are evaluated unrewritten.
-	Fallback bool
-	// Reason explains a fallback.
-	Reason    string
 	Decisions []Decision
 	// Rule counts of the rewritten program.
 	AdornedRules, GuardRules, FullRules int
@@ -130,9 +125,6 @@ type Report struct {
 func (r *Report) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query %s adornment %s\n", r.Pred, r.Adornment)
-	if r.Fallback {
-		fmt.Fprintf(&b, "fallback to full evaluation: %s\n", r.Reason)
-	}
 	fmt.Fprintf(&b, "rules: %d adorned, %d guard, %d full\n",
 		r.AdornedRules, r.GuardRules, r.FullRules)
 	for _, d := range r.Decisions {
@@ -151,15 +143,13 @@ func (r *Report) Format() string {
 // adornment) and reused across queries; seeds are injected per query
 // through the extensional SeedPred relation (see Seed).
 type Rewritten struct {
-	// Program is the rewritten (or, on fallback, reachable-restricted)
-	// program.
+	// Program is the rewritten program.
 	Program *ast.Program
 	// Answer is the predicate of Program holding the query answers;
 	// callers must still filter it by the binding pattern, since magic
 	// sets may over-approximate the demanded bindings.
 	Answer string
-	// SeedPred is the extensional seed predicate; empty on fallback
-	// (no seed is needed: the reachable rules are evaluated in full).
+	// SeedPred is the extensional seed predicate.
 	SeedPred string
 	// Pattern is the binding pattern the rewrite was prepared for.
 	Pattern []bool
@@ -174,8 +164,7 @@ type Rewritten struct {
 
 // Seed returns the seed fact for a concrete query: the seed predicate
 // plus the query constants at bound positions, to be added to the
-// database before evaluating Program.  A nil pred return (empty
-// string) means the rewrite is a fallback and needs no seed.
+// database before evaluating Program.
 func (rw *Rewritten) Seed(q Query) (pred string, args []string, err error) {
 	if len(q.Args) != len(rw.Pattern) {
 		return "", nil, fmt.Errorf("magic: query %s has %d args, rewrite prepared for %d", q.Pred, len(q.Args), len(rw.Pattern))
@@ -217,7 +206,10 @@ type rewriter struct {
 // the given binding pattern.  It returns an error if the program is
 // invalid or unstratifiable, or if pred is not an IDB predicate of the
 // matching arity; extensional predicates need no rewrite (answer them
-// by a direct database probe).
+// by a direct database probe).  A rewrite that would need pred in full,
+// or that loses stratifiability or validity, is an error too: none can
+// happen for a stratifiable program, and a broken rewrite must be
+// reported, never evaluated.
 func Rewrite(prog *ast.Program, pred string, pattern []bool) (*Rewritten, error) {
 	arities, err := prog.Validate()
 	if err != nil {
@@ -253,12 +245,9 @@ func Rewrite(prog *ast.Program, pred string, pattern []bool) (*Rewritten, error)
 	}
 
 	if full[pred] {
-		// The query predicate itself is needed in full (it supports a
-		// negated predicate): nothing to restrict.  In a stratifiable
-		// program this cannot actually happen — it would close a cycle
-		// through negation — but the fallback keeps the contract total.
-		return fallback(prog, pred, pattern, reach, strat,
-			fmt.Sprintf("query predicate %s must be evaluated in full (it supports a negated predicate)", pred))
+		// The query predicate would support a negated predicate it
+		// reaches, closing a cycle through negation.
+		return nil, fmt.Errorf("magic: query predicate %s must be evaluated in full (it supports a negated predicate)", pred)
 	}
 
 	seed := rw.freshName("m_" + pred + "_" + Adornment(pattern) + "_seed")
@@ -311,12 +300,10 @@ func Rewrite(prog *ast.Program, pred string, pattern []bool) (*Rewritten, error)
 	// (negated predicates and their support are untouched), but a
 	// correct program beats a clever one.
 	if _, err := out.Stratify(); err != nil {
-		return fallback(prog, pred, pattern, reach, strat,
-			"rewritten program lost stratifiability: "+err.Error())
+		return nil, fmt.Errorf("magic: rewritten program lost stratifiability: %w", err)
 	}
 	if _, err := out.Validate(); err != nil {
-		return fallback(prog, pred, pattern, reach, strat,
-			"rewritten program failed validation: "+err.Error())
+		return nil, fmt.Errorf("magic: rewritten program failed validation: %w", err)
 	}
 
 	return &Rewritten{
@@ -326,36 +313,6 @@ func Rewrite(prog *ast.Program, pred string, pattern []bool) (*Rewritten, error)
 		Pattern:  append([]bool(nil), pattern...),
 		Consts:   prog.Constants(),
 		Report:   report,
-	}, nil
-}
-
-// fallback builds the no-rewrite result: the rules reachable from the
-// query predicate, evaluated unrewritten.
-func fallback(prog *ast.Program, pred string, pattern []bool, reach map[string]bool, strat *ast.Stratification, reason string) (*Rewritten, error) {
-	var rules []ast.Rule
-	for _, r := range prog.Rules {
-		if reach[r.Head.Pred] {
-			rules = append(rules, r)
-		}
-	}
-	report := &Report{
-		Pred:      pred,
-		Adornment: Adornment(pattern),
-		Fallback:  true,
-		Reason:    reason,
-		FullRules: len(rules),
-	}
-	for _, p := range sortedPreds(reach) {
-		report.Decisions = append(report.Decisions, Decision{
-			Pred: p, Stratum: strat.Level[p], Reason: "fallback",
-		})
-	}
-	return &Rewritten{
-		Program: &ast.Program{Rules: rules},
-		Answer:  pred,
-		Pattern: append([]bool(nil), pattern...),
-		Consts:  prog.Constants(),
-		Report:  report,
 	}, nil
 }
 

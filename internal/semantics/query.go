@@ -124,14 +124,12 @@ func QueryRewritten(rw *magic.Rewritten, work *relation.Database, q magic.Query,
 			}
 		}
 	}
-	if rw.SeedPred != "" {
-		pred, args, err := rw.Seed(q)
-		if err != nil {
-			return nil, err
-		}
-		if err := work.AddFact(pred, args...); err != nil {
-			return nil, err
-		}
+	pred, args, err := rw.Seed(q)
+	if err != nil {
+		return nil, err
+	}
+	if err := work.AddFact(pred, args...); err != nil {
+		return nil, err
 	}
 
 	var res *Result

@@ -79,7 +79,7 @@ type QueryRequest struct {
 }
 
 // QueryResponse answers POST /v1/query.  The demand-driven fields
-// (Adornment, Fallback, Derived, Rounds) are populated only when
+// (Adornment, Derived, Rounds) are populated only when
 // Source is "magic".
 type QueryResponse struct {
 	Pred       string     `json:"pred"`
@@ -88,7 +88,6 @@ type QueryResponse struct {
 	Tuples     [][]string `json:"tuples"`
 	Source     string     `json:"source"`
 	Adornment  string     `json:"adornment,omitempty"`
-	Fallback   bool       `json:"fallback,omitempty"`
 	Derived    int        `json:"derived,omitempty"`
 	Rounds     int        `json:"rounds,omitempty"`
 }

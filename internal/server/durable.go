@@ -79,7 +79,7 @@ type durState struct {
 // (cmd/serve reloads the same facts file); with a snapshot present it
 // is ignored entirely.
 func recoverMaintainer(prog *ast.Program, db *relation.Database, sem core.Semantics, cfg Config) (*incr.Maintainer, *durState, error) {
-	st, info, err := durable.Open(cfg.DataDir, cfg.Fsync, cfg.FsyncInterval)
+	st, info, err := durable.Open(cfg.DataDir, cfg.Fsync, 0)
 	if err != nil {
 		return nil, nil, err
 	}

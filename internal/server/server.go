@@ -69,11 +69,8 @@ type Config struct {
 	// snapshot and replays the WAL suffix (durable.go).  Empty keeps
 	// the server purely in-memory.
 	DataDir string
-	// Fsync is the WAL sync policy (always / interval / off).
+	// Fsync is the WAL sync policy (always / off).
 	Fsync durable.FsyncPolicy
-	// FsyncInterval is the flush period under FsyncInterval policy.
-	// 0 means 1s.
-	FsyncInterval time.Duration
 	// CheckpointBatches checkpoints after this many committed batches.
 	// 0 means 256.
 	CheckpointBatches int
@@ -453,7 +450,6 @@ func (s *Server) handleMagicQuery(w http.ResponseWriter, q QueryRequest) {
 		Tuples:     tuples,
 		Source:     "magic",
 		Adornment:  mq.Adornment(),
-		Fallback:   rw.Report.Fallback,
 		Derived:    res.Stats.Tuples,
 		Rounds:     res.Stats.Rounds,
 	})

@@ -28,7 +28,6 @@ type queryResp struct {
 	Tuples     [][]string `json:"tuples"`
 	Source     string     `json:"source"`
 	Adornment  string     `json:"adornment"`
-	Fallback   bool       `json:"fallback"`
 	Generation uint64     `json:"generation"`
 }
 
