@@ -70,104 +70,110 @@ type Delta struct {
 // planner starts from the (small) filter set and evaluates the body
 // with the head variables bound.
 func (in *Instance) withinTasks(within map[string]*relation.Relation) []evalTask {
-	var tasks []evalTask
-	for _, rp := range in.plans {
+	filter := func(rp *rulePlan) *relation.Relation {
 		if f := within[rp.headPred]; f != nil && !f.Empty() {
-			rp2, lit := withLit(rp, litPlan{pred: rp.headPred, slots: rp.headSlots})
-			tasks = append(tasks, evalTask{rp: rp2, pos: map[int]Overlay{lit: {Base: f}}, driver: lit})
+			return f
+		}
+		return nil
+	}
+	nt, no := 0, 0
+	for _, rp := range in.plans {
+		if filter(rp) != nil {
+			nt, no = nt+1, no+len(rp.positives)+1
+		}
+	}
+	tasks, ovs := make([]evalTask, 0, nt), make([]Overlay, no)
+	for _, rp := range in.plans {
+		if f := filter(rp); f != nil {
+			lit := len(rp.positives)
+			pos := ovs[: lit+1 : lit+1]
+			ovs = ovs[lit+1:]
+			pos[lit] = Overlay{Base: f}
+			tasks = append(tasks, evalTask{rp: rp.variant(len(rp.negatives)), pos: pos, driver: lit})
 		}
 	}
 	return tasks
 }
 
-// withLit returns a copy of rp with l appended to its positive
-// literals, and l's index there; rp itself is left untouched.
-func withLit(rp *rulePlan, l litPlan) (*rulePlan, int) {
-	rp2 := *rp
+// variant returns a delta variant of rp, built on its first use and
+// kept: for k < len(rp.negatives) the rule with its k-th negated literal
+// evaluated as a positive join (its relation supplied by an override)
+// and dropped from the negation checks; for k = len(rp.negatives) the
+// rule with its head appended as a positive literal (the Within
+// filter).  Either way the new literal is the last positive one.
+func (rp *rulePlan) variant(k int) *rulePlan {
+	p := &rp.variants[k]
+	if v := p.Load(); v != nil {
+		return v
+	}
 	n := len(rp.positives)
-	rp2.positives = append(rp.positives[:n:n], l)
-	return &rp2, n
+	v := &rulePlan{src: rp.src, headPred: rp.headPred, headSlots: rp.headSlots, nvars: rp.nvars, varNames: rp.varNames,
+		positives: append(rp.positives[:n:n], litPlan{pred: rp.headPred, slots: rp.headSlots}),
+		negatives: rp.negatives, cmps: rp.cmps}
+	if k < len(rp.negatives) {
+		v.positives[n] = rp.negatives[k]
+		v.negatives = append(rp.negatives[:k:k], rp.negatives[k+1:]...)
+	}
+	p.CompareAndSwap(nil, v)
+	return p.Load()
 }
 
-// flipNeg returns a variant of rp where the j-th negated literal is
-// evaluated as a positive join (its relation supplied by an override on
-// the returned literal index) and dropped from the negation checks.
-func flipNeg(rp *rulePlan, j int) (*rulePlan, int) {
-	rp2, lit := withLit(rp, rp.negatives[j])
-	rp2.negatives = append(rp.negatives[:j:j], rp.negatives[j+1:]...)
-	return rp2, lit
+// driverAt returns the delta driving rp's literal position r, nil when
+// none does.  Positions are ranked positives-then-negatives in body
+// order.
+func driverAt(rp *rulePlan, deltas map[string]Delta, r int) *relation.Relation {
+	if np := len(rp.positives); r >= np {
+		return deltas[rp.negatives[r-np].pred].NegDriver
+	}
+	return deltas[rp.positives[r].pred].PosDriver
 }
 
 // deltaTasks compiles the (rule, driver-position) variants of a delta
-// pass.  Positions are ranked positives-then-negatives in body order;
-// the variant with its driver at rank v overrides earlier positive
-// delta-predicate positions with their Before relations and later ones
-// with After, and every negated one with AfterNeg, nil falling through
-// as documented on Delta.
+// pass.  The variant with its driver at rank r overrides earlier
+// positive delta-predicate positions with their Before relations and
+// later ones with After, and every negated one with AfterNeg, nil
+// falling through as documented on Delta.  The pass's overrides are
+// windows of one slice, sized before it is filled.
 func (in *Instance) deltaTasks(deltas map[string]Delta) []evalTask {
-	var tasks []evalTask
+	nt, no := 0, 0
 	for _, rp := range in.plans {
-		type driver struct {
-			flip bool // negated-literal driver
-			idx  int  // literal index within its kind
-			rank int  // global position rank
-		}
-		var drivers []driver
-		for i, lp := range rp.positives {
-			if d, ok := deltas[lp.pred]; ok && d.PosDriver != nil {
-				drivers = append(drivers, driver{idx: i, rank: i})
+		w := len(rp.positives) + len(rp.negatives)
+		for r := 0; r < w; r++ {
+			if driverAt(rp, deltas, r) != nil {
+				nt, no = nt+1, no+w
 			}
 		}
-		for j, np := range rp.negatives {
-			if d, ok := deltas[np.pred]; ok && d.NegDriver != nil {
-				drivers = append(drivers, driver{flip: true, idx: j, rank: len(rp.positives) + j})
+	}
+	tasks, ovs := make([]evalTask, 0, nt), make([]Overlay, no)
+	for _, rp := range in.plans {
+		np, w := len(rp.positives), len(rp.positives)+len(rp.negatives)
+		for r := 0; r < w; r++ {
+			drv := driverAt(rp, deltas, r)
+			if drv == nil {
+				continue
 			}
-		}
-		for _, dv := range drivers {
-			rp2, driverLit := rp, dv.idx // driverLit: positive-literal index of the driver
-			if dv.flip {
-				rp2, driverLit = flipNeg(rp, dv.idx)
+			t := evalTask{rp: rp, driver: r}
+			if r >= np { // a negated-literal driver: a flipped variant, still w literals
+				t.rp, t.driver = rp.variant(r-np), np
 			}
-			posOv := make(map[int]Overlay)
-			negOv := make(map[int]Overlay)
-			for i, lp := range rp.positives {
-				d, ok := deltas[lp.pred]
-				if !ok {
-					continue
-				}
+			k := len(t.rp.positives)
+			t.pos, t.neg = ovs[:k:k], ovs[k:w:w]
+			ovs = ovs[w:]
+			for i, lp := range t.rp.positives {
+				d := deltas[lp.pred]
 				switch {
-				case !dv.flip && i == dv.idx:
-					posOv[i] = Overlay{Base: d.PosDriver}
-				case i < dv.rank:
-					if r := coalesce(d.Before, d.After); r.Base != nil {
-						posOv[i] = r
-					}
+				case i == t.driver:
+					t.pos[i] = Overlay{Base: drv}
+				case i < r:
+					t.pos[i] = coalesce(d.Before, d.After)
 				default:
-					if d.After.Base != nil {
-						posOv[i] = d.After
-					}
+					t.pos[i] = d.After
 				}
 			}
-			for j, np := range rp.negatives {
-				if dv.flip && j == dv.idx {
-					continue
-				}
-				d, ok := deltas[np.pred]
-				if !ok {
-					continue
-				}
-				j2 := j
-				if dv.flip && j > dv.idx {
-					j2 = j - 1
-				}
-				if d.AfterNeg.Base != nil {
-					negOv[j2] = d.AfterNeg
-				}
+			for j, nl := range t.rp.negatives {
+				t.neg[j] = deltas[nl.pred].AfterNeg
 			}
-			if dv.flip {
-				posOv[driverLit] = Overlay{Base: deltas[rp.negatives[dv.idx].pred].NegDriver}
-			}
-			tasks = append(tasks, evalTask{rp: rp2, pos: posOv, neg: negOv, driver: driverLit})
+			tasks = append(tasks, t)
 		}
 	}
 	return tasks

@@ -20,20 +20,29 @@ import (
 // in it are dropped at emit time (a read-only membership probe fused
 // into the insert, see Relation.AddNotIn), so a frontier pass returns
 // exactly the genuinely-new tuples without a derived state or a Diff.
+//
+// probe holds each join's probe values at the join's probeOff, so the
+// shared compiled plan carries no per-run state; shardLit is the
+// literal whose enumeration the task restricts to the arena range
+// [shardLo, shardHi), -1 when the task is unsharded.
 type evalCtx struct {
-	pos     []Overlay
-	neg     []Overlay
-	out     *relation.Relation
-	cur     *relation.Relation
-	usize   int
-	headBuf relation.Tuple
-	negBuf  relation.Tuple
+	pos              []Overlay
+	neg              []Overlay
+	out              *relation.Relation
+	cur              *relation.Relation
+	usize            int
+	headBuf          relation.Tuple
+	negBuf           relation.Tuple
+	probe            []int
+	shardLit         int
+	shardLo, shardHi int32
 }
 
 // evalTask is one unit of parallel work: a rule plan plus optional
-// per-literal source overrides (the delta and Within tasks).  pos[i]
-// overrides what the i-th positive literal reads, neg[j] what the j-th
-// negated literal is checked against.
+// per-literal source overrides (the delta and Within tasks).  pos[i],
+// when its Base is set, overrides what the i-th positive literal reads,
+// neg[j] what the j-th negated literal is checked against; either slice
+// may be shorter than the rule's literals, nil for none.
 //
 // driver is the positive-literal index whose relation drives the task
 // (a delta, or the Within filter); -1 when the task has no
@@ -43,8 +52,8 @@ type evalCtx struct {
 // means the task is unsharded.
 type evalTask struct {
 	rp               *rulePlan
-	pos              map[int]Overlay
-	neg              map[int]Overlay
+	pos              []Overlay
+	neg              []Overlay
 	driver           int
 	shardLit         int
 	shardLo, shardHi int32
@@ -82,20 +91,23 @@ type Spec struct {
 // while deriving, so it is the paper's simultaneous operator.
 func (in *Instance) Apply(s State) State { return in.Eval(Spec{Pos: s}) }
 
-// Eval runs the pass sp describes and returns its derivations.  Rule
-// plans are evaluated concurrently across a worker pool (see runPool);
-// each worker derives into a private state, and the outputs are merged
-// by set union into the first, so the result is bit-exact regardless of
-// worker count or scheduling order.  Every other worker output is
-// dropped as soon as its ids are copied.  Input states are only read:
-// lazy index construction inside Relation is internally synchronized.
-// Eval panics if sp sets both Deltas and Within.
+// Eval runs the pass sp describes and returns its derivations.  A
+// small pass runs on the calling goroutine into one output (see
+// InlineFloor); a larger one is evaluated across a worker pool (see
+// runPool).  Input states are only read: lazy index construction inside
+// Relation is internally synchronized.  Eval panics if sp sets both
+// Deltas and Within.
 func (in *Instance) Eval(sp Spec) State {
-	wos := in.runPool(sp)
-	out := wos[0].out
-	for _, wo := range wos[1:] {
-		out.UnionWith(wo.out)
-		wo.out = nil
+	if sp.Neg == nil {
+		sp.Neg = sp.Pos
+	}
+	tasks, nw := in.schedule(in.tasks(sp), sp.Pos)
+	if nw > 1 {
+		return in.runPool(sp, tasks, nw)
+	}
+	out := in.newOut(sp, 1)
+	for _, t := range tasks {
+		in.evalRule(t, &sp, out)
 	}
 	return out
 }
@@ -138,13 +150,6 @@ func (in *Instance) tasks(sp Spec) []evalTask {
 	return tasks
 }
 
-// workerOut is one worker's private derivation output, sized for the
-// worker's share of the expected delta (see newWorkerOut).
-type workerOut struct {
-	out     State
-	against State // frontier filter, nil when the pass keeps everything
-}
-
 // InlineFloor is the driver work below which a pass runs on the calling
 // goroutine: no worker goroutines, no shards, one output and no merge.
 // A pass's driver work is the number of tuples its tasks enumerate
@@ -168,69 +173,66 @@ const InlineFloor = 4096
 // it.
 var scratchPool sync.Pool
 
-// newWorkerOut builds the output of one of nw workers, presized for the
+// newOut builds the output of one of nw workers, presized for the
 // worker's share of each hinted predicate: 1/nw of the expected
 // cardinality.
-func (in *Instance) newWorkerOut(sp Spec, nw int) *workerOut {
-	wo := &workerOut{out: in.NewState(), against: sp.Against}
-	for pred, r := range wo.out {
-		r.ReserveHint(sp.hints[pred] / nw)
+func (in *Instance) newOut(sp Spec, nw int) State {
+	out := in.NewState()
+	for pred, n := range sp.hints {
+		if r := out[pred]; r != nil {
+			r.ReserveHint(n / nw)
+		}
 	}
-	return wo
+	return out
 }
 
-// runPool evaluates the tasks of sp and returns the per-worker outputs.
-// A pass whose driver work is under InlineFloor, or that has one task
-// and no shards, or a process with GOMAXPROCS 1, runs on the calling
-// goroutine into a single output.  Otherwise the tasks are distributed
-// over a pool of GOMAXPROCS goroutines, each deriving into a private
-// output; with fewer tasks than workers, tasks are first split into
-// arena-range shards of their driver relation (see expandShards), so
-// even a two-rule program keeps every core busy.
-func (in *Instance) runPool(sp Spec) []*workerOut {
-	tasks := in.tasks(sp)
-	pos, neg := sp.Pos, sp.Neg
-	if neg == nil {
-		neg = pos
-	}
+// schedule decides once per pass where its tasks run: it returns the
+// tasks and the number of workers, 1 for the calling goroutine.  A pass
+// whose driver work is under InlineFloor, or that has one task and no
+// shards, or a process with GOMAXPROCS 1, runs inline.  Otherwise the
+// pool is GOMAXPROCS wide; with fewer tasks than workers, tasks are
+// first split into arena-range shards of their driver relation (see
+// expandShards), so even a two-rule program keeps every core busy.
+func (in *Instance) schedule(tasks []evalTask, pos State) ([]evalTask, int) {
 	nw := runtime.GOMAXPROCS(0)
 	if nw > 1 && in.driverWork(tasks, pos) < InlineFloor {
-		nw = 1
+		return tasks, 1
 	}
 	if nw > len(tasks) && len(tasks) > 0 {
 		tasks = in.expandShards(tasks, pos, nw)
 	}
-	if nw > len(tasks) {
-		nw = len(tasks)
-	}
-	if nw <= 1 {
-		wo := in.newWorkerOut(sp, 1)
-		for _, t := range tasks {
-			in.evalRule(t, pos, neg, wo)
-		}
-		return []*workerOut{wo}
-	}
+	return tasks, min(nw, len(tasks))
+}
 
-	wos := make([]*workerOut, nw)
+// runPool evaluates tasks on nw goroutines, each deriving into a
+// private output, and merges the outputs by set union into the first,
+// so the result is bit-exact regardless of worker count or scheduling
+// order.  Every other output is dropped as soon as its ids are copied.
+func (in *Instance) runPool(sp Spec, tasks []evalTask, nw int) State {
+	outs := make([]State, nw)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(nw)
 	for w := 0; w < nw; w++ {
 		go func(w int) {
 			defer wg.Done()
-			wo := in.newWorkerOut(sp, nw)
+			out := in.newOut(sp, nw)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(tasks) {
 					break
 				}
-				in.evalRule(tasks[i], pos, neg, wo)
+				in.evalRule(tasks[i], &sp, out)
 			}
-			wos[w] = wo
+			outs[w] = out
 		}(w)
 	}
 	wg.Wait()
-	return wos
+	for w := 1; w < nw; w++ {
+		outs[0].UnionWith(outs[w])
+		outs[w] = nil
+	}
+	return outs[0]
 }
 
 // driverWork is a pass's driver work (see InlineFloor): the tuples of
@@ -253,13 +255,16 @@ func (in *Instance) IsFixpoint(s State) bool {
 }
 
 // evalScratch is the reusable per-rule evaluation state: the context
-// struct, its scratch tuples and source slices, and the variable
-// binding array.  evalRule checks one out of the instance's pool per
-// call and returns it cleared, so the steady state of a fixpoint loop
-// allocates nothing here regardless of round count.
+// struct, its scratch tuples and source slices, the variable binding
+// array, and the planner's bound set, used set and join order.
+// evalRule checks one out of the pool per call and returns it cleared,
+// so the steady state of a fixpoint loop allocates nothing here
+// regardless of round count.
 type evalScratch struct {
-	ctx     evalCtx
-	binding []int
+	ctx         evalCtx
+	binding     []int
+	bound, used []bool
+	order       []int
 }
 
 // growSlice resizes a scratch slice to n, reallocating only past the
@@ -283,6 +288,9 @@ func (in *Instance) getScratch(rp *rulePlan, maxNeg int) *evalScratch {
 	sc.ctx.pos = growSlice(sc.ctx.pos, len(rp.positives))
 	sc.ctx.neg = growSlice(sc.ctx.neg, len(rp.negatives))
 	sc.binding = growSlice(sc.binding, rp.nvars)
+	sc.bound = growSlice(sc.bound, rp.nvars)
+	sc.used = growSlice(sc.used, len(rp.positives))
+	sc.order = growSlice(sc.order, len(rp.positives))
 	for i := range sc.binding {
 		sc.binding[i] = -1
 	}
@@ -303,10 +311,10 @@ func (in *Instance) putScratch(sc *evalScratch) {
 	scratchPool.Put(sc)
 }
 
-// evalRule evaluates one task's rule plan.  posState resolves positive
-// IDB literals, negState negated ones, unless the task overrides the
-// literal (see source).
-func (in *Instance) evalRule(task evalTask, posState, negState State, wo *workerOut) {
+// evalRule evaluates one task's rule plan into out: sp.Pos resolves
+// positive IDB literals, sp.Neg negated ones, unless the task overrides
+// the literal (see source).
+func (in *Instance) evalRule(task evalTask, sp *Spec, out State) {
 	rp := task.rp
 	maxNeg := 0
 	for _, np := range rp.negatives {
@@ -317,24 +325,26 @@ func (in *Instance) evalRule(task evalTask, posState, negState State, wo *worker
 	sc := in.getScratch(rp, maxNeg)
 	ctx := &sc.ctx
 	ctx.usize = in.db.Universe().Size()
-	ctx.out = wo.out[rp.headPred]
-	if wo.against != nil {
-		ctx.cur = wo.against[rp.headPred]
+	ctx.out = out[rp.headPred]
+	if sp.Against != nil {
+		ctx.cur = sp.Against[rp.headPred]
 	}
 	for i, lp := range rp.positives {
-		ctx.pos[i] = in.source(task.pos, i, lp, posState)
+		ctx.pos[i] = in.source(task.pos, i, lp, sp.Pos)
 	}
 	for i, np := range rp.negatives {
-		ctx.neg[i] = in.source(task.neg, i, np, negState)
+		ctx.neg[i] = in.source(task.neg, i, np, sp.Neg)
 	}
-	// Plan against the resolved relations: the planner sees the actual
-	// sizes of this task's sources (deltas included), so join orders are
-	// re-costed every round.
-	shardLit := -1
+	ctx.shardLit, ctx.shardLo, ctx.shardHi = -1, 0, 0
 	if task.shardHi > 0 {
-		shardLit = task.shardLit
+		ctx.shardLit, ctx.shardLo, ctx.shardHi = task.shardLit, task.shardLo, task.shardHi
 	}
-	ep := buildExec(rp, ctx.pos, shardLit, task.shardLo, task.shardHi)
+	// Order against the resolved relations: the planner sees the actual
+	// sizes of this task's sources (deltas included), so join orders are
+	// re-costed every round; the order's compiled plan is cached.
+	joinOrder(rp, ctx.pos, ctx.shardLit, sc.bound, sc.used, sc.order)
+	ep := rp.plan(sc.order)
+	ctx.probe = growSlice(ctx.probe, ep.nprobe)
 	in.run(rp, ctx, ep, 0, sc.binding)
 	in.putScratch(sc)
 }
@@ -418,24 +428,29 @@ func (in *Instance) run(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bindin
 func (in *Instance) runJoin(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int) {
 	je := ep.steps[si].join
 	src := ctx.pos[je.lit]
+	vals := ctx.probe[je.probeOff : je.probeOff+len(je.probeCols)]
 	for i, s := range je.probeSrc {
-		je.probeVals[i] = slotValue(s, binding)
+		vals[i] = slotValue(s, binding)
 	}
-	in.joinRel(rp, ctx, ep, si, binding, src.Base, src.Minus, je.shardLo, je.shardHi)
+	var lo, hi int32
+	if je.lit == ctx.shardLit {
+		lo, hi = ctx.shardLo, ctx.shardHi
+	}
+	in.joinRel(rp, ctx, ep, si, binding, src.Base, src.Minus, vals, lo, hi)
 	// Shard ranges partition the base's arena; the first shard takes Plus.
-	if src.Plus != nil && je.shardLo == 0 {
-		in.joinRel(rp, ctx, ep, si, binding, src.Plus, nil, 0, 0)
+	if src.Plus != nil && lo == 0 {
+		in.joinRel(rp, ctx, ep, si, binding, src.Plus, nil, vals, 0, 0)
 	}
 }
 
 // joinRel enumerates rel's candidates for a join step whose probe
-// values are filled in — by one membership probe when every column is
+// values are vals — by one membership probe when every column is
 // bound, through the step's index probe when some are, by arena scan
 // otherwise — restricted to the arena offsets [lo, hi) unless hi is 0,
 // skipping the tuples minus holds.  The per-tuple work is the step's
 // compiled micro-op array; together with the probe this loop performs
 // no allocation (see BenchmarkJoinAllocs).
-func (in *Instance) joinRel(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int, rel, minus *relation.Relation, lo, hi int32) {
+func (in *Instance) joinRel(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int, rel, minus *relation.Relation, vals []int, lo, hi int32) {
 	if rel.Empty() {
 		return
 	}
@@ -445,13 +460,13 @@ func (in *Instance) joinRel(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bi
 			// The probe names the whole tuple: the relation's own key table
 			// answers it, where an index on every column would hold one
 			// bucket per tuple.
-			off := rel.OffsetOf(je.probeVals)
+			off := rel.OffsetOf(vals)
 			if off >= 0 && (hi == 0 || (off >= lo && off < hi)) && (minus == nil || !minus.Has(rel.At(off))) {
 				in.matchTuple(rp, ctx, ep, si, binding, je, rel.At(off))
 			}
 			return
 		}
-		offs := rel.LookupCols(je.probeCols, je.probeVals)
+		offs := rel.LookupCols(je.probeCols, vals)
 		if hi > 0 {
 			offs = relation.OffsetsInRange(offs, lo, hi)
 		}

@@ -165,9 +165,9 @@ var partsPrograms = []string{
 
 // TestPropPartsMatchUnpartitioned checks the pool's split of one
 // semi-naive pass: over random databases, a pass whose driver delta is
-// over InlineFloor comes back from runPool as one part per worker, and
-// the parts union to exactly the single-part pass of a one-worker
-// instance — through Eval's merge and with Against alike.
+// over InlineFloor is scheduled on every worker, and the merged parts
+// are exactly the single-part pass of a one-worker instance — with
+// Against alike.
 func TestPropPartsMatchUnpartitioned(t *testing.T) {
 	const n = 72 // 7/8 of the n² pairs is well over InlineFloor
 	for seed := int64(0); seed < 3; seed++ {
@@ -203,15 +203,10 @@ func TestPropPartsMatchUnpartitioned(t *testing.T) {
 				if w := in.driverWork(in.tasks(sp), cur); w < InlineFloor {
 					t.Fatalf("seed %d: fixture drives %d tuples, under InlineFloor", seed, w)
 				}
-				parts := in.runPool(sp)
-				if len(parts) != nw {
-					t.Fatalf("seed %d workers %d: got %d parts\nprogram:\n%s", seed, nw, len(parts), src)
+				if _, w := in.schedule(in.tasks(sp), cur); w != nw {
+					t.Fatalf("seed %d workers %d: scheduled on %d workers\nprogram:\n%s", seed, nw, w, src)
 				}
-				got := in.NewState()
-				for _, p := range parts {
-					got.UnionWith(p.out)
-				}
-				if !got.Equal(want) {
+				if got := in.Eval(sp); !got.Equal(want) {
 					t.Fatalf("seed %d workers %d: parts differ from the one-worker pass\nprogram:\n%s", seed, nw, src)
 				}
 				fr := sp
@@ -254,8 +249,8 @@ func TestApplyDeltasFrontierParts(t *testing.T) {
 	for _, nw := range []int{1, 4} {
 		setProcs(t, nw)
 		in := MustNew(prog, db.Clone())
-		if parts := in.runPool(sp); len(parts) != nw {
-			t.Fatalf("workers %d: got %d parts", nw, len(parts))
+		if _, w := in.schedule(in.tasks(sp), cur); w != nw {
+			t.Fatalf("workers %d: scheduled on %d workers", nw, w)
 		}
 		if got := in.Eval(sp); !got.Equal(want) {
 			t.Fatalf("workers %d: maintenance round differs from the unfiltered pass minus the state", nw)

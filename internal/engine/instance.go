@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/relation"
@@ -27,10 +28,11 @@ type cmpPlan struct {
 	left, right slot
 }
 
-// rulePlan is a rule compiled against a specific universe.  Ordering
-// and access-path selection are not part of the compiled form: they
-// happen per evaluation task in planner.go, where the planner can see
-// the concrete relations (and hence sizes) each literal reads.
+// rulePlan is a rule compiled against a specific universe.  The join
+// order is not part of the compiled form: it is chosen per evaluation
+// task in planner.go, where the planner can see the concrete relations
+// (and hence sizes) each literal reads, and the plan compiled for each
+// order met is cached here.
 type rulePlan struct {
 	src       ast.Rule
 	headPred  string
@@ -40,6 +42,9 @@ type rulePlan struct {
 	positives []litPlan
 	negatives []litPlan
 	cmps      []cmpPlan
+
+	plans    atomic.Pointer[[]*execPlan] // compiled plans by join order (planner.go)
+	variants []atomic.Pointer[rulePlan]  // delta variants, built on first use (delta.go)
 }
 
 // Instance binds a validated program to a database, compiling every
@@ -52,6 +57,7 @@ type Instance struct {
 	db      *relation.Database
 	arities map[string]int
 	idb     map[string]bool
+	idbList []string // the IDB predicates, sorted: NewState walks no map
 	plans   []*rulePlan
 	empties map[int]*relation.Relation // canonical empty relation per arity
 }
@@ -76,6 +82,7 @@ func New(prog *ast.Program, db *relation.Database) (*Instance, error) {
 		db:      db,
 		arities: arities,
 		idb:     prog.IDB(),
+		idbList: prog.IDBList(),
 		empties: make(map[int]*relation.Relation),
 	}
 	// Canonical empty relations are precomputed for every program
@@ -133,8 +140,8 @@ func (in *Instance) IDBPreds() []string { return in.prog.IDBList() }
 // NewState returns a state with an empty relation for every IDB
 // predicate.
 func (in *Instance) NewState() State {
-	s := make(State)
-	for pred := range in.idb {
+	s := make(State, len(in.idbList))
+	for _, pred := range in.idbList {
 		s[pred] = relation.New(in.arities[pred])
 	}
 	return s
@@ -145,9 +152,9 @@ func (in *Instance) NewState() State {
 // database for an EDB predicate and s for an IDB one — the canonical
 // empty relation when either lacks the predicate.  It is called from
 // evaluation workers and therefore only reads.
-func (in *Instance) source(over map[int]Overlay, i int, l litPlan, s State) Overlay {
-	if o := over[i]; o.Base != nil {
-		return o
+func (in *Instance) source(over []Overlay, i int, l litPlan, s State) Overlay {
+	if i < len(over) && over[i].Base != nil {
+		return over[i]
 	}
 	var r *relation.Relation
 	if l.idb {
@@ -203,5 +210,6 @@ func (in *Instance) compile(r ast.Rule) *rulePlan {
 			rp.cmps = append(rp.cmps, cmpPlan{neq: true, left: mkSlot(l.Left), right: mkSlot(l.Right)})
 		}
 	}
+	rp.variants = make([]atomic.Pointer[rulePlan], len(rp.negatives)+1)
 	return rp
 }

@@ -190,9 +190,9 @@ func TestSmallPassRunsInline(t *testing.T) {
 			delta.Add(relation.Tuple{i, i})
 		}
 		s := State{"s": delta}
-		wos := in.runPool(Spec{Pos: s, Deltas: map[string]Delta{"s": {PosDriver: delta}}})
-		if inline := len(wos) == 1; inline != c.inline {
-			t.Errorf("%d driver tuples: %d worker outputs, want inline %v", c.n, len(wos), c.inline)
+		_, nw := in.schedule(in.tasks(Spec{Pos: s, Deltas: map[string]Delta{"s": {PosDriver: delta}}}), s)
+		if inline := nw == 1; inline != c.inline {
+			t.Errorf("%d driver tuples: %d workers, want inline %v", c.n, nw, c.inline)
 		}
 	}
 }

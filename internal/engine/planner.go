@@ -1,15 +1,18 @@
 // planner.go — ordering and access-path selection for rule bodies.
 //
-// Planning happens at evaluation time, once per (rule, task): the
-// planner sees the actual relations each positive literal will read —
-// including the small delta relations substituted by the semi-naive
-// variants — so join orders are re-costed every fixpoint round.  Each
-// chosen join is compiled into an access path (a membership probe when
-// every argument position is bound, else the widest composite index
-// covering the bound ones, or a scan) plus a flat
-// array of bind/check micro-ops executed per candidate tuple; the
-// micro-ops replace the generic per-tuple matching closure, so the
-// probe loop allocates nothing.
+// The join order is chosen per pass, once per (rule, task): the planner
+// sees the actual relations each positive literal will read — including
+// the small delta relations substituted by the semi-naive variants — so
+// join orders are re-costed every fixpoint round.  The compiled plan is
+// a function of the order alone and is cached on the rule per order, so
+// a pass that picks an order an earlier pass picked compiles nothing.
+// Each join of a plan is an access path (a membership probe when every
+// argument position is bound, else the widest composite index covering
+// the bound ones, or a scan) plus a flat array of bind/check micro-ops
+// executed per candidate tuple; the micro-ops replace the generic
+// per-tuple matching closure, so the probe loop allocates nothing.
+// A plan holds no per-run state — probe values and shard ranges live in
+// the run's scratch — so the pool's workers share it.
 //
 // The cost model is the textbook independence estimate: joining a
 // literal whose relation holds |R| tuples with bound columns B is
@@ -27,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/relation"
 )
@@ -51,11 +55,19 @@ type execStep struct {
 	join *joinExec
 }
 
-// execPlan is a rule body ordered and compiled against the concrete
-// relations of one evaluation task.
+// execPlan is a rule body ordered and compiled for one join order of
+// its positive literals.  It is written only while it is built; the
+// pool's workers then share it from the rule's cache.
 type execPlan struct {
-	steps []execStep
+	order  []int // positive-literal indexes in join order: the cache key
+	steps  []execStep
+	nprobe int // probe values of all joins: the scratch a run needs
 }
+
+// maxPlans caps a rule's plan cache.  A body of k positive literals has
+// k! join orders; the planner meets few of them, and past the cap a
+// plan is compiled per pass instead of lengthening every lookup.
+const maxPlans = 16
 
 // opKind enumerates the per-tuple micro-ops of a join.
 type opKind uint8
@@ -79,16 +91,10 @@ type joinExec struct {
 	lit       int      // index into rulePlan.positives
 	probeCols []int    // bound columns probed via an index; empty = scan
 	probeSrc  []slot   // value sources for probeCols
-	probeVals []int    // scratch buffer filled per execution
+	probeOff  int      // where the probe values sit in the run's scratch
 	member    bool     // probeCols is every column: one membership probe, no index
 	ops       []joinOp // per-tuple micro-ops, in column order
 	bindVars  []int    // variables newly bound by this literal
-	relLen    int      // relation size at plan time (for explain)
-	est       float64  // estimated matching tuples (for cost/explain)
-	// shardLo/shardHi restrict the literal's enumeration to the arena
-	// offsets [shardLo, shardHi) — one shard of an intra-rule split.
-	// shardHi == 0 means the whole relation.
-	shardLo, shardHi int32
 }
 
 // estimateJoin scores a candidate join under the current bound set:
@@ -112,9 +118,9 @@ func estimateJoin(rel *relation.Relation, lp litPlan, bound []bool) float64 {
 // compileJoin lowers one join into an access path plus micro-ops:
 // every bound column joins the composite-index probe, unbound variables
 // compile to binds on first occurrence and checks on repeats.
-func compileJoin(rp *rulePlan, lit int, rel *relation.Relation, bound []bool) *joinExec {
+func compileJoin(rp *rulePlan, lit int, bound []bool) *joinExec {
 	lp := rp.positives[lit]
-	je := &joinExec{lit: lit, relLen: rel.Len(), est: estimateJoin(rel, lp, bound)}
+	je := &joinExec{lit: lit}
 	newly := make([]bool, rp.nvars)
 	for j, s := range lp.slots {
 		switch {
@@ -129,10 +135,7 @@ func compileJoin(rp *rulePlan, lit int, rel *relation.Relation, bound []bool) *j
 			je.bindVars = append(je.bindVars, s.val)
 		}
 	}
-	if len(je.probeCols) > 0 {
-		je.probeVals = make([]int, len(je.probeCols))
-		je.member = len(je.probeCols) == len(lp.slots)
-	}
+	je.member = len(je.probeCols) > 0 && len(je.probeCols) == len(lp.slots)
 	return je
 }
 
@@ -140,15 +143,26 @@ func compileJoin(rp *rulePlan, lit int, rel *relation.Relation, bound []bool) *j
 // first under an empty binding — the enumeration that drives the whole
 // rule, and therefore the literal an intra-rule shard split partitions
 // when no semi-naive delta identifies the driver.  It replicates the
-// first iteration of buildExec's join phase exactly.
+// first pick of joinOrder exactly.
 func firstJoinPick(rp *rulePlan, rels []Overlay) int {
 	return cheapestJoin(rp, rels, make([]bool, rp.nvars), nil)
 }
 
 // cheapestJoin returns the unused positive literal with the smallest
 // estimate under the bound set (ties to program order), -1 when none
-// is left.
+// is left.  A lone candidate wins whatever its estimate, so it is not
+// estimated: the estimate's Distinct can build an index on a fresh
+// delta just to compare one candidate with nothing.
 func cheapestJoin(rp *rulePlan, rels []Overlay, bound, used []bool) int {
+	best, left := -1, 0
+	for i := range rp.positives {
+		if used == nil || !used[i] {
+			best, left = i, left+1
+		}
+	}
+	if left <= 1 {
+		return best
+	}
 	best, bestCost := -1, math.Inf(1)
 	for i, lp := range rp.positives {
 		if used != nil && used[i] {
@@ -161,23 +175,79 @@ func cheapestJoin(rp *rulePlan, rels []Overlay, bound, used []bool) int {
 	return best
 }
 
-// buildExec orders the rule body into an executable plan against the
-// concrete sources rels (parallel to rp.positives) and compiles each
-// join; an overlaid source is costed by its base relation, whose
-// statistics and indexes the join then uses.
+// joinOrder writes into order (one entry per positive literal) the join
+// order the greedy planner picks against the concrete sources rels
+// (parallel to rp.positives); an overlaid source is costed by its base
+// relation, whose statistics and indexes the join then uses.  bound and
+// used are scratch of rp.nvars and len(rp.positives) entries.
 //
 // When the evaluation task is one shard of an intra-rule split, shard
-// names the literal whose enumeration is restricted to the arena range
-// [shardLo, shardHi): that literal is forced to the front of the join
-// order (the split partitions the rule's driving enumeration, so every
-// derivation belongs to exactly one shard) and its compiled join carries
-// the range.  shard < 0 compiles the unrestricted plan.
-func buildExec(rp *rulePlan, rels []Overlay, shard int, shardLo, shardHi int32) *execPlan {
+// names the literal whose enumeration the shard restricts: it is forced
+// to the front (the split partitions the rule's driving enumeration, so
+// every derivation belongs to exactly one shard).  shard < 0 forces
+// nothing.
+func joinOrder(rp *rulePlan, rels []Overlay, shard int, bound, used []bool, order []int) {
+	clear(bound)
+	clear(used)
+	for k := range order {
+		best := shard
+		if k > 0 || shard < 0 {
+			best = cheapestJoin(rp, rels, bound, used)
+		}
+		used[best] = true
+		order[k] = best
+		bindSlots(bound, rp.positives[best].slots)
+	}
+}
+
+// bindSlots marks the variables among slots bound.
+func bindSlots(bound []bool, slots []slot) {
+	for _, s := range slots {
+		if !s.isConst {
+			bound[s.val] = true
+		}
+	}
+}
+
+// plan returns the compiled plan for a join order, from the rule's
+// cache when an earlier pass compiled it.  Readers take no lock: the
+// cache is a copy-on-write slice that writers replace by
+// compare-and-swap, and a published plan is never written again.
+func (rp *rulePlan) plan(order []int) *execPlan {
+	var ep *execPlan
+	for {
+		old := rp.plans.Load()
+		var cached []*execPlan
+		if old != nil {
+			cached = *old
+		}
+		for _, c := range cached {
+			if slices.Equal(c.order, order) {
+				return c
+			}
+		}
+		if ep == nil {
+			ep = buildExec(rp, order)
+		}
+		if len(cached) >= maxPlans {
+			return ep
+		}
+		next := append(cached[:len(cached):len(cached)], ep)
+		if rp.plans.CompareAndSwap(old, &next) {
+			return ep
+		}
+	}
+}
+
+// buildExec compiles the rule body for a join order of its positive
+// literals: each join in turn, every comparison and negation check as
+// soon as its variables are bound, then equality propagation or
+// universe enumeration for the variables no join binds.
+func buildExec(rp *rulePlan, order []int) *execPlan {
 	bound := make([]bool, rp.nvars)
-	usedPos := make([]bool, len(rp.positives))
 	usedCmp := make([]bool, len(rp.cmps))
 	usedNeg := make([]bool, len(rp.negatives))
-	ep := &execPlan{}
+	ep := &execPlan{order: slices.Clone(order)}
 
 	slotBound := func(s slot) bool { return s.isConst || bound[s.val] }
 	allBound := func(slots []slot) bool {
@@ -187,13 +257,6 @@ func buildExec(rp *rulePlan, rels []Overlay, shard int, shardLo, shardHi int32) 
 			}
 		}
 		return true
-	}
-	bindSlots := func(slots []slot) {
-		for _, s := range slots {
-			if !s.isConst {
-				bound[s.val] = true
-			}
-		}
 	}
 	// addChecks appends every comparison/negation check whose variables
 	// have just become bound.  Comparisons first: they are cheaper.
@@ -213,20 +276,12 @@ func buildExec(rp *rulePlan, rels []Overlay, shard int, shardLo, shardHi int32) 
 	}
 	addChecks()
 
-	// Join phase: repeatedly pick the cheapest positive literal; ties go
-	// to program order.
-	for remaining := len(rp.positives); remaining > 0; remaining-- {
-		best := shard // forced first: the shard range partitions this enumeration
-		if shard < 0 || usedPos[shard] {
-			best = cheapestJoin(rp, rels, bound, usedPos)
-		}
-		usedPos[best] = true
-		je := compileJoin(rp, best, rels[best].Base, bound)
-		if best == shard {
-			je.shardLo, je.shardHi = shardLo, shardHi
-		}
-		ep.steps = append(ep.steps, execStep{kind: stepJoin, idx: best, join: je})
-		bindSlots(rp.positives[best].slots)
+	for _, lit := range order {
+		je := compileJoin(rp, lit, bound)
+		je.probeOff = ep.nprobe
+		ep.nprobe += len(je.probeCols)
+		ep.steps = append(ep.steps, execStep{kind: stepJoin, idx: lit, join: je})
+		bindSlots(bound, rp.positives[lit].slots)
 		addChecks()
 	}
 
@@ -302,12 +357,17 @@ func (in *Instance) Explain(w io.Writer, s State) {
 		for i, lp := range rp.positives {
 			rels[i] = in.source(nil, i, lp, s)
 		}
-		ep := buildExec(rp, rels, -1, 0, 0)
-		for _, st := range ep.steps {
+		bound, order := make([]bool, rp.nvars), make([]int, len(rp.positives))
+		joinOrder(rp, rels, -1, bound, make([]bool, len(rp.positives)), order)
+		clear(bound)
+		for _, st := range buildExec(rp, order).steps {
 			switch st.kind {
 			case stepJoin:
 				je := st.join
 				lp := rp.positives[st.idx]
+				rel := rels[st.idx].Base
+				est := estimateJoin(rel, lp, bound)
+				bindSlots(bound, lp.slots)
 				path := "scan"
 				if je.member {
 					path = "member"
@@ -315,7 +375,7 @@ func (in *Instance) Explain(w io.Writer, s State) {
 					path = fmt.Sprintf("index%v", je.probeCols)
 				}
 				fmt.Fprintf(w, "  join  %-24s %-10s |rel|=%-8d est=%.3g\n",
-					rp.atomString(lp.pred, lp.slots, u), path, je.relLen, je.est)
+					rp.atomString(lp.pred, lp.slots, u), path, rel.Len(), est)
 			case stepNeg:
 				np := rp.negatives[st.idx]
 				fmt.Fprintf(w, "  check ¬%s\n", rp.atomString(np.pred, np.slots, u))

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -91,10 +92,40 @@ func oracleTheta(in *Instance, s State) map[string]bool {
 // exactly the oracle's Θ at every stage of the inflationary iteration,
 // sequentially and on four workers.
 func TestPropPlannerMatchesTheta(t *testing.T) {
-	type suite struct {
-		name, src string
-		db        *relation.Database
+	for _, sc := range plannerSuites() {
+		prog, err := parser.Program(sc.src)
+		if err != nil {
+			t.Fatalf("%s: generated unparsable program:\n%s\n%v", sc.name, sc.src, err)
+		}
+		for _, nw := range []int{1, 4} {
+			setProcs(t, nw)
+			in := MustNew(prog, sc.db.Clone())
+			for cur, stage := in.NewState(), 0; ; stage++ {
+				got := in.Apply(cur)
+				if d := wforacle.Diff("derived", wforacle.Atoms(in.Universe(), got), oracleTheta(in, cur)); d != "" {
+					t.Fatalf("%s workers %d: Θ(S%d) differs from the oracle's: %s\nprogram:\n%s", sc.name, nw, stage, d, sc.src)
+				}
+				next := cur.Clone()
+				if next.UnionWith(got) == 0 {
+					break
+				}
+				cur = next
+			}
+		}
 	}
+}
+
+// plannerSuite is one program and database of the planner suites.
+type plannerSuite struct {
+	name, src string
+	db        *relation.Database
+}
+
+// plannerSuites returns randomized programs and the join suites'
+// programs (triangles, same-generation, transitive closure) on
+// instances small enough to ground.
+func plannerSuites() []plannerSuite {
+	type suite = plannerSuite
 	var suites []suite
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -121,27 +152,7 @@ func TestPropPlannerMatchesTheta(t *testing.T) {
 		suite{"same-gen/tree", "sg(X,Y) :- flat(X,Y).\nsg(X,Y) :- up(X,U), sg(U,V), down(V,Y).", tree},
 		suite{"tc/path", "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).", pathDB(10)},
 	)
-	for _, sc := range suites {
-		prog, err := parser.Program(sc.src)
-		if err != nil {
-			t.Fatalf("%s: generated unparsable program:\n%s\n%v", sc.name, sc.src, err)
-		}
-		for _, nw := range []int{1, 4} {
-			setProcs(t, nw)
-			in := MustNew(prog, sc.db.Clone())
-			for cur, stage := in.NewState(), 0; ; stage++ {
-				got := in.Apply(cur)
-				if d := wforacle.Diff("derived", wforacle.Atoms(in.Universe(), got), oracleTheta(in, cur)); d != "" {
-					t.Fatalf("%s workers %d: Θ(S%d) differs from the oracle's: %s\nprogram:\n%s", sc.name, nw, stage, d, sc.src)
-				}
-				next := cur.Clone()
-				if next.UnionWith(got) == 0 {
-					break
-				}
-				cur = next
-			}
-		}
-	}
+	return suites
 }
 
 // TestPlannerConstantColumns pins the access paths around constants:
@@ -238,4 +249,144 @@ func TestExplainSmoke(t *testing.T) {
 		t.Errorf("explain of a fully bound literal shows no membership probe:\n%s", member.String())
 	}
 
+	// The renderings are pinned byte for byte: |rel| and est are read
+	// off the sources, not off the cached plan.
+	for _, c := range []struct{ got, want string }{
+		{on.String(), "rule 1: s(X,Y) :- E(X,Y).\n  join  E(X,Y)                   scan       |rel|=4        est=4\nrule 2: s(X,Y) :- E(X,Z), s(Z,Y).\n  join  E(X,Z)                   scan       |rel|=4        est=4\n  join  s(Z,Y)                   index[0]   |rel|=10       est=2.5\n"},
+		{member.String(), "rule 1: p(X,Y) :- E(X,Y), s(X,Y).\n  join  s(X,Y)                   scan       |rel|=0        est=0\n  join  E(X,Y)                   member     |rel|=4        est=0.25\n"},
+	} {
+		if c.got != c.want {
+			t.Errorf("explain renders\n%s\nwant\n%s", c.got, c.want)
+		}
+	}
+}
+
+// tinyPassSetup builds the tiny-pass fixture: two-rule transitive
+// closure on a sparse 200-vertex graph, evaluated to its fixpoint, and
+// the semi-naive pass one tuple of s drives against that fixpoint — the
+// shape of almost every pass of a maintained update.  Every emission is
+// already in the fixpoint, so whatever the pass allocates is its fixed
+// cost.  The warm-up pass builds the indexes the join reads.
+func tinyPassSetup(t testing.TB) (*Instance, Spec) {
+	setProcs(t, 1)
+	in := MustNew(parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y)."),
+		randomEdgeDB(rand.New(rand.NewSource(1)), 200, 0.01))
+	fix := inflate(in)
+	d := relation.New(2)
+	d.Add(fix["s"].At(0))
+	sp := Spec{Pos: fix, Deltas: map[string]Delta{"s": {PosDriver: d}}, Against: fix}
+	in.Eval(sp)
+	return in, sp
+}
+
+// raceEnabled reports a -race build (race_test.go).
+var raceEnabled bool
+
+// TestTinyPassAllocs guards the fixed cost of a tiny pass: its task
+// slice, its overlay slice and its output state, with the join order
+// chosen into scratch and the compiled plan read from the rule's cache.
+func TestTinyPassAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector (see race_test.go)")
+	}
+	in, sp := tinyPassSetup(t)
+	if allocs := testing.AllocsPerRun(100, func() { in.Eval(sp) }); allocs > 5 {
+		t.Errorf("%v allocs per one-tuple pass, want ≤ 5", allocs)
+	}
+}
+
+// BenchmarkTinyPass times the tiny-pass fixture (allocs/op is the
+// figure TestTinyPassAllocs bounds).
+func BenchmarkTinyPass(b *testing.B) {
+	in, sp := tinyPassSetup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in.Eval(sp)
+	}
+}
+
+// TestCachedPlanMatchesFresh checks that evaluation never writes a
+// shared plan.  After every pass of the planner suites — full,
+// semi-naive with Against, negated-driver and Within passes, inline and
+// on four workers — every plan cached on a rule or on one of its delta
+// variants equals buildExec's fresh plan for its order, and no order is
+// cached twice.  Then a pooled, sharded pass on a cold instance fills
+// one rule's cache from several workers at once: its shards share one
+// order, so the cache ends with exactly one plan.
+func TestCachedPlanMatchesFresh(t *testing.T) {
+	check := func(name string, in *Instance) {
+		t.Helper()
+		for _, rp := range in.plans {
+			rps := []*rulePlan{rp}
+			for k := range rp.variants {
+				if v := rp.variants[k].Load(); v != nil {
+					rps = append(rps, v)
+				}
+			}
+			for _, p := range rps {
+				cached := p.plans.Load()
+				if cached == nil {
+					continue
+				}
+				seen := make(map[string]bool)
+				for _, ep := range *cached {
+					if key := fmt.Sprint(ep.order); seen[key] {
+						t.Fatalf("%s: rule %v caches order %v twice", name, p.src, ep.order)
+					} else {
+						seen[key] = true
+					}
+					if fresh := buildExec(p, ep.order); !reflect.DeepEqual(ep, fresh) {
+						t.Fatalf("%s: rule %v: cached plan for order %v differs from a fresh one", name, p.src, ep.order)
+					}
+				}
+			}
+		}
+	}
+	for _, sc := range append(plannerSuites(), plannerSuite{"triangle/28", "q :- E(X,Y), E(Y,Z), E(Z,X).", randomEdgeDB(rand.New(rand.NewSource(3)), 28, 0.3)}) {
+		prog := parser.MustProgram(sc.src)
+		for _, nw := range []int{1, 4} {
+			setProcs(t, nw)
+			in := MustNew(prog, sc.db.Clone())
+			name := fmt.Sprintf("%s workers %d", sc.name, nw)
+			for old := in.NewState(); ; {
+				cur := old.Clone()
+				cur.UnionWith(in.Apply(old))
+				check(name, in)
+				delta := cur.Diff(old)
+				if delta.Empty() {
+					break
+				}
+				sp := SemiNaive(old, delta, cur, nil)
+				sp.Against = cur
+				in.Eval(sp)
+				check(name, in)
+				neg := make(map[string]Delta, len(delta))
+				for pred, d := range delta {
+					neg[pred] = Delta{NegDriver: d}
+				}
+				in.Eval(Spec{Pos: cur, Deltas: neg})
+				check(name, in)
+				in.Eval(Spec{Pos: old, Within: delta})
+				check(name, in)
+				old = cur
+			}
+		}
+	}
+
+	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).")
+	db := randomEdgeDB(rand.New(rand.NewSource(9)), 100, 0.05)
+	setProcs(t, 1)
+	fix := inflate(MustNew(prog, db.Clone()))
+	setProcs(t, 4)
+	in := MustNew(prog, db)
+	sp := Spec{Pos: fix, Deltas: map[string]Delta{"s": {PosDriver: fix["s"]}}}
+	if tasks, nw := in.schedule(in.tasks(sp), fix); nw != 4 || len(tasks) < 4 {
+		t.Fatalf("fixture pass runs %d tasks on %d workers, want a sharded pass on 4", len(tasks), nw)
+	}
+	in.Eval(sp)
+	check("cold sharded pass", in)
+	if cached := in.plans[1].plans.Load(); cached == nil || len(*cached) != 1 {
+		t.Fatalf("the sharded rule caches %v plans, want 1", cached)
+	}
 }

@@ -12,7 +12,9 @@
 // The engine compiles each rule into a small step plan — greedy join
 // ordering over positive literals, equality-propagation, universe
 // extension for unbound variables, and eager negative/comparison
-// checks.  Every evaluation is one pass described by a Spec: the states
+// checks.  The join order is chosen per pass from the current relation
+// sizes, and the plan compiled for an order is cached on the rule
+// (planner.go), so a pass re-plans without recompiling.  Every evaluation is one pass described by a Spec: the states
 // positive and negated literals read, optional delta drivers or a head
 // filter, and an optional accumulated state to drop emissions against
 // (frontier.go).  Eval(spec) runs a pass and returns its derived

@@ -79,3 +79,67 @@ func TestChainRecomputesOnlyOnUniverseGrowth(t *testing.T) {
 		}
 	}
 }
+
+// TestCascadeCutFollowsRecursion pins which layers stop their DRed
+// cascades after one pass: a stratum reading its own predicate
+// positively in one rule of two stays recursive, and the win-move Γ
+// stage, which reads win only negated, does not.  Both still match a
+// recompute after every update.
+func TestCascadeCutFollowsRecursion(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		src       string
+		sem       core.Semantics
+		layer     func(*Maintainer) *stratum
+		recursive bool
+	}{
+		{"s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).", core.LFP, func(m *Maintainer) *stratum { return m.strata[0] }, true},
+		{"win(X) :- E(X,Y), !win(Y).", core.WellFounded, func(m *Maintainer) *stratum { return m.gamma }, false},
+	} {
+		prog := parser.MustProgram(tc.src)
+		g := graphs.Random(rand.New(rand.NewSource(5)), n, 0.3)
+		m, err := New(prog, g.Database(), tc.sem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tc.layer(m).recursive; got != tc.recursive {
+			t.Fatalf("%q: recursive = %v, want %v", tc.src, got, tc.recursive)
+		}
+		edges := make(map[[2]int]bool)
+		for _, e := range g.Edges() {
+			edges[e] = true
+		}
+		rng := rand.New(rand.NewSource(6))
+		for step := 0; step < 40; step++ {
+			e := [2]int{rng.Intn(n), rng.Intn(n)}
+			f := []Fact{{Pred: "E", Args: []string{graphs.VertexName(e[0]), graphs.VertexName(e[1])}}}
+			if edges[e] {
+				_, err = m.Update(nil, f)
+			} else {
+				_, err = m.Update(f, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges[e] = !edges[e]
+			g = graphs.New(n)
+			for e, ok := range edges {
+				if ok {
+					g.AddEdge(e[0], e[1])
+				}
+			}
+			want, err := core.Eval(prog, g.Database(), tc.sem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, exp := m.State().Format(m.Universe()), want.State.Format(want.Universe)
+			if wf := m.WF(); wf != nil {
+				got += "possible:\n" + wf.Possible.Format(m.Universe())
+				exp += "possible:\n" + want.WF.Possible.Format(want.Universe)
+			}
+			if got != exp {
+				t.Fatalf("%q step %d: maintained\n%s\nrecompute\n%s", tc.src, step, got, exp)
+			}
+		}
+	}
+}

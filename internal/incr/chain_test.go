@@ -270,3 +270,36 @@ func TestChainCheckpointRestore(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGammaChainUpdate toggles random edges of a seeded win-move
+// board maintained under the well-founded semantics: each update walks
+// the Γ chain as dozens of tiny passes, so allocs/op is their fixed
+// cost.
+func BenchmarkGammaChainUpdate(b *testing.B) {
+	const n = 60
+	g := graphs.Random(rand.New(rand.NewSource(1)), n, 0.05)
+	m, err := incr.New(parser.MustProgram(winSrc), g.Database(), core.WellFounded)
+	if err != nil {
+		b.Fatal(err)
+	}
+	edges := make(map[[2]int]bool)
+	for _, e := range g.Edges() {
+		edges[e] = true
+	}
+	rng := rand.New(rand.NewSource(2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := [2]int{rng.Intn(n), rng.Intn(n)}
+		f := []incr.Fact{{Pred: "E", Args: []string{graphs.VertexName(e[0]), graphs.VertexName(e[1])}}}
+		if edges[e] {
+			_, err = m.Update(nil, f)
+		} else {
+			_, err = m.Update(f, nil)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		edges[e] = !edges[e]
+	}
+}

@@ -48,6 +48,11 @@ type stratum struct {
 	in        *engine.Instance
 	preds     map[string]bool // own IDB predicates
 	bodyPreds map[string]bool // predicates read by rule bodies
+	// recursive: some rule body reads an own predicate positively.  If
+	// none does, a cascade's second pass, driven by own-predicate
+	// tuples under positive literals alone, has no task: each cascade
+	// stops after its first pass.
+	recursive bool
 }
 
 func newStratum(in *engine.Instance, sub *ast.Program) *stratum {
@@ -56,6 +61,7 @@ func newStratum(in *engine.Instance, sub *ast.Program) *stratum {
 		for _, l := range r.Body {
 			if l.Kind == ast.LitPos || l.Kind == ast.LitNeg {
 				s.bodyPreds[l.Atom.Pred] = true
+				s.recursive = s.recursive || l.Kind == ast.LitPos && s.preds[l.Atom.Pred]
 			}
 		}
 	}
@@ -202,6 +208,9 @@ func (s *stratum) apply(own, neg engine.State, ch map[string]*change) map[string
 		frontier := in.Eval(engine.Spec{Pos: own, Neg: neg, Deltas: base})
 		for !frontier.Empty() {
 			dover.UnionWith(frontier)
+			if !s.recursive {
+				break
+			}
 			frontier = in.Eval(engine.Spec{Pos: own, Neg: neg, Deltas: withDriver(base, frontier), Against: dover})
 		}
 		for pred := range s.preds {
@@ -245,6 +254,9 @@ func (s *stratum) apply(own, neg engine.State, ch map[string]*change) map[string
 		for !frontier.Empty() {
 			for pred := range s.preds {
 				own[pred].UnionWith(frontier[pred])
+			}
+			if !s.recursive {
+				break
 			}
 			frontier = in.Eval(engine.Spec{Pos: own, Neg: neg, Deltas: withDriver(nil, frontier), Against: own})
 		}
