@@ -268,10 +268,14 @@ type evalScratch struct {
 }
 
 // growSlice resizes a scratch slice to n, reallocating only past the
-// high-water mark of previous rules.
+// high-water mark of previous rules.  A reallocation holds at least 64
+// elements, which puts it in a size class of whole cache lines: a run
+// writes these buffers per tuple while the pool's other workers read
+// the shared compiled plans, and a buffer sharing a cache line with a
+// plan would evict that line from their caches at every write.
 func growSlice[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 64))
 	}
 	return s[:n]
 }
