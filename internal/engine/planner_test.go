@@ -125,8 +125,7 @@ type plannerSuite struct {
 // programs (triangles, same-generation, transitive closure) on
 // instances small enough to ground.
 func plannerSuites() []plannerSuite {
-	type suite = plannerSuite
-	var suites []suite
+	var suites []plannerSuite
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		src := randomProgram(rng)
@@ -136,7 +135,7 @@ func plannerSuites() []plannerSuite {
 				db.AddFact("V", fmt.Sprint(i))
 			}
 		}
-		suites = append(suites, suite{fmt.Sprint("random/", seed), src, db})
+		suites = append(suites, plannerSuite{fmt.Sprint("random/", seed), src, db})
 	}
 	// The join suites' programs (internal/workload), on instances small
 	// enough to ground: a binary tree of depth 3 for same-generation.
@@ -148,9 +147,9 @@ func plannerSuites() []plannerSuite {
 	tree.AddFact("flat", "2", "3")
 	tree.AddFact("flat", "3", "2")
 	suites = append(suites,
-		suite{"triangle", "tri(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X).", randomEdgeDB(rand.New(rand.NewSource(1)), 12, 0.3)},
-		suite{"same-gen/tree", "sg(X,Y) :- flat(X,Y).\nsg(X,Y) :- up(X,U), sg(U,V), down(V,Y).", tree},
-		suite{"tc/path", "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).", pathDB(10)},
+		plannerSuite{"triangle", "tri(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X).", randomEdgeDB(rand.New(rand.NewSource(1)), 12, 0.3)},
+		plannerSuite{"same-gen/tree", "sg(X,Y) :- flat(X,Y).\nsg(X,Y) :- up(X,U), sg(U,V), down(V,Y).", tree},
+		plannerSuite{"tc/path", "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).", pathDB(10)},
 	)
 	return suites
 }
