@@ -203,8 +203,7 @@ func BenchmarkE9InflationaryVsLFP(b *testing.B) {
 	})
 	b.Run("lfp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			in := engine.MustNew(parser.MustProgram(tcSrc), db.Clone())
-			if _, err := semantics.LeastFixpoint(in); err != nil {
+			if _, err := core.Eval(parser.MustProgram(tcSrc), db, core.LFP); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -364,17 +363,9 @@ func BenchmarkE16MagicQuery(b *testing.B) {
 		}
 		b.Run(wl.Name+"/magic", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				var res *semantics.QueryResult
-				var err error
-				if wl.Stratified {
-					res, err = semantics.QueryStratified(prog, db, q)
-				} else {
-					res, err = semantics.QueryLFP(prog, db, q)
-				}
-				if err != nil {
+				if _, err := core.Query(prog, db, q, sem); err != nil {
 					b.Fatal(err)
 				}
-				_ = res
 			}
 		})
 		b.Run(wl.Name+"/full", func(b *testing.B) {

@@ -14,8 +14,10 @@
 // rewriting — only the tuples the query can reach are derived.
 // -magic=false answers the same query from a full materialization
 // instead (the oracle the magic path is tested against); -explain
-// prints the rewrite report.  Point queries require lfp or stratified
-// semantics (inflationary is accepted when it coincides with lfp).
+// prints the rewrite report.  Point queries need a semantics whose
+// model is computed by induction or strata: lfp, stratified,
+// inflationary on a positive or semipositive program, or well-founded
+// on a stratifiable one.
 package main
 
 import (
@@ -147,7 +149,7 @@ func runQuery(w io.Writer, prog *ast.Program, db *relation.Database, src string,
 		return fmt.Errorf("query %s has %d args, predicate has arity %d", q.Pred, len(q.Args), ar)
 	}
 	if _, ok := core.QueryStrategy(sem, prog.Classify()); !ok {
-		return fmt.Errorf("point queries require lfp, stratified, or coinciding inflationary semantics (program is %v; try -semantics stratified)", prog.Classify())
+		return fmt.Errorf("point queries need a semantics whose model is computed by induction or strata: lfp, stratified, inflationary on a positive or semipositive program, or well-founded on a stratifiable one (program is %v; try -semantics stratified)", prog.Classify())
 	}
 
 	start := time.Now()

@@ -83,6 +83,69 @@ type EvalResult struct {
 	WF *semantics.WFResult
 }
 
+// Method is how a semantics computes a program's model.  It depends on
+// the semantics and the program's class alone, and MethodFor is the one
+// place that says which.
+type Method int
+
+// The four methods.
+const (
+	// Induction iterates S ↦ S ∪ Θ(S) from ∅: least fixpoint semantics,
+	// and inflationary semantics on a positive or semipositive program,
+	// where the two coincide.
+	Induction Method = iota
+	// Stages is that iteration where IDB negation makes the stage
+	// sequence itself the meaning: inflationary semantics on the rest.
+	Stages
+	// Strata evaluates strata bottom-up: stratified semantics, and
+	// well-founded semantics on a stratifiable program, whose model is
+	// total and the stratified one.
+	Strata
+	// Alternation is Van Gelder's alternating fixpoint: well-founded
+	// semantics on an unstratifiable program.
+	Alternation
+)
+
+// MethodFor returns the method by which sem computes prog's model, or
+// the error saying that sem gives prog no meaning: least fixpoint
+// semantics needs a positive or semipositive program, stratified
+// semantics a stratifiable one, and inflationary and well-founded
+// semantics take every program.
+func MethodFor(sem Semantics, prog *ast.Program) (Method, error) {
+	_, m, err := classify(sem, prog)
+	return m, err
+}
+
+// classify is MethodFor that also returns prog's class.
+func classify(sem Semantics, prog *ast.Program) (ast.Class, Method, error) {
+	c := prog.Classify()
+	m, err := method(sem, c)
+	if err != nil && sem == Stratified {
+		_, err = prog.Stratify() // its error names the cycle through negation
+	}
+	return c, m, err
+}
+
+// method is MethodFor on a program of class c.
+func method(sem Semantics, c ast.Class) (Method, error) {
+	monotone := c == ast.ClassPositive || c == ast.ClassSemipositive
+	switch {
+	case sem == LFP && !monotone:
+		return 0, fmt.Errorf("least fixpoint semantics requires a positive or semipositive program; this one is %v", c)
+	case sem == Stratified && c == ast.ClassGeneral:
+		return 0, fmt.Errorf("program is not stratifiable")
+	case sem == LFP, sem == Inflationary && monotone:
+		return Induction, nil
+	case sem == Inflationary:
+		return Stages, nil
+	case sem == Stratified, sem == WellFounded && c != ast.ClassGeneral:
+		return Strata, nil
+	case sem == WellFounded:
+		return Alternation, nil
+	}
+	return 0, fmt.Errorf("core: unknown semantics %d", sem)
+}
+
 // Eval evaluates prog on db under the chosen semantics.  The database
 // is not modified (evaluation works on a clone, since the engine
 // interns program constants into the universe it is given).
@@ -90,51 +153,35 @@ func Eval(prog *ast.Program, db *relation.Database, sem Semantics) (*EvalResult,
 	if _, err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	res := &EvalResult{Semantics: sem, Class: prog.Classify()}
-	switch sem {
-	case WellFounded:
-		// Only cyclic negation alternates: a stratifiable program's
-		// model is its stratified one.  incr.pickStrategy agrees.
-		if res.Class == ast.ClassGeneral {
-			in, err := engine.New(prog, db.Clone())
-			if err != nil {
-				return nil, err
-			}
-			wf := semantics.WellFounded(in)
-			res.State, res.Stats, res.Universe = wf.True, wf.Stats, in.Universe()
-			res.WF = wf
-			break
-		}
-		fallthrough
-	case Stratified:
-		r, err := semantics.Stratified(prog, db)
+	c, m, err := classify(sem, prog)
+	if err != nil {
+		return nil, err
+	}
+	res := &EvalResult{Semantics: sem, Class: c}
+	var r *semantics.Result
+	switch m {
+	case Induction, Stages:
+		in, err := engine.New(prog, db.Clone())
 		if err != nil {
 			return nil, err
 		}
-		res.State, res.Stats, res.Universe = r.State, r.Stats, r.Universe
+		r = semantics.Inflationary(in)
+	case Strata:
+		if r, err = semantics.Stratified(prog, db); err != nil {
+			return nil, err
+		}
 		if sem == WellFounded {
 			res.WF = &semantics.WFResult{True: r.State, Possible: r.State, Stats: r.Stats}
 		}
-	case Inflationary:
+	case Alternation:
 		in, err := engine.New(prog, db.Clone())
 		if err != nil {
 			return nil, err
 		}
-		r := semantics.Inflationary(in)
-		res.State, res.Stats, res.Universe = r.State, r.Stats, r.Universe
-	case LFP:
-		in, err := engine.New(prog, db.Clone())
-		if err != nil {
-			return nil, err
-		}
-		r, err := semantics.LeastFixpoint(in)
-		if err != nil {
-			return nil, err
-		}
-		res.State, res.Stats, res.Universe = r.State, r.Stats, r.Universe
-	default:
-		return nil, fmt.Errorf("core: unknown semantics %d", sem)
+		res.WF = semantics.WellFounded(in)
+		r = &semantics.Result{State: res.WF.True, Stats: res.WF.Stats, Universe: in.Universe()}
 	}
+	res.State, res.Stats, res.Universe = r.State, r.Stats, r.Universe
 	return res, nil
 }
 
@@ -145,36 +192,28 @@ func EvalOpts(prog *ast.Program, db *relation.Database, sem Semantics, _ semanti
 
 // QueryStrategy reports whether demand-driven point queries are
 // available under sem for a program of class c, and if so whether they
-// evaluate under the stratified semantics.  Point queries exist for
-// LFP and stratified evaluation, and for inflationary evaluation
-// exactly where it coincides with LFP (positive and semipositive
-// programs); well-founded (and non-coinciding inflationary) programs
-// have no magic rewrite.  Every query entry point — the CLI, the
-// facade, and the server — dispatches through this one rule.
+// evaluate under the stratified semantics.  Point queries need a
+// semantics whose model is computed by induction or strata: lfp,
+// stratified, inflationary on a positive or semipositive program, or
+// well-founded on a stratifiable one.  Every query entry point — the
+// CLI, the facade, and the server — dispatches through this one rule.
 func QueryStrategy(sem Semantics, c ast.Class) (stratified, ok bool) {
-	switch sem {
-	case Stratified:
-		return true, true
-	case LFP:
-		return false, true
-	case Inflationary:
-		return false, c == ast.ClassPositive || c == ast.ClassSemipositive
-	}
-	return false, false
+	m, err := method(sem, c)
+	return m == Strata, err == nil && (m == Induction || m == Strata)
 }
 
 // Query answers a single query atom demand-driven (magic-set
-// rewriting; see internal/magic and semantics.QueryLFP/
-// QueryStratified) under the chosen semantics.  db is not modified.
+// rewriting; see internal/magic and semantics.Query) under the chosen
+// semantics.  db is not modified.
 func Query(prog *ast.Program, db *relation.Database, q magic.Query, sem Semantics) (*semantics.QueryResult, error) {
-	stratified, ok := QueryStrategy(sem, prog.Classify())
-	if !ok {
-		return nil, fmt.Errorf("core: point queries require lfp, stratified, or coinciding inflationary semantics (program is %v, semantics %v)", prog.Classify(), sem)
+	c, m, err := classify(sem, prog)
+	if err != nil {
+		return nil, err
 	}
-	if stratified {
-		return semantics.QueryStratified(prog, db, q)
+	if m != Induction && m != Strata {
+		return nil, fmt.Errorf("core: point queries need a semantics whose model is computed by induction or strata: lfp, stratified, inflationary on a positive or semipositive program, or well-founded on a stratifiable one (program is %v, semantics %v)", c, sem)
 	}
-	return semantics.QueryLFP(prog, db, q)
+	return semantics.Query(prog, db, q, m == Strata)
 }
 
 // QueryFull answers the same query by full materialization plus a

@@ -15,6 +15,7 @@ import (
 	"repro/internal/graphs"
 	"repro/internal/incr"
 	"repro/internal/parser"
+	"repro/internal/relation"
 )
 
 const winSrc = "win(X) :- E(X,Y), !win(Y)."
@@ -74,6 +75,55 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatal("restored maintainer diverged on the first post-restore update")
 			}
 		})
+	}
+}
+
+// TestStratifiableWellFoundedSnapshot: the well-founded model of a
+// stratifiable program is total and computed by strata, so its image
+// carries each IDB relation once, with no Possible sections.  An image
+// that does carry them, as images written before did, still restores,
+// and what it says of Possible is still checked.
+func TestStratifiableWellFoundedSnapshot(t *testing.T) {
+	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).\nn(X,Y) :- E(X,Y), !s(Y,X).")
+	m, err := incr.New(prog, graphs.Random(rand.New(rand.NewSource(7)), 6, 0.4).Database(), core.WellFounded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := func(cp *incr.Checkpoint) *incr.Checkpoint {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, cp); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	want := m.State().Format(m.Universe())
+	cp := m.Checkpoint()
+	got := roundTrip(cp)
+	if len(got.Possible) != 0 || len(got.IDB) != 2 {
+		t.Fatalf("image carries %d IDB and %d possible relations, want 2 and none", len(got.IDB), len(got.Possible))
+	}
+
+	dup := *cp
+	dup.Possible = cp.IDB
+	for _, c := range []*incr.Checkpoint{got, roundTrip(&dup)} {
+		r, err := incr.RestoreWith(c, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if have := r.State().Format(r.Universe()); have != want || !r.WF().Total() {
+			t.Fatalf("restored state (total %v):\n%s\nwant:\n%s", r.WF().Total(), have, want)
+		}
+	}
+
+	bad := dup
+	bad.Possible = map[string]*relation.Relation{"s": relation.New(2)}
+	if _, err := incr.RestoreWith(roundTrip(&bad), engine.Options{}); err == nil {
+		t.Error("restore accepted a possible part that is not the model's")
 	}
 }
 

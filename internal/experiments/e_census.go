@@ -5,11 +5,11 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fixpoint"
 	"repro/internal/graphs"
 	"repro/internal/parser"
-	"repro/internal/semantics"
 )
 
 const pi1Src = "t(X) :- E(Y,X), !t(Y)."
@@ -99,7 +99,7 @@ func runE5(w io.Writer, quick bool) error {
 		if err != nil {
 			return err
 		}
-		lfp, err := semantics.LeastFixpoint(in)
+		lfp, err := core.Eval(in.Program(), g.Database(), core.LFP)
 		if err != nil {
 			return err
 		}

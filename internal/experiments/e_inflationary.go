@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fixpoint"
 	"repro/internal/graphs"
@@ -175,7 +176,7 @@ func runE9(w io.Writer, quick bool) error {
 		g := graphs.Random(newRNG(int64(s)), 8, 0.25)
 		in := engine.MustNew(parser.MustProgram(tcSrc), g.Database())
 		inf := semantics.Inflationary(in)
-		lfp, err := semantics.LeastFixpoint(in)
+		lfp, err := core.Eval(in.Program(), g.Database(), core.LFP)
 		if err != nil {
 			return err
 		}

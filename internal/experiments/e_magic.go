@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/magic"
 	"repro/internal/parser"
-	"repro/internal/semantics"
 	"repro/internal/workload"
 )
 
@@ -22,7 +21,7 @@ func init() {
 }
 
 // runE16 answers one point query per workload two ways — magic-set
-// rewritten (QueryLFP/QueryStratified) and full materialization plus a
+// rewritten (core.Query) and full materialization plus a
 // filter — and checks bit-exactness of the answers on every row.  The
 // speedup column is the demand-driven payoff; on the headline row
 // (left-recursive TC on a path) the full (non-quick) run asserts the
@@ -52,12 +51,7 @@ func runE16(w io.Writer, quick bool) error {
 
 		// Demand-driven.
 		startMagic := time.Now()
-		var res *semantics.QueryResult
-		if wl.Stratified {
-			res, err = semantics.QueryStratified(prog, db, q)
-		} else {
-			res, err = semantics.QueryLFP(prog, db, q)
-		}
+		res, err := core.Query(prog, db, q, sem)
 		if err != nil {
 			return err
 		}

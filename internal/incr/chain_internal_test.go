@@ -29,7 +29,7 @@ func TestChainRecomputesOnlyOnUniverseGrowth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.strat != stratWF {
+		if m.method != core.Alternation {
 			t.Fatalf("%q is not maintained as a chain", tc.src)
 		}
 		rng := rand.New(rand.NewSource(4))

@@ -2,14 +2,14 @@
 //
 // A Checkpoint is everything a Maintainer needs to come back without
 // re-running the fixpoint: the program, the universe, the EDB and the
-// materialized IDB state, plus the possibly-true relations of the
-// well-founded model.  Everything else the strategies keep (stratum
-// engine instances, the stages of the alternating fixpoint) is rebuilt
-// from that state on restore:
+// materialized IDB state, plus the possibly-true relations of a
+// well-founded model computed by alternation.  Everything else the
+// methods keep (stratum engine instances, the stages of the
+// alternating fixpoint) is rebuilt from that state on restore:
 //
-//   - strata and recompute: neither keeps anything beside the
+//   - induction, strata and stages: none keeps anything beside the
 //     materialized relations, so the restored IDB is installed as it is.
-//   - well-founded: the chain of Γ stages is not persisted; restore runs
+//   - alternation: the chain of Γ stages is not persisted; restore runs
 //     one alternating fixpoint over the restored EDB, keeps its stages,
 //     and refuses a checkpoint whose True or Possible differ from them.
 //
@@ -43,7 +43,9 @@ type Checkpoint struct {
 	IDB      map[string]*relation.Relation
 
 	// Possible holds the possibly-true relations of the well-founded
-	// model (WellFounded semantics only).
+	// model where it is computed by alternation; it is nil where the
+	// model is total because the program is stratifiable, and restore
+	// then reads it as IDB.
 	Possible map[string]*relation.Relation
 }
 
@@ -73,7 +75,8 @@ func (m *Maintainer) Checkpoint() *Checkpoint {
 		cp.IDB[pred] = r.Snapshot()
 		r.Seal()
 	}
-	if wf := m.WF(); wf != nil {
+	if m.method == core.Alternation {
+		wf := m.WF()
 		cp.Possible = make(map[string]*relation.Relation, len(wf.Possible))
 		for pred, r := range wf.Possible {
 			cp.Possible[pred] = r.Snapshot()
@@ -89,83 +92,56 @@ func (m *Maintainer) Checkpoint() *Checkpoint {
 // can be restored more than once.  The Options argument is ignored; it
 // remains only for benchmark/.
 func RestoreWith(cp *Checkpoint, _ engine.Options) (*Maintainer, error) {
-	arities, err := cp.Prog.Validate()
-	if err != nil {
-		return nil, err
-	}
-	m := &Maintainer{
-		prog:    cp.Prog,
-		sem:     cp.Sem,
-		db:      relation.NewDatabaseOn(cp.Universe.Clone()),
-		arities: arities,
-		idb:     cp.Prog.IDB(),
-		gen:     cp.Gen,
-		safe:    allVarsPositive(cp.Prog),
-	}
+	db := relation.NewDatabaseOn(cp.Universe.Clone())
 	for _, name := range cp.EDBNames {
 		r, ok := cp.EDB[name]
 		if !ok {
 			return nil, fmt.Errorf("incr: checkpoint lists EDB relation %s but does not carry it", name)
 		}
-		m.db.Set(name, r.Mutable())
+		db.Set(name, r.Mutable())
 	}
-
-	if m.strat, err = pickStrategy(cp.Prog, cp.Sem); err != nil {
+	m, err := newMaintainer(cp.Prog, cp.Sem, db)
+	if err != nil {
 		return nil, err
 	}
-	if err := m.initStrategy(); err != nil {
-		return nil, err
-	}
+	m.gen = cp.Gen
 
-	idbRel := func(pred string) (*relation.Relation, error) {
-		if r, ok := cp.IDB[pred]; ok {
-			if ar, ok := arities[pred]; ok && r.Arity() != ar {
-				return nil, fmt.Errorf("incr: checkpoint relation %s has arity %d, program wants %d", pred, r.Arity(), ar)
+	if m.method == core.Alternation {
+		m.evalChain()
+	} else {
+		// Install the restored IDB where evalStrata or recompute would
+		// have put computed results: strata read lower strata from the
+		// database.
+		m.state = make(engine.State, len(m.idb))
+		for pred := range m.idb {
+			rel, ar := cp.IDB[pred], m.arities[pred]
+			switch {
+			case rel == nil:
+				rel = relation.New(ar)
+			case rel.Arity() != ar:
+				return nil, fmt.Errorf("incr: checkpoint relation %s has arity %d, program wants %d", pred, rel.Arity(), ar)
+			default:
+				rel = rel.Mutable()
 			}
-			return r.Mutable(), nil
-		}
-		ar, ok := arities[pred]
-		if !ok {
-			return nil, fmt.Errorf("incr: checkpoint missing IDB relation %s with unknown arity", pred)
-		}
-		return relation.New(ar), nil
-	}
-
-	switch m.strat {
-	case stratStrata:
-		// Install the restored IDB stratum by stratum, exactly as
-		// evalStrata installs computed results.
-		m.state = make(engine.State)
-		for _, s := range m.strata {
-			for pred := range s.preds {
-				rel, err := idbRel(pred)
-				if err != nil {
-					return nil, err
-				}
+			if m.strata != nil {
 				m.db.Set(pred, rel)
-				m.state[pred] = rel
-			}
-		}
-	case stratRecompute:
-		m.state = m.in.NewState()
-		for pred := range m.state {
-			rel, err := idbRel(pred)
-			if err != nil {
-				return nil, err
 			}
 			m.state[pred] = rel
 		}
-	case stratWF:
-		m.evalChain()
 	}
 	if wf := m.WF(); wf != nil {
 		// The model is rebuilt (the chain) or has one part (strata): what
-		// the checkpoint says of it can only be checked.
+		// the checkpoint says of it can only be checked.  A checkpoint
+		// without Possible says the model is total.
+		possible := cp.Possible
+		if possible == nil {
+			possible = cp.IDB
+		}
 		for _, part := range []struct {
 			name string
 			got  engine.State
 			want map[string]*relation.Relation
-		}{{"true", wf.True, cp.IDB}, {"possible", wf.Possible, cp.Possible}} {
+		}{{"true", wf.True, cp.IDB}, {"possible", wf.Possible, possible}} {
 			for pred, r := range part.got {
 				if w := part.want[pred]; w == nil && !r.Empty() || w != nil && !w.Equal(r) {
 					return nil, fmt.Errorf("incr: checkpoint's %s part of %s is not the well-founded model's over its EDB", part.name, pred)

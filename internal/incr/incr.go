@@ -2,33 +2,33 @@
 // under EDB fact inserts and deletes, without recomputing the fixpoint
 // from scratch.
 //
-// The strategy depends on the semantics and the program class:
+// The machinery follows core.MethodFor, which reads the method off the
+// semantics and the program class:
 //
-//   - LFP and Stratified (and Inflationary on positive/semipositive
-//     programs, where it coincides with LFP): stratum-by-stratum
-//     maintenance, every stratum by DRed: overdelete, rederive once,
-//     then propagate semi-naively what the rederivation and the update
-//     insert.  A stratum's net change is read off the sets the pass
-//     holds — what was overdeleted and did not come back, what was
-//     appended and had not been overdeleted — so an update's cost
-//     follows what it changes, not the size of the relations it changes
-//     it in.  Changes cascade upward through the strata, insertions
+//   - Induction and strata: stratum-by-stratum maintenance, every
+//     stratum by DRed: overdelete, rederive once, then propagate
+//     semi-naively what the rederivation and the update insert.  A
+//     stratum's net change is read off the sets the pass holds — what
+//     was overdeleted and did not come back, what was appended and had
+//     not been overdeleted — so an update's cost follows what it
+//     changes, not the size of the relations it changes it in.  Changes cascade upward through the strata, insertions
 //     acting as deletions through negation and vice versa; the old
 //     world of a changed relation is read through engine.Overlay on the
 //     relation as it is now, never copied.
-//   - Inflationary on general programs: the result is defined by the
-//     order in which the stage sequence S₀ = ∅, Sⱼ₊₁ = Sⱼ ∪ Θ(Sⱼ)
+//   - Stages (inflationary with IDB negation): the result is defined
+//     by the order in which the stage sequence S₀ = ∅, Sⱼ₊₁ = Sⱼ ∪ Θ(Sⱼ)
 //     derives its tuples, which no DRed pass preserves, so an update
 //     recomputes the sequence from S₀ over the updated EDB.
-//   - WellFounded: the alternating fixpoint A₀ = ∅, Aᵢ = Γ(Aᵢ₋₁) is a
-//     stage sequence too, and each stage a semipositive program — own
-//     predicates positive, negated IDB literals frozen against the stage
-//     below — so the chain A₁ … Aₙ is kept and every stage maintained by
-//     the same DRed pass as a stratum, fed the EDB change
-//     and the net change of the stage below (chain.go).  Memory is
-//     n × |IDB| where a recompute holds 2 ×.  A stratifiable program has
-//     a total model equal to the stratified one and is maintained as
-//     strata, Possible = True, as core.Eval evaluates it in batch.
+//   - Alternation (well-founded on an unstratifiable program): the
+//     alternating fixpoint A₀ = ∅, Aᵢ = Γ(Aᵢ₋₁) is a stage sequence
+//     too, and each stage a semipositive program — own predicates
+//     positive, negated IDB literals frozen against the stage below —
+//     so the chain A₁ … Aₙ is kept and every stage maintained by the
+//     same DRed pass as a stratum, fed the EDB change and the net
+//     change of the stage below (chain.go).  Memory is n × |IDB| where
+//     a recompute holds 2 ×.  A stratifiable program's
+//     well-founded model is total and the stratified one, so its method
+//     is strata, with Possible = True.
 //
 // Universe growth under rules that enumerate the universe invalidates
 // every shortcut above and is answered by the same from-scratch
@@ -98,15 +98,6 @@ type Snapshot struct {
 // Relation returns the named relation of the snapshot, or nil.
 func (s *Snapshot) Relation(name string) *relation.Relation { return s.Rels[name] }
 
-// strategy discriminates the maintenance machinery in use.
-type strategy int
-
-const (
-	stratStrata    strategy = iota // DRed over strata
-	stratRecompute                 // general inflationary: evaluate from scratch
-	stratWF                        // well-founded: the maintained Γ chain
-)
-
 // Maintainer owns a program, a private copy of its database, and the
 // materialized result, and keeps the result exact under EDB updates.
 type Maintainer struct {
@@ -117,13 +108,16 @@ type Maintainer struct {
 	idb     map[string]bool
 	state   engine.State
 	gen     uint64
-	strat   strategy
-	safe    bool // every rule variable bound positively: universe growth cannot change plans
+	// method is core.MethodFor(sem, prog).  Induction and Strata are
+	// both maintained as strata, Stages by recompute and Alternation as
+	// the chain of Γ stages.
+	method core.Method
+	safe   bool // every rule variable bound positively: universe growth cannot change plans
 
-	strata []*stratum       // stratStrata
-	in     *engine.Instance // stratRecompute / stratWF
-	gamma  *stratum         // stratWF: the whole program as one Γ stage
-	chain  []engine.State   // stratWF: A₀ = ∅, A₁ … Aₙ
+	strata []*stratum       // Induction, Strata
+	in     *engine.Instance // Stages, Alternation
+	gamma  *stratum         // Alternation: the whole program as one Γ stage
+	chain  []engine.State   // Alternation: A₀ = ∅, A₁ … Aₙ
 
 	// pubUniv caches the universe copy handed to snapshots; the
 	// universe is append-only, so it is stale exactly when the sizes
@@ -134,22 +128,8 @@ type Maintainer struct {
 // New builds a maintainer for prog on a private clone of db, runs the
 // initial evaluation under sem, and returns it ready for updates.
 func New(prog *ast.Program, db *relation.Database, sem core.Semantics) (*Maintainer, error) {
-	arities, err := prog.Validate()
+	m, err := newMaintainer(prog, sem, db.Clone())
 	if err != nil {
-		return nil, err
-	}
-	m := &Maintainer{
-		prog:    prog,
-		sem:     sem,
-		db:      db.Clone(),
-		arities: arities,
-		idb:     prog.IDB(),
-		safe:    allVarsPositive(prog),
-	}
-	if m.strat, err = pickStrategy(prog, sem); err != nil {
-		return nil, err
-	}
-	if err := m.initStrategy(); err != nil {
 		return nil, err
 	}
 	m.recompute()
@@ -161,53 +141,40 @@ func NewWith(prog *ast.Program, db *relation.Database, sem core.Semantics, _ eng
 	return New(prog, db, sem)
 }
 
-// pickStrategy chooses the maintenance machinery for prog under sem.
-func pickStrategy(prog *ast.Program, sem core.Semantics) (strategy, error) {
-	class := prog.Classify()
-	monotone := class == ast.ClassPositive || class == ast.ClassSemipositive
-	_, unstratifiable := prog.Stratify()
-	switch sem {
-	case core.LFP:
-		if !monotone {
-			return 0, fmt.Errorf("incr: least fixpoint maintenance requires a positive or semipositive program; this one is %v", class)
-		}
-		return stratStrata, nil
-	case core.Stratified:
-		return stratStrata, unstratifiable
-	case core.Inflationary:
-		if monotone {
-			// Inflationary coincides with LFP: use the cheaper
-			// DRed machinery.
-			return stratStrata, nil
-		}
-		return stratRecompute, nil
-	case core.WellFounded:
-		if unstratifiable == nil {
-			// The well-founded model is total and is the stratified one
-			// (core.Eval makes the same choice in batch).
-			return stratStrata, nil
-		}
-		return stratWF, nil
-	default:
-		return 0, fmt.Errorf("incr: unknown semantics %v", sem)
-	}
-}
-
-// initStrategy builds the engine instances the chosen strategy
-// evaluates with, over the maintainer's database.
-func (m *Maintainer) initStrategy() error {
-	if m.strat == stratStrata {
-		return m.initStrata()
-	}
-	in, err := engine.New(m.prog, m.db)
+// newMaintainer builds a maintainer for prog under sem over db, which
+// it takes over, and the engine instances its method evaluates with;
+// New and RestoreWith then compute or install the state.
+func newMaintainer(prog *ast.Program, sem core.Semantics, db *relation.Database) (*Maintainer, error) {
+	arities, err := prog.Validate()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m.in = in
-	if m.strat == stratWF {
-		m.gamma = newStratum(in, m.prog)
+	method, err := core.MethodFor(sem, prog)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	m := &Maintainer{
+		prog:    prog,
+		sem:     sem,
+		db:      db,
+		arities: arities,
+		idb:     prog.IDB(),
+		method:  method,
+		safe:    allVarsPositive(prog),
+	}
+	switch method {
+	case core.Induction, core.Strata:
+		err = m.initStrata()
+	default:
+		m.in, err = engine.New(prog, db)
+		if method == core.Alternation && err == nil {
+			m.gamma = newStratum(m.in, prog)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // State returns the live maintained IDB state (for WellFounded, the
@@ -225,7 +192,7 @@ func (m *Maintainer) WF() *semantics.WFResult {
 		return nil
 	}
 	res := &semantics.WFResult{True: m.state, Possible: m.state}
-	if n := len(m.chain) - 1; m.strat == stratWF {
+	if n := len(m.chain) - 1; m.method == core.Alternation {
 		res.Possible, res.Outer = m.chain[n-1], n/2
 	}
 	return res
@@ -291,7 +258,7 @@ func (m *Maintainer) Update(ins, del []Fact) (*UpdateStats, error) {
 	}
 	effective := len(ch) > 0
 	switch {
-	case grew && !m.safe, effective && m.strat == stratRecompute:
+	case grew && !m.safe, effective && m.method == core.Stages:
 		// A new constant changes the universe the unsafe rules
 		// enumerate, invalidating every maintenance shortcut; a
 		// general inflationary program has none to begin with.
@@ -305,12 +272,12 @@ func (m *Maintainer) Update(ins, del []Fact) (*UpdateStats, error) {
 		}
 	case !effective:
 		stats.Strategy = "noop"
-	case m.strat == stratStrata:
-		stats.Strategy = "strata"
-		m.updateStrata(ch, stats)
-	default:
+	case m.method == core.Alternation:
 		stats.Strategy = "stages"
 		m.updateChain(ch, stats)
+	default:
+		stats.Strategy = "strata"
+		m.updateStrata(ch, stats)
 	}
 	m.gen++
 	stats.Duration = time.Since(start)
@@ -321,13 +288,13 @@ func (m *Maintainer) Update(ins, del []Fact) (*UpdateStats, error) {
 // initial one, every update of a general inflationary program, and the
 // fallback for universe growth under unsafe rules.
 func (m *Maintainer) recompute() {
-	switch m.strat {
-	case stratStrata:
-		m.evalStrata()
-	case stratRecompute:
+	switch m.method {
+	case core.Stages:
 		m.state = semantics.Inflationary(m.in).State
-	default:
+	case core.Alternation:
 		m.evalChain()
+	default:
+		m.evalStrata()
 	}
 }
 

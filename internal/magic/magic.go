@@ -14,9 +14,8 @@
 // would change the meaning.  Only the remaining, purely positive
 // support is adorned and guarded by magic predicates.  By construction
 // the rewritten program of a stratifiable program is stratifiable; if
-// the defensive re-check ever fails, Rewrite falls back to the
-// unrewritten (reachable) rules and records that decision in the
-// Report, so callers always get a correct program.
+// the defensive re-check ever fails, Rewrite returns an error, so a
+// broken rewrite is reported and never evaluated.
 //
 // Magic seeds flow through a dedicated extensional seed predicate
 // (m_q(X̄) ← m_q_seed(X̄)) rather than a fact rule, so the rewritten

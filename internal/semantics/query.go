@@ -11,15 +11,15 @@ import (
 
 // Demand-driven point queries.
 //
-// QueryLFP and QueryStratified answer a single query atom with a
-// binding pattern (e.g. tc(c, ?)) without materializing the whole
-// fixpoint: the program is magic-set rewritten for the query's
-// adornment (internal/magic), the rewritten program — seeded with the
-// query constants — is evaluated on the ordinary frontier/planner/
-// sharding machinery, and the answer relation is filtered by the
-// binding.  The result is bit-exact with full evaluation restricted
-// to the query predicate and pattern; the differential property test
-// in query_diff_test.go holds the two paths together.
+// Query answers a single query atom with a binding pattern (e.g.
+// tc(c, ?)) without materializing the whole fixpoint: the program is
+// magic-set rewritten for the query's adornment (internal/magic), the
+// rewritten program — seeded with the query constants — is evaluated
+// on the ordinary frontier/planner/sharding machinery, and the answer
+// relation is filtered by the binding.  The result is bit-exact with
+// full evaluation restricted to the query predicate and pattern; the
+// differential property tests in query_diff_test.go and query_wf_test.go
+// hold the two paths together.
 
 // QueryResult is the outcome of a demand-driven query.
 type QueryResult struct {
@@ -38,29 +38,15 @@ type QueryResult struct {
 	Report *magic.Report
 }
 
-// QueryLFP answers q on prog under the least-fixpoint semantics.  The
-// program must be positive or semipositive, like LeastFixpoint.  db is
+// Query answers q on prog, evaluating the rewritten program by strata
+// when stratified is set and by induction otherwise.  Which of the two
+// gives the semantics asked for is core.MethodFor's to say: induction
+// computes the least fixpoint only of a positive or semipositive
+// program, and strata reject an unstratifiable one.  Query validates
+// the query, answers extensional predicates by a direct probe, and
+// otherwise rewrites and evaluates on a private clone of db, which is
 // not modified.
-func QueryLFP(prog *ast.Program, db *relation.Database, q magic.Query) (*QueryResult, error) {
-	switch c := prog.Classify(); c {
-	case ast.ClassPositive, ast.ClassSemipositive:
-	default:
-		return nil, fmt.Errorf("least fixpoint queries require a positive or semipositive program; this one is %v", c)
-	}
-	return queryEval(prog, db, q, false)
-}
-
-// QueryStratified answers q on prog under the stratified semantics.
-// It errors on unstratifiable programs, like Stratified.  db is not
-// modified.
-func QueryStratified(prog *ast.Program, db *relation.Database, q magic.Query) (*QueryResult, error) {
-	return queryEval(prog, db, q, true)
-}
-
-// queryEval validates the query, answers extensional predicates by a
-// direct probe, and otherwise rewrites and evaluates on a private
-// clone of db.
-func queryEval(prog *ast.Program, db *relation.Database, q magic.Query, stratified bool) (*QueryResult, error) {
+func Query(prog *ast.Program, db *relation.Database, q magic.Query, stratified bool) (*QueryResult, error) {
 	arities, err := prog.Validate()
 	if err != nil {
 		return nil, err
@@ -101,7 +87,7 @@ func QueryRewrittenOpts(rw *magic.Rewritten, work *relation.Database, q magic.Qu
 // constants are interned, and (for stratified evaluation) computed
 // strata are installed.  Callers that own a throwaway database — the
 // server builds one per query from a snapshot's extensional relations —
-// skip the Clone that QueryLFP/QueryStratified pay.
+// skip the Clone that Query pays.
 func QueryRewritten(rw *magic.Rewritten, work *relation.Database, q magic.Query, stratified bool) (*QueryResult, error) {
 	// Universe parity with full evaluation: the active domain is the
 	// database universe plus every original program constant, and unsafe
@@ -144,11 +130,7 @@ func QueryRewritten(rw *magic.Rewritten, work *relation.Database, q magic.Query,
 		if err != nil {
 			return nil, err
 		}
-		r, err := LeastFixpoint(in)
-		if err != nil {
-			return nil, err
-		}
-		res = r
+		res = Inflationary(in)
 	}
 
 	ans := res.State[rw.Answer]

@@ -48,7 +48,7 @@ func TestQueryLFPPointQuery(t *testing.T) {
 	prog := parser.MustProgram(tcLeftSrc)
 	db := graphs.Path(16).Database()
 
-	res, err := QueryLFP(prog, db, magic.MustParseQuery("s(v3, ?)"))
+	res, err := Query(prog, db, magic.MustParseQuery("s(v3, ?)"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +61,7 @@ func TestQueryLFPPointQuery(t *testing.T) {
 	}
 
 	// Bit-exact against full evaluation + filter.
-	fullRes, err := LeastFixpoint(engine.MustNew(prog, db.Clone()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fullRes := Inflationary(engine.MustNew(prog, db.Clone()))
 	want := nameTuples(FilterPattern(fullRes.State["s"], magic.MustParseQuery("s(v3, ?)"), fullRes.Universe), fullRes.Universe)
 	got := nameTuples(res.Tuples, res.Universe)
 	if !sameTuples(got, want) {
@@ -85,7 +82,7 @@ unreach(X,Y) :- V(X), V(Y), !s1(X,Y).
 	}
 
 	q := magic.MustParseQuery("unreach(v5, ?)")
-	res, err := QueryStratified(prog, db, q)
+	res, err := Query(prog, db, q, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +103,7 @@ unreach(X,Y) :- V(X), V(Y), !s1(X,Y).
 func TestQueryEDBDirect(t *testing.T) {
 	prog := parser.MustProgram(tcLeftSrc)
 	db := graphs.Path(4).Database()
-	res, err := QueryLFP(prog, db, magic.MustParseQuery("E(v1, ?)"))
+	res, err := Query(prog, db, magic.MustParseQuery("E(v1, ?)"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +118,7 @@ func TestQueryEDBDirect(t *testing.T) {
 func TestQueryUnknownConstantIsEmpty(t *testing.T) {
 	prog := parser.MustProgram(tcLeftSrc)
 	db := graphs.Path(4).Database()
-	res, err := QueryLFP(prog, db, magic.MustParseQuery("s(zzz, ?)"))
+	res, err := Query(prog, db, magic.MustParseQuery("s(zzz, ?)"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,17 +130,14 @@ func TestQueryUnknownConstantIsEmpty(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	prog := parser.MustProgram(tcLeftSrc)
 	db := graphs.Path(4).Database()
-	if _, err := QueryLFP(prog, db, magic.MustParseQuery("nope(?)")); err == nil {
+	if _, err := Query(prog, db, magic.MustParseQuery("nope(?)"), false); err == nil {
 		t.Fatal("unknown predicate should error")
 	}
-	if _, err := QueryLFP(prog, db, magic.MustParseQuery("s(?)")); err == nil {
+	if _, err := Query(prog, db, magic.MustParseQuery("s(?)"), false); err == nil {
 		t.Fatal("arity mismatch should error")
 	}
 	win := parser.MustProgram("win(X) :- E(X,Y), !win(Y).")
-	if _, err := QueryStratified(win, db, magic.MustParseQuery("win(?)")); err == nil {
+	if _, err := Query(win, db, magic.MustParseQuery("win(?)"), true); err == nil {
 		t.Fatal("unstratifiable program should error")
-	}
-	if _, err := QueryLFP(win, db, magic.MustParseQuery("win(?)")); err == nil {
-		t.Fatal("general program should be rejected by QueryLFP")
 	}
 }

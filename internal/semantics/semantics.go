@@ -5,10 +5,11 @@
 //     Θ̃(S) = S ∪ Θ(S) to its inductive fixpoint Θ^∞, reached after at
 //     most |A|^k stages — polynomial-time data complexity, total on all
 //     DATALOG¬ programs.
-//   - LeastFixpoint (the standard DATALOG semantics): valid for
+//   - Least fixpoint (the standard DATALOG semantics): valid for
 //     programs monotone in their IDB relations (positive and
-//     semipositive classes); computed by the same iteration, which for
-//     monotone Θ converges to the least fixpoint (Tarski/Kleene).
+//     semipositive classes), and computed by Inflationary, whose
+//     iteration for monotone Θ converges to the least fixpoint
+//     (Tarski/Kleene); core.MethodFor checks the class.
 //   - Stratified (Chandra–Harel / Apt–Blair–Walker): evaluate strata
 //     bottom-up, each stratum a semipositive program over the results
 //     of lower strata.  Rejects unstratifiable programs.
@@ -23,9 +24,6 @@
 package semantics
 
 import (
-	"fmt"
-
-	"repro/internal/ast"
 	"repro/internal/engine"
 	"repro/internal/relation"
 )
@@ -60,19 +58,6 @@ const SemiNaive Mode = 0
 // Inflationary computes the paper's inflationary semantics Θ^∞ of
 // (π, D): the inductive fixpoint of S ↦ S ∪ Θ(S).
 func Inflationary(in *engine.Instance) *Result { return lfpLoop(in, nil) }
-
-// LeastFixpoint computes the standard least-fixpoint semantics.  It
-// errors unless the program is monotone in its IDB relations (positive
-// or semipositive), since for general DATALOG¬ a least fixpoint may
-// not exist — the paper's Section 3 shows deciding that is hard.
-func LeastFixpoint(in *engine.Instance) (*Result, error) {
-	switch c := in.Program().Classify(); c {
-	case ast.ClassPositive, ast.ClassSemipositive:
-		return lfpLoop(in, nil), nil
-	default:
-		return nil, fmt.Errorf("least fixpoint semantics requires a positive or semipositive program; this one is %v", c)
-	}
-}
 
 // lfpLoop iterates S ↦ S ∪ Θ(S) to its inductive fixpoint.  When
 // negFixed is non-nil, negated IDB literals are evaluated against it

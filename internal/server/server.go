@@ -113,10 +113,10 @@ type Server struct {
 	qdone  chan struct{}
 	closed atomic.Bool
 
-	// Demand-driven query support: available when the maintained
-	// semantics has a magic-rewritable reading (LFP, stratified, or
-	// inflationary coinciding with LFP on positive/semipositive
-	// programs).
+	// Demand-driven query support.  Point queries need a semantics
+	// whose model is computed by induction or strata: lfp, stratified,
+	// inflationary on a positive or semipositive program, or
+	// well-founded on a stratifiable one.
 	magicOK    bool
 	magicStrat bool // evaluate rewrites under stratified semantics
 	rwMu       sync.Mutex
@@ -175,8 +175,10 @@ func NewWith(prog *ast.Program, db *relation.Database, sem core.Semantics, cfg C
 	}
 	s.leaderAddr = cfg.LeaderAddr
 	s.readOnly.Store(cfg.ReadOnly)
-	// One rule for every entry point: LFP and stratified always,
-	// inflationary exactly where it coincides with LFP.
+	// One rule for every entry point (core.QueryStrategy): point
+	// queries need a semantics whose model is computed by induction or
+	// strata: lfp, stratified, inflationary on a positive or
+	// semipositive program, or well-founded on a stratifiable one.
 	s.magicStrat, s.magicOK = core.QueryStrategy(sem, class)
 	s.cur.Store(m.Snapshot())
 	s.met.lastPublish.Set(time.Now().UnixNano())
@@ -347,7 +349,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if q.Magic && s.idb[q.Pred] {
 		if !s.magicOK {
 			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("magic queries are not available under %s semantics on a %s program", s.cur.Load().Sem, s.class))
+				fmt.Sprintf("point queries need a semantics whose model is computed by induction or strata: lfp, stratified, inflationary on a positive or semipositive program, or well-founded on a stratifiable one (program is %s, semantics %s)", s.class, s.cur.Load().Sem))
 			return
 		}
 		s.handleMagicQuery(w, q)

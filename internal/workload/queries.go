@@ -12,8 +12,7 @@ import (
 // The join workloads above stress whole-fixpoint evaluation; these
 // stress the demand-driven path: one query atom with bound positions,
 // answered either by magic-set rewriting (internal/magic via
-// semantics.QueryLFP/QueryStratified) or by full materialization plus
-// a filter — the ablation pair of experiment E16.
+// core.Query) or by full materialization plus a filter — the ablation pair of experiment E16.
 //
 // TC appears in both recursion directions on purpose.  The rewrite's
 // sideways information passing is textual left-to-right, so the
@@ -55,7 +54,7 @@ type PointQueryWorkload struct {
 	Src  string
 	// Query is the query atom in magic.ParseQuery syntax.
 	Query string
-	// Stratified selects QueryStratified over QueryLFP.
+	// Stratified queries under the stratified semantics, not LFP.
 	Stratified bool
 	DB         func() *relation.Database
 	// Headline marks the row whose speedup experiment E16 asserts.

@@ -144,9 +144,9 @@ type QueryResult = semantics.QueryResult
 // "?" free — demand-driven: the program is magic-set rewritten for the
 // query's binding pattern (see internal/magic) and only the tuples the
 // query can reach are derived, instead of materializing the whole
-// fixpoint.  Supported semantics: SemanticsLFP, SemanticsStratified,
-// and SemanticsInflationary when it coincides with LFP (positive or
-// semipositive programs).
+// fixpoint.  Point queries need a semantics whose model is computed by
+// induction or strata: lfp, stratified, inflationary on a positive or
+// semipositive program, or well-founded on a stratifiable one.
 func Query(prog *Program, db *Database, query string, sem Semantics) (*QueryResult, error) {
 	q, err := magic.ParseQuery(query)
 	if err != nil {
