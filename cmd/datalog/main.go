@@ -15,9 +15,9 @@
 // -magic=false answers the same query from a full materialization
 // instead (the oracle the magic path is tested against); -explain
 // prints the rewrite report.  Point queries need a semantics whose
-// model is computed by induction or strata: lfp, stratified,
-// inflationary on a positive or semipositive program, or well-founded
-// on a stratifiable one.
+// model is computed by strata: lfp, stratified, inflationary on a
+// positive or semipositive program, or well-founded on a stratifiable
+// one.
 package main
 
 import (
@@ -149,7 +149,7 @@ func runQuery(w io.Writer, prog *ast.Program, db *relation.Database, src string,
 		return fmt.Errorf("query %s has %d args, predicate has arity %d", q.Pred, len(q.Args), ar)
 	}
 	if _, ok := core.QueryStrategy(sem, prog.Classify()); !ok {
-		return fmt.Errorf("point queries need a semantics whose model is computed by induction or strata: lfp, stratified, inflationary on a positive or semipositive program, or well-founded on a stratifiable one (program is %v; try -semantics stratified)", prog.Classify())
+		return fmt.Errorf("point queries need a semantics whose model is computed by strata: lfp, stratified, inflationary on a positive or semipositive program, or well-founded on a stratifiable one (program is %v; try -semantics stratified)", prog.Classify())
 	}
 
 	start := time.Now()

@@ -83,34 +83,33 @@ type EvalResult struct {
 	WF *semantics.WFResult
 }
 
-// Method is how a semantics computes a program's model.  It depends on
-// the semantics and the program's class alone, and MethodFor is the one
-// place that says which.
+// Method is how a semantics computes a program's model: strata, stages
+// or alternation.  It depends on the semantics and the program's class
+// alone, and MethodFor is the one place that says which.
 type Method int
 
-// The four methods.
+// The three methods.
 const (
-	// Induction iterates S ↦ S ∪ Θ(S) from ∅: least fixpoint semantics,
-	// and inflationary semantics on a positive or semipositive program,
-	// where the two coincide.
-	Induction Method = iota
-	// Stages is that iteration where IDB negation makes the stage
-	// sequence itself the meaning: inflationary semantics on the rest.
+	// Strata evaluates strata bottom-up, each to its least fixpoint:
+	// least fixpoint semantics and inflationary semantics on a positive
+	// or semipositive program, which is one stratum and where the two
+	// coincide; stratified semantics; and well-founded semantics on a
+	// stratifiable program, whose model is total and the stratified one.
+	Strata Method = iota
+	// Stages iterates S ↦ S ∪ Θ(S) from ∅ where IDB negation makes the
+	// stage sequence itself the meaning: inflationary semantics on the
+	// rest.
 	Stages
-	// Strata evaluates strata bottom-up: stratified semantics, and
-	// well-founded semantics on a stratifiable program, whose model is
-	// total and the stratified one.
-	Strata
 	// Alternation is Van Gelder's alternating fixpoint: well-founded
 	// semantics on an unstratifiable program.
 	Alternation
 )
 
-// MethodFor returns the method by which sem computes prog's model, or
-// the error saying that sem gives prog no meaning: least fixpoint
-// semantics needs a positive or semipositive program, stratified
-// semantics a stratifiable one, and inflationary and well-founded
-// semantics take every program.
+// MethodFor returns the method — strata, stages or alternation — by
+// which sem computes prog's model, or the error saying that sem gives
+// prog no meaning: least fixpoint semantics needs a positive or
+// semipositive program, stratified semantics a stratifiable one, and
+// inflationary and well-founded semantics take every program.
 func MethodFor(sem Semantics, prog *ast.Program) (Method, error) {
 	_, m, err := classify(sem, prog)
 	return m, err
@@ -134,12 +133,10 @@ func method(sem Semantics, c ast.Class) (Method, error) {
 		return 0, fmt.Errorf("least fixpoint semantics requires a positive or semipositive program; this one is %v", c)
 	case sem == Stratified && c == ast.ClassGeneral:
 		return 0, fmt.Errorf("program is not stratifiable")
-	case sem == LFP, sem == Inflationary && monotone:
-		return Induction, nil
+	case sem == LFP, sem == Stratified, sem == Inflationary && monotone, sem == WellFounded && c != ast.ClassGeneral:
+		return Strata, nil
 	case sem == Inflationary:
 		return Stages, nil
-	case sem == Stratified, sem == WellFounded && c != ast.ClassGeneral:
-		return Strata, nil
 	case sem == WellFounded:
 		return Alternation, nil
 	}
@@ -160,12 +157,6 @@ func Eval(prog *ast.Program, db *relation.Database, sem Semantics) (*EvalResult,
 	res := &EvalResult{Semantics: sem, Class: c}
 	var r *semantics.Result
 	switch m {
-	case Induction, Stages:
-		in, err := engine.New(prog, db.Clone())
-		if err != nil {
-			return nil, err
-		}
-		r = semantics.Inflationary(in)
 	case Strata:
 		if r, err = semantics.Stratified(prog, db); err != nil {
 			return nil, err
@@ -173,6 +164,12 @@ func Eval(prog *ast.Program, db *relation.Database, sem Semantics) (*EvalResult,
 		if sem == WellFounded {
 			res.WF = &semantics.WFResult{True: r.State, Possible: r.State, Stats: r.Stats}
 		}
+	case Stages:
+		in, err := engine.New(prog, db.Clone())
+		if err != nil {
+			return nil, err
+		}
+		r = semantics.Inflationary(in)
 	case Alternation:
 		in, err := engine.New(prog, db.Clone())
 		if err != nil {
@@ -191,15 +188,17 @@ func EvalOpts(prog *ast.Program, db *relation.Database, sem Semantics, _ semanti
 }
 
 // QueryStrategy reports whether demand-driven point queries are
-// available under sem for a program of class c, and if so whether they
-// evaluate under the stratified semantics.  Point queries need a
-// semantics whose model is computed by induction or strata: lfp,
-// stratified, inflationary on a positive or semipositive program, or
-// well-founded on a stratifiable one.  Every query entry point — the
-// CLI, the facade, and the server — dispatches through this one rule.
+// available under sem for a program of class c.  Point queries need a
+// semantics whose model is computed by strata: lfp, stratified,
+// inflationary on a positive or semipositive program, or well-founded
+// on a stratifiable one.  Every query entry point — the CLI, the
+// facade, and the server — dispatches through this one rule.  Every
+// rewrite is evaluated by strata, so stratified always equals ok; the
+// pair remains for benchmark/.
 func QueryStrategy(sem Semantics, c ast.Class) (stratified, ok bool) {
 	m, err := method(sem, c)
-	return m == Strata, err == nil && (m == Induction || m == Strata)
+	ok = err == nil && m == Strata
+	return ok, ok
 }
 
 // Query answers a single query atom demand-driven (magic-set
@@ -210,10 +209,10 @@ func Query(prog *ast.Program, db *relation.Database, q magic.Query, sem Semantic
 	if err != nil {
 		return nil, err
 	}
-	if m != Induction && m != Strata {
-		return nil, fmt.Errorf("core: point queries need a semantics whose model is computed by induction or strata: lfp, stratified, inflationary on a positive or semipositive program, or well-founded on a stratifiable one (program is %v, semantics %v)", c, sem)
+	if m != Strata {
+		return nil, fmt.Errorf("core: point queries need a semantics whose model is computed by strata: lfp, stratified, inflationary on a positive or semipositive program, or well-founded on a stratifiable one (program is %v, semantics %v)", c, sem)
 	}
-	return semantics.Query(prog, db, q, m == Strata)
+	return semantics.Query(prog, db, q)
 }
 
 // QueryFull answers the same query by full materialization plus a

@@ -6,17 +6,19 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/core"
+	"repro/internal/graphs"
 	"repro/internal/incr"
 	"repro/internal/magic"
 	"repro/internal/parser"
+	"repro/internal/semantics"
 )
 
 // TestMethodMatrix pins the semantics × program-class rule: for each of
 // the four semantics on a program of each of the four classes, the
 // method core.MethodFor returns or the error it gives, and that
 // core.Eval, incr.New, core.QueryStrategy and core.Query accept exactly
-// the pairs the rule admits — Query only those computed by induction or
-// strata — with the maintainer updating by the machinery of its method.
+// the pairs the rule admits — Query only those computed by strata —
+// with the maintainer updating by the machinery of its method.
 func TestMethodMatrix(t *testing.T) {
 	classes := []struct {
 		class ast.Class
@@ -34,15 +36,14 @@ func TestMethodMatrix(t *testing.T) {
 		stratErr = "error: program is not stratifiable"
 	)
 	want := map[core.Semantics][4]string{
-		core.LFP:          {"induction", "induction", lfpErr, lfpErr},
-		core.Inflationary: {"induction", "induction", "stages", "stages"},
+		core.LFP:          {"strata", "strata", lfpErr, lfpErr},
+		core.Inflationary: {"strata", "strata", "stages", "stages"},
 		core.Stratified:   {"strata", "strata", "strata", stratErr},
 		core.WellFounded:  {"strata", "strata", "strata", "alternation"},
 	}
 	methods := map[core.Method]struct {
 		name, maintainedBy string // the incr.UpdateStats.Strategy it updates by
 	}{
-		core.Induction:   {"induction", "strata"},
 		core.Stages:      {"stages", "recompute"},
 		core.Strata:      {"strata", "strata"},
 		core.Alternation: {"alternation", "stages"},
@@ -85,9 +86,9 @@ func TestMethodMatrix(t *testing.T) {
 				}
 			}
 
-			queryable := admitted && (m == core.Induction || m == core.Strata)
+			queryable := admitted && m == core.Strata
 			stratified, ok := core.QueryStrategy(sem, c.class)
-			if ok != queryable || ok && stratified != (m == core.Strata) {
+			if ok != queryable || stratified != ok {
 				t.Errorf("%s: QueryStrategy = (stratified %v, ok %v), want ok=%v by %s", name, stratified, ok, queryable, methods[m].name)
 			}
 			res, err := core.Query(prog, db, q, sem)
@@ -109,5 +110,28 @@ func TestMethodMatrix(t *testing.T) {
 	}
 	if _, err := core.MethodFor(core.Semantics(9), parser.MustProgram(classes[0].src)); err == nil {
 		t.Error("MethodFor accepted an unknown semantics")
+	}
+}
+
+// TestQueryStatsPinned pins a point query's effort on a semipositive
+// program under each semantics that answers it: every one evaluates
+// the same rewrite as one stratum, and the pinned statistics are those
+// the induction over the whole rewrite gave under LFP and inflationary
+// semantics before strata evaluated every rewrite.
+func TestQueryStatsPinned(t *testing.T) {
+	prog := parser.MustProgram("s(X,Y) :- E(X,Y), !F(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).")
+	db := graphs.Path(8).Database()
+	if err := db.AddFact("F", "v1", "v2"); err != nil {
+		t.Fatal(err)
+	}
+	want := semantics.Stats{Rounds: 15, Tuples: 34, MaxDeltaTuples: 5}
+	for _, sem := range []core.Semantics{core.LFP, core.Inflationary, core.Stratified, core.WellFounded} {
+		res, err := core.Query(prog, db, magic.MustParseQuery("s(v0, ?)"), sem)
+		if err != nil {
+			t.Fatalf("%v: %v", sem, err)
+		}
+		if res.Tuples.Len() != 6 || res.Stats != want {
+			t.Errorf("%v: %d answers, stats %+v; want 6 answers, stats %+v", sem, res.Tuples.Len(), res.Stats, want)
+		}
 	}
 }

@@ -158,7 +158,7 @@ func (in *Instance) tasks(sp Spec) []evalTask {
 // floor, handing the pass to the pool and merging the per-worker
 // outputs costs more than the parallel enumeration saves.  The value
 // comes from one sweep of the eval-batch workload, which README's
-// "One evaluation path" section reports.
+// "The inline floor" section reports.
 const InlineFloor = 4096
 
 // scratchPool is process-global, not per-instance: a sync.Pool that

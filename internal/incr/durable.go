@@ -7,8 +7,8 @@
 // methods keep (stratum engine instances, the stages of the
 // alternating fixpoint) is rebuilt from that state on restore:
 //
-//   - induction, strata and stages: none keeps anything beside the
-//     materialized relations, so the restored IDB is installed as it is.
+//   - strata and stages: neither keeps anything beside the materialized
+//     relations, so the restored IDB is installed as it is.
 //   - alternation: the chain of Γ stages is not persisted; restore runs
 //     one alternating fixpoint over the restored EDB, keeps its stages,
 //     and refuses a checkpoint whose True or Possible differ from them.
@@ -109,9 +109,8 @@ func RestoreWith(cp *Checkpoint, _ engine.Options) (*Maintainer, error) {
 	if m.method == core.Alternation {
 		m.evalChain()
 	} else {
-		// Install the restored IDB where evalStrata or recompute would
-		// have put computed results: strata read lower strata from the
-		// database.
+		// Install the restored IDB where recompute would have put
+		// computed results: strata read lower strata from the database.
 		m.state = make(engine.State, len(m.idb))
 		for pred := range m.idb {
 			rel, ar := cp.IDB[pred], m.arities[pred]

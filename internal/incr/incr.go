@@ -2,16 +2,20 @@
 // under EDB fact inserts and deletes, without recomputing the fixpoint
 // from scratch.
 //
-// The machinery follows core.MethodFor, which reads the method off the
-// semantics and the program class:
+// The machinery follows core.MethodFor, which reads the method —
+// strata, stages or alternation — off the semantics and the program
+// class:
 //
-//   - Induction and strata: stratum-by-stratum maintenance, every
-//     stratum by DRed: overdelete, rederive once, then propagate
-//     semi-naively what the rederivation and the update insert.  A
-//     stratum's net change is read off the sets the pass holds — what
-//     was overdeleted and did not come back, what was appended and had
-//     not been overdeleted — so an update's cost follows what it
-//     changes, not the size of the relations it changes it in.  Changes cascade upward through the strata, insertions
+//   - Strata (lfp, stratified, inflationary on a positive or
+//     semipositive program, well-founded on a stratifiable one): the
+//     strata semantics.Strata compiles are maintained stratum by
+//     stratum, every stratum by DRed: overdelete, rederive once, then
+//     propagate semi-naively what the rederivation and the update
+//     insert.  A stratum's net change is read off the sets the pass
+//     holds — what was overdeleted and did not come back, what was
+//     appended and had not been overdeleted — so an update's cost
+//     follows what it changes, not the size of the relations it changes
+//     it in.  Changes cascade upward through the strata, insertions
 //     acting as deletions through negation and vice versa; the old
 //     world of a changed relation is read through engine.Overlay on the
 //     relation as it is now, never copied.
@@ -108,13 +112,16 @@ type Maintainer struct {
 	idb     map[string]bool
 	state   engine.State
 	gen     uint64
-	// method is core.MethodFor(sem, prog).  Induction and Strata are
-	// both maintained as strata, Stages by recompute and Alternation as
-	// the chain of Γ stages.
+	// method is core.MethodFor(sem, prog): strata, stages or
+	// alternation.  Strata are maintained stratum by stratum, Stages by
+	// recompute and Alternation as the chain of Γ stages.
 	method core.Method
 	safe   bool // every rule variable bound positively: universe growth cannot change plans
 
-	strata []*stratum       // Induction, Strata
+	// Strata: semantics.Strata's instances over db, which doubles as
+	// their working database, and the layers DRed maintains over them.
+	insts  []*engine.Instance
+	strata []*stratum
 	in     *engine.Instance // Stages, Alternation
 	gamma  *stratum         // Alternation: the whole program as one Γ stage
 	chain  []engine.State   // Alternation: A₀ = ∅, A₁ … Aₙ
@@ -163,12 +170,15 @@ func newMaintainer(prog *ast.Program, sem core.Semantics, db *relation.Database)
 		safe:    allVarsPositive(prog),
 	}
 	switch method {
-	case core.Induction, core.Strata:
-		err = m.initStrata()
+	case core.Strata:
+		m.insts, err = semantics.Strata(prog, db)
+		for _, in := range m.insts {
+			m.strata = append(m.strata, newStratum(in))
+		}
 	default:
 		m.in, err = engine.New(prog, db)
 		if method == core.Alternation && err == nil {
-			m.gamma = newStratum(m.in, prog)
+			m.gamma = newStratum(m.in)
 		}
 	}
 	if err != nil {
@@ -294,7 +304,7 @@ func (m *Maintainer) recompute() {
 	case core.Alternation:
 		m.evalChain()
 	default:
-		m.evalStrata()
+		m.state = semantics.EvalStrata(m.db, m.insts).State
 	}
 }
 

@@ -1,13 +1,13 @@
 // strata.go — DRed maintenance for stratified evaluation.
 //
-// The program is split into strata exactly as in semantics.Stratified:
-// each stratum is a semipositive program over the results of lower
-// strata, evaluated bottom-up, with lower-stratum predicates read as
-// EDB from the maintainer's database.  An update enters as EDB changes
-// and cascades upward: each stratum turns the changes below it into its
-// own net insertions and deletions, which the next stratum consumes —
-// insertions acting as deletions through negated literals and vice
-// versa.
+// The program is split into strata by semantics.Strata, the compiler
+// semantics.Stratified uses: each stratum is a semipositive program
+// over the results of lower strata, evaluated bottom-up, with
+// lower-stratum predicates read as EDB from the maintainer's database.
+// An update enters as EDB changes and cascades upward: each stratum
+// turns the changes below it into its own net insertions and
+// deletions, which the next stratum consumes — insertions acting as
+// deletions through negated literals and vice versa.
 //
 // A pass works on two states: the one its own predicates live in, which
 // positive own-predicate literals read and the pass updates, and the one
@@ -38,7 +38,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/engine"
 	"repro/internal/relation"
-	"repro/internal/semantics"
 )
 
 // stratum is one semipositive layer — a stratum of the program, or the
@@ -55,7 +54,9 @@ type stratum struct {
 	recursive bool
 }
 
-func newStratum(in *engine.Instance, sub *ast.Program) *stratum {
+// newStratum is the layer whose rules are in's program.
+func newStratum(in *engine.Instance) *stratum {
+	sub := in.Program()
 	s := &stratum{in: in, preds: sub.IDB(), bodyPreds: make(map[string]bool)}
 	for _, r := range sub.Rules {
 		for _, l := range r.Body {
@@ -66,42 +67,6 @@ func newStratum(in *engine.Instance, sub *ast.Program) *stratum {
 		}
 	}
 	return s
-}
-
-// initStrata stratifies the program and builds one engine instance per
-// stratum over the maintainer's database (which doubles as the working
-// database: computed strata are installed into it, so higher strata —
-// whose instances treat lower predicates as EDB — read them live).
-func (m *Maintainer) initStrata() error {
-	strat, err := m.prog.Stratify()
-	if err != nil {
-		return err
-	}
-	m.strata = nil
-	for k := 0; k < strat.NumStrata(); k++ {
-		sub := &ast.Program{Rules: m.prog.RulesForStratum(strat, k)}
-		in, err := engine.New(sub, m.db)
-		if err != nil {
-			return err
-		}
-		m.strata = append(m.strata, newStratum(in, sub))
-	}
-	return nil
-}
-
-// evalStrata computes every stratum from scratch and installs the
-// results into the database and state.
-func (m *Maintainer) evalStrata() {
-	m.state = make(engine.State)
-	for _, s := range m.strata {
-		// Each stratum is semipositive over its own predicates, so the
-		// inflationary loop computes its least fixpoint.
-		st := semantics.Inflationary(s.in).State
-		for pred, rel := range st {
-			m.db.Set(pred, rel)
-			m.state[pred] = rel
-		}
-	}
 }
 
 // touched reports whether any changed predicate is read by the stratum.

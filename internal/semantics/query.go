@@ -38,15 +38,14 @@ type QueryResult struct {
 	Report *magic.Report
 }
 
-// Query answers q on prog, evaluating the rewritten program by strata
-// when stratified is set and by induction otherwise.  Which of the two
-// gives the semantics asked for is core.MethodFor's to say: induction
-// computes the least fixpoint only of a positive or semipositive
-// program, and strata reject an unstratifiable one.  Query validates
-// the query, answers extensional predicates by a direct probe, and
-// otherwise rewrites and evaluates on a private clone of db, which is
-// not modified.
-func Query(prog *ast.Program, db *relation.Database, q magic.Query, stratified bool) (*QueryResult, error) {
+// Query answers q on prog by evaluating the magic-set rewrite of prog
+// by strata.  Point queries need a semantics whose model is computed by
+// strata: lfp, stratified, inflationary on a positive or semipositive
+// program, or well-founded on a stratifiable one; core.Query checks
+// that rule.  Query validates the query, answers extensional
+// predicates by a direct probe, and otherwise rewrites and evaluates on
+// a private clone of db, which is not modified.
+func Query(prog *ast.Program, db *relation.Database, q magic.Query) (*QueryResult, error) {
 	arities, err := prog.Validate()
 	if err != nil {
 		return nil, err
@@ -74,21 +73,22 @@ func Query(prog *ast.Program, db *relation.Database, q magic.Query, stratified b
 	if err != nil {
 		return nil, err
 	}
-	return QueryRewritten(rw, db.Clone(), q, stratified)
+	return QueryRewritten(rw, db.Clone(), q)
 }
 
-// QueryRewrittenOpts is QueryRewritten; it remains only for benchmark/.
-func QueryRewrittenOpts(rw *magic.Rewritten, work *relation.Database, q magic.Query, stratified bool, _ Mode, _ engine.Options) (*QueryResult, error) {
-	return QueryRewritten(rw, work, q, stratified)
+// QueryRewrittenOpts is QueryRewritten; it remains only for benchmark/
+// and ignores its bool, mode and options: every rewrite runs by strata.
+func QueryRewrittenOpts(rw *magic.Rewritten, work *relation.Database, q magic.Query, _ bool, _ Mode, _ engine.Options) (*QueryResult, error) {
+	return QueryRewritten(rw, work, q)
 }
 
-// QueryRewritten evaluates a prepared rewrite against work, which the
-// caller hands over: seed facts are added, the original program's
-// constants are interned, and (for stratified evaluation) computed
-// strata are installed.  Callers that own a throwaway database — the
-// server builds one per query from a snapshot's extensional relations —
-// skip the Clone that Query pays.
-func QueryRewritten(rw *magic.Rewritten, work *relation.Database, q magic.Query, stratified bool) (*QueryResult, error) {
+// QueryRewritten evaluates a prepared rewrite by strata against work,
+// which the caller hands over: seed facts are added, the original
+// program's constants are interned, and computed strata are installed.
+// Callers that own a throwaway database — the server builds one per
+// query from a snapshot's extensional relations — skip the Clone that
+// Query pays.
+func QueryRewritten(rw *magic.Rewritten, work *relation.Database, q magic.Query) (*QueryResult, error) {
 	// Universe parity with full evaluation: the active domain is the
 	// database universe plus every original program constant, and unsafe
 	// rules range over exactly that set.
@@ -118,20 +118,11 @@ func QueryRewritten(rw *magic.Rewritten, work *relation.Database, q magic.Query,
 		return nil, err
 	}
 
-	var res *Result
-	if stratified {
-		r, err := stratifiedIn(rw.Program, work)
-		if err != nil {
-			return nil, err
-		}
-		res = r
-	} else {
-		in, err := engine.New(rw.Program, work)
-		if err != nil {
-			return nil, err
-		}
-		res = Inflationary(in)
+	insts, err := Strata(rw.Program, work)
+	if err != nil {
+		return nil, err
 	}
+	res := EvalStrata(work, insts)
 
 	ans := res.State[rw.Answer]
 	if ans == nil {

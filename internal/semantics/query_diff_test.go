@@ -196,7 +196,7 @@ func TestPropMagicQueryMatchesFullLFP(t *testing.T) {
 			want := nameTuples(FilterPattern(full.State[q.Pred], q, full.Universe), full.Universe)
 			for _, w := range queryWorkers() {
 				setProcs(t, w)
-				res, err := Query(prog, db, q, false)
+				res, err := Query(prog, db, q)
 				if err != nil {
 					t.Fatalf("seed %d query %s: %v\n%s", seed, q, err, src)
 				}
@@ -232,7 +232,7 @@ func TestPropMagicQueryMatchesFullStratified(t *testing.T) {
 			want := nameTuples(FilterPattern(full.State[q.Pred], q, full.Universe), full.Universe)
 			for _, w := range queryWorkers() {
 				setProcs(t, w)
-				res, err := Query(prog, db, q, true)
+				res, err := Query(prog, db, q)
 				if err != nil {
 					t.Fatalf("seed %d query %s: %v\n%s", seed, q, err, src)
 				}

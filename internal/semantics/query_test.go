@@ -48,7 +48,7 @@ func TestQueryLFPPointQuery(t *testing.T) {
 	prog := parser.MustProgram(tcLeftSrc)
 	db := graphs.Path(16).Database()
 
-	res, err := Query(prog, db, magic.MustParseQuery("s(v3, ?)"), false)
+	res, err := Query(prog, db, magic.MustParseQuery("s(v3, ?)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ unreach(X,Y) :- V(X), V(Y), !s1(X,Y).
 	}
 
 	q := magic.MustParseQuery("unreach(v5, ?)")
-	res, err := Query(prog, db, q, true)
+	res, err := Query(prog, db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ unreach(X,Y) :- V(X), V(Y), !s1(X,Y).
 func TestQueryEDBDirect(t *testing.T) {
 	prog := parser.MustProgram(tcLeftSrc)
 	db := graphs.Path(4).Database()
-	res, err := Query(prog, db, magic.MustParseQuery("E(v1, ?)"), false)
+	res, err := Query(prog, db, magic.MustParseQuery("E(v1, ?)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestQueryEDBDirect(t *testing.T) {
 func TestQueryUnknownConstantIsEmpty(t *testing.T) {
 	prog := parser.MustProgram(tcLeftSrc)
 	db := graphs.Path(4).Database()
-	res, err := Query(prog, db, magic.MustParseQuery("s(zzz, ?)"), false)
+	res, err := Query(prog, db, magic.MustParseQuery("s(zzz, ?)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +130,14 @@ func TestQueryUnknownConstantIsEmpty(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	prog := parser.MustProgram(tcLeftSrc)
 	db := graphs.Path(4).Database()
-	if _, err := Query(prog, db, magic.MustParseQuery("nope(?)"), false); err == nil {
+	if _, err := Query(prog, db, magic.MustParseQuery("nope(?)")); err == nil {
 		t.Fatal("unknown predicate should error")
 	}
-	if _, err := Query(prog, db, magic.MustParseQuery("s(?)"), false); err == nil {
+	if _, err := Query(prog, db, magic.MustParseQuery("s(?)")); err == nil {
 		t.Fatal("arity mismatch should error")
 	}
 	win := parser.MustProgram("win(X) :- E(X,Y), !win(Y).")
-	if _, err := Query(win, db, magic.MustParseQuery("win(?)"), true); err == nil {
+	if _, err := Query(win, db, magic.MustParseQuery("win(?)")); err == nil {
 		t.Fatal("unstratifiable program should error")
 	}
 }

@@ -7,12 +7,15 @@
 //     DATALOG¬ programs.
 //   - Least fixpoint (the standard DATALOG semantics): valid for
 //     programs monotone in their IDB relations (positive and
-//     semipositive classes), and computed by Inflationary, whose
-//     iteration for monotone Θ converges to the least fixpoint
-//     (Tarski/Kleene); core.MethodFor checks the class.
+//     semipositive classes), and computed as the program's one
+//     stratum: Stratify puts every IDB predicate of such a program on
+//     stratum 0, whose iteration for monotone Θ converges to the least
+//     fixpoint (Tarski/Kleene); core.MethodFor checks the class.
 //   - Stratified (Chandra–Harel / Apt–Blair–Walker): evaluate strata
 //     bottom-up, each stratum a semipositive program over the results
-//     of lower strata.  Rejects unstratifiable programs.
+//     of lower strata.  Rejects unstratifiable programs.  Strata and
+//     EvalStrata are the one evaluator of strata, which batch
+//     evaluation, point queries and incr's maintainer share.
 //   - WellFounded (Van Gelder's alternating fixpoint): the modern
 //     default in XSB/DLV-style systems, included as the natural
 //     comparison point; three-valued, total on all programs, and on a

@@ -18,15 +18,24 @@ import (
 // The database passed in is not modified; the evaluation works on a
 // clone extended with intermediate strata.
 func Stratified(prog *ast.Program, db *relation.Database) (*Result, error) {
-	return stratifiedIn(prog, db.Clone())
+	work := db.Clone()
+	insts, err := Strata(prog, work)
+	if err != nil {
+		return nil, err
+	}
+	return EvalStrata(work, insts), nil
 }
 
-// stratifiedIn is the stratified evaluation loop on a caller-owned
-// working database: work is mutated in place (program constants are
-// interned into its universe, computed strata are installed as
-// relations).  QueryRewritten uses it to evaluate rewritten
-// programs without deep-copying a database it already owns.
-func stratifiedIn(prog *ast.Program, work *relation.Database) (*Result, error) {
+// Strata compiles prog's strata, lowest first, each an engine instance
+// over work whose program is the rules with heads on that stratum, in
+// program order; a program without IDB negation is one stratum, the
+// whole program.  Every stratum is compiled before any is evaluated, so
+// each ranges over every program constant, which engine.New interns
+// into work.  Predicates of lower strata appear only in a stratum's
+// bodies, so they are EDB there and read from work, where EvalStrata
+// installs their values.  It returns Stratify's error for an
+// unstratifiable program.
+func Strata(prog *ast.Program, work *relation.Database) ([]*engine.Instance, error) {
 	strat, err := prog.Stratify()
 	if err != nil {
 		return nil, err
@@ -34,14 +43,6 @@ func stratifiedIn(prog *ast.Program, work *relation.Database) (*Result, error) {
 	if _, err := prog.Validate(); err != nil {
 		return nil, err
 	}
-
-	stats := Stats{}
-	final := make(engine.State)
-
-	// Every stratum is compiled before any is evaluated, so each ranges
-	// over every program constant, as incr's strata do.  Predicates of
-	// lower strata appear only in bodies of sub, so they are EDB there
-	// and read from work, where the loop below installs their values.
 	insts := make([]*engine.Instance, strat.NumStrata())
 	for k := range insts {
 		sub := &ast.Program{Rules: prog.RulesForStratum(strat, k)}
@@ -49,6 +50,16 @@ func stratifiedIn(prog *ast.Program, work *relation.Database) (*Result, error) {
 			return nil, fmt.Errorf("stratum %d: %w", k, err)
 		}
 	}
+	return insts, nil
+}
+
+// EvalStrata evaluates the strata Strata compiled over work bottom-up,
+// each to its least fixpoint, installing every stratum's relations into
+// work before the next reads them.  Rounds add up over the strata; the
+// state holds every IDB relation, and the universe is work's.
+func EvalStrata(work *relation.Database, insts []*engine.Instance) *Result {
+	stats := Stats{}
+	final := make(engine.State)
 	for _, inst := range insts {
 		res := lfpLoop(inst, nil)
 		stats.Rounds += res.Stats.Rounds
@@ -61,5 +72,5 @@ func stratifiedIn(prog *ast.Program, work *relation.Database) (*Result, error) {
 		}
 	}
 	stats.Tuples = final.Total()
-	return &Result{State: final, Stats: stats, Universe: work.Universe()}, nil
+	return &Result{State: final, Stats: stats, Universe: work.Universe()}
 }

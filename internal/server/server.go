@@ -114,13 +114,12 @@ type Server struct {
 	closed atomic.Bool
 
 	// Demand-driven query support.  Point queries need a semantics
-	// whose model is computed by induction or strata: lfp, stratified,
-	// inflationary on a positive or semipositive program, or
-	// well-founded on a stratifiable one.
-	magicOK    bool
-	magicStrat bool // evaluate rewrites under stratified semantics
-	rwMu       sync.Mutex
-	rewrites   map[string]*magic.Rewritten // (pred, adornment) → prepared rewrite
+	// whose model is computed by strata: lfp, stratified, inflationary
+	// on a positive or semipositive program, or well-founded on a
+	// stratifiable one.
+	magicOK  bool
+	rwMu     sync.Mutex
+	rewrites map[string]*magic.Rewritten // (pred, adornment) → prepared rewrite
 }
 
 // New builds a server maintaining prog on a private copy of db under
@@ -176,10 +175,10 @@ func NewWith(prog *ast.Program, db *relation.Database, sem core.Semantics, cfg C
 	s.leaderAddr = cfg.LeaderAddr
 	s.readOnly.Store(cfg.ReadOnly)
 	// One rule for every entry point (core.QueryStrategy): point
-	// queries need a semantics whose model is computed by induction or
-	// strata: lfp, stratified, inflationary on a positive or
-	// semipositive program, or well-founded on a stratifiable one.
-	s.magicStrat, s.magicOK = core.QueryStrategy(sem, class)
+	// queries need a semantics whose model is computed by strata: lfp,
+	// stratified, inflationary on a positive or semipositive program,
+	// or well-founded on a stratifiable one.
+	_, s.magicOK = core.QueryStrategy(sem, class)
 	s.cur.Store(m.Snapshot())
 	s.met.lastPublish.Set(time.Now().UnixNano())
 	go s.committer()
@@ -349,7 +348,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if q.Magic && s.idb[q.Pred] {
 		if !s.magicOK {
 			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("point queries need a semantics whose model is computed by induction or strata: lfp, stratified, inflationary on a positive or semipositive program, or well-founded on a stratifiable one (program is %s, semantics %s)", s.class, s.cur.Load().Sem))
+				fmt.Sprintf("point queries need a semantics whose model is computed by strata: lfp, stratified, inflationary on a positive or semipositive program, or well-founded on a stratifiable one (program is %s, semantics %s)", s.class, s.cur.Load().Sem))
 			return
 		}
 		s.handleMagicQuery(w, q)
@@ -436,7 +435,7 @@ func (s *Server) handleMagicQuery(w http.ResponseWriter, q QueryRequest) {
 			work.Set(pred, r)
 		}
 	}
-	res, err := semantics.QueryRewritten(rw, work, mq, s.magicStrat)
+	res, err := semantics.QueryRewritten(rw, work, mq)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, CodeUnprocessable, err.Error())
 		return

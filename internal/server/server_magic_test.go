@@ -29,6 +29,8 @@ type queryResp struct {
 	Source     string     `json:"source"`
 	Adornment  string     `json:"adornment"`
 	Generation uint64     `json:"generation"`
+	Derived    int        `json:"derived"`
+	Rounds     int        `json:"rounds"`
 }
 
 func sortTuples(ts [][]string) {
@@ -84,6 +86,22 @@ func TestMagicQueryEndpoint(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/query", map[string]any{"pred": "E", "args": []*string{&v2, nil}, "magic": true}, &e)
 	if e.Source != "materialized" || e.Count != 1 {
 		t.Fatalf("EDB query = %+v", e)
+	}
+}
+
+// TestMagicQueryEffortPinned pins what one demand-driven query derives
+// and how many rounds it runs: TC on an 8-vertex path under LFP, whose
+// rewrite is evaluated as one stratum, at the values the induction over
+// the whole rewrite gave before strata evaluated every rewrite.
+func TestMagicQueryEffortPinned(t *testing.T) {
+	_, ts := newTestServer(t, core.LFP)
+	v2 := "v2"
+	var q queryResp
+	if code := postJSON(t, ts.URL+"/v1/query", map[string]any{"pred": "s", "args": []*string{&v2, nil}, "magic": true}, &q); code != 200 {
+		t.Fatalf("magic query status %d", code)
+	}
+	if q.Source != "magic" || q.Count != 5 || q.Derived != 21 || q.Rounds != 11 {
+		t.Fatalf("magic query = %+v, want 5 answers, 21 derived tuples, 11 rounds", q)
 	}
 }
 

@@ -145,8 +145,8 @@ type QueryResult = semantics.QueryResult
 // query's binding pattern (see internal/magic) and only the tuples the
 // query can reach are derived, instead of materializing the whole
 // fixpoint.  Point queries need a semantics whose model is computed by
-// induction or strata: lfp, stratified, inflationary on a positive or
-// semipositive program, or well-founded on a stratifiable one.
+// strata: lfp, stratified, inflationary on a positive or semipositive
+// program, or well-founded on a stratifiable one.
 func Query(prog *Program, db *Database, query string, sem Semantics) (*QueryResult, error) {
 	q, err := magic.ParseQuery(query)
 	if err != nil {
