@@ -64,7 +64,7 @@ func (m *Maintainer) updateChain(edb map[string]*change, stats *UpdateStats) {
 				c.negOnly = true
 				ch[pred] = c
 			}
-			below = m.gamma.apply(m.chain[i], m.chain[i-1], ch)
+			below = m.gamma.apply(m.chain[i], m.chain[i-1], ch, stats)
 		}
 		if m.settled(i) {
 			break

@@ -18,7 +18,10 @@
 //     it in.  Changes cascade upward through the strata, insertions
 //     acting as deletions through negation and vice versa; the old
 //     world of a changed relation is read through engine.Overlay on the
-//     relation as it is now, never copied.
+//     relation as it is now, never copied.  A layer whose overdelete
+//     outgrows a quarter of its tuples, and would cost more to rederive
+//     (about three touches a tuple) than to re-evaluate (about one), is
+//     re-evaluated, its difference written in place as its net change.
 //   - Stages (inflationary with IDB negation): the result is defined
 //     by the order in which the stage sequence S₀ = ∅, Sⱼ₊₁ = Sⱼ ∪ Θ(Sⱼ)
 //     derives its tuples, which no DRed pass preserves, so an update
@@ -36,7 +39,8 @@
 //
 // Universe growth under rules that enumerate the universe invalidates
 // every shortcut above and is answered by the same from-scratch
-// evaluation.
+// evaluation, and stays out of scope for maintenance: a new constant
+// widens every universe-quantified variable's range.
 //
 // A Maintainer is single-writer: Update and Snapshot must be called
 // from one goroutine (or externally serialized).  Snapshots returned by
@@ -80,11 +84,15 @@ type UpdateStats struct {
 	// dropped during normalization).
 	InsertedEDB int `json:"inserted_edb"`
 	DeletedEDB  int `json:"deleted_edb"`
-	// Net IDB tuples the maintained state gained/lost (under
-	// WellFounded: the certainly-true part).
-	// A recompute reports the net size change instead.
-	InsertedIDB int           `json:"inserted_idb"`
-	DeletedIDB  int           `json:"deleted_idb"`
+	// IDB tuples the maintained state gained/lost (under WellFounded:
+	// the certainly-true part), whatever the strategy.
+	InsertedIDB int `json:"inserted_idb"`
+	DeletedIDB  int `json:"deleted_idb"`
+	// Layers — strata or Γ stages — the update changed the inputs of,
+	// maintained by DRed or, when the overdelete outgrew the layer's
+	// bound, re-evaluated from scratch.
+	Maintained  int           `json:"maintained_layers"`
+	Reevaluated int           `json:"reevaluated_layers"`
 	Duration    time.Duration `json:"duration_ns"`
 }
 
@@ -273,12 +281,13 @@ func (m *Maintainer) Update(ins, del []Fact) (*UpdateStats, error) {
 		// enumerate, invalidating every maintenance shortcut; a
 		// general inflationary program has none to begin with.
 		stats.Strategy = "recompute"
-		before := m.state.Total()
+		before := m.state
 		m.recompute()
-		if d := m.state.Total() - before; d >= 0 {
-			stats.InsertedIDB = d
-		} else {
-			stats.DeletedIDB = -d
+		for pred, now := range m.state {
+			if c := diff(before[pred], now); c != nil {
+				stats.InsertedIDB += c.add.Len()
+				stats.DeletedIDB += c.del.Len()
+			}
 		}
 	case !effective:
 		stats.Strategy = "noop"

@@ -106,26 +106,23 @@ func randomBatch(rng *rand.Rand, preds []string, n int, fresh *int) (ins, del []
 // checkUpdate applies one update to the maintainer and to the plain
 // mirror database and verifies that the maintained state — under
 // WellFounded both the certainly-true and the possibly-true part — is
-// bit-exact with a from-scratch evaluation of the mirror.  With oracle
-// set the three-valued model is also compared with internal/wforacle,
+// bit-exact with a from-scratch evaluation of the mirror, and that the
+// update's stats report what that state (under WellFounded, its
+// certainly-true part) gained and lost.  With oracle set the
+// three-valued model is also compared with internal/wforacle,
 // which shares no code with either.
 func checkUpdate(t *testing.T, m *incr.Maintainer, sem core.Semantics, prog *ast.Program, mirror *relation.Database, ins, del []incr.Fact, oracle bool) *incr.UpdateStats {
 	t.Helper()
-	var before engine.State
-	if m.WF() != nil {
-		before = m.State().Clone()
-	}
+	before := m.State().Clone()
 	stats, err := m.Update(ins, del)
 	if err != nil {
 		t.Fatalf("ins=%v del=%v: %v", ins, del, err)
 	}
 	applyPlain(t, mirror, ins, del)
-	if before != nil && stats.Strategy != "recompute" {
-		gained, lost := m.State().Diff(before).Total(), before.Diff(m.State()).Total()
-		if stats.InsertedIDB != gained || stats.DeletedIDB != lost {
-			t.Fatalf("(%s, ins=%v del=%v, strategy=%s): stats report +%d -%d, True changed by +%d -%d",
-				sem, ins, del, stats.Strategy, stats.InsertedIDB, stats.DeletedIDB, gained, lost)
-		}
+	gained, lost := m.State().Diff(before).Total(), before.Diff(m.State()).Total()
+	if stats.InsertedIDB != gained || stats.DeletedIDB != lost {
+		t.Fatalf("(%s, ins=%v del=%v, strategy=%s): stats report +%d -%d, the state changed by +%d -%d",
+			sem, ins, del, stats.Strategy, stats.InsertedIDB, stats.DeletedIDB, gained, lost)
 	}
 	want, err := core.Eval(prog, mirror, sem)
 	if err != nil {

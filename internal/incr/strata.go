@@ -32,13 +32,27 @@
 // layer's net change is then read off the sets in hand — overdeleted
 // and not back, appended and not overdeleted — instead of diffing
 // relations.
+//
+// DRed is bounded by the layer it maintains.  Once the overdelete holds
+// more than a quarter of the layer's tuples (reevalShare states the cost
+// model), the cascade is abandoned and the layer re-evaluated; old∖new
+// and new∖old are written into its relations in place and returned as
+// its net change, exactly what DRed would have produced.
 package incr
 
 import (
 	"repro/internal/ast"
 	"repro/internal/engine"
 	"repro/internal/relation"
+	"repro/internal/semantics"
 )
+
+// reevalShare: a layer whose overdelete holds more than 1/reevalShare of
+// its tuples is re-evaluated.  DRed touches each overdeleted tuple about
+// three times (overdelete, rederive probe, re-insert), re-evaluation
+// each layer tuple about once; a quarter, not a third, also pays for
+// the overdelete passes spent before giving up.
+const reevalShare = 4
 
 // stratum is one semipositive layer — a stratum of the program, or the
 // whole program as a Γ stage — with its engine instance over the
@@ -83,7 +97,7 @@ func (s *stratum) touched(ch map[string]*change) bool {
 // extending ch with each stratum's net IDB changes.
 func (m *Maintainer) updateStrata(ch map[string]*change, stats *UpdateStats) {
 	for _, s := range m.strata {
-		for pred, c := range s.apply(m.state, m.state, ch) {
+		for pred, c := range s.apply(m.state, m.state, ch, stats) {
 			ch[pred] = c
 			stats.InsertedIDB += c.add.Len()
 			stats.DeletedIDB += c.del.Len()
@@ -134,8 +148,9 @@ func (s *stratum) drivers(ch map[string]*change) (dis, ena map[string]engine.Del
 // apply maintains the layer's predicates in own under the changes ch of
 // what its bodies read and returns their net changes: overdelete in the
 // old world, commit, rederive from the reduced new world, then
-// propagate insertions semi-naively.
-func (s *stratum) apply(own, neg engine.State, ch map[string]*change) map[string]*change {
+// propagate insertions semi-naively — or re-evaluate the layer once the
+// overdelete outgrows its bound — counting the layer in stats.
+func (s *stratum) apply(own, neg engine.State, ch map[string]*change, stats *UpdateStats) map[string]*change {
 	if !s.touched(ch) {
 		return nil
 	}
@@ -170,9 +185,16 @@ func (s *stratum) apply(own, neg engine.State, ch map[string]*change) map[string
 	// at emit time instead of surviving into a derived state for a Diff.
 	dover := in.NewState()
 	if anyDel {
+		size, over := 0, 0
+		for pred := range s.preds {
+			size += own[pred].Len()
+		}
 		frontier := in.Eval(engine.Spec{Pos: own, Neg: neg, Deltas: base})
 		for !frontier.Empty() {
-			dover.UnionWith(frontier)
+			if over += dover.UnionWith(frontier); over*reevalShare > size {
+				stats.Reevaluated++
+				return s.reevaluate(own, neg)
+			}
 			if !s.recursive {
 				break
 			}
@@ -244,5 +266,34 @@ func (s *stratum) apply(own, neg engine.State, ch map[string]*change) map[string
 			net[pred] = c
 		}
 	}
+	stats.Maintained++
 	return net
+}
+
+// reevaluate computes the layer from scratch, Γ against neg, and writes
+// the difference into own's relations in place — the strata above read
+// them from the database — returning it as the layer's net change.
+func (s *stratum) reevaluate(own, neg engine.State) map[string]*change {
+	fresh := semantics.Gamma(s.in, neg)
+	net := make(map[string]*change, len(s.preds))
+	for pred := range s.preds {
+		rel := own[pred]
+		if c := diff(rel, fresh[pred]); c != nil {
+			rel.RemoveAll(c.del)
+			rel.AppendDisjoint(c.add)
+			c.cur = rel
+			net[pred] = c
+		}
+	}
+	return net
+}
+
+// diff is the change that takes old to now — what entered and what
+// left, current in now — or nil when the two are equal.
+func diff(old, now *relation.Relation) *change {
+	c := &change{add: now.Diff(old), del: old.Diff(now), cur: now}
+	if c.add.Empty() && c.del.Empty() {
+		return nil
+	}
+	return c
 }

@@ -134,6 +134,16 @@ type CacheMetrics struct {
 	HitRate float64 `json:"hit_rate"`
 }
 
+// MaintenanceMetrics reports what the maintainer did with the updates
+// this server applied: how many each strategy handled, and how many
+// layers — strata or Γ stages — they maintained by DRed and
+// re-evaluated from scratch (incr.UpdateStats, summed).
+type MaintenanceMetrics struct {
+	Updates     map[string]int64 `json:"updates"`
+	Maintained  int64            `json:"maintained_layers"`
+	Reevaluated int64            `json:"reevaluated_layers"`
+}
+
 // DurableMetrics reports the persistence layer: WAL volume since the
 // last checkpoint, checkpoint cadence, and what boot recovery did.
 // Present in /v1/metrics only when the server runs with a data dir.
@@ -199,6 +209,7 @@ type MetricsResponse struct {
 	SnapshotAgeSec float64                    `json:"snapshot_age_sec"`
 	Queue          QueueMetrics               `json:"queue"`
 	RewriteCache   CacheMetrics               `json:"rewrite_cache"`
+	Maintenance    MaintenanceMetrics         `json:"maintenance"`
 	Durable        *DurableMetrics            `json:"durable,omitempty"`
 	Replica        *ReplicaMetrics            `json:"replica,omitempty"`
 	Endpoints      map[string]EndpointMetrics `json:"endpoints"`

@@ -5,14 +5,15 @@
 // into internal/metrics atomics — no locks on the request path, so
 // metrics scrapes and traffic never contend.  /v1/metrics renders the
 // whole picture: per-endpoint QPS and p50/p90/p99, snapshot age,
-// group-commit queue depth and batch sizes, and the magic rewrite
-// cache hit rate.
+// group-commit queue depth and batch sizes, the magic rewrite cache
+// hit rate, and what maintenance did with the updates.
 package server
 
 import (
 	"net/http"
 	"time"
 
+	"repro/internal/incr"
 	"repro/internal/metrics"
 )
 
@@ -31,18 +32,41 @@ type srvMetrics struct {
 	// Rewrite-cache accounting.
 	cacheHits   metrics.Counter
 	cacheMisses metrics.Counter
+	// Maintenance accounting: updates per strategy, and the layers
+	// they maintained by DRed and re-evaluated.
+	strategies  map[string]*metrics.Counter
+	maintained  metrics.Counter
+	reevaluated metrics.Counter
 }
+
+// strategyNames are the values of incr.UpdateStats.Strategy.
+var strategyNames = []string{"strata", "stages", "recompute", "noop"}
 
 // endpointNames are the instrumented endpoints, in display order.
 var endpointNames = []string{"stats", "relation", "query", "update", "metrics",
 	"replica_snapshot", "replica_wal", "replica_promote"}
 
 func newSrvMetrics() *srvMetrics {
-	m := &srvMetrics{endpoints: make(map[string]*metrics.Endpoint, len(endpointNames))}
+	m := &srvMetrics{
+		endpoints:  make(map[string]*metrics.Endpoint, len(endpointNames)),
+		strategies: make(map[string]*metrics.Counter, len(strategyNames)),
+	}
 	for _, name := range endpointNames {
 		m.endpoints[name] = &metrics.Endpoint{}
 	}
+	for _, name := range strategyNames {
+		m.strategies[name] = &metrics.Counter{}
+	}
 	return m
+}
+
+// observeUpdate accounts one applied update to the maintenance block.
+func (m *srvMetrics) observeUpdate(st *incr.UpdateStats) {
+	if c := m.strategies[st.Strategy]; c != nil {
+		c.Inc()
+	}
+	m.maintained.Add(int64(st.Maintained))
+	m.reevaluated.Add(int64(st.Reevaluated))
 }
 
 // statusWriter captures the response status for error accounting.
@@ -110,6 +134,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp.RewriteCache = CacheMetrics{Size: s.RewriteCacheSize(), Hits: hits, Misses: misses}
 	if hits+misses > 0 {
 		resp.RewriteCache.HitRate = float64(hits) / float64(hits+misses)
+	}
+
+	resp.Maintenance = MaintenanceMetrics{
+		Updates:     make(map[string]int64, len(strategyNames)),
+		Maintained:  s.met.maintained.Load(),
+		Reevaluated: s.met.reevaluated.Load(),
+	}
+	for name, c := range s.met.strategies {
+		resp.Maintenance.Updates[name] = c.Load()
 	}
 
 	resp.Durable = s.durableMetrics(now)

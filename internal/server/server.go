@@ -263,6 +263,7 @@ func (s *Server) updateLocked(ins, del []incr.Fact) (*incr.UpdateStats, *incr.Sn
 	snap := s.m.Snapshot()
 	s.cur.Store(snap)
 	s.met.lastPublish.Set(time.Now().UnixNano())
+	s.met.observeUpdate(stats)
 	return stats, snap, nil
 }
 

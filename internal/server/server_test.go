@@ -171,3 +171,41 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestMetricsMaintenance: /v1/update answers with the layers its pass
+// maintained and re-evaluated, and /v1/metrics sums them with the
+// updates per strategy.  On the 8-vertex path, closing the cycle is a
+// DRed insert; cutting it again overdeletes most of the 64-tuple
+// closure, so the one stratum is re-evaluated; re-inserting a present
+// edge is a noop.
+func TestMetricsMaintenance(t *testing.T) {
+	_, ts := newTestServer(t, core.LFP)
+	edge := func(a, b string) []incr.Fact { return []incr.Fact{{Pred: "E", Args: []string{a, b}}} }
+	for i, u := range []struct {
+		body        map[string]any
+		want        string
+		maintained  int
+		reevaluated int
+	}{
+		{map[string]any{"insert": edge("v7", "v0")}, "strata", 1, 0},
+		{map[string]any{"delete": edge("v3", "v4")}, "strata", 0, 1},
+		{map[string]any{"insert": edge("v0", "v1")}, "noop", 0, 0},
+	} {
+		var up struct {
+			Stats incr.UpdateStats `json:"stats"`
+		}
+		if code := postJSON(t, ts.URL+"/v1/update", u.body, &up); code != 200 {
+			t.Fatalf("update %d: status %d", i, code)
+		}
+		if st := up.Stats; st.Strategy != u.want || st.Maintained != u.maintained || st.Reevaluated != u.reevaluated {
+			t.Errorf("update %d: %s with %d layers maintained, %d re-evaluated; want %s, %d, %d",
+				i, st.Strategy, st.Maintained, st.Reevaluated, u.want, u.maintained, u.reevaluated)
+		}
+	}
+	var met server.MetricsResponse
+	getJSON(t, ts.URL+"/v1/metrics", &met)
+	got := fmt.Sprintf("%v %d %d", met.Maintenance.Updates, met.Maintenance.Maintained, met.Maintenance.Reevaluated)
+	if want := "map[noop:1 recompute:0 stages:0 strata:2] 1 1"; got != want {
+		t.Errorf("maintenance block %s, want %s", got, want)
+	}
+}
