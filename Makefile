@@ -50,7 +50,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E1|E5' -benchtime 1x . | tee bench-smoke.txt
 	$(GO) run ./cmd/bench -quick -exp E1 | tee -a bench-smoke.txt
-	$(GO) test -run '^$$' -bench 'TinyPass|JoinAllocs|GammaChainUpdate|StrataUpdateSCC' -benchmem -benchtime 200x ./internal/engine ./internal/incr | tee -a bench-smoke.txt
+	$(GO) test -run '^$$' -bench 'TinyPass|JoinAllocs|GammaChainUpdate|StrataUpdateSCC|WellFoundedBuild' -benchmem -benchtime 200x ./internal/engine ./internal/incr ./internal/semantics | tee -a bench-smoke.txt
 
 # CPU + allocation + contention profiles of the hot evaluation path
 # (the E8/E10 series, whose pooled passes are what the mutex/block

@@ -46,7 +46,7 @@ func TestMethodMatrix(t *testing.T) {
 	}{
 		core.Stages:      {"stages", "recompute"},
 		core.Strata:      {"strata", "strata"},
-		core.Alternation: {"alternation", "stages"},
+		core.Alternation: {"alternation", "alternation"},
 	}
 	db := parser.MustFacts("E(a,b). E(b,c). E(c,a). F(a,b).")
 	q := magic.MustParseQuery("s(a, ?)")

@@ -1,36 +1,19 @@
 // chain.go — the well-founded model as a maintained chain of Γ stages.
 //
-// Van Gelder's alternating fixpoint is the sequence A₀ = ∅,
-// Aᵢ = Γ(Aᵢ₋₁), where Γ(J) is the least fixpoint of the program with
-// its negated IDB literals frozen against J.  The even stages grow, the
-// odd ones shrink, and the model is True = A₂ₖ = A₂ₖ₊₂ with
-// Possible = A₂ₖ₊₁.  Unrolled, that is a stratified program with one
-// copy of the IDB per stage: stage i is semipositive over the EDB and
-// stage i−1, which is what strata.go maintains.  The maintainer keeps
-// A₁ … Aₙ, n = 2k+2, as private states and an update walks them in order,
-// handing stage i the EDB change and the net change of stage i−1; by
-// induction the result is A′ᵢ = Γ′(A′ᵢ₋₁).
+// The stages A₀ … Aₙ of the alternating fixpoint (semantics.Layer.
+// Alternate) unroll into a stratified program with one copy of the IDB
+// per stage: stage i is a layer over the EDB and stage i−1.  An update
+// walks the chain in order, handing stage i the EDB change and the net
+// change of stage i−1; by induction the result is A′ᵢ = Γ′(A′ᵢ₋₁).
 //
 // Where the new chain ends needs no scan: A′ᵢ₋₂ ⊆ A′ᵢ for even i, so
 // the two are equal exactly when their lengths are.  The walk stops at
-// the first even stage equal to the one two below, drops the stages
-// past it, and applies Γ from scratch for as long as no stage is.
+// the first even stage equal to the one two below and drops the stages
+// past it; when no stage is, Alternate grows the chain past its old
+// end.
 package incr
 
-import (
-	"repro/internal/engine"
-	"repro/internal/semantics"
-)
-
-// evalChain computes the alternating fixpoint from scratch, keeping
-// every stage.
-func (m *Maintainer) evalChain() {
-	m.chain = append(m.chain[:0], m.in.NewState())
-	semantics.WellFoundedLog(m.in, func(stage engine.State) {
-		m.chain = append(m.chain, stage)
-	})
-	m.state = m.chain[len(m.chain)-1]
-}
+import "repro/internal/semantics"
 
 // settled reports whether even stage i closes the chain: Aᵢ = Aᵢ₋₂.
 func (m *Maintainer) settled(i int) bool {
@@ -46,32 +29,34 @@ func (m *Maintainer) settled(i int) bool {
 }
 
 // updateChain walks the chain with the EDB changes, maintaining stage
-// after stage until one closes it.
-func (m *Maintainer) updateChain(edb map[string]*change, stats *UpdateStats) {
+// after stage until one closes it or the chain has to grow.
+func (m *Maintainer) updateChain(edb map[string]*semantics.Change, stats *UpdateStats) {
 	last := len(m.chain) - 1
-	wasTrue := m.state           // the certainly-true stage before the update
-	var below map[string]*change // net change of stage i−1
+	wasTrue := m.state                     // the certainly-true stage before the update
+	var below map[string]*semantics.Change // net change of stage i−1
+	var st semantics.Stats
 	i := 1
-	for ; ; i++ {
-		if i > last {
-			m.chain = append(m.chain, semantics.Gamma(m.in, m.chain[i-1]))
-		} else {
-			ch := make(map[string]*change, len(edb)+len(below))
-			for pred, c := range edb {
-				ch[pred] = c
-			}
-			for pred, c := range below {
-				c.negOnly = true
-				ch[pred] = c
-			}
-			below = m.gamma.apply(m.chain[i], m.chain[i-1], ch, stats)
+	for ; i <= last; i++ {
+		ch := make(map[string]*semantics.Change, len(edb)+len(below))
+		for pred, c := range edb {
+			ch[pred] = c
 		}
+		for pred, c := range below {
+			c.NegOnly = true
+			ch[pred] = c
+		}
+		below = m.gamma.Apply(m.chain[i], m.chain[i-1], ch, &st)
 		if m.settled(i) {
 			break
 		}
 	}
-	m.chain = m.chain[:i+1]
-	m.state = m.chain[i]
+	if i > last {
+		m.chain = m.gamma.Alternate(m.chain, semantics.DiffStates(m.chain[last-2], m.chain[last]), true, &st)
+	} else {
+		m.chain = m.chain[:i+1]
+	}
+	m.state = m.chain[len(m.chain)-1]
+	stats.Maintained, stats.Reevaluated = st.Maintained, st.Reevaluated
 
 	// below is now the net change of the last stage walked, low =
 	// min(i, last).  With i = last that is the change of True.  Otherwise
@@ -82,12 +67,12 @@ func (m *Maintainer) updateChain(edb map[string]*change, stats *UpdateStats) {
 	for pred, now := range m.state {
 		kept, wasLen := low[pred].Len(), wasTrue[pred].Len()
 		if c := below[pred]; c != nil {
-			kept -= c.add.Len()
+			kept -= c.Add.Len()
 			if i < last { // old True is stage last, untouched; it holds old low
-				kept += c.add.Intersect(wasTrue[pred]).Len()
+				kept += c.Add.Intersect(wasTrue[pred]).Len()
 			} else { // old True is old low, overwritten in place; new True holds new low
-				wasLen += c.del.Len() - c.add.Len()
-				kept += c.del.Intersect(now).Len()
+				wasLen += c.Del.Len() - c.Add.Len()
+				kept += c.Del.Intersect(now).Len()
 			}
 		}
 		stats.InsertedIDB += now.Len() - kept

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graphs"
 	"repro/internal/parser"
 	"repro/internal/relation"
+	"repro/internal/semantics"
 )
 
 // TestChainRecomputesOnlyOnUniverseGrowth counts from-scratch
@@ -59,7 +60,7 @@ func TestChainRecomputesOnlyOnUniverseGrowth(t *testing.T) {
 			if m.Universe().Size() > size {
 				grew++
 			}
-			if stats.Strategy == "stages" {
+			if stats.Strategy == "alternation" {
 				effective++
 			}
 			for pred, r := range m.chain[1] {
@@ -74,7 +75,7 @@ func TestChainRecomputesOnlyOnUniverseGrowth(t *testing.T) {
 			want = grew
 		}
 		if evaluations != want || grew == 0 || effective < 50 {
-			t.Errorf("%q: %d from-scratch evaluations over 200 updates, %d of which grew the universe and %d were maintained as stages; want %d evaluations",
+			t.Errorf("%q: %d from-scratch evaluations over 200 updates, %d of which grew the universe and %d were maintained by alternation; want %d evaluations",
 				tc.src, evaluations, grew, effective, want)
 		}
 	}
@@ -90,11 +91,11 @@ func TestCascadeCutFollowsRecursion(t *testing.T) {
 	for _, tc := range []struct {
 		src       string
 		sem       core.Semantics
-		layer     func(*Maintainer) *stratum
+		layer     func(*Maintainer) *semantics.Layer
 		recursive bool
 	}{
-		{"s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).", core.LFP, func(m *Maintainer) *stratum { return m.strata[0] }, true},
-		{"win(X) :- E(X,Y), !win(Y).", core.WellFounded, func(m *Maintainer) *stratum { return m.gamma }, false},
+		{"s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).", core.LFP, func(m *Maintainer) *semantics.Layer { return m.strata[0] }, true},
+		{"win(X) :- E(X,Y), !win(Y).", core.WellFounded, func(m *Maintainer) *semantics.Layer { return m.gamma }, false},
 	} {
 		prog := parser.MustProgram(tc.src)
 		g := graphs.Random(rand.New(rand.NewSource(5)), n, 0.3)
@@ -102,7 +103,7 @@ func TestCascadeCutFollowsRecursion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := tc.layer(m).recursive; got != tc.recursive {
+		if got := tc.layer(m).Recursive; got != tc.recursive {
 			t.Fatalf("%q: recursive = %v, want %v", tc.src, got, tc.recursive)
 		}
 		edges := make(map[[2]int]bool)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/incr"
 	"repro/internal/parser"
 	"repro/internal/relation"
+	"repro/internal/semantics"
 )
 
 const (
@@ -35,10 +36,10 @@ func TestChainMatchesRecompute(t *testing.T) {
 		preds    []string
 		strategy string // of the updates that are neither noop nor recompute
 	}{
-		{"winmove", winSrc, []string{"E"}, "stages"}, // G(6, 0.3) has cycles: undefined positions come and go
-		{"mixed", mixedSrc, []string{"E", "F"}, "stages"},
+		{"winmove", winSrc, []string{"E"}, "alternation"}, // G(6, 0.3) has cycles: undefined positions come and go
+		{"mixed", mixedSrc, []string{"E", "F"}, "alternation"},
 		{"stratifiable", tcSrc + "\nunreach(X,Y) :- E(X,X), E(Y,Y), !s(X,Y).", []string{"E"}, "strata"},
-		{"unsafe", wfUnsafeSrc, []string{"E"}, "stages"},
+		{"unsafe", wfUnsafeSrc, []string{"E"}, "alternation"},
 	}
 	// K is the worker pool's width (GOMAXPROCS): K1 evaluates every pass
 	// inline, K4 hands any pass over engine.InlineFloor to a pool of four.
@@ -114,8 +115,8 @@ func TestChainStageReadsTwoStates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats := checkUpdate(t, m, core.WellFounded, prog, mirror, nil, []incr.Fact{tc.del}, true); stats.Strategy != "stages" {
-			t.Errorf("strategy %s, want stages", stats.Strategy)
+		if stats := checkUpdate(t, m, core.WellFounded, prog, mirror, nil, []incr.Fact{tc.del}, true); stats.Strategy != "alternation" {
+			t.Errorf("strategy %s, want alternation", stats.Strategy)
 		}
 	}
 }
@@ -123,7 +124,8 @@ func TestChainStageReadsTwoStates(t *testing.T) {
 // TestChainFollowsAlternationDepth plays win-move on a path, whose
 // alternation depth is its length: every edge appended at the far end
 // flips every position's value, so the chain has to grow with the path
-// and shrink again when the path is cut back.
+// and shrink again when the path is cut back.  Every stage the chain
+// grows by must be Γ of the stage below, computed from scratch.
 func TestChainFollowsAlternationDepth(t *testing.T) {
 	prog := parser.MustProgram(winSrc)
 	db := graphs.Path(2).Database()
@@ -137,16 +139,29 @@ func TestChainFollowsAlternationDepth(t *testing.T) {
 	}
 	const length = 12
 	short := m.WF().Outer
+	grown := 0
 	for i := 1; i < length; i++ {
+		before, _ := m.Chain()
 		stats := checkUpdate(t, m, core.WellFounded, prog, mirror, edge(i), nil, true)
-		if stats.Strategy != "stages" && stats.Strategy != "recompute" { // new vertices grow the universe; win-move is safe
+		if stats.Strategy != "alternation" && stats.Strategy != "recompute" { // new vertices grow the universe; win-move is safe
 			t.Fatalf("edge %d: strategy %s", i, stats.Strategy)
+		}
+		if chain, in := m.Chain(); stats.Strategy == "alternation" {
+			for k := len(before); k < len(chain); k++ {
+				grown++
+				if !chain[k].Equal(semantics.Gamma(in, chain[k-1])) {
+					t.Fatalf("edge %d: grown stage A%d is not Γ(A%d)", i, k, k-1)
+				}
+			}
 		}
 		if stats.InsertedIDB+stats.DeletedIDB == 0 {
 			t.Errorf("edge %d flips every position, net change reported as none", i)
 		}
 	}
 	long := m.WF().Outer
+	if grown == 0 {
+		t.Error("no maintained update grew the chain")
+	}
 	if long < short+length/2-1 {
 		t.Errorf("the chain has %d stage pairs on a path of 2 and %d on a path of %d: it did not follow the depth", short, long, length+1)
 	}
@@ -184,8 +199,8 @@ func TestWellFoundedNetChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.InsertedIDB != 0 || stats.DeletedIDB != 2 || stats.Strategy != "stages" {
-		t.Errorf("closing the cycle: %s, net change +%d -%d, want stages +0 -2", stats.Strategy, stats.InsertedIDB, stats.DeletedIDB)
+	if stats.InsertedIDB != 0 || stats.DeletedIDB != 2 || stats.Strategy != "alternation" {
+		t.Errorf("closing the cycle: %s, net change +%d -%d, want alternation +0 -2", stats.Strategy, stats.InsertedIDB, stats.DeletedIDB)
 	}
 	if stats, err = m.Update(nil, move); err != nil {
 		t.Fatal(err)

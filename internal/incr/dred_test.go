@@ -340,7 +340,7 @@ func TestChainCostFollowsChange(t *testing.T) {
 			t.Fatalf("%d copies: %d positions won, %d possibly: the board should have all three values", copies, wf.True.Total(), wf.Possible.Total())
 		}
 		to := func(p string) []incr.Fact { return []incr.Fact{{Pred: "move", Args: []string{"g", p}}} }
-		bytes = medianAlloc(t, m, "stages", false, func(i int) (ins, del []incr.Fact, gained, lost int) {
+		bytes = medianAlloc(t, m, "alternation", false, func(i int) (ins, del []incr.Fact, gained, lost int) {
 			if i%2 == 0 {
 				return to("won"), to("lost"), 0, 1
 			}

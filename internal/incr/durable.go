@@ -9,9 +9,10 @@
 //
 //   - strata and stages: neither keeps anything beside the materialized
 //     relations, so the restored IDB is installed as it is.
-//   - alternation: the chain of Γ stages is not persisted; restore runs
-//     one alternating fixpoint over the restored EDB, keeps its stages,
-//     and refuses a checkpoint whose True or Possible differ from them.
+//   - alternation: the chain of Γ stages is not persisted; restore
+//     rebuilds it over the restored EDB as New does, with
+//     semantics.Layer.Alternate keeping every stage, and refuses a
+//     checkpoint whose True or Possible differ from its last two.
 //
 // The relations inside a Checkpoint captured from a live Maintainer
 // are sealed snapshot views: Checkpoint() is cheap and the caller may
@@ -107,7 +108,7 @@ func RestoreWith(cp *Checkpoint, _ engine.Options) (*Maintainer, error) {
 	m.gen = cp.Gen
 
 	if m.method == core.Alternation {
-		m.evalChain()
+		m.recompute()
 	} else {
 		// Install the restored IDB where recompute would have put
 		// computed results: strata read lower strata from the database.

@@ -8,34 +8,22 @@
 //
 //   - Strata (lfp, stratified, inflationary on a positive or
 //     semipositive program, well-founded on a stratifiable one): the
-//     strata semantics.Strata compiles are maintained stratum by
-//     stratum, every stratum by DRed: overdelete, rederive once, then
-//     propagate semi-naively what the rederivation and the update
-//     insert.  A stratum's net change is read off the sets the pass
-//     holds — what was overdeleted and did not come back, what was
-//     appended and had not been overdeleted — so an update's cost
-//     follows what it changes, not the size of the relations it changes
-//     it in.  Changes cascade upward through the strata, insertions
-//     acting as deletions through negation and vice versa; the old
-//     world of a changed relation is read through engine.Overlay on the
-//     relation as it is now, never copied.  A layer whose overdelete
-//     outgrows a quarter of its tuples, and would cost more to rederive
-//     (about three touches a tuple) than to re-evaluate (about one), is
-//     re-evaluated, its difference written in place as its net change.
+//     strata semantics.Strata compiles are maintained bottom-up, each a
+//     semantics.Layer maintained by DRed (or re-evaluated once its
+//     overdelete outgrows it), whose net change the strata above
+//     consume: an update's cost follows what it changes, not the size
+//     of the relations it changes it in.
 //   - Stages (inflationary with IDB negation): the result is defined
 //     by the order in which the stage sequence S₀ = ∅, Sⱼ₊₁ = Sⱼ ∪ Θ(Sⱼ)
 //     derives its tuples, which no DRed pass preserves, so an update
 //     recomputes the sequence from S₀ over the updated EDB.
 //   - Alternation (well-founded on an unstratifiable program): the
-//     alternating fixpoint A₀ = ∅, Aᵢ = Γ(Aᵢ₋₁) is a stage sequence
-//     too, and each stage a semipositive program — own predicates
-//     positive, negated IDB literals frozen against the stage below —
-//     so the chain A₁ … Aₙ is kept and every stage maintained by the
-//     same DRed pass as a stratum, fed the EDB change and the net
-//     change of the stage below (chain.go).  Memory is n × |IDB| where
-//     a recompute holds 2 ×.  A stratifiable program's
-//     well-founded model is total and the stratified one, so its method
-//     is strata, with Possible = True.
+//     stages A₀ … Aₙ of the alternating fixpoint, each a layer over the
+//     EDB and the stage below, are built by semantics.Layer.Alternate
+//     and kept; an update walks them with the same DRed pass (chain.go).
+//     Memory is n × |IDB| where batch evaluation holds 2 ×.  A
+//     stratifiable program's well-founded model is total and the
+//     stratified one, so its method is strata, with Possible = True.
 //
 // Universe growth under rules that enumerate the universe invalidates
 // every shortcut above and is answered by the same from-scratch
@@ -77,8 +65,8 @@ func (f Fact) Key() string {
 // UpdateStats reports what one Update did.
 type UpdateStats struct {
 	// Strategy that handled the update: DRed over strata ("strata") or
-	// over the stages of the alternating fixpoint ("stages"), recompute,
-	// or noop.
+	// over the stages of the alternating fixpoint ("alternation"), named
+	// as the core.Method they maintain; recompute; or noop.
 	Strategy string `json:"strategy"`
 	// EDB tuples actually inserted/removed (duplicates and misses are
 	// dropped during normalization).
@@ -129,9 +117,9 @@ type Maintainer struct {
 	// Strata: semantics.Strata's instances over db, which doubles as
 	// their working database, and the layers DRed maintains over them.
 	insts  []*engine.Instance
-	strata []*stratum
+	strata []*semantics.Layer
 	in     *engine.Instance // Stages, Alternation
-	gamma  *stratum         // Alternation: the whole program as one Γ stage
+	gamma  *semantics.Layer // Alternation: the whole program as one Γ stage
 	chain  []engine.State   // Alternation: A₀ = ∅, A₁ … Aₙ
 
 	// pubUniv caches the universe copy handed to snapshots; the
@@ -181,12 +169,12 @@ func newMaintainer(prog *ast.Program, sem core.Semantics, db *relation.Database)
 	case core.Strata:
 		m.insts, err = semantics.Strata(prog, db)
 		for _, in := range m.insts {
-			m.strata = append(m.strata, newStratum(in))
+			m.strata = append(m.strata, semantics.NewLayer(in))
 		}
 	default:
 		m.in, err = engine.New(prog, db)
 		if method == core.Alternation && err == nil {
-			m.gamma = newStratum(m.in)
+			m.gamma = semantics.NewLayer(m.in)
 		}
 	}
 	if err != nil {
@@ -245,23 +233,6 @@ func (m *Maintainer) Snapshot() *Snapshot {
 	return &Snapshot{Rels: rels, Universe: m.pubUniv, Gen: m.gen, Sem: m.sem}
 }
 
-// change tracks one predicate's effective update: the tuples that
-// entered (add) and left (del) the relation cur, which already holds
-// the new world.  Every other world a pass reads is an overlay on cur.
-type change struct {
-	add, del *relation.Relation
-	cur      *relation.Relation
-	// negOnly marks the change of the state a Γ stage's negated IDB
-	// literals are frozen against: it drives those literals alone, the
-	// positive literals of the same predicate read the stage's own state.
-	negOnly bool
-}
-
-// old is the relation before the change: cur ∖ add ∪ del.
-func (c *change) old() engine.Overlay {
-	return engine.Overlay{Base: c.cur, Minus: c.add, Plus: c.del}
-}
-
 // Update applies the fact inserts and deletes and incrementally
 // maintains the materialized state.  Inserting a present fact or
 // deleting an absent one is a no-op; a tuple appearing in both lists is
@@ -283,16 +254,14 @@ func (m *Maintainer) Update(ins, del []Fact) (*UpdateStats, error) {
 		stats.Strategy = "recompute"
 		before := m.state
 		m.recompute()
-		for pred, now := range m.state {
-			if c := diff(before[pred], now); c != nil {
-				stats.InsertedIDB += c.add.Len()
-				stats.DeletedIDB += c.del.Len()
-			}
+		for _, c := range semantics.DiffStates(before, m.state) {
+			stats.InsertedIDB += c.Add.Len()
+			stats.DeletedIDB += c.Del.Len()
 		}
 	case !effective:
 		stats.Strategy = "noop"
 	case m.method == core.Alternation:
-		stats.Strategy = "stages"
+		stats.Strategy = "alternation"
 		m.updateChain(ch, stats)
 	default:
 		stats.Strategy = "strata"
@@ -303,15 +272,31 @@ func (m *Maintainer) Update(ins, del []Fact) (*UpdateStats, error) {
 	return stats, nil
 }
 
+// updateStrata cascades the EDB changes upward through the strata,
+// extending ch with each stratum's net IDB changes.
+func (m *Maintainer) updateStrata(ch map[string]*semantics.Change, stats *UpdateStats) {
+	var st semantics.Stats
+	for _, s := range m.strata {
+		for pred, c := range s.Apply(m.state, m.state, ch, &st) {
+			ch[pred] = c
+			stats.InsertedIDB += c.Add.Len()
+			stats.DeletedIDB += c.Del.Len()
+		}
+	}
+	stats.Maintained, stats.Reevaluated = st.Maintained, st.Reevaluated
+}
+
 // recompute does the full evaluation with the current database: the
-// initial one, every update of a general inflationary program, and the
-// fallback for universe growth under unsafe rules.
+// initial one, every update of a general inflationary program, the
+// fallback for universe growth under unsafe rules, and the chain of a
+// restored alternation.
 func (m *Maintainer) recompute() {
 	switch m.method {
 	case core.Stages:
 		m.state = semantics.Inflationary(m.in).State
 	case core.Alternation:
-		m.evalChain()
+		m.chain = m.gamma.Alternate([]engine.State{m.in.NewState()}, nil, true, &semantics.Stats{})
+		m.state = m.chain[len(m.chain)-1]
 	default:
 		m.state = semantics.EvalStrata(m.db, m.insts).State
 	}
@@ -386,21 +371,21 @@ func (m *Maintainer) validate(ins, del []Fact) error {
 // normalize validates the update, interns its inserts' constants,
 // applies it to the EDB relations, and returns the effective
 // per-predicate changes.  grew reports whether interning added any.
-func (m *Maintainer) normalize(ins, del []Fact, stats *UpdateStats) (map[string]*change, bool, error) {
+func (m *Maintainer) normalize(ins, del []Fact, stats *UpdateStats) (map[string]*semantics.Change, bool, error) {
 	if err := m.validate(ins, del); err != nil {
 		return nil, false, err
 	}
 	univ := m.db.Universe()
 	before := univ.Size()
 
-	ch := make(map[string]*change)
-	chFor := func(pred string, rel *relation.Relation) *change {
+	ch := make(map[string]*semantics.Change)
+	chFor := func(pred string, rel *relation.Relation) *semantics.Change {
 		c := ch[pred]
 		if c == nil {
-			c = &change{
-				add: relation.New(rel.Arity()),
-				del: relation.New(rel.Arity()),
-				cur: rel,
+			c = &semantics.Change{
+				Add: relation.New(rel.Arity()),
+				Del: relation.New(rel.Arity()),
+				Cur: rel,
 			}
 			ch[pred] = c
 		}
@@ -411,7 +396,7 @@ func (m *Maintainer) normalize(ins, del []Fact, stats *UpdateStats) (map[string]
 	// relations as they were), then apply.
 	for _, f := range del {
 		if t, rel := m.lookup(f); rel != nil && rel.Has(t) {
-			chFor(f.Pred, rel).del.Add(t)
+			chFor(f.Pred, rel).Del.Add(t)
 		}
 	}
 	for _, f := range ins {
@@ -421,14 +406,14 @@ func (m *Maintainer) normalize(ins, del []Fact, stats *UpdateStats) (map[string]
 			t[i] = univ.Intern(a)
 		}
 		if !rel.Has(t) {
-			chFor(f.Pred, rel).add.Add(t)
+			chFor(f.Pred, rel).Add.Add(t)
 		}
 	}
 	for _, c := range ch {
-		c.cur.RemoveAll(c.del)
-		c.cur.UnionWith(c.add)
-		stats.InsertedEDB += c.add.Len()
-		stats.DeletedEDB += c.del.Len()
+		c.Cur.RemoveAll(c.Del)
+		c.Cur.UnionWith(c.Add)
+		stats.InsertedEDB += c.Add.Len()
+		stats.DeletedEDB += c.Del.Len()
 	}
 	return ch, univ.Size() > before, nil
 }

@@ -85,7 +85,7 @@ func TestReevaluatedLayerMatchesRecompute(t *testing.T) {
 		strategy string
 	}{
 		{"scc", negSrc, core.Stratified, "strata"},
-		{"winmove", winSrc, core.WellFounded, "stages"},
+		{"winmove", winSrc, core.WellFounded, "alternation"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := relation.NewDatabase()

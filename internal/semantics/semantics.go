@@ -20,6 +20,11 @@
 //     default in XSB/DLV-style systems, included as the natural
 //     comparison point; three-valued, total on all programs, and on a
 //     stratifiable one the stratified model, which core and incr run.
+//     Every Γ stage past the second is a DRed step of the stage two
+//     below (Layer.Alternate).
+//
+// Layer is the one DRed maintainer of a semipositive layer — a stratum,
+// or a Γ stage over the stage below — which incr's maintainer shares.
 //
 // All evaluators run semi-naive (delta-driven; see the engine package
 // for the soundness argument) and report round counts so benchmarks
@@ -33,12 +38,23 @@ import (
 
 // Stats records evaluation effort.
 type Stats struct {
-	// Rounds is the number of Θ applications (stages of the induction).
+	// Rounds is the number of engine passes: Θ applications (stages of
+	// an induction), and in the well-founded semantics also the
+	// overdelete, rederive and insert passes of each Γ stage past A₂.
 	Rounds int
 	// Tuples is the total number of tuples in the final state.
 	Tuples int
-	// MaxDeltaTuples is the largest per-stage growth observed.
+	// MaxDeltaTuples is the largest per-stage growth of an induction.
 	MaxDeltaTuples int
+	// Maintained and Reevaluated count the layers Layer.Apply updated:
+	// by DRed, or by re-evaluation once the overdelete outgrew them.
+	Maintained, Reevaluated int
+}
+
+// add accumulates o's engine passes and largest stage growth into s.
+func (s *Stats) add(o Stats) {
+	s.Rounds += o.Rounds
+	s.MaxDeltaTuples = max(s.MaxDeltaTuples, o.MaxDeltaTuples)
 }
 
 // Result is the outcome of a two-valued evaluation.

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/engine"
+	"repro/internal/graphs"
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/wforacle"
@@ -411,6 +412,19 @@ func TestWellFoundedStatsPopulated(t *testing.T) {
 	wf := WellFounded(in)
 	if wf.Outer < 1 || wf.Stats.Rounds < 2 {
 		t.Errorf("stats = %+v outer = %d", wf.Stats, wf.Outer)
+	}
+}
+
+// BenchmarkWellFoundedBuild evaluates win-move under the well-founded
+// semantics from scratch on incr's BenchmarkGammaChainUpdate board, the
+// seeded G(60, 0.05): two stages held, every one past the second
+// stepped by DRed from the stage two below.
+func BenchmarkWellFoundedBuild(b *testing.B) {
+	g := graphs.Random(rand.New(rand.NewSource(1)), 60, 0.05)
+	in := engine.MustNew(parser.MustProgram("win(X) :- E(X,Y), !win(Y)."), g.Database())
+	b.ReportAllocs()
+	for b.Loop() {
+		WellFounded(in)
 	}
 }
 

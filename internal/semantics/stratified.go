@@ -62,10 +62,7 @@ func EvalStrata(work *relation.Database, insts []*engine.Instance) *Result {
 	final := make(engine.State)
 	for _, inst := range insts {
 		res := lfpLoop(inst, nil)
-		stats.Rounds += res.Stats.Rounds
-		if res.Stats.MaxDeltaTuples > stats.MaxDeltaTuples {
-			stats.MaxDeltaTuples = res.Stats.MaxDeltaTuples
-		}
+		stats.add(res.Stats)
 		for pred, rel := range res.State {
 			work.Set(pred, rel)
 			final[pred] = rel

@@ -22,74 +22,67 @@ func (r *WFResult) Undefined() engine.State { return r.Possible.Diff(r.True) }
 func (r *WFResult) Total() bool { return r.Possible.Equal(r.True) }
 
 // WellFounded computes the well-founded model of (π, D) by Van
-// Gelder's alternating fixpoint.  Γ(J) is the least fixpoint of the
-// monotone operator S ↦ S ∪ Θ_{¬→J}(S), where negated IDB literals are
-// frozen against J; the sequence lo₀ = ∅, lo_{k+1} = Γ(Γ(lo_k)) is
-// increasing and its limit is the set of well-founded true facts, with
-// Γ(lo) the over-approximation of possibly-true facts.
+// Gelder's alternating fixpoint (Alternate), holding two stages, each
+// stepped in place: True is the last stage and Possible the one below.
 //
 // It is total on stratified programs (where it agrees with the
 // stratified semantics) and assigns a three-valued model to every
 // DATALOG¬ program — the modern counterpart to the paper's inflationary
 // proposal for "giving meaning to all programs".
 func WellFounded(in *engine.Instance) *WFResult {
-	return WellFoundedLog(in, nil)
+	var stats Stats
+	chain := NewLayer(in).Alternate([]engine.State{in.NewState()}, nil, false, &stats)
+	n := len(chain) - 1
+	stats.Tuples = chain[n].Total()
+	return &WFResult{True: chain[n], Possible: chain[n-1], Stats: stats, Outer: n / 2}
 }
 
-// WellFoundedLog is WellFounded with a stage observer (nil for none):
-// log is called with every application of Γ in turn, A₁ = Γ(∅),
-// A₂ = Γ(A₁), … up to the Aₙ that confirms the fixpoint, n = 2·Outer.
-// On exit True is Aₙ, the same set as Aₙ₋₂, and Possible is Aₙ₋₁.  The
-// stages are the evaluator's own states, not copies, and it only reads
-// a stage once observed: an observer may keep them, and may mutate
-// them after the call if it drops the result, whose True and Possible
-// are two of them.  The incremental-maintenance layer keeps them as
-// its chain.
+// Alternate continues the alternating fixpoint A₀ = ∅, Aᵢ = Γ(Aᵢ₋₁) of
+// the layer's program from the stages A₀ … Aᵢ in chain, ch being Aᵢ's
+// net change from Aᵢ₋₂ (nil for a chain of A₀ alone), and returns the
+// chain up to the stage that closes it.  Γ(J) is the least fixpoint of
+// the program with its negated IDB literals frozen against J.
 //
-// Without an observer at most two stages are held at once.  The even
-// stages grow predicate by predicate (Γ is antimonotone, so Γ² is
-// monotone from ∅: A₀ ⊆ A₂ ⊆ …), so Aₙ = Aₙ₋₂ exactly when their sizes
-// are equal, and of Aₙ₋₂ only its size is kept while Aₙ is computed.
-func WellFoundedLog(in *engine.Instance, log func(stage engine.State)) *WFResult {
-	gamma := func(j engine.State) (engine.State, Stats) {
-		res := lfpLoop(in, j)
-		if log != nil {
-			log(res.State)
+// A₁ and A₂ are Γ from scratch.  Every later stage is one DRed step
+// (Apply): Aᵢ₋₂ = Γ(Aᵢ₋₃) is maintained into Aᵢ = Γ(Aᵢ₋₁), its input
+// Aᵢ₋₁'s net change from Aᵢ₋₃ on the negated side alone, and the step
+// returns Aᵢ's own net change, which feeds the next.  Γ is
+// antimonotone, so A₀ ⊆ A₂ ⊆ … and A₁ ⊇ A₃ ⊇ …, and the loop stops at
+// the first even stage Aₙ whose net change is empty: Aₙ = Aₙ₋₂ is the
+// model's True part and Aₙ₋₁ = Aₙ₊₁ its Possible part.
+//
+// With keep every stage is a state of its own, Aᵢ₋₂ being copied before
+// the step; without it Aᵢ₋₂ is stepped in place, so past A₀ the chain
+// holds two states, each at every other position.
+func (l *Layer) Alternate(chain []engine.State, ch map[string]*Change, keep bool, st *Stats) []engine.State {
+	if len(chain) == 1 {
+		for range 2 {
+			res := lfpLoop(l.in, chain[len(chain)-1])
+			st.add(res.Stats)
+			chain = append(chain, res.State)
 		}
-		return res.State, res.Stats
+		ch = DiffStates(chain[0], chain[2])
 	}
-
-	stats := Stats{}
-	lo := in.NewState()
-	var hi engine.State
-	outer := 0
-	for {
-		outer++
-		h, s1 := gamma(lo)
-		size := lo.Total()
-		lo = nil
-		l2, s2 := gamma(h)
-		stats.Rounds += s1.Rounds + s2.Rounds
-		if s1.MaxDeltaTuples > stats.MaxDeltaTuples {
-			stats.MaxDeltaTuples = s1.MaxDeltaTuples
+	for i := len(chain) - 1; i%2 == 1 || len(ch) > 0; i++ {
+		own := chain[i-1]
+		if keep {
+			own = own.Clone()
 		}
-		if s2.MaxDeltaTuples > stats.MaxDeltaTuples {
-			stats.MaxDeltaTuples = s2.MaxDeltaTuples
+		chain = append(chain, own)
+		for _, c := range ch {
+			c.NegOnly = true
 		}
-		hi, lo = h, l2
-		if lo.Total() == size {
-			break
-		}
+		ch = l.Apply(own, chain[i], ch, st)
 	}
-	stats.Tuples = lo.Total()
-	return &WFResult{True: lo, Possible: hi, Stats: stats, Outer: outer}
+	return chain
 }
 
-// Gamma is the Gelfond–Lifschitz style operator used by both the
-// well-founded alternating fixpoint above and the stable-model
-// semantics (package fixpoint): Γ(J) is the least fixpoint of the
-// monotone operator S ↦ S ∪ Θ_{¬→J}(S) obtained by freezing negated
-// IDB literals against J.  A state S is a stable model iff Γ(S) = S.
+// Gamma is the Gelfond–Lifschitz style operator, computed from scratch:
+// Γ(J) is the least fixpoint of the monotone operator
+// S ↦ S ∪ Θ_{¬→J}(S) obtained by freezing negated IDB literals against
+// J.  The stable-model semantics (package fixpoint) uses it: a state S
+// is a stable model iff Γ(S) = S.  The alternating fixpoint computes
+// its first two stages, and any it re-evaluates, the same way.
 func Gamma(in *engine.Instance, j engine.State) engine.State {
 	return lfpLoop(in, j).State
 }

@@ -89,26 +89,30 @@ func subsetOf(s, o engine.State) bool {
 
 // checkOracle evaluates src on db under the well-founded semantics and
 // compares with the oracle; it returns the result for further checks.
-// On the way it checks, stage by stage, the nesting the evaluator's
-// stopping test rests on — A₀ ⊆ A₂ ⊆ … and A₁ ⊇ A₃ ⊇ … — and that True
-// and Possible are the last two stages.  It then evaluates src under
-// the inflationary semantics and compares every stage the log observes,
-// the state and Stats.Rounds with the oracle's cumulative Θ iteration.
+// On the way it runs the alternating fixpoint keeping every stage and
+// checks each one against Γ of the stage below computed from scratch,
+// the nesting the loop's stopping test rests on — A₀ ⊆ A₂ ⊆ … and
+// A₁ ⊇ A₃ ⊇ … — and that True and Possible are the last two stages.  It
+// then evaluates src under the inflationary semantics and compares
+// every stage the log observes, the state and Stats.Rounds with the
+// oracle's cumulative Θ iteration.
 func checkOracle(t *testing.T, src string, db *relation.Database) *WFResult {
 	t.Helper()
 	prog := parser.MustProgram(src)
 	in := engine.MustNew(prog, db)
-	stages := []engine.State{in.NewState()}
-	res := WellFoundedLog(in, func(s engine.State) {
-		i := len(stages)
-		if i >= 3 && i%2 == 1 && !subsetOf(s, stages[i-2]) {
+	stages := NewLayer(in).Alternate([]engine.State{in.NewState()}, nil, true, &Stats{})
+	for i := 1; i < len(stages); i++ {
+		if !stages[i].Equal(Gamma(in, stages[i-1])) {
+			t.Fatalf("stage A%d is not Γ(A%d)\nprogram:\n%s\ndatabase:\n%s", i, i-1, src, db)
+		}
+		if i >= 3 && i%2 == 1 && !subsetOf(stages[i], stages[i-2]) {
 			t.Fatalf("odd stage A%d is not within A%d\nprogram:\n%s", i, i-2, src)
 		}
-		if i%2 == 0 && !subsetOf(stages[i-2], s) {
+		if i%2 == 0 && !subsetOf(stages[i-2], stages[i]) {
 			t.Fatalf("even stage A%d does not contain A%d\nprogram:\n%s", i, i-2, src)
 		}
-		stages = append(stages, s)
-	})
+	}
+	res := WellFounded(in)
 	if n := len(stages) - 1; n != 2*res.Outer || !res.True.Equal(stages[n]) || !res.True.Equal(stages[n-2]) || !res.Possible.Equal(stages[n-1]) {
 		t.Fatalf("%d stages in %d outer iterations: True is not A%d = A%d, or Possible is not A%d\nprogram:\n%s", n, res.Outer, n, n-2, n-1, src)
 	}

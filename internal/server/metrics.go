@@ -40,7 +40,7 @@ type srvMetrics struct {
 }
 
 // strategyNames are the values of incr.UpdateStats.Strategy.
-var strategyNames = []string{"strata", "stages", "recompute", "noop"}
+var strategyNames = []string{"strata", "alternation", "recompute", "noop"}
 
 // endpointNames are the instrumented endpoints, in display order.
 var endpointNames = []string{"stats", "relation", "query", "update", "metrics",

@@ -205,7 +205,7 @@ func TestMetricsMaintenance(t *testing.T) {
 	var met server.MetricsResponse
 	getJSON(t, ts.URL+"/v1/metrics", &met)
 	got := fmt.Sprintf("%v %d %d", met.Maintenance.Updates, met.Maintenance.Maintained, met.Maintenance.Reevaluated)
-	if want := "map[noop:1 recompute:0 stages:0 strata:2] 1 1"; got != want {
+	if want := "map[alternation:0 noop:1 recompute:0 strata:2] 1 1"; got != want {
 		t.Errorf("maintenance block %s, want %s", got, want)
 	}
 }
