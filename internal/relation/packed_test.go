@@ -207,29 +207,48 @@ func TestConcurrentLookup(t *testing.T) {
 
 // TestTuplesSortedInPlace checks that Tuples, which sorts packed keys in
 // the tail of its own output and unpacks them in place, returns exactly
-// the tuples in Compare order: at arity 2 the ids reach past 2³¹, so the
-// keys carry the top bit the sign flip must order as unsigned; at arity
-// 9 the ids all pack, or one stored last spills, after every key but
-// its own was written, and the comparison sort takes over.
+// the tuples in Compare order, on the relation and on a snapshot view
+// taken halfway, which shares the key table and must skip the offsets
+// appended after it, whichever layout that table has: at arity
+// 2 the ids reach past 2³¹, so the keys carry the top bit the sign flip
+// must order as unsigned; the ids below 40 fill their box, so the table
+// is dense; at arity 9 the ids all pack, or one stored last spills,
+// after every key but its own was written, and the comparison sort
+// takes over.
 func TestTuplesSortedInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	sorted := func(r *Relation) []Tuple {
+		var want []Tuple
+		r.Each(func(tu Tuple) bool {
+			want = append(want, slices.Clone(tu))
+			return true
+		})
+		slices.SortFunc(want, Tuple.Compare)
+		return want
+	}
 	for _, tc := range []struct {
 		arity, n, limit int
 		spill           bool
+		layout          string
 	}{
-		{0, 0, 1, false}, {0, 1, 1, false},
-		{1, 3000, 1 << 62, false},
-		{2, 3000, 1 << 31, false}, {2, 1, 1 << 31, false},
-		{4, 3000, 1 << 16, false},
-		{9, 3000, 1 << 7, false}, {9, 3000, 1 << 7, true},
+		{0, 0, 1, false, "hash"}, {0, 1, 1, false, "hash"},
+		{1, 3000, 1 << 62, false, "hash"},
+		{2, 3000, 1 << 31, false, "hash"}, {2, 1, 1 << 31, false, "hash"},
+		{2, 1000, 40, false, "dense"},
+		{4, 3000, 1 << 16, false, "hash"},
+		{9, 3000, 1 << 7, false, "hash"}, {9, 3000, 1 << 7, true, "hash"},
 	} {
 		r := New(tc.arity)
+		var view *Relation
 		for r.Len() < tc.n {
+			if r.Len() == tc.n/2 && view == nil {
+				view = r.Snapshot()
+			}
 			tu := make(Tuple, tc.arity)
 			for i := range tu {
 				tu[i] = rng.Intn(tc.limit)
 			}
-			if tc.arity == 2 && rng.Intn(2) == 0 {
+			if tc.arity == 2 && tc.limit == 1<<31 && rng.Intn(2) == 0 {
 				tu[0] += 1 << 31
 			}
 			r.Add(tu)
@@ -237,19 +256,21 @@ func TestTuplesSortedInPlace(t *testing.T) {
 		if tc.spill {
 			r.Add(Tuple{1 << 7, 0, 0, 0, 0, 0, 0, 0, 0})
 		}
-		var want []Tuple
-		r.Each(func(tu Tuple) bool {
-			want = append(want, slices.Clone(tu))
-			return true
-		})
-		slices.SortFunc(want, Tuple.Compare)
-		got := r.Tuples()
-		if len(got) != len(want) {
-			t.Fatalf("arity %d, ids < %d: %d tuples, want %d", tc.arity, tc.limit, len(got), len(want))
+		if r.table != nil && layout(r.table) != tc.layout {
+			t.Fatalf("arity %d, ids < %d: key table is %s, want %s", tc.arity, tc.limit, layout(r.table), tc.layout)
 		}
-		for i := range want {
-			if !slices.Equal(got[i], want[i]) {
-				t.Fatalf("arity %d, ids < %d: tuple %d is %v, want %v", tc.arity, tc.limit, i, got[i], want[i])
+		for _, x := range []*Relation{r, view} {
+			if x == nil {
+				continue
+			}
+			want, got := sorted(x), x.Tuples()
+			if len(got) != len(want) {
+				t.Fatalf("arity %d, ids < %d, %d tuples: Tuples has %d", tc.arity, tc.limit, len(want), len(got))
+			}
+			for i := range want {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("arity %d, ids < %d, %d tuples: tuple %d is %v, want %v", tc.arity, tc.limit, len(want), i, got[i], want[i])
+				}
 			}
 		}
 	}

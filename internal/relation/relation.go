@@ -17,8 +17,9 @@ import (
 //
 // Storage is an arena of universe ids in insertion order — a spine of
 // fixed-size, pointer-free chunks of chunkLen tuples, arity ids each —
-// plus a hash set of packed integer keys (see key.go) mapping each
-// tuple to its arena offset.  A stored tuple costs its ids and its key
+// plus a table of packed integer keys (key.go, table.go) mapping each
+// tuple to its arena offset: a hash table, or an array once the keys
+// fill a box of id extents.  A stored tuple costs its ids and its key
 // slot: an insert writes into the tail chunk, allocates only when a
 // chunk fills, never copies what is already stored, and leaves the
 // garbage collector no per-tuple pointer to follow.  The first chunk
@@ -123,7 +124,7 @@ func (r *Relation) offsetOf(t Tuple) int32 {
 // hash h must equal mix64(k)), or -1.
 func (r *Relation) packedOff(k, h uint64) int32 {
 	if r.table != nil {
-		if off, ok := r.table.getHash(k, h); ok && off < int32(r.n) {
+		if off, ok := r.table.get(k, h); ok && off < int32(r.n) {
 			return off
 		}
 	}
@@ -133,9 +134,9 @@ func (r *Relation) packedOff(k, h uint64) int32 {
 // packedPut records packed key k -> off; h must equal mix64(k).
 func (r *Relation) packedPut(k, h uint64, off int32) {
 	if r.table == nil {
-		r.table = newTable(0)
+		r.table = newTable(r.arity, 0, nil)
 	}
-	r.table.putHash(k, h, off)
+	r.table.put(k, h, off)
 }
 
 // Snapshot returns an O(1) immutable view of the relation's current
@@ -340,7 +341,7 @@ func (r *Relation) ReserveHint(n int) {
 		return
 	}
 	r.chunks, r.owned = [][]int{make([]int, min(n, chunkLen)*r.arity)}, nil
-	r.table = newTable(n)
+	r.table = newTable(r.arity, n, nil)
 }
 
 // AppendDisjoint appends every tuple of o without membership probes.
@@ -415,7 +416,7 @@ func (r *Relation) RemoveAll(o *Relation) int {
 
 func (r *Relation) deleteKey(t Tuple) {
 	if k, ok := packKey(t); ok {
-		r.table.deleteHash(k, mix64(k))
+		r.table.del(k, mix64(k))
 		return
 	}
 	delete(r.spill, spillKey(t))
@@ -493,9 +494,10 @@ func (r *Relation) Clone() *Relation {
 		c.table, c.spill = r.table.clone(), maps.Clone(r.spill)
 		return c
 	}
-	// Shared key stores may hold entries past the view; rebuild exactly.
-	if c.n > 0 {
-		c.table = newTable(c.n)
+	// Shared key stores may hold entries past the view; rebuild exactly,
+	// over the shared table's dense box when the byte rule admits it.
+	if r.table != nil && c.n > 0 {
+		c.table = newTable(c.arity, c.n, r.table.box)
 	}
 	off := int32(0)
 	r.Each(func(t Tuple) bool {

@@ -370,12 +370,12 @@ func TestBytesPerStoredTuple(t *testing.T) {
 			t.Fatalf("arity %d: %d tuples stored, want %d", arity, r.Len(), n)
 		}
 		// Chunks, the doublings of the first chunk, of the spine and of the
-		// three arrays of the key table: n/chunkLen + O(log n).
+		// key table's arrays in either layout: n/chunkLen + O(log n).
 		mallocs, maxMallocs := after.Mallocs-before.Mallocs, uint64(n/chunkLen+100)
-		tableBytes := len(r.table.ctrl) + 8*len(r.table.keys) + 4*len(r.table.vals)
+		tableBytes := len(r.table.ctrl) + 8*len(r.table.keys) + 4*len(r.table.vals) + 4*len(r.table.dense)
 		bytes, maxBytes := after.TotalAlloc-before.TotalAlloc, uint64(2*(8*arity*n+tableBytes))
-		t.Logf("arity %d: %d tuples in %d mallocs, %d bytes (%.1f per tuple; ids %d, final key table %d)",
-			arity, n, mallocs, bytes, float64(bytes)/n, 8*arity*n, tableBytes)
+		t.Logf("arity %d: %d tuples in %d mallocs, %d bytes (%.1f per tuple; ids %d, final key table %d, %s)",
+			arity, n, mallocs, bytes, float64(bytes)/n, 8*arity*n, tableBytes, layout(r.table))
 		if mallocs > maxMallocs {
 			t.Errorf("arity %d: %d mallocs for %d tuples, want at most %d", arity, mallocs, n, maxMallocs)
 		}

@@ -1,26 +1,37 @@
 package relation
 
-// Open-addressing hash table for packed uint64 tuple keys.
+import "slices"
+
+// Key tables map packed uint64 tuple keys to int32 arena offsets in one
+// of two layouts.
 //
-// Relation membership for packable tuples lives here rather than in a
-// Go map[uint64]int32, which would scatter a probe across cache lines.
-// Table has power-of-two capacity,
-// linear probing, and an 8-bit fingerprint control array scanned ahead
-// of the key array — a probe touches the dense ctrl bytes first and only
-// compares full keys on a fingerprint hit, so misses usually resolve
-// within one cache line.  Deletion uses backward-shift compaction, so
-// the table is tombstone-free and probe distances never degrade.
+// Open addressing: power-of-two capacity, linear probing, and an 8-bit
+// fingerprint array scanned ahead of the keys, so a probe compares full
+// keys only on a fingerprint hit.  The hash is always mix64(key),
+// computed once per insert.  A ctrl byte of 0 marks an empty slot
+// (fingerprints set bit 7); deletion shifts the probe chain back, so
+// there are no tombstones.  A slot costs 13 bytes, at ¾ load or less.
 //
-// The hash of a key is always mix64(key): the insert path computes it
-// once and threads it through the membership probe and the put.
+// Dense: a relation of arity k holds at most |A|^k tuples, and a
+// fixpoint gets close.  Keys inside a box of per-column id extents
+// index an array by their mixed-radix position, first column most
+// significant; a slot holds offset+1 (0 = empty) in 4 bytes.  A probe
+// is one load, a write one store.
 //
-// Table is not a general map: keys are assumed well-distributed (they
-// are always probed via mix64), values are arena offsets, and the
-// zero ctrl byte means "empty slot" (fingerprints set bit 7, so a
-// live slot is never 0).
+// The byte rule picks the layout, only where the table is sized: a
+// growing or cloned open-addressing table turns dense when the tightest
+// box around its keys costs no more bytes than open addressing at that
+// capacity, and a snapshot view's copy is rebuilt over the box of the
+// table it shares when that box passes the rule at the view's size.  A
+// table pre-sized before its keys are known starts open-addressed.  A
+// key outside a dense box widens each extent it overruns at least 2×,
+// up to the packing limit; a widened box that breaks the byte rule
+// sends the table back to open addressing.  Arity 0 is never dense.
 
 const (
 	tableMinCap = 16 // smallest slot count; must be a power of two
+	slotBytes   = 13 // one open-addressing slot: ctrl byte, key, value
+	denseBytes  = 4  // one dense slot
 )
 
 // Table maps packed uint64 keys to int32 arena offsets.
@@ -31,6 +42,11 @@ type Table struct {
 	mask uint64   // len(ctrl) - 1
 	n    int      // live entries
 	grow int      // resize threshold (¾ of capacity)
+
+	dense []int32 // the dense layout when non-nil: offset+1 per box slot
+	box   []span  // the dense box: per-column id extents, first column first
+	arity int
+	bits  uint // packed width of one column
 }
 
 // tableFP extracts the 8-bit fingerprint of a hash.  Bit 7 is forced
@@ -49,25 +65,118 @@ func tableCapFor(n int) int {
 	return c
 }
 
-// newTable returns a table pre-sized for about n entries.
-func newTable(n int) *Table {
-	t := &Table{}
-	t.init(tableCapFor(n))
+// newTable returns an empty table for keys of the given arity,
+// pre-sized for about n entries: dense over box when the byte rule
+// admits it at that size, else open addressing.
+func newTable(arity, n int, box []span) *Table {
+	t := &Table{arity: arity, bits: packBits(arity)}
+	t.refill(Table{}, tableCapFor(n), box)
 	return t
 }
 
-// init (re)allocates the slot arrays at capacity c, a power of two.
+// init (re)allocates the open-addressing arrays at capacity c, a power
+// of two, and drops the dense layout.
 func (t *Table) init(c int) {
 	t.ctrl = make([]uint8, c)
 	t.keys = make([]uint64, c)
 	t.vals = make([]int32, c)
 	t.mask = uint64(c - 1)
-	t.n = 0
 	t.grow = c - c/4
+	t.dense, t.box = nil, nil
 }
 
-// getHash looks up k, whose hash h must equal mix64(k).
-func (t *Table) getHash(k, h uint64) (int32, bool) {
+// span is one column's extent in the dense box: the ids lo ≤ id < lo+n.
+type span struct{ lo, n uint64 }
+
+// slot returns k's position in the dense box, or false when a column
+// of k lies outside it.
+func (t *Table) slot(k uint64) (uint64, bool) {
+	i, sh := uint64(0), t.bits*uint(len(t.box))
+	for _, s := range t.box {
+		sh -= t.bits
+		c := k>>sh&(1<<t.bits-1) - s.lo
+		if c >= s.n {
+			return 0, false
+		}
+		i = i*s.n + c
+	}
+	return i, true
+}
+
+// keyAt inverts slot: the packed key at dense position i.
+func (t *Table) keyAt(i uint64) uint64 {
+	var k uint64
+	for j, sh := len(t.box)-1, uint(0); j >= 0; j, sh = j-1, sh+t.bits {
+		s := t.box[j]
+		k |= (s.lo + i%s.n) << sh
+		i /= s.n
+	}
+	return k
+}
+
+// widen stretches box to hold key k: a span that a column of k
+// overruns grows to cover it and, toward it, to at least step times
+// its size, as far as id 0 and the packing limit allow (a box slot past
+// the limit would name no packed key, and keyAt would decode garbage).
+func (t *Table) widen(box []span, k, step uint64) []span {
+	lim := uint64(1) << min(t.bits, 63) // arity 1 packs ids below 2⁶³
+	for j := len(box) - 1; j >= 0; j-- {
+		c, s := k&(1<<t.bits-1), &box[j]
+		k >>= t.bits
+		switch {
+		case s.n == 0:
+			*s = span{c, 1}
+		case c < s.lo:
+			hi := s.lo + s.n
+			s.lo = min(c, hi-min(hi, step*s.n))
+			s.n = hi - s.lo
+		case c-s.lo >= s.n:
+			s.n = min(max(step*s.n, c-s.lo+1), lim-s.lo)
+		}
+	}
+	return box
+}
+
+// tightBox returns the smallest box holding every key of the
+// open-addressing layout, or nil as soon as the keys seen so far break
+// the byte rule at capacity c.
+func (t *Table) tightBox(c int) []span {
+	box, seen := make([]span, t.arity), false
+	for j, cb := range t.ctrl {
+		if cb != 0 {
+			t.widen(box, t.keys[j], 1)
+			seen = true
+		}
+		if j&255 == 255 && seen && denseLen(box, c) == 0 {
+			return nil
+		}
+	}
+	return box
+}
+
+// denseLen applies the byte rule: the slot count of box when it is
+// non-empty and costs no more bytes than open addressing at capacity
+// c, else 0.
+func denseLen(box []span, c int) int {
+	room, size := uint64(c)*slotBytes/denseBytes, uint64(min(len(box), 1))
+	for _, s := range box {
+		if s.n == 0 || s.n > room/size {
+			return 0
+		}
+		size *= s.n
+	}
+	return int(size)
+}
+
+// get looks up k, whose hash h must equal mix64(k).
+func (t *Table) get(k, h uint64) (int32, bool) {
+	if t.dense != nil {
+		i, ok := t.slot(k)
+		if !ok || t.dense[i] == 0 {
+			return 0, false
+		}
+		return t.dense[i] - 1, true
+	}
 	fp := tableFP(h)
 	for j := h & t.mask; ; j = (j + 1) & t.mask {
 		c := t.ctrl[j]
@@ -80,10 +189,25 @@ func (t *Table) getHash(k, h uint64) (int32, bool) {
 	}
 }
 
-// putHash inserts or updates k -> v; h must equal mix64(k).
-func (t *Table) putHash(k, h uint64, v int32) {
+// put inserts or updates k -> v; h must equal mix64(k).
+func (t *Table) put(k, h uint64, v int32) {
+	if t.dense != nil {
+		if i, ok := t.slot(k); ok {
+			if t.dense[i] == 0 {
+				t.n++
+			}
+			t.dense[i] = v + 1
+			return
+		}
+		t.refill(*t, tableCapFor(t.n+1), t.widen(slices.Clone(t.box), k, 2))
+		t.put(k, h, v)
+		return
+	}
 	if t.n >= t.grow {
-		t.rehash(len(t.ctrl) << 1)
+		c := len(t.ctrl) << 1
+		t.refill(*t, c, t.widen(t.tightBox(c), k, 1))
+		t.put(k, h, v)
+		return
 	}
 	fp := tableFP(h)
 	for j := h & t.mask; ; j = (j + 1) & t.mask {
@@ -102,11 +226,20 @@ func (t *Table) putHash(k, h uint64, v int32) {
 	}
 }
 
-// deleteHash removes k (h must equal mix64(k)), reporting whether it
-// was present.  The probe chain is compacted by backward shifting, so
-// no tombstones exist: every entry whose probe path crossed the freed
+// del removes k (h must equal mix64(k)), reporting whether it was
+// present.  The probe chain is compacted by backward shifting, so no
+// tombstones exist: every entry whose probe path crossed the freed
 // slot is moved up into it, recursively, until a natural gap.
-func (t *Table) deleteHash(k, h uint64) bool {
+func (t *Table) del(k, h uint64) bool {
+	if t.dense != nil {
+		i, ok := t.slot(k)
+		if !ok || t.dense[i] == 0 {
+			return false
+		}
+		t.dense[i] = 0
+		t.n--
+		return true
+	}
 	fp := tableFP(h)
 	j := h & t.mask
 	for {
@@ -137,46 +270,59 @@ func (t *Table) deleteHash(k, h uint64) bool {
 	return true
 }
 
-// rehash rebuilds the table at the given power-of-two capacity.
-func (t *Table) rehash(c int) {
-	oc, ok, ov := t.ctrl, t.keys, t.vals
-	t.init(c)
-	for j, cb := range oc {
+// refill lays t out afresh, over box if the byte rule admits it at
+// capacity c, else open addressing at c, and moves every entry of src
+// (possibly t's previous layout) into it.
+func (t *Table) refill(src Table, c int, box []span) {
+	if m := denseLen(box, c); m > 0 {
+		t.ctrl, t.keys, t.vals = nil, nil, nil
+		t.dense, t.box = make([]int32, m), box
+	} else {
+		t.init(c)
+	}
+	if src.dense != nil && t.dense != nil {
+		// A wider box keeps each run of the last column contiguous.
+		w := int(src.box[len(src.box)-1].n)
+		for r := 0; r < len(src.dense); r += w {
+			i, ok := t.slot(src.keyAt(uint64(r)))
+			if !ok {
+				panic("relation: a regrown dense box lost a run of its keys")
+			}
+			copy(t.dense[i:], src.dense[r:r+w])
+		}
+		t.n = src.n
+		return
+	}
+	t.n = 0
+	for i, v := range src.dense {
+		if v != 0 {
+			k := src.keyAt(uint64(i))
+			t.put(k, mix64(k), v-1)
+		}
+	}
+	for j, cb := range src.ctrl {
 		if cb != 0 {
-			t.putHash(ok[j], mix64(ok[j]), ov[j])
+			t.put(src.keys[j], mix64(src.keys[j]), src.vals[j])
 		}
 	}
 }
 
-// clone returns a deep copy.  Nil-safe: cloning a nil table (a
-// relation that never inserted a packed tuple) returns nil.
+// clone returns a deep copy, dense when the byte rule admits the
+// tightest box around an open-addressing table's keys.  Nil-safe:
+// cloning a nil table (a relation that never inserted a packed tuple)
+// returns nil.
 func (t *Table) clone() *Table {
 	if t == nil {
 		return nil
 	}
-	c := &Table{
-		ctrl: make([]uint8, len(t.ctrl)),
-		keys: make([]uint64, len(t.keys)),
-		vals: make([]int32, len(t.vals)),
-		mask: t.mask,
-		n:    t.n,
-		grow: t.grow,
-	}
-	copy(c.ctrl, t.ctrl)
-	copy(c.keys, t.keys)
-	copy(c.vals, t.vals)
-	return c
-}
-
-// each calls f for every live (key, value) entry until f returns
-// false.  Iteration order is slot order, not insertion order.
-func (t *Table) each(f func(k uint64, v int32) bool) {
-	if t == nil {
-		return
-	}
-	for j, c := range t.ctrl {
-		if c != 0 && !f(t.keys[j], t.vals[j]) {
-			return
+	if t.dense == nil {
+		if box := t.tightBox(len(t.ctrl)); denseLen(box, len(t.ctrl)) > 0 {
+			c := &Table{arity: t.arity, bits: t.bits}
+			c.refill(*t, len(t.ctrl), box)
+			return c
 		}
 	}
+	c := *t
+	c.ctrl, c.keys, c.vals, c.dense = slices.Clone(t.ctrl), slices.Clone(t.keys), slices.Clone(t.vals), slices.Clone(t.dense)
+	return &c
 }

@@ -19,45 +19,101 @@ func homeKeys(mask uint64, home uint64, n int) []uint64 {
 	return keys
 }
 
+// layout names the table's current layout.
+func layout(tb *Table) string {
+	if tb.dense != nil {
+		return "dense"
+	}
+	return "hash"
+}
+
+// TestTableBasics runs put/get/upsert/delete on both layouts: 100
+// consecutive keys fill their box and turn the table dense at its first
+// growth, inserted in ascending order or in descending order (which
+// widens the box downwards); 100 keys 2⁴⁰ apart never do.
 func TestTableBasics(t *testing.T) {
-	tb := newTable(0)
-	if tb.n != 0 {
-		t.Fatalf("new table Len = %d", tb.n)
-	}
-	for i := uint64(0); i < 100; i++ {
-		tb.putHash(i, mix64(i), int32(i))
-	}
-	if tb.n != 100 {
-		t.Fatalf("Len = %d after 100 inserts", tb.n)
-	}
-	for i := uint64(0); i < 100; i++ {
-		v, ok := tb.getHash(i, mix64(i))
-		if !ok || v != int32(i) {
-			t.Fatalf("get(%d) = %d, %v", i, v, ok)
+	for _, tc := range []struct {
+		stride uint64
+		desc   bool
+		want   string
+	}{{1, false, "dense"}, {1, true, "dense"}, {1 << 40, false, "hash"}} {
+		tb := newTable(1, 0, nil)
+		if tb.n != 0 {
+			t.Fatalf("new table Len = %d", tb.n)
+		}
+		for j := uint64(0); j < 100; j++ {
+			i := j
+			if tc.desc {
+				i = 99 - j
+			}
+			k := i * tc.stride
+			tb.put(k, mix64(k), int32(i))
+		}
+		if got := layout(tb); got != tc.want {
+			t.Fatalf("stride %d: layout %s, want %s", tc.stride, got, tc.want)
+		}
+		if tb.n != 100 {
+			t.Fatalf("stride %d: Len = %d after 100 inserts", tc.stride, tb.n)
+		}
+		for i := uint64(0); i < 100; i++ {
+			k := i * tc.stride
+			v, ok := tb.get(k, mix64(k))
+			if !ok || v != int32(i) {
+				t.Fatalf("stride %d: get(%d) = %d, %v", tc.stride, k, v, ok)
+			}
+		}
+		absent := 100 * tc.stride
+		if _, ok := tb.get(absent, mix64(absent)); ok {
+			t.Errorf("stride %d: get of absent key succeeded", tc.stride)
+		}
+		// Upsert: Remove's swap-last path rewrites offsets in place.
+		k := 7 * tc.stride
+		tb.put(k, mix64(k), 999)
+		if v, _ := tb.get(k, mix64(k)); v != 999 {
+			t.Errorf("stride %d: upsert: get(%d) = %d, want 999", tc.stride, k, v)
+		}
+		if tb.n != 100 {
+			t.Errorf("stride %d: upsert changed Len to %d", tc.stride, tb.n)
+		}
+		if !tb.del(k, mix64(k)) {
+			t.Errorf("stride %d: delete of present key failed", tc.stride)
+		}
+		if tb.del(k, mix64(k)) {
+			t.Errorf("stride %d: delete of absent key succeeded", tc.stride)
+		}
+		if _, ok := tb.get(k, mix64(k)); ok {
+			t.Errorf("stride %d: deleted key still present", tc.stride)
+		}
+		if tb.n != 99 || layout(tb) != tc.want {
+			t.Errorf("stride %d: Len = %d, layout %s after delete", tc.stride, tb.n, layout(tb))
 		}
 	}
-	if _, ok := tb.getHash(100, mix64(100)); ok {
-		t.Error("get of absent key succeeded")
+}
+
+// TestTableCloneLayout checks that clone applies the byte rule: a
+// pre-sized open-addressing table whose keys fill a box away from id 0
+// clones dense, and a dense table clones into an array of its own.
+func TestTableCloneLayout(t *testing.T) {
+	tb := newTable(1, 1000, nil)
+	for k := uint64(500); k < 600; k++ {
+		tb.put(k, mix64(k), int32(k))
 	}
-	// Upsert: Remove's swap-last path rewrites offsets in place.
-	tb.putHash(7, mix64(7), 999)
-	if v, _ := tb.getHash(7, mix64(7)); v != 999 {
-		t.Errorf("upsert: get(7) = %d, want 999", v)
+	c := tb.clone()
+	if layout(tb) != "hash" || layout(c) != "dense" || len(c.dense) != 100 {
+		t.Fatalf("clone of a filled %s table is %s with %d slots, want dense with 100", layout(tb), layout(c), len(c.dense))
 	}
-	if tb.n != 100 {
-		t.Errorf("upsert changed Len to %d", tb.n)
-	}
-	if !tb.deleteHash(7, mix64(7)) {
-		t.Error("delete of present key failed")
-	}
-	if tb.deleteHash(7, mix64(7)) {
-		t.Error("delete of absent key succeeded")
-	}
-	if _, ok := tb.getHash(7, mix64(7)); ok {
-		t.Error("deleted key still present")
-	}
-	if tb.n != 99 {
-		t.Errorf("Len = %d after delete", tb.n)
+	cc := c.clone()
+	cc.del(550, mix64(550))
+	for k := uint64(499); k <= 600; k++ {
+		want := k >= 500 && k < 600
+		for _, x := range []*Table{tb, c} {
+			if v, ok := x.get(k, mix64(k)); ok != want || ok && v != int32(k) {
+				t.Fatalf("%s: get(%d) = (%d, %v), want present %v", layout(x), k, v, ok, want)
+			}
+		}
+		if _, ok := cc.get(k, mix64(k)); ok != (want && k != 550) {
+			t.Fatalf("clone of the dense clone: get(%d) = %v", k, ok)
+		}
 	}
 }
 
@@ -66,19 +122,19 @@ func TestTableBasics(t *testing.T) {
 // findable (no tombstones to hide behind — the chain is compacted).
 func TestTableBackwardShift(t *testing.T) {
 	for _, home := range []uint64{3, tableMinCap - 1} { // interior + wraparound cluster
-		tb := newTable(0)
+		tb := newTable(1, 0, nil)
 		keys := homeKeys(tb.mask, home, 5)
 		for i, k := range keys {
-			tb.putHash(k, mix64(k), int32(i))
+			tb.put(k, mix64(k), int32(i))
 		}
 		// Delete the middle, then the head, re-probing all after each.
 		for _, victim := range []int{2, 0} {
-			if !tb.deleteHash(keys[victim], mix64(keys[victim])) {
+			if !tb.del(keys[victim], mix64(keys[victim])) {
 				t.Fatalf("home %d: delete keys[%d] failed", home, victim)
 			}
 			keys = append(keys[:victim], keys[victim+1:]...)
 			for _, k := range keys {
-				if _, ok := tb.getHash(k, mix64(k)); !ok {
+				if _, ok := tb.get(k, mix64(k)); !ok {
 					t.Fatalf("home %d: key %d lost after backward shift", home, k)
 				}
 			}
@@ -86,106 +142,242 @@ func TestTableBackwardShift(t *testing.T) {
 	}
 }
 
-// TestTableVsMapDifferential drives a Table and a map[uint64]int32
-// through the same randomized put/get/delete stream and requires
-// identical observable behavior, across growth boundaries.
+// TestTableVsMapDifferential drives an arity-2 Table and a
+// map[uint64]int32 through the same randomized put/get/delete stream
+// and requires identical observable behavior across every layout
+// change.  The stream's key space moves in phases: a 20×20 box the
+// table fills (hash → dense at growth), a box twice as tall (a key
+// outside the extents regrows them), keys with a first column near
+// 2²⁰ (the regrown box breaks the byte rule: back to hash), and, the
+// far keys deleted, a 60×40 box (dense again at the next growth).
 func TestTableVsMapDifferential(t *testing.T) {
+	type move struct{ from, to string }
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tb := newTable(0)
+		tb := newTable(2, 0, nil)
 		m := map[uint64]int32{}
-		// Small key space forces hits, upserts, and delete-of-present.
-		key := func() uint64 { return uint64(rng.Intn(400)) }
-		for op := 0; op < 5000; op++ {
-			switch k := key(); rng.Intn(4) {
-			case 0, 1: // put (upsert)
-				v := int32(rng.Intn(1 << 20))
-				tb.putHash(k, mix64(k), v)
-				m[k] = v
-			case 2: // get
-				v, ok := tb.getHash(k, mix64(k))
-				wv, wok := m[k]
-				if ok != wok || (ok && v != wv) {
-					t.Fatalf("seed %d op %d: get(%d) = (%d,%v), map (%d,%v)", seed, op, k, v, ok, wv, wok)
-				}
-			case 3: // delete
-				_, wok := m[k]
-				if got := tb.deleteHash(k, mix64(k)); got != wok {
-					t.Fatalf("seed %d op %d: delete(%d) = %v, map %v", seed, op, k, got, wok)
-				}
-				delete(m, k)
+		seen := map[move]bool{}
+		phases := []struct{ rows, cols, base, ops int }{
+			{20, 20, 0, 3000},
+			{40, 20, 0, 3000},
+			{40, 20, 1 << 20, 200},
+			{60, 40, 0, 8000},
+		}
+		for p, ph := range phases {
+			key := func() uint64 {
+				k, _ := packKey(Tuple{ph.base + rng.Intn(ph.rows), rng.Intn(ph.cols)})
+				return k
 			}
-			if tb.n != len(m) {
-				t.Fatalf("seed %d op %d: Len = %d, map %d", seed, op, tb.n, len(m))
+			if p == len(phases)-1 { // drop the far keys, so a growth can go dense
+				for k := range m {
+					if k>>32 >= 1<<20 && tb.del(k, mix64(k)) {
+						delete(m, k)
+					}
+				}
+			}
+			for op := 0; op < ph.ops; op++ {
+				before, ext := layout(tb), len(tb.dense)
+				switch k := key(); rng.Intn(5) {
+				case 0, 1, 2: // put (upsert)
+					v := int32(rng.Intn(1 << 20))
+					tb.put(k, mix64(k), v)
+					m[k] = v
+				case 3: // get
+					v, ok := tb.get(k, mix64(k))
+					wv, wok := m[k]
+					if ok != wok || (ok && v != wv) {
+						t.Fatalf("seed %d phase %d op %d: get(%d) = (%d,%v), map (%d,%v)", seed, p, op, k, v, ok, wv, wok)
+					}
+				case 4: // delete
+					_, wok := m[k]
+					if got := tb.del(k, mix64(k)); got != wok {
+						t.Fatalf("seed %d phase %d op %d: delete(%d) = %v, map %v", seed, p, op, k, got, wok)
+					}
+					delete(m, k)
+				}
+				if after := layout(tb); after != before || (after == "dense" && len(tb.dense) != ext) {
+					seen[move{before, after}] = true
+				}
+				if tb.n != len(m) {
+					t.Fatalf("seed %d phase %d op %d: Len = %d, map %d", seed, p, op, tb.n, len(m))
+				}
+			}
+			// Full sweep: every map entry findable; with Len equal, the
+			// table holds nothing else.
+			for k, v := range m {
+				if got, ok := tb.get(k, mix64(k)); !ok || got != v {
+					t.Fatalf("seed %d phase %d: get(%d) = (%d,%v), want %d", seed, p, k, got, ok, v)
+				}
 			}
 		}
-		// Full sweep: every map entry findable, every table entry in the map.
-		for k, v := range m {
-			if got, ok := tb.getHash(k, mix64(k)); !ok || got != v {
-				t.Fatalf("seed %d: final get(%d) = (%d,%v), want %d", seed, k, got, ok, v)
+		for _, mv := range []move{{"hash", "dense"}, {"dense", "dense"}, {"dense", "hash"}} {
+			if !seen[mv] {
+				t.Errorf("seed %d: the stream never moved the table %s → %s (moves seen: %v)", seed, mv.from, mv.to, seen)
 			}
 		}
-		tb.each(func(k uint64, v int32) bool {
-			if wv, ok := m[k]; !ok || wv != v {
-				t.Fatalf("seed %d: table holds stale (%d,%d)", seed, k, v)
+	}
+}
+
+// TestTableDenseAtPackingLimit drives an arity-6 Table, whose columns
+// pack ids below 2¹⁰, against a map through a dense box that grows to
+// that limit: first columns 600..1023 inserted in sorted order widen
+// their extent 2× at a time toward it, then random ops over a new last
+// column regrow the box dense → dense.  No extent may pass the limit,
+// and every regrow must keep every entry.
+func TestTableDenseAtPackingLimit(t *testing.T) {
+	tb, m := newTable(6, 0, nil), map[uint64]int32{}
+	put := func(tup Tuple, v int32) {
+		k, _ := packKey(tup)
+		tb.put(k, mix64(k), v)
+		m[k] = v
+	}
+	for x := 600; x < 1024; x++ {
+		put(Tuple{x, 0, 0, 0, 0, 0}, int32(x))
+	}
+	rng, regrows := rand.New(rand.NewSource(1)), 0
+	for op := 0; op < 4000; op++ {
+		tup := Tuple{600 + rng.Intn(424), 0, 0, 0, 0, rng.Intn(6)}
+		k, _ := packKey(tup)
+		ext := len(tb.dense)
+		switch rng.Intn(3) {
+		case 0, 1:
+			put(tup, int32(op))
+		case 2:
+			_, wok := m[k]
+			if got := tb.del(k, mix64(k)); got != wok {
+				t.Fatalf("op %d: delete(%v) = %v, map %v", op, tup, got, wok)
 			}
-			return true
-		})
+			delete(m, k)
+		}
+		if layout(tb) == "dense" && ext > 0 && len(tb.dense) != ext {
+			regrows++
+		}
+		if tb.n != len(m) {
+			t.Fatalf("op %d: Len = %d, map %d", op, tb.n, len(m))
+		}
+	}
+	for _, s := range tb.box {
+		if s.lo+s.n > 1<<tb.bits {
+			t.Errorf("extent [%d, %d) passes the packing limit %d", s.lo, s.lo+s.n, 1<<tb.bits)
+		}
+	}
+	for k, v := range m {
+		if got, ok := tb.get(k, mix64(k)); !ok || got != v {
+			t.Fatalf("get(%x) = (%d, %v), want %d", k, got, ok, v)
+		}
+	}
+	if layout(tb) != "dense" || regrows == 0 {
+		t.Errorf("layout %s after %d dense regrows, want dense after at least one", layout(tb), regrows)
 	}
 }
 
 // TestRelationVsMapDifferential is the relation-level property test: a
-// relation driven through random Add/Has/Remove/Snapshot-detach
+// relation driven through random Add/Has/Remove/Snapshot/Seal
 // interleavings must hold exactly what a Go map of its tuples holds,
-// including through snapshot isolation (a Remove after Snapshot
-// detaches the live storage).
+// including through snapshot isolation (appends stay invisible to a
+// view; a Remove after Snapshot, and any mutation after Seal, detaches
+// the live storage) and through every layout change of its key table:
+// tuples over a 30×30 box (hash → dense at growth), a 60×30 box (a
+// regrow), a first column near 2²⁰ (the regrow breaks the byte rule:
+// back to hash).  Tuples must list every view's model in sorted order,
+// and so must a mutable copy of every view.
 func TestRelationVsMapDifferential(t *testing.T) {
 	same := func(r *Relation, m map[[2]int]bool) bool {
-		if r.Len() != len(m) {
+		tuples := r.Tuples()
+		if r.Len() != len(m) || len(tuples) != len(m) {
 			return false
 		}
-		for k := range m {
-			if !r.Has(Tuple{k[0], k[1]}) {
+		for i, tu := range tuples {
+			if !m[[2]int{tu[0], tu[1]}] || !r.Has(tu) || i > 0 && tuples[i-1].Compare(tu) >= 0 {
 				return false
 			}
 		}
 		return true
 	}
+	type move struct{ from, to string }
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r, m := New(2), map[[2]int]bool{}
+		seen := map[move]bool{}
 		var snaps []*Relation
 		var models []map[[2]int]bool
-		for op := 0; op < 3000; op++ {
-			tup := Tuple{rng.Intn(30), rng.Intn(30)}
-			key := [2]int{tup[0], tup[1]}
-			switch rng.Intn(6) {
-			case 0, 1, 2:
-				if r.Add(tup) == m[key] {
-					t.Fatalf("seed %d op %d: Add(%v) with the map holding it: %v", seed, op, tup, m[key])
+		denseViews := 0
+		for p, ph := range []struct{ rows, base, ops int }{{30, 0, 3000}, {60, 0, 2000}, {4, 1 << 20, 100}} {
+			for op := 0; op < ph.ops; op++ {
+				tup := Tuple{ph.base + rng.Intn(ph.rows), rng.Intn(30)}
+				key := [2]int{tup[0], tup[1]}
+				before, ext := "none", 0
+				if r.table != nil {
+					before, ext = layout(r.table), len(r.table.dense)
 				}
-				m[key] = true
-			case 3:
-				if r.AddNotIn(tup, nil) == m[key] {
-					t.Fatalf("seed %d op %d: AddNotIn(%v) with the map holding it: %v", seed, op, tup, m[key])
+				switch rng.Intn(7) {
+				case 0, 1, 2:
+					if r.Add(tup) == m[key] {
+						t.Fatalf("seed %d phase %d op %d: Add(%v) with the map holding it: %v", seed, p, op, tup, m[key])
+					}
+					m[key] = true
+				case 3:
+					if r.AddNotIn(tup, nil) == m[key] {
+						t.Fatalf("seed %d phase %d op %d: AddNotIn(%v) with the map holding it: %v", seed, p, op, tup, m[key])
+					}
+					m[key] = true
+				case 4:
+					var view *Relation
+					if len(snaps) > 0 {
+						view = snaps[len(snaps)-1]
+					}
+					shared := view != nil && view.table == r.table && r.table.dense != nil
+					if r.Remove(tup) != m[key] {
+						t.Fatalf("seed %d phase %d op %d: Remove(%v) with the map holding it: %v", seed, p, op, tup, m[key])
+					}
+					if shared && m[key] {
+						// The detach cloned the dense array: the view
+						// keeps its own.
+						if view.table == r.table || &view.table.dense[0] == &r.table.dense[0] {
+							t.Fatalf("seed %d phase %d op %d: Remove after Snapshot left the dense array shared", seed, p, op)
+						}
+						denseViews++
+					}
+					delete(m, key)
+				case 5:
+					snaps, models = append(snaps, r.Snapshot()), append(models, maps.Clone(m))
+				case 6:
+					r.Seal()
+					snaps, models = append(snaps, r.Snapshot()), append(models, maps.Clone(m))
 				}
-				m[key] = true
-			case 4:
-				if r.Remove(tup) != m[key] {
-					t.Fatalf("seed %d op %d: Remove(%v) with the map holding it: %v", seed, op, tup, m[key])
+				if after := layout(r.table); after != before || (after == "dense" && len(r.table.dense) != ext) {
+					seen[move{before, after}] = true
 				}
-				delete(m, key)
-			case 5:
-				snaps, models = append(snaps, r.Snapshot()), append(models, maps.Clone(m))
 			}
 		}
 		if !same(r, m) {
 			t.Fatalf("seed %d: relation and map diverge: %d vs %d tuples", seed, r.Len(), len(m))
 		}
+		denseClones := 0
 		for i := range snaps {
 			if !same(snaps[i], models[i]) {
 				t.Fatalf("seed %d: snapshot %d diverges: %d vs %d tuples", seed, i, snaps[i].Len(), len(models[i]))
 			}
+			// A view's copy rebuilds its key table over the view's
+			// tuples alone, dense over the shared box if it fits.
+			c := snaps[i].Mutable()
+			if !same(c, models[i]) {
+				t.Fatalf("seed %d: copy of snapshot %d diverges: %d vs %d tuples", seed, i, c.Len(), len(models[i]))
+			}
+			if c.table != nil && c.table.dense != nil {
+				denseClones++
+			}
+		}
+		if denseClones == 0 {
+			t.Errorf("seed %d: no copy of a snapshot came back dense", seed)
+		}
+		for _, mv := range []move{{"hash", "dense"}, {"dense", "dense"}, {"dense", "hash"}} {
+			if !seen[mv] {
+				t.Errorf("seed %d: the stream never moved the key table %s → %s (moves seen: %v)", seed, mv.from, mv.to, seen)
+			}
+		}
+		if denseViews == 0 {
+			t.Errorf("seed %d: no Remove detached a dense table from a view", seed)
 		}
 	}
 }
@@ -193,89 +385,115 @@ func TestRelationVsMapDifferential(t *testing.T) {
 // TestTableZeroAllocs is the dedup-path and probe allocation guard:
 // membership probes (hit and miss), duplicate-rejecting inserts against
 // a pre-sized relation, and index probes and statistics on built
-// indexes must not allocate at all.
+// indexes must not allocate at all, on either key-table layout: the
+// 1000 tuples (i, i+1) stay hashed, the 1000 tuples (i/40, i%40) fill
+// their box and go dense.
 func TestTableZeroAllocs(t *testing.T) {
-	r := New(2)
-	r.ReserveHint(2048)
-	for i := 0; i < 1000; i++ {
-		r.Add(Tuple{i, i + 1})
-	}
-	hit, miss := Tuple{500, 501}, Tuple{500, 502}
-	both := []int{0, 1}
-	r.Lookup(0, 0)
-	r.LookupCols(both, hit)
-	cases := []struct {
-		name string
-		f    func()
+	for _, tc := range []struct {
+		want string
+		tup  func(i int) Tuple
 	}{
-		{"Has/hit", func() { r.Has(hit) }},
-		{"Has/miss", func() { r.Has(miss) }},
-		{"Add/dup", func() { r.Add(hit) }},
-		{"AddNotIn/dup", func() { r.AddNotIn(hit, nil) }},
-		{"AddNotIn/filtered", func() { r.AddNotIn(hit, r) }},
-		{"Lookup", func() { r.Lookup(0, 500) }},
-		{"LookupCols/two", func() { r.LookupCols(both, hit) }},
-		{"Distinct", func() { r.Distinct(0) }},
-	}
-	for _, c := range cases {
-		if allocs := testing.AllocsPerRun(100, c.f); allocs != 0 {
-			t.Errorf("%s: %.1f allocs per probe, want 0", c.name, allocs)
+		{"hash", func(i int) Tuple { return Tuple{i, i + 1} }},
+		{"dense", func(i int) Tuple { return Tuple{i / 40, i % 40} }},
+	} {
+		r := New(2)
+		r.ReserveHint(300)
+		for i := 0; i < 1000; i++ {
+			r.Add(tc.tup(i))
+		}
+		if got := layout(r.table); got != tc.want {
+			t.Fatalf("key table is %s, want %s", got, tc.want)
+		}
+		hit, miss := tc.tup(500), Tuple{500, 502}
+		both := []int{0, 1}
+		r.Lookup(0, 0)
+		r.LookupCols(both, hit)
+		cases := []struct {
+			name string
+			f    func()
+		}{
+			{"Has/hit", func() { r.Has(hit) }},
+			{"Has/miss", func() { r.Has(miss) }},
+			{"Add/dup", func() { r.Add(hit) }},
+			{"AddNotIn/dup", func() { r.AddNotIn(hit, nil) }},
+			{"AddNotIn/filtered", func() { r.AddNotIn(hit, r) }},
+			{"Lookup", func() { r.Lookup(0, hit[0]) }},
+			{"LookupCols/two", func() { r.LookupCols(both, hit) }},
+			{"Distinct", func() { r.Distinct(0) }},
+		}
+		for _, c := range cases {
+			if allocs := testing.AllocsPerRun(100, c.f); allocs != 0 {
+				t.Errorf("%s/%s: %.1f allocs per probe, want 0", tc.want, c.name, allocs)
+			}
 		}
 	}
 }
 
+// BenchmarkTableProbe times the key table on both layouts.  hit, miss
+// and grow use n scattered arity-1 keys, which stay hashed; the dense
+// variants use the even keys below 2n, which fill their box: dense-hit
+// probes them, dense-miss the odd keys between them, and dense-grow
+// inserts them in sorted order from an empty table.
 func BenchmarkTableProbe(b *testing.B) {
 	const n = 1 << 16
 	keys := make([]uint64, n)
 	hashes := make([]uint64, n)
 	missKeys := make([]uint64, n)
 	missHashes := make([]uint64, n)
+	evens := make([]uint64, n)
 	for i := range keys {
-		keys[i] = uint64(i)
+		keys[i] = mix64(uint64(i)) >> 1
 		hashes[i] = mix64(keys[i])
-		missKeys[i] = uint64(i + n)
+		missKeys[i] = mix64(uint64(i+n)) >> 1
 		missHashes[i] = mix64(missKeys[i])
+		evens[i] = 2 * uint64(i)
+	}
+	fill := func(b *testing.B, tb *Table, keys []uint64, want string) *Table {
+		for i, k := range keys {
+			tb.put(k, mix64(k), int32(i))
+		}
+		if got := layout(tb); got != want {
+			b.Fatalf("layout %s, want %s", got, want)
+		}
+		return tb
+	}
+	probe := func(b *testing.B, tb *Table, keys, hashes []uint64, present bool) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i & (n - 1)
+			if _, ok := tb.get(keys[j], hashes[j]); ok != present {
+				b.Fatalf("get(%d) = %v, want %v", keys[j], ok, present)
+			}
+		}
+	}
+	grow := func(b *testing.B, keys []uint64) {
+		// Insert-heavy: builds the table from minimum capacity through
+		// every resize, the cost amortized over b.N inserts.
+		for i := 0; i < b.N; i += n {
+			tb := newTable(1, 0, nil)
+			for j := 0; j < min(n, b.N-i); j++ {
+				tb.put(keys[j], mix64(keys[j]), int32(j))
+			}
+		}
 	}
 	b.Run("hit", func(b *testing.B) {
-		tb := newTable(n)
-		for i := range keys {
-			tb.putHash(keys[i], hashes[i], int32(i))
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			j := i & (n - 1)
-			if _, ok := tb.getHash(keys[j], hashes[j]); !ok {
-				b.Fatal("miss on present key")
-			}
-		}
+		probe(b, fill(b, newTable(1, n, nil), keys, "hash"), keys, hashes, true)
 	})
 	b.Run("miss", func(b *testing.B) {
-		tb := newTable(n)
-		for i := range keys {
-			tb.putHash(keys[i], hashes[i], int32(i))
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			j := i & (n - 1)
-			if _, ok := tb.getHash(missKeys[j], missHashes[j]); ok {
-				b.Fatal("hit on absent key")
-			}
-		}
+		probe(b, fill(b, newTable(1, n, nil), keys, "hash"), missKeys, missHashes, false)
 	})
-	b.Run("grow", func(b *testing.B) {
-		// Insert-heavy: builds the table from minimum capacity through
-		// every rehash, the cost amortized over b.N inserts.
-		for i := 0; i < b.N; i += n {
-			tb := newTable(0)
-			m := n
-			if rem := b.N - i; rem < m {
-				m = rem
-			}
-			for j := 0; j < m; j++ {
-				tb.putHash(keys[j], hashes[j], int32(j))
-			}
-		}
+	b.Run("grow", func(b *testing.B) { grow(b, keys) })
+	odds, evenHashes, oddHashes := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	for i, k := range evens {
+		odds[i], evenHashes[i], oddHashes[i] = k+1, mix64(k), mix64(k+1)
+	}
+	b.Run("dense-hit", func(b *testing.B) {
+		probe(b, fill(b, newTable(1, 0, nil), evens, "dense"), evens, evenHashes, true)
 	})
+	b.Run("dense-miss", func(b *testing.B) {
+		probe(b, fill(b, newTable(1, 0, nil), evens, "dense"), odds, oddHashes, false)
+	})
+	b.Run("dense-grow", func(b *testing.B) { grow(b, evens) })
 	// Index probes on a built relation of n tuples (i%256, i): Lookup
 	// and Distinct on column 0, LookupCols on both columns.
 	r := New(2)

@@ -13,10 +13,11 @@
 // holds at most |A|^k tuples, and the engine materialises exactly those,
 // so the bytes behind one stored tuple are the constant in front of that
 // bound.  A relation keeps its tuples as bare ids in fixed-size,
-// pointer-free chunks (relation.go) and their membership in one
-// open-addressing table of packed keys (table.go, key.go): a stored
-// tuple costs 8·arity bytes of ids and a 13-byte table slot at ¾ load or
-// less, is allocated with its chunk rather than on its own, and is read
+// pointer-free chunks (relation.go) and their membership in one table
+// of packed keys (table.go, key.go): a stored tuple costs 8·arity bytes
+// of ids plus a 13-byte hash slot at ¾ load or less, or a 4-byte slot of
+// an array over a box of id extents when that costs fewer bytes.  It is
+// allocated with its chunk rather than on its own, and is read
 // back as a view of the chunk, valid until its relation is next removed
 // from.  Snapshots share chunks with the live relation, which copies
 // only the chunks it writes after a publish.  Storage is never recycled:
