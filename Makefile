@@ -45,12 +45,13 @@ bench:
 
 # The CI smoke variant: one iteration of every benchmark the regex
 # 'E1|E5' matches (E1, E5 and E10–E16), a quick experiment run, and the
-# allocs/op of a tiny pass, the join loop, a maintained Γ-chain update
-# and the key table's probes in both layouts.
+# allocs/op of a tiny pass, the join loop, a maintained Γ-chain update,
+# an inflationary distance fixpoint and the key table's probes in both
+# layouts.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E1|E5' -benchtime 1x . | tee bench-smoke.txt
 	$(GO) run ./cmd/bench -quick -exp E1 | tee -a bench-smoke.txt
-	$(GO) test -run '^$$' -bench 'TinyPass|JoinAllocs|GammaChainUpdate|StrataUpdateSCC|WellFoundedBuild|TableProbe' -benchmem -benchtime 200x ./internal/engine ./internal/incr ./internal/semantics ./internal/relation | tee -a bench-smoke.txt
+	$(GO) test -run '^$$' -bench 'TinyPass|JoinAllocs|GammaChainUpdate|StrataUpdateSCC|WellFoundedBuild|InflationaryDistance|TableProbe' -benchmem -benchtime 200x ./internal/engine ./internal/incr ./internal/semantics ./internal/relation | tee -a bench-smoke.txt
 
 # CPU + allocation + contention profiles of the hot evaluation path
 # (the E8/E10 series, whose pooled passes are what the mutex/block

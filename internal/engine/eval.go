@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,10 +17,10 @@ import (
 // map.  headBuf and negBuf are scratch tuples reused across emissions
 // so the hot path allocates only when a genuinely new tuple is stored.
 //
-// cur, when non-nil, is the frontier filter: emissions already present
+// cur, when non-nil, is the frontier filter of a pooled worker: the
+// relation of Into its output will be merged into.  Emissions already
 // in it are dropped at emit time (a read-only membership probe fused
-// into the insert, see Relation.AddNotIn), so a frontier pass returns
-// exactly the genuinely-new tuples without a derived state or a Diff.
+// into the insert, see Relation.AddNotIn).
 //
 // probe holds each join's probe values at the join's probeOff, so the
 // shared compiled plan carries no per-run state; shardLit is the
@@ -73,17 +74,18 @@ type evalTask struct {
 // delta (see Delta); Within restricts it to the rules whose head
 // predicate it names and to derivations whose head tuple lies in that
 // relation — the rederivation step of DRed.  The two are exclusive.
-// Against, when set, drops every emission already in Against at emit
-// time (frontier.go), so the pass returns exactly its derivations minus
-// Against.
+//
+// Into, when set, is the state the pass extends: it must hold a
+// relation for every IDB predicate, and the pass appends to it every
+// derived tuple it lacks (frontier.go).  Literals read Pos and Neg as
+// they stood when the pass began: Into may name the same relations,
+// which the pass reads through views it takes itself.  Deltas and
+// Within must not name Into's relations, but may name ranges of them.
 type Spec struct {
 	Pos, Neg State
 	Deltas   map[string]Delta
 	Within   map[string]*relation.Relation
-	Against  State
-	// hints presizes per-predicate outputs from the expected cardinality;
-	// only SemiNaive sets it.
-	hints map[string]int
+	Into     State
 }
 
 // Apply computes Θ(S̄): the relations derived from the database and s by
@@ -91,23 +93,76 @@ type Spec struct {
 // while deriving, so it is the paper's simultaneous operator.
 func (in *Instance) Apply(s State) State { return in.Eval(Spec{Pos: s}) }
 
-// Eval runs the pass sp describes and returns its derivations.  A
-// small pass runs on the calling goroutine into one output (see
-// InlineFloor); a larger one is evaluated across a worker pool (see
-// runPool).  Input states are only read: lazy index construction inside
-// Relation is internally synchronized.  Eval panics if sp sets both
-// Deltas and Within.
+// Eval runs the pass sp describes.  Without Into it returns the
+// derivations as a fresh state; with Into, the ranges it appended to
+// Into's relations (Relation.Since), those that gained nothing left
+// out.  A small pass runs on the calling goroutine (see InlineFloor),
+// straight into Into when set; a larger one is evaluated across a
+// worker pool (see runPool).  Input states are only read: lazy index
+// construction inside Relation is internally synchronized.  Eval
+// panics if sp sets both Deltas and Within.
 func (in *Instance) Eval(sp Spec) State {
-	if sp.Neg == nil {
+	tasks := in.tasks(sp)
+	if sp.Into != nil && len(tasks) == 0 {
+		return nil
+	}
+	var buf [16]int // Into's pass-start lengths, per IDB predicate
+	marks := buf[:0]
+	if sp.Into != nil {
+		for _, pred := range in.idbList {
+			marks = append(marks, sp.Into[pred].Len())
+		}
+		neg := sp.Neg
+		sp.Pos = atStart(sp.Pos, sp.Into)
+		if sp.Neg = sp.Pos; neg != nil {
+			sp.Neg = atStart(neg, sp.Into)
+		}
+	} else if sp.Neg == nil {
 		sp.Neg = sp.Pos
 	}
-	tasks, nw := in.schedule(in.tasks(sp), sp.Pos)
-	if nw > 1 {
-		return in.runPool(sp, tasks, nw)
+	tasks, nw := in.schedule(tasks, sp.Pos)
+	into := sp.Into
+	if nw <= 1 {
+		if into == nil {
+			into = in.NewState()
+		}
+		for _, t := range tasks {
+			in.evalRule(t, &sp, into, nil)
+		}
+	} else {
+		outs := in.runPool(sp, tasks, nw)
+		if into == nil {
+			into, outs = outs[0], outs[1:]
+		}
+		for i := range outs {
+			into.UnionWith(outs[i])
+			outs[i] = nil
+		}
 	}
-	out := in.newOut(sp, 1)
-	for _, t := range tasks {
-		in.evalRule(t, &sp, out)
+	if sp.Into == nil {
+		return into
+	}
+	var grown State
+	for i, pred := range in.idbList {
+		if r := into[pred]; r.Len() > marks[i] {
+			if grown == nil {
+				grown = make(State)
+			}
+			grown[pred] = r.Since(marks[i])
+		}
+	}
+	return grown
+}
+
+// atStart returns s with every relation of into it names replaced by a
+// view of the relation as it stands (Relation.Since(0)): what a pass
+// appending to into reads of s.
+func atStart(s, into State) State {
+	out := maps.Clone(s)
+	for pred, r := range s {
+		if r == into[pred] {
+			out[pred] = r.Since(0)
+		}
 	}
 	return out
 }
@@ -119,15 +174,11 @@ func (in *Instance) Eval(sp Spec) State {
 // every IDB predicate drives its positive literals with its delta,
 // literals before the driver read old, literals after it cur.  Rules
 // without positive IDB literals contribute nothing (see the package
-// comment).  Outputs are presized from the incoming delta's
-// cardinality, the best available estimate of the next round's.
+// comment).
 func SemiNaive(old, delta, cur, neg State) Spec {
-	sp := Spec{Pos: cur, Neg: neg, Deltas: make(map[string]Delta, len(delta)), hints: make(map[string]int, len(delta))}
+	sp := Spec{Pos: cur, Neg: neg, Deltas: make(map[string]Delta, len(delta))}
 	for pred, d := range delta {
 		sp.Deltas[pred] = Delta{PosDriver: d, Before: Overlay{Base: old[pred]}}
-		if n := d.Len(); n > 0 {
-			sp.hints[pred] = n
-		}
 	}
 	return sp
 }
@@ -173,19 +224,6 @@ const InlineFloor = 4096
 // it.
 var scratchPool sync.Pool
 
-// newOut builds the output of one of nw workers, presized for the
-// worker's share of each hinted predicate: 1/nw of the expected
-// cardinality.
-func (in *Instance) newOut(sp Spec, nw int) State {
-	out := in.NewState()
-	for pred, n := range sp.hints {
-		if r := out[pred]; r != nil {
-			r.ReserveHint(n / nw)
-		}
-	}
-	return out
-}
-
 // schedule decides once per pass where its tasks run: it returns the
 // tasks and the number of workers, 1 for the calling goroutine.  A pass
 // whose driver work is under InlineFloor, or that has one task and no
@@ -205,10 +243,10 @@ func (in *Instance) schedule(tasks []evalTask, pos State) ([]evalTask, int) {
 }
 
 // runPool evaluates tasks on nw goroutines, each deriving into a
-// private output, and merges the outputs by set union into the first,
-// so the result is bit-exact regardless of worker count or scheduling
-// order.  Every other output is dropped as soon as its ids are copied.
-func (in *Instance) runPool(sp Spec, tasks []evalTask, nw int) State {
+// private output filtered against sp.Into, and returns the outputs;
+// Eval merges them by set union, so the result is bit-exact regardless
+// of worker count or scheduling order.
+func (in *Instance) runPool(sp Spec, tasks []evalTask, nw int) []State {
 	outs := make([]State, nw)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -216,23 +254,19 @@ func (in *Instance) runPool(sp Spec, tasks []evalTask, nw int) State {
 	for w := 0; w < nw; w++ {
 		go func(w int) {
 			defer wg.Done()
-			out := in.newOut(sp, nw)
+			out := in.NewState()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(tasks) {
 					break
 				}
-				in.evalRule(tasks[i], &sp, out)
+				in.evalRule(tasks[i], &sp, out, sp.Into)
 			}
 			outs[w] = out
 		}(w)
 	}
 	wg.Wait()
-	for w := 1; w < nw; w++ {
-		outs[0].UnionWith(outs[w])
-		outs[w] = nil
-	}
-	return outs[0]
+	return outs
 }
 
 // driverWork is a pass's driver work (see InlineFloor): the tuples of
@@ -315,10 +349,11 @@ func (in *Instance) putScratch(sc *evalScratch) {
 	scratchPool.Put(sc)
 }
 
-// evalRule evaluates one task's rule plan into out: sp.Pos resolves
-// positive IDB literals, sp.Neg negated ones, unless the task overrides
-// the literal (see source).
-func (in *Instance) evalRule(task evalTask, sp *Spec, out State) {
+// evalRule evaluates one task's rule plan into out, dropping what
+// filter holds (nil: nothing): sp.Pos resolves positive IDB literals,
+// sp.Neg negated ones, unless the task overrides the literal (see
+// source).
+func (in *Instance) evalRule(task evalTask, sp *Spec, out, filter State) {
 	rp := task.rp
 	maxNeg := 0
 	for _, np := range rp.negatives {
@@ -329,10 +364,7 @@ func (in *Instance) evalRule(task evalTask, sp *Spec, out State) {
 	sc := in.getScratch(rp, maxNeg)
 	ctx := &sc.ctx
 	ctx.usize = in.db.Universe().Size()
-	ctx.out = out[rp.headPred]
-	if sp.Against != nil {
-		ctx.cur = sp.Against[rp.headPred]
-	}
+	ctx.out, ctx.cur = out[rp.headPred], filter[rp.headPred]
 	for i, lp := range rp.positives {
 		ctx.pos[i] = in.source(task.pos, i, lp, sp.Pos)
 	}
@@ -367,10 +399,8 @@ func slotValue(s slot, binding []int) int {
 func (in *Instance) run(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int) {
 	if si == len(ep.steps) {
 		// Fill the scratch head buffer; AddNotIn copies it only when
-		// actually stored.  ctx.cur is the
-		// frontier filter: emissions already in the accumulated state are
-		// dropped here, by one read-only membership probe, instead of
-		// surviving into a derived state only to be removed by a Diff.
+		// actually stored.  ctx.out dedups it by its own key table, and
+		// a pooled worker's ctx.cur drops what Into already holds.
 		t := ctx.headBuf
 		for i, s := range rp.headSlots {
 			t[i] = slotValue(s, binding)
@@ -441,8 +471,9 @@ func (in *Instance) runJoin(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bi
 		lo, hi = ctx.shardLo, ctx.shardHi
 	}
 	in.joinRel(rp, ctx, ep, si, binding, src.Base, src.Minus, vals, lo, hi)
-	// Shard ranges partition the base's arena; the first shard takes Plus.
-	if src.Plus != nil && lo == 0 {
+	// Shard ranges partition the base's arena range; the first shard
+	// takes Plus.
+	if first, _ := src.Base.Span(); src.Plus != nil && (hi == 0 || lo == first) {
 		in.joinRel(rp, ctx, ep, si, binding, src.Plus, nil, vals, 0, 0)
 	}
 }
@@ -451,7 +482,8 @@ func (in *Instance) runJoin(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bi
 // values are vals — by one membership probe when every column is
 // bound, through the step's index probe when some are, by arena scan
 // otherwise — restricted to the arena offsets [lo, hi) unless hi is 0,
-// skipping the tuples minus holds.  The per-tuple work is the step's
+// skipping the tuples minus holds.  Offsets are the arena's: a range
+// view's start past 0.  The per-tuple work is the step's
 // compiled micro-op array; together with the probe this loop performs
 // no allocation (see BenchmarkJoinAllocs).
 func (in *Instance) joinRel(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int, rel, minus *relation.Relation, vals []int, lo, hi int32) {
@@ -482,7 +514,7 @@ func (in *Instance) joinRel(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bi
 		return
 	}
 	if hi == 0 {
-		hi = int32(rel.Len())
+		lo, hi = rel.Span()
 	}
 	for off := lo; off < hi; off++ {
 		if t := rel.At(off); minus == nil || !minus.Has(t) {

@@ -1,20 +1,24 @@
-// frontier.go — dedup-at-emit derivation and intra-rule sharding.
+// frontier.go — passes that extend a state, and intra-rule sharding.
 //
 // Every fixpoint loop unions each round's derivations into an
 // accumulated state, and almost every derivation of a late round is a
 // duplicate of what that state already holds.  A pass whose Spec sets
-// Against therefore filters every emission against the accumulated
-// state at emit time (a read-only membership probe inside the compiled
-// bind/check loop, see Relation.AddNotIn) and inserts genuinely-new
-// tuples straight into the per-predicate delta: the returned state IS
-// the next delta, disjoint from the accumulated one, and callers union
-// it back with UnionDisjoint.
+// Into writes into that state itself, reading it through pass-start
+// views.  Inline, an emission goes straight into Into's relation,
+// deduped by its key table: one probe, no copy.  On the pool, each
+// worker derives into a private output filtered against Into at emit
+// time (a read-only probe in the compiled bind/check loop, see
+// Relation.AddNotIn), merged into Into by one probe per tuple and
+// dropped.  What the pass added is the arena range past the pass-start
+// lengths, which Eval returns as views (Relation.Since): the next
+// round's delta is a range of the state, not a relation of its own.
 //
 // Intra-rule sharding keeps every worker busy when a round has fewer
 // rule tasks than the pool has workers: a task's driver relation (the
 // semi-naive delta, or the first planned literal of a full application)
 // is split into arena-range shards of at least minShardSpan tuples, one
-// task per shard, each restricted to its range.  The ranges partition
+// task per shard, each restricted to its range — of the driver's own
+// range, when it is a view (Relation.Since).  The ranges partition
 // the driving enumeration, so every derivation belongs to exactly one
 // shard and the union of the shard outputs is exactly the unsharded
 // output.  A pass under InlineFloor is never sharded: it runs on the
@@ -39,26 +43,19 @@ func (in *Instance) expandShards(tasks []evalTask, pos State, nw int) []evalTask
 	out := make([]evalTask, 0, nw)
 	for _, t := range tasks {
 		lit, rel := in.shardTarget(t, pos)
-		n := 0
+		var first, end int32
 		if lit >= 0 && rel != nil {
-			n = rel.Len()
+			first, end = rel.Span()
 		}
-		shards := nw
-		if max := n / minShardSpan; shards > max {
-			shards = max
-		}
+		shards := min(nw, int(end-first)/minShardSpan)
 		if shards <= 1 {
 			out = append(out, t)
 			continue
 		}
-		span := (n + shards - 1) / shards
-		for lo := 0; lo < n; lo += span {
-			hi := lo + span
-			if hi > n {
-				hi = n
-			}
+		span := (end - first + int32(shards) - 1) / int32(shards)
+		for lo := first; lo < end; lo += span {
 			t2 := t
-			t2.shardLit, t2.shardLo, t2.shardHi = lit, int32(lo), int32(hi)
+			t2.shardLit, t2.shardLo, t2.shardHi = lit, lo, min(lo+span, end)
 			out = append(out, t2)
 		}
 	}

@@ -23,10 +23,11 @@ func workerSweep() []int {
 
 // TestPropFrontierMatchesDeriveDiff is the frontier contract's
 // acceptance property: over randomized programs, databases and worker
-// counts (sequential, sharded, oversubscribed), Eval of a Spec with
-// Against returns exactly Eval of the same Spec without it minus the
-// accumulated state — per Θ application, per semi-naive round, and per
-// maintenance pass.
+// counts (sequential, minimal parallelism, oversubscribed), a pass into
+// a clone of the state S leaves S ∪ (derive(S) ∖ S) in it and returns
+// exactly derive(S) ∖ S as ranges of the clone — for a Θ application, a
+// semi-naive round, a Within pass and a maintenance pass, reading the
+// clone itself or S.
 func TestPropFrontierMatchesDeriveDiff(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -42,7 +43,7 @@ func TestPropFrontierMatchesDeriveDiff(t *testing.T) {
 			}
 		}
 
-		// Reference stages, and each shape's unfiltered answer minus s2.
+		// Reference stages; each shape's derivations, unfiltered.
 		setProcs(t, 1)
 		ref := MustNew(prog, db.Clone())
 		s0 := ref.NewState()
@@ -58,54 +59,67 @@ func TestPropFrontierMatchesDeriveDiff(t *testing.T) {
 		shapes := map[string]Spec{
 			"full":       {Pos: s2},
 			"semi-naive": SemiNaive(s1, delta, s2, nil),
+			"within":     {Pos: s2, Within: ref.Apply(s2)},
 			"delta":      {Pos: s2, Deltas: deltas},
 		}
 		for shape, sp := range shapes {
 			setProcs(t, 1)
-			want := ref.Eval(sp).Diff(s2)
-			sp.Against = s2
-			for _, nw := range workerSweep() {
-				setProcs(t, nw)
-				in := MustNew(prog, db.Clone())
-				if got := in.Eval(sp); !got.Equal(want) {
-					t.Fatalf("seed %d workers %d: %s pass with Against differs\nprogram:\n%s\ngot:\n%v\nwant:\n%v",
-						seed, nw, shape, src, got.Format(db.Universe()), want.Format(db.Universe()))
+			for _, self := range []bool{false, true} {
+				for _, nw := range workerSweep() {
+					setProcs(t, nw)
+					in := MustNew(prog, db.Clone())
+					if msg := checkInto(in, ref, sp, s2, self); msg != "" {
+						t.Fatalf("seed %d workers %d: %s pass (reading its own Into: %v): %s\nprogram:\n%s", seed, nw, shape, self, msg, src)
+					}
 				}
 			}
 		}
 	}
 }
 
-// inflateFrontier iterates the inflationary operator on the frontier
-// contract to its fixpoint.
-func inflateFrontier(in *Instance) State {
-	cur := in.Apply(in.NewState())
-	for {
-		nd := in.Eval(Spec{Pos: cur, Against: cur})
-		if nd.Empty() {
-			return cur
-		}
-		cur.UnionDisjoint(nd)
+// checkInto runs sp with Into a clone of s, which sp.Pos must be, on in
+// — reading the clone itself when self is set — and checks it against
+// ref's unfiltered pass: the clone must end as s ∪ (derive ∖ s), and
+// the returned ranges must hold exactly derive ∖ s.  It returns what
+// differs, or "".
+func checkInto(in, ref *Instance, sp Spec, s State, self bool) string {
+	derived := ref.Eval(sp)
+	want := s.Clone()
+	want.UnionWith(derived)
+	sp.Into = s.Clone()
+	if self {
+		sp.Pos = sp.Into
 	}
+	appended := in.NewState()
+	appended.UnionWith(in.Eval(sp))
+	switch u := in.Universe(); {
+	case !sp.Into.Equal(want):
+		return fmt.Sprintf("Into holds\n%vwant\n%v", sp.Into.Format(u), want.Format(u))
+	case !appended.Equal(derived.Diff(s)):
+		return fmt.Sprintf("returned ranges hold\n%vwant\n%v", appended.Format(u), derived.Diff(s).Format(u))
+	}
+	return ""
 }
 
-// inflateFrontierSemiNaive is the semi-naive variant: rounds pass the
-// previous delta as driver, exactly like semantics.lfpLoop, so big
-// deltas are sharded over the pool and merged.
+// inflateFrontier iterates the inflationary operator on the frontier
+// contract to its fixpoint: every pass extends the state it reads.
+func inflateFrontier(in *Instance) State {
+	cur := in.NewState()
+	for !in.Eval(Spec{Pos: cur, Into: cur}).Empty() {
+	}
+	return cur
+}
+
+// inflateFrontierSemiNaive is the semi-naive variant: each round is
+// driven by the range of cur the previous one appended, exactly like
+// semantics.lfpLoop, so big deltas are sharded over the pool and merged.
 func inflateFrontierSemiNaive(in *Instance) State {
-	prev := in.NewState()
-	cur := in.Apply(prev)
-	delta := cur.Snapshot()
-	for !delta.Empty() {
+	cur := in.NewState()
+	prev := cur.View()
+	for delta := in.Eval(Spec{Pos: cur, Into: cur}); !delta.Empty(); {
 		sp := SemiNaive(prev, delta, cur, nil)
-		sp.Against = cur
-		nd := in.Eval(sp)
-		if nd.Empty() {
-			break
-		}
-		prev = cur.Snapshot()
-		cur.UnionDisjoint(nd)
-		delta = nd
+		sp.Into, prev = cur, cur.View()
+		delta = in.Eval(sp)
 	}
 	return cur
 }
@@ -166,8 +180,8 @@ var partsPrograms = []string{
 // TestPropPartsMatchUnpartitioned checks the pool's split of one
 // semi-naive pass: over random databases, a pass whose driver delta is
 // over InlineFloor is scheduled on every worker, and the merged parts
-// are exactly the single-part pass of a one-worker instance — with
-// Against alike.
+// are exactly the single-part pass of a one-worker instance — and a
+// pass into a clone of the state appends exactly what the state lacks.
 func TestPropPartsMatchUnpartitioned(t *testing.T) {
 	const n = 72 // 7/8 of the n² pairs is well over InlineFloor
 	for seed := int64(0); seed < 3; seed++ {
@@ -209,30 +223,30 @@ func TestPropPartsMatchUnpartitioned(t *testing.T) {
 				if got := in.Eval(sp); !got.Equal(want) {
 					t.Fatalf("seed %d workers %d: parts differ from the one-worker pass\nprogram:\n%s", seed, nw, src)
 				}
-				fr := sp
-				fr.Against = cur
-				if got := in.Eval(fr); !got.Equal(want.Diff(cur)) {
-					t.Fatalf("seed %d workers %d: pass with Against differs from the one-worker pass\nprogram:\n%s", seed, nw, src)
+				if msg := checkInto(in, ref, sp, cur, false); msg != "" {
+					t.Fatalf("seed %d workers %d: pass into the state: %s\nprogram:\n%s", seed, nw, msg, src)
 				}
 			}
 		}
 	}
 }
 
-// TestApplyDeltasFrontierParts checks a maintenance round on a driver
-// over InlineFloor: a Deltas pass with Against, evaluated inline into
-// one part by one worker and split into per-worker parts by four,
-// returns exactly the pass without Against minus the accumulated state.
-// The accumulated state is a random three quarters of a transitive
-// closure, so the round re-derives a non-empty rest.
+// TestApplyDeltasFrontierParts drives passes into a state over
+// InlineFloor: a full, a semi-naive, a Within and a maintenance pass,
+// evaluated inline by one worker and on the pool by two and four, leave
+// S ∪ (derive(S) ∖ S) in a clone of S and return derive(S) ∖ S.  S is a
+// random three quarters of a transitive closure, so every pass
+// re-derives a non-empty rest, and the closure is non-linear, so even
+// the full pass enumerates S first.
 func TestApplyDeltasFrontierParts(t *testing.T) {
-	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).")
+	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- s(X,Z), s(Z,Y).")
 	db := randomEdgeDB(rand.New(rand.NewSource(42)), 120, 0.025)
 	setProcs(t, 1)
 	ref := MustNew(prog, db.Clone())
 	rng := rand.New(rand.NewSource(7))
+	closure := inflate(ref)
 	cur := ref.NewState()
-	for _, tu := range inflate(ref)["s"].Tuples() {
+	for _, tu := range closure["s"].Tuples() {
 		if rng.Intn(4) != 0 {
 			cur["s"].Add(tu)
 		}
@@ -240,21 +254,45 @@ func TestApplyDeltasFrontierParts(t *testing.T) {
 	if cur["s"].Len() < InlineFloor {
 		t.Fatalf("fixture too small to drive a pooled round: |s| = %d", cur["s"].Len())
 	}
-	sp := Spec{Pos: cur, Deltas: map[string]Delta{"s": {PosDriver: cur["s"]}}}
-	want := ref.Eval(sp).Diff(cur)
-	sp.Against = cur
-	if want.Empty() {
-		t.Fatal("maintenance round re-derives nothing")
+	shapes := map[string]Spec{
+		"full":       {Pos: cur},
+		"semi-naive": SemiNaive(ref.NewState(), cur, cur, nil),
+		"within":     {Pos: cur, Within: closure},
+		"delta":      {Pos: cur, Deltas: map[string]Delta{"s": {PosDriver: cur["s"]}}},
 	}
-	for _, nw := range []int{1, 4} {
-		setProcs(t, nw)
-		in := MustNew(prog, db.Clone())
-		if _, w := in.schedule(in.tasks(sp), cur); w != nw {
-			t.Fatalf("workers %d: scheduled on %d workers", nw, w)
+	for shape, sp := range shapes {
+		if ref.Eval(sp).Diff(cur).Empty() {
+			t.Fatalf("%s pass re-derives nothing", shape)
 		}
-		if got := in.Eval(sp); !got.Equal(want) {
-			t.Fatalf("workers %d: maintenance round differs from the unfiltered pass minus the state", nw)
+		for _, nw := range []int{1, 2, 4} {
+			setProcs(t, nw)
+			in := MustNew(prog, db.Clone())
+			if _, w := in.schedule(in.tasks(sp), cur); w != nw {
+				t.Fatalf("%s pass, workers %d: scheduled on %d workers", shape, nw, w)
+			}
+			if msg := checkInto(in, ref, sp, cur, nw == 2); msg != "" {
+				t.Fatalf("%s pass, workers %d: %s", shape, nw, msg)
+			}
 		}
+	}
+}
+
+// TestEmptyPassAllocs is a maintenance pass none of whose tasks has a
+// driver: it builds no output state and returns nil, so it allocates
+// nothing at all, where it once built a state of empty relations.
+func TestEmptyPassAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector (see race_test.go)")
+	}
+	setProcs(t, 1)
+	in := MustNew(parser.MustProgram(multiRuleSrc), pathDB(3))
+	fix := inflate(in)
+	sp := Spec{Pos: fix, Deltas: map[string]Delta{"E": {}, "s": {}}, Into: fix}
+	if got := in.Eval(sp); got != nil {
+		t.Fatalf("a pass without drivers returned %v", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { in.Eval(sp) }); allocs != 0 {
+		t.Errorf("%v allocs per pass without drivers, want 0", allocs)
 	}
 }
 
@@ -270,7 +308,7 @@ func TestFrontierZeroAllocs(t *testing.T) {
 		setProcs(t, 1)
 		in := MustNew(parser.MustProgram("tri(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X)."), db)
 		fix := in.Apply(in.NewState()) // warm indexes, derive all triangles
-		allocs := testing.AllocsPerRun(10, func() { in.Eval(Spec{Pos: fix, Against: fix}) })
+		allocs := testing.AllocsPerRun(10, func() { in.Eval(Spec{Pos: fix, Into: fix}) })
 		if allocs > 64 {
 			t.Errorf("n=%d: %v allocs per frontier pass, want fixed overhead ≤ 64", n, allocs)
 		}

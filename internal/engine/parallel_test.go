@@ -115,16 +115,19 @@ func TestConcurrentApplySharedInputs(t *testing.T) {
 	}
 }
 
-// TestParallelPassBytes pins what one parallel semi-naive pass
-// allocates besides its result: each worker's output is presized for
-// the worker's share of the hint, not for all of it, and the merge
-// unions the second worker's output into the first's.  The round below
-// derives 100k pairs from a 200k-tuple delta — a fixpoint past its
-// peak, where the hint overestimates, so the first worker's output
-// already has room for the union.  The pass then allocates the two
-// worker outputs, 1.8 times the result's own bytes.  Merging through
-// hash buckets concatenated into a fresh relation cost 2.8 times;
-// presizing every worker for the whole hint, 4.2 times.
+// TestParallelPassBytes pins what one pooled semi-naive pass into a
+// state allocates.  The round below derives 100k pairs from a
+// 200k-tuple delta into the relation the delta is a range of — a
+// fixpoint past its peak.  Two workers each derive into an output of
+// their own, filtered against the state, and the merge appends each
+// output to the state and drops it.  The pass allocates 1.35 times what
+// the new tuples take stored as a relation of their own, arena and key
+// table, which is what the gate bounds: the worker outputs hold them
+// once more, at that cost.  Presized from the previous delta, the
+// outputs made the pass 1.8 times its result.  The same pass on one
+// worker appends straight into the state, whose dense key table
+// already has their slots: it pays their arena alone, a quarter of
+// the pooled pass.
 func TestParallelPassBytes(t *testing.T) {
 	const xs, zs = 400, 500
 	db := relation.NewDatabase()
@@ -133,45 +136,57 @@ func TestParallelPassBytes(t *testing.T) {
 	for z := 0; z < zs; z++ {
 		half.Add(relation.Tuple{u.Intern(fmt.Sprint("z", z)), u.Intern(fmt.Sprint("y", z/2))})
 	}
-	delta := relation.New(2)
 	for x := 0; x < xs; x++ {
-		for z := 0; z < zs; z++ {
-			delta.Add(relation.Tuple{u.Intern(fmt.Sprint("x", x)), u.Intern(fmt.Sprint("z", z))})
-		}
+		u.Intern(fmt.Sprint("x", x))
 	}
 	half.Lookup(0, 0) // the join's index is not the pass's output
-	setProcs(t, 2)
 	in, err := New(parser.MustProgram("s(X,Y) :- s(X,Z), half(Z,Y)."), db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := State{"s": delta}
-	sp := SemiNaive(State{"s": relation.New(2)}, d, d, nil)
-	sp.Against = d
+	pass := func(nw int) (uint64, State) {
+		s := relation.New(2)
+		for x := 0; x < xs; x++ {
+			for z := 0; z < zs; z++ {
+				xi, _ := u.Lookup(fmt.Sprint("x", x))
+				zi, _ := u.Lookup(fmt.Sprint("z", z))
+				s.Add(relation.Tuple{xi, zi})
+			}
+		}
+		s.Lookup(1, 0) // nor is the state's
+		cur := State{"s": s}
+		sp := SemiNaive(State{"s": relation.New(2)}, cur.View(), cur, nil)
+		sp.Into = cur
+		setProcs(t, nw)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC() // two cycles empty every sync.Pool: nothing earlier is reused
+		runtime.ReadMemStats(&before)
+		out := in.Eval(sp)
+		runtime.ReadMemStats(&after)
+		if out["s"].Len() != xs*zs/2 || s.Len() != xs*zs*3/2 {
+			t.Fatalf("%d workers: pass appended %d tuples, want %d", nw, out["s"].Len(), xs*zs/2)
+		}
+		return after.TotalAlloc - before.TotalAlloc, out
+	}
+	inline, _ := pass(1)
+	pooled, out := pass(2)
+	copied := allocated(func() { relation.New(2).AppendDisjoint(out["s"]) })
+	t.Logf("pooled pass allocated %d bytes; the inline pass %d (%.2fx); the new tuples in a relation of their own %d (%.2fx)",
+		pooled, inline, float64(pooled)/float64(inline), copied, float64(pooled)/float64(copied))
+	if pooled > 2*copied {
+		t.Errorf("pooled pass allocated %d bytes, want at most 2 × %d", pooled, copied)
+	}
+}
 
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
 	var before, after runtime.MemStats
 	runtime.GC()
-	runtime.GC() // two cycles empty every sync.Pool: nothing earlier is reused
 	runtime.ReadMemStats(&before)
-	out := in.Eval(sp)
+	f()
 	runtime.ReadMemStats(&after)
-	pass := after.TotalAlloc - before.TotalAlloc
-
-	runtime.ReadMemStats(&before)
-	copied := relation.New(2)
-	copied.ReserveHint(out["s"].Len())
-	copied.AppendDisjoint(out["s"])
-	runtime.ReadMemStats(&after)
-	result := after.TotalAlloc - before.TotalAlloc
-
-	if out["s"].Len() != xs*zs/2 {
-		t.Fatalf("pass derived %d tuples, want %d", out["s"].Len(), xs*zs/2)
-	}
-	t.Logf("pass allocated %d bytes for a %d-tuple result of %d bytes (%.2fx)",
-		pass, out["s"].Len(), result, float64(pass)/float64(result))
-	if pass > 2*result {
-		t.Errorf("pass allocated %d bytes, want at most 2 × %d", pass, result)
-	}
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestSmallPassRunsInline pins the work-size floor: with four workers,

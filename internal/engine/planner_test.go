@@ -273,7 +273,7 @@ func tinyPassSetup(t testing.TB) (*Instance, Spec) {
 	fix := inflate(in)
 	d := relation.New(2)
 	d.Add(fix["s"].At(0))
-	sp := Spec{Pos: fix, Deltas: map[string]Delta{"s": {PosDriver: d}}, Against: fix}
+	sp := Spec{Pos: fix, Deltas: map[string]Delta{"s": {PosDriver: d}}, Into: fix}
 	in.Eval(sp)
 	return in, sp
 }
@@ -282,8 +282,10 @@ func tinyPassSetup(t testing.TB) (*Instance, Spec) {
 var raceEnabled bool
 
 // TestTinyPassAllocs guards the fixed cost of a tiny pass: its task
-// slice, its overlay slice and its output state, with the join order
-// chosen into scratch and the compiled plan read from the rule's cache.
+// slice, its overlay slice, and the pass-start view of the state it
+// extends (a map of views and the Pos map that reads them), with the
+// join order chosen into scratch and the compiled plan read from the
+// rule's cache.
 func TestTinyPassAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector (see race_test.go)")
@@ -307,7 +309,7 @@ func BenchmarkTinyPass(b *testing.B) {
 
 // TestCachedPlanMatchesFresh checks that evaluation never writes a
 // shared plan.  After every pass of the planner suites — full,
-// semi-naive with Against, negated-driver and Within passes, inline and
+// semi-naive into a state, negated-driver and Within passes, inline and
 // on four workers — every plan cached on a rule or on one of its delta
 // variants equals buildExec's fresh plan for its order, and no order is
 // cached twice.  Then a pooled, sharded pass on a cold instance fills
@@ -357,7 +359,7 @@ func TestCachedPlanMatchesFresh(t *testing.T) {
 					break
 				}
 				sp := SemiNaive(old, delta, cur, nil)
-				sp.Against = cur
+				sp.Into = cur.Clone()
 				in.Eval(sp)
 				check(name, in)
 				neg := make(map[string]Delta, len(delta))

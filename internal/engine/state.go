@@ -14,11 +14,12 @@
 // extension for unbound variables, and eager negative/comparison
 // checks.  The join order is chosen per pass from the current relation
 // sizes, and the plan compiled for an order is cached on the rule
-// (planner.go), so a pass re-plans without recompiling.  Every evaluation is one pass described by a Spec: the states
-// positive and negated literals read, optional delta drivers or a head
-// filter, and an optional accumulated state to drop emissions against
-// (frontier.go).  Eval(spec) runs a pass and returns its derived
-// tuples, and the paper's operator is the plain pass:
+// (planner.go), so a pass re-plans without recompiling.  Every
+// evaluation is one pass described by a Spec: the states positive and
+// negated literals read, optional delta drivers or a head filter, and
+// an optional state the pass extends (Into, frontier.go).  Eval(spec)
+// runs a pass and returns its derived tuples — with Into, the arena
+// ranges it appended — and the paper's operator is the plain pass:
 //
 //	Apply(S)       Θ(S̄) = Eval(Spec{Pos: S})
 //	IsFixpoint(S)  Θ(S̄) = S̄
@@ -26,10 +27,11 @@
 // SemiNaive(old, Δ, cur, neg) is the semi-naive building block, the
 // Spec of the tuples of Θ(cur) derivable using ≥1 Δ-tuple: under the
 // inflationary iteration S ∪ Θ(S) (and under least-fixpoint iteration
-// of positive programs) a derivation whose positive IDB tuples are all old was
-// already valid one stage earlier, because negated atoms only grow and
-// therefore only tighten.  Hence new tuples always come from
-// derivations touching the delta.
+// of positive programs) a derivation whose positive IDB tuples are all
+// old was already valid one stage earlier, because negated atoms only
+// grow and therefore only tighten.  Hence new tuples always come from
+// derivations touching the delta.  With Into = cur, Δ is the range of
+// cur the last pass appended, and old is cur as it began (View).
 package engine
 
 import (
@@ -63,6 +65,17 @@ func (s State) Snapshot() State {
 	return c
 }
 
+// View returns an O(1) view of every relation as it stands
+// (Relation.Since(0)): unlike Snapshot it marks nothing shared, and it
+// stays valid until the relation is next removed from.
+func (s State) View() State {
+	v := make(State, len(s))
+	for k, r := range s {
+		v[k] = r.Since(0)
+	}
+	return v
+}
+
 // Equal reports whether both states assign exactly the same relations.
 func (s State) Equal(o State) bool {
 	if len(s) != len(o) {
@@ -83,20 +96,6 @@ func (s State) UnionWith(o State) int {
 	added := 0
 	for k, r := range o {
 		added += s[k].UnionWith(r)
-	}
-	return added
-}
-
-// UnionDisjoint adds every tuple of o into s without membership probes,
-// returning the number of tuples added.  The caller must guarantee o is
-// disjoint from s — exactly what a pass with Against returns relative
-// to the state it filtered against — so the union-back is a
-// straight insert instead of a probe-then-insert.
-func (s State) UnionDisjoint(o State) int {
-	added := 0
-	for k, r := range o {
-		s[k].AppendDisjoint(r)
-		added += r.Len()
 	}
 	return added
 }

@@ -157,11 +157,9 @@ func runE8(w io.Writer, quick bool) error {
 func naiveInflationary(in *engine.Instance) engine.State {
 	cur := in.NewState()
 	for {
-		d := in.Eval(engine.Spec{Pos: cur, Against: cur})
-		if d.Empty() {
+		if in.Eval(engine.Spec{Pos: cur, Into: cur}).Empty() {
 			return cur
 		}
-		cur.UnionDisjoint(d)
 	}
 }
 

@@ -109,18 +109,6 @@ func TestSpillAddNotInWithFilter(t *testing.T) {
 	})
 }
 
-// TestReserveHint checks pre-sizing is contents-neutral and only acts
-// on empty relations.
-func TestReserveHint(t *testing.T) {
-	r := New(2)
-	r.ReserveHint(64)
-	r.Add(Tuple{1, 2})
-	r.ReserveHint(1024) // non-empty: must be a no-op, not a reset
-	if r.Len() != 1 || !r.Has(Tuple{1, 2}) {
-		t.Fatalf("ReserveHint disturbed contents: %v", r.Tuples())
-	}
-}
-
 // TestTupleHashSpread sanity-checks that the hash the key table probes
 // a tuple with, mix64 of its packed key, actually spreads structured
 // keys: consecutive packed tuples must not collapse into a few buckets.

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -38,6 +39,9 @@ import (
 //     cover no more than the view's length; the view extends them by
 //     whatever suffix it still lacks.  detach keeps them: it preserves
 //     offsets.
+//   - A range view (Since) owns none: it probes its relation's, which
+//     it extends when they are short of its range, and narrows each
+//     bucket to that range.
 //
 // Sharing.  Published sets are immutable to everyone but the live
 // relation that built them, and are swapped in atomically, so any
@@ -258,44 +262,44 @@ func (r *Relation) colsMask(cols []int) uint64 {
 	return m
 }
 
-// compFor returns the index on cols, building it on first use and
-// extending it when the relation has grown since it was published.
+// compFor returns the index on cols covering r (a range view's is its
+// relation's), building it on first use and extending it when short.
 func (r *Relation) compFor(cols []int) *compIndex {
 	mask := r.colsMask(cols)
-	n := r.n
-	if cs := r.idxs.Load(); cs != nil {
-		if ci := cs.m[mask]; ci != nil && ci.n == n {
+	o, n := cmp.Or(r.of, r), r.n
+	if cs := o.idxs.Load(); cs != nil {
+		if ci := cs.m[mask]; ci != nil && ci.n >= n {
 			return ci
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	next := make(map[uint64]*compIndex, 1)
-	if cs := r.idxs.Load(); cs != nil {
-		if ci := cs.m[mask]; ci != nil && ci.n == n {
+	if cs := o.idxs.Load(); cs != nil {
+		if ci := cs.m[mask]; ci != nil && ci.n >= n {
 			return ci
 		}
 		for k, v := range cs.m {
 			next[k] = v
 		}
 	}
-	ci := r.buildComp(cols, next[mask])
+	ci := o.buildComp(cols, next[mask], o == r)
 	next[mask] = ci
-	r.idxs.Store(&compIndexSet{m: next})
+	o.idxs.Store(&compIndexSet{m: next})
 	return ci
 }
 
 // buildComp groups arena offsets by projection key.  With prev nil it
 // scans the whole arena; otherwise it takes prev's key maps — as they
-// are when r owns them, copied otherwise — and scans only the suffix
-// prev does not cover.
-func (r *Relation) buildComp(cols []int, prev *compIndex) *compIndex {
+// are when r owns them and self is set, copied otherwise (shorter range
+// views may be reading them) — and scans only the suffix prev lacks.
+func (r *Relation) buildComp(cols []int, prev *compIndex, self bool) *compIndex {
 	ci := &compIndex{n: r.n, cols: slices.Clone(cols)}
 	lo := 0
 	switch {
 	case prev == nil:
 		ci.packed = make(map[uint64][]int32)
-	case r.ownsIndexes():
+	case self && r.ownsIndexes():
 		lo, ci.packed, ci.spill = prev.n, prev.packed, prev.spill
 	default:
 		lo = prev.n
@@ -329,13 +333,13 @@ func (r *Relation) buildComp(cols []int, prev *compIndex) *compIndex {
 // allocation per probe.
 func (r *Relation) LookupCols(cols []int, vals []int) []int32 {
 	ci := r.compFor(cols)
+	var offs []int32
 	if k, ok := packKey(Tuple(vals)); ok {
-		return ci.packed[k]
+		offs = ci.packed[k]
+	} else if ci.spill != nil {
+		offs = ci.spill[spillKey(Tuple(vals))]
 	}
-	if ci.spill == nil {
-		return nil
-	}
-	return ci.spill[spillKey(Tuple(vals))]
+	return OffsetsInRange(offs, int32(r.lo), int32(r.n))
 }
 
 // Lookup returns the arena offsets of the tuples whose col-th element
@@ -353,6 +357,9 @@ func OffsetsInRange(offs []int32, lo, hi int32) []int32 {
 	if hi <= lo {
 		return nil
 	}
+	if len(offs) == 0 || offs[0] >= lo && offs[len(offs)-1] < hi {
+		return offs
+	}
 	i := sort.Search(len(offs), func(i int) bool { return offs[i] >= lo })
 	j := sort.Search(len(offs), func(j int) bool { return offs[j] >= hi })
 	return offs[i:j]
@@ -361,7 +368,8 @@ func OffsetsInRange(offs []int32, lo, hi int32) []int32 {
 // Distinct returns the number of distinct values appearing in column
 // col — the statistic the join planner divides by when estimating the
 // selectivity of an equality probe.  It counts the keys of the index
-// on col, so it is O(1) while that index is up to date.
+// on col, so it is O(1) while that index is up to date; a range view
+// counts its relation's.
 func (r *Relation) Distinct(col int) int {
 	ci := r.compFor([]int{col})
 	return len(ci.packed) + len(ci.spill)

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -35,6 +36,8 @@ import (
 // length: because offsets are assigned monotonically while the relation
 // only grows, a view of length n is exactly "the first n arena
 // entries", and shared key entries at offsets ≥ n are invisible to it.
+// A range view (Since) is the arena range [lo, n) in the same way: a
+// fixpoint round's delta is the range its pass appended.
 // The live relation detaches before any mutation that would rewrite
 // what a view can see — every Remove, and after Seal every mutation at
 // all: it copies the spine and the key maps, and from then on each
@@ -52,14 +55,15 @@ import (
 // goroutines while the live relation is updated.
 type Relation struct {
 	arity  int
-	n      int              // tuples stored
+	lo, n  int              // the visible arena range [lo, n); lo > 0 only in a range view
 	chunks [][]int          // spine: chunk c holds offsets [c·chunkLen, (c+1)·chunkLen)
 	owned  []bool           // nil: all chunks are r's alone; else !owned[c]: copy chunk c before writing it
 	table  *Table           // packed key -> arena offset (lazily allocated)
 	spill  map[string]int32 // fallback key -> arena offset (wide/huge tuples)
 
-	share  int8 // storage sharing mode (shareNone/shareWeak/shareSealed)
-	frozen bool // immutable snapshot view; mutation panics
+	share  int8      // storage sharing mode (shareNone/shareWeak/shareSealed)
+	frozen bool      // immutable snapshot view; mutation panics
+	of     *Relation // a range view's relation, whose indexes it reads
 
 	// Lazily built indexes (see index.go).  idxShared is set once a view
 	// has taken the current set: its buckets are then copied before
@@ -102,19 +106,26 @@ func New(arity int) *Relation {
 func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return r.n }
+func (r *Relation) Len() int { return r.n - r.lo }
 
 // Empty reports whether the relation has no tuples.
-func (r *Relation) Empty() bool { return r.n == 0 }
+func (r *Relation) Empty() bool { return r.n == r.lo }
 
-// offsetOf returns the arena offset of t, or -1 if absent.  Offsets at
-// or beyond the length belong to tuples appended to a live relation
-// after this view was taken; they are not part of this relation.
+// Span returns the arena offsets [lo, hi) of the tuples: [0, Len()) but
+// for a range view (Since).
+func (r *Relation) Span() (lo, hi int32) { return int32(r.lo), int32(r.n) }
+
+// visible reports whether arena offset off lies in r's range: tuples
+// appended after a view was taken, or before a range view's start, are
+// not part of it.
+func (r *Relation) visible(off int32) bool { return uint(int(off)-r.lo) < uint(r.n-r.lo) }
+
+// offsetOf returns the arena offset of t, or -1 if absent.
 func (r *Relation) offsetOf(t Tuple) int32 {
 	if k, ok := packKey(t); ok {
 		return r.packedOff(k, mix64(k))
 	}
-	if off, ok := r.spill[spillKey(t)]; ok && off < int32(r.n) {
+	if off, ok := r.spill[spillKey(t)]; ok && r.visible(off) {
 		return off
 	}
 	return -1
@@ -124,7 +135,7 @@ func (r *Relation) offsetOf(t Tuple) int32 {
 // hash h must equal mix64(k)), or -1.
 func (r *Relation) packedOff(k, h uint64) int32 {
 	if r.table != nil {
-		if off, ok := r.table.get(k, h); ok && off < int32(r.n) {
+		if off, ok := r.table.get(k, h); ok && r.visible(off) {
 			return off
 		}
 	}
@@ -177,6 +188,20 @@ func (r *Relation) prefix(n int) *Relation {
 	}
 	r.shareIndexes(v)
 	return v
+}
+
+// Since returns an O(1) immutable view of r past its first lo tuples: a
+// round's delta, when lo is the length before the round.  Like a tuple
+// from At, it is valid until r is next removed from; appends leave it
+// as it is, and it marks nothing shared, so a Remove pays no detach.
+// It reads r's key table and indexes.  It panics unless 0 ≤ lo ≤ Len().
+func (r *Relation) Since(lo int) *Relation {
+	if lo < 0 || lo > r.Len() {
+		panic(fmt.Sprintf("relation: range from %d of relation with %d tuples", lo, r.Len()))
+	}
+	k := (r.n + chunkMask) >> chunkShift
+	return &Relation{arity: r.arity, lo: r.lo + lo, n: r.n, chunks: r.chunks[:k:k],
+		table: r.table, spill: r.spill, frozen: true, of: cmp.Or(r.of, r)}
 }
 
 // Seal marks the relation's storage as published: the next mutation —
@@ -329,25 +354,10 @@ func (r *Relation) setKey(t Tuple, k, h uint64, packs bool, off int32) {
 	r.spill[spillKey(t)] = off
 }
 
-// ReserveHint pre-sizes the relation's storage for about n tuples, so a
-// caller that knows the expected cardinality (e.g. its share of last
-// round's delta) avoids growing the first chunk and the key table step
-// by step on the hot insert path.  It only acts on a still-empty
-// mutable relation; otherwise it is a no-op.  It allocates the first
-// chunk and the key table afresh, so views of earlier storage keep
-// theirs.
-func (r *Relation) ReserveHint(n int) {
-	if r.frozen || r.n > 0 || n <= 0 {
-		return
-	}
-	r.chunks, r.owned = [][]int{make([]int, min(n, chunkLen)*r.arity)}, nil
-	r.table = newTable(r.arity, n, nil)
-}
-
 // AppendDisjoint appends every tuple of o without membership probes.
 // The caller must guarantee that o is disjoint from r's current
-// contents (e.g. o is a frontier delta filtered against r); violating
-// that corrupts the relation.
+// contents (e.g. o is a difference taken against r); violating that
+// corrupts the relation.
 func (r *Relation) AppendDisjoint(o *Relation) {
 	if r.arity != o.arity {
 		panic(fmt.Sprintf("relation: appending arity %d into arity %d", o.arity, r.arity))
@@ -430,7 +440,7 @@ func (r *Relation) deleteKey(t Tuple) {
 // signed order unsigned order, and unpacking tuple i overwrites no key
 // past key i, so the keys unpack in place in ascending order.
 func (r *Relation) Tuples() []Tuple {
-	a, n := r.arity, r.n
+	a, n := r.arity, r.Len()
 	flat, out := make([]int, n*a), make([]Tuple, n)
 	for i := range out {
 		out[i] = flat[i*a : i*a+a : i*a+a]
@@ -467,8 +477,9 @@ func (r *Relation) Tuples() []Tuple {
 // false.  It must not mutate the relation.
 func (r *Relation) Each(f func(Tuple) bool) {
 	a := r.arity
-	for c, ch := range r.chunks {
-		for i, m := 0, min(r.n-c*chunkLen, chunkLen); i < m; i++ {
+	for c := r.lo >> chunkShift; c<<chunkShift < r.n; c++ {
+		ch := r.chunks[c]
+		for i, m := max(r.lo-c*chunkLen, 0), min(r.n-c*chunkLen, chunkLen); i < m; i++ {
 			if !f(ch[i*a : i*a+a : i*a+a]) {
 				return
 			}
@@ -486,6 +497,11 @@ func (r *Relation) At(off int32) Tuple {
 // Clone returns a mutable deep copy (indexes are not copied; they
 // build on demand).
 func (r *Relation) Clone() *Relation {
+	if r.lo > 0 {
+		c := New(r.arity)
+		c.AppendDisjoint(r)
+		return c
+	}
 	c := &Relation{arity: r.arity, n: r.n, chunks: make([][]int, (r.n+chunkMask)>>chunkShift)}
 	for i := range c.chunks {
 		c.chunks[i] = slices.Clone(r.chunks[i])
@@ -512,14 +528,14 @@ func (r *Relation) Clone() *Relation {
 // Equal reports whether r and o contain exactly the same tuples: equal
 // cardinality plus one-way containment suffices for sets.
 func (r *Relation) Equal(o *Relation) bool {
-	return r.arity == o.arity && r.n == o.n && r.SubsetOf(o)
+	return r.arity == o.arity && r.Len() == o.Len() && r.SubsetOf(o)
 }
 
 // SubsetOf reports whether every tuple of r is in o.  It iterates the
 // arena rather than the key maps, so it is exact for snapshot views,
 // whose shared maps may hold entries past the view.
 func (r *Relation) SubsetOf(o *Relation) bool {
-	if r.arity != o.arity || r.n > o.n {
+	if r.arity != o.arity || r.Len() > o.Len() {
 		return false
 	}
 	sub := true

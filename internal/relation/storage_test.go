@@ -382,5 +382,11 @@ func TestBytesPerStoredTuple(t *testing.T) {
 		if bytes > maxBytes {
 			t.Errorf("arity %d: %d bytes for %d tuples, want at most %d", arity, bytes, n, maxBytes)
 		}
+		// Sorted inserts left the dense box wider than the keys' 300 × 334;
+		// a clone takes their tight box.
+		if c := r.Clone().table; layout(c) != "dense" || 4*len(c.dense) != 4*300*334 {
+			t.Errorf("arity %d: the clone of a %d-byte dense table is %s with %d bytes, want dense with %d",
+				arity, tableBytes, layout(c), 4*len(c.dense), 4*300*334)
+		}
 	}
 }

@@ -19,11 +19,12 @@ import "slices"
 // is one load, a write one store.
 //
 // The byte rule picks the layout, only where the table is sized: a
-// growing or cloned open-addressing table turns dense when the tightest
-// box around its keys costs no more bytes than open addressing at that
-// capacity, and a snapshot view's copy is rebuilt over the box of the
-// table it shares when that box passes the rule at the view's size.  A
-// table pre-sized before its keys are known starts open-addressed.  A
+// growing open-addressing table turns dense when the tightest box
+// around its keys costs no more bytes than open addressing at that
+// capacity, a clone of either layout takes the tightest box around its
+// keys when it passes the rule at the capacity that holds them, and a
+// snapshot view's copy is rebuilt over the box of the table it shares
+// when that box passes the rule at the view's size.  A
 // key outside a dense box widens each extent it overruns at least 2×,
 // up to the packing limit; a widened box that breaks the byte rule
 // sends the table back to open addressing.  Arity 0 is never dense.
@@ -137,21 +138,31 @@ func (t *Table) widen(box []span, k, step uint64) []span {
 	return box
 }
 
-// tightBox returns the smallest box holding every key of the
-// open-addressing layout, or nil as soon as the keys seen so far break
-// the byte rule at capacity c.
-func (t *Table) tightBox(c int) []span {
-	box, seen := make([]span, t.arity), false
-	for j, cb := range t.ctrl {
-		if cb != 0 {
-			t.widen(box, t.keys[j], 1)
-			seen = true
-		}
-		if j&255 == 255 && seen && denseLen(box, c) == 0 {
-			return nil
+// tightBox fills box, arity empty spans, with the smallest box holding
+// every key, cut short as soon as the keys seen so far break the byte
+// rule at capacity c, and returns it.
+func (t *Table) tightBox(c int, box []span) []span {
+	seen := 0
+	t.each(func(k uint64, _ int32) bool {
+		t.widen(box, k, 1)
+		seen++
+		return seen&255 != 0 || denseLen(box, c) > 0
+	})
+	return box
+}
+
+// each calls f with every key and its value until f returns false.
+func (t *Table) each(f func(k uint64, v int32) bool) {
+	for i, v := range t.dense {
+		if v != 0 && !f(t.keyAt(uint64(i)), v-1) {
+			return
 		}
 	}
-	return box
+	for j, cb := range t.ctrl {
+		if cb != 0 && !f(t.keys[j], t.vals[j]) {
+			return
+		}
+	}
 }
 
 // denseLen applies the byte rule: the slot count of box when it is
@@ -205,7 +216,7 @@ func (t *Table) put(k, h uint64, v int32) {
 	}
 	if t.n >= t.grow {
 		c := len(t.ctrl) << 1
-		t.refill(*t, c, t.widen(t.tightBox(c), k, 1))
+		t.refill(*t, c, t.widen(t.tightBox(c, make([]span, t.arity)), k, 1))
 		t.put(k, h, v)
 		return
 	}
@@ -280,8 +291,9 @@ func (t *Table) refill(src Table, c int, box []span) {
 	} else {
 		t.init(c)
 	}
-	if src.dense != nil && t.dense != nil {
-		// A wider box keeps each run of the last column contiguous.
+	if src.dense != nil && t.dense != nil && len(t.dense) > len(src.dense) {
+		// A regrow's wider box keeps each run of the last column
+		// contiguous; a clone's tighter one takes the puts below.
 		w := int(src.box[len(src.box)-1].n)
 		for r := 0; r < len(src.dense); r += w {
 			i, ok := t.slot(src.keyAt(uint64(r)))
@@ -294,33 +306,30 @@ func (t *Table) refill(src Table, c int, box []span) {
 		return
 	}
 	t.n = 0
-	for i, v := range src.dense {
-		if v != 0 {
-			k := src.keyAt(uint64(i))
-			t.put(k, mix64(k), v-1)
-		}
-	}
-	for j, cb := range src.ctrl {
-		if cb != 0 {
-			t.put(src.keys[j], mix64(src.keys[j]), src.vals[j])
-		}
-	}
+	src.each(func(k uint64, v int32) bool {
+		t.put(k, mix64(k), v)
+		return true
+	})
 }
 
-// clone returns a deep copy, dense when the byte rule admits the
-// tightest box around an open-addressing table's keys.  Nil-safe:
-// cloning a nil table (a relation that never inserted a packed tuple)
-// returns nil.
+// clone returns a deep copy over the tightest box around the keys when
+// the byte rule admits it at the capacity that holds them, else open
+// addressing: sorted inserts leave a dense box up to 2× wider per
+// column than its keys.  Nil-safe: cloning a nil table (a relation that
+// never inserted a packed tuple) returns nil.
 func (t *Table) clone() *Table {
 	if t == nil {
 		return nil
 	}
-	if t.dense == nil {
-		if box := t.tightBox(len(t.ctrl)); denseLen(box, len(t.ctrl)) > 0 {
-			c := &Table{arity: t.arity, bits: t.bits}
-			c.refill(*t, len(t.ctrl), box)
-			return c
-		}
+	cp := len(t.ctrl)
+	if t.dense != nil {
+		cp = tableCapFor(t.n)
+	}
+	var buf [8]span // a clone that keeps its box allocates none
+	if box := t.tightBox(cp, slices.Grow(buf[:0], t.arity)[:t.arity]); (denseLen(box, cp) > 0) != (t.dense != nil) || t.dense != nil && !slices.Equal(box, t.box) {
+		d := &Table{arity: t.arity, bits: t.bits}
+		d.refill(*t, cp, slices.Clone(box))
+		return d
 	}
 	c := *t
 	c.ctrl, c.keys, c.vals, c.dense = slices.Clone(t.ctrl), slices.Clone(t.keys), slices.Clone(t.vals), slices.Clone(t.dense)

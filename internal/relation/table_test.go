@@ -383,8 +383,8 @@ func TestRelationVsMapDifferential(t *testing.T) {
 }
 
 // TestTableZeroAllocs is the dedup-path and probe allocation guard:
-// membership probes (hit and miss), duplicate-rejecting inserts against
-// a pre-sized relation, and index probes and statistics on built
+// membership probes (hit and miss), duplicate-rejecting inserts, and
+// index probes and statistics on built
 // indexes must not allocate at all, on either key-table layout: the
 // 1000 tuples (i, i+1) stay hashed, the 1000 tuples (i/40, i%40) fill
 // their box and go dense.
@@ -397,7 +397,6 @@ func TestTableZeroAllocs(t *testing.T) {
 		{"dense", func(i int) Tuple { return Tuple{i / 40, i % 40} }},
 	} {
 		r := New(2)
-		r.ReserveHint(300)
 		for i := 0; i < 1000; i++ {
 			r.Add(tc.tup(i))
 		}

@@ -188,12 +188,10 @@ func (l *Layer) Apply(own, neg engine.State, ch map[string]*Change, st *Stats) m
 			d.PosDriver, d.NegDriver = nil, nil
 			out[pred] = d
 		}
-		for pred := range l.preds {
-			if !front[pred].Empty() {
-				d := out[pred]
-				d.PosDriver = front[pred]
-				out[pred] = d
-			}
+		for pred, r := range front {
+			d := out[pred]
+			d.PosDriver = r
+			out[pred] = d
 		}
 		return out
 	}
@@ -201,25 +199,24 @@ func (l *Layer) Apply(own, neg engine.State, ch map[string]*Change, st *Stats) m
 	// 1. Overdelete: everything a dying derivation supported, cascaded
 	// through the layer in the old world — its own relations, untouched
 	// until the overdelete is committed below, and the changed inputs
-	// through the per-literal overrides above.  Cascade rounds run on the
-	// frontier contract: emissions already overdeleted are dropped at
-	// emit time instead of surviving into a derived state for a Diff.
+	// through the per-literal overrides above.  Cascade rounds append to
+	// dover, and each drives the next with the range it appended.
 	dover := l.in.NewState()
 	if anyDel {
 		size, over := 0, 0
 		for pred := range l.preds {
 			size += own[pred].Len()
 		}
-		frontier := eval(engine.Spec{Pos: own, Neg: neg, Deltas: base})
+		frontier := eval(engine.Spec{Pos: own, Neg: neg, Deltas: base, Into: dover})
 		for !frontier.Empty() {
-			if over += dover.UnionWith(frontier); over*reevalShare > size {
+			if over += frontier.Total(); over*reevalShare > size {
 				st.Reevaluated++
 				return l.reevaluate(own, neg, st)
 			}
 			if !l.Recursive {
 				break
 			}
-			frontier = eval(engine.Spec{Pos: own, Neg: neg, Deltas: withDriver(base, frontier), Against: dover})
+			frontier = eval(engine.Spec{Pos: own, Neg: neg, Deltas: withDriver(base, frontier), Into: dover})
 		}
 		for pred := range l.preds {
 			own[pred].RemoveAll(dover[pred])
@@ -240,33 +237,22 @@ func (l *Layer) Apply(own, neg engine.State, ch map[string]*Change, st *Stats) m
 	// old world, hence is an overdeleted tuple this pass finds; whatever
 	// else must come back follows from a tuple added here or in phase 3.
 	if !dover.Empty() {
-		red := eval(engine.Spec{Pos: own, Neg: neg, Within: dover})
-		for pred := range l.preds {
-			if !red[pred].Empty() {
-				own[pred].UnionWith(red[pred])
-				d := seed[pred]
-				d.PosDriver = red[pred]
-				seed[pred] = d
-				anyIns = true
-			}
+		for pred, red := range eval(engine.Spec{Pos: own, Neg: neg, Within: dover, Into: own}) {
+			d := seed[pred]
+			d.PosDriver = red
+			seed[pred] = d
+			anyIns = true
 		}
 	}
 
 	// 3. Insert: derivations the update enables or the rederived tuples
 	// support, propagated semi-naively through the layer in the new
-	// world, filtered against the already materialized own-predicate
-	// state at emit time (Against is read at head predicates only, which
-	// are own ones).
+	// world: each pass appends to own what it lacks and drives the next
+	// with the range it appended.
 	if anyIns {
-		frontier := eval(engine.Spec{Pos: own, Neg: neg, Deltas: seed, Against: own})
-		for !frontier.Empty() {
-			for pred := range l.preds {
-				own[pred].UnionWith(frontier[pred])
-			}
-			if !l.Recursive {
-				break
-			}
-			frontier = eval(engine.Spec{Pos: own, Neg: neg, Deltas: withDriver(nil, frontier), Against: own})
+		frontier := eval(engine.Spec{Pos: own, Neg: neg, Deltas: seed, Into: own})
+		for !frontier.Empty() && l.Recursive {
+			frontier = eval(engine.Spec{Pos: own, Neg: neg, Deltas: withDriver(nil, frontier), Into: own})
 		}
 	}
 

@@ -90,47 +90,34 @@ func lfpLoop(in *engine.Instance, negFixed engine.State) *Result {
 // lfpLoopLog is lfpLoop with an optional per-stage observer: log is
 // called with an immutable O(1) snapshot of every stage S₁ ⊆ S₂ ⊆ … of
 // the induction (S₀ = ∅ is implicit), the last call being the fixpoint
-// itself.  The loop never deep-copies the state: the previous stage and the round-1 delta
-// are O(1) structural-sharing snapshots of cur, which stay valid while
-// cur only grows (the inflationary invariant).
+// itself.
 //
-// Rounds after the first run on the engine's frontier contract: a pass
-// with Against = cur returns exactly the genuinely-new tuples of the
-// round — emissions already in cur are dropped at emit time — so the
-// loop unions the returned delta into cur and moves on, with no derived
-// state and no Diff.  A nil negFixed leaves the Spec's Neg unset, which
-// reads the evolving state.
+// Every pass extends cur in place (the engine's Into): it appends the
+// genuinely-new tuples of its round, and returns them as the ranges of
+// cur it appended, which drive the next round.  cur only grows (the
+// inflationary invariant), so the previous stage is a view of cur as
+// the last pass began, and the loop neither copies the state nor keeps
+// a delta of its own.  A nil negFixed leaves the Spec's Neg unset,
+// which reads the evolving state.
 func lfpLoopLog(in *engine.Instance, negFixed engine.State, log func(engine.State)) *Result {
-	stats := Stats{}
-	prev := in.NewState()
-
-	cur := in.Eval(engine.Spec{Pos: prev, Neg: negFixed})
-	stats.Rounds = 1
-	delta := cur.Snapshot()
+	cur := in.NewState()
+	prev := cur.View()
+	delta := in.Eval(engine.Spec{Pos: cur, Neg: negFixed, Into: cur})
+	stats := Stats{Rounds: 1, MaxDeltaTuples: delta.Total()}
 	if log != nil {
-		log(delta)
+		log(cur.Snapshot())
 	}
-	if n := delta.Total(); n > stats.MaxDeltaTuples {
-		stats.MaxDeltaTuples = n
-	}
-
 	for !delta.Empty() {
 		sp := engine.SemiNaive(prev, delta, cur, negFixed)
-		sp.Against = cur
-		newDelta := in.Eval(sp)
+		sp.Into, prev = cur, cur.View()
+		delta = in.Eval(sp)
 		stats.Rounds++
-		if newDelta.Empty() {
-			break
+		if !delta.Empty() {
+			stats.MaxDeltaTuples = max(stats.MaxDeltaTuples, delta.Total())
+			if log != nil {
+				log(cur.Snapshot())
+			}
 		}
-		if n := newDelta.Total(); n > stats.MaxDeltaTuples {
-			stats.MaxDeltaTuples = n
-		}
-		prev = cur.Snapshot()
-		cur.UnionDisjoint(newDelta)
-		if log != nil {
-			log(cur.Snapshot())
-		}
-		delta = newDelta
 	}
 	stats.Tuples = cur.Total()
 	return &Result{State: cur, Stats: stats, Universe: in.Universe()}

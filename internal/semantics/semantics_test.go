@@ -428,6 +428,20 @@ func BenchmarkWellFoundedBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkInflationaryDistance evaluates the paper's distance program
+// under the inflationary semantics on a seeded G(28, 0.06), the shape
+// of eval-batch's distance/inflationary case: every round's pass
+// appends to the state it reads, and its B/op is what the fixpoint
+// allocates.
+func BenchmarkInflationaryDistance(b *testing.B) {
+	g := graphs.Random(rand.New(rand.NewSource(1)), 28, 0.06)
+	in := engine.MustNew(parser.MustProgram(distanceSrc), g.Database())
+	b.ReportAllocs()
+	for b.Loop() {
+		Inflationary(in)
+	}
+}
+
 // TestPropFrontierBitExactAllSemantics: every semantics —
 // inflationary, least fixpoint, stratified, and well-founded — on the
 // frontier pipeline with intra-rule sharding produces exactly the model
