@@ -17,10 +17,8 @@ import (
 // map.  headBuf and negBuf are scratch tuples reused across emissions
 // so the hot path allocates only when a genuinely new tuple is stored.
 //
-// cur, when non-nil, is the frontier filter of a pooled worker: the
-// relation of Into its output will be merged into.  Emissions already
-// in it are dropped at emit time (a read-only membership probe fused
-// into the insert, see Relation.AddNotIn).
+// cur, when non-nil, is a pooled worker's filter, Into's relation:
+// emissions already in it are dropped at emit (Relation.AddNotIn).
 //
 // probe holds each join's probe values at the join's probeOff, so the
 // shared compiled plan carries no per-run state; shardLit is the
@@ -78,9 +76,9 @@ type evalTask struct {
 // Into, when set, is the state the pass extends: it must hold a
 // relation for every IDB predicate, and the pass appends to it every
 // derived tuple it lacks (frontier.go).  Literals read Pos and Neg as
-// they stood when the pass began: Into may name the same relations,
-// which the pass reads through views it takes itself.  Deltas and
-// Within must not name Into's relations, but may name ranges of them.
+// they stood when the pass began: Into may name their relations, read
+// through views Eval takes.  Deltas and Within may name ranges of
+// Into's relations (Relation.Since), not the relations.
 type Spec struct {
 	Pos, Neg State
 	Deltas   map[string]Delta
@@ -93,31 +91,27 @@ type Spec struct {
 // while deriving, so it is the paper's simultaneous operator.
 func (in *Instance) Apply(s State) State { return in.Eval(Spec{Pos: s}) }
 
-// Eval runs the pass sp describes.  Without Into it returns the
-// derivations as a fresh state; with Into, the ranges it appended to
-// Into's relations (Relation.Since), those that gained nothing left
-// out.  A small pass runs on the calling goroutine (see InlineFloor),
-// straight into Into when set; a larger one is evaluated across a
-// worker pool (see runPool).  Input states are only read: lazy index
-// construction inside Relation is internally synchronized.  Eval
+// Eval runs the pass sp describes and returns its derivations: a fresh
+// state, or with Into the ranges it appended to Into's relations
+// (Relation.Since), those that gained nothing left out.  A small pass
+// runs on the calling goroutine (see InlineFloor), straight into Into
+// when set; a larger one across a worker pool (see runPool).  Lazy
+// index construction inside Relation is internally synchronized.  Eval
 // panics if sp sets both Deltas and Within.
 func (in *Instance) Eval(sp Spec) State {
 	tasks := in.tasks(sp)
 	if sp.Into != nil && len(tasks) == 0 {
 		return nil
 	}
-	var buf [16]int // Into's pass-start lengths, per IDB predicate
-	marks := buf[:0]
+	marks := make([]int, 0, 16) // Into's pass-start lengths, per IDB predicate
+	negIsPos := sp.Neg == nil
 	if sp.Into != nil {
 		for _, pred := range in.idbList {
 			marks = append(marks, sp.Into[pred].Len())
 		}
-		neg := sp.Neg
-		sp.Pos = atStart(sp.Pos, sp.Into)
-		if sp.Neg = sp.Pos; neg != nil {
-			sp.Neg = atStart(neg, sp.Into)
-		}
-	} else if sp.Neg == nil {
+		sp.Pos, sp.Neg = atStart(sp.Pos, sp.Into), atStart(sp.Neg, sp.Into)
+	}
+	if negIsPos {
 		sp.Neg = sp.Pos
 	}
 	tasks, nw := in.schedule(tasks, sp.Pos)
@@ -158,9 +152,12 @@ func (in *Instance) Eval(sp Spec) State {
 // view of the relation as it stands (Relation.Since(0)): what a pass
 // appending to into reads of s.
 func atStart(s, into State) State {
-	out := maps.Clone(s)
+	out, cloned := s, false
 	for pred, r := range s {
 		if r == into[pred] {
+			if !cloned {
+				out, cloned = maps.Clone(s), true
+			}
 			out[pred] = r.Since(0)
 		}
 	}
@@ -471,8 +468,7 @@ func (in *Instance) runJoin(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bi
 		lo, hi = ctx.shardLo, ctx.shardHi
 	}
 	in.joinRel(rp, ctx, ep, si, binding, src.Base, src.Minus, vals, lo, hi)
-	// Shard ranges partition the base's arena range; the first shard
-	// takes Plus.
+	// Shards partition the base's arena range; the first takes Plus.
 	if first, _ := src.Base.Span(); src.Plus != nil && (hi == 0 || lo == first) {
 		in.joinRel(rp, ctx, ep, si, binding, src.Plus, nil, vals, 0, 0)
 	}

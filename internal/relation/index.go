@@ -39,9 +39,8 @@ import (
 //     cover no more than the view's length; the view extends them by
 //     whatever suffix it still lacks.  detach keeps them: it preserves
 //     offsets.
-//   - A range view (Since) owns none: it probes its relation's, which
-//     it extends when they are short of its range, and narrows each
-//     bucket to that range.
+//   - A range view (Since) owns none: it probes its relation's,
+//     extending them when short, narrowed to its range.
 //
 // Sharing.  Published sets are immutable to everyone but the live
 // relation that built them, and are swapped in atomically, so any

@@ -115,17 +115,14 @@ func (r *Relation) Empty() bool { return r.n == r.lo }
 // for a range view (Since).
 func (r *Relation) Span() (lo, hi int32) { return int32(r.lo), int32(r.n) }
 
-// visible reports whether arena offset off lies in r's range: tuples
-// appended after a view was taken, or before a range view's start, are
-// not part of it.
-func (r *Relation) visible(off int32) bool { return uint(int(off)-r.lo) < uint(r.n-r.lo) }
-
-// offsetOf returns the arena offset of t, or -1 if absent.
+// offsetOf returns the arena offset of t, or -1 if absent.  Offsets
+// outside [lo, n) are not r's: tuples appended after a view was taken,
+// or before a range view's start.
 func (r *Relation) offsetOf(t Tuple) int32 {
 	if k, ok := packKey(t); ok {
 		return r.packedOff(k, mix64(k))
 	}
-	if off, ok := r.spill[spillKey(t)]; ok && r.visible(off) {
+	if off, ok := r.spill[spillKey(t)]; ok && uint(int(off)-r.lo) < uint(r.n-r.lo) {
 		return off
 	}
 	return -1
@@ -135,7 +132,7 @@ func (r *Relation) offsetOf(t Tuple) int32 {
 // hash h must equal mix64(k)), or -1.
 func (r *Relation) packedOff(k, h uint64) int32 {
 	if r.table != nil {
-		if off, ok := r.table.get(k, h); ok && r.visible(off) {
+		if off, ok := r.table.get(k, h); ok && uint(int(off)-r.lo) < uint(r.n-r.lo) {
 			return off
 		}
 	}

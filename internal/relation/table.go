@@ -19,12 +19,11 @@ import "slices"
 // is one load, a write one store.
 //
 // The byte rule picks the layout, only where the table is sized: a
-// growing open-addressing table turns dense when the tightest box
-// around its keys costs no more bytes than open addressing at that
-// capacity, a clone of either layout takes the tightest box around its
-// keys when it passes the rule at the capacity that holds them, and a
-// snapshot view's copy is rebuilt over the box of the table it shares
-// when that box passes the rule at the view's size.  A
+// growing open-addressing table or a clone of either layout turns dense
+// when the tightest box around its keys costs no more bytes than open
+// addressing at that capacity, and a snapshot view's copy is rebuilt
+// over the box of the table it shares when that box passes the rule at
+// the view's size.  A
 // key outside a dense box widens each extent it overruns at least 2×,
 // up to the packing limit; a widened box that breaks the byte rule
 // sends the table back to open addressing.  Arity 0 is never dense.
@@ -139,30 +138,37 @@ func (t *Table) widen(box []span, k, step uint64) []span {
 }
 
 // tightBox fills box, arity empty spans, with the smallest box holding
-// every key, cut short as soon as the keys seen so far break the byte
-// rule at capacity c, and returns it.
+// every key, and returns it.  A hash walk stops once the keys seen so
+// far break the byte rule at capacity c; a dense one reads the first
+// and last key of each run of the last column, which bound the run.
 func (t *Table) tightBox(c int, box []span) []span {
+	if t.dense != nil {
+		w := int(t.box[len(t.box)-1].n)
+		for r := 0; r < len(t.dense); r += w {
+			i, j := r, r+w-1
+			for i < j && t.dense[i] == 0 {
+				i++
+			}
+			for j > i && t.dense[j] == 0 {
+				j--
+			}
+			if t.dense[i] != 0 {
+				t.widen(box, t.keyAt(uint64(i)), 1)
+				t.widen(box, t.keyAt(uint64(j)), 1)
+			}
+		}
+		return box
+	}
 	seen := 0
-	t.each(func(k uint64, _ int32) bool {
-		t.widen(box, k, 1)
-		seen++
-		return seen&255 != 0 || denseLen(box, c) > 0
-	})
-	return box
-}
-
-// each calls f with every key and its value until f returns false.
-func (t *Table) each(f func(k uint64, v int32) bool) {
-	for i, v := range t.dense {
-		if v != 0 && !f(t.keyAt(uint64(i)), v-1) {
-			return
-		}
-	}
 	for j, cb := range t.ctrl {
-		if cb != 0 && !f(t.keys[j], t.vals[j]) {
-			return
+		if cb != 0 {
+			t.widen(box, t.keys[j], 1)
+			if seen++; seen&255 == 0 && denseLen(box, c) == 0 {
+				break
+			}
 		}
 	}
+	return box
 }
 
 // denseLen applies the byte rule: the slot count of box when it is
@@ -291,40 +297,51 @@ func (t *Table) refill(src Table, c int, box []span) {
 	} else {
 		t.init(c)
 	}
-	if src.dense != nil && t.dense != nil && len(t.dense) > len(src.dense) {
-		// A regrow's wider box keeps each run of the last column
-		// contiguous; a clone's tighter one takes the puts below.
-		w := int(src.box[len(src.box)-1].n)
-		for r := 0; r < len(src.dense); r += w {
-			i, ok := t.slot(src.keyAt(uint64(r)))
+	if src.dense != nil && t.dense != nil {
+		// One box holds the other (a regrow widens, a clone tightens), so
+		// a last-column run of the smaller is contiguous in both arrays.
+		in, out := &src, t
+		if len(t.dense) < len(src.dense) {
+			in, out = t, &src
+		}
+		w := int(in.box[len(in.box)-1].n)
+		for r := 0; r < len(in.dense); r += w {
+			i, ok := out.slot(in.keyAt(uint64(r)))
 			if !ok {
-				panic("relation: a regrown dense box lost a run of its keys")
+				panic("relation: a resized dense box lost a run of its keys")
 			}
-			copy(t.dense[i:], src.dense[r:r+w])
+			if in == t {
+				copy(t.dense[r:r+w], src.dense[i:])
+			} else {
+				copy(t.dense[i:], src.dense[r:r+w])
+			}
 		}
 		t.n = src.n
 		return
 	}
 	t.n = 0
-	src.each(func(k uint64, v int32) bool {
-		t.put(k, mix64(k), v)
-		return true
-	})
+	for i, v := range src.dense {
+		if v != 0 {
+			k := src.keyAt(uint64(i))
+			t.put(k, mix64(k), v-1)
+		}
+	}
+	for j, cb := range src.ctrl {
+		if cb != 0 {
+			t.put(src.keys[j], mix64(src.keys[j]), src.vals[j])
+		}
+	}
 }
 
-// clone returns a deep copy over the tightest box around the keys when
-// the byte rule admits it at the capacity that holds them, else open
-// addressing: sorted inserts leave a dense box up to 2× wider per
-// column than its keys.  Nil-safe: cloning a nil table (a relation that
-// never inserted a packed tuple) returns nil.
+// clone returns a deep copy, over the tightest box around the keys (a
+// dense box grown by sorted inserts may be 2× wider per column) when
+// the byte rule admits it at the capacity that holds them.  Nil-safe:
+// cloning a nil table returns nil.
 func (t *Table) clone() *Table {
 	if t == nil {
 		return nil
 	}
-	cp := len(t.ctrl)
-	if t.dense != nil {
-		cp = tableCapFor(t.n)
-	}
+	cp := max(len(t.ctrl), tableCapFor(t.n))
 	var buf [8]span // a clone that keeps its box allocates none
 	if box := t.tightBox(cp, slices.Grow(buf[:0], t.arity)[:t.arity]); (denseLen(box, cp) > 0) != (t.dense != nil) || t.dense != nil && !slices.Equal(box, t.box) {
 		d := &Table{arity: t.arity, bits: t.bits}

@@ -92,13 +92,11 @@ func lfpLoop(in *engine.Instance, negFixed engine.State) *Result {
 // the induction (S₀ = ∅ is implicit), the last call being the fixpoint
 // itself.
 //
-// Every pass extends cur in place (the engine's Into): it appends the
-// genuinely-new tuples of its round, and returns them as the ranges of
-// cur it appended, which drive the next round.  cur only grows (the
-// inflationary invariant), so the previous stage is a view of cur as
-// the last pass began, and the loop neither copies the state nor keeps
-// a delta of its own.  A nil negFixed leaves the Spec's Neg unset,
-// which reads the evolving state.
+// Every pass appends its round's new tuples to cur (the engine's Into)
+// and returns the ranges it appended, which drive the next round.  cur
+// only grows, so the previous stage is a view of cur as the last pass
+// began: the loop copies no state and keeps no delta of its own.  A nil
+// negFixed leaves the Spec's Neg unset, which reads the evolving state.
 func lfpLoopLog(in *engine.Instance, negFixed engine.State, log func(engine.State)) *Result {
 	cur := in.NewState()
 	prev := cur.View()
@@ -112,11 +110,9 @@ func lfpLoopLog(in *engine.Instance, negFixed engine.State, log func(engine.Stat
 		sp.Into, prev = cur, cur.View()
 		delta = in.Eval(sp)
 		stats.Rounds++
-		if !delta.Empty() {
-			stats.MaxDeltaTuples = max(stats.MaxDeltaTuples, delta.Total())
-			if log != nil {
-				log(cur.Snapshot())
-			}
+		stats.MaxDeltaTuples = max(stats.MaxDeltaTuples, delta.Total())
+		if log != nil && !delta.Empty() {
+			log(cur.Snapshot())
 		}
 	}
 	stats.Tuples = cur.Total()
