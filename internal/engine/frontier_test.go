@@ -234,7 +234,8 @@ func TestPropPartsMatchUnpartitioned(t *testing.T) {
 // TestApplyDeltasFrontierParts drives passes into a state over
 // InlineFloor: a full, a semi-naive, a Within and a maintenance pass,
 // evaluated inline by one worker and on the pool by two and four, leave
-// S ∪ (derive(S) ∖ S) in a clone of S and return derive(S) ∖ S.  S is a
+// S ∪ (derive(S) ∖ S) in a clone of S and return derive(S) ∖ S; the
+// two-worker pass reads the clone itself, the others S.  S is a
 // random three quarters of a transitive closure, so every pass
 // re-derives a non-empty rest, and the closure is non-linear, so even
 // the full pass enumerates S first.
