@@ -19,10 +19,10 @@ test:
 	$(GO) test -C benchmark .
 
 # The race detector runs on every package under internal/ whose code or
-# tests import sync, sync/atomic, or the engine — whose worker pool
-# evaluates its callers' rules on several goroutines.  Derived, so a new
-# concurrent package joins without anyone remembering to list it; CI
-# runs this same target.
+# tests import sync, sync/atomic, or the engine — whose instances,
+# plan caches and lazily indexed inputs concurrent callers share.
+# Derived, so a new concurrent package joins without anyone remembering
+# to list it; CI runs this same target.
 RACE_IMPORTS := sync|sync/atomic|repro/internal/engine
 RACE_PKGS = $(shell $(GO) list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./internal/... \
 	| grep -E ' ($(RACE_IMPORTS))( |$$)' | cut -d' ' -f1)
@@ -44,30 +44,27 @@ bench:
 	$(GO) test -run '^$$' -bench . .
 
 # The CI smoke variant: one iteration of every benchmark the regex
-# 'E1|E5' matches (E1, E5 and E10–E16), a quick experiment run, and the
-# allocs/op of a tiny pass, the join loop, a maintained Γ-chain update,
-# an inflationary distance fixpoint and the key table's probes in both
-# layouts.
+# 'E1|E5' matches (E1, E5, E10–E12, E14 and E16), a quick experiment
+# run, and the allocs/op of a tiny pass, the join loop, a maintained
+# Γ-chain update, an inflationary distance fixpoint and the key table's
+# probes in both layouts.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E1|E5' -benchtime 1x . | tee bench-smoke.txt
 	$(GO) run ./cmd/bench -quick -exp E1 | tee -a bench-smoke.txt
 	$(GO) test -run '^$$' -bench 'TinyPass|JoinAllocs|GammaChainUpdate|StrataUpdateSCC|WellFoundedBuild|InflationaryDistance|TableProbe' -benchmem -benchtime 200x ./internal/engine ./internal/incr ./internal/semantics ./internal/relation | tee -a bench-smoke.txt
 
-# CPU + allocation + contention profiles of the hot evaluation path
-# (the E8/E10 series, whose pooled passes are what the mutex/block
-# profiles watch), written to profiles/, with a top summary printed for
-# each — so future perf PRs start from data, not guesses.
+# CPU + allocation profiles of the hot evaluation path (the E8/E10
+# series, which evaluate on the calling goroutine, so there is no
+# contention to profile), written to profiles/, with a top summary
+# printed for each — so future perf PRs start from data, not guesses.
 # Inspect interactively with: go tool pprof profiles/repro.test profiles/cpu.pprof
 profile:
 	mkdir -p profiles
 	$(GO) test -run '^$$' -bench 'E8Inflationary|E10Distance' -benchtime 500ms \
 		-cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof \
-		-mutexprofile profiles/mutex.pprof -blockprofile profiles/block.pprof \
 		-o profiles/repro.test .
 	$(GO) tool pprof -top -nodecount 20 profiles/repro.test profiles/cpu.pprof
 	$(GO) tool pprof -top -nodecount 20 -sample_index=alloc_space profiles/repro.test profiles/mem.pprof
-	$(GO) tool pprof -top -nodecount 10 profiles/repro.test profiles/mutex.pprof
-	$(GO) tool pprof -top -nodecount 10 profiles/repro.test profiles/block.pprof
 
 # Static analysis beyond go vet; pinned so local runs and CI agree.
 STATICCHECK_VERSION ?= 2025.1.1

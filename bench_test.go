@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/circuit"
@@ -275,72 +274,6 @@ func BenchmarkE11Hierarchy(b *testing.B) {
 // program round trip.
 func BenchmarkE12Proposition1(b *testing.B) {
 	experimentsBench(b, "E12")
-}
-
-// BenchmarkThetaWorkers: parallel-evaluation ablation — the distance
-// program (6 rules, so the worker pool has work to distribute) under
-// inflationary semantics with GOMAXPROCS, the pool's width, set to 1 vs
-// left at its value.  On a single-core runner the two coincide; the
-// benchmark still pins the overhead of the pooled path.
-func BenchmarkThetaWorkers(b *testing.B) {
-	g := graphs.Random(newRNG(13), 12, 0.25)
-	db := g.Database()
-	counts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		counts = append(counts, n)
-	}
-	for _, w := range counts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
-			// Construction is hoisted so the loop times evaluation only;
-			// Inflationary starts from a fresh state each call and never
-			// mutates the instance or database.
-			in, err := engine.New(parser.MustProgram(distSrc), db.Clone())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				semantics.Inflationary(in)
-			}
-		})
-	}
-}
-
-// BenchmarkE15FrontierScaling: the GOMAXPROCS sweep behind experiment
-// E15 — the 2-rule transitive closure and the distance program on
-// worker pools from 1 to GOMAXPROCS wide; intra-rule sharding lets the
-// 2-rule program use more workers than it has rules.
-func BenchmarkE15FrontierScaling(b *testing.B) {
-	cases := []struct {
-		name string
-		src  string
-		db   func() *relation.Database
-	}{
-		{"tc/G(48,0.06)", tcSrc,
-			func() *relation.Database { return graphs.Random(newRNG(48), 48, 0.06).Database() }},
-		{"distance/G(14,0.25)", distSrc,
-			func() *relation.Database { return graphs.Random(newRNG(14), 14, 0.25).Database() }},
-	}
-	for _, tc := range cases {
-		prog := parser.MustProgram(tc.src)
-		db := tc.db()
-		for _, nw := range experiments.E15Workers() {
-			// The series keep the names they had beside the deleted
-			// baseline cell, so the recorded trajectory stays comparable.
-			b.Run(fmt.Sprintf("%s/workers=%d/frontier", tc.name, nw), func(b *testing.B) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(nw))
-				in, err := engine.New(prog, db.Clone())
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					semantics.Inflationary(in)
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkE16MagicQuery: one point query answered demand-driven

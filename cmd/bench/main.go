@@ -1,7 +1,7 @@
 // Command bench regenerates the reproduction's experiment tables
 // (package internal/experiments): E1–E12 are one experiment per
-// theorem, lemma, worked example and proposition of the paper, E14–E16
-// measure the engine built around them.  Every
+// theorem, lemma, worked example and proposition of the paper, E14 and
+// E16 measure the engine built around them.  Every
 // row is checked against the paper's claim; a MISMATCH in any table
 // (and a nonzero exit) means the reproduction diverges.
 //

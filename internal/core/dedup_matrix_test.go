@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -15,12 +14,12 @@ import (
 	"repro/internal/wforacle"
 )
 
-// Differential property test of the dedup path: every semantics ×
-// workers {1,N} must be bit-exact — state AND stats — with
-// single-worker evaluation, which never shards, and on the random
-// programs the model must also equal wforacle's, which shares no code
-// with the engine.  The race Makefile/CI target runs this package, so
-// the whole matrix also executes under -race.
+// Differential property test of the dedup path: under every semantics
+// a second evaluation must be bit-exact — state AND stats — with the
+// first, and on the random programs the model must also equal
+// wforacle's, which shares no code with the engine.  The race
+// Makefile/CI target runs this package, so the whole matrix also
+// executes under -race.
 
 var genVars = []string{"X", "Y", "Z", "W"}
 
@@ -139,23 +138,15 @@ func randDB(rng *rand.Rand, n int) *relation.Database {
 	return db
 }
 
-// setProcs sets GOMAXPROCS, the width of the engine's worker pool, to
-// n until the test ends.
-func setProcs(t *testing.T, n int) {
-	prev := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
-
-// checkDedupMatrix evaluates src on db under sem with one worker,
-// then again with one worker and with nw, and compares each with the
-// first; with oracle set, it also compares the first with wforacle.
-func checkDedupMatrix(t *testing.T, src string, db func() *relation.Database, sem Semantics, nw int, oracle bool) {
+// checkDedupMatrix evaluates src on db under sem twice and compares
+// the second evaluation with the first, stats included; with oracle
+// set, it also compares the first with wforacle.
+func checkDedupMatrix(t *testing.T, src string, db func() *relation.Database, sem Semantics, oracle bool) {
 	t.Helper()
 	prog, err := parser.Program(src)
 	if err != nil {
 		t.Fatalf("unparsable program:\n%s\n%v", src, err)
 	}
-	setProcs(t, 1)
 	want, err := Eval(prog, db(), sem)
 	if err != nil {
 		t.Fatalf("%v reference: %v\n%s", sem, err, src)
@@ -165,23 +156,20 @@ func checkDedupMatrix(t *testing.T, src string, db func() *relation.Database, se
 			t.Fatalf("%v differs from the oracle: %s\n%s", sem, d, src)
 		}
 	}
-	for _, w := range []int{1, nw} {
-		setProcs(t, w)
-		got, err := Eval(prog, db(), sem)
-		if err != nil {
-			t.Fatalf("%v workers=%d: %v\n%s", sem, w, err, src)
-		}
-		ctx := fmt.Sprintf("%v workers=%d\nprogram:\n%s", sem, w, src)
-		if !got.State.Equal(want.State) {
-			t.Fatalf("%s:\nstates differ\ngot:\n%swant:\n%s", ctx,
-				got.State.Format(got.Universe), want.State.Format(want.Universe))
-		}
-		if got.Stats != want.Stats {
-			t.Fatalf("%s:\nstats differ: got %+v want %+v", ctx, got.Stats, want.Stats)
-		}
-		if want.WF != nil && (got.WF == nil || !got.WF.Possible.Equal(want.WF.Possible)) {
-			t.Fatalf("%s:\nwell-founded possible parts differ", ctx)
-		}
+	got, err := Eval(prog, db(), sem)
+	if err != nil {
+		t.Fatalf("%v: %v\n%s", sem, err, src)
+	}
+	ctx := fmt.Sprintf("%v\nprogram:\n%s", sem, src)
+	if !got.State.Equal(want.State) {
+		t.Fatalf("%s:\nstates differ\ngot:\n%swant:\n%s", ctx,
+			got.State.Format(got.Universe), want.State.Format(want.Universe))
+	}
+	if got.Stats != want.Stats {
+		t.Fatalf("%s:\nstats differ: got %+v want %+v", ctx, got.Stats, want.Stats)
+	}
+	if want.WF != nil && (got.WF == nil || !got.WF.Possible.Equal(want.WF.Possible)) {
+		t.Fatalf("%s:\nwell-founded possible parts differ", ctx)
 	}
 }
 
@@ -204,17 +192,11 @@ func compareOracle(prog *ast.Program, db *relation.Database, sem Semantics, res 
 	return wforacle.Diff(sem.String(), wforacle.Atoms(res.Universe, res.State), stages[len(stages)-1])
 }
 
-// TestPropDedupMatrixBitExact checks that neither the worker count nor
-// the inline floor can change an answer: they only change where a
-// tuple is derived.  Random programs on small databases run every pass
-// inline; the transitive closure of a sparse 120-vertex graph has
-// deltas on both sides of engine.InlineFloor, so its evaluations switch
-// between inline and pooled passes.
+// TestPropDedupMatrixBitExact checks that an evaluation is
+// reproducible to the stats and agrees with the oracle.  Random
+// programs run on small databases; the transitive closure of a sparse
+// 120-vertex graph has semi-naive deltas of thousands of tuples.
 func TestPropDedupMatrixBitExact(t *testing.T) {
-	nw := runtime.GOMAXPROCS(0)
-	if nw < 2 {
-		nw = 8 // oversubscribe: scheduling must not matter
-	}
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed ^ 0x51ed))
 		layers := 1 + int(seed)%3
@@ -225,12 +207,12 @@ func TestPropDedupMatrixBitExact(t *testing.T) {
 			sems = append(sems, LFP)
 		}
 		for _, sem := range sems {
-			checkDedupMatrix(t, src, func() *relation.Database { return randDB(rand.New(rand.NewSource(seed)), dbN) }, sem, nw, true)
+			checkDedupMatrix(t, src, func() *relation.Database { return randDB(rand.New(rand.NewSource(seed)), dbN) }, sem, true)
 		}
 	}
 
 	graph := graphs.Random(rand.New(rand.NewSource(42)), 120, 0.03)
 	for _, sem := range []Semantics{Inflationary, LFP, Stratified, WellFounded} {
-		checkDedupMatrix(t, "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).", func() *relation.Database { return graph.Database() }, sem, nw, false)
+		checkDedupMatrix(t, "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).", func() *relation.Database { return graph.Database() }, sem, false)
 	}
 }

@@ -66,9 +66,9 @@ type Delta struct {
 
 // withinTasks compiles a Within pass: every rule whose head predicate
 // has a non-empty filter relation gets it as an extra positive literal
-// over the head's argument slots, the task's driver, so the join
-// planner starts from the (small) filter set and evaluates the body
-// with the head variables bound.
+// over the head's argument slots, so the join planner starts from the
+// (small) filter set and evaluates the body with the head variables
+// bound.
 func (in *Instance) withinTasks(within map[string]*relation.Relation) []evalTask {
 	filter := func(rp *rulePlan) *relation.Relation {
 		if f := within[rp.headPred]; f != nil && !f.Empty() {
@@ -89,7 +89,7 @@ func (in *Instance) withinTasks(within map[string]*relation.Relation) []evalTask
 			pos := ovs[: lit+1 : lit+1]
 			ovs = ovs[lit+1:]
 			pos[lit] = Overlay{Base: f}
-			tasks = append(tasks, evalTask{rp: rp.variant(len(rp.negatives)), pos: pos, driver: lit})
+			tasks = append(tasks, evalTask{rp: rp.variant(len(rp.negatives)), pos: pos})
 		}
 	}
 	return tasks
@@ -152,9 +152,11 @@ func (in *Instance) deltaTasks(deltas map[string]Delta) []evalTask {
 			if drv == nil {
 				continue
 			}
-			t := evalTask{rp: rp, driver: r}
-			if r >= np { // a negated-literal driver: a flipped variant, still w literals
-				t.rp, t.driver = rp.variant(r-np), np
+			// lit is the positive literal drv drives: a negated-literal
+			// driver is evaluated by a flipped variant, still w literals.
+			t, lit := evalTask{rp: rp}, r
+			if r >= np {
+				t.rp, lit = rp.variant(r-np), np
 			}
 			k := len(t.rp.positives)
 			t.pos, t.neg = ovs[:k:k], ovs[k:w:w]
@@ -162,7 +164,7 @@ func (in *Instance) deltaTasks(deltas map[string]Delta) []evalTask {
 			for i, lp := range t.rp.positives {
 				d := deltas[lp.pred]
 				switch {
-				case i == t.driver:
+				case i == lit:
 					t.pos[i] = Overlay{Base: drv}
 				case i < r:
 					t.pos[i] = coalesce(d.Before, d.After)

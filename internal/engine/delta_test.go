@@ -136,8 +136,6 @@ func TestFullyBoundLiteralBuildsNoIndex(t *testing.T) {
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	prev := runtime.GOMAXPROCS(1) // one worker: every pass derives into one output
-	defer runtime.GOMAXPROCS(prev)
 	small, large := alloc(1000), alloc(10000)
 	if large > small+small/2+4096 {
 		t.Errorf("one rederivation pass allocates %d bytes over 1000 tuples and %d over 10000", small, large)

@@ -3,28 +3,16 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/parser"
 	"repro/internal/relation"
 )
 
-// workerSweep is the worker-count matrix of the frontier acceptance
-// tests: sequential, minimal parallelism, and the full pool.
-func workerSweep() []int {
-	sweep := []int{1, 2}
-	if n := hostProcs; n > 2 {
-		sweep = append(sweep, n)
-	} else {
-		sweep = append(sweep, 8) // oversubscribe: scheduling must not matter
-	}
-	return sweep
-}
-
 // TestPropFrontierMatchesDeriveDiff is the frontier contract's
-// acceptance property: over randomized programs, databases and worker
-// counts (sequential, minimal parallelism, oversubscribed), a pass into
-// a clone of the state S leaves S ∪ (derive(S) ∖ S) in it and returns
+// acceptance property: over randomized programs and databases, a pass
+// into a clone of the state S leaves S ∪ (derive(S) ∖ S) in it and returns
 // exactly derive(S) ∖ S as ranges of the clone — for a Θ application, a
 // semi-naive round, a Within pass and a maintenance pass, reading the
 // clone itself or S.
@@ -44,12 +32,11 @@ func TestPropFrontierMatchesDeriveDiff(t *testing.T) {
 		}
 
 		// Reference stages; each shape's derivations, unfiltered.
-		setProcs(t, 1)
 		ref := MustNew(prog, db.Clone())
 		s0 := ref.NewState()
 		s1 := ref.Apply(s0)
 		s2 := s1.Clone()
-		s2.UnionWith(ref.Apply(s1))
+		union(s2, ref.Apply(s1))
 		delta := s2.Diff(s1)
 		deltas := map[string]Delta{}
 		for pred, d := range delta {
@@ -63,14 +50,10 @@ func TestPropFrontierMatchesDeriveDiff(t *testing.T) {
 			"delta":      {Pos: s2, Deltas: deltas},
 		}
 		for shape, sp := range shapes {
-			setProcs(t, 1)
 			for _, self := range []bool{false, true} {
-				for _, nw := range workerSweep() {
-					setProcs(t, nw)
-					in := MustNew(prog, db.Clone())
-					if msg := checkInto(in, ref, sp, s2, self); msg != "" {
-						t.Fatalf("seed %d workers %d: %s pass (reading its own Into: %v): %s\nprogram:\n%s", seed, nw, shape, self, msg, src)
-					}
+				in := MustNew(prog, db.Clone())
+				if msg := checkInto(in, ref, sp, s2, self); msg != "" {
+					t.Fatalf("seed %d: %s pass (reading its own Into: %v): %s\nprogram:\n%s", seed, shape, self, msg, src)
 				}
 			}
 		}
@@ -85,13 +68,13 @@ func TestPropFrontierMatchesDeriveDiff(t *testing.T) {
 func checkInto(in, ref *Instance, sp Spec, s State, self bool) string {
 	derived := ref.Eval(sp)
 	want := s.Clone()
-	want.UnionWith(derived)
+	union(want, derived)
 	sp.Into = s.Clone()
 	if self {
 		sp.Pos = sp.Into
 	}
 	appended := in.NewState()
-	appended.UnionWith(in.Eval(sp))
+	union(appended, in.Eval(sp))
 	switch u := in.Universe(); {
 	case !sp.Into.Equal(want):
 		return fmt.Sprintf("Into holds\n%vwant\n%v", sp.Into.Format(u), want.Format(u))
@@ -110,139 +93,27 @@ func inflateFrontier(in *Instance) State {
 	return cur
 }
 
-// inflateFrontierSemiNaive is the semi-naive variant: each round is
-// driven by the range of cur the previous one appended, exactly like
-// semantics.lfpLoop, so big deltas are sharded over the pool and merged.
-func inflateFrontierSemiNaive(in *Instance) State {
-	cur := in.NewState()
-	prev := cur.View()
-	for delta := in.Eval(Spec{Pos: cur, Into: cur}); !delta.Empty(); {
-		sp := SemiNaive(prev, delta, cur, nil)
-		sp.Into, prev = cur, cur.View()
-		delta = in.Eval(sp)
-	}
-	return cur
-}
-
-// TestFrontierFixpointMatchesOracle runs whole inflationary evaluations
-// on the frontier contract across worker counts and compares the final
-// states against S ∪ Θ(S) iterated on the unfiltered Apply.
+// TestFrontierFixpointMatchesOracle runs a whole inflationary
+// evaluation on the frontier contract and compares the final state
+// against S ∪ Θ(S) iterated on the unfiltered Apply.
 func TestFrontierFixpointMatchesOracle(t *testing.T) {
 	prog := parser.MustProgram(multiRuleSrc)
 	db := randomEdgeDB(rand.New(rand.NewSource(5)), 10, 0.2)
-	setProcs(t, 1)
 	want := inflate(MustNew(prog, db.Clone()))
-
-	for _, nw := range workerSweep() {
-		setProcs(t, nw)
-		in := MustNew(prog, db.Clone())
-		if got := inflateFrontier(in); !got.Equal(want) {
-			t.Fatalf("frontier fixpoint differs with %d workers", nw)
-		}
+	if got := inflateFrontier(MustNew(prog, db.Clone())); !got.Equal(want) {
+		t.Fatal("frontier fixpoint differs from the unfiltered one")
 	}
 }
 
-// TestShardedMergeMatchesOneWorker drives the intra-rule sharding and the
-// merge of per-worker outputs on a workload big enough to trigger both:
-// a transitive closure whose middle rounds drive more than InlineFloor
-// delta tuples while its first and last stay under it, evaluated by a
-// 2-rule program on a many-worker pool (more workers than tasks, so
-// every pooled round shards its driver into arena ranges).
-func TestShardedMergeMatchesOneWorker(t *testing.T) {
-	src := "s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y)."
-	prog := parser.MustProgram(src)
-	db := randomEdgeDB(rand.New(rand.NewSource(42)), 120, 0.025)
-
-	setProcs(t, 1)
-	want := inflate(MustNew(prog, db.Clone()))
-	if want["s"].Len() < 2*InlineFloor {
-		t.Fatalf("fixture too small to drive pooled rounds: |s| = %d", want["s"].Len())
-	}
-
-	for _, nw := range []int{2, 4, 8} {
-		setProcs(t, nw)
-		in := MustNew(prog, db.Clone())
-		if got := inflateFrontierSemiNaive(in); !got.Equal(want) {
-			t.Fatalf("sharded fixpoint differs with %d workers", nw)
-		}
-	}
-}
-
-// partsPrograms are the programs of the pool-split tests: recursion
-// through a binary IDB, negation and a comparison on the driver's
-// bindings feeding a second IDB, and a self-join of the driver.
-var partsPrograms = []string{
-	"S(X,Y) :- E(X,Y).\nS(X,Y) :- S(X,Z), E(Z,Y).",
-	"S(X,Y) :- E(X,Y).\nQ(X,Y) :- S(X,Y), !E(Y,X), X != Y.\nP(X) :- Q(X,Y), V(Y).",
-	"S(X,Y) :- S(X,Z), S(Z,Y).",
-}
-
-// TestPropPartsMatchUnpartitioned checks the pool's split of one
-// semi-naive pass: over random databases, a pass whose driver delta is
-// over InlineFloor is scheduled on every worker, and the merged parts
-// are exactly the single-part pass of a one-worker instance — and a
-// pass into a clone of the state appends exactly what the state lacks.
-func TestPropPartsMatchUnpartitioned(t *testing.T) {
-	const n = 72 // 7/8 of the n² pairs is well over InlineFloor
-	for seed := int64(0); seed < 3; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		db := randomEdgeDB(rng, n, 0.05)
-		for i := 0; i < n; i += 3 {
-			db.AddFact("V", fmt.Sprint(i))
-		}
-		d := relation.New(2)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if rng.Intn(8) != 0 {
-					x, _ := db.Universe().Lookup(fmt.Sprint(i))
-					y, _ := db.Universe().Lookup(fmt.Sprint(j))
-					d.Add(relation.Tuple{x, y})
-				}
-			}
-		}
-		for _, src := range partsPrograms {
-			prog := parser.MustProgram(src)
-			setProcs(t, 1)
-			ref := MustNew(prog, db.Clone())
-			old := ref.NewState()
-			delta := State{"S": d}
-			cur := old.Clone()
-			cur["S"].UnionWith(d)
-			sp := SemiNaive(old, delta, cur, nil)
-			want := ref.Eval(sp)
-
-			for _, nw := range []int{2, 3, 5} {
-				setProcs(t, nw)
-				in := MustNew(prog, db.Clone())
-				if w := in.driverWork(in.tasks(sp), cur); w < InlineFloor {
-					t.Fatalf("seed %d: fixture drives %d tuples, under InlineFloor", seed, w)
-				}
-				if _, w := in.schedule(in.tasks(sp), cur); w != nw {
-					t.Fatalf("seed %d workers %d: scheduled on %d workers\nprogram:\n%s", seed, nw, w, src)
-				}
-				if got := in.Eval(sp); !got.Equal(want) {
-					t.Fatalf("seed %d workers %d: parts differ from the one-worker pass\nprogram:\n%s", seed, nw, src)
-				}
-				if msg := checkInto(in, ref, sp, cur, false); msg != "" {
-					t.Fatalf("seed %d workers %d: pass into the state: %s\nprogram:\n%s", seed, nw, msg, src)
-				}
-			}
-		}
-	}
-}
-
-// TestApplyDeltasFrontierParts drives passes into a state over
-// InlineFloor: a full, a semi-naive, a Within and a maintenance pass,
-// evaluated inline by one worker and on the pool by two and four, leave
-// S ∪ (derive(S) ∖ S) in a clone of S and return derive(S) ∖ S; the
-// two-worker pass reads the clone itself, the others S.  S is a
-// random three quarters of a transitive closure, so every pass
-// re-derives a non-empty rest, and the closure is non-linear, so even
-// the full pass enumerates S first.
+// TestApplyDeltasFrontierParts drives passes into a state of thousands
+// of tuples: a full, a semi-naive, a Within and a maintenance pass leave
+// S ∪ (derive(S) ∖ S) in a clone of S and return derive(S) ∖ S, reading
+// the clone itself or S.  S is a random three quarters of a transitive
+// closure, so every pass re-derives a non-empty rest, and the closure
+// is non-linear, so even the full pass enumerates S first.
 func TestApplyDeltasFrontierParts(t *testing.T) {
 	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- s(X,Z), s(Z,Y).")
 	db := randomEdgeDB(rand.New(rand.NewSource(42)), 120, 0.025)
-	setProcs(t, 1)
 	ref := MustNew(prog, db.Clone())
 	rng := rand.New(rand.NewSource(7))
 	closure := inflate(ref)
@@ -251,9 +122,6 @@ func TestApplyDeltasFrontierParts(t *testing.T) {
 		if rng.Intn(4) != 0 {
 			cur["s"].Add(tu)
 		}
-	}
-	if cur["s"].Len() < InlineFloor {
-		t.Fatalf("fixture too small to drive a pooled round: |s| = %d", cur["s"].Len())
 	}
 	shapes := map[string]Spec{
 		"full":       {Pos: cur},
@@ -265,14 +133,9 @@ func TestApplyDeltasFrontierParts(t *testing.T) {
 		if ref.Eval(sp).Diff(cur).Empty() {
 			t.Fatalf("%s pass re-derives nothing", shape)
 		}
-		for _, nw := range []int{1, 2, 4} {
-			setProcs(t, nw)
-			in := MustNew(prog, db.Clone())
-			if _, w := in.schedule(in.tasks(sp), cur); w != nw {
-				t.Fatalf("%s pass, workers %d: scheduled on %d workers", shape, nw, w)
-			}
-			if msg := checkInto(in, ref, sp, cur, nw == 2); msg != "" {
-				t.Fatalf("%s pass, workers %d: %s", shape, nw, msg)
+		for _, self := range []bool{false, true} {
+			if msg := checkInto(MustNew(prog, db.Clone()), ref, sp, cur, self); msg != "" {
+				t.Fatalf("%s pass (reading its own Into: %v): %s", shape, self, msg)
 			}
 		}
 	}
@@ -285,7 +148,6 @@ func TestEmptyPassAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector (see race_test.go)")
 	}
-	setProcs(t, 1)
 	in := MustNew(parser.MustProgram(multiRuleSrc), pathDB(3))
 	fix := inflate(in)
 	sp := Spec{Pos: fix, Deltas: map[string]Delta{"E": {}, "s": {}}, Into: fix}
@@ -306,7 +168,6 @@ func TestFrontierZeroAllocs(t *testing.T) {
 	for _, n := range []int{12, 28} {
 		rng := rand.New(rand.NewSource(3))
 		db := randomEdgeDB(rng, n, 0.3)
-		setProcs(t, 1)
 		in := MustNew(parser.MustProgram("tri(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X)."), db)
 		fix := in.Apply(in.NewState()) // warm indexes, derive all triangles
 		allocs := testing.AllocsPerRun(10, func() { in.Eval(Spec{Pos: fix, Into: fix}) })
@@ -316,48 +177,8 @@ func TestFrontierZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestExpandShardsPartition checks the shard expansion invariants
-// directly: shard ranges partition the driver's arena exactly, and
-// tasks whose driver is too small pass through unchanged.
-func TestExpandShardsPartition(t *testing.T) {
-	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- E(X,Z), s(Z,Y).")
-	db := randomEdgeDB(rand.New(rand.NewSource(9)), 40, 0.3)
-	in := MustNew(prog, db)
-	s := in.Apply(in.NewState())
-
-	tasks := in.tasks(Spec{Pos: s})
-	expanded := in.expandShards(tasks, s, 8)
-	if len(expanded) <= len(tasks) {
-		t.Fatalf("expected shard expansion, got %d tasks from %d", len(expanded), len(tasks))
-	}
-	// Group shards by rule and verify each sharded rule's ranges tile
-	// [0, n) without gaps or overlaps.
-	covered := make(map[*rulePlan]int32)
-	for _, task := range expanded {
-		if task.shardHi == 0 {
-			continue
-		}
-		if task.shardLo != covered[task.rp] {
-			t.Fatalf("shard ranges of rule %v do not tile: next starts at %d, expected %d",
-				task.rp.src, task.shardLo, covered[task.rp])
-		}
-		if task.shardHi <= task.shardLo {
-			t.Fatalf("empty shard range [%d, %d)", task.shardLo, task.shardHi)
-		}
-		covered[task.rp] = task.shardHi
-	}
-	if len(covered) == 0 {
-		t.Fatal("no rule was sharded")
-	}
-	for rp, hi := range covered {
-		_, rel := in.shardTarget(evalTask{rp: rp, driver: -1}, s)
-		if int(hi) != rel.Len() {
-			t.Fatalf("rule %v: shards cover [0, %d), driver has %d tuples", rp.src, hi, rel.Len())
-		}
-	}
-}
-
-// TestOffsetsInRange pins the shard-aware index probe helper.
+// TestOffsetsInRange pins the helper a range view's index probe narrows
+// its relation's bucket with.
 func TestOffsetsInRange(t *testing.T) {
 	offs := []int32{2, 3, 7, 11, 12, 30}
 	cases := []struct {
@@ -382,5 +203,31 @@ func TestOffsetsInRange(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestGammaPassTakesNoViews: a Γ pass of win-move reads its own
+// predicate only negated, against the stage below, so a pass into the
+// stage it extends needs no pass-start view, and atStart hands Pos and
+// Neg back as they are, cloning no map.  A Θ pass of the same program
+// reads win negated from the state it extends, so it takes a view.
+func TestGammaPassTakesNoViews(t *testing.T) {
+	in := MustNew(parser.MustProgram("win(X) :- move(X,Y), !win(Y)."), parser.MustFacts("move(a,b). move(b,c)."))
+	below := in.Apply(in.NewState())
+	cur := in.NewState()
+	tasks := in.tasks(Spec{Pos: cur, Neg: below})
+	same := func(a, b State) bool { return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer() }
+	if got := atStart(cur, cur, tasks, true, false); !same(got, cur) {
+		t.Error("the Γ pass took a view of its own stage for its positive literals")
+	}
+	if got := atStart(below, cur, tasks, false, true); !same(got, below) {
+		t.Error("the Γ pass took a view of the stage below")
+	}
+	if got := atStart(cur, cur, tasks, true, true); same(got, cur) || got["win"] == cur["win"] {
+		t.Error("the Θ pass reads win from the state it extends without a view")
+	}
+	want := in.Eval(Spec{Pos: in.NewState(), Neg: below})
+	if got := in.Eval(Spec{Pos: cur, Neg: below, Into: cur}); !cur.Equal(want) || !got.Equal(want) {
+		t.Fatalf("the Γ pass into its stage left %vand returned %v, want %v", cur.Format(in.Universe()), got, want.Format(in.Universe()))
 	}
 }

@@ -86,9 +86,8 @@ func New(prog *ast.Program, db *relation.Database) (*Instance, error) {
 		empties: make(map[int]*relation.Relation),
 	}
 	// Canonical empty relations are precomputed for every program
-	// arity: source runs concurrently on the evaluation worker pool,
-	// so it must never mutate instance state.  (The scratch pool the
-	// workers draw on is process-global — see eval.go.)
+	// arity: concurrent passes on one instance call source, so it must
+	// never mutate instance state.
 	for _, ar := range arities {
 		if _, ok := in.empties[ar]; !ok {
 			in.empties[ar] = relation.New(ar)
@@ -102,7 +101,7 @@ func New(prog *ast.Program, db *relation.Database) (*Instance, error) {
 
 // Options remains only for benchmark/, whose harness still passes it
 // to NewWith and to five forwarders above the engine: evaluation has no
-// settings, and the worker pool is GOMAXPROCS wide (see runPool).
+// settings.
 type Options struct{}
 
 // NewWith is New; it remains only for benchmark/.
@@ -150,8 +149,8 @@ func (in *Instance) NewState() State {
 // source resolves what literal l, the i-th of its kind in a task with
 // the overrides over, reads: the override when there is one, else the
 // database for an EDB predicate and s for an IDB one — the canonical
-// empty relation when either lacks the predicate.  It is called from
-// evaluation workers and therefore only reads.
+// empty relation when either lacks the predicate.  Concurrent passes
+// on one instance call it, so it only reads.
 func (in *Instance) source(over []Overlay, i int, l litPlan, s State) Overlay {
 	if i < len(over) && over[i].Base != nil {
 		return over[i]

@@ -11,8 +11,8 @@
 // the bound ones, or a scan) plus a flat array of bind/check micro-ops
 // executed per candidate tuple; the micro-ops replace the generic
 // per-tuple matching closure, so the probe loop allocates nothing.
-// A plan holds no per-run state — probe values and shard ranges live in
-// the run's scratch — so the pool's workers share it.
+// A plan holds no per-run state — probe values live in the run's
+// scratch — so concurrent passes on one instance share it.
 //
 // The cost model is the textbook independence estimate: joining a
 // literal whose relation holds |R| tuples with bound columns B is
@@ -56,8 +56,8 @@ type execStep struct {
 }
 
 // execPlan is a rule body ordered and compiled for one join order of
-// its positive literals.  It is written only while it is built; the
-// pool's workers then share it from the rule's cache.
+// its positive literals.  It is written only while it is built;
+// concurrent passes then share it from the rule's cache.
 type execPlan struct {
 	order  []int // positive-literal indexes in join order: the cache key
 	steps  []execStep
@@ -139,15 +139,6 @@ func compileJoin(rp *rulePlan, lit int, bound []bool) *joinExec {
 	return je
 }
 
-// firstJoinPick returns the positive literal the planner would join
-// first under an empty binding — the enumeration that drives the whole
-// rule, and therefore the literal an intra-rule shard split partitions
-// when no semi-naive delta identifies the driver.  It replicates the
-// first pick of joinOrder exactly.
-func firstJoinPick(rp *rulePlan, rels []Overlay) int {
-	return cheapestJoin(rp, rels, make([]bool, rp.nvars), nil)
-}
-
 // cheapestJoin returns the unused positive literal with the smallest
 // estimate under the bound set (ties to program order), -1 when none
 // is left.  A lone candidate wins whatever its estimate, so it is not
@@ -156,7 +147,7 @@ func firstJoinPick(rp *rulePlan, rels []Overlay) int {
 func cheapestJoin(rp *rulePlan, rels []Overlay, bound, used []bool) int {
 	best, left := -1, 0
 	for i := range rp.positives {
-		if used == nil || !used[i] {
+		if !used[i] {
 			best, left = i, left+1
 		}
 	}
@@ -165,7 +156,7 @@ func cheapestJoin(rp *rulePlan, rels []Overlay, bound, used []bool) int {
 	}
 	best, bestCost := -1, math.Inf(1)
 	for i, lp := range rp.positives {
-		if used != nil && used[i] {
+		if used[i] {
 			continue
 		}
 		if c := estimateJoin(rels[i].Base, lp, bound); c < bestCost {
@@ -180,20 +171,11 @@ func cheapestJoin(rp *rulePlan, rels []Overlay, bound, used []bool) int {
 // (parallel to rp.positives); an overlaid source is costed by its base
 // relation, whose statistics and indexes the join then uses.  bound and
 // used are scratch of rp.nvars and len(rp.positives) entries.
-//
-// When the evaluation task is one shard of an intra-rule split, shard
-// names the literal whose enumeration the shard restricts: it is forced
-// to the front (the split partitions the rule's driving enumeration, so
-// every derivation belongs to exactly one shard).  shard < 0 forces
-// nothing.
-func joinOrder(rp *rulePlan, rels []Overlay, shard int, bound, used []bool, order []int) {
+func joinOrder(rp *rulePlan, rels []Overlay, bound, used []bool, order []int) {
 	clear(bound)
 	clear(used)
 	for k := range order {
-		best := shard
-		if k > 0 || shard < 0 {
-			best = cheapestJoin(rp, rels, bound, used)
-		}
+		best := cheapestJoin(rp, rels, bound, used)
 		used[best] = true
 		order[k] = best
 		bindSlots(bound, rp.positives[best].slots)
@@ -358,7 +340,7 @@ func (in *Instance) Explain(w io.Writer, s State) {
 			rels[i] = in.source(nil, i, lp, s)
 		}
 		bound, order := make([]bool, rp.nvars), make([]int, len(rp.positives))
-		joinOrder(rp, rels, -1, bound, make([]bool, len(rp.positives)), order)
+		joinOrder(rp, rels, bound, make([]bool, len(rp.positives)), order)
 		clear(bound)
 		for _, st := range buildExec(rp, order).steps {
 			switch st.kind {

@@ -90,16 +90,6 @@ func (s State) Equal(o State) bool {
 	return true
 }
 
-// UnionWith adds every tuple of o into s, returning the number of new
-// tuples.
-func (s State) UnionWith(o State) int {
-	added := 0
-	for k, r := range o {
-		added += s[k].UnionWith(r)
-	}
-	return added
-}
-
 // Diff returns the per-predicate difference s \ o as a fresh state.
 func (s State) Diff(o State) State {
 	out := make(State, len(s))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -41,8 +42,9 @@ func TestChainMatchesRecompute(t *testing.T) {
 		{"stratifiable", tcSrc + "\nunreach(X,Y) :- E(X,X), E(Y,Y), !s(X,Y).", []string{"E"}, "strata"},
 		{"unsafe", wfUnsafeSrc, []string{"E"}, "alternation"},
 	}
-	// K is the worker pool's width (GOMAXPROCS): K1 evaluates every pass
-	// inline, K4 hands any pass over engine.InlineFloor to a pool of four.
+	// K is the number of goroutines that read each published snapshot:
+	// K1 the test's own, K4 three more that read it while the next
+	// update runs (readWhileUpdating).
 	for _, tc := range cases {
 		for _, k := range []int{1, 4} {
 			for _, seed := range []int64{1, 2, 3} {
@@ -53,11 +55,12 @@ func TestChainMatchesRecompute(t *testing.T) {
 					for _, p := range tc.preds[1:] {
 						db.MustEnsure(p, 2)
 					}
-					setProcs(t, k)
 					m, err := incr.New(prog, db, core.WellFounded)
 					if err != nil {
 						t.Fatal(err)
 					}
+					var readers sync.WaitGroup
+					defer readers.Wait()
 					mirror := db.Clone()
 					rng := rand.New(rand.NewSource(seed * 13))
 					fresh, undefined := 0, 0
@@ -69,6 +72,7 @@ func TestChainMatchesRecompute(t *testing.T) {
 						ins, del := randomBatch(rng, tc.preds, n, &fresh)
 						size := m.Universe().Size()
 						stats := checkUpdate(t, m, core.WellFounded, prog, mirror, ins, del, true)
+						readWhileUpdating(t, m, k, &readers)
 						want := tc.strategy
 						if tc.name == "unsafe" && m.Universe().Size() > size {
 							want = "recompute"

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -45,17 +46,19 @@ V(x3). V(x2). V(x1). V(x0). V(a). V(b). V(c1). V(c2). V(c3). V(d1). V(d2).
 		{tcSrc, core.Stratified},
 		{tcNegSrc, core.Stratified},
 	}
-	// K is the worker pool's width, as in TestChainMatchesRecompute.
+	// K is the number of goroutines that read each published snapshot,
+	// as in TestChainMatchesRecompute.
 	for _, tc := range cases {
 		for _, k := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%v/K%d/%d rules", tc.sem, k, len(parser.MustProgram(tc.src).Rules)), func(t *testing.T) {
 				prog := parser.MustProgram(tc.src)
 				mirror := parser.MustFacts(facts)
-				setProcs(t, k)
 				m, err := incr.New(prog, mirror, tc.sem)
 				if err != nil {
 					t.Fatal(err)
 				}
+				var readers sync.WaitGroup
+				defer readers.Wait()
 				steps := []struct {
 					ins, del []incr.Fact
 					netZero  bool
@@ -82,6 +85,7 @@ V(x3). V(x2). V(x1). V(x0). V(a). V(b). V(c1). V(c2). V(c3). V(d1). V(d2).
 					if zero := stats.InsertedIDB == 0 && stats.DeletedIDB == 0; zero != st.netZero {
 						t.Errorf("step %d: net change +%d -%d, want none: %v", i, stats.InsertedIDB, stats.DeletedIDB, st.netZero)
 					}
+					readWhileUpdating(t, m, k, &readers)
 				}
 			})
 		}
@@ -110,7 +114,6 @@ func sinkClosure(t *testing.T, n, sinks int, p float64) *incr.Maintainer {
 	}
 	db.AddFact("E", "t9", graphs.VertexName(n-1))
 	prog := parser.MustProgram("s(X,Y) :- E(X,Y).\ns(X,Y) :- s(X,Z), E(Z,Y).")
-	setProcs(t, 1)
 	m, err := incr.New(prog, db, core.LFP)
 	if err != nil {
 		t.Fatal(err)
@@ -132,8 +135,7 @@ func allocated(f func()) uint64 {
 // given strategy, and the maintained state must gain and lose the
 // numbers of tuples swap announces.  With publish set, each update is
 // followed — inside the measurement — by the Snapshot a daemon hands its
-// readers, so the next update pays for detaching from it.  Deterministic
-// with GOMAXPROCS 1.
+// readers, so the next update pays for detaching from it.
 func medianAlloc(t *testing.T, m *incr.Maintainer, strategy string, publish bool, swap func(i int) (ins, del []incr.Fact, gained, lost int)) uint64 {
 	t.Helper()
 	var samples []uint64
@@ -263,7 +265,6 @@ func TestNegationStratumCostFollowsChange(t *testing.T) {
 		sinkChain(db, "V")
 		db.AddFact("E", "t9", graphs.VertexName(n-1))
 		prog := parser.MustProgram(tcSrc + "\nunreach(X,Y) :- V(X), V(Y), !s(X,Y).")
-		setProcs(t, 1)
 		m, err := incr.New(prog, db, core.Stratified)
 		if err != nil {
 			t.Fatal(err)
@@ -331,7 +332,6 @@ func layeredBoard(copies int) *relation.Database {
 // from that change; none is recomputed, and none copies move or win.
 func TestChainCostFollowsChange(t *testing.T) {
 	perUpdate := func(copies int) (bytes uint64, tuples, outer int) {
-		setProcs(t, 1)
 		m, err := incr.New(parser.MustProgram("win(X) :- move(X,Y), !win(Y)."), layeredBoard(copies), core.WellFounded)
 		if err != nil {
 			t.Fatal(err)

@@ -2,13 +2,15 @@ package incr_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/graphs"
 	"repro/internal/incr"
 	"repro/internal/parser"
@@ -35,11 +37,36 @@ s3(X,Y,Xs,Ys) :- E(X,Z), s1(Z,Y), !s2(Xs,Ys).
 	constSrc = "t(X) :- !E(X,X).\nu(X) :- E(X,Y), !t(c)."
 )
 
-// setProcs sets GOMAXPROCS, the width of the engine's worker pool, to
-// n until the test ends.
-func setProcs(t *testing.T, n int) {
-	prev := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+// readWhileUpdating publishes m's snapshot and, for k > 1, starts k−1
+// goroutines that read it while the caller goes on updating m: a
+// published snapshot must keep what it held when published, whatever
+// Update does meanwhile.  Publishing seals m's relations, so the next
+// update also takes the copy-on-write path a daemon's takes.  wg counts
+// the readers; the test waits on it before it ends.
+func readWhileUpdating(t *testing.T, m *incr.Maintainer, k int, wg *sync.WaitGroup) {
+	if k <= 1 {
+		return
+	}
+	snap := m.Snapshot()
+	want := formatSnapshot(snap)
+	for g := 1; g < k; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := formatSnapshot(snap); got != want {
+				t.Errorf("generation %d changed under a reader:\n%s\nwas published as\n%s", snap.Gen, got, want)
+			}
+		}()
+	}
+}
+
+// formatSnapshot renders every relation of s, sorted by name.
+func formatSnapshot(s *incr.Snapshot) string {
+	var b strings.Builder
+	for _, name := range slices.Sorted(maps.Keys(s.Rels)) {
+		fmt.Fprintf(&b, "%s = %s\n", name, s.Rels[name].Format(s.Universe))
+	}
+	return b.String()
 }
 
 // applyPlain mirrors a maintainer update onto a plain database, in the
@@ -210,23 +237,23 @@ func TestMaintainedMatchesRecompute(t *testing.T) {
 }
 
 // TestMaintainedPooledMatchesRecompute runs the maintained-vs-recompute
-// check on a closure big enough that passes are split over the worker
-// pool: the initial evaluation's middle rounds, and the insert
-// propagation of an edge joining two large reachability sets, drive
-// more than engine.InlineFloor tuples.  With one worker every pass runs
-// inline, with two or four the big ones are sharded and merged, so
-// divergence in either path surfaces as a state diff against the
-// recompute.
+// check on a closure whose initial evaluation's middle rounds, and the
+// insert propagation of an edge joining two large reachability sets,
+// drive thousands of delta tuples.  It is named for the worker pool
+// those passes were once split over.  Subtest procsN reads every
+// published snapshot on N goroutines, the test's own included, N−1 of
+// them while the next update runs.
 func TestMaintainedPooledMatchesRecompute(t *testing.T) {
 	prog := parser.MustProgram(tcSrc)
 	const n = 120
 	db0 := graphs.Random(rand.New(rand.NewSource(9)), n, 0.03).Database()
-	if fix, err := core.Eval(prog, db0, core.Stratified); err != nil || fix.Stats.MaxDeltaTuples < engine.InlineFloor {
-		t.Fatalf("fixture too small to drive pooled passes: %v, %+v", err, fix.Stats)
+	if fix, err := core.Eval(prog, db0, core.Stratified); err != nil || fix.Stats.MaxDeltaTuples < 4096 {
+		t.Fatalf("fixture too small to drive big passes: %v, %+v", err, fix.Stats)
 	}
 	for _, nw := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("procs%d", nw), func(t *testing.T) {
-			setProcs(t, nw)
+			var readers sync.WaitGroup
+			defer readers.Wait()
 			m, err := incr.New(prog, db0, core.Stratified)
 			if err != nil {
 				t.Fatal(err)
@@ -253,6 +280,7 @@ func TestMaintainedPooledMatchesRecompute(t *testing.T) {
 					t.Fatalf("step %d (ins=%v del=%v): maintained state diverged\nmaintained:\n%s\nrecompute:\n%s",
 						step, ins, del, got, exp)
 				}
+				readWhileUpdating(t, m, nw, &readers)
 			}
 		})
 	}

@@ -12,8 +12,7 @@ import (
 // of a program, not of the data.
 //
 // Like Relation, a Database may be read by any number of goroutines
-// concurrently (the evaluation engine's worker pool does), but
-// mutation requires exclusive access.
+// concurrently, but mutation requires exclusive access.
 type Database struct {
 	univ  *Universe
 	rels  map[string]*Relation

@@ -5,22 +5,19 @@ import (
 	"testing"
 )
 
-// TestAddNotIn covers the fused frontier emit: filter hits, duplicate
-// rejection, insertion, nil filter, and the spill path.
+// TestAddNotIn covers the insert every emission of a pass makes,
+// named for the filtered insert it once was: duplicate rejection,
+// insertion, and the spill path.
 func TestAddNotIn(t *testing.T) {
-	filter := fromTuples(2, []Tuple{{1, 2}, {3, 4}})
 	r := New(2)
-	if r.AddNotIn(Tuple{1, 2}, filter) {
-		t.Error("tuple in filter was inserted")
-	}
-	if !r.AddNotIn(Tuple{5, 6}, filter) {
+	if !r.Add(Tuple{5, 6}) {
 		t.Error("new tuple not inserted")
 	}
-	if r.AddNotIn(Tuple{5, 6}, filter) {
+	if r.Add(Tuple{5, 6}) {
 		t.Error("duplicate re-inserted")
 	}
-	if !r.AddNotIn(Tuple{7, 8}, nil) {
-		t.Error("nil filter must degenerate to Add")
+	if !r.Add(Tuple{7, 8}) {
+		t.Error("second new tuple not inserted")
 	}
 	if r.Len() != 2 || !r.Has(Tuple{5, 6}) || !r.Has(Tuple{7, 8}) {
 		t.Errorf("unexpected contents: %v", r.Tuples())
@@ -28,14 +25,12 @@ func TestAddNotIn(t *testing.T) {
 
 	// Spill path: ids beyond the packed width for arity 2 (≥ 2³²).
 	big := 1 << 40
-	sf := New(2)
-	sf.Add(Tuple{big, 1})
 	sr := New(2)
-	if sr.AddNotIn(Tuple{big, 1}, sf) {
-		t.Error("spilled tuple in filter was inserted")
-	}
-	if !sr.AddNotIn(Tuple{big, 2}, sf) {
+	if !sr.Add(Tuple{big, 2}) {
 		t.Error("new spilled tuple not inserted")
+	}
+	if sr.Add(Tuple{big, 2}) {
+		t.Error("spilled duplicate re-inserted")
 	}
 }
 
@@ -63,29 +58,20 @@ func TestAppendDisjointConcat(t *testing.T) {
 	}
 }
 
-// TestSpillAddNotInWithFilter drives the fused frontier emit over
-// tuples that all take the spill path (ids ≥ 2³² at arity 2), and over
-// a mixed packed/spill stream: a tuple the filter relation holds is
-// rejected, a fresh one lands exactly once.
+// TestSpillAddNotInWithFilter drives the emit path over tuples that all
+// take the spill path (ids ≥ 2³² at arity 2), and over a mixed
+// packed/spill stream: a tuple the relation holds is rejected, a fresh
+// one lands exactly once.  It is named for the filtered insert the
+// emit path once was.
 func TestSpillAddNotInWithFilter(t *testing.T) {
 	big := 1 << 40
-	cur := New(2)
-	for i := 0; i < 500; i++ {
-		cur.Add(Tuple{big + i, i})
-	}
 	out := New(2)
-	cur.Each(func(tp Tuple) bool {
-		if out.AddNotIn(tp, cur) {
-			t.Fatalf("spill tuple %v in the filter was inserted", tp)
-		}
-		return true
-	})
 	for i := 0; i < 500; i++ {
 		tp := Tuple{big + i, i + 1000}
-		if !out.AddNotIn(tp, cur) {
+		if !out.Add(tp) {
 			t.Fatalf("fresh spill tuple %v rejected", tp)
 		}
-		if out.AddNotIn(tp, cur) {
+		if out.Add(tp) {
 			t.Fatalf("fresh spill tuple %v inserted twice", tp)
 		}
 	}
@@ -102,11 +88,14 @@ func TestSpillAddNotInWithFilter(t *testing.T) {
 		mixed.Add(tp)
 	}
 	mixed.Each(func(tp Tuple) bool {
-		if New(2).AddNotIn(tp, mixed) {
+		if mixed.Add(tp) {
 			t.Fatalf("mixed tuple %v not rejected by its own set", tp)
 		}
 		return true
 	})
+	if mixed.Len() != 32 {
+		t.Fatalf("mixed holds %d tuples, want 32", mixed.Len())
+	}
 }
 
 // TestTupleHashSpread sanity-checks that the hash the key table probes

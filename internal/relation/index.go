@@ -48,7 +48,10 @@ import (
 // Extension by the live relation is in place while no view has taken
 // the set: the relation grew under exclusive access, so every reader
 // that probes it now finds the set short and waits on mu
-// (TestIndexGrowsInPlaceUnderProbes races them).  Once a view holds the
+// (TestIndexGrowsInPlaceUnderProbes races them).  A probe through a
+// range view extends its relation's sets the same way: range views are
+// read on the goroutine that updates their relation (see Since), so no
+// shorter range reads a set while it grows.  Once a view holds the
 // set (idxShared), extension copies the key maps but not the buckets:
 // the live relation appends into the spare capacity of the buckets it
 // extends, which the holders of the older set never look at.  A view is
@@ -282,7 +285,7 @@ func (r *Relation) compFor(cols []int) *compIndex {
 			next[k] = v
 		}
 	}
-	ci := o.buildComp(cols, next[mask], o == r)
+	ci := o.buildComp(cols, next[mask])
 	next[mask] = ci
 	o.idxs.Store(&compIndexSet{m: next})
 	return ci
@@ -290,15 +293,15 @@ func (r *Relation) compFor(cols []int) *compIndex {
 
 // buildComp groups arena offsets by projection key.  With prev nil it
 // scans the whole arena; otherwise it takes prev's key maps — as they
-// are when r owns them and self is set, copied otherwise (shorter range
-// views may be reading them) — and scans only the suffix prev lacks.
-func (r *Relation) buildComp(cols []int, prev *compIndex, self bool) *compIndex {
+// are when r owns them, copied otherwise — and scans only the suffix
+// prev lacks.
+func (r *Relation) buildComp(cols []int, prev *compIndex) *compIndex {
 	ci := &compIndex{n: r.n, cols: slices.Clone(cols)}
 	lo := 0
 	switch {
 	case prev == nil:
 		ci.packed = make(map[uint64][]int32)
-	case self && r.ownsIndexes():
+	case r.ownsIndexes():
 		lo, ci.packed, ci.spill = prev.n, prev.packed, prev.spill
 	default:
 		lo = prev.n
@@ -347,11 +350,10 @@ func (r *Relation) Lookup(col, val int) []int32 {
 	return r.LookupCols([]int{col}, []int{val})
 }
 
-// OffsetsInRange narrows an index offset list (as returned by Lookup or
-// LookupCols, always ascending) to the offsets in [lo, hi) — the
-// shard-aware form of an index probe, used when a literal's enumeration
-// is split into arena-range shards.  The result aliases offs; callers
-// must not mutate it.
+// OffsetsInRange narrows an index offset list (ascending, as an index
+// bucket is) to the offsets in [lo, hi): how a view probes its
+// relation's index, which may cover offsets outside the view.  The
+// result aliases offs; callers must not mutate it.
 func OffsetsInRange(offs []int32, lo, hi int32) []int32 {
 	if hi <= lo {
 		return nil

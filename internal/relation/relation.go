@@ -191,7 +191,9 @@ func (r *Relation) prefix(n int) *Relation {
 // round's delta, when lo is the length before the round.  Like a tuple
 // from At, it is valid until r is next removed from; appends leave it
 // as it is, and it marks nothing shared, so a Remove pays no detach.
-// It reads r's key table and indexes.  It panics unless 0 ≤ lo ≤ Len().
+// It reads r's key table and indexes; a probe through a view of a live
+// r extends r's indexes in place, so such a view is read on the
+// goroutine that updates r.  It panics unless 0 ≤ lo ≤ Len().
 func (r *Relation) Since(lo int) *Relation {
 	if lo < 0 || lo > r.Len() {
 		panic(fmt.Sprintf("relation: range from %d of relation with %d tuples", lo, r.Len()))
@@ -287,7 +289,20 @@ func (r *Relation) Mutable() *Relation {
 // of t does not match the relation's.  The ids are copied into the
 // arena, so callers may reuse the backing slice; re-adding an existing
 // tuple writes nothing.
-func (r *Relation) Add(t Tuple) bool { return r.AddNotIn(t, nil) }
+func (r *Relation) Add(t Tuple) bool {
+	if len(t) != r.arity {
+		panic(fmt.Sprintf("relation: adding tuple of arity %d to relation of arity %d", len(t), r.arity))
+	}
+	k, packs := packKey(t)
+	h := mix64(k)
+	if packs && r.packedOff(k, h) >= 0 || !packs && r.offsetOf(t) >= 0 {
+		return false
+	}
+	r.beforeMutate(true)
+	r.setKey(t, k, h, packs, int32(r.n))
+	r.push(t)
+	return true
+}
 
 // Has reports whether t is present.
 func (r *Relation) Has(t Tuple) bool {
@@ -305,37 +320,6 @@ func (r *Relation) OffsetOf(t Tuple) int32 {
 		return -1
 	}
 	return r.offsetOf(t)
-}
-
-// AddNotIn inserts t unless it is already present in filter — the fused
-// emit of the engine's frontier evaluation: one read-only membership
-// probe against the accumulated state, then a straight insert into the
-// delta.  A nil filter degenerates to Add.  filter must have the same
-// arity as r (the key encoding is deterministic per tuple, so one packed
-// key serves both probes).  It reports whether t was inserted.
-func (r *Relation) AddNotIn(t Tuple, filter *Relation) bool {
-	k, packs := packKey(t)
-	return r.addNotIn(t, k, mix64(k), packs, filter)
-}
-
-// addNotIn is the body of every insert.  k, packs = packKey(t), and for
-// a packed tuple h must equal mix64(k); a wide tuple keys off the
-// byte-string spill encoding whatever h is.
-func (r *Relation) addNotIn(t Tuple, k, h uint64, packs bool, filter *Relation) bool {
-	if len(t) != r.arity {
-		panic(fmt.Sprintf("relation: adding tuple of arity %d to relation of arity %d", len(t), r.arity))
-	}
-	if packs {
-		if (filter != nil && filter.packedOff(k, h) >= 0) || r.packedOff(k, h) >= 0 {
-			return false
-		}
-	} else if (filter != nil && filter.Has(t)) || r.offsetOf(t) >= 0 {
-		return false
-	}
-	r.beforeMutate(true)
-	r.setKey(t, k, h, packs, int32(r.n))
-	r.push(t)
-	return true
 }
 
 // setKey records that t (k, packs = packKey(t), h = mix64(k)) lies at

@@ -104,13 +104,9 @@ type storageWalk struct {
 func (w *storageWalk) add(j int) {
 	t := nthTuple(w.arity, j)
 	_, had := w.live.model[t.Key()]
-	var filter *Relation
-	if len(w.views) > 0 && w.rng.Intn(3) == 0 {
-		filter = w.views[w.rng.Intn(len(w.views))].rel
-	}
-	want := !had && (filter == nil || !filter.Has(t))
-	if got := w.live.rel.AddNotIn(t, filter); got != want {
-		w.t.Fatalf("AddNotIn(%v) = %v, want %v", t, got, want)
+	want := !had
+	if got := w.live.rel.Add(t); got != want {
+		w.t.Fatalf("Add(%v) = %v, want %v", t, got, want)
 	}
 	if want {
 		w.live.model[t.Key()] = struct{}{}
@@ -363,7 +359,7 @@ func TestBytesPerStoredTuple(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		r = New(arity)
 		for _, tu := range tuples {
-			r.AddNotIn(tu, nil)
+			r.Add(tu)
 		}
 		runtime.ReadMemStats(&after)
 		if r.Len() != n {

@@ -311,14 +311,9 @@ func TestRelationVsMapDifferential(t *testing.T) {
 					before, ext = layout(r.table), len(r.table.dense)
 				}
 				switch rng.Intn(7) {
-				case 0, 1, 2:
+				case 0, 1, 2, 3:
 					if r.Add(tup) == m[key] {
 						t.Fatalf("seed %d phase %d op %d: Add(%v) with the map holding it: %v", seed, p, op, tup, m[key])
-					}
-					m[key] = true
-				case 3:
-					if r.AddNotIn(tup, nil) == m[key] {
-						t.Fatalf("seed %d phase %d op %d: AddNotIn(%v) with the map holding it: %v", seed, p, op, tup, m[key])
 					}
 					m[key] = true
 				case 4:
@@ -414,8 +409,6 @@ func TestTableZeroAllocs(t *testing.T) {
 			{"Has/hit", func() { r.Has(hit) }},
 			{"Has/miss", func() { r.Has(miss) }},
 			{"Add/dup", func() { r.Add(hit) }},
-			{"AddNotIn/dup", func() { r.AddNotIn(hit, nil) }},
-			{"AddNotIn/filtered", func() { r.AddNotIn(hit, r) }},
 			{"Lookup", func() { r.Lookup(0, hit[0]) }},
 			{"LookupCols/two", func() { r.LookupCols(both, hit) }},
 			{"Distinct", func() { r.Distinct(0) }},

@@ -164,15 +164,6 @@ func randQuery(rng *rand.Rand, idb []diffPred, n int) magic.Query {
 	return q
 }
 
-// queryWorkers is the pool-width axis of the differential test.
-func queryWorkers() []int {
-	nw := hostProcs
-	if nw < 2 {
-		nw = 8 // oversubscribe: scheduling must not matter
-	}
-	return []int{1, nw}
-}
-
 func TestPropMagicQueryMatchesFullLFP(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -184,7 +175,6 @@ func TestPropMagicQueryMatchesFullLFP(t *testing.T) {
 		n := 4 + rng.Intn(2)
 		db := randQueryDB(rng, n)
 
-		setProcs(t, 1)
 		in, err := engine.New(prog, db.Clone())
 		if err != nil {
 			t.Fatal(err)
@@ -194,17 +184,14 @@ func TestPropMagicQueryMatchesFullLFP(t *testing.T) {
 		for qi := 0; qi < 3; qi++ {
 			q := randQuery(rng, idb, n)
 			want := nameTuples(FilterPattern(full.State[q.Pred], q, full.Universe), full.Universe)
-			for _, w := range queryWorkers() {
-				setProcs(t, w)
-				res, err := Query(prog, db, q)
-				if err != nil {
-					t.Fatalf("seed %d query %s: %v\n%s", seed, q, err, src)
-				}
-				got := nameTuples(res.Tuples, res.Universe)
-				if !sameTuples(got, want) {
-					t.Fatalf("seed %d query %s workers=%d: answers differ\nprogram:\n%s\ngot  %v\nwant %v",
-						seed, q, w, src, got, want)
-				}
+			res, err := Query(prog, db, q)
+			if err != nil {
+				t.Fatalf("seed %d query %s: %v\n%s", seed, q, err, src)
+			}
+			got := nameTuples(res.Tuples, res.Universe)
+			if !sameTuples(got, want) {
+				t.Fatalf("seed %d query %s: answers differ\nprogram:\n%s\ngot  %v\nwant %v",
+					seed, q, src, got, want)
 			}
 		}
 	}
@@ -221,7 +208,6 @@ func TestPropMagicQueryMatchesFullStratified(t *testing.T) {
 		n := 4 + rng.Intn(2)
 		db := randQueryDB(rng, n)
 
-		setProcs(t, 1)
 		full, err := Stratified(prog, db)
 		if err != nil {
 			t.Fatalf("seed %d: full evaluation: %v\n%s", seed, err, src)
@@ -230,17 +216,14 @@ func TestPropMagicQueryMatchesFullStratified(t *testing.T) {
 		for qi := 0; qi < 3; qi++ {
 			q := randQuery(rng, idb, n)
 			want := nameTuples(FilterPattern(full.State[q.Pred], q, full.Universe), full.Universe)
-			for _, w := range queryWorkers() {
-				setProcs(t, w)
-				res, err := Query(prog, db, q)
-				if err != nil {
-					t.Fatalf("seed %d query %s: %v\n%s", seed, q, err, src)
-				}
-				got := nameTuples(res.Tuples, res.Universe)
-				if !sameTuples(got, want) {
-					t.Fatalf("seed %d query %s workers=%d: answers differ\nprogram:\n%s\ngot  %v\nwant %v",
-						seed, q, w, src, got, want)
-				}
+			res, err := Query(prog, db, q)
+			if err != nil {
+				t.Fatalf("seed %d query %s: %v\n%s", seed, q, err, src)
+			}
+			got := nameTuples(res.Tuples, res.Universe)
+			if !sameTuples(got, want) {
+				t.Fatalf("seed %d query %s: answers differ\nprogram:\n%s\ngot  %v\nwant %v",
+					seed, q, src, got, want)
 			}
 		}
 	}

@@ -444,14 +444,10 @@ func BenchmarkInflationaryDistance(b *testing.B) {
 
 // TestPropFrontierBitExactAllSemantics: every semantics —
 // inflationary, least fixpoint, stratified, and well-founded — on the
-// frontier pipeline with intra-rule sharding produces exactly the model
-// internal/wforacle computes over ground atoms, at every worker count
-// (sequential, minimal parallelism, oversubscribed).  Stratified
-// evaluation constructs its instances internally; GOMAXPROCS sizes
-// their pool like any other's.  Besides the small random graphs, the
+// frontier pipeline produces exactly the model internal/wforacle
+// computes over ground atoms.  Besides the small random graphs, the
 // transitive closure of a sparse 120-vertex graph has semi-naive deltas
-// on both sides of engine.InlineFloor, so one evaluation runs some
-// rounds on the calling goroutine and others on the pool.
+// of thousands of tuples.
 func TestPropFrontierBitExactAllSemantics(t *testing.T) {
 	type input struct {
 		name  string
@@ -463,17 +459,7 @@ func TestPropFrontierBitExactAllSemantics(t *testing.T) {
 		inputs = append(inputs, input{fmt.Sprintf("seed %d", seed),
 			randomEdgeDB(rand.New(rand.NewSource(seed)), 6, 0.3), []string{tcSrc, pi1Src, distanceSrc}})
 	}
-	straddle := randomEdgeDB(rand.New(rand.NewSource(42)), 120, 0.03)
-	inputs = append(inputs, input{"straddling the inline floor", straddle, []string{tcSrc}})
-	below, above, last := false, false, 0
-	lfpLoopLog(engine.MustNew(parser.MustProgram(tcSrc), straddle.Clone()), nil, func(s engine.State) {
-		d := s.Total() - last
-		last = s.Total()
-		below, above = below || d < engine.InlineFloor, above || d >= engine.InlineFloor
-	})
-	if !below || !above {
-		t.Fatalf("the deltas of the straddling fixture do not straddle the inline floor (%d tuples)", last)
-	}
+	inputs = append(inputs, input{"sparse 120-vertex graph", randomEdgeDB(rand.New(rand.NewSource(42)), 120, 0.03), []string{tcSrc}})
 
 	for _, input := range inputs {
 		db := input.db
@@ -484,32 +470,28 @@ func TestPropFrontierBitExactAllSemantics(t *testing.T) {
 			infl := stages[len(stages)-1]
 			lower, upper := wforacle.Solve(prog, domain, facts)
 
-			for _, nw := range []int{1, 2, hostProcs + 2} {
-				setProcs(t, nw)
-				check := func(what string, u *relation.Universe, got engine.State, want map[string]bool) {
-					t.Helper()
-					if d := wforacle.Diff(what, wforacle.Atoms(u, got), want); d != "" {
-						t.Fatalf("%s, workers %d: %s differs from the oracle: %s\n%s", input.name, nw, what, d, src)
-					}
+			check := func(what string, u *relation.Universe, got engine.State, want map[string]bool) {
+				t.Helper()
+				if d := wforacle.Diff(what, wforacle.Atoms(u, got), want); d != "" {
+					t.Fatalf("%s: %s differs from the oracle: %s\n%s", input.name, what, d, src)
 				}
-				in := engine.MustNew(prog, db.Clone())
-				check("inflationary", in.Universe(), Inflationary(in).State, infl)
-				in = engine.MustNew(prog, db.Clone())
-				wf := WellFounded(in)
-				check("well-founded true", in.Universe(), wf.True, lower)
-				check("well-founded possible", in.Universe(), wf.Possible, upper)
-				if res, err := Stratified(prog, db); err == nil {
-					check("stratified", res.Universe, res.State, lower)
-				}
+			}
+			in := engine.MustNew(prog, db.Clone())
+			check("inflationary", in.Universe(), Inflationary(in).State, infl)
+			in = engine.MustNew(prog, db.Clone())
+			wf := WellFounded(in)
+			check("well-founded true", in.Universe(), wf.True, lower)
+			check("well-founded possible", in.Universe(), wf.Possible, upper)
+			if res, err := Stratified(prog, db); err == nil {
+				check("stratified", res.Universe, res.State, lower)
 			}
 		}
 	}
 }
 
-// TestConcurrentEvaluationMatchesOracle evaluates on two goroutines at once, each on
-// its own instances over a pool four workers wide, and checks every
-// result against the oracle; the race target runs this package under
-// -race.
+// TestConcurrentEvaluationMatchesOracle evaluates on two goroutines at
+// once, each on its own instances, and checks every result against the
+// oracle; the race target runs this package under -race.
 func TestConcurrentEvaluationMatchesOracle(t *testing.T) {
 	db := randomEdgeDB(rand.New(rand.NewSource(3)), 10, 0.2)
 	type want struct {
@@ -525,7 +507,6 @@ func TestConcurrentEvaluationMatchesOracle(t *testing.T) {
 		wants = append(wants, want{src, stages[len(stages)-1], lo, up})
 	}
 
-	setProcs(t, 4)
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for g := 0; g < 2; g++ {

@@ -3,7 +3,6 @@ package semantics
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -38,17 +37,6 @@ func dbRels(db *relation.Database) map[string]*relation.Relation {
 		rels[name] = db.Relation(name)
 	}
 	return rels
-}
-
-// hostProcs is GOMAXPROCS as the test binary started, before any test
-// set it.
-var hostProcs = runtime.GOMAXPROCS(0)
-
-// setProcs sets GOMAXPROCS, the width of the engine's worker pool, to
-// n until the test ends.
-func setProcs(t *testing.T, n int) {
-	prev := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // randGeneralProgram draws two or three rules per IDB predicate, each
