@@ -46,12 +46,13 @@ bench:
 # The CI smoke variant: one iteration of every benchmark the regex
 # 'E1|E5' matches (E1, E5, E10–E12, E14 and E16), a quick experiment
 # run, and the allocs/op of a tiny pass, the join loop, a maintained
-# Γ-chain update, an inflationary distance fixpoint and the key table's
-# probes in both layouts.
+# Γ-chain update, an inflationary distance fixpoint, the key table's
+# probes in both layouts and a sorted read (Relation.Tuples) of each
+# layout and of a range view.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E1|E5' -benchtime 1x . | tee bench-smoke.txt
 	$(GO) run ./cmd/bench -quick -exp E1 | tee -a bench-smoke.txt
-	$(GO) test -run '^$$' -bench 'TinyPass|JoinAllocs|GammaChainUpdate|StrataUpdateSCC|WellFoundedBuild|InflationaryDistance|TableProbe' -benchmem -benchtime 200x ./internal/engine ./internal/incr ./internal/semantics ./internal/relation | tee -a bench-smoke.txt
+	$(GO) test -run '^$$' -bench 'TinyPass|JoinAllocs|GammaChainUpdate|StrataUpdateSCC|WellFoundedBuild|InflationaryDistance|TableProbe|RelationTuples' -benchmem -benchtime 200x ./internal/engine ./internal/incr ./internal/semantics ./internal/relation | tee -a bench-smoke.txt
 
 # CPU + allocation profiles of the hot evaluation path (the E8/E10
 # series, which evaluate on the calling goroutine, so there is no
@@ -94,7 +95,8 @@ pairs:
 
 # 30 seconds of native fuzzing per target: the parser round-trip
 # invariants, the magic rewrite's stratifiable, constant-free output,
-# and the WAL and snapshot decoders on arbitrary bytes.
+# the WAL and snapshot decoders on arbitrary bytes, and relations and
+# their views under random operations against a map model.
 # Seed corpora live under testdata/fuzz and also run as plain tests.
 FUZZTIME ?= 30s
 fuzz-smoke:
@@ -103,6 +105,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMagicRewrite$$' -fuzztime $(FUZZTIME) ./internal/magic
 	$(GO) test -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/durable
+	$(GO) test -run '^$$' -fuzz '^FuzzRelation$$' -fuzztime $(FUZZTIME) ./internal/relation
 
 # The durability kill harness: spawn the daemon with a data dir,
 # kill -9 at random points, restart, and diff every relation against a

@@ -25,11 +25,11 @@ import (
 // chunk fills, never copies what is already stored, and leaves the
 // garbage collector no per-tuple pointer to follow.  The first chunk
 // grows by doubling, so a small relation pays for what it holds.
-// Tuples read back (At, Each) are views cut out of a chunk; see Tuple
-// for how long they stay valid.  Hash indexes on one column or several
-// map a projection to arena offsets; they are built lazily on first
-// lookup, extended after appends, patched by Remove and inherited by
-// snapshots (see index.go).
+// Tuples read back (At, Each, Tuples) are views cut out of a chunk;
+// see Tuple for how long they stay valid.  Hash indexes on one column
+// or several map a projection to arena offsets; they are built lazily
+// on first lookup, extended after appends, patched by Remove and
+// inherited by snapshots (see index.go).
 //
 // Snapshots (see Snapshot and Seal) are O(1) immutable views that share
 // the chunks and key maps with the live relation and carry their own
@@ -413,15 +413,34 @@ func (r *Relation) deleteKey(t Tuple) {
 	delete(r.spill, spillKey(t))
 }
 
-// Tuples returns all tuples in deterministic (sorted) order, as copies
-// cut out of one flat allocation.  Packed keys are fixed-width
-// concatenations of non-negative ids, so they order exactly like
-// Compare: a relation whose tuples all pack sorts its keys instead, in
-// the last n ints of the output itself.  Flipping the sign bit makes
-// signed order unsigned order, and unpacking tuple i overwrites no key
-// past key i, so the keys unpack in place in ascending order.
+// denseWalkMax bounds the dense key table slots Tuples walks per tuple
+// it returns: past it (a small view of a large table) sorting costs
+// less.
+const denseWalkMax = 16
+
+// Tuples returns all tuples in key order (Compare's) as read-only
+// views, valid as long as At's are: until r is next removed from, and
+// forever for a snapshot.  A dense key table holds them in that order
+// already, its slots running in mixed-radix order with the first
+// column most significant, so the walk keeps the slots whose offsets
+// lie in [lo, n) and allocates only the result.  Otherwise the tuples
+// are sorted into one flat allocation: packed keys, fixed-width
+// concatenations of non-negative ids, order exactly like Compare, so
+// when every tuple packs the keys are sorted in the last n ints of it
+// (the sign bit flipped, so signed order is unsigned order) and unpack
+// in place in ascending order, as unpacking tuple i overwrites no key
+// past key i.
 func (r *Relation) Tuples() []Tuple {
 	a, n := r.arity, r.Len()
+	if t := r.table; t != nil && t.dense != nil && len(r.spill) == 0 && len(t.dense) <= denseWalkMax*n {
+		out := make([]Tuple, 0, n)
+		for _, v := range t.dense {
+			if off := int(v) - 1; off >= r.lo && off < r.n {
+				out = append(out, r.At(int32(off)))
+			}
+		}
+		return out
+	}
 	flat, out := make([]int, n*a), make([]Tuple, n)
 	for i := range out {
 		out[i] = flat[i*a : i*a+a : i*a+a]

@@ -4,11 +4,12 @@ import "strconv"
 
 // Tuple is a fixed-arity sequence of universe ids.  A relation copies
 // the ids of a tuple it is handed, so callers keep their slice.  A tuple
-// read from a relation (At, Each) is a view of the
-// relation's arena: callers must not write to it, and it is valid until
-// that relation is next removed from — a Remove moves the last tuple
-// into the vacated slot.  Appends never disturb it.  Copy it with Clone
-// to keep it longer; Tuples returns copies.
+// read from a relation (At, Each, Tuples) is a view of the relation's
+// arena: callers must not write to it, and it is valid until that
+// relation is next removed from — a Remove moves the last tuple into
+// the vacated slot — and forever when read from a snapshot.  Appends
+// never disturb it.  Copy it with Clone to write to it or keep it
+// longer.
 type Tuple []int
 
 // Key returns a compact string encoding of the tuple, usable as a map

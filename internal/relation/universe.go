@@ -17,9 +17,11 @@
 // of packed keys (table.go, key.go): a stored tuple costs 8·arity bytes
 // of ids plus a 13-byte hash slot at ¾ load or less, or a 4-byte slot of
 // an array over a box of id extents when that costs fewer bytes.  It is
-// allocated with its chunk rather than on its own, and is read
-// back as a view of the chunk, valid until its relation is next removed
-// from.  Snapshots share chunks with the live relation, which copies
+// allocated with its chunk rather than on its own, and is read back as
+// a view of the chunk, valid until its relation is next removed from;
+// a sorted read (Tuples) is a slice of such views, which an array key
+// table lists in key order without sorting or copying a tuple.
+// Snapshots share chunks with the live relation, which copies
 // only the chunks it writes after a publish.  Storage is never recycled:
 // a relation nobody references is garbage, chunks and table included.
 package relation
