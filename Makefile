@@ -111,9 +111,8 @@ fuzz-smoke:
 # kill -9 at random points, restart, and diff every relation against a
 # from-scratch recompute over the surviving snapshot + WAL.
 CRASHES ?= 24
-CKPT_CRASHES ?= 6
 crashtest:
-	$(GO) run ./scripts/crashtest -crashes $(CRASHES) -ckpt-crashes $(CKPT_CRASHES) -fsync always
+	$(GO) run ./scripts/crashtest -crashes $(CRASHES) -fsync always
 
 # The replication kill harness: leader + follower daemons, mid-stream
 # leader kill -9, convergence oracle, retention pinning, promotion, and

@@ -370,18 +370,20 @@ func TestStoreRotateAndCheckpoint(t *testing.T) {
 }
 
 // TestCheckpointDeletesOldestSegmentFirst makes the oldest of three
-// covered segments undeletable (a non-empty directory in its place)
-// and checks that the checkpoint deletes no newer one: segment 1
-// inserts E(a,b) and segment 2 deletes it, so segment 1 replayed alone
-// over the snapshot would bring E(a,b) back.  The failed segments stay
-// accounted, and the next checkpoint deletes them.  Repeated, so that
-// no deletion order can pass by chance.
+// covered segments undeletable and checks that the checkpoint deletes
+// no newer one: segment 1 inserts E(a,b) and segment 2 deletes it, so
+// segment 1 replayed alone over the snapshot would bring E(a,b) back.
+// The failed segments stay accounted, and the next checkpoint deletes
+// them.  Repeated, so that no deletion order can pass by chance.
 func TestCheckpointDeletesOldestSegmentFirst(t *testing.T) {
 	cp := mustMaintainer(t, core.Inflationary).Checkpoint()
 	ab := []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}
 	for trial := 0; trial < 20; trial++ {
-		dir := t.TempDir()
-		s, _ := openStore(t, dir)
+		fsys := newMemFS(rand.New(rand.NewSource(1)))
+		s, _, err := openFS(fsys, "/data", FsyncAlways)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, rec := range []Record{{Ins: ab}, {Del: ab}, {Ins: []incr.Fact{{Pred: "E", Args: []string{"b", "c"}}}}} {
 			if _, err := s.Append(&rec); err != nil {
 				t.Fatal(err)
@@ -390,40 +392,31 @@ func TestCheckpointDeletesOldestSegmentFirst(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		oldest := s.segPath(1)
-		if err := os.Remove(oldest); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Join(oldest, "pin"), 0o755); err != nil {
-			t.Fatal(err)
-		}
+		fsys.stuck = s.segPath(1)
 		if err := s.WriteCheckpoint(cp); err == nil {
 			t.Fatal("checkpoint deleted an undeletable segment")
 		}
 		for seq := uint64(2); seq <= 3; seq++ {
-			if _, err := os.Stat(s.segPath(seq)); err != nil {
-				t.Fatalf("trial %d: segment %d deleted while segment 1 survives: %v", trial, seq, err)
+			if fsys.files[s.segPath(seq)] == nil {
+				t.Fatalf("trial %d: segment %d deleted while segment 1 survives", trial, seq)
 			}
 		}
 		if n := s.Stats().WALSegments; n != 4 {
 			t.Fatalf("trial %d: %d segments accounted after the failed deletion, want 4", trial, n)
 		}
 
-		if err := os.RemoveAll(oldest); err != nil {
-			t.Fatal(err)
-		}
+		fsys.stuck = ""
 		if err := s.WriteCheckpoint(cp); err != nil {
 			t.Fatal(err)
 		}
 		if n := s.Stats().WALSegments; n != 1 {
 			t.Fatalf("trial %d: %d segments accounted after the retry, want 1", trial, n)
 		}
-		for seq := uint64(2); seq <= 3; seq++ {
-			if _, err := os.Stat(s.segPath(seq)); !os.IsNotExist(err) {
-				t.Fatalf("trial %d: segment %d not deleted by the retry: %v", trial, seq, err)
+		for seq := uint64(1); seq <= 3; seq++ {
+			if fsys.files[s.segPath(seq)] != nil {
+				t.Fatalf("trial %d: segment %d not deleted by the retry", trial, seq)
 			}
 		}
-		s.Close()
 	}
 }
 
@@ -547,22 +540,22 @@ func TestStoreEmptyMidHistorySegmentSkipped(t *testing.T) {
 // acknowledged beyond the (possible) tear: appends and rotations are
 // refused with ErrPoisoned, and Err reports the fence.
 func TestStorePoisonedAfterFailedAppend(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openStore(t, dir)
-	defer s.Close()
+	fsys := newMemFS(rand.New(rand.NewSource(1)))
+	s, _, err := openFS(fsys, "/data", FsyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rec := Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}}
 	if _, err := s.Append(&rec); err != nil {
 		t.Fatal(err)
 	}
 
-	// Force a write failure: close the segment's file descriptor out
-	// from under the store.
-	s.f.Close()
+	fsys.faultAt = fsys.ops // the next write fails
 	if err := s.Err(); err != nil {
 		t.Fatalf("Err before any failure: %v", err)
 	}
 	if _, err := s.Append(&rec); err == nil {
-		t.Fatal("append on a dead segment succeeded")
+		t.Fatal("append whose write failed succeeded")
 	}
 	if err := s.Err(); err != ErrPoisoned {
 		t.Fatalf("Err after a failed append: %v, want ErrPoisoned", err)
@@ -582,28 +575,19 @@ func TestStorePoisonedAfterFailedAppend(t *testing.T) {
 // segment's fsync failed, so its acknowledged records may be gone, and
 // no later record may be acknowledged after them.
 func TestStorePoisonedAfterFailedRotate(t *testing.T) {
-	s, _, err := Open(t.TempDir(), FsyncOff, 0)
+	fsys := newMemFS(rand.New(rand.NewSource(1)))
+	s, _, err := openFS(fsys, "/data", FsyncOff)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	rec := Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}}
 	if _, err := s.Append(&rec); err != nil {
 		t.Fatal(err)
 	}
-	dead, err := os.CreateTemp(t.TempDir(), "dead")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead.Close()
-	s.mu.Lock()
-	live := s.f
-	s.f = dead
-	s.mu.Unlock()
-	defer live.Close()
 
+	fsys.faultAt = fsys.ops // the sealed segment's fsync fails
 	if err := s.Rotate(); err == nil {
-		t.Fatal("Rotate with a closed active segment succeeded")
+		t.Fatal("Rotate whose fsync failed succeeded")
 	}
 	if err := s.Err(); err != ErrPoisoned {
 		t.Fatalf("Err after a failed rotation: %v, want ErrPoisoned", err)

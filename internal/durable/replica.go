@@ -29,8 +29,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"time"
@@ -61,10 +61,18 @@ func ParseCursor(s string) (Cursor, error) {
 // the follower's id, which the leader pins retention under.  ok is
 // false when dir holds no cursor.
 func LoadCursor(dir string) (c Cursor, id string, ok bool, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, cursorName))
-	if os.IsNotExist(err) {
+	return loadCursorFS(osFS{}, dir)
+}
+
+func loadCursorFS(fsys fs, dir string) (c Cursor, id string, ok bool, err error) {
+	f, err := fsys.open(filepath.Join(dir, cursorName), false)
+	if errors.Is(err, iofs.ErrNotExist) {
 		return Cursor{}, "", false, nil
+	} else if err != nil {
+		return Cursor{}, "", false, err
 	}
+	data, err := io.ReadAll(f)
+	f.Close()
 	if err != nil {
 		return Cursor{}, "", false, err
 	}
@@ -77,8 +85,10 @@ func LoadCursor(dir string) (c Cursor, id string, ok bool, err error) {
 
 // SaveCursor makes (c, id) the follower cursor of data directory dir,
 // atomically and durably, as a checkpoint installs the snapshot.
-func SaveCursor(dir string, c Cursor, id string) error {
-	return installFile(dir, cursorName, cursorTmpName, func(w io.Writer) error {
+func SaveCursor(dir string, c Cursor, id string) error { return saveCursorFS(osFS{}, dir, c, id) }
+
+func saveCursorFS(fsys fs, dir string, c Cursor, id string) error {
+	return installFile(fsys, dir, cursorName, cursorTmpName, func(w io.Writer) error {
 		_, err := fmt.Fprintf(w, "v1 %d %d %s\n", c.Seq, c.Off, id)
 		return err
 	})
@@ -101,7 +111,9 @@ var (
 // OpenSnapshot opens the snapshot the store serves to bootstrapping
 // followers.  Checkpoints replace the file atomically; a reader that
 // has opened it keeps the old image.
-func (s *Store) OpenSnapshot() (io.ReadCloser, error) { return os.Open(filepath.Join(s.dir, snapName)) }
+func (s *Store) OpenSnapshot() (io.ReadCloser, error) {
+	return s.fs.open(filepath.Join(s.dir, snapName), false)
+}
 
 // SnapshotCursor returns the earliest live position of the WAL — the
 // cursor a follower restoring the current snapshot resumes from — and
@@ -222,7 +234,7 @@ func (s *Store) LagFrom(c Cursor) (records, bytes int64) {
 	}
 	bytes += end - c.Off
 	// Count the frames after the offset by walking headers.
-	f, err := os.Open(path)
+	f, err := s.fs.open(path, false)
 	if err != nil {
 		return records, bytes
 	}
@@ -289,9 +301,9 @@ func (s *Store) ReadWAL(c Cursor, maxBytes int) (data []byte, next Cursor, nrecs
 	// unlinked segment stays readable through the open descriptor, and
 	// a frame an Append has written but not yet accounted — its fsync
 	// pending, or failed — lies past end and is not shipped.
-	f, err := os.Open(path)
+	f, err := s.fs.open(path, false)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, iofs.ErrNotExist) {
 			return nil, c, 0, ErrCompacted
 		}
 		return nil, c, 0, err

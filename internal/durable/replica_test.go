@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -143,23 +144,27 @@ func TestCursorFile(t *testing.T) {
 }
 
 // TestReadWALStopsAtAccountedEnd: a frame an Append has written but
-// not yet accounted — its fsync still pending, or failed — is not
+// not accounted — its fsync failed here, or is still pending — is not
 // shipped.  The read ends at the acknowledged end, and the follower's
 // next poll from there succeeds instead of finding its cursor ahead.
 func TestReadWALStopsAtAccountedEnd(t *testing.T) {
-	s, _ := openStore(t, t.TempDir())
-	defer s.Close()
+	fsys := newMemFS(rand.New(rand.NewSource(1)))
+	s, _, err := openFS(fsys, "/data", FsyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
 	start := s.SnapshotCursor("")
 	acked := Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"a", "b"}}}}
 	if _, err := s.Append(&acked); err != nil {
 		t.Fatal(err)
 	}
 	end := endCursor(s)
-	s.mu.Lock()
-	_, err := writeFrame(s.f, EncodeRecord(&Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"c", "d"}}}}))
-	s.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
+	fsys.faultAt = fsys.ops + 2 // the frame's header and payload are written; its fsync fails
+	if _, err := s.Append(&Record{Ins: []incr.Fact{{Pred: "E", Args: []string{"c", "d"}}}}); err == nil {
+		t.Fatal("append whose fsync failed succeeded")
+	}
+	if n := int64(len(fsys.contents(s.segPath(end.Seq)))); n <= end.Off {
+		t.Fatalf("the failed append left %d bytes, no frame past the accounted end %d", n, end.Off)
 	}
 
 	_, next, n, err := s.ReadWAL(start, 1<<20)

@@ -24,25 +24,26 @@
 //	           off the commit path — streams the image to
 //	           snapshot.tmp, fsyncs, renames over snapshot.bin,
 //	           fsyncs the directory, and deletes the covered
-//	           segments oldest first, stopping at the first failure.
-//	           A crash or failed delete leaves only a suffix of the
-//	           covered segments, so replaying them over the snapshot
+//	           segments oldest first, fsyncing the directory after
+//	           each and stopping at the first failure.  A crash or
+//	           failed delete leaves only a suffix of the covered
+//	           segments, so replaying them over the snapshot
 //	           re-applies the last updates in order and ends in the
 //	           snapshot's state.
 //	recover    read snapshot.bin if present, then every segment in
 //	           sequence order.  The final segment's torn tail (a
 //	           crash mid-append) is truncated at the last valid
-//	           record; corruption in the middle of the history is an
-//	           error.  A fresh active segment is always opened after
-//	           the highest existing one, so recovery never appends to
-//	           a file it also truncated.
+//	           record, and the cut synced; corruption in the middle
+//	           of the history is an error.  A fresh active segment is
+//	           always opened after the highest existing one, so
+//	           recovery never appends to a file it also truncated.
 package durable
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	iofs "io/fs"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -125,12 +126,13 @@ type RecoveryInfo struct {
 // both.  A Store starts no goroutine: every file operation runs on the
 // goroutine that called the method.
 type Store struct {
+	fs     fs
 	dir    string
 	policy FsyncPolicy
 
 	mu         sync.Mutex
-	f          *os.File // active segment
-	seq        uint64   // active segment sequence number
+	f          file   // active segment
+	seq        uint64 // active segment sequence number
 	closed     bool
 	poisoned   bool             // an append or a rotation failed: the active segment may hold a tear
 	walBytes   int64            // record bytes across live segments
@@ -179,14 +181,19 @@ var ErrPoisoned = errors.New("durable: an earlier WAL append failed; refusing fu
 // The third parameter is ignored: it remains because the benchmark
 // harness passes 0.
 func Open(dir string, policy FsyncPolicy, _ time.Duration) (*Store, *RecoveryInfo, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	return openFS(osFS{}, dir, policy)
+}
+
+func openFS(fsys fs, dir string, policy FsyncPolicy) (*Store, *RecoveryInfo, error) {
+	if err := fsys.mkdirAll(dir); err != nil {
 		return nil, nil, err
 	}
 	// A leftover snapshot.tmp is an interrupted checkpoint write:
 	// snapshot.bin is still the authoritative one.
-	_ = os.Remove(filepath.Join(dir, snapTmpName))
+	_ = fsys.remove(filepath.Join(dir, snapTmpName))
 
 	s := &Store{
+		fs:          fsys,
 		dir:         dir,
 		policy:      policy,
 		segs:        make(map[uint64]int64),
@@ -198,18 +205,18 @@ func Open(dir string, policy FsyncPolicy, _ time.Duration) (*Store, *RecoveryInf
 	}
 	info := &RecoveryInfo{}
 
-	if f, err := os.Open(filepath.Join(dir, snapName)); err == nil {
+	if f, err := fsys.open(filepath.Join(dir, snapName), false); err == nil {
 		cp, rerr := ReadSnapshot(f)
 		f.Close()
 		if rerr != nil {
 			return nil, nil, fmt.Errorf("durable: %s: %w", snapName, rerr)
 		}
 		info.Checkpoint = cp
-	} else if !os.IsNotExist(err) {
+	} else if !errors.Is(err, iofs.ErrNotExist) {
 		return nil, nil, err
 	}
 
-	seqs, err := listSegments(dir)
+	seqs, err := listSegments(fsys, dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -234,8 +241,7 @@ func Open(dir string, policy FsyncPolicy, _ time.Duration) (*Store, *RecoveryInf
 		s.walRecords += int64(len(recs))
 	}
 
-	s.seq = maxSeq + 1
-	if err := s.openSegment(); err != nil {
+	if err := s.openSegment(maxSeq + 1); err != nil {
 		return nil, nil, err
 	}
 	return s, info, nil
@@ -247,14 +253,13 @@ func isSegment(name string) bool {
 }
 
 // listSegments returns the segment sequence numbers in dir, sorted.
-func listSegments(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
+func listSegments(fsys fs, dir string) ([]uint64, error) {
+	names, err := fsys.readDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var seqs []uint64
-	for _, e := range entries {
-		name := e.Name()
+	for _, name := range names {
 		if !isSegment(name) {
 			continue
 		}
@@ -275,15 +280,16 @@ func (s *Store) segPath(seq uint64) string {
 
 // replaySegment reads one segment's records.  last selects the
 // torn-tail policy: the final segment is truncated in place at the
-// last valid record; an earlier segment with a bad tail is corruption
-// in the middle of the history and fails recovery.  A segment with no
-// durable header — empty, or a partial header on the final segment
-// (a crash right at creation) — holds no records and is removed
-// outright, so it can never fail the magic check on a later boot;
-// removed reports that the file is gone and must not be accounted.
+// last valid record, the cut synced lest a power loss bring the tail
+// back once the segment is mid-history; an earlier segment with a bad
+// tail is corruption in the middle of the history and fails recovery.
+// A segment with no durable header — empty, or a partial header on the
+// final segment (a crash right at creation) — holds no records and is
+// removed outright, so it can never fail the magic check on a later
+// boot; removed reports that the file is gone and must not be accounted.
 func (s *Store) replaySegment(seq uint64, last bool) (recs []Record, liveBytes, truncated int64, removed bool, err error) {
 	path := s.segPath(seq)
-	f, err := os.Open(path)
+	f, err := s.fs.open(path, last)
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
@@ -294,13 +300,13 @@ func (s *Store) replaySegment(seq uint64, last bool) (recs []Record, liveBytes, 
 	}
 	size := st.Size()
 	if size == 0 {
-		return nil, 0, 0, true, os.Remove(path)
+		return nil, 0, 0, true, s.fs.remove(path)
 	}
 
 	var magic [len(walMagic)]byte
 	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != walMagic {
 		if last && err != nil {
-			return nil, 0, size, true, os.Remove(path)
+			return nil, 0, size, true, s.fs.remove(path)
 		}
 		return nil, 0, 0, false, fmt.Errorf("durable: %s is not a WAL segment (version skew?)", path)
 	}
@@ -310,24 +316,20 @@ func (s *Store) replaySegment(seq uint64, last bool) (recs []Record, liveBytes, 
 		if err == io.EOF {
 			break
 		}
-		if err != nil {
-			if !last {
-				return nil, 0, 0, false, fmt.Errorf("durable: %s: corrupt record mid-history", path)
-			}
-			truncated = size - valid
-			if terr := os.Truncate(path, valid); terr != nil {
-				return nil, 0, 0, false, terr
-			}
-			break
+		var rec *Record
+		if err == nil {
+			rec, err = DecodeRecord(frame[8:])
 		}
-		rec, err := DecodeRecord(frame[8:])
 		if err != nil {
 			if !last {
-				return nil, 0, 0, false, fmt.Errorf("durable: %s: %w", path, err)
+				return nil, 0, 0, false, fmt.Errorf("durable: %s: corrupt record mid-history: %w", path, err)
 			}
 			truncated = size - valid
-			if terr := os.Truncate(path, valid); terr != nil {
-				return nil, 0, 0, false, terr
+			if err := f.Truncate(valid); err != nil {
+				return nil, 0, 0, false, err
+			}
+			if err := f.Sync(); err != nil {
+				return nil, 0, 0, false, err
 			}
 			break
 		}
@@ -337,13 +339,15 @@ func (s *Store) replaySegment(seq uint64, last bool) (recs []Record, liveBytes, 
 	return recs, valid - int64(len(walMagic)), truncated, false, nil
 }
 
-// openSegment creates the active segment file with its header.
-func (s *Store) openSegment() error {
-	f, err := os.OpenFile(s.segPath(s.seq), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+// openSegment creates segment seq with its header and makes it the
+// active one.  On failure the active segment stays the one before, so
+// a reader at its end is not sent to a segment that does not exist.
+func (s *Store) openSegment(seq uint64) error {
+	f, err := s.fs.create(s.segPath(seq), true)
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteString(walMagic); err != nil {
+	if _, err := io.WriteString(f, walMagic); err != nil {
 		f.Close()
 		return err
 	}
@@ -352,14 +356,16 @@ func (s *Store) openSegment() error {
 			f.Close()
 			return err
 		}
-		if err := syncDir(s.dir); err != nil {
-			f.Close()
-			return err
-		}
 	}
-	s.f = f
-	s.segs[s.seq] = 0
-	s.segRecs[s.seq] = 0
+	// Under either policy: a crash that keeps this segment must keep the
+	// ones before it, and what recovery removed, to leave one history.
+	if err := s.fs.syncDir(s.dir); err != nil {
+		f.Close()
+		return err
+	}
+	s.f, s.seq = f, seq
+	s.segs[seq] = 0
+	s.segRecs[seq] = 0
 	return nil
 }
 
@@ -441,8 +447,7 @@ func (s *Store) Rotate() error {
 		err = s.f.Close()
 	}
 	if err == nil {
-		s.seq++
-		err = s.openSegment()
+		err = s.openSegment(s.seq + 1)
 	}
 	if err != nil {
 		s.poisoned = true
@@ -460,7 +465,7 @@ func (s *Store) Rotate() error {
 // runs off the commit path: appends to the active segment proceed
 // concurrently.
 func (s *Store) WriteCheckpoint(cp *incr.Checkpoint) error {
-	if err := installFile(s.dir, snapName, snapTmpName, func(w io.Writer) error { return WriteSnapshot(w, cp) }); err != nil {
+	if err := installFile(s.fs, s.dir, snapName, snapTmpName, func(w io.Writer) error { return WriteSnapshot(w, cp) }); err != nil {
 		return err
 	}
 
@@ -472,11 +477,15 @@ func (s *Store) WriteCheckpoint(cp *incr.Checkpoint) error {
 	s.mu.Unlock()
 	// Recovery replays every segment left over the snapshot, so the
 	// survivors must be a suffix of the history: delete oldest first,
-	// stop at the first failure, and keep a segment accounted until it
-	// is gone, so the next checkpoint retries the rest.
+	// each durably before the next, stop at the first failure, and keep
+	// a segment accounted until it is gone, so the next checkpoint
+	// retries the rest.
 	slices.Sort(drop)
 	for _, seq := range drop {
-		if err := os.Remove(s.segPath(seq)); err != nil && !os.IsNotExist(err) {
+		if err := s.fs.remove(s.segPath(seq)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
+			return err
+		}
+		if err := s.fs.syncDir(s.dir); err != nil {
 			return err
 		}
 		s.mu.Lock()
@@ -493,9 +502,9 @@ func (s *Store) WriteCheckpoint(cp *incr.Checkpoint) error {
 // produces: stream it to tmp, fsync, rename over name, fsync the
 // directory.  A crash at any point leaves either the old file or the
 // new one.
-func installFile(dir, name, tmp string, write func(io.Writer) error) error {
+func installFile(fsys fs, dir, name, tmp string, write func(io.Writer) error) error {
 	tmp = filepath.Join(dir, tmp)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := fsys.create(tmp, false)
 	if err != nil {
 		return err
 	}
@@ -507,20 +516,13 @@ func installFile(dir, name, tmp string, write func(io.Writer) error) error {
 		err = cerr
 	}
 	if err == nil {
-		// Crash-window hook for the recovery harness: hold the install
-		// open between the tmp write and the rename so a SIGKILL can
-		// land provably mid-checkpoint (a follower's cursor saves wait
-		// too).
-		if d, perr := time.ParseDuration(os.Getenv("REPRO_CKPT_DELAY")); perr == nil {
-			time.Sleep(d)
-		}
-		err = os.Rename(tmp, filepath.Join(dir, name))
+		err = fsys.rename(tmp, filepath.Join(dir, name))
 	}
 	if err != nil {
-		os.Remove(tmp)
+		fsys.remove(tmp)
 		return err
 	}
-	return syncDir(dir)
+	return fsys.syncDir(dir)
 }
 
 // InstallSnapshot makes the snapshot image read from r the snapshot of
@@ -529,19 +531,26 @@ func installFile(dir, name, tmp string, write func(io.Writer) error) error {
 // before opening dir.  The image is parsed as it is written, and one
 // ReadSnapshot rejects — damaged, or cut short by a failed download —
 // is not installed.
-func InstallSnapshot(dir string, r io.Reader) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func InstallSnapshot(dir string, r io.Reader) error { return installSnapshotFS(osFS{}, dir, r) }
+
+func installSnapshotFS(fsys fs, dir string, r io.Reader) error {
+	if err := fsys.mkdirAll(dir); err != nil {
 		return err
 	}
-	return installFile(dir, snapName, snapTmpName, func(w io.Writer) error {
+	return installFile(fsys, dir, snapName, snapTmpName, func(w io.Writer) error {
 		_, err := ReadSnapshot(io.TeeReader(r, w))
 		return err
 	})
 }
 
 // HasSnapshot reports whether data directory dir holds a snapshot.
-func HasSnapshot(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, snapName))
+func HasSnapshot(dir string) bool { return hasSnapshotFS(osFS{}, dir) }
+
+func hasSnapshotFS(fsys fs, dir string) bool {
+	f, err := fsys.open(filepath.Join(dir, snapName), false)
+	if err == nil {
+		f.Close()
+	}
 	return err == nil
 }
 
@@ -549,18 +558,20 @@ func HasSnapshot(dir string) bool {
 // snapshot, an interrupted snapshot write, every WAL segment and the
 // follower cursor with its interrupted write — and leaves every other
 // file alone.  A missing dir is already reset.
-func Reset(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
+func Reset(dir string) error { return resetFS(osFS{}, dir) }
+
+func resetFS(fsys fs, dir string) error {
+	names, err := fsys.readDir(dir)
+	if errors.Is(err, iofs.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		switch name := e.Name(); {
+	for _, name := range names {
+		switch {
 		case name == snapName, name == snapTmpName, name == cursorName, name == cursorTmpName, isSegment(name):
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			if err := fsys.remove(filepath.Join(dir, name)); err != nil {
 				return err
 			}
 		}
@@ -604,19 +615,5 @@ func (s *Store) Close() error {
 	}
 	s.notifyLocked()
 	s.mu.Unlock()
-	return err
-}
-
-// syncDir fsyncs a directory, making renames and creations in it
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
 	return err
 }

@@ -5,7 +5,9 @@
 // /v1/relation dump against an in-process oracle that recomputes the
 // program from scratch over the surviving durable history.  Recovery
 // is correct only if the restarted daemon is bit-exact with the
-// recompute — not merely self-consistent.
+// recompute — not merely self-consistent.  The crash points inside the
+// store's file operations are enumerated in process, on a simulated
+// disk, by internal/durable's TestCrashSim.
 //
 // Trials rotate through all four semantics, covering all three
 // maintainer strategies (DRed strata, inflationary recompute, the
@@ -13,7 +15,7 @@
 //
 // Usage:
 //
-//	go run ./scripts/crashtest [-crashes 24] [-ckpt-crashes 6] [-fsync always] [-seed 1] [-serve PATH]
+//	go run ./scripts/crashtest [-crashes 24] [-fsync always] [-seed 1] [-serve PATH]
 //
 // With no -serve the daemon is built once into a temp dir with
 // `go build`.  Exit status 0 means every trial recovered bit-exactly.
@@ -39,7 +41,6 @@ import (
 
 func main() {
 	crashes := flag.Int("crashes", 24, "number of kill-and-recover trials (spread across semantics)")
-	ckptCrashes := flag.Int("ckpt-crashes", 6, "extra trials that SIGKILL provably mid-checkpoint (checkpoint-every batch, REPRO_CKPT_DELAY held open)")
 	fsync := flag.String("fsync", "always", "WAL sync policy handed to the daemon")
 	seed := flag.Int64("seed", 1, "RNG seed for update streams and kill timing")
 	serveBin := flag.String("serve", "", "path to a prebuilt serve binary (empty = go build one)")
@@ -50,33 +51,24 @@ func main() {
 
 	rng := rand.New(rand.NewSource(*seed))
 	failures := 0
-	for i := 0; i < *crashes+*ckptCrashes; i++ {
+	for i := 0; i < *crashes; i++ {
 		sem := killtest.SemOrder[i%len(killtest.SemOrder)]
-		ckptKill := i >= *crashes
-		label := ""
-		if ckptKill {
-			label = ", mid-checkpoint"
-		}
-		if err := runTrial(bin, sem, *fsync, rng, ckptKill); err != nil {
+		if err := runTrial(bin, sem, *fsync, rng); err != nil {
 			failures++
-			fmt.Fprintf(os.Stderr, "crashtest: trial %d (%s%s): FAIL: %v\n", i, sem, label, err)
+			fmt.Fprintf(os.Stderr, "crashtest: trial %d (%s): FAIL: %v\n", i, sem, err)
 		} else {
-			fmt.Printf("crashtest: trial %d (%s%s): ok\n", i, sem, label)
+			fmt.Printf("crashtest: trial %d (%s): ok\n", i, sem)
 		}
 	}
 	if failures > 0 {
 		cleanup()
-		killtest.Fatal(fmt.Errorf("%d/%d trials failed", failures, *crashes+*ckptCrashes))
+		killtest.Fatal(fmt.Errorf("%d/%d trials failed", failures, *crashes))
 	}
-	fmt.Printf("crashtest: %d trials, all bit-exact after kill -9\n", *crashes+*ckptCrashes)
+	fmt.Printf("crashtest: %d trials, all bit-exact after kill -9\n", *crashes)
 }
 
-// runTrial runs one kill-and-recover cycle.  ckptKill aims the SIGKILL
-// at the checkpoint install window: the daemon checkpoints after every
-// batch and REPRO_CKPT_DELAY holds each install open between the tmp
-// write and the rename, so the killer — watching checkpoint_in_flight
-// in /v1/metrics — provably lands mid-checkpoint.
-func runTrial(bin, sem, fsync string, rng *rand.Rand, ckptKill bool) error {
+// runTrial runs one kill-and-recover cycle.
+func runTrial(bin, sem, fsync string, rng *rand.Rand) error {
 	work, err := os.MkdirTemp("", "crashtest")
 	if err != nil {
 		return err
@@ -96,21 +88,14 @@ func runTrial(bin, sem, fsync string, rng *rand.Rand, ckptKill bool) error {
 
 	listen := killtest.FreeAddr()
 	addr := "http://" + listen
-	ckptEvery := "8"
-	if ckptKill {
-		ckptEvery = "1"
-	}
 	args := []string{
 		"-program", progFile, "-facts", factsFile, "-semantics", sem,
-		"-addr", listen, "-data-dir", dataDir, "-checkpoint-every", ckptEvery, "-fsync", fsync,
+		"-addr", listen, "-data-dir", dataDir, "-checkpoint-every", "8", "-fsync", fsync,
 	}
 
 	// Boot #1: stream updates, then kill -9 at a random moment.
 	cmd := exec.Command(bin, args...)
 	cmd.Stderr = os.Stderr
-	if ckptKill {
-		cmd.Env = append(os.Environ(), "REPRO_CKPT_DELAY=150ms")
-	}
 	if err := cmd.Start(); err != nil {
 		return err
 	}
@@ -137,26 +122,7 @@ func runTrial(bin, sem, fsync string, rng *rand.Rand, ckptKill bool) error {
 			}
 		}
 	}()
-	if ckptKill {
-		// Wait until a checkpoint install is provably open (the daemon
-		// sleeps REPRO_CKPT_DELAY between the tmp write and the rename),
-		// then land the kill inside it.  Fall through after 5s regardless
-		// — a miss degrades to an ordinary random kill.
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			var met struct {
-				Durable *struct {
-					InFlight bool `json:"checkpoint_in_flight"`
-				} `json:"durable"`
-			}
-			if killtest.GetJSON(addr+"/v1/metrics", &met) == nil && met.Durable != nil && met.Durable.InFlight {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	} else {
-		time.Sleep(time.Duration(5+rng.Intn(120)) * time.Millisecond)
-	}
+	time.Sleep(time.Duration(5+rng.Intn(120)) * time.Millisecond)
 	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		return err
 	}
