@@ -95,8 +95,9 @@ pairs:
 
 # 30 seconds of native fuzzing per target: the parser round-trip
 # invariants, the magic rewrite's stratifiable, constant-free output,
-# the WAL and snapshot decoders on arbitrary bytes, and relations and
-# their views under random operations against a map model.
+# the WAL and snapshot decoders on arbitrary bytes, relations and
+# their views under random operations against a map model, and
+# maintained programs under random updates against wforacle.
 # Seed corpora live under testdata/fuzz and also run as plain tests.
 FUZZTIME ?= 30s
 fuzz-smoke:
@@ -106,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzRelation$$' -fuzztime $(FUZZTIME) ./internal/relation
+	$(GO) test -run '^$$' -fuzz '^FuzzMaintain$$' -fuzztime $(FUZZTIME) ./internal/incr
 
 # The durability kill harness: spawn the daemon with a data dir,
 # kill -9 at random points, restart, and diff every relation against a

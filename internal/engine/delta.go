@@ -30,14 +30,18 @@ import "repro/internal/relation"
 // was added) and "tuples of either world" (the new relation plus what
 // was removed) are read at the cost of the change, not of the
 // relation.  Minus and Plus may be nil; a nil Base is "no override".
+// A non-zero Below keeps only the Base tuples whose level
+// (Relation.Level) lies below it: what a tuple of that level may be
+// derived from (semantics.Layer).
 type Overlay struct {
 	Base, Minus, Plus *relation.Relation
+	Below             uint16
 }
 
 // Has reports whether the overlaid relation holds t.
 func (o *Overlay) Has(t relation.Tuple) bool {
-	if o.Base.Has(t) {
-		return o.Minus == nil || !o.Minus.Has(t)
+	if off := o.Base.OffsetOf(t); off >= 0 {
+		return (o.Minus == nil || !o.Minus.Has(t)) && (o.Below == 0 || o.Base.Level(off) < o.Below)
 	}
 	return o.Plus != nil && o.Plus.Has(t)
 }

@@ -88,13 +88,20 @@ func TestApplyWithin(t *testing.T) {
 	if out := in.Eval(engine.Spec{Pos: st, Within: map[string]*relation.Relation{}}); !out.Empty() {
 		t.Fatalf("empty Within derived %v", out.Format(in.Universe()))
 	}
-	// Within and Deltas together are a programming error.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a Spec with both Within and Deltas did not panic")
-		}
-	}()
-	in.Eval(engine.Spec{Pos: st, Within: within, Deltas: map[string]engine.Delta{"s": {PosDriver: cand}}})
+	// With Deltas, Within filters what the delta tasks emit: s(b,d)
+	// drives s(a,d) through E(a,b), which the filter keeps, and nothing
+	// else.
+	drv := relation.New(2)
+	drv.Add(tup(in, "b", "d"))
+	deltas := map[string]engine.Delta{"s": {PosDriver: drv}}
+	if got := in.Eval(engine.Spec{Pos: st, Within: within, Deltas: deltas}); got["s"].Len() != 1 || !got["s"].Has(tup(in, "a", "d")) {
+		t.Fatalf("filtered delta pass = %v, want exactly s(a,d)", got.Format(in.Universe()))
+	}
+	only := relation.New(2)
+	only.Add(tup(in, "d", "a"))
+	if got := in.Eval(engine.Spec{Pos: st, Within: map[string]*relation.Relation{"s": only}, Deltas: deltas}); !got.Empty() {
+		t.Fatalf("delta pass filtered to s(d,a) derived %v", got.Format(in.Universe()))
+	}
 }
 
 // TestFullyBoundLiteralBuildsNoIndex: in the rederivation pass the head

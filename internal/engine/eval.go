@@ -14,11 +14,18 @@ import (
 // map.  headBuf and negBuf are scratch tuples reused across emissions
 // so the hot path allocates only when a genuinely new tuple is stored.
 // probe holds each join's probe values at the join's probeOff, so the
-// shared compiled plan carries no per-run state.
+// shared compiled plan carries no per-run state.  When out tracks
+// levels (levels), lv[i] is the level of the tuple the i-th positive
+// literal matched, and an emission is stored at one past the highest of
+// its level literals' (Relation.AddLevel).  only, when set, is the
+// Within filter of a delta pass: emissions outside it are dropped.
 type evalCtx struct {
 	pos     []Overlay
 	neg     []Overlay
 	out     *relation.Relation
+	only    *relation.Relation
+	levels  bool
+	lv      []uint16
 	usize   int
 	headBuf relation.Tuple
 	negBuf  relation.Tuple
@@ -49,7 +56,16 @@ type evalTask struct {
 // Deltas restricts the pass to the derivations driven by at least one
 // delta (see Delta); Within restricts it to the rules whose head
 // predicate it names and to derivations whose head tuple lies in that
-// relation — the rederivation step of DRed.  The two are exclusive.
+// relation — the support check of maintenance.  Without Deltas the
+// filter is joined first, binding the head; with them it drops the
+// emissions outside it.  Over, when it names an IDB predicate, is what
+// the predicate's positive literals read in place of Pos: the
+// relation less a set, or below a level (Overlay).
+//
+// When Into's relation for a head tracks levels (Relation.TrackLevels)
+// the pass records, per tuple it emits, one past the highest level of
+// the tuples its positive IDB literals matched — EDB tuples count 0 —
+// and lowers a present tuple's level to it (Relation.AddLevel).
 //
 // Into, when set, is the state the pass extends: it must hold a
 // relation for every IDB predicate, and the pass appends to it every
@@ -59,6 +75,7 @@ type evalTask struct {
 // Into's relations (Relation.Since), not the relations.
 type Spec struct {
 	Pos, Neg State
+	Over     map[string]Overlay
 	Deltas   map[string]Delta
 	Within   map[string]*relation.Relation
 	Into     State
@@ -75,12 +92,15 @@ func (in *Instance) Apply(s State) State { return in.Eval(Spec{Pos: s}) }
 // on the calling goroutine, every emission going straight into its
 // output, deduped by that relation's key table.  Concurrent passes on
 // one instance may share their inputs: they only read them, and lazy
-// index construction inside Relation is internally synchronized.  Eval
-// panics if sp sets both Deltas and Within.
+// index construction inside Relation is internally synchronized.
 func (in *Instance) Eval(sp Spec) State {
 	tasks := in.tasks(sp)
 	if sp.Into == nil {
-		into := in.NewState()
+		// A pass's own output keeps no levels, even after KeepLevels.
+		into := make(State, len(in.idbList))
+		for _, pred := range in.idbList {
+			into[pred] = relation.New(in.arities[pred])
+		}
 		in.evalTasks(tasks, &sp, into)
 		return into
 	}
@@ -140,8 +160,6 @@ func SemiNaive(old, delta, cur, neg State) Spec {
 // pass, else the tasks of its Deltas or its Within filter (delta.go).
 func (in *Instance) tasks(sp Spec) []evalTask {
 	switch {
-	case sp.Deltas != nil && sp.Within != nil:
-		panic("engine: a Spec sets both Deltas and Within")
 	case sp.Deltas != nil:
 		return in.deltaTasks(sp.Deltas)
 	case sp.Within != nil:
@@ -202,6 +220,7 @@ func (in *Instance) getScratch(rp *rulePlan, maxNeg int) *evalScratch {
 	sc.ctx.headBuf = growSlice(sc.ctx.headBuf, len(rp.headSlots))
 	sc.ctx.negBuf = growSlice(sc.ctx.negBuf, maxNeg)
 	sc.ctx.pos = growSlice(sc.ctx.pos, len(rp.positives))
+	sc.ctx.lv = growSlice(sc.ctx.lv, len(rp.positives))
 	sc.ctx.neg = growSlice(sc.ctx.neg, len(rp.negatives))
 	sc.binding = growSlice(sc.binding, rp.nvars)
 	sc.bound = growSlice(sc.bound, rp.nvars)
@@ -217,7 +236,7 @@ func (in *Instance) getScratch(rp *rulePlan, maxNeg int) *evalScratch {
 // reference so pooled entries never pin last round's states.
 func (in *Instance) putScratch(sc *evalScratch) {
 	ctx := &sc.ctx
-	ctx.out = nil
+	ctx.out, ctx.only = nil, nil
 	for i := range ctx.pos {
 		ctx.pos[i] = Overlay{}
 	}
@@ -227,11 +246,17 @@ func (in *Instance) putScratch(sc *evalScratch) {
 	scratchPool.Put(sc)
 }
 
-// evalRule evaluates one task's rule plan into out: sp.Pos resolves
-// positive IDB literals, sp.Neg negated ones, unless the task overrides
-// the literal (see source).
+// evalRule evaluates one task's rule plan into out: sp.Over or sp.Pos
+// resolves positive IDB literals, sp.Neg negated ones, unless the task
+// overrides the literal (see source).
 func (in *Instance) evalRule(task evalTask, sp *Spec, out State) {
 	rp := task.rp
+	var only *relation.Relation
+	if sp.Deltas != nil && sp.Within != nil {
+		if only = sp.Within[rp.headPred]; only == nil || only.Empty() {
+			return
+		}
+	}
 	maxNeg := 0
 	for _, np := range rp.negatives {
 		if len(np.slots) > maxNeg {
@@ -241,12 +266,13 @@ func (in *Instance) evalRule(task evalTask, sp *Spec, out State) {
 	sc := in.getScratch(rp, maxNeg)
 	ctx := &sc.ctx
 	ctx.usize = in.db.Universe().Size()
-	ctx.out = out[rp.headPred]
+	ctx.out, ctx.only = out[rp.headPred], only
+	ctx.levels = ctx.out.TracksLevels()
 	for i, lp := range rp.positives {
-		ctx.pos[i] = in.source(task.pos, i, lp, sp.Pos)
+		ctx.pos[i] = in.source(task.pos, i, lp, sp.Pos, sp.Over)
 	}
 	for i, np := range rp.negatives {
-		ctx.neg[i] = in.source(task.neg, i, np, sp.Neg)
+		ctx.neg[i] = in.source(task.neg, i, np, sp.Neg, nil)
 	}
 	// Order against the resolved relations: the planner sees the actual
 	// sizes of this task's sources (deltas included), so join orders are
@@ -277,7 +303,13 @@ func (in *Instance) run(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bindin
 		for i, s := range rp.headSlots {
 			t[i] = slotValue(s, binding)
 		}
-		ctx.out.Add(t)
+		switch {
+		case ctx.only != nil && !ctx.only.Has(t):
+		case ctx.levels:
+			ctx.out.AddLevel(t, ctx.headLevel(rp))
+		default:
+			ctx.out.Add(t)
+		}
 		return
 	}
 	st := ep.steps[si]
@@ -338,10 +370,26 @@ func (in *Instance) runJoin(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bi
 	for i, s := range je.probeSrc {
 		vals[i] = slotValue(s, binding)
 	}
-	in.joinRel(rp, ctx, ep, si, binding, src.Base, src.Minus, vals)
+	in.joinRel(rp, ctx, ep, si, binding, src.Base, src.Minus, src.Below, vals)
 	if src.Plus != nil {
-		in.joinRel(rp, ctx, ep, si, binding, src.Plus, nil, vals)
+		in.joinRel(rp, ctx, ep, si, binding, src.Plus, nil, 0, vals)
 	}
+}
+
+// headLevel is the level of an emission: one past the highest level
+// its level literals matched, 1 for a rule without any, NoLevel when
+// one of them is NoLevel.
+func (ctx *evalCtx) headLevel(rp *rulePlan) uint16 {
+	lv := uint16(0)
+	for i, lp := range rp.positives {
+		if lp.level {
+			lv = max(lv, ctx.lv[i])
+		}
+	}
+	if lv < relation.NoLevel {
+		lv++
+	}
+	return lv
 }
 
 // joinRel enumerates rel's candidates for a join step whose probe
@@ -350,12 +398,18 @@ func (in *Instance) runJoin(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bi
 // otherwise — skipping the tuples minus holds.  Offsets are the
 // arena's: a range view's start past 0.  The per-tuple work is the
 // step's compiled micro-op array; together with the probe this loop
-// performs no allocation (see BenchmarkJoinAllocs).
-func (in *Instance) joinRel(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int, rel, minus *relation.Relation, vals []int) {
+// performs no allocation (see BenchmarkJoinAllocs).  A step whose
+// candidates' levels are read — for a non-zero level bound below, or
+// for the head's level — goes to joinLevels.
+func (in *Instance) joinRel(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int, rel, minus *relation.Relation, below uint16, vals []int) {
 	if rel.Empty() {
 		return
 	}
 	je := ep.steps[si].join
+	if below != 0 || ctx.levels && rp.positives[je.lit].level {
+		in.joinLevels(rp, ctx, ep, si, binding, rel, minus, below, vals)
+		return
+	}
 	if len(je.probeCols) > 0 {
 		if je.member {
 			// The probe names the whole tuple: the relation's own key table
@@ -378,6 +432,35 @@ func (in *Instance) joinRel(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bi
 	for off := lo; off < hi; off++ {
 		if t := rel.At(off); minus == nil || !minus.Has(t) {
 			in.matchTuple(rp, ctx, ep, si, binding, je, t)
+		}
+	}
+}
+
+// joinLevels is joinRel for a step whose candidates' levels are read:
+// a candidate not below a non-zero bound is skipped, and the level of
+// one that is kept is recorded as its literal's for the head.
+func (in *Instance) joinLevels(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int, rel, minus *relation.Relation, below uint16, vals []int) {
+	je := ep.steps[si].join
+	match := func(off int32) {
+		t := rel.At(off)
+		if lv := rel.Level(off); (minus == nil || !minus.Has(t)) && (below == 0 || lv < below) {
+			ctx.lv[je.lit] = lv
+			in.matchTuple(rp, ctx, ep, si, binding, je, t)
+		}
+	}
+	switch {
+	case je.member:
+		if off := rel.OffsetOf(vals); off >= 0 {
+			match(off)
+		}
+	case len(je.probeCols) > 0:
+		for _, off := range rel.LookupCols(je.probeCols, vals) {
+			match(off)
+		}
+	default:
+		lo, hi := rel.Span()
+		for off := lo; off < hi; off++ {
+			match(off)
 		}
 	}
 }

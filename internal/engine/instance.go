@@ -15,10 +15,13 @@ type slot struct {
 	val     int // universe id if isConst, else variable index
 }
 
-// litPlan is a compiled body literal, positive or negated.
+// litPlan is a compiled body literal, positive or negated.  level
+// marks a positive IDB literal as written in the rule: the levels of
+// the tuples it matches bound the level of the head (Relation.Level).
 type litPlan struct {
 	pred  string
 	idb   bool
+	level bool
 	slots []slot
 }
 
@@ -60,6 +63,7 @@ type Instance struct {
 	idbList []string // the IDB predicates, sorted: NewState walks no map
 	plans   []*rulePlan
 	empties map[int]*relation.Relation // canonical empty relation per arity
+	levels  bool                       // KeepLevels on a recursive program
 }
 
 // New compiles prog against db.  It returns an error if the program
@@ -118,6 +122,22 @@ func MustNew(prog *ast.Program, db *relation.Database) *Instance {
 	return in
 }
 
+// KeepLevels makes the fixpoints of the instance's program keep a level
+// per tuple (NewState's relations track them), when some rule reads an
+// IDB predicate positively: the tuples of a program that reads none
+// are all level 1, and it stores nothing.  A maintainer calls it before
+// its first evaluation.
+func (in *Instance) KeepLevels() {
+	for _, rp := range in.plans {
+		for _, lp := range rp.positives {
+			in.levels = in.levels || lp.idb
+		}
+	}
+}
+
+// KeepsLevels reports whether NewState's relations track levels.
+func (in *Instance) KeepsLevels() bool { return in.levels }
+
 // Program returns the bound program.
 func (in *Instance) Program() *ast.Program { return in.prog }
 
@@ -137,26 +157,33 @@ func (in *Instance) Arity(pred string) int { return in.arities[pred] }
 func (in *Instance) IDBPreds() []string { return in.prog.IDBList() }
 
 // NewState returns a state with an empty relation for every IDB
-// predicate.
+// predicate, each tracking levels after KeepLevels.
 func (in *Instance) NewState() State {
 	s := make(State, len(in.idbList))
 	for _, pred := range in.idbList {
 		s[pred] = relation.New(in.arities[pred])
+		if in.levels {
+			s[pred].TrackLevels()
+		}
 	}
 	return s
 }
 
 // source resolves what literal l, the i-th of its kind in a task with
 // the overrides over, reads: the override when there is one, else the
-// database for an EDB predicate and s for an IDB one — the canonical
-// empty relation when either lacks the predicate.  Concurrent passes
-// on one instance call it, so it only reads.
-func (in *Instance) source(over []Overlay, i int, l litPlan, s State) Overlay {
+// database for an EDB predicate and for an IDB one its entry in the
+// Spec's Over map ov, else s — the canonical empty relation when the
+// predicate has no relation.  Concurrent passes on one instance call
+// it, so it only reads.
+func (in *Instance) source(over []Overlay, i int, l litPlan, s State, ov map[string]Overlay) Overlay {
 	if i < len(over) && over[i].Base != nil {
 		return over[i]
 	}
 	var r *relation.Relation
 	if l.idb {
+		if o, ok := ov[l.pred]; ok {
+			return o
+		}
 		r = s[l.pred]
 	} else {
 		r = in.db.Relation(l.pred)
@@ -199,7 +226,7 @@ func (in *Instance) compile(r ast.Rule) *rulePlan {
 		switch l.Kind {
 		case ast.LitPos:
 			rp.positives = append(rp.positives, litPlan{
-				pred: l.Atom.Pred, idb: in.idb[l.Atom.Pred], slots: mkSlots(l.Atom)})
+				pred: l.Atom.Pred, idb: in.idb[l.Atom.Pred], level: in.idb[l.Atom.Pred], slots: mkSlots(l.Atom)})
 		case ast.LitNeg:
 			rp.negatives = append(rp.negatives, litPlan{
 				pred: l.Atom.Pred, idb: in.idb[l.Atom.Pred], slots: mkSlots(l.Atom)})

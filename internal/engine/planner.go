@@ -337,7 +337,7 @@ func (in *Instance) Explain(w io.Writer, s State) {
 		fmt.Fprintf(w, "rule %d: %s\n", ri+1, rp.src.String())
 		rels := make([]Overlay, len(rp.positives))
 		for i, lp := range rp.positives {
-			rels[i] = in.source(nil, i, lp, s)
+			rels[i] = in.source(nil, i, lp, s, nil)
 		}
 		bound, order := make([]bool, rp.nvars), make([]int, len(rp.positives))
 		joinOrder(rp, rels, bound, make([]bool, len(rp.positives)), order)

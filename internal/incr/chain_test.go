@@ -72,6 +72,9 @@ func TestChainMatchesRecompute(t *testing.T) {
 						ins, del := randomBatch(rng, tc.preds, n, &fresh)
 						size := m.Universe().Size()
 						stats := checkUpdate(t, m, core.WellFounded, prog, mirror, ins, del, true)
+						if err := m.CheckLevels(); err != nil {
+							t.Fatalf("step %d (ins=%v del=%v): %v", step, ins, del, err)
+						}
 						readWhileUpdating(t, m, k, &readers)
 						want := tc.strategy
 						if tc.name == "unsafe" && m.Universe().Size() > size {
@@ -99,12 +102,12 @@ func TestChainMatchesRecompute(t *testing.T) {
 // literals of its predicate alone: when the removal of p atoms below
 // also drove, or was read by, the positive p(Y) of the first rule — which
 // reads the stage's own p — a possible p(v2) whose support was gone
-// survived.  (2) When DRed's rederived tuples become drivers of an own
-// predicate, they join the negated-side drivers that predicate already
-// has rather than replace them: with p's removals below forgotten,
-// q(X) :- E(X,Y), !p(Y) never fired for them and the model kept q atoms
-// true that had become undefined.  (The cascade of the overdelete merges
-// the same way, but there a lost entry only overdeletes more.)
+// survived.  (2) When a pass drives an own predicate with the stage's
+// own tuples, they join the negated-side drivers that predicate already
+// has rather than replace them: when rederived tuples once replaced p's
+// removals below among the insert drivers, q(X) :- E(X,Y), !p(Y) never
+// fired for them and the model kept q atoms true that had become
+// undefined.  (The cascade from confirmed deletions merges the same way.)
 func TestChainStageReadsTwoStates(t *testing.T) {
 	for _, tc := range []struct {
 		facts string

@@ -19,12 +19,13 @@ import (
 // survives through a detour, on a graph where only the first layer of
 // them is one step from the reduced state.  E holds the chain
 // x3→x2→x1→x0→a, the edge a→b, the detour a→c1→c2→c3→b and the tail
-// b→d1→d2.  Deleting a→b overdeletes s(a,·) and s(xi,·) towards b, d1
-// and d2; from what is left, one rule application brings back s(a,·)
-// (through E(a,c1) and the untouched s(c1,·)) and nothing else, because
-// s(x0,·) needs the s(a,·) just restored, s(x1,·) needs s(x0,·), and so
-// on.  The single rederivation pass therefore has to hand over to the
-// semi-naive rounds, four deep here.  The closure does not change, so
+// b→d1→d2.  Deleting a→b deletes s(a,·) and s(xi,·) towards b, d1 and
+// d2, whose support below their levels ran through a→b; from what is
+// left, one rule application brings back s(a,·) (through E(a,c1) and
+// the untouched s(c1,·)) and nothing else, because s(x0,·) needs the
+// s(a,·) just restored, s(x1,·) needs s(x0,·), and so on.  The first
+// rederivation pass therefore has to hand over to semi-naive rounds,
+// four deep here.  The closure does not change, so
 // the net change must be empty as well as the state equal to a
 // recompute.
 func TestRederiveNeedsPropagation(t *testing.T) {

@@ -128,6 +128,15 @@ func RestoreWith(cp *Checkpoint, _ engine.Options) (*Maintainer, error) {
 			}
 			m.state[pred] = rel
 		}
+		// The levels are not persisted: the restored tuples have none,
+		// and later ones get theirs (semantics.Layer.Apply).
+		for _, in := range m.insts {
+			if in.KeepsLevels() {
+				for _, pred := range in.IDBPreds() {
+					m.state[pred].TrackLevels()
+				}
+			}
+		}
 	}
 	if wf := m.WF(); wf != nil {
 		// The model is rebuilt (the chain) or has one part (strata): what

@@ -9,8 +9,9 @@
 //   - Strata (lfp, stratified, inflationary on a positive or
 //     semipositive program, well-founded on a stratifiable one): the
 //     strata semantics.Strata compiles are maintained bottom-up, each a
-//     semantics.Layer maintained by DRed (or re-evaluated once its
-//     overdelete outgrows it), whose net change the strata above
+//     semantics.Layer whose deletions are checked for support lowest
+//     level first (or re-evaluated once they outgrow it), whose net
+//     change the strata above
 //     consume: an update's cost follows what it changes, not the size
 //     of the relations it changes it in.
 //   - Stages (inflationary with IDB negation): the result is defined
@@ -77,7 +78,7 @@ type UpdateStats struct {
 	InsertedIDB int `json:"inserted_idb"`
 	DeletedIDB  int `json:"deleted_idb"`
 	// Layers — strata or Γ stages — the update changed the inputs of,
-	// maintained by DRed or, when the overdelete outgrew the layer's
+	// maintained or, when the confirmed deletions outgrew the layer's
 	// bound, re-evaluated from scratch.
 	Maintained  int           `json:"maintained_layers"`
 	Reevaluated int           `json:"reevaluated_layers"`
@@ -165,15 +166,19 @@ func newMaintainer(prog *ast.Program, sem core.Semantics, db *relation.Database)
 		method:  method,
 		safe:    allVarsPositive(prog),
 	}
+	// A maintained layer keeps levels (semantics.Layer.Apply), so its
+	// instances keep them.
 	switch method {
 	case core.Strata:
 		m.insts, err = semantics.Strata(prog, db)
 		for _, in := range m.insts {
+			in.KeepLevels()
 			m.strata = append(m.strata, semantics.NewLayer(in))
 		}
 	default:
 		m.in, err = engine.New(prog, db)
 		if method == core.Alternation && err == nil {
+			m.in.KeepLevels()
 			m.gamma = semantics.NewLayer(m.in)
 		}
 	}

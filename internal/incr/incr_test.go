@@ -280,6 +280,9 @@ func TestMaintainedPooledMatchesRecompute(t *testing.T) {
 					t.Fatalf("step %d (ins=%v del=%v): maintained state diverged\nmaintained:\n%s\nrecompute:\n%s",
 						step, ins, del, got, exp)
 				}
+				if err := m.CheckLevels(); err != nil {
+					t.Fatalf("step %d (ins=%v del=%v): %v", step, ins, del, err)
+				}
 				readWhileUpdating(t, m, nw, &readers)
 			}
 		})

@@ -17,9 +17,9 @@ import (
 const negSrc = tcSrc + "\nunreach(X,Y) :- V(X), V(Y), !s(X,Y)."
 
 // ringWithChords is the ring v0→v1→…→v(n−1)→v0 with the chord
-// vi→v(i+3) from every even vertex: deleting any one edge leaves most
-// of the ring strongly connected, so DRed overdeletes most of the
-// closure and rederives it.  The edges are returned as the toggle pool.
+// vi→v(i+3) from every even vertex: deleting a ring edge cuts many
+// pairs apart, so the deletions outgrow the layer.  The edges are
+// returned as the toggle pool.
 func ringWithChords(db *relation.Database, n int) [][2]int {
 	var pool [][2]int
 	for i := 0; i < n; i++ {
@@ -64,10 +64,10 @@ func toggleEdges(t *testing.T, m *incr.Maintainer, sem core.Semantics, src strin
 	return maintained, reevaluated
 }
 
-// TestReevaluatedLayerMatchesRecompute toggles edges where DRed's
-// overdelete outgrows the layer, so the layer is re-evaluated from
+// TestReevaluatedLayerMatchesRecompute toggles edges where the confirmed
+// deletions outgrow the layer, so the layer is re-evaluated from
 // scratch and its difference written in place: serve-write's program on
-// a ring with chords, where a deleted edge overdeletes the strongly
+// a ring with chords, where a deleted edge cuts much of the strongly
 // connected component's closure, and win-move under the well-founded
 // semantics on the same cyclic board, where the Γ stages re-evaluate
 // against the stage below.  After every update the model must equal a
@@ -75,7 +75,7 @@ func toggleEdges(t *testing.T, m *incr.Maintainer, sem core.Semantics, src strin
 // must report what it gained and lost — the strata above and the next Γ
 // stage consume the re-evaluated layer's difference as its net change.
 // On a sink-only toggle stream, serve-read's shape, nothing outgrows
-// the bound and every layer stays maintained by DRed.
+// the bound and every layer stays maintained in place.
 func TestReevaluatedLayerMatchesRecompute(t *testing.T) {
 	const n, steps = 12, 48
 	for _, tc := range []struct {
@@ -134,6 +134,43 @@ func TestReevaluatedLayerMatchesRecompute(t *testing.T) {
 	})
 }
 
+// TestCompleteDigraphEdgeDeleteChangesNothing deletes one edge of the
+// complete digraph on 8 vertices under the closure: every pair stays
+// reachable by a detour, so the update changes nothing.  The candidates
+// are the 8 closure tuples the edge supported directly; the support
+// check keeps all but the edge's own tuple, whose level-1 derivation
+// is gone, and that one comes back through a detour, so no layer is
+// re-evaluated and the net change is empty.  DRed without levels
+// overdeletes nearly the whole 64-tuple closure here.
+func TestCompleteDigraphEdgeDeleteChangesNothing(t *testing.T) {
+	const n = 8
+	db := relation.NewDatabase()
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if a != b {
+				db.AddFact("E", graphs.VertexName(a), graphs.VertexName(b))
+			}
+		}
+	}
+	m, err := incr.New(parser.MustProgram(tcSrc), db, core.LFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := m.Update(nil, []incr.Fact{{Pred: "E", Args: []string{graphs.VertexName(0), graphs.VertexName(1)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%s +%d -%d maintained %d re-evaluated %d", stats.Strategy, stats.InsertedIDB, stats.DeletedIDB, stats.Maintained, stats.Reevaluated); got != "strata +0 -0 maintained 1 re-evaluated 0" {
+		t.Errorf("update reported %s, want strata +0 -0 maintained 1 re-evaluated 0", got)
+	}
+	if s := m.State()["s"].Len(); s != n*n {
+		t.Errorf("closure holds %d tuples, want %d", s, n*n)
+	}
+	if err := m.CheckLevels(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestRecomputeReportsExactChange: an update answered by a from-scratch
 // evaluation reports what the state gained and lost, not its net size
 // change.  Each update swaps one derived tuple for another, which the
@@ -178,8 +215,8 @@ func TestRecomputeReportsExactChange(t *testing.T) {
 }
 
 // BenchmarkStrataUpdateSCC maintains serve-write's program over a
-// G(60, 0.04) graph, whose large strongly connected component makes a
-// deleted edge overdelete most of the closure: each op deletes one
+// G(60, 0.04) graph, whose large strongly connected component gives a
+// deleted edge candidates across most of the closure: each op deletes one
 // present edge and inserts one absent edge of a pool of 128, as
 // serve-write's updates do.
 func BenchmarkStrataUpdateSCC(b *testing.B) {

@@ -7,6 +7,30 @@ import (
 	"testing"
 )
 
+// fuzzRelationSeeds are FuzzRelation's seeds.  Column bytes: width
+// 2^(b%10) ids; b/10%4 places them at 0, at the top of the packed
+// width, across its limit, or spread over it.
+var fuzzRelationSeeds = [][]byte{
+	// Arity 2 over a 32×32 box: a swept batch turns the table dense;
+	// views are cut, then random adds and removes widen the box.
+	{1, 5, 5, opAddBatch, 0, 50, 1, opSnapshot, 0, opSince, 0, 90, opAddBatch, 0, 40, 2,
+		opTuples, 1, opRemove, 0, 3, 0, 0, opSeal, 0, opRemove, 0, 2, 1, 1, opLookupCols, 2, 1, 0, 0, 0,
+		opClone, 1, opAddBatch, 2, 30, 4, opRemoveAll, 0, 1, opCheck, 0, opCheck, 2},
+	// Arity 6 whose first column fills the top 512 ids below the
+	// packing limit: the dense box widens against it.
+	{5, 19, 0, 0, 0, 0, 0, opAddBatch, 0, 100, 2, opAdd, 0, 0, 0, 0, 0, 0, 0, opAddBatch, 0, 60, 6,
+		opSnapshot, 0, opClone, 0, opAddBatch, 1, 30, 8, opRemove, 1, 5, 0, 0, 0, 0, 0, 0, opMutable, 1, opCheck, 2},
+	// Arity 3 whose first column straddles the packing limit, so
+	// half its tuples spill; AppendDisjoint from a range view.
+	{2, 25, 5, 2, opAddBatch, 0, 20, 2, opAppendDisjoint, 0, 50, 3, 10, opSince, 0, 30,
+		opLookupCols, 1, 1, 0, 0, 0, 0, opRemove, 0, 1, 0, 0, 0, opTuples, 0, opHas, 0, 1, 2, 3},
+	// Arity 2 spread over the packed width: open addressing.
+	{1, 37, 37, opAddBatch, 0, 60, 2, opSnapshot, 0, opSeal, 0, opRemove, 0, 4, 0, 0,
+		opAddBatch, 0, 10, 4, opSince, 1, 7, opMutable, 2, opTuples, 2, opCheck, 1},
+	// Arity 1 at the top of its width: any negative id spills.
+	{0, 23, opAddBatch, 0, 10, 1, opSnapshot, 0, opRemoveAll, 0, 1, opAddBatch, 0, 10, 3, opTuples, 0},
+}
+
 // FuzzRelation decodes bytes into an arity, per-column id windows and a
 // sequence of operations on a pool of relations and views, and checks
 // every relation and every view still valid under its contract against
@@ -28,28 +52,7 @@ import (
 // across the width — and the rest are operations, an opcode byte and
 // its operands each.
 func FuzzRelation(f *testing.F) {
-	// Column bytes: width 2^(b%10) ids; b/10%4 places them at 0, at the
-	// top of the packed width, across its limit, or spread over it.
-	for _, seed := range [][]byte{
-		// Arity 2 over a 32×32 box: a swept batch turns the table dense;
-		// views are cut, then random adds and removes widen the box.
-		{1, 5, 5, opAddBatch, 0, 50, 1, opSnapshot, 0, opSince, 0, 90, opAddBatch, 0, 40, 2,
-			opTuples, 1, opRemove, 0, 3, 0, 0, opSeal, 0, opRemove, 0, 2, 1, 1, opLookupCols, 2, 1, 0, 0, 0,
-			opClone, 1, opAddBatch, 2, 30, 4, opRemoveAll, 0, 1, opCheck, 0, opCheck, 2},
-		// Arity 6 whose first column fills the top 512 ids below the
-		// packing limit: the dense box widens against it.
-		{5, 19, 0, 0, 0, 0, 0, opAddBatch, 0, 100, 2, opAdd, 0, 0, 0, 0, 0, 0, 0, opAddBatch, 0, 60, 6,
-			opSnapshot, 0, opClone, 0, opAddBatch, 1, 30, 8, opRemove, 1, 5, 0, 0, 0, 0, 0, 0, opMutable, 1, opCheck, 2},
-		// Arity 3 whose first column straddles the packing limit, so
-		// half its tuples spill; AppendDisjoint from a range view.
-		{2, 25, 5, 2, opAddBatch, 0, 20, 2, opAppendDisjoint, 0, 50, 3, 10, opSince, 0, 30,
-			opLookupCols, 1, 1, 0, 0, 0, 0, opRemove, 0, 1, 0, 0, 0, opTuples, 0, opHas, 0, 1, 2, 3},
-		// Arity 2 spread over the packed width: open addressing.
-		{1, 37, 37, opAddBatch, 0, 60, 2, opSnapshot, 0, opSeal, 0, opRemove, 0, 4, 0, 0,
-			opAddBatch, 0, 10, 4, opSince, 1, 7, opMutable, 2, opTuples, 2, opCheck, 1},
-		// Arity 1 at the top of its width: any negative id spills.
-		{0, 23, opAddBatch, 0, 10, 1, opSnapshot, 0, opRemoveAll, 0, 1, opAddBatch, 0, 10, 3, opTuples, 0},
-	} {
+	for _, seed := range fuzzRelationSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -103,6 +106,7 @@ type fuzzHarness struct {
 	width  []int
 	pool   []*fuzzRel
 	trace  []string
+	added  func(r *Relation, t Tuple) // called after each Add that stores t, when set
 }
 
 func (h *fuzzHarness) next() int {
@@ -222,6 +226,9 @@ func (h *fuzzHarness) add(t *testing.T, e *fuzzRel, tu Tuple) {
 	if !had {
 		e.pos[k] = len(e.order)
 		e.order = append(e.order, slices.Clone(tu))
+		if h.added != nil {
+			h.added(e.r, tu)
+		}
 	}
 }
 

@@ -63,7 +63,8 @@ type Relation struct {
 
 	share  int8      // storage sharing mode (shareNone/shareWeak/shareSealed)
 	frozen bool      // immutable snapshot view; mutation panics
-	of     *Relation // a range view's relation, whose indexes it reads
+	of     *Relation // a range view's relation, whose indexes and levels it reads
+	levels []uint16  // per arena offset once TrackLevels is called, else nil (see Level)
 
 	// Lazily built indexes (see index.go).  idxShared is set once a view
 	// has taken the current set: its buckets are then copied before
@@ -269,11 +270,58 @@ func (r *Relation) writable(c, need int) []int {
 	return ch
 }
 
-// push appends t to the arena; the caller has recorded its key.
+// push appends t to the arena, at NoLevel when r tracks levels; the
+// caller has recorded its key.
 func (r *Relation) push(t Tuple) {
 	c, i := r.n>>chunkShift, (r.n&chunkMask)*r.arity
 	copy(r.writable(c, i+r.arity)[i:], t)
 	r.n++
+	if r.levels != nil {
+		r.levels = append(r.levels, NoLevel)
+	}
+}
+
+// NoLevel is the level of a tuple no level is known for.  It exceeds
+// every known level, so a level bound never admits it.
+const NoLevel = math.MaxUint16
+
+// TrackLevels starts keeping a level per tuple beside the arena, each
+// tuple it holds at NoLevel: a 2-byte array that Remove's swap moves
+// and Clone copies.  The levels are the caller's (semantics.Layer
+// keeps a fixpoint stage bound in them); snapshots do not carry them.
+func (r *Relation) TrackLevels() {
+	if r.levels == nil && !r.frozen {
+		r.levels = slices.Repeat([]uint16{NoLevel}, r.n)
+	}
+}
+
+// TracksLevels reports whether TrackLevels was called on r, or on the
+// relation a range view of r is of.
+func (r *Relation) TracksLevels() bool { return cmp.Or(r.of, r).levels != nil }
+
+// Level returns the level of the tuple at arena offset off, NoLevel
+// when r keeps none.  A range view reads its relation's levels.
+func (r *Relation) Level(off int32) uint16 {
+	if r.of != nil {
+		r = r.of
+	}
+	if uint(off) < uint(len(r.levels)) {
+		return r.levels[off]
+	}
+	return NoLevel
+}
+
+// SetLevel sets the level of the tuple at arena offset off; r must
+// track levels.
+func (r *Relation) SetLevel(off int32, lv uint16) { r.levels[off] = lv }
+
+// AddLevel is Add for a tuple derived at level lv: a new tuple gets it,
+// a present one whose level is higher is lowered to it.  r must track
+// levels.
+func (r *Relation) AddLevel(t Tuple, lv uint16) bool {
+	off, added := r.add(t)
+	r.levels[off] = min(r.levels[off], lv)
+	return added
 }
 
 // Mutable returns r if it is mutable, or a deep copy if r is an
@@ -290,18 +338,28 @@ func (r *Relation) Mutable() *Relation {
 // arena, so callers may reuse the backing slice; re-adding an existing
 // tuple writes nothing.
 func (r *Relation) Add(t Tuple) bool {
+	_, added := r.add(t)
+	return added
+}
+
+// add is Add, also returning t's arena offset.
+func (r *Relation) add(t Tuple) (int32, bool) {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation: adding tuple of arity %d to relation of arity %d", len(t), r.arity))
 	}
 	k, packs := packKey(t)
 	h := mix64(k)
-	if packs && r.packedOff(k, h) >= 0 || !packs && r.offsetOf(t) >= 0 {
-		return false
+	if packs {
+		if off := r.packedOff(k, h); off >= 0 {
+			return off, false
+		}
+	} else if off := r.offsetOf(t); off >= 0 {
+		return off, false
 	}
 	r.beforeMutate(true)
 	r.setKey(t, k, h, packs, int32(r.n))
 	r.push(t)
-	return true
+	return int32(r.n - 1), true
 }
 
 // Has reports whether t is present.
@@ -380,6 +438,10 @@ func (r *Relation) Remove(t Tuple) bool {
 		c, i := int(off)>>chunkShift, (int(off)&chunkMask)*r.arity
 		copy(r.writable(c, 0)[i:], moved)
 	}
+	if r.levels != nil {
+		r.levels[off] = r.levels[last]
+		r.levels = r.levels[:last]
+	}
 	r.n--
 	return true
 }
@@ -403,6 +465,25 @@ func (r *Relation) RemoveAll(o *Relation) int {
 		return true
 	})
 	return removed
+}
+
+// Clear removes every tuple, keeping the arena chunks and the key
+// table's arrays for the tuples added next: a scratch relation reused
+// across passes allocates only when it outgrows its largest use.  Like
+// Remove it detaches from snapshots first and invalidates range views
+// and tuples read before; a relation tracking levels goes on tracking.
+func (r *Relation) Clear() {
+	if r.n == 0 {
+		return
+	}
+	r.beforeMutate(false)
+	r.n = 0
+	r.table.clear()
+	clear(r.spill)
+	r.dropIndexes()
+	if r.levels != nil {
+		r.levels = r.levels[:0]
+	}
 }
 
 func (r *Relation) deleteKey(t Tuple) {
@@ -495,14 +576,15 @@ func (r *Relation) At(off int32) Tuple {
 }
 
 // Clone returns a mutable deep copy (indexes are not copied; they
-// build on demand).
+// build on demand).  The copy of a relation keeps its levels; that of
+// a view has none.
 func (r *Relation) Clone() *Relation {
 	if r.lo > 0 {
 		c := New(r.arity)
 		c.AppendDisjoint(r)
 		return c
 	}
-	c := &Relation{arity: r.arity, n: r.n, chunks: make([][]int, (r.n+chunkMask)>>chunkShift)}
+	c := &Relation{arity: r.arity, n: r.n, chunks: make([][]int, (r.n+chunkMask)>>chunkShift), levels: slices.Clone(r.levels)}
 	for i := range c.chunks {
 		c.chunks[i] = slices.Clone(r.chunks[i])
 	}

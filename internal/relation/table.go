@@ -25,8 +25,10 @@ import "slices"
 // over the box of the table it shares when that box passes the rule at
 // the view's size.  A
 // key outside a dense box widens each extent it overruns at least 2×,
-// up to the packing limit; a widened box that breaks the byte rule
-// sends the table back to open addressing.  Arity 0 is never dense.
+// up to the packing limit; when the widened box breaks the byte rule,
+// the tightest box around the keys is widened instead, and one that
+// still breaks it sends the table back to open addressing.  Arity 0 is
+// never dense.
 
 const (
 	tableMinCap = 16 // smallest slot count; must be a power of two
@@ -216,7 +218,15 @@ func (t *Table) put(k, h uint64, v int32) {
 			t.dense[i] = v + 1
 			return
 		}
-		t.refill(*t, tableCapFor(t.n+1), t.widen(slices.Clone(t.box), k, 2))
+		c := tableCapFor(t.n + 1)
+		box := t.widen(slices.Clone(t.box), k, 2)
+		if denseLen(box, c) == 0 {
+			// The box may be up to 2× too wide per column already: before
+			// giving up on the array, widen the tight one, as a hash
+			// regrow does.
+			box = t.widen(t.tightBox(c, make([]span, t.arity)), k, 2)
+		}
+		t.refill(*t, c, box)
 		t.put(k, h, v)
 		return
 	}
@@ -241,6 +251,17 @@ func (t *Table) put(k, h uint64, v int32) {
 			return
 		}
 	}
+}
+
+// clear removes every entry, keeping the layout and its arrays.
+// Nil-safe.
+func (t *Table) clear() {
+	if t == nil {
+		return
+	}
+	clear(t.ctrl)
+	clear(t.dense)
+	t.n = 0
 }
 
 // del removes k (h must equal mix64(k)), reporting whether it was
@@ -297,13 +318,13 @@ func (t *Table) refill(src Table, c int, box []span) {
 	} else {
 		t.init(c)
 	}
-	if src.dense != nil && t.dense != nil {
-		// One box holds the other (a regrow widens, a clone tightens), so
-		// a last-column run of the smaller is contiguous in both arrays.
-		in, out := &src, t
-		if len(t.dense) < len(src.dense) {
-			in, out = t, &src
-		}
+	in, out := &src, t
+	if len(t.dense) < len(src.dense) {
+		in, out = t, &src
+	}
+	if src.dense != nil && t.dense != nil && holds(out.box, in.box) {
+		// A last-column run of the smaller box is contiguous in both
+		// arrays.  (A regrow around the tight box may hold neither.)
 		w := int(in.box[len(in.box)-1].n)
 		for r := 0; r < len(in.dense); r += w {
 			i, ok := out.slot(in.keyAt(uint64(r)))
@@ -331,6 +352,16 @@ func (t *Table) refill(src Table, c int, box []span) {
 			t.put(src.keys[j], mix64(src.keys[j]), src.vals[j])
 		}
 	}
+}
+
+// holds reports whether box a holds box b.
+func holds(a, b []span) bool {
+	for j, s := range b {
+		if s.lo < a[j].lo || s.lo+s.n > a[j].lo+a[j].n {
+			return false
+		}
+	}
+	return true
 }
 
 // clone returns a deep copy, over the tightest box around the keys (a

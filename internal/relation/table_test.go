@@ -536,3 +536,25 @@ func BenchmarkTableProbe(b *testing.B) {
 		}
 	})
 }
+
+// TestDenseWidensTightBox replays FuzzRelation's first seed, arity 2
+// over a 32×32 id window: a dense key table met by a key outside its
+// box must widen the tightest box around its keys, not the box it has,
+// which sorted inserts leave up to 2× too wide per column.  Widening
+// the box it had, the key (28, 24) at n = 206 needed 46 × 53 slots,
+// past what the byte rule allows at that size, and the table fell back
+// to open addressing although the tight box widened holds 44 × 32.
+func TestDenseWidensTightBox(t *testing.T) {
+	h := &fuzzHarness{in: fuzzRelationSeeds[0]}
+	seen := false
+	h.added = func(r *Relation, tu Tuple) {
+		if r.Len() == 206 && r.table.dense == nil {
+			t.Errorf("key table hashed after adding %v at n = 206", tu)
+		}
+		seen = seen || r.Len() == 206
+	}
+	h.run(t)
+	if !seen {
+		t.Fatal("the seed no longer reaches n = 206")
+	}
+}

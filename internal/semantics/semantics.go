@@ -40,14 +40,16 @@ import (
 type Stats struct {
 	// Rounds is the number of engine passes: Θ applications (stages of
 	// an induction), and in the well-founded semantics also the
-	// overdelete, rederive and insert passes of each Γ stage past A₂.
+	// support-check, cascade, rederive and insert passes of each Γ
+	// stage past A₂.
 	Rounds int
 	// Tuples is the total number of tuples in the final state.
 	Tuples int
 	// MaxDeltaTuples is the largest per-stage growth of an induction.
 	MaxDeltaTuples int
 	// Maintained and Reevaluated count the layers Layer.Apply updated:
-	// by DRed, or by re-evaluation once the overdelete outgrew them.
+	// in place, or by re-evaluation once the confirmed deletions
+	// outgrew them.
 	Maintained, Reevaluated int
 }
 

@@ -175,8 +175,9 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 // TestMetricsMaintenance: /v1/update answers with the layers its pass
 // maintained and re-evaluated, and /v1/metrics sums them with the
 // updates per strategy.  On the 8-vertex path, closing the cycle is a
-// DRed insert; cutting it again overdeletes most of the 64-tuple
-// closure, so the one stratum is re-evaluated; re-inserting a present
+// maintained insert; cutting it again deletes 36 of the 64 closure
+// tuples, past a quarter, so the one stratum is re-evaluated;
+// re-inserting a present
 // edge is a noop.
 func TestMetricsMaintenance(t *testing.T) {
 	_, ts := newTestServer(t, core.LFP)
