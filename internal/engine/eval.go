@@ -395,34 +395,31 @@ func (ctx *evalCtx) headLevel(rp *rulePlan) uint16 {
 // joinRel enumerates rel's candidates for a join step whose probe
 // values are vals — by one membership probe when every column is
 // bound, through the step's index probe when some are, by arena scan
-// otherwise — skipping the tuples minus holds.  Offsets are the
-// arena's: a range view's start past 0.  The per-tuple work is the
+// otherwise — skipping the tuples minus holds and, under a non-zero
+// level bound below, those whose level is not below it.  Offsets are
+// the arena's: a range view's start past 0.  The per-tuple work is the
 // step's compiled micro-op array; together with the probe this loop
-// performs no allocation (see BenchmarkJoinAllocs).  A step whose
-// candidates' levels are read — for a non-zero level bound below, or
-// for the head's level — goes to joinLevels.
+// performs no allocation (see BenchmarkJoinAllocs).
 func (in *Instance) joinRel(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int, rel, minus *relation.Relation, below uint16, vals []int) {
 	if rel.Empty() {
 		return
 	}
 	je := ep.steps[si].join
-	if below != 0 || ctx.levels && rp.positives[je.lit].level {
-		in.joinLevels(rp, ctx, ep, si, binding, rel, minus, below, vals)
-		return
-	}
+	// A candidate's level is read for the bound, or for the head's level.
+	levels := below != 0 || ctx.levels && rp.positives[je.lit].level
 	if len(je.probeCols) > 0 {
 		if je.member {
 			// The probe names the whole tuple: the relation's own key table
 			// answers it, where an index on every column would hold one
 			// bucket per tuple.
 			off := rel.OffsetOf(vals)
-			if off >= 0 && (minus == nil || !minus.Has(rel.At(off))) {
+			if off >= 0 && (minus == nil || !minus.Has(rel.At(off))) && (!levels || ctx.level(je.lit, rel.Level(off), below)) {
 				in.matchTuple(rp, ctx, ep, si, binding, je, rel.At(off))
 			}
 			return
 		}
 		for _, off := range rel.LookupCols(je.probeCols, vals) {
-			if t := rel.At(off); minus == nil || !minus.Has(t) {
+			if t := rel.At(off); (minus == nil || !minus.Has(t)) && (!levels || ctx.level(je.lit, rel.Level(off), below)) {
 				in.matchTuple(rp, ctx, ep, si, binding, je, t)
 			}
 		}
@@ -430,39 +427,17 @@ func (in *Instance) joinRel(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bi
 	}
 	lo, hi := rel.Span()
 	for off := lo; off < hi; off++ {
-		if t := rel.At(off); minus == nil || !minus.Has(t) {
+		if t := rel.At(off); (minus == nil || !minus.Has(t)) && (!levels || ctx.level(je.lit, rel.Level(off), below)) {
 			in.matchTuple(rp, ctx, ep, si, binding, je, t)
 		}
 	}
 }
 
-// joinLevels is joinRel for a step whose candidates' levels are read:
-// a candidate not below a non-zero bound is skipped, and the level of
-// one that is kept is recorded as its literal's for the head.
-func (in *Instance) joinLevels(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int, rel, minus *relation.Relation, below uint16, vals []int) {
-	je := ep.steps[si].join
-	match := func(off int32) {
-		t := rel.At(off)
-		if lv := rel.Level(off); (minus == nil || !minus.Has(t)) && (below == 0 || lv < below) {
-			ctx.lv[je.lit] = lv
-			in.matchTuple(rp, ctx, ep, si, binding, je, t)
-		}
-	}
-	switch {
-	case je.member:
-		if off := rel.OffsetOf(vals); off >= 0 {
-			match(off)
-		}
-	case len(je.probeCols) > 0:
-		for _, off := range rel.LookupCols(je.probeCols, vals) {
-			match(off)
-		}
-	default:
-		lo, hi := rel.Span()
-		for off := lo; off < hi; off++ {
-			match(off)
-		}
-	}
+// level records lv as the level positive literal lit matched and
+// reports whether it lies below the bound below, 0 bounding nothing.
+func (ctx *evalCtx) level(lit int, lv, below uint16) bool {
+	ctx.lv[lit] = lv
+	return below == 0 || lv < below
 }
 
 // matchTuple runs a join step's micro-ops against one candidate tuple,

@@ -63,7 +63,7 @@ type Instance struct {
 	idbList []string // the IDB predicates, sorted: NewState walks no map
 	plans   []*rulePlan
 	empties map[int]*relation.Relation // canonical empty relation per arity
-	levels  bool                       // KeepLevels on a recursive program
+	levels  bool                       // set by KeepLevels
 }
 
 // New compiles prog against db.  It returns an error if the program
@@ -122,18 +122,11 @@ func MustNew(prog *ast.Program, db *relation.Database) *Instance {
 	return in
 }
 
-// KeepLevels makes the fixpoints of the instance's program keep a level
-// per tuple (NewState's relations track them), when some rule reads an
-// IDB predicate positively: the tuples of a program that reads none
-// are all level 1, and it stores nothing.  A maintainer calls it before
-// its first evaluation.
-func (in *Instance) KeepLevels() {
-	for _, rp := range in.plans {
-		for _, lp := range rp.positives {
-			in.levels = in.levels || lp.idb
-		}
-	}
-}
+// KeepLevels makes NewState's relations keep a level per tuple, which
+// the instance's passes record (Spec).  A maintained layer that reads
+// its own predicates positively calls it before its first evaluation
+// (semantics.NewLayer).
+func (in *Instance) KeepLevels() { in.levels = true }
 
 // KeepsLevels reports whether NewState's relations track levels.
 func (in *Instance) KeepsLevels() bool { return in.levels }

@@ -128,13 +128,11 @@ func RestoreWith(cp *Checkpoint, _ engine.Options) (*Maintainer, error) {
 			}
 			m.state[pred] = rel
 		}
-		// The levels are not persisted: the restored tuples have none,
-		// and later ones get theirs (semantics.Layer.Apply).
-		for _, in := range m.insts {
-			if in.KeepsLevels() {
-				for _, pred := range in.IDBPreds() {
-					m.state[pred].TrackLevels()
-				}
+		// The levels are not persisted: a recursive stratum's come from
+		// one fixpoint of it, bottom-up, which must be what was restored.
+		for i, l := range m.strata {
+			if !l.Relevel(m.state, m.state) {
+				return nil, fmt.Errorf("incr: checkpoint's stratum %d is not the fixpoint over its EDB", i+1)
 			}
 		}
 	}

@@ -17,7 +17,8 @@ func (m *Maintainer) Chain() ([]engine.State, *engine.Instance) { return m.chain
 // levels — each stratum, or each Γ stage over the stage below: for
 // every level ℓ present, a Within pass reading only the layer's own
 // tuples below ℓ must derive every tuple of level ℓ.  A level that is
-// too low fails it even when the model happens to be right.
+// too low fails it even when the model happens to be right, and so
+// does a tuple of no known level, whose deletion goes unchecked.
 func (m *Maintainer) CheckLevels() error {
 	switch m.method {
 	case core.Strata:
@@ -48,7 +49,7 @@ func checkLevels(in *engine.Instance, own, neg engine.State) error {
 		for off := range int32(rel.Len()) {
 			lv := rel.Level(off)
 			if lv == relation.NoLevel {
-				continue
+				return fmt.Errorf("%s%v has no level", pred, rel.At(off))
 			}
 			if byLevel[lv] == nil {
 				byLevel[lv] = make(map[string]*relation.Relation)

@@ -166,20 +166,16 @@ func newMaintainer(prog *ast.Program, sem core.Semantics, db *relation.Database)
 		method:  method,
 		safe:    allVarsPositive(prog),
 	}
-	// A maintained layer keeps levels (semantics.Layer.Apply), so its
-	// instances keep them.
 	switch method {
 	case core.Strata:
 		m.insts, err = semantics.Strata(prog, db)
 		for _, in := range m.insts {
-			in.KeepLevels()
-			m.strata = append(m.strata, semantics.NewLayer(in))
+			m.strata = append(m.strata, semantics.NewLayer(in, true))
 		}
 	default:
 		m.in, err = engine.New(prog, db)
 		if method == core.Alternation && err == nil {
-			m.in.KeepLevels()
-			m.gamma = semantics.NewLayer(m.in)
+			m.gamma = semantics.NewLayer(m.in, true)
 		}
 	}
 	if err != nil {

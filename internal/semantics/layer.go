@@ -24,8 +24,8 @@
 // it; the engine records one past a derivation's highest level at each
 // emission into a state that keeps levels (engine.Spec).  A layer that
 // reads no own predicate positively has every tuple at level 1 and
-// keeps nothing; a recursive one keeps levels when its instance does
-// (engine.Instance.KeepLevels), and otherwise has none known.
+// keeps nothing; a recursive one keeps levels when it is maintained
+// (NewLayer), and otherwise has none known.
 //
 // An update first deletes.  Its candidates are the heads of the
 // derivations it disables, read in the old world.  They are taken
@@ -119,8 +119,11 @@ type Layer struct {
 	queue                       []candidate
 }
 
-// NewLayer is the layer whose rules are in's program.
-func NewLayer(in *engine.Instance) *Layer {
+// NewLayer is the layer whose rules are in's program.  With
+// keepLevels, a recursive layer's instance keeps levels
+// (engine.Instance.KeepLevels): a maintained layer asks for them, a
+// one-shot evaluation does not.
+func NewLayer(in *engine.Instance, keepLevels bool) *Layer {
 	sub := in.Program()
 	own := sub.IDB()
 	l := &Layer{in: in, predList: sub.IDBList(), bodyPreds: make(map[string]bool)}
@@ -131,6 +134,9 @@ func NewLayer(in *engine.Instance) *Layer {
 				l.Recursive = l.Recursive || lit.Kind == ast.LitPos && own[lit.Atom.Pred]
 			}
 		}
+	}
+	if keepLevels && l.Recursive {
+		in.KeepLevels()
 	}
 	return l
 }
@@ -434,6 +440,21 @@ func (l *Layer) rederive(own, neg engine.State, eval func(engine.Spec) engine.St
 		l.casc = withDriver(l.casc, nil, found)
 		sp.Deltas = l.casc
 	}
+}
+
+// Relevel gives own's tuples, restored without levels, those of a fresh
+// fixpoint of the layer, Γ against neg, when the layer keeps levels:
+// until then each is of unknown level, whose deletion cannot be
+// checked.  It reports false if own was not that fixpoint, which own
+// then holds.
+func (l *Layer) Relevel(own, neg engine.State) bool {
+	if !l.in.KeepsLevels() {
+		return true
+	}
+	for _, pred := range l.predList {
+		own[pred].TrackLevels()
+	}
+	return len(l.reevaluate(own, neg, &Stats{})) == 0
 }
 
 // reevaluate computes the layer from scratch, Γ against neg, and writes

@@ -31,7 +31,7 @@ func (r *WFResult) Total() bool { return r.Possible.Equal(r.True) }
 // proposal for "giving meaning to all programs".
 func WellFounded(in *engine.Instance) *WFResult {
 	var stats Stats
-	chain := NewLayer(in).Alternate([]engine.State{in.NewState()}, nil, false, &stats)
+	chain := NewLayer(in, false).Alternate([]engine.State{in.NewState()}, nil, false, &stats)
 	n := len(chain) - 1
 	stats.Tuples = chain[n].Total()
 	return &WFResult{True: chain[n], Possible: chain[n-1], Stats: stats, Outer: n / 2}

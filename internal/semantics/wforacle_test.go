@@ -88,7 +88,7 @@ func checkOracle(t *testing.T, src string, db *relation.Database) *WFResult {
 	t.Helper()
 	prog := parser.MustProgram(src)
 	in := engine.MustNew(prog, db)
-	stages := NewLayer(in).Alternate([]engine.State{in.NewState()}, nil, true, &Stats{})
+	stages := NewLayer(in, false).Alternate([]engine.State{in.NewState()}, nil, true, &Stats{})
 	for i := 1; i < len(stages); i++ {
 		if !stages[i].Equal(Gamma(in, stages[i-1])) {
 			t.Fatalf("stage A%d is not Γ(A%d)\nprogram:\n%s\ndatabase:\n%s", i, i-1, src, db)
