@@ -13,7 +13,8 @@
 // to a write-ahead log before they are acknowledged, checkpoints
 // snapshot the maintained state in the background, a final checkpoint
 // runs on graceful shutdown, and a restart recovers by restoring the
-// snapshot and replaying the WAL suffix — no fixpoint re-run (see
+// snapshot — one fixpoint over its EDB, checked against the derived
+// relations it holds — and replaying the WAL suffix (see
 // internal/durable).
 //
 // With -follow the daemon is a replication follower: it bootstraps

@@ -4,8 +4,9 @@
 //  1. build a durable server (Config.DataDir): every committed batch
 //     is appended to a write-ahead log before it is acknowledged,
 //  2. apply updates and shut down cleanly — then reopen the same data
-//     dir and watch recovery restore the checkpoint and replay the
-//     WAL suffix into a ready maintainer, no fixpoint re-run,
+//     dir and watch recovery restore the checkpoint — one fixpoint
+//     over its EDB, checked against its derived relations — and
+//     replay the WAL suffix into a ready maintainer,
 //  3. bit-exactness: the recovered state and generation match what
 //     was served before the restart,
 //  4. the /v1/metrics durable block: WAL volume, checkpoint cadence,

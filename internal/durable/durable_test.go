@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -42,9 +43,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			cp := m.Checkpoint()
-			var buf bytes.Buffer
-			if err := WriteSnapshot(&buf, cp); err != nil {
-				t.Fatal(err)
+			var buf, again bytes.Buffer
+			for _, b := range []*bytes.Buffer{&buf, &again} {
+				if err := WriteSnapshot(b, cp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+				t.Fatal("a checkpoint encoded twice gave different bytes")
 			}
 			got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 			if err != nil {
@@ -699,5 +705,55 @@ func TestResetAndInstallSnapshot(t *testing.T) {
 	}
 	if got, want := r.State().Format(r.Universe()), m.State().Format(m.Universe()); got != want {
 		t.Fatalf("installed snapshot restores:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestWriteSnapshotConcurrently: goroutines encoding at once, each with
+// a gzip writer of the shared pool, write the bytes one writes alone.
+func TestWriteSnapshotConcurrently(t *testing.T) {
+	cp := mustMaintainer(t, core.WellFounded).Checkpoint()
+	var want bytes.Buffer
+	if err := WriteSnapshot(&want, cp); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]bytes.Buffer, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				got[i].Reset()
+				if err := WriteSnapshot(&got[i], cp); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if !bytes.Equal(got[i].Bytes(), want.Bytes()) {
+			t.Errorf("goroutine %d wrote %d bytes unlike the %d written alone", i, got[i].Len(), want.Len())
+		}
+	}
+}
+
+// BenchmarkWriteSnapshot encodes a small win-move checkpoint, the size
+// of TestCrashSim's, to io.Discard: its B/op is mostly the compressor's
+// state, paid per snapshot unless a gzip writer is reused.
+func BenchmarkWriteSnapshot(b *testing.B) {
+	prog := parser.MustProgram(winSrc)
+	db := graphs.Random(rand.New(rand.NewSource(7)), 6, 0.4).Database()
+	m, err := incr.New(prog, db, core.WellFounded)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cp := m.Checkpoint()
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := WriteSnapshot(io.Discard, cp); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -15,11 +15,11 @@
 //
 // Tuples serialize in arena insertion order — one tag byte selecting
 // the packed uint64 key (8 bytes little-endian) or the length-prefixed
-// spill byte string — so a restored relation's arena is byte-for-byte
-// in the original order and a restored maintainer checkpoints to the
-// same bytes.  Any other section kind is an error, and so is a relation
-// section before the universe section or a tuple id that names no
-// constant of the universe.
+// spill byte string — so a restored EDB relation's arena is in the
+// original order; derived relations are recomputed on restore and only
+// checked against the image's.  Any other section kind is an error,
+// and so is a relation section before the universe section or a tuple
+// id that names no constant of the universe.
 package durable
 
 import (
@@ -31,6 +31,7 @@ import (
 	"hash/crc32"
 	"io"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/incr"
@@ -68,12 +69,19 @@ const (
 	eagerSectionBytes = 1 << 20
 )
 
+// gzipWriters holds gzip writers between snapshots: a new one
+// allocates its compressor's state, about 800 KB, before the first
+// byte, and Reset gives an old one the state of a new one.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 // WriteSnapshot serializes a checkpoint to w in the format above.
 func WriteSnapshot(w io.Writer, cp *incr.Checkpoint) error {
 	if _, err := io.WriteString(w, snapMagic); err != nil {
 		return err
 	}
-	zw := gzip.NewWriter(w)
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(w)
 	sw := &sectionWriter{w: zw}
 
 	var buf []byte

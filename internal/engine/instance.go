@@ -128,9 +128,6 @@ func MustNew(prog *ast.Program, db *relation.Database) *Instance {
 // (semantics.NewLayer).
 func (in *Instance) KeepLevels() { in.levels = true }
 
-// KeepsLevels reports whether NewState's relations track levels.
-func (in *Instance) KeepsLevels() bool { return in.levels }
-
 // Program returns the bound program.
 func (in *Instance) Program() *ast.Program { return in.prog }
 

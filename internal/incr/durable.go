@@ -1,18 +1,14 @@
 // durable.go — checkpoint capture and restore.
 //
-// A Checkpoint is everything a Maintainer needs to come back without
-// re-running the fixpoint: the program, the universe, the EDB and the
-// materialized IDB state, plus the possibly-true relations of a
-// well-founded model computed by alternation.  Everything else the
-// methods keep (stratum engine instances, the stages of the
-// alternating fixpoint) is rebuilt from that state on restore:
-//
-//   - strata and stages: neither keeps anything beside the materialized
-//     relations, so the restored IDB is installed as it is.
-//   - alternation: the chain of Γ stages is not persisted; restore
-//     rebuilds it over the restored EDB as New does, with
-//     semantics.Layer.Alternate keeping every stage, and refuses a
-//     checkpoint whose True or Possible differ from its last two.
+// A Checkpoint is the program, the universe, the EDB and the
+// materialized IDB state of a Maintainer, plus the possibly-true
+// relations of a well-founded model computed by alternation.  Every
+// semantics makes the model a function of the program and the EDB, so
+// a restore is a cold start: it builds the maintainer as New does, one
+// fixpoint over the checkpoint's EDB, and then checks the checkpoint's
+// derived relations against the model it computed rather than trusting
+// them.  What the methods keep beside the model — the levels of a
+// maintained layer, the chain of Γ stages — comes from that build.
 //
 // The relations inside a Checkpoint captured from a live Maintainer
 // are sealed snapshot views: Checkpoint() is cheap and the caller may
@@ -37,8 +33,8 @@ type Checkpoint struct {
 	Universe *relation.Universe
 
 	// EDBNames lists the EDB relations in database insertion order;
-	// restore re-creates them in the same order so a restored
-	// maintainer serializes identically to the original.
+	// restore re-creates them in the same order, each arena as it was,
+	// so the restored fixpoint runs over the original's EDB.
 	EDBNames []string
 	EDB      map[string]*relation.Relation
 	IDB      map[string]*relation.Relation
@@ -87,11 +83,14 @@ func (m *Maintainer) Checkpoint() *Checkpoint {
 	return cp
 }
 
-// RestoreWith rebuilds a ready Maintainer from a checkpoint without
-// re-running the fixpoint.  The checkpoint is not consumed: its
-// relations are cloned or re-sealed as needed, so the same checkpoint
-// can be restored more than once.  The Options argument is ignored; it
-// remains only for benchmark/.
+// RestoreWith rebuilds a ready Maintainer from a checkpoint: it builds
+// one as New does over the checkpoint's universe and EDB, then refuses
+// the checkpoint unless its derived relations are the model computed.
+// A sealed EDB relation, as Checkpoint captures them, is copied, so
+// such a checkpoint can be restored any number of times; any other,
+// as durable.ReadSnapshot decodes them, is taken over, and the
+// maintainer's updates write into it.  The Options argument is
+// ignored; it remains only for benchmark/.
 func RestoreWith(cp *Checkpoint, _ engine.Options) (*Maintainer, error) {
 	db := relation.NewDatabaseOn(cp.Universe.Clone())
 	for _, name := range cp.EDBNames {
@@ -106,55 +105,35 @@ func RestoreWith(cp *Checkpoint, _ engine.Options) (*Maintainer, error) {
 		return nil, err
 	}
 	m.gen = cp.Gen
-
-	if m.method == core.Alternation {
-		m.recompute()
-	} else {
-		// Install the restored IDB where recompute would have put
-		// computed results: strata read lower strata from the database.
-		m.state = make(engine.State, len(m.idb))
-		for pred := range m.idb {
-			rel, ar := cp.IDB[pred], m.arities[pred]
-			switch {
-			case rel == nil:
-				rel = relation.New(ar)
-			case rel.Arity() != ar:
-				return nil, fmt.Errorf("incr: checkpoint relation %s has arity %d, program wants %d", pred, rel.Arity(), ar)
-			default:
-				rel = rel.Mutable()
-			}
-			if m.strata != nil {
-				m.db.Set(pred, rel)
-			}
-			m.state[pred] = rel
-		}
-		// The levels are not persisted: a recursive stratum's come from
-		// one fixpoint of it, bottom-up, which must be what was restored.
-		for i, l := range m.strata {
-			if !l.Relevel(m.state, m.state) {
-				return nil, fmt.Errorf("incr: checkpoint's stratum %d is not the fixpoint over its EDB", i+1)
-			}
-		}
+	if err := agree("true", m.state, cp.IDB); err != nil {
+		return nil, err
 	}
 	if wf := m.WF(); wf != nil {
-		// The model is rebuilt (the chain) or has one part (strata): what
-		// the checkpoint says of it can only be checked.  A checkpoint
-		// without Possible says the model is total.
+		// A checkpoint without Possible says the model is total.
 		possible := cp.Possible
 		if possible == nil {
 			possible = cp.IDB
 		}
-		for _, part := range []struct {
-			name string
-			got  engine.State
-			want map[string]*relation.Relation
-		}{{"true", wf.True, cp.IDB}, {"possible", wf.Possible, possible}} {
-			for pred, r := range part.got {
-				if w := part.want[pred]; w == nil && !r.Empty() || w != nil && !w.Equal(r) {
-					return nil, fmt.Errorf("incr: checkpoint's %s part of %s is not the well-founded model's over its EDB", part.name, pred)
-				}
-			}
+		if err := agree("possible", wf.Possible, possible); err != nil {
+			return nil, err
 		}
 	}
 	return m, nil
+}
+
+// agree returns an error unless want, the relations a checkpoint gives
+// for the named part of its model, are those computed, got: a
+// predicate missing from either side counts as empty.
+func agree(part string, got engine.State, want map[string]*relation.Relation) error {
+	for pred, w := range want {
+		if got[pred] == nil && !w.Empty() {
+			return fmt.Errorf("incr: checkpoint's %s part holds %s, which the program does not derive", part, pred)
+		}
+	}
+	for pred, r := range got {
+		if w := want[pred]; w == nil && !r.Empty() || w != nil && !w.Equal(r) {
+			return fmt.Errorf("incr: checkpoint's %s part of %s is not the model over its EDB", part, pred)
+		}
+	}
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/graphs"
 	"repro/internal/incr"
 	"repro/internal/parser"
+	"repro/internal/relation"
 )
 
 // stateOf renders everything a reader can observe through a snapshot:
@@ -135,5 +136,57 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 	delete(cp.EDB, "E")
 	if _, err := incr.RestoreWith(cp, engine.Options{}); err == nil {
 		t.Error("restore accepted a checkpoint missing a listed EDB relation")
+	}
+}
+
+// TestRestoreRefusesTamperedModel: a restore computes the model over
+// the checkpoint's EDB under every method, so a checkpoint whose true
+// part differs from it by one tuple, added or removed, is refused —
+// in a recursive stratum, in a stratum above it that is not recursive,
+// in the stages of an inflationary program and in the true part of a
+// well-founded model that has drawn positions.
+func TestRestoreRefusesTamperedModel(t *testing.T) {
+	const facts = "E(a,b). E(b,c). E(c,a). E(c,d). E(e,f). E(f,e). V(a). V(b). V(c). V(d). V(e). V(f)."
+	for _, tc := range []struct {
+		name, src string
+		sem       core.Semantics
+	}{
+		{"lfp", tcSrc, core.LFP},
+		{"stratified", negSrc, core.Stratified},
+		{"inflationary", winSrc, core.Inflationary},
+		{"wellfounded", winSrc, core.WellFounded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := parser.MustProgram(tc.src)
+			m, err := incr.New(prog, parser.MustFacts(facts), tc.sem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := incr.RestoreWith(m.Checkpoint(), engine.Options{}); err != nil {
+				t.Fatalf("restore refused an untampered checkpoint: %v", err)
+			}
+			for _, pred := range prog.IDBList() {
+				cp := m.Checkpoint()
+				held := cp.IDB[pred]
+				if held.Empty() {
+					t.Fatalf("%s is empty: nothing to remove", pred)
+				}
+				// One tuple removed, and one the model lacks added.
+				removed, added := held.Clone(), held.Clone()
+				removed.Remove(held.At(0))
+				relation.Full(held.Arity(), cp.Universe.Size()).Each(func(tu relation.Tuple) bool {
+					return !added.Add(tu)
+				})
+				if added.Len() != held.Len()+1 {
+					t.Fatalf("%s holds every tuple: nothing to add", pred)
+				}
+				for what, rel := range map[string]*relation.Relation{"removed": removed, "added": added} {
+					cp.IDB[pred] = rel
+					if _, err := incr.RestoreWith(cp, engine.Options{}); err == nil {
+						t.Errorf("restore accepted a checkpoint with one tuple of %s %s", pred, what)
+					}
+				}
+			}
+		})
 	}
 }

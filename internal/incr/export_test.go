@@ -40,12 +40,12 @@ func (m *Maintainer) CheckLevels() error {
 // checkLevels checks the level invariant of in's predicates in own,
 // negated literals reading neg.
 func checkLevels(in *engine.Instance, own, neg engine.State) error {
-	if !in.KeepsLevels() {
-		return nil
-	}
 	byLevel := make(map[uint16]map[string]*relation.Relation)
 	for _, pred := range in.IDBPreds() {
 		rel := own[pred]
+		if !rel.TracksLevels() {
+			continue
+		}
 		for off := range int32(rel.Len()) {
 			lv := rel.Level(off)
 			if lv == relation.NoLevel {

@@ -285,7 +285,7 @@ func FuzzMaintain(f *testing.F) {
 		// deleting b→c takes both, and neither may vouch for the other.
 		{tcSrc, []byte{5, 7, 0, 1, 3, 1, 1, 2, 0, 3, 3, 0, 4, 5, 5, 4, 0, 0, 1, 1, 2}},
 		// The cycle a→e→f→a with the path a→b→c→d, restored after four
-		// no-op updates, so that no tuple has a known level, then c→d
+		// no-op updates, so that the levels are the restore's, then c→d
 		// deleted: the deletion reaches s(b,d), s(a,d), s(f,d) and
 		// s(e,d) only through tuples it deleted.
 		{tcSrc, []byte{5, 6, 0, 4, 4, 5, 5, 0, 0, 1, 1, 2, 2, 3, 4, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 2, 3}},

@@ -132,12 +132,7 @@ type Maintainer struct {
 // New builds a maintainer for prog on a private clone of db, runs the
 // initial evaluation under sem, and returns it ready for updates.
 func New(prog *ast.Program, db *relation.Database, sem core.Semantics) (*Maintainer, error) {
-	m, err := newMaintainer(prog, sem, db.Clone())
-	if err != nil {
-		return nil, err
-	}
-	m.recompute()
-	return m, nil
+	return newMaintainer(prog, sem, db.Clone())
 }
 
 // NewWith is New; it remains only for benchmark/.
@@ -146,8 +141,8 @@ func NewWith(prog *ast.Program, db *relation.Database, sem core.Semantics, _ eng
 }
 
 // newMaintainer builds a maintainer for prog under sem over db, which
-// it takes over, and the engine instances its method evaluates with;
-// New and RestoreWith then compute or install the state.
+// it takes over: the engine instances its method evaluates with, and
+// the state they compute.  New and RestoreWith both start here.
 func newMaintainer(prog *ast.Program, sem core.Semantics, db *relation.Database) (*Maintainer, error) {
 	arities, err := prog.Validate()
 	if err != nil {
@@ -181,6 +176,7 @@ func newMaintainer(prog *ast.Program, sem core.Semantics, db *relation.Database)
 	if err != nil {
 		return nil, err
 	}
+	m.recompute()
 	return m, nil
 }
 
@@ -288,9 +284,9 @@ func (m *Maintainer) updateStrata(ch map[string]*semantics.Change, stats *Update
 }
 
 // recompute does the full evaluation with the current database: the
-// initial one, every update of a general inflationary program, the
-// fallback for universe growth under unsafe rules, and the chain of a
-// restored alternation.
+// initial one of a build or a restore, every update of a general
+// inflationary program, and the fallback for universe growth under
+// unsafe rules.
 func (m *Maintainer) recompute() {
 	switch m.method {
 	case core.Stages:

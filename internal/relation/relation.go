@@ -285,13 +285,16 @@ func (r *Relation) push(t Tuple) {
 // every known level, so a level bound never admits it.
 const NoLevel = math.MaxUint16
 
-// TrackLevels starts keeping a level per tuple beside the arena, each
-// tuple it holds at NoLevel: a 2-byte array that Remove's swap moves
-// and Clone copies.  The levels are the caller's (semantics.Layer
-// keeps a fixpoint stage bound in them); snapshots do not carry them.
+// TrackLevels starts keeping a level per tuple beside the arena of r,
+// which must be empty: a 2-byte array that Remove's swap moves and
+// Clone copies.  The levels are the caller's (semantics.Layer keeps a
+// fixpoint stage bound in them); snapshots do not carry them.
 func (r *Relation) TrackLevels() {
+	if r.n > 0 {
+		panic("relation: TrackLevels on a non-empty relation")
+	}
 	if r.levels == nil && !r.frozen {
-		r.levels = slices.Repeat([]uint16{NoLevel}, r.n)
+		r.levels = []uint16{}
 	}
 }
 

@@ -442,21 +442,6 @@ func (l *Layer) rederive(own, neg engine.State, eval func(engine.Spec) engine.St
 	}
 }
 
-// Relevel gives own's tuples, restored without levels, those of a fresh
-// fixpoint of the layer, Γ against neg, when the layer keeps levels:
-// until then each is of unknown level, whose deletion cannot be
-// checked.  It reports false if own was not that fixpoint, which own
-// then holds.
-func (l *Layer) Relevel(own, neg engine.State) bool {
-	if !l.in.KeepsLevels() {
-		return true
-	}
-	for _, pred := range l.predList {
-		own[pred].TrackLevels()
-	}
-	return len(l.reevaluate(own, neg, &Stats{})) == 0
-}
-
 // reevaluate computes the layer from scratch, Γ against neg, and writes
 // the difference into own's relations in place — the strata above read
 // them from the database — returning it as the layer's net change.

@@ -4,9 +4,10 @@
 // With Config.DataDir set, the server's lifecycle becomes
 //
 //	recover   Open the store; restore the snapshot into a ready
-//	          maintainer (no fixpoint re-run) and replay the WAL
-//	          suffix through it; write a fresh checkpoint so the next
-//	          boot replays nothing it does not have to.
+//	          maintainer (one fixpoint over its EDB, checked against
+//	          its derived relations) and replay the WAL suffix
+//	          through it; write a fresh checkpoint so the next boot
+//	          replays nothing it does not have to.
 //	serve     every maintainer pass appends its batch to the WAL
 //	          before the snapshot is published and callers are
 //	          answered: acknowledged implies logged (and, under

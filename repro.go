@@ -29,34 +29,15 @@ import (
 	"repro/internal/semantics"
 )
 
-// Options configures one query call; the zero value is what Query
-// uses.
-type Options struct {
-	// Materialize makes QueryWith materialize the full fixpoint and
-	// filter it — the oracle the demand-driven magic-set path is
-	// differential-tested against — instead of answering demand-driven.
-	Materialize bool
-}
+// Options remains only for benchmark/, which passes it to EvalWith:
+// evaluation has no settings.
+type Options struct{}
 
 // EvalWith evaluates prog on db under sem — the entry point behind
 // Inflationary, LeastFixpoint, Stratified, and WellFounded.  The
 // Options argument is ignored; it remains only for benchmark/.
 func EvalWith(prog *Program, db *Database, sem Semantics, _ Options) (*Result, error) {
 	return core.Eval(prog, db, sem)
-}
-
-// QueryWith is Query with per-call options.  It answers demand-driven
-// (magic-set rewriting) unless Options.Materialize asks for the full
-// fixpoint, filtered.
-func QueryWith(prog *Program, db *Database, query string, sem Semantics, opt Options) (*QueryResult, error) {
-	q, err := magic.ParseQuery(query)
-	if err != nil {
-		return nil, err
-	}
-	if opt.Materialize {
-		return core.QueryFull(prog, db, q, sem)
-	}
-	return core.Query(prog, db, q, sem)
 }
 
 // Program is a DATALOG¬ program.

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/magic"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -81,8 +83,8 @@ s(X,Y) :- s(X,Z), e(Z,Y).
 }
 
 // TestFacadeEntryPointsAgree holds the facade's entry points together:
-// all four semantics through EvalWith, both QueryWith strategies, and
-// maintenance, same results.
+// all four semantics through EvalWith, Query against the materialized
+// answer, and maintenance, same results.
 func TestFacadeEntryPointsAgree(t *testing.T) {
 	prog, err := repro.ParseProgram(`
 s(X,Y) :- e(X,Y).
@@ -108,16 +110,18 @@ s(X,Y) :- e(X,Z), s(Z,Y).
 		}
 	}
 
-	// QueryWith: Materialize is the materialize+filter oracle; both
-	// strategies answer identically.
-	for _, materialize := range []bool{false, true} {
-		res, err := repro.QueryWith(prog, db, "s(a, ?)", repro.SemanticsLFP, repro.Options{Materialize: materialize})
-		if err != nil {
-			t.Fatalf("materialize=%v: %v", materialize, err)
-		}
-		if res.Tuples.Len() != 3 {
-			t.Errorf("materialize=%v: |s(a,?)| = %d, want 3", materialize, res.Tuples.Len())
-		}
+	// Query answers demand-driven; core.QueryFull, the materialize and
+	// filter oracle, answers the same.
+	res, err := repro.Query(prog, db, "s(a, ?)", repro.SemanticsLFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := core.QueryFull(prog, db, magic.MustParseQuery("s(a, ?)"), core.LFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tuples.Len() != 3 || !res.Tuples.Equal(full.Tuples) {
+		t.Errorf("|s(a,?)| = %d, materialized %d, want 3 and equal", res.Tuples.Len(), full.Tuples.Len())
 	}
 
 	m, err := repro.Maintain(prog, db, repro.SemanticsLFP)
