@@ -46,13 +46,13 @@ bench:
 # The CI smoke variant: one iteration of every benchmark the regex
 # 'E1|E5' matches (E1, E5, E10–E12, E14 and E16), a quick experiment
 # run, and the allocs/op of a tiny pass, the join loop, a maintained
-# Γ-chain update, an inflationary distance fixpoint, the key table's
-# probes in both layouts and a sorted read (Relation.Tuples) of each
-# layout and of a range view.
+# Γ-chain update, an inflationary and a stratified distance fixpoint,
+# the key table's probes in both layouts and a sorted read
+# (Relation.Tuples) of each layout and of a range view.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E1|E5' -benchtime 1x . | tee bench-smoke.txt
 	$(GO) run ./cmd/bench -quick -exp E1 | tee -a bench-smoke.txt
-	$(GO) test -run '^$$' -bench 'TinyPass|JoinAllocs|GammaChainUpdate|StrataUpdateSCC|WellFoundedBuild|InflationaryDistance|TableProbe|RelationTuples' -benchmem -benchtime 200x ./internal/engine ./internal/incr ./internal/semantics ./internal/relation | tee -a bench-smoke.txt
+	$(GO) test -run '^$$' -bench 'TinyPass|JoinAllocs|GammaChainUpdate|StrataUpdateSCC|WellFoundedBuild|InflationaryDistance|StratifiedDistance|TableProbe|RelationTuples' -benchmem -benchtime 200x ./internal/engine ./internal/incr ./internal/semantics ./internal/relation | tee -a bench-smoke.txt
 
 # CPU + allocation profiles of the hot evaluation path (the E8/E10
 # series, which evaluate on the calling goroutine, so there is no

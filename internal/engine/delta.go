@@ -118,6 +118,7 @@ func (rp *rulePlan) variant(k int) *rulePlan {
 		v.positives[n] = rp.negatives[k]
 		v.negatives = append(rp.negatives[:k:k], rp.negatives[k+1:]...)
 	}
+	v.components()
 	p.CompareAndSwap(nil, v)
 	return p.Load()
 }

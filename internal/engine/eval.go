@@ -19,6 +19,7 @@ import (
 // literal matched, and an emission is stored at one past the highest of
 // its level literals' (Relation.AddLevel).  only, when set, is the
 // Within filter of a delta pass: emissions outside it are dropped.
+// run stops at step end, there emitting or, with memo set, projecting.
 type evalCtx struct {
 	pos     []Overlay
 	neg     []Overlay
@@ -30,6 +31,9 @@ type evalCtx struct {
 	headBuf relation.Tuple
 	negBuf  relation.Tuple
 	probe   []int
+	end     int
+	comp    *compExec
+	memo    *relation.Relation
 }
 
 // evalTask is one rule evaluation of a pass: a rule plan plus optional
@@ -236,7 +240,7 @@ func (in *Instance) getScratch(rp *rulePlan, maxNeg int) *evalScratch {
 // reference so pooled entries never pin last round's states.
 func (in *Instance) putScratch(sc *evalScratch) {
 	ctx := &sc.ctx
-	ctx.out, ctx.only = nil, nil
+	ctx.out, ctx.only, ctx.comp, ctx.memo = nil, nil, nil, nil
 	for i := range ctx.pos {
 		ctx.pos[i] = Overlay{}
 	}
@@ -280,8 +284,51 @@ func (in *Instance) evalRule(task evalTask, sp *Spec, out State) {
 	joinOrder(rp, ctx.pos, sc.bound, sc.used, sc.order)
 	ep := rp.plan(sc.order)
 	ctx.probe = growSlice(ctx.probe, ep.nprobe)
-	in.run(rp, ctx, ep, 0, sc.binding)
+	if ctx.end = len(ep.steps); len(ep.comps) == 1 {
+		in.run(rp, ctx, ep, 0, sc.binding)
+	} else {
+		in.product(rp, ctx, ep, sc.binding)
+	}
 	in.putScratch(sc)
+}
+
+// product evaluates each component of ep once into the set of its
+// head projections, each at its lowest level, and emits their product:
+// nothing when one is empty, even a projection on no head variable.
+func (in *Instance) product(rp *rulePlan, ctx *evalCtx, ep *execPlan, binding []int) {
+	memos := make([]*relation.Relation, len(ep.comps))
+	start := 0
+	for i := range ep.comps {
+		ctx.comp, ctx.memo, ctx.end = &ep.comps[i], relation.New(len(ep.comps[i].head)), ep.comps[i].end
+		ctx.memo.TrackLevels()
+		in.run(rp, ctx, ep, start, binding)
+		if ctx.memo.Empty() {
+			return
+		}
+		memos[i], start = ctx.memo, ctx.end
+	}
+	ctx.comp, ctx.memo = nil, nil
+	in.emitProduct(rp, ctx, ep, memos, 0, binding)
+}
+
+// emitProduct binds the head variables of components k and on to each
+// tuple of their projections in turn, with its level as what their
+// level literals matched, and emits each full binding through run.
+func (in *Instance) emitProduct(rp *rulePlan, ctx *evalCtx, ep *execPlan, memos []*relation.Relation, k int, binding []int) {
+	if k == len(memos) {
+		in.run(rp, ctx, ep, ctx.end, binding)
+		return
+	}
+	m, ce := memos[k], &ep.comps[k]
+	for off, hi := m.Span(); off < hi; off++ {
+		for i, v := range m.At(off) {
+			binding[ce.head[i].val] = v
+		}
+		for _, i := range ce.levels {
+			ctx.lv[i] = m.Level(off)
+		}
+		in.emitProduct(rp, ctx, ep, memos, k+1, binding)
+	}
 }
 
 // slotValue resolves a slot under the current binding; -1 means the
@@ -296,7 +343,11 @@ func slotValue(s slot, binding []int) int {
 // run executes the plan from step si under the given partial binding,
 // emitting head tuples into ctx.out.
 func (in *Instance) run(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, binding []int) {
-	if si == len(ep.steps) {
+	if si == ctx.end {
+		if ctx.memo != nil {
+			ctx.project(binding)
+			return
+		}
 		// Fill the scratch head buffer; Add copies it only when actually
 		// stored, and ctx.out dedups it by its own key table.
 		t := ctx.headBuf
@@ -374,6 +425,20 @@ func (in *Instance) runJoin(rp *rulePlan, ctx *evalCtx, ep *execPlan, si int, bi
 	if src.Plus != nil {
 		in.joinRel(rp, ctx, ep, si, binding, src.Plus, nil, 0, vals)
 	}
+}
+
+// project adds binding's projection on ctx.comp to ctx.memo, at the
+// highest level its level literals matched (unused without levels).
+func (ctx *evalCtx) project(binding []int) {
+	t := ctx.headBuf[:len(ctx.comp.head)]
+	for i, s := range ctx.comp.head {
+		t[i] = binding[s.val]
+	}
+	lv := uint16(0)
+	for _, i := range ctx.comp.levels {
+		lv = max(lv, ctx.lv[i])
+	}
+	ctx.memo.AddLevel(t, lv)
 }
 
 // headLevel is the level of an emission: one past the highest level

@@ -45,6 +45,7 @@ type rulePlan struct {
 	positives []litPlan
 	negatives []litPlan
 	cmps      []cmpPlan
+	comp      []int // variable index -> its body component (planner.go)
 
 	plans    atomic.Pointer[[]*execPlan] // compiled plans by join order (planner.go)
 	variants []atomic.Pointer[rulePlan]  // delta variants, built on first use (delta.go)
@@ -226,6 +227,7 @@ func (in *Instance) compile(r ast.Rule) *rulePlan {
 			rp.cmps = append(rp.cmps, cmpPlan{neq: true, left: mkSlot(l.Left), right: mkSlot(l.Right)})
 		}
 	}
+	rp.components()
 	rp.variants = make([]atomic.Pointer[rulePlan], len(rp.negatives)+1)
 	return rp
 }

@@ -22,11 +22,14 @@
 // literal — in particular at a semi-naive delta relation when one is
 // present.  Comparison and negation checks run as soon as their
 // variables are bound, equality propagation and universe enumeration
-// bind whatever remains.  The plan fixes only the join order and access
-// paths, so every plan derives exactly Θ's set.
+// bind whatever remains, one variable-disjoint component of the body
+// after another: a pass emits the product of their head projections
+// (eval.go).  The plan fixes only the join order, the access paths and
+// the split, so every plan derives exactly Θ's set.
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -61,7 +64,16 @@ type execStep struct {
 type execPlan struct {
 	order  []int // positive-literal indexes in join order: the cache key
 	steps  []execStep
-	nprobe int // probe values of all joins: the scratch a run needs
+	nprobe int        // probe values of all joins: the scratch a run needs
+	comps  []compExec // the variable-disjoint components, in step order
+}
+
+// compExec is one component of a plan: its steps end at step end; head
+// holds the head variables it binds, levels its level literals.
+type compExec struct {
+	end    int
+	head   []slot
+	levels []int
 }
 
 // maxPlans caps a rule's plan cache.  A body of k positive literals has
@@ -221,10 +233,48 @@ func (rp *rulePlan) plan(order []int) *execPlan {
 	}
 }
 
+// components labels each variable of rp with its body component: a
+// literal or comparison links its variables, constants link nothing,
+// and a head variable no body literal names is a component of its own.
+func (rp *rulePlan) components() {
+	rp.comp = make([]int, rp.nvars)
+	for v := range rp.comp {
+		rp.comp[v] = v
+	}
+	link := func(slots ...slot) {
+		for _, s := range slots {
+			if from, to := rp.compOf([]slot{s}), rp.compOf(slots); from >= 0 {
+				for v, c := range rp.comp {
+					if c == from {
+						rp.comp[v] = to
+					}
+				}
+			}
+		}
+	}
+	for _, lp := range slices.Concat(rp.positives, rp.negatives) {
+		link(lp.slots...)
+	}
+	for _, c := range rp.cmps {
+		link(c.left, c.right)
+	}
+}
+
+// compOf is the component of a literal's variables, -1 if it has none.
+func (rp *rulePlan) compOf(slots []slot) int {
+	for _, s := range slots {
+		if !s.isConst {
+			return rp.comp[s.val]
+		}
+	}
+	return -1
+}
+
 // buildExec compiles the rule body for a join order of its positive
-// literals: each join in turn, every comparison and negation check as
-// soon as its variables are bound, then equality propagation or
-// universe enumeration for the variables no join binds.
+// literals, per component (ground literals in the first): each join in
+// turn, every comparison and negation check as soon as its variables
+// are bound, then equality propagation or universe enumeration for the
+// variables no join binds.
 func buildExec(rp *rulePlan, order []int) *execPlan {
 	bound := make([]bool, rp.nvars)
 	usedCmp := make([]bool, len(rp.cmps))
@@ -258,44 +308,65 @@ func buildExec(rp *rulePlan, order []int) *execPlan {
 	}
 	addChecks()
 
-	for _, lit := range order {
-		je := compileJoin(rp, lit, bound)
-		je.probeOff = ep.nprobe
-		ep.nprobe += len(je.probeCols)
-		ep.steps = append(ep.steps, execStep{kind: stepJoin, idx: lit, join: je})
-		bindSlots(bound, rp.positives[lit].slots)
-		addChecks()
+	seq := slices.Compact(slices.Sorted(slices.Values(rp.comp))) // component ids; -1 alone without variables
+	if len(seq) == 0 {
+		seq = []int{-1}
 	}
-
-	// Extension phase: bind leftover variables, preferring equality
-	// propagation over universe enumeration.
-	for v := 0; v < rp.nvars; v++ {
-		if bound[v] {
-			continue
-		}
-		eq := -1
-		for i, c := range rp.cmps {
-			if c.neq || usedCmp[i] {
+	for k, id := range seq {
+		var ce compExec
+		for _, lit := range order {
+			lp := rp.positives[lit]
+			if c := rp.compOf(lp.slots); c != id && (c >= 0 || k > 0) {
 				continue
 			}
-			l, r := c.left, c.right
-			if !l.isConst && l.val == v && slotBound(r) {
-				eq = i
-				break
+			je := compileJoin(rp, lit, bound)
+			je.probeOff = ep.nprobe
+			ep.nprobe += len(je.probeCols)
+			ep.steps = append(ep.steps, execStep{kind: stepJoin, idx: lit, join: je})
+			bindSlots(bound, lp.slots)
+			if lp.level {
+				ce.levels = append(ce.levels, lit)
 			}
-			if !r.isConst && r.val == v && slotBound(l) {
-				eq = i
-				break
+			addChecks()
+		}
+
+		// Extension phase: bind the component's leftover variables,
+		// preferring equality propagation over universe enumeration.
+		for v := 0; v < rp.nvars; v++ {
+			if bound[v] || rp.comp[v] != id {
+				continue
+			}
+			eq := -1
+			for i, c := range rp.cmps {
+				if c.neq || usedCmp[i] {
+					continue
+				}
+				l, r := c.left, c.right
+				if !l.isConst && l.val == v && slotBound(r) {
+					eq = i
+					break
+				}
+				if !r.isConst && r.val == v && slotBound(l) {
+					eq = i
+					break
+				}
+			}
+			if eq >= 0 {
+				usedCmp[eq] = true
+				ep.steps = append(ep.steps, execStep{kind: stepBindEq, idx: eq})
+			} else {
+				ep.steps = append(ep.steps, execStep{kind: stepExtend, idx: v})
+			}
+			bound[v] = true
+			addChecks()
+		}
+		for _, s := range rp.headSlots {
+			if !s.isConst && rp.comp[s.val] == id {
+				ce.head = append(ce.head, s)
 			}
 		}
-		if eq >= 0 {
-			usedCmp[eq] = true
-			ep.steps = append(ep.steps, execStep{kind: stepBindEq, idx: eq})
-		} else {
-			ep.steps = append(ep.steps, execStep{kind: stepExtend, idx: v})
-		}
-		bound[v] = true
-		addChecks()
+		ce.end = len(ep.steps)
+		ep.comps = append(ep.comps, ce)
 	}
 	return ep
 }
@@ -327,8 +398,9 @@ func (rp *rulePlan) atomString(pred string, slots []slot, u *relation.Universe) 
 // Explain writes every rule's evaluation plan against the database and
 // the IDB relations of s: the chosen literal order, the access path of
 // each join (scan, the probed index columns, or "member" for a fully
-// bound literal), and the planner's
-// cardinality estimates.  Passing the state of a finished evaluation
+// bound literal), and the planner's cardinality estimates; a rule of
+// k > 1 components says so and where each begins, with its projection.
+// Passing the state of a finished evaluation
 // shows the steady-state plans; passing NewState() shows the first
 // round.
 func (in *Instance) Explain(w io.Writer, s State) {
@@ -342,38 +414,48 @@ func (in *Instance) Explain(w io.Writer, s State) {
 		bound, order := make([]bool, rp.nvars), make([]int, len(rp.positives))
 		joinOrder(rp, rels, bound, make([]bool, len(rp.positives)), order)
 		clear(bound)
-		for _, st := range buildExec(rp, order).steps {
-			switch st.kind {
-			case stepJoin:
-				je := st.join
-				lp := rp.positives[st.idx]
-				rel := rels[st.idx].Base
-				est := estimateJoin(rel, lp, bound)
-				bindSlots(bound, lp.slots)
-				path := "scan"
-				if je.member {
-					path = "member"
-				} else if len(je.probeCols) > 0 {
-					path = fmt.Sprintf("index%v", je.probeCols)
-				}
-				fmt.Fprintf(w, "  join  %-24s %-10s |rel|=%-8d est=%.3g\n",
-					rp.atomString(lp.pred, lp.slots, u), path, rel.Len(), est)
-			case stepNeg:
-				np := rp.negatives[st.idx]
-				fmt.Fprintf(w, "  check ¬%s\n", rp.atomString(np.pred, np.slots, u))
-			case stepCmp:
-				c := rp.cmps[st.idx]
-				op := "="
-				if c.neq {
-					op = "≠"
-				}
-				fmt.Fprintf(w, "  check %s %s %s\n", rp.slotString(c.left, u), op, rp.slotString(c.right, u))
-			case stepBindEq:
-				c := rp.cmps[st.idx]
-				fmt.Fprintf(w, "  bind  %s = %s\n", rp.slotString(c.left, u), rp.slotString(c.right, u))
-			case stepExtend:
-				fmt.Fprintf(w, "  enumerate %s over universe (%d)\n", rp.varNames[st.idx], u.Size())
+		ep, start := buildExec(rp, order), 0
+		if len(ep.comps) > 1 {
+			fmt.Fprintf(w, "  product of %d components\n", len(ep.comps))
+		}
+		for c, ce := range ep.comps {
+			if len(ep.comps) > 1 {
+				fmt.Fprintf(w, "  component %d → %s\n", c+1, cmp.Or(rp.atomString("", ce.head, u), "()"))
 			}
+			for _, st := range ep.steps[start:ce.end] {
+				switch st.kind {
+				case stepJoin:
+					je := st.join
+					lp := rp.positives[st.idx]
+					rel := rels[st.idx].Base
+					est := estimateJoin(rel, lp, bound)
+					bindSlots(bound, lp.slots)
+					path := "scan"
+					if je.member {
+						path = "member"
+					} else if len(je.probeCols) > 0 {
+						path = fmt.Sprintf("index%v", je.probeCols)
+					}
+					fmt.Fprintf(w, "  join  %-24s %-10s |rel|=%-8d est=%.3g\n",
+						rp.atomString(lp.pred, lp.slots, u), path, rel.Len(), est)
+				case stepNeg:
+					np := rp.negatives[st.idx]
+					fmt.Fprintf(w, "  check ¬%s\n", rp.atomString(np.pred, np.slots, u))
+				case stepCmp:
+					c := rp.cmps[st.idx]
+					op := "="
+					if c.neq {
+						op = "≠"
+					}
+					fmt.Fprintf(w, "  check %s %s %s\n", rp.slotString(c.left, u), op, rp.slotString(c.right, u))
+				case stepBindEq:
+					c := rp.cmps[st.idx]
+					fmt.Fprintf(w, "  bind  %s = %s\n", rp.slotString(c.left, u), rp.slotString(c.right, u))
+				case stepExtend:
+					fmt.Fprintf(w, "  enumerate %s over universe (%d)\n", rp.varNames[st.idx], u.Size())
+				}
+			}
+			start = ce.end
 		}
 	}
 }

@@ -256,6 +256,33 @@ func TestExplainSmoke(t *testing.T) {
 	}
 }
 
+// TestExplainShowsComponents checks that Explain marks the split: the
+// distance program's two S3 rules are a product of 2 components, (X,Y)
+// then (Xs,Ys), and transitive closure's recursive rule is one.
+func TestExplainShowsComponents(t *testing.T) {
+	src := `
+S1(X,Y) :- E(X,Y).
+S1(X,Y) :- E(X,Z), S1(Z,Y).
+S2(Xs,Ys) :- E(Xs,Ys).
+S2(Xs,Ys) :- E(Xs,Zs), S2(Zs,Ys).
+S3(X,Y,Xs,Ys) :- E(X,Y), !S2(Xs,Ys).
+S3(X,Y,Xs,Ys) :- E(X,Z), S1(Z,Y), !S2(Xs,Ys).`
+	in := MustNew(parser.MustProgram(src), pathDB(5))
+	var b strings.Builder
+	in.Explain(&b, inflate(in))
+	rules := strings.Split(b.String(), "rule ")[1:]
+	for i, want := range []int{1, 1, 1, 1, 2, 2} {
+		marks, product := strings.Count(rules[i], "  component "), strings.Contains(rules[i], "product of")
+		if want == 1 && (marks > 0 || product) || want > 1 && (marks != want || !strings.Contains(rules[i], fmt.Sprintf("  product of %d components\n", want))) {
+			t.Errorf("rule %s does not show %d components", rules[i], want)
+		}
+	}
+	if !strings.Contains(rules[5], "  component 1 → (X,Y)\n  join  E(X,Z)") ||
+		!strings.Contains(rules[5], "  component 2 → (Xs,Ys)\n  enumerate Xs") {
+		t.Errorf("explain of the second S3 rule does not mark where each component begins:\n%s", rules[5])
+	}
+}
+
 // tinyPassSetup builds the tiny-pass fixture: two-rule transitive
 // closure on a sparse 200-vertex graph, evaluated to its fixpoint, and
 // the semi-naive pass one tuple of s drives against that fixpoint — the

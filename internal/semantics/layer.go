@@ -40,8 +40,8 @@
 // everything the reduced state lacks.  The layer's net change is read
 // off the sets in hand — deleted and not back, appended and not deleted
 // — instead of diffing relations.  Deletions that outgrow the layer
-// (reevalShare) are abandoned and the layer re-evaluated, its difference
-// written in place and returned as its net change.
+// (reevalShare, reevalFloor) are abandoned and the layer re-evaluated,
+// its difference written in place and returned as its net change.
 package semantics
 
 import (
@@ -59,6 +59,12 @@ import (
 // each layer tuple about once; a quarter, not a third, also pays for
 // the passes spent before giving up.
 const reevalShare = 4
+
+// reevalFloor: a layer of fewer tuples is never re-evaluated for its
+// deletions' share.  Re-evaluating it saves next to nothing, and
+// maintaining it keeps small inputs — FuzzMaintain's — on the support
+// check.
+const reevalFloor = 32
 
 // Change is one predicate's net change: the tuples that entered (Add)
 // and left (Del) the relation Cur, which already holds the new world.
@@ -327,7 +333,7 @@ func (l *Layer) empty(s *engine.State, own engine.State) engine.State {
 // lower or equal level has a derivation without it.  So a tuple no
 // candidate reached keeps the derivation its level names.  confirm
 // gives up, reporting false, once the deletions outgrow the layer
-// (reevalShare).
+// (reevalShare, reevalFloor).
 func (l *Layer) confirm(own, neg engine.State, base map[string]engine.Delta, eval func(engine.Spec) engine.State) bool {
 	size := 0
 	for _, pred := range l.predList {
@@ -370,7 +376,7 @@ func (l *Layer) confirm(own, neg engine.State, base map[string]engine.Delta, eva
 			n += batch[pred].Len()
 			del[pred].AppendDisjoint(batch[pred])
 		}
-		if gone += n; gone*reevalShare > size {
+		if gone += n; size >= reevalFloor && gone*reevalShare > size {
 			return false
 		}
 		if l.Recursive && n > 0 {

@@ -442,6 +442,23 @@ func BenchmarkInflationaryDistance(b *testing.B) {
 	}
 }
 
+// BenchmarkStratifiedDistance evaluates the distance program under the
+// stratified semantics on the same seeded G(28, 0.06), eval-batch's
+// distance/stratified case: S3's bodies are two variable-disjoint
+// parts, (X,Y) and (Xs,Ys), each evaluated once per pass and emitted as
+// their product.
+func BenchmarkStratifiedDistance(b *testing.B) {
+	g := graphs.Random(rand.New(rand.NewSource(1)), 28, 0.06)
+	prog := parser.MustProgram(distanceSrc)
+	db := g.Database()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Stratified(prog, db); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestPropFrontierBitExactAllSemantics: every semantics —
 // inflationary, least fixpoint, stratified, and well-founded — on the
 // frontier pipeline produces exactly the model internal/wforacle
